@@ -23,7 +23,10 @@ func (bf *benchFabric) drain(records, recSize int) {
 	c := bf.f.Comms()[1]
 	got := 0
 	for got < records {
-		m := c.Recv(comm.AnySource, 1)
+		m, err := c.RecvE(comm.AnySource, 1)
+		if err != nil {
+			panic(err)
+		}
 		got += len(m.Data) / recSize
 	}
 }

@@ -14,7 +14,7 @@
 //
 // Engine selection, thread/rank counts and sampler hyperparameters are
 // all on Config; every engine samples the identical Markov chain for a
-// given Config (see the package's DESIGN.md).
+// given Config (see the package comment of internal/core).
 package bpmf
 
 import (
@@ -318,84 +318,114 @@ func (r *Result) KernelCounts() [3]int64 { return r.res.KernelCounts }
 
 // Train runs BPMF on the data with the chosen engine.
 func Train(data *Data, cfg Config) (*Result, error) {
-	if data == nil || data.prob == nil {
-		return nil, fmt.Errorf("bpmf: nil data")
+	if cfg.Engine != Distributed {
+		return train(data, cfg, nil, nil)
 	}
-	cc, err := cfg.toCore()
+	cc, err := coreConfig(data, cfg)
 	if err != nil {
 		return nil, err
 	}
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = 1
+	res, _, err := dist.RunInProc(cc, data.prob, dist.Options{
+		Ranks:          max(cfg.Ranks, 1),
+		ThreadsPerRank: max(cfg.Threads, 1),
+		BufferSize:     cfg.BufferBytes,
+		Reorder:        cfg.Reorder,
+	})
+	if err != nil {
+		return nil, err
 	}
-	var res *core.Result
-	switch cfg.Engine {
-	case Sequential:
-		var s *core.Sampler
+	return &Result{res: res, data: data}, nil
+}
+
+// coreConfig validates a training call's inputs at the public boundary.
+func coreConfig(data *Data, cfg Config) (core.Config, error) {
+	if data == nil || data.prob == nil {
+		return core.Config{}, fmt.Errorf("bpmf: nil data")
+	}
+	return cfg.toCore()
+}
+
+// train is the one shared-memory training path: build the chain state —
+// fresh, or warm-started from the checkpoint read from r — bind it to
+// cfg.Engine's executor, run the remaining iterations, and serialize the
+// finished chain to w when one is given. The state lives in one
+// core.Sampler whatever the engine, so every engine can checkpoint and
+// resume. Distributed falls back to the sequential executor here: the
+// in-process cluster keeps its state per rank (cmd/bpmf-dist has its own
+// coordinated checkpoints), and the chain is the same one.
+func train(data *Data, cfg Config, r io.Reader, w io.Writer) (*Result, error) {
+	cc, err := coreConfig(data, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var s *core.Sampler
+	first := 0
+	if r == nil {
 		s, err = core.NewSampler(cc, data.prob)
-		if err == nil {
-			res = s.Run()
+	} else {
+		var ckpt *core.Checkpoint
+		if ckpt, err = core.ReadCheckpoint(r); err != nil {
+			return nil, err
 		}
+		if ckpt.NextIter >= cc.Iters {
+			return nil, fmt.Errorf("bpmf: checkpoint already holds %d iterations; Iters (%d) must exceed it",
+				ckpt.NextIter, cc.Iters)
+		}
+		first = ckpt.NextIter
+		s, err = core.ResumeSamplerGrown(cc, data.prob, ckpt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	threads := max(cfg.Threads, 1)
+	release := func() {}
+	switch cfg.Engine {
+	case Sequential, Distributed:
 	case WorkSteal:
-		res, err = mc.Run(mc.WorkSteal, cc, data.prob, threads)
+		release, err = mc.Attach(s, mc.WorkSteal, threads, nil)
 	case Static:
-		res, err = mc.Run(mc.Static, cc, data.prob, threads)
+		release, err = mc.Attach(s, mc.Static, threads, nil)
 	case GraphLab:
-		res, _, err = graphlab.Run(cc, data.prob, threads)
-	case Distributed:
-		ranks := cfg.Ranks
-		if ranks < 1 {
-			ranks = 1
-		}
-		res, _, err = dist.RunInProc(cc, data.prob, dist.Options{
-			Ranks:          ranks,
-			ThreadsPerRank: threads,
-			BufferSize:     cfg.BufferBytes,
-			Reorder:        cfg.Reorder,
-		})
+		_, err = graphlab.Attach(s, threads, nil)
 	default:
 		err = fmt.Errorf("bpmf: unknown engine %d", cfg.Engine)
 	}
 	if err != nil {
 		return nil, err
 	}
+	defer release()
+	res := s.RunFrom(first)
+	if w != nil {
+		// The chain is finished, so the aliasing view is safe to serialize.
+		if err := s.View().Write(w); err != nil {
+			return nil, fmt.Errorf("bpmf: writing checkpoint: %w", err)
+		}
+	}
 	return &Result{res: res, data: data}, nil
 }
 
 // TrainWithCheckpoint trains like Train and then serializes a resumable
 // snapshot of the finished chain to w — the file cmd/bpmf-serve loads
-// into a serving model. The snapshot is produced by the sequential
-// reference sampler regardless of cfg.Engine: every engine samples the
-// identical chain for a given Config, so the checkpoint bytes are the
-// same ones any engine's run would yield, and only wall-clock time
-// differs. Training errors and checkpoint I/O errors (full disk,
-// closed pipe) are both reported.
+// into a serving model. cfg.Engine and cfg.Threads are honoured for the
+// shared-memory engines; every engine samples the identical chain for a
+// given Config, so the checkpoint bytes do not depend on the choice, and
+// only wall-clock time differs. The Distributed engine trains on the
+// sequential executor here. Training errors and checkpoint I/O errors
+// (full disk, closed pipe) are both reported.
 func TrainWithCheckpoint(data *Data, cfg Config, w io.Writer) (*Result, error) {
-	if data == nil || data.prob == nil {
-		return nil, fmt.Errorf("bpmf: nil data")
+	if w == nil {
+		return nil, fmt.Errorf("bpmf: nil checkpoint writer")
 	}
-	cc, err := cfg.toCore()
-	if err != nil {
-		return nil, err
-	}
-	s, err := core.NewSampler(cc, data.prob)
-	if err != nil {
-		return nil, err
-	}
-	res := s.Run()
-	if err := s.Checkpoint().Write(w); err != nil {
-		return nil, fmt.Errorf("bpmf: writing checkpoint: %w", err)
-	}
-	return &Result{res: res, data: data}, nil
+	return train(data, cfg, nil, w)
 }
 
 // ResumeWithCheckpoint warm-starts the Gibbs chain from a checkpoint
 // read from r and continues it on data through cfg.Iters total
-// iterations; when w is non-nil the finished chain is serialized back
-// out (the next cycle's warm-start). cfg.K and cfg.Seed must match the
-// checkpointed run, and data's test split must be the one the
-// checkpoint's posterior accumulators were built over.
+// iterations, on cfg.Engine's threads as in TrainWithCheckpoint; when w
+// is non-nil the finished chain is serialized back out (the next
+// cycle's warm-start). cfg.K and cfg.Seed must match the checkpointed
+// run, and data's test split must be the one the checkpoint's posterior
+// accumulators were built over.
 //
 // data may hold *more users* than the checkpoint (new users observed
 // since it was written): their factor rows are folded in with the
@@ -405,30 +435,8 @@ func TrainWithCheckpoint(data *Data, cfg Config, w io.Writer) (*Result, error) {
 // merging safe. The item catalog cannot grow (V's shape is pinned);
 // new items need a full retrain.
 func ResumeWithCheckpoint(data *Data, cfg Config, r io.Reader, w io.Writer) (*Result, error) {
-	if data == nil || data.prob == nil {
-		return nil, fmt.Errorf("bpmf: nil data")
+	if r == nil {
+		return nil, fmt.Errorf("bpmf: nil checkpoint reader")
 	}
-	cc, err := cfg.toCore()
-	if err != nil {
-		return nil, err
-	}
-	ckpt, err := core.ReadCheckpoint(r)
-	if err != nil {
-		return nil, err
-	}
-	if ckpt.NextIter >= cc.Iters {
-		return nil, fmt.Errorf("bpmf: checkpoint already holds %d iterations; Iters (%d) must exceed it",
-			ckpt.NextIter, cc.Iters)
-	}
-	s, err := core.ResumeSamplerGrown(cc, data.prob, ckpt)
-	if err != nil {
-		return nil, err
-	}
-	res := s.RunFrom(ckpt.NextIter)
-	if w != nil {
-		if err := s.Checkpoint().Write(w); err != nil {
-			return nil, fmt.Errorf("bpmf: writing checkpoint: %w", err)
-		}
-	}
-	return &Result{res: res, data: data}, nil
+	return train(data, cfg, r, w)
 }

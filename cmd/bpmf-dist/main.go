@@ -313,7 +313,7 @@ func (w *worker) round(me int, view comm.View, pin int, mem *comm.Membership) (*
 		fmt.Printf("rank %d: mapped %d of %d shards (%.2f MB payload + %.2f KB metadata)\n",
 			me, sp.Shards, sp.TotalShards,
 			float64(sp.Load.PayloadBytesTouched)/1e6, float64(sp.Load.HeaderBytes)/1e3)
-		if node, err = dist.NewNodeLocal(c, w.cfg, sp.Plan, sp.RT, sp.Test, opt); err != nil {
+		if node, err = dist.NewNode(c, w.cfg, sp.Plan, sp.RT, sp.Test, opt); err != nil {
 			return nil, nil, err
 		}
 		test = sp.Test
@@ -328,7 +328,7 @@ func (w *worker) round(me int, view comm.View, pin int, mem *comm.Membership) (*
 		} else {
 			plan, test = dist.BuildPlan(w.prob, opt)
 		}
-		if node, err = dist.NewNode(c, w.cfg, plan, test, opt); err != nil {
+		if node, err = dist.NewNode(c, w.cfg, plan, nil, test, opt); err != nil {
 			return nil, nil, err
 		}
 	}

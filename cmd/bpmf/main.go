@@ -71,60 +71,38 @@ func main() {
 		res.RMSE(), res.UpdatesPerSec(), kc[0], kc[1], kc[2])
 }
 
-// train runs Train, or TrainWithCheckpoint when a checkpoint path was
-// given, or ResumeWithCheckpoint when warm-starting from -resume-ckpt.
-// Checkpoints are written to a temp file and renamed into place so a
-// bpmf-serve watcher never observes a half-written snapshot.
+// train runs Train — or, when a checkpoint is read (-resume-ckpt, a
+// warm start continued to cfg.Iters total iterations) or written
+// (-ckpt-out), ResumeWithCheckpoint / TrainWithCheckpoint on the chosen
+// engine. Checkpoints are written to a temp file and renamed into place
+// so a bpmf-serve watcher never observes a half-written snapshot.
 func train(data *bpmf.Data, cfg bpmf.Config, ckptOut, resumeCkpt string) (*bpmf.Result, error) {
-	if resumeCkpt != "" {
-		return resume(data, cfg, ckptOut, resumeCkpt)
-	}
-	if ckptOut == "" {
+	if ckptOut == "" && resumeCkpt == "" {
 		return bpmf.Train(data, cfg)
 	}
-	if cfg.Engine != bpmf.Sequential {
-		// TrainWithCheckpoint snapshots full sampler state, which only the
-		// sequential reference retains; the chain (and so the checkpoint)
-		// is bit-identical to what the requested engine would sample, but
-		// the run is single-threaded — say so instead of silently losing
-		// the parallelism the user asked for.
-		fmt.Printf("checkpoint requested: training with the sequential reference sampler (same chain; -engine %s and -threads ignored)\n", cfg.Engine)
+	if cfg.Engine == bpmf.Distributed {
+		// The in-process cluster keeps its chain state per rank, so a
+		// checkpointing run falls back to the sequential executor (same
+		// chain, one thread) — say so instead of silently losing the
+		// parallelism the user asked for.
+		fmt.Printf("checkpoint or resume requested: training with the sequential sampler (same chain; -engine %s, -ranks and -threads ignored)\n", cfg.Engine)
 	}
-	var res *bpmf.Result
-	err := core.WriteCheckpointFile(ckptOut, func(w io.Writer) error {
-		var trainErr error
-		res, trainErr = bpmf.TrainWithCheckpoint(data, cfg, w)
-		return trainErr
-	})
-	if err != nil {
-		return nil, err
+	run := func(w io.Writer) (*bpmf.Result, error) { return bpmf.TrainWithCheckpoint(data, cfg, w) }
+	if resumeCkpt != "" {
+		f, err := os.Open(resumeCkpt)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		run = func(w io.Writer) (*bpmf.Result, error) { return bpmf.ResumeWithCheckpoint(data, cfg, f, w) }
 	}
-	fmt.Printf("checkpoint written to %s\n", ckptOut)
-	return res, nil
-}
-
-// resume warm-starts the chain from resumeCkpt (sequential reference
-// sampler — the only engine that retains full resumable state; the
-// chain is the same one every engine samples) and continues it to
-// cfg.Iters total iterations, optionally rotating the finished chain
-// into ckptOut.
-func resume(data *bpmf.Data, cfg bpmf.Config, ckptOut, resumeCkpt string) (*bpmf.Result, error) {
-	if cfg.Engine != bpmf.Sequential {
-		fmt.Printf("resume requested: training with the sequential reference sampler (same chain; -engine %s and -threads ignored)\n", cfg.Engine)
-	}
-	f, err := os.Open(resumeCkpt)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	if ckptOut == "" {
-		return bpmf.ResumeWithCheckpoint(data, cfg, f, nil)
+		return run(nil)
 	}
 	var res *bpmf.Result
-	err = core.WriteCheckpointFile(ckptOut, func(w io.Writer) error {
-		var trainErr error
-		res, trainErr = bpmf.ResumeWithCheckpoint(data, cfg, f, w)
-		return trainErr
+	err := core.WriteCheckpointFile(ckptOut, func(w io.Writer) (err error) {
+		res, err = run(w)
+		return err
 	})
 	if err != nil {
 		return nil, err

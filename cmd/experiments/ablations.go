@@ -11,10 +11,10 @@ import (
 	"repro/internal/sparse"
 )
 
-// ablations prints the DESIGN.md §5 ablation tables: the effect of each
-// design decision the paper's Sections III–IV argue for.
+// ablations prints the ablation tables: the effect of each design
+// decision the paper's Sections III–IV argue for.
 func ablations(cfg core.Config, cm des.CostModel, scale float64) {
-	fmt.Println("\n== Ablations (DESIGN.md §5) ==")
+	fmt.Println("\n== Ablations (paper Sections III–IV) ==")
 	chembl := chemblData(scale)
 	ml := ml20mData(scale)
 
@@ -66,7 +66,7 @@ func ablations(cfg core.Config, cm des.CostModel, scale float64) {
 	fmt.Println("  (synthetic data scatters community structure randomly, so the gain is")
 	fmt.Println("   modest here; on clustered real data the reordering matters more)")
 
-	// 5. Two-sided buffered vs one-sided notified puts (real runs).
+	// 5. Buffered vs per-item sends (real runs; ablation 2 simulates it).
 	fmt.Println("\n-- exchange mechanism (real in-process runs, 4 ranks, small dataset) --")
 	small := datagen.Generate(datagen.Small(3))
 	probTrain, probTest := splitFor(small)
@@ -74,20 +74,17 @@ func ablations(cfg core.Config, cm des.CostModel, scale float64) {
 	one := cfg
 	one.Iters, one.Burnin = 2, 1
 	one.K = 16
-	if twoRes, stats, err := dist.RunInProc(one, prob, dist.Options{Ranks: 4}); err == nil {
-		var msgs int64
-		for _, s := range stats {
-			msgs += s.Comm.MsgsSent
+	for _, mode := range []struct {
+		label string
+		buf   int
+	}{{"buffered (64 KiB)", 0}, {"per-item sends", -1}} {
+		if res, stats, err := dist.RunInProc(one, prob, dist.Options{Ranks: 4, BufferSize: mode.buf}); err == nil {
+			var msgs int64
+			for _, s := range stats {
+				msgs += s.Comm.MsgsSent
+			}
+			fmt.Printf("  %-20s RMSE %.5f, %5d messages\n", mode.label+":", res.FinalRMSE(), msgs)
 		}
-		fmt.Printf("  two-sided buffered:   RMSE %.5f, %5d messages\n", twoRes.FinalRMSE(), msgs)
-	}
-	if oneRes, stats, err := dist.RunInProc(one, prob, dist.Options{Ranks: 4, OneSided: true}); err == nil {
-		var msgs int64
-		for _, s := range stats {
-			msgs += s.Comm.MsgsSent
-		}
-		fmt.Printf("  one-sided (GASPI):    RMSE %.5f, %5d messages (identical chain, per-item puts)\n",
-			oneRes.FinalRMSE(), msgs)
 	}
 }
 

@@ -1,10 +1,10 @@
 package comm
 
-// Coalescer implements the paper's Section IV-C send buffering: calling
-// Isend once per updated item has too much per-message overhead and floods
-// the runtime with in-flight messages, so updated items are appended to a
-// per-destination buffer that is flushed as one message when full (and
-// explicitly at phase end).
+// Coalescer implements the paper's Section IV-C send buffering: one send
+// (the paper's MPI_Isend) per updated item has too much per-message
+// overhead and floods the runtime with in-flight messages, so updated
+// items are appended to a per-destination buffer that is flushed as one
+// message when full (and explicitly at phase end).
 type Coalescer struct {
 	c       *Comm
 	dst     int

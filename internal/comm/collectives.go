@@ -6,22 +6,12 @@ import (
 	"math"
 )
 
-// The collectives come in two flavors: the error-returning E variants,
-// which unwind cleanly when a peer dies mid-operation (the failure
-// detector fails the endpoint, waking every blocked receive), and the
-// original panicking wrappers, kept for SPMD code that treats any
-// communication failure as fatal. Both run the identical algorithms —
-// the wrappers delegate — so their results are bit-identical.
+// Every collective unwinds with an error when a peer dies mid-operation
+// (the failure detector fails the endpoint, waking every blocked
+// receive). All ranks must invoke collectives in the same order (SPMD).
 
-// Barrier blocks until every rank has entered it (dissemination
+// BarrierE blocks until every rank has entered it (dissemination
 // algorithm: ⌈log₂ P⌉ rounds of pairwise signals).
-func (c *Comm) Barrier() {
-	if err := c.BarrierE(); err != nil {
-		panic(fmt.Sprintf("comm: Barrier rank %d: %v", c.rank, err))
-	}
-}
-
-// BarrierE is Barrier returning an error when a peer fails mid-barrier.
 func (c *Comm) BarrierE() error {
 	tag := c.nextCollTag()
 	p := c.size
@@ -41,17 +31,8 @@ func (c *Comm) BarrierE() error {
 	return nil
 }
 
-// Bcast distributes root's data to all ranks and returns each rank's copy
-// (binomial tree).
-func (c *Comm) Bcast(root int, data []byte) []byte {
-	out, err := c.BcastE(root, data)
-	if err != nil {
-		panic(fmt.Sprintf("comm: Bcast rank %d: %v", c.rank, err))
-	}
-	return out
-}
-
-// BcastE is Bcast returning an error when a peer fails mid-broadcast.
+// BcastE distributes root's data to all ranks and returns each rank's
+// copy (binomial tree).
 func (c *Comm) BcastE(root int, data []byte) ([]byte, error) {
 	tag := c.nextCollTag()
 	p := c.size
@@ -86,18 +67,9 @@ func (c *Comm) BcastE(root int, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// Allgather collects every rank's blob; the result slice is indexed by
+// AllgatherE collects every rank's blob; the result slice is indexed by
 // rank. Implemented as a ring so each rank sends P-1 messages of its own
 // size.
-func (c *Comm) Allgather(mine []byte) [][]byte {
-	out, err := c.AllgatherE(mine)
-	if err != nil {
-		panic(fmt.Sprintf("comm: Allgather rank %d: %v", c.rank, err))
-	}
-	return out
-}
-
-// AllgatherE is Allgather returning an error when a peer fails mid-ring.
 func (c *Comm) AllgatherE(mine []byte) ([][]byte, error) {
 	tag := c.nextCollTag()
 	p := c.size
@@ -138,21 +110,13 @@ func splitOwner(b []byte) ([]byte, int) {
 	return b[:n], int(binary.LittleEndian.Uint32(b[n:]))
 }
 
-// AllreduceSumOrdered sums per-rank float64 vectors with a fixed
+// AllreduceSumOrderedE sums per-rank float64 vectors with a fixed
 // reduction order: every rank gathers all partials and adds them in rank
 // order, so the result is bit-identical on every rank and independent of
 // message timing. This is the deterministic reduction the distributed
-// hyperparameter sampling uses (DESIGN.md decision 6).
-func (c *Comm) AllreduceSumOrdered(mine []float64) []float64 {
-	out, err := c.AllreduceSumOrderedE(mine)
-	if err != nil {
-		panic(fmt.Sprintf("comm: AllreduceSumOrdered rank %d: %v", c.rank, err))
-	}
-	return out
-}
-
-// AllreduceSumOrderedE is AllreduceSumOrdered returning an error when a
-// peer fails mid-reduction (or the partial lengths disagree).
+// hyperparameter sampling uses (see package dist's comment: it is what
+// makes the chain independent of the rank count). Partial lengths that
+// disagree across ranks are an error.
 func (c *Comm) AllreduceSumOrderedE(mine []float64) ([]float64, error) {
 	blobs, err := c.AllgatherE(encodeFloat64s(mine))
 	if err != nil {
@@ -171,21 +135,11 @@ func (c *Comm) AllreduceSumOrderedE(mine []float64) ([]float64, error) {
 	return out, nil
 }
 
-// AllreduceSumTree sums per-rank float64 vectors with recursive doubling:
-// ⌈log₂ P⌉ rounds, lower latency than the ordered version but the
-// summation tree (and hence the last bits) depends on P. Used where exact
-// cross-P reproducibility is not required; the ablation benchmark
+// AllreduceSumTreeE sums per-rank float64 vectors with recursive
+// doubling: ⌈log₂ P⌉ rounds, lower latency than the ordered version but
+// the summation tree (and hence the last bits) depends on P. Used where
+// exact cross-P reproducibility is not required; the ablation benchmark
 // compares both.
-func (c *Comm) AllreduceSumTree(mine []float64) []float64 {
-	out, err := c.AllreduceSumTreeE(mine)
-	if err != nil {
-		panic(fmt.Sprintf("comm: AllreduceSumTree rank %d: %v", c.rank, err))
-	}
-	return out
-}
-
-// AllreduceSumTreeE is AllreduceSumTree returning an error when a peer
-// fails mid-reduction.
 func (c *Comm) AllreduceSumTreeE(mine []float64) ([]float64, error) {
 	tag := c.nextCollTag()
 	p := c.size

@@ -4,9 +4,9 @@
 //
 //   - ranks and tagged point-to-point messages with MPI-style matching
 //     (by source and tag, with wildcard source);
-//   - non-blocking Isend/Irecv returning Request handles (the paper's
-//     MPI_Isend/MPI_Irecv, used to overlap communication with
-//     computation);
+//   - sends that never block the sender (transports queue internally,
+//     the role MPI_Isend plays in the paper: communication overlaps the
+//     computation that follows the send);
 //   - coalescing send buffers (the paper's Section IV-C: per-item sends
 //     are too expensive, so items are batched until a buffer fills);
 //   - collectives: barrier, broadcast, allgather, and a deterministic
@@ -15,6 +15,11 @@
 //   - pluggable transports: an in-process fabric (goroutine channels) for
 //     single-binary virtual clusters and tests, and a TCP mesh for real
 //     multi-process runs (cmd/bpmf-dist).
+//
+// Every operation that can fail returns an error — a dead peer, a closed
+// endpoint or a corrupt frame unwinds the caller instead of crashing the
+// process — which is what the E suffix of the send, receive and
+// collective names records.
 package comm
 
 import (
@@ -24,7 +29,7 @@ import (
 	"time"
 )
 
-// AnySource matches messages from any rank in Recv/Irecv.
+// AnySource matches messages from any rank in RecvE/RecvTimeout.
 const AnySource = -1
 
 // collectiveTagBase reserves the upper tag space for internal collective
@@ -140,77 +145,12 @@ func (c *Comm) deliver(m Message) {
 	c.mu.Unlock()
 }
 
-// Request is a handle for a non-blocking operation.
-type Request struct {
-	ch  chan Message
-	msg *Message
-	mu  sync.Mutex
-}
-
-// Wait blocks until the operation completes. For receives it returns the
-// message; for sends it returns a zero Message.
-func (r *Request) Wait() Message {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.msg == nil {
-		m := <-r.ch
-		r.msg = &m
-	}
-	return *r.msg
-}
-
-// Test reports whether the operation has completed without blocking.
-func (r *Request) Test() (Message, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.msg != nil {
-		return *r.msg, true
-	}
-	select {
-	case m := <-r.ch:
-		r.msg = &m
-		return m, true
-	default:
-		return Message{}, false
-	}
-}
-
-// completedRequest returns an already-completed request.
-func completedRequest() *Request {
-	r := &Request{ch: make(chan Message, 1)}
-	r.msg = &Message{}
-	return r
-}
-
-// Isend sends data to dst with the given tag without blocking. The data
-// slice must not be modified after the call (hand ownership to the
-// layer, as with MPI_Isend's buffer until completion — here the transport
-// copies or queues it immediately, so the returned request is already
-// complete; it exists for MPI-shaped code).
-func (c *Comm) Isend(dst, tag int, data []byte) *Request {
-	if err := c.send(dst, tag, data); err != nil {
-		panic(fmt.Sprintf("comm: Isend rank %d -> %d: %v", c.rank, dst, err))
-	}
-	return completedRequest()
-}
-
-// Send sends data to dst with the given tag (blocking semantics are
-// identical here because transports queue internally).
-func (c *Comm) Send(dst, tag int, data []byte) {
-	if err := c.send(dst, tag, data); err != nil {
-		panic(fmt.Sprintf("comm: Send rank %d -> %d: %v", c.rank, dst, err))
-	}
-}
-
-// SendE is Send returning an error instead of panicking: a closed or
-// failed endpoint, an invalid destination, and transport errors all
-// surface to the caller. The fault-tolerant engine paths use this so a
-// dead peer unwinds the rank instead of crashing the process.
+// SendE sends data to dst with the given tag. It does not block on the
+// receiver (transports queue internally), and the data slice must not be
+// modified after the call. A closed or failed endpoint, an invalid
+// destination, and transport errors all surface to the caller, so a dead
+// peer unwinds the rank instead of crashing the process.
 func (c *Comm) SendE(dst, tag int, data []byte) error {
-	return c.send(dst, tag, data)
-}
-
-func (c *Comm) send(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= c.size {
 		return fmt.Errorf("invalid destination rank %d (size %d)", dst, c.size)
 	}
@@ -232,24 +172,6 @@ func (c *Comm) send(dst, tag int, data []byte) error {
 		return fmt.Errorf("endpoint has no transport")
 	}
 	return tr.Send(dst, tag, data)
-}
-
-// Recv blocks until a message with the given tag arrives from src
-// (AnySource matches any rank).
-func (c *Comm) Recv(src, tag int) Message {
-	return c.Irecv(src, tag).Wait()
-}
-
-// Irecv posts a non-blocking receive for (src, tag) and returns its
-// request handle.
-func (c *Comm) Irecv(src, tag int) *Request {
-	m, w := c.postRecv(src, tag)
-	if w == nil {
-		r := &Request{ch: make(chan Message, 1)}
-		r.msg = &m
-		return r
-	}
-	return &Request{ch: w.ch}
 }
 
 // postRecv matches an already-pending message (FIFO per pair) or
@@ -287,10 +209,10 @@ func (c *Comm) cancelWaiter(w *waiter) (Message, bool) {
 	return <-w.ch, true
 }
 
-// RecvE blocks until a message with the given tag arrives from src, or
-// the endpoint fails (a peer death detected by the heartbeat detector, a
-// transport-level corruption). A message already matched when the
-// failure fires is still delivered.
+// RecvE blocks until a message with the given tag arrives from src
+// (AnySource matches any rank), or the endpoint fails (a peer death
+// detected by the heartbeat detector, a transport-level corruption). A
+// message already matched when the failure fires is still delivered.
 func (c *Comm) RecvE(src, tag int) (Message, error) {
 	if err := c.Err(); err != nil {
 		return Message{}, err

@@ -25,12 +25,30 @@ func runSPMD(t *testing.T, size int, fn func(c *Comm)) {
 	wg.Wait()
 }
 
+// check fails the test on a communication error: these tests run on
+// healthy fabrics, where none may occur. It reports with t.Error because
+// ranks run on their own goroutines.
+func check(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Error(err)
+	}
+}
+
+// recv is RecvE on a healthy fabric.
+func recv(t *testing.T, c *Comm, src, tag int) Message {
+	t.Helper()
+	m, err := c.RecvE(src, tag)
+	check(t, err)
+	return m
+}
+
 func TestSendRecvBasic(t *testing.T) {
 	runSPMD(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 7, []byte("hello"))
+			check(t, c.SendE(1, 7, []byte("hello")))
 		} else {
-			m := c.Recv(0, 7)
+			m := recv(t, c, 0, 7)
 			if string(m.Data) != "hello" || m.Src != 0 || m.Tag != 7 {
 				t.Errorf("got %+v", m)
 			}
@@ -43,9 +61,9 @@ func TestRecvBeforeSend(t *testing.T) {
 	defer f.Close()
 	comms := f.Comms()
 	done := make(chan Message, 1)
-	go func() { done <- comms[1].Recv(0, 3) }()
+	go func() { done <- recv(t, comms[1], 0, 3) }()
 	time.Sleep(10 * time.Millisecond) // let the receive get posted first
-	comms[0].Send(1, 3, []byte{42})
+	check(t, comms[0].SendE(1, 3, []byte{42}))
 	m := <-done
 	if m.Data[0] != 42 {
 		t.Fatalf("got %v", m.Data)
@@ -55,12 +73,12 @@ func TestRecvBeforeSend(t *testing.T) {
 func TestTagMatching(t *testing.T) {
 	runSPMD(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 1, []byte("a"))
-			c.Send(1, 2, []byte("b"))
+			check(t, c.SendE(1, 1, []byte("a")))
+			check(t, c.SendE(1, 2, []byte("b")))
 		} else {
 			// Receive out of send order by tag.
-			m2 := c.Recv(0, 2)
-			m1 := c.Recv(0, 1)
+			m2 := recv(t, c, 0, 2)
+			m1 := recv(t, c, 0, 1)
 			if string(m2.Data) != "b" || string(m1.Data) != "a" {
 				t.Error("tag matching failed")
 			}
@@ -71,11 +89,11 @@ func TestTagMatching(t *testing.T) {
 func TestAnySource(t *testing.T) {
 	runSPMD(t, 3, func(c *Comm) {
 		if c.Rank() != 0 {
-			c.Send(0, 5, []byte{byte(c.Rank())})
+			check(t, c.SendE(0, 5, []byte{byte(c.Rank())}))
 		} else {
 			seen := map[int]bool{}
 			for i := 0; i < 2; i++ {
-				m := c.Recv(AnySource, 5)
+				m := recv(t, c, AnySource, 5)
 				seen[m.Src] = true
 			}
 			if !seen[1] || !seen[2] {
@@ -90,11 +108,11 @@ func TestNonOvertakingSameTag(t *testing.T) {
 		const n = 200
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				c.Send(1, 9, []byte{byte(i)})
+				check(t, c.SendE(1, 9, []byte{byte(i)}))
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				m := c.Recv(0, 9)
+				m := recv(t, c, 0, 9)
 				if int(m.Data[0]) != i {
 					t.Errorf("message %d arrived out of order (got %d)", i, m.Data[0])
 					return
@@ -104,25 +122,6 @@ func TestNonOvertakingSameTag(t *testing.T) {
 	})
 }
 
-func TestIrecvTestAndWait(t *testing.T) {
-	f := NewFabric(2)
-	defer f.Close()
-	comms := f.Comms()
-	req := comms[1].Irecv(0, 4)
-	if _, ok := req.Test(); ok {
-		t.Fatal("Test must report incomplete before send")
-	}
-	comms[0].Send(1, 4, []byte("x"))
-	m := req.Wait()
-	if string(m.Data) != "x" {
-		t.Fatalf("got %q", m.Data)
-	}
-	// Wait is idempotent.
-	if string(req.Wait().Data) != "x" {
-		t.Fatal("second Wait differs")
-	}
-}
-
 func TestProbe(t *testing.T) {
 	f := NewFabric(2)
 	defer f.Close()
@@ -130,7 +129,7 @@ func TestProbe(t *testing.T) {
 	if comms[1].Probe(0, 8) {
 		t.Fatal("Probe true before send")
 	}
-	comms[0].Send(1, 8, []byte("p"))
+	check(t, comms[0].SendE(1, 8, []byte("p")))
 	deadline := time.Now().Add(time.Second)
 	for !comms[1].Probe(0, 8) {
 		if time.Now().After(deadline) {
@@ -138,7 +137,7 @@ func TestProbe(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	comms[1].Recv(0, 8)
+	recv(t, comms[1], 0, 8)
 	if comms[1].Probe(0, 8) {
 		t.Fatal("Probe true after consume")
 	}
@@ -147,9 +146,9 @@ func TestProbe(t *testing.T) {
 func TestStatsCount(t *testing.T) {
 	runSPMD(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Send(1, 1, make([]byte, 100))
+			check(t, c.SendE(1, 1, make([]byte, 100)))
 		} else {
-			c.Recv(0, 1)
+			recv(t, c, 0, 1)
 			st := c.Stats()
 			if st.MsgsRecv != 1 || st.BytesRecv != 100 {
 				t.Errorf("stats %+v", st)
@@ -158,15 +157,12 @@ func TestStatsCount(t *testing.T) {
 	})
 }
 
-func TestInvalidDestinationPanics(t *testing.T) {
+func TestInvalidDestinationIsAnError(t *testing.T) {
 	f := NewFabric(1)
 	defer f.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Send to invalid rank must panic")
-		}
-	}()
-	f.Comms()[0].Send(5, 0, nil)
+	if err := f.Comms()[0].SendE(5, 0, nil); err == nil {
+		t.Fatal("SendE to an invalid rank must return an error")
+	}
 }
 
 func TestBarrier(t *testing.T) {
@@ -174,14 +170,14 @@ func TestBarrier(t *testing.T) {
 		var phase sync.Map
 		runSPMD(t, p, func(c *Comm) {
 			phase.Store(c.Rank(), 1)
-			c.Barrier()
+			check(t, c.BarrierE())
 			// After the barrier, every rank must have reached phase 1.
 			for r := 0; r < c.Size(); r++ {
 				if v, ok := phase.Load(r); !ok || v != 1 {
 					t.Errorf("p=%d rank %d: peer %d had not reached the barrier", p, c.Rank(), r)
 				}
 			}
-			c.Barrier() // second barrier must also work (tag sequencing)
+			check(t, c.BarrierE()) // second barrier must also work (tag sequencing)
 		})
 	}
 }
@@ -195,7 +191,8 @@ func TestBcast(t *testing.T) {
 				if c.Rank() == root {
 					mine = want
 				}
-				got := c.Bcast(root, mine)
+				got, err := c.BcastE(root, mine)
+				check(t, err)
 				if string(got) != string(want) {
 					t.Errorf("p=%d root=%d rank=%d: got %q", p, root, c.Rank(), got)
 				}
@@ -208,7 +205,8 @@ func TestAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 6} {
 		runSPMD(t, p, func(c *Comm) {
 			mine := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
-			all := c.Allgather(mine)
+			all, err := c.AllgatherE(mine)
+			check(t, err)
 			for r := 0; r < p; r++ {
 				if len(all[r]) != 2 || all[r][0] != byte(r) || all[r][1] != byte(2*r) {
 					t.Errorf("p=%d rank=%d: slot %d = %v", p, c.Rank(), r, all[r])
@@ -230,7 +228,8 @@ func TestAllreduceSumOrdered(t *testing.T) {
 		var mu sync.Mutex
 		results := map[int][]float64{}
 		runSPMD(t, p, func(c *Comm) {
-			got := c.AllreduceSumOrdered([]float64{float64(c.Rank()), float64(2 * c.Rank()), 100})
+			got, err := c.AllreduceSumOrderedE([]float64{float64(c.Rank()), float64(2 * c.Rank()), 100})
+			check(t, err)
 			mu.Lock()
 			results[c.Rank()] = got
 			mu.Unlock()
@@ -256,7 +255,8 @@ func TestAllreduceSumTree(t *testing.T) {
 		var mu sync.Mutex
 		results := map[int][]float64{}
 		runSPMD(t, p, func(c *Comm) {
-			got := c.AllreduceSumTree([]float64{1, float64(c.Rank())})
+			got, err := c.AllreduceSumTreeE([]float64{1, float64(c.Rank())})
+			check(t, err)
 			mu.Lock()
 			results[c.Rank()] = got
 			mu.Unlock()
@@ -286,7 +286,8 @@ func TestOrderedAllreduceDeterministicAcrossTimings(t *testing.T) {
 		var got []float64
 		runSPMD(t, p, func(c *Comm) {
 			time.Sleep(time.Duration(rand.Intn(3)) * time.Millisecond)
-			r := c.AllreduceSumOrdered(vals[c.Rank()])
+			r, err := c.AllreduceSumOrderedE(vals[c.Rank()])
+			check(t, err)
 			if c.Rank() == 0 {
 				mu.Lock()
 				got = r
@@ -322,8 +323,8 @@ func TestCoalescer(t *testing.T) {
 		t.Fatalf("expected 1 flush, got %d", co.Flushes())
 	}
 	co.Flush()
-	m1 := comms[1].Recv(0, 11)
-	m2 := comms[1].Recv(0, 11)
+	m1 := recv(t, comms[1], 0, 11)
+	m2 := recv(t, comms[1], 0, 11)
 	if string(m1.Data) != "aaaabbbb" || string(m2.Data) != "cccc" {
 		t.Fatalf("coalesced payloads %q, %q", m1.Data, m2.Data)
 	}
@@ -342,8 +343,8 @@ func TestCoalescerUnbuffered(t *testing.T) {
 	if co.Flushes() != 2 {
 		t.Fatalf("unbuffered mode flushed %d times, want 2", co.Flushes())
 	}
-	comms[1].Recv(0, 12)
-	comms[1].Recv(0, 12)
+	recv(t, comms[1], 0, 12)
+	recv(t, comms[1], 0, 12)
 }
 
 func TestCoalescerEmptyFlushNoop(t *testing.T) {
@@ -389,12 +390,13 @@ func TestTCPTransport(t *testing.T) {
 			defer wg2.Done()
 			next := (c.Rank() + 1) % 3
 			prev := (c.Rank() + 2) % 3
-			c.Send(next, 1, []byte{byte(c.Rank())})
-			m := c.Recv(prev, 1)
+			check(t, c.SendE(next, 1, []byte{byte(c.Rank())}))
+			m := recv(t, c, prev, 1)
 			if int(m.Data[0]) != prev {
 				t.Errorf("rank %d: ring got %d", c.Rank(), m.Data[0])
 			}
-			sum := c.AllreduceSumOrdered([]float64{float64(c.Rank() + 1)})
+			sum, err := c.AllreduceSumOrderedE([]float64{float64(c.Rank() + 1)})
+			check(t, err)
 			if sum[0] != 6 {
 				t.Errorf("rank %d: allreduce = %v", c.Rank(), sum[0])
 			}
@@ -430,7 +432,7 @@ func TestTCPLargeMessage(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() {
-		m := comms[1].Recv(0, 2)
+		m := recv(t, comms[1], 0, 2)
 		for i := range m.Data {
 			if m.Data[i] != byte(i*31) {
 				t.Errorf("corruption at %d", i)
@@ -439,6 +441,6 @@ func TestTCPLargeMessage(t *testing.T) {
 		}
 		close(done)
 	}()
-	comms[0].Send(1, 2, big)
+	check(t, comms[0].SendE(1, 2, big))
 	<-done
 }

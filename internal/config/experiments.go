@@ -14,7 +14,8 @@ type Experiments struct {
 	RMSE bool `json:"rmse,omitempty"`
 	// Speedup runs the §VI end-to-end speedup estimate.
 	Speedup bool `json:"speedup,omitempty"`
-	// Ablations runs the DESIGN.md §5 ablation tables.
+	// Ablations runs the ablation tables of the paper's Sections III–IV
+	// design decisions (cmd/experiments/ablations.go).
 	Ablations bool `json:"ablations,omitempty"`
 	// All runs every experiment.
 	All bool `json:"all,omitempty"`
@@ -36,7 +37,7 @@ func (c *Experiments) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Fig, "fig", c.Fig, "figure to regenerate (2..5)")
 	fs.BoolVar(&c.RMSE, "rmse", c.RMSE, "run the §V-B accuracy-equivalence experiment")
 	fs.BoolVar(&c.Speedup, "speedup", c.Speedup, "run the §VI end-to-end speedup estimate")
-	fs.BoolVar(&c.Ablations, "ablations", c.Ablations, "run the DESIGN.md §5 ablation tables")
+	fs.BoolVar(&c.Ablations, "ablations", c.Ablations, "run the ablation tables (paper Sections III-IV design decisions)")
 	fs.BoolVar(&c.All, "all", c.All, "run every experiment")
 	fs.Float64Var(&c.Scale, "scale", c.Scale, "dataset scale factor for simulator workloads")
 	fs.BoolVar(&c.Calibrate, "calibrate", c.Calibrate, "calibrate the cost model on this machine")

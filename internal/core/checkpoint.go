@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"repro/internal/la"
 )
@@ -37,82 +36,85 @@ type Checkpoint struct {
 
 const ckptMagic = "BPMFCKPT2\n"
 
-// Checkpoint snapshots the sampler after the iterations it has executed.
-func (s *Sampler) Checkpoint() *Checkpoint {
+// View captures the chain after the iterations executed so far as a
+// checkpoint that aliases the sampler's live matrices, accumulators and
+// traces — for a writer that serializes it (or a slice of it, as the
+// distributed engine's per-rank fragments do) before the chain advances.
+// Checkpoint is the detached copy.
+func (s *Sampler) View() *Checkpoint {
+	sum, sumSq, nSamples := s.Pred.Snapshot()
 	return &Checkpoint{
 		K:            s.Cfg.K,
 		NextIter:     len(s.res.AvgRMSE),
 		Seed:         s.Cfg.Seed,
-		U:            s.U.Clone(),
-		V:            s.V.Clone(),
-		PredSum:      append([]float64(nil), s.pred.sum...),
-		PredSumSq:    append([]float64(nil), s.pred.sumSq...),
-		NSamples:     s.pred.nSamples,
-		SampleRMSE:   append([]float64(nil), s.res.SampleRMSE...),
-		AvgRMSE:      append([]float64(nil), s.res.AvgRMSE...),
-		KernelCounts: s.res.KernelCounts,
+		U:            s.U,
+		V:            s.V,
+		PredSum:      sum,
+		PredSumSq:    sumSq,
+		NSamples:     nSamples,
+		SampleRMSE:   s.res.SampleRMSE,
+		AvgRMSE:      s.res.AvgRMSE,
+		KernelCounts: s.KernelCounts(),
 		ItemUpdates:  s.res.ItemUpdates,
 	}
 }
 
-// ResumeSampler reconstructs a sampler mid-chain from a checkpoint. cfg
-// must match the checkpointed run (K and Seed are verified; the rest is
-// the caller's contract, as with any restart script).
+// Checkpoint snapshots the sampler after the iterations it has executed.
+func (s *Sampler) Checkpoint() *Checkpoint {
+	c := s.View()
+	c.U, c.V = c.U.Clone(), c.V.Clone()
+	c.PredSum = append([]float64(nil), c.PredSum...)
+	c.PredSumSq = append([]float64(nil), c.PredSumSq...)
+	c.SampleRMSE = append([]float64(nil), c.SampleRMSE...)
+	c.AvgRMSE = append([]float64(nil), c.AvgRMSE...)
+	return c
+}
+
+// Restore positions the sampler mid-chain at checkpoint c, copying its
+// state in. The sampler's config must match the checkpointed run (K and
+// Seed are verified; the rest is the caller's contract, as with any
+// restart script), and its problem the checkpoint's shape.
+func (s *Sampler) Restore(c *Checkpoint) error {
+	if s.Cfg.K != c.K {
+		return fmt.Errorf("core: checkpoint K=%d, config K=%d", c.K, s.Cfg.K)
+	}
+	if s.Cfg.Seed != c.Seed {
+		return fmt.Errorf("core: checkpoint seed=%d, config seed=%d", c.Seed, s.Cfg.Seed)
+	}
+	if c.U.Rows != s.U.Rows || c.V.Rows != s.V.Rows {
+		return fmt.Errorf("core: checkpoint shape %dx%d does not match problem %dx%d",
+			c.U.Rows, c.V.Rows, s.U.Rows, s.V.Rows)
+	}
+	if len(c.PredSum) != len(s.Prob.Test) {
+		return fmt.Errorf("core: checkpoint has %d test accumulators, problem has %d",
+			len(c.PredSum), len(s.Prob.Test))
+	}
+	if err := s.Pred.Restore(c.PredSum, c.PredSumSq, c.NSamples); err != nil {
+		return err
+	}
+	copy(s.U.Data, c.U.Data)
+	copy(s.V.Data, c.V.Data)
+	s.res.SampleRMSE = append(s.res.SampleRMSE[:0], c.SampleRMSE...)
+	s.res.AvgRMSE = append(s.res.AvgRMSE[:0], c.AvgRMSE...)
+	for k := range s.kernelCounts {
+		s.kernelCounts[k].Store(c.KernelCounts[k])
+	}
+	s.res.ItemUpdates = c.ItemUpdates
+	return nil
+}
+
+// ResumeSampler reconstructs a sampler mid-chain from a checkpoint (see
+// Restore for what must match). Call RunFrom(c.NextIter) on the result.
 func ResumeSampler(cfg Config, prob *Problem, c *Checkpoint) (*Sampler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.K != c.K {
-		return nil, fmt.Errorf("core: checkpoint K=%d, config K=%d", c.K, cfg.K)
-	}
-	if cfg.Seed != c.Seed {
-		return nil, fmt.Errorf("core: checkpoint seed=%d, config seed=%d", c.Seed, cfg.Seed)
-	}
 	m, n := prob.Dims()
-	if c.U.Rows != m || c.V.Rows != n {
-		return nil, fmt.Errorf("core: checkpoint shape %dx%d does not match problem %dx%d",
-			c.U.Rows, c.V.Rows, m, n)
+	s := newSampler(cfg, prob, la.NewMatrix(m, cfg.K), la.NewMatrix(n, cfg.K))
+	if err := s.Restore(c); err != nil {
+		return nil, err
 	}
-	if len(c.PredSum) != len(prob.Test) {
-		return nil, fmt.Errorf("core: checkpoint has %d test accumulators, problem has %d",
-			len(c.PredSum), len(prob.Test))
-	}
-	s := &Sampler{
-		Cfg:   cfg,
-		Prob:  prob,
-		Prior: DefaultNWPrior(cfg.K),
-		U:     c.U.Clone(),
-		V:     c.V.Clone(),
-		HU:    NewHyper(cfg.K),
-		HV:    NewHyper(cfg.K),
-		pred:  NewPredictor(prob.Test, cfg.ClampMin, cfg.ClampMax),
-		ws:    NewWorkspace(cfg.K),
-		hws:   NewHyperWorkspace(cfg.K),
-		mws:   NewMomentsWorkspace(cfg.K),
-	}
-	s.pred.Alpha = cfg.Alpha
-	copy(s.pred.sum, c.PredSum)
-	copy(s.pred.sumSq, c.PredSumSq)
-	s.pred.nSamples = c.NSamples
-	s.res.SampleRMSE = append(make([]float64, 0, cfg.Iters), c.SampleRMSE...)
-	s.res.AvgRMSE = append(make([]float64, 0, cfg.Iters), c.AvgRMSE...)
-	s.res.KernelCounts = c.KernelCounts
-	s.res.ItemUpdates = c.ItemUpdates
 	return s, nil
-}
-
-// RunFrom executes the remaining iterations of a resumed chain (from
-// NextIter through Cfg.Iters-1).
-func (s *Sampler) RunFrom(firstIter int) *Result {
-	start := time.Now()
-	for it := firstIter; it < s.Cfg.Iters; it++ {
-		s.Step(it)
-	}
-	s.res.Elapsed = time.Since(start)
-	s.res.U, s.res.V = s.U, s.V
-	s.res.Iters = s.Cfg.Iters
-	s.res.Intervals = s.pred.Intervals()
-	return &s.res
 }
 
 // Write serializes the checkpoint (own little-endian binary format; no

@@ -209,21 +209,14 @@ func readFragment(path string) (*core.Checkpoint, error) {
 func (nd *Node) writeCheckpoint(nextIter int) error {
 	rowLo, rowHi := nd.plan.RowBounds[nd.rank], nd.plan.RowBounds[nd.rank+1]
 	colLo, colHi := nd.plan.ColBounds[nd.rank], nd.plan.ColBounds[nd.rank+1]
-	sum, sumSq, nSamples := nd.pred.Snapshot()
-	frag := &core.Checkpoint{
-		K:        nd.k,
-		NextIter: nextIter,
-		Seed:     nd.cfg.Seed,
-		U:        &la.Matrix{Rows: rowHi - rowLo, Cols: nd.k, Data: nd.u.Data[rowLo*nd.k : rowHi*nd.k]},
-		V:        &la.Matrix{Rows: colHi - colLo, Cols: nd.k, Data: nd.v.Data[colLo*nd.k : colHi*nd.k]},
-		PredSum:  sum, PredSumSq: sumSq, NSamples: nSamples,
-		SampleRMSE: nd.res.SampleRMSE,
-		AvgRMSE:    nd.res.AvgRMSE,
-		KernelCounts: [3]int64{
-			nd.kernelCounts[0].Load(), nd.kernelCounts[1].Load(), nd.kernelCounts[2].Load(),
-		},
-		ItemUpdates: int64(nextIter) * int64(nd.r.M+nd.r.N),
-	}
+	// The fragment is the sampler's own state capture (local predictor,
+	// trace, the kernel tally of the items this rank drew itself) with the
+	// replicas narrowed to the rows this rank owns.
+	m, n := nd.s.U.Rows, nd.s.V.Rows
+	frag := nd.s.View()
+	frag.U = &la.Matrix{Rows: rowHi - rowLo, Cols: nd.k, Data: frag.U.Data[rowLo*nd.k : rowHi*nd.k]}
+	frag.V = &la.Matrix{Rows: colHi - colLo, Cols: nd.k, Data: frag.V.Data[colLo*nd.k : colHi*nd.k]}
+	frag.ItemUpdates = int64(nextIter) * int64(m+n)
 	name := fragmentName(nextIter, nd.rank, nd.ranks)
 	if err := core.WriteCheckpointFile(filepath.Join(nd.opt.CheckpointDir, name), frag.Write); err != nil {
 		return err
@@ -238,8 +231,8 @@ func (nd *Node) writeCheckpoint(nextIter int) error {
 		return nil
 	}
 	man := Manifest{
-		Iter: nextIter, K: nd.k, Ranks: nd.ranks, Seed: nd.cfg.Seed,
-		M: nd.r.M, N: nd.r.N,
+		Iter: nextIter, K: nd.k, Ranks: nd.ranks, Seed: nd.s.Cfg.Seed,
+		M: m, N: n,
 		RowBounds:        append([]int(nil), nd.plan.RowBounds...),
 		ColBounds:        append([]int(nil), nd.plan.ColBounds...),
 		BaseKernelCounts: nd.ckBase,
@@ -265,36 +258,26 @@ func (nd *Node) Resume(c *core.Checkpoint) error {
 	if nd.plan.Reordered {
 		return fmt.Errorf("dist: cannot resume onto a reordered plan")
 	}
-	if c.K != nd.k {
-		return fmt.Errorf("dist: checkpoint K=%d, node K=%d", c.K, nd.k)
-	}
-	if c.Seed != nd.cfg.Seed {
-		return fmt.Errorf("dist: checkpoint seed=%d, node seed=%d", c.Seed, nd.cfg.Seed)
-	}
-	if c.U.Rows != nd.r.M || c.V.Rows != nd.r.N {
-		return fmt.Errorf("dist: checkpoint shape %dx%d does not match problem %dx%d",
-			c.U.Rows, c.V.Rows, nd.r.M, nd.r.N)
-	}
-	if len(c.PredSum) != len(nd.test) {
+	if len(c.PredSum) != len(nd.test) || len(c.PredSumSq) != len(nd.test) {
 		return fmt.Errorf("dist: checkpoint has %d test accumulators, run has %d test entries",
 			len(c.PredSum), len(nd.test))
 	}
-	copy(nd.u.Data, c.U.Data)
-	copy(nd.v.Data, c.V.Data)
 	// The local predictor holds this rank's owned test entries in global
-	// test order — filter the global accumulators the same way.
-	var sum, sumSq []float64
+	// test order — filter the global accumulators the same way, then let
+	// the sampler verify K, seed and shape and take the state. The kernel
+	// counts so far stay with the node (ckBase): they are global, and the
+	// sampler's tally is this rank's share of this run.
+	local := *c
+	local.PredSum, local.PredSumSq, local.KernelCounts = nil, nil, [3]int64{}
 	for t, e := range nd.test {
 		if nd.rowOwner[e.Row] == int32(nd.rank) {
-			sum = append(sum, c.PredSum[t])
-			sumSq = append(sumSq, c.PredSumSq[t])
+			local.PredSum = append(local.PredSum, c.PredSum[t])
+			local.PredSumSq = append(local.PredSumSq, c.PredSumSq[t])
 		}
 	}
-	if err := nd.pred.Restore(sum, sumSq, c.NSamples); err != nil {
+	if err := nd.s.Restore(&local); err != nil {
 		return err
 	}
-	nd.res.SampleRMSE = append(nd.res.SampleRMSE[:0], c.SampleRMSE...)
-	nd.res.AvgRMSE = append(nd.res.AvgRMSE[:0], c.AvgRMSE...)
 	nd.ckBase = c.KernelCounts
 	nd.firstIter = c.NextIter
 	return nil

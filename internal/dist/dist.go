@@ -13,6 +13,12 @@
 // the same keyed stream regardless of rank placement. A sequential
 // core.Sampler configured with MomentGroupsOf(plan) therefore reproduces
 // the distributed chain bit-for-bit at any rank count.
+//
+// A rank's chain state and item draws are a core.Sampler's (see Node);
+// the iteration loop is the package's own, Node.Run — the one loop
+// besides core.Sampler.Step — because each of its phases ends in an
+// exchange or a reduction that can fail, and the iteration boundary
+// carries the coordinated checkpoint and the membership drain.
 package dist
 
 import (
@@ -48,14 +54,11 @@ type Options struct {
 	// deterministic for a fixed rank count but no longer bit-matches the
 	// sequential reference (the summation tree depends on P).
 	TreeAllreduce bool
-	// OneSided exchanges items with GASPI-style notified one-sided Puts
-	// straight into the replicated factor memory instead of two-sided
-	// coalesced messages. Same chain, different transport ablation.
-	OneSided bool
 	// Schedule is the locality processing order of the plan's matrix,
 	// restricted per rank to its owned items. nil makes every node build
 	// the default order.Build schedule locally (deterministic in the plan,
-	// so all ranks still agree); RunInProc builds it once and shares it.
+	// so all ranks still agree); the in-process runners build it once and
+	// share it.
 	// The schedule cannot change the sampled chain — only cache behavior.
 	Schedule *order.Schedule
 
@@ -70,8 +73,7 @@ type Options struct {
 	// SuspicionTimeout, when positive, attaches a heartbeat failure
 	// detector to every rank: a peer silent for longer than this is
 	// declared failed, unwinding blocked receives with a
-	// comm.RankFailedError instead of hanging forever. Incompatible with
-	// OneSided (whose notify waits bypass the error-returning receives).
+	// comm.RankFailedError instead of hanging forever.
 	SuspicionTimeout time.Duration
 	// HeartbeatInterval is the detector's heartbeat period; 0 derives it
 	// from SuspicionTimeout (see comm.StartDetector).
@@ -131,8 +133,7 @@ type Stats struct {
 	// partner-rank item rows received and applied to the local replica.
 	ItemsSent  int64
 	GhostsRecv int64
-	// Flushes is the number of coalesced messages produced (0 in one-sided
-	// mode, which sends per-item Puts).
+	// Flushes is the number of coalesced messages produced.
 	Flushes int
 	// Comm snapshots the rank's endpoint counters.
 	Comm comm.Stats

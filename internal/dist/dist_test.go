@@ -159,32 +159,6 @@ func reversed(n int) []int32 {
 	return p
 }
 
-func TestDistributedOneSidedBitIdentical(t *testing.T) {
-	prob := problem(t, 11)
-	cfg := testConfig()
-	two, twoStats, err := RunInProc(cfg, prob, Options{Ranks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, oneStats, err := RunInProc(cfg, prob, Options{Ranks: 3, OneSided: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la.MaxAbsDiff(two.U, one.U) != 0 || la.MaxAbsDiff(two.V, one.V) != 0 {
-		t.Fatal("one-sided exchange changed the chain")
-	}
-	// One-sided sends per-item puts, so it produces at least as many
-	// messages as the coalesced two-sided exchange.
-	var twoMsgs, oneMsgs int64
-	for r := range twoStats {
-		twoMsgs += twoStats[r].Comm.MsgsSent
-		oneMsgs += oneStats[r].Comm.MsgsSent
-	}
-	if oneMsgs < twoMsgs {
-		t.Fatalf("one-sided produced fewer messages (%d) than coalesced (%d)", oneMsgs, twoMsgs)
-	}
-}
-
 func TestDistributedBufferSizeBitIdentical(t *testing.T) {
 	prob := problem(t, 12)
 	cfg := testConfig()

@@ -29,10 +29,10 @@ func readManifest(t *testing.T, dir string, iter int) *Manifest {
 	return m
 }
 
-// killAtHook returns a FaultHook that kills the given ranks right after
-// they complete iteration killIter of round 0.
-func killAtHook(killIter int, victims []int) FaultHook {
-	return func(round int, fb *comm.FaultFabric, opt *Options) {
+// killAtHook returns a MembershipHook that kills the given ranks right
+// after they complete iteration killIter of round 0.
+func killAtHook(killIter int, victims []int) MembershipHook {
+	return func(round int, _ comm.View, fb *comm.FaultFabric, opt *Options, _ *comm.Membership) {
 		if round != 0 {
 			opt.OnIteration = nil
 			return
@@ -49,6 +49,11 @@ func killAtHook(killIter int, victims []int) FaultHook {
 		}
 	}
 }
+
+// noFaults is the hook of an elastic run that injects nothing: the
+// rounds, fault fabric and failure detector all run, and must be
+// chain-inert.
+func noFaults(int, comm.View, *comm.FaultFabric, *Options, *comm.Membership) {}
 
 func TestElasticKillRecoverMatchesCleanRestart(t *testing.T) {
 	cases := []struct {
@@ -74,12 +79,12 @@ func TestElasticKillRecoverMatchesCleanRestart(t *testing.T) {
 				CheckpointDir: dir, CheckpointEvery: 2,
 				SuspicionTimeout: 400 * time.Millisecond,
 			}
-			got, _, finalRanks, err := RunInProcElastic(cfg, prob, opt, killAtHook(tc.killIter, tc.victims))
+			got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, killAtHook(tc.killIter, tc.victims))
 			if err != nil {
 				t.Fatal(err)
 			}
 			survivors := tc.ranks - len(tc.victims)
-			if finalRanks != survivors {
+			if finalRanks := len(view.Members); finalRanks != survivors {
 				t.Fatalf("finished with %d ranks, want %d", finalRanks, survivors)
 			}
 
@@ -90,12 +95,8 @@ func TestElasticKillRecoverMatchesCleanRestart(t *testing.T) {
 			if man.Ranks != tc.ranks {
 				t.Fatalf("manifest written by %d ranks, want %d", man.Ranks, tc.ranks)
 			}
-			base, err := LoadDistCheckpoint(dir, man, prob.Test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refOpt := Options{Ranks: survivors, ThreadsPerRank: tc.threads}
-			want, _, err := ResumeInProc(cfg, prob, base, refOpt)
+			refOpt := Options{Ranks: survivors, ThreadsPerRank: tc.threads, CheckpointDir: dir}
+			want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, refOpt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +134,11 @@ func TestElasticRecoveryMatchesSequentialResume(t *testing.T) {
 		Ranks: 4, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	got, _, finalRanks, err := RunInProcElastic(cfg, prob, opt, killAtHook(3, []int{2}))
+	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, killAtHook(3, []int{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if finalRanks != 3 {
+	if finalRanks := len(view.Members); finalRanks != 3 {
 		t.Fatalf("finished with %d ranks, want 3", finalRanks)
 	}
 
@@ -186,11 +187,11 @@ func TestElasticFreshRunMatchesRunInProc(t *testing.T) {
 		Ranks: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2,
 		SuspicionTimeout: time.Second,
 	}
-	got, _, finalRanks, err := RunInProcElastic(cfg, prob, opt, nil)
+	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, noFaults)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if finalRanks != 2 {
+	if finalRanks := len(view.Members); finalRanks != 2 {
 		t.Fatalf("finished with %d ranks, want 2", finalRanks)
 	}
 	if la.MaxAbsDiff(got.U, want.U) != 0 || la.MaxAbsDiff(got.V, want.V) != 0 {
@@ -215,11 +216,11 @@ func TestElasticShardNativeKillRecover(t *testing.T) {
 		Ranks: 3, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	got, _, finalRanks, err := RunInProcElasticShards(cfg, path, 0.2, opt, killAtHook(3, []int{2}))
+	got, _, view, err := RunRounds(cfg, Source{Path: path, TestFrac: 0.2}, nil, opt, killAtHook(3, []int{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if finalRanks != 2 {
+	if finalRanks := len(view.Members); finalRanks != 2 {
 		t.Fatalf("finished with %d ranks, want 2", finalRanks)
 	}
 
@@ -227,7 +228,7 @@ func TestElasticShardNativeKillRecover(t *testing.T) {
 	if man.Ranks != 3 {
 		t.Fatalf("manifest written by %d ranks, want 3", man.Ranks)
 	}
-	want, _, err := ResumeInProcShards(cfg, path, 0.2, man, dir, Options{Ranks: 2})
+	want, _, _, err := RunRounds(cfg, Source{Path: path, TestFrac: 0.2}, man, Options{Ranks: 2, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,18 +260,14 @@ func TestResumeRejectsMismatches(t *testing.T) {
 	if man == nil || man.Iter != 4 {
 		t.Fatalf("latest manifest %+v, want iter 4", man)
 	}
-	base, err := LoadDistCheckpoint(dir, man, prob.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
 	badCfg := cfg
 	badCfg.Seed = cfg.Seed + 1
-	if _, _, err := ResumeInProc(badCfg, prob, base, Options{Ranks: 2}); err == nil {
+	if _, _, _, err := RunRounds(badCfg, Source{Prob: prob}, man, Options{Ranks: 2, CheckpointDir: dir}, nil); err == nil {
 		t.Fatal("resume with a different seed must fail")
 	}
 	badCfg = cfg
 	badCfg.K = cfg.K + 1
-	if _, _, err := ResumeInProc(badCfg, prob, base, Options{Ranks: 2}); err == nil {
+	if _, _, _, err := RunRounds(badCfg, Source{Prob: prob}, man, Options{Ranks: 2, CheckpointDir: dir}, nil); err == nil {
 		t.Fatal("resume with a different K must fail")
 	}
 }

@@ -1,55 +1,261 @@
 package dist
 
 import (
+	"errors"
+	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/order"
+	"repro/internal/partition"
+	"repro/internal/sparse"
 )
+
+// inproc.go runs the distributed engine as a virtual cluster inside this
+// process — every rank a goroutine over a channel-backed fabric — and,
+// when a hook can inject faults or joins, as the membership-driven
+// recovery driver of the fault-tolerant engine: a run is then a sequence
+// of rounds, each over one sealed membership view. Rounds end three
+// ways —
+//
+//   - cleanly: the sampler finished; return the result.
+//   - by failure: ranks died (detected by the heartbeat detector,
+//     unwinding every survivor with a RankFailedError). The view shrinks
+//     by the dead members (epoch+1), their incarnations are recorded in
+//     the suspicion table, and the next round resumes from the latest
+//     sealed manifest. Pending join requests survive the shrink, so a
+//     coordinator death during a proposed-but-unsealed view resolves by
+//     the takeover coordinator re-proposing.
+//   - by drain: pending joins made rank 0 raise the drain flag in the
+//     evaluation allreduce; every rank checkpointed at the boundary and
+//     returned a *ViewChange carrying the proposed view, which the
+//     driver seals. The next round runs the grown cluster from the
+//     just-sealed manifest.
+//
+// The resumed chain is — bit for bit — the chain a fresh cluster of the
+// new size would sample when started from the same manifest:
+// partitioning, routing, and the moment-reduction order are pure
+// functions of (problem, rank count), and the checkpoint's fragments
+// are re-sliced by the *new* bounds on load. Growing, rejoining, and
+// shrinking all ride the identical resume path.
+
+// DefaultSuspicionTimeout is the failure-detector timeout RunRounds
+// falls back to under a hook when Options.SuspicionTimeout is unset.
+const DefaultSuspicionTimeout = 2 * time.Second
+
+// Source is the data an in-process cluster trains on: Prob, an in-memory
+// problem every rank sees whole — or, when Path is set, a sharded .bcsr
+// file of which every rank loads only its own panels (LoadShardsLocal,
+// holding out TestFrac), re-running the collective load each round so
+// shards are remapped over the *current* rank count whenever the view
+// changes (a dead rank's shards move to survivors; an admitted rank
+// takes its share).
+type Source struct {
+	Prob     *core.Problem
+	Path     string
+	TestFrac float64
+}
+
+// MembershipHook lets a caller (typically a test) act on one round
+// before its nodes start: it sees the round's sealed view, fabric and
+// options and the coordinator state machine, so it can install
+// Options.OnIteration kills, sever links, file join requests
+// (mem.RequestJoin from an OnIteration seam) and assert epochs. Round 0
+// is the initial run.
+type MembershipHook func(round int, view comm.View, fb *comm.FaultFabric, opt *Options, mem *comm.Membership)
 
 // RunInProc executes a distributed run as a virtual cluster inside this
 // process: opt.Ranks nodes over the channel-backed fabric, each on its own
 // goroutine. It returns rank 0's result (every rank computes an identical
 // one) and the per-rank statistics in rank order.
 func RunInProc(cfg core.Config, prob *core.Problem, opt Options) (*core.Result, []Stats, error) {
+	res, stats, _, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, nil)
+	return res, stats, err
+}
+
+// RunRounds is the general in-process runner. It trains on src, starting
+// from the sealed checkpoint round resume (fragments in
+// opt.CheckpointDir; nil starts fresh), and returns rank 0's result, the
+// last round's per-rank stats and the view that finished.
+//
+// Without a hook nothing can kill a rank or file a join in-process, so
+// the run is one round on the plain fabric — with a resume point, the
+// clean-restart reference the recovery tests pin recovered and grown
+// chains bit-identical to. With a hook it is the elastic driver
+// described above: every round runs on a fresh FaultFabric under a
+// failure detector; a round that loses ranks or drains for a join is
+// followed by one over the next view, resumed from the latest manifest
+// in opt.CheckpointDir (which, with no resume given, also positions
+// round 0). That needs checkpointing to be configured.
+func RunRounds(cfg core.Config, src Source, resume *Manifest, opt Options, hook MembershipHook) (*core.Result, []Stats, comm.View, error) {
 	opt = opt.normalized()
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, nil, comm.View{}, err
 	}
-	plan, test := BuildPlan(prob, opt)
-	if opt.Schedule == nil {
-		// One schedule build shared by all in-process ranks.
-		opt.Schedule = order.Build(plan.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
+	if hook == nil {
+		fab := comm.NewFabric(opt.Ranks)
+		defer fab.Close()
+		results, stats, errs := runRound(cfg, src, resume, opt, fab.Comms())
+		view := comm.InProcView(opt.Ranks)
+		if err := firstError(errs); err != nil {
+			return nil, nil, view, err
+		}
+		return results[0], stats, view, nil
 	}
-	fab := comm.NewFabric(opt.Ranks)
-	defer fab.Close()
+	if opt.CheckpointDir == "" || opt.CheckpointEvery <= 0 {
+		return nil, nil, comm.View{}, fmt.Errorf("dist: elastic runs need CheckpointDir and CheckpointEvery (recovery resumes from the latest manifest)")
+	}
+	if opt.SuspicionTimeout <= 0 {
+		opt.SuspicionTimeout = DefaultSuspicionTimeout
+	}
 
-	results := make([]*core.Result, opt.Ranks)
-	stats := make([]Stats, opt.Ranks)
-	errs := make([]error, opt.Ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < opt.Ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			node, err := NewNode(fab.Comms()[r], cfg, plan, test, opt)
-			if err != nil {
-				errs[r] = err
-				return
+	table := comm.NewSuspicionTable()
+	mem := comm.NewMembership(comm.InProcView(opt.Ranks), 0, table)
+	for round := 0; ; round++ {
+		view := mem.View()
+		ranks := len(view.Members)
+		ropt := opt
+		ropt.Ranks = ranks
+		ropt.Epoch = view.Epoch
+		ropt.Members = view.Members
+		ropt.Suspicions = table
+		ropt.Membership = mem
+
+		man := resume
+		if round > 0 || man == nil {
+			var err error
+			if man, err = LatestManifest(ropt.CheckpointDir); err != nil {
+				return nil, nil, view, err
 			}
-			res, st, err := node.Run()
+		}
+
+		fb := comm.NewFaultFabric(ranks, cfg.Seed)
+		hook(round, view, fb, &ropt, mem)
+		results, stats, errs := runRound(cfg, src, man, ropt, fb.Comms())
+		fb.Close()
+
+		firstErr := firstError(errs)
+		if firstErr == nil {
+			return results[0], stats, view, nil
+		}
+		if killed := fb.Killed(); len(killed) > 0 {
+			// Failure shrink: depose the dead incarnations (recording them
+			// in the suspicion table — a rejoin at the same address must be
+			// issued a higher one) and rerun over the survivors. Any
+			// ViewChange a rank returned this round was proposed but never
+			// sealed; dropping it is safe because the pending joins behind
+			// it survive in mem and the next drain re-proposes them.
+			dead := make([]string, 0, len(killed))
+			for _, r := range killed {
+				table.Convict(view.Members[r].Addr, view.Members[r].Incarnation)
+				dead = append(dead, view.Members[r].Addr)
+			}
+			next := view.Shrink(dead...)
+			if len(next.Members) < 1 {
+				return nil, nil, view, fmt.Errorf("dist: all ranks failed (last error: %w)", firstErr)
+			}
+			mem.Adopt(next)
+			continue
+		}
+		if vc := allViewChange(errs); vc != nil {
+			mem.Seal(vc.View, vc.NextIter)
+			continue
+		}
+		// Nothing was injected and nobody drained, so this is a genuine
+		// failure (bad config, I/O error, ...), not something recovery can
+		// fix.
+		return nil, nil, view, firstErr
+	}
+}
+
+// runRound runs one round — every rank of comms on its own goroutine:
+// obtain the rank's data from src, build its node, position it at man
+// when one is given, run — and collects (result, stats, error) per rank.
+// Every rank reassembles the checkpoint from the fragment files itself
+// (shared storage in a real cluster).
+func runRound(cfg core.Config, src Source, man *Manifest, opt Options, comms []*comm.Comm) ([]*core.Result, []Stats, []error) {
+	var load func(c *comm.Comm) (*partition.Plan, *sparse.CSR, []sparse.Entry, error)
+	if src.Path != "" {
+		load = func(c *comm.Comm) (*partition.Plan, *sparse.CSR, []sparse.Entry, error) {
+			sp, err := LoadShardsLocal(c, src.Path, src.TestFrac, cfg.Seed, opt)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return sp.Plan, sp.RT, sp.Test, nil
+		}
+	} else {
+		plan, test := BuildPlan(src.Prob, opt)
+		if opt.Schedule == nil {
+			// One schedule build shared by all in-process ranks.
+			opt.Schedule = order.Build(plan.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
+		}
+		load = func(*comm.Comm) (*partition.Plan, *sparse.CSR, []sparse.Entry, error) {
+			return plan, nil, test, nil
+		}
+	}
+	body := func(c *comm.Comm) (*core.Result, *Stats, error) {
+		plan, rt, test, err := load(c)
+		if err != nil {
+			return nil, nil, err
+		}
+		node, err := NewNode(c, cfg, plan, rt, test, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		if man != nil {
+			base, err := LoadDistCheckpoint(opt.CheckpointDir, man, test)
+			if err != nil {
+				return nil, nil, err
+			}
+			if err := node.Resume(base); err != nil {
+				return nil, nil, err
+			}
+		}
+		return node.Run()
+	}
+
+	results := make([]*core.Result, len(comms))
+	stats := make([]Stats, len(comms))
+	errs := make([]error, len(comms))
+	var wg sync.WaitGroup
+	for r, c := range comms {
+		wg.Add(1)
+		go func(r int, c *comm.Comm) {
+			defer wg.Done()
+			res, st, err := body(c)
 			results[r], errs[r] = res, err
 			if st != nil {
 				stats[r] = *st
 			}
-		}(r)
+		}(r, c)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
+	return results, stats, errs
+}
+
+// allViewChange returns the round's drain verdict when every rank
+// returned a *ViewChange (the only way a drain completes), else nil.
+func allViewChange(errs []error) *ViewChange {
+	var first *ViewChange
+	for _, e := range errs {
+		var vc *ViewChange
+		if e == nil || !errors.As(e, &vc) {
+			return nil
+		}
+		if first == nil {
+			first = vc
 		}
 	}
-	return results[0], stats, nil
+	return first
+}
+
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

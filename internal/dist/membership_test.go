@@ -80,7 +80,7 @@ func TestMembershipGrowMatchesFreshResume(t *testing.T) {
 			// Join filed at iteration 2 → the drain flag rides iteration
 			// 3's evaluation allreduce → the cluster seals the grown view
 			// at the iteration-4 manifest (written by the 2-rank cluster).
-			got, _, view, err := RunInProcMembership(cfg, prob, opt, growHook("joiner-a", 2))
+			got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, growHook("joiner-a", 2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,11 +95,7 @@ func TestMembershipGrowMatchesFreshResume(t *testing.T) {
 			if man.Ranks != 2 {
 				t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 			}
-			base, err := LoadDistCheckpoint(dir, man, prob.Test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, _, err := ResumeInProc(cfg, prob, base, Options{Ranks: 3, ThreadsPerRank: tc.threads})
+			want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, Options{Ranks: 3, ThreadsPerRank: tc.threads, CheckpointDir: dir}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +138,7 @@ func TestMembershipRejoinWithFreshIncarnation(t *testing.T) {
 			opt.OnIteration = nil
 		}
 	}
-	got, _, view, err := RunInProcMembership(cfg, prob, opt, hook)
+	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +154,7 @@ func TestMembershipRejoinWithFreshIncarnation(t *testing.T) {
 	if man.Ranks != 2 {
 		t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 	}
-	base, err := LoadDistCheckpoint(dir, man, prob.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ResumeInProc(cfg, prob, base, Options{Ranks: 3})
+	want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, Options{Ranks: 3, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +206,7 @@ func TestMembershipShrinkThenRegrow(t *testing.T) {
 			opt.OnIteration = nil
 		}
 	}
-	got, _, view, err := RunInProcMembership(cfg, prob, opt, hook)
+	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +232,7 @@ func TestMembershipShrinkThenRegrow(t *testing.T) {
 	if man.Ranks != 2 {
 		t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 	}
-	base, err := LoadDistCheckpoint(dir, man, prob.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ResumeInProc(cfg, prob, base, Options{Ranks: 4})
+	want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, Options{Ranks: 4, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +253,7 @@ func TestMembershipShardNativeGrow(t *testing.T) {
 		Ranks: 2, CheckpointDir: dir, CheckpointEvery: 3,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	got, _, view, err := RunInProcMembershipShards(cfg, path, 0.2, opt, growHook("joiner-a", 2))
+	got, _, view, err := RunRounds(cfg, Source{Path: path, TestFrac: 0.2}, nil, opt, growHook("joiner-a", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +265,7 @@ func TestMembershipShardNativeGrow(t *testing.T) {
 	if man.Ranks != 2 {
 		t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 	}
-	want, _, err := ResumeInProcShards(cfg, path, 0.2, man, dir, Options{Ranks: 3})
+	want, _, _, err := RunRounds(cfg, Source{Path: path, TestFrac: 0.2}, man, Options{Ranks: 3, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +309,7 @@ func TestMembershipCoordinatorDiesMidProposal(t *testing.T) {
 			}
 		}
 	}
-	got, _, view, err := RunInProcMembership(cfg, prob, opt, hook)
+	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +334,7 @@ func TestMembershipCoordinatorDiesMidProposal(t *testing.T) {
 	if man.Ranks != 2 {
 		t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 	}
-	base, err := LoadDistCheckpoint(dir, man, prob.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ResumeInProc(cfg, prob, base, Options{Ranks: 3})
+	want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, Options{Ranks: 3, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +367,7 @@ func TestMembershipDuplicateJoinAdmittedOnce(t *testing.T) {
 			}
 		}
 	}
-	_, _, view, err := RunInProcMembership(cfg, prob, opt, hook)
+	_, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +392,7 @@ func TestMembershipGrowAtIterDefersAdmission(t *testing.T) {
 		SuspicionTimeout: 400 * time.Millisecond,
 		GrowAtIter:       5,
 	}
-	_, _, view, err := RunInProcMembership(cfg, prob, opt, growHook("joiner-a", 1))
+	_, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, growHook("joiner-a", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -18,30 +17,21 @@ import (
 	"repro/internal/sparse"
 )
 
-// One-sided segment ids for the two replicated factor matrices.
-const (
-	segU = 0
-	segV = 1
-)
-
-// itemGrain is the work-stealing grain of the per-rank item loop when
-// ThreadsPerRank > 1 (same value as the multi-core engine).
-const itemGrain = 8
-
-// Node is one rank of the distributed engine.
+// Node is one rank of the distributed engine. Its chain state — the
+// replicated factor matrices, hyperparameters, the predictor over the
+// locally owned test entries, kernel tallies and the RMSE trace — lives
+// in a core.Sampler over the rank's view of the problem, and every owned
+// item is drawn through that sampler's UpdateRange; the node adds what
+// is distributed: ownership, routing, the ghost exchange and the
+// allreduced reductions.
 type Node struct {
 	c    *comm.Comm
-	cfg  core.Config
 	opt  Options
 	plan *partition.Plan
 	test []sparse.Entry // full test set, plan index space
+	s    *core.Sampler
 
 	rank, ranks, k int
-	r, rt          *sparse.CSR
-
-	u, v   *la.Matrix
-	hu, hv *core.Hyper
-	prior  core.NWPrior
 
 	rowOwner, colOwner []int32
 
@@ -58,24 +48,18 @@ type Node struct {
 	// sampled bit — only the cache behavior of the partner-row gathers.
 	ordU, ordV []int32
 
-	pred *core.Predictor // over the locally owned test entries
-
 	// momPart/momVec are the reused scratch of the per-iteration
 	// hyperparameter moment reduction.
 	momPart *core.Moments
 	momVec  []float64
 
-	pool    *sched.Pool
-	ws      *core.Workspace // single-thread update path
-	wsArena *sched.Arena[*core.Workspace]
-	hws     *core.HyperWorkspace
-
-	win    *comm.OneSided
+	pool   *sched.Pool
 	recBuf []byte
 
-	// firstIter/ckBase position a resumed chain: Run starts at firstIter
-	// and the final kernel tally adds ckBase (the counts of all chain
-	// segments executed before this run — see Resume).
+	// firstIter/ckBase position a resumed chain: Run starts at firstIter,
+	// and ckBase holds the kernel counts of all chain segments executed
+	// before this run — the sampler tallies only what this rank draws
+	// itself (see Resume).
 	firstIter int
 	ckBase    [3]int64
 
@@ -84,37 +68,26 @@ type Node struct {
 	// iteration boundary.
 	drainPending bool
 
-	kernelCounts [3]atomic.Int64
-	stats        Stats
-	res          core.Result
+	stats Stats
 }
 
 // NewNode builds rank c.Rank() of a distributed run. plan and test must be
-// the (identical) outputs of BuildPlan on every rank.
-func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, test []sparse.Entry, opt Options) (*Node, error) {
-	return newNode(c, cfg, plan, plan.R.Transpose(), test, opt, false)
-}
-
-// NewNodeLocal builds a rank from shard-native per-rank data: plan.R
-// holds only this rank's owned rows (all other rows empty, full-size
-// row pointers) and rt only its owned columns with their complete
-// rater lists — exactly what LoadShardsLocal assembles from a rank's
-// own .bcsr shards plus the column-ghost exchange. test must still be
-// the global test set (routing and interval gathering need every
-// rank's test identities). The sampled chain is bit-identical to a
-// full-data NewNode under the same plan: every quantity a rank
-// computes — its item updates, moment partials, routing table and
+// the (identical) outputs of BuildPlan on every rank; test is always the
+// global test set (routing and interval gathering need every rank's test
+// identities).
+//
+// A nil rt means plan.R is the whole training matrix: the node
+// transposes it and builds the default locality schedule from it. A
+// non-nil rt is shard-native per-rank data (LoadShardsLocal): plan.R
+// holds only this rank's owned rows (all other rows empty, full-size row
+// pointers) and rt only its owned columns with their complete rater
+// lists; the default schedule is then the natural order of the owned
+// items — chain-invariant, see package order — since no locality order
+// can be built from a matrix the rank doesn't fully hold. The sampled
+// chain is bit-identical either way under the same plan: every quantity
+// a rank computes — its item updates, moment partials, routing table and
 // local predictor — reads only the owned slices.
-func NewNodeLocal(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR, test []sparse.Entry, opt Options) (*Node, error) {
-	return newNode(c, cfg, plan, rt, test, opt, true)
-}
-
-// newNode is the shared constructor; partial marks plan.R/rt as
-// owned-slices-only, which only changes the default schedule (a
-// partial rank walks its owned items in natural order — chain-
-// invariant, see package order — instead of building a locality order
-// from a matrix it doesn't fully hold).
-func newNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR, test []sparse.Entry, opt Options, partial bool) (*Node, error) {
+func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR, test []sparse.Entry, opt Options) (*Node, error) {
 	opt = opt.normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -132,71 +105,48 @@ func newNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR
 
 	m, n := plan.R.M, plan.R.N
 	nd := &Node{
-		c: c, cfg: cfg, opt: opt, plan: plan, test: test,
+		c: c, opt: opt, plan: plan, test: test,
 		rank: c.Rank(), ranks: opt.Ranks, k: cfg.K,
-		r: plan.R, rt: rt,
-		u:     core.InitFactors(cfg.Seed, core.SideU, m, cfg.K),
-		v:     core.InitFactors(cfg.Seed, core.SideV, n, cfg.K),
-		hu:    core.NewHyper(cfg.K),
-		hv:    core.NewHyper(cfg.K),
-		prior: core.DefaultNWPrior(cfg.K),
 	}
 	nd.stats.Rank = nd.rank
 	nd.rowOwner = ownersArray(plan.RowBounds, m)
 	nd.colOwner = ownersArray(plan.ColBounds, n)
-	nd.recBuf = make([]byte, 4+8*nd.k)
-	nd.buildRouting()
-
-	// Locality schedule over the owned ranges: opt.Schedule if the launcher
-	// built one (RunInProc shares a single build across ranks), else built
-	// locally — Build is deterministic in plan.R, so either way every rank
-	// walks the same global order restricted to its own items. A supplied
-	// schedule must be a permutation of the plan's index space: a stale or
-	// truncated order would make this rank skip owned items, and its
-	// peers, whose expected ghost counts come from the routing table, not
-	// the schedule, would then block forever waiting for the missing rows.
-	sch := opt.Schedule
-	if sch == nil {
-		if partial {
-			// A shard-native rank holds only its owned slices, so it takes
-			// the natural order (nil orders restrict to the identity).
-			sch = &order.Schedule{}
-		} else {
-			sch = order.Build(plan.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
-		}
-	} else {
-		if sch.U != nil && !order.IsPermutation(sch.U, m) {
-			return nil, fmt.Errorf("dist: schedule U order is not a permutation of [0,%d)", m)
-		}
-		if sch.V != nil && !order.IsPermutation(sch.V, n) {
-			return nil, fmt.Errorf("dist: schedule V order is not a permutation of [0,%d)", n)
-		}
-	}
-	nd.ordU = order.Restrict(sch.U, plan.RowBounds[nd.rank], plan.RowBounds[nd.rank+1])
-	nd.ordV = order.Restrict(sch.V, plan.ColBounds[nd.rank], plan.ColBounds[nd.rank+1])
-	nd.momPart = core.NewMoments(cfg.K)
-	nd.momVec = make([]float64, 1+cfg.K+cfg.K*cfg.K)
-	nd.res.SampleRMSE = make([]float64, 0, cfg.Iters)
-	nd.res.AvgRMSE = make([]float64, 0, cfg.Iters)
-
 	var localTest []sparse.Entry
 	for _, e := range test {
 		if nd.rowOwner[e.Row] == int32(nd.rank) {
 			localTest = append(localTest, e)
 		}
 	}
-	nd.pred = core.NewPredictor(localTest, cfg.ClampMin, cfg.ClampMax)
-	nd.pred.Alpha = cfg.Alpha
 
-	acc := core.NewAccArena(cfg.K)
-	if opt.ThreadsPerRank > 1 {
-		nd.wsArena = sched.NewArena(func() *core.Workspace {
-			return core.NewWorkspaceShared(cfg.K, acc)
-		})
-	} else {
-		nd.ws = core.NewWorkspaceShared(cfg.K, acc)
+	// Locality schedule over the owned ranges: opt.Schedule if the launcher
+	// built one (RunInProc shares a single build across ranks), else built
+	// locally — Build is deterministic in plan.R, so either way every rank
+	// walks the same global order restricted to its own items.
+	sch := opt.Schedule
+	switch {
+	case sch != nil:
+		if err := sch.Validate(m, n); err != nil {
+			return nil, err
+		}
+	case rt != nil:
+		sch = &order.Schedule{} // nil orders restrict to the identity
+	default:
+		sch = order.Build(plan.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
 	}
-	nd.hws = core.NewHyperWorkspace(cfg.K)
+	nd.ordU = order.Restrict(sch.U, plan.RowBounds[nd.rank], plan.RowBounds[nd.rank+1])
+	nd.ordV = order.Restrict(sch.V, plan.ColBounds[nd.rank], plan.ColBounds[nd.rank+1])
+
+	if rt == nil {
+		rt = plan.R.Transpose()
+	}
+	var err error
+	if nd.s, err = core.NewSampler(cfg, &core.Problem{R: plan.R, Rt: rt, Test: localTest}); err != nil {
+		return nil, err
+	}
+	nd.buildRouting()
+	nd.recBuf = make([]byte, 4+8*nd.k)
+	nd.momPart = core.NewMoments(cfg.K)
+	nd.momVec = make([]float64, 1+cfg.K+cfg.K*cfg.K)
 	return nd, nil
 }
 
@@ -227,6 +177,7 @@ func ownersArray(bounds []int, n int) []int32 {
 // movie (expU) and the distinct foreign movies an owned user rated or
 // holds a test entry on (expV).
 func (nd *Node) buildRouting() {
+	r, rt := nd.s.Prob.R, nd.s.Prob.Rt
 	rowLo, rowHi := nd.plan.RowBounds[nd.rank], nd.plan.RowBounds[nd.rank+1]
 	colLo, colHi := nd.plan.ColBounds[nd.rank], nd.plan.ColBounds[nd.rank+1]
 	nd.sendU = make([][]int32, rowHi-rowLo)
@@ -262,17 +213,17 @@ func (nd *Node) buildRouting() {
 	}
 
 	for j := colLo; j < colHi; j++ {
-		raters, _ := nd.rt.Row(j)
+		raters, _ := rt.Row(j)
 		nd.sendV[j-colLo] = destsOf(self, raters, nd.rowOwner, testNeedV[int32(j)])
 	}
 	for i := rowLo; i < rowHi; i++ {
-		rated, _ := nd.r.Row(i)
+		rated, _ := r.Row(i)
 		nd.sendU[i-rowLo] = destsOf(self, rated, nd.colOwner, nil)
 	}
 
-	visRow := make([]bool, nd.r.M)
+	visRow := make([]bool, r.M)
 	for j := colLo; j < colHi; j++ {
-		raters, _ := nd.rt.Row(j)
+		raters, _ := rt.Row(j)
 		for _, i := range raters {
 			if nd.rowOwner[i] != self && !visRow[i] {
 				visRow[i] = true
@@ -280,9 +231,9 @@ func (nd *Node) buildRouting() {
 			}
 		}
 	}
-	visCol := make([]bool, nd.rt.M)
+	visCol := make([]bool, rt.M)
 	for i := rowLo; i < rowHi; i++ {
-		rated, _ := nd.r.Row(i)
+		rated, _ := r.Row(i)
 		for _, j := range rated {
 			if nd.colOwner[j] != self && !visCol[j] {
 				visCol[j] = true
@@ -318,8 +269,9 @@ func (nd *Node) allreduce(v []float64) ([]float64, error) {
 // order, which is exactly MomentsGrouped's combine order with groups =
 // the ownership boundaries — the key to bit-equality with the sequential
 // reference.
-func (nd *Node) sampleHyper(iter int, side core.Side, x *la.Matrix, bounds []int, h *core.Hyper) error {
-	lo, hi := bounds[nd.rank], bounds[nd.rank+1]
+func (nd *Node) sampleHyper(iter int, side core.Side) error {
+	x, _, _, _ := nd.s.Side(side)
+	lo, hi := nd.owned(side)
 	part := nd.momPart
 	part.Zero()
 	part.AccumulateRows(x, lo, hi)
@@ -338,42 +290,34 @@ func (nd *Node) sampleHyper(iter int, side core.Side, x *la.Matrix, bounds []int
 	copy(part.Sum, tot[1:1+nd.k])
 	copy(part.SumSq.Data, tot[1+nd.k:])
 
-	core.SampleHyperWS(nd.prior, part, core.HyperStream(nd.cfg.Seed, iter, side), h, nd.hws)
+	nd.s.DrawHyper(side, iter, part)
 	return nil
+}
+
+// owned returns this rank's owned index range of one side.
+func (nd *Node) owned(side core.Side) (lo, hi int) {
+	if side == core.SideV {
+		return nd.plan.ColBounds[nd.rank], nd.plan.ColBounds[nd.rank+1]
+	}
+	return nd.plan.RowBounds[nd.rank], nd.plan.RowBounds[nd.rank+1]
 }
 
 // updateSide samples every owned item of one side, streams each updated
 // row to the ranks that need it, then blocks until all expected ghost
 // rows of the phase have been applied to the local replica.
 func (nd *Node) updateSide(iter int, side core.Side) error {
-	cfg := &nd.cfg
-	var lo, hi int
-	var self, other *la.Matrix
-	var ratings *sparse.CSR
-	var send [][]int32
-	var exp, seg int
-	var hyper *core.Hyper
-	var ord []int32
+	self, _, _, _ := nd.s.Side(side)
+	lo, hi := nd.owned(side)
+	send, exp, ord := nd.sendU, nd.expU, nd.ordU
 	if side == core.SideV {
-		lo, hi = nd.plan.ColBounds[nd.rank], nd.plan.ColBounds[nd.rank+1]
-		self, other, hyper = nd.v, nd.u, nd.hv
-		ratings, send, exp, seg = nd.rt, nd.sendV, nd.expV, segV
-		ord = nd.ordV
-	} else {
-		lo, hi = nd.plan.RowBounds[nd.rank], nd.plan.RowBounds[nd.rank+1]
-		self, other, hyper = nd.u, nd.v, nd.hu
-		ratings, send, exp, seg = nd.r, nd.sendU, nd.expU, segU
-		ord = nd.ordU
+		send, exp, ord = nd.sendV, nd.expV, nd.ordV
 	}
 	tag := itemTag(iter, side)
 
-	var coals []*comm.Coalescer
-	if !nd.opt.OneSided {
-		coals = make([]*comm.Coalescer, nd.ranks)
-		for dst := 0; dst < nd.ranks; dst++ {
-			if dst != nd.rank {
-				coals[dst] = comm.NewCoalescer(nd.c, dst, tag, nd.opt.BufferSize)
-			}
+	coals := make([]*comm.Coalescer, nd.ranks)
+	for dst := 0; dst < nd.ranks; dst++ {
+		if dst != nd.rank {
+			coals[dst] = comm.NewCoalescer(nd.c, dst, tag, nd.opt.BufferSize)
 		}
 	}
 
@@ -386,32 +330,17 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 		if firstSend.IsZero() {
 			firstSend = time.Now()
 		}
-		row := self.Row(item)
-		if nd.opt.OneSided {
-			for _, dst := range dests {
-				nd.win.Put(int(dst), seg, int64(item*nd.k), row, tag)
-			}
-		} else {
-			binary.LittleEndian.PutUint32(nd.recBuf, uint32(item))
-			for i, x := range row {
-				binary.LittleEndian.PutUint64(nd.recBuf[4+8*i:], math.Float64bits(x))
-			}
-			for _, dst := range dests {
-				if err := coals[dst].Append(nd.recBuf); err != nil {
-					return err
-				}
+		binary.LittleEndian.PutUint32(nd.recBuf, uint32(item))
+		for i, x := range self.Row(item) {
+			binary.LittleEndian.PutUint64(nd.recBuf[4+8*i:], math.Float64bits(x))
+		}
+		for _, dst := range dests {
+			if err := coals[dst].Append(nd.recBuf); err != nil {
+				return err
 			}
 		}
 		nd.stats.ItemsSent += int64(len(dests))
 		return nil
-	}
-
-	update := func(ws *core.Workspace, w *sched.Worker, item int) {
-		cols, vals := ratings.Row(item)
-		kern := cfg.SelectKernel(len(cols))
-		nd.kernelCounts[kern].Add(1)
-		core.UpdateItem(ws, kern, cfg, cols, vals, other, hyper,
-			ws.ItemStream(cfg.Seed, iter, side, item), nd.pool, w, self.Row(item))
 	}
 
 	computeStart := time.Now()
@@ -421,12 +350,8 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 		// neither ComputeTime nor OverlapTime. Workers walk schedule
 		// positions; a contiguous position block holds locality-adjacent
 		// items.
-		nd.pool.ParallelFor(0, len(ord), itemGrain, func(w *sched.Worker, a, b int) {
-			for pos := a; pos < b; pos++ {
-				ws := nd.wsArena.Get(w)
-				update(ws, w, int(ord[pos]))
-				nd.wsArena.Put(w, ws)
-			}
+		nd.pool.ParallelFor(0, len(ord), core.ItemGrain, func(w *sched.Worker, a, b int) {
+			nd.s.UpdateRange(side, iter, ord, a, b, w)
 		})
 		nd.stats.ComputeTime += time.Since(computeStart)
 		for item := lo; item < hi; item++ {
@@ -439,14 +364,17 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 		}
 	} else {
 		// Interleaved path: sends overlap the remaining item updates;
-		// OverlapTime is the compute tail spent with sends in flight. Each
-		// item is sent right after its update, so the walk order also
-		// spreads the sends of locality-adjacent items across the phase.
-		for _, it32 := range ord {
-			item := int(it32)
-			update(nd.ws, nil, item)
-			if err := sendItem(item); err != nil {
-				return err
+		// OverlapTime is the compute tail spent with sends in flight. Items
+		// are sent a grain at a time right after their updates — far below
+		// a coalescing buffer, so the walk order still spreads the sends of
+		// locality-adjacent items across the phase.
+		for a := 0; a < len(ord); a += core.ItemGrain {
+			b := min(a+core.ItemGrain, len(ord))
+			nd.s.UpdateRange(side, iter, ord, a, b, nil)
+			for _, item := range ord[a:b] {
+				if err := sendItem(int(item)); err != nil {
+					return err
+				}
 			}
 		}
 		if err := nd.flushAll(coals); err != nil {
@@ -460,20 +388,12 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 	}
 
 	t0 := time.Now()
-	var err error
-	if nd.opt.OneSided {
-		if exp > 0 {
-			nd.win.WaitNotify(tag, int64(exp))
-		}
-		nd.stats.GhostsRecv += int64(exp)
-	} else {
-		err = nd.recvGhosts(tag, exp, self)
-	}
+	err := nd.recvGhosts(tag, exp, self)
 	nd.stats.WaitTime += time.Since(t0)
 	return err
 }
 
-// flushAll drains the phase's coalescers (no-op in one-sided mode).
+// flushAll drains the phase's coalescers.
 func (nd *Node) flushAll(coals []*comm.Coalescer) error {
 	for _, co := range coals {
 		if co != nil {
@@ -515,7 +435,7 @@ func (nd *Node) recvGhosts(tag, expected int, dst *la.Matrix) error {
 // exists — combined with the deterministic allreduce, so every rank
 // records the identical RMSE trace at any thread count.
 func (nd *Node) evaluate(iter int) error {
-	collect := iter >= nd.cfg.Burnin
+	collect := iter >= nd.s.Cfg.Burnin
 	var runAll func(n int, run func(c int))
 	if nd.pool != nil {
 		runAll = func(n int, run func(c int)) {
@@ -526,7 +446,7 @@ func (nd *Node) evaluate(iter int) error {
 			})
 		}
 	}
-	seS, seA, n := nd.pred.PartialUpdatePar(nd.u, nd.v, collect, runAll)
+	seS, seA, n := nd.s.Pred.PartialUpdatePar(nd.s.U, nd.s.V, collect, runAll)
 	// The vector's fourth element is the membership drain flag: rank 0
 	// raises it when pending joins await admission, and the reduction
 	// delivers it to every rank at the same iteration — the evaluation
@@ -550,8 +470,7 @@ func (nd *Node) evaluate(iter int) error {
 	if tot[2] > 0 {
 		sr, ar = math.Sqrt(tot[0]/tot[2]), math.Sqrt(tot[1]/tot[2])
 	}
-	nd.res.SampleRMSE = append(nd.res.SampleRMSE, sr)
-	nd.res.AvgRMSE = append(nd.res.AvgRMSE, ar)
+	nd.s.Record(sr, ar)
 	return nil
 }
 
@@ -573,7 +492,7 @@ func (nd *Node) gatherSide(x *la.Matrix, bounds []int) error {
 // gatherIntervals reassembles the posterior predictive intervals in global
 // test order from the per-rank predictors.
 func (nd *Node) gatherIntervals() ([]core.Interval, error) {
-	local := nd.pred.Intervals()
+	local := nd.s.Pred.Intervals()
 	blobs, err := nd.c.AllgatherE(encodeIntervals(local))
 	if err != nil {
 		return nil, err
@@ -605,15 +524,6 @@ func (nd *Node) gatherIntervals() ([]core.Interval, error) {
 // comm.RankFailedError instead of hanging — the caller resumes from the
 // last checkpoint with the surviving ranks.
 func (nd *Node) Run() (*core.Result, *Stats, error) {
-	if nd.opt.OneSided {
-		if nd.opt.SuspicionTimeout > 0 {
-			return nil, nil, fmt.Errorf("dist: failure detection is incompatible with -onesided (notify waits bypass the error-returning receives)")
-		}
-		nd.win = comm.NewOneSided(nd.c)
-		nd.win.Register(segU, nd.u.Data)
-		nd.win.Register(segV, nd.v.Data)
-		defer nd.win.Close()
-	}
 	if nd.opt.SuspicionTimeout > 0 {
 		det := comm.StartDetectorView(nd.c, nd.opt.HeartbeatInterval, nd.opt.SuspicionTimeout, nd.opt.Members, nd.opt.Suspicions)
 		defer det.Stop()
@@ -622,39 +532,30 @@ func (nd *Node) Run() (*core.Result, *Stats, error) {
 		nd.pool = sched.NewPool(nd.opt.ThreadsPerRank)
 		defer nd.pool.Close()
 	}
+	iters := nd.s.Cfg.Iters
 
 	start := time.Now()
-	for it := nd.firstIter; it < nd.cfg.Iters; it++ {
+	for it := nd.firstIter; it < iters; it++ {
 		// Movies first, then users (Algorithm 1). The user phase reads the
 		// movie ghosts of this iteration, so each phase ends with a wait
 		// for its expected ghost count.
-		if err := nd.sampleHyper(it, core.SideV, nd.v, nd.plan.ColBounds, nd.hv); err != nil {
-			return nil, nil, err
-		}
-		if err := nd.updateSide(it, core.SideV); err != nil {
-			return nil, nil, err
-		}
-		if err := nd.sampleHyper(it, core.SideU, nd.u, nd.plan.RowBounds, nd.hu); err != nil {
-			return nil, nil, err
-		}
-		if err := nd.updateSide(it, core.SideU); err != nil {
-			return nil, nil, err
+		for _, side := range [2]core.Side{core.SideV, core.SideU} {
+			if err := nd.sampleHyper(it, side); err != nil {
+				return nil, nil, err
+			}
+			if err := nd.updateSide(it, side); err != nil {
+				return nil, nil, err
+			}
 		}
 		if err := nd.evaluate(it); err != nil {
 			return nil, nil, err
 		}
 		drained := nd.drainPending
 		nd.drainPending = false
-		wrote := false
-		if nd.opt.CheckpointDir != "" && nd.opt.CheckpointEvery > 0 && (it+1)%nd.opt.CheckpointEvery == 0 {
-			if err := nd.writeCheckpoint(it + 1); err != nil {
-				return nil, nil, err
-			}
-			wrote = true
-		}
-		if drained && !wrote {
-			// A drain boundary always seals a manifest, cadence-aligned or
-			// not: the grown cluster resumes from exactly this iteration.
+		// A drain boundary always seals a manifest, cadence-aligned or
+		// not: the grown cluster resumes from exactly this iteration.
+		due := nd.opt.CheckpointDir != "" && nd.opt.CheckpointEvery > 0 && (it+1)%nd.opt.CheckpointEvery == 0
+		if due || drained {
 			if err := nd.writeCheckpoint(it + 1); err != nil {
 				return nil, nil, err
 			}
@@ -679,10 +580,10 @@ func (nd *Node) Run() (*core.Result, *Stats, error) {
 		}
 	}
 
-	if err := nd.gatherSide(nd.u, nd.plan.RowBounds); err != nil {
+	if err := nd.gatherSide(nd.s.U, nd.plan.RowBounds); err != nil {
 		return nil, nil, err
 	}
-	if err := nd.gatherSide(nd.v, nd.plan.ColBounds); err != nil {
+	if err := nd.gatherSide(nd.s.V, nd.plan.ColBounds); err != nil {
 		return nil, nil, err
 	}
 	ivs, err := nd.gatherIntervals()
@@ -690,35 +591,38 @@ func (nd *Node) Run() (*core.Result, *Stats, error) {
 		return nil, nil, err
 	}
 
-	kc, err := nd.allreduce([]float64{
-		float64(nd.kernelCounts[0].Load()),
-		float64(nd.kernelCounts[1].Load()),
-		float64(nd.kernelCounts[2].Load()),
-	})
+	live := nd.s.KernelCounts()
+	kc, err := nd.allreduce([]float64{float64(live[0]), float64(live[1]), float64(live[2])})
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := range nd.res.KernelCounts {
-		nd.res.KernelCounts[i] = nd.ckBase[i] + int64(kc[i])
-	}
 
-	u, v := nd.u, nd.v
+	u, v := nd.s.U, nd.s.V
 	if nd.plan.Reordered {
-		u, v = permuteBack(nd.u, nd.plan.RowPerm), permuteBack(nd.v, nd.plan.ColPerm)
+		u, v = permuteBack(u, nd.plan.RowPerm), permuteBack(v, nd.plan.ColPerm)
 		for t := range ivs {
 			ivs[t].Row = nd.plan.RowPerm[ivs[t].Row]
 			ivs[t].Col = nd.plan.ColPerm[ivs[t].Col]
 		}
 	}
 
-	nd.res.Elapsed = time.Since(start)
-	nd.res.U, nd.res.V = u, v
-	nd.res.Iters = nd.cfg.Iters
-	nd.res.ItemUpdates = int64(nd.cfg.Iters) * int64(nd.r.M+nd.r.N)
-	nd.res.Intervals = ivs
+	trace := nd.s.View()
+	res := &core.Result{
+		SampleRMSE:  trace.SampleRMSE,
+		AvgRMSE:     trace.AvgRMSE,
+		U:           u,
+		V:           v,
+		Iters:       iters,
+		ItemUpdates: int64(iters) * int64(u.Rows+v.Rows),
+		Elapsed:     time.Since(start),
+		Intervals:   ivs,
+	}
+	for i := range res.KernelCounts {
+		res.KernelCounts[i] = nd.ckBase[i] + int64(kc[i])
+	}
 	nd.stats.Comm = nd.c.Stats()
 	st := nd.stats
-	return &nd.res, &st, nil
+	return res, &st, nil
 }
 
 // ViewChange is the control "error" Run returns when the cluster drains
@@ -775,6 +679,3 @@ func permuteBack(x *la.Matrix, perm []int32) *la.Matrix {
 	}
 	return out
 }
-
-// Plan re-exports the plan a node runs with (useful for tooling).
-func (nd *Node) Plan() *partition.Plan { return nd.plan }

@@ -66,7 +66,7 @@ func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, s
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			node, err := NewNode(fab.Comms()[r], cfg, plan, planTest, opt)
+			node, err := NewNode(fab.Comms()[r], cfg, plan, nil, planTest, opt)
 			if err != nil {
 				errs[r] = err
 				return
@@ -84,7 +84,7 @@ func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, s
 }
 
 // runShardNative runs the virtual cluster through LoadShardsLocal +
-// NewNodeLocal and returns rank 0's result plus each rank's problem.
+// NewNode and returns rank 0's result plus each rank's problem.
 func runShardNative(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) (*core.Result, []*ShardProblem) {
 	t.Helper()
 	opt = opt.normalized()
@@ -105,7 +105,7 @@ func runShardNative(t *testing.T, cfg core.Config, path string, testFrac float64
 				return
 			}
 			probs[r] = sp
-			node, err := NewNodeLocal(c, cfg, sp.Plan, sp.RT, sp.Test, opt)
+			node, err := NewNode(c, cfg, sp.Plan, sp.RT, sp.Test, opt)
 			if err != nil {
 				errs[r] = err
 				return

@@ -17,17 +17,15 @@
 //   - static vertex partitioning with no work stealing and no nested
 //     parallelism inside one vertex program.
 //
-// The arithmetic inside Apply delegates to the same core.UpdateItem hybrid
-// kernels (executed inline, without nested tasks), so the chain it samples
-// is bit-identical to the sequential reference — the paper's "all versions
+// The engine is an executor for the one Gibbs driver in package core: a
+// sweep is a superstep, and the arithmetic inside Apply is the sampler's
+// own item draw (core.Sampler.DrawItem, executed inline, without nested
+// tasks) over the gathered copies, so the chain it samples is
+// bit-identical to the sequential reference — the paper's "all versions
 // reach the same level of prediction accuracy" holds exactly.
 package graphlab
 
 import (
-	"fmt"
-	"sync/atomic"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/order"
@@ -97,6 +95,10 @@ type Engine struct {
 	G       *Graph
 	Threads int
 	Stats   Stats
+
+	// ws is the kernel scratch the BPMF vertex program leases per
+	// activation (set by Attach).
+	ws *sched.Arena[*core.Workspace]
 }
 
 // NewEngine creates a synchronous engine over g with the given thread
@@ -160,107 +162,77 @@ type bpmfAcc struct {
 
 // Run executes BPMF on prob with the GraphLab-style engine and returns
 // the result plus engine statistics, activating each superstep's vertices
-// in the default locality schedule (pure RCM — no heavy-first binning,
-// which would hand every heavy vertex to the static split's first
-// thread).
+// in the default locality schedule.
 func Run(cfg core.Config, prob *core.Problem, threads int) (*core.Result, *Stats, error) {
-	return RunScheduled(cfg, prob, threads, order.Build(prob.R, order.Options{}))
+	return run(cfg, prob, threads, nil)
 }
 
 // RunScheduled is Run with an explicit activation schedule (nil sch or nil
 // sides mean vertex-id order). Any permutation yields the bit-identical
-// chain; a non-permutation order is rejected — it would silently skip
-// some vertices and activate others twice.
+// chain; a non-permutation order is rejected.
 func RunScheduled(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, *Stats, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
 	if sch == nil {
 		sch = &order.Schedule{}
 	}
-	m, n := prob.Dims()
-	if sch.U != nil && !order.IsPermutation(sch.U, m) {
-		return nil, nil, fmt.Errorf("graphlab: schedule U order is not a permutation of [0,%d)", m)
-	}
-	if sch.V != nil && !order.IsPermutation(sch.V, n) {
-		return nil, nil, fmt.Errorf("graphlab: schedule V order is not a permutation of [0,%d)", n)
-	}
-	g := NewGraph(prob)
-	e := NewEngine(g, threads)
-	u := core.InitFactors(cfg.Seed, core.SideU, m, cfg.K)
-	v := core.InitFactors(cfg.Seed, core.SideV, n, cfg.K)
-	hu, hv := core.NewHyper(cfg.K), core.NewHyper(cfg.K)
-	hws := core.NewHyperWorkspace(cfg.K)
-	prior := core.DefaultNWPrior(cfg.K)
-	pred := core.NewPredictor(prob.Test, cfg.ClampMin, cfg.ClampMax)
-	pred.Alpha = cfg.Alpha
-	mws := core.NewMomentsWorkspace(cfg.K)
-	res := &core.Result{
-		SampleRMSE: make([]float64, 0, cfg.Iters),
-		AvgRMSE:    make([]float64, 0, cfg.Iters),
-	}
-	// The kernel scratch (our substrate, not part of the vertex-program
-	// abstraction) is leased per activation from a shared arena; the
-	// GraphLab productivity tax Figure 3 measures — per-activation gather
-	// accumulators and neighbor-row copies — stays in InitAcc/Gather.
-	acc := core.NewAccArena(cfg.K)
-	wsArena := sched.NewArena(func() *core.Workspace {
-		return core.NewWorkspaceShared(cfg.K, acc)
-	})
-
-	sfor := func(nGroups int, run func(gr int)) {
-		sched.StaticFor(threads, 0, nGroups, func(_, lo, hi int) {
-			for gr := lo; gr < hi; gr++ {
-				run(gr)
-			}
-		})
-	}
-
-	start := time.Now()
-	for it := 0; it < cfg.Iters; it++ {
-		// Movies superstep.
-		groupsV := core.GroupBoundaries(cfg.MomentGroupsV, v.Rows)
-		mv := core.MomentsGroupedWS(v, groupsV, cfg.K, sfor, mws)
-		core.SampleHyperWS(prior, mv, core.HyperStream(cfg.Seed, it, core.SideV), hv, hws)
-		pv := &program{cfg: &cfg, iter: it, side: core.SideV, hyper: hv, res: res, ws: wsArena}
-		e.Superstep(core.SideV, pv, v, u, sch.V)
-		for k := range res.KernelCounts {
-			res.KernelCounts[k] += pv.counts[k].Load()
-		}
-
-		// Users superstep.
-		groupsU := core.GroupBoundaries(cfg.MomentGroupsU, u.Rows)
-		mu := core.MomentsGroupedWS(u, groupsU, cfg.K, sfor, mws)
-		core.SampleHyperWS(prior, mu, core.HyperStream(cfg.Seed, it, core.SideU), hu, hws)
-		pu := &program{cfg: &cfg, iter: it, side: core.SideU, hyper: hu, res: res, ws: wsArena}
-		e.Superstep(core.SideU, pu, u, v, sch.U)
-		for k := range res.KernelCounts {
-			res.KernelCounts[k] += pu.counts[k].Load()
-		}
-
-		// Evaluation runs through the engine's static split over the fixed
-		// chunk tree — an aggregate in GraphLab's vocabulary.
-		sr, ar := pred.UpdatePar(u, v, it >= cfg.Burnin, sfor)
-		res.SampleRMSE = append(res.SampleRMSE, sr)
-		res.AvgRMSE = append(res.AvgRMSE, ar)
-	}
-	res.Elapsed = time.Since(start)
-	res.Iters = cfg.Iters
-	res.ItemUpdates = int64(cfg.Iters) * int64(m+n)
-	res.U, res.V = u, v
-	res.Intervals = pred.Intervals()
-	return res, &e.Stats, nil
+	return run(cfg, prob, threads, sch)
 }
 
-// program is the concrete BPMF vertex program.
+func run(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, *Stats, error) {
+	s, err := core.NewSampler(cfg, prob)
+	if err != nil {
+		return nil, nil, err
+	}
+	e, err := Attach(s, threads, sch)
+	if err != nil {
+		return nil, nil, err
+	}
+	return s.Run(), &e.Stats, nil
+}
+
+// Attach binds s to a GraphLab-style engine over its problem's rating
+// graph, so that s.Run, s.RunFrom and s.Checkpoint sample the same chain
+// through vertex programs. A nil sch selects the default locality
+// schedule (pure RCM — no heavy-first binning, which would hand every
+// heavy vertex to the static split's first thread); &order.Schedule{} is
+// vertex-id order.
+func Attach(s *core.Sampler, threads int, sch *order.Schedule) (*Engine, error) {
+	if sch == nil {
+		sch = order.Build(s.Prob.R, order.Options{})
+	}
+	e := NewEngine(NewGraph(s.Prob), threads)
+	acc := core.NewAccArena(s.Cfg.K)
+	e.ws = sched.NewArena(func() *core.Workspace {
+		return core.NewWorkspaceShared(s.Cfg.K, acc)
+	})
+	if err := s.Use(e, *sch); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Sweep implements core.Executor: one superstep over the side's vertices.
+func (e *Engine) Sweep(s *core.Sampler, side core.Side, iter int) {
+	factors, other, _, _ := s.Side(side)
+	ord, _ := s.Order(side)
+	e.Superstep(side, &program{s: s, iter: iter, ws: e.ws}, factors, other, ord)
+}
+
+// Each implements core.Executor through the engine's static split — the
+// moment reduction and the evaluation are aggregates in GraphLab's
+// vocabulary.
+func (e *Engine) Each(n int, run func(i int)) {
+	sched.StaticFor(e.Threads, 0, n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			run(i)
+		}
+	})
+}
+
+// program is the concrete BPMF vertex program of one superstep.
 type program struct {
-	cfg    *core.Config
-	iter   int
-	side   core.Side
-	hyper  *core.Hyper
-	res    *core.Result
-	ws     *sched.Arena[*core.Workspace]
-	counts [3]atomic.Int64
+	s    *core.Sampler
+	iter int
+	ws   *sched.Arena[*core.Workspace]
 }
 
 // InitAcc allocates the per-activation accumulator.
@@ -280,19 +252,20 @@ func (p *program) Gather(acc any, neighbor la.Vector, rating float64) {
 	a.rows = append(a.rows, neighbor)
 }
 
-// Apply performs the Gibbs draw with the hybrid kernel (inline, no nested
-// parallelism), writing the new factor row. The workspace lease uses the
-// engine thread's arena shard, so threads do not contend on one free list.
+// Apply performs the sampler's Gibbs draw over the gathered copies
+// (inline, no nested parallelism), writing the vertex's new factor row.
+// The kernel scratch — our substrate, not part of the vertex-program
+// abstraction — is leased per activation from the engine thread's arena
+// shard, so threads do not contend on one free list; the GraphLab
+// productivity tax Figure 3 measures stays in InitAcc/Gather and the
+// re-materialization below.
 func (p *program) Apply(side core.Side, local, thread int, acc any, out la.Vector) {
 	a := acc.(*bpmfAcc)
-	// Rebuild a dense "other" view so core.UpdateItem accumulates in the
-	// same canonical order as the flat engines.
-	view := &rowView{rows: a.rows, k: p.cfg.K}
-	ws := p.ws.GetShard(thread) // leased per activation, released below
-	kern := p.cfg.SelectKernel(len(a.cols))
-	p.counts[kern].Add(1)
-	core.UpdateItem(ws, kern, p.cfg, a.cols, a.vals, view.matrix(), p.hyper,
-		ws.ItemStream(p.cfg.Seed, p.iter, side, local), nil, nil, out)
+	// Rebuild a dense "other" view so the draw accumulates in the same
+	// canonical order as the flat engines.
+	view := &rowView{rows: a.rows, k: p.s.Cfg.K}
+	ws := p.ws.GetShard(thread)
+	p.s.DrawItem(ws, side, p.iter, local, a.cols, a.vals, view.matrix(), out)
 	p.ws.PutShard(thread, ws)
 }
 

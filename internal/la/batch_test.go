@@ -185,25 +185,6 @@ func TestSyrkAxpyPanelLowerBitMatchesUnpanelled(t *testing.T) {
 	}
 }
 
-func TestSyrkPanelLowerBitMatchesNaive(t *testing.T) {
-	r := rng.New(52)
-	k := 8
-	for _, nnz := range panelNNZ {
-		src, cols, _ := gatherProblem(r, nnz, nnz+2, k)
-		a := NewMatrix(k, k)
-		r.FillNorm(a.Data)
-		want := a.Clone()
-		for _, c := range cols {
-			SyrLower(0.6, src.Row(int(c)), want)
-		}
-		panel := NewMatrix(GatherPanelRows, k)
-		SyrkPanelLower(0.6, src, cols, a, panel)
-		if MaxAbsDiff(a, want) != 0 {
-			t.Fatalf("nnz=%d: SyrkPanelLower does not bit-match nnz SyrLower calls", nnz)
-		}
-	}
-}
-
 func TestGatherRows(t *testing.T) {
 	r := rng.New(53)
 	src, cols, _ := gatherProblem(r, 7, 11, 5)
@@ -225,30 +206,6 @@ func TestGatherRows(t *testing.T) {
 		}()
 		GatherRows(src, cols, NewMatrix(len(cols)-1, 5))
 	}()
-}
-
-func TestGemvGatheredBitMatchesPerRowDot(t *testing.T) {
-	r := rng.New(54)
-	for _, k := range []int{1, 8, 32} {
-		for _, nnz := range panelNNZ {
-			src, cols, _ := gatherProblem(r, nnz, nnz+4, k)
-			x := NewVector(k)
-			r.FillNorm(x)
-			y := NewVector(nnz)
-			r.FillNorm(y)
-			want := y.Clone()
-			for p, c := range cols {
-				want[p] = 1.1*Dot(src.Row(int(c)), x) + 0.4*want[p]
-			}
-			panel := NewMatrix(GatherPanelRows, k)
-			GemvGathered(1.1, src, cols, x, 0.4, y, panel)
-			for p := range y {
-				if y[p] != want[p] {
-					t.Fatalf("k=%d nnz=%d: GemvGathered[%d] %v != %v", k, nnz, p, y[p], want[p])
-				}
-			}
-		}
-	}
 }
 
 func TestTransposeIntoMatchesTranspose(t *testing.T) {

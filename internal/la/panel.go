@@ -32,16 +32,10 @@ func GatherRows(src *Matrix, cols []int32, dst *Matrix) {
 	}
 }
 
-// SyrkPanelLower is SyrkBatchLower with a gather stage: see
-// SyrkAxpyPanelLower (vals and y nil).
-func SyrkPanelLower(alpha float64, src *Matrix, cols []int32, a, panel *Matrix) {
-	SyrkAxpyPanelLower(alpha, src, cols, nil, a, nil, panel)
-}
-
 // SyrkAxpyPanelLower computes exactly what SyrkAxpyBatchLower computes —
 //
 //	A += alpha * Σ_p x_p · x_pᵀ        (lower triangle)
-//	y += Σ_p (alpha · vals[p]) · x_p   (skipped when vals and y are nil)
+//	y += Σ_p (alpha · vals[p]) · x_p
 //
 // with x_p = src[cols[p]] — but in panels: GatherPanelRows rating rows are
 // first copied into the contiguous panel scratch, and the register-blocked
@@ -55,8 +49,7 @@ func SyrkPanelLower(alpha float64, src *Matrix, cols []int32, a, panel *Matrix) 
 // panel must have at least GatherPanelRows rows (or len(cols) rows if
 // smaller) and src.Cols columns; its previous contents are irrelevant.
 func SyrkAxpyPanelLower(alpha float64, src *Matrix, cols []int32, vals []float64, a *Matrix, y Vector, panel *Matrix) {
-	withRhs := y != nil
-	if withRhs && len(vals) != len(cols) {
+	if len(vals) != len(cols) {
 		panic("la: SyrkAxpyPanelLower rhs dimension mismatch")
 	}
 	for p0 := 0; p0 < len(cols); p0 += GatherPanelRows {
@@ -64,37 +57,7 @@ func SyrkAxpyPanelLower(alpha float64, src *Matrix, cols []int32, vals []float64
 		if hi > len(cols) {
 			hi = len(cols)
 		}
-		cnt := hi - p0
 		GatherRows(src, cols[p0:hi], panel)
-		if withRhs {
-			SyrkAxpyBatchLower(alpha, panel, iotaCols[:cnt], vals[p0:hi], a, y)
-		} else {
-			SyrkBatchLower(alpha, panel, iotaCols[:cnt], a)
-		}
-	}
-}
-
-// GemvGathered computes y[p] = alpha*(src[cols[p]] · x) + beta*y[p] for
-// every gathered row, streaming the rows through the panel scratch in
-// GatherPanelRows blocks. Each inner product runs through the same
-// unrolled Dot as Gemv, so per-row results are bit-identical to scoring
-// src.Row(cols[p]) directly. panel follows the SyrkAxpyPanelLower
-// contract. It is the gathered analogue of rank.ScoreInto's contiguous
-// blocked Gemv — the scoring primitive for row subsets (e.g. sampled
-// evaluation chunks); no engine hot path consumes it yet.
-func GemvGathered(alpha float64, src *Matrix, cols []int32, x Vector, beta float64, y Vector, panel *Matrix) {
-	if len(y) != len(cols) || src.Cols != len(x) {
-		panic("la: GemvGathered dimension mismatch")
-	}
-	for p0 := 0; p0 < len(cols); p0 += GatherPanelRows {
-		hi := p0 + GatherPanelRows
-		if hi > len(cols) {
-			hi = len(cols)
-		}
-		GatherRows(src, cols[p0:hi], panel)
-		for p := p0; p < hi; p++ {
-			s := Dot(panel.Row(p-p0), x)
-			y[p] = alpha*s + beta*y[p]
-		}
+		SyrkAxpyBatchLower(alpha, panel, iotaCols[:hi-p0], vals[p0:hi], a, y)
 	}
 }

@@ -1,40 +1,36 @@
-// Package mc implements the paper's Section III: multi-core BPMF. Two
-// engines run the same Gibbs iteration over all items:
+// Package mc implements the paper's Section III: multi-core BPMF. It is
+// two executors for the one Gibbs driver in package core — they decide
+// only which thread draws which schedule positions; what is drawn, and
+// the order every reduction is combined in, is core.Sampler's:
 //
-//   - WorkSteal — the "TBB" version: items are scheduled on a work-stealing
-//     pool with a small grain, heavy items (>= Config.KernelThreshold
-//     ratings) additionally split into nested subtasks via the parallel
-//     Cholesky kernel. Work stealing rebalances the skewed per-item costs.
-//   - Static — the "OpenMP" version: items are split into one contiguous
-//     equal-count chunk per thread (OpenMP schedule(static)); no nested
-//     parallelism, no rebalancing.
+//   - WorkSteal — the "TBB" version: positions are scheduled on a
+//     work-stealing pool with a small grain, heavy items (>=
+//     Config.KernelThreshold ratings) additionally split into nested
+//     subtasks via the parallel Cholesky kernel. Work stealing rebalances
+//     the skewed per-item costs.
+//   - Static — the "OpenMP" version: positions are split into one
+//     contiguous equal-count chunk per thread (OpenMP schedule(static));
+//     no nested parallelism, no rebalancing.
 //
-// Both engines walk the items of each phase in a locality schedule
-// (package order): consecutive positions hold items whose rating sets
-// overlap, so the gathered partner rows of one update are still
-// cache-resident for the next. The work-stealing engine additionally
-// leads with the heavy items so the pool never ends a phase on a
-// straggler; the static engine keeps the pure RCM order, since its
-// contiguous per-thread chunks would pin a heavy-first bin to thread 0.
-// Because within-phase updates are independent and every draw comes from
-// a stream keyed by the item's original id, the processing order changes
-// no sampled bit.
+// Both walk the items of each phase in a locality schedule (package
+// order): consecutive positions hold items whose rating sets overlap, so
+// the gathered partner rows of one update are still cache-resident for
+// the next. The work-stealing engine additionally leads with the heavy
+// items so the pool never ends a phase on a straggler; the static engine
+// keeps the pure RCM order, since its contiguous per-thread chunks would
+// pin a heavy-first bin to thread 0.
 //
-// Both engines draw every sample from the same keyed streams, perform
-// per-item and moment arithmetic in the same canonical order as the
-// sequential core.Sampler, and score the test set through the same fixed
-// chunk tree (core.EvalChunk, combined ascending), so their chains and
-// RMSE traces are bit-identical to it (and to each other) for any thread
-// count and any processing order.
+// Because the sampler is the sequential reference's own — same keyed
+// streams, same canonical per-item and moment arithmetic, same fixed
+// evaluation chunk tree (core.EvalChunk, combined ascending) — the chains
+// and RMSE traces are bit-identical to it (and to each other) for any
+// thread count and any processing order.
 package mc
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/la"
 	"repro/internal/order"
 	"repro/internal/sched"
 )
@@ -63,209 +59,105 @@ func (e Engine) String() string {
 
 // Run executes BPMF on prob with the given engine and thread count and
 // returns the result, walking each phase in the engine's default locality
-// schedule (heavy-first binning only for the work-stealing engine). The
-// sampled chain is bit-identical to core.Sampler's for the same Config.
+// schedule. The sampled chain is bit-identical to the sequential
+// core.Sampler's for the same Config.
 func Run(engine Engine, cfg core.Config, prob *core.Problem, threads int) (*core.Result, error) {
-	var opt order.Options
-	if engine == WorkSteal {
-		opt.HeavyThreshold = cfg.KernelThreshold
-	}
-	return RunScheduled(engine, cfg, prob, threads, order.Build(prob.R, opt))
+	return run(engine, cfg, prob, threads, nil)
 }
 
 // RunScheduled is Run with an explicit processing schedule (nil sch or nil
 // sides mean storage order). Any permutation yields the bit-identical
 // chain; the schedule only decides cache behavior, which is what lets the
 // differential tests drive the engines over random permutations. A
-// non-permutation order is rejected: it would silently skip some items
-// and update others twice.
+// non-permutation order is rejected.
 func RunScheduled(engine Engine, cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if threads < 1 {
-		threads = 1
-	}
 	if sch == nil {
 		sch = &order.Schedule{}
 	}
-	m, n := prob.Dims()
-	if sch.U != nil && !order.IsPermutation(sch.U, m) {
-		return nil, fmt.Errorf("mc: schedule U order is not a permutation of [0,%d)", m)
+	return run(engine, cfg, prob, threads, sch)
+}
+
+func run(engine Engine, cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
+	s, err := core.NewSampler(cfg, prob)
+	if err != nil {
+		return nil, err
 	}
-	if sch.V != nil && !order.IsPermutation(sch.V, n) {
-		return nil, fmt.Errorf("mc: schedule V order is not a permutation of [0,%d)", n)
+	release, err := Attach(s, engine, threads, sch)
+	if err != nil {
+		return nil, err
 	}
-	// All workspaces share one chunk-accumulator arena, and workspaces are
-	// leased per item from a worker-local arena: a worker that helps
-	// execute other items while blocked inside a nested Sync must not
-	// reuse a workspace that is mid-update, so checkout stays per item —
-	// the sharding only keeps the lease on the leasing worker's
-	// cache-warm shard.
-	acc := core.NewAccArena(cfg.K)
-	r := &runner{
-		cfg:   cfg,
-		prob:  prob,
-		sch:   sch,
-		prior: core.DefaultNWPrior(cfg.K),
-		u:     core.InitFactors(cfg.Seed, core.SideU, m, cfg.K),
-		v:     core.InitFactors(cfg.Seed, core.SideV, n, cfg.K),
-		hu:    core.NewHyper(cfg.K),
-		hv:    core.NewHyper(cfg.K),
-		hws:   core.NewHyperWorkspace(cfg.K),
-		mws:   core.NewMomentsWorkspace(cfg.K),
-		pred:  core.NewPredictor(prob.Test, cfg.ClampMin, cfg.ClampMax),
-		wsPool: sched.NewArena(func() *core.Workspace {
-			return core.NewWorkspaceShared(cfg.K, acc)
-		}),
+	defer release()
+	return s.Run(), nil
+}
+
+// Attach binds s to the engine's executor on the given thread count, so
+// that s.Run, s.RunFrom and s.Checkpoint work exactly as on a sequential
+// sampler — same chain, the engine's threads. A nil sch selects the
+// engine's default locality schedule (heavy-first binning only under
+// work stealing); &order.Schedule{} is storage order. release stops the
+// executor's threads once the caller is done running s.
+func Attach(s *core.Sampler, engine Engine, threads int, sch *order.Schedule) (release func(), err error) {
+	if threads < 1 {
+		threads = 1
 	}
-	r.pred.Alpha = cfg.Alpha
-	res := &core.Result{
-		SampleRMSE: make([]float64, 0, cfg.Iters),
-		AvgRMSE:    make([]float64, 0, cfg.Iters),
-	}
-	start := time.Now()
+	var opt order.Options
+	var exec core.Executor
+	release = func() {}
 	switch engine {
 	case WorkSteal:
+		opt.HeavyThreshold = s.Cfg.KernelThreshold
 		pool := sched.NewPool(threads)
-		defer pool.Close()
-		for it := 0; it < cfg.Iters; it++ {
-			r.stepWorkSteal(pool, it, res)
-		}
+		exec, release = workSteal{pool}, pool.Close
 	case Static:
-		for it := 0; it < cfg.Iters; it++ {
-			r.stepStatic(threads, it, res)
-		}
+		exec = static{threads}
 	default:
-		panic("mc: unknown engine")
+		return nil, fmt.Errorf("mc: unknown engine %d", engine)
 	}
-	res.Elapsed = time.Since(start)
-	res.Iters = cfg.Iters
-	res.ItemUpdates = int64(cfg.Iters) * int64(m+n)
-	res.U, res.V = r.u, r.v
-	res.Intervals = r.pred.Intervals()
-	for k := range res.KernelCounts {
-		res.KernelCounts[k] = r.kernelCounts[k].Load()
+	if sch == nil {
+		sch = order.Build(s.Prob.R, opt)
 	}
-	return res, nil
+	if err := s.Use(exec, *sch); err != nil {
+		release()
+		return nil, err
+	}
+	return release, nil
 }
 
-type runner struct {
-	cfg    core.Config
-	prob   *core.Problem
-	sch    *order.Schedule
-	prior  core.NWPrior
-	u, v   *la.Matrix
-	hu, hv *core.Hyper
-	hws    *core.HyperWorkspace
-	mws    *core.MomentsWorkspace
-	pred   *core.Predictor
-	wsPool *sched.Arena[*core.Workspace]
+// workSteal schedules ranges on a work-stealing pool; the worker handed
+// to UpdateRange lets a heavy item's kernel spawn nested tasks there.
+type workSteal struct{ pool *sched.Pool }
 
-	kernelCounts [3]atomic.Int64
+func (e workSteal) Sweep(s *core.Sampler, side core.Side, iter int) {
+	ord, n := s.Order(side)
+	e.pool.ParallelFor(0, n, core.ItemGrain, func(w *sched.Worker, lo, hi int) {
+		s.UpdateRange(side, iter, ord, lo, hi, w)
+	})
 }
 
-// itemGrain is the work-stealing grain for the item loop: small enough to
-// rebalance skew, large enough to amortize task overhead on cheap items.
-const itemGrain = 8
-
-// updateRange samples the items at schedule positions [lo, hi) of one
-// side. other is the partner factor matrix; rt indexes the side's ratings
-// (rows = items of this side). pool/pw enable the nested parallel kernel
-// (nil for the static engine, which has no nested parallelism — the sample
-// stays bit-identical because the kernel's task DAG is
-// schedule-independent).
-func (r *runner) updateRange(side core.Side, iter, lo, hi int, pool *sched.Pool, pw *sched.Worker) {
-	cfg := &r.cfg
-	var rt = r.prob.R
-	var self, other *la.Matrix
-	var hyper *core.Hyper
-	var ord []int32
-	if side == core.SideV {
-		rt = r.prob.Rt
-		self, other, hyper = r.v, r.u, r.hv
-		ord = r.sch.V
-	} else {
-		self, other, hyper = r.u, r.v, r.hu
-		ord = r.sch.U
-	}
-	for pos := lo; pos < hi; pos++ {
-		item := pos
-		if ord != nil {
-			item = int(ord[pos])
+func (e workSteal) Each(n int, run func(i int)) {
+	e.pool.ParallelFor(0, n, 1, func(_ *sched.Worker, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			run(i)
 		}
-		cols, vals := rt.Row(item)
-		kern := cfg.SelectKernel(len(cols))
-		r.kernelCounts[kern].Add(1)
-		ws := r.wsPool.Get(pw)
-		core.UpdateItem(ws, kern, cfg, cols, vals, other, hyper,
-			ws.ItemStream(cfg.Seed, iter, side, item), pool, pw, self.Row(item))
-		r.wsPool.Put(pw, ws)
-	}
-}
-
-// sampleHypers draws both sides' hyperparameters for this iteration using
-// the provided parallel-for over moment groups.
-func (r *runner) sampleHypers(iter int, parallelFor func(n int, run func(g int))) {
-	cfg := &r.cfg
-	groupsV := core.GroupBoundaries(cfg.MomentGroupsV, r.v.Rows)
-	mv := core.MomentsGroupedWS(r.v, groupsV, cfg.K, parallelFor, r.mws)
-	core.SampleHyperWS(r.prior, mv, core.HyperStream(cfg.Seed, iter, core.SideV), r.hv, r.hws)
-}
-
-func (r *runner) sampleHyperU(iter int, parallelFor func(n int, run func(g int))) {
-	cfg := &r.cfg
-	groupsU := core.GroupBoundaries(cfg.MomentGroupsU, r.u.Rows)
-	mu := core.MomentsGroupedWS(r.u, groupsU, cfg.K, parallelFor, r.mws)
-	core.SampleHyperWS(r.prior, mu, core.HyperStream(cfg.Seed, iter, core.SideU), r.hu, r.hws)
-}
-
-// score runs the chunk-parallel evaluation through the given runAll (the
-// same fixed chunk tree the sequential sampler executes inline).
-func (r *runner) score(iter int, res *core.Result, runAll func(n int, run func(c int))) {
-	sr, ar := r.pred.UpdatePar(r.u, r.v, iter >= r.cfg.Burnin, runAll)
-	res.SampleRMSE = append(res.SampleRMSE, sr)
-	res.AvgRMSE = append(res.AvgRMSE, ar)
-}
-
-// stepWorkSteal runs one Gibbs iteration on the work-stealing pool.
-func (r *runner) stepWorkSteal(pool *sched.Pool, iter int, res *core.Result) {
-	pfor := func(n int, run func(g int)) {
-		pool.ParallelFor(0, n, 1, func(_ *sched.Worker, lo, hi int) {
-			for g := lo; g < hi; g++ {
-				run(g)
-			}
-		})
-	}
-	// Movies first (Algorithm 1).
-	r.sampleHypers(iter, pfor)
-	pool.ParallelFor(0, r.prob.Rt.M, itemGrain, func(w *sched.Worker, lo, hi int) {
-		r.updateRange(core.SideV, iter, lo, hi, pool, w)
 	})
-	r.sampleHyperU(iter, pfor)
-	pool.ParallelFor(0, r.prob.R.M, itemGrain, func(w *sched.Worker, lo, hi int) {
-		r.updateRange(core.SideU, iter, lo, hi, pool, w)
-	})
-	r.score(iter, res, pfor)
 }
 
-// stepStatic runs one Gibbs iteration with OpenMP-style static chunks and
-// no nested parallelism.
-func (r *runner) stepStatic(threads, iter int, res *core.Result) {
-	sfor := func(n int, run func(g int)) {
-		sched.StaticFor(threads, 0, n, func(_, lo, hi int) {
-			for g := lo; g < hi; g++ {
-				run(g)
-			}
-		})
-	}
-	r.sampleHypers(iter, sfor)
-	sched.StaticFor(threads, 0, r.prob.Rt.M, func(_, lo, hi int) {
-		r.updateRange(core.SideV, iter, lo, hi, nil, nil)
+// static splits every loop into one contiguous chunk per thread, with no
+// nested parallelism (the sample stays bit-identical because the
+// parallel kernel's task DAG is schedule-independent).
+type static struct{ threads int }
+
+func (e static) Sweep(s *core.Sampler, side core.Side, iter int) {
+	ord, n := s.Order(side)
+	sched.StaticFor(e.threads, 0, n, func(_, lo, hi int) {
+		s.UpdateRange(side, iter, ord, lo, hi, nil)
 	})
-	r.sampleHyperU(iter, sfor)
-	sched.StaticFor(threads, 0, r.prob.R.M, func(_, lo, hi int) {
-		r.updateRange(core.SideU, iter, lo, hi, nil, nil)
+}
+
+func (e static) Each(n int, run func(i int)) {
+	sched.StaticFor(e.threads, 0, n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			run(i)
+		}
 	})
-	r.score(iter, res, sfor)
 }

@@ -32,6 +32,7 @@
 package order
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/partition"
@@ -117,6 +118,22 @@ func Restrict(ord []int32, lo, hi int) []int32 {
 		}
 	}
 	return out
+}
+
+// Validate checks the schedule contract against an m-user, n-movie
+// problem: every non-nil side must be a permutation of its index range.
+// An order that skips or repeats items would silently skip some updates
+// and perform others twice — and in the distributed engine, whose peers
+// count the ghost rows they expect from the routing table, block forever
+// on the missing ones.
+func (s Schedule) Validate(m, n int) error {
+	if s.U != nil && !IsPermutation(s.U, m) {
+		return fmt.Errorf("order: schedule U order is not a permutation of [0,%d)", m)
+	}
+	if s.V != nil && !IsPermutation(s.V, n) {
+		return fmt.Errorf("order: schedule V order is not a permutation of [0,%d)", n)
+	}
+	return nil
 }
 
 // IsPermutation reports whether ord is a permutation of [0, n) — the

@@ -40,6 +40,10 @@ type Worker struct {
 // ID returns the worker index in [0, NumWorkers).
 func (w *Worker) ID() int { return w.id }
 
+// Pool returns the pool the worker belongs to: a task handed its worker
+// spawns nested subtasks there.
+func (w *Worker) Pool() *Pool { return w.pool }
+
 // NewPool creates a pool with n workers. If n <= 0 it defaults to
 // runtime.GOMAXPROCS(0).
 func NewPool(n int) *Pool {
