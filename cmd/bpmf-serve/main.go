@@ -14,7 +14,7 @@
 //	bpmf -synthetic small -ckpt-out model.ckpt
 //	bpmf-serve -ckpt model.ckpt -addr :8080 -topn 100 -threads 8
 //
-//	curl 'localhost:8080/predict?user=3&item=17'
+//	curl 'localhost:8080/v1/default/predict?user=3&item=17'
 //	curl 'localhost:8080/v1/default/recommend?user=3&n=10'
 //
 // Multi-model (one JSON config file; flags still win where they overlap):
@@ -34,7 +34,7 @@
 //	curl 'localhost:8080/v1/movies/predict?user=3&item=17'
 //	curl 'localhost:8080/v1/drugs/recommend?user=3&n=10'
 //
-// Endpoints (the unversioned forms serve the model named "default"):
+// Endpoints:
 //
 //	GET  /v1/<model>/predict?user=U&item=I   point score + posterior mean/std
 //	GET  /v1/<model>/recommend?user=U&n=N    top-N unseen items
@@ -57,6 +57,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"sort"
@@ -266,8 +267,8 @@ func buildSpec(name string, mc config.ServeModel, pool *sched.Pool, logf func(st
 }
 
 // route is one model's request path: its hot-reloading server plus the
-// batcher coalescing its scoring work (nil = batching disabled, serve
-// the per-request path directly).
+// batcher admitting its requests and coalescing its rankings (nil =
+// batching disabled, serve the per-request path directly).
 type route struct {
 	srv *serve.Server
 	bt  *serve.Batcher
@@ -319,10 +320,9 @@ func (rt route) recommendVector(m *serve.Model, u la.Vector, excl []int32, n int
 	return m.RecommendVector(u, excl, n)
 }
 
-// newMux wires the HTTP endpoints onto the model registry. The
-// /v1/<model>/... routes address models by name; the unversioned
-// legacy routes serve the model named "default", so pre-registry
-// single-model deployments keep their URLs.
+// newMux wires the HTTP endpoints onto the model registry: every model,
+// the single-model "default" included, is addressed by name under
+// /v1/<model>/.
 func newMux(reg *serve.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	byName := func(h func(route, http.ResponseWriter, *http.Request)) http.HandlerFunc {
@@ -335,24 +335,10 @@ func newMux(reg *serve.Registry) *http.ServeMux {
 			h(route{srv: srv, bt: reg.Batcher(r.PathValue("model"))}, w, r)
 		}
 	}
-	legacy := func(h func(route, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			srv, ok := reg.Get("default")
-			if !ok {
-				unknownModel(w, reg, "default")
-				return
-			}
-			h(route{srv: srv, bt: reg.Batcher("default")}, w, r)
-		}
-	}
 	mux.HandleFunc("/v1/{model}/predict", byName(handlePredict))
 	mux.HandleFunc("/v1/{model}/recommend", byName(handleRecommend))
 	mux.HandleFunc("/v1/{model}/foldin", byName(handleFoldIn))
 	mux.HandleFunc("/v1/{model}/reload", byName(handleReload))
-	mux.HandleFunc("/predict", legacy(handlePredict))
-	mux.HandleFunc("/recommend", legacy(handleRecommend))
-	mux.HandleFunc("/foldin", legacy(handleFoldIn))
-	mux.HandleFunc("/reload", legacy(handleReload))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { handleHealthz(reg, w) })
 	return mux
 }
@@ -437,16 +423,47 @@ func loadExclusions(dataPath string, testFrac float64, ckptPath string) (*sparse
 	return train, test, ckpt.Seed, nil
 }
 
+// The response bodies. Fields are declared in alphabetical key order,
+// the order encoding/json writes map keys in, so these encode to the
+// bytes of the per-request map[string]any they replaced (golden test).
+
+type predictResponse struct {
+	Item      int     `json:"item"`
+	Mean      float64 `json:"mean"`
+	Posterior bool    `json:"posterior"`
+	Score     float64 `json:"score"`
+	Std       float64 `json:"std"`
+	User      int     `json:"user"`
+}
+
+type scoredItem struct {
+	Item  int     `json:"item"`
+	Score float64 `json:"score"`
+}
+
+type recommendResponse struct {
+	Items []scoredItem `json:"items"`
+	User  int          `json:"user"`
+}
+
+// Items is set only when the request asked for recommendations (n > 0);
+// an empty list then still encodes as [].
+type foldInResponse struct {
+	Factors []float64     `json:"factors"`
+	Items   *[]scoredItem `json:"items,omitempty"`
+}
+
 func handlePredict(rt route, w http.ResponseWriter, r *http.Request) {
 	if !rt.admit(w, r) {
 		return
 	}
-	user, err := intParam(r, "user")
+	q := r.URL.Query() // parsed once per request
+	user, err := intParam(q, "user")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	item, err := intParam(r, "item")
+	item, err := intParam(q, "item")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -456,9 +473,9 @@ func handlePredict(rt route, w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, map[string]any{
-		"user": user, "item": item,
-		"score": p.Score, "mean": p.Mean, "std": p.Std, "posterior": p.Posterior,
+	writeJSON(w, predictResponse{
+		User: user, Item: item,
+		Score: p.Score, Mean: p.Mean, Std: p.Std, Posterior: p.Posterior,
 	})
 }
 
@@ -466,12 +483,13 @@ func handleRecommend(rt route, w http.ResponseWriter, r *http.Request) {
 	if !rt.admit(w, r) {
 		return
 	}
-	user, err := intParam(r, "user")
+	q := r.URL.Query()
+	user, err := intParam(q, "user")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	n, err := intParam(r, "n")
+	n, err := intParam(q, "n")
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -481,7 +499,7 @@ func handleRecommend(rt route, w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusOf(err), err)
 		return
 	}
-	writeJSON(w, map[string]any{"user": user, "items": itemsJSON(top)})
+	writeJSON(w, recommendResponse{User: user, Items: itemsJSON(top)})
 }
 
 // foldInRequest is the /foldin body: a new user's observed ratings, a
@@ -500,6 +518,7 @@ const maxFoldInBody = 1 << 20
 
 func handleFoldIn(rt route, w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
 		httpError(w, http.StatusMethodNotAllowed, errors.New("POST a JSON body"))
 		return
 	}
@@ -532,22 +551,23 @@ func handleFoldIn(rt route, w http.ResponseWriter, r *http.Request) {
 		httpError(w, statusOf(err), err)
 		return
 	}
-	resp := map[string]any{"factors": []float64(u)}
+	resp := foldInResponse{Factors: u}
 	if req.N > 0 {
 		top, err := rt.recommendVector(m, u, req.Items, req.N)
 		if err != nil {
 			httpError(w, statusOf(err), err)
 			return
 		}
-		resp["items"] = itemsJSON(top)
+		items := itemsJSON(top)
+		resp.Items = &items
 	}
 	writeJSON(w, resp)
 }
 
-func itemsJSON(top []rank.Item) []map[string]any {
-	out := make([]map[string]any, len(top))
+func itemsJSON(top []rank.Item) []scoredItem {
+	out := make([]scoredItem, len(top))
 	for i, it := range top {
-		out[i] = map[string]any{"item": it.Index, "score": it.Score}
+		out[i] = scoredItem{Item: it.Index, Score: it.Score}
 	}
 	return out
 }
@@ -572,8 +592,8 @@ func statusOf(err error) int {
 	}
 }
 
-func intParam(r *http.Request, name string) (int, error) {
-	s := r.URL.Query().Get(name)
+func intParam(q url.Values, name string) (int, error) {
+	s := q.Get(name)
 	if s == "" {
 		return 0, fmt.Errorf("missing query parameter %q", name)
 	}

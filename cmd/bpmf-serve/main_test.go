@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/config"
+	"repro/internal/rank"
 	"repro/internal/serve"
 )
 
@@ -64,17 +65,17 @@ func testRegistry(t *testing.T) *serve.Registry {
 	return reg
 }
 
-// TestReloadRequiresPOST pins the /reload method guard: reload mutates
-// server state, so GET (and friends) must get 405 without triggering a
-// snapshot swap, while POST still reloads. Both the legacy route and
-// the versioned per-model route share the guard.
-func TestReloadRequiresPOST(t *testing.T) {
+// TestMutatingRoutesRequirePOST pins the method guard of the two routes
+// that take a POST: any other method gets 405 with an Allow header
+// naming POST — and, for reload, which mutates server state, without
+// triggering a snapshot swap — while POST still works.
+func TestMutatingRoutesRequirePOST(t *testing.T) {
 	reg := testRegistry(t)
 	mux := newMux(reg)
 	srv, _ := reg.Get("default")
 	base := srv.Reloads.Load() // the initial Open counts as the first load
 
-	for _, path := range []string{"/reload", "/v1/default/reload"} {
+	for _, path := range []string{"/v1/default/reload", "/v1/default/foldin"} {
 		for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete} {
 			rec := httptest.NewRecorder()
 			mux.ServeHTTP(rec, httptest.NewRequest(method, path, nil))
@@ -91,29 +92,129 @@ func TestReloadRequiresPOST(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/default/reload", nil))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("POST /reload = %d, body %s", rec.Code, rec.Body.String())
+		t.Fatalf("POST /v1/default/reload = %d, body %s", rec.Code, rec.Body.String())
 	}
 	if got := srv.Reloads.Load(); got != base+1 {
-		t.Fatalf("POST /reload performed %d reloads, want 1", got-base)
+		t.Fatalf("POST /v1/default/reload performed %d reloads, want 1", got-base)
+	}
+	if rec := postFoldIn(mux, `{"items":[0],"values":[5],"key":1}`); rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/default/foldin = %d, body %s", rec.Code, rec.Body.String())
 	}
 }
 
+// TestResponseBytesGolden pins the wire format of the typed responses:
+// each encodes to the literal bytes below, which are also what the
+// map[string]any it replaced encodes to (keys sorted, same number
+// formatting) — so no client sees the change of representation.
+func TestResponseBytesGolden(t *testing.T) {
+	items := []rank.Item{{Index: 7, Score: 4.5}, {Index: 2, Score: -0.125}}
+	asMaps := func(top []rank.Item) []map[string]any {
+		out := make([]map[string]any, len(top))
+		for i, it := range top {
+			out[i] = map[string]any{"item": it.Index, "score": it.Score}
+		}
+		return out
+	}
+	withItems, noItems := itemsJSON(items), itemsJSON(nil)
+	cases := []struct {
+		name   string
+		typed  any
+		mapped map[string]any
+		want   string
+	}{
+		{"predict",
+			predictResponse{User: 3, Item: 17, Score: 3.25, Mean: 3.3000000000000003, Std: 0.7071067811865476, Posterior: true},
+			map[string]any{"user": 3, "item": 17, "score": 3.25, "mean": 3.3000000000000003, "std": 0.7071067811865476, "posterior": true},
+			`{"item":17,"mean":3.3000000000000003,"posterior":true,"score":3.25,"std":0.7071067811865476,"user":3}`},
+		{"recommend",
+			recommendResponse{User: 3, Items: withItems},
+			map[string]any{"user": 3, "items": asMaps(items)},
+			`{"items":[{"item":7,"score":4.5},{"item":2,"score":-0.125}],"user":3}`},
+		{"recommend nothing",
+			recommendResponse{User: 0, Items: noItems},
+			map[string]any{"user": 0, "items": asMaps(nil)},
+			`{"items":[],"user":0}`},
+		{"foldin factors only",
+			foldInResponse{Factors: []float64{0.5, -1e-7}},
+			map[string]any{"factors": []float64{0.5, -1e-7}},
+			`{"factors":[0.5,-1e-7]}`},
+		{"foldin with items",
+			foldInResponse{Factors: []float64{1}, Items: &withItems},
+			map[string]any{"factors": []float64{1}, "items": asMaps(items)},
+			`{"factors":[1],"items":[{"item":7,"score":4.5},{"item":2,"score":-0.125}]}`},
+		{"foldin nothing to recommend",
+			foldInResponse{Factors: []float64{1}, Items: &noItems},
+			map[string]any{"factors": []float64{1}, "items": asMaps(nil)},
+			`{"factors":[1],"items":[]}`},
+	}
+	for _, c := range cases {
+		for label, v := range map[string]any{"typed": c.typed, "map": c.mapped} {
+			rec := httptest.NewRecorder()
+			writeJSON(rec, v)
+			if got := rec.Body.String(); got != c.want+"\n" {
+				t.Errorf("%s (%s): body %q, want %q", c.name, label, got, c.want+"\n")
+			}
+		}
+	}
+}
+
+// TestHandlersServeGoldenShapes drives the three query routes through
+// the mux and checks each body is the canonical (sorted-key) encoding of
+// its own content: decoding it and re-encoding through a map reproduces
+// the bytes.
+func TestHandlersServeGoldenShapes(t *testing.T) {
+	mux := newMux(testRegistry(t))
+	bodies := []string{
+		get(t, mux, "/v1/default/predict?user=0&item=1"),
+		get(t, mux, "/v1/default/recommend?user=0&n=2"),
+		postFoldIn(mux, `{"items":[0,1],"values":[5,4],"key":1,"n":2}`).Body.String(),
+		postFoldIn(mux, `{"items":[0,1],"values":[5,4],"key":1}`).Body.String(),
+	}
+	for _, body := range bodies {
+		var decoded map[string]any
+		if err := json.Unmarshal([]byte(body), &decoded); err != nil {
+			t.Fatalf("body %q: %v", body, err)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, decoded)
+		if got := rec.Body.String(); got != body {
+			t.Errorf("served %q, canonical map encoding is %q", body, got)
+		}
+	}
+	if !strings.Contains(bodies[2], `"items":[{"item":`) || strings.Contains(bodies[3], "items") {
+		t.Errorf("foldin items: with n=2 %q, without n %q", bodies[2], bodies[3])
+	}
+}
+
+// get answers one GET through the mux, failing the test unless it is a 200.
+func get(t *testing.T, mux *http.ServeMux, url string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d, body %s", url, rec.Code, rec.Body.String())
+	}
+	return rec.Body.String()
+}
+
 // TestHealthzAndPredictStillServe is a smoke check that the extracted
-// mux wires the read-only endpoints the way main always did — on both
-// the legacy routes and their /v1/default/ aliases.
+// mux wires the read-only endpoints the way main always did, and that
+// the unprefixed pre-registry routes are gone.
 func TestHealthzAndPredictStillServe(t *testing.T) {
 	mux := newMux(testRegistry(t))
 	for _, url := range []string{
 		"/healthz",
-		"/predict?user=0&item=1", "/recommend?user=0&n=2",
 		"/v1/default/predict?user=0&item=1", "/v1/default/recommend?user=0&n=2",
 	} {
+		get(t, mux, url)
+	}
+	for _, url := range []string{"/predict?user=0&item=1", "/recommend?user=0&n=2", "/foldin", "/reload"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
-		if rec.Code != http.StatusOK {
-			t.Errorf("GET %s = %d, body %s", url, rec.Code, rec.Body.String())
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404: the unprefixed routes were removed", url, rec.Code)
 		}
 	}
 }
@@ -187,25 +288,18 @@ func TestPredictMatchesPreRegistryPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, path := range []string{"/predict", "/v1/default/predict"} {
-				rec := httptest.NewRecorder()
-				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
-					fmt.Sprintf("%s?user=%d&item=%d", path, user, item), nil))
-				if rec.Code != http.StatusOK {
-					t.Fatalf("GET %s u=%d i=%d = %d, body %s", path, user, item, rec.Code, rec.Body.String())
-				}
-				var got struct {
-					Score float64 `json:"score"`
-					Mean  float64 `json:"mean"`
-					Std   float64 `json:"std"`
-				}
-				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-					t.Fatal(err)
-				}
-				if got.Score != want.Score || got.Mean != want.Mean || got.Std != want.Std {
-					t.Errorf("%s u=%d i=%d = (%v,%v,%v), pre-registry path = (%v,%v,%v)",
-						path, user, item, got.Score, got.Mean, got.Std, want.Score, want.Mean, want.Std)
-				}
+			body := get(t, mux, fmt.Sprintf("/v1/default/predict?user=%d&item=%d", user, item))
+			var got struct {
+				Score float64 `json:"score"`
+				Mean  float64 `json:"mean"`
+				Std   float64 `json:"std"`
+			}
+			if err := json.Unmarshal([]byte(body), &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Score != want.Score || got.Mean != want.Mean || got.Std != want.Std {
+				t.Errorf("u=%d i=%d = (%v,%v,%v), pre-registry path = (%v,%v,%v)",
+					user, item, got.Score, got.Mean, got.Std, want.Score, want.Mean, want.Std)
 			}
 		}
 	}
@@ -301,10 +395,10 @@ func TestRateLimitSheds429WithRetryAfter(t *testing.T) {
 		mux.ServeHTTP(rec, req)
 		return rec
 	}
-	if rec := get("10.0.0.1:555", "/predict?user=0&item=1"); rec.Code != http.StatusOK {
+	if rec := get("10.0.0.1:555", "/v1/default/predict?user=0&item=1"); rec.Code != http.StatusOK {
 		t.Fatalf("first request = %d, body %s", rec.Code, rec.Body.String())
 	}
-	rec := get("10.0.0.1:666", "/recommend?user=0&n=2") // same host, new port: same bucket
+	rec := get("10.0.0.1:666", "/v1/default/recommend?user=0&n=2") // same host, new port: same bucket
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("second request = %d, want 429 (body %s)", rec.Code, rec.Body.String())
 	}
@@ -320,14 +414,14 @@ func TestRateLimitSheds429WithRetryAfter(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
 		t.Errorf("429 body not a JSON error: %v (%s)", err, rec.Body.String())
 	}
-	if rec := get("10.0.0.2:555", "/predict?user=0&item=1"); rec.Code != http.StatusOK {
+	if rec := get("10.0.0.2:555", "/v1/default/predict?user=0&item=1"); rec.Code != http.StatusOK {
 		t.Errorf("other client shed too: %d (body %s)", rec.Code, rec.Body.String())
 	}
 }
 
-// postFoldIn sends one /foldin body and returns the recorder.
+// postFoldIn sends one /v1/default/foldin body and returns the recorder.
 func postFoldIn(mux *http.ServeMux, body string) *httptest.ResponseRecorder {
-	req := httptest.NewRequest(http.MethodPost, "/foldin", strings.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/v1/default/foldin", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, req)

@@ -56,20 +56,23 @@ func (m ServeModel) Validate(name string) error {
 }
 
 // Serving configures the request path shared by every model route of
-// the registry: the batching window that coalesces concurrent requests
-// into shared GEMM flushes, the queue bound that sheds overload (503 +
+// the registry: the batching window that coalesces concurrent rankings
+// into shared scoring flushes, the queue bound that sheds overload (503 +
 // Retry-After), and the per-client rate limit (429 + Retry-After).
 // Batching and the queue are per model route; the rate limit is per
 // (client, model).
 type Serving struct {
-	// MaxBatch caps how many queued requests one flush scores together
-	// (1 = disable coalescing, serve the per-request path).
+	// MaxBatch caps how many queued recommend / fold-in rankings one
+	// flush scores together (1 = disable coalescing, serve the
+	// per-request path). Up to GOMAXPROCS flushes run at once.
 	MaxBatch int `json:"max_batch,omitempty"`
-	// MaxDelay bounds how long a busy batcher waits to fill a partial
-	// batch; an idle batcher always flushes immediately.
+	// MaxDelay bounds how long a flusher whose queue refilled while it
+	// scored waits to fill a partial batch; a request that finds a free
+	// flusher slot is always flushed immediately.
 	MaxDelay Duration `json:"max_delay,omitempty"`
-	// QueueBound is the SLO bound on queued requests per model; beyond
-	// it new requests are shed with 503 (0 = unbounded).
+	// QueueBound is the SLO bound on queued rankings per model; beyond
+	// it new ones are shed with 503 (0 = unbounded). Predicts and top-N
+	// table hits never queue and are never shed by it.
 	QueueBound int `json:"queue_bound,omitempty"`
 	// Rate is the per-client admission rate in requests/second
 	// (0 = no rate limit).
@@ -96,9 +99,9 @@ func DefaultServing() Serving {
 // RegisterFlags declares the serving-path flag surface over the
 // struct's current values.
 func (c *Serving) RegisterFlags(fs *flag.FlagSet) {
-	fs.IntVar(&c.MaxBatch, "max-batch", c.MaxBatch, "max requests coalesced into one scoring flush (1 = unbatched)")
-	fs.Var(&c.MaxDelay, "max-delay", "max wait to fill a partial batch while busy (idle requests never wait)")
-	fs.IntVar(&c.QueueBound, "queue-bound", c.QueueBound, "shed requests with 503 beyond this many queued per model (0 = unbounded)")
+	fs.IntVar(&c.MaxBatch, "max-batch", c.MaxBatch, "max recommend/fold-in rankings coalesced into one scoring flush (1 = unbatched); up to GOMAXPROCS flushes run concurrently")
+	fs.Var(&c.MaxDelay, "max-delay", "max wait of a busy flusher to fill a partial batch (a request that finds a free flusher never waits)")
+	fs.IntVar(&c.QueueBound, "queue-bound", c.QueueBound, "shed rankings with 503 beyond this many queued per model (0 = unbounded); predicts never queue, so are never shed by it")
 	fs.Float64Var(&c.Rate, "rate", c.Rate, "per-client request rate limit in req/s (0 = unlimited)")
 	fs.IntVar(&c.Burst, "burst", c.Burst, "per-client token-bucket burst (0 = derive from -rate)")
 	fs.Var(&c.RetryAfter, "retry-after", "Retry-After hint attached to overload sheds")
@@ -135,7 +138,8 @@ type Serve struct {
 	// Addr is the HTTP listen address.
 	Addr string `json:"addr,omitempty"`
 	// Threads is the worker-thread count for top-N precomputes
-	// (0 = GOMAXPROCS), shared by all models.
+	// (0 = GOMAXPROCS), shared by all models. It does not bound request
+	// scoring, which runs on up to GOMAXPROCS concurrent flushers.
 	Threads int `json:"threads,omitempty"`
 	// Watch polls each model's checkpoint file at this interval and
 	// hot-reloads it on change (0 = SIGHUP only). Models reload
@@ -173,7 +177,7 @@ func DefaultServeModel() ServeModel { return ServeModel{Alpha: 2.0} }
 // "default" entry); multi-model registries come from the config file.
 func (c *Serve) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Addr, "addr", c.Addr, "HTTP listen address")
-	fs.IntVar(&c.Threads, "threads", c.Threads, "worker threads for the top-N precompute (0 = GOMAXPROCS)")
+	fs.IntVar(&c.Threads, "threads", c.Threads, "worker threads for the top-N precompute only (0 = GOMAXPROCS); requests are scored on up to GOMAXPROCS concurrent flushers whatever this is")
 	fs.Var(&c.Watch, "watch", "poll each model's checkpoint at this interval and hot-reload on change (0 = SIGHUP only)")
 	c.Serving.RegisterFlags(fs)
 	fs.StringVar(&c.Model.Ckpt, "ckpt", c.Model.Ckpt, "checkpoint file to serve (single-model mode)")

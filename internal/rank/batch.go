@@ -2,57 +2,80 @@ package rank
 
 import "repro/internal/la"
 
-// scoreBatchPanel is the item-panel height of the batched scoring pass:
-// V is walked once per batch in contiguous panels of this many rows, and
-// each cache-resident panel is streamed against every user of the batch
-// before the next panel is touched. It matches la.GatherPanelRows — a
-// 64-row x K-column panel sits comfortably in L1/L2 next to the users'
-// factor rows — so the whole item-factor matrix is read from memory once
-// per batch instead of once per request.
-const scoreBatchPanel = la.GatherPanelRows
+// scorePanel is the item-panel height of every scoring pass: V is
+// walked once per batch in contiguous panels of this many rows, each
+// scored against every user of the batch while it is cache resident
+// (la.GatherPanelRows: 64 rows x K columns sit in L1/L2 next to the
+// users' rows), so V is read from memory once per batch, not per request.
+const scorePanel = la.GatherPanelRows
 
 // ScoreBatchInto computes the multi-user score matrix out = U·Vᵀ
-// (out.Row(b)[j] = users.Row(b) · v.Row(j)) as a panel-blocked GEMM:
-// the item factors are streamed in scoreBatchPanel-row panels, each
-// panel scored against every user of the batch while it is cache
-// resident. users is the B x K batch of user factor rows; out must be
-// B x v.Rows.
-//
-// Per element the inner product runs through the same unrolled la.Dot
-// as ScoreInto and la.Gemv, so every score is bit-identical to scoring
-// that user alone — batching changes memory traffic, never results. It
-// allocates nothing.
+// (out.Row(b)[j] = users.Row(b) · v.Row(j)) with the panel walk and
+// kernel of Recommend, for callers that want the scores themselves.
+// users is the B x K batch of user factor rows; out must be B x v.Rows.
+// Every score is la.Gemv's, so bit-identical to scoring that user alone
+// — batching changes memory traffic, never results. It allocates nothing.
 func ScoreBatchInto(v, users, out *la.Matrix) {
 	if users.Cols != v.Cols || out.Rows != users.Rows || out.Cols != v.Rows {
 		panic("rank: ScoreBatchInto dimension mismatch")
 	}
 	panel := la.Matrix{Cols: v.Cols}
-	for lo := 0; lo < v.Rows; lo += scoreBatchPanel {
-		hi := lo + scoreBatchPanel
-		if hi > v.Rows {
-			hi = v.Rows
-		}
-		panel.Rows = hi - lo
-		panel.Data = v.Data[lo*v.Cols : hi*v.Cols]
+	for lo := 0; lo < v.Rows; lo += scorePanel {
+		hi := min(lo+scorePanel, v.Rows)
+		panel.Rows, panel.Data = hi-lo, v.Data[lo*v.Cols:hi*v.Cols]
 		for b := 0; b < users.Rows; b++ {
 			la.Gemv(1, &panel, users.Row(b), 0, out.Row(b)[lo:hi])
 		}
 	}
 }
 
-// TopNBatchExcluding is the batched TopNScoresExcluding driver: row b of
-// scores is ranked under exclusion list excl[b] (sorted ascending; nil
-// excludes nothing) returning its top n[b] items. It is the selection
-// stage the serving batcher runs after one ScoreBatchInto pass; each
-// row's result is exactly TopNScoresExcluding(scores.Row(b), excl[b],
-// n[b]) — same heap, same tie-breaking.
-func TopNBatchExcluding(scores *la.Matrix, excl [][]int32, n []int) [][]Item {
-	if len(excl) != scores.Rows || len(n) != scores.Rows {
-		panic("rank: TopNBatchExcluding dimension mismatch")
+// Query is one user of a Recommend pass: its factor row U (len v.Cols),
+// the ascending list Excl of items to skip (the CSR row-view contract;
+// nil excludes nothing) and how many items N it wants. Recommend sets
+// Items: the top N non-excluded items by descending score, fewer when
+// the catalog minus exclusions is smaller.
+type Query struct {
+	U     la.Vector
+	Excl  []int32
+	N     int
+	Items []Item
+
+	top topN
+	cur int // cursor into Excl: entries before it are below the current panel
+}
+
+// Recommend ranks every item of v for each query in one streaming pass:
+// V is walked once in panels; each panel is scored against every user of
+// the batch with la.Gemv, and its scores are offered straight into that
+// user's top-N behind its exclusion cursor, in ascending item order. No
+// score outlives its panel, so the pass needs no catalog-sized buffer
+// however many users share it, and allocates only the result lists.
+//
+// qs[b].Items is exactly TopNScoresExcluding over la.Dot(U, v.Row(j))
+// for every j — same scores, same heap, same tie-breaking — whatever
+// the batch around it: a single request is a batch of one, a batcher
+// flush a batch of its jobs, the top-N table precompute a batch of users.
+func Recommend(v *la.Matrix, qs []Query) {
+	for b := range qs {
+		q := &qs[b]
+		if len(q.U) != v.Cols {
+			panic("rank: Recommend dimension mismatch")
+		}
+		q.top.reset(min(q.N, v.Rows))
+		q.cur = 0
 	}
-	out := make([][]Item, scores.Rows)
-	for b := range out {
-		out[b] = TopNScoresExcluding(scores.Row(b), excl[b], n[b])
+	var scores [scorePanel]float64
+	panel := la.Matrix{Cols: v.Cols}
+	for lo := 0; lo < v.Rows; lo += scorePanel {
+		hi := min(lo+scorePanel, v.Rows)
+		panel.Rows, panel.Data = hi-lo, v.Data[lo*v.Cols:hi*v.Cols]
+		for b := range qs {
+			q := &qs[b]
+			la.Gemv(1, &panel, q.U, 0, scores[:hi-lo])
+			q.cur = q.top.offerRun(lo, scores[:hi-lo], q.Excl, q.cur)
+		}
 	}
-	return out
+	for b := range qs {
+		qs[b].Items = qs[b].top.take()
+	}
 }

@@ -85,12 +85,12 @@ func TestTopNHugeNDoesNotAllocateOrPanic(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("huge n with exclusion: got %v", got)
 	}
-	t2 := NewTopN(math.MaxInt)
-	for i := 0; i < 5000; i++ {
-		t2.Offer(i, float64(i))
+	many := make([]float64, 5000)
+	for i := range many {
+		many[i] = float64(i)
 	}
-	if items := t2.Take(); len(items) != 5000 || items[0].Index != 4999 {
-		t.Fatalf("direct NewTopN with huge n: %d items", len(items))
+	if items := TopNScoresExcluding(many, nil, math.MaxInt); len(items) != 5000 || items[0].Index != 4999 {
+		t.Fatalf("huge n over a catalog beyond the pre-allocation cap: %d items", len(items))
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"time"
 
@@ -18,15 +19,16 @@ type BatchOptions struct {
 	// per-request path directly (the pre-batcher behavior, kept as the
 	// measurable baseline), with rate limiting still applied by Admit.
 	MaxBatch int
-	// MaxDelay bounds how long a flush waits to fill a partial batch.
-	// The wait only ever applies while the batcher is already busy: the
-	// first request to arrive at an idle batcher flushes immediately
-	// (single-flight), so p50 at low load does not regress. 0 never
-	// waits.
+	// MaxDelay bounds how long a flusher waits to fill a partial batch.
+	// The wait only ever applies to a flusher's later rounds, which exist
+	// because requests piled up while it scored: a request that finds a
+	// free flusher slot flushes immediately, so p50 at low load does not
+	// regress. 0 never waits.
 	MaxDelay time.Duration
-	// QueueBound is the SLO bound on queued requests: when the queue is
-	// this deep, new requests are shed with ErrOverloaded instead of
-	// queuing unboundedly. 0 means no bound.
+	// QueueBound is the SLO bound on queued rankings (Recommend,
+	// RecommendVector): when the queue is this deep, new ones are shed
+	// with a *Shed instead of queuing unboundedly. Predict and top-N
+	// table hits never queue, so it never sheds them. 0 means no bound.
 	QueueBound int
 	// Rate is the per-client admission rate in requests/second enforced
 	// by Admit via a token bucket per client key. 0 disables rate
@@ -78,55 +80,50 @@ func (s *Shed) Error() string {
 	return fmt.Sprintf("serve: overloaded, request queue at its bound (retry after %s)", s.RetryAfter)
 }
 
-// jobKind discriminates the request shapes the batcher coalesces.
-type jobKind uint8
-
-const (
-	jobPredict jobKind = iota
-	jobRecommend
-	jobRecommendVec
-)
-
-// scoreJob is one queued request. The model snapshot is captured at
-// submit time, so a batch formed across a concurrent hot reload scores
-// each request against exactly the snapshot its caller grabbed — the
-// same guarantee the unbatched path gives.
+// scoreJob is one queued ranking request. The model snapshot is captured
+// at submit time, so a batch formed across a concurrent hot reload
+// scores each request against exactly the snapshot its caller grabbed —
+// the same guarantee the unbatched path gives.
 type scoreJob struct {
-	m    *Model
-	kind jobKind
+	m *Model
+	n int
 
-	user, item, n int
-	vec           la.Vector // explicit factor row (fold-in recommends)
-	excl          []int32   // explicit exclusions for vec
+	user int       // whose factor row and exclusion list to rank, when vec is nil
+	vec  la.Vector // explicit factor row (fold-in recommends)
+	excl []int32   // explicit exclusions for vec
 
 	items []rank.Item
-	pred  Prediction
 	err   error
 	done  chan struct{}
 }
 
-// Batcher coalesces concurrent Predict/Recommend calls against one
-// model route into shared panel-blocked GEMM flushes, and applies
-// admission control in front of them. Scoring B recommends in one flush
-// streams the item-factor matrix once instead of B times; every
-// response stays bit-identical to the per-request path (pinned by the
-// differential tests in batcher_test.go).
+// Batcher coalesces concurrent Recommend/RecommendVector calls against
+// one model route into shared rank.Recommend passes — V streamed once
+// per flush instead of once per request — and applies admission control
+// in front of them. Every response stays
+// bit-identical to the per-request path (pinned by the differential
+// tests in batcher_test.go).
 //
-// There is no background goroutine: the first request to find the
-// batcher idle becomes the flusher and drains the queue inline,
-// batching whatever arrives while it works. All methods are safe for
-// concurrent use.
+// There is no standing goroutine and no single scoring goroutine: a
+// request that finds one of the GOMAXPROCS flusher slots free takes it,
+// takes up to MaxBatch queued jobs (its own among them) and ranks them
+// inline; one that finds every slot taken queues and is picked up by
+// the next flusher to finish a round. A caller flushes one round only:
+// if requests piled up behind it, the slot passes to a goroutine that
+// drains them and exits, so no response waits on other callers' work.
+// An idle server answers with no hand-off, a busy one keeps every core
+// scoring, and batches grow only as fast as load outruns the cores. What
+// has no scoring work to share never queues: Predict is O(K) and a top-N
+// table hit a slice copy, so neither waits behind a catalog scan. All
+// methods are safe for concurrent use.
 type Batcher struct {
-	opts BatchOptions
+	opts        BatchOptions
+	maxFlushers int // runtime.GOMAXPROCS(0) at construction
 
 	mu       sync.Mutex
 	queue    []*scoreJob
-	flushing bool
+	flushers int           // flusher slots taken, at most maxFlushers
 	full     chan struct{} // signaled when the queue reaches MaxBatch
-
-	// Flush scratch, touched only by the single active flusher (the
-	// flushing flag's mutex hand-off orders accesses between flushers).
-	usersBuf, scoresBuf []float64
 
 	lim limiter
 }
@@ -137,7 +134,7 @@ func NewBatcher(opts BatchOptions) *Batcher {
 	if opts.MaxBatch < 1 {
 		opts.MaxBatch = 1
 	}
-	b := &Batcher{opts: opts, full: make(chan struct{}, 1)}
+	b := &Batcher{opts: opts, maxFlushers: runtime.GOMAXPROCS(0), full: make(chan struct{}, 1)}
 	if opts.Rate > 0 {
 		burst := float64(opts.Burst)
 		if burst <= 0 {
@@ -167,37 +164,23 @@ func (b *Batcher) Admit(client string) error {
 	return nil
 }
 
-// Predict serves Model.Predict through the batch queue: coalesced under
-// load, immediate when idle, shed when the queue is at its bound.
+// Predict serves Model.Predict. It never enters the flush queue — one
+// inner product has nothing to coalesce and must not wait behind a
+// catalog scan — so QueueBound cannot shed it (Admit's rate limit can).
 func (b *Batcher) Predict(m *Model, user, item int) (Prediction, error) {
-	if b.opts.MaxBatch <= 1 {
-		return m.Predict(user, item)
-	}
-	j := &scoreJob{m: m, kind: jobPredict, user: user, item: item, done: make(chan struct{})}
-	if err := b.submit(j); err != nil {
-		return Prediction{}, err
-	}
-	return j.pred, j.err
+	return m.Predict(user, item)
 }
 
-// Recommend serves Model.Recommend through the batch queue. Requests
-// answered by the precomputed top-N table bypass the queue (they do no
-// scoring work to share); everything else contributes its user row to
-// the next flush's multi-user GEMM.
+// Recommend serves Model.Recommend through the batch queue. What has no
+// scoring work to share — a bad user index, n <= 0, a hit in the
+// precomputed top-N table, unbatched mode — is answered by the model
+// directly; everything else contributes its user row to the next
+// flush's multi-user pass.
 func (b *Batcher) Recommend(m *Model, user, n int) ([]rank.Item, error) {
-	if err := m.checkUser(user); err != nil {
-		return nil, err
-	}
-	if n <= 0 {
-		return nil, nil
-	}
-	if m.table != nil && n <= m.table.n {
-		return m.clampItems(m.table.get(user, n)), nil
-	}
-	if b.opts.MaxBatch <= 1 {
+	if b.opts.MaxBatch <= 1 || n <= 0 || m.checkUser(user) != nil || (m.table != nil && n <= m.table.n) {
 		return m.Recommend(user, n)
 	}
-	j := &scoreJob{m: m, kind: jobRecommend, user: user, n: n, done: make(chan struct{})}
+	j := &scoreJob{m: m, user: user, n: n, done: make(chan struct{})}
 	if err := b.submit(j); err != nil {
 		return nil, err
 	}
@@ -205,30 +188,24 @@ func (b *Batcher) Recommend(m *Model, user, n int) ([]rank.Item, error) {
 }
 
 // RecommendVector serves Model.RecommendVector (the fold-in
-// recommendation path) through the batch queue: the explicit factor row
-// joins the same multi-user GEMM as the user-row recommends.
+// recommendation path) through the batch queue: a well-formed factor
+// row joins the same multi-user pass as the user-row recommends.
 func (b *Batcher) RecommendVector(m *Model, u la.Vector, excl []int32, n int) ([]rank.Item, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if err := m.checkVector(u); err != nil {
-		return nil, err
-	}
-	if b.opts.MaxBatch <= 1 {
+	if b.opts.MaxBatch <= 1 || n <= 0 || m.checkVector(u) != nil {
 		return m.RecommendVector(u, excl, n)
 	}
-	j := &scoreJob{m: m, kind: jobRecommendVec, vec: u, excl: excl, n: n, done: make(chan struct{})}
+	j := &scoreJob{m: m, vec: u, excl: excl, n: n, done: make(chan struct{})}
 	if err := b.submit(j); err != nil {
 		return nil, err
 	}
 	return j.items, j.err
 }
 
-// submit queues one job and blocks until a flush completes it. If the
-// batcher is idle the caller becomes the flusher and drains the queue
-// inline — single-flight, no timer in the way of an uncontended
-// request. Returns a *Shed without queuing when the queue is at its
-// bound.
+// submit queues one job and blocks until a flush completes it. If a
+// flusher slot is free the caller takes it and ranks what is queued — its
+// own job included — inline: no timer and no hand-off in the way of an
+// uncontended request. Returns a *Shed without queuing when the queue is
+// at its bound.
 func (b *Batcher) submit(j *scoreJob) error {
 	b.mu.Lock()
 	if b.opts.QueueBound > 0 && len(b.queue) >= b.opts.QueueBound {
@@ -242,32 +219,46 @@ func (b *Batcher) submit(j *scoreJob) error {
 		default:
 		}
 	}
-	if !b.flushing {
-		b.flushing = true
-		b.mu.Unlock()
-		b.flushLoop()
-	} else {
-		b.mu.Unlock()
+	var batch []*scoreJob
+	if b.flushers < b.maxFlushers {
+		b.flushers++
+		batch = b.take()
+	}
+	b.mu.Unlock()
+	if batch != nil {
+		run(batch)
+		b.flushLoop(true)
 	}
 	<-j.done
 	return nil
 }
 
-// flushLoop drains the queue in MaxBatch-sized rounds until it is
-// empty, then retires the flusher. The first round takes whatever is
-// queued immediately; later rounds — which only exist because requests
-// piled up while the previous round scored — wait up to MaxDelay for a
-// partial batch to fill before flushing it.
-func (b *Batcher) flushLoop() {
-	first := true
+// take removes the next round's jobs, up to MaxBatch, from the head of
+// the queue. The caller holds b.mu.
+func (b *Batcher) take() []*scoreJob {
+	n := min(len(b.queue), b.opts.MaxBatch)
+	batch := make([]*scoreJob, n)
+	copy(batch, b.queue[:n])
+	rest := copy(b.queue, b.queue[n:])
+	clear(b.queue[rest:]) // release job pointers past the new tail
+	b.queue = b.queue[:rest]
+	return batch
+}
+
+// flushLoop holds a flusher slot after its first round: it drains the
+// queue in rounds of up to MaxBatch jobs, waiting up to MaxDelay for a
+// partial batch to fill (these rounds only exist because requests piled
+// up while the previous one scored), and gives the slot back once the
+// queue is empty. The submitter that took the slot calls it with caller
+// set and never runs those rounds itself — they are other callers' work,
+// and its response must not wait on them — so if anything is queued the
+// slot moves to a goroutine that lives until the queue is empty.
+// Flushers share nothing but the queue: each round's jobs and queries
+// are its own.
+func (b *Batcher) flushLoop(caller bool) {
 	for {
 		b.mu.Lock()
-		if len(b.queue) == 0 {
-			b.flushing = false
-			b.mu.Unlock()
-			return
-		}
-		if !first && b.opts.MaxDelay > 0 && len(b.queue) < b.opts.MaxBatch {
+		if !caller && b.opts.MaxDelay > 0 && len(b.queue) > 0 && len(b.queue) < b.opts.MaxBatch {
 			b.mu.Unlock()
 			t := time.NewTimer(b.opts.MaxDelay)
 			select {
@@ -275,37 +266,36 @@ func (b *Batcher) flushLoop() {
 			case <-t.C:
 			}
 			t.Stop()
-			b.mu.Lock()
+			b.mu.Lock() // another flusher may have taken the jobs meanwhile
 		}
-		n := len(b.queue)
-		if n > b.opts.MaxBatch {
-			n = b.opts.MaxBatch
+		if len(b.queue) == 0 {
+			b.flushers--
+			b.mu.Unlock()
+			return
 		}
-		batch := make([]*scoreJob, n)
-		copy(batch, b.queue[:n])
-		rest := copy(b.queue, b.queue[n:])
-		for i := rest; i < len(b.queue); i++ {
-			b.queue[i] = nil // release job pointers past the new tail
+		if caller {
+			b.mu.Unlock()
+			go b.flushLoop(false)
+			return
 		}
-		b.queue = b.queue[:rest]
+		batch := b.take()
 		b.mu.Unlock()
-		b.run(batch)
-		first = false
+		run(batch)
 	}
 }
 
-// run scores one batch. Jobs are grouped by model snapshot (a hot
-// reload between two submits may interleave two snapshots in one batch)
-// and each group shares one ScoreBatchInto pass; every job is completed
-// exactly as the unbatched path would against its own snapshot.
-func (b *Batcher) run(batch []*scoreJob) {
+// run ranks one batch. Jobs are grouped by model snapshot (a hot reload
+// between two submits may interleave two snapshots in one batch) and
+// each group shares one pass; every job is completed exactly as the
+// unbatched path would against its own snapshot.
+func run(batch []*scoreJob) {
 	for lo := 0; lo < len(batch); {
 		m := batch[lo].m
 		hi := lo + 1
 		for hi < len(batch) && batch[hi].m == m {
 			hi++
 		}
-		b.runModel(m, batch[lo:hi])
+		runModel(m, batch[lo:hi])
 		lo = hi
 	}
 	for _, j := range batch {
@@ -313,75 +303,29 @@ func (b *Batcher) run(batch []*scoreJob) {
 	}
 }
 
-// runModel completes one same-snapshot slice of a batch: predicts run
-// the (cheap) per-pair path directly; recommends are gathered into a
-// users matrix, scored with one panel-blocked batch GEMM, and selected
-// with the batched top-N driver plus the model's own exclusion and
-// clamp tail.
-func (b *Batcher) runModel(m *Model, jobs []*scoreJob) {
-	scored := jobs[:0:0]
-	for _, j := range jobs {
-		switch j.kind {
-		case jobPredict:
-			j.pred, j.err = m.Predict(j.user, j.item)
-		default:
-			// User/vector shapes were validated against this same snapshot
-			// at submit time.
-			scored = append(scored, j)
-		}
-	}
-	if len(scored) == 0 {
-		return
-	}
-	users := sizedMatrix(&b.usersBuf, len(scored), m.k)
-	scores := sizedMatrix(&b.scoresBuf, len(scored), m.v.Rows)
-	for i, j := range scored {
-		if j.kind == jobRecommend {
-			copy(users.Row(i), m.u.Row(j.user))
-		} else {
-			copy(users.Row(i), j.vec)
-		}
-	}
-	rank.ScoreBatchInto(m.v, users, scores)
-
-	excl := make([][]int32, len(scored))
-	ns := make([]int, len(scored))
-	var releases []func()
-	for i, j := range scored {
-		if j.kind == jobRecommendVec {
-			excl[i], ns[i] = j.excl, j.n
+// runModel completes one same-snapshot slice of a batch with the pass
+// Model.Recommend runs for a batch of one: a query per job (shapes were
+// validated against this snapshot at submit), ranked together, clamped.
+func runModel(m *Model, jobs []*scoreJob) {
+	buf := m.leaseExcl()
+	defer m.exclBuf.Put(buf)
+	qs := make([]rank.Query, len(jobs))
+	for i, j := range jobs {
+		if j.vec != nil {
+			qs[i] = rank.Query{U: j.vec, Excl: j.excl, N: j.n}
 			continue
 		}
-		lst, release, err := m.excludeList(j.user)
-		if err != nil {
-			j.err = err // ns[i] stays 0: rank nothing for a failed request
-			continue
+		qs[i] = rank.Query{U: m.u.Row(j.user), N: j.n}
+		if qs[i].Excl, j.err = m.excludeList(j.user, buf); j.err != nil {
+			qs[i].N = 0 // rank nothing for a failed request
 		}
-		if release != nil {
-			releases = append(releases, release)
-		}
-		excl[i], ns[i] = lst, j.n
 	}
-	lists := rank.TopNBatchExcluding(scores, excl, ns)
-	for i, j := range scored {
+	rank.Recommend(m.v, qs)
+	for i, j := range jobs {
 		if j.err == nil {
-			j.items = m.clampItems(lists[i])
+			j.items = m.clampItems(qs[i].Items)
 		}
 	}
-	for _, release := range releases {
-		release()
-	}
-}
-
-// sizedMatrix views rows x cols of buf, growing the backing slice on
-// demand so flush scratch is reused across rounds (and resized across
-// snapshots whose catalog dimensions differ).
-func sizedMatrix(buf *[]float64, rows, cols int) *la.Matrix {
-	need := rows * cols
-	if cap(*buf) < need {
-		*buf = make([]float64, need)
-	}
-	return &la.Matrix{Rows: rows, Cols: cols, Data: (*buf)[:need]}
 }
 
 // limiter is the per-client token-bucket table behind Admit.

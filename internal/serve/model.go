@@ -6,10 +6,11 @@
 // A core.Checkpoint is loaded into an immutable Model snapshot; a Server
 // holds the current snapshot behind an atomic pointer and hot-swaps it on
 // reload (SIGHUP or file change), so queries never block on a reload and
-// never observe a half-loaded model. Batch scoring runs through the same
-// internal/rank core the offline evaluator uses (blocked Gemv over item
-// panels); top-N lists can be precomputed, sharded over an
-// internal/sched worker pool; and cold-start users are folded in by
+// never observe a half-loaded model. Every ranking — one request, a
+// batcher flush, the top-N precompute — is one call of the fused
+// score→select pass of internal/rank, whose kernels the offline
+// evaluator shares; the precompute is sharded over an internal/sched
+// worker pool; and cold-start users are folded in by
 // sampling their factor row from the checkpointed posterior with the
 // sampler's own core.UpdateItem conditional.
 package serve
@@ -147,7 +148,6 @@ type Model struct {
 	table    *Table
 
 	ws      sync.Pool // *core.Workspace for fold-in draws
-	scores  sync.Pool // *[]float64 NumItems-sized buffers for live ranking
 	exclBuf sync.Pool // *[]int32 scratch for lazily-decoded exclusion rows
 }
 
@@ -232,8 +232,6 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 		m.exclSrc = opts.ExcludeSource
 	}
 	m.ws.New = func() any { return core.NewWorkspace(k) }
-	nItems := m.v.Rows
-	m.scores.New = func() any { s := make([]float64, nItems); return &s }
 	m.exclBuf.New = func() any { s := make([]int32, 0, 64); return &s }
 
 	// User-side hyperparameters for fold-in: the single-group moment
@@ -329,38 +327,12 @@ func (m *Model) Predict(user, item int) (Prediction, error) {
 	return p, nil
 }
 
-// ScoreUser writes the user's raw predicted score u·v for every item
-// into out, which must have length NumItems. The pass is the blocked
-// batch-Gemv of internal/rank, not a per-item Dot loop. Scores are NOT
-// clamped: ranking must happen on raw predictions (clamping would
-// collapse every above-range prediction into a tie at ClampMax and
-// degrade top-N order to index order); apply clamp to values shown to
-// users.
-func (m *Model) ScoreUser(user int, out []float64) error {
-	if err := m.checkUser(user); err != nil {
-		return err
-	}
-	return m.ScoreVector(m.u.Row(user), out)
-}
-
-// ScoreVector scores an explicit user factor vector (e.g. a fold-in
-// result) against every item. out must have length NumItems. Like
-// ScoreUser, scores are raw (unclamped).
-func (m *Model) ScoreVector(u la.Vector, out []float64) error {
-	if err := m.checkVector(u); err != nil {
-		return err
-	}
-	if len(out) != m.v.Rows {
-		return fmt.Errorf("%w: score buffer has %d slots, model has %d items", ErrBadInput, len(out), m.v.Rows)
-	}
-	rank.ScoreInto(m.v, u, out)
-	return nil
-}
-
 // Recommend returns the user's top-n items, excluding the user's
 // already-rated items when the model was built with an exclusion matrix.
-// Ranking is by raw predicted score; the reported Score of each item is
-// clamped to the serving rating range, matching Predict. Requests with
+// Ranking is by raw predicted score (clamping first would tie every
+// above-range prediction at ClampMax and degrade the order to index
+// order); the reported Score of each item is clamped to the serving
+// rating range, matching Predict. Requests with
 // n <= the precomputed table size are answered from the table; the two
 // paths share one ranking core and return identical lists. n <= 0
 // returns nil.
@@ -374,28 +346,13 @@ func (m *Model) Recommend(user, n int) ([]rank.Item, error) {
 	if m.table != nil && n <= m.table.n {
 		return m.clampItems(m.table.get(user, n)), nil
 	}
-	scores := m.leaseScores()
-	defer m.scores.Put(scores)
-	if err := m.ScoreUser(user, *scores); err != nil {
-		return nil, err
-	}
-	return m.rankScored(user, *scores, n)
-}
-
-// rankScored is the selection tail shared by the unbatched request path
-// and the batcher's flush: the user's exclusion list, top-N over the
-// score row, clamp of the reported scores. Keeping it in one place
-// guarantees the batched and per-request paths cannot drift.
-func (m *Model) rankScored(user int, scores []float64, n int) ([]rank.Item, error) {
-	excl, release, err := m.excludeList(user)
+	buf := m.leaseExcl()
+	defer m.exclBuf.Put(buf)
+	excl, err := m.excludeList(user, buf)
 	if err != nil {
 		return nil, err
 	}
-	items := m.clampItems(rank.TopNScoresExcluding(scores, excl, n))
-	if release != nil {
-		release()
-	}
-	return items, nil
+	return m.rankOne(m.u.Row(user), excl, n), nil
 }
 
 // RecommendVector ranks every item for an explicit factor vector,
@@ -407,19 +364,19 @@ func (m *Model) RecommendVector(u la.Vector, excl []int32, n int) ([]rank.Item, 
 	if n <= 0 {
 		return nil, nil
 	}
-	scores := m.leaseScores()
-	defer m.scores.Put(scores)
-	if err := m.ScoreVector(u, *scores); err != nil {
+	if err := m.checkVector(u); err != nil {
 		return nil, err
 	}
-	return m.clampItems(rank.TopNScoresExcluding(*scores, excl, n)), nil
+	return m.rankOne(u, excl, n), nil
 }
 
-// leaseScores leases a NumItems-sized score buffer from the model's
-// pool: the live recommendation path is the layer's request hot loop and
-// must not allocate a catalog-sized slice per request.
-func (m *Model) leaseScores() *[]float64 {
-	return m.scores.Get().(*[]float64)
+// rankOne is the live ranking of one request: rank.Recommend over a
+// batch of one, the pass the batcher's flush and the table precompute
+// run over larger batches, so the three cannot drift.
+func (m *Model) rankOne(u la.Vector, excl []int32, n int) []rank.Item {
+	q := [1]rank.Query{{U: u, Excl: excl, N: n}}
+	rank.Recommend(m.v, q[:])
+	return m.clampItems(q[0].Items)
 }
 
 // clampItems clamps the reported scores of a ranked list in place and
@@ -433,27 +390,37 @@ func (m *Model) clampItems(items []rank.Item) []rank.Item {
 	return items
 }
 
-// excludeList returns the user's sorted already-rated item list. The
-// CSR-backed path hands out a view (release is nil); the lazy Excluder
-// path decodes into pooled scratch and returns its release func. An
-// error fails the request — recommending items the user already rated
-// because an exclusion shard went bad would be silent misbehavior.
-func (m *Model) excludeList(user int) (excl []int32, release func(), err error) {
+// leaseExcl leases the scratch that one ranking pass decodes its lazy
+// exclusion rows into; the caller puts it back in m.exclBuf once the
+// pass has read the lists.
+func (m *Model) leaseExcl() *[]int32 {
+	buf := m.exclBuf.Get().(*[]int32)
+	*buf = (*buf)[:0]
+	return buf
+}
+
+// excludeList returns the user's sorted already-rated item list: a view
+// of the CSR row, or — from a lazy Excluder — the row decoded onto the
+// end of *buf, so one pass's users share one scratch (lists handed out
+// earlier stay valid when it grows: they keep the array they were cut
+// from). An error fails the request — recommending items the user
+// already rated because an exclusion shard went bad would be silent
+// misbehavior.
+func (m *Model) excludeList(user int, buf *[]int32) ([]int32, error) {
 	if m.exclude != nil {
 		cols, _ := m.exclude.Row(user)
-		return cols, nil, nil
+		return cols, nil
 	}
 	if m.exclSrc == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
-	buf := m.exclBuf.Get().(*[]int32)
-	lst, err := m.exclSrc.AppendRowCols((*buf)[:0], user)
+	start := len(*buf)
+	lst, err := m.exclSrc.AppendRowCols(*buf, user)
 	if err != nil {
-		m.exclBuf.Put(buf)
-		return nil, nil, fmt.Errorf("serve: exclusion row %d: %w", user, err)
+		return nil, fmt.Errorf("serve: exclusion row %d: %w", user, err)
 	}
 	*buf = lst
-	return lst, func() { m.exclBuf.Put(buf) }, nil
+	return lst[start:len(lst):len(lst)], nil
 }
 
 // FoldIn samples a factor row for a user that was not in the training

@@ -183,23 +183,25 @@ func TestPredictServesCheckpointPosterior(t *testing.T) {
 	}
 }
 
-func TestScoreUserMatchesPredict(t *testing.T) {
+// TestRecommendScoresMatchPredict: the ranking pass and Predict report
+// the same score for a (user, item) pair, bit for bit.
+func TestRecommendScoresMatchPredict(t *testing.T) {
 	ckpt, prob, cfg := trainedChain(t, 34, 4, 2)
 	m, err := NewModel(ckpt, modelOptions(prob, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := make([]float64, m.NumItems())
-	if err := m.ScoreUser(3, scores); err != nil {
-		t.Fatal(err)
+	top, err := m.Recommend(3, m.NumItems())
+	if err != nil || len(top) == 0 {
+		t.Fatalf("Recommend: %d items, %v", len(top), err)
 	}
-	for item := 0; item < m.NumItems(); item++ {
-		p, err := m.Predict(3, item)
+	for _, it := range top {
+		p, err := m.Predict(3, it.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if scores[item] != p.Score {
-			t.Fatalf("item %d: batch score %v != Predict %v", item, scores[item], p.Score)
+		if it.Score != p.Score {
+			t.Fatalf("item %d: ranked score %v != Predict %v", it.Index, it.Score, p.Score)
 		}
 	}
 }
@@ -284,10 +286,7 @@ func TestModelQueryErrors(t *testing.T) {
 	if top, err := m.Recommend(0, math.MaxInt); err != nil || len(top) > m.NumItems() {
 		t.Fatalf("Recommend huge n: %d items, %v", len(top), err)
 	}
-	if err := m.ScoreUser(0, make([]float64, 3)); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("short score buffer: %v", err)
-	}
-	if err := m.ScoreVector(la.NewVector(m.K()+1), make([]float64, m.NumItems())); !errors.Is(err, ErrBadInput) {
+	if _, err := m.RecommendVector(la.NewVector(m.K()+1), nil, 3); !errors.Is(err, ErrBadInput) {
 		t.Fatalf("wrong-K vector: %v", err)
 	}
 	if _, err := m.FoldIn([]int32{0, 2}, []float64{1}, 0); !errors.Is(err, ErrBadInput) {
@@ -396,7 +395,6 @@ func TestServerHotSwapRaceClean(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			scores := make([]float64, srv.Model().NumItems())
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -410,10 +408,6 @@ func TestServerHotSwapRaceClean(t *testing.T) {
 					return
 				}
 				if _, err := m.Recommend(user, 3); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := m.ScoreUser(user, scores); err != nil {
 					t.Error(err)
 					return
 				}

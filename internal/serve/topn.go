@@ -15,46 +15,47 @@ type Table struct {
 	lists [][]rank.Item
 }
 
-// tableGrain is the user-block size of the precompute shard: large
-// enough to amortize task overhead, small enough to rebalance the skewed
-// per-user exclusion costs.
+// tableGrain is the user-block size of the precompute: the shard the
+// pool rebalances (large enough to amortize task overhead, small enough
+// to even out skewed per-user exclusion costs) and the batch of one
+// rank.Recommend pass, so V is streamed once per block, not per user.
 const tableGrain = 64
 
-// precomputeTopN builds the table by batch-scoring every user, sharded
-// over the pool's workers (nil pool = sequential). Each worker leases
-// its score buffer from an arena, so the sweep allocates only the result
-// lists. The per-user work is identical to the live Recommend path —
-// same scoring, same ranking core — so table and live answers agree
-// exactly. A lazily-decoded exclusion source (sparse.Mapped) can fail
-// mid-sweep; the first error aborts the load rather than shipping a
-// table with silently-missing exclusions.
+// precomputeTopN builds the table by ranking every user, tableGrain
+// users per fused pass, sharded over the pool's workers (nil pool =
+// sequential). A pass is the live Recommend path over a larger batch —
+// same kernel, same selection — so table and live answers agree
+// exactly, and it allocates only the result lists and its queries. A
+// lazily-decoded exclusion source (sparse.Mapped) can fail mid-sweep;
+// the first error aborts the load rather than shipping a table with
+// silently-missing exclusions.
 func precomputeTopN(m *Model, pool *sched.Pool, n int) (*Table, error) {
 	t := &Table{n: n, lists: make([][]rank.Item, m.u.Rows)}
-	buffers := sched.NewArena(func() []float64 { return make([]float64, m.v.Rows) })
 	var errOnce sync.Once
 	var firstErr error
-	fill := func(w *sched.Worker, lo, hi int) {
-		scores := buffers.Get(w)
-		for user := lo; user < hi; user++ {
-			excl, release, err := m.excludeList(user)
+	fill := func(_ *sched.Worker, lo, hi int) {
+		buf := m.leaseExcl()
+		defer m.exclBuf.Put(buf)
+		qs := make([]rank.Query, hi-lo)
+		for i := range qs {
+			excl, err := m.excludeList(lo+i, buf)
 			if err != nil {
 				errOnce.Do(func() { firstErr = err })
-				break
+				return
 			}
-			// ScoreUser cannot fail here: user is in range by loop bounds
-			// and the buffer was sized off the model.
-			_ = m.ScoreUser(user, scores)
-			t.lists[user] = rank.TopNScoresExcluding(scores, excl, n)
-			if release != nil {
-				release()
-			}
+			qs[i] = rank.Query{U: m.u.Row(lo + i), Excl: excl, N: n}
 		}
-		buffers.Put(w, scores)
+		rank.Recommend(m.v, qs)
+		for i := range qs {
+			t.lists[lo+i] = qs[i].Items
+		}
 	}
 	if pool != nil {
 		pool.ParallelFor(0, m.u.Rows, tableGrain, fill)
 	} else {
-		fill(nil, 0, m.u.Rows)
+		for lo := 0; lo < m.u.Rows; lo += tableGrain {
+			fill(nil, lo, min(lo+tableGrain, m.u.Rows))
+		}
 	}
 	if firstErr != nil {
 		return nil, firstErr
