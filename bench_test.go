@@ -405,31 +405,6 @@ func BenchmarkAblationPartitioning(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation 4 (deterministic reductions): ordered vs tree allreduce (real runs).
-// ---------------------------------------------------------------------------
-
-func BenchmarkAblationAllreduce(b *testing.B) {
-	ds := datagen.Generate(datagen.Small(9))
-	train, test := sparse.SplitTrainTest(ds.R, 0.1, 9)
-	prob := core.NewProblem(train, test)
-	cfg := oneIterConfig()
-	for _, tree := range []bool{false, true} {
-		name := "ordered"
-		if tree {
-			name = "tree"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, _, err := dist.RunInProc(cfg, prob, dist.Options{Ranks: 4, TreeAllreduce: tree})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Substrate micro-benchmarks (the Eigen-replacement hot paths).
 // ---------------------------------------------------------------------------
 

@@ -73,15 +73,7 @@ func DataFromRatings(nUsers, nItems int, ratings []Rating, testFrac float64, see
 		}
 		coo.Add(r.User, r.Item, r.Value)
 	}
-	full := coo.ToCSR()
-	var train *sparse.CSR
-	var test []sparse.Entry
-	if testFrac > 0 {
-		train, test = sparse.SplitTrainTest(full, testFrac, seed)
-	} else {
-		train = full
-	}
-	return &Data{prob: core.NewProblem(train, test)}, nil
+	return dataFromMatrix(coo.ToCSR(), testFrac, seed), nil
 }
 
 // DataFromMatrixMarket reads a MatrixMarket coordinate file as the rating
@@ -108,14 +100,7 @@ func DataFromFile(path string, testFrac float64, seed uint64) (*Data, error) {
 }
 
 func dataFromMatrix(full *sparse.CSR, testFrac float64, seed uint64) *Data {
-	var train *sparse.CSR
-	var test []sparse.Entry
-	if testFrac > 0 {
-		train, test = sparse.SplitTrainTest(full, testFrac, seed)
-	} else {
-		train = full
-	}
-	return &Data{prob: core.NewProblem(train, test)}
+	return &Data{prob: core.NewProblem(core.HoldOut(full, testFrac, seed))}
 }
 
 // Engine selects the execution strategy.

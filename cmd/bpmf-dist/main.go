@@ -49,6 +49,20 @@
 // rejoin at the same address under a higher incarnation without being
 // re-convicted by stale verdicts. -min-ranks/-max-ranks bound the view,
 // and -join-delay/-iter-delay pace smoke tests.
+//
+// The command is parse → resolve → run. Resolving is shared code: the
+// data source and chain configuration come from internal/config
+// (Data.Problem / Data.Panels / Sampler.Core), and what a rank does
+// with a communicator — load its data, build the plan and the node,
+// resume from a manifest, sample — is dist.RunRank, the same body the
+// in-process cluster of internal/dist runs and its bit-exactness tests
+// pin. What stays here is what only a real process has: dialing the
+// mesh, choosing the manifest, heartbeating through a peer's death, and
+// the loop over views. That loop is deliberately not dist.RunRounds':
+// the in-process driver sees every rank's verdict and the fault
+// fabric's kill list, while this process sees one error of its own and
+// must agree with its peers through the checkpoint directory and the
+// coordinator instead.
 package main
 
 import (
@@ -67,9 +81,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/dist"
-	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -118,51 +130,37 @@ func main() {
 		myAddr = addrs[cfg.Rank]
 	}
 
-	ccfg := core.DefaultConfig()
-	ccfg.K = cfg.Sampler.K
-	ccfg.Alpha = cfg.Sampler.Alpha
-	ccfg.Iters = cfg.Sampler.Iters
-	ccfg.Burnin = cfg.Sampler.Burnin
-	ccfg.Seed = cfg.Sampler.Seed
+	// Resolve whatever is rank-count-independent once: the data source
+	// and the options every round shares. Each round (one, unless -elastic
+	// recovers from failures or admits joiners) stamps its view on them.
+	src, err := source(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if src.Mapped != nil {
+		defer src.Mapped.Close()
+	}
 	opt := dist.Options{
 		ThreadsPerRank:  cfg.Threads,
 		BufferSize:      cfg.Buffer,
 		Reorder:         cfg.Reorder,
 		CheckpointDir:   cfg.Checkpoint.Dir,
 		CheckpointEvery: cfg.Checkpoint.Every,
+		GrowAtIter:      cfg.Fault.GrowAtIter,
+		IterDelay:       cfg.Fault.IterDelay.Std(),
 	}
 	if cfg.Elastic {
 		opt.SuspicionTimeout = cfg.Suspicion.Std()
 	}
-
-	useShards, err := shardNative(cfg.Data.Path, cfg.FullLoad, cfg.Reorder)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Load whatever is rank-count-independent once; each round (one round,
-	// unless -elastic recovers from failures or admits joiners) rebuilds
-	// the plan over the current view.
-	w := &worker{
-		cfg: ccfg, opt: opt, testFrac: cfg.Data.TestFrac, reorder: cfg.Reorder,
-		synthetic: cfg.Data.Synthetic, scale: cfg.Data.Scale,
-		elastic: cfg.Elastic, origRank: origRank,
-		dieRank: cfg.Fault.DieRank, dieIter: cfg.Fault.DieIter,
-		table:   comm.NewSuspicionTable(),
-		growAt:  cfg.Fault.GrowAtIter, iterDelay: cfg.Fault.IterDelay.Std(),
-	}
-	if useShards {
-		// Open (and validate) the file before joining the cluster:
-		// OpenBinary checks the header, shard table and framing eagerly,
-		// so a corrupt file fails here instead of wedging the collective
-		// load — and the same mapping then feeds the load itself.
-		if w.mp, err = sparse.OpenBinary(cfg.Data.Path); err != nil {
-			log.Fatal(err)
-		}
-		defer w.mp.Close()
-	} else {
-		if w.prob, w.panels, err = buildProblem(cfg.Data.Path, cfg.Data.Synthetic, cfg.Data.Scale, cfg.Data.TestFrac, cfg.Sampler.Seed); err != nil {
-			log.Fatal(err)
+	if cfg.Fault.Enabled() && cfg.Fault.DieRank == origRank {
+		// Deterministic self-kill for fault-injection smoke tests: exit
+		// hard (no cleanup) right after the configured iteration — from
+		// the survivors' side this is indistinguishable from a crash.
+		opt.OnIteration = func(_, iter int) {
+			if iter == cfg.Fault.DieIter {
+				fmt.Fprintf(os.Stderr, "rank %d: injected crash after iteration %d\n", origRank, iter)
+				os.Exit(3)
+			}
 		}
 	}
 
@@ -173,6 +171,7 @@ func main() {
 	// resume; one process can only be sure of failures its own detector
 	// or a reset connection reported, so recovery handles one failure
 	// burst at a time — see PERF.md for the semantics).
+	table := comm.NewSuspicionTable()
 	var mem *comm.Membership
 	var srv *comm.MembershipServer
 	for {
@@ -189,7 +188,7 @@ func main() {
 				// lowest survivor after the old coordinator died): start the
 				// membership listener. Joiners whose requests died with the
 				// old coordinator retry and land here.
-				mem = comm.NewMembership(view, cfg.MaxRanks, w.table)
+				mem = comm.NewMembership(view, cfg.MaxRanks, table)
 				s, err := comm.ServeMembership(cfg.JoinAddr, mem)
 				if err != nil {
 					log.Printf("membership: cannot listen on %s (%v) — joins disabled", cfg.JoinAddr, err)
@@ -205,7 +204,7 @@ func main() {
 				mem.Adopt(view)
 			}
 		}
-		res, stats, err := w.round(me, view, pin, mem)
+		res, stats, err := round(cfg, src, opt.ForView(view, table, mem), view, me, pin)
 		if err == nil {
 			if me == 0 {
 				for i, r := range res.AvgRMSE {
@@ -240,7 +239,7 @@ func main() {
 		dead := view.Members[rf.Rank]
 		// Record the conviction so a future coordinator takeover on this
 		// process never re-issues a dead incarnation to a rejoiner.
-		w.table.Convict(dead.Addr, dead.Incarnation)
+		table.Convict(dead.Addr, dead.Incarnation)
 		log.Printf("rank %d: peer rank %d (%s, incarnation %d) failed: %v — resuming with %d survivors from the latest checkpoint",
 			me, rf.Rank, dead.Addr, dead.Incarnation, rf.Err, len(view.Members)-1)
 		view = view.Shrink(dead.Addr)
@@ -251,122 +250,76 @@ func main() {
 	}
 }
 
-// worker bundles a process's rank-count-independent state; round() runs
-// one attempt over the currently sealed view.
-type worker struct {
-	cfg              core.Config
-	opt              dist.Options // Ranks is overwritten per round
-	mp               *sparse.Mapped
-	prob             *core.Problem
-	panels           *partition.Panels
-	testFrac         float64
-	scale            float64
-	synthetic        string
-	reorder          bool
-	elastic          bool
-	origRank         int // rank in the epoch-0 view; -1 for a -join worker
-	dieRank, dieIter int
-	table            *comm.SuspicionTable
-	growAt           int
-	iterDelay        time.Duration
-}
-
-// round dials the view's mesh (members renumbered 0..n-1 in view order),
-// rebuilds the partition plan over the current rank count, resumes from a
-// sealed checkpoint when one exists, and runs the sampler until it
-// finishes, a view change drains it, or a peer failure unwinds it.
-func (w *worker) round(me int, view comm.View, pin int, mem *comm.Membership) (*core.Result, *dist.Stats, error) {
-	cur := view.Addrs()
-	opt := w.opt
-	opt.Ranks = len(cur)
-	opt.Epoch = view.Epoch
-	opt.Members = view.Members
-	opt.Suspicions = w.table
-	opt.Membership = mem
-	opt.GrowAtIter = w.growAt
-	opt.IterDelay = w.iterDelay
-	if w.dieRank >= 0 && w.dieRank == w.origRank && w.dieIter >= 0 {
-		// Deterministic self-kill for fault-injection smoke tests: exit
-		// hard (no cleanup) right after the configured iteration — from
-		// the survivors' side this is indistinguishable from a crash.
-		opt.OnIteration = func(_, iter int) {
-			if iter == w.dieIter {
-				fmt.Fprintf(os.Stderr, "rank %d: injected crash after iteration %d\n", w.origRank, iter)
-				os.Exit(3)
-			}
-		}
-	}
-
-	c, err := comm.DialTCP(me, cur, 30*time.Second)
+// round is what one attempt over a sealed view needs from *this process*:
+// dial the view's mesh (members renumbered 0..n-1 in view order), pick
+// the manifest to resume from — the pinned one, or under -elastic the
+// latest sealed — and hand the communicator to dist.RunRank, the body
+// every in-process rank runs too. After a peer failure it keeps this
+// rank's heartbeats flowing until the slower detectors have convicted
+// the same peer.
+func round(cfg config.Dist, src dist.Source, opt dist.Options, view comm.View, me, pin int) (*core.Result, *dist.Stats, error) {
+	c, err := comm.DialTCP(me, view.Addrs(), 30*time.Second)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer c.Close()
 
-	var node *dist.Node
-	var test []sparse.Entry
-	if w.mp != nil {
-		sp, err := dist.LoadShards(c, w.mp, w.testFrac, w.cfg.Seed, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Printf("rank %d: mapped %d of %d shards (%.2f MB payload + %.2f KB metadata)\n",
-			me, sp.Shards, sp.TotalShards,
-			float64(sp.Load.PayloadBytesTouched)/1e6, float64(sp.Load.HeaderBytes)/1e3)
-		if node, err = dist.NewNode(c, w.cfg, sp.Plan, sp.RT, sp.Test, opt); err != nil {
-			return nil, nil, err
-		}
-		test = sp.Test
-	} else {
-		var plan *partition.Plan
-		if w.panels != nil && !w.reorder {
-			// Full-load .bcsr still takes the panel-aligned plan so the
-			// chain matches the shard-native path bit for bit.
-			if plan, test, err = dist.BuildPlanPanels(w.prob, *w.panels, opt); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			plan, test = dist.BuildPlan(w.prob, opt)
-		}
-		if node, err = dist.NewNode(c, w.cfg, plan, nil, test, opt); err != nil {
-			return nil, nil, err
-		}
+	var man *dist.Manifest
+	if pin > 0 {
+		man, err = dist.ReadManifest(opt.CheckpointDir, pin)
+	} else if cfg.Elastic {
+		man, err = dist.LatestManifest(opt.CheckpointDir)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if man != nil && me == 0 {
+		log.Printf("resuming from the iteration-%d checkpoint (written by %d ranks)", man.Iter, man.Ranks)
 	}
 
-	if opt.CheckpointDir != "" && (w.elastic || pin > 0) {
-		var man *dist.Manifest
-		if pin > 0 {
-			if man, err = dist.ReadManifest(opt.CheckpointDir, pin); err != nil {
-				return nil, nil, err
-			}
-		} else if man, err = dist.LatestManifest(opt.CheckpointDir); err != nil {
-			return nil, nil, err
-		}
-		if man != nil {
-			base, err := dist.LoadDistCheckpoint(opt.CheckpointDir, man, test)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := node.Resume(base); err != nil {
-				return nil, nil, err
-			}
-			if me == 0 {
-				log.Printf("resuming from the iteration-%d checkpoint (written by %d ranks)", man.Iter, man.Ranks)
-			}
-		}
+	res, stats, rerr := dist.RunRank(c, cfg.Sampler.Core(), src, man, opt)
+	if src.Mapped != nil {
+		st := src.Mapped.Stats()
+		fmt.Printf("rank %d: mapped %d of %d shards (%.2f MB payload + %.2f KB metadata)\n",
+			me, st.ShardsTouched, src.Mapped.Shards(),
+			float64(st.PayloadBytesTouched)/1e6, float64(st.HeaderBytes)/1e3)
 	}
-	res, stats, rerr := node.Run()
 	var rf *comm.RankFailedError
-	if w.elastic && errors.As(rerr, &rf) {
+	if cfg.Elastic && errors.As(rerr, &rf) {
 		// Our verdict on the dead rank is in, but peers relying on
 		// heartbeat silence need up to a full suspicion window to convict
 		// the same rank — keep proving we are alive until they have, or
 		// the survivors disagree about who died and cannot re-mesh. The
 		// beats carry our incarnation so peers with a conviction against a
 		// previous life at this address still count them.
-		comm.KeepaliveView(c, 0, w.opt.SuspicionTimeout*3/2, view.Members[me].Incarnation)
+		comm.KeepaliveView(c, 0, opt.SuspicionTimeout*3/2, view.Members[me].Incarnation)
 	}
 	return res, stats, rerr
+}
+
+// source resolves -data / -synthetic into what every rank trains on. A
+// .bcsr file is mapped, and each rank then decodes only the shards
+// covering its own rows; -full-load (or -reorder, or any other input)
+// gives every rank the whole problem, plus the file's panel table when
+// there is one so the plan — and hence the chain — matches the
+// shard-native run's. The file is opened (and its header, shard table
+// and framing validated) before the cluster is dialed, so a corrupt file
+// fails here instead of wedging the collective load.
+func source(cfg config.Dist) (dist.Source, error) {
+	native, err := shardNative(cfg.Data.Path, cfg.FullLoad, cfg.Reorder)
+	if err != nil {
+		return dist.Source{}, err
+	}
+	if native {
+		mp, err := sparse.OpenBinary(cfg.Data.Path)
+		return dist.Source{Mapped: mp, TestFrac: cfg.Data.TestFrac}, err
+	}
+	prob, err := cfg.Data.Problem(cfg.Sampler.Seed)
+	if err != nil {
+		return dist.Source{}, err
+	}
+	panels, err := cfg.Data.Panels()
+	return dist.Source{Prob: prob, Panels: panels}, err
 }
 
 // shardNative decides whether this run takes the shard-native .bcsr
@@ -509,45 +462,4 @@ func launchWorkers(exe string, n, basePort int, common []string, elastic bool, s
 		firstErr = errors.New("elastic launch: no rank finished cleanly")
 	}
 	return firstErr
-}
-
-// buildProblem loads -data when given (every rank reads the same file,
-// so the deterministic split and partition plan agree across ranks) and
-// falls back to regenerating the named synthetic benchmark. For .bcsr
-// input it also returns the file's panel table so the planner can align
-// rank boundaries to shards.
-func buildProblem(dataPath, name string, scale, testFrac float64, seed uint64) (*core.Problem, *partition.Panels, error) {
-	if dataPath != "" {
-		isB, err := sparse.IsBCSR(dataPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		if isB {
-			mp, err := sparse.OpenBinary(dataPath)
-			if err != nil {
-				return nil, nil, err
-			}
-			defer mp.Close()
-			full, err := mp.Matrix()
-			if err != nil {
-				return nil, nil, err
-			}
-			panels := partition.PanelsOf(mp)
-			train, test := sparse.SplitTrainTest(full, testFrac, seed)
-			return core.NewProblem(train, test), &panels, nil
-		}
-		full, err := sparse.Load(dataPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		train, test := sparse.SplitTrainTest(full, testFrac, seed)
-		return core.NewProblem(train, test), nil, nil
-	}
-	spec, err := config.Data{Synthetic: name, Scale: scale}.Spec(seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := datagen.Generate(spec)
-	train, test := sparse.SplitTrainTest(ds.R, testFrac, seed)
-	return core.NewProblem(train, test), nil, nil
 }

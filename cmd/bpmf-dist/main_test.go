@@ -58,40 +58,13 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
-// TestBuildProblemScale pins the -scale contract: != 1 is applied
-// (upscales included), <= 0 fails loudly.
-func TestBuildProblemScale(t *testing.T) {
-	base, _, err := buildProblem("", "small", 1, 0.2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up, _, err := buildProblem("", "small", 2, 0.2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.R.M <= base.R.M || up.R.N <= base.R.N {
-		t.Fatalf("-scale 2 did not upscale: %dx%d vs %dx%d", up.R.M, up.R.N, base.R.M, base.R.N)
-	}
-	down, _, err := buildProblem("", "small", 0.5, 0.2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down.R.M >= base.R.M {
-		t.Fatalf("-scale 0.5 did not downscale: %d vs %d", down.R.M, base.R.M)
-	}
-	for _, s := range []float64{0, -1} {
-		if _, _, err := buildProblem("", "small", s, 0.2, 7); err == nil {
-			t.Fatalf("-scale %g accepted", s)
-		}
-	}
-}
-
-// TestBuildProblemReturnsPanelsForBCSR: the full-load .bcsr path must
-// surface the shard table so the plan aligns with the shard-native one.
-func TestBuildProblemReturnsPanelsForBCSR(t *testing.T) {
+// TestSourceForms pins which dist.Source each input resolves to: a
+// .bcsr is mapped (shard-native) unless -full-load asks for the whole
+// problem, which then carries the file's panel table so both forms plan
+// alike; anything else is a plain in-memory problem.
+func TestSourceForms(t *testing.T) {
 	ds := datagen.Generate(datagen.Tiny(5))
-	dir := t.TempDir()
-	bc := filepath.Join(dir, "r.bcsr")
+	bc := filepath.Join(t.TempDir(), "r.bcsr")
 	f, err := os.Create(bc)
 	if err != nil {
 		t.Fatal(err)
@@ -101,32 +74,35 @@ func TestBuildProblemReturnsPanelsForBCSR(t *testing.T) {
 	}
 	f.Close()
 
-	prob, panels, err := buildProblem(bc, "", 1, 0.2, 5)
+	cfg := config.DefaultDist()
+	cfg.Data.Path = bc
+	src, err := source(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if panels == nil || len(panels.Lo) < 2 {
-		t.Fatalf("no panel table for .bcsr input (panels=%v)", panels)
+	if src.Mapped == nil || src.Prob != nil || src.TestFrac != cfg.Data.TestFrac {
+		t.Fatalf("bcsr input resolved to %+v, want a mapped shard-native source", src)
 	}
-	if prob.R.M != ds.R.M {
-		t.Fatalf("train matrix has %d rows, want %d", prob.R.M, ds.R.M)
+	src.Mapped.Close()
+
+	cfg.FullLoad = true
+	src, err = source(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.Mapped != nil || src.Prob == nil || src.Panels == nil || len(src.Panels.Lo) < 2 {
+		t.Fatalf("-full-load resolved to %+v, want the whole problem plus the panel table", src)
+	}
+	if src.Prob.R.M != ds.R.M || len(src.Prob.Test) == 0 {
+		t.Fatalf("full-load problem is %d rows with %d test entries", src.Prob.R.M, len(src.Prob.Test))
 	}
 
-	mm := filepath.Join(dir, "r.mtx")
-	g, err := os.Create(mm)
+	src, err = source(config.DefaultDist()) // -synthetic small
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sparse.WriteMatrixMarket(g, ds.R); err != nil {
-		t.Fatal(err)
-	}
-	g.Close()
-	_, panels, err = buildProblem(mm, "", 1, 0.2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if panels != nil {
-		t.Fatal("MatrixMarket input produced a panel table")
+	if src.Mapped != nil || src.Prob == nil || src.Panels != nil {
+		t.Fatalf("synthetic input resolved to %+v, want a plain in-memory problem", src)
 	}
 }
 

@@ -396,27 +396,19 @@ func handleReload(rt route, w http.ResponseWriter, r *http.Request) {
 // loadExclusions reads the training rating matrix and, when testFrac > 0,
 // reconstructs the training run's train/test split so the served
 // posterior intervals line up with the checkpoint's accumulators. The
-// split is seeded by the checkpoint's own seed, so it matches the run
-// that produced the checkpoint exactly.
+// split is resolved the way the training commands resolve it, seeded by
+// the checkpoint's own seed, so it matches the run that produced the
+// checkpoint exactly.
 func loadExclusions(dataPath string, testFrac float64, ckptPath string) (*sparse.CSR, []sparse.Entry, uint64, error) {
-	cf, err := os.Open(ckptPath)
+	ckpt, _, err := core.ReadCheckpointFile(ckptPath)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	ckpt, err := core.ReadCheckpoint(cf)
-	cf.Close()
+	train, test, err := config.Data{Path: dataPath, TestFrac: testFrac}.Split(ckpt.Seed)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	full, err := sparse.Load(dataPath)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if testFrac <= 0 {
-		return full, nil, ckpt.Seed, nil
-	}
-	train, test := sparse.SplitTrainTest(full, testFrac, ckpt.Seed)
-	if len(test) != len(ckpt.PredSum) {
+	if testFrac > 0 && len(test) != len(ckpt.PredSum) {
 		return nil, nil, 0, fmt.Errorf("reconstructed split has %d test entries, checkpoint has %d accumulators: -test does not match the training run",
 			len(test), len(ckpt.PredSum))
 	}

@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/feed"
 	"repro/internal/serve"
 	"repro/internal/sparse"
@@ -133,7 +132,10 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	train, test, err := loadBase(cfg)
+	// The base matrix and its frozen test split — the exact split the base
+	// checkpoint's posterior accumulators were built over, resolved from
+	// (data source, test fraction, seed) the way cmd/bpmf resolved it.
+	train, test, err := cfg.Data.Split(cfg.Sampler.Seed)
 	if err != nil {
 		return err
 	}
@@ -144,16 +146,11 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 		ckptPath = cfg.Publish.Ckpt
 		logf("warm-starting from previously published %s", ckptPath)
 	}
-	ckpt, err := readCheckpoint(ckptPath)
+	ckpt, _, err := core.ReadCheckpointFile(ckptPath)
 	if err != nil {
 		return err
 	}
-
-	cc := core.DefaultConfig()
-	cc.K = cfg.Sampler.K
-	cc.Alpha = cfg.Sampler.Alpha
-	cc.Burnin = cfg.Sampler.Burnin
-	cc.Seed = cfg.Sampler.Seed
+	cc := cfg.Sampler.Core() // Iters is set per cycle
 
 	if cfg.Feed.Items != 0 && cfg.Feed.Items != train.N {
 		return fmt.Errorf("-items %d does not match the base data's %d-item catalog", cfg.Feed.Items, train.N)
@@ -276,40 +273,4 @@ func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*spa
 		logf("replayed %d delta shards from %s (%d users x %d items)", len(paths), dir, cur.M, cur.N)
 	}
 	return cur, next, nil
-}
-
-// loadBase resolves the base training matrix and its frozen test split
-// — the exact split the base checkpoint's posterior accumulators were
-// built over, reconstructed from (data source, test fraction, seed)
-// the same way cmd/bpmf produced it.
-func loadBase(cfg config.Trainer) (*sparse.CSR, []sparse.Entry, error) {
-	var full *sparse.CSR
-	if cfg.Data.Path != "" {
-		var err error
-		full, err = sparse.Load(cfg.Data.Path)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		spec, err := cfg.Data.Spec(cfg.Sampler.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		full = datagen.Generate(spec).R
-	}
-	if cfg.Data.TestFrac <= 0 {
-		return full, nil, nil
-	}
-	train, test := sparse.SplitTrainTest(full, cfg.Data.TestFrac, cfg.Sampler.Seed)
-	return train, test, nil
-}
-
-// readCheckpoint loads the warm-start checkpoint.
-func readCheckpoint(path string) (*core.Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return core.ReadCheckpoint(f)
 }

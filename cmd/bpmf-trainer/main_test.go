@@ -28,14 +28,10 @@ func trainerConfig(dir string) config.Trainer {
 	return cfg
 }
 
-// coreConfig mirrors runLoop's sampler-config construction.
+// coreConfig is runLoop's sampler configuration at a chain length.
 func coreConfig(cfg config.Trainer, iters int) core.Config {
-	cc := core.DefaultConfig()
-	cc.K = cfg.Sampler.K
-	cc.Alpha = cfg.Sampler.Alpha
+	cc := cfg.Sampler.Core()
 	cc.Iters = iters
-	cc.Burnin = cfg.Sampler.Burnin
-	cc.Seed = cfg.Sampler.Seed
 	return cc
 }
 
@@ -44,7 +40,7 @@ func coreConfig(cfg config.Trainer, iters int) core.Config {
 // base problem.
 func writeBaseCheckpoint(t *testing.T, cfg config.Trainer) (*core.Checkpoint, *sparse.CSR, []sparse.Entry) {
 	t.Helper()
-	train, test, err := loadBase(cfg)
+	train, test, err := cfg.Data.Split(cfg.Sampler.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,6 @@ import (
 	"repro"
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/datagen"
-	"repro/internal/sparse"
 )
 
 func main() {
@@ -33,7 +31,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	data, err := loadData(cfg.Data.Path, cfg.Data.Synthetic, cfg.Data.Scale, cfg.Data.TestFrac, cfg.Sampler.Seed)
+	data, err := loadData(cfg.Data, cfg.Sampler.Seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,16 +42,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bc := bpmf.Defaults()
-	bc.K = cfg.Sampler.K
-	bc.Alpha = cfg.Sampler.Alpha
-	bc.Iters = cfg.Sampler.Iters
-	bc.Burnin = cfg.Sampler.Burnin
-	bc.Seed = cfg.Sampler.Seed
-	bc.Engine = eng
-	bc.Threads = cfg.Threads
-	bc.Ranks = cfg.Ranks
-	bc.Reorder = cfg.Reorder
+	sm := cfg.Sampler
+	bc := bpmf.Config{
+		K: sm.K, Alpha: sm.Alpha, Iters: sm.Iters, Burnin: sm.Burnin, Seed: sm.Seed,
+		Engine: eng, Threads: cfg.Threads, Ranks: cfg.Ranks, Reorder: cfg.Reorder,
+	}
 
 	res, err := train(data, bc, cfg.CkptOut, cfg.ResumeCkpt)
 	if err != nil {
@@ -111,57 +104,36 @@ func train(data *bpmf.Data, cfg bpmf.Config, ckptOut, resumeCkpt string) (*bpmf.
 	return res, nil
 }
 
-// loadData resolves the data source through the shared config contract:
-// a file path wins, otherwise the named synthetic benchmark is
-// generated at the given scale.
-func loadData(path, synthetic string, scale, testFrac float64, seed uint64) (*bpmf.Data, error) {
-	dc := config.Data{Path: path, Synthetic: synthetic, Scale: scale, TestFrac: testFrac}
-	if err := dc.Validate(); err != nil {
-		return nil, err
+// loadData hands the resolved data source to the public API. A file
+// goes through bpmf.DataFromFile; a synthetic benchmark is generated and
+// passed as ratings (the public package exports no matrix constructor).
+func loadData(d config.Data, seed uint64) (*bpmf.Data, error) {
+	if d.Path != "" {
+		return bpmf.DataFromFile(d.Path, d.TestFrac, seed)
 	}
-	if path != "" {
-		return bpmf.DataFromFile(path, testFrac, seed)
-	}
-	if synthetic == "" {
-		return nil, fmt.Errorf("need -data or -synthetic")
-	}
-	spec, err := dc.Spec(seed)
+	full, err := d.Matrix(seed)
 	if err != nil {
 		return nil, err
 	}
-	return dataFromCSR(datagen.Generate(spec), testFrac, seed)
-}
-
-// dataFromCSR round-trips a generated matrix through the public API.
-func dataFromCSR(ds *datagen.Dataset, testFrac float64, seed uint64) (*bpmf.Data, error) {
-	var ratings []bpmf.Rating
-	for i := 0; i < ds.R.M; i++ {
-		cols, vals := rowOf(ds.R, i)
+	ratings := make([]bpmf.Rating, 0, full.NNZ())
+	for i := 0; i < full.M; i++ {
+		cols, vals := full.Row(i)
 		for k, c := range cols {
 			ratings = append(ratings, bpmf.Rating{User: i, Item: int(c), Value: vals[k]})
 		}
 	}
-	return bpmf.DataFromRatings(ds.R.M, ds.R.N, ratings, testFrac, seed)
+	return bpmf.DataFromRatings(full.M, full.N, ratings, d.TestFrac, seed)
 }
 
-func rowOf(r *sparse.CSR, i int) ([]int32, []float64) { return r.Row(i) }
-
-// parseEngine maps the validated engine name onto the public API's
-// engine constant. config.Train.Validate has already vetted the name,
-// but the mapping stays total so helper callers get a clean error too.
+// parseEngine maps an engine name or alias onto the public API's engine
+// constant by walking the enum's own names, so bpmf.Engine.String is the
+// one list of engines this command knows.
 func parseEngine(s string) (bpmf.Engine, error) {
-	switch config.CanonicalEngine(s) {
-	case "sequential":
-		return bpmf.Sequential, nil
-	case "worksteal":
-		return bpmf.WorkSteal, nil
-	case "static":
-		return bpmf.Static, nil
-	case "graphlab":
-		return bpmf.GraphLab, nil
-	case "distributed":
-		return bpmf.Distributed, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q", s)
+	name := config.CanonicalEngine(s)
+	for e := bpmf.Engine(0); e.String() != "unknown"; e++ {
+		if e.String() == name {
+			return e, nil
+		}
 	}
+	return 0, fmt.Errorf("unknown engine %q", s)
 }

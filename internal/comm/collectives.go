@@ -135,77 +135,6 @@ func (c *Comm) AllreduceSumOrderedE(mine []float64) ([]float64, error) {
 	return out, nil
 }
 
-// AllreduceSumTreeE sums per-rank float64 vectors with recursive
-// doubling: ⌈log₂ P⌉ rounds, lower latency than the ordered version but
-// the summation tree (and hence the last bits) depends on P. Used where
-// exact cross-P reproducibility is not required; the ablation benchmark
-// compares both.
-func (c *Comm) AllreduceSumTreeE(mine []float64) ([]float64, error) {
-	tag := c.nextCollTag()
-	p := c.size
-	acc := append([]float64(nil), mine...)
-	if p == 1 {
-		return acc, nil
-	}
-	// Recursive doubling for power-of-two counts; fold the remainder into
-	// the nearest lower power of two first.
-	pow := 1
-	for pow*2 <= p {
-		pow *= 2
-	}
-	rem := p - pow
-	// Extra ranks fold their data into partner (rank − pow) and receive
-	// the final result from it afterwards.
-	if c.rank >= pow {
-		if err := c.SendE(c.rank-pow, tag, encodeFloat64s(acc)); err != nil {
-			return nil, err
-		}
-		m, err := c.RecvE(c.rank-pow, tag)
-		if err != nil {
-			return nil, err
-		}
-		return decodeFloat64s(m.Data), nil
-	}
-	if c.rank < rem {
-		m, err := c.RecvE(c.rank+pow, tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := addInto(acc, decodeFloat64s(m.Data)); err != nil {
-			return nil, err
-		}
-	}
-	for k := 1; k < pow; k <<= 1 {
-		partner := c.rank ^ k
-		if err := c.SendE(partner, tag, encodeFloat64s(acc)); err != nil {
-			return nil, err
-		}
-		m, err := c.RecvE(partner, tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := addInto(acc, decodeFloat64s(m.Data)); err != nil {
-			return nil, err
-		}
-	}
-	if c.rank < rem {
-		if err := c.SendE(c.rank+pow, tag, encodeFloat64s(acc)); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-func addInto(dst, src []float64) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("allreduce length mismatch across ranks (%d vs %d)", len(src), len(dst))
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return nil
-}
-
 // encodeFloat64s serializes a float64 slice little-endian.
 func encodeFloat64s(v []float64) []byte {
 	b := make([]byte, 8*len(v))

@@ -260,18 +260,6 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
 	}
 }
 
-// Probe reports whether a message matching (src, tag) is waiting.
-func (c *Comm) Probe(src, tag int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, m := range c.pending {
-		if (src == AnySource || src == m.Src) && tag == m.Tag {
-			return true
-		}
-	}
-	return false
-}
-
 // Close shuts down the endpoint's transport.
 func (c *Comm) Close() error {
 	c.mu.Lock()

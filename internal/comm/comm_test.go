@@ -122,27 +122,6 @@ func TestNonOvertakingSameTag(t *testing.T) {
 	})
 }
 
-func TestProbe(t *testing.T) {
-	f := NewFabric(2)
-	defer f.Close()
-	comms := f.Comms()
-	if comms[1].Probe(0, 8) {
-		t.Fatal("Probe true before send")
-	}
-	check(t, comms[0].SendE(1, 8, []byte("p")))
-	deadline := time.Now().Add(time.Second)
-	for !comms[1].Probe(0, 8) {
-		if time.Now().After(deadline) {
-			t.Fatal("Probe never saw the message")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	recv(t, comms[1], 0, 8)
-	if comms[1].Probe(0, 8) {
-		t.Fatal("Probe true after consume")
-	}
-}
-
 func TestStatsCount(t *testing.T) {
 	runSPMD(t, 2, func(c *Comm) {
 		if c.Rank() == 0 {
@@ -245,29 +224,6 @@ func TestAllreduceSumOrdered(t *testing.T) {
 				if results[r][i] != results[0][i] {
 					t.Fatalf("p=%d: ordered allreduce differs across ranks", p)
 				}
-			}
-		}
-	}
-}
-
-func TestAllreduceSumTree(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
-		var mu sync.Mutex
-		results := map[int][]float64{}
-		runSPMD(t, p, func(c *Comm) {
-			got, err := c.AllreduceSumTreeE([]float64{1, float64(c.Rank())})
-			check(t, err)
-			mu.Lock()
-			results[c.Rank()] = got
-			mu.Unlock()
-		})
-		wantSum := float64(p*(p-1)) / 2
-		for r := 0; r < p; r++ {
-			if results[r][0] != float64(p) {
-				t.Fatalf("p=%d rank=%d: count = %v, want %v", p, r, results[r][0], float64(p))
-			}
-			if results[r][1] != wantSum {
-				t.Fatalf("p=%d rank=%d: sum = %v, want %v", p, r, results[r][1], wantSum)
 			}
 		}
 	}

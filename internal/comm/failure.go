@@ -55,27 +55,23 @@ type Detector struct {
 	senderDone, recvDone chan struct{}
 }
 
-// StartDetector attaches a heartbeat failure detector to the endpoint.
-// interval is the heartbeat period (pick ≲ suspicion/10); suspicion is
-// how long a peer may stay silent before it is declared failed. On a
-// single-rank communicator the detector is inert. Stop it before
-// closing the endpoint.
-func StartDetector(c *Comm, interval, suspicion time.Duration) *Detector {
-	return StartDetectorView(c, interval, suspicion, nil, nil)
-}
-
-// StartDetectorView is StartDetector with detector state keyed by
-// (address, incarnation): members names each rank's identity and table
-// carries convictions across re-meshes. Heartbeats then carry the
-// sender's incarnation; beats from an older incarnation at a peer's
-// address are ignored (a stale process cannot keep its successor's
-// entry fresh), convictions are recorded in the table, and a member
-// whose exact incarnation the table already convicted is failed
-// immediately — while a *new* incarnation at a convicted address gets a
-// full suspicion window, which is what lets a crashed rank rejoin at
-// its old address without being insta-convicted by survivors' stale
-// state. nil members (and table) degrade to the unkeyed StartDetector
-// behavior.
+// StartDetectorView attaches a heartbeat failure detector to the
+// endpoint. interval is the heartbeat period (0 derives suspicion/20);
+// suspicion is how long a peer may stay silent before it is declared
+// failed. On a single-rank communicator the detector is inert. Stop it
+// before closing the endpoint.
+//
+// With members set, detector state is keyed by (address, incarnation):
+// members names each rank's identity and table carries convictions
+// across re-meshes. Heartbeats then carry the sender's incarnation;
+// beats from an older incarnation at a peer's address are ignored (a
+// stale process cannot keep its successor's entry fresh), convictions
+// are recorded in the table, and a member whose exact incarnation the
+// table already convicted is failed immediately — while a *new*
+// incarnation at a convicted address gets a full suspicion window,
+// which is what lets a crashed rank rejoin at its old address without
+// being insta-convicted by survivors' stale state. nil members (and
+// table) give the unkeyed detector: unstamped beats, no convictions.
 func StartDetectorView(c *Comm, interval, suspicion time.Duration, members []Member, table *SuspicionTable) *Detector {
 	if interval <= 0 {
 		interval = suspicion / 20
@@ -157,28 +153,18 @@ func (c *Comm) sendHeartbeat(dst int, payload []byte) error {
 	return tr.Send(dst, heartbeatTag, payload)
 }
 
-// Keepalive emits best-effort heartbeats to every peer for the given
+// KeepaliveView emits best-effort heartbeats to every peer for the given
 // duration, even on a failed endpoint. Survivors of a rank failure call
 // it while unwinding: their own detector already has its verdict, but a
 // peer whose detector has not yet convicted the dead rank would otherwise
 // see this rank go quiet first and suspect it instead — and survivors
 // that disagree about who died cannot rebuild a mesh. The duration should
 // cover a full suspicion window, so the slowest peer convicts the right
-// rank before this one goes silent.
-func Keepalive(c *Comm, interval, duration time.Duration) {
-	keepalive(c, interval, duration, nil)
-}
-
-// KeepaliveView is Keepalive with the sender's incarnation stamped on
-// every beat, for clusters running incarnation-keyed detectors (an
-// unstamped beat is accepted as current by both detector modes, but a
-// stamped one lets peers discard beats from a stale incarnation at this
-// address).
+// rank before this one goes silent. Every beat carries the sender's
+// incarnation, so incarnation-keyed detectors discard beats from a stale
+// life at this address (unkeyed ones ignore the stamp).
 func KeepaliveView(c *Comm, interval, duration time.Duration, incarnation uint64) {
-	keepalive(c, interval, duration, binary.LittleEndian.AppendUint64(nil, incarnation))
-}
-
-func keepalive(c *Comm, interval, duration time.Duration, payload []byte) {
+	payload := binary.LittleEndian.AppendUint64(nil, incarnation)
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
@@ -232,8 +218,8 @@ func (d *Detector) sendLoop() {
 // staleBeat reports whether a received heartbeat came from an older
 // incarnation than the member the detector expects at that rank — a
 // process from a previous view still draining must not keep its
-// successor's liveness entry fresh. Unstamped beats (legacy detectors,
-// plain Keepalive) are always accepted as current.
+// successor's liveness entry fresh. Unstamped beats (unkeyed detectors)
+// are always accepted as current.
 func (d *Detector) staleBeat(m Message) bool {
 	if d.members == nil || m.Src < 0 || m.Src >= len(d.members) || len(m.Data) < 8 {
 		return false

@@ -100,7 +100,7 @@ func TestHeartbeatDetectsKilledRank(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			c := ff.Comms()[r]
-			d := StartDetector(c, 10*time.Millisecond, 150*time.Millisecond)
+			d := StartDetectorView(c, 10*time.Millisecond, 150*time.Millisecond, nil, nil)
 			defer d.Stop()
 			if r == victim {
 				time.Sleep(50 * time.Millisecond)
@@ -144,7 +144,7 @@ func TestKeepaliveSurvivesFailedEndpoint(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		Keepalive(c0, 5*time.Millisecond, 100*time.Millisecond)
+		KeepaliveView(c0, 5*time.Millisecond, 100*time.Millisecond, 0)
 	}()
 	if _, err := f.Comms()[1].RecvTimeout(0, heartbeatTag, time.Second); err != nil {
 		t.Fatalf("no heartbeat from the failed endpoint: %v", err)

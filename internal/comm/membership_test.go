@@ -288,34 +288,20 @@ func TestDetectorIgnoresStaleIncarnationBeats(t *testing.T) {
 	}
 }
 
-// TestDetectorAcceptsUnstampedBeats pins compatibility with the plain
-// Keepalive path: a beat with no incarnation payload counts as current.
+// TestDetectorAcceptsUnstampedBeats pins compatibility with an unkeyed
+// peer detector: a beat with no incarnation payload counts as current.
 func TestDetectorAcceptsUnstampedBeats(t *testing.T) {
 	const suspicion = 150 * time.Millisecond
 	f := NewFabric(2)
 	defer f.Close()
 	members := []Member{{Addr: "addr-0", Incarnation: 1}, {Addr: "addr-1", Incarnation: 3}}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			Keepalive(f.Comms()[1], 10*time.Millisecond, 20*time.Millisecond)
-		}
-	}()
+	unkeyed := StartDetectorView(f.Comms()[1], 10*time.Millisecond, time.Minute, nil, nil)
+	defer unkeyed.Stop()
 
 	d := StartDetectorView(f.Comms()[0], 10*time.Millisecond, suspicion, members, NewSuspicionTable())
 	defer d.Stop()
 	_, err := f.Comms()[0].RecvTimeout(1, 7, 3*suspicion)
-	close(stop)
-	wg.Wait()
 	if err != ErrRecvTimeout {
 		t.Fatalf("unstamped beats must keep the peer alive, got %v", err)
 	}

@@ -22,7 +22,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/partition"
+	"repro/internal/sparse"
 )
 
 // Duration is a time.Duration that reads naturally in both layers: JSON
@@ -93,8 +96,6 @@ func (d Data) Validate() error {
 }
 
 // Spec resolves the configured synthetic benchmark (scaled) for seed.
-// It is the one copy of the name→spec switch the commands used to each
-// carry themselves.
 func (d Data) Spec(seed uint64) (datagen.Spec, error) {
 	if d.Scale <= 0 {
 		return datagen.Spec{}, fmt.Errorf("config: data scale must be positive, got %g", d.Scale)
@@ -108,6 +109,63 @@ func (d Data) Spec(seed uint64) (datagen.Spec, error) {
 		s = datagen.Scaled(s, d.Scale)
 	}
 	return s, nil
+}
+
+// Matrix resolves the data source to the full rating matrix: the file at
+// Path when set (MatrixMarket or .bcsr, sniffed by sparse.Load),
+// otherwise the Synthetic benchmark generated for seed at Scale.
+func (d Data) Matrix(seed uint64) (*sparse.CSR, error) {
+	if d.Path != "" {
+		return sparse.Load(d.Path)
+	}
+	spec, err := d.Spec(seed)
+	if err != nil {
+		return nil, err
+	}
+	return datagen.Generate(spec).R, nil
+}
+
+// Split resolves the source to the training matrix and the held-out
+// test set. The split (core.HoldOut) is a pure function of (source,
+// TestFrac, seed): every command that goes through here with the same
+// three reconstructs the same one — which is how bpmf-trainer and
+// bpmf-serve line up with the chain cmd/bpmf checkpointed.
+func (d Data) Split(seed uint64) (train *sparse.CSR, test []sparse.Entry, err error) {
+	full, err := d.Matrix(seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	train, test = core.HoldOut(full, d.TestFrac, seed)
+	return train, test, nil
+}
+
+// Problem is Split with the transpose built: what a sampler trains on.
+func (d Data) Problem(seed uint64) (*core.Problem, error) {
+	train, test, err := d.Split(seed)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewProblem(train, test), nil
+}
+
+// Panels returns the shard table of a .bcsr Path — what bpmf-dist aligns
+// rank boundaries to, so a rank that holds the whole matrix samples the
+// chain of one that loads only its own shards — and nil for every other
+// source. Only the file's header and shard table are read.
+func (d Data) Panels() (*partition.Panels, error) {
+	if d.Path == "" {
+		return nil, nil
+	}
+	if isB, err := sparse.IsBCSR(d.Path); err != nil || !isB {
+		return nil, err
+	}
+	mp, err := sparse.OpenBinary(d.Path)
+	if err != nil {
+		return nil, err
+	}
+	defer mp.Close()
+	panels := partition.PanelsOf(mp)
+	return &panels, nil
 }
 
 // SpecByName resolves a synthetic benchmark name to its generator spec.
@@ -140,6 +198,14 @@ type Sampler struct {
 	Burnin int `json:"burnin,omitempty"`
 	// Seed drives all keyed random streams.
 	Seed uint64 `json:"seed"`
+}
+
+// Core maps the chain knobs onto the sampler's configuration; every
+// other field keeps core.DefaultConfig's value.
+func (s Sampler) Core() core.Config {
+	cc := core.DefaultConfig()
+	cc.K, cc.Alpha, cc.Iters, cc.Burnin, cc.Seed = s.K, s.Alpha, s.Iters, s.Burnin, s.Seed
+	return cc
 }
 
 // Validate checks the chain shape, including the Burnin < Iters rule
@@ -185,11 +251,6 @@ func (c Clamp) Validate() error {
 	}
 	return nil
 }
-
-// Active reports whether clipping applies: explicitly enabled, or (for
-// compatibility with pre-registry flag invocations) a non-degenerate
-// Max > Min range.
-func (c Clamp) Active() bool { return c.Enable || c.Max > c.Min }
 
 // Lineage pins a served checkpoint's provenance: a (re)load must
 // present a checkpoint whose training Seed (and latent dimension K,

@@ -168,28 +168,6 @@ func TestClampValidate(t *testing.T) {
 	}
 }
 
-// TestClampActive pins the sentinel replacement: Enable turns clipping
-// on for any valid range (a [0, N] range included, which the old (0,0)
-// sentinel could not express), while a bare Max > Min still activates
-// for compatibility with old flag invocations.
-func TestClampActive(t *testing.T) {
-	cases := []struct {
-		c    Clamp
-		want bool
-	}{
-		{Clamp{}, false},
-		{Clamp{Min: 1, Max: 5}, true},
-		{Clamp{Enable: true, Min: 0, Max: 5}, true},
-		{Clamp{Enable: true, Min: -2, Max: 0}, true}, // max==0: the old sentinel read this as off
-		{Clamp{Min: 0, Max: 0}, false},
-	}
-	for _, tc := range cases {
-		if got := tc.c.Active(); got != tc.want {
-			t.Errorf("Clamp%+v.Active() = %v, want %v", tc.c, got, tc.want)
-		}
-	}
-}
-
 func TestCheckpointValidate(t *testing.T) {
 	cases := []struct {
 		name        string

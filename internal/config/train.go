@@ -16,6 +16,10 @@ var engineNames = map[string]string{
 	"distributed": "distributed", "dist": "distributed", "mpi": "distributed",
 }
 
+// engineList is the canonical names as the flag help and the validation
+// error print them.
+const engineList = "sequential | worksteal | static | graphlab | distributed"
+
 // CanonicalEngine resolves an engine name or alias (case-insensitive)
 // to its canonical name, or "" when the name is unknown.
 func CanonicalEngine(s string) string { return engineNames[strings.ToLower(s)] }
@@ -25,8 +29,8 @@ func CanonicalEngine(s string) string { return engineNames[strings.ToLower(s)] }
 type Train struct {
 	Data    Data    `json:"data"`
 	Sampler Sampler `json:"sampler"`
-	// Engine selects the execution strategy:
-	// sequential | worksteal | static | graphlab | distributed.
+	// Engine selects the execution strategy (one of engineList, or an
+	// alias).
 	Engine string `json:"engine,omitempty"`
 	// Threads is the worker count (per rank for distributed).
 	Threads int `json:"threads,omitempty"`
@@ -62,7 +66,7 @@ func DefaultTrain() Train {
 func (c *Train) RegisterFlags(fs *flag.FlagSet) {
 	registerData(fs, &c.Data)
 	registerSampler(fs, &c.Sampler)
-	fs.StringVar(&c.Engine, "engine", c.Engine, "sequential | worksteal | static | graphlab | distributed")
+	fs.StringVar(&c.Engine, "engine", c.Engine, engineList)
 	fs.IntVar(&c.Threads, "threads", c.Threads, "worker threads (per rank for distributed)")
 	fs.IntVar(&c.Ranks, "ranks", c.Ranks, "virtual ranks for the distributed engine")
 	fs.BoolVar(&c.Reorder, "reorder", c.Reorder, "communication-minimizing reordering (distributed)")
@@ -82,7 +86,7 @@ func (c Train) Validate() error {
 		return err
 	}
 	if CanonicalEngine(c.Engine) == "" {
-		return fmt.Errorf("config: unknown engine %q (want sequential | worksteal | static | graphlab | distributed)", c.Engine)
+		return fmt.Errorf("config: unknown engine %q (want %s)", c.Engine, engineList)
 	}
 	if c.Threads < 1 {
 		return fmt.Errorf("config: threads must be >= 1, got %d", c.Threads)

@@ -7,6 +7,28 @@ import (
 	"path/filepath"
 )
 
+// ReadCheckpointFile reads and validates the checkpoint at path; errors
+// name the file. The returned FileInfo is an fstat of the descriptor the
+// bytes were read through, so it describes exactly the loaded file even
+// when a publisher renames a newer one into place meanwhile — what a
+// reload watcher must record to notice that rotation on its next tick.
+func ReadCheckpointFile(path string) (*Checkpoint, os.FileInfo, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("checkpoint %s: %w", path, err)
+	}
+	defer f.Close()
+	ckpt, err := ReadCheckpoint(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("checkpoint %s: %w", path, err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, nil, fmt.Errorf("checkpoint %s: %w", path, err)
+	}
+	return ckpt, fi, nil
+}
+
 // WriteCheckpointFile writes a checkpoint (or any durability-critical
 // file) atomically: the payload goes to a temp file in the target's
 // directory and is renamed into place only after a successful write and

@@ -476,8 +476,8 @@ func TestPredictorClamp(t *testing.T) {
 	if sr != 0 {
 		t.Fatalf("clamped RMSE = %v, want 0", sr)
 	}
-	if RMSE(u, v, test, 0, 0) != 95 {
-		t.Fatalf("unclamped RMSE = %v, want 95", RMSE(u, v, test, 0, 0))
+	if sr, _ := NewPredictor(test, 0, 0).Update(u, v, false); sr != 95 {
+		t.Fatalf("unclamped RMSE = %v, want 95", sr)
 	}
 }
 

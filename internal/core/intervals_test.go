@@ -98,7 +98,7 @@ func TestObservationNoiseInStd(t *testing.T) {
 	u := la.NewMatrixFrom([][]float64{{1}})
 	v := la.NewMatrixFrom([][]float64{{1}})
 	for i := 0; i < 10; i++ {
-		p.PartialUpdate(u, v, true) // identical prediction every sample
+		p.PartialUpdatePar(u, v, true, nil) // identical prediction every sample
 	}
 	iv := p.Intervals()[0]
 	if math.Abs(iv.Std-0.5) > 1e-9 { // sqrt(1/4)

@@ -118,25 +118,22 @@ func (p *Predictor) clamp(v float64) float64 {
 // NumChunks returns the fixed chunk count of this predictor's reduction.
 func (p *Predictor) NumChunks() int { return len(p.partSample) }
 
-// PartialUpdate scores the current sample (U, V) over this predictor's
-// test entries and returns raw squared-error sums instead of RMSE:
-// (Σ sample error², Σ posterior-mean error², #entries). The distributed
-// engine calls this per rank and combines partials with a deterministic
-// allreduce. If collect is true the sample is folded into the running
-// posterior mean first. When no sample has been collected yet, seAvg
-// repeats seSample. The summation runs through the fixed EvalChunk tree
-// executed inline; PartialUpdatePar executes the same tree in parallel.
-func (p *Predictor) PartialUpdate(u, v *la.Matrix, collect bool) (seSample, seAvg, n float64) {
-	return p.PartialUpdatePar(u, v, collect, nil)
-}
-
-// PartialUpdatePar is PartialUpdate with the chunk loop handed to runAll,
-// which must invoke run(c) exactly once for every chunk c in [0, nChunks)
-// — in any order, on any goroutines — and return only after all
-// invocations complete; engines pass a parallel-for over their pool here
-// (nil runs the chunks sequentially). Chunks touch disjoint predictor
-// state and partials are combined in ascending chunk order after runAll
-// returns, so the result is bit-identical for any schedule.
+// PartialUpdatePar scores the current sample (U, V) over this
+// predictor's test entries and returns raw squared-error sums instead of
+// RMSE: (Σ sample error², Σ posterior-mean error², #entries). The
+// distributed engine calls this per rank and combines partials with a
+// deterministic allreduce. If collect is true the sample is folded into
+// the running posterior mean first. When no sample has been collected
+// yet, seAvg repeats seSample.
+//
+// The summation runs through the fixed EvalChunk tree, its chunk loop
+// handed to runAll, which must invoke run(c) exactly once for every chunk
+// c in [0, nChunks) — in any order, on any goroutines — and return only
+// after all invocations complete; engines pass a parallel-for over their
+// pool here (nil runs the chunks sequentially, inline). Chunks touch
+// disjoint predictor state and partials are combined in ascending chunk
+// order after runAll returns, so the result is bit-identical for any
+// schedule.
 func (p *Predictor) PartialUpdatePar(u, v *la.Matrix, collect bool,
 	runAll func(nChunks int, run func(c int))) (seSample, seAvg, n float64) {
 	if collect {
@@ -211,22 +208,4 @@ func (p *Predictor) UpdatePar(u, v *la.Matrix, collect bool,
 	}
 	seSample, seAvg, n := p.PartialUpdatePar(u, v, collect, runAll)
 	return math.Sqrt(seSample / n), math.Sqrt(seAvg / n)
-}
-
-// RMSE computes the root-mean-square error of predicting the entries of
-// test with factors (u, v), without any averaging state.
-func RMSE(u, v *la.Matrix, test []sparse.Entry, clampMin, clampMax float64) float64 {
-	if len(test) == 0 {
-		return math.NaN()
-	}
-	var se float64
-	for _, e := range test {
-		pred := la.Dot(u.Row(int(e.Row)), v.Row(int(e.Col)))
-		if clampMax > clampMin {
-			pred = math.Min(clampMax, math.Max(clampMin, pred))
-		}
-		d := pred - e.Val
-		se += d * d
-	}
-	return math.Sqrt(se / float64(len(test)))
 }

@@ -55,11 +55,11 @@ func TestPartialUpdateParBitIdenticalAcrossSchedules(t *testing.T) {
 					// for this nTest; replay it for the others.
 					var wantS, wantA, wantN float64
 					if threads == 1 && grain == 1 {
-						wantS, wantA, wantN = ref.PartialUpdate(u, v, collect)
+						wantS, wantA, wantN = ref.PartialUpdatePar(u, v, collect, nil)
 					} else {
 						refClone := NewPredictor(test, -3, 3)
 						for it2 := 0; it2 <= iter; it2++ {
-							wantS, wantA, wantN = refClone.PartialUpdate(u, v, it2 >= 1)
+							wantS, wantA, wantN = refClone.PartialUpdatePar(u, v, it2 >= 1, nil)
 						}
 					}
 					gotS, gotA, gotN := got.PartialUpdatePar(u, v, collect, runAll)
@@ -71,7 +71,7 @@ func TestPartialUpdateParBitIdenticalAcrossSchedules(t *testing.T) {
 				// Accumulator state must match element for element.
 				refState := NewPredictor(test, -3, 3)
 				for iter := 0; iter < 3; iter++ {
-					refState.PartialUpdate(u, v, iter >= 1)
+					refState.PartialUpdatePar(u, v, iter >= 1, nil)
 				}
 				for i := range got.sum {
 					if got.sum[i] != refState.sum[i] || got.sumSq[i] != refState.sumSq[i] {
@@ -126,10 +126,10 @@ func TestUpdateParEmptyTest(t *testing.T) {
 func TestPartialUpdateSteadyStateAllocs(t *testing.T) {
 	u, v, test := evalProblem(t, 2*EvalChunk+5)
 	p := NewPredictor(test, -4, 4)
-	p.PartialUpdate(u, v, true)
+	p.PartialUpdatePar(u, v, true, nil)
 	if allocs := testing.AllocsPerRun(20, func() {
-		p.PartialUpdate(u, v, true)
+		p.PartialUpdatePar(u, v, true, nil)
 	}); allocs != 0 {
-		t.Fatalf("steady-state PartialUpdate allocates %v/op, want 0", allocs)
+		t.Fatalf("steady-state PartialUpdatePar allocates %v/op, want 0", allocs)
 	}
 }

@@ -67,6 +67,19 @@ func NewProblem(r *sparse.CSR, test []sparse.Entry) *Problem {
 	return &Problem{R: r, Rt: r.Transpose(), Test: test}
 }
 
+// HoldOut applies the evaluation split every command that trains on,
+// warm-starts over or serves a rating matrix must reproduce bit for bit
+// from (matrix, fraction, seed): testFrac of full's ratings are held out
+// (sparse.SplitTrainTest); testFrac <= 0 keeps full itself as the
+// training matrix, with no split pass and a nil test set. The results
+// feed NewProblem directly: NewProblem(HoldOut(full, testFrac, seed)).
+func HoldOut(full *sparse.CSR, testFrac float64, seed uint64) (train *sparse.CSR, test []sparse.Entry) {
+	if testFrac <= 0 {
+		return full, nil
+	}
+	return sparse.SplitTrainTest(full, testFrac, seed)
+}
+
 // Dims returns (#users, #movies).
 func (p *Problem) Dims() (int, int) { return p.R.M, p.R.N }
 

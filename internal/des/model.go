@@ -93,19 +93,6 @@ func (cm CostModel) ParallelItemCost(nnz, grain, p int) float64 {
 	return cm.PerItem + accum + cm.TaskOverhead*float64(chunks)
 }
 
-// HybridItemCost returns the modeled cost under the paper's hybrid kernel
-// selection with p cores available for heavy items.
-func (cm CostModel) HybridItemCost(cfg *core.Config, nnz, p int) float64 {
-	switch cfg.SelectKernel(nnz) {
-	case core.KernelRankOne:
-		return cm.RankOneItemCost(nnz)
-	case core.KernelCholesky:
-		return cm.SerialItemCost(nnz)
-	default:
-		return cm.ParallelItemCost(nnz, cfg.ParallelGrain, p)
-	}
-}
-
 // EvalMakespan returns the modeled duration of the chunk-parallel
 // evaluation of nTest held-out entries on `threads` cores: whole
 // core.EvalChunk chunks are list-scheduled (the decomposition is fixed,
@@ -293,17 +280,6 @@ func Lynx(nodes int) Machine {
 		CacheSpeedup:     1.0,
 		AllreduceLatency: 12e-6,
 		MsgOverhead:      3e-6,
-	}
-}
-
-// Westmere12 models the Lynx node of Figure 3: dual 6-core Westmere.
-func Westmere12(threads int) Machine {
-	return Machine{
-		Nodes:        1,
-		CoresPerNode: threads,
-		RackSize:     1,
-		CacheBytes:   12 << 20,
-		CacheSpeedup: 1.0, // single node: no working-set scaling effect
 	}
 }
 

@@ -151,9 +151,9 @@ func LoadDistCheckpoint(dir string, man *Manifest, test []sparse.Entry) (*core.C
 		ownedPos[r] = append(ownedPos[r], t)
 	}
 	for r := 0; r < man.Ranks; r++ {
-		frag, err := readFragment(filepath.Join(dir, man.Fragments[r]))
+		frag, _, err := core.ReadCheckpointFile(filepath.Join(dir, man.Fragments[r]))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("dist: fragment of rank %d: %w", r, err)
 		}
 		if frag.K != man.K || frag.NextIter != man.Iter || frag.Seed != man.Seed {
 			return nil, fmt.Errorf("dist: fragment %s does not match manifest (K=%d iter=%d seed=%d, want K=%d iter=%d seed=%d)",
@@ -188,19 +188,6 @@ func LoadDistCheckpoint(dir string, man *Manifest, test []sparse.Entry) (*core.C
 		}
 	}
 	return out, nil
-}
-
-func readFragment(path string) (*core.Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	c, err := core.ReadCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("dist: fragment %s: %w", path, err)
-	}
-	return c, nil
 }
 
 // writeCheckpoint writes this rank's fragment of a coordinated round

@@ -49,11 +49,6 @@ type Options struct {
 	// Reorder applies the communication-minimizing RCM reordering before
 	// partitioning. Results are mapped back to the original index space.
 	Reorder bool
-	// TreeAllreduce swaps the deterministic rank-ordered allreduce for the
-	// lower-latency recursive-doubling tree. The chain is still
-	// deterministic for a fixed rank count but no longer bit-matches the
-	// sequential reference (the summation tree depends on P).
-	TreeAllreduce bool
 	// Schedule is the locality processing order of the plan's matrix,
 	// restricted per rank to its owned items. nil makes every node build
 	// the default order.Build schedule locally (deterministic in the plan,
@@ -75,18 +70,12 @@ type Options struct {
 	// declared failed, unwinding blocked receives with a
 	// comm.RankFailedError instead of hanging forever.
 	SuspicionTimeout time.Duration
-	// HeartbeatInterval is the detector's heartbeat period; 0 derives it
-	// from SuspicionTimeout (see comm.StartDetector).
-	HeartbeatInterval time.Duration
 	// OnIteration, when set, is invoked on every rank after each completed
 	// iteration (all phases, evaluation, and any due checkpoint). It is a
 	// test seam: fault-injection tests use it to kill ranks at exact,
 	// reproducible iteration boundaries.
 	OnIteration func(rank, iter int)
 
-	// Epoch is the membership epoch this round runs under (0 for
-	// non-elastic runs; informational).
-	Epoch int
 	// Members names each rank's (address, incarnation) identity. Set
 	// together with Suspicions, it keys the failure detector by identity
 	// so a rejoined incarnation at a convicted address gets a fresh
@@ -165,21 +154,6 @@ func BuildPlan(prob *core.Problem, opt Options) (*partition.Plan, []sparse.Entry
 		test = mapped
 	}
 	return plan, test
-}
-
-// BuildPlanPanels is BuildPlan for .bcsr input: row bounds snap to the
-// file's shard panels (so a shard-native rank can read whole shards)
-// while the column side keeps the workload-model split. The full-load
-// and shard-native paths of cmd/bpmf-dist both derive this plan, which
-// is what makes their chains bit-comparable. Reordering is rejected —
-// an RCM permutation scatters the shard rows (use BuildPlan).
-func BuildPlanPanels(prob *core.Problem, panels partition.Panels, opt Options) (*partition.Plan, []sparse.Entry, error) {
-	opt = opt.normalized()
-	plan, err := partition.BuildWithPanels(prob.R, panels, partition.Options{Ranks: opt.Ranks, Reorder: opt.Reorder})
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, prob.Test, nil
 }
 
 // MomentGroupsOf returns the moment-group boundary lists (users, movies)

@@ -178,25 +178,6 @@ func TestDistributedBufferSizeBitIdentical(t *testing.T) {
 	}
 }
 
-func TestDistributedTreeAllreduceDeterministic(t *testing.T) {
-	prob := problem(t, 13)
-	cfg := testConfig()
-	a, _, err := RunInProc(cfg, prob, Options{Ranks: 3, TreeAllreduce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := RunInProc(cfg, prob, Options{Ranks: 3, TreeAllreduce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la.MaxAbsDiff(a.U, b.U) != 0 {
-		t.Fatal("tree-allreduce chain not deterministic across runs")
-	}
-	if math.IsNaN(a.FinalRMSE()) || a.FinalRMSE() <= 0 {
-		t.Fatalf("bad RMSE %v", a.FinalRMSE())
-	}
-}
-
 func TestDistributedReorderMapsBack(t *testing.T) {
 	prob := problem(t, 14)
 	cfg := testConfig()

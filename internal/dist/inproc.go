@@ -9,8 +9,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/order"
-	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 // inproc.go runs the distributed engine as a virtual cluster inside this
@@ -40,23 +38,22 @@ import (
 // functions of (problem, rank count), and the checkpoint's fragments
 // are re-sliced by the *new* bounds on load. Growing, rejoining, and
 // shrinking all ride the identical resume path.
+//
+// What a rank does inside a round is not written here: every rank of
+// every round is one RunRank call (rank.go), the same body a
+// cmd/bpmf-dist process runs over TCP. The loop over rounds, however,
+// exists twice on purpose. This one is omniscient: it collects every
+// rank's verdict and asks the FaultFabric who was killed, so it can
+// shrink by exactly the dead set and seal a drain itself. A TCP process
+// sees only its own error — one RankFailedError naming one peer, or a
+// ViewChange it must wait for the coordinator to seal — and has to dial,
+// keep heartbeating while peers convict, and sleep out the old sockets.
+// Folding the two behind a flag would make each branch on "am I
+// in-process" at every step.
 
 // DefaultSuspicionTimeout is the failure-detector timeout RunRounds
 // falls back to under a hook when Options.SuspicionTimeout is unset.
 const DefaultSuspicionTimeout = 2 * time.Second
-
-// Source is the data an in-process cluster trains on: Prob, an in-memory
-// problem every rank sees whole — or, when Path is set, a sharded .bcsr
-// file of which every rank loads only its own panels (LoadShardsLocal,
-// holding out TestFrac), re-running the collective load each round so
-// shards are remapped over the *current* rank count whenever the view
-// changes (a dead rank's shards move to survivors; an admitted rank
-// takes its share).
-type Source struct {
-	Prob     *core.Problem
-	Path     string
-	TestFrac float64
-}
 
 // MembershipHook lets a caller (typically a test) act on one round
 // before its nodes start: it sees the round's sealed view, fabric and
@@ -115,13 +112,7 @@ func RunRounds(cfg core.Config, src Source, resume *Manifest, opt Options, hook 
 	mem := comm.NewMembership(comm.InProcView(opt.Ranks), 0, table)
 	for round := 0; ; round++ {
 		view := mem.View()
-		ranks := len(view.Members)
-		ropt := opt
-		ropt.Ranks = ranks
-		ropt.Epoch = view.Epoch
-		ropt.Members = view.Members
-		ropt.Suspicions = table
-		ropt.Membership = mem
+		ropt := opt.ForView(view, table, mem)
 
 		man := resume
 		if round > 0 || man == nil {
@@ -131,7 +122,7 @@ func RunRounds(cfg core.Config, src Source, resume *Manifest, opt Options, hook 
 			}
 		}
 
-		fb := comm.NewFaultFabric(ranks, cfg.Seed)
+		fb := comm.NewFaultFabric(ropt.Ranks, cfg.Seed)
 		hook(round, view, fb, &ropt, mem)
 		results, stats, errs := runRound(cfg, src, man, ropt, fb.Comms())
 		fb.Close()
@@ -170,61 +161,32 @@ func RunRounds(cfg core.Config, src Source, resume *Manifest, opt Options, hook 
 	}
 }
 
-// runRound runs one round — every rank of comms on its own goroutine:
-// obtain the rank's data from src, build its node, position it at man
-// when one is given, run — and collects (result, stats, error) per rank.
-// Every rank reassembles the checkpoint from the fragment files itself
-// (shared storage in a real cluster).
+// runRound runs one round — RunRank for every rank of comms, each on its
+// own goroutine — and collects (result, stats, error) per rank. An
+// in-memory source is planned once here, and one locality schedule built,
+// for all ranks to share.
 func runRound(cfg core.Config, src Source, man *Manifest, opt Options, comms []*comm.Comm) ([]*core.Result, []Stats, []error) {
-	var load func(c *comm.Comm) (*partition.Plan, *sparse.CSR, []sparse.Entry, error)
-	if src.Path != "" {
-		load = func(c *comm.Comm) (*partition.Plan, *sparse.CSR, []sparse.Entry, error) {
-			sp, err := LoadShardsLocal(c, src.Path, src.TestFrac, cfg.Seed, opt)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return sp.Plan, sp.RT, sp.Test, nil
-		}
-	} else {
-		plan, test := BuildPlan(src.Prob, opt)
-		if opt.Schedule == nil {
-			// One schedule build shared by all in-process ranks.
-			opt.Schedule = order.Build(plan.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
-		}
-		load = func(*comm.Comm) (*partition.Plan, *sparse.CSR, []sparse.Entry, error) {
-			return plan, nil, test, nil
-		}
-	}
-	body := func(c *comm.Comm) (*core.Result, *Stats, error) {
-		plan, rt, test, err := load(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		node, err := NewNode(c, cfg, plan, rt, test, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if man != nil {
-			base, err := LoadDistCheckpoint(opt.CheckpointDir, man, test)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := node.Resume(base); err != nil {
-				return nil, nil, err
-			}
-		}
-		return node.Run()
-	}
-
 	results := make([]*core.Result, len(comms))
 	stats := make([]Stats, len(comms))
 	errs := make([]error, len(comms))
+	if src.Prob != nil {
+		var err error
+		if src.plan, src.test, err = src.buildPlan(opt); err != nil {
+			for r := range errs {
+				errs[r] = err
+			}
+			return results, stats, errs
+		}
+		if opt.Schedule == nil {
+			opt.Schedule = order.Build(src.plan.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
+		}
+	}
 	var wg sync.WaitGroup
 	for r, c := range comms {
 		wg.Add(1)
 		go func(r int, c *comm.Comm) {
 			defer wg.Done()
-			res, st, err := body(c)
+			res, st, err := RunRank(c, cfg, src, man, opt)
 			results[r], errs[r] = res, err
 			if st != nil {
 				stats[r] = *st

@@ -254,16 +254,6 @@ func itemTag(iter int, side core.Side) int {
 	return 1 + 2*iter + int(side)
 }
 
-// allreduce sums per-rank float64 vectors with the configured reduction.
-// It returns an error instead of panicking when a peer fails mid-
-// reduction, so the run can unwind to the recovery driver.
-func (nd *Node) allreduce(v []float64) ([]float64, error) {
-	if nd.opt.TreeAllreduce {
-		return nd.c.AllreduceSumTreeE(v)
-	}
-	return nd.c.AllreduceSumOrderedE(v)
-}
-
 // sampleHyper draws one side's hyperparameters from the globally reduced
 // moments. The rank-ordered allreduce adds partials in ascending rank
 // order, which is exactly MomentsGrouped's combine order with groups =
@@ -281,7 +271,7 @@ func (nd *Node) sampleHyper(iter int, side core.Side) error {
 	copy(vec[1:1+nd.k], part.Sum)
 	copy(vec[1+nd.k:], part.SumSq.Data)
 	t0 := time.Now()
-	tot, err := nd.allreduce(vec)
+	tot, err := nd.c.AllreduceSumOrderedE(vec)
 	nd.stats.WaitTime += time.Since(t0)
 	if err != nil {
 		return err
@@ -460,7 +450,7 @@ func (nd *Node) evaluate(iter int) error {
 		drain = 1
 	}
 	t0 := time.Now()
-	tot, err := nd.allreduce([]float64{seS, seA, n, drain})
+	tot, err := nd.c.AllreduceSumOrderedE([]float64{seS, seA, n, drain})
 	nd.stats.WaitTime += time.Since(t0)
 	if err != nil {
 		return err
@@ -525,7 +515,7 @@ func (nd *Node) gatherIntervals() ([]core.Interval, error) {
 // last checkpoint with the surviving ranks.
 func (nd *Node) Run() (*core.Result, *Stats, error) {
 	if nd.opt.SuspicionTimeout > 0 {
-		det := comm.StartDetectorView(nd.c, nd.opt.HeartbeatInterval, nd.opt.SuspicionTimeout, nd.opt.Members, nd.opt.Suspicions)
+		det := comm.StartDetectorView(nd.c, 0, nd.opt.SuspicionTimeout, nd.opt.Members, nd.opt.Suspicions)
 		defer det.Stop()
 	}
 	if nd.opt.ThreadsPerRank > 1 {
@@ -592,7 +582,7 @@ func (nd *Node) Run() (*core.Result, *Stats, error) {
 	}
 
 	live := nd.s.KernelCounts()
-	kc, err := nd.allreduce([]float64{float64(live[0]), float64(live[1]), float64(live[2])})
+	kc, err := nd.c.AllreduceSumOrderedE([]float64{float64(live[0]), float64(live[1]), float64(live[2])})
 	if err != nil {
 		return nil, nil, err
 	}

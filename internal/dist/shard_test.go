@@ -38,10 +38,10 @@ func writeShardedFile(t *testing.T, seed uint64, shardNNZ int) (path string, ful
 }
 
 // runFullLoad runs a virtual cluster where every rank holds the whole
-// matrix, under the panel-aligned plan (the .bcsr full-load path).
-func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) (*core.Result, *partition.Plan, []sparse.Entry) {
+// matrix, under the panel-aligned plan (the .bcsr full-load path of
+// cmd/bpmf-dist).
+func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) *core.Result {
 	t.Helper()
-	opt = opt.normalized()
 	mp, err := sparse.OpenBinary(path)
 	if err != nil {
 		t.Fatal(err)
@@ -51,75 +51,43 @@ func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test := sparse.SplitTrainTest(fullR, testFrac, seed)
-	prob := core.NewProblem(train, test)
-	plan, planTest, err := BuildPlanPanels(prob, partition.PanelsOf(mp), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab := comm.NewFabric(opt.Ranks)
-	defer fab.Close()
-	results := make([]*core.Result, opt.Ranks)
-	errs := make([]error, opt.Ranks)
-	var wg sync.WaitGroup
-	for r := 0; r < opt.Ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			node, err := NewNode(fab.Comms()[r], cfg, plan, nil, planTest, opt)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			results[r], _, errs[r] = node.Run()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("full-load rank %d: %v", r, err)
-		}
-	}
-	return results[0], plan, planTest
+	panels := partition.PanelsOf(mp)
+	src := Source{Prob: core.NewProblem(sparse.SplitTrainTest(fullR, testFrac, seed)), Panels: &panels}
+	return runOnFabric(t, "full-load", cfg, src, opt)
 }
 
-// runShardNative runs the virtual cluster through LoadShardsLocal +
-// NewNode and returns rank 0's result plus each rank's problem.
-func runShardNative(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) (*core.Result, []*ShardProblem) {
+// runShardNative runs the virtual cluster with every rank loading only
+// its own shards of path.
+func runShardNative(t *testing.T, cfg core.Config, path string, testFrac float64, opt Options) *core.Result {
+	t.Helper()
+	return runOnFabric(t, "shard-native", cfg, Source{Path: path, TestFrac: testFrac}, opt)
+}
+
+// loadShards runs the collective shard-native load alone and returns
+// each rank's problem (every rank maps the file itself, so the touch
+// counters are per rank).
+func loadShards(t *testing.T, path string, testFrac float64, seed uint64, opt Options) []*ShardProblem {
 	t.Helper()
 	opt = opt.normalized()
 	fab := comm.NewFabric(opt.Ranks)
 	defer fab.Close()
-	results := make([]*core.Result, opt.Ranks)
 	probs := make([]*ShardProblem, opt.Ranks)
 	errs := make([]error, opt.Ranks)
 	var wg sync.WaitGroup
-	for r := 0; r < opt.Ranks; r++ {
+	for r, c := range fab.Comms() {
 		wg.Add(1)
-		go func(r int) {
+		go func(r int, c *comm.Comm) {
 			defer wg.Done()
-			c := fab.Comms()[r]
-			sp, err := LoadShardsLocal(c, path, testFrac, seed, opt)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			probs[r] = sp
-			node, err := NewNode(c, cfg, sp.Plan, sp.RT, sp.Test, opt)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			results[r], _, errs[r] = node.Run()
-		}(r)
+			probs[r], errs[r] = LoadShardsLocal(c, path, testFrac, seed, opt)
+		}(r, c)
 	}
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("shard-native rank %d: %v", r, err)
+			t.Fatalf("shard load rank %d: %v", r, err)
 		}
 	}
-	return results[0], probs
+	return probs
 }
 
 func TestShardNativeChainBitIdenticalToFullLoad(t *testing.T) {
@@ -127,8 +95,9 @@ func TestShardNativeChainBitIdenticalToFullLoad(t *testing.T) {
 	cfg := testConfig()
 	for _, ranks := range []int{1, 2, 4} {
 		opt := Options{Ranks: ranks}
-		want, _, _ := runFullLoad(t, cfg, path, 0.2, 17, opt)
-		got, _ := runShardNative(t, cfg, path, 0.2, 17, opt)
+		cfg.Seed = 17 // the shard-native split is seeded by the chain's seed
+		want := runFullLoad(t, cfg, path, 0.2, 17, opt)
+		got := runShardNative(t, cfg, path, 0.2, opt)
 
 		if len(got.SampleRMSE) != len(want.SampleRMSE) {
 			t.Fatalf("ranks=%d: trace lengths differ", ranks)
@@ -157,10 +126,8 @@ func TestShardNativeChainBitIdenticalToFullLoad(t *testing.T) {
 // its own row range — not the whole file.
 func TestShardNativeReadsOnlyOwnShards(t *testing.T) {
 	path, full := writeShardedFile(t, 23, 400)
-	cfg := testConfig()
-	cfg.Iters, cfg.Burnin = 2, 1
 	const ranks = 4
-	_, probs := runShardNative(t, cfg, path, 0.2, 23, Options{Ranks: ranks})
+	probs := loadShards(t, path, 0.2, 23, Options{Ranks: ranks})
 
 	mp, err := sparse.OpenBinary(path)
 	if err != nil {
@@ -245,8 +212,8 @@ func TestShardNativeReadsOnlyOwnShards(t *testing.T) {
 func TestShardNativeThreadedRanksBitIdentical(t *testing.T) {
 	path, _ := writeShardedFile(t, 29, 700)
 	cfg := testConfig()
-	base, _ := runShardNative(t, cfg, path, 0.2, 29, Options{Ranks: 2})
-	threaded, _ := runShardNative(t, cfg, path, 0.2, 29, Options{Ranks: 2, ThreadsPerRank: 3})
+	base := runShardNative(t, cfg, path, 0.2, Options{Ranks: 2})
+	threaded := runShardNative(t, cfg, path, 0.2, Options{Ranks: 2, ThreadsPerRank: 3})
 	for i := range base.AvgRMSE {
 		if base.AvgRMSE[i] != threaded.AvgRMSE[i] {
 			t.Fatalf("iter %d: threaded shard-native diverges", i)

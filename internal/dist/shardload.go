@@ -51,9 +51,8 @@ const (
 	colGhostTag   = 1<<28 + 1
 )
 
-// ShardProblem is one rank's shard-native dataset: everything
-// NewNodeLocal needs, plus the loader's touch counters for tests and
-// logging.
+// ShardProblem is one rank's shard-native dataset: everything NewNode
+// needs, plus the loader's touch counters for tests and logging.
 type ShardProblem struct {
 	// Plan carries the panel-aligned bounds and this rank's owned
 	// training rows (full-size CSR, foreign rows empty).

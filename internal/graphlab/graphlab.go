@@ -51,9 +51,6 @@ func NewGraph(prob *core.Problem) *Graph {
 	}
 }
 
-// NumVertices returns the total vertex count.
-func (g *Graph) NumVertices() int { return g.NumUsers + g.NumMovies }
-
 // Edges returns the neighbor list of one side's local vertex.
 func (g *Graph) Edges(side core.Side, local int) ([]int32, []float64) {
 	if side == core.SideU {

@@ -32,7 +32,7 @@ func testConfig() core.Config {
 func TestGraphConstruction(t *testing.T) {
 	prob := problem(t, datagen.Tiny(2))
 	g := NewGraph(prob)
-	if g.NumVertices() != prob.R.M+prob.R.N {
+	if g.NumUsers != prob.R.M || g.NumMovies != prob.R.N {
 		t.Fatal("vertex count wrong")
 	}
 	// User edges come from R, movie edges from the transpose.

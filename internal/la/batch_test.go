@@ -87,7 +87,7 @@ func gatherProblem(r *rng.Stream, nnz, nRows, k int) (*Matrix, []int32, []float6
 	return src, cols, vals
 }
 
-func TestSyrkBatchLowerBitMatchesNaive(t *testing.T) {
+func TestSyrkAxpyBatchLowerWithoutRhsBitMatchesNaive(t *testing.T) {
 	r := rng.New(44)
 	for _, k := range []int{1, 3, 8, 17} {
 		// Cover every tail length 0–3 at several block counts.
@@ -99,9 +99,9 @@ func TestSyrkBatchLowerBitMatchesNaive(t *testing.T) {
 			for _, c := range cols {
 				SyrLower(0.9, src.Row(int(c)), want)
 			}
-			SyrkBatchLower(0.9, src, cols, a)
+			SyrkAxpyBatchLower(0.9, src, cols, nil, a, nil)
 			if MaxAbsDiff(a, want) != 0 {
-				t.Fatalf("k=%d nnz=%d: SyrkBatchLower does not bit-match nnz SyrLower calls", k, nnz)
+				t.Fatalf("k=%d nnz=%d: rhs-less SyrkAxpyBatchLower does not bit-match nnz SyrLower calls", k, nnz)
 			}
 		}
 	}
@@ -137,14 +137,14 @@ func TestSyrkAxpyBatchLowerBitMatchesInterleavedNaive(t *testing.T) {
 	}
 }
 
-func TestSyrkBatchLowerLeavesUpperTriangleUntouched(t *testing.T) {
+func TestSyrkAxpyBatchLowerLeavesUpperTriangleUntouched(t *testing.T) {
 	r := rng.New(46)
 	k := 6
 	src, cols, _ := gatherProblem(r, 9, 12, k)
 	a := NewMatrix(k, k)
 	r.FillNorm(a.Data)
 	before := a.Clone()
-	SyrkBatchLower(1.5, src, cols, a)
+	SyrkAxpyBatchLower(1.5, src, cols, nil, a, nil)
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			if a.At(i, j) != before.At(i, j) {

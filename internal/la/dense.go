@@ -264,36 +264,22 @@ func SyrLower(alpha float64, x Vector, a *Matrix) {
 	}
 }
 
-// SyrkBatchLower accumulates the gathered symmetric rank-nnz update
-//
-//	A += alpha * Σ_p src[cols[p]] · src[cols[p]]ᵀ
-//
-// into the lower triangle of A (including the diagonal), processing four
-// rating rows per pass with register-blocked outer products instead of
-// len(cols) independent SyrLower calls. Blocking quarters the
-// accumulator's load/store traffic and amortizes row-gather overhead —
-// this is the dominant kernel of the serial- and parallel-Cholesky item
-// updates (Figure 2), see PERF.md.
-//
-// The floating-point summation order is fixed to ascending rating index p
-// with one chained accumulation per matrix element, which is exactly the
-// order of the naive per-rating loop: the result is bit-identical to
-// calling SyrLower once per gathered row, for any nnz including the
-// 1–3-row tail.
-func SyrkBatchLower(alpha float64, src *Matrix, cols []int32, a *Matrix) {
-	SyrkAxpyBatchLower(alpha, src, cols, nil, a, nil)
-}
-
 // SyrkAxpyBatchLower fuses the two accumulations of the BPMF item update
 // into one gathered pass over the rating rows:
 //
-//	A += alpha * Σ_p x_p · x_pᵀ       (lower triangle, as SyrkBatchLower)
+//	A += alpha * Σ_p x_p · x_pᵀ       (lower triangle, diagonal included)
 //	y += Σ_p (alpha · vals[p]) · x_p   (the posterior rhs)
 //
-// where x_p = src[cols[p]]. vals and y may both be nil to skip the rhs
-// (SyrkBatchLower). Per memory element the summation order is ascending
-// p, so the result is bit-identical to the naive interleaved
-// SyrLower/Axpy per-rating loop.
+// where x_p = src[cols[p]], processing four rating rows per pass with
+// register-blocked outer products instead of len(cols) independent
+// SyrLower calls. Blocking quarters the accumulator's load/store traffic
+// and amortizes row-gather overhead — this is the dominant kernel of the
+// serial- and parallel-Cholesky item updates (Figure 2), see PERF.md.
+// vals and y may both be nil to skip the rhs.
+//
+// Per memory element the summation order is ascending p with one chained
+// accumulation, so the result is bit-identical to the naive interleaved
+// SyrLower/Axpy per-rating loop for any nnz, the 1–3-row tail included.
 func SyrkAxpyBatchLower(alpha float64, src *Matrix, cols []int32, vals []float64, a *Matrix, y Vector) {
 	n := a.Rows
 	if a.Cols != n || src.Cols != n {

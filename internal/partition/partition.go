@@ -7,7 +7,6 @@
 package partition
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sparse"
@@ -132,16 +131,6 @@ func EqualCount(n, parts int) []int {
 		b[p] = p * n / parts
 	}
 	return b
-}
-
-// Owner returns the interval index owning position i in bounds.
-func Owner(bounds []int, i int) int {
-	// bounds is sorted; find p with bounds[p] <= i < bounds[p+1].
-	p := sort.SearchInts(bounds, i+1) - 1
-	if p < 0 || p+1 >= len(bounds) || i < bounds[p] || i >= bounds[p+1] {
-		panic(fmt.Sprintf("partition: position %d outside bounds %v", i, bounds))
-	}
-	return p
 }
 
 // DegreeSortPerm returns a permutation placing rows in descending degree

@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -133,12 +135,22 @@ func TestChainsOnChainsEdgeCases(t *testing.T) {
 	}
 }
 
+// owner returns the interval index owning position i in bounds — the
+// binary-search reference the brute-force CommVolume check is built on.
+func owner(bounds []int, i int) int {
+	p := sort.SearchInts(bounds, i+1) - 1
+	if p < 0 || p+1 >= len(bounds) || i < bounds[p] || i >= bounds[p+1] {
+		panic(fmt.Sprintf("partition: position %d outside bounds %v", i, bounds))
+	}
+	return p
+}
+
 func TestOwner(t *testing.T) {
 	bounds := []int{0, 3, 3, 7, 10}
 	cases := map[int]int{0: 0, 2: 0, 3: 2, 6: 2, 7: 3, 9: 3}
 	for pos, want := range cases {
-		if got := Owner(bounds, pos); got != want {
-			t.Fatalf("Owner(%d) = %d, want %d", pos, got, want)
+		if got := owner(bounds, pos); got != want {
+			t.Fatalf("owner(%d) = %d, want %d", pos, got, want)
 		}
 	}
 }
@@ -226,8 +238,8 @@ func TestCommVolumeBruteForce(t *testing.T) {
 		dsts := map[int]bool{}
 		cols, _ := a.Row(i)
 		for _, c := range cols {
-			o := Owner(colB, int(c))
-			if o != Owner(rowB, i) {
+			o := owner(colB, int(c))
+			if o != owner(rowB, i) {
 				dsts[o] = true
 			}
 		}
@@ -238,8 +250,8 @@ func TestCommVolumeBruteForce(t *testing.T) {
 		dsts := map[int]bool{}
 		rows, _ := at.Row(j)
 		for _, rr := range rows {
-			o := Owner(rowB, int(rr))
-			if o != Owner(colB, j) {
+			o := owner(rowB, int(rr))
+			if o != owner(colB, j) {
 				dsts[o] = true
 			}
 		}

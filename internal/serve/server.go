@@ -13,12 +13,7 @@ import (
 
 // LoadModel reads a checkpoint file and builds a serving model from it.
 func LoadModel(path string, opts Options) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: opening checkpoint: %w", err)
-	}
-	defer f.Close()
-	ckpt, err := core.ReadCheckpoint(f)
+	ckpt, _, err := core.ReadCheckpointFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -80,20 +75,15 @@ func (s *Server) Model() *Model { return s.cur.Load() }
 
 // Reload reads the checkpoint file and swaps in a fresh snapshot. On any
 // error the previous snapshot keeps serving unchanged. The recorded
-// change-detection metadata comes from fstat'ing the descriptor the
-// checkpoint was read through, so it always describes the loaded bytes —
-// a publisher renaming a new checkpoint into place between open and
-// stat is caught by the next watcher tick instead of being masked.
+// change-detection metadata is core.ReadCheckpointFile's fstat of the
+// descriptor the checkpoint was read through, so it always describes the
+// loaded bytes — a publisher renaming a new checkpoint into place between
+// open and stat is caught by the next watcher tick instead of being
+// masked.
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	f, err := os.Open(s.path)
-	if err != nil {
-		s.lastErr = fmt.Errorf("serve: opening checkpoint: %w", err)
-		return s.lastErr
-	}
-	defer f.Close()
-	ckpt, err := core.ReadCheckpoint(f)
+	ckpt, fi, err := core.ReadCheckpointFile(s.path)
 	if err != nil {
 		s.lastErr = err
 		return err
@@ -102,11 +92,6 @@ func (s *Server) Reload() error {
 	if err != nil {
 		s.lastErr = err
 		return err
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		s.lastErr = fmt.Errorf("serve: stat checkpoint: %w", err)
-		return s.lastErr
 	}
 	s.cur.Store(m)
 	s.mtime, s.size = fi.ModTime(), fi.Size()

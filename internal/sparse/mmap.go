@@ -353,21 +353,6 @@ func (mp *Mapped) AppendRowCols(dst []int32, i int) ([]int32, error) {
 	return dst, nil
 }
 
-// AppendRowVals appends row i's values (aligned with AppendRowCols) to
-// dst and returns the extended slice.
-func (mp *Mapped) AppendRowVals(dst []float64, i int) ([]float64, error) {
-	payload, s, lo, hi, err := mp.rowSpan(i)
-	if err != nil {
-		return dst, err
-	}
-	rows := int64(mp.lay.hi[s] - mp.lay.lo[s])
-	vals := payload[(rows+1)*8+mp.pNNZ[s]*4:]
-	for k := lo; k < hi; k++ {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:])))
-	}
-	return dst, nil
-}
-
 // Close releases the mapping or file handle. Zero-copy views obtained
 // earlier must not be used after Close.
 func (mp *Mapped) Close() error {
