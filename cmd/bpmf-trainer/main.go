@@ -25,7 +25,10 @@
 // Each cycle is bit-deterministic: the published checkpoint depends
 // only on the base chain, the merged rating matrix and the added
 // iteration count — not on how many cycles or delta shards produced
-// the merge.
+// the merge, and not on the machine: a cycle samples on the
+// work-stealing engine with runtime.GOMAXPROCS workers, which draws the
+// sequential chain. There is no thread flag; GOMAXPROCS=1 in the
+// environment confines the trainer to one core.
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,6 +48,8 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/feed"
+	"repro/internal/mc"
+	"repro/internal/order"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -132,13 +138,6 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	// The base matrix and its frozen test split — the exact split the base
-	// checkpoint's posterior accumulators were built over, resolved from
-	// (data source, test fraction, seed) the way cmd/bpmf resolved it.
-	train, test, err := cfg.Data.Split(cfg.Sampler.Seed)
-	if err != nil {
-		return err
-	}
 	// A restart resumes the published chain, not the base checkpoint:
 	// the publish path is the loop's own durable state.
 	ckptPath := cfg.Ckpt
@@ -146,23 +145,46 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 		ckptPath = cfg.Publish.Ckpt
 		logf("warm-starting from previously published %s", ckptPath)
 	}
-	ckpt, _, err := core.ReadCheckpointFile(ckptPath)
+	// The start-up reads overlap: the checkpoint read, then the log
+	// open/recover at the checkpoint's catalog width (V's rows — the
+	// width the warm start pins the data to anyway), run beside the data
+	// load + split.
+	var (
+		ckpt    *core.Checkpoint
+		lg      *feed.Log
+		openErr error
+	)
+	opened := make(chan struct{})
+	go func() {
+		defer close(opened)
+		if ckpt, _, openErr = core.ReadCheckpointFile(ckptPath); openErr == nil {
+			lg, openErr = feed.OpenLog(cfg.Feed.Log, ckpt.V.Rows)
+		}
+	}()
+	// The base matrix and its frozen test split — the exact split the base
+	// checkpoint's posterior accumulators were built over, resolved from
+	// (data source, test fraction, seed) the way cmd/bpmf resolved it.
+	train, test, err := cfg.Data.Split(cfg.Sampler.Seed)
+	<-opened
+	if lg != nil {
+		defer lg.Close()
+	}
 	if err != nil {
 		return err
 	}
-	cc := cfg.Sampler.Core() // Iters is set per cycle
-
+	if openErr != nil {
+		return openErr
+	}
 	if cfg.Feed.Items != 0 && cfg.Feed.Items != train.N {
 		return fmt.Errorf("-items %d does not match the base data's %d-item catalog", cfg.Feed.Items, train.N)
 	}
-	lg, err := feed.OpenLog(cfg.Feed.Log, train.N)
-	if err != nil {
-		return err
+	if ckpt.V.Rows != train.N {
+		return fmt.Errorf("checkpoint %s has %d items, the base data %d (the item catalog cannot grow)", ckptPath, ckpt.V.Rows, train.N)
 	}
-	defer lg.Close()
 	if rec := lg.RecoveredBytes(); rec > 0 {
 		logf("recovered rating log %s: truncated a %d-byte torn tail", cfg.Feed.Log, rec)
 	}
+	cc := cfg.Sampler.Core() // Iters is set per cycle
 
 	deltaDir := cfg.Feed.DeltaDir
 	if deltaDir == "" {
@@ -219,7 +241,16 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 		if err != nil {
 			return fmt.Errorf("cycle %d: warm-starting the chain: %w", cycle, err)
 		}
+		// Every engine samples the sequential chain, so the published bytes
+		// do not depend on the worker count. Storage order: over the one
+		// or few iterations of a cycle the locality schedule does not win
+		// back what order.Build costs (PERF.md, PR 17).
+		release, err := mc.Attach(s, mc.WorkSteal, runtime.GOMAXPROCS(0), &order.Schedule{})
+		if err != nil {
+			return fmt.Errorf("cycle %d: %w", cycle, err)
+		}
 		res := s.RunFrom(ckpt.NextIter)
+		release()
 		prev := ckpt.NextIter
 		ckpt = s.Checkpoint()
 
@@ -245,32 +276,44 @@ func deltaName(i int) string { return fmt.Sprintf("delta-%06d.bcsr", i) }
 // replayDeltas overlays the delta shards already in dir (from earlier
 // runs or a crash between compaction and publish) over the base matrix,
 // in creation order, and returns the merged matrix plus the next free
-// shard number.
+// shard number. The shards — small beside the base — are first folded
+// newest-wins among themselves and the base is overlaid once; overlaying
+// is associative (sparse.MergeLastWins), so this is the matrix the
+// shard-by-shard overlay would build.
 func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*sparse.CSR, int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "delta-*.bcsr"))
 	if err != nil {
 		return nil, 0, err
 	}
 	sort.Strings(paths)
-	cur := base
+	shards := make([]*sparse.CSR, len(paths))
 	next := 0
-	for _, p := range paths {
+	for i, p := range paths {
 		d, err := sparse.Load(p)
+		if err == nil && d.N != base.N {
+			err = fmt.Errorf("shard has %d columns, base has %d", d.N, base.N)
+		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("replaying delta shard %s: %w", p, err)
 		}
-		cur, err = sparse.MergeLastWins(cur, d)
-		if err != nil {
-			return nil, 0, fmt.Errorf("replaying delta shard %s: %w", p, err)
-		}
+		shards[i] = d
 		if n, err := strconv.Atoi(p[len(p)-len("000000.bcsr") : len(p)-len(".bcsr")]); err == nil && n >= next {
 			next = n + 1
 		} else {
 			next = len(paths)
 		}
 	}
-	if len(paths) > 0 {
-		logf("replayed %d delta shards from %s (%d users x %d items)", len(paths), dir, cur.M, cur.N)
+	if len(shards) == 0 {
+		return base, next, nil
 	}
+	folded, err := sparse.MergeLastWins(shards[0], shards[1:]...)
+	if err != nil {
+		return nil, 0, fmt.Errorf("replaying delta shards from %s: %w", dir, err)
+	}
+	cur, err := sparse.MergeLastWins(base, folded)
+	if err != nil {
+		return nil, 0, fmt.Errorf("replaying delta shards from %s: %w", dir, err)
+	}
+	logf("replayed %d delta shards from %s (%d users x %d items)", len(paths), dir, cur.M, cur.N)
 	return cur, next, nil
 }

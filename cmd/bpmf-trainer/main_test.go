@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -207,6 +209,155 @@ func TestLoopRestartEqualsContinuousRun(t *testing.T) {
 
 	if !bytes.Equal(readFile(t, cfg.Publish.Ckpt), want.Bytes()) {
 		t.Fatal("restarted pipeline diverged from the continuous double-resume reference")
+	}
+}
+
+// TestLoopPublishesSameBytesAtAnyGOMAXPROCS: a cycle samples on
+// runtime.GOMAXPROCS work-stealing workers, and every engine samples the
+// sequential chain — so the same log over the same base checkpoint
+// publishes the same bytes on 1, 2 or 4 workers, and those are the
+// bytes of the executor-less (sequential) sampler resumed over the
+// merged matrix. Two cycles: the first folds in new users, the second
+// extends the chain over an empty log.
+func TestLoopPublishesSameBytesAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	var base *core.Checkpoint
+	var train *sparse.CSR
+	var test, entries []sparse.Entry
+	var cfg config.Trainer
+	published := map[int][]byte{}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		cfg = trainerConfig(t.TempDir())
+		cfg.Publish.Cycles = 2
+		base, train, test = writeBaseCheckpoint(t, cfg)
+		m := train.M
+		cols0, _ := train.Row(0)
+		entries = []sparse.Entry{
+			{Row: int32(m), Col: 3, Val: 4.5},
+			{Row: int32(m), Col: 7, Val: 2.0},
+			{Row: int32(m + 2), Col: 1, Val: 5.0}, // leaves user m+1 without a rating
+			{Row: 0, Col: cols0[0], Val: 1.5},
+			{Row: 2, Col: 5, Val: 3.0},
+		}
+		appendRatings(t, cfg, train.N, entries)
+		if err := runLoop(cfg, t.Logf); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		published[procs] = readFile(t, cfg.Publish.Ckpt)
+	}
+
+	coo := sparse.NewCOO(train.M+3, train.N, len(entries))
+	for _, e := range entries {
+		coo.Add(int(e.Row), int(e.Col), e.Val)
+	}
+	merged, err := sparse.MergeLastWins(train, coo.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.ResumeSamplerGrown(
+		coreConfig(cfg, cfg.Sampler.Iters+2*cfg.Publish.AddIters),
+		core.NewProblem(merged, test), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunFrom(base.NextIter)
+	var want bytes.Buffer
+	if err := s.Checkpoint().Write(&want); err != nil {
+		t.Fatal(err)
+	}
+	for procs, got := range published {
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("GOMAXPROCS=%d: published checkpoint differs from the sequential resume over the merged matrix", procs)
+		}
+	}
+}
+
+// TestReplayDeltasEqualsSuccessiveOverlay: folding the shards among
+// themselves and overlaying the base once builds the matrix (and the
+// next shard number) of overlaying them one by one, for shards that
+// share cells, rewrite an earlier shard's value and grow the row count;
+// a corrupt or wrong-width shard fails with its path.
+func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
+	const n = 9
+	r := rand.New(rand.NewSource(5))
+	// randomShard sets cell (0, 0) to mark — the cell every shard of a
+	// sequence rewrites — and nnz random cells elsewhere, dense enough over
+	// 9 columns that shards collide with the base and with each other.
+	randomShard := func(m, nnz int, mark float64) *sparse.CSR {
+		coo := sparse.NewCOO(m, n, nnz+1)
+		coo.Add(0, 0, mark)
+		for k := 0; k < nnz; k++ {
+			coo.Add(r.Intn(m), 1+r.Intn(n-1), float64(r.Intn(50)))
+		}
+		return coo.ToCSR()
+	}
+	writeShard := func(dir string, i int, a *sparse.CSR) string {
+		path := filepath.Join(dir, deltaName(i))
+		var buf bytes.Buffer
+		if err := sparse.WriteBinary(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := randomShard(12, 60, 100)
+
+	for _, k := range []int{0, 1, 2, 7} {
+		dir := t.TempDir()
+		want := base
+		for i := 0; i < k; i++ {
+			d := randomShard(12+i/2*2, 25, -float64(i+1)) // every other shard adds two users
+			writeShard(dir, i, d)
+			var err error
+			if want, err = sparse.MergeLastWins(want, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, next, err := replayDeltas(base, dir, t.Logf)
+		if err != nil {
+			t.Fatalf("%d shards: %v", k, err)
+		}
+		if !sparse.Equal(got, want) {
+			t.Fatalf("%d shards: one-pass replay differs from the shard-by-shard overlay", k)
+		}
+		if next != k {
+			t.Fatalf("%d shards: next shard number %d, want %d", k, next, k)
+		}
+	}
+
+	// A gap in the numbering continues after the highest shard.
+	dir := t.TempDir()
+	writeShard(dir, 0, randomShard(12, 5, 1))
+	writeShard(dir, 4, randomShard(12, 5, 1))
+	if _, next, err := replayDeltas(base, dir, t.Logf); err != nil || next != 5 {
+		t.Fatalf("shards 0 and 4: next = %d, err = %v; want 5", next, err)
+	}
+
+	// Bad shards are named.
+	wide := sparse.NewCOO(12, n+1, 1)
+	wide.Add(0, n, 1)
+	for name, write := range map[string]func(dir string) string{
+		"wrong width": func(dir string) string { return writeShard(dir, 1, wide.ToCSR()) },
+		"corrupt": func(dir string) string {
+			path := writeShard(dir, 1, randomShard(12, 20, 1))
+			b := readFile(t, path)
+			if err := os.WriteFile(path, b[:len(b)-5], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		},
+	} {
+		dir := t.TempDir()
+		writeShard(dir, 0, randomShard(12, 20, 1))
+		bad := write(dir)
+		writeShard(dir, 2, randomShard(12, 20, 1))
+		if _, _, err := replayDeltas(base, dir, t.Logf); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Fatalf("%s shard: err = %v, want one naming %s", name, err, bad)
+		}
 	}
 }
 

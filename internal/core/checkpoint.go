@@ -117,6 +117,14 @@ func ResumeSampler(cfg Config, prob *Problem, c *Checkpoint) (*Sampler, error) {
 	return s, nil
 }
 
+const (
+	// codecFloats is how many float64s Write and ReadCheckpoint move
+	// through their fixed stack buffer per call into the buffered stream.
+	codecFloats = 512
+	// floatChunk is how many float64s ReadCheckpoint allocates at a time.
+	floatChunk = 1 << 16
+)
+
 // Write serializes the checkpoint (own little-endian binary format; no
 // external dependencies). Every write is error-checked: a full disk or a
 // broken pipe surfaces as an error instead of a silently truncated file
@@ -126,27 +134,23 @@ func (c *Checkpoint) Write(w io.Writer) error {
 	if _, err := bw.WriteString(ckptMagic); err != nil {
 		return fmt.Errorf("core: writing checkpoint magic: %w", err)
 	}
-	var err error
-	writeU64 := func(v uint64) {
-		if err == nil {
-			err = binary.Write(bw, binary.LittleEndian, v)
-		}
+	var buf [8 * codecFloats]byte
+	header := [...]uint64{uint64(c.K), uint64(c.NextIter), c.Seed,
+		uint64(c.U.Rows), uint64(c.V.Rows), uint64(len(c.PredSum)), uint64(c.NSamples),
+		uint64(len(c.SampleRMSE)), uint64(c.ItemUpdates),
+		uint64(c.KernelCounts[0]), uint64(c.KernelCounts[1]), uint64(c.KernelCounts[2])}
+	for i, v := range header {
+		binary.LittleEndian.PutUint64(buf[8*i:], v)
 	}
-	writeU64(uint64(c.K))
-	writeU64(uint64(c.NextIter))
-	writeU64(c.Seed)
-	writeU64(uint64(c.U.Rows))
-	writeU64(uint64(c.V.Rows))
-	writeU64(uint64(len(c.PredSum)))
-	writeU64(uint64(c.NSamples))
-	writeU64(uint64(len(c.SampleRMSE)))
-	writeU64(uint64(c.ItemUpdates))
-	for _, kc := range c.KernelCounts {
-		writeU64(uint64(kc))
-	}
+	_, err := bw.Write(buf[:8*len(header)])
 	writeFloats := func(v []float64) {
-		for _, x := range v {
-			writeU64(math.Float64bits(x))
+		for len(v) > 0 && err == nil {
+			n := min(len(v), codecFloats)
+			for i, x := range v[:n] {
+				binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
+			}
+			_, err = bw.Write(buf[:8*n])
+			v = v[n:]
 		}
 	}
 	writeFloats(c.U.Data)
@@ -175,12 +179,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: not a BPMF checkpoint (magic %q)", magic)
 	}
 	var err error
-	readU64 := func() uint64 {
-		var v uint64
+	var buf [8 * codecFloats]byte
+	readU64 := func() uint64 { // meaningless once err is set; the header is used only after checking it
 		if err == nil {
-			err = binary.Read(br, binary.LittleEndian, &v)
+			_, err = io.ReadFull(br, buf[:8])
 		}
-		return v
+		return binary.LittleEndian.Uint64(buf[:])
 	}
 	c := &Checkpoint{}
 	c.K = int(readU64())
@@ -223,7 +227,6 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	// make(n): a header that promises more data than the stream holds
 	// costs at most one chunk of over-allocation before the read error
 	// stops it.
-	const floatChunk = 1 << 16
 	readFloats := func(n int) []float64 {
 		var v []float64
 		for len(v) < n && err == nil {
@@ -233,8 +236,14 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 			}
 			start := len(v)
 			v = append(v, make([]float64, c)...)
-			for i := start; i < len(v); i++ {
-				v[i] = math.Float64frombits(readU64())
+			for dst := v[start:]; len(dst) > 0 && err == nil; {
+				k := min(len(dst), codecFloats)
+				if _, err = io.ReadFull(br, buf[:8*k]); err == nil {
+					for i := range dst[:k] {
+						dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+					}
+				}
+				dst = dst[k:]
 			}
 		}
 		return v

@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -167,6 +172,11 @@ func TestReadCheckpointTruncatedStreams(t *testing.T) {
 	// header, and the float body.
 	cuts := []int{0, 1, len(ckptMagic) - 1, len(ckptMagic), len(ckptMagic) + 3,
 		len(ckptMagic) + 8*5, len(full) / 4, len(full) / 2, len(full) - 8, len(full) - 1}
+	// ... and one byte either side of every refill of the decode buffer.
+	body := len(ckptMagic) + ckptHeaderLen
+	for at := body; at < len(full); at += 8 * codecFloats {
+		cuts = append(cuts, at-1, at, at+1)
+	}
 	for _, cut := range cuts {
 		if _, err := ReadCheckpoint(bytes.NewReader(full[:cut])); err == nil {
 			t.Fatalf("truncation at %d/%d bytes: expected error", cut, len(full))
@@ -175,6 +185,154 @@ func TestReadCheckpointTruncatedStreams(t *testing.T) {
 	// The untruncated stream still reads.
 	if _, err := ReadCheckpoint(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full stream: %v", err)
+	}
+
+	// A header that promises 8 GiB of U over a stream that ends one byte
+	// either side of an allocation chunk gets the body error after at most
+	// one more chunk: the decoder allocates as it reads, never from the
+	// header alone.
+	hdr := craftHeader(8, 0, 1<<27, 10, 0, 0, 0)
+	for _, bodyLen := range []int{8*floatChunk - 1, 8 * floatChunk, 8*floatChunk + 1} {
+		stream := append(append([]byte(nil), hdr...), make([]byte, bodyLen)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadCheckpoint(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint body") {
+			t.Fatalf("%d-byte body under an 8 GiB header: err = %v, want the body error", bodyLen, err)
+		}
+		// The 1 MiB read buffer, the chunk read so far and the grown slice
+		// being filled: a few chunks (more under the race detector), not
+		// the header's 8 GiB.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+8*8*floatChunk); got > limit {
+			t.Fatalf("%d-byte body under an 8 GiB header: allocated %d bytes, limit %d", bodyLen, got, limit)
+		}
+	}
+}
+
+// ckptHeaderLen is the fixed header after the magic: twelve uint64s.
+const ckptHeaderLen = 8 * 12
+
+// writeReference is the per-value encoder Checkpoint.Write replaced: one
+// reflective binary.Write per uint64. It stays here as the definition of
+// the BPMFCKPT2 bytes.
+func writeReference(c *Checkpoint) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(ckptMagic)
+	u64 := func(v uint64) { binary.Write(&buf, binary.LittleEndian, v) }
+	u64(uint64(c.K))
+	u64(uint64(c.NextIter))
+	u64(c.Seed)
+	u64(uint64(c.U.Rows))
+	u64(uint64(c.V.Rows))
+	u64(uint64(len(c.PredSum)))
+	u64(uint64(c.NSamples))
+	u64(uint64(len(c.SampleRMSE)))
+	u64(uint64(c.ItemUpdates))
+	for _, kc := range c.KernelCounts {
+		u64(uint64(kc))
+	}
+	for _, v := range [][]float64{c.U.Data, c.V.Data, c.PredSum, c.PredSumSq, c.SampleRMSE, c.AvgRMSE} {
+		for _, x := range v {
+			u64(math.Float64bits(x))
+		}
+	}
+	return buf.Bytes()
+}
+
+// awkwardFloats is n values cycling through the bit patterns a codec
+// could mangle: quiet and signalling NaNs with payloads, -0, denormals,
+// infinities, beside ordinary values that differ at every index.
+func awkwardFloats(n int, salt uint64) []float64 {
+	special := []uint64{
+		0x7ff8000000000001, 0xfff8dead0000beef, 0x7ff0000000000001, // NaNs
+		0x8000000000000000,                     // -0
+		0x0000000000000001, 0x800fffffffffffff, // denormals
+		0x7ff0000000000000, 0xfff0000000000000, // +-Inf
+	}
+	v := make([]float64, n)
+	for i := range v {
+		if i%3 == 0 {
+			v[i] = math.Float64frombits(special[(i/3)%len(special)])
+		} else {
+			v[i] = float64(i) + float64(salt)/7
+		}
+	}
+	return v
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCheckpointCodecGolden: the bulk codec writes the bytes of the
+// per-value reference encoder and reads every field back bit for bit,
+// for run lengths on both sides of the stack buffer's size.
+func TestCheckpointCodecGolden(t *testing.T) {
+	lengths := []int{0, 1, codecFloats - 1, codecFloats, codecFloats + 1, 3*codecFloats + 5}
+	for i := range lengths {
+		// Rotate the lengths over the three kinds of run, so every length
+		// is taken by U, V, the accumulators and the traces in turn.
+		nU, nV, nTest, nTrace := lengths[i], lengths[(i+1)%len(lengths)], lengths[(i+2)%len(lengths)], lengths[(i+3)%len(lengths)]
+		c := &Checkpoint{
+			K: 1, NextIter: nTrace, Seed: 0xfeedfacecafe, NSamples: 3,
+			U:            &la.Matrix{Rows: nU, Cols: 1, Data: awkwardFloats(nU, 1)},
+			V:            &la.Matrix{Rows: nV, Cols: 1, Data: awkwardFloats(nV, 2)},
+			PredSum:      awkwardFloats(nTest, 3),
+			PredSumSq:    awkwardFloats(nTest, 4),
+			SampleRMSE:   awkwardFloats(nTrace, 5),
+			AvgRMSE:      awkwardFloats(nTrace, 6),
+			KernelCounts: [3]int64{7, 1 << 40, 9},
+			ItemUpdates:  1<<62 + 5,
+		}
+		var got bytes.Buffer
+		if err := c.Write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), writeReference(c)) {
+			t.Fatalf("U=%d V=%d test=%d trace=%d: Write differs from the per-value reference encoder", nU, nV, nTest, nTrace)
+		}
+		back, err := ReadCheckpoint(bytes.NewReader(got.Bytes()))
+		if err != nil {
+			t.Fatalf("U=%d V=%d test=%d trace=%d: %v", nU, nV, nTest, nTrace, err)
+		}
+		if back.K != c.K || back.NextIter != c.NextIter || back.Seed != c.Seed || back.NSamples != c.NSamples ||
+			back.KernelCounts != c.KernelCounts || back.ItemUpdates != c.ItemUpdates ||
+			back.U.Rows != nU || back.U.Cols != 1 || back.V.Rows != nV || back.V.Cols != 1 {
+			t.Fatalf("U=%d V=%d test=%d trace=%d: header fields changed in the round trip", nU, nV, nTest, nTrace)
+		}
+		if !sameBits(back.U.Data, c.U.Data) || !sameBits(back.V.Data, c.V.Data) ||
+			!sameBits(back.PredSum, c.PredSum) || !sameBits(back.PredSumSq, c.PredSumSq) ||
+			!sameBits(back.SampleRMSE, c.SampleRMSE) || !sameBits(back.AvgRMSE, c.AvgRMSE) {
+			t.Fatalf("U=%d V=%d test=%d trace=%d: a float run changed bits in the round trip", nU, nV, nTest, nTrace)
+		}
+	}
+}
+
+// TestCheckpointWriteAllocsIndependentOfSize: Write encodes through a
+// stack buffer, so it allocates the same few objects (the 1 MiB
+// bufio.Writer) whether the factors hold a hundred values or a million.
+func TestCheckpointWriteAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(rows int) float64 {
+		c := &Checkpoint{K: 8, U: la.NewMatrix(rows, 8), V: la.NewMatrix(rows, 8),
+			PredSum: make([]float64, rows), PredSumSq: make([]float64, rows)}
+		return testing.AllocsPerRun(5, func() {
+			if err := c.Write(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(60000)
+	if small != large || large > 4 {
+		t.Fatalf("Write allocates %v times for 10 rows and %v for 60000, want the same small count", small, large)
 	}
 }
 

@@ -40,9 +40,9 @@ func encodeIntervals(ivs []core.Interval) []byte {
 func decodeIntervals(b []byte) []core.Interval {
 	n := len(b) / (8 * intervalRecLen)
 	out := make([]core.Interval, n)
+	var v [intervalRecLen]float64
 	for t := 0; t < n; t++ {
-		v := make([]float64, intervalRecLen)
-		decodeFloatsInto(v, b[t*8*intervalRecLen:(t+1)*8*intervalRecLen])
+		decodeFloatsInto(v[:], b[t*8*intervalRecLen:(t+1)*8*intervalRecLen])
 		out[t] = core.Interval{
 			Row: int32(v[0]), Col: int32(v[1]),
 			Actual: v[2], Mean: v[3], Std: v[4],

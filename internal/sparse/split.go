@@ -125,10 +125,20 @@ func splitRows(a *CSR, lo, hi int, testFrac float64, r *rng.Stream, st *SplitSta
 // revert to the prior and obscure RMSE comparisons).
 func SplitTrainTest(a *CSR, testFrac float64, seed uint64) (*CSR, []Entry) {
 	st := NewSplitState(a.N)
-	train := NewCOO(a.M, a.N, a.NNZ())
+	// splitRows reports training entries row by row in a's column order,
+	// which is CSR order already: append them in place.
+	train := &CSR{M: a.M, N: a.N, RowPtr: make([]int64, a.M+1),
+		Col: make([]int32, 0, a.NNZ()), Val: make([]float64, 0, a.NNZ())}
 	var test []Entry
 	splitRows(a, 0, a.M, testFrac, rng.NewKeyed(seed, splitKey), st,
-		func(e Entry) { train.Add(int(e.Row), int(e.Col), e.Val) },
+		func(e Entry) {
+			train.Col = append(train.Col, e.Col)
+			train.Val = append(train.Val, e.Val)
+			train.RowPtr[e.Row+1]++
+		},
 		func(e Entry) { test = append(test, e) })
-	return train.ToCSR(), test
+	for i := 0; i < a.M; i++ {
+		train.RowPtr[i+1] += train.RowPtr[i]
+	}
+	return train, test
 }

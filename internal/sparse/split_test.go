@@ -79,3 +79,53 @@ func TestDecodeSplitStateRejectsWrongLength(t *testing.T) {
 		t.Fatalf("state round trip broken: %+v vs %+v", back, st)
 	}
 }
+
+// splitViaCOO is the split as it was first built — training entries
+// collected in a COO and converted (a counting pass plus a sort of every
+// row) — kept as the reference for SplitTrainTest's in-place CSR.
+func splitViaCOO(a *CSR, testFrac float64, seed uint64) (*CSR, []Entry) {
+	train := NewCOO(a.M, a.N, a.NNZ())
+	var test []Entry
+	SplitRowsResume(a, 0, a.M, testFrac, seed, NewSplitState(a.N),
+		func(e Entry) { train.Add(int(e.Row), int(e.Col), e.Val) },
+		func(e Entry) { test = append(test, e) })
+	return train.ToCSR(), test
+}
+
+// TestSplitTrainTestMatchesCOOConstruction: appending training entries
+// straight into RowPtr/Col/Val yields the matrix and test slice of the
+// COO round trip, on matrices with empty rows and single-entry columns,
+// from an almost-empty to an almost-full test set.
+func TestSplitTrainTestMatchesCOOConstruction(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 10; trial++ {
+		m, n := 30+r.Intn(40), 20+r.Intn(40)
+		c := NewCOO(m, n, 0)
+		for i := 0; i < m; i++ {
+			if i%5 == 3 {
+				continue // an empty row
+			}
+			for k := r.Intn(12); k >= 0; k-- {
+				c.Add(i, r.Intn(n-1), r.NormFloat64())
+			}
+		}
+		c.Add(r.Intn(m), n-1, 2.5) // a column with exactly one entry
+		a := c.ToCSR()
+		for _, frac := range []float64{0.01, 0.2, 0.9} {
+			seed := uint64(r.Int63())
+			gotTrain, gotTest := SplitTrainTest(a, frac, seed)
+			wantTrain, wantTest := splitViaCOO(a, frac, seed)
+			if !Equal(gotTrain, wantTrain) {
+				t.Fatalf("trial %d frac %g: train matrix differs from the COO construction", trial, frac)
+			}
+			if len(gotTest) != len(wantTest) {
+				t.Fatalf("trial %d frac %g: %d test entries, want %d", trial, frac, len(gotTest), len(wantTest))
+			}
+			for i := range gotTest {
+				if gotTest[i] != wantTest[i] {
+					t.Fatalf("trial %d frac %g: test entry %d = %+v, want %+v", trial, frac, i, gotTest[i], wantTest[i])
+				}
+			}
+		}
+	}
+}
