@@ -92,16 +92,16 @@ func TestSyrkAxpyBatchLowerWithoutRhsBitMatchesNaive(t *testing.T) {
 	for _, k := range []int{1, 3, 8, 17} {
 		// Cover every tail length 0–3 at several block counts.
 		for _, nnz := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 64, 65, 66, 67} {
-			src, cols, _ := gatherProblem(r, nnz, nnz+5, k)
+			src, cols, vals := gatherProblem(r, nnz, nnz+5, k)
 			a := NewMatrix(k, k)
 			r.FillNorm(a.Data)
 			want := a.Clone()
 			for _, c := range cols {
 				SyrLower(0.9, src.Row(int(c)), want)
 			}
-			SyrkAxpyBatchLower(0.9, src, cols, nil, a, nil)
+			SyrkAxpyBatchLower(0.9, src, cols, vals, a, NewVector(k))
 			if MaxAbsDiff(a, want) != 0 {
-				t.Fatalf("k=%d nnz=%d: rhs-less SyrkAxpyBatchLower does not bit-match nnz SyrLower calls", k, nnz)
+				t.Fatalf("k=%d nnz=%d: SyrkAxpyBatchLower's triangle does not bit-match nnz SyrLower calls", k, nnz)
 			}
 		}
 	}
@@ -140,11 +140,11 @@ func TestSyrkAxpyBatchLowerBitMatchesInterleavedNaive(t *testing.T) {
 func TestSyrkAxpyBatchLowerLeavesUpperTriangleUntouched(t *testing.T) {
 	r := rng.New(46)
 	k := 6
-	src, cols, _ := gatherProblem(r, 9, 12, k)
+	src, cols, vals := gatherProblem(r, 9, 12, k)
 	a := NewMatrix(k, k)
 	r.FillNorm(a.Data)
 	before := a.Clone()
-	SyrkAxpyBatchLower(1.5, src, cols, nil, a, nil)
+	SyrkAxpyBatchLower(1.5, src, cols, vals, a, NewVector(k))
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			if a.At(i, j) != before.At(i, j) {

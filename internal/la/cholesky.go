@@ -21,41 +21,42 @@ func (e *ErrNotSPD) Error() string {
 // positive definite matrix A (only the lower triangle of A is read) such
 // that A = L*Lᵀ. The factor is written into dst (which may alias A). The
 // strictly upper triangle of dst is zeroed.
+//
+// The loop is right-looking: pivot k takes its square root, scales column k
+// and subtracts l_ik·l_jk from every element (i, j) of the trailing lower
+// triangle. Each element so receives its updates for k ascending and then
+// one scaling — the order, and the bits, of the left-looking inner products
+// — but the updates of one pivot are independent of each other, so they
+// vectorise (cholTrail). Column k is kept contiguous in row k's strictly
+// upper part, which is scratch until the final zeroing.
 func Cholesky(a *Matrix, dst *Matrix) error {
 	n := a.Rows
-	if a.Cols != n || dst.Rows != n || dst.Cols != n {
+	if a.Cols != n || dst.Rows != n || dst.Cols != n || len(dst.Data) != n*n {
 		panic("la: Cholesky dimension mismatch")
 	}
 	if dst != a {
 		dst.CopyFrom(a)
 	}
-	l := dst
-	for j := 0; j < n; j++ {
-		// Diagonal element.
-		d := l.At(j, j)
-		rowj := l.Row(j)
-		for k := 0; k < j; k++ {
-			d -= rowj[k] * rowj[k]
-		}
+	l := dst.Data
+	for k := 0; k < n; k++ {
+		rowk := l[k*n : (k+1)*n]
+		d := rowk[k]
 		if d <= 0 || math.IsNaN(d) {
-			return &ErrNotSPD{Pivot: j, Value: d}
+			return &ErrNotSPD{Pivot: k, Value: d}
 		}
 		d = math.Sqrt(d)
-		l.Set(j, j, d)
+		rowk[k] = d
 		inv := 1 / d
-		// Column below the diagonal.
-		for i := j + 1; i < n; i++ {
-			rowi := l.Row(i)
-			s := rowi[j]
-			for k := 0; k < j; k++ {
-				s -= rowi[k] * rowj[k]
-			}
-			rowi[j] = s * inv
+		for i := k + 1; i < n; i++ {
+			v := l[i*n+k] * inv
+			l[i*n+k] = v
+			rowk[i] = v
 		}
+		cholTrail(l, n, k)
 	}
 	// Zero the strictly upper triangle so dst is a clean lower factor.
 	for i := 0; i < n; i++ {
-		row := l.Row(i)
+		row := dst.Row(i)
 		for j := i + 1; j < n; j++ {
 			row[j] = 0
 		}

@@ -9,6 +9,14 @@
 // thread schedule (the blocked parallel Cholesky decomposes into a fixed
 // task DAG whose per-task arithmetic order does not depend on which worker
 // runs it).
+//
+// On amd64 the inner loops of the dense item update (kernels.go) run as
+// hand-written AVX2 assembly that computes the same bits as the Go loops it
+// stands in for, so results are identical with and without it (the purego
+// build tag removes it; a CPU or OS without AVX2 falls back by itself).
+// Bits are per GOARCH, though: the arm64 compiler fuses x*y + z into one
+// rounding where the amd64 one does not, and benchmark/reference.json is
+// pinned on amd64.
 package la
 
 import (
@@ -62,24 +70,13 @@ func Dot(x, y Vector) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x in place (four-wide unrolled; element updates
-// are independent, so the result is bit-identical to the scalar loop).
+// Axpy computes y += alpha*x in place. Element updates are independent, so
+// the vector body and the scalar loop give the same bits.
 func Axpy(alpha float64, x, y Vector) {
-	n := len(x)
-	if n != len(y) {
-		panic(fmt.Sprintf("la: Axpy length mismatch %d vs %d", n, len(y)))
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("la: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
-	y = y[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		y[i] += alpha * x[i]
-		y[i+1] += alpha * x[i+1]
-		y[i+2] += alpha * x[i+2]
-		y[i+3] += alpha * x[i+3]
-	}
-	for ; i < n; i++ {
-		y[i] += alpha * x[i]
-	}
+	axpy1(alpha, x, y)
 }
 
 // Scal computes x *= alpha in place.
@@ -256,11 +253,7 @@ func SyrLower(alpha float64, x Vector, a *Matrix) {
 		panic("la: SyrLower dimension mismatch")
 	}
 	for i := 0; i < n; i++ {
-		f := alpha * x[i]
-		row := a.Row(i)
-		for j := 0; j <= i; j++ {
-			row[j] += f * x[j]
-		}
+		axpy1(alpha*x[i], x[:i+1], a.Row(i)[:i+1])
 	}
 }
 
@@ -270,23 +263,21 @@ func SyrLower(alpha float64, x Vector, a *Matrix) {
 //	A += alpha * Σ_p x_p · x_pᵀ       (lower triangle, diagonal included)
 //	y += Σ_p (alpha · vals[p]) · x_p   (the posterior rhs)
 //
-// where x_p = src[cols[p]], processing four rating rows per pass with
-// register-blocked outer products instead of len(cols) independent
-// SyrLower calls. Blocking quarters the accumulator's load/store traffic
-// and amortizes row-gather overhead — this is the dominant kernel of the
-// serial- and parallel-Cholesky item updates (Figure 2), see PERF.md.
-// vals and y may both be nil to skip the rhs.
+// where x_p = src[cols[p]], processing four rating rows per pass (axpy4,
+// syrk4) instead of len(cols) independent SyrLower calls. Blocking quarters
+// the accumulator's load/store traffic and amortizes row-gather overhead —
+// this is the dominant kernel of the serial- and parallel-Cholesky item
+// updates (Figure 2), see PERF.md.
 //
 // Per memory element the summation order is ascending p with one chained
 // accumulation, so the result is bit-identical to the naive interleaved
 // SyrLower/Axpy per-rating loop for any nnz, the 1–3-row tail included.
 func SyrkAxpyBatchLower(alpha float64, src *Matrix, cols []int32, vals []float64, a *Matrix, y Vector) {
 	n := a.Rows
-	if a.Cols != n || src.Cols != n {
+	if a.Cols != n || src.Cols != n || len(a.Data) != n*n {
 		panic("la: SyrkAxpyBatchLower dimension mismatch")
 	}
-	withRhs := y != nil
-	if withRhs && (len(y) != n || len(vals) != len(cols)) {
+	if len(y) != n || len(vals) != len(cols) {
 		panic("la: SyrkAxpyBatchLower rhs dimension mismatch")
 	}
 	p := 0
@@ -295,46 +286,13 @@ func SyrkAxpyBatchLower(alpha float64, src *Matrix, cols []int32, vals []float64
 		x1 := src.Row(int(cols[p+1]))
 		x2 := src.Row(int(cols[p+2]))
 		x3 := src.Row(int(cols[p+3]))
-		if withRhs {
-			a0 := alpha * vals[p]
-			a1 := alpha * vals[p+1]
-			a2 := alpha * vals[p+2]
-			a3 := alpha * vals[p+3]
-			for i := range y {
-				s := y[i]
-				s += a0 * x0[i]
-				s += a1 * x1[i]
-				s += a2 * x2[i]
-				s += a3 * x3[i]
-				y[i] = s
-			}
-		}
-		for i := 0; i < n; i++ {
-			f0 := alpha * x0[i]
-			f1 := alpha * x1[i]
-			f2 := alpha * x2[i]
-			f3 := alpha * x3[i]
-			row := a.Row(i)[: i+1 : i+1]
-			b0 := x0[:len(row)]
-			b1 := x1[:len(row)]
-			b2 := x2[:len(row)]
-			b3 := x3[:len(row)]
-			for j := range row {
-				s := row[j]
-				s += f0 * b0[j]
-				s += f1 * b1[j]
-				s += f2 * b2[j]
-				s += f3 * b3[j]
-				row[j] = s
-			}
-		}
+		axpy4(alpha*vals[p], alpha*vals[p+1], alpha*vals[p+2], alpha*vals[p+3], x0, x1, x2, x3, y)
+		syrk4(alpha, x0, x1, x2, x3, a.Data)
 	}
 	// Tail of 1–3 rows: plain per-rating updates, still ascending p.
 	for ; p < len(cols); p++ {
 		x := src.Row(int(cols[p]))
-		if withRhs {
-			Axpy(alpha*vals[p], x, y)
-		}
+		Axpy(alpha*vals[p], x, y)
 		SyrLower(alpha, x, a)
 	}
 }
