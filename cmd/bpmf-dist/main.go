@@ -170,7 +170,9 @@ func main() {
 	// re-mesh and resume), or a peer failure (shrink the view locally and
 	// resume; one process can only be sure of failures its own detector
 	// or a reset connection reported, so recovery handles one failure
-	// burst at a time — see PERF.md for the semantics).
+	// burst at a time: when simultaneous failures leave the survivors
+	// with different dead sets, the re-dial of the shrunk view times out
+	// and the run fails loudly instead of resuming on a wrong mesh).
 	table := comm.NewSuspicionTable()
 	var mem *comm.Membership
 	var srv *comm.MembershipServer

@@ -13,11 +13,7 @@
 //	bpmf-load -url http://127.0.0.1:8080 -mode open -rate 500 -vus 32 -duration 5s
 //
 // The target model and its user/item id bounds are discovered from
-// /healthz unless given explicitly. -bench additionally emits
-// Go-bench-style lines for bench2json, growing the BENCH_serve_load.json
-// trajectory:
-//
-//	bpmf-load -url ... -bench | bench2json -label pr8-batched -out BENCH_serve_load.json
+// /healthz unless given explicitly.
 //
 // The summary is greppable: `err5xx=0` means no server errors (503
 // sheds are the SLO working, not errors), `shed_without_retry_after=0`
@@ -55,7 +51,7 @@ func main() {
 }
 
 // run executes one load schedule against the configured server and
-// writes the summary (and optional bench lines) to out.
+// writes the summary to out.
 func run(ctx context.Context, cfg config.Load, out io.Writer) error {
 	base := strings.TrimSuffix(cfg.URL, "/")
 	model, users, items := cfg.Model, cfg.Users, cfg.Items
@@ -124,9 +120,6 @@ func run(ctx context.Context, cfg config.Load, out io.Writer) error {
 	}
 	label := fmt.Sprintf("%s/%s/vus=%d", model, cfg.Mode, cfg.VUs)
 	fmt.Fprint(out, res.Summary(label))
-	if cfg.Bench {
-		fmt.Fprintln(out, res.BenchLine(fmt.Sprintf("ServeLoad/model=%s/%s/vus=%d", model, cfg.Mode, cfg.VUs)))
-	}
 	if res.Completed-res.Errors == 0 {
 		return fmt.Errorf("no requests completed against %s (model %q)", base, model)
 	}

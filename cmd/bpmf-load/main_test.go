@@ -49,21 +49,20 @@ func testLoadConfig(url string) config.Load {
 // TestRunDiscoversAndSummarizes drives a closed loop against the fake
 // registry: the target model is discovered from /healthz (first sorted
 // name), requests complete, and the summary carries the greppable
-// err5xx/shed fields plus bench lines when asked.
+// err5xx/shed fields.
 func TestRunDiscoversAndSummarizes(t *testing.T) {
 	var hits atomic.Int64
 	ts := fakeServe(t, &hits, 0)
 	defer ts.Close()
 
 	cfg := testLoadConfig(ts.URL)
-	cfg.Bench = true
 	var out strings.Builder
 	if err := run(context.Background(), cfg, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
 	// "drugs" sorts before "movies": discovery picks it.
-	for _, want := range []string{"drugs/closed/vus=2", "err5xx=0", "shed=0", "BenchmarkServeLoad/model=drugs/closed/vus=2", "ns/op", "req/s"} {
+	for _, want := range []string{"drugs/closed/vus=2", "err5xx=0", "shed=0", "req/s"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}

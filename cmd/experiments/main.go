@@ -1,6 +1,7 @@
 // Command experiments regenerates every figure of the paper's evaluation
-// section (and the §V-B accuracy claim) as printed series. See
-// EXPERIMENTS.md for the recorded outputs and paper-vs-measured notes.
+// section (and the §V-B accuracy claim) as printed series. PERF.md's
+// successor table says which flag took over from which retired root
+// benchmark; CI runs -all once.
 //
 // Usage:
 //
@@ -10,6 +11,7 @@
 //	experiments -fig 5            # Figure 5: compute/communicate/both breakdown
 //	experiments -rmse             # §V-B: all engines reach the same RMSE
 //	experiments -speedup          # §VI: the "15 days -> 30 minutes" estimate
+//	experiments -ablations        # §III–IV: kernel threshold, buffer size, partitioning, exchange
 //	experiments -all              # everything
 //
 // Flags:

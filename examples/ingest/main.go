@@ -92,26 +92,20 @@ func main() {
 	fmt.Printf("mapped: user 0 has %d ratings; touched %d of %d shards (%.1f kB of %.1f MB)\n",
 		len(cols), st.ShardsTouched, mp.Shards(),
 		float64(st.PayloadBytesTouched)/1e3, float64(bi.Size())/1e6)
-	mp.Close()
 
-	// And a matrix larger than RAM streams panel by panel: peak memory
-	// is one shard, not the file.
-	it, err := sparse.LoadStream(bcsrPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	panels, maxPanel := 0, 0
-	for it.Next() {
-		panels++
-		if nnz := it.Panel().A.NNZ(); nnz > maxPanel {
-			maxPanel = nnz
+	// And a matrix larger than RAM decodes shard by shard off the same
+	// mapping: peak memory is one panel, not the file.
+	m, n := mp.Dims()
+	maxPanel := 0
+	for s := 0; s < mp.Shards(); s++ {
+		panel := &sparse.CSR{M: m, N: n, RowPtr: make([]int64, m+1)}
+		if err := mp.DecodePanelInto(panel, s); err != nil {
+			log.Fatal(err)
 		}
+		maxPanel = max(maxPanel, len(panel.Col))
 	}
-	if err := it.Err(); err != nil {
-		log.Fatal(err)
-	}
-	it.Close()
-	fmt.Printf("streamed %d panels in bounded memory (largest holds %d entries)\n", panels, maxPanel)
+	fmt.Printf("decoded %d panels one at a time (largest holds %d entries)\n", mp.Shards(), maxPanel)
+	mp.Close()
 
 	// Train straight off the shards via the public API.
 	data, err := bpmf.DataFromFile(bcsrPath, 0.2, 3)

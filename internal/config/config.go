@@ -1,9 +1,9 @@
 // Package config is the one validated configuration contract behind
 // every command in this repo. Each CLI has a typed config struct
-// (Train, Dist, Serve, Datagen, Experiments, Bench) built from shared
-// sub-structs (Data, Sampler, Clamp, Checkpoint, Fault, Lineage); each
-// struct has a Default* constructor and a Validate() error method that
-// returns precise, field-naming errors.
+// (Train, Dist, Serve, Trainer, Load, Datagen, Experiments) built from
+// shared sub-structs (Data, Sampler, Clamp, Checkpoint, Fault, Lineage);
+// each struct has a Default* constructor and a Validate() error method
+// that returns precise, field-naming errors.
 //
 // Resolution order is always the same three layers, later wins:
 //

@@ -60,12 +60,6 @@ func TestDefaultsAreValid(t *testing.T) {
 	if err := DefaultExperiments().Validate(); err != nil {
 		t.Errorf("DefaultExperiments: %v", err)
 	}
-	bc := DefaultBench()
-	bc.Label = "run1"
-	if err := bc.Validate(); err != nil {
-		t.Errorf("DefaultBench: %v", err)
-	}
-
 	ld := DefaultLoad()
 	ld.URL = "http://127.0.0.1:8080"
 	if err := ld.Validate(); err != nil {
@@ -439,29 +433,6 @@ func TestExperimentsValidate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := DefaultExperiments()
-		tc.mut(&c)
-		checkValidate(t, tc.name, c.Validate(), tc.errContains)
-	}
-}
-
-func TestBenchValidate(t *testing.T) {
-	cases := []struct {
-		name        string
-		mut         func(*Bench)
-		errContains string
-	}{
-		{"valid label", func(c *Bench) { c.Label = "run1" }, ""},
-		{"valid diff", func(c *Bench) { c.Diff = "a,b" }, ""},
-		{"empty", func(c *Bench) { *c = Bench{} }, "out file"},
-		{"no label or diff", func(c *Bench) {}, "label is required"},
-		{"empty in", func(c *Bench) { c.In = "" }, "stdin"},
-		{"diff one label", func(c *Bench) { c.Diff = "a" }, "two comma-separated labels"},
-		{"diff empty half", func(c *Bench) { c.Diff = "a," }, "two comma-separated labels"},
-		{"metric with diff", func(c *Bench) { c.Diff = "a,b"; c.Metric = "p99-ns" }, ""},
-		{"metric without diff", func(c *Bench) { c.Label = "run1"; c.Metric = "p99-ns" }, "metric only applies"},
-	}
-	for _, tc := range cases {
-		c := DefaultBench()
 		tc.mut(&c)
 		checkValidate(t, tc.name, c.Validate(), tc.errContains)
 	}

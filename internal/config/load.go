@@ -44,9 +44,6 @@ type Load struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Timeout bounds each request.
 	Timeout Duration `json:"timeout,omitempty"`
-	// Bench also emits Go-bench-style lines (p50/p99/throughput) for
-	// bench2json.
-	Bench bool `json:"bench,omitempty"`
 }
 
 // DefaultLoad returns cmd/bpmf-load's defaults: a short closed-loop
@@ -81,7 +78,6 @@ func (c *Load) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.Items, "items", c.Items, "item id bound for sampled requests (0 = discover from /healthz)")
 	fs.Uint64Var(&c.Seed, "seed", c.Seed, "random seed for the request mix")
 	fs.Var(&c.Timeout, "timeout", "per-request timeout")
-	fs.BoolVar(&c.Bench, "bench", c.Bench, "also emit Go-bench-style lines for bench2json")
 }
 
 // Validate checks the merged configuration.

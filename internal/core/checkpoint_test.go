@@ -318,9 +318,20 @@ func TestCheckpointCodecGolden(t *testing.T) {
 }
 
 // TestCheckpointWriteAllocsIndependentOfSize: Write encodes through a
-// stack buffer, so it allocates the same few objects (the 1 MiB
-// bufio.Writer) whether the factors hold a hundred values or a million.
+// stack buffer, so it allocates the same two objects (the bufio.Writer
+// and its 1 MiB buffer) whether the factors hold a hundred values or a
+// million: the count must not grow with size and must stay small.
+//
+// AllocsPerRun counts every malloc in the process, and Write's 1 MiB
+// buffers are what push a fresh test binary over the 4 MiB heap trigger:
+// the fourth call starts the process's first GC cycle, whose one-time
+// start-up (the background mark workers) showed up as 8 extra mallocs in
+// whichever measurement ran first — 3 per run for 10 rows against 2 for
+// 60000 when this test runs alone, 2 and 2 after any test that had
+// already collected. The explicit cycle below pays that once, outside
+// the measurement.
 func TestCheckpointWriteAllocsIndependentOfSize(t *testing.T) {
+	runtime.GC()
 	allocs := func(rows int) float64 {
 		c := &Checkpoint{K: 8, U: la.NewMatrix(rows, 8), V: la.NewMatrix(rows, 8),
 			PredSum: make([]float64, rows), PredSumSq: make([]float64, rows)}
@@ -331,8 +342,8 @@ func TestCheckpointWriteAllocsIndependentOfSize(t *testing.T) {
 		})
 	}
 	small, large := allocs(10), allocs(60000)
-	if small != large || large > 4 {
-		t.Fatalf("Write allocates %v times for 10 rows and %v for 60000, want the same small count", small, large)
+	if large > small || large > 4 {
+		t.Fatalf("Write allocates %v times for 10 rows and %v for 60000, want a count that does not grow and stays <= 4", small, large)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/partition"
 )
 
@@ -149,7 +148,7 @@ type ClusterResult struct {
 	ItemsPerSec float64
 	// Breakdown is the Figure 5 decomposition averaged over ranks,
 	// normalized to fractions of the iteration.
-	Breakdown metrics.Breakdown
+	Breakdown Breakdown
 	// MaxComputeSkew is max/mean of per-rank compute time (load balance).
 	MaxComputeSkew float64
 }
@@ -225,8 +224,8 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 
 	for it := 0; it < iters; it++ {
 		iterStart := now
-		computeIv := make([]metrics.IntervalSet, p)
-		commIv := make([]metrics.IntervalSet, p)
+		computeIv := make([]intervalSet, p)
+		commIv := make([]intervalSet, p)
 
 		// --- V-hyper allreduce: sync on every rank being past its U
 		// compute of the previous iteration (now) — "now" already holds
@@ -294,9 +293,9 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 			res.IterTime = now - iterStart
 			res.ItemsPerSec = float64(w.TotalItems) / res.IterTime
 			// Figure 5 breakdown averaged over ranks.
-			var agg metrics.Breakdown
+			var agg Breakdown
 			for q := 0; q < p; q++ {
-				b := metrics.OverlapBreakdown(&computeIv[q], &commIv[q], res.IterTime).Fractions()
+				b := overlapBreakdown(&computeIv[q], &commIv[q], res.IterTime).Fractions()
 				agg.ComputeOnly += b.ComputeOnly
 				agg.CommunicateOnly += b.CommunicateOnly
 				agg.Both += b.Both
@@ -356,7 +355,7 @@ func emitMessages(sends [][]int64, start, dur []float64, recordBytes, bufferByte
 // NIC serialization, then the shared rack uplink for inter-rack traffic —
 // and returns each rank's last-arrival time. commIv accumulates per-rank
 // communication-busy intervals for the Figure 5 breakdown.
-func network(msgs []message, m Machine, p int, commIv *[]metrics.IntervalSet) []float64 {
+func network(msgs []message, m Machine, p int, commIv *[]intervalSet) []float64 {
 	sort.Slice(msgs, func(i, j int) bool { return msgs[i].emit < msgs[j].emit })
 	nicFree := make([]float64, p)
 	racks := (p + m.RackSize - 1) / m.RackSize

@@ -1,65 +1,64 @@
-package metrics
+package des
 
 import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestIntervalSetAddMerge(t *testing.T) {
-	var s IntervalSet
+	var s intervalSet
 	s.Add(0, 1)
 	s.Add(2, 3)
-	if s.Len() != 2 || s.Total() != 2 {
-		t.Fatalf("disjoint: len=%d total=%v", s.Len(), s.Total())
+	if len(s.ivs) != 2 || s.Total() != 2 {
+		t.Fatalf("disjoint: len=%d total=%v", len(s.ivs), s.Total())
 	}
 	s.Add(0.5, 2.5) // bridges both
-	if s.Len() != 1 || s.Total() != 3 {
-		t.Fatalf("merged: len=%d total=%v", s.Len(), s.Total())
+	if len(s.ivs) != 1 || s.Total() != 3 {
+		t.Fatalf("merged: len=%d total=%v", len(s.ivs), s.Total())
 	}
 }
 
 func TestIntervalSetIgnoresEmpty(t *testing.T) {
-	var s IntervalSet
+	var s intervalSet
 	s.Add(1, 1)
 	s.Add(2, 1)
-	if s.Len() != 0 || s.Total() != 0 {
+	if len(s.ivs) != 0 || s.Total() != 0 {
 		t.Fatal("empty/inverted intervals must be ignored")
 	}
 }
 
 func TestIntervalSetTouchingMerges(t *testing.T) {
-	var s IntervalSet
+	var s intervalSet
 	s.Add(0, 1)
 	s.Add(1, 2)
-	if s.Len() != 1 || s.Total() != 2 {
-		t.Fatalf("touching intervals should merge: len=%d", s.Len())
+	if len(s.ivs) != 1 || s.Total() != 2 {
+		t.Fatalf("touching intervals should merge: len=%d", len(s.ivs))
 	}
 }
 
 func TestIntersect(t *testing.T) {
-	var a, b IntervalSet
+	var a, b intervalSet
 	a.Add(0, 10)
 	b.Add(5, 15)
-	x := Intersect(&a, &b)
+	x := intersect(&a, &b)
 	if x.Total() != 5 {
 		t.Fatalf("intersection total %v, want 5", x.Total())
 	}
-	var c IntervalSet
+	var c intervalSet
 	c.Add(20, 30)
-	if Intersect(&a, &c).Total() != 0 {
+	if intersect(&a, &c).Total() != 0 {
 		t.Fatal("disjoint intersection must be empty")
 	}
 }
 
 func TestIntersectMultiple(t *testing.T) {
-	var a, b IntervalSet
+	var a, b intervalSet
 	a.Add(0, 2)
 	a.Add(4, 6)
 	a.Add(8, 10)
 	b.Add(1, 9)
-	x := Intersect(&a, &b)
+	x := intersect(&a, &b)
 	// [1,2) + [4,6) + [8,9) = 4
 	if x.Total() != 4 {
 		t.Fatalf("intersection total %v, want 4", x.Total())
@@ -68,7 +67,7 @@ func TestIntersectMultiple(t *testing.T) {
 
 func TestIntersectCommutative(t *testing.T) {
 	f := func(raw [8]float64) bool {
-		var a, b IntervalSet
+		var a, b intervalSet
 		for i := 0; i < 4; i += 2 {
 			lo, hi := clean(raw[i]), clean(raw[i+1])
 			if lo > hi {
@@ -83,7 +82,7 @@ func TestIntersectCommutative(t *testing.T) {
 			}
 			b.Add(lo, hi)
 		}
-		return math.Abs(Intersect(&a, &b).Total()-Intersect(&b, &a).Total()) < 1e-12
+		return math.Abs(intersect(&a, &b).Total()-intersect(&b, &a).Total()) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -99,10 +98,10 @@ func clean(x float64) float64 {
 }
 
 func TestOverlapBreakdown(t *testing.T) {
-	var compute, comm IntervalSet
+	var compute, comm intervalSet
 	compute.Add(0, 6) // computing 0..6
 	comm.Add(4, 9)    // communicating 4..9
-	b := OverlapBreakdown(&compute, &comm, 10)
+	b := overlapBreakdown(&compute, &comm, 10)
 	if b.Both != 2 {
 		t.Fatalf("both = %v, want 2", b.Both)
 	}
@@ -132,7 +131,7 @@ func TestBreakdownFractions(t *testing.T) {
 
 func TestOverlapNeverExceedsWindow(t *testing.T) {
 	f := func(raw [10]float64) bool {
-		var compute, comm IntervalSet
+		var compute, comm intervalSet
 		for i := 0; i < 4; i += 2 {
 			lo, hi := clean(raw[i]), clean(raw[i+1])
 			if lo > hi {
@@ -147,7 +146,7 @@ func TestOverlapNeverExceedsWindow(t *testing.T) {
 			}
 			comm.Add(lo, hi)
 		}
-		b := OverlapBreakdown(&compute, &comm, 100)
+		b := overlapBreakdown(&compute, &comm, 100)
 		if b.Both < 0 || b.ComputeOnly < -1e-12 || b.CommunicateOnly < -1e-12 || b.Idle < 0 {
 			return false
 		}
@@ -155,34 +154,5 @@ func TestOverlapNeverExceedsWindow(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	sw := NewStopwatch()
-	sw.Time("phase-a", func() { time.Sleep(2 * time.Millisecond) })
-	sw.Charge("phase-b", 5*time.Millisecond)
-	sw.Charge("phase-a", 1*time.Millisecond)
-	if sw.Get("phase-a") < 3*time.Millisecond {
-		t.Fatalf("phase-a = %v", sw.Get("phase-a"))
-	}
-	if sw.Get("phase-b") != 5*time.Millisecond {
-		t.Fatalf("phase-b = %v", sw.Get("phase-b"))
-	}
-	if sw.Total() < 8*time.Millisecond {
-		t.Fatalf("total = %v", sw.Total())
-	}
-	if sw.String() == "" {
-		t.Fatal("empty stopwatch string")
-	}
-}
-
-func TestIntervalsCopy(t *testing.T) {
-	var s IntervalSet
-	s.Add(1, 2)
-	ivs := s.Intervals()
-	ivs[0].End = 99
-	if s.Total() != 1 {
-		t.Fatal("Intervals must return a copy")
 	}
 }

@@ -168,16 +168,11 @@ func graphlabMakespan(nnz []int, threads int, cm CostModel, cfg *core.Config) fl
 	return makespan + cm.BarrierPerThread*float64(threads)
 }
 
-// NodeIterationTime returns the modeled duration of one full Gibbs
-// iteration (movie phase + user phase + hyperparameter moments) on a
-// single node, in seconds, without the evaluation phase (nTest = 0).
-func NodeIterationTime(movieNNZ, userNNZ []int, threads int, pol Policy, cm CostModel, cfg *core.Config) float64 {
-	return NodeIterationTimeEval(movieNNZ, userNNZ, 0, threads, pol, cm, cfg)
-}
-
-// NodeIterationTimeEval is NodeIterationTime including the
-// end-of-iteration chunk-parallel evaluation of nTest held-out entries —
-// the full iteration the real engines execute, Amdahl tail included.
+// NodeIterationTimeEval returns the modeled duration of one full Gibbs
+// iteration on a single node, in seconds: movie phase + user phase +
+// hyperparameter moments + the end-of-iteration chunk-parallel
+// evaluation of nTest held-out entries — the full iteration the real
+// engines execute, Amdahl tail included.
 func NodeIterationTimeEval(movieNNZ, userNNZ []int, nTest, threads int, pol Policy, cm CostModel, cfg *core.Config) float64 {
 	t := PhaseMakespan(movieNNZ, threads, pol, cm, cfg)
 	t += PhaseMakespan(userNNZ, threads, pol, cm, cfg)

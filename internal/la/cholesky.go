@@ -161,12 +161,3 @@ func InvFromCholWS(l *Matrix, dst *Matrix, e, col Vector) {
 		}
 	}
 }
-
-// LogDetFromChol returns log det(A) given the lower Cholesky factor L of A.
-func LogDetFromChol(l *Matrix) float64 {
-	var s float64
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s
-}

@@ -212,14 +212,3 @@ func TestInvFromChol(t *testing.T) {
 		t.Fatalf("A·A⁻¹ deviates from I by %g", d)
 	}
 }
-
-func TestLogDetFromChol(t *testing.T) {
-	a := NewMatrixFrom([][]float64{{4, 0}, {0, 9}})
-	l := NewMatrix(2, 2)
-	if err := Cholesky(a, l); err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(LogDetFromChol(l), math.Log(36), 1e-12) {
-		t.Fatalf("LogDet = %v, want %v", LogDetFromChol(l), math.Log(36))
-	}
-}

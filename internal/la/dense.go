@@ -86,15 +86,6 @@ func Scal(alpha float64, x Vector) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x Vector) float64 {
-	var s float64
-	for _, xi := range x {
-		s += xi * xi
-	}
-	return math.Sqrt(s)
-}
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int

@@ -69,9 +69,6 @@ func TestAxpyLinearity(t *testing.T) {
 
 func TestScalNorm(t *testing.T) {
 	v := Vector{3, 4}
-	if Norm2(v) != 5 {
-		t.Fatalf("Norm2 = %v", Norm2(v))
-	}
 	Scal(2, v)
 	if v[0] != 6 || v[1] != 8 {
 		t.Fatalf("Scal result %v", v)

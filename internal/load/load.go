@@ -281,11 +281,3 @@ func (r *Result) Summary(label string) string {
 		label, r.P50, r.P90, r.P99, r.Throughput, r.Elapsed.Round(time.Millisecond))
 	return sb.String()
 }
-
-// BenchLine renders the run as one Go-bench-style line for bench2json:
-// p50 is the headline ns/op (so the default -diff works), with p90-ns,
-// p99-ns and req/s as extra metrics (selectable via -diff -metric).
-func (r *Result) BenchLine(name string) string {
-	return fmt.Sprintf("Benchmark%s %d %d ns/op %d p90-ns %d p99-ns %.1f req/s",
-		name, r.Completed, r.P50.Nanoseconds(), r.P90.Nanoseconds(), r.P99.Nanoseconds(), r.Throughput)
-}

@@ -1,8 +1,9 @@
 package partition
 
 import (
-	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sparse"
@@ -74,26 +75,24 @@ func TestBuildWithPanels(t *testing.T) {
 		coo.Add(r.Intn(60), r.Intn(40), r.NormFloat64())
 	}
 	a := coo.ToCSR()
-	var buf bytes.Buffer
-	if err := sparse.WriteBinarySharded(&buf, a, 100); err != nil {
-		t.Fatal(err)
-	}
-	// Derive panels from the written file's actual layout via the
-	// streaming iterator.
-	it, err := sparse.NewShardIter(bytes.NewReader(buf.Bytes()))
+	// Derive panels from a written file's actual shard table.
+	path := filepath.Join(t.TempDir(), "a.bcsr")
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var panels Panels
-	for it.Next() {
-		pl := it.Panel()
-		panels.Lo = append(panels.Lo, pl.RowLo)
-		panels.Hi = append(panels.Hi, pl.RowHi)
-		panels.NNZ = append(panels.NNZ, int64(pl.A.NNZ()))
-	}
-	if err := it.Err(); err != nil {
+	if err := sparse.WriteBinarySharded(f, a, 100); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := sparse.OpenBinary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mp.Close()
+	panels := PanelsOf(mp)
 
 	plan, err := BuildWithPanels(a, panels, Options{Ranks: 3})
 	if err != nil {

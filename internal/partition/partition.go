@@ -133,20 +133,6 @@ func EqualCount(n, parts int) []int {
 	return b
 }
 
-// DegreeSortPerm returns a permutation placing rows in descending degree
-// order: perm[newPos] = oldRow. Clustering heavy items together lets the
-// workload-model CCP give them narrow intervals.
-func DegreeSortPerm(degrees []int) []int32 {
-	idx := make([]int32, len(degrees))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return degrees[idx[a]] > degrees[idx[b]]
-	})
-	return idx
-}
-
 // RCMPerms computes reverse-Cuthill–McKee-style orderings of the bipartite
 // rating graph, returning row and column permutations (perm[newPos] =
 // old index). BFS layers from a minimum-degree seed, visiting neighbors

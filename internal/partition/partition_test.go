@@ -155,17 +155,6 @@ func TestOwner(t *testing.T) {
 	}
 }
 
-func TestDegreeSortPerm(t *testing.T) {
-	deg := []int{3, 10, 1, 7}
-	p := DegreeSortPerm(deg)
-	want := []int32{1, 3, 0, 2}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("perm %v, want %v", p, want)
-		}
-	}
-}
-
 // bandSum measures total "bandwidth" of the matrix: sum over entries of
 // |scaled row pos - scaled col pos| (a profile proxy the RCM ordering
 // should reduce on clustered data).

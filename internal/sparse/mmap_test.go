@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -224,6 +225,9 @@ func TestMappedReportsReadBinaryErrors(t *testing.T) {
 	tableOff := len(bcsrMagic) + 32
 	le.PutUint64(gap[tableOff+16:], le.Uint64(gap[tableOff+16:])+1)
 	cases["table gap"] = gap
+	for _, cut := range []int{1, len(bcsrMagic) + 8, len(valid) / 2, len(valid) - 3} {
+		cases[fmt.Sprintf("truncated at %d", cut)] = valid[:cut]
+	}
 
 	for name, mut := range cases {
 		rbErr := readBinaryErr(mut)
@@ -234,6 +238,17 @@ func TestMappedReportsReadBinaryErrors(t *testing.T) {
 		}
 		if rbErr.Error() != mpErr.Error() {
 			t.Errorf("%s: error mismatch\n  ReadBinary: %v\n  mapped:     %v", name, rbErr, mpErr)
+		}
+	}
+
+	// A bit flip anywhere — header, table, shard headers, payloads —
+	// must be accepted or rejected exactly as ReadBinary does.
+	for off := 0; off < len(valid); off += 23 {
+		mut := append([]byte(nil), valid...)
+		mut[off] ^= 0x10
+		rbErr, mpErr := readBinaryErr(mut), mappedErr(mut)
+		if (rbErr == nil) != (mpErr == nil) {
+			t.Errorf("flip at %d: ReadBinary err=%v, mapped err=%v", off, rbErr, mpErr)
 		}
 	}
 
