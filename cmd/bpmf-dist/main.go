@@ -24,6 +24,11 @@
 // bit-identical either way; -full-load forces the old
 // every-rank-decodes-everything behavior for comparison.
 //
+// -threads N makes every rank a hybrid node (the paper's TBB + MPI
+// configuration): N workers draw the rank's items, and each grain's
+// finished rows are sent while the others are still computing, exactly
+// as a one-thread rank does. The chain does not depend on N.
+//
 // With -elastic (plus -ckpt-dir and -ckpt-every), the cluster survives
 // rank failures: a heartbeat detector declares a silent peer dead after
 // -suspicion, the survivors renumber themselves over the remaining

@@ -1,8 +1,10 @@
-// Distributed: run BPMF on an in-process virtual cluster (four ranks over
-// the channel-backed message-passing fabric), with the Section IV
-// machinery visible: workload-balanced contiguous partitioning, ghost
-// routing, coalesced asynchronous item exchange, and deterministic
-// hyperparameter allreduce. Prints per-rank traffic statistics.
+// Distributed: run BPMF on an in-process virtual cluster (up to four
+// hybrid ranks — two threads each — over the channel-backed
+// message-passing fabric), with the Section IV machinery visible:
+// workload-balanced contiguous partitioning, ghost routing, coalesced
+// asynchronous item exchange overlapped with the threaded item updates,
+// and deterministic hyperparameter allreduce. Prints per-rank traffic and
+// time statistics.
 //
 // For real multi-process runs over TCP, see cmd/bpmf-dist.
 package main
@@ -33,7 +35,7 @@ func main() {
 	for _, ranks := range []int{1, 2, 4} {
 		res, stats, err := dist.RunInProc(cfg, prob, dist.Options{
 			Ranks:          ranks,
-			ThreadsPerRank: 1,
+			ThreadsPerRank: 2,
 			BufferSize:     4 << 10,
 		})
 		if err != nil {

@@ -1,10 +1,13 @@
 package comm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -281,51 +284,103 @@ func TestDialBackoff(t *testing.T) {
 	}
 }
 
-// TestTruncatedTCPFrame kills a fake peer mid-frame and checks the
-// reader fails the endpoint instead of leaving the receive hung.
+// TestTruncatedTCPFrame plays a fake rank 0 that completes the hello
+// handshake, writes a frame no honest peer would, and dies: the reader
+// must fail the endpoint — naming the connection's peer — instead of
+// leaving the receive hung, letting the header's length size an
+// allocation, or delivering the frame under another rank's name.
 func TestTruncatedTCPFrame(t *testing.T) {
-	addrs := []string{"127.0.0.1:19721", "127.0.0.1:19722"}
-	type dialed struct {
-		c   *Comm
-		err error
+	frame := func(n, src uint32, payload int) []byte {
+		f := make([]byte, 12+payload)
+		binary.LittleEndian.PutUint32(f[0:], n)
+		binary.LittleEndian.PutUint32(f[4:], src)
+		binary.LittleEndian.PutUint32(f[8:], 5) // tag
+		return f
 	}
-	ch := make(chan dialed, 1)
-	go func() {
-		c, err := DialTCP(1, addrs, 5*time.Second)
-		ch <- dialed{c, err}
-	}()
-	// Fake rank 0: complete the hello handshake, then send a frame
-	// header promising 100 payload bytes but deliver only 10.
-	conn, err := dialRetry(addrs[1], 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hello [4]byte
-	binary.LittleEndian.PutUint32(hello[:], 0)
-	if _, err := conn.Write(hello[:]); err != nil {
-		t.Fatal(err)
-	}
-	d := <-ch
-	if d.err != nil {
-		t.Fatal(d.err)
-	}
-	defer d.c.Close()
-	var frame [22]byte
-	binary.LittleEndian.PutUint32(frame[0:], 100) // payload length
-	binary.LittleEndian.PutUint32(frame[4:], 0)   // src
-	binary.LittleEndian.PutUint32(frame[8:], 5)   // tag
-	if _, err := conn.Write(frame[:]); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close() // die mid-frame
+	for _, tc := range []struct {
+		name     string
+		port     int
+		frame    []byte
+		maxAlloc uint64 // 0 = unchecked
+	}{
+		// 100 payload bytes promised, 10 delivered.
+		{"truncated", 19721, frame(100, 0, 10), 0},
+		// A 12-byte lie about 256 MiB: the reader may run one chunk ahead
+		// of the 10 bytes that actually arrive (the race detector's build
+		// allocates that chunk twice), nowhere near the promised size.
+		{"oversized length", 19723, frame(256<<20, 0, 10), 4 * payloadChunk},
+		// A complete frame claiming rank 1 as its source on rank 0's
+		// connection.
+		{"spoofed src", 19725, frame(4, 1, 4), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs := []string{fmt.Sprintf("127.0.0.1:%d", tc.port), fmt.Sprintf("127.0.0.1:%d", tc.port+1)}
+			type dialed struct {
+				c   *Comm
+				err error
+			}
+			ch := make(chan dialed, 1)
+			go func() {
+				c, err := DialTCP(1, addrs, 5*time.Second)
+				ch <- dialed{c, err}
+			}()
+			conn, err := dialRetry(addrs[1], 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hello [4]byte
+			binary.LittleEndian.PutUint32(hello[:], 0)
+			if _, err := conn.Write(hello[:]); err != nil {
+				t.Fatal(err)
+			}
+			d := <-ch
+			if d.err != nil {
+				t.Fatal(d.err)
+			}
+			defer d.c.Close()
 
-	_, rerr := d.c.RecvE(0, 5)
-	var rf *RankFailedError
-	if !errors.As(rerr, &rf) {
-		t.Fatalf("receive after truncated frame returned %v, want RankFailedError", rerr)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := conn.Write(tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close() // die mid-frame
+
+			_, rerr := d.c.RecvE(AnySource, 5)
+			runtime.ReadMemStats(&after)
+			var rf *RankFailedError
+			if !errors.As(rerr, &rf) {
+				t.Fatalf("receive after bad frame returned %v, want RankFailedError", rerr)
+			}
+			if rf.Rank != 0 {
+				t.Fatalf("suspected rank %d, want 0", rf.Rank)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; tc.maxAlloc > 0 && got > tc.maxAlloc {
+				t.Fatalf("reader allocated %d bytes for 10 received, limit %d", got, tc.maxAlloc)
+			}
+		})
 	}
-	if rf.Rank != 0 {
-		t.Fatalf("suspected rank %d, want 0", rf.Rank)
+}
+
+// TestReadPayloadAllocation pins readPayload's two promises for honest
+// frames: a payload of up to one chunk is one exact allocation, and a
+// longer one arrives whole.
+func TestReadPayloadAllocation(t *testing.T) {
+	src := make([]byte, 2*payloadChunk+17)
+	for i := range src {
+		src[i] = byte(i * 31)
+	}
+	for _, n := range []int{0, 1, payloadChunk, payloadChunk + 1, len(src)} {
+		got, err := readPayload(bytes.NewReader(src), n)
+		if err != nil || !bytes.Equal(got, src[:n]) {
+			t.Fatalf("n=%d: got %d bytes, err %v", n, len(got), err)
+		}
+		if n <= payloadChunk && cap(got) != n {
+			t.Fatalf("n=%d: capacity %d, want an exact single allocation", n, cap(got))
+		}
+	}
+	if got, err := readPayload(bytes.NewReader(src[:5]), 9); err == nil || len(got) != 5 {
+		t.Fatalf("short stream: got %d bytes, err %v; want 5 and an error", len(got), err)
 	}
 }
 

@@ -229,20 +229,51 @@ func (t *tcpTransport) reader(peer int) {
 			}
 			return
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
+		n := int(binary.LittleEndian.Uint32(hdr[0:]))
 		src := int(binary.LittleEndian.Uint32(hdr[4:]))
 		tag := int(binary.LittleEndian.Uint32(hdr[8:]))
-		data := make([]byte, n)
-		if got, err := io.ReadFull(conn, data); err != nil {
+		// The connection, not the header, says who is talking: a frame
+		// naming another rank would be matched (and its ghost rows
+		// ownership-checked) against the wrong sender.
+		if src != peer {
+			t.c.Fail(&RankFailedError{Rank: peer, Err: fmt.Errorf("frame claims source rank %d on rank %d's connection", src, peer)})
+			return
+		}
+		data, err := readPayload(conn, n)
+		if err != nil {
 			// A frame header without its payload is always a truncation.
 			if !t.isClosed() {
 				t.c.Fail(&RankFailedError{Rank: peer, Err: fmt.Errorf("frame truncated mid-message (%d of %d payload bytes): %w",
-					got, n, err)})
+					len(data), n, err)})
 			}
 			return
 		}
 		t.c.deliver(Message{Src: src, Tag: tag, Data: data})
 	}
+}
+
+// payloadChunk bounds how far readPayload allocates ahead of the bytes
+// that have actually arrived.
+const payloadChunk = 1 << 20
+
+// readPayload reads a frame's n payload bytes. n is four bytes off the
+// wire, so it sizes no allocation by itself: a payload of up to one chunk
+// is a single exact allocation, and a longer one grows as its bytes
+// arrive (the discipline of sparse's readChunked), so a header that
+// promises more than the stream holds costs one chunk beyond what was
+// received, not what was promised. On a short read it returns the bytes
+// received with the error.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	data := make([]byte, 0, min(n, payloadChunk))
+	for len(data) < n {
+		start := len(data)
+		data = append(data, make([]byte, min(n-start, payloadChunk))...)
+		got, err := io.ReadFull(r, data[start:])
+		if err != nil {
+			return data[:start+got], err
+		}
+	}
+	return data, nil
 }
 
 func (t *tcpTransport) isClosed() bool {

@@ -374,23 +374,26 @@ func craftHeader(k, nextIter, uRows, vRows, nTest, nSamples, nTrace uint64) []by
 	return buf.Bytes()
 }
 
+// implausibleHeaders are syntactically valid headers ReadCheckpoint must
+// refuse before it allocates (also FuzzReadCheckpoint's seeds).
+var implausibleHeaders = []struct {
+	name string
+	hdr  []byte
+}{
+	{"zero K", craftHeader(0, 0, 10, 10, 0, 0, 0)},
+	{"huge K", craftHeader(1<<20, 0, 10, 10, 0, 0, 0)},
+	{"negative uRows", craftHeader(8, 0, 1<<63, 10, 0, 0, 0)},
+	{"negative NextIter", craftHeader(8, 1<<63, 10, 10, 0, 0, 0)},
+	{"negative NSamples", craftHeader(8, 0, 10, 10, 0, 1<<63, 0)},
+	{"huge trace", craftHeader(8, 0, 10, 10, 0, 0, 1<<30)},
+	// Each dimension is individually in range, but rows*K overflows
+	// the element cap: must error before allocating.
+	{"product overflow", craftHeader(1<<16, 0, 1<<31, 1<<31, 1<<31, 0, 0)},
+	{"product overflow V", craftHeader(1<<16, 0, 10, 1<<31, 0, 0, 0)},
+}
+
 func TestReadCheckpointRejectsImplausibleHeaders(t *testing.T) {
-	cases := []struct {
-		name string
-		hdr  []byte
-	}{
-		{"zero K", craftHeader(0, 0, 10, 10, 0, 0, 0)},
-		{"huge K", craftHeader(1<<20, 0, 10, 10, 0, 0, 0)},
-		{"negative uRows", craftHeader(8, 0, 1<<63, 10, 0, 0, 0)},
-		{"negative NextIter", craftHeader(8, 1<<63, 10, 10, 0, 0, 0)},
-		{"negative NSamples", craftHeader(8, 0, 10, 10, 0, 1<<63, 0)},
-		{"huge trace", craftHeader(8, 0, 10, 10, 0, 0, 1<<30)},
-		// Each dimension is individually in range, but rows*K overflows
-		// the element cap: must error before allocating.
-		{"product overflow", craftHeader(1<<16, 0, 1<<31, 1<<31, 1<<31, 0, 0)},
-		{"product overflow V", craftHeader(1<<16, 0, 10, 1<<31, 0, 0, 0)},
-	}
-	for _, tc := range cases {
+	for _, tc := range implausibleHeaders {
 		if _, err := ReadCheckpoint(bytes.NewReader(tc.hdr)); err == nil {
 			t.Fatalf("%s: expected header rejection", tc.name)
 		}

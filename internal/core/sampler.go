@@ -125,7 +125,9 @@ type Executor interface {
 // different Executor (Use); without one it is the sequential reference
 // the engines are tested against. The distributed engine keeps its own
 // loop (its phases end in message exchanges that can fail) but holds its
-// per-rank state in a Sampler and draws items through UpdateRange.
+// per-rank state in a Sampler and draws items through UpdateRange, an
+// ItemGrain of schedule positions per call — on the rank's goroutine or
+// its pool's workers alike — sending each grain's rows as it finishes.
 type Sampler struct {
 	Cfg   Config
 	Prob  *Problem

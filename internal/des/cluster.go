@@ -315,7 +315,10 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 
 // emitMessages produces the coalesced transfers of one phase: sends[q][d]
 // items from q to d, emitted uniformly across q's compute window as
-// buffers fill, with the final partial buffer at compute end.
+// buffers fill, with the final partial buffer at compute end. This is
+// dist.Node.updateSide's behaviour at any thread count: finished rows
+// enter the coalescers a grain at a time while the node's cores (the
+// work-stealing makespan above) are still drawing the rest.
 func emitMessages(sends [][]int64, start, dur []float64, recordBytes, bufferBytes int) []message {
 	bufItems := bufferBytes / recordBytes
 	if bufItems < 1 {

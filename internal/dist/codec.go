@@ -2,10 +2,16 @@ package dist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/la"
 )
+
+// codec.go holds every byte layout the engine puts on the fabric. The
+// decoders take bytes a peer sent: what they cannot make sense of is an
+// error for Run to return, never a panic.
 
 // encodeFloats serializes a float64 slice little-endian.
 func encodeFloats(v []float64) []byte {
@@ -16,14 +22,16 @@ func encodeFloats(v []float64) []byte {
 	return b
 }
 
-// decodeFloatsInto fills dst from an encodeFloats blob.
-func decodeFloatsInto(dst []float64, b []byte) {
+// decodeFloatsInto fills dst from an encodeFloats blob of exactly
+// len(dst) values.
+func decodeFloatsInto(dst []float64, b []byte) error {
 	if len(b) != 8*len(dst) {
-		panic("dist: float blob length mismatch")
+		return fmt.Errorf("float blob of %d bytes, want %d", len(b), 8*len(dst))
 	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
+	return nil
 }
 
 // interval wire format: 5 float64 per entry (row, col, actual, mean, std).
@@ -37,16 +45,63 @@ func encodeIntervals(ivs []core.Interval) []byte {
 	return encodeFloats(v)
 }
 
-func decodeIntervals(b []byte) []core.Interval {
-	n := len(b) / (8 * intervalRecLen)
-	out := make([]core.Interval, n)
-	var v [intervalRecLen]float64
-	for t := 0; t < n; t++ {
-		decodeFloatsInto(v[:], b[t*8*intervalRecLen:(t+1)*8*intervalRecLen])
+func decodeIntervals(b []byte) ([]core.Interval, error) {
+	const recBytes = 8 * intervalRecLen
+	if len(b)%recBytes != 0 {
+		return nil, fmt.Errorf("interval blob of %d bytes is not a whole number of %d-byte records", len(b), recBytes)
+	}
+	out := make([]core.Interval, len(b)/recBytes)
+	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
+	for t := range out {
+		o := t * intervalRecLen
 		out[t] = core.Interval{
-			Row: int32(v[0]), Col: int32(v[1]),
-			Actual: v[2], Mean: v[3], Std: v[4],
+			Row: int32(f(o)), Col: int32(f(o + 1)),
+			Actual: f(o + 2), Mean: f(o + 3), Std: f(o + 4),
 		}
 	}
-	return out
+	return out, nil
+}
+
+// ghost wire format: one record per updated item row — u32 item index in
+// plan space, then its K float64 — little-endian; a frame is a whole
+// number of records (the coalescers never split one).
+
+// ghostRecLen is the size of one ghost record of a K-factor model.
+func ghostRecLen(k int) int { return 4 + 8*k }
+
+// encodeGhost fills rec (ghostRecLen(len(row)) bytes) with item's row.
+func encodeGhost(rec []byte, item int, row []float64) {
+	binary.LittleEndian.PutUint32(rec, uint32(item))
+	for i, x := range row {
+		binary.LittleEndian.PutUint64(rec[4+8*i:], math.Float64bits(x))
+	}
+}
+
+// decodeGhosts applies one received ghost frame to the replica dst and
+// returns the number of rows written. owner maps every item of the side
+// to its owning rank; a frame from rank src may only carry rows src
+// owns, so a corrupt or misrouted frame can neither index outside dst
+// nor overwrite a row another rank (this one included) samples.
+func decodeGhosts(dst *la.Matrix, owner []int32, src int, data []byte) (int, error) {
+	recLen := ghostRecLen(dst.Cols)
+	if len(data)%recLen != 0 {
+		return 0, fmt.Errorf("dist: ghost frame from rank %d: %d bytes is not a whole number of %d-byte records",
+			src, len(data), recLen)
+	}
+	n := 0
+	for off := 0; off < len(data); off += recLen {
+		idx := int(binary.LittleEndian.Uint32(data[off:]))
+		if idx >= dst.Rows {
+			return n, fmt.Errorf("dist: ghost frame from rank %d: item %d outside the side's %d items", src, idx, dst.Rows)
+		}
+		if int(owner[idx]) != src {
+			return n, fmt.Errorf("dist: ghost frame from rank %d: item %d is owned by rank %d", src, idx, owner[idx])
+		}
+		row := dst.Row(idx)
+		for i := range row {
+			row[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+4+8*i:]))
+		}
+		n++
+	}
+	return n, nil
 }

@@ -38,9 +38,12 @@ const DefaultBufferSize = 64 << 10
 type Options struct {
 	// Ranks is the number of nodes in the virtual (or real) cluster.
 	Ranks int
-	// ThreadsPerRank is the size of each rank's work-stealing pool for its
-	// local item loop. 0 or 1 keeps the per-rank update loop sequential
-	// (communication still overlaps computation through the coalescers).
+	// ThreadsPerRank is the size of each rank's work-stealing pool; 0 or 1
+	// runs the rank on its own goroutine. It decides only who draws the
+	// grains of the local item loop: at every count a grain's finished rows
+	// go straight to the coalescers, so communication overlaps the
+	// remaining updates (the paper's hybrid threads + MPI configuration),
+	// and the sampled chain is the same.
 	ThreadsPerRank int
 	// BufferSize is the coalescing buffer capacity in bytes per
 	// destination. 0 selects DefaultBufferSize; negative disables
@@ -126,9 +129,11 @@ type Stats struct {
 	Flushes int
 	// Comm snapshots the rank's endpoint counters.
 	Comm comm.Stats
-	// ComputeTime is time spent in item updates, WaitTime in ghost waits
-	// and collectives, OverlapTime the part of ComputeTime during which
-	// sends were already in flight (communication hidden behind compute).
+	// ComputeTime is the item-update sweeps, each from its start to its
+	// last flush; WaitTime is ghost waits and collectives; OverlapTime is
+	// the part of ComputeTime during which sends were already in flight
+	// (first send of a sweep to its last flush: communication hidden
+	// behind compute). One definition at every thread count.
 	ComputeTime time.Duration
 	WaitTime    time.Duration
 	OverlapTime time.Duration

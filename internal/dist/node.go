@@ -1,11 +1,11 @@
 package dist
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -144,7 +144,7 @@ func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR
 		return nil, err
 	}
 	nd.buildRouting()
-	nd.recBuf = make([]byte, 4+8*nd.k)
+	nd.recBuf = make([]byte, ghostRecLen(nd.k))
 	nd.momPart = core.NewMoments(cfg.K)
 	nd.momVec = make([]float64, 1+cfg.K+cfg.K*cfg.K)
 	return nd, nil
@@ -295,9 +295,17 @@ func (nd *Node) owned(side core.Side) (lo, hi int) {
 // updateSide samples every owned item of one side, streams each updated
 // row to the ranks that need it, then blocks until all expected ghost
 // rows of the phase have been applied to the local replica.
+//
+// The phase is one loop at every thread count: a grain of core.ItemGrain
+// schedule positions is drawn, then its finished rows are appended to
+// the per-destination coalescers, so the sends of one grain overlap the
+// updates of the grains still running (Section IV-C). The thread count
+// only decides who runs the grains — the rank's pool or this goroutine.
+// A grain is far below a coalescing buffer, so the walk order still
+// spreads the sends of locality-adjacent items across the phase.
 func (nd *Node) updateSide(iter int, side core.Side) error {
 	self, _, _, _ := nd.s.Side(side)
-	lo, hi := nd.owned(side)
+	lo, _ := nd.owned(side)
 	send, exp, ord := nd.sendU, nd.expU, nd.ordU
 	if side == core.SideV {
 		send, exp, ord = nd.sendV, nd.expV, nd.ordV
@@ -311,74 +319,64 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 		}
 	}
 
-	var firstSend time.Time
-	sendItem := func(item int) error {
-		dests := send[item-lo]
-		if len(dests) == 0 {
-			return nil
+	// mu keeps the coalescers, recBuf and the send counters single-writer.
+	// A failed send (dead peer) is latched in sendErr: the grains still to
+	// run skip their sends and the phase returns the error after the sweep.
+	var (
+		mu        sync.Mutex
+		firstSend time.Time
+		sendErr   error
+	)
+	grain := func(w *sched.Worker, a, b int) {
+		nd.s.UpdateRange(side, iter, ord, a, b, w)
+		mu.Lock()
+		defer mu.Unlock()
+		if sendErr != nil {
+			return
 		}
-		if firstSend.IsZero() {
-			firstSend = time.Now()
-		}
-		binary.LittleEndian.PutUint32(nd.recBuf, uint32(item))
-		for i, x := range self.Row(item) {
-			binary.LittleEndian.PutUint64(nd.recBuf[4+8*i:], math.Float64bits(x))
-		}
-		for _, dst := range dests {
-			if err := coals[dst].Append(nd.recBuf); err != nil {
-				return err
+		for _, it := range ord[a:b] {
+			item := int(it)
+			dests := send[item-lo]
+			if len(dests) == 0 {
+				continue
 			}
+			if firstSend.IsZero() {
+				firstSend = time.Now()
+			}
+			encodeGhost(nd.recBuf, item, self.Row(item))
+			for _, dst := range dests {
+				if sendErr = coals[dst].Append(nd.recBuf); sendErr != nil {
+					return
+				}
+			}
+			nd.stats.ItemsSent += int64(len(dests))
 		}
-		nd.stats.ItemsSent += int64(len(dests))
-		return nil
 	}
 
 	computeStart := time.Now()
 	if nd.pool != nil {
-		// Threaded path: all updates finish before the send sweep, so the
-		// sweep is exposed communication, not compute — it counts toward
-		// neither ComputeTime nor OverlapTime. Workers walk schedule
-		// positions; a contiguous position block holds locality-adjacent
-		// items.
-		nd.pool.ParallelFor(0, len(ord), core.ItemGrain, func(w *sched.Worker, a, b int) {
-			nd.s.UpdateRange(side, iter, ord, a, b, w)
-		})
-		nd.stats.ComputeTime += time.Since(computeStart)
-		for item := lo; item < hi; item++ {
-			if err := sendItem(item); err != nil {
-				return err
-			}
-		}
-		if err := nd.flushAll(coals); err != nil {
-			return err
-		}
+		nd.pool.ParallelFor(0, len(ord), core.ItemGrain, grain)
 	} else {
-		// Interleaved path: sends overlap the remaining item updates;
-		// OverlapTime is the compute tail spent with sends in flight. Items
-		// are sent a grain at a time right after their updates — far below
-		// a coalescing buffer, so the walk order still spreads the sends of
-		// locality-adjacent items across the phase.
 		for a := 0; a < len(ord); a += core.ItemGrain {
-			b := min(a+core.ItemGrain, len(ord))
-			nd.s.UpdateRange(side, iter, ord, a, b, nil)
-			for _, item := range ord[a:b] {
-				if err := sendItem(int(item)); err != nil {
-					return err
-				}
-			}
+			grain(nil, a, min(a+core.ItemGrain, len(ord)))
 		}
-		if err := nd.flushAll(coals); err != nil {
-			return err
-		}
-		computeEnd := time.Now()
-		nd.stats.ComputeTime += computeEnd.Sub(computeStart)
-		if !firstSend.IsZero() {
-			nd.stats.OverlapTime += computeEnd.Sub(firstSend)
-		}
+	}
+	if sendErr == nil {
+		sendErr = nd.flushAll(coals)
+	}
+	if sendErr != nil {
+		return sendErr
+	}
+	// ComputeTime runs from the sweep's start to its last flush;
+	// OverlapTime is the part of it spent with sends already in flight.
+	computeEnd := time.Now()
+	nd.stats.ComputeTime += computeEnd.Sub(computeStart)
+	if !firstSend.IsZero() {
+		nd.stats.OverlapTime += computeEnd.Sub(firstSend)
 	}
 
 	t0 := time.Now()
-	err := nd.recvGhosts(tag, exp, self)
+	err := nd.recvGhosts(tag, exp, side)
 	nd.stats.WaitTime += time.Since(t0)
 	return err
 }
@@ -397,24 +395,27 @@ func (nd *Node) flushAll(coals []*comm.Coalescer) error {
 }
 
 // recvGhosts applies coalesced item records to the local replica until the
-// expected count of the phase has arrived. A dead peer unwinds the wait
-// with its RankFailedError instead of blocking forever.
-func (nd *Node) recvGhosts(tag, expected int, dst *la.Matrix) error {
-	recSize := 4 + 8*nd.k
+// expected count of the phase has arrived. A frame is checked against the
+// side's dimensions and its sender's ownership range before a row is
+// written (decodeGhosts), and a dead peer unwinds the wait with its
+// RankFailedError instead of blocking forever.
+func (nd *Node) recvGhosts(tag, expected int, side core.Side) error {
+	dst, _, _, _ := nd.s.Side(side)
+	owner := nd.rowOwner
+	if side == core.SideV {
+		owner = nd.colOwner
+	}
 	got := 0
 	for got < expected {
 		m, err := nd.c.RecvE(comm.AnySource, tag)
 		if err != nil {
 			return err
 		}
-		for off := 0; off+recSize <= len(m.Data); off += recSize {
-			idx := int(binary.LittleEndian.Uint32(m.Data[off:]))
-			row := dst.Row(idx)
-			for i := range row {
-				row[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.Data[off+4+8*i:]))
-			}
-			got++
+		n, err := decodeGhosts(dst, owner, m.Src, m.Data)
+		if err != nil {
+			return err
 		}
+		got += n
 	}
 	nd.stats.GhostsRecv += int64(got)
 	return nil
@@ -474,7 +475,9 @@ func (nd *Node) gatherSide(x *la.Matrix, bounds []int) error {
 		return err
 	}
 	for r, b := range blobs {
-		decodeFloatsInto(x.Data[bounds[r]*nd.k:bounds[r+1]*nd.k], b)
+		if err := decodeFloatsInto(x.Data[bounds[r]*nd.k:bounds[r+1]*nd.k], b); err != nil {
+			return fmt.Errorf("dist: factor rows gathered from rank %d: %w", r, err)
+		}
 	}
 	return nil
 }
@@ -490,7 +493,9 @@ func (nd *Node) gatherIntervals() ([]core.Interval, error) {
 	queues := make([][]core.Interval, nd.ranks)
 	total := 0
 	for r, b := range blobs {
-		queues[r] = decodeIntervals(b)
+		if queues[r], err = decodeIntervals(b); err != nil {
+			return nil, fmt.Errorf("dist: intervals gathered from rank %d: %w", r, err)
+		}
 		total += len(queues[r])
 	}
 	if total == 0 {
