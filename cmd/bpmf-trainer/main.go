@@ -289,6 +289,15 @@ func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*spa
 	shards := make([]*sparse.CSR, len(paths))
 	next := 0
 	for i, p := range paths {
+		// The number orders the replay, so a name deltaName did not
+		// produce is refused rather than guessed at: numbering on from a
+		// guess can land below an existing shard, and the next compaction
+		// would then replay before an older one.
+		n, name := -1, filepath.Base(p)
+		if _, err := fmt.Sscanf(name, "delta-%06d.bcsr", &n); err != nil || n < 0 || deltaName(n) != name {
+			return nil, 0, fmt.Errorf("replaying delta shard %s: name is not delta-NNNNNN.bcsr, so its place in the replay order is unknown", p)
+		}
+		next = n + 1
 		d, err := sparse.Load(p)
 		if err == nil && d.N != base.N {
 			err = fmt.Errorf("shard has %d columns, base has %d", d.N, base.N)
@@ -297,11 +306,6 @@ func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*spa
 			return nil, 0, fmt.Errorf("replaying delta shard %s: %w", p, err)
 		}
 		shards[i] = d
-		if n, err := strconv.Atoi(p[len(p)-len("000000.bcsr") : len(p)-len(".bcsr")]); err == nil && n >= next {
-			next = n + 1
-		} else {
-			next = len(paths)
-		}
 	}
 	if len(shards) == 0 {
 		return base, next, nil

@@ -337,6 +337,24 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 		t.Fatalf("shards 0 and 4: next = %d, err = %v; want 5", next, err)
 	}
 
+	// A name deltaName did not produce has no place in the replay order:
+	// it is refused by name, never numbered around. (At the parent the
+	// first two set next = 2 beside shard 7.)
+	for _, bad := range []string{
+		"delta-12.bcsr", "delta-x.bcsr", "delta-0000003.bcsr", "delta-1000000.bcsr",
+		"delta--00001.bcsr", "delta-+00001.bcsr", "delta-000001b.bcsr",
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, bad)
+		if err := os.Rename(writeShard(dir, 7, randomShard(12, 5, 1)), path); err != nil {
+			t.Fatal(err)
+		}
+		writeShard(dir, 7, randomShard(12, 5, 1))
+		if _, next, err := replayDeltas(base, dir, t.Logf); err == nil || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s beside shard 7: next = %d, err = %v; want an error naming it", bad, next, err)
+		}
+	}
+
 	// Bad shards are named.
 	wide := sparse.NewCOO(12, n+1, 1)
 	wide.Add(0, n, 1)

@@ -92,7 +92,12 @@ func (c *Comm) AllgatherE(mine []byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur, curOwner = splitOwner(m.Data)
+		// The block that arrives at this step is the one the left
+		// neighbour held a step ago: its owner is one rank further left.
+		curOwner = (curOwner - 1 + p) % p
+		if cur, err = splitOwner(m.Data, curOwner); err != nil {
+			return nil, fmt.Errorf("comm: allgather frame from rank %d: %w", left, err)
+		}
 		out[curOwner] = cur
 	}
 	return out, nil
@@ -105,9 +110,18 @@ func appendOwner(b []byte, owner int) []byte {
 	return out
 }
 
-func splitOwner(b []byte) ([]byte, int) {
+// splitOwner strips the owner trailer appendOwner added, holding it to
+// the owner the ring step expects: the trailer indexes the result slice,
+// and a peer sent it.
+func splitOwner(b []byte, want int) ([]byte, error) {
 	n := len(b) - 4
-	return b[:n], int(binary.LittleEndian.Uint32(b[n:]))
+	if n < 0 {
+		return nil, fmt.Errorf("%d bytes, shorter than the 4-byte owner trailer", len(b))
+	}
+	if owner := binary.LittleEndian.Uint32(b[n:]); owner != uint32(want) {
+		return nil, fmt.Errorf("carries rank %d's block, this ring step delivers rank %d's", owner, want)
+	}
+	return b[:n], nil
 }
 
 // AllreduceSumOrderedE sums per-rank float64 vectors with a fixed

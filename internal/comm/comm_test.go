@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -192,6 +193,33 @@ func TestAllgather(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAllgatherValidatesRingFrames injects one raw frame from rank 0's
+// left neighbour under the collective's tag, so it is the first block
+// rank 0 pulls off the ring. The owner trailer indexes the result slice:
+// a frame too short to carry one, or one naming a rank other than the
+// block this step delivers, must be an error naming the sender — at the
+// parent the first two panicked and the third left a hole in the result.
+func TestAllgatherValidatesRingFrames(t *testing.T) {
+	const p, left = 3, 2
+	for _, tc := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"shorter than the trailer", "shorter than", []byte{1, 2, 3}},
+		{"owner past the communicator", "rank 7's block", appendOwner([]byte("blob"), 7)},
+		{"a block from another step", "rank 1's block", appendOwner([]byte("blob"), 1)},
+	} {
+		f := NewFabric(p)
+		comms := f.Comms()
+		check(t, comms[left].SendE(0, collectiveTagBase+1, tc.frame))
+		_, err := comms[0].AllgatherE([]byte("mine"))
+		if err == nil || !strings.Contains(err.Error(), "from rank 2") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: AllgatherE returned %v, want an error from rank 2 mentioning %q", tc.name, err, tc.want)
+		}
+		f.Close()
 	}
 }
 

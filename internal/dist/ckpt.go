@@ -55,12 +55,27 @@ func fragmentName(iter, rank, ranks int) string {
 }
 
 // check validates the manifest's internal structure — the bounds and
-// fragment lists a resume is about to index by.
+// fragment lists a resume is about to index by: one fragment per rank,
+// and on each side Ranks+1 bounds ascending from 0 to the matrix size.
 func (m *Manifest) check() error {
 	if len(m.RowBounds) != m.Ranks+1 || len(m.ColBounds) != m.Ranks+1 ||
 		len(m.Fragments) != m.Ranks {
 		return fmt.Errorf("dist: manifest for iter %d is inconsistent (%d ranks, %d/%d bounds, %d fragments)",
 			m.Iter, m.Ranks, len(m.RowBounds), len(m.ColBounds), len(m.Fragments))
+	}
+	for _, side := range []struct {
+		name   string
+		bounds []int
+		size   int
+	}{{"row", m.RowBounds, m.M}, {"column", m.ColBounds, m.N}} {
+		b := side.bounds
+		ok := b[0] == 0 && b[len(b)-1] == side.size
+		for r := 1; ok && r < len(b); r++ {
+			ok = b[r-1] <= b[r]
+		}
+		if !ok {
+			return fmt.Errorf("dist: manifest for iter %d: the %d %s bounds do not ascend from 0 to %d", m.Iter, len(b), side.name, side.size)
+		}
 	}
 	return nil
 }

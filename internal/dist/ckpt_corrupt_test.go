@@ -19,7 +19,7 @@ import (
 
 // writeCorruptCorpus populates dir with one valid manifest (iter 4)
 // surrounded by damaged ones at higher iterations.
-func writeCorruptCorpus(t *testing.T, dir string) {
+func writeCorruptCorpus(t testing.TB, dir string) {
 	t.Helper()
 	valid := Manifest{
 		Iter: 4, K: 6, Ranks: 2, Seed: 1, M: 40, N: 30,
@@ -116,4 +116,58 @@ func TestReadManifestFailsLoudlyOnCorpus(t *testing.T) {
 	if _, err := ReadManifest(dir, 12); !os.IsNotExist(err) {
 		t.Fatalf("missing manifest error = %v, want os.IsNotExist", err)
 	}
+}
+
+// FuzzManifest: whatever bytes sit under a manifest's name, ReadManifest
+// returns an error or a manifest a resume can slice by — one fragment
+// per rank, and row and column bounds that start at 0, never step back
+// and end at the matrix size. Seeded with the corpus above plus bounds
+// that parse and count correctly but do not cover the matrix.
+func FuzzManifest(f *testing.F) {
+	dir := f.TempDir()
+	writeCorruptCorpus(f, dir)
+	for _, iter := range []int{4, 6, 8, 10} {
+		blob, err := os.ReadFile(filepath.Join(dir, manifestName(iter)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Add([]byte(`{"Ranks":2,"M":40,"N":30,"RowBounds":[0,50,40],"ColBounds":[0,15,30],"Fragments":["a","b"]}`))
+	f.Add([]byte(`{"Ranks":2,"M":40,"N":30,"RowBounds":[0,20,40],"ColBounds":[5,15,30],"Fragments":["a","b"]}`))
+	f.Add([]byte(`{"Ranks":2,"M":40,"N":30,"RowBounds":[0,20,40],"ColBounds":[0,15,31],"Fragments":["a","b"]}`))
+	f.Add([]byte(`{"Ranks":1,"M":40,"N":30,"RowBounds":[0,-1],"ColBounds":[0,30],"Fragments":["a"]}`))
+	f.Add([]byte(`{"Ranks":-1}`))
+	f.Add([]byte(`{"Ranks":0,"RowBounds":[0],"ColBounds":[0]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			return
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName(7)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ReadManifest(dir, 7)
+		if err != nil {
+			return
+		}
+		if len(m.Fragments) != m.Ranks {
+			t.Fatalf("accepted %d fragments for %d ranks", len(m.Fragments), m.Ranks)
+		}
+		for _, side := range []struct {
+			bounds []int
+			size   int
+		}{{m.RowBounds, m.M}, {m.ColBounds, m.N}} {
+			b := side.bounds
+			if len(b) != m.Ranks+1 || b[0] != 0 || b[len(b)-1] != side.size {
+				t.Fatalf("accepted bounds %v for %d ranks over [0, %d)", b, m.Ranks, side.size)
+			}
+			for r := 1; r < len(b); r++ {
+				if b[r] < b[r-1] {
+					t.Fatalf("accepted bounds %v that step back at rank %d", b, r-1)
+				}
+			}
+		}
+	})
 }

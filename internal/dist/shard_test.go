@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -228,5 +231,70 @@ func TestLoadShardsLocalRejectsReorder(t *testing.T) {
 	defer fab.Close()
 	if _, err := LoadShardsLocal(fab.Comms()[0], path, 0.2, 31, Options{Ranks: 1, Reorder: true}); err == nil {
 		t.Fatal("reorder accepted by the shard-native loader")
+	}
+}
+
+// TestLoadShardsValidatesPeerBlobs plays rank 1 of a two-rank load by
+// hand and sends rank 0 one damaged startup blob — in the test-set
+// allgather, or as its column-ghost message. The decoded entries index
+// rank 0's arrays, so each case must come back from LoadShards as an
+// error naming rank 1; at the parent a stray column panicked the
+// rank and everything else was silently taken.
+func TestLoadShardsValidatesPeerBlobs(t *testing.T) {
+	path, full := writeShardedFile(t, 33, 500)
+	mp, err := sparse.OpenBinary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mp.Close()
+	opt := Options{Ranks: 2}
+	theirs := partition.AssignPanels(partition.PanelsOf(mp), 2, partition.CostModel{})[1] // rank 1's first row
+	n := full.N
+	blob := func(es ...sparse.Entry) []byte { return encodeEntries(es) }
+	ok := sparse.Entry{Row: int32(theirs), Col: 0, Val: 1}
+	with := func(f func(e *sparse.Entry)) sparse.Entry {
+		e := ok
+		f(&e)
+		return e
+	}
+
+	for _, tc := range []struct {
+		name, want string
+		ghost      bool
+		blob       []byte
+	}{
+		{"test set: partial record", "whole number", false, append(blob(ok), 1, 2, 3)},
+		{"test set: NaN", "non-finite", false, blob(with(func(e *sparse.Entry) { e.Val = math.NaN() }))},
+		{"test set: a row of ours", "outside the sender's rows", false, blob(ok, with(func(e *sparse.Entry) { e.Row = 0 }))},
+		{"test set: column past the matrix", "columns", false, blob(with(func(e *sparse.Entry) { e.Col = int32(n) }))},
+		{"ghosts: partial record", "whole number", true, blob(ok)[:sparse.EntryRecordLen-1]},
+		{"ghosts: infinity", "non-finite", true, blob(with(func(e *sparse.Entry) { e.Val = math.Inf(1) }))},
+		{"ghosts: a row past the matrix", "outside the sender's rows", true, blob(with(func(e *sparse.Entry) { e.Row = int32(full.M) }))},
+		{"ghosts: column index 0xFFFFFFFF", "columns", true, blob(with(func(e *sparse.Entry) { e.Col = -1 }))},
+		{"ghosts: a column rank 1 owns itself", "rank 1 owns", true, blob(ok, with(func(e *sparse.Entry) { e.Col = int32(n - 1) }))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fab := comm.NewFabric(2)
+			defer fab.Close()
+			comms := fab.Comms()
+			peerDone := make(chan struct{})
+			go func() {
+				defer close(peerDone)
+				peer := comms[1]
+				if !tc.ghost {
+					peer.AllgatherE(tc.blob)
+					return
+				}
+				peer.AllgatherE(nil)                          // an empty test set
+				peer.AllreduceSumOrderedE(make([]float64, n)) // no training ratings
+				peer.SendE(0, colGhostTag, tc.blob)
+			}()
+			_, err := LoadShards(comms[0], mp, 0.2, 33, opt)
+			comms[1].Fail(errors.New("test over"))
+			<-peerDone
+			if err == nil || !strings.Contains(err.Error(), "from rank 1") || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadShards returned %v, want an error from rank 1 mentioning %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -161,7 +160,11 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 	}
 	var test []sparse.Entry
 	for q := 0; q < ranks; q++ {
-		test = append(test, decodeEntries(blobs[q])...)
+		es, err := decodeEntries(blobs[q], rowBounds[q], rowBounds[q+1], n)
+		if err != nil {
+			return nil, fmt.Errorf("dist: test set from rank %d: %w", q, err)
+		}
+		test = append(test, es...)
 	}
 	colDeg := make([]float64, n)
 	for _, j := range trainCol {
@@ -187,7 +190,7 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 		cols, vals := train.Row(i)
 		for k, j := range cols {
 			if o := colOwner[j]; o != int32(rank) {
-				bufs[o] = appendEntry(bufs[o], int32(i), j, vals[k])
+				bufs[o] = sparse.AppendEntry(bufs[o], sparse.Entry{Row: int32(i), Col: j, Val: vals[k]})
 			}
 		}
 	}
@@ -199,12 +202,20 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 		}
 	}
 	ghosts := make([][]sparse.Entry, ranks)
-	for q := 0; q < ranks-1; q++ {
+	for got := 0; got < ranks-1; got++ {
 		msg, err := c.RecvE(comm.AnySource, colGhostTag)
 		if err != nil {
 			return nil, fmt.Errorf("dist: receiving column ghosts: %w", err)
 		}
-		ghosts[msg.Src] = decodeEntries(msg.Data)
+		q := msg.Src
+		if ghosts[q], err = decodeEntries(msg.Data, rowBounds[q], rowBounds[q+1], n); err != nil {
+			return nil, fmt.Errorf("dist: column ghosts from rank %d: %w", q, err)
+		}
+		for _, e := range ghosts[q] {
+			if o := colOwner[e.Col]; o != int32(rank) {
+				return nil, fmt.Errorf("dist: column ghosts from rank %d: entry (%d, %d) is in a column rank %d owns", q, e.Row, e.Col, o)
+			}
+		}
 	}
 
 	// Reassemble the owned columns of the train transpose. Sources are
@@ -259,32 +270,36 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 	}, nil
 }
 
-// encodeEntries serializes entries as fixed 16-byte records (u32 row,
-// u32 col, f64 bits, little-endian).
+// encodeEntries serializes entries as sparse.AppendEntry records.
 func encodeEntries(es []sparse.Entry) []byte {
-	b := make([]byte, 0, 16*len(es))
+	b := make([]byte, 0, sparse.EntryRecordLen*len(es))
 	for _, e := range es {
-		b = appendEntry(b, e.Row, e.Col, e.Val)
+		b = sparse.AppendEntry(b, e)
 	}
 	return b
 }
 
-func appendEntry(b []byte, row, col int32, val float64) []byte {
-	var rec [16]byte
-	binary.LittleEndian.PutUint32(rec[0:], uint32(row))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(col))
-	binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(val))
-	return append(b, rec[:]...)
-}
-
-func decodeEntries(b []byte) []sparse.Entry {
-	es := make([]sparse.Entry, 0, len(b)/16)
-	for off := 0; off+16 <= len(b); off += 16 {
-		es = append(es, sparse.Entry{
-			Row: int32(binary.LittleEndian.Uint32(b[off:])),
-			Col: int32(binary.LittleEndian.Uint32(b[off+4:])),
-			Val: math.Float64frombits(binary.LittleEndian.Uint64(b[off+8:])),
-		})
+// decodeEntries decodes a blob of entry records a peer sent, holding it
+// to what that peer can have: whole records, rows inside its own range
+// [rowLo, rowHi), columns inside the matrix, finite values. The entries
+// index this rank's arrays afterwards, so nothing else may pass.
+func decodeEntries(b []byte, rowLo, rowHi, n int) ([]sparse.Entry, error) {
+	es := make([]sparse.Entry, 0, len(b)/sparse.EntryRecordLen)
+	for ; len(b) > 0; b = b[sparse.EntryRecordLen:] {
+		e, err := sparse.DecodeEntry(b)
+		if err != nil {
+			return nil, fmt.Errorf("payload is not a whole number of records: %w", err)
+		}
+		if int(e.Row) < rowLo || int(e.Row) >= rowHi {
+			return nil, fmt.Errorf("entry (%d, %d) outside the sender's rows [%d, %d)", e.Row, e.Col, rowLo, rowHi)
+		}
+		if e.Col < 0 || int(e.Col) >= n {
+			return nil, fmt.Errorf("entry (%d, %d) outside the %d columns", e.Row, e.Col, n)
+		}
+		if math.IsNaN(e.Val) || math.IsInf(e.Val, 0) {
+			return nil, fmt.Errorf("entry (%d, %d) has non-finite value %v", e.Row, e.Col, e.Val)
+		}
+		es = append(es, e)
 	}
-	return es
+	return es, nil
 }

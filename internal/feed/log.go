@@ -15,7 +15,8 @@
 //	frames  repeated:
 //	  count u32                               records in this frame, >= 1
 //	  crc   u32                               IEEE CRC-32 of the payload
-//	  payload count × (u32 user, u32 item, u64 float64-bits value)
+//	  payload count × entry record (sparse.AppendEntry: row = user,
+//	                                          col = item)
 //
 // Append writes one frame with a single write(2) call and fsyncs before
 // returning, so an acknowledged batch survives a crash. Recovery
@@ -49,7 +50,7 @@ import (
 const (
 	logMagic  = "BPMFFEED1\n"
 	headerLen = len(logMagic) + 8
-	recordLen = 16
+	recordLen = sparse.EntryRecordLen
 	frameHdr  = 8
 	// maxFrameRecords bounds a frame's declared count so a corrupt
 	// header can cost at most one bounded allocation, mirroring the
@@ -182,12 +183,10 @@ func scanFrames(br *bufio.Reader, path string, off, size int64, visit func(spars
 				path, off, crc, got)
 		}
 		if visit != nil {
-			for k := 0; k < int(count); k++ {
-				rec := buf[k*recordLen:]
-				e := sparse.Entry{
-					Row: int32(binary.LittleEndian.Uint32(rec[0:])),
-					Col: int32(binary.LittleEndian.Uint32(rec[4:])),
-					Val: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
+			for rec := buf; len(rec) > 0; rec = rec[recordLen:] {
+				e, err := sparse.DecodeEntry(rec)
+				if err != nil {
+					return 0, 0, err
 				}
 				if err := visit(e); err != nil {
 					return 0, 0, err
@@ -233,13 +232,10 @@ func (l *Log) Append(entries []sparse.Entry) error {
 // so a crash can only ever leave a *prefix* of the frame behind — the
 // torn-tail shape recover() knows how to drop.
 func (l *Log) appendFrame(frame []sparse.Entry) error {
-	buf := make([]byte, frameHdr+len(frame)*recordLen)
+	buf := make([]byte, frameHdr, frameHdr+len(frame)*recordLen)
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(frame)))
-	for k, e := range frame {
-		rec := buf[frameHdr+k*recordLen:]
-		binary.LittleEndian.PutUint32(rec[0:], uint32(e.Row))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.Col))
-		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(e.Val))
+	for _, e := range frame {
+		buf = sparse.AppendEntry(buf, e)
 	}
 	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[frameHdr:]))
 	if _, err := l.f.Write(buf); err != nil {

@@ -102,7 +102,7 @@ func TestLogAppendRejects(t *testing.T) {
 
 // buildLogFile writes a clean two-frame log (2 + 1 records) and returns
 // its bytes. Frame 1 spans [18, 58), frame 2 spans [58, 82).
-func buildLogFile(t *testing.T, dir string) []byte {
+func buildLogFile(t testing.TB, dir string) []byte {
 	t.Helper()
 	path := filepath.Join(dir, "clean.log")
 	l, err := OpenLog(path, 9)

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -62,6 +63,22 @@ func WriteBinarySharded(w io.Writer, a *CSR, shardNNZ int) error {
 		rowNNZ[r] = int64(a.RowNNZ(r))
 	}
 	lo, hi := panelBounds(rowNNZ, shardNNZ)
+	_, err := writeShards(w, a.M, a.N, int64(a.NNZ()), lo, hi, func(s int) (*CSR, int, int, error) {
+		return a, lo[s], hi[s], nil
+	})
+	return err
+}
+
+// bcsrNNZOffset is the file offset of the header's NNZ word, which a
+// writer that learns the total only after its last shard (the
+// Converter, whose panels deduplicate) patches in place.
+const bcsrNNZOffset = int64(len(bcsrMagic)) + 16
+
+// writeShards is the .bcsr writer: magic, header, shard table, then for
+// each panel [lo[s], hi[s]) its entry count, CRC and payload. panel(s)
+// supplies shard s as rows [rlo, rhi) of some CSR — the caller's matrix,
+// or a panel it builds on demand. It returns the entries written.
+func writeShards(w io.Writer, m, n int, nnz int64, lo, hi []int, panel func(s int) (p *CSR, rlo, rhi int, err error)) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var err error
 	writeU64 := func(v uint64) {
@@ -70,35 +87,42 @@ func WriteBinarySharded(w io.Writer, a *CSR, shardNNZ int) error {
 		}
 	}
 	if _, werr := bw.WriteString(bcsrMagic); werr != nil {
-		return fmt.Errorf("sparse: writing bcsr magic: %w", werr)
+		return 0, fmt.Errorf("sparse: writing bcsr magic: %w", werr)
 	}
-	writeU64(uint64(a.M))
-	writeU64(uint64(a.N))
-	writeU64(uint64(a.NNZ()))
+	writeU64(uint64(m))
+	writeU64(uint64(n))
+	writeU64(uint64(nnz))
 	writeU64(uint64(len(lo)))
 	for s := range lo {
 		writeU64(uint64(lo[s]))
 		writeU64(uint64(hi[s]))
 	}
 	if err != nil {
-		return fmt.Errorf("sparse: writing bcsr header: %w", err)
+		return 0, fmt.Errorf("sparse: writing bcsr header: %w", err)
 	}
+	var total int64
 	var payload []byte
 	for s := range lo {
-		payload = encodePanel(payload[:0], a, lo[s], hi[s])
-		writeU64(uint64(a.RowPtr[hi[s]] - a.RowPtr[lo[s]]))
+		p, rlo, rhi, perr := panel(s)
+		if perr != nil {
+			return 0, perr
+		}
+		snnz := p.RowPtr[rhi] - p.RowPtr[rlo]
+		total += snnz
+		payload = encodePanel(payload[:0], p, rlo, rhi)
+		writeU64(uint64(snnz))
 		writeU64(uint64(crc32.ChecksumIEEE(payload)))
 		if err == nil {
 			_, err = bw.Write(payload)
 		}
 		if err != nil {
-			return fmt.Errorf("sparse: writing bcsr shard %d: %w", s, err)
+			return 0, fmt.Errorf("sparse: writing bcsr shard %d: %w", s, err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("sparse: flushing bcsr: %w", err)
+		return 0, fmt.Errorf("sparse: flushing bcsr: %w", err)
 	}
-	return nil
+	return total, nil
 }
 
 // encodePanel appends the payload bytes of rows [lo, hi) of a to dst.
@@ -117,10 +141,11 @@ func encodePanel(dst []byte, a *CSR, lo, hi int) []byte {
 }
 
 // bcsrLayout is a .bcsr stream's validated header and shard table: the
-// dimensions plus the contiguous row panels covering [0, M). It is the
-// part of the format every reader — streaming, mapped, one-shot — must
-// agree on, so all three parse it through readBCSRLayout and report
-// byte-identical errors for the same corruption.
+// dimensions plus the contiguous row panels covering [0, M). Both
+// readers — ReadBinary's stream and the Mapped reader's random access —
+// parse it through readBCSRLayout and then follow the shard framing
+// through walkShards, so they report byte-identical errors for the same
+// corruption.
 type bcsrLayout struct {
 	m, n, nnz, shards uint64
 	lo, hi            []uint64 // per-shard row panel bounds
@@ -132,6 +157,11 @@ func (l *bcsrLayout) headerSize() int64 {
 	return int64(len(bcsrMagic)) + 32 + int64(l.shards)*16
 }
 
+// hasBCSRMagic reports whether head starts with the .bcsr magic.
+func hasBCSRMagic(head []byte) bool {
+	return bytes.HasPrefix(head, []byte(bcsrMagic))
+}
+
 // readBCSRLayout reads and validates the magic, header and shard table
 // from the front of a .bcsr stream. No header field is trusted for an
 // allocation larger than the bytes actually present.
@@ -140,7 +170,7 @@ func readBCSRLayout(br io.Reader) (*bcsrLayout, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("sparse: reading bcsr magic: %w", err)
 	}
-	if string(magic) != bcsrMagic {
+	if !hasBCSRMagic(magic) {
 		return nil, fmt.Errorf("sparse: not a bcsr file (magic %q)", magic)
 	}
 	var err error
@@ -195,14 +225,51 @@ func readBCSRLayout(br io.Reader) (*bcsrLayout, error) {
 	return &bcsrLayout{m: m, n: n, nnz: nnz, shards: shards, lo: lo, hi: hi}, nil
 }
 
-// shardMeta validates one shard's 16-byte header against the layout and
-// running entry total, returning the panel's payload byte length.
+// panelSections returns where a rows-row, snnz-entry payload keeps its
+// column and value sections, and its total byte length.
+func panelSections(rows int, snnz int64) (cols, vals, end int64) {
+	cols = int64(rows+1) * 8
+	vals = cols + snnz*4
+	return cols, vals, vals + snnz*8
+}
+
+// shardMeta validates one shard's declared entry count against the
+// layout and running entry total, returning the panel's payload byte
+// length.
 func (l *bcsrLayout) shardMeta(s int, snnz uint64, total uint64) (payloadLen int64, err error) {
 	if snnz > l.nnz-total {
 		return 0, fmt.Errorf("sparse: bcsr shard %d claims %d entries, only %d remain of the %d declared", s, snnz, l.nnz-total, l.nnz)
 	}
-	rows := l.hi[s] - l.lo[s]
-	return int64(rows+1)*8 + int64(snnz)*12, nil
+	_, _, payloadLen = panelSections(int(l.hi[s]-l.lo[s]), int64(snnz))
+	return payloadLen, nil
+}
+
+// walkShards follows the shard framing after the table: per shard the
+// 16-byte (nnz, crc) header read from r, the entry-count check, then
+// shard, which must consume from r, or seek r past, the want payload
+// bytes that follow; at the end the shards must hold exactly the
+// entries the header promised.
+func (l *bcsrLayout) walkShards(r io.Reader, shard func(s int, snnz, scrc uint64, want int64) error) error {
+	var total uint64
+	var hdr [16]byte
+	for s := range l.lo {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return fmt.Errorf("sparse: reading bcsr shard %d header: %w", s, err)
+		}
+		snnz := binary.LittleEndian.Uint64(hdr[:])
+		want, err := l.shardMeta(s, snnz, total)
+		if err != nil {
+			return err
+		}
+		if err := shard(s, snnz, binary.LittleEndian.Uint64(hdr[8:]), want); err != nil {
+			return err
+		}
+		total += snnz
+	}
+	if total != l.nnz {
+		return fmt.Errorf("sparse: bcsr header promised %d entries, shards hold %d", l.nnz, total)
+	}
+	return nil
 }
 
 // ReadBinary reads a .bcsr matrix. Corrupt input — truncated streams,
@@ -217,50 +284,40 @@ func ReadBinary(r io.Reader) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	a := &CSR{M: int(lay.m), N: int(lay.n), RowPtr: make([]int64, lay.m+1)}
 	var payload []byte
-	var total uint64
-	for s := range lay.lo {
-		snnz, scrc, herr := readShardHeader(br)
-		if herr != nil {
-			return nil, fmt.Errorf("sparse: reading bcsr shard %d header: %w", s, herr)
+	err = lay.walkShards(br, func(s int, snnz, scrc uint64, want int64) error {
+		var err error
+		if payload, err = readChunked(br, payload[:0], want); err != nil {
+			return shardReadError(s, err)
 		}
-		want, merr := lay.shardMeta(s, snnz, total)
-		if merr != nil {
-			return nil, merr
+		if err := lay.verifyShard(s, payload, int64(snnz), scrc); err != nil {
+			return err
 		}
-		payload, err = readChunked(br, payload[:0], want)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: reading bcsr shard %d payload: %w", s, err)
-		}
-		if verr := verifyShardCRC(s, payload, scrc); verr != nil {
-			return nil, verr
-		}
-		if derr := decodePanel(a, payload, int(lay.lo[s]), int(lay.hi[s]), int64(total), int64(snnz)); derr != nil {
-			return nil, fmt.Errorf("sparse: bcsr shard %d: %w", s, derr)
-		}
-		total += snnz
-	}
-	if total != lay.nnz {
-		return nil, fmt.Errorf("sparse: bcsr header promised %d entries, shards hold %d", lay.nnz, total)
+		lay.copyPanel(a, s, payload, int64(snnz))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
-// readShardHeader reads one shard's (nnz, crc) pair.
-func readShardHeader(br io.Reader) (snnz, scrc uint64, err error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, 0, err
-	}
-	return binary.LittleEndian.Uint64(hdr[:]), binary.LittleEndian.Uint64(hdr[8:]), nil
+// shardReadError reports that shard s's payload bytes could not be read.
+func shardReadError(s int, cause error) error {
+	return fmt.Errorf("sparse: reading bcsr shard %d payload: %w", s, cause)
 }
 
-// verifyShardCRC checks a shard payload against its declared CRC32.
-func verifyShardCRC(s int, payload []byte, scrc uint64) error {
+// verifyShard holds shard s's payload to its declared CRC32 and then to
+// the payload rules (checkPanel). What passes can be indexed without
+// further checks: copyPanel copies it out, the mapped reader's row
+// accessors read it in place.
+func (l *bcsrLayout) verifyShard(s int, payload []byte, snnz int64, scrc uint64) error {
 	if got := uint64(crc32.ChecksumIEEE(payload)); got != scrc {
 		return fmt.Errorf("sparse: bcsr shard %d CRC mismatch (file %08x, computed %08x)", s, scrc, got)
+	}
+	if err := checkPanel(payload, int(l.hi[s]-l.lo[s]), snnz, int(l.n), int(l.lo[s])); err != nil {
+		return fmt.Errorf("sparse: bcsr shard %d: %w", s, err)
 	}
 	return nil
 }
@@ -300,57 +357,68 @@ func shortReadError(want, got int64, cause error) error {
 	return fmt.Errorf("sparse: short read: want %d bytes, got %d: %w", want, got, cause)
 }
 
-// decodePanel validates and appends one shard's rows to the CSR under
-// construction. base is the global entry offset of the panel.
-func decodePanel(a *CSR, payload []byte, lo, hi int, base, snnz int64) error {
-	rows := hi - lo
-	ptrEnd := int64(rows+1) * 8
-	ptr := payload[:ptrEnd]
-	cols := payload[ptrEnd : ptrEnd+snnz*4]
-	vals := payload[ptrEnd+snnz*4:]
-	prev := int64(0)
+// checkPanel is the statement of a shard payload's structural rules,
+// checked against the raw bytes: row pointers start at 0, are monotone
+// and end at snnz; columns lie in [0, n) and ascend strictly within each
+// row — the canonical accumulation order every engine's
+// bit-reproducibility rests on; values are finite. rowBase globalizes
+// the row index in messages; entries are numbered within the shard.
+func checkPanel(payload []byte, rows int, snnz int64, n int, rowBase int) error {
+	colOff, valOff, _ := panelSections(rows, snnz)
+	ptr, cols, vals := payload[:colOff], payload[colOff:valOff], payload[valOff:]
 	if first := int64(binary.LittleEndian.Uint64(ptr)); first != 0 {
 		return fmt.Errorf("panel rowPtr starts at %d, want 0", first)
 	}
+	prev := int64(0)
 	for r := 0; r <= rows; r++ {
 		p := int64(binary.LittleEndian.Uint64(ptr[r*8:]))
 		if p < prev || p > snnz {
 			return fmt.Errorf("panel rowPtr not monotone in [0, %d]: row %d has %d after %d", snnz, r, p, prev)
 		}
 		prev = p
-		a.RowPtr[lo+r] = base + p
 	}
 	if prev != snnz {
 		return fmt.Errorf("panel rowPtr ends at %d, want %d", prev, snnz)
 	}
-	nOld := len(a.Col)
-	a.Col = append(a.Col, make([]int32, snnz)...)
-	a.Val = append(a.Val, make([]float64, snnz)...)
-	outCol := a.Col[nOld:]
-	outVal := a.Val[nOld:]
 	for k := int64(0); k < snnz; k++ {
 		c := binary.LittleEndian.Uint32(cols[k*4:])
-		if uint64(c) >= uint64(a.N) {
-			return fmt.Errorf("column %d out of range [0, %d)", c, a.N)
+		if uint64(c) >= uint64(n) {
+			return fmt.Errorf("column %d out of range [0, %d)", c, n)
 		}
-		outCol[k] = int32(c)
 	}
-	// Columns must be strictly ascending within each row — the canonical
-	// accumulation order every engine's bit-reproducibility rests on.
 	for r := 0; r < rows; r++ {
-		s, e := a.RowPtr[lo+r]-base, a.RowPtr[lo+r+1]-base
+		s, e := int64(binary.LittleEndian.Uint64(ptr[r*8:])), int64(binary.LittleEndian.Uint64(ptr[(r+1)*8:]))
 		for k := s + 1; k < e; k++ {
-			if outCol[k] <= outCol[k-1] {
-				return fmt.Errorf("row %d columns not strictly ascending (%d after %d)", lo+r, outCol[k], outCol[k-1])
+			a := binary.LittleEndian.Uint32(cols[(k-1)*4:])
+			b := binary.LittleEndian.Uint32(cols[k*4:])
+			if b <= a {
+				return fmt.Errorf("row %d columns not strictly ascending (%d after %d)", rowBase+r, b, a)
 			}
 		}
 	}
 	for k := int64(0); k < snnz; k++ {
 		v := math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:]))
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("entry %d has non-finite value %v", base+k, v)
+			return fmt.Errorf("entry %d has non-finite value %v", k, v)
 		}
-		outVal[k] = v
 	}
 	return nil
+}
+
+// copyPanel appends shard s's verified payload to the CSR under
+// construction; the entries before it are those already in a.
+func (l *bcsrLayout) copyPanel(a *CSR, s int, payload []byte, snnz int64) {
+	lo, rows := int(l.lo[s]), int(l.hi[s]-l.lo[s])
+	colOff, valOff, _ := panelSections(rows, snnz)
+	base := len(a.Col)
+	for r := 0; r <= rows; r++ {
+		a.RowPtr[lo+r] = int64(base) + int64(binary.LittleEndian.Uint64(payload[r*8:]))
+	}
+	a.Col = append(a.Col, make([]int32, snnz)...)
+	a.Val = append(a.Val, make([]float64, snnz)...)
+	cols, vals := payload[colOff:valOff], payload[valOff:]
+	for k := range a.Col[base:] {
+		a.Col[base+k] = int32(binary.LittleEndian.Uint32(cols[k*4:]))
+		a.Val[base+k] = math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:]))
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -65,10 +64,19 @@ type ConvertStats struct {
 // outPath (written via a temp file + rename, so a crash never leaves a
 // half-written shard file behind).
 func (cv Converter) Convert(mmPath, outPath string) (ConvertStats, error) {
+	scan := func(header func(m, n, nnz int) error, visit func(Entry) error) error {
+		f, err := os.Open(mmPath)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		return scanMM(f, parseEntryBytes, header, visit)
+	}
 	// Pass 1: count entries per row (and fully validate the stream).
+	var m, n int
 	var rowNNZ []int64
-	m, n, _, err := streamMM(mmPath, func(hm, hn, hnnz int) error {
-		rowNNZ = make([]int64, hm)
+	err := scan(func(hm, hn, _ int) error {
+		m, n, rowNNZ = hm, hn, make([]int64, hm)
 		return nil
 	}, func(e Entry) error {
 		rowNNZ[e.Row]++
@@ -82,13 +90,12 @@ func (cv Converter) Convert(mmPath, outPath string) (ConvertStats, error) {
 	// outside pass 1's panels must surface as an error, not an
 	// out-of-range shard index.
 	stream := func(visit func(Entry) error) error {
-		_, _, _, err := streamMM(mmPath, func(m2, n2, _ int) error {
+		return scan(func(m2, n2, _ int) error {
 			if m2 != m || n2 != n {
 				return fmt.Errorf("sparse: %s changed between conversion passes (%dx%d, was %dx%d)", mmPath, m2, n2, m, n)
 			}
 			return nil
 		}, visit)
-		return err
 	}
 	return cv.convertCounted(m, n, rowNNZ, stream, outPath)
 }
@@ -155,16 +162,14 @@ func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream,
 	// A stream that yields a row pass 1 never counted (a swapped file, a
 	// non-stable source) must surface as an error, not an out-of-range
 	// shard index.
-	var rec [16]byte
+	var rec []byte
 	err := stream(func(e Entry) error {
 		if e.Row < 0 || int(e.Row) >= m {
 			return fmt.Errorf("sparse: entry row %d appeared in the spill pass but not the counting pass", e.Row)
 		}
 		s := sort.Search(len(lo), func(s int) bool { return hi[s] > int(e.Row) })
-		binary.LittleEndian.PutUint32(rec[0:], uint32(e.Row))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.Col))
-		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(e.Val))
-		_, werr := spillW[s].Write(rec[:])
+		rec = AppendEntry(rec[:0], e)
+		_, werr := spillW[s].Write(rec)
 		return werr
 	})
 	if err != nil {
@@ -187,56 +192,29 @@ func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream,
 			os.Remove(out.Name())
 		}
 	}()
-	bw := bufio.NewWriterSize(out, 1<<20)
-	var werr error
-	writeU64 := func(v uint64) {
-		if werr == nil {
-			werr = binary.Write(bw, binary.LittleEndian, v)
-		}
-	}
-	if _, err := bw.WriteString(bcsrMagic); err != nil {
-		return ConvertStats{}, fmt.Errorf("sparse: writing bcsr magic: %w", err)
-	}
-	writeU64(uint64(m))
-	writeU64(uint64(n))
-	// NNZ is not known until every panel has deduplicated; write a
-	// placeholder at a remembered offset and patch it before the rename.
-	nnzOffset := int64(len(bcsrMagic)) + 16
-	writeU64(0)
-	writeU64(uint64(len(lo)))
-	for s := range lo {
-		writeU64(uint64(lo[s]))
-		writeU64(uint64(hi[s]))
-	}
-	var totalNNZ int64
-	var payload []byte
-	for s := range lo {
+	// NNZ is not known until every panel has deduplicated: the header
+	// goes out with a zero there, patched once the shards are written.
+	totalNNZ, err := writeShards(out, m, n, 0, lo, hi, func(s int) (*CSR, int, int, error) {
 		panel, err := loadSpill(spills[s], lo[s], hi[s], n, cv.Dedup)
 		if err != nil {
-			return ConvertStats{}, fmt.Errorf("sparse: shard %d spill: %w", s, err)
+			return nil, 0, 0, fmt.Errorf("sparse: shard %d spill: %w", s, err)
 		}
 		spills[s].Close()
 		os.Remove(spills[s].Name())
 		spills[s] = nil
-		totalNNZ += int64(panel.NNZ())
-		payload = encodePanel(payload[:0], panel, 0, panel.M)
-		writeU64(uint64(panel.NNZ()))
-		writeU64(uint64(crc32.ChecksumIEEE(payload)))
-		if werr == nil {
-			_, werr = bw.Write(payload)
-		}
-		if werr != nil {
-			return ConvertStats{}, fmt.Errorf("sparse: writing bcsr shard %d: %w", s, werr)
-		}
+		return panel, 0, panel.M, nil
+	})
+	if err != nil {
+		return ConvertStats{}, err
 	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if werr != nil {
-		return ConvertStats{}, fmt.Errorf("sparse: writing bcsr: %w", werr)
-	}
-	if _, err := out.WriteAt(binary.LittleEndian.AppendUint64(nil, uint64(totalNNZ)), nnzOffset); err != nil {
+	if _, err := out.WriteAt(binary.LittleEndian.AppendUint64(nil, uint64(totalNNZ)), bcsrNNZOffset); err != nil {
 		return ConvertStats{}, fmt.Errorf("sparse: patching bcsr entry count: %w", err)
+	}
+	// Callers delete their source once this returns (the trainer
+	// truncates the rating log), so the shard must be on disk, under its
+	// name, first: fsync the bytes, rename, fsync the directory entry.
+	if err := out.Sync(); err != nil {
+		return ConvertStats{}, fmt.Errorf("sparse: syncing %s: %w", out.Name(), err)
 	}
 	if err := out.Close(); err != nil {
 		return ConvertStats{}, err
@@ -245,7 +223,23 @@ func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream,
 		return ConvertStats{}, err
 	}
 	out = nil
+	if err := syncDir(filepath.Dir(outPath)); err != nil {
+		return ConvertStats{}, err
+	}
 	return ConvertStats{M: m, N: n, NNZ: totalNNZ, Shards: len(lo)}, nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("sparse: syncing directory %s: %w", dir, err)
+	}
+	return nil
 }
 
 // loadSpill reads one shard's spilled entries (file order preserved)
@@ -259,17 +253,14 @@ func loadSpill(f *os.File, lo, hi, n int, dedup DedupPolicy) (*CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data)%16 != 0 {
-		return nil, fmt.Errorf("spill size %d not a whole number of records", len(data))
-	}
-	coo := &COO{M: hi - lo, N: n, Entries: make([]Entry, len(data)/16)}
-	for k := range coo.Entries {
-		rec := data[k*16:]
-		coo.Entries[k] = Entry{
-			Row: int32(binary.LittleEndian.Uint32(rec[0:])) - int32(lo),
-			Col: int32(binary.LittleEndian.Uint32(rec[4:])),
-			Val: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
+	coo := NewCOO(hi-lo, n, len(data)/EntryRecordLen)
+	for ; len(data) > 0; data = data[EntryRecordLen:] {
+		e, err := DecodeEntry(data)
+		if err != nil {
+			return nil, err
 		}
+		e.Row -= int32(lo)
+		coo.Entries = append(coo.Entries, e)
 	}
 	if dedup == DedupLast {
 		dedupLastInPlace(coo)
@@ -316,71 +307,4 @@ func panelBounds(rowNNZ []int64, target int) (lo, hi []int) {
 		r = end
 	}
 	return lo, hi
-}
-
-// streamMM streams the entries of a MatrixMarket file in file order
-// through visit, after announcing the parsed size line via header (may
-// be nil). It shares every validation rule with ReadMatrixMarket.
-func streamMM(path string, header func(m, n, nnz int) error, visit func(Entry) error) (m, n, count int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(bufio.NewReaderSize(f, 1<<20))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return 0, 0, 0, fmt.Errorf("sparse: reading MatrixMarket header: %w", err)
-		}
-		return 0, 0, 0, fmt.Errorf("sparse: empty MatrixMarket stream")
-	}
-	if err := validateMMHeader(sc.Text()); err != nil {
-		return 0, 0, 0, err
-	}
-	var nnz int
-	sized := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if isMMSkipLine(line) {
-			continue
-		}
-		if m, n, nnz, err = parseMMSize(string(line)); err != nil {
-			return 0, 0, 0, err
-		}
-		sized = true
-		break
-	}
-	if !sized {
-		if err := sc.Err(); err != nil {
-			return 0, 0, 0, fmt.Errorf("sparse: reading MatrixMarket size line: %w", err)
-		}
-		return 0, 0, 0, fmt.Errorf("sparse: MatrixMarket stream has no size line")
-	}
-	if header != nil {
-		if err := header(m, n, nnz); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	for sc.Scan() {
-		line := sc.Bytes()
-		if isMMSkipLine(line) {
-			continue
-		}
-		e, err := parseEntryBytes(line, m, n)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		if err := visit(e); err != nil {
-			return 0, 0, 0, err
-		}
-		count++
-	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, 0, err
-	}
-	if count != nnz {
-		return 0, 0, 0, fmt.Errorf("sparse: header promised %d entries, found %d", nnz, count)
-	}
-	return m, n, count, nil
 }

@@ -2,7 +2,9 @@ package sparse
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -58,6 +60,28 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		if seqErr == nil && !Equal(seq, par) {
 			t.Fatalf("parsers accept but matrices differ (%dx%d nnz=%d vs %dx%d nnz=%d)",
 				seq.M, seq.N, seq.NNZ(), par.M, par.N, par.NNZ())
+		}
+
+		// The tokenizer differential, line by line and independent of
+		// which reader calls which: the byte-level scanner and the
+		// strings.Fields reference must produce the same entry, bit for
+		// bit, or both refuse the line.
+		m, n := 16, 16
+		if seqErr == nil {
+			m, n = seq.M, seq.N
+		}
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if isMMSkipLine(line) {
+				continue
+			}
+			fast, fastErr := parseEntryBytes(line, m, n)
+			ref, refErr := parseEntryFields(strings.Fields(string(line)), m, n)
+			if (fastErr == nil) != (refErr == nil) {
+				t.Fatalf("line %q in %dx%d: parseEntryBytes err=%v, parseEntryFields err=%v", line, m, n, fastErr, refErr)
+			}
+			if fastErr == nil && (fast.Row != ref.Row || fast.Col != ref.Col || math.Float64bits(fast.Val) != math.Float64bits(ref.Val)) {
+				t.Fatalf("line %q: parseEntryBytes %+v, parseEntryFields %+v", line, fast, ref)
+			}
 		}
 	})
 }

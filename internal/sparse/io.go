@@ -169,7 +169,7 @@ func isMMSkipLine(line []byte) bool {
 func parseEntryBytes(line []byte, m, n int) (Entry, error) {
 	for _, c := range line {
 		if c >= 0x80 {
-			return parseEntryFields(strings.Fields(string(line)), m, n)
+			return parseEntryLine(line, m, n)
 		}
 	}
 	pos := 0
@@ -248,6 +248,93 @@ func truncateForErr(s string) string {
 	return s
 }
 
+// readMMPrologue consumes a MatrixMarket stream up to and including its
+// size line — banner, then comments and blank lines, then "m n nnz".
+// next yields the stream's lines without their '\n' and io.EOF after the
+// last. Every reader of the format starts here.
+func readMMPrologue(next func() ([]byte, error)) (m, n, nnz int, err error) {
+	line, err := next()
+	if err == io.EOF {
+		return 0, 0, 0, fmt.Errorf("sparse: empty MatrixMarket stream")
+	}
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("sparse: reading MatrixMarket header: %w", err)
+	}
+	if err := validateMMHeader(string(line)); err != nil {
+		return 0, 0, 0, err
+	}
+	for {
+		line, err = next()
+		if err == io.EOF {
+			return 0, 0, 0, fmt.Errorf("sparse: MatrixMarket stream has no size line")
+		}
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("sparse: reading MatrixMarket size line: %w", err)
+		}
+		if !isMMSkipLine(line) {
+			return parseMMSize(string(line))
+		}
+	}
+}
+
+// checkMMCount holds a body to the entry count its size line declared.
+func checkMMCount(promised, found int) error {
+	if found != promised {
+		return fmt.Errorf("sparse: header promised %d entries, found %d", promised, found)
+	}
+	return nil
+}
+
+// scanMM is the sequential MatrixMarket reader: the prologue, then
+// header with the size line's numbers, then every body line that is not
+// blank or a comment through parse and visit, in file order. parse is
+// the line tokenizer — parseEntryLine, the reference, for
+// ReadMatrixMarket; parseEntryBytes for the converter.
+func scanMM(r io.Reader, parse func(line []byte, m, n int) (Entry, error), header func(m, n, nnz int) error, visit func(Entry) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, maxMMLine), maxMMLine)
+	m, n, nnz, err := readMMPrologue(func() ([]byte, error) {
+		if sc.Scan() {
+			return sc.Bytes(), nil
+		}
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, io.EOF
+	})
+	if err != nil {
+		return err
+	}
+	if err := header(m, n, nnz); err != nil {
+		return err
+	}
+	count := 0
+	for sc.Scan() {
+		line := sc.Bytes()
+		if isMMSkipLine(line) {
+			continue
+		}
+		e, err := parse(line, m, n)
+		if err != nil {
+			return err
+		}
+		if err := visit(e); err != nil {
+			return err
+		}
+		count++
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	return checkMMCount(nnz, count)
+}
+
+// parseEntryLine tokenizes one body line with strings.Fields and hands
+// it to parseEntryFields: the reference tokenizer.
+func parseEntryLine(line []byte, m, n int) (Entry, error) {
+	return parseEntryFields(strings.Fields(string(line)), m, n)
+}
+
 // ReadMatrixMarket parses a MatrixMarket coordinate matrix (real,
 // integer or pattern field, general symmetry). Malformed input — bad
 // headers, out-of-range indices, non-finite values, truncated streams —
@@ -255,63 +342,19 @@ func truncateForErr(s string) string {
 // files prefer Load, which runs the chunked parallel parser over the
 // same semantics.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, maxMMLine), maxMMLine)
-	// Header.
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("sparse: reading MatrixMarket header: %w", err)
+	var coo *COO
+	err := scanMM(r, parseEntryLine, func(m, n, nnz int) error {
+		if nnz > cooCapHint {
+			nnz = cooCapHint
 		}
-		return nil, fmt.Errorf("sparse: empty MatrixMarket stream")
-	}
-	if err := validateMMHeader(sc.Text()); err != nil {
-		return nil, err
-	}
-	// Skip comments, read size line.
-	var m, n, nnz int
-	sized := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if isMMSkipLine(line) {
-			continue
-		}
-		var err error
-		m, n, nnz, err = parseMMSize(string(line))
-		if err != nil {
-			return nil, err
-		}
-		sized = true
-		break
-	}
-	if !sized {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("sparse: reading MatrixMarket size line: %w", err)
-		}
-		return nil, fmt.Errorf("sparse: MatrixMarket stream has no size line")
-	}
-	hint := nnz
-	if hint > cooCapHint {
-		hint = cooCapHint
-	}
-	coo := NewCOO(m, n, hint)
-	count := 0
-	for sc.Scan() {
-		line := sc.Bytes()
-		if isMMSkipLine(line) {
-			continue
-		}
-		e, err := parseEntryFields(strings.Fields(string(line)), m, n)
-		if err != nil {
-			return nil, err
-		}
+		coo = NewCOO(m, n, nnz)
+		return nil
+	}, func(e Entry) error {
 		coo.Entries = append(coo.Entries, e)
-		count++
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if count != nnz {
-		return nil, fmt.Errorf("sparse: header promised %d entries, found %d", nnz, count)
 	}
 	return coo.ToCSR(), nil
 }

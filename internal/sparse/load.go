@@ -34,7 +34,7 @@ func IsBCSR(path string) (bool, error) {
 	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return false, fmt.Errorf("sparse: reading %s: %w", path, err)
 	}
-	return string(head[:n]) == bcsrMagic, nil
+	return hasBCSRMagic(head[:n]), nil
 }
 
 // Load reads a rating matrix from path, sniffing the format from the
@@ -65,7 +65,7 @@ func load(path string, pool *sched.Pool, auto bool) (*CSR, error) {
 		return nil, fmt.Errorf("sparse: reading %s: %w", path, err)
 	}
 	switch {
-	case bytes.HasPrefix(head, []byte(bcsrMagic)):
+	case hasBCSRMagic(head):
 		return ReadBinary(br)
 	case bytes.HasPrefix(head, []byte(mmMagic)):
 		// The parallel parser needs the whole byte stream for random

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"sync"
@@ -71,20 +70,16 @@ type MappedStats struct {
 // Mapped is an open .bcsr file accessed in place. All methods are safe
 // for concurrent use; shard verification runs exactly once per shard.
 type Mapped struct {
-	src  mapSource
-	size int64
-	lay  *bcsrLayout
+	src mapSource
+	lay *bcsrLayout
 
-	pNNZ  []int64 // per-shard entry count (from the shard headers)
-	pBase []int64 // entries preceding shard s (prefix sum of pNNZ)
-	pOff  []int64 // payload byte offset of shard s
-	pCRC  []uint64
+	pNNZ []int64 // per-shard entry count (from the shard headers)
+	pOff []int64 // payload byte offset of shard s
+	pCRC []uint64
 
 	once    []sync.Once
 	verr    []error
-	payload [][]byte // CRC-verified payload bytes (zero-copy when mapped)
-	chkOnce []sync.Once
-	chkErr  []error
+	payload [][]byte // verified payload bytes (zero-copy when mapped)
 
 	shardsTouched atomic.Int64
 	bytesTouched  atomic.Int64
@@ -128,65 +123,39 @@ func openBinaryBytes(data []byte) (*Mapped, error) {
 
 // newMapped validates the eager region of src and indexes the shards.
 func newMapped(src mapSource, size int64) (*Mapped, error) {
-	lay, err := readBCSRLayout(bufio.NewReaderSize(io.NewSectionReader(src, 0, size), 64<<10))
+	sr := io.NewSectionReader(src, 0, size)
+	lay, err := readBCSRLayout(bufio.NewReaderSize(sr, 64<<10))
 	if err != nil {
 		return nil, err
 	}
 	n := int(lay.shards)
 	mp := &Mapped{
-		src: src, size: size, lay: lay,
-		pNNZ: make([]int64, n), pBase: make([]int64, n), pOff: make([]int64, n), pCRC: make([]uint64, n),
+		src: src, lay: lay,
+		pNNZ: make([]int64, n), pOff: make([]int64, n), pCRC: make([]uint64, n),
 		once: make([]sync.Once, n), verr: make([]error, n), payload: make([][]byte, n),
-		chkOnce: make([]sync.Once, n), chkErr: make([]error, n),
 	}
-	// Walk the shard framing: 16 bytes of header per shard, payload
-	// length derived from (rows, nnz). Every offset is checked against
-	// the file size so truncation surfaces now with the same
-	// byte-accurate error the streaming reader reports.
+	// Walk the shard framing by offset: headers are read in place and
+	// payloads only measured against the file size and seeked past, so
+	// truncation surfaces now — with the byte-accurate error the
+	// streaming reader reports — and no payload byte is touched.
 	off := lay.headerSize()
-	var total uint64
-	var hdr [16]byte
-	for s := 0; s < n; s++ {
-		if herr := readAtFull(src, hdr[:], off, size); herr != nil {
-			return nil, fmt.Errorf("sparse: reading bcsr shard %d header: %w", s, herr)
-		}
-		snnz := binary.LittleEndian.Uint64(hdr[:])
-		scrc := binary.LittleEndian.Uint64(hdr[8:])
-		want, merr := lay.shardMeta(s, snnz, total)
-		if merr != nil {
-			return nil, merr
-		}
-		if remain := size - off - 16; remain < want {
-			if remain < 0 {
-				remain = 0
-			}
-			cause := io.ErrUnexpectedEOF
-			if remain == 0 {
-				cause = io.EOF
-			}
-			return nil, fmt.Errorf("sparse: reading bcsr shard %d payload: %w", s, shortReadError(want, remain, cause))
-		}
-		mp.pNNZ[s], mp.pBase[s], mp.pOff[s], mp.pCRC[s] = int64(snnz), int64(total), off+16, scrc
-		off += 16 + want
-		total += snnz
+	if _, err := sr.Seek(off, io.SeekStart); err != nil {
+		return nil, err
 	}
-	if total != lay.nnz {
-		return nil, fmt.Errorf("sparse: bcsr header promised %d entries, shards hold %d", lay.nnz, total)
+	err = lay.walkShards(sr, func(s int, snnz, scrc uint64, want int64) error {
+		off += 16
+		if remain := size - off; remain < want {
+			return shardReadError(s, shortReadError(want, remain, io.EOF))
+		}
+		mp.pNNZ[s], mp.pOff[s], mp.pCRC[s] = int64(snnz), off, scrc
+		off += want
+		_, err := sr.Seek(off, io.SeekStart)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return mp, nil
-}
-
-// readAtFull reads len(p) bytes at off, mirroring the streaming
-// reader's EOF classification when the file is too short.
-func readAtFull(src io.ReaderAt, p []byte, off, size int64) error {
-	if remain := size - off; remain < int64(len(p)) {
-		if remain <= 0 {
-			return io.EOF
-		}
-		return io.ErrUnexpectedEOF
-	}
-	_, err := src.ReadAt(p, off)
-	return err
 }
 
 // Dims returns the matrix dimensions (rows, cols).
@@ -214,62 +183,30 @@ func (mp *Mapped) Stats() MappedStats {
 	}
 }
 
-// touch returns shard s's CRC-verified payload bytes, reading and
-// checksumming it once on first access. The returned slice is a
-// zero-copy window into the mapping when the platform mmaps; the
-// pread fallback caches the shard's bytes instead. Structural
-// validation is not included: the decode paths validate while decoding
-// (decodePanel), and the lazy row accessors go through touchChecked.
+// touch returns shard s's verified payload bytes — CRC and payload
+// rules, checked once on first access, so the row accessors can index
+// the raw bytes and the decode path copy them without looking again.
+// The returned slice is a zero-copy window into the mapping when the
+// platform mmaps; the pread fallback caches the shard's bytes instead.
 func (mp *Mapped) touch(s int) ([]byte, error) {
 	mp.once[s].Do(func() {
-		want := mp.payloadLen(s)
+		_, _, want := panelSections(int(mp.lay.hi[s]-mp.lay.lo[s]), mp.pNNZ[s])
 		b, ok := mp.src.View(mp.pOff[s], want)
 		if !ok {
 			b = make([]byte, want)
 			if _, err := mp.src.ReadAt(b, mp.pOff[s]); err != nil {
-				mp.verr[s] = fmt.Errorf("sparse: reading bcsr shard %d payload: %w", s, err)
+				mp.verr[s] = shardReadError(s, err)
 				return
 			}
 		}
-		if err := verifyShardCRC(s, b, mp.pCRC[s]); err != nil {
-			mp.verr[s] = err
+		if mp.verr[s] = mp.lay.verifyShard(s, b, mp.pNNZ[s], mp.pCRC[s]); mp.verr[s] != nil {
 			return
 		}
 		mp.payload[s] = b
 		mp.shardsTouched.Add(1)
 		mp.bytesTouched.Add(want)
 	})
-	if mp.verr[s] != nil {
-		return nil, mp.verr[s]
-	}
-	return mp.payload[s], nil
-}
-
-// touchChecked is touch plus the one-time structural validation the
-// lazy row accessors need: they index straight into the raw bytes, so
-// a CRC-consistent but malformed shard must be rejected before any
-// row pointer is trusted. Decode paths skip this — decodePanel
-// enforces the same rules while materializing.
-func (mp *Mapped) touchChecked(s int) ([]byte, error) {
-	b, err := mp.touch(s)
-	if err != nil {
-		return nil, err
-	}
-	mp.chkOnce[s].Do(func() {
-		rows := int(mp.lay.hi[s] - mp.lay.lo[s])
-		if err := checkPanel(b, rows, mp.pNNZ[s], int(mp.lay.n), int(mp.lay.lo[s]), mp.pBase[s]); err != nil {
-			mp.chkErr[s] = fmt.Errorf("sparse: bcsr shard %d: %w", s, err)
-		}
-	})
-	if mp.chkErr[s] != nil {
-		return nil, mp.chkErr[s]
-	}
-	return b, nil
-}
-
-func (mp *Mapped) payloadLen(s int) int64 {
-	rows := int64(mp.lay.hi[s] - mp.lay.lo[s])
-	return (rows+1)*8 + mp.pNNZ[s]*12
+	return mp.payload[s], mp.verr[s]
 }
 
 // DecodePanelInto appends shard s's rows to a CSR under assembly. a
@@ -282,9 +219,7 @@ func (mp *Mapped) DecodePanelInto(a *CSR, s int) error {
 	if err != nil {
 		return err
 	}
-	if derr := decodePanel(a, payload, int(mp.lay.lo[s]), int(mp.lay.hi[s]), int64(len(a.Col)), mp.pNNZ[s]); derr != nil {
-		return fmt.Errorf("sparse: bcsr shard %d: %w", s, derr)
-	}
+	mp.lay.copyPanel(a, s, payload, mp.pNNZ[s])
 	return nil
 }
 
@@ -315,7 +250,7 @@ func (mp *Mapped) rowSpan(i int) (payload []byte, s int, lo, hi int64, err error
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
-	payload, err = mp.touchChecked(s)
+	payload, err = mp.touch(s)
 	if err != nil {
 		return nil, 0, 0, 0, err
 	}
@@ -345,8 +280,8 @@ func (mp *Mapped) AppendRowCols(dst []int32, i int) ([]int32, error) {
 	if err != nil {
 		return dst, err
 	}
-	rows := int64(mp.lay.hi[s] - mp.lay.lo[s])
-	cols := payload[(rows+1)*8:]
+	colOff, _, _ := panelSections(int(mp.lay.hi[s]-mp.lay.lo[s]), mp.pNNZ[s])
+	cols := payload[colOff:]
 	for k := lo; k < hi; k++ {
 		dst = append(dst, int32(binary.LittleEndian.Uint32(cols[k*4:])))
 	}
@@ -358,54 +293,4 @@ func (mp *Mapped) AppendRowCols(dst []int32, i int) ([]int32, error) {
 func (mp *Mapped) Close() error {
 	mp.closeOnce.Do(func() { mp.closeErr = mp.src.Close() })
 	return mp.closeErr
-}
-
-// checkPanel validates a shard payload's structural invariants — the
-// same rules, in the same order, with the same messages as decodePanel
-// — against the raw bytes, so lazy row accessors can trust a verified
-// shard without materializing it. rowBase/entryBase globalize the row
-// and entry indices in messages exactly as decodePanel's do.
-func checkPanel(payload []byte, rows int, snnz int64, n int, rowBase int, entryBase int64) error {
-	ptrEnd := int64(rows+1) * 8
-	ptr := payload[:ptrEnd]
-	cols := payload[ptrEnd : ptrEnd+snnz*4]
-	vals := payload[ptrEnd+snnz*4:]
-	if first := int64(binary.LittleEndian.Uint64(ptr)); first != 0 {
-		return fmt.Errorf("panel rowPtr starts at %d, want 0", first)
-	}
-	prev := int64(0)
-	rowPtr := make([]int64, rows+1)
-	for r := 0; r <= rows; r++ {
-		p := int64(binary.LittleEndian.Uint64(ptr[r*8:]))
-		if p < prev || p > snnz {
-			return fmt.Errorf("panel rowPtr not monotone in [0, %d]: row %d has %d after %d", snnz, r, p, prev)
-		}
-		prev = p
-		rowPtr[r] = p
-	}
-	if prev != snnz {
-		return fmt.Errorf("panel rowPtr ends at %d, want %d", prev, snnz)
-	}
-	for k := int64(0); k < snnz; k++ {
-		c := binary.LittleEndian.Uint32(cols[k*4:])
-		if uint64(c) >= uint64(n) {
-			return fmt.Errorf("column %d out of range [0, %d)", c, n)
-		}
-	}
-	for r := 0; r < rows; r++ {
-		for k := rowPtr[r] + 1; k < rowPtr[r+1]; k++ {
-			a := binary.LittleEndian.Uint32(cols[(k-1)*4:])
-			b := binary.LittleEndian.Uint32(cols[k*4:])
-			if b <= a {
-				return fmt.Errorf("row %d columns not strictly ascending (%d after %d)", rowBase+r, b, a)
-			}
-		}
-	}
-	for k := int64(0); k < snnz; k++ {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("entry %d has non-finite value %v", entryBase+k, v)
-		}
-	}
-	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -332,49 +330,5 @@ func TestReadChunkedKeepsScratch(t *testing.T) {
 	want := "sparse: short read: want 9 bytes, got 5: unexpected EOF"
 	if err.Error() != want {
 		t.Fatalf("error %q, want %q", err, want)
-	}
-}
-
-// TestCheckPanelMatchesDecodePanel: a CRC-correct but structurally
-// corrupt shard must be rejected by the lazy verifier with the same
-// message the decoding readers produce.
-func TestCheckPanelMatchesDecodePanel(t *testing.T) {
-	valid := multiShardBCSR(t)
-	mp, err := openBinaryBytes(valid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	le := binary.LittleEndian
-	shard := 1
-	rows := int(mp.lay.hi[shard] - mp.lay.lo[shard])
-	payloadOff := int(mp.pOff[shard])
-	payloadLen := int(mp.payloadLen(shard))
-
-	corrupt := func(mutate func(payload []byte)) []byte {
-		mut := append([]byte(nil), valid...)
-		p := mut[payloadOff : payloadOff+payloadLen]
-		mutate(p)
-		// Re-sign so only the structural check can catch it.
-		le.PutUint64(mut[payloadOff-8:], uint64(crc32.ChecksumIEEE(p)))
-		return mut
-	}
-	cases := map[string][]byte{
-		"rowptr not monotone": corrupt(func(p []byte) { le.PutUint64(p[8:], 1<<40) }),
-		"col out of range":    corrupt(func(p []byte) { le.PutUint32(p[(rows+1)*8:], 1<<30) }),
-		"non-finite value": corrupt(func(p []byte) {
-			snnz := int(mp.pNNZ[shard])
-			le.PutUint64(p[(rows+1)*8+snnz*4:], math.Float64bits(math.NaN()))
-		}),
-	}
-	for name, mut := range cases {
-		rbErr := readBinaryErr(mut)
-		mpErr := mappedErr(mut)
-		if rbErr == nil || mpErr == nil {
-			t.Errorf("%s: accepted (ReadBinary=%v, mapped=%v)", name, rbErr, mpErr)
-			continue
-		}
-		if rbErr.Error() != mpErr.Error() {
-			t.Errorf("%s: error mismatch\n  ReadBinary: %v\n  mapped:     %v", name, rbErr, mpErr)
-		}
 	}
 }

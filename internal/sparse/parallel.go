@@ -3,8 +3,8 @@ package sparse
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
-	"strings"
 
 	"repro/internal/sched"
 )
@@ -28,39 +28,20 @@ const parseChunkTarget = 256 << 10
 // Semantics — accepted headers, rejected entries, the final matrix —
 // are identical to ReadMatrixMarket.
 func ParseMatrixMarket(data []byte, pool *sched.Pool) (*CSR, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("sparse: empty MatrixMarket stream")
-	}
-	// Header line.
-	line, rest := nextLine(data)
-	if err := checkLineLen(line); err != nil {
+	// Banner, comments and the size line go through the shared
+	// prologue; what it leaves unread is the body.
+	body := data
+	m, n, nnz, err := readMMPrologue(func() ([]byte, error) {
+		if len(body) == 0 {
+			return nil, io.EOF
+		}
+		var line []byte
+		line, body = nextLine(body)
+		return line, checkLineLen(line)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := validateMMHeader(string(line)); err != nil {
-		return nil, err
-	}
-	// Comments, then the size line.
-	var m, n, nnz int
-	sized := false
-	for !sized && len(rest) > 0 {
-		line, rest = nextLine(rest)
-		if err := checkLineLen(line); err != nil {
-			return nil, err
-		}
-		if isMMSkipLine(line) {
-			continue
-		}
-		var err error
-		m, n, nnz, err = parseMMSize(strings.TrimSpace(string(line)))
-		if err != nil {
-			return nil, err
-		}
-		sized = true
-	}
-	if !sized {
-		return nil, fmt.Errorf("sparse: MatrixMarket stream has no size line")
-	}
-	body := rest
 
 	// Split the body into chunks on line boundaries. The chunk count is a
 	// function of size and worker count only; the parse result does not
@@ -149,8 +130,8 @@ func ParseMatrixMarket(data []byte, pool *sched.Pool) (*CSR, error) {
 			return nil, err
 		}
 	}
-	if total != nnz {
-		return nil, fmt.Errorf("sparse: header promised %d entries, found %d", nnz, total)
+	if err := checkMMCount(nnz, total); err != nil {
+		return nil, err
 	}
 	coo := &COO{M: m, N: n, Entries: entries}
 	if pool == nil {

@@ -6,7 +6,9 @@
 package sparse
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -14,6 +16,34 @@ import (
 type Entry struct {
 	Row, Col int32
 	Val      float64
+}
+
+// EntryRecordLen is the size of an Entry's binary record: u32 row, u32
+// col, u64 float64 bits of the value, little-endian. The converter's
+// spill files, the rating log's frames (package feed) and the
+// distributed loader's startup exchange (package dist) all carry
+// entries in this form.
+const EntryRecordLen = 16
+
+// AppendEntry appends e's record to dst.
+func AppendEntry(dst []byte, e Entry) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Row))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Col))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Val))
+}
+
+// DecodeEntry decodes the record at the front of b. It checks only that
+// the record is whole; whether the indices and the value make sense is
+// for the caller, who knows the matrix they belong to.
+func DecodeEntry(b []byte) (Entry, error) {
+	if len(b) < EntryRecordLen {
+		return Entry{}, fmt.Errorf("sparse: entry record truncated: %d of %d bytes", len(b), EntryRecordLen)
+	}
+	return Entry{
+		Row: int32(binary.LittleEndian.Uint32(b[0:])),
+		Col: int32(binary.LittleEndian.Uint32(b[4:])),
+		Val: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+	}, nil
 }
 
 // COO is a coordinate-format sparse matrix under construction.
