@@ -60,6 +60,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"syscall"
@@ -335,12 +336,35 @@ func newMux(reg *serve.Registry) *http.ServeMux {
 			h(route{srv: srv, bt: reg.Batcher(r.PathValue("model"))}, w, r)
 		}
 	}
-	mux.HandleFunc("/v1/{model}/predict", byName(handlePredict))
-	mux.HandleFunc("/v1/{model}/recommend", byName(handleRecommend))
-	mux.HandleFunc("/v1/{model}/foldin", byName(handleFoldIn))
-	mux.HandleFunc("/v1/{model}/reload", byName(handleReload))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { handleHealthz(reg, w) })
+	handle(mux, "/v1/{model}/predict", byName(handlePredict))
+	handle(mux, "/v1/{model}/recommend", byName(handleRecommend))
+	handle(mux, "/v1/{model}/foldin", byName(handleFoldIn))
+	handle(mux, "/v1/{model}/reload", byName(handleReload))
+	handle(mux, "/healthz", func(w http.ResponseWriter, r *http.Request) { handleHealthz(reg, w) })
 	return mux
+}
+
+// handle registers h on mux under a recover: a panic in a handler —
+// core.UpdateItem's "posterior precision not SPD" is reachable from
+// /foldin on a damaged checkpoint — answers 500 with the JSON error body
+// and logs the route and model, where net/http alone would drop the
+// connection. It is the net under the panic audit (ROADMAP 3(c)), not a
+// substitute for it.
+func handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			p := recover()
+			if p == nil {
+				return
+			}
+			if p == http.ErrAbortHandler {
+				panic(p)
+			}
+			log.Printf("panic serving %s (model %q): %v\n%s", pattern, r.PathValue("model"), p, debug.Stack())
+			httpError(w, http.StatusInternalServerError, fmt.Errorf("internal error serving %s", r.URL.Path))
+		}()
+		h(w, r)
+	})
 }
 
 // handleHealthz reports registry-level liveness with per-model

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -459,5 +461,44 @@ func TestStatusOfShed(t *testing.T) {
 	}
 	if s := statusOf(fmt.Errorf("wrapped: %w", &serve.Shed{})); s != http.StatusServiceUnavailable {
 		t.Errorf("wrapped shed = %d, want 503", s)
+	}
+}
+
+// TestHandlerPanicIs500: a handler registered the way newMux registers
+// its own panics mid-request; over a real connection the client reads a
+// 500 with the JSON error body — not a reset — the log names the route
+// and the model, and the same server answers the next request.
+func TestHandlerPanicIs500(t *testing.T) {
+	mux := newMux(testRegistry(t))
+	handle(mux, "/v1/{model}/boom", func(http.ResponseWriter, *http.Request) {
+		panic("posterior precision not SPD")
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	resp, err := ts.Client().Get(ts.URL + "/v1/default/boom")
+	if err != nil {
+		t.Fatalf("the panic dropped the connection: %v", err)
+	}
+	var body map[string]string
+	derr := json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError || derr != nil || !strings.Contains(body["error"], "/v1/default/boom") {
+		t.Fatalf("status %d, body %v (decode: %v); want 500 and a JSON error naming the path", resp.StatusCode, body, derr)
+	}
+	if got := logged.String(); !strings.Contains(got, "/v1/{model}/boom") || !strings.Contains(got, `"default"`) || !strings.Contains(got, "not SPD") {
+		t.Fatalf("log line %q does not name route, model and panic", got)
+	}
+
+	resp, err = ts.Client().Get(ts.URL + "/v1/default/predict?user=0&item=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status %d, want 200", resp.StatusCode)
 	}
 }

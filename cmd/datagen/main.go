@@ -9,11 +9,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/sparse"
 )
@@ -62,21 +64,19 @@ func buildSpec(name string, scale float64, seed uint64) (datagen.Spec, error) {
 // writeMatrix writes r to path, picking the format from the extension:
 // .bcsr binary shards (shardNNZ entries per shard, 0 = default),
 // MatrixMarket otherwise. An empty path streams MatrixMarket to stdout.
+// A file is written beside its final name and renamed into place: an
+// existing file is replaced, never truncated, so a crash or a full disk
+// leaves the old bytes and a process that has the old file mapped
+// (sparse.Load, a bpmf-dist rank, bpmf-serve's exclusions) keeps a whole
+// file under its mapping instead of a SIGBUS.
 func writeMatrix(path string, r *sparse.CSR, shardNNZ int) error {
 	if path == "" {
 		return sparse.WriteMatrixMarket(os.Stdout, r)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if filepath.Ext(path) == ".bcsr" {
-		err = sparse.WriteBinarySharded(f, r, shardNNZ)
-	} else {
-		err = sparse.WriteMatrixMarket(f, r)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return core.WriteCheckpointFile(path, func(w io.Writer) error {
+		if filepath.Ext(path) == ".bcsr" {
+			return sparse.WriteBinarySharded(w, r, shardNNZ)
+		}
+		return sparse.WriteMatrixMarket(w, r)
+	})
 }

@@ -67,3 +67,34 @@ func TestWriteMatrixPicksFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestWriteMatrixReplacesNeverTruncates: writing over an existing .bcsr
+// renames a new file into place, so a reader that mapped the old file
+// before the write still decodes the old matrix afterwards (in-place
+// truncation would hand it a SIGBUS or a torn file), the path holds the
+// new one, and no temp file is left beside it.
+func TestWriteMatrixReplacesNeverTruncates(t *testing.T) {
+	older, newer := datagen.Generate(datagen.Tiny(7)).R, datagen.Generate(datagen.Tiny(8)).R
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.bcsr")
+	if err := writeMatrix(path, older, 100); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := sparse.OpenBinary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mp.Close()
+	if err := writeMatrix(path, newer, 100); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := mp.Matrix(); err != nil || !sparse.Equal(older, got) {
+		t.Fatalf("the mapping opened before the rewrite no longer reads the old matrix (err=%v)", err)
+	}
+	if got, err := sparse.Load(path); err != nil || !sparse.Equal(newer, got) {
+		t.Fatalf("the path does not hold the new matrix (err=%v)", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 1 {
+		t.Fatalf("rewrite left %v behind", left)
+	}
+}

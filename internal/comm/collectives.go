@@ -129,18 +129,18 @@ func splitOwner(b []byte, want int) ([]byte, error) {
 // order, so the result is bit-identical on every rank and independent of
 // message timing. This is the deterministic reduction the distributed
 // hyperparameter sampling uses (see package dist's comment: it is what
-// makes the chain independent of the rank count). Partial lengths that
-// disagree across ranks are an error.
+// makes the chain independent of the rank count). A partial that is not
+// exactly len(mine) values is an error naming its rank.
 func (c *Comm) AllreduceSumOrderedE(mine []float64) ([]float64, error) {
-	blobs, err := c.AllgatherE(encodeFloat64s(mine))
+	blobs, err := c.AllgatherE(EncodeFloat64s(mine))
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(mine))
+	vals := make([]float64, len(mine))
 	for r := 0; r < c.size; r++ {
-		vals := decodeFloat64s(blobs[r])
-		if len(vals) != len(out) {
-			return nil, fmt.Errorf("allreduce length mismatch across ranks (%d vs %d)", len(vals), len(out))
+		if err := DecodeFloat64sInto(vals, blobs[r]); err != nil {
+			return nil, fmt.Errorf("comm: allreduce partial from rank %d: %w", r, err)
 		}
 		for i, v := range vals {
 			out[i] += v
@@ -149,8 +149,10 @@ func (c *Comm) AllreduceSumOrderedE(mine []float64) ([]float64, error) {
 	return out, nil
 }
 
-// encodeFloat64s serializes a float64 slice little-endian.
-func encodeFloat64s(v []float64) []byte {
+// EncodeFloat64s serializes a float64 slice little-endian — the one
+// float blob layout on the fabric: allreduce partials here, package
+// dist's gathered factor rows and intervals.
+func EncodeFloat64s(v []float64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
@@ -158,11 +160,15 @@ func encodeFloat64s(v []float64) []byte {
 	return b
 }
 
-// decodeFloat64s is the inverse of encodeFloat64s.
-func decodeFloat64s(b []byte) []float64 {
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+// DecodeFloat64sInto fills dst from an EncodeFloat64s blob of exactly
+// len(dst) values. A peer sent b: any other length, a trailing partial
+// value included, is an error rather than a truncation.
+func DecodeFloat64sInto(dst []float64, b []byte) error {
+	if len(b) != 8*len(dst) {
+		return fmt.Errorf("float blob of %d bytes, want %d", len(b), 8*len(dst))
 	}
-	return v
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return nil
 }

@@ -223,6 +223,23 @@ func TestAllgatherValidatesRingFrames(t *testing.T) {
 	}
 }
 
+// TestAllreduceRejectsPartialValue: a peer's partial of 8n+3 bytes used
+// to decode as n values, the tail silently dropped; it is an error naming
+// the rank whose partial it is, as is any other wrong length.
+func TestAllreduceRejectsPartialValue(t *testing.T) {
+	mine := []float64{1, 2, 3}
+	for _, size := range []int{8*len(mine) + 3, 8 * (len(mine) - 1), 0} {
+		f := NewFabric(2)
+		comms := f.Comms()
+		check(t, comms[1].SendE(0, collectiveTagBase+1, appendOwner(make([]byte, size), 1)))
+		_, err := comms[0].AllreduceSumOrderedE(mine)
+		if err == nil || !strings.Contains(err.Error(), "from rank 1") || !strings.Contains(err.Error(), fmt.Sprintf("%d bytes, want 24", size)) {
+			t.Errorf("%d-byte partial: AllreduceSumOrderedE returned %v, want an error from rank 1 stating the sizes", size, err)
+		}
+		f.Close()
+	}
+}
+
 func TestAllreduceSumOrdered(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		// Expected: sum over ranks of [r, 2r, 100].

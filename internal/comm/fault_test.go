@@ -290,13 +290,6 @@ func TestDialBackoff(t *testing.T) {
 // leaving the receive hung, letting the header's length size an
 // allocation, or delivering the frame under another rank's name.
 func TestTruncatedTCPFrame(t *testing.T) {
-	frame := func(n, src uint32, payload int) []byte {
-		f := make([]byte, 12+payload)
-		binary.LittleEndian.PutUint32(f[0:], n)
-		binary.LittleEndian.PutUint32(f[4:], src)
-		binary.LittleEndian.PutUint32(f[8:], 5) // tag
-		return f
-	}
 	for _, tc := range []struct {
 		name     string
 		port     int
@@ -304,14 +297,14 @@ func TestTruncatedTCPFrame(t *testing.T) {
 		maxAlloc uint64 // 0 = unchecked
 	}{
 		// 100 payload bytes promised, 10 delivered.
-		{"truncated", 19721, frame(100, 0, 10), 0},
+		{"truncated", 19721, rawFrame(100, 0, 10), 0},
 		// A 12-byte lie about 256 MiB: the reader may run one chunk ahead
 		// of the 10 bytes that actually arrive (the race detector's build
 		// allocates that chunk twice), nowhere near the promised size.
-		{"oversized length", 19723, frame(256<<20, 0, 10), 4 * payloadChunk},
+		{"oversized length", 19723, rawFrame(256<<20, 0, 10), 4 * payloadChunk},
 		// A complete frame claiming rank 1 as its source on rank 0's
 		// connection.
-		{"spoofed src", 19725, frame(4, 1, 4), 0},
+		{"spoofed src", 19725, rawFrame(4, 1, 4), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addrs := []string{fmt.Sprintf("127.0.0.1:%d", tc.port), fmt.Sprintf("127.0.0.1:%d", tc.port+1)}
@@ -360,6 +353,52 @@ func TestTruncatedTCPFrame(t *testing.T) {
 			}
 		})
 	}
+}
+
+// rawFrame is a frame header claiming n payload bytes from rank src under
+// tag 5, followed by payload zero bytes — a lie wherever n != payload.
+func rawFrame(n, src uint32, payload int) []byte {
+	f := make([]byte, frameHdrLen+payload)
+	binary.LittleEndian.PutUint32(f[0:], n)
+	binary.LittleEndian.PutUint32(f[4:], src)
+	binary.LittleEndian.PutUint32(f[8:], 5)
+	return f
+}
+
+// FuzzTCPFrame: whatever bytes arrive on rank 0's connection, readFrame
+// returns an error or a message from rank 0 whose re-framed bytes are
+// exactly the prefix it consumed, and allocates at most one payloadChunk
+// beyond the bytes that arrived (the bound allows two: the race
+// detector's build allocates that chunk twice) — the length word alone
+// sizes nothing. Seeded from TestTruncatedTCPFrame's table.
+func FuzzTCPFrame(f *testing.F) {
+	const peer = 0
+	f.Add(rawFrame(100, peer, 10))     // truncated
+	f.Add(rawFrame(256<<20, peer, 10)) // oversized length
+	f.Add(rawFrame(4, 1, 4))           // spoofed src
+	f.Add(appendFrame(appendFrame(nil, peer, 9, []byte("ghost rows")), peer, 10, nil))
+	f.Add(rawFrame(0, peer, 0)[:7]) // cut inside the header
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		msg, err := readFrame(r, peer)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(data)+2*payloadChunk+64<<10); got > limit {
+			t.Fatalf("%d input bytes: allocated %d, limit %d", len(data), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		if msg.Src != peer {
+			t.Fatalf("accepted a frame from rank %d on rank %d's connection", msg.Src, peer)
+		}
+		consumed := data[:len(data)-r.Len()]
+		if again := appendFrame(nil, msg.Src, msg.Tag, msg.Data); !bytes.Equal(again, consumed) {
+			t.Fatalf("frame of %d bytes re-frames to %d different bytes", len(consumed), len(again))
+		}
+	})
 }
 
 // TestReadPayloadAllocation pins readPayload's two promises for honest

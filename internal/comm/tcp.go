@@ -183,11 +183,7 @@ func (t *tcpTransport) Send(dst, tag int, data []byte) error {
 		t.c.deliver(Message{Src: t.rank, Tag: tag, Data: data})
 		return nil
 	}
-	frame := make([]byte, 12+len(data))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(data)))
-	binary.LittleEndian.PutUint32(frame[4:], uint32(t.rank))
-	binary.LittleEndian.PutUint32(frame[8:], uint32(tag))
-	copy(frame[12:], data)
+	frame := appendFrame(make([]byte, 0, frameHdrLen+len(data)), t.rank, tag, data)
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -217,39 +213,61 @@ func (t *tcpTransport) writer(peer int) {
 func (t *tcpTransport) reader(peer int) {
 	defer t.wgReaders.Done()
 	conn := t.conns[peer]
-	var hdr [12]byte
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			// EOF at a frame boundary is a clean shutdown (the peer
-			// finished and closed). Anything else — a mid-header
-			// truncation, a reset — means the peer died or the stream is
-			// corrupt: fail the endpoint so blocked receives unwind.
-			if err != io.EOF && !t.isClosed() {
-				t.c.Fail(&RankFailedError{Rank: peer, Err: fmt.Errorf("reading frame header: %w", err)})
-			}
-			return
-		}
-		n := int(binary.LittleEndian.Uint32(hdr[0:]))
-		src := int(binary.LittleEndian.Uint32(hdr[4:]))
-		tag := int(binary.LittleEndian.Uint32(hdr[8:]))
-		// The connection, not the header, says who is talking: a frame
-		// naming another rank would be matched (and its ghost rows
-		// ownership-checked) against the wrong sender.
-		if src != peer {
-			t.c.Fail(&RankFailedError{Rank: peer, Err: fmt.Errorf("frame claims source rank %d on rank %d's connection", src, peer)})
-			return
-		}
-		data, err := readPayload(conn, n)
+		msg, err := readFrame(conn, peer)
 		if err != nil {
-			// A frame header without its payload is always a truncation.
-			if !t.isClosed() {
-				t.c.Fail(&RankFailedError{Rank: peer, Err: fmt.Errorf("frame truncated mid-message (%d of %d payload bytes): %w",
-					len(data), n, err)})
+			// EOF at a frame boundary is a clean shutdown (the peer
+			// finished and closed). Anything else — a truncation, a
+			// reset, a frame that is not the peer's — means the peer died
+			// or the stream is corrupt: fail the endpoint so blocked
+			// receives unwind.
+			if err != io.EOF && !t.isClosed() {
+				t.c.Fail(&RankFailedError{Rank: peer, Err: err})
 			}
 			return
 		}
-		t.c.deliver(Message{Src: src, Tag: tag, Data: data})
+		t.c.deliver(msg)
 	}
+}
+
+// frame wire format: u32 payload length, u32 source rank, u32 tag,
+// payload — little-endian.
+const frameHdrLen = 12
+
+// appendFrame appends the frame carrying data from rank src under tag.
+func appendFrame(dst []byte, src, tag int, data []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(data)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(src))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(tag))
+	return append(dst, data...)
+}
+
+// readFrame reads the next frame off peer's connection. A stream that
+// ends at a frame boundary is a bare io.EOF; every other failure says
+// what was wrong with the frame.
+func readFrame(r io.Reader, peer int) (Message, error) {
+	var hdr [frameHdrLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF {
+			return Message{}, err
+		}
+		return Message{}, fmt.Errorf("reading frame header: %w", err)
+	}
+	n := int(binary.LittleEndian.Uint32(hdr[0:]))
+	src := int(binary.LittleEndian.Uint32(hdr[4:]))
+	tag := int(binary.LittleEndian.Uint32(hdr[8:]))
+	// The connection, not the header, says who is talking: a frame
+	// naming another rank would be matched (and its ghost rows
+	// ownership-checked) against the wrong sender.
+	if src != peer {
+		return Message{}, fmt.Errorf("frame claims source rank %d on rank %d's connection", src, peer)
+	}
+	data, err := readPayload(r, n)
+	if err != nil {
+		// A frame header without its payload is always a truncation.
+		return Message{}, fmt.Errorf("frame truncated mid-message (%d of %d payload bytes): %w", len(data), n, err)
+	}
+	return Message{Src: src, Tag: tag, Data: data}, nil
 }
 
 // payloadChunk bounds how far readPayload allocates ahead of the bytes
@@ -257,12 +275,12 @@ func (t *tcpTransport) reader(peer int) {
 const payloadChunk = 1 << 20
 
 // readPayload reads a frame's n payload bytes. n is four bytes off the
-// wire, so it sizes no allocation by itself: a payload of up to one chunk
-// is a single exact allocation, and a longer one grows as its bytes
-// arrive (the discipline of sparse's readChunked), so a header that
-// promises more than the stream holds costs one chunk beyond what was
-// received, not what was promised. On a short read it returns the bytes
-// received with the error.
+// wire and a socket has no size to hold it to, so it sizes no allocation
+// by itself: a payload of up to one chunk is a single exact allocation,
+// and a longer one grows a chunk at a time as its bytes arrive, so a
+// header that promises more than the stream holds costs one chunk beyond
+// what was received, not what was promised. On a short read it returns
+// the bytes received with the error.
 func readPayload(r io.Reader, n int) ([]byte, error) {
 	data := make([]byte, 0, min(n, payloadChunk))
 	for len(data) < n {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/la"
 )
@@ -13,28 +14,8 @@ import (
 // decoders take bytes a peer sent: what they cannot make sense of is an
 // error for Run to return, never a panic.
 
-// encodeFloats serializes a float64 slice little-endian.
-func encodeFloats(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
-	}
-	return b
-}
-
-// decodeFloatsInto fills dst from an encodeFloats blob of exactly
-// len(dst) values.
-func decodeFloatsInto(dst []float64, b []byte) error {
-	if len(b) != 8*len(dst) {
-		return fmt.Errorf("float blob of %d bytes, want %d", len(b), 8*len(dst))
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return nil
-}
-
-// interval wire format: 5 float64 per entry (row, col, actual, mean, std).
+// interval wire format: 5 float64 per entry (row, col, actual, mean, std),
+// row and col being the entry's position as whole non-negative numbers.
 const intervalRecLen = 5
 
 func encodeIntervals(ivs []core.Interval) []byte {
@@ -42,7 +23,7 @@ func encodeIntervals(ivs []core.Interval) []byte {
 	for _, iv := range ivs {
 		v = append(v, float64(iv.Row), float64(iv.Col), iv.Actual, iv.Mean, iv.Std)
 	}
-	return encodeFloats(v)
+	return comm.EncodeFloat64s(v)
 }
 
 func decodeIntervals(b []byte) ([]core.Interval, error) {
@@ -54,12 +35,23 @@ func decodeIntervals(b []byte) ([]core.Interval, error) {
 	f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])) }
 	for t := range out {
 		o := t * intervalRecLen
+		row, col := f(o), f(o+1)
+		if !isIndex(row) || !isIndex(col) {
+			return nil, fmt.Errorf("interval %d sits at (%v, %v), not a matrix position", t, row, col)
+		}
 		out[t] = core.Interval{
-			Row: int32(f(o)), Col: int32(f(o + 1)),
+			Row: int32(row), Col: int32(col),
 			Actual: f(o + 2), Mean: f(o + 3), Std: f(o + 4),
 		}
 	}
 	return out, nil
+}
+
+// isIndex reports whether x is a float encodeIntervals writes for a
+// position: a whole number in [0, MaxInt32] (not NaN, not -0), so the
+// conversion to int32 is defined and loses nothing.
+func isIndex(x float64) bool {
+	return !math.Signbit(x) && x <= math.MaxInt32 && x == math.Trunc(x)
 }
 
 // ghost wire format: one record per updated item row — u32 item index in

@@ -216,7 +216,7 @@ func TestElasticShardNativeKillRecover(t *testing.T) {
 		Ranks: 3, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	got, _, view, err := RunRounds(cfg, Source{Path: path, TestFrac: 0.2}, nil, opt, killAtHook(3, []int{2}))
+	got, _, view, err := RunRounds(cfg, Source{Mapped: openShards(t, path), TestFrac: 0.2}, nil, opt, killAtHook(3, []int{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestElasticShardNativeKillRecover(t *testing.T) {
 	if man.Ranks != 3 {
 		t.Fatalf("manifest written by %d ranks, want 3", man.Ranks)
 	}
-	want, _, _, err := RunRounds(cfg, Source{Path: path, TestFrac: 0.2}, man, Options{Ranks: 2, CheckpointDir: dir}, nil)
+	want, _, _, err := RunRounds(cfg, Source{Mapped: openShards(t, path), TestFrac: 0.2}, man, Options{Ranks: 2, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -277,6 +278,35 @@ func FuzzGhostRecords(f *testing.F) {
 					t.Fatalf("frame from rank %d wrote row %d, owned by rank %d (err %v)", src, i, owner[i], err)
 				}
 			}
+		}
+	})
+}
+
+// FuzzDecodeIntervals: a peer's interval blob is an error or a list that
+// encodeIntervals turns back into the same bytes — so nothing is rounded,
+// wrapped or dropped on the way in (a position that is not a whole
+// non-negative int32 is an error, not whatever the conversion gives).
+func FuzzDecodeIntervals(f *testing.F) {
+	valid := encodeIntervals([]core.Interval{
+		{Row: 0, Col: 7, Actual: 3.5, Mean: 3.25, Std: 0.5},
+		{Row: math.MaxInt32, Col: 1, Actual: -1, Mean: math.Inf(1), Std: math.NaN()},
+	})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])                                                    // not a whole record
+	f.Add(comm.EncodeFloat64s([]float64{2.5, 1, 0, 0, 0}))                         // fractional row
+	f.Add(comm.EncodeFloat64s([]float64{1, -3, 0, 0, 0}))                          // negative column
+	f.Add(comm.EncodeFloat64s([]float64{math.NaN(), 1, 0, 0, 0}))                  // NaN row
+	f.Add(comm.EncodeFloat64s([]float64{1, 1 << 40, 0, 0, 0}))                     // column past int32
+	f.Add(comm.EncodeFloat64s([]float64{math.Copysign(0, -1), 0, 0, 0, 0}))        // -0 re-encodes as +0
+	f.Add(comm.EncodeFloat64s([]float64{1, 2, math.Float64frombits(1), 1e308, 0})) // denormal, huge: kept
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ivs, err := decodeIntervals(data)
+		if err != nil {
+			return
+		}
+		if again := encodeIntervals(ivs); !bytes.Equal(again, data) {
+			t.Fatalf("%d bytes decoded to %d intervals that re-encode to different bytes", len(data), len(ivs))
 		}
 	})
 }

@@ -253,7 +253,7 @@ func TestMembershipShardNativeGrow(t *testing.T) {
 		Ranks: 2, CheckpointDir: dir, CheckpointEvery: 3,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	got, _, view, err := RunRounds(cfg, Source{Path: path, TestFrac: 0.2}, nil, opt, growHook("joiner-a", 2))
+	got, _, view, err := RunRounds(cfg, Source{Mapped: openShards(t, path), TestFrac: 0.2}, nil, opt, growHook("joiner-a", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestMembershipShardNativeGrow(t *testing.T) {
 	if man.Ranks != 2 {
 		t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 	}
-	want, _, _, err := RunRounds(cfg, Source{Path: path, TestFrac: 0.2}, man, Options{Ranks: 3, CheckpointDir: dir}, nil)
+	want, _, _, err := RunRounds(cfg, Source{Mapped: openShards(t, path), TestFrac: 0.2}, man, Options{Ranks: 3, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ type Node struct {
 //
 // A nil rt means plan.R is the whole training matrix: the node
 // transposes it and builds the default locality schedule from it. A
-// non-nil rt is shard-native per-rank data (LoadShardsLocal): plan.R
+// non-nil rt is shard-native per-rank data (LoadShards): plan.R
 // holds only this rank's owned rows (all other rows empty, full-size row
 // pointers) and rt only its owned columns with their complete rater
 // lists; the default schedule is then the natural order of the owned
@@ -469,13 +469,13 @@ func (nd *Node) evaluate(iter int) error {
 // broadcasts its owned row range (rows nobody rated were never ghosted).
 func (nd *Node) gatherSide(x *la.Matrix, bounds []int) error {
 	lo, hi := bounds[nd.rank], bounds[nd.rank+1]
-	mine := encodeFloats(x.Data[lo*nd.k : hi*nd.k])
+	mine := comm.EncodeFloat64s(x.Data[lo*nd.k : hi*nd.k])
 	blobs, err := nd.c.AllgatherE(mine)
 	if err != nil {
 		return err
 	}
 	for r, b := range blobs {
-		if err := decodeFloatsInto(x.Data[bounds[r]*nd.k:bounds[r+1]*nd.k], b); err != nil {
+		if err := comm.DecodeFloat64sInto(x.Data[bounds[r]*nd.k:bounds[r+1]*nd.k], b); err != nil {
 			return fmt.Errorf("dist: factor rows gathered from rank %d: %w", r, err)
 		}
 	}

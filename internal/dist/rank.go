@@ -23,8 +23,8 @@ import (
 //     snap to the file's panels, which makes the chain bit-comparable
 //     with the shard-native form of the same file (ignored under
 //     Options.Reorder — an RCM permutation scatters the shard rows).
-//   - Mapped (already open; the caller keeps ownership) or Path, a
-//     sharded .bcsr file of which every rank decodes only its own panels,
+//   - Mapped, an open sharded .bcsr file (sparse.OpenBinary; the caller
+//     keeps ownership) of which every rank decodes only its own panels,
 //     holding out TestFrac (LoadShards). The collective load runs every
 //     round, so shards are remapped over the *current* rank count
 //     whenever the view changes (a dead rank's shards move to survivors;
@@ -34,7 +34,6 @@ type Source struct {
 	Panels *partition.Panels
 
 	Mapped   *sparse.Mapped
-	Path     string
 	TestFrac float64
 
 	// plan/test hold Prob's plan when a runner built it ahead of the
@@ -60,17 +59,11 @@ func (src Source) load(c *comm.Comm, seed uint64, opt Options) (*partition.Plan,
 	if src.plan != nil {
 		return src.plan, nil, src.test, nil
 	}
-	if src.Mapped == nil && src.Path == "" {
+	if src.Mapped == nil {
 		plan, test, err := src.buildPlan(opt)
 		return plan, nil, test, err
 	}
-	var sp *ShardProblem
-	var err error
-	if src.Mapped != nil {
-		sp, err = LoadShards(c, src.Mapped, src.TestFrac, seed, opt)
-	} else {
-		sp, err = LoadShardsLocal(c, src.Path, src.TestFrac, seed, opt)
-	}
+	sp, err := LoadShards(c, src.Mapped, src.TestFrac, seed, opt)
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -40,16 +40,24 @@ func writeShardedFile(t *testing.T, seed uint64, shardNNZ int) (path string, ful
 	return path, ds.R
 }
 
-// runFullLoad runs a virtual cluster where every rank holds the whole
-// matrix, under the panel-aligned plan (the .bcsr full-load path of
-// cmd/bpmf-dist).
-func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) *core.Result {
+// openShards maps path the way cmd/bpmf-dist does before it hands the
+// mapping to Source.Mapped or LoadShards; the test closes it.
+func openShards(t *testing.T, path string) *sparse.Mapped {
 	t.Helper()
 	mp, err := sparse.OpenBinary(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mp.Close()
+	t.Cleanup(func() { mp.Close() })
+	return mp
+}
+
+// runFullLoad runs a virtual cluster where every rank holds the whole
+// matrix, under the panel-aligned plan (the .bcsr full-load path of
+// cmd/bpmf-dist).
+func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) *core.Result {
+	t.Helper()
+	mp := openShards(t, path)
 	fullR, err := mp.Matrix()
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +71,7 @@ func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, s
 // its own shards of path.
 func runShardNative(t *testing.T, cfg core.Config, path string, testFrac float64, opt Options) *core.Result {
 	t.Helper()
-	return runOnFabric(t, "shard-native", cfg, Source{Path: path, TestFrac: testFrac}, opt)
+	return runOnFabric(t, "shard-native", cfg, Source{Mapped: openShards(t, path), TestFrac: testFrac}, opt)
 }
 
 // loadShards runs the collective shard-native load alone and returns
@@ -79,10 +87,10 @@ func loadShards(t *testing.T, path string, testFrac float64, seed uint64, opt Op
 	var wg sync.WaitGroup
 	for r, c := range fab.Comms() {
 		wg.Add(1)
-		go func(r int, c *comm.Comm) {
+		go func(r int, c *comm.Comm, mp *sparse.Mapped) {
 			defer wg.Done()
-			probs[r], errs[r] = LoadShardsLocal(c, path, testFrac, seed, opt)
-		}(r, c)
+			probs[r], errs[r] = LoadShards(c, mp, testFrac, seed, opt)
+		}(r, c, openShards(t, path))
 	}
 	wg.Wait()
 	for r, err := range errs {
@@ -224,12 +232,12 @@ func TestShardNativeThreadedRanksBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLoadShardsLocalRejectsReorder: reordering needs the full matrix.
-func TestLoadShardsLocalRejectsReorder(t *testing.T) {
+// TestLoadShardsRejectsReorder: reordering needs the full matrix.
+func TestLoadShardsRejectsReorder(t *testing.T) {
 	path, _ := writeShardedFile(t, 31, 500)
 	fab := comm.NewFabric(1)
 	defer fab.Close()
-	if _, err := LoadShardsLocal(fab.Comms()[0], path, 0.2, 31, Options{Ranks: 1, Reorder: true}); err == nil {
+	if _, err := LoadShards(fab.Comms()[0], openShards(t, path), 0.2, 31, Options{Ranks: 1, Reorder: true}); err == nil {
 		t.Fatal("reorder accepted by the shard-native loader")
 	}
 }

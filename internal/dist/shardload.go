@@ -68,19 +68,8 @@ type ShardProblem struct {
 	Load                sparse.MappedStats
 }
 
-// LoadShardsLocal opens path and loads rank c.Rank()'s slice of the
-// sharded .bcsr rating file (see LoadShards).
-func LoadShardsLocal(c *comm.Comm, path string, testFrac float64, seed uint64, opt Options) (*ShardProblem, error) {
-	mp, err := sparse.OpenBinary(path)
-	if err != nil {
-		return nil, err
-	}
-	defer mp.Close()
-	return LoadShards(c, mp, testFrac, seed, opt)
-}
-
-// LoadShards loads rank c.Rank()'s slice of an already-opened sharded
-// .bcsr rating file, exchanging split state, column degrees, the test
+// LoadShards loads rank c.Rank()'s slice of an open sharded .bcsr
+// rating file, exchanging split state, column degrees, the test
 // set and column ghosts with the other ranks. Every rank must call it
 // with identical (file contents, testFrac, seed, opt); it is
 // collective. The caller keeps ownership of mp (callers that opened

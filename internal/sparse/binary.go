@@ -140,12 +140,13 @@ func encodePanel(dst []byte, a *CSR, lo, hi int) []byte {
 	return dst
 }
 
-// bcsrLayout is a .bcsr stream's validated header and shard table: the
-// dimensions plus the contiguous row panels covering [0, M). Both
-// readers — ReadBinary's stream and the Mapped reader's random access —
-// parse it through readBCSRLayout and then follow the shard framing
-// through walkShards, so they report byte-identical errors for the same
-// corruption.
+// bcsrLayout is a .bcsr file's validated header and shard table: the
+// dimensions plus the contiguous row panels covering [0, M). The format
+// has one reader, Mapped (mmap.go), over three byte sources — a mapping,
+// pread on the open file, an in-memory image; every entry point (Load's
+// full decode, a rank's own panels, a row accessor) opens through
+// newMapped and verifies a shard through verifyShard, so one corruption
+// has one error text.
 type bcsrLayout struct {
 	m, n, nnz, shards uint64
 	lo, hi            []uint64 // per-shard row panel bounds
@@ -163,9 +164,9 @@ func hasBCSRMagic(head []byte) bool {
 }
 
 // readBCSRLayout reads and validates the magic, header and shard table
-// from the front of a .bcsr stream. No header field is trusted for an
-// allocation larger than the bytes actually present.
-func readBCSRLayout(br io.Reader) (*bcsrLayout, error) {
+// from br, the front of a .bcsr file of size bytes. No header field is
+// trusted for an allocation larger than the bytes actually present.
+func readBCSRLayout(br io.Reader, size int64) (*bcsrLayout, error) {
 	magic := make([]byte, len(bcsrMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("sparse: reading bcsr magic: %w", err)
@@ -197,30 +198,28 @@ func readBCSRLayout(br io.Reader) (*bcsrLayout, error) {
 	if nnz > math.MaxInt64/16 {
 		return nil, fmt.Errorf("sparse: bcsr claims %d entries", nnz)
 	}
-	// The table is read through the chunked reader so a hostile shard
-	// count allocates in proportion to the bytes actually present, not
-	// to the claim.
-	table, err := readChunked(br, nil, int64(shards)*16)
+	// The table is allocated only once the file is known to hold it.
+	var table []byte
+	if err = claimBytes(int64(shards)*16, size-(int64(len(bcsrMagic))+32)); err == nil {
+		table = make([]byte, shards*16)
+		_, err = io.ReadFull(br, table)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("sparse: reading bcsr shard table: %w", err)
 	}
 	lo := make([]uint64, shards)
 	hi := make([]uint64, shards)
+	prev := uint64(0)
 	for s := range lo {
 		lo[s] = binary.LittleEndian.Uint64(table[s*16:])
 		hi[s] = binary.LittleEndian.Uint64(table[s*16+8:])
-	}
-	for s := range lo {
-		prev := uint64(0)
-		if s > 0 {
-			prev = hi[s-1]
-		}
 		if lo[s] != prev || hi[s] < lo[s] || hi[s] > m {
 			return nil, fmt.Errorf("sparse: bcsr shard %d covers rows [%d, %d), want contiguous panels over [0, %d)", s, lo[s], hi[s], m)
 		}
+		prev = hi[s]
 	}
-	if shards > 0 && hi[shards-1] != m {
-		return nil, fmt.Errorf("sparse: bcsr shards cover rows [0, %d) of %d", hi[shards-1], m)
+	if prev != m {
+		return nil, fmt.Errorf("sparse: bcsr shards cover rows [0, %d) of %d", prev, m)
 	}
 	return &bcsrLayout{m: m, n: n, nnz: nnz, shards: shards, lo: lo, hi: hi}, nil
 }
@@ -233,76 +232,6 @@ func panelSections(rows int, snnz int64) (cols, vals, end int64) {
 	return cols, vals, vals + snnz*8
 }
 
-// shardMeta validates one shard's declared entry count against the
-// layout and running entry total, returning the panel's payload byte
-// length.
-func (l *bcsrLayout) shardMeta(s int, snnz uint64, total uint64) (payloadLen int64, err error) {
-	if snnz > l.nnz-total {
-		return 0, fmt.Errorf("sparse: bcsr shard %d claims %d entries, only %d remain of the %d declared", s, snnz, l.nnz-total, l.nnz)
-	}
-	_, _, payloadLen = panelSections(int(l.hi[s]-l.lo[s]), int64(snnz))
-	return payloadLen, nil
-}
-
-// walkShards follows the shard framing after the table: per shard the
-// 16-byte (nnz, crc) header read from r, the entry-count check, then
-// shard, which must consume from r, or seek r past, the want payload
-// bytes that follow; at the end the shards must hold exactly the
-// entries the header promised.
-func (l *bcsrLayout) walkShards(r io.Reader, shard func(s int, snnz, scrc uint64, want int64) error) error {
-	var total uint64
-	var hdr [16]byte
-	for s := range l.lo {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return fmt.Errorf("sparse: reading bcsr shard %d header: %w", s, err)
-		}
-		snnz := binary.LittleEndian.Uint64(hdr[:])
-		want, err := l.shardMeta(s, snnz, total)
-		if err != nil {
-			return err
-		}
-		if err := shard(s, snnz, binary.LittleEndian.Uint64(hdr[8:]), want); err != nil {
-			return err
-		}
-		total += snnz
-	}
-	if total != l.nnz {
-		return fmt.Errorf("sparse: bcsr header promised %d entries, shards hold %d", l.nnz, total)
-	}
-	return nil
-}
-
-// ReadBinary reads a .bcsr matrix. Corrupt input — truncated streams,
-// shard CRC mismatches, implausible dimensions, non-monotonic row
-// pointers, out-of-range columns, non-finite values — is reported as an
-// error before it can poison a sampler; no input panics, and no header
-// field is trusted for an allocation larger than the bytes actually
-// present (reads grow in bounded chunks).
-func ReadBinary(r io.Reader) (*CSR, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	lay, err := readBCSRLayout(br)
-	if err != nil {
-		return nil, err
-	}
-	a := &CSR{M: int(lay.m), N: int(lay.n), RowPtr: make([]int64, lay.m+1)}
-	var payload []byte
-	err = lay.walkShards(br, func(s int, snnz, scrc uint64, want int64) error {
-		var err error
-		if payload, err = readChunked(br, payload[:0], want); err != nil {
-			return shardReadError(s, err)
-		}
-		if err := lay.verifyShard(s, payload, int64(snnz), scrc); err != nil {
-			return err
-		}
-		lay.copyPanel(a, s, payload, int64(snnz))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
 // shardReadError reports that shard s's payload bytes could not be read.
 func shardReadError(s int, cause error) error {
 	return fmt.Errorf("sparse: reading bcsr shard %d payload: %w", s, cause)
@@ -310,8 +239,8 @@ func shardReadError(s int, cause error) error {
 
 // verifyShard holds shard s's payload to its declared CRC32 and then to
 // the payload rules (checkPanel). What passes can be indexed without
-// further checks: copyPanel copies it out, the mapped reader's row
-// accessors read it in place.
+// further checks: DecodePanelInto copies it out, the row accessors read
+// it in place.
 func (l *bcsrLayout) verifyShard(s int, payload []byte, snnz int64, scrc uint64) error {
 	if got := uint64(crc32.ChecksumIEEE(payload)); got != scrc {
 		return fmt.Errorf("sparse: bcsr shard %d CRC mismatch (file %08x, computed %08x)", s, scrc, got)
@@ -322,39 +251,19 @@ func (l *bcsrLayout) verifyShard(s int, payload []byte, snnz int64, scrc uint64)
 	return nil
 }
 
-// readChunked fills dst with want bytes from br, growing in bounded
-// chunks so a shard header that promises more data than the stream
-// holds over-allocates by at most one chunk before the read error. On a
-// short read it returns dst truncated to the bytes actually received —
-// callers keep their scratch allocation for retries — together with an
-// error that wraps io.ErrUnexpectedEOF and states both byte counts.
-func readChunked(br io.Reader, dst []byte, want int64) ([]byte, error) {
-	const chunk = 1 << 20
-	for int64(len(dst)) < want {
-		c := want - int64(len(dst))
-		if c > chunk {
-			c = chunk
-		}
-		start := len(dst)
-		dst = append(dst, make([]byte, c)...)
-		n, err := io.ReadFull(br, dst[start:])
-		if err != nil {
-			dst = dst[:start+n]
-			return dst, shortReadError(want, int64(len(dst)), err)
-		}
+// claimBytes holds a byte length the file declares — the shard table, a
+// shard's payload — to the remain bytes the file has left there: a claim
+// past the end is a byte-accurate truncation error (an unexpected EOF
+// unless nothing at all is left), never an allocation.
+func claimBytes(want, remain int64) error {
+	if remain >= want {
+		return nil
 	}
-	return dst, nil
-}
-
-// shortReadError normalizes a truncated read into a byte-accurate
-// io.ErrUnexpectedEOF wrap: want bytes were promised, got arrived. A
-// clean io.EOF after partial progress is still an unexpected EOF for
-// the structure being decoded.
-func shortReadError(want, got int64, cause error) error {
-	if cause == io.EOF && got > 0 {
+	cause := io.EOF
+	if remain > 0 {
 		cause = io.ErrUnexpectedEOF
 	}
-	return fmt.Errorf("sparse: short read: want %d bytes, got %d: %w", want, got, cause)
+	return fmt.Errorf("sparse: short read: want %d bytes, got %d: %w", want, remain, cause)
 }
 
 // checkPanel is the statement of a shard payload's structural rules,
@@ -403,22 +312,4 @@ func checkPanel(payload []byte, rows int, snnz int64, n int, rowBase int) error 
 		}
 	}
 	return nil
-}
-
-// copyPanel appends shard s's verified payload to the CSR under
-// construction; the entries before it are those already in a.
-func (l *bcsrLayout) copyPanel(a *CSR, s int, payload []byte, snnz int64) {
-	lo, rows := int(l.lo[s]), int(l.hi[s]-l.lo[s])
-	colOff, valOff, _ := panelSections(rows, snnz)
-	base := len(a.Col)
-	for r := 0; r <= rows; r++ {
-		a.RowPtr[lo+r] = int64(base) + int64(binary.LittleEndian.Uint64(payload[r*8:]))
-	}
-	a.Col = append(a.Col, make([]int32, snnz)...)
-	a.Val = append(a.Val, make([]float64, snnz)...)
-	cols, vals := payload[colOff:valOff], payload[valOff:]
-	for k := range a.Col[base:] {
-		a.Col[base+k] = int32(binary.LittleEndian.Uint32(cols[k*4:]))
-		a.Val[base+k] = math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:]))
-	}
 }

@@ -18,12 +18,12 @@ func TestBinaryRoundTrip(t *testing.T) {
 			if err := WriteBinarySharded(&buf, a, shardNNZ); err != nil {
 				t.Fatal(err)
 			}
-			b, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+			b, err := readBCSR(buf.Bytes())
 			if err != nil {
 				t.Fatalf("trial %d shardNNZ=%d: %v", trial, shardNNZ, err)
 			}
 			if !Equal(a, b) {
-				t.Fatalf("trial %d shardNNZ=%d: WriteBinary ∘ ReadBinary != id", trial, shardNNZ)
+				t.Fatalf("trial %d shardNNZ=%d: write ∘ read != id", trial, shardNNZ)
 			}
 		}
 	}
@@ -44,7 +44,7 @@ func TestBinaryRoundTripEdgeShapes(t *testing.T) {
 		if err := WriteBinary(&buf, a); err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
-		b, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+		b, err := readBCSR(buf.Bytes())
 		if err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
@@ -68,7 +68,7 @@ func validBCSR(t *testing.T) []byte {
 
 func TestBinaryRejectsCorrupt(t *testing.T) {
 	valid := validBCSR(t)
-	if _, err := ReadBinary(bytes.NewReader(valid)); err != nil {
+	if _, err := readBCSR(valid); err != nil {
 		t.Fatalf("baseline file must parse: %v", err)
 	}
 
@@ -78,7 +78,7 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 		if cut >= len(valid) {
 			continue
 		}
-		if _, err := ReadBinary(bytes.NewReader(valid[:cut])); err == nil {
+		if _, err := readBCSR(valid[:cut]); err == nil {
 			t.Errorf("truncation at %d bytes accepted", cut)
 		}
 	}
@@ -92,7 +92,7 @@ func TestBinaryRejectsCorrupt(t *testing.T) {
 		if bytes.Equal(mut, valid) {
 			continue
 		}
-		a, err := ReadBinary(bytes.NewReader(mut))
+		a, err := readBCSR(mut)
 		if err == nil {
 			// A flip inside a float64's mantissa bits in the header-free
 			// region cannot legitimately succeed: CRC covers all payloads.
@@ -121,7 +121,7 @@ func TestBinaryRejectsHostileHeaders(t *testing.T) {
 		"bad magic":         append([]byte("BPMFBCSR9\n"), base[h:]...),
 	}
 	for name, mut := range cases {
-		if _, err := ReadBinary(bytes.NewReader(mut)); err == nil {
+		if _, err := readBCSR(mut); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}

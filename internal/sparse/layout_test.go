@@ -57,9 +57,10 @@ func TestConverterWritesWhatWriteBinaryShardedWrites(t *testing.T) {
 
 // TestPanelRulesRejectResignedDamage breaks each structural rule of a
 // shard payload in turn and re-signs the shard, so only checkPanel can
-// object. Both routes to it must: the decoding read (ReadBinary) and the
-// mapped reader's in-place row accessors, which index the raw bytes and
-// have nothing else between them and a hostile row pointer.
+// object. Both entry points of the reader must, in the same words: the
+// full decode (Matrix, what Load runs) and the in-place row accessors,
+// which index the raw bytes and have nothing else between them and a
+// hostile row pointer.
 func TestPanelRulesRejectResignedDamage(t *testing.T) {
 	valid := multiShardBCSR(t)
 	mp, err := openBinaryBytes(valid)
@@ -97,17 +98,17 @@ func TestPanelRulesRejectResignedDamage(t *testing.T) {
 		tc.damage(p)
 		le.PutUint64(mut[at-8:], uint64(crc32.ChecksumIEEE(p)))
 
-		_, rbErr := ReadBinary(bytes.NewReader(mut))
-		if rbErr == nil || !strings.Contains(rbErr.Error(), tc.want) || !strings.Contains(rbErr.Error(), "shard 1") {
-			t.Errorf("%s: ReadBinary returned %v, want a shard 1 error mentioning %q", tc.name, rbErr, tc.want)
+		_, fullErr := readBCSR(mut)
+		if fullErr == nil || !strings.Contains(fullErr.Error(), tc.want) || !strings.Contains(fullErr.Error(), "shard 1") {
+			t.Errorf("%s: Matrix returned %v, want a shard 1 error mentioning %q", tc.name, fullErr, tc.want)
 		}
 		lazy, err := openBinaryBytes(mut)
 		if err != nil {
 			t.Errorf("%s: payload damage must wait for first touch, open failed: %v", tc.name, err)
 			continue
 		}
-		if _, err := lazy.AppendRowCols(nil, rowLo); err == nil || rbErr == nil || err.Error() != rbErr.Error() {
-			t.Errorf("%s: row accessor returned %v, ReadBinary %v", tc.name, err, rbErr)
+		if _, err := lazy.AppendRowCols(nil, rowLo); err == nil || fullErr == nil || err.Error() != fullErr.Error() {
+			t.Errorf("%s: row accessor returned %v, Matrix %v", tc.name, err, fullErr)
 		}
 		if _, err := lazy.RowNNZ(0); err != nil {
 			t.Errorf("%s: undamaged shard 0 unreadable: %v", tc.name, err)

@@ -1,32 +1,35 @@
 package sparse
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// mmap.go is the shard-native read path of the .bcsr format: OpenBinary
-// maps a file (mmap on unix, an io.ReaderAt fallback elsewhere — same
-// interface, chosen by build tag) and exposes per-panel views without
-// decoding the whole matrix. The header and shard table are validated
-// eagerly — including that every shard's payload actually fits inside
-// the file, so a truncated map fails at open, not mid-query — while
-// each shard's CRC and structural invariants are verified lazily on
-// first touch. A distributed rank can therefore open a 100-shard file
-// and pay only for the shards covering its own row range, and
-// co-located processes mapping the same file share page cache instead
-// of each holding a private decoded copy.
+// mmap.go is the reader of the .bcsr format — the only one. Mapped opens
+// a file over one of three byte sources (a read-only mapping on unix;
+// pread elsewhere or when mmap refuses, chosen by build tag; an in-memory
+// image for tests and fuzzing) and exposes per-panel views without
+// decoding the whole matrix. The header, shard table and shard framing are
+// validated eagerly against the file's real size — a truncated file fails
+// at open, not mid-query, and no declared length is allocated on trust —
+// while each shard's CRC and structural invariants are verified lazily,
+// once, on first touch. A distributed rank can therefore open a 100-shard
+// file and pay only for the shards covering its own row range, co-located
+// processes mapping the same file share page cache instead of each
+// holding a private decoded copy, and Load's full decode (Matrix) is the
+// same code touching every shard.
 
-// mapSource is random access to the bytes of an open .bcsr file.
-// Memory-backed implementations (mmap, in-memory test buffers) hand out
-// zero-copy windows; file-backed ones fall back to ReadAt.
+// mapSource is random access to the bytes of an open .bcsr file — how
+// they are obtained is decided behind it and nowhere else. Memory-backed
+// implementations (mmap, in-memory test buffers) hand out zero-copy
+// windows; file-backed ones fall back to ReadAt.
 type mapSource interface {
 	io.ReaderAt
 	// View returns a zero-copy window [off, off+n) when the source is
@@ -97,16 +100,18 @@ func OpenBinary(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openBinaryFile(f)
+}
+
+// openBinaryFile is OpenBinary on a descriptor the caller already holds
+// (Load has sniffed the format through it); f is the reader's to close.
+func openBinaryFile(f *os.File) (*Mapped, error) {
 	st, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	src, err := openMapSource(f, st.Size())
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sparse: mapping %s: %w", path, err)
-	}
+	src := openMapSource(f, st.Size())
 	mp, err := newMapped(src, st.Size())
 	if err != nil {
 		src.Close()
@@ -116,15 +121,19 @@ func OpenBinary(path string) (*Mapped, error) {
 }
 
 // openBinaryBytes opens an in-memory .bcsr image (tests and fuzzing
-// exercise the mapped reader without a filesystem round trip).
+// exercise the reader without a filesystem round trip).
 func openBinaryBytes(data []byte) (*Mapped, error) {
 	return newMapped(bytesSource{data: data}, int64(len(data)))
 }
 
-// newMapped validates the eager region of src and indexes the shards.
+// newMapped validates the eager region of src, a .bcsr image of size
+// bytes, and indexes the shards. After the header and table it follows
+// the shard framing by offset, holding each shard's entry count to the
+// header's total and its payload length to the bytes the file has left:
+// truncation surfaces now, no payload byte is touched, and whatever
+// Matrix and the accessors later allocate or index by fits the file.
 func newMapped(src mapSource, size int64) (*Mapped, error) {
-	sr := io.NewSectionReader(src, 0, size)
-	lay, err := readBCSRLayout(bufio.NewReaderSize(sr, 64<<10))
+	lay, err := readBCSRLayout(io.NewSectionReader(src, 0, size), size)
 	if err != nil {
 		return nil, err
 	}
@@ -134,26 +143,28 @@ func newMapped(src mapSource, size int64) (*Mapped, error) {
 		pNNZ: make([]int64, n), pOff: make([]int64, n), pCRC: make([]uint64, n),
 		once: make([]sync.Once, n), verr: make([]error, n), payload: make([][]byte, n),
 	}
-	// Walk the shard framing by offset: headers are read in place and
-	// payloads only measured against the file size and seeked past, so
-	// truncation surfaces now — with the byte-accurate error the
-	// streaming reader reports — and no payload byte is touched.
 	off := lay.headerSize()
-	if _, err := sr.Seek(off, io.SeekStart); err != nil {
-		return nil, err
-	}
-	err = lay.walkShards(sr, func(s int, snnz, scrc uint64, want int64) error {
-		off += 16
-		if remain := size - off; remain < want {
-			return shardReadError(s, shortReadError(want, remain, io.EOF))
+	var total uint64
+	var hdr [16]byte // u64 nnz, u64 crc
+	for s := range mp.pNNZ {
+		if _, err := io.ReadFull(io.NewSectionReader(src, off, size-off), hdr[:]); err != nil {
+			return nil, fmt.Errorf("sparse: reading bcsr shard %d header: %w", s, err)
 		}
-		mp.pNNZ[s], mp.pOff[s], mp.pCRC[s] = int64(snnz), off, scrc
+		off += 16
+		snnz := binary.LittleEndian.Uint64(hdr[:])
+		if snnz > lay.nnz-total {
+			return nil, fmt.Errorf("sparse: bcsr shard %d claims %d entries, only %d remain of the %d declared", s, snnz, lay.nnz-total, lay.nnz)
+		}
+		_, _, want := panelSections(int(lay.hi[s]-lay.lo[s]), int64(snnz))
+		if err := claimBytes(want, size-off); err != nil {
+			return nil, shardReadError(s, err)
+		}
+		mp.pNNZ[s], mp.pOff[s], mp.pCRC[s] = int64(snnz), off, binary.LittleEndian.Uint64(hdr[8:])
 		off += want
-		_, err := sr.Seek(off, io.SeekStart)
-		return err
-	})
-	if err != nil {
-		return nil, err
+		total += snnz
+	}
+	if total != lay.nnz {
+		return nil, fmt.Errorf("sparse: bcsr header promised %d entries, shards hold %d", lay.nnz, total)
 	}
 	return mp, nil
 }
@@ -219,15 +230,30 @@ func (mp *Mapped) DecodePanelInto(a *CSR, s int) error {
 	if err != nil {
 		return err
 	}
-	mp.lay.copyPanel(a, s, payload, mp.pNNZ[s])
+	lo, rows, snnz := int(mp.lay.lo[s]), int(mp.lay.hi[s]-mp.lay.lo[s]), mp.pNNZ[s]
+	colOff, valOff, _ := panelSections(rows, snnz)
+	base := len(a.Col)
+	for r := 0; r <= rows; r++ {
+		a.RowPtr[lo+r] = int64(base) + int64(binary.LittleEndian.Uint64(payload[r*8:]))
+	}
+	a.Col = append(a.Col, make([]int32, snnz)...)
+	a.Val = append(a.Val, make([]float64, snnz)...)
+	cols, vals := payload[colOff:valOff], payload[valOff:]
+	for k := range a.Col[base:] {
+		a.Col[base+k] = int32(binary.LittleEndian.Uint32(cols[k*4:]))
+		a.Val[base+k] = math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:]))
+	}
 	return nil
 }
 
-// Matrix decodes every shard into a CSR — the mapped reader's
-// equivalent of ReadBinary, identical in both result and error for any
-// input the two can both open.
+// Matrix decodes every shard into a CSR — the full read behind Load.
+// Col and Val are sized once from the header's entry count, which open
+// proved equal to the shards' sum and to fit inside the file's bytes.
 func (mp *Mapped) Matrix() (*CSR, error) {
-	a := &CSR{M: int(mp.lay.m), N: int(mp.lay.n), RowPtr: make([]int64, mp.lay.m+1)}
+	a := &CSR{
+		M: int(mp.lay.m), N: int(mp.lay.n), RowPtr: make([]int64, mp.lay.m+1),
+		Col: make([]int32, 0, mp.lay.nnz), Val: make([]float64, 0, mp.lay.nnz),
+	}
 	for s := 0; s < mp.Shards(); s++ {
 		if err := mp.DecodePanelInto(a, s); err != nil {
 			return nil, err

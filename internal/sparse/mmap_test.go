@@ -3,17 +3,16 @@ package sparse
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// mmap_test.go is the mapped reader's corpus: OpenBinary must accept
-// exactly what ReadBinary accepts, report the same errors for the same
-// corruption (eagerly for framing damage, lazily for payload damage),
-// and touch only the shards actually read.
+// mmap_test.go is the .bcsr reader's corpus: through every byte source
+// (mapping, pread, in-memory image) it must decode what the writer wrote,
+// report each corruption in its pinned words (eagerly for framing damage,
+// lazily for payload damage), and touch only the shards actually read.
 
 // multiShardBCSR renders a deterministic file with several shards (20
 // rows x 10 entries each, 40 entries per shard => 5 shards).
@@ -42,7 +41,18 @@ func writeTempBCSR(t *testing.T, data []byte) string {
 	return path
 }
 
-func TestMappedMatrixMatchesReadBinary(t *testing.T) {
+// readBCSR runs the reader to completion over an in-memory image: open
+// (the eager framing checks), then the full decode Load performs, which
+// verifies every shard.
+func readBCSR(data []byte) (*CSR, error) {
+	mp, err := openBinaryBytes(data)
+	if err != nil {
+		return nil, err
+	}
+	return mp.Matrix()
+}
+
+func TestMappedMatrixMatchesSource(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 10; trial++ {
 		a := randomCSR(r, 50, 400)
@@ -175,25 +185,12 @@ func TestMappedLazyTouch(t *testing.T) {
 	}
 }
 
-// corruptCase builds a mutated image and returns the ReadBinary error
-// for parity comparison.
-func readBinaryErr(data []byte) error {
-	_, err := ReadBinary(bytes.NewReader(data))
-	return err
-}
-
-// mappedErr runs the mapped pipeline to completion: open, then full
-// decode (which touches every shard lazily).
-func mappedErr(data []byte) error {
-	mp, err := openBinaryBytes(data)
-	if err != nil {
-		return err
-	}
-	_, err = mp.Matrix()
-	return err
-}
-
-func TestMappedReportsReadBinaryErrors(t *testing.T) {
+// TestMappedErrorTexts pins the words of every framing and payload
+// error on the multi-shard corpus (byte counts included): the texts were
+// those of both readers while there were two, and the row accessors,
+// Matrix and Load's callers still match on them, so they may not drift
+// unseen.
+func TestMappedErrorTexts(t *testing.T) {
 	valid := multiShardBCSR(t)
 	le := binary.LittleEndian
 
@@ -207,51 +204,62 @@ func TestMappedReportsReadBinaryErrors(t *testing.T) {
 	}
 	shard1Payload := int(mp.pOff[1])
 	shard1Rows := int(mp.lay.hi[1] - mp.lay.lo[1])
-
-	cases := map[string][]byte{
-		"truncated mid-payload":      valid[:shard1Payload+5],
-		"truncated mid-shard-header": valid[:shard1Payload-9],
-		"truncated header":           valid[:len(bcsrMagic)+17],
-		"truncated table":            valid[:len(bcsrMagic)+40],
+	if len(valid) != 2802 || shard1Payload != 674 {
+		t.Fatalf("corpus moved (%d bytes, shard 1 payload at %d): re-derive the pinned texts", len(valid), shard1Payload)
 	}
+
 	// CRC-bad shard: flip one value byte inside shard 1's payload.
 	crcBad := append([]byte(nil), valid...)
 	crcBad[shard1Payload+shard1Rows*8+1] ^= 0x5a
-	cases["crc-bad shard"] = crcBad
+	const crcBadText = "sparse: bcsr shard 1 CRC mismatch (file edec0ce2, computed 1be59ea3)"
 	// Shard table not covering [0, M): bump shard 1's rowLo.
 	gap := append([]byte(nil), valid...)
 	tableOff := len(bcsrMagic) + 32
 	le.PutUint64(gap[tableOff+16:], le.Uint64(gap[tableOff+16:])+1)
-	cases["table gap"] = gap
-	for _, cut := range []int{1, len(bcsrMagic) + 8, len(valid) / 2, len(valid) - 3} {
-		cases[fmt.Sprintf("truncated at %d", cut)] = valid[:cut]
-	}
 
-	for name, mut := range cases {
-		rbErr := readBinaryErr(mut)
-		mpErr := mappedErr(mut)
-		if rbErr == nil || mpErr == nil {
-			t.Errorf("%s: accepted (ReadBinary err=%v, mapped err=%v)", name, rbErr, mpErr)
-			continue
-		}
-		if rbErr.Error() != mpErr.Error() {
-			t.Errorf("%s: error mismatch\n  ReadBinary: %v\n  mapped:     %v", name, rbErr, mpErr)
+	for _, tc := range []struct {
+		name string
+		mut  []byte
+		want string
+	}{
+		{"truncated mid-payload", valid[:shard1Payload+5], "sparse: reading bcsr shard 1 payload: sparse: short read: want 520 bytes, got 5: unexpected EOF"},
+		{"truncated mid-shard-header", valid[:shard1Payload-9], "sparse: reading bcsr shard 1 header: unexpected EOF"},
+		{"truncated header", valid[:len(bcsrMagic)+17], "sparse: reading bcsr header: unexpected EOF"},
+		{"truncated table", valid[:len(bcsrMagic)+40], "sparse: reading bcsr shard table: sparse: short read: want 80 bytes, got 8: unexpected EOF"},
+		{"crc-bad shard", crcBad, crcBadText},
+		{"table gap", gap, "sparse: bcsr shard 1 covers rows [5, 8), want contiguous panels over [0, 20)"},
+		{"truncated at 1", valid[:1], "sparse: reading bcsr magic: unexpected EOF"},
+		{"truncated at magic+8", valid[:len(bcsrMagic)+8], "sparse: reading bcsr header: EOF"},
+		{"truncated at len/2", valid[:len(valid)/2], "sparse: reading bcsr shard 2 payload: sparse: short read: want 520 bytes, got 191: unexpected EOF"},
+		{"truncated at len-3", valid[:len(valid)-3], "sparse: reading bcsr shard 4 payload: sparse: short read: want 520 bytes, got 517: unexpected EOF"},
+	} {
+		if _, err := readBCSR(tc.mut); err == nil || err.Error() != tc.want {
+			t.Errorf("%s:\n  got  %v\n  want %s", tc.name, err, tc.want)
 		}
 	}
 
 	// A bit flip anywhere — header, table, shard headers, payloads —
-	// must be accepted or rejected exactly as ReadBinary does.
+	// must be rejected, or leave a matrix that survives the round trip
+	// (a flipped column count can be a smaller, still consistent file).
 	for off := 0; off < len(valid); off += 23 {
 		mut := append([]byte(nil), valid...)
 		mut[off] ^= 0x10
-		rbErr, mpErr := readBinaryErr(mut), mappedErr(mut)
-		if (rbErr == nil) != (mpErr == nil) {
-			t.Errorf("flip at %d: ReadBinary err=%v, mapped err=%v", off, rbErr, mpErr)
+		got, err := readBCSR(mut)
+		if err != nil {
+			continue
+		}
+		var rt bytes.Buffer
+		if err := WriteBinarySharded(&rt, got, 40); err != nil {
+			t.Fatalf("flip at %d: accepted matrix fails to re-serialize: %v", off, err)
+		}
+		if back, err := readBCSR(rt.Bytes()); err != nil || !Equal(got, back) {
+			t.Errorf("flip at %d: accepted matrix does not round-trip (err=%v)", off, err)
 		}
 	}
 
 	// CRC-bad shard, touched lazily: open succeeds, the damaged shard
-	// errors on first touch, other shards stay readable.
+	// errors on first touch in the full decode's words, other shards stay
+	// readable.
 	mp2, err := openBinaryBytes(crcBad)
 	if err != nil {
 		t.Fatalf("open must defer payload verification: %v", err)
@@ -262,8 +270,8 @@ func TestMappedReportsReadBinaryErrors(t *testing.T) {
 	badRow := int(mp2.lay.lo[1])
 	if _, err := mp2.AppendRowCols(nil, badRow); err == nil {
 		t.Fatal("CRC-damaged shard served rows")
-	} else if rb := readBinaryErr(crcBad); rb == nil || err.Error() != rb.Error() {
-		t.Fatalf("lazy CRC error %q != ReadBinary error %q", err, rb)
+	} else if err.Error() != crcBadText {
+		t.Fatalf("lazy CRC error %q, want %q", err, crcBadText)
 	}
 	if st := mp2.Stats(); st.ShardsTouched != 1 {
 		t.Fatalf("failed verification counted as touched: %+v", st)
@@ -297,38 +305,13 @@ func TestMappedEmptyMatrix(t *testing.T) {
 }
 
 // TestMappedTrailingNNZMismatch pins the eager framing check: a header
-// that promises more entries than the shards hold fails at open with
-// ReadBinary's message.
+// that promises more entries than the shards hold fails at open.
 func TestMappedTrailingNNZMismatch(t *testing.T) {
-	valid := multiShardBCSR(t)
-	mut := append([]byte(nil), valid...)
+	mut := multiShardBCSR(t)
 	le := binary.LittleEndian
 	le.PutUint64(mut[len(bcsrMagic)+16:], le.Uint64(mut[len(bcsrMagic)+16:])+1)
-	rbErr := readBinaryErr(mut)
-	_, mpErr := openBinaryBytes(mut)
-	if rbErr == nil || mpErr == nil {
-		t.Fatalf("inflated nnz accepted (ReadBinary=%v, mapped=%v)", rbErr, mpErr)
-	}
-}
-
-// TestReadChunkedKeepsScratch pins the repaired contract: a short read
-// returns the bytes that did arrive plus a byte-accurate error.
-func TestReadChunkedKeepsScratch(t *testing.T) {
-	src := bytes.NewReader([]byte{1, 2, 3, 4, 5})
-	dst, err := readChunked(src, make([]byte, 0, 64), 9)
-	if err == nil {
-		t.Fatal("short stream accepted")
-	}
-	if len(dst) != 5 || cap(dst) < 64 {
-		t.Fatalf("scratch lost: len=%d cap=%d", len(dst), cap(dst))
-	}
-	for i, b := range dst {
-		if b != byte(i+1) {
-			t.Fatalf("partial bytes corrupted: %v", dst)
-		}
-	}
-	want := "sparse: short read: want 9 bytes, got 5: unexpected EOF"
-	if err.Error() != want {
-		t.Fatalf("error %q, want %q", err, want)
+	const want = "sparse: bcsr header promised 201 entries, shards hold 200"
+	if _, err := openBinaryBytes(mut); err == nil || err.Error() != want {
+		t.Fatalf("inflated nnz: open returned %v, want %s", err, want)
 	}
 }

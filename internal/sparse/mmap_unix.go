@@ -13,22 +13,19 @@ import (
 // only in principle; the format always has a header) and any mmap
 // failure fall back to pread so OpenBinary never fails just because
 // the platform refused a mapping.
-func openMapSource(f *os.File, size int64) (mapSource, error) {
+func openMapSource(f *os.File, size int64) mapSource {
 	if size > 0 {
 		data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 		if err == nil {
 			f.Close()
-			return mmapSource{data: data}, nil
+			return mmapSource{bytesSource{data: data}}
 		}
 	}
-	return fileSource{f: f}, nil
+	return fileSource{f: f}
 }
 
-// mmapSource serves a .bcsr file straight from its mapping.
-type mmapSource struct{ data []byte }
+// mmapSource serves a .bcsr file straight from its mapping: an in-memory
+// image that Close unmaps.
+type mmapSource struct{ bytesSource }
 
-func (s mmapSource) ReadAt(p []byte, off int64) (int, error) {
-	return bytesSource{data: s.data}.ReadAt(p, off)
-}
-func (s mmapSource) View(off, n int64) ([]byte, bool) { return s.data[off : off+n], true }
-func (s mmapSource) Close() error                     { return syscall.Munmap(s.data) }
+func (s mmapSource) Close() error { return syscall.Munmap(s.data) }

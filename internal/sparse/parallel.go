@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/sched"
 )
@@ -133,11 +132,7 @@ func ParseMatrixMarket(data []byte, pool *sched.Pool) (*CSR, error) {
 	if err := checkMMCount(nnz, total); err != nil {
 		return nil, err
 	}
-	coo := &COO{M: m, N: n, Entries: entries}
-	if pool == nil {
-		return coo.ToCSR(), nil
-	}
-	return toCSRParallel(coo, pool), nil
+	return (&COO{M: m, N: n, Entries: entries}).toCSR(pool), nil
 }
 
 // checkLineLen enforces the shared per-line cap: the streaming readers'
@@ -163,82 +158,12 @@ func nextLine(b []byte) (line, rest []byte) {
 // forChunks runs body(k) for every chunk index, on the pool when one is
 // available and inline otherwise.
 func forChunks(pool *sched.Pool, nchunks int, body func(k int)) {
-	if pool == nil || nchunks == 1 {
-		for k := 0; k < nchunks; k++ {
-			body(k)
-		}
-		return
+	if nchunks == 1 {
+		pool = nil
 	}
-	pool.ParallelFor(0, nchunks, 1, func(_ *sched.Worker, lo, hi int) {
+	forRange(pool, nchunks, 1, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			body(k)
 		}
 	})
-}
-
-// toCSRParallel builds the same CSR as COO.ToCSR — identical scatter
-// order, identical per-row sort, identical duplicate summation — but
-// sorts and compacts rows concurrently. Row independence makes this
-// trivially bit-exact: each row's final (cols, vals) is a pure function
-// of that row's scattered segment.
-func toCSRParallel(c *COO, pool *sched.Pool) *CSR {
-	counts := make([]int64, c.M+1)
-	for _, e := range c.Entries {
-		counts[e.Row+1]++
-	}
-	for i := 0; i < c.M; i++ {
-		counts[i+1] += counts[i]
-	}
-	nnz := len(c.Entries)
-	col := make([]int32, nnz)
-	val := make([]float64, nnz)
-	next := make([]int64, c.M)
-	copy(next, counts[:c.M])
-	for _, e := range c.Entries {
-		p := next[e.Row]
-		col[p] = e.Col
-		val[p] = e.Val
-		next[e.Row] = p + 1
-	}
-	// Sort + dedup each row segment in place, recording surviving widths.
-	width := make([]int64, c.M)
-	pool.ParallelFor(0, c.M, 256, func(_ *sched.Worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, e := counts[i], counts[i+1]
-			cols := col[s:e]
-			vals := val[s:e]
-			sort.Sort(&rowSorter{cols, vals})
-			w := int64(0)
-			for k := 0; k < len(cols); k++ {
-				if k > 0 && cols[k] == cols[k-1] {
-					vals[w-1] += vals[k]
-					continue
-				}
-				cols[w] = cols[k]
-				vals[w] = vals[k]
-				w++
-			}
-			width[i] = w
-		}
-	})
-	outPtr := make([]int64, c.M+1)
-	for i := 0; i < c.M; i++ {
-		outPtr[i+1] = outPtr[i] + width[i]
-	}
-	w := outPtr[c.M]
-	if w == int64(nnz) {
-		// No duplicates anywhere: every segment is already dense and in
-		// place, so outPtr == counts and the arrays are final.
-		return &CSR{M: c.M, N: c.N, RowPtr: outPtr, Col: col, Val: val}
-	}
-	outCol := make([]int32, w)
-	outVal := make([]float64, w)
-	pool.ParallelFor(0, c.M, 256, func(_ *sched.Worker, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, d, wd := counts[i], outPtr[i], width[i]
-			copy(outCol[d:d+wd], col[s:s+wd])
-			copy(outVal[d:d+wd], val[s:s+wd])
-		}
-	})
-	return &CSR{M: c.M, N: c.N, RowPtr: outPtr, Col: outCol, Val: outVal}
 }

@@ -138,8 +138,9 @@ func TestParsePatternAndIntegerFields(t *testing.T) {
 	}
 }
 
-// TestToCSRParallelWithDuplicates drives the compaction path (duplicate
-// coordinates shrink rows, so the scattered arrays must be re-packed).
+// TestToCSRParallelWithDuplicates is the pool ≡ inline check of the one
+// COO → CSR build, on the compaction path (duplicate coordinates shrink
+// rows, so the scattered arrays must be re-packed).
 func TestToCSRParallelWithDuplicates(t *testing.T) {
 	pool := sched.NewPool(3)
 	defer pool.Close()
@@ -151,7 +152,7 @@ func TestToCSRParallelWithDuplicates(t *testing.T) {
 			c.Add(r.Intn(m), r.Intn(n), r.NormFloat64())
 		}
 		seq := c.ToCSR()
-		par := toCSRParallel(&COO{M: m, N: n, Entries: c.Entries}, pool)
+		par := (&COO{M: m, N: n, Entries: c.Entries}).toCSR(pool)
 		if !Equal(seq, par) {
 			t.Fatalf("trial %d: parallel CSR build differs", trial)
 		}

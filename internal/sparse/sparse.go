@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/sched"
 )
 
 // Entry is one observed rating: row (user), column (movie), value.
@@ -91,7 +93,16 @@ func (a *CSR) Row(i int) ([]int32, []float64) {
 
 // ToCSR converts the COO matrix to CSR, sorting columns within each row
 // and summing duplicates.
-func (c *COO) ToCSR() *CSR {
+func (c *COO) ToCSR() *CSR { return c.toCSR(nil) }
+
+// toCSR is the one COO → CSR build. The entries are counted, prefix-summed
+// and scattered into row segments in stream order (sequential: that order
+// is what the duplicate sum is taken in); each segment is then sorted and
+// its duplicates folded in place, and if any row shrank the survivors are
+// packed. The two row loops run on pool when one is given — a row's
+// result is a pure function of its own segment, so the pool changes the
+// time and nothing else.
+func (c *COO) toCSR(pool *sched.Pool) *CSR {
 	counts := make([]int64, c.M+1)
 	for _, e := range c.Entries {
 		counts[e.Row+1]++
@@ -110,35 +121,55 @@ func (c *COO) ToCSR() *CSR {
 		val[p] = e.Val
 		next[e.Row] = p + 1
 	}
-	a := &CSR{M: c.M, N: c.N, RowPtr: counts, Col: col, Val: val}
-	a.sortRowsAndDedup()
-	return a
+	// Sort + dedup each row segment in place, recording surviving widths.
+	width := next // the scatter cursors are spent; their array holds the widths
+	forRange(pool, c.M, 256, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cols, vals := col[counts[i]:counts[i+1]], val[counts[i]:counts[i+1]]
+			sort.Sort(&rowSorter{cols, vals})
+			w := int64(0)
+			for k := range cols {
+				if k > 0 && cols[k] == cols[k-1] {
+					vals[w-1] += vals[k]
+					continue
+				}
+				cols[w] = cols[k]
+				vals[w] = vals[k]
+				w++
+			}
+			width[i] = w
+		}
+	})
+	outPtr := make([]int64, c.M+1)
+	for i := 0; i < c.M; i++ {
+		outPtr[i+1] = outPtr[i] + width[i]
+	}
+	w := outPtr[c.M]
+	if w == int64(nnz) {
+		// No duplicates anywhere: every segment is already dense and in
+		// place, so outPtr == counts and the arrays are final.
+		return &CSR{M: c.M, N: c.N, RowPtr: outPtr, Col: col, Val: val}
+	}
+	outCol := make([]int32, w)
+	outVal := make([]float64, w)
+	forRange(pool, c.M, 256, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s, d, wd := counts[i], outPtr[i], width[i]
+			copy(outCol[d:d+wd], col[s:s+wd])
+			copy(outVal[d:d+wd], val[s:s+wd])
+		}
+	})
+	return &CSR{M: c.M, N: c.N, RowPtr: outPtr, Col: outCol, Val: outVal}
 }
 
-// sortRowsAndDedup sorts each row by column and merges duplicates in place.
-func (a *CSR) sortRowsAndDedup() {
-	outPtr := make([]int64, a.M+1)
-	w := int64(0)
-	for i := 0; i < a.M; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		cols := a.Col[lo:hi]
-		vals := a.Val[lo:hi]
-		sort.Sort(&rowSorter{cols, vals})
-		outPtr[i] = w
-		for k := 0; k < len(cols); k++ {
-			if k > 0 && cols[k] == cols[k-1] {
-				a.Val[w-1] += vals[k]
-				continue
-			}
-			a.Col[w] = cols[k]
-			a.Val[w] = vals[k]
-			w++
-		}
+// forRange runs body over [0, n): in grain-sized ranges on the pool when
+// one is given, in a single inline call otherwise.
+func forRange(pool *sched.Pool, n, grain int, body func(lo, hi int)) {
+	if pool == nil {
+		body(0, n)
+		return
 	}
-	outPtr[a.M] = w
-	a.RowPtr = outPtr
-	a.Col = a.Col[:w]
-	a.Val = a.Val[:w]
+	pool.ParallelFor(0, n, grain, func(_ *sched.Worker, lo, hi int) { body(lo, hi) })
 }
 
 type rowSorter struct {
