@@ -371,7 +371,7 @@ func train(data *Data, cfg Config, r io.Reader, w io.Writer) (*Result, error) {
 	case Static:
 		release, err = mc.Attach(s, mc.Static, threads, nil)
 	case GraphLab:
-		_, err = graphlab.Attach(s, threads, nil)
+		err = graphlab.Attach(s, threads, nil)
 	default:
 		err = fmt.Errorf("bpmf: unknown engine %d", cfg.Engine)
 	}

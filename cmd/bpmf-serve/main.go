@@ -44,6 +44,16 @@
 //
 // Unknown model names return 404 with a JSON body listing the
 // registered names.
+//
+// Every model route sits behind its own admission gate. -rate / -burst
+// is a per-client token bucket over all of a route's requests (429 with
+// the exact refill time in Retry-After). A recommend or fold-in ranking
+// scans the catalog on its request's goroutine in one of GOMAXPROCS
+// scoring slots; with every slot busy it waits in line, and once
+// -queue-bound rankings are waiting for a scoring slot the next one is
+// shed (503 with the -retry-after hint). Predicts and top-N table hits
+// take no slot and are never shed by the bound. Nothing is batched:
+// measured, a request that gets a core also finds a slot (PERF.md).
 package main
 
 import (
@@ -60,6 +70,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -68,7 +79,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/la"
 	"repro/internal/rank"
 	"repro/internal/sched"
 	"repro/internal/serve"
@@ -100,7 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	reg, err := serve.NewRegistry(specs)
+	reg, err := serve.NewRegistry(specs, gateOptions(cfg.Serving))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -134,9 +144,8 @@ func main() {
 		})
 	}
 
-	reg.EnableBatching(batchOptions(cfg.Serving))
-	log.Printf("serving path: max-batch=%d max-delay=%s queue-bound=%d rate=%g",
-		cfg.Serving.MaxBatch, cfg.Serving.MaxDelay, cfg.Serving.QueueBound, cfg.Serving.Rate)
+	log.Printf("serving path: scoring-slots=%d queue-bound=%d rate=%g",
+		runtime.GOMAXPROCS(0), cfg.Serving.QueueBound, cfg.Serving.Rate)
 
 	// Timeouts on every phase of the exchange so one stalled or
 	// malicious client can never pin a connection (and its goroutine)
@@ -162,12 +171,10 @@ func main() {
 	}
 }
 
-// batchOptions maps the validated Serving config onto the serving
-// layer's batcher knobs.
-func batchOptions(s config.Serving) serve.BatchOptions {
+// gateOptions maps the validated Serving config onto the serving
+// layer's admission-gate knobs.
+func gateOptions(s config.Serving) serve.BatchOptions {
 	return serve.BatchOptions{
-		MaxBatch:   s.MaxBatch,
-		MaxDelay:   s.MaxDelay.Std(),
 		QueueBound: s.QueueBound,
 		Rate:       s.Rate,
 		Burst:      s.Burst,
@@ -267,9 +274,8 @@ func buildSpec(name string, mc config.ServeModel, pool *sched.Pool, logf func(st
 	return spec, nil
 }
 
-// route is one model's request path: its hot-reloading server plus the
-// batcher admitting its requests and coalescing its rankings (nil =
-// batching disabled, serve the per-request path directly).
+// route is one model's request path: its hot-reloading server behind the
+// gate that admits its requests and bounds its concurrent rankings.
 type route struct {
 	srv *serve.Server
 	bt  *serve.Batcher
@@ -279,9 +285,6 @@ type route struct {
 // A false return means the request was shed and the 429 response (with
 // its Retry-After hint) already written.
 func (rt route) admit(w http.ResponseWriter, r *http.Request) bool {
-	if rt.bt == nil {
-		return true
-	}
 	if err := rt.bt.Admit(clientKey(r)); err != nil {
 		httpError(w, statusOf(err), err)
 		return false
@@ -296,29 +299,6 @@ func clientKey(r *http.Request) string {
 		return r.RemoteAddr
 	}
 	return host
-}
-
-func (rt route) predict(user, item int) (serve.Prediction, error) {
-	m := rt.srv.Model()
-	if rt.bt != nil {
-		return rt.bt.Predict(m, user, item)
-	}
-	return m.Predict(user, item)
-}
-
-func (rt route) recommend(user, n int) ([]rank.Item, error) {
-	m := rt.srv.Model()
-	if rt.bt != nil {
-		return rt.bt.Recommend(m, user, n)
-	}
-	return m.Recommend(user, n)
-}
-
-func (rt route) recommendVector(m *serve.Model, u la.Vector, excl []int32, n int) ([]rank.Item, error) {
-	if rt.bt != nil {
-		return rt.bt.RecommendVector(m, u, excl, n)
-	}
-	return m.RecommendVector(u, excl, n)
 }
 
 // newMux wires the HTTP endpoints onto the model registry: every model,
@@ -484,7 +464,7 @@ func handlePredict(rt route, w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, err := rt.predict(user, item)
+	p, err := rt.srv.Model().Predict(user, item) // O(K): never waits behind a catalog scan
 	if err != nil {
 		httpError(w, statusOf(err), err)
 		return
@@ -510,7 +490,7 @@ func handleRecommend(rt route, w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	top, err := rt.recommend(user, n)
+	top, err := rt.bt.Recommend(rt.srv.Model(), user, n)
 	if err != nil {
 		httpError(w, statusOf(err), err)
 		return
@@ -569,7 +549,7 @@ func handleFoldIn(rt route, w http.ResponseWriter, r *http.Request) {
 	}
 	resp := foldInResponse{Factors: u}
 	if req.N > 0 {
-		top, err := rt.recommendVector(m, u, req.Items, req.N)
+		top, err := rt.bt.RecommendVector(m, u, req.Items, req.N)
 		if err != nil {
 			httpError(w, statusOf(err), err)
 			return
@@ -590,7 +570,8 @@ func itemsJSON(top []rank.Item) []scoredItem {
 
 // statusOf maps the serving layer's documented errors to HTTP statuses.
 // Admission-control sheds map to 429 (client over its rate) or 503
-// (queue at its SLO bound); httpError attaches their Retry-After hint.
+// (rankings waiting for a scoring slot at their SLO bound); httpError
+// attaches their Retry-After hint.
 func statusOf(err error) int {
 	var shed *serve.Shed
 	switch {

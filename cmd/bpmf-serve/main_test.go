@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/config"
@@ -58,11 +59,10 @@ func testRegistry(t *testing.T) *serve.Registry {
 	ckpt, cfg := testCkpt(t, t.TempDir(), "model.ckpt", 42)
 	reg, err := serve.NewRegistry([]serve.ModelSpec{
 		{Name: "default", Path: ckpt, Opts: serve.Options{Alpha: cfg.Alpha}},
-	})
+	}, serve.DefaultBatchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg.EnableBatching(serve.DefaultBatchOptions())
 	t.Cleanup(func() { reg.Close() })
 	return reg
 }
@@ -276,12 +276,11 @@ func TestPredictMatchesPreRegistryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := serve.NewRegistry(specs)
+	reg, err := serve.NewRegistry(specs, serve.DefaultBatchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	reg.EnableBatching(serve.DefaultBatchOptions())
 	mux := newMux(reg)
 
 	for user := 0; user < 3; user++ {
@@ -316,7 +315,7 @@ func TestTwoModelIndependentReload(t *testing.T) {
 	reg, err := serve.NewRegistry([]serve.ModelSpec{
 		{Name: "a", Path: ckptA, Opts: serve.Options{Alpha: cfgA.Alpha}},
 		{Name: "b", Path: ckptB, Opts: serve.Options{Alpha: cfgB.Alpha}},
-	})
+	}, serve.DefaultBatchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,16 +371,15 @@ func TestTwoModelIndependentReload(t *testing.T) {
 func rateLimitedRegistry(t *testing.T) *serve.Registry {
 	t.Helper()
 	ckpt, cfg := testCkpt(t, t.TempDir(), "model.ckpt", 42)
+	opts := serve.DefaultBatchOptions()
+	opts.Rate, opts.Burst = 0.001, 1
 	reg, err := serve.NewRegistry([]serve.ModelSpec{
 		{Name: "default", Path: ckpt, Opts: serve.Options{Alpha: cfg.Alpha}},
-	})
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { reg.Close() })
-	opts := serve.DefaultBatchOptions()
-	opts.Rate, opts.Burst = 0.001, 1
-	reg.EnableBatching(opts)
 	return reg
 }
 
@@ -451,8 +449,15 @@ func TestFoldInBodyHygiene(t *testing.T) {
 	}
 }
 
-// TestStatusOfShed pins the error → status mapping for admission sheds.
+// TestStatusOfShed pins the error → status mapping for admission sheds,
+// and that an overload shed's -retry-after hint reaches the 503's header.
 func TestStatusOfShed(t *testing.T) {
+	rec := httptest.NewRecorder()
+	overload := &serve.Shed{RetryAfter: 7 * time.Second}
+	httpError(rec, statusOf(overload), overload)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "7" {
+		t.Errorf("overload shed answered %d with Retry-After %q, want 503 and 7", rec.Code, rec.Header().Get("Retry-After"))
+	}
 	if s := statusOf(&serve.Shed{RateLimited: true}); s != http.StatusTooManyRequests {
 		t.Errorf("rate-limit shed = %d, want 429", s)
 	}

@@ -104,7 +104,7 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 	for _, r := range []run{
 		{"TBB(worksteal)", func() (*core.Result, error) { return mc.Run(mc.WorkSteal, one, prob, 1) }},
 		{"OpenMP(static)", func() (*core.Result, error) { return mc.Run(mc.Static, one, prob, 1) }},
-		{"GraphLab", func() (*core.Result, error) { r, _, e := graphlab.Run(one, prob, 1); return r, e }},
+		{"GraphLab", func() (*core.Result, error) { return graphlab.Run(one, prob, 1) }},
 	} {
 		res, err := r.fn()
 		if err != nil {
@@ -213,7 +213,7 @@ func rmseExperiment() {
 	if r, err := mc.Run(mc.Static, cfg, prob, 4); err == nil {
 		report("static (4 threads)", r)
 	}
-	if r, _, err := graphlab.Run(cfg, prob, 4); err == nil {
+	if r, err := graphlab.Run(cfg, prob, 4); err == nil {
 		report("graphlab (4 threads)", r)
 	}
 	if r, _, err := dist.RunInProc(cfg, prob, dist.Options{Ranks: 4}); err == nil {

@@ -32,8 +32,7 @@ func engineCases() []engineCase {
 		{name: "worksteal-3", attach: mcEngine(mc.WorkSteal, 3)},
 		{name: "static-3", attach: mcEngine(mc.Static, 3)},
 		{name: "graphlab-2", attach: func(s *core.Sampler) (func(), error) {
-			_, err := graphlab.Attach(s, 2, nil)
-			return func() {}, err
+			return func() {}, graphlab.Attach(s, 2, nil)
 		}},
 		{name: "distributed-2", ranks: 2},
 		{name: "distributed-3", ranks: 3},

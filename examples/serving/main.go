@@ -5,10 +5,9 @@
 // launches a two-model registry from one JSON config file — the
 // multi-model deployment `bpmf-serve -config` runs behind HTTP — and
 // hot-reloads one model while the other's answers stay put. A third act
-// enables request batching on the registry and drives it with the
-// closed-loop load scheduler from cmd/bpmf-load, reading back the
-// latency percentiles and checking the batched answers stay
-// bit-identical to the per-request path.
+// drives one route's admission gate with the closed-loop load scheduler
+// from cmd/bpmf-load, reading back the latency percentiles and checking
+// that an answer through the gate is Model.Recommend's.
 //
 // This is the paper's end-to-end story in miniature: a long Gibbs run
 // publishes its posterior as a checkpoint, and a server turns that
@@ -177,7 +176,7 @@ func main() {
 			},
 		})
 	}
-	reg, err := serve.NewRegistry(specs)
+	reg, err := serve.NewRegistry(specs, serve.DefaultBatchOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -211,15 +210,15 @@ func main() {
 	fmt.Printf("after reloading staging: prod still answers %.2f (was %.2f), staging reloads=%d, prod reloads=%d\n",
 		prodAfter.Score, prodBefore.Score, stagingSrv.Reloads.Load(), prodSrv.Reloads.Load())
 
-	// --- Act three: batched serving under load. ---
+	// --- Act three: serving under load. ---
 	//
-	// Enable the request batcher on the registry (what bpmf-serve does
-	// from its Serving config) and drive the prod route with the same
-	// closed-loop scheduler cmd/bpmf-load uses over HTTP — here
-	// in-process, so the story runs anywhere. Concurrent VUs get their
-	// recommends coalesced into shared panel-blocked scoring flushes;
-	// every answer stays bit-identical to the per-request path.
-	reg.EnableBatching(serve.DefaultBatchOptions())
+	// Every route of the registry sits behind an admission gate (what
+	// bpmf-serve configures from its Serving section): a ranking runs on
+	// its caller's goroutine in one of GOMAXPROCS scoring slots, and
+	// callers beyond the queue bound waiting for a slot are shed. Drive
+	// the prod route's gate with the same closed-loop scheduler
+	// cmd/bpmf-load uses over HTTP — here in-process, so the story runs
+	// anywhere.
 	bt := reg.Batcher("prod")
 	prodModel := prodSrv.Model()
 
@@ -233,11 +232,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nbatched load (8 VUs, closed loop): %d requests, p50=%s p99=%s, %.0f req/s, shed=%d\n",
+	fmt.Printf("\ngated load (8 VUs, closed loop): %d requests, p50=%s p99=%s, %.0f req/s, shed=%d\n",
 		res.Completed, res.P50, res.P99, res.Throughput, res.Shed)
 
-	// And the answers under load are exactly the quiet-path answers.
-	batched, err := bt.Recommend(prodModel, 1, 2)
+	// And an answer through the gate is exactly the model's answer.
+	gated, err := bt.Recommend(prodModel, 1, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -245,9 +244,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	same := len(batched) == len(direct)
-	for i := 0; same && i < len(batched); i++ {
-		same = batched[i] == direct[i]
+	same := len(gated) == len(direct)
+	for i := 0; same && i < len(gated); i++ {
+		same = gated[i] == direct[i]
 	}
-	fmt.Printf("batched answers bit-identical to per-request path: %v\n", same)
+	fmt.Printf("answers through the gate bit-identical to Model.Recommend: %v\n", same)
 }

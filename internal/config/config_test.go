@@ -50,6 +50,9 @@ func TestDefaultsAreValid(t *testing.T) {
 	if err := sv.Validate(); err != nil {
 		t.Errorf("DefaultServe: %v", err)
 	}
+	if err := DefaultServing().Validate(); err != nil {
+		t.Errorf("DefaultServing: %v", err)
+	}
 	if err := DefaultServeModel().Validate("m"); !strings.Contains(err.Error(), "checkpoint") {
 		t.Errorf("DefaultServeModel without ckpt: %v", err)
 	}
@@ -358,8 +361,6 @@ func TestServeValidate(t *testing.T) {
 		{"inverted clamp", func(c *Serve) { c.Model.Clamp = Clamp{Min: 5, Max: 1} }, "must not exceed"},
 		{"negative topn", func(c *Serve) { c.Model.TopN = -1 }, "topn must be >= 0"},
 		{"bad lineage k", func(c *Serve) { c.Model.Lineage = &Lineage{Seed: 1, K: -1} }, "lineage k"},
-		{"zero max batch", func(c *Serve) { c.Serving.MaxBatch = 0 }, "max batch"},
-		{"negative max delay", func(c *Serve) { c.Serving.MaxDelay = Duration(-time.Millisecond) }, "max delay"},
 		{"negative queue bound", func(c *Serve) { c.Serving.QueueBound = -1 }, "queue bound"},
 		{"negative rate", func(c *Serve) { c.Serving.Rate = -1 }, "rate must be >= 0"},
 		{"negative burst", func(c *Serve) { c.Serving.Burst = -1 }, "burst must be >= 0"},

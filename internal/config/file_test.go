@@ -164,6 +164,37 @@ func TestParseMultiModelServeFile(t *testing.T) {
 	}
 }
 
+// TestServeRefusesDeletedBatchingKnobs: the request batcher's two options
+// went with it (PR 24), and a deployment still carrying one hears so at
+// start-up — the file loader names the key, the flag set the flag —
+// instead of running with a setting that does nothing.
+func TestServeRefusesDeletedBatchingKnobs(t *testing.T) {
+	for _, key := range []string{"max_batch", "max_delay"} {
+		path := writeFile(t, "serve.json", `{"model": {"ckpt": "m.ckpt"}, "serving": {"`+key+`": 8, "queue_bound": 16}}`)
+		cfg := DefaultServe()
+		err := Parse(newFS(t), []string{"-config", path}, &cfg)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("config file with %q: error %v, want a refusal naming the key", key, err)
+		}
+	}
+	for _, name := range []string{"-max-batch", "-max-delay"} {
+		cfg := DefaultServe()
+		err := Parse(newFS(t), []string{"-ckpt", "m.ckpt", name, "1"}, &cfg)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
+			t.Errorf("%s: error %v, want an unknown-flag refusal", name, err)
+		}
+	}
+	// What stays is still accepted from both layers.
+	path := writeFile(t, "serve.json", `{"model": {"ckpt": "m.ckpt"}, "serving": {"queue_bound": 16}}`)
+	cfg := DefaultServe()
+	if err := Parse(newFS(t), []string{"-config", path, "-retry-after", "3s"}, &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Serving.QueueBound != 16 || cfg.Serving.RetryAfter.Std().Seconds() != 3 {
+		t.Errorf("serving = %+v, want queue bound 16 from the file and retry-after 3s from the flag", cfg.Serving)
+	}
+}
+
 // TestParseReportsUnknownFlags: a typo'd flag surfaces through the real
 // FlagSet's error handling instead of being eaten by the -config scan.
 func TestParseReportsUnknownFlags(t *testing.T) {

@@ -56,23 +56,15 @@ func (m ServeModel) Validate(name string) error {
 }
 
 // Serving configures the request path shared by every model route of
-// the registry: the batching window that coalesces concurrent rankings
-// into shared scoring flushes, the queue bound that sheds overload (503 +
-// Retry-After), and the per-client rate limit (429 + Retry-After).
-// Batching and the queue are per model route; the rate limit is per
-// (client, model).
+// the registry: recommend / fold-in rankings run in one of GOMAXPROCS
+// scoring slots, the queue bound sheds overload (503 + Retry-After) among
+// the rankings waiting for a slot, and the per-client rate limit sheds
+// with 429 + Retry-After. Slots and the waiting line are per model route;
+// the rate limit is per (client, model).
 type Serving struct {
-	// MaxBatch caps how many queued recommend / fold-in rankings one
-	// flush scores together (1 = disable coalescing, serve the
-	// per-request path). Up to GOMAXPROCS flushes run at once.
-	MaxBatch int `json:"max_batch,omitempty"`
-	// MaxDelay bounds how long a flusher whose queue refilled while it
-	// scored waits to fill a partial batch; a request that finds a free
-	// flusher slot is always flushed immediately.
-	MaxDelay Duration `json:"max_delay,omitempty"`
-	// QueueBound is the SLO bound on queued rankings per model; beyond
-	// it new ones are shed with 503 (0 = unbounded). Predicts and top-N
-	// table hits never queue and are never shed by it.
+	// QueueBound is the SLO bound on rankings waiting for a scoring slot
+	// per model; beyond it new ones are shed with 503 (0 = unbounded).
+	// Predicts and top-N table hits never wait and are never shed by it.
 	QueueBound int `json:"queue_bound,omitempty"`
 	// Rate is the per-client admission rate in requests/second
 	// (0 = no rate limit).
@@ -84,13 +76,10 @@ type Serving struct {
 	RetryAfter Duration `json:"retry_after,omitempty"`
 }
 
-// DefaultServing returns the serving-path defaults: coalesce up to 64
-// requests, wait at most 200µs to fill a partial batch while busy, shed
-// beyond 1024 queued requests, no per-client rate limit.
+// DefaultServing returns the serving-path defaults: shed beyond 1024
+// waiting rankings, no per-client rate limit.
 func DefaultServing() Serving {
 	return Serving{
-		MaxBatch:   64,
-		MaxDelay:   Duration(200 * time.Microsecond),
 		QueueBound: 1024,
 		RetryAfter: Duration(time.Second),
 	}
@@ -99,9 +88,7 @@ func DefaultServing() Serving {
 // RegisterFlags declares the serving-path flag surface over the
 // struct's current values.
 func (c *Serving) RegisterFlags(fs *flag.FlagSet) {
-	fs.IntVar(&c.MaxBatch, "max-batch", c.MaxBatch, "max recommend/fold-in rankings coalesced into one scoring flush (1 = unbatched); up to GOMAXPROCS flushes run concurrently")
-	fs.Var(&c.MaxDelay, "max-delay", "max wait of a busy flusher to fill a partial batch (a request that finds a free flusher never waits)")
-	fs.IntVar(&c.QueueBound, "queue-bound", c.QueueBound, "shed rankings with 503 beyond this many queued per model (0 = unbounded); predicts never queue, so are never shed by it")
+	fs.IntVar(&c.QueueBound, "queue-bound", c.QueueBound, "shed rankings with 503 once this many are waiting for a scoring slot per model (0 = unbounded); predicts never wait, so are never shed by it")
 	fs.Float64Var(&c.Rate, "rate", c.Rate, "per-client request rate limit in req/s (0 = unlimited)")
 	fs.IntVar(&c.Burst, "burst", c.Burst, "per-client token-bucket burst (0 = derive from -rate)")
 	fs.Var(&c.RetryAfter, "retry-after", "Retry-After hint attached to overload sheds")
@@ -109,12 +96,6 @@ func (c *Serving) RegisterFlags(fs *flag.FlagSet) {
 
 // Validate checks the serving-path configuration.
 func (c Serving) Validate() error {
-	if c.MaxBatch < 1 {
-		return fmt.Errorf("config: max batch must be >= 1 (1 = unbatched), got %d", c.MaxBatch)
-	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("config: max delay must be >= 0, got %s", c.MaxDelay)
-	}
 	if c.QueueBound < 0 {
 		return fmt.Errorf("config: queue bound must be >= 0 (0 = unbounded), got %d", c.QueueBound)
 	}
@@ -139,15 +120,15 @@ type Serve struct {
 	Addr string `json:"addr,omitempty"`
 	// Threads is the worker-thread count for top-N precomputes
 	// (0 = GOMAXPROCS), shared by all models. It does not bound request
-	// scoring, which runs on up to GOMAXPROCS concurrent flushers.
+	// scoring, which runs in up to GOMAXPROCS concurrent scoring slots.
 	Threads int `json:"threads,omitempty"`
 	// Watch polls each model's checkpoint file at this interval and
 	// hot-reloads it on change (0 = SIGHUP only). Models reload
 	// independently: one model's new checkpoint never touches the
 	// others' snapshots.
 	Watch Duration `json:"watch,omitempty"`
-	// Serving configures the shared request path: batching window,
-	// queue bound, per-client rate limits.
+	// Serving configures the shared request path: queue bound and
+	// per-client rate limits.
 	Serving Serving `json:"serving"`
 
 	// Model is the single-model configuration the classic flag surface
@@ -177,7 +158,7 @@ func DefaultServeModel() ServeModel { return ServeModel{Alpha: 2.0} }
 // "default" entry); multi-model registries come from the config file.
 func (c *Serve) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Addr, "addr", c.Addr, "HTTP listen address")
-	fs.IntVar(&c.Threads, "threads", c.Threads, "worker threads for the top-N precompute only (0 = GOMAXPROCS); requests are scored on up to GOMAXPROCS concurrent flushers whatever this is")
+	fs.IntVar(&c.Threads, "threads", c.Threads, "worker threads for the top-N precompute only (0 = GOMAXPROCS); requests are scored in up to GOMAXPROCS concurrent scoring slots whatever this is")
 	fs.Var(&c.Watch, "watch", "poll each model's checkpoint at this interval and hot-reload on change (0 = SIGHUP only)")
 	c.Serving.RegisterFlags(fs)
 	fs.StringVar(&c.Model.Ckpt, "ckpt", c.Model.Ckpt, "checkpoint file to serve (single-model mode)")

@@ -80,24 +80,31 @@ func (m *Manifest) check() error {
 	return nil
 }
 
+// readManifestFile is the one way a manifest comes off disk: read,
+// decode, check. ReadManifest returns its error; LatestManifest's scan
+// logs it and moves on — so a rule added here binds both.
+func readManifestFile(path string) (*Manifest, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("dist: torn manifest %s: %w", filepath.Base(path), err)
+	}
+	if err := m.check(); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
 // ReadManifest loads the sealed manifest of one specific iteration —
 // for pinning a resume to a known round instead of the latest. Unlike
 // LatestManifest's scan, a pinned manifest fails loudly: the caller
 // named this exact round, so a torn or inconsistent file is an error,
 // never something to skip past.
 func ReadManifest(dir string, iter int) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName(iter)))
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("dist: manifest for iter %d: %w", iter, err)
-	}
-	if err := m.check(); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return readManifestFile(filepath.Join(dir, manifestName(iter)))
 }
 
 // LatestManifest scans dir for sealed checkpoint manifests and returns
@@ -114,36 +121,32 @@ func LatestManifest(dir string) (*Manifest, error) {
 	}
 	var best *Manifest
 	for _, name := range names {
-		data, err := os.ReadFile(name)
+		m, err := readManifestFile(name)
 		if err != nil {
-			log.Printf("dist: skipping unreadable checkpoint manifest %s: %v", name, err)
-			continue
-		}
-		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			log.Printf("dist: skipping torn checkpoint manifest %s: %v", name, err)
-			continue
-		}
-		if err := m.check(); err != nil {
 			log.Printf("dist: skipping checkpoint manifest %s: %v", name, err)
 			continue
 		}
 		if best == nil || m.Iter > best.Iter {
-			mm := m
-			best = &mm
+			best = m
 		}
 	}
 	return best, nil
 }
 
 // LoadDistCheckpoint reassembles a manifest's fragments into one global
-// core.Checkpoint. test must be the global held-out set of the run that
-// wrote the round (fragment accumulators are filtered by the manifest's
-// row ownership, so the walk must see the same entries in the same
-// order).
-func LoadDistCheckpoint(dir string, man *Manifest, test []sparse.Entry) (*core.Checkpoint, error) {
+// core.Checkpoint for a run over an m x n matrix. test must be the global
+// held-out set of the run that wrote the round (fragment accumulators are
+// filtered by the manifest's row ownership, so the walk must see the same
+// entries in the same order). A round sealed over another shape — a
+// checkpoint directory reused after a run on a different matrix — is
+// refused before its bounds index anything of this run's.
+func LoadDistCheckpoint(dir string, man *Manifest, m, n int, test []sparse.Entry) (*core.Checkpoint, error) {
 	if err := man.check(); err != nil {
 		return nil, err
+	}
+	if man.M != m || man.N != n {
+		return nil, fmt.Errorf("dist: %s in %s was sealed over a %dx%d matrix, this run's is %dx%d (a checkpoint directory left by another run?)",
+			manifestName(man.Iter), dir, man.M, man.N, m, n)
 	}
 	out := &core.Checkpoint{
 		K:           man.K,

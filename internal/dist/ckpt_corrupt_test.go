@@ -3,11 +3,16 @@ package dist
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/sparse"
 )
 
 // ckpt_corrupt_test.go pins the manifest plane's behavior over a corpus
@@ -83,7 +88,7 @@ func TestLatestManifestSkipsCorruptFiles(t *testing.T) {
 			t.Fatalf("no skip warning for %s in:\n%s", name, warned)
 		}
 	}
-	if !strings.Contains(warned, "skipping torn checkpoint manifest") {
+	if !strings.Contains(warned, "torn manifest "+manifestName(6)) {
 		t.Fatalf("torn manifest not reported as torn:\n%s", warned)
 	}
 	if !strings.Contains(warned, "is inconsistent (2 ranks, 2/2 bounds, 1 fragments)") {
@@ -102,11 +107,11 @@ func TestReadManifestFailsLoudlyOnCorpus(t *testing.T) {
 		t.Fatalf("intact manifest: got (%+v, %v)", man, err)
 	}
 	if _, err := ReadManifest(dir, 6); err == nil ||
-		err.Error() != "dist: manifest for iter 6: unexpected end of JSON input" {
+		err.Error() != "dist: torn manifest manifest-iter000006.json: unexpected end of JSON input" {
 		t.Fatalf("torn manifest error = %v", err)
 	}
 	if _, err := ReadManifest(dir, 8); err == nil ||
-		err.Error() != "dist: manifest for iter 8: unexpected end of JSON input" {
+		err.Error() != "dist: torn manifest manifest-iter000008.json: unexpected end of JSON input" {
 		t.Fatalf("empty manifest error = %v", err)
 	}
 	if _, err := ReadManifest(dir, 10); err == nil ||
@@ -115,6 +120,51 @@ func TestReadManifestFailsLoudlyOnCorpus(t *testing.T) {
 	}
 	if _, err := ReadManifest(dir, 12); !os.IsNotExist(err) {
 		t.Fatalf("missing manifest error = %v, want os.IsNotExist", err)
+	}
+}
+
+// TestResumeRefusesManifestOfAnotherShape: a checkpoint directory reused
+// after a run on a smaller or a larger matrix holds intact rounds that
+// LatestManifest picks up. Resuming from one is an error naming the
+// manifest and both shapes — reached before the stale bounds index this
+// run's test entries (the smaller case died in LoadDistCheckpoint with
+// "index out of range [40] with length 40") or size its factors.
+func TestResumeRefusesManifestOfAnotherShape(t *testing.T) {
+	split := func(spec datagen.Spec) *core.Problem {
+		train, test := sparse.SplitTrainTest(datagen.Generate(spec).R, 0.2, 3)
+		return core.NewProblem(train, test)
+	}
+	tiny, small := split(datagen.Tiny(3)), split(datagen.Small(3))
+	cfg := testConfig()
+	cfg.Iters = 4
+	for _, tc := range []struct {
+		name          string
+		wrote, resume *core.Problem
+	}{
+		{"stale smaller manifest", tiny, small},
+		{"stale larger manifest", small, tiny},
+	} {
+		opt := Options{Ranks: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2}
+		if _, _, _, err := RunRounds(cfg, Source{Prob: tc.wrote}, nil, opt, nil); err != nil {
+			t.Fatalf("%s: writing the rounds: %v", tc.name, err)
+		}
+		man, err := LatestManifest(opt.CheckpointDir)
+		if err != nil || man == nil {
+			t.Fatalf("%s: latest manifest (%+v, %v)", tc.name, man, err)
+		}
+		_, _, _, err = RunRounds(cfg, Source{Prob: tc.resume}, man, opt, nil)
+		if err == nil {
+			t.Fatalf("%s: resumed a %dx%d run from a %dx%d round", tc.name, tc.resume.R.M, tc.resume.R.N, man.M, man.N)
+		}
+		for _, want := range []string{
+			manifestName(man.Iter), opt.CheckpointDir,
+			fmt.Sprintf("sealed over a %dx%d matrix", tc.wrote.R.M, tc.wrote.R.N),
+			fmt.Sprintf("this run's is %dx%d", tc.resume.R.M, tc.resume.R.N),
+		} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+			}
+		}
 	}
 }
 

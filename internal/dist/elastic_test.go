@@ -143,7 +143,7 @@ func TestElasticRecoveryMatchesSequentialResume(t *testing.T) {
 	}
 
 	man := readManifest(t, dir, 4)
-	base, err := LoadDistCheckpoint(dir, man, prob.Test)
+	base, err := LoadDistCheckpoint(dir, man, prob.R.M, prob.R.N, prob.Test)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func RunRank(c *comm.Comm, cfg core.Config, src Source, man *Manifest, opt Optio
 		return nil, nil, err
 	}
 	if man != nil {
-		base, err := LoadDistCheckpoint(opt.CheckpointDir, man, test)
+		base, err := LoadDistCheckpoint(opt.CheckpointDir, man, plan.R.M, plan.R.N, test)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -76,22 +76,12 @@ type Program interface {
 	Apply(side core.Side, local, thread int, acc any, out la.Vector)
 }
 
-// Stats counts engine activity, used by the discrete-event model
-// calibration.
-type Stats struct {
-	Supersteps        int
-	VertexActivations int64
-	EdgeGathers       int64
-	Barriers          int
-}
-
 // Engine is a synchronous (bulk-synchronous-parallel) vertex engine with
 // static partitioning, the closest analogue of GraphLab's sync engine
 // configuration used for matrix factorization benchmarks.
 type Engine struct {
 	G       *Graph
 	Threads int
-	Stats   Stats
 
 	// ws is the kernel scratch the BPMF vertex program leases per
 	// activation (set by Attach).
@@ -117,11 +107,7 @@ func NewEngine(g *Graph, threads int) *Engine {
 // order changes no sampled bit — GraphLab's own engines make the same
 // no-ordering promise to vertex programs.
 func (e *Engine) Superstep(side core.Side, prog Program, factors, other *la.Matrix, ord []int32) {
-	n := factors.Rows
-	var activations, gathers int64
-	type counter struct{ a, g int64 }
-	perThread := make([]counter, e.Threads)
-	sched.StaticFor(e.Threads, 0, n, func(t, lo, hi int) {
+	sched.StaticFor(e.Threads, 0, factors.Rows, func(t, lo, hi int) {
 		for pos := lo; pos < hi; pos++ {
 			v := pos
 			if ord != nil {
@@ -133,18 +119,8 @@ func (e *Engine) Superstep(side core.Side, prog Program, factors, other *la.Matr
 				prog.Gather(acc, other.Row(int(c)), vals[k])
 			}
 			prog.Apply(side, v, t, acc, factors.Row(v))
-			perThread[t].a++
-			perThread[t].g += int64(len(cols))
 		}
 	})
-	for _, c := range perThread {
-		activations += c.a
-		gathers += c.g
-	}
-	e.Stats.Supersteps++
-	e.Stats.Barriers++
-	e.Stats.VertexActivations += activations
-	e.Stats.EdgeGathers += gathers
 }
 
 // bpmfAcc is the BPMF program's gather accumulator: the neighbor factors
@@ -157,33 +133,31 @@ type bpmfAcc struct {
 	rows []la.Vector
 }
 
-// Run executes BPMF on prob with the GraphLab-style engine and returns
-// the result plus engine statistics, activating each superstep's vertices
-// in the default locality schedule.
-func Run(cfg core.Config, prob *core.Problem, threads int) (*core.Result, *Stats, error) {
+// Run executes BPMF on prob with the GraphLab-style engine, activating
+// each superstep's vertices in the default locality schedule.
+func Run(cfg core.Config, prob *core.Problem, threads int) (*core.Result, error) {
 	return run(cfg, prob, threads, nil)
 }
 
 // RunScheduled is Run with an explicit activation schedule (nil sch or nil
 // sides mean vertex-id order). Any permutation yields the bit-identical
 // chain; a non-permutation order is rejected.
-func RunScheduled(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, *Stats, error) {
+func RunScheduled(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
 	if sch == nil {
 		sch = &order.Schedule{}
 	}
 	return run(cfg, prob, threads, sch)
 }
 
-func run(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, *Stats, error) {
+func run(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
 	s, err := core.NewSampler(cfg, prob)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	e, err := Attach(s, threads, sch)
-	if err != nil {
-		return nil, nil, err
+	if err := Attach(s, threads, sch); err != nil {
+		return nil, err
 	}
-	return s.Run(), &e.Stats, nil
+	return s.Run(), nil
 }
 
 // Attach binds s to a GraphLab-style engine over its problem's rating
@@ -192,7 +166,7 @@ func run(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) 
 // schedule (pure RCM — no heavy-first binning, which would hand every
 // heavy vertex to the static split's first thread); &order.Schedule{} is
 // vertex-id order.
-func Attach(s *core.Sampler, threads int, sch *order.Schedule) (*Engine, error) {
+func Attach(s *core.Sampler, threads int, sch *order.Schedule) error {
 	if sch == nil {
 		sch = order.Build(s.Prob.R, order.Options{})
 	}
@@ -201,10 +175,7 @@ func Attach(s *core.Sampler, threads int, sch *order.Schedule) (*Engine, error) 
 	e.ws = sched.NewArena(func() *core.Workspace {
 		return core.NewWorkspaceShared(s.Cfg.K, acc)
 	})
-	if err := s.Use(e, *sch); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return s.Use(e, *sch)
 }
 
 // Sweep implements core.Executor: one superstep over the side's vertices.

@@ -60,7 +60,7 @@ func TestGraphLabMatchesSequentialBitwise(t *testing.T) {
 	}
 	want := seq.Run()
 	for _, threads := range []int{1, 3} {
-		got, _, err := Run(cfg, prob, threads)
+		got, err := Run(cfg, prob, threads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestActivationOrderIsChainInvariant(t *testing.T) {
 	}
 	for trial := 0; trial < 3; trial++ {
 		sch := &order.Schedule{U: perm(m), V: perm(n)}
-		got, _, err := RunScheduled(cfg, prob, 2, sch)
+		got, err := RunScheduled(cfg, prob, 2, sch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,35 +117,11 @@ func TestActivationOrderIsChainInvariant(t *testing.T) {
 	}
 }
 
-func TestEngineStats(t *testing.T) {
-	prob := problem(t, datagen.Tiny(7))
-	cfg := testConfig()
-	cfg.Iters = 3
-	cfg.Burnin = 1
-	_, stats, err := Run(cfg, prob, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, n := prob.Dims()
-	if stats.Supersteps != 2*cfg.Iters {
-		t.Fatalf("supersteps = %d, want %d", stats.Supersteps, 2*cfg.Iters)
-	}
-	if stats.VertexActivations != int64(cfg.Iters)*int64(m+n) {
-		t.Fatalf("activations = %d", stats.VertexActivations)
-	}
-	if stats.EdgeGathers != int64(cfg.Iters)*2*int64(prob.R.NNZ()) {
-		t.Fatalf("gathers = %d, want %d", stats.EdgeGathers, int64(cfg.Iters)*2*int64(prob.R.NNZ()))
-	}
-	if stats.Barriers != stats.Supersteps {
-		t.Fatal("one barrier per superstep")
-	}
-}
-
 func TestRunValidatesConfig(t *testing.T) {
 	prob := problem(t, datagen.Tiny(1))
 	cfg := testConfig()
 	cfg.Alpha = -1
-	if _, _, err := Run(cfg, prob, 2); err == nil {
+	if _, err := Run(cfg, prob, 2); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -155,7 +131,7 @@ func TestKernelCountsReported(t *testing.T) {
 	cfg := testConfig()
 	cfg.Iters = 2
 	cfg.Burnin = 1
-	res, _, err := Run(cfg, prob, 2)
+	res, err := Run(cfg, prob, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,8 @@ type Query struct {
 //
 // qs[b].Items is exactly TopNScoresExcluding over la.Dot(U, v.Row(j))
 // for every j — same scores, same heap, same tie-breaking — whatever
-// the batch around it: a single request is a batch of one, a batcher
-// flush a batch of its jobs, the top-N table precompute a batch of users.
+// the batch around it: a single request is a batch of one, the top-N
+// table precompute a batch of users.
 func Recommend(v *la.Matrix, qs []Query) {
 	for b := range qs {
 		q := &qs[b]

@@ -202,8 +202,8 @@ func sameList(t *testing.T, label string, got, want []Item) {
 	}
 }
 
-// TestRecommendReusesQueries: a query slice ranked twice (a flusher's
-// next round) carries nothing over from the first pass.
+// TestRecommendReusesQueries: a query slice ranked twice carries nothing
+// over from the first pass.
 func TestRecommendReusesQueries(t *testing.T) {
 	stream := rng.New(73)
 	v := la.NewMatrix(150, 8)

@@ -5,30 +5,21 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/la"
 	"repro/internal/rank"
 )
 
-// BatchOptions configures a model route's request batcher and admission
-// control. The zero value is not usable; start from DefaultBatchOptions.
+// BatchOptions configures a model route's admission gate (see Batcher
+// for the names). Start from DefaultBatchOptions.
 type BatchOptions struct {
-	// MaxBatch caps how many queued requests one flush scores together.
-	// 1 disables coalescing entirely: requests run the unbatched
-	// per-request path directly (the pre-batcher behavior, kept as the
-	// measurable baseline), with rate limiting still applied by Admit.
-	MaxBatch int
-	// MaxDelay bounds how long a flusher waits to fill a partial batch.
-	// The wait only ever applies to a flusher's later rounds, which exist
-	// because requests piled up while it scored: a request that finds a
-	// free flusher slot flushes immediately, so p50 at low load does not
-	// regress. 0 never waits.
-	MaxDelay time.Duration
-	// QueueBound is the SLO bound on queued rankings (Recommend,
-	// RecommendVector): when the queue is this deep, new ones are shed
-	// with a *Shed instead of queuing unboundedly. Predict and top-N
-	// table hits never queue, so it never sheds them. 0 means no bound.
+	// QueueBound is the SLO bound on rankings (Recommend,
+	// RecommendVector) waiting for a scoring slot: with this many
+	// waiting, new ones are shed with a *Shed instead of queuing
+	// unboundedly. Predict and top-N table hits never wait, so it never
+	// sheds them. 0 means no bound.
 	QueueBound int
 	// Rate is the per-client admission rate in requests/second enforced
 	// by Admit via a token bucket per client key. 0 disables rate
@@ -44,30 +35,17 @@ type BatchOptions struct {
 	RetryAfter time.Duration
 }
 
-// DefaultBatchOptions returns the serving defaults: coalesce up to 64
-// requests per flush, wait at most 200µs to fill a partial batch while
-// busy, shed beyond 1024 queued requests, no per-client rate limit.
+// DefaultBatchOptions returns the serving defaults: shed beyond 1024
+// waiting rankings, no per-client rate limit.
 func DefaultBatchOptions() BatchOptions {
-	return BatchOptions{
-		MaxBatch:   64,
-		MaxDelay:   200 * time.Microsecond,
-		QueueBound: 1024,
-		RetryAfter: time.Second,
-	}
-}
-
-func (o BatchOptions) retryAfter() time.Duration {
-	if o.RetryAfter > 0 {
-		return o.RetryAfter
-	}
-	return time.Second
+	return BatchOptions{QueueBound: 1024, RetryAfter: time.Second}
 }
 
 // Shed is the admission-control rejection: the request was refused
 // before any scoring work, either because the client exceeded its rate
-// (RateLimited, HTTP 429) or because the queue hit its SLO bound
-// (overload, HTTP 503). RetryAfter is the back-off hint to surface in a
-// Retry-After header.
+// (RateLimited, HTTP 429) or because the rankings waiting for a scoring
+// slot hit their SLO bound (overload, HTTP 503). RetryAfter is the
+// back-off hint to surface in a Retry-After header.
 type Shed struct {
 	RateLimited bool
 	RetryAfter  time.Duration
@@ -80,61 +58,37 @@ func (s *Shed) Error() string {
 	return fmt.Sprintf("serve: overloaded, request queue at its bound (retry after %s)", s.RetryAfter)
 }
 
-// scoreJob is one queued ranking request. The model snapshot is captured
-// at submit time, so a batch formed across a concurrent hot reload
-// scores each request against exactly the snapshot its caller grabbed —
-// the same guarantee the unbatched path gives.
-type scoreJob struct {
-	m *Model
-	n int
-
-	user int       // whose factor row and exclusion list to rank, when vec is nil
-	vec  la.Vector // explicit factor row (fold-in recommends)
-	excl []int32   // explicit exclusions for vec
-
-	items []rank.Item
-	err   error
-	done  chan struct{}
-}
-
-// Batcher coalesces concurrent Recommend/RecommendVector calls against
-// one model route into shared rank.Recommend passes — V streamed once
-// per flush instead of once per request — and applies admission control
-// in front of them. Every response stays
-// bit-identical to the per-request path (pinned by the differential
-// tests in batcher_test.go).
+// Batcher is one model route's admission gate: a per-client token bucket
+// (Admit) in front of every request, and in front of the catalog scans a
+// bound of GOMAXPROCS concurrent rankings plus a bounded line of callers
+// waiting for one of those slots. A ranking runs Model.Recommend /
+// RecommendVector on its caller's goroutine, inside a slot, against the
+// snapshot the caller grabbed. The gate starts no goroutine and keeps no
+// queue: the waiters are blocked senders on the slot channel, which Go
+// serves first come, first served.
 //
-// There is no standing goroutine and no single scoring goroutine: a
-// request that finds one of the GOMAXPROCS flusher slots free takes it,
-// takes up to MaxBatch queued jobs (its own among them) and ranks them
-// inline; one that finds every slot taken queues and is picked up by
-// the next flusher to finish a round. A caller flushes one round only:
-// if requests piled up behind it, the slot passes to a goroutine that
-// drains them and exits, so no response waits on other callers' work.
-// An idle server answers with no hand-off, a busy one keeps every core
-// scoring, and batches grow only as fast as load outruns the cores. What
-// has no scoring work to share never queues: Predict is O(K) and a top-N
-// table hit a slice copy, so neither waits behind a catalog scan. All
-// methods are safe for concurrent use.
+// Nothing is batched: with as many slots as cores a request that gets a
+// core also finds a slot, so rankings do not pile up to share a pass
+// (PERF.md, PR 14 section). The name is the request batcher's this type
+// replaced — benchmark/ compiles against it, so the rename is queued in
+// ROADMAP item 5 — and rank.Recommend still takes many queries per pass
+// for the day a workload's traffic contains batches. Safe for concurrent
+// use.
 type Batcher struct {
-	opts        BatchOptions
-	maxFlushers int // runtime.GOMAXPROCS(0) at construction
+	opts BatchOptions
 
-	mu       sync.Mutex
-	queue    []*scoreJob
-	flushers int           // flusher slots taken, at most maxFlushers
-	full     chan struct{} // signaled when the queue reaches MaxBatch
+	slots   chan struct{} // a send takes a scoring slot, a receive gives it back; cap is GOMAXPROCS at construction
+	waiting atomic.Int32  // callers blocked in acquire
 
 	lim limiter
 }
 
-// NewBatcher returns a batcher over opts. MaxBatch < 1 is treated as 1
-// (unbatched mode).
+// NewBatcher returns a gate over opts.
 func NewBatcher(opts BatchOptions) *Batcher {
-	if opts.MaxBatch < 1 {
-		opts.MaxBatch = 1
+	if opts.RetryAfter <= 0 {
+		opts.RetryAfter = time.Second
 	}
-	b := &Batcher{opts: opts, maxFlushers: runtime.GOMAXPROCS(0), full: make(chan struct{}, 1)}
+	b := &Batcher{opts: opts, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
 	if opts.Rate > 0 {
 		burst := float64(opts.Burst)
 		if burst <= 0 {
@@ -164,169 +118,55 @@ func (b *Batcher) Admit(client string) error {
 	return nil
 }
 
-// Predict serves Model.Predict. It never enters the flush queue — one
-// inner product has nothing to coalesce and must not wait behind a
-// catalog scan — so QueueBound cannot shed it (Admit's rate limit can).
-func (b *Batcher) Predict(m *Model, user, item int) (Prediction, error) {
-	return m.Predict(user, item)
-}
-
-// Recommend serves Model.Recommend through the batch queue. What has no
-// scoring work to share — a bad user index, n <= 0, a hit in the
-// precomputed top-N table, unbatched mode — is answered by the model
-// directly; everything else contributes its user row to the next
-// flush's multi-user pass.
+// Recommend serves Model.Recommend inside a scoring slot. What scans no
+// catalog — a bad user index, n <= 0, a hit in the precomputed top-N
+// table — takes no slot and is never shed by QueueBound.
 func (b *Batcher) Recommend(m *Model, user, n int) ([]rank.Item, error) {
-	if b.opts.MaxBatch <= 1 || n <= 0 || m.checkUser(user) != nil || (m.table != nil && n <= m.table.n) {
+	if n <= 0 || m.checkUser(user) != nil || (m.table != nil && n <= m.table.n) {
 		return m.Recommend(user, n)
 	}
-	j := &scoreJob{m: m, user: user, n: n, done: make(chan struct{})}
-	if err := b.submit(j); err != nil {
+	if err := b.acquire(); err != nil {
 		return nil, err
 	}
-	return j.items, j.err
+	defer b.release()
+	return m.Recommend(user, n)
 }
 
 // RecommendVector serves Model.RecommendVector (the fold-in
-// recommendation path) through the batch queue: a well-formed factor
-// row joins the same multi-user pass as the user-row recommends.
+// recommendation path) inside a scoring slot; a malformed factor row or
+// n <= 0 is answered without one.
 func (b *Batcher) RecommendVector(m *Model, u la.Vector, excl []int32, n int) ([]rank.Item, error) {
-	if b.opts.MaxBatch <= 1 || n <= 0 || m.checkVector(u) != nil {
+	if n <= 0 || m.checkVector(u) != nil {
 		return m.RecommendVector(u, excl, n)
 	}
-	j := &scoreJob{m: m, vec: u, excl: excl, n: n, done: make(chan struct{})}
-	if err := b.submit(j); err != nil {
+	if err := b.acquire(); err != nil {
 		return nil, err
 	}
-	return j.items, j.err
+	defer b.release()
+	return m.RecommendVector(u, excl, n)
 }
 
-// submit queues one job and blocks until a flush completes it. If a
-// flusher slot is free the caller takes it and ranks what is queued — its
-// own job included — inline: no timer and no hand-off in the way of an
-// uncontended request. Returns a *Shed without queuing when the queue is
-// at its bound.
-func (b *Batcher) submit(j *scoreJob) error {
-	b.mu.Lock()
-	if b.opts.QueueBound > 0 && len(b.queue) >= b.opts.QueueBound {
-		b.mu.Unlock()
-		return &Shed{RetryAfter: b.opts.retryAfter()}
+// acquire takes a scoring slot, waiting for one when all are taken —
+// unless QueueBound callers already wait, in which case it returns a
+// *Shed at once.
+func (b *Batcher) acquire() error {
+	select {
+	case b.slots <- struct{}{}:
+		return nil
+	default:
 	}
-	b.queue = append(b.queue, j)
-	if len(b.queue) >= b.opts.MaxBatch {
-		select {
-		case b.full <- struct{}{}:
-		default:
-		}
+	if w := b.waiting.Add(1); b.opts.QueueBound > 0 && int(w) > b.opts.QueueBound {
+		b.waiting.Add(-1)
+		return &Shed{RetryAfter: b.opts.RetryAfter}
 	}
-	var batch []*scoreJob
-	if b.flushers < b.maxFlushers {
-		b.flushers++
-		batch = b.take()
-	}
-	b.mu.Unlock()
-	if batch != nil {
-		run(batch)
-		b.flushLoop(true)
-	}
-	<-j.done
+	b.slots <- struct{}{}
+	b.waiting.Add(-1)
 	return nil
 }
 
-// take removes the next round's jobs, up to MaxBatch, from the head of
-// the queue. The caller holds b.mu.
-func (b *Batcher) take() []*scoreJob {
-	n := min(len(b.queue), b.opts.MaxBatch)
-	batch := make([]*scoreJob, n)
-	copy(batch, b.queue[:n])
-	rest := copy(b.queue, b.queue[n:])
-	clear(b.queue[rest:]) // release job pointers past the new tail
-	b.queue = b.queue[:rest]
-	return batch
-}
-
-// flushLoop holds a flusher slot after its first round: it drains the
-// queue in rounds of up to MaxBatch jobs, waiting up to MaxDelay for a
-// partial batch to fill (these rounds only exist because requests piled
-// up while the previous one scored), and gives the slot back once the
-// queue is empty. The submitter that took the slot calls it with caller
-// set and never runs those rounds itself — they are other callers' work,
-// and its response must not wait on them — so if anything is queued the
-// slot moves to a goroutine that lives until the queue is empty.
-// Flushers share nothing but the queue: each round's jobs and queries
-// are its own.
-func (b *Batcher) flushLoop(caller bool) {
-	for {
-		b.mu.Lock()
-		if !caller && b.opts.MaxDelay > 0 && len(b.queue) > 0 && len(b.queue) < b.opts.MaxBatch {
-			b.mu.Unlock()
-			t := time.NewTimer(b.opts.MaxDelay)
-			select {
-			case <-b.full:
-			case <-t.C:
-			}
-			t.Stop()
-			b.mu.Lock() // another flusher may have taken the jobs meanwhile
-		}
-		if len(b.queue) == 0 {
-			b.flushers--
-			b.mu.Unlock()
-			return
-		}
-		if caller {
-			b.mu.Unlock()
-			go b.flushLoop(false)
-			return
-		}
-		batch := b.take()
-		b.mu.Unlock()
-		run(batch)
-	}
-}
-
-// run ranks one batch. Jobs are grouped by model snapshot (a hot reload
-// between two submits may interleave two snapshots in one batch) and
-// each group shares one pass; every job is completed exactly as the
-// unbatched path would against its own snapshot.
-func run(batch []*scoreJob) {
-	for lo := 0; lo < len(batch); {
-		m := batch[lo].m
-		hi := lo + 1
-		for hi < len(batch) && batch[hi].m == m {
-			hi++
-		}
-		runModel(m, batch[lo:hi])
-		lo = hi
-	}
-	for _, j := range batch {
-		close(j.done)
-	}
-}
-
-// runModel completes one same-snapshot slice of a batch with the pass
-// Model.Recommend runs for a batch of one: a query per job (shapes were
-// validated against this snapshot at submit), ranked together, clamped.
-func runModel(m *Model, jobs []*scoreJob) {
-	buf := m.leaseExcl()
-	defer m.exclBuf.Put(buf)
-	qs := make([]rank.Query, len(jobs))
-	for i, j := range jobs {
-		if j.vec != nil {
-			qs[i] = rank.Query{U: j.vec, Excl: j.excl, N: j.n}
-			continue
-		}
-		qs[i] = rank.Query{U: m.u.Row(j.user), N: j.n}
-		if qs[i].Excl, j.err = m.excludeList(j.user, buf); j.err != nil {
-			qs[i].N = 0 // rank nothing for a failed request
-		}
-	}
-	rank.Recommend(m.v, qs)
-	for i, j := range jobs {
-		if j.err == nil {
-			j.items = m.clampItems(qs[i].Items)
-		}
-	}
-}
+// release gives the caller's scoring slot to the longest-waiting caller,
+// or back to the gate.
+func (b *Batcher) release() { <-b.slots }
 
 // limiter is the per-client token-bucket table behind Admit.
 type limiter struct {

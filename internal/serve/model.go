@@ -6,8 +6,8 @@
 // A core.Checkpoint is loaded into an immutable Model snapshot; a Server
 // holds the current snapshot behind an atomic pointer and hot-swaps it on
 // reload (SIGHUP or file change), so queries never block on a reload and
-// never observe a half-loaded model. Every ranking — one request, a
-// batcher flush, the top-N precompute — is one call of the fused
+// never observe a half-loaded model. Every ranking — one request or the
+// top-N precompute's 64 users at a time — is one call of the fused
 // score→select pass of internal/rank, whose kernels the offline
 // evaluator shares; the precompute is sharded over an internal/sched
 // worker pool; and cold-start users are folded in by
@@ -371,8 +371,8 @@ func (m *Model) RecommendVector(u la.Vector, excl []int32, n int) ([]rank.Item, 
 }
 
 // rankOne is the live ranking of one request: rank.Recommend over a
-// batch of one, the pass the batcher's flush and the table precompute
-// run over larger batches, so the three cannot drift.
+// batch of one, the pass the table precompute runs over larger batches,
+// so the two cannot drift.
 func (m *Model) rankOne(u la.Vector, excl []int32, n int) []rank.Item {
 	q := [1]rank.Query{{U: u, Excl: excl, N: n}}
 	rank.Recommend(m.v, q[:])

@@ -26,9 +26,12 @@ type ModelSpec struct {
 
 // Registry hosts N named models, each an independently hot-reloading
 // Server: one model's new checkpoint (or failed reload) never touches
-// another model's snapshot. The model set is fixed at construction;
-// per-model state is managed by the Servers themselves, so Registry
-// reads need no locks.
+// another model's snapshot, and each behind its own admission gate
+// (Batcher): the line of rankings waiting for a scoring slot is per route,
+// so one model's burst never sheds another model's requests, and the rate
+// limit is enforced per (client, model). The model set is fixed at
+// construction; per-model state is managed by the Servers and gates
+// themselves, so Registry reads need no locks.
 type Registry struct {
 	names    []string // sorted
 	models   map[string]*Server
@@ -39,8 +42,9 @@ type Registry struct {
 // NewRegistry opens every spec into a serving Server, failing fast (and
 // releasing the already-opened models) if any name is duplicated or any
 // initial load fails: a registry that comes up must be fully ready.
-func NewRegistry(specs []ModelSpec) (*Registry, error) {
-	r := &Registry{models: make(map[string]*Server, len(specs))}
+// Every model gets a gate built from opts.
+func NewRegistry(specs []ModelSpec, opts BatchOptions) (*Registry, error) {
+	r := &Registry{models: make(map[string]*Server, len(specs)), batchers: make(map[string]*Batcher, len(specs))}
 	for _, sp := range specs {
 		if sp.Close != nil {
 			r.closers = append(r.closers, sp.Close)
@@ -61,6 +65,7 @@ func NewRegistry(specs []ModelSpec) (*Registry, error) {
 			return nil, fmt.Errorf("serve: loading model %q: %w", sp.Name, err)
 		}
 		r.models[sp.Name] = srv
+		r.batchers[sp.Name] = NewBatcher(opts)
 		r.names = append(r.names, sp.Name)
 	}
 	sort.Strings(r.names)
@@ -73,21 +78,8 @@ func (r *Registry) Get(name string) (*Server, bool) {
 	return s, ok
 }
 
-// EnableBatching attaches one request Batcher per model, all built from
-// the same options: coalescing and queue depth are per route (so one
-// model's burst never sheds another model's requests), while the rate
-// limit is enforced per (client, model). Call it once, before serving
-// traffic.
-func (r *Registry) EnableBatching(opts BatchOptions) {
-	r.batchers = make(map[string]*Batcher, len(r.models))
-	for name := range r.models {
-		r.batchers[name] = NewBatcher(opts)
-	}
-}
-
-// Batcher returns the named model's request batcher, or nil when
-// batching was not enabled (callers then use the Model methods
-// directly).
+// Batcher returns the named model's admission gate (nil for an unknown
+// name).
 func (r *Registry) Batcher(name string) *Batcher { return r.batchers[name] }
 
 // Names returns the registered model names in sorted order. Callers

@@ -30,7 +30,7 @@ func twoModelRegistry(t *testing.T) (*Registry, string, string) {
 	reg, err := NewRegistry([]ModelSpec{
 		{Name: "a", Path: pathA, Opts: modelOptions(probA, cfgA)},
 		{Name: "b", Path: pathB, Opts: modelOptions(probB, cfgB)},
-	})
+	}, DefaultBatchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +55,13 @@ func TestRegistryGetAndNames(t *testing.T) {
 	if _, ok := reg.Get("nope"); ok {
 		t.Error("Get(nope) returned a server")
 	}
+	// Every route always has its gate, and a gate of its own.
+	if a, b := reg.Batcher("a"), reg.Batcher("b"); a == nil || b == nil || a == b {
+		t.Errorf("gates of a and b: %p, %p, want two distinct gates", a, b)
+	}
+	if reg.Batcher("nope") != nil {
+		t.Error("Batcher(nope) returned a gate")
+	}
 }
 
 func TestRegistryRejectsBadSpecs(t *testing.T) {
@@ -63,17 +70,17 @@ func TestRegistryRejectsBadSpecs(t *testing.T) {
 	writeCheckpointFile(t, path, ckpt)
 	opts := modelOptions(prob, cfg)
 
-	if _, err := NewRegistry([]ModelSpec{{Name: "", Path: path, Opts: opts}}); err == nil {
+	if _, err := NewRegistry([]ModelSpec{{Name: "", Path: path, Opts: opts}}, DefaultBatchOptions()); err == nil {
 		t.Error("empty model name accepted")
 	}
 	_, err := NewRegistry([]ModelSpec{
 		{Name: "m", Path: path, Opts: opts},
 		{Name: "m", Path: path, Opts: opts},
-	})
+	}, DefaultBatchOptions())
 	if err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate name error = %v", err)
 	}
-	if _, err := NewRegistry([]ModelSpec{{Name: "m", Path: filepath.Join(t.TempDir(), "missing.ckpt"), Opts: opts}}); err == nil {
+	if _, err := NewRegistry([]ModelSpec{{Name: "m", Path: filepath.Join(t.TempDir(), "missing.ckpt"), Opts: opts}}, DefaultBatchOptions()); err == nil {
 		t.Error("missing checkpoint accepted")
 	}
 }
@@ -92,7 +99,7 @@ func TestRegistryFailFastRunsClosers(t *testing.T) {
 			Close: func() error { closed[0] = true; return nil }},
 		{Name: "bad", Path: filepath.Join(t.TempDir(), "missing.ckpt"), Opts: modelOptions(prob, cfg),
 			Close: func() error { closed[1] = true; return nil }},
-	})
+	}, DefaultBatchOptions())
 	if err == nil {
 		t.Fatal("registry with a failing model came up")
 	}
@@ -220,7 +227,7 @@ func TestRegistryCloseReportsFirstError(t *testing.T) {
 	reg, err := NewRegistry([]ModelSpec{
 		{Name: "m", Path: path, Opts: modelOptions(prob, cfg),
 			Close: func() error { calls++; return boom }},
-	})
+	}, DefaultBatchOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
