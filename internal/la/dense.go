@@ -10,10 +10,12 @@
 // task DAG whose per-task arithmetic order does not depend on which worker
 // runs it).
 //
-// On amd64 the inner loops of the dense item update (kernels.go) run as
-// hand-written AVX2 assembly that computes the same bits as the Go loops it
-// stands in for, so results are identical with and without it (the purego
-// build tag removes it; a CPU or OS without AVX2 falls back by itself).
+// On amd64 the five inner loops of kernels.go — four for the dense item
+// update, one for the scoring pass (Gemv, four catalogue rows at a time)
+// — run as hand-written AVX2 assembly that computes the same bits as the Go
+// loops it stands in for, so results are identical with and without it
+// (the purego build tag removes it; a CPU or OS without AVX2 falls back by
+// itself).
 // Bits are per GOARCH, though: the arm64 compiler fuses x*y + z into one
 // rounding where the amd64 one does not, and benchmark/reference.json is
 // pinned on amd64.
@@ -196,16 +198,44 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 	}
 }
 
-// Gemv computes y = alpha*A*x + beta*y. Each row's inner product runs
-// through the unrolled Dot, keeping the per-row summation order of the
-// scalar reference.
+// Gemv computes y = alpha*A*x + beta*y. With beta == 0, y is not read (the
+// BLAS convention): y[i] = alpha*s, so a stale Inf or NaN in y cannot reach
+// the result.
+//
+// Rows go four at a time through dot4, one lane per row, and the last
+// Rows mod 4 through Dot; either way row i's inner product s is Dot(A_i, x)
+// bit for bit — one chain from +0 in ascending column order.
 func Gemv(alpha float64, a *Matrix, x Vector, beta float64, y Vector) {
-	if a.Cols != len(x) || a.Rows != len(y) {
+	m, n := a.Rows, a.Cols
+	if n != len(x) || m != len(y) {
 		panic("la: Gemv dimension mismatch")
 	}
-	for i := 0; i < a.Rows; i++ {
-		s := Dot(a.Row(i), x)
-		y[i] = alpha*s + beta*y[i]
+	i := 0
+	for ; i+4 <= m; i += 4 {
+		blk := a.Data[i*n : (i+4)*n]
+		s0, s1, s2, s3 := dot4(blk, n, x)
+		for j := n &^ 3; j < n; j++ {
+			s0 += blk[j] * x[j]
+			s1 += blk[n+j] * x[j]
+			s2 += blk[2*n+j] * x[j]
+			s3 += blk[3*n+j] * x[j]
+		}
+		gemvOut(alpha, s0, beta, &y[i])
+		gemvOut(alpha, s1, beta, &y[i+1])
+		gemvOut(alpha, s2, beta, &y[i+2])
+		gemvOut(alpha, s3, beta, &y[i+3])
+	}
+	for ; i < m; i++ {
+		gemvOut(alpha, Dot(a.Row(i), x), beta, &y[i])
+	}
+}
+
+// gemvOut stores alpha*s + beta*y into y, reading y only when beta != 0.
+func gemvOut(alpha, s, beta float64, y *float64) {
+	if beta == 0 {
+		*y = alpha * s
+	} else {
+		*y = alpha*s + beta*(*y)
 	}
 }
 

@@ -1,20 +1,22 @@
 package la
 
-// The inner loops of the dense item update. Each has the pure-Go body below
-// and, on amd64, an AVX2 body in kernels_amd64.s computing the same bits: a
-// vector lane only holds a sum these loops already keep separate (one
-// memory element), and every step is a multiply then an add, never a fused
-// multiply-add. The Go bodies are the reference of the differential test
-// and the only path off amd64, under the purego tag, or without AVX2.
-// Callers pass lengths they have checked; the bodies check nothing.
+// The inner loops of the dense item update and of the scoring pass. Each
+// has the pure-Go body below and, on amd64, an AVX2 body in kernels_amd64.s
+// computing the same bits: a vector lane only holds a sum these loops
+// already keep separate (one memory element, or one row's inner product),
+// and every step is a multiply then an add, never a fused multiply-add. The
+// Go bodies are the reference of the differential test and the only path
+// off amd64, under the purego tag, or without AVX2. Callers pass lengths
+// they have checked; the bodies check nothing.
 //
-// These four are what the exported kernels call; kernels_amd64.go's init
+// These five are what the exported kernels call; kernels_amd64.go's init
 // points them at the AVX2 bodies when the CPU and the OS support them.
 var (
 	syrk4     = syrk4Go
 	axpy4     = axpy4Go
 	axpy1     = axpy1Go
 	cholTrail = cholTrailGo
+	dot4      = dot4Go
 )
 
 // syrk4Go adds the four outer products Σ_r (alpha·x_r)·x_rᵀ to the lower
@@ -76,6 +78,22 @@ func axpy1Go(alpha float64, x, y []float64) {
 	for ; i < n; i++ {
 		y[i] += alpha * x[i]
 	}
+}
+
+// dot4Go returns the inner products of x with the four consecutive rows of
+// a (row stride k) over columns [0, k&^3): four independent chains, each
+// from +0 in ascending column order, so row r's sum is Dot's so far. The
+// caller finishes the columns past k&^3.
+func dot4Go(a []float64, k int, x []float64) (s0, s1, s2, s3 float64) {
+	n := k &^ 3
+	r0, r1, r2, r3 := a[:n], a[k:k+n], a[2*k:2*k+n], a[3*k:3*k+n]
+	for j, xj := range x[:n] {
+		s0 += r0[j] * xj
+		s1 += r1[j] * xj
+		s2 += r2[j] * xj
+		s3 += r3[j] * xj
+	}
+	return
 }
 
 // cholTrailGo is the trailing update of Cholesky's pivot k on the row-major

@@ -19,8 +19,11 @@ func axpy1AVX2(alpha float64, x, y []float64)
 //go:noescape
 func cholTrailAVX2(l []float64, n, k int)
 
+//go:noescape
+func dot4AVX2(a []float64, k int, x []float64) (s0, s1, s2, s3 float64)
+
 func init() {
 	if hasAVX2() {
-		syrk4, axpy4, axpy1, cholTrail = syrk4AVX2, axpy4AVX2, axpy1AVX2, cholTrailAVX2
+		syrk4, axpy4, axpy1, cholTrail, dot4 = syrk4AVX2, axpy4AVX2, axpy1AVX2, cholTrailAVX2, dot4AVX2
 	}
 }

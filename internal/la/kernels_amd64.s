@@ -2,13 +2,18 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the kernels.go primitives. One rule keeps them
-// bit-identical to the Go bodies: a lane holds the sum of one memory
-// element, exactly as the scalar loop does, and every update is VMULPD
-// then VADDPD — no FMA, which would skip the product's rounding. The last
-// count mod 4 elements of a run go through the scalar forms of the same two
-// instructions, so no element outside the run is loaded or stored.
-// VZEROUPPER precedes every RET (the Go code around runs SSE encodings).
+// AVX2 bodies of the five kernels.go primitives: four for the dense item
+// update, one (dot4) for the scoring pass. One rule keeps them
+// bit-identical to the Go bodies: a lane holds a sum the scalar loop keeps
+// separate — one memory element, or in dot4 one row's inner product — and
+// every update is VMULPD then VADDPD, no FMA, which would skip the
+// product's rounding. In the item-update bodies the last count mod 4
+// elements of a run go through the scalar forms of the same two
+// instructions, so no element outside the run is loaded or stored; dot4
+// stops at the last whole four columns and leaves the rest to its Go
+// caller. dot4's PREFETCHT0 is a hint: it never faults and reads no
+// element into a result. VZEROUPPER precedes every RET (the Go code around
+// runs SSE encodings).
 
 // func hasAVX2() bool
 TEXT ·hasAVX2(SB), NOSPLIT, $0-1
@@ -160,6 +165,66 @@ TEXT ·axpy1AVX2(SB), NOSPLIT, $0-56
 	MOVQ	x_len+16(FP), DX
 	MOVQ	y_base+32(FP), DI
 	AXPY1(vec, tail, scalar, done)
+	VZEROUPPER
+	RET
+
+// dot4AVX2 takes columns j..j+3 of the four rows as a 4 × 4 tile, transposes
+// it in registers so that one register holds one column, and adds
+// a_r[c]·x[c] to lane r for c = j..j+3 in turn: lane r is Dot's chain for
+// row r. Each row's stream is prefetched 2 KiB ahead.
+//
+// func dot4AVX2(a []float64, k int, x []float64) (s0, s1, s2, s3 float64)
+TEXT ·dot4AVX2(SB), NOSPLIT, $0-88
+	MOVQ	a_base+0(FP), SI	// row 0
+	MOVQ	k+24(FP), BX
+	MOVQ	x_base+32(FP), DX
+	LEAQ	(SI)(BX*8), R8		// row 1
+	LEAQ	(R8)(BX*8), R9		// row 2
+	LEAQ	(R9)(BX*8), R10		// row 3
+	ANDQ	$-4, BX			// columns [0, k&^3)
+	XORQ	AX, AX			// column j
+	VXORPD	Y0, Y0, Y0		// lane r: row r's sum, from +0
+	TESTQ	BX, BX
+	JZ	done
+	PCALIGN	$32
+loop:
+	PREFETCHT0	2048(SI)(AX*8)
+	PREFETCHT0	2048(R8)(AX*8)
+	PREFETCHT0	2048(R9)(AX*8)
+	PREFETCHT0	2048(R10)(AX*8)
+	VMOVUPD	(SI)(AX*8), Y1
+	VMOVUPD	(R8)(AX*8), Y2
+	VMOVUPD	(R9)(AX*8), Y3
+	VMOVUPD	(R10)(AX*8), Y4
+	VUNPCKLPD	Y2, Y1, Y5	// a0[j] a1[j] a0[j+2] a1[j+2]
+	VUNPCKHPD	Y2, Y1, Y6	// a0[j+1] a1[j+1] a0[j+3] a1[j+3]
+	VUNPCKLPD	Y4, Y3, Y7	// a2[j] a3[j] a2[j+2] a3[j+2]
+	VUNPCKHPD	Y4, Y3, Y8	// a2[j+1] a3[j+1] a2[j+3] a3[j+3]
+	VPERM2F128	$0x20, Y7, Y5, Y1	// column j of the four rows
+	VPERM2F128	$0x20, Y8, Y6, Y2	// column j+1
+	VPERM2F128	$0x31, Y7, Y5, Y3	// column j+2
+	VPERM2F128	$0x31, Y8, Y6, Y4	// column j+3
+	VBROADCASTSD	(DX)(AX*8), Y9
+	VMULPD	Y9, Y1, Y1
+	VADDPD	Y1, Y0, Y0
+	VBROADCASTSD	8(DX)(AX*8), Y9
+	VMULPD	Y9, Y2, Y2
+	VADDPD	Y2, Y0, Y0
+	VBROADCASTSD	16(DX)(AX*8), Y9
+	VMULPD	Y9, Y3, Y3
+	VADDPD	Y3, Y0, Y0
+	VBROADCASTSD	24(DX)(AX*8), Y9
+	VMULPD	Y9, Y4, Y4
+	VADDPD	Y4, Y0, Y0
+	ADDQ	$4, AX
+	CMPQ	AX, BX
+	JLT	loop
+done:
+	VMOVSD	X0, s0+56(FP)
+	VMOVHPD	X0, s1+64(FP)
+	VEXTRACTF128	$1, Y0, X0
+	VMOVSD	X0, s2+72(FP)
+	VMOVHPD	X0, s3+80(FP)
 	VZEROUPPER
 	RET
 

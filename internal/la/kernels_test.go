@@ -1,12 +1,13 @@
 package la
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
-// Differential tests of the vectorised kernels. Three layers, all compared
+// Differential tests of the vectorised kernels. Four layers, all compared
 // bit for bit:
 //
 //   - each primitive's dispatcher (the AVX2 body on amd64) against its Go
@@ -15,7 +16,8 @@ import (
 //     loops, for rating counts on both sides of the four-row block and of a
 //     gather panel;
 //   - the right-looking Cholesky against the left-looking loop it replaced,
-//     kept below as the reference.
+//     kept below as the reference;
+//   - the row-blocked Gemv against one Dot per row.
 //
 // Operands start at odd element offsets of a larger buffer, so no vector
 // load is 32-byte aligned, and the whole buffer is compared, so a write
@@ -90,6 +92,36 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 		cholTrail(got[off:off+k*k], k, pivot)
 		cholTrailGo(want[off:off+k*k], k, pivot)
 		checkBits(t, "cholTrail", got, want)
+	}
+
+	rows := payload(r, 4*k, off, oneIn)[off : off+4*k]
+	g0, g1, g2, g3 := dot4(rows, k, x[0])
+	w0, w1, w2, w3 := dot4Go(rows, k, x[0])
+	checkBits(t, "dot4", []float64{g0, g1, g2, g3}, []float64{w0, w1, w2, w3})
+}
+
+// diffGemv compares Gemv over a rows × k matrix with the per-row loop
+// y[i] = alpha·Dot(A_i, x) + beta·y[i] (alpha·Dot alone when beta is 0),
+// for (alpha, beta) = (1, 0) and (1.3, 0.2). y starts as special-laden
+// payload, so a read of y under beta == 0 shows as soon as it is not finite.
+func diffGemv(t testing.TB, r *rand.Rand, rows, k, off, oneIn int) {
+	t.Helper()
+	a := &Matrix{Rows: rows, Cols: k, Data: payload(r, rows*k, off, oneIn)[off : off+rows*k]}
+	x := payload(r, k, off, oneIn)[off : off+k]
+	yBuf := payload(r, rows, off, 4)
+	for _, ab := range [][2]float64{{1, 0}, {1.3, 0.2}} {
+		alpha, beta := ab[0], ab[1]
+		got, want := yBuf.Clone(), yBuf.Clone()
+		for i := 0; i < rows; i++ {
+			s := Dot(a.Row(i), x)
+			if beta == 0 {
+				want[off+i] = alpha * s
+			} else {
+				want[off+i] = alpha*s + beta*want[off+i]
+			}
+		}
+		Gemv(alpha, a, x, beta, got[off:off+rows])
+		checkBits(t, fmt.Sprintf("Gemv %d×%d alpha=%v beta=%v", rows, k, alpha, beta), got, want)
 	}
 }
 
@@ -201,6 +233,38 @@ func TestPrimitivesMatchGoBodies(t *testing.T) {
 	}
 }
 
+// TestGemvMatchesDotLoop covers every tail of the row blocking: rows on
+// both sides of the four-row block and of a 64-row scoring panel, widths
+// on both sides of dot4's four columns, at odd element offsets.
+func TestGemvMatchesDotLoop(t *testing.T) {
+	r := testRand(184)
+	for rows := 0; rows <= 70; rows++ {
+		for k := 1; k <= 67; k++ {
+			oneIn := 0
+			if k%2 == 0 {
+				oneIn = 8
+			}
+			diffGemv(t, r, rows, k, 1+2*(rows%2), oneIn)
+		}
+	}
+}
+
+// TestGemvAllocatesNothing pins the scoring kernel at zero allocations with
+// its operands on the caller's stack, as a ranking keeps them: a kernel
+// that let an operand or a result escape would put them on the heap.
+func TestGemvAllocatesNothing(t *testing.T) {
+	r := testRand(185)
+	data := payload(r, 70*32, 0, 0)
+	x := payload(r, 32, 0, 0)[:32]
+	if n := testing.AllocsPerRun(10, func() {
+		var y [70]float64
+		a := Matrix{Rows: 70, Cols: 32, Data: data[:70*32]}
+		Gemv(1, &a, x, 0, y[:])
+	}); n != 0 {
+		t.Fatalf("Gemv allocates %v times per run, want 0", n)
+	}
+}
+
 func TestBatchMatchesPerRatingLoops(t *testing.T) {
 	r := testRand(182)
 	for k := 1; k <= 67; k++ {
@@ -232,8 +296,8 @@ func TestCholeskyMatchesLeftLooking(t *testing.T) {
 	}
 }
 
-// FuzzKernelsMatchGo drives the three comparisons from fuzzed shapes; plain
-// `go test` runs the seeds below.
+// FuzzKernelsMatchGo drives the four comparisons from fuzzed shapes (nnz
+// doubles as Gemv's row count); plain `go test` runs the seeds below.
 func FuzzKernelsMatchGo(f *testing.F) {
 	f.Add(int64(1), uint8(32), uint8(67), uint8(1), false)
 	f.Add(int64(2), uint8(67), uint8(130), uint8(3), true)
@@ -249,5 +313,6 @@ func FuzzKernelsMatchGo(f *testing.F) {
 		diffPrimitives(t, r, kk, o, prim)
 		diffBatch(t, r, kk, n, o, batch)
 		diffCholesky(t, r, kk, o, chol)
+		diffGemv(t, r, n, kk, o, prim)
 	})
 }

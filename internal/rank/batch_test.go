@@ -3,6 +3,7 @@ package rank
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/la"
@@ -198,6 +199,48 @@ func sameList(t *testing.T, label string, got, want []Item) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("%s: rank %d: %+v != %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestScoresIgnoreStaleOutput: a score is la.Dot's whatever the scratch or
+// output slot held before. Recommend reuses one 64-slot scratch across
+// panels, so item 3's +Inf sits in slot 3 when item 67 is scored there;
+// ScoreBatchInto writes into a caller's buffer, here full of NaN.
+func TestScoresIgnoreStaleOutput(t *testing.T) {
+	const items, k = 130, 4
+	stream := rng.New(79)
+	v := la.NewMatrix(items, k)
+	stream.FillNorm(v.Data)
+	copy(v.Row(3), []float64{math.Inf(1), 0, 0, 0})
+	copy(v.Row(67), []float64{2, 0, 0, 0})
+	u := la.Vector{1, 0, 0, 0}
+
+	qs := []Query{{U: u, N: items}}
+	Recommend(v, qs)
+	scores := make([]float64, items)
+	for j := range scores {
+		scores[j] = la.Dot(v.Row(j), u)
+	}
+	sameList(t, "Recommend vs TopNScoresExcluding", qs[0].Items, TopNScoresExcluding(scores, nil, items))
+	for _, it := range qs[0].Items {
+		if it.Index == 67 && it.Score != 2 {
+			t.Fatalf("item 67 scored %v after item 3's +Inf, want 2", it.Score)
+		}
+	}
+
+	users := la.NewMatrix(2, k)
+	stream.FillNorm(users.Data)
+	out := la.NewMatrix(2, items)
+	for i := range out.Data {
+		out.Data[i] = math.NaN()
+	}
+	ScoreBatchInto(v, users, out)
+	for b := 0; b < users.Rows; b++ {
+		for j := 0; j < items; j++ {
+			if got, want := out.Row(b)[j], la.Dot(v.Row(j), users.Row(b)); got != want {
+				t.Fatalf("user %d item %d: ScoreBatchInto into a NaN buffer gave %v, want %v", b, j, got, want)
+			}
 		}
 	}
 }
