@@ -13,16 +13,16 @@
 //	bpmf-dist -rank 0 -peers host0:9000,host1:9000 -synthetic small
 //	bpmf-dist -rank 1 -peers host0:9000,host1:9000 -synthetic small
 //
-// All ranks must use identical data/sampler flags. With a synthetic
-// benchmark or a MatrixMarket file, each rank regenerates or reloads the
-// full dataset and derives the partition plan deterministically from the
-// shared seed, splitting the matrix as stored. With a .bcsr shard file,
-// each rank instead maps the file and decodes only the shards covering
-// its own row range — the row panels are assigned to ranks straight from
-// the shard table — and the pieces it cannot read locally (split cursor,
-// column ghosts, test set) travel over the fabric once at startup. The
-// sampled chain is bit-identical either way; -full-load forces the old
-// every-rank-decodes-everything behavior for comparison.
+// All ranks must use identical data/sampler flags. Every rank derives
+// the partition plan deterministically from the data, splitting the
+// matrix as stored, and holds only its own rows. With a .bcsr shard file
+// each rank maps the file and decodes only the shards covering its own
+// row range — the row panels are assigned to ranks straight from the
+// shard table. A synthetic benchmark or a MatrixMarket file is
+// regenerated or reloaded on every rank and rendered as an in-memory
+// image with one shard per row, which each rank then reads the same way.
+// The pieces a rank cannot read locally (split cursor, column ghosts,
+// test set) travel over the fabric once at startup.
 //
 // -threads N makes every rank a hybrid node (the paper's TBB + MPI
 // configuration): N workers draw the rank's items, and each grain's
@@ -57,7 +57,7 @@
 //
 // The command is parse → resolve → run. Resolving is shared code: the
 // data source and chain configuration come from internal/config
-// (Data.Problem / Data.Panels / Sampler.Core), and what a rank does
+// (Data.Problem / Sampler.Core), and what a rank does
 // with a communicator — load its data, build the plan and the node,
 // resume from a manifest, sample — is dist.RunRank, the same body the
 // in-process cluster of internal/dist runs and its bit-exactness tests
@@ -138,13 +138,11 @@ func main() {
 	// Resolve whatever is rank-count-independent once: the data source
 	// and the options every round shares. Each round (one, unless -elastic
 	// recovers from failures or admits joiners) stamps its view on them.
-	src, err := source(cfg)
+	src, file, err := source(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if src.Mapped != nil {
-		defer src.Mapped.Close()
-	}
+	defer src.Mapped.Close()
 	opt := dist.Options{
 		ThreadsPerRank:  cfg.Threads,
 		BufferSize:      cfg.Buffer,
@@ -210,7 +208,7 @@ func main() {
 				mem.Adopt(view)
 			}
 		}
-		res, stats, err := round(cfg, src, opt.ForView(view, table, mem), view, me, pin)
+		res, stats, err := round(cfg, src, file, opt.ForView(view, table, mem), view, me, pin)
 		if err == nil {
 			if me == 0 {
 				for i, r := range res.AvgRMSE {
@@ -260,10 +258,11 @@ func main() {
 // dial the view's mesh (members renumbered 0..n-1 in view order), pick
 // the manifest to resume from — the pinned one, or under -elastic the
 // latest sealed — and hand the communicator to dist.RunRank, the body
-// every in-process rank runs too. After a peer failure it keeps this
-// rank's heartbeats flowing until the slower detectors have convicted
-// the same peer.
-func round(cfg config.Dist, src dist.Source, opt dist.Options, view comm.View, me, pin int) (*core.Result, *dist.Stats, error) {
+// every in-process rank runs too. A file source reports how much of the
+// file this rank read. After a peer failure it keeps this rank's
+// heartbeats flowing until the slower detectors have convicted the same
+// peer.
+func round(cfg config.Dist, src dist.Source, file bool, opt dist.Options, view comm.View, me, pin int) (*core.Result, *dist.Stats, error) {
 	c, err := comm.DialTCP(me, view.Addrs(), 30*time.Second)
 	if err != nil {
 		return nil, nil, err
@@ -284,7 +283,7 @@ func round(cfg config.Dist, src dist.Source, opt dist.Options, view comm.View, m
 	}
 
 	res, stats, rerr := dist.RunRank(c, cfg.Sampler.Core(), src, man, opt)
-	if src.Mapped != nil {
+	if file {
 		st := src.Mapped.Stats()
 		fmt.Printf("rank %d: mapped %d of %d shards (%.2f MB payload + %.2f KB metadata)\n",
 			me, st.ShardsTouched, src.Mapped.Shards(),
@@ -304,42 +303,29 @@ func round(cfg config.Dist, src dist.Source, opt dist.Options, view comm.View, m
 }
 
 // source resolves -data / -synthetic into what every rank trains on. A
-// .bcsr file is mapped, and each rank then decodes only the shards
-// covering its own rows; -full-load (or any other input) gives every rank
-// the whole problem, plus the file's panel table when there is one so the
-// plan — and hence the chain — matches the shard-native run's. Either
-// way the plan partitions the matrix as stored. The file is opened (and its header, shard table
-// and framing validated) before the cluster is dialed, so a corrupt file
-// fails here instead of wedging the collective load.
-func source(cfg config.Dist) (dist.Source, error) {
-	native, err := shardNative(cfg.Data.Path, cfg.FullLoad)
-	if err != nil {
-		return dist.Source{}, err
+// .bcsr file is mapped as it is, holding out -test on load (file is
+// true); any other input is resolved to its problem and rendered as an
+// in-memory image of one shard per row (dist.SourceOf). Either way each
+// rank decodes only its own rows, and the plan partitions the matrix as
+// stored. The file is opened (and its header, shard table and framing
+// validated) before the cluster is dialed, so a corrupt file fails here
+// instead of wedging the collective load.
+func source(cfg config.Dist) (src dist.Source, file bool, err error) {
+	if cfg.Data.Path != "" {
+		if file, err = sparse.IsBCSR(cfg.Data.Path); err != nil {
+			return dist.Source{}, false, err
+		}
 	}
-	if native {
+	if file {
 		mp, err := sparse.OpenBinary(cfg.Data.Path)
-		return dist.Source{Mapped: mp, TestFrac: cfg.Data.TestFrac}, err
+		return dist.Source{Mapped: mp, TestFrac: cfg.Data.TestFrac}, true, err
 	}
 	prob, err := cfg.Data.Problem(cfg.Sampler.Seed)
 	if err != nil {
-		return dist.Source{}, err
+		return dist.Source{}, false, err
 	}
-	panels, err := cfg.Data.Panels()
-	return dist.Source{Prob: prob, Panels: panels}, err
-}
-
-// shardNative decides whether this run takes the shard-native .bcsr
-// path: a .bcsr file, unless -full-load asks for the whole matrix on
-// every rank.
-func shardNative(dataPath string, fullLoad bool) (bool, error) {
-	if dataPath == "" {
-		return false, nil
-	}
-	isB, err := sparse.IsBCSR(dataPath)
-	if err != nil {
-		return false, err
-	}
-	return isB && !fullLoad, nil
+	src, err = dist.SourceOf(prob)
+	return src, false, err
 }
 
 // launchLocal forks n worker copies of this binary on localhost ports,

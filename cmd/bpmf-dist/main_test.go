@@ -59,73 +59,60 @@ func TestParsePeers(t *testing.T) {
 }
 
 // TestSourceForms pins which dist.Source each input resolves to: a
-// .bcsr is mapped (shard-native) unless -full-load asks for the whole
-// problem, which then carries the file's panel table so both forms plan
-// alike; anything else is a plain in-memory problem.
+// .bcsr file is mapped as written and holds out -test on load; a
+// MatrixMarket file or a synthetic benchmark becomes its resolved
+// problem as a one-row-per-shard image carrying the split's test set.
+// Only the file counts as one for the per-rank read report.
 func TestSourceForms(t *testing.T) {
 	ds := datagen.Generate(datagen.Tiny(5))
-	bc := filepath.Join(t.TempDir(), "r.bcsr")
-	f, err := os.Create(bc)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	write := func(name string, w func(f *os.File) error) string {
+		path := filepath.Join(dir, name)
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if err := sparse.WriteBinarySharded(f, ds.R, 50); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	bc := write("r.bcsr", func(f *os.File) error { return sparse.WriteBinarySharded(f, ds.R, 50) })
+	mtx := write("r.mtx", func(f *os.File) error { return sparse.WriteMatrixMarket(f, ds.R) })
 
 	cfg := config.DefaultDist()
 	cfg.Data.Path = bc
-	src, err := source(cfg)
+	src, file, err := source(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.Mapped == nil || src.Prob != nil || src.TestFrac != cfg.Data.TestFrac {
-		t.Fatalf("bcsr input resolved to %+v, want a mapped shard-native source", src)
+	if !file || src.Mapped == nil || src.Test != nil || src.TestFrac != cfg.Data.TestFrac || src.Mapped.Shards() >= ds.R.M {
+		t.Fatalf("bcsr input resolved to %+v (file %v), want the file's own shards holding out -test", src, file)
 	}
 	src.Mapped.Close()
 
-	cfg.FullLoad = true
-	src, err = source(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Mapped != nil || src.Prob == nil || src.Panels == nil || len(src.Panels.Lo) < 2 {
-		t.Fatalf("-full-load resolved to %+v, want the whole problem plus the panel table", src)
-	}
-	if src.Prob.R.M != ds.R.M || len(src.Prob.Test) == 0 {
-		t.Fatalf("full-load problem is %d rows with %d test entries", src.Prob.R.M, len(src.Prob.Test))
-	}
-
-	src, err = source(config.DefaultDist()) // -synthetic small
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Mapped != nil || src.Prob == nil || src.Panels != nil {
-		t.Fatalf("synthetic input resolved to %+v, want a plain in-memory problem", src)
-	}
-}
-
-func TestShardNativeDecision(t *testing.T) {
-	ds := datagen.Generate(datagen.Tiny(9))
-	bc := filepath.Join(t.TempDir(), "r.bcsr")
-	f, err := os.Create(bc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sparse.WriteBinary(f, ds.R); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	if on, err := shardNative(bc, false); err != nil || !on {
-		t.Fatalf("bcsr input must default to shard-native (on=%v err=%v)", on, err)
-	}
-	if on, _ := shardNative(bc, true); on {
-		t.Fatal("-full-load did not disable shard-native loading")
-	}
-	if on, err := shardNative("", false); err != nil || on {
-		t.Fatalf("synthetic run classified as shard-native (on=%v err=%v)", on, err)
+	synthetic := config.DefaultDist()
+	synthetic.Data = config.Data{Synthetic: "tiny", Scale: 1, TestFrac: 0.2}
+	cfg.Data.Path = mtx
+	for name, c := range map[string]config.Dist{"mtx": cfg, "synthetic": synthetic} {
+		src, file, err := source(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prob, err := c.Data.Problem(c.Sampler.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file || src.TestFrac != 0 || len(src.Test) != len(prob.Test) || src.Mapped.Shards() != prob.R.M {
+			t.Fatalf("%s input resolved to %+v (file %v), want a one-row-per-shard image carrying %d test entries", name, src, file, len(prob.Test))
+		}
+		got, err := src.Mapped.Matrix()
+		if err != nil || !sparse.Equal(got, prob.R) {
+			t.Fatalf("%s input: the image is not the training matrix (err %v)", name, err)
+		}
 	}
 }
 

@@ -93,7 +93,10 @@ func runShared(t *testing.T, ec engineCase, cfg core.Config, prob *core.Problem,
 func runDist(t *testing.T, ranks int, cfg core.Config, prob *core.Problem, cut int) (fresh, resumed chainOut) {
 	t.Helper()
 	dir := t.TempDir()
-	src := dist.Source{Prob: prob}
+	src, err := dist.SourceOf(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, _, _, err := dist.RunRounds(cfg, src, nil,
 		dist.Options{Ranks: ranks, CheckpointDir: dir, CheckpointEvery: cut}, nil)
 	if err != nil {

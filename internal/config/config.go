@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -146,26 +145,6 @@ func (d Data) Problem(seed uint64) (*core.Problem, error) {
 		return nil, err
 	}
 	return core.NewProblem(train, test), nil
-}
-
-// Panels returns the shard table of a .bcsr Path — what bpmf-dist aligns
-// rank boundaries to, so a rank that holds the whole matrix samples the
-// chain of one that loads only its own shards — and nil for every other
-// source. Only the file's header and shard table are read.
-func (d Data) Panels() (*partition.Panels, error) {
-	if d.Path == "" {
-		return nil, nil
-	}
-	if isB, err := sparse.IsBCSR(d.Path); err != nil || !isB {
-		return nil, err
-	}
-	mp, err := sparse.OpenBinary(d.Path)
-	if err != nil {
-		return nil, err
-	}
-	defer mp.Close()
-	panels := partition.PanelsOf(mp)
-	return &panels, nil
 }
 
 // SpecByName resolves a synthetic benchmark name to its generator spec.

@@ -24,9 +24,6 @@ type Dist struct {
 
 	Data    Data    `json:"data"`
 	Sampler Sampler `json:"sampler"`
-	// FullLoad decodes the whole .bcsr on every rank instead of
-	// shard-native per-rank loading.
-	FullLoad bool `json:"full_load,omitempty"`
 	// Threads is the worker-thread count per rank.
 	Threads int `json:"threads,omitempty"`
 	// Buffer is the coalescing buffer capacity in bytes.
@@ -83,7 +80,6 @@ func (c *Dist) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&c.BasePort, "baseport", c.BasePort, "first port for -launch mode")
 	registerData(fs, &c.Data)
 	registerSampler(fs, &c.Sampler)
-	fs.BoolVar(&c.FullLoad, "full-load", c.FullLoad, "decode the whole .bcsr on every rank instead of shard-native per-rank loading")
 	fs.IntVar(&c.Threads, "threads", c.Threads, "worker threads (per rank for distributed)")
 	fs.IntVar(&c.Buffer, "buffer", c.Buffer, "coalescing buffer bytes")
 	fs.BoolVar(&c.Elastic, "elastic", c.Elastic, "survive rank failures: detect dead peers, shrink the cluster, resume from the latest checkpoint")

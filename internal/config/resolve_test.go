@@ -13,8 +13,7 @@ import (
 // every command goes through: whatever the source — a synthetic
 // benchmark, a MatrixMarket file, a sharded .bcsr — the matrix is the
 // same, the split is sparse.SplitTrainTest of it (and absent at
-// fraction 0), the problem carries its transpose, and a panel table
-// comes back for .bcsr input alone.
+// fraction 0), and the problem carries its transpose.
 func TestDataResolvesEverySourceAlike(t *testing.T) {
 	const seed = 5
 	want := datagen.Generate(datagen.Tiny(seed)).R
@@ -37,13 +36,12 @@ func TestDataResolvesEverySourceAlike(t *testing.T) {
 	bcsr := write("r.bcsr", func(f *os.File) error { return sparse.WriteBinarySharded(f, want, 50) })
 
 	sources := []struct {
-		name   string
-		d      Data
-		panels bool
+		name string
+		d    Data
 	}{
-		{"synthetic", Data{Synthetic: "tiny", Scale: 1}, false},
-		{"mtx", Data{Path: mtx, Scale: 1}, false},
-		{"bcsr", Data{Path: bcsr, Scale: 1}, true},
+		{"synthetic", Data{Synthetic: "tiny", Scale: 1}},
+		{"mtx", Data{Path: mtx, Scale: 1}},
+		{"bcsr", Data{Path: bcsr, Scale: 1}},
 	}
 	for _, src := range sources {
 		for _, frac := range []float64{0, 0.2} {
@@ -87,17 +85,6 @@ func TestDataResolvesEverySourceAlike(t *testing.T) {
 			}
 			if !sparse.Equal(prob.R, train) || !sparse.Equal(prob.Rt, train.Transpose()) || len(prob.Test) != len(test) {
 				t.Fatalf("%s frac=%g: Problem is not Split plus the transpose", src.name, frac)
-			}
-
-			panels, err := d.Panels()
-			if err != nil {
-				t.Fatalf("%s: %v", src.name, err)
-			}
-			switch {
-			case src.panels && (panels == nil || len(panels.Lo) < 2 || panels.Rows() != want.M):
-				t.Fatalf("%s: no usable panel table (%v)", src.name, panels)
-			case !src.panels && panels != nil:
-				t.Fatalf("%s: produced a panel table", src.name)
 			}
 		}
 	}

@@ -145,14 +145,14 @@ func TestResumeRefusesManifestOfAnotherShape(t *testing.T) {
 		{"stale larger manifest", small, tiny},
 	} {
 		opt := Options{Ranks: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2}
-		if _, _, _, err := RunRounds(cfg, Source{Prob: tc.wrote}, nil, opt, nil); err != nil {
+		if _, _, _, err := RunRounds(cfg, sourceOf(t, tc.wrote), nil, opt, nil); err != nil {
 			t.Fatalf("%s: writing the rounds: %v", tc.name, err)
 		}
 		man, err := LatestManifest(opt.CheckpointDir)
 		if err != nil || man == nil {
 			t.Fatalf("%s: latest manifest (%+v, %v)", tc.name, man, err)
 		}
-		_, _, _, err = RunRounds(cfg, Source{Prob: tc.resume}, man, opt, nil)
+		_, _, _, err = RunRounds(cfg, sourceOf(t, tc.resume), man, opt, nil)
 		if err == nil {
 			t.Fatalf("%s: resumed a %dx%d run from a %dx%d round", tc.name, tc.resume.R.M, tc.resume.R.N, man.M, man.N)
 		}
@@ -179,7 +179,7 @@ func TestResumeRefusesManifestOfAnotherK(t *testing.T) {
 	cfg := testConfig()
 	cfg.Iters = 4
 	opt := Options{Ranks: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2}
-	if _, _, _, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, nil); err != nil {
+	if _, _, _, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, nil); err != nil {
 		t.Fatalf("writing the rounds: %v", err)
 	}
 	sealed, err := LatestManifest(opt.CheckpointDir)
@@ -196,7 +196,7 @@ func TestResumeRefusesManifestOfAnotherK(t *testing.T) {
 	} {
 		man := *sealed
 		man.K = tc.k
-		_, _, _, err := RunRounds(cfg, Source{Prob: prob}, &man, opt, nil)
+		_, _, _, err := RunRounds(cfg, sourceOf(t, prob), &man, opt, nil)
 		if err == nil {
 			t.Fatalf("K=%d: resumed a K=%d run", tc.k, cfg.K)
 		}

@@ -6,6 +6,12 @@
 // row to the ranks that need it ("ghosts") through coalescing send buffers
 // that overlap communication with the remaining item updates (IV-C).
 //
+// No rank holds the whole rating matrix. Each maps a sharded .bcsr image
+// — a file, or SourceOf's in-memory rendering of a problem — decodes the
+// shards covering its own rows and receives the rest of its columns over
+// the fabric (LoadShards). A virtual cluster of goroutines and a cluster
+// of TCP processes load, and sample, the same way.
+//
 // The sampled chain is a pure function of (data, Config): hyperparameter
 // moments are reduced with a deterministic rank-ordered allreduce whose
 // summation order equals the sequential sampler's grouped moment reduction
@@ -24,7 +30,6 @@ package dist
 import (
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/order"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 	"time"
@@ -49,13 +54,6 @@ type Options struct {
 	// destination. 0 selects DefaultBufferSize; negative disables
 	// coalescing entirely (one message per item, the IV-C ablation).
 	BufferSize int
-	// Schedule is the locality processing order of the plan's matrix,
-	// restricted per rank to its owned items. nil makes every node build
-	// the default order.Build schedule locally (deterministic in the plan,
-	// so all ranks still agree); the in-process runners build it once and
-	// share it.
-	// The schedule cannot change the sampled chain — only cache behavior.
-	Schedule *order.Schedule
 
 	// CheckpointEvery, when positive together with a CheckpointDir, makes
 	// every rank write a coordinated checkpoint fragment after each
@@ -137,10 +135,11 @@ type Stats struct {
 }
 
 // BuildPlan partitions prob.R as stored for opt.Ranks nodes and returns
-// the plan with prob.Test (a constant second value, ROADMAP item 5). The
-// plan is a pure function of (prob.R, opt.Ranks), which is what lets real
-// multi-process runs (cmd/bpmf-dist) derive it on every rank instead of
-// shipping it.
+// the plan with prob.Test (a constant second value, ROADMAP item 5). It
+// is the plan the ranks of RunInProc derive from SourceOf(prob)'s image,
+// computed without running them — what a sequential@dist-groups
+// reference needs. The plan is a pure function of (prob.R, opt.Ranks),
+// which is what lets every rank derive it instead of receiving it.
 func BuildPlan(prob *core.Problem, opt Options) (*partition.Plan, []sparse.Entry) {
 	return partition.Build(prob.R, opt.normalized().Ranks), prob.Test
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/la"
-	"repro/internal/order"
 	"repro/internal/sparse"
 )
 
@@ -16,6 +15,16 @@ func problem(t *testing.T, seed uint64) *core.Problem {
 	ds := datagen.Generate(datagen.Small(seed))
 	train, test := sparse.SplitTrainTest(ds.R, 0.2, seed)
 	return core.NewProblem(train, test)
+}
+
+// sourceOf is SourceOf for a test that cannot go on without it.
+func sourceOf(t *testing.T, prob *core.Problem) Source {
+	t.Helper()
+	src, err := SourceOf(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }
 
 func testConfig() core.Config {
@@ -102,61 +111,6 @@ func TestDistributedThreadsPerRankBitIdentical(t *testing.T) {
 			t.Fatalf("RMSE trace not bit-identical at iter %d", i)
 		}
 	}
-}
-
-// TestDistributedScheduleIsChainInvariant drives the ranks over arbitrary
-// processing orders (the identity schedule and the default locality one):
-// the per-rank walk order must not change a sampled bit or the trace.
-func TestDistributedScheduleIsChainInvariant(t *testing.T) {
-	prob := problem(t, 12)
-	cfg := testConfig()
-	def, _, err := RunInProc(cfg, prob, Options{Ranks: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, n := prob.Dims()
-	identity := &order.Schedule{U: make([]int32, m), V: make([]int32, n)}
-	for i := range identity.U {
-		identity.U[i] = int32(i)
-	}
-	for j := range identity.V {
-		identity.V[j] = int32(j)
-	}
-	for name, sch := range map[string]*order.Schedule{
-		"identity": identity,
-		"reversed": {U: reversed(m), V: reversed(n)},
-	} {
-		got, _, err := RunInProc(cfg, prob, Options{Ranks: 3, Schedule: sch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if la.MaxAbsDiff(got.U, def.U) != 0 || la.MaxAbsDiff(got.V, def.V) != 0 {
-			t.Fatalf("schedule %q changed the chain", name)
-		}
-		for i := range def.AvgRMSE {
-			if got.AvgRMSE[i] != def.AvgRMSE[i] {
-				t.Fatalf("schedule %q changed the RMSE trace at iter %d", name, i)
-			}
-		}
-	}
-}
-
-func TestDistributedRejectsBadSchedule(t *testing.T) {
-	prob := problem(t, 14)
-	cfg := testConfig()
-	m, _ := prob.Dims()
-	bad := &order.Schedule{U: reversed(m - 1)} // wrong length
-	if _, _, err := RunInProc(cfg, prob, Options{Ranks: 2, Schedule: bad}); err == nil {
-		t.Fatal("truncated schedule must be rejected, not deadlock the ranks")
-	}
-}
-
-func reversed(n int) []int32 {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(n - 1 - i)
-	}
-	return p
 }
 
 func TestDistributedBufferSizeBitIdentical(t *testing.T) {

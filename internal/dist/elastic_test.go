@@ -79,7 +79,7 @@ func TestElasticKillRecoverMatchesCleanRestart(t *testing.T) {
 				CheckpointDir: dir, CheckpointEvery: 2,
 				SuspicionTimeout: 400 * time.Millisecond,
 			}
-			got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, killAtHook(tc.killIter, tc.victims))
+			got, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, killAtHook(tc.killIter, tc.victims))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestElasticKillRecoverMatchesCleanRestart(t *testing.T) {
 				t.Fatalf("manifest written by %d ranks, want %d", man.Ranks, tc.ranks)
 			}
 			refOpt := Options{Ranks: survivors, ThreadsPerRank: tc.threads, CheckpointDir: dir}
-			want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, refOpt, nil)
+			want, _, _, err := RunRounds(cfg, sourceOf(t, prob), man, refOpt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +134,7 @@ func TestElasticRecoveryMatchesSequentialResume(t *testing.T) {
 		Ranks: 4, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, killAtHook(3, []int{2}))
+	got, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, killAtHook(3, []int{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestElasticFreshRunMatchesRunInProc(t *testing.T) {
 		Ranks: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2,
 		SuspicionTimeout: time.Second,
 	}
-	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, noFaults)
+	got, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, noFaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,12 +262,12 @@ func TestResumeRejectsMismatches(t *testing.T) {
 	}
 	badCfg := cfg
 	badCfg.Seed = cfg.Seed + 1
-	if _, _, _, err := RunRounds(badCfg, Source{Prob: prob}, man, Options{Ranks: 2, CheckpointDir: dir}, nil); err == nil {
+	if _, _, _, err := RunRounds(badCfg, sourceOf(t, prob), man, Options{Ranks: 2, CheckpointDir: dir}, nil); err == nil {
 		t.Fatal("resume with a different seed must fail")
 	}
 	badCfg = cfg
 	badCfg.K = cfg.K + 1
-	if _, _, _, err := RunRounds(badCfg, Source{Prob: prob}, man, Options{Ranks: 2, CheckpointDir: dir}, nil); err == nil {
+	if _, _, _, err := RunRounds(badCfg, sourceOf(t, prob), man, Options{Ranks: 2, CheckpointDir: dir}, nil); err == nil {
 		t.Fatal("resume with a different K must fail")
 	}
 }

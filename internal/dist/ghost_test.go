@@ -88,7 +88,7 @@ func TestUpdateSideLatchesSendFailure(t *testing.T) {
 		opt := Options{Ranks: 2, ThreadsPerRank: threads, BufferSize: -1}.normalized()
 		plan, test := BuildPlan(prob, opt)
 		fb := comm.NewFaultFabric(2, 1)
-		nd, err := NewNode(fb.Comms()[0], cfg, plan, nil, test, opt)
+		nd, err := NewNode(fb.Comms()[0], cfg, plan, prob.Rt, test, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,9 +127,10 @@ func TestHybridRankUnwindsWhenPeerDiesMidPhase(t *testing.T) {
 	fb := comm.NewFaultFabric(2, cfg.Seed)
 	defer fb.Close()
 
+	src := sourceOf(t, prob)
 	finished := make(chan []error, 1)
 	go func() {
-		_, _, errs := runRound(cfg, Source{Prob: prob}, nil, opt, fb.Comms())
+		_, _, errs := runRound(cfg, src, nil, opt, fb.Comms())
 		finished <- errs
 	}()
 	stop := make(chan struct{})
@@ -185,6 +186,7 @@ func TestGhostFramesAreValidated(t *testing.T) {
 	cfg := testConfig()
 	opt := Options{Ranks: 2}.normalized()
 	plan, _ := BuildPlan(prob, opt)
+	src := sourceOf(t, prob)
 	_, n := prob.Dims()
 	theirs := plan.ColBounds[1] // first movie rank 1 owns
 	for _, tc := range []struct {
@@ -205,9 +207,9 @@ func TestGhostFramesAreValidated(t *testing.T) {
 			peerDone := make(chan struct{})
 			go func() {
 				defer close(peerDone)
-				RunRank(comms[1], cfg, Source{Prob: prob}, nil, opt)
+				RunRank(comms[1], cfg, src, nil, opt)
 			}()
-			_, _, err := RunRank(comms[0], cfg, Source{Prob: prob}, nil, opt)
+			_, _, err := RunRank(comms[0], cfg, src, nil, opt)
 			// Rank 1 is waiting for a rank that has given up; unwind it.
 			comms[1].Fail(errors.New("test over"))
 			<-peerDone
@@ -227,7 +229,7 @@ func TestGatherRejectsMismatchedBlobs(t *testing.T) {
 	plan, test := BuildPlan(prob, opt)
 	fab := comm.NewFabric(2)
 	defer fab.Close()
-	nd, err := NewNode(fab.Comms()[0], cfg, plan, nil, test, opt)
+	nd, err := NewNode(fab.Comms()[0], cfg, plan, prob.Rt, test, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

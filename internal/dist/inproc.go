@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/order"
 )
 
 // inproc.go runs the distributed engine as a virtual cluster inside this
@@ -65,10 +64,15 @@ type MembershipHook func(round int, view comm.View, fb *comm.FaultFabric, opt *O
 
 // RunInProc executes a distributed run as a virtual cluster inside this
 // process: opt.Ranks nodes over the channel-backed fabric, each on its own
-// goroutine. It returns rank 0's result (every rank computes an identical
-// one) and the per-rank statistics in rank order.
+// goroutine, each loading only its own rows of SourceOf(prob) — the path
+// a TCP rank takes. It returns rank 0's result (every rank computes an
+// identical one) and the per-rank statistics in rank order.
 func RunInProc(cfg core.Config, prob *core.Problem, opt Options) (*core.Result, []Stats, error) {
-	res, stats, _, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, nil)
+	src, err := SourceOf(prob)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, stats, _, err := RunRounds(cfg, src, nil, opt, nil)
 	return res, stats, err
 }
 
@@ -162,25 +166,11 @@ func RunRounds(cfg core.Config, src Source, resume *Manifest, opt Options, hook 
 }
 
 // runRound runs one round — RunRank for every rank of comms, each on its
-// own goroutine — and collects (result, stats, error) per rank. An
-// in-memory source is planned once here, and one locality schedule built,
-// for all ranks to share.
+// own goroutine — and collects (result, stats, error) per rank.
 func runRound(cfg core.Config, src Source, man *Manifest, opt Options, comms []*comm.Comm) ([]*core.Result, []Stats, []error) {
 	results := make([]*core.Result, len(comms))
 	stats := make([]Stats, len(comms))
 	errs := make([]error, len(comms))
-	if src.Prob != nil {
-		var err error
-		if src.plan, src.test, err = src.buildPlan(opt); err != nil {
-			for r := range errs {
-				errs[r] = err
-			}
-			return results, stats, errs
-		}
-		if opt.Schedule == nil {
-			opt.Schedule = order.Build(src.plan.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
-		}
-	}
 	var wg sync.WaitGroup
 	for r, c := range comms {
 		wg.Add(1)

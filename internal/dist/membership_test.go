@@ -80,7 +80,7 @@ func TestMembershipGrowMatchesFreshResume(t *testing.T) {
 			// Join filed at iteration 2 → the drain flag rides iteration
 			// 3's evaluation allreduce → the cluster seals the grown view
 			// at the iteration-4 manifest (written by the 2-rank cluster).
-			got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, growHook("joiner-a", 2))
+			got, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, growHook("joiner-a", 2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestMembershipGrowMatchesFreshResume(t *testing.T) {
 			if man.Ranks != 2 {
 				t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 			}
-			want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, Options{Ranks: 3, ThreadsPerRank: tc.threads, CheckpointDir: dir}, nil)
+			want, _, _, err := RunRounds(cfg, sourceOf(t, prob), man, Options{Ranks: 3, ThreadsPerRank: tc.threads, CheckpointDir: dir}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestMembershipRejoinWithFreshIncarnation(t *testing.T) {
 			opt.OnIteration = nil
 		}
 	}
-	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, hook)
+	got, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestMembershipRejoinWithFreshIncarnation(t *testing.T) {
 	if man.Ranks != 2 {
 		t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 	}
-	want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, Options{Ranks: 3, CheckpointDir: dir}, nil)
+	want, _, _, err := RunRounds(cfg, sourceOf(t, prob), man, Options{Ranks: 3, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestMembershipShrinkThenRegrow(t *testing.T) {
 			opt.OnIteration = nil
 		}
 	}
-	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, hook)
+	got, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestMembershipShrinkThenRegrow(t *testing.T) {
 	if man.Ranks != 2 {
 		t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 	}
-	want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, Options{Ranks: 4, CheckpointDir: dir}, nil)
+	want, _, _, err := RunRounds(cfg, sourceOf(t, prob), man, Options{Ranks: 4, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestMembershipCoordinatorDiesMidProposal(t *testing.T) {
 			}
 		}
 	}
-	got, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, hook)
+	got, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestMembershipCoordinatorDiesMidProposal(t *testing.T) {
 	if man.Ranks != 2 {
 		t.Fatalf("sealing manifest written by %d ranks, want 2", man.Ranks)
 	}
-	want, _, _, err := RunRounds(cfg, Source{Prob: prob}, man, Options{Ranks: 3, CheckpointDir: dir}, nil)
+	want, _, _, err := RunRounds(cfg, sourceOf(t, prob), man, Options{Ranks: 3, CheckpointDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestMembershipDuplicateJoinAdmittedOnce(t *testing.T) {
 			}
 		}
 	}
-	_, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, hook)
+	_, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, hook)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestMembershipGrowAtIterDefersAdmission(t *testing.T) {
 		SuspicionTimeout: 400 * time.Millisecond,
 		GrowAtIter:       5,
 	}
-	_, _, view, err := RunRounds(cfg, Source{Prob: prob}, nil, opt, growHook("joiner-a", 1))
+	_, _, view, err := RunRounds(cfg, sourceOf(t, prob), nil, opt, growHook("joiner-a", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/la"
-	"repro/internal/order"
 	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/sparse"
@@ -41,13 +40,6 @@ type Node struct {
 	sendU, sendV [][]int32
 	expU, expV   int
 
-	// ordU/ordV are the locality processing orders of the owned ranges
-	// (the shared schedule restricted to this rank's items). Within a
-	// phase every owned item's draw is keyed by its plan-space id and
-	// ghost waits count rows, not positions, so the walk order changes no
-	// sampled bit — only the cache behavior of the partner-row gathers.
-	ordU, ordV []int32
-
 	// momPart/momVec are the reused scratch of the per-iteration
 	// hyperparameter moment reduction.
 	momPart *core.Moments
@@ -71,22 +63,16 @@ type Node struct {
 	stats Stats
 }
 
-// NewNode builds rank c.Rank() of a distributed run. plan and test must be
-// the (identical) outputs of BuildPlan on every rank; test is always the
-// global test set (routing and interval gathering need every rank's test
-// identities).
-//
-// A nil rt means plan.R is the whole training matrix: the node
-// transposes it and builds the default locality schedule from it. A
-// non-nil rt is shard-native per-rank data (LoadShards): plan.R
-// holds only this rank's owned rows (all other rows empty, full-size row
-// pointers) and rt only its owned columns with their complete rater
-// lists; the default schedule is then the natural order of the owned
-// items — chain-invariant, see package order — since no locality order
-// can be built from a matrix the rank doesn't fully hold. The sampled
-// chain is bit-identical either way under the same plan: every quantity
-// a rank computes — its item updates, moment partials, routing table and
-// local predictor — reads only the owned slices.
+// NewNode builds rank c.Rank() of a distributed run from its slices of
+// the data (LoadShards): plan carries the bounds every rank shares and
+// this rank's owned training rows (plan.R full-size, other rows may be
+// empty), rt at least its owned columns of the training transpose with
+// their complete rater lists, and test the global test set (routing and
+// interval gathering need every rank's test identities). Every quantity
+// the node computes — its item updates, moment partials, routing table
+// and local predictor — reads only the owned slices, and the owned items
+// are walked in storage order; within a phase every draw is keyed by the
+// item's id, so the walk order could not change a sampled bit anyway.
 func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR, test []sparse.Entry, opt Options) (*Node, error) {
 	opt = opt.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -98,6 +84,9 @@ func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR
 	if len(plan.RowBounds) != opt.Ranks+1 || len(plan.ColBounds) != opt.Ranks+1 {
 		return nil, fmt.Errorf("dist: plan built for %d ranks, options say %d",
 			len(plan.RowBounds)-1, opt.Ranks)
+	}
+	if rt == nil || rt.M != plan.R.N || rt.N != plan.R.M {
+		return nil, fmt.Errorf("dist: rank %d needs the owned columns of the %dx%d training transpose", c.Rank(), plan.R.N, plan.R.M)
 	}
 	// Record the summation order the engine's allreduce implements, so the
 	// node's config is self-describing (see MomentGroupsOf).
@@ -118,27 +107,6 @@ func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR
 		}
 	}
 
-	// Locality schedule over the owned ranges: opt.Schedule if the launcher
-	// built one (RunInProc shares a single build across ranks), else built
-	// locally — Build is deterministic in plan.R, so either way every rank
-	// walks the same global order restricted to its own items.
-	sch := opt.Schedule
-	switch {
-	case sch != nil:
-		if err := sch.Validate(m, n); err != nil {
-			return nil, err
-		}
-	case rt != nil:
-		sch = &order.Schedule{} // nil orders restrict to the identity
-	default:
-		sch = order.Build(plan.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
-	}
-	nd.ordU = order.Restrict(sch.U, plan.RowBounds[nd.rank], plan.RowBounds[nd.rank+1])
-	nd.ordV = order.Restrict(sch.V, plan.ColBounds[nd.rank], plan.ColBounds[nd.rank+1])
-
-	if rt == nil {
-		rt = plan.R.Transpose()
-	}
 	var err error
 	if nd.s, err = core.NewSampler(cfg, &core.Problem{R: plan.R, Rt: rt, Test: localTest}); err != nil {
 		return nil, err
@@ -163,11 +131,10 @@ func ownersArray(bounds []int, n int) []int32 {
 // buildRouting derives, for every owned item, the destination ranks of its
 // updated factor row, and the total ghost rows this rank expects per
 // iteration. All ranks compute the (deterministic) table from the shared
-// plan, so no routing metadata ever travels over the network — and the
-// computation reads only this rank's owned slices (its own rows of R,
+// plan, so no routing metadata ever travels over the network, and the
+// computation reads only this rank's owned slices: its own rows of R,
 // its own columns of Rᵀ with their complete rater lists, and the global
-// test set), so a shard-native rank that never loaded the other panels
-// builds the identical table a full-data rank would.
+// test set.
 //
 // A movie row j goes to every rank owning a user that rated j, plus every
 // rank owning a user with a held-out test entry on j (so evaluation always
@@ -297,18 +264,16 @@ func (nd *Node) owned(side core.Side) (lo, hi int) {
 // rows of the phase have been applied to the local replica.
 //
 // The phase is one loop at every thread count: a grain of core.ItemGrain
-// schedule positions is drawn, then its finished rows are appended to
-// the per-destination coalescers, so the sends of one grain overlap the
+// owned items is drawn, then its finished rows are appended to the
+// per-destination coalescers, so the sends of one grain overlap the
 // updates of the grains still running (Section IV-C). The thread count
 // only decides who runs the grains — the rank's pool or this goroutine.
-// A grain is far below a coalescing buffer, so the walk order still
-// spreads the sends of locality-adjacent items across the phase.
 func (nd *Node) updateSide(iter int, side core.Side) error {
 	self, _, _, _ := nd.s.Side(side)
-	lo, _ := nd.owned(side)
-	send, exp, ord := nd.sendU, nd.expU, nd.ordU
+	lo, hi := nd.owned(side)
+	send, exp := nd.sendU, nd.expU
 	if side == core.SideV {
-		send, exp, ord = nd.sendV, nd.expV, nd.ordV
+		send, exp = nd.sendV, nd.expV
 	}
 	tag := itemTag(iter, side)
 
@@ -328,14 +293,13 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 		sendErr   error
 	)
 	grain := func(w *sched.Worker, a, b int) {
-		nd.s.UpdateRange(side, iter, ord, a, b, w)
+		nd.s.UpdateRange(side, iter, nil, a, b, w)
 		mu.Lock()
 		defer mu.Unlock()
 		if sendErr != nil {
 			return
 		}
-		for _, it := range ord[a:b] {
-			item := int(it)
+		for item := a; item < b; item++ {
 			dests := send[item-lo]
 			if len(dests) == 0 {
 				continue
@@ -355,10 +319,10 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 
 	computeStart := time.Now()
 	if nd.pool != nil {
-		nd.pool.ParallelFor(0, len(ord), core.ItemGrain, grain)
+		nd.pool.ParallelFor(lo, hi, core.ItemGrain, grain)
 	} else {
-		for a := 0; a < len(ord); a += core.ItemGrain {
-			grain(nil, a, min(a+core.ItemGrain, len(ord)))
+		for a := lo; a < hi; a += core.ItemGrain {
+			grain(nil, a, min(a+core.ItemGrain, hi))
 		}
 	}
 	if sendErr == nil {

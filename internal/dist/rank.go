@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/comm"
 	"repro/internal/core"
-	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -15,63 +17,55 @@ import (
 // themselves is the outer loop that decides which view the next round
 // runs over (see inproc.go).
 
-// Source says where a rank's data comes from, in one of two forms:
-//
-//   - Prob, an in-memory problem every rank holds whole; each rank
-//     derives the identical plan from it. Panels, when set, is the shard
-//     table of the .bcsr file Prob was decoded from: row bounds then
-//     snap to the file's panels, which makes the chain bit-comparable
-//     with the shard-native form of the same file.
-//   - Mapped, an open sharded .bcsr file (sparse.OpenBinary; the caller
-//     keeps ownership) of which every rank decodes only its own panels,
-//     holding out TestFrac (LoadShards). The collective load runs every
-//     round, so shards are remapped over the *current* rank count
-//     whenever the view changes (a dead rank's shards move to survivors;
-//     an admitted rank takes its share).
+// Source says where a rank's data comes from: an open sharded .bcsr
+// image — a file (sparse.OpenBinary) or an in-memory problem (SourceOf);
+// the caller keeps ownership — of which every rank decodes only its own
+// panels (LoadShards). The test set is either held out on load, TestFrac
+// of the stored ratings, or supplied whole in Test, the image then being
+// the training matrix; not both. The collective load runs every round,
+// so shards are remapped over the *current* rank count whenever the view
+// changes (a dead rank's shards move to survivors; an admitted rank
+// takes its share).
 type Source struct {
-	Prob   *core.Problem
-	Panels *partition.Panels
-
 	Mapped   *sparse.Mapped
 	TestFrac float64
-
-	// plan/test hold Prob's plan when a runner built it ahead of the
-	// ranks: the goroutines of a virtual cluster share one build.
-	plan *partition.Plan
-	test []sparse.Entry
+	Test     []sparse.Entry
 }
 
-// buildPlan partitions the in-memory form for opt.Ranks nodes.
-func (src Source) buildPlan(opt Options) (*partition.Plan, []sparse.Entry, error) {
-	if src.Panels != nil {
-		plan, err := partition.BuildWithPanels(src.Prob.R, *src.Panels, opt.Ranks)
-		return plan, src.Prob.Test, err
-	}
-	plan, test := BuildPlan(src.Prob, opt)
-	return plan, test, nil
-}
-
-// load resolves rank c.Rank()'s data: its plan, its owned columns of the
-// training transpose (nil when the plan's matrix is whole) and the global
-// test set in the plan's index space. Collective for the sharded forms.
-func (src Source) load(c *comm.Comm, seed uint64, opt Options) (*partition.Plan, *sparse.CSR, []sparse.Entry, error) {
-	if src.plan != nil {
-		return src.plan, nil, src.test, nil
-	}
-	if src.Mapped == nil {
-		plan, test, err := src.buildPlan(opt)
-		return plan, nil, test, err
-	}
-	sp, err := LoadShards(c, src.Mapped, src.TestFrac, seed, opt)
+// SourceOf is the Source of an in-memory problem: prob.R as an in-memory
+// image with one shard per row (sparse.RowImage) and prob.Test. Per-row
+// shards make AssignPanels weigh row i as Fixed·1 + PerRating·nnz(i),
+// which is CostModel.Cost(nnz(i)) bit for bit, so every rank derives
+// BuildPlan's bounds and the run samples sequential@dist-groups' chain.
+// The image format caps a file at 2^24 shards, which makes that a cap
+// of 2^24 rows here: a larger problem is an error (write it as a
+// sharded .bcsr file and open that instead).
+func SourceOf(prob *core.Problem) (Source, error) {
+	img, err := sparse.RowImage(prob.R)
 	if err != nil {
-		return nil, nil, nil, err
+		return Source{}, err
 	}
-	return sp.Plan, sp.RT, sp.Test, nil
+	mp, err := sparse.OpenBinaryBytes(img)
+	if err != nil {
+		return Source{}, err
+	}
+	return Source{Mapped: mp, Test: prob.Test}, nil
 }
 
-// RunRank runs rank c.Rank() of one round: load this rank's data from
-// src and build (or align) the plan, build the node, position it at the
-// sealed checkpoint round man when one is given (fragments are read from
+// check refuses a Source no rank can load, before any rank communicates.
+func (src Source) check() error {
+	if src.Mapped == nil {
+		return errors.New("dist: source has no open .bcsr image")
+	}
+	if src.TestFrac > 0 && len(src.Test) > 0 {
+		return fmt.Errorf("dist: source holds out a test fraction %g and also carries %d test entries; give one", src.TestFrac, len(src.Test))
+	}
+	return nil
+}
+
+// RunRank runs rank c.Rank() of one round: load this rank's slices of
+// src (LoadShards), build the node, position it at the sealed checkpoint
+// round man when one is given (fragments are read from
 // opt.CheckpointDir — shared storage in a real cluster — and re-sliced
 // by this round's bounds), and run the sampler until it finishes, a view
 // change drains it (*ViewChange) or a peer failure unwinds it
@@ -79,16 +73,16 @@ func (src Source) load(c *comm.Comm, seed uint64, opt Options) (*partition.Plan,
 // identical (cfg, src contents, man, opt).
 func RunRank(c *comm.Comm, cfg core.Config, src Source, man *Manifest, opt Options) (*core.Result, *Stats, error) {
 	opt = opt.normalized()
-	plan, rt, test, err := src.load(c, cfg.Seed, opt)
+	sp, err := LoadShards(c, src, cfg.Seed, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	node, err := NewNode(c, cfg, plan, rt, test, opt)
+	node, err := NewNode(c, cfg, sp.Plan, sp.RT, sp.Test, opt)
 	if err != nil {
 		return nil, nil, err
 	}
 	if man != nil {
-		base, err := LoadDistCheckpoint(opt.CheckpointDir, man, plan.R.M, plan.R.N, cfg.K, test)
+		base, err := LoadDistCheckpoint(opt.CheckpointDir, man, sp.Plan.R.M, sp.Plan.R.N, cfg.K, sp.Test)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,12 +2,14 @@ package dist
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/sparse"
 )
 
 // rank_test.go drives RunRank — the per-rank body cmd/bpmf-dist runs —
@@ -91,7 +93,7 @@ func dialLoopback(t *testing.T, n int) []*comm.Comm {
 func TestRankBodyOverTCPMatchesInProcFreshAndResume(t *testing.T) {
 	prob := problem(t, 43)
 	cfg := testConfig()
-	src := Source{Prob: prob}
+	src := sourceOf(t, prob)
 	const ranks, cut = 2, 3
 
 	refDir := t.TempDir()
@@ -113,4 +115,46 @@ func TestRankBodyOverTCPMatchesInProcFreshAndResume(t *testing.T) {
 	assertBitEqual(t, gotFresh, wantFresh, cfg.Iters)
 	assertBitEqual(t, gotResumed, wantResumed, cfg.Iters)
 	assertBitEqual(t, gotResumed, gotFresh, cfg.Iters)
+}
+
+// TestRunRankRefusesBadSources: a Source no rank can load comes back
+// from every rank as an error before anyone communicates — not a nil
+// dereference on a rank goroutine — and so does a node without its
+// transpose columns.
+func TestRunRankRefusesBadSources(t *testing.T) {
+	prob := problem(t, 44)
+	cfg := testConfig()
+	mapped := sourceOf(t, prob).Mapped
+	for _, tc := range []struct {
+		name, want string
+		src        Source
+	}{
+		{"no image", "no open .bcsr image", Source{TestFrac: 0.2}},
+		{"held out and carried", "give one", Source{Mapped: mapped, TestFrac: 0.2, Test: prob.Test}},
+		{"test entry past the matrix", "outside the", Source{Mapped: mapped, Test: []sparse.Entry{{Row: int32(prob.R.M), Col: 0, Val: 1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, err := RunRounds(cfg, tc.src, nil, Options{Ranks: 2}, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunRounds returned %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+
+	plan, test := BuildPlan(prob, Options{Ranks: 1})
+	fab := comm.NewFabric(1)
+	defer fab.Close()
+	if _, err := NewNode(fab.Comms()[0], cfg, plan, nil, test, Options{Ranks: 1}); err == nil {
+		t.Fatal("NewNode accepted a rank without its transpose columns")
+	}
+}
+
+// TestSourceOfRowCap: one shard per row makes the image format's shard
+// cap a row cap. The cap is checked before a row pointer is read, so a
+// header-only matrix past it stands in for a 16M-row problem.
+func TestSourceOfRowCap(t *testing.T) {
+	_, err := SourceOf(&core.Problem{R: &sparse.CSR{M: 1<<24 + 1, N: 1}})
+	if err == nil || !strings.Contains(err.Error(), "rows exceed") {
+		t.Fatalf("SourceOf over the row cap returned %v", err)
+	}
 }

@@ -1,10 +1,13 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,15 +15,17 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/la"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
-// shard_test.go pins the shard-native data plane: a virtual cluster
-// whose ranks load only their own .bcsr shards (plus the startup
-// exchanges) must sample the exact chain of a cluster where every rank
-// decodes the whole file — and must actually touch only its own shards
-// while doing it.
+// shard_test.go pins the data plane: a cluster whose ranks load only
+// their own .bcsr shards (plus the startup exchanges) must sample the
+// chain of the sequential sampler grouped by the same bounds
+// (sequential@dist-groups), must actually touch only its own shards
+// while doing it, and an in-memory problem's one-row-per-shard image
+// must yield partition.Build's plan.
 
 // writeShardedFile renders the Small benchmark as a many-shard .bcsr.
 func writeShardedFile(t *testing.T, seed uint64, shardNNZ int) (path string, full *sparse.CSR) {
@@ -52,19 +57,27 @@ func openShards(t *testing.T, path string) *sparse.Mapped {
 	return mp
 }
 
-// runFullLoad runs a virtual cluster where every rank holds the whole
-// matrix, under the panel-aligned plan (the .bcsr full-load path of
-// cmd/bpmf-dist).
-func runFullLoad(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, opt Options) *core.Result {
+// seqAtPanelBounds runs the sequential sampler on the global split of
+// path's matrix, its moments grouped by the panel-aligned bounds a
+// cluster of ranks derives from the file (sequential@dist-groups).
+func seqAtPanelBounds(t *testing.T, cfg core.Config, path string, testFrac float64, seed uint64, ranks int) *core.Result {
 	t.Helper()
 	mp := openShards(t, path)
-	fullR, err := mp.Matrix()
+	full, err := mp.Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	panels := partition.PanelsOf(mp)
-	src := Source{Prob: core.NewProblem(sparse.SplitTrainTest(fullR, testFrac, seed)), Panels: &panels}
-	return runOnFabric(t, "full-load", cfg, src, opt)
+	prob := core.NewProblem(sparse.SplitTrainTest(full, testFrac, seed))
+	plan := &partition.Plan{
+		RowBounds: partition.AssignPanels(partition.PanelsOf(mp), ranks),
+		ColBounds: partition.Build(prob.R, ranks).ColBounds,
+	}
+	cfg.MomentGroupsU, cfg.MomentGroupsV = MomentGroupsOf(plan)
+	s, err := core.NewSampler(cfg, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Run()
 }
 
 // runShardNative runs the virtual cluster with every rank loading only
@@ -74,10 +87,10 @@ func runShardNative(t *testing.T, cfg core.Config, path string, testFrac float64
 	return runOnFabric(t, "shard-native", cfg, Source{Mapped: openShards(t, path), TestFrac: testFrac}, opt)
 }
 
-// loadShards runs the collective shard-native load alone and returns
-// each rank's problem (every rank maps the file itself, so the touch
-// counters are per rank).
-func loadShards(t *testing.T, path string, testFrac float64, seed uint64, opt Options) []*ShardProblem {
+// loadShards runs the collective load alone and returns each rank's
+// problem. open is called once per rank, so a source that maps its own
+// file keeps per-rank touch counters.
+func loadShards(t *testing.T, open func() Source, seed uint64, opt Options) []*ShardProblem {
 	t.Helper()
 	opt = opt.normalized()
 	fab := comm.NewFabric(opt.Ranks)
@@ -87,10 +100,10 @@ func loadShards(t *testing.T, path string, testFrac float64, seed uint64, opt Op
 	var wg sync.WaitGroup
 	for r, c := range fab.Comms() {
 		wg.Add(1)
-		go func(r int, c *comm.Comm, mp *sparse.Mapped) {
+		go func(r int, c *comm.Comm, src Source) {
 			defer wg.Done()
-			probs[r], errs[r] = LoadShards(c, mp, testFrac, seed, opt)
-		}(r, c, openShards(t, path))
+			probs[r], errs[r] = LoadShards(c, src, seed, opt)
+		}(r, c, open())
 	}
 	wg.Wait()
 	for r, err := range errs {
@@ -101,32 +114,30 @@ func loadShards(t *testing.T, path string, testFrac float64, seed uint64, opt Op
 	return probs
 }
 
-func TestShardNativeChainBitIdenticalToFullLoad(t *testing.T) {
+// TestShardNativeChainMatchesSequentialAtDistGroups: a cluster loading
+// its own shards of a file samples sequential@dist-groups' chain — the
+// factors and kernel counts bit for bit, the trace up to per-rank
+// evaluation order — at every rank count and with threaded ranks.
+func TestShardNativeChainMatchesSequentialAtDistGroups(t *testing.T) {
 	path, _ := writeShardedFile(t, 17, 400) // ~30 shards for Small's 12k ratings
 	cfg := testConfig()
-	for _, ranks := range []int{1, 2, 4} {
-		opt := Options{Ranks: ranks}
-		cfg.Seed = 17 // the shard-native split is seeded by the chain's seed
-		want := runFullLoad(t, cfg, path, 0.2, 17, opt)
+	cfg.Seed = 17 // the shard-native split is seeded by the chain's seed
+	for _, opt := range []Options{{Ranks: 1}, {Ranks: 2}, {Ranks: 4}, {Ranks: 2, ThreadsPerRank: 2}} {
+		want := seqAtPanelBounds(t, cfg, path, 0.2, 17, opt.Ranks)
 		got := runShardNative(t, cfg, path, 0.2, opt)
-
-		if len(got.SampleRMSE) != len(want.SampleRMSE) {
-			t.Fatalf("ranks=%d: trace lengths differ", ranks)
+		if la.MaxAbsDiff(got.U, want.U) != 0 || la.MaxAbsDiff(got.V, want.V) != 0 {
+			t.Fatalf("%+v: factors differ from sequential@dist-groups", opt)
 		}
-		for i := range want.SampleRMSE {
-			if got.SampleRMSE[i] != want.SampleRMSE[i] || got.AvgRMSE[i] != want.AvgRMSE[i] {
-				t.Fatalf("ranks=%d iter %d: RMSE (%v, %v) != full-load (%v, %v)",
-					ranks, i, got.SampleRMSE[i], got.AvgRMSE[i], want.SampleRMSE[i], want.AvgRMSE[i])
-			}
+		if got.KernelCounts != want.KernelCounts {
+			t.Fatalf("%+v: kernel counts %v != %v", opt, got.KernelCounts, want.KernelCounts)
 		}
-		for i := range want.U.Data {
-			if got.U.Data[i] != want.U.Data[i] {
-				t.Fatalf("ranks=%d: U[%d] differs", ranks, i)
-			}
+		if len(got.AvgRMSE) != len(want.AvgRMSE) {
+			t.Fatalf("%+v: trace lengths differ", opt)
 		}
-		for i := range want.V.Data {
-			if got.V.Data[i] != want.V.Data[i] {
-				t.Fatalf("ranks=%d: V[%d] differs", ranks, i)
+		for i := range want.AvgRMSE {
+			if math.Abs(got.AvgRMSE[i]-want.AvgRMSE[i]) > 1e-12 || math.Abs(got.SampleRMSE[i]-want.SampleRMSE[i]) > 1e-12 {
+				t.Fatalf("%+v iter %d: RMSE (%v, %v) vs sequential@dist-groups (%v, %v)",
+					opt, i, got.SampleRMSE[i], got.AvgRMSE[i], want.SampleRMSE[i], want.AvgRMSE[i])
 			}
 		}
 	}
@@ -138,7 +149,7 @@ func TestShardNativeChainBitIdenticalToFullLoad(t *testing.T) {
 func TestShardNativeReadsOnlyOwnShards(t *testing.T) {
 	path, full := writeShardedFile(t, 23, 400)
 	const ranks = 4
-	probs := loadShards(t, path, 0.2, 23, Options{Ranks: ranks})
+	probs := loadShards(t, func() Source { return Source{Mapped: openShards(t, path), TestFrac: 0.2} }, 23, Options{Ranks: ranks})
 
 	mp, err := sparse.OpenBinary(path)
 	if err != nil {
@@ -287,12 +298,83 @@ func TestLoadShardsValidatesPeerBlobs(t *testing.T) {
 				peer.AllreduceSumOrderedE(make([]float64, n)) // no training ratings
 				peer.SendE(0, colGhostTag, tc.blob)
 			}()
-			_, err := LoadShards(comms[0], mp, 0.2, 33, opt)
+			_, err := LoadShards(comms[0], Source{Mapped: mp, TestFrac: 0.2}, 33, opt)
 			comms[1].Fail(errors.New("test over"))
 			<-peerDone
 			if err == nil || !strings.Contains(err.Error(), "from rank 1") || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("LoadShards returned %v, want an error from rank 1 mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// randomRatings draws an m×n rating matrix whose first and last rows are
+// empty, as is about a third of the others, with row degrees from 0 to
+// 2n (duplicates fold), so some rows outweigh many others.
+func randomRatings(r *rand.Rand, m, n int) *sparse.CSR {
+	coo := sparse.NewCOO(m, n, 0)
+	for i := 1; i+1 < m; i++ {
+		if r.Intn(3) == 0 {
+			continue
+		}
+		for k := r.Intn(2 * n); k >= 0; k-- {
+			coo.Add(i, r.Intn(n), float64(1+r.Intn(5)))
+		}
+	}
+	return coo.ToCSR()
+}
+
+// TestSourceOfPlansLikeBuild is the rule RunInProc's chain rests on: over
+// SourceOf's one-row-per-shard image, the row bounds AssignPanels
+// derives from the shard table and the column bounds LoadShards derives
+// from the reduced degrees are partition.Build's, whatever the empty
+// rows, at every rank count. WriteBinarySharded's panels are not a
+// substitute: they fold an empty row into the next row's panel, so a
+// boundary Build puts after the empty row cannot be drawn.
+func TestSourceOfPlansLikeBuild(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	var mats []*sparse.CSR
+	mats = append(mats, sparse.NewCOO(0, 3, 0).ToCSR())
+	for trial := 0; trial < 12; trial++ {
+		mats = append(mats, randomRatings(r, 1+r.Intn(40), 1+r.Intn(12)))
+	}
+	for mi, a := range mats {
+		src := sourceOf(t, core.NewProblem(a, nil))
+		for ranks := 1; ranks <= 5; ranks++ {
+			want := partition.Build(a, ranks)
+			if rows := partition.AssignPanels(partition.PanelsOf(src.Mapped), ranks); !slices.Equal(rows, want.RowBounds) {
+				t.Fatalf("matrix %d (%dx%d), %d ranks: image row bounds %v, Build's %v", mi, a.M, a.N, ranks, rows, want.RowBounds)
+			}
+			for rank, sp := range loadShards(t, func() Source { return src }, 1, Options{Ranks: ranks}) {
+				if !slices.Equal(sp.Plan.RowBounds, want.RowBounds) || !slices.Equal(sp.Plan.ColBounds, want.ColBounds) {
+					t.Fatalf("matrix %d, %d ranks, rank %d: LoadShards bounds %v / %v, Build's %v / %v",
+						mi, ranks, rank, sp.Plan.RowBounds, sp.Plan.ColBounds, want.RowBounds, want.ColBounds)
+				}
+			}
+		}
+	}
+
+	// Rows of 10, 0, 0 and 10 ratings: Build cuts two ranks after row 1,
+	// where the one-entry panels of WriteBinarySharded have no boundary.
+	coo := sparse.NewCOO(4, 10, 20)
+	for j := 0; j < 10; j++ {
+		coo.Add(0, j, 1)
+		coo.Add(3, j, 1)
+	}
+	a := coo.ToCSR()
+	var buf bytes.Buffer
+	if err := sparse.WriteBinarySharded(&buf, a, 1); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := sparse.OpenBinaryBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := partition.Build(a, 2).RowBounds
+	if got := partition.AssignPanels(partition.PanelsOf(mp), 2); slices.Equal(got, want) {
+		t.Fatalf("one-entry panels gave Build's bounds %v; the counter-example no longer shows why SourceOf writes a shard per row", want)
+	}
+	if got := partition.AssignPanels(partition.PanelsOf(sourceOf(t, core.NewProblem(a, nil)).Mapped), 2); !slices.Equal(got, want) {
+		t.Fatalf("one-row shards gave %v, Build %v", got, want)
 	}
 }

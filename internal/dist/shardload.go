@@ -9,28 +9,27 @@ import (
 	"repro/internal/sparse"
 )
 
-// shardload.go is the shard-native data plane of the distributed
-// engine: each rank of cmd/bpmf-dist maps a .bcsr file and decodes
-// only the shards covering its own row range, instead of every rank
-// materializing the entire matrix. What a rank cannot read from its
-// own shards it obtains over the fabric at startup, in four
-// deterministic steps:
+// shardload.go is the data plane of the distributed engine: each rank
+// maps a .bcsr image — a file, or SourceOf's in-memory one — and decodes
+// only the shards covering its own row range; no rank ever holds the
+// whole matrix. What a rank cannot read from its own shards it obtains
+// over the fabric at startup, in four deterministic steps:
 //
 //  1. Shard-to-rank assignment. The row bounds come from the shard
 //     table alone (partition.AssignPanels over the per-shard header
 //     nnz), so every rank computes the identical panel-aligned bounds
 //     before touching a payload byte.
-//  2. Split pipeline. The train/test split is a sequential scan whose
-//     state (raw RNG stream position + first-rating-per-column flags)
-//     threads row panels in order, so rank r receives the split cursor
-//     from rank r-1, splits its own rows bit-identically to a global
-//     sparse.SplitTrainTest, and forwards the cursor — an O(1) resume,
-//     not a replay of earlier draws.
+//  2. Split pipeline (when the source holds out TestFrac). The
+//     train/test split is a sequential scan whose state (raw RNG stream
+//     position + first-rating-per-column flags) threads row panels in
+//     order, so rank r receives the split cursor from rank r-1, splits
+//     its own rows bit-identically to a global sparse.SplitTrainTest,
+//     and forwards the cursor — an O(1) resume, not a replay of earlier
+//     draws. A source that carries its test set skips this step.
 //  3. Column bounds. Per-column training degrees are allreduced (the
 //     counts are integers, so the rank-ordered float sum is exact) and
-//     fed through the same workload model the full-data planner uses —
-//     the resulting plan is equal to partition.BuildWithPanels on the
-//     fully loaded matrix.
+//     fed through the same workload model partition.Build uses, so the
+//     column bounds are Build's on the training matrix.
 //  4. Column-ghost exchange. Each rank sends every owned training
 //     entry whose column another rank owns to that rank; reassembled
 //     in rank order the received entries form exactly the owned
@@ -38,10 +37,10 @@ import (
 //     ranges, so rank-ordered concatenation preserves the ascending
 //     rater order the kernels' accumulation contract requires).
 //
-// The resulting node state is indistinguishable from a full-load rank
-// under the same plan, so the sampled chain is bit-identical — the
-// differential test in shard_test.go pins that, along with the "only
-// my shards" property via the mapped reader's touch counters.
+// Every quantity a node computes reads only these owned slices, so the
+// sampled chain is sequential@dist-groups' under the same bounds — the
+// differential tests in shard_test.go pin that, along with the "only my
+// shards" property via the mapped reader's touch counters.
 
 // Startup exchange tags, kept far below the collective tag space and
 // far above the per-iteration item tags.
@@ -50,8 +49,8 @@ const (
 	colGhostTag   = 1<<28 + 1
 )
 
-// ShardProblem is one rank's shard-native dataset: everything NewNode
-// needs, plus the loader's touch counters for tests and logging.
+// ShardProblem is one rank's dataset: everything NewNode needs, plus the
+// loader's touch counters for tests and logging.
 type ShardProblem struct {
 	// Plan carries the panel-aligned bounds and this rank's owned
 	// training rows (full-size CSR, foreign rows empty).
@@ -68,18 +67,21 @@ type ShardProblem struct {
 	Load                sparse.MappedStats
 }
 
-// LoadShards loads rank c.Rank()'s slice of an open sharded .bcsr
-// rating file, exchanging split state, column degrees, the test
-// set and column ghosts with the other ranks. Every rank must call it
-// with identical (file contents, testFrac, seed, opt); it is
-// collective. The caller keeps ownership of mp (callers that opened
-// the file to validate it before dialing pass the same mapping here
-// instead of re-walking the shard table).
-func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, opt Options) (*ShardProblem, error) {
+// LoadShards loads rank c.Rank()'s slices of src, exchanging split
+// state, column degrees, the test set and column ghosts with the other
+// ranks. Every rank must call it with identical (src contents, seed,
+// opt); it is collective. The caller keeps ownership of src.Mapped
+// (cmd/bpmf-dist opens the file to validate it before dialing, and
+// hands the same mapping to every round).
+func LoadShards(c *comm.Comm, src Source, seed uint64, opt Options) (*ShardProblem, error) {
 	opt = opt.normalized()
+	if err := src.check(); err != nil {
+		return nil, err
+	}
 	if c.Size() != opt.Ranks {
 		return nil, fmt.Errorf("dist: communicator has %d ranks, options say %d", c.Size(), opt.Ranks)
 	}
+	mp := src.Mapped
 	rank, ranks := c.Rank(), opt.Ranks
 	m, n := mp.Dims()
 
@@ -88,72 +90,42 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 	rowBounds := partition.AssignPanels(panels, ranks)
 	rowLo, rowHi := rowBounds[rank], rowBounds[rank+1]
 
-	// Decode the owned shards into a full-size pre-split CSR (foreign
-	// rows stay empty; their row pointers are flattened below).
-	pre := &sparse.CSR{M: m, N: n, RowPtr: make([]int64, m+1)}
+	// Decode the owned shards into a full-size CSR (foreign rows stay
+	// empty; their row pointers are flattened below).
+	train := &sparse.CSR{M: m, N: n, RowPtr: make([]int64, m+1)}
 	owned := 0
 	for s := range panels.Lo {
 		if panels.Lo[s] < rowLo || panels.Hi[s] > rowHi {
 			continue
 		}
-		if err := mp.DecodePanelInto(pre, s); err != nil {
+		if err := mp.DecodePanelInto(train, s); err != nil {
 			return nil, err
 		}
 		owned++
 	}
-	total := int64(len(pre.Col))
+	total := int64(len(train.Col))
 	for r := rowHi; r <= m; r++ {
-		pre.RowPtr[r] = total
+		train.RowPtr[r] = total
 	}
 
-	// (2) Split pipeline: receive the cursor at our first row, split
-	// our panel, forward the cursor.
-	st := sparse.NewSplitState(n)
-	if rank > 0 {
-		msg, err := c.RecvE(rank-1, splitStateTag)
-		if err != nil {
-			return nil, fmt.Errorf("dist: rank %d awaiting split state: %w", rank, err)
+	// (2) Held out on load, or carried by the source.
+	test := src.Test
+	if src.TestFrac > 0 {
+		var err error
+		if train, test, err = splitOwnRows(c, train, rowBounds, src.TestFrac, seed); err != nil {
+			return nil, err
 		}
-		if st, err = sparse.DecodeSplitState(msg.Data, n); err != nil {
-			return nil, fmt.Errorf("dist: rank %d split state: %w", rank, err)
-		}
-	}
-	trainPtr := make([]int64, m+1)
-	var trainCol []int32
-	var trainVal []float64
-	var localTest []sparse.Entry
-	sparse.SplitRowsResume(pre, rowLo, rowHi, testFrac, seed, st,
-		func(e sparse.Entry) {
-			trainPtr[e.Row+1]++
-			trainCol = append(trainCol, e.Col)
-			trainVal = append(trainVal, e.Val)
-		},
-		func(e sparse.Entry) { localTest = append(localTest, e) })
-	if rank+1 < ranks {
-		if err := c.SendE(rank+1, splitStateTag, st.Encode()); err != nil {
-			return nil, fmt.Errorf("dist: rank %d forwarding split state: %w", rank, err)
+	} else {
+		for k, e := range test {
+			if e.Row < 0 || int(e.Row) >= m || e.Col < 0 || int(e.Col) >= n {
+				return nil, fmt.Errorf("dist: test entry %d (%d, %d) outside the %dx%d matrix", k, e.Row, e.Col, m, n)
+			}
 		}
 	}
-	for i := 0; i < m; i++ {
-		trainPtr[i+1] += trainPtr[i]
-	}
-	train := &sparse.CSR{M: m, N: n, RowPtr: trainPtr, Col: trainCol, Val: trainVal}
 
-	// (3) Global test set and column bounds.
-	blobs, err := c.AllgatherE(encodeEntries(localTest))
-	if err != nil {
-		return nil, fmt.Errorf("dist: gathering test set: %w", err)
-	}
-	var test []sparse.Entry
-	for q := 0; q < ranks; q++ {
-		es, err := decodeEntries(blobs[q], rowBounds[q], rowBounds[q+1], n)
-		if err != nil {
-			return nil, fmt.Errorf("dist: test set from rank %d: %w", q, err)
-		}
-		test = append(test, es...)
-	}
+	// (3) Column bounds.
 	colDeg := make([]float64, n)
-	for _, j := range trainCol {
+	for _, j := range train.Col {
 		colDeg[j]++
 	}
 	colDegTot, err := c.AllreduceSumOrderedE(colDeg)
@@ -254,6 +226,58 @@ func LoadShards(c *comm.Comm, mp *sparse.Mapped, testFrac float64, seed uint64, 
 		TotalShards: mp.Shards(),
 		Load:        mp.Stats(),
 	}, nil
+}
+
+// splitOwnRows runs the split pipeline over this rank's rows of pre:
+// receive the cursor at our first row, split our panel, forward the
+// cursor; then gather every rank's held-out entries into the global test
+// set in split order.
+func splitOwnRows(c *comm.Comm, pre *sparse.CSR, rowBounds []int, testFrac float64, seed uint64) (*sparse.CSR, []sparse.Entry, error) {
+	rank, ranks := c.Rank(), len(rowBounds)-1
+	m, n := pre.M, pre.N
+	st := sparse.NewSplitState(n)
+	if rank > 0 {
+		msg, err := c.RecvE(rank-1, splitStateTag)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dist: rank %d awaiting split state: %w", rank, err)
+		}
+		if st, err = sparse.DecodeSplitState(msg.Data, n); err != nil {
+			return nil, nil, fmt.Errorf("dist: rank %d split state: %w", rank, err)
+		}
+	}
+	trainPtr := make([]int64, m+1)
+	var trainCol []int32
+	var trainVal []float64
+	var localTest []sparse.Entry
+	sparse.SplitRowsResume(pre, rowBounds[rank], rowBounds[rank+1], testFrac, seed, st,
+		func(e sparse.Entry) {
+			trainPtr[e.Row+1]++
+			trainCol = append(trainCol, e.Col)
+			trainVal = append(trainVal, e.Val)
+		},
+		func(e sparse.Entry) { localTest = append(localTest, e) })
+	if rank+1 < ranks {
+		if err := c.SendE(rank+1, splitStateTag, st.Encode()); err != nil {
+			return nil, nil, fmt.Errorf("dist: rank %d forwarding split state: %w", rank, err)
+		}
+	}
+	for i := 0; i < m; i++ {
+		trainPtr[i+1] += trainPtr[i]
+	}
+
+	blobs, err := c.AllgatherE(encodeEntries(localTest))
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: gathering test set: %w", err)
+	}
+	var test []sparse.Entry
+	for q := 0; q < ranks; q++ {
+		es, err := decodeEntries(blobs[q], rowBounds[q], rowBounds[q+1], n)
+		if err != nil {
+			return nil, nil, fmt.Errorf("dist: test set from rank %d: %w", q, err)
+		}
+		test = append(test, es...)
+	}
+	return &sparse.CSR{M: m, N: n, RowPtr: trainPtr, Col: trainCol, Val: trainVal}, test, nil
 }
 
 // encodeEntries serializes entries as sparse.AppendEntry records.

@@ -7,12 +7,6 @@
 // before anyone has decoded a single payload byte.
 package partition
 
-import (
-	"fmt"
-
-	"repro/internal/sparse"
-)
-
 // Panels describes the row panels of a sharded matrix: panel s covers
 // rows [Lo[s], Hi[s]) and holds NNZ[s] stored entries (as written,
 // i.e. before any train/test split).
@@ -43,30 +37,14 @@ func (p Panels) Rows() int {
 	return p.Hi[len(p.Hi)-1]
 }
 
-// Validate checks that the panels are contiguous over [0, rows).
-func (p Panels) Validate(rows int) error {
-	if len(p.Lo) != len(p.Hi) || len(p.Lo) != len(p.NNZ) {
-		return fmt.Errorf("partition: ragged panel table (%d/%d/%d)", len(p.Lo), len(p.Hi), len(p.NNZ))
-	}
-	prev := 0
-	for s := range p.Lo {
-		if p.Lo[s] != prev || p.Hi[s] < p.Lo[s] {
-			return fmt.Errorf("partition: panel %d covers [%d, %d), want contiguous from %d", s, p.Lo[s], p.Hi[s], prev)
-		}
-		prev = p.Hi[s]
-	}
-	if prev != rows {
-		return fmt.Errorf("partition: panels cover [0, %d) of %d rows", prev, rows)
-	}
-	return nil
-}
-
 // AssignPanels splits the panels into ranks contiguous groups,
 // balancing the workload model's panel costs (Fixed per row plus
 // PerRating per entry) with the same chains-on-chains machinery the
 // per-row partitioner uses, and returns the row boundary list —
 // always aligned to panel boundaries. It is a pure function of the
 // shard table, so every rank derives the identical assignment locally.
+// Over one-row panels a weight is CostModel.Cost(nnz) bit for bit
+// (Fixed·1 is Fixed), so the bounds are Build's row bounds.
 func AssignPanels(p Panels, ranks int) []int {
 	model := DefaultCostModel()
 	w := make([]float64, len(p.Lo))
@@ -84,26 +62,4 @@ func AssignPanels(p Panels, ranks int) []int {
 		}
 	}
 	return bounds
-}
-
-// BuildWithPanels produces a plan whose row boundaries are aligned to
-// the given panels (AssignPanels over the pre-split shard weights)
-// while the column side keeps the per-item workload-model split over
-// the training matrix r. This is the plan both the full-load and the
-// shard-native .bcsr paths of cmd/bpmf-dist build, which is what makes
-// their sampled chains comparable bit for bit: the plan — and with it
-// the moment-group summation order — is a pure function of (file,
-// ranks), not of which loading strategy a rank chose.
-func BuildWithPanels(r *sparse.CSR, panels Panels, ranks int) (*Plan, error) {
-	if ranks < 1 {
-		return nil, fmt.Errorf("partition: need at least one rank")
-	}
-	if err := panels.Validate(r.M); err != nil {
-		return nil, err
-	}
-	return &Plan{
-		R:         r,
-		RowBounds: AssignPanels(panels, ranks),
-		ColBounds: ChainsOnChains(DefaultCostModel().Weights(r.Transpose().RowDegrees()), ranks),
-	}, nil
 }

@@ -69,6 +69,29 @@ func WriteBinarySharded(w io.Writer, a *CSR, shardNNZ int) error {
 	return err
 }
 
+// RowImage returns a as an in-memory .bcsr image with exactly one shard
+// per row. Unlike WriteBinarySharded's panels, which fold an empty row
+// into the next row's panel, the shard table then carries every row's
+// own entry count. A shard per row makes the format's shard cap a row
+// cap: a matrix with more rows is an error, caught before any byte is
+// read.
+func RowImage(a *CSR) ([]byte, error) {
+	if a.M > maxBCSRShards {
+		return nil, fmt.Errorf("sparse: %d rows exceed the %d shards a one-row-per-shard image can hold", a.M, maxBCSRShards)
+	}
+	lo, hi := make([]int, a.M), make([]int, a.M)
+	for i := range lo {
+		lo[i], hi[i] = i, i+1
+	}
+	// Magic and header, then per row: a table entry, the shard's nnz and
+	// CRC words and two row pointers; then 12 bytes per entry.
+	buf := bytes.NewBuffer(make([]byte, 0, len(bcsrMagic)+32+48*a.M+12*a.NNZ()))
+	_, err := writeShards(buf, a.M, a.N, int64(a.NNZ()), lo, hi, func(s int) (*CSR, int, int, error) {
+		return a, s, s + 1, nil
+	})
+	return buf.Bytes(), err
+}
+
 // bcsrNNZOffset is the file offset of the header's NNZ word, which a
 // writer that learns the total only after its last shard (the
 // Converter, whose panels deduplicate) patches in place.
@@ -81,9 +104,10 @@ const bcsrNNZOffset = int64(len(bcsrMagic)) + 16
 func writeShards(w io.Writer, m, n int, nnz int64, lo, hi []int, panel func(s int) (p *CSR, rlo, rhi int, err error)) (int64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var err error
+	var word [8]byte
 	writeU64 := func(v uint64) {
 		if err == nil {
-			err = binary.Write(bw, binary.LittleEndian, v)
+			_, err = bw.Write(binary.LittleEndian.AppendUint64(word[:0], v))
 		}
 	}
 	if _, werr := bw.WriteString(bcsrMagic); werr != nil {

@@ -122,7 +122,7 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		mp, err := openBinaryBytes(data)
+		mp, err := OpenBinaryBytes(data)
 		var got *CSR
 		arrays := 0
 		if err == nil {

@@ -15,7 +15,7 @@ import (
 // mmap.go is the reader of the .bcsr format — the only one. Mapped opens
 // a file over one of three byte sources (a read-only mapping on unix;
 // pread elsewhere or when mmap refuses, chosen by build tag; an in-memory
-// image for tests and fuzzing) and exposes per-panel views without
+// image such as RowImage's) and exposes per-panel views without
 // decoding the whole matrix. The header, shard table and shard framing are
 // validated eagerly against the file's real size — a truncated file fails
 // at open, not mid-query, and no declared length is allocated on trust —
@@ -28,7 +28,7 @@ import (
 
 // mapSource is random access to the bytes of an open .bcsr file — how
 // they are obtained is decided behind it and nowhere else. Memory-backed
-// implementations (mmap, in-memory test buffers) hand out zero-copy
+// implementations (mmap, in-memory images) hand out zero-copy
 // windows; file-backed ones fall back to ReadAt.
 type mapSource interface {
 	io.ReaderAt
@@ -39,7 +39,7 @@ type mapSource interface {
 	Close() error
 }
 
-// bytesSource serves a .bcsr image held in memory (tests, fuzzing).
+// bytesSource serves a .bcsr image held in memory.
 type bytesSource struct{ data []byte }
 
 func (s bytesSource) ReadAt(p []byte, off int64) (int, error) {
@@ -120,9 +120,10 @@ func openBinaryFile(f *os.File) (*Mapped, error) {
 	return mp, nil
 }
 
-// openBinaryBytes opens an in-memory .bcsr image (tests and fuzzing
-// exercise the reader without a filesystem round trip).
-func openBinaryBytes(data []byte) (*Mapped, error) {
+// OpenBinaryBytes opens an in-memory .bcsr image (RowImage's, or bytes a
+// test or fuzz target built) with the same validation as OpenBinary. The
+// reader's zero-copy views alias data, which must not change afterwards.
+func OpenBinaryBytes(data []byte) (*Mapped, error) {
 	return newMapped(bytesSource{data: data}, int64(len(data)))
 }
 

@@ -45,7 +45,7 @@ func writeTempBCSR(t *testing.T, data []byte) string {
 // (the eager framing checks), then the full decode Load performs, which
 // verifies every shard.
 func readBCSR(data []byte) (*CSR, error) {
-	mp, err := openBinaryBytes(data)
+	mp, err := OpenBinaryBytes(data)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func TestMappedMatrixMatchesSource(t *testing.T) {
 		mp.Close()
 		// ...and through the in-memory source (the portable fallback
 		// interface fuzzing uses).
-		mb, err := openBinaryBytes(buf.Bytes())
+		mb, err := OpenBinaryBytes(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestMappedRowAccessors(t *testing.T) {
 	if err := WriteBinarySharded(&buf, a, 50); err != nil {
 		t.Fatal(err)
 	}
-	mp, err := openBinaryBytes(buf.Bytes())
+	mp, err := OpenBinaryBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestMappedRowAccessors(t *testing.T) {
 // TestMappedLazyTouch pins the shard-native contract: reading one row
 // verifies exactly that row's shard.
 func TestMappedLazyTouch(t *testing.T) {
-	mp, err := openBinaryBytes(multiShardBCSR(t))
+	mp, err := OpenBinaryBytes(multiShardBCSR(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMappedErrorTexts(t *testing.T) {
 	le := binary.LittleEndian
 
 	// Locate shard 1's payload to corrupt it (and only it).
-	mp, err := openBinaryBytes(valid)
+	mp, err := OpenBinaryBytes(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestMappedErrorTexts(t *testing.T) {
 	// CRC-bad shard, touched lazily: open succeeds, the damaged shard
 	// errors on first touch in the full decode's words, other shards stay
 	// readable.
-	mp2, err := openBinaryBytes(crcBad)
+	mp2, err := OpenBinaryBytes(crcBad)
 	if err != nil {
 		t.Fatalf("open must defer payload verification: %v", err)
 	}
@@ -284,7 +284,7 @@ func TestMappedEmptyMatrix(t *testing.T) {
 	if err := WriteBinary(&buf, empty); err != nil {
 		t.Fatal(err)
 	}
-	mp, err := openBinaryBytes(buf.Bytes())
+	mp, err := OpenBinaryBytes(buf.Bytes())
 	if err != nil {
 		t.Fatalf("empty matrix rejected: %v", err)
 	}
@@ -311,7 +311,7 @@ func TestMappedTrailingNNZMismatch(t *testing.T) {
 	le := binary.LittleEndian
 	le.PutUint64(mut[len(bcsrMagic)+16:], le.Uint64(mut[len(bcsrMagic)+16:])+1)
 	const want = "sparse: bcsr header promised 201 entries, shards hold 200"
-	if _, err := openBinaryBytes(mut); err == nil || err.Error() != want {
+	if _, err := OpenBinaryBytes(mut); err == nil || err.Error() != want {
 		t.Fatalf("inflated nnz: open returned %v, want %s", err, want)
 	}
 }
