@@ -116,6 +116,35 @@ func TestSourceForms(t *testing.T) {
 	}
 }
 
+// TestShardNativeDecision pins that the shard-native decision rests on
+// the file's contents alone: even an unsharded .bcsr (one shard for the
+// whole matrix) is mapped as written, and a synthetic run never is.
+func TestShardNativeDecision(t *testing.T) {
+	ds := datagen.Generate(datagen.Tiny(9))
+	bc := filepath.Join(t.TempDir(), "r.bcsr")
+	f, err := os.Create(bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sparse.WriteBinary(f, ds.R); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	cfg := config.DefaultDist()
+	cfg.Data.Path = bc
+	src, file, err := source(cfg)
+	if err != nil || !file || src.Mapped == nil {
+		t.Fatalf("bcsr input must be shard-native (file=%v err=%v)", file, err)
+	}
+	src.Mapped.Close()
+	src, file, err = source(config.DefaultDist())
+	if err != nil || file {
+		t.Fatalf("synthetic run classified as shard-native (file=%v err=%v)", file, err)
+	}
+	src.Mapped.Close()
+}
+
 // TestLaunchWorkersReportsFailedRank pins the launcher's failure report:
 // the error must name the failed rank, its exit code, and carry the tail
 // of its stderr — the three things someone debugging a dead cluster
