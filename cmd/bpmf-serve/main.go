@@ -601,9 +601,17 @@ func intParam(q url.Values, name string) (int, error) {
 	return v, nil
 }
 
+// writeJSON answers 200 with v's encoding (json.Encoder's bytes: Marshal's
+// plus a newline), or 500 if v does not encode — a NaN, say — instead of a
+// 200 with an empty body. A failed write is dropped: the client is gone.
 func writeJSON(w http.ResponseWriter, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, fmt.Errorf("encoding the response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -125,31 +126,36 @@ func TestResponseBytesGolden(t *testing.T) {
 		typed  any
 		mapped map[string]any
 		want   string
+		status int
 	}{
 		{"predict",
 			predictResponse{User: 3, Item: 17, Score: 3.25, Mean: 3.3000000000000003, Std: 0.7071067811865476, Posterior: true},
 			map[string]any{"user": 3, "item": 17, "score": 3.25, "mean": 3.3000000000000003, "std": 0.7071067811865476, "posterior": true},
-			`{"item":17,"mean":3.3000000000000003,"posterior":true,"score":3.25,"std":0.7071067811865476,"user":3}`},
+			`{"item":17,"mean":3.3000000000000003,"posterior":true,"score":3.25,"std":0.7071067811865476,"user":3}`, http.StatusOK},
 		{"recommend",
 			recommendResponse{User: 3, Items: withItems},
 			map[string]any{"user": 3, "items": asMaps(items)},
-			`{"items":[{"item":7,"score":4.5},{"item":2,"score":-0.125}],"user":3}`},
+			`{"items":[{"item":7,"score":4.5},{"item":2,"score":-0.125}],"user":3}`, http.StatusOK},
 		{"recommend nothing",
 			recommendResponse{User: 0, Items: noItems},
 			map[string]any{"user": 0, "items": asMaps(nil)},
-			`{"items":[],"user":0}`},
+			`{"items":[],"user":0}`, http.StatusOK},
 		{"foldin factors only",
 			foldInResponse{Factors: []float64{0.5, -1e-7}},
 			map[string]any{"factors": []float64{0.5, -1e-7}},
-			`{"factors":[0.5,-1e-7]}`},
+			`{"factors":[0.5,-1e-7]}`, http.StatusOK},
 		{"foldin with items",
 			foldInResponse{Factors: []float64{1}, Items: &withItems},
 			map[string]any{"factors": []float64{1}, "items": asMaps(items)},
-			`{"factors":[1],"items":[{"item":7,"score":4.5},{"item":2,"score":-0.125}]}`},
+			`{"factors":[1],"items":[{"item":7,"score":4.5},{"item":2,"score":-0.125}]}`, http.StatusOK},
 		{"foldin nothing to recommend",
 			foldInResponse{Factors: []float64{1}, Items: &noItems},
 			map[string]any{"factors": []float64{1}, "items": asMaps(nil)},
-			`{"factors":[1],"items":[]}`},
+			`{"factors":[1],"items":[]}`, http.StatusOK},
+		{"a value JSON cannot carry is a 500, not an empty 200",
+			foldInResponse{Factors: []float64{math.NaN()}},
+			map[string]any{"factors": []float64{math.NaN()}},
+			`{"error":"encoding the response: json: unsupported value: NaN"}`, http.StatusInternalServerError},
 	}
 	for _, c := range cases {
 		for label, v := range map[string]any{"typed": c.typed, "map": c.mapped} {
@@ -157,6 +163,9 @@ func TestResponseBytesGolden(t *testing.T) {
 			writeJSON(rec, v)
 			if got := rec.Body.String(); got != c.want+"\n" {
 				t.Errorf("%s (%s): body %q, want %q", c.name, label, got, c.want+"\n")
+			}
+			if rec.Code != c.status {
+				t.Errorf("%s (%s): status %d, want %d", c.name, label, rec.Code, c.status)
 			}
 		}
 	}
@@ -429,23 +438,26 @@ func postFoldIn(mux *http.ServeMux, body string) *httptest.ResponseRecorder {
 }
 
 // TestFoldInBodyHygiene pins the request-body satellite: oversized
-// bodies get 413, unknown fields and trailing garbage get 400, and a
-// well-formed body still works.
+// bodies get 413, unknown fields, trailing garbage and ratings whose draw
+// is not finite get 400, and a well-formed body still works. Every answer
+// carries a JSON body.
 func TestFoldInBodyHygiene(t *testing.T) {
 	mux := newMux(testRegistry(t))
-
-	if rec := postFoldIn(mux, `{"items":[0,1],"values":[5,4],"key":1,"n":2}`); rec.Code != http.StatusOK {
-		t.Fatalf("well-formed foldin = %d, body %s", rec.Code, rec.Body.String())
-	}
-	if rec := postFoldIn(mux, `{"items":[0],"values":[5],"key":1,"frobnicate":true}`); rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown field = %d, want 400 (body %s)", rec.Code, rec.Body.String())
-	}
-	if rec := postFoldIn(mux, `{"items":[0],"values":[5],"key":1} {"sneaky":1}`); rec.Code != http.StatusBadRequest {
-		t.Errorf("trailing garbage = %d, want 400 (body %s)", rec.Code, rec.Body.String())
-	}
-	huge := `{"items":[0],"values":[5],"key":1,"n":0` + strings.Repeat(" ", maxFoldInBody) + `}`
-	if rec := postFoldIn(mux, huge); rec.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized body = %d, want 413 (body %s)", rec.Code, rec.Body.String())
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"well-formed", `{"items":[0,1],"values":[5,4],"key":1,"n":2}`, http.StatusOK},
+		{"unknown field", `{"items":[0],"values":[5],"key":1,"frobnicate":true}`, http.StatusBadRequest},
+		{"trailing garbage", `{"items":[0],"values":[5],"key":1} {"sneaky":1}`, http.StatusBadRequest},
+		{"finite rating, non-finite draw", `{"items":[0],"values":[1e308],"key":1}`, http.StatusBadRequest},
+		{"oversized", `{"items":[0],"values":[5],"key":1,"n":0` + strings.Repeat(" ", maxFoldInBody) + `}`,
+			http.StatusRequestEntityTooLarge},
+	} {
+		rec := postFoldIn(mux, c.body)
+		if rec.Code != c.status || !json.Valid(rec.Body.Bytes()) {
+			t.Errorf("%s: %d with body %q, want %d and JSON", c.name, rec.Code, rec.Body.String(), c.status)
+		}
 	}
 }
 

@@ -26,10 +26,10 @@ func allocProblem(nnz, k int) (cols []int32, vals []float64, other *la.Matrix) {
 	return
 }
 
-func assertZeroAllocs(t *testing.T, name string, kern Kernel, nnz int) {
+func assertZeroAllocs(t *testing.T, name string, kern Kernel, nnz, k int) {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.K = 16
+	cfg.K = k
 	hyper := NewHyper(cfg.K)
 	cols, vals, other := allocProblem(nnz, cfg.K)
 	ws := NewWorkspace(cfg.K)
@@ -40,16 +40,22 @@ func assertZeroAllocs(t *testing.T, name string, kern Kernel, nnz int) {
 	}
 	run() // warm the workspace arena and chunk-list capacity
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Fatalf("%s nnz=%d: %v allocs/op in steady state, want 0", name, nnz, allocs)
+		t.Fatalf("%s nnz=%d K=%d: %v allocs/op in steady state, want 0", name, nnz, k, allocs)
 	}
 }
 
+// The rank-one kernel at nnz 0 (the no-ratings path), 1, 5 (a pass of four
+// plus a tail) and 10, at K = 16 and at the benchmark's K = 32.
 func TestUpdateItemRankOneZeroAllocs(t *testing.T) {
-	assertZeroAllocs(t, "rankupdate", KernelRankOne, 10)
+	for _, k := range []int{16, 32} {
+		for _, nnz := range []int{0, 1, 5, 10} {
+			assertZeroAllocs(t, "rankupdate", KernelRankOne, nnz, k)
+		}
+	}
 }
 
 func TestUpdateItemCholeskyZeroAllocs(t *testing.T) {
-	assertZeroAllocs(t, "serial_chol", KernelCholesky, 100)
+	assertZeroAllocs(t, "serial_chol", KernelCholesky, 100, 16)
 }
 
 func TestUpdateItemParallelInlineZeroAllocs(t *testing.T) {
@@ -57,7 +63,7 @@ func TestUpdateItemParallelInlineZeroAllocs(t *testing.T) {
 	// allocation-free once its chunk arena is warm; nnz spans several
 	// chunks plus a tail.
 	cfg := DefaultConfig()
-	assertZeroAllocs(t, "parallel_chol", KernelParallelCholesky, 2*cfg.ParallelGrain+3)
+	assertZeroAllocs(t, "parallel_chol", KernelParallelCholesky, 2*cfg.ParallelGrain+3, 16)
 }
 
 func TestSampleHyperWSZeroAllocs(t *testing.T) {

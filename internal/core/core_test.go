@@ -347,6 +347,44 @@ func TestUpdateItemNoRatings(t *testing.T) {
 	}
 }
 
+// TestRankOneMatchesLowerFactorPath pins the rank-one kernel's wiring to
+// the path it replaced — one rating at a time on Λ's factor, then SolveSPD
+// and MVNFromPrecChol on the lower factor — bit for bit, under a sampled
+// hyper draw: the no-ratings shortcut, passes of four and their tails.
+func TestRankOneMatchesLowerFactorPath(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, k := range []int{1, 5, 32} {
+		cfg.K = k
+		rows := la.NewMatrix(60, k)
+		rng.New(3).FillNorm(rows.Data)
+		m := NewMoments(k)
+		m.AccumulateRows(rows, 0, 60)
+		hyper := NewHyper(k)
+		SampleHyper(DefaultNWPrior(k), m, HyperStream(1, 0, SideU), hyper)
+		for nnz := 0; nnz <= 9; nnz++ {
+			cols, vals, other := buildItemProblem(nnz, k, uint64(nnz))
+			got := updateWith(KernelRankOne, &cfg, cols, vals, other, hyper, nil)
+
+			u, rhs := hyper.LambdaUpper.Clone(), hyper.LambdaMu.Clone()
+			for p, c := range cols {
+				x := other.Row(int(c)).Clone()
+				la.Scal(math.Sqrt(cfg.Alpha), x)
+				la.CholUpdateUpper(u, x)
+				la.Axpy(cfg.Alpha*vals[p], other.Row(int(c)), rhs)
+			}
+			l := u.Transpose()
+			mu, want, scratch := la.NewVector(k), la.NewVector(k), la.NewVector(k)
+			la.SolveSPD(l, rhs, mu, scratch)
+			ItemStream(cfg.Seed, 0, SideU, 0).MVNFromPrecChol(mu, l, want, scratch)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("K=%d nnz=%d: element %d is %v, lower-factor path %v", k, nnz, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestInitFactorsDeterministic(t *testing.T) {
 	a := InitFactors(42, SideU, 50, 8)
 	b := InitFactors(42, SideU, 50, 8)

@@ -29,26 +29,32 @@ func DefaultNWPrior(k int) NWPrior {
 	}
 }
 
-// Hyper is one side's sampled prior: mean μ, precision Λ and the lower
-// Cholesky factor of Λ (precomputed once per iteration; the rank-one
-// item-update kernel starts from it).
+// Hyper is one side's sampled prior: mean μ and precision Λ, plus what
+// every item update on this side derives from them, computed once per
+// draw.
 type Hyper struct {
-	Mu         la.Vector
-	Lambda     *la.Matrix
-	LambdaChol *la.Matrix
+	Mu     la.Vector
+	Lambda *la.Matrix
+	// LambdaUpper is Λ's Cholesky factor held transposed, U = Lᵀ with
+	// Λ = Uᵀ·U: the rank-one item-update kernel starts from it.
+	LambdaUpper *la.Matrix
 	// LambdaMu caches Λ·μ, the constant part of every item's posterior
 	// mean equation on this side for this iteration.
 	LambdaMu la.Vector
+	// PriorMean is la.SolveSPD(L, LambdaMu) — μ up to rounding, and the
+	// posterior mean of an item with no ratings, bit for bit.
+	PriorMean la.Vector
 }
 
 // NewHyper allocates a Hyper for K latent features, initialized to the
 // standard-normal prior (Λ = I, μ = 0).
 func NewHyper(k int) *Hyper {
 	h := &Hyper{
-		Mu:         la.NewVector(k),
-		Lambda:     la.Eye(k),
-		LambdaChol: la.Eye(k),
-		LambdaMu:   la.NewVector(k),
+		Mu:          la.NewVector(k),
+		Lambda:      la.Eye(k),
+		LambdaUpper: la.Eye(k),
+		LambdaMu:    la.NewVector(k),
+		PriorMean:   la.NewVector(k),
 	}
 	return h
 }
@@ -203,6 +209,7 @@ type HyperWorkspace struct {
 	xbar, diff, muStar, scratch la.Vector
 	wInv, wStar, wStarChol      *la.Matrix
 	wInvChol, scaled            *la.Matrix
+	lambdaChol                  *la.Matrix // Λ's lower factor
 	bartA, bartB                *la.Matrix // Wishart Bartlett scratch
 	invE, invCol                la.Vector  // InvFromCholWS scratch
 }
@@ -214,8 +221,8 @@ func NewHyperWorkspace(k int) *HyperWorkspace {
 		muStar: la.NewVector(k), scratch: la.NewVector(k),
 		wInv: la.NewMatrix(k, k), wStar: la.NewMatrix(k, k),
 		wStarChol: la.NewMatrix(k, k), wInvChol: la.NewMatrix(k, k),
-		scaled: la.NewMatrix(k, k),
-		bartA:  la.NewMatrix(k, k), bartB: la.NewMatrix(k, k),
+		scaled: la.NewMatrix(k, k), lambdaChol: la.NewMatrix(k, k),
+		bartA: la.NewMatrix(k, k), bartB: la.NewMatrix(k, k),
 		invE: la.NewVector(k), invCol: la.NewVector(k),
 	}
 }
@@ -276,7 +283,7 @@ func SampleHyperWS(prior NWPrior, m *Moments, stream *rng.Stream, h *Hyper, ws *
 	// Λ ~ W(W*, ν*).
 	nuStar := prior.Nu0 + n
 	stream.WishartWS(ws.wStarChol, nuStar, h.Lambda, ws.bartA, ws.bartB)
-	if err := la.Cholesky(h.Lambda, h.LambdaChol); err != nil {
+	if err := la.Cholesky(h.Lambda, ws.lambdaChol); err != nil {
 		panic("core: sampled precision not SPD: " + err.Error())
 	}
 
@@ -286,9 +293,11 @@ func SampleHyperWS(prior NWPrior, m *Moments, stream *rng.Stream, h *Hyper, ws *
 	for i := range muStar {
 		muStar[i] = (prior.Beta0*prior.Mu0[i] + n*xbar[i]) / betaStar
 	}
-	ws.scaled.CopyFrom(h.LambdaChol)
+	ws.scaled.CopyFrom(ws.lambdaChol)
 	ws.scaled.ScaleInPlace(math.Sqrt(betaStar))
 	stream.MVNFromPrecChol(muStar, ws.scaled, h.Mu, ws.scratch)
 
 	la.SymvLower(h.Lambda, h.Mu, h.LambdaMu)
+	ws.lambdaChol.TransposeInto(h.LambdaUpper)
+	la.SolveSPD(ws.lambdaChol, h.LambdaMu, h.PriorMean, ws.scratch)
 }

@@ -92,13 +92,16 @@ func NewAccArena(k int) *AccArena {
 // hot loop performs no allocation. One Workspace must not be used by two
 // goroutines at once.
 type Workspace struct {
-	K       int
-	prec    *la.Matrix
+	K    int
+	prec *la.Matrix
+	// precL is the posterior precision's Cholesky factor: lower (L) on the
+	// Cholesky kernels, transposed (U = Lᵀ) on the rank-one kernel.
 	precL   *la.Matrix
 	rhs     la.Vector
 	mu      la.Vector
 	scratch la.Vector
-	xtmp    la.Vector
+	// xblk holds the rank-one kernel's scaled partner rows, up to four.
+	xblk la.Vector
 	// panel is the gather scratch of the panel-streamed serial-Cholesky
 	// accumulation (la.SyrkAxpyPanelLower).
 	panel *la.Matrix
@@ -139,7 +142,7 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 		rhs:     la.NewVector(k),
 		mu:      la.NewVector(k),
 		scratch: la.NewVector(k),
-		xtmp:    la.NewVector(k),
+		xblk:    la.NewVector(4 * k),
 		panel:   la.NewMatrix(la.GatherPanelRows, k),
 		acc:     acc,
 	}
@@ -168,24 +171,37 @@ func UpdateItem(
 	pool *sched.Pool, pw *sched.Worker,
 	out la.Vector,
 ) {
-	k := ws.K
 	alpha := cfg.Alpha
 
 	switch kernel {
 	case KernelRankOne:
-		// Start from the hyperparameter precision's factor and rank-one
-		// update it once per rating with sqrt(α)·x.
-		ws.precL.CopyFrom(hyper.LambdaChol)
+		if len(cols) == 0 {
+			// Nothing to update: the hyper draw solved this mean already.
+			stream.MVNFromPrecUpper(hyper.PriorMean, hyper.LambdaUpper, out, ws.scratch)
+			return
+		}
+		// Start from the hyperparameter precision's factor, held transposed,
+		// and rank-one update it with sqrt(α)·x per rating, four ratings per
+		// call; then the upper-form solves and draw, which perform the lower
+		// form's operations (SolveSPD, MVNFromPrecChol) on U = Lᵀ.
+		ws.precL.CopyFrom(hyper.LambdaUpper)
 		copy(ws.rhs, hyper.LambdaMu)
 		sa := math.Sqrt(alpha)
-		for p, c := range cols {
-			x := other.Row(int(c))
-			for i := 0; i < k; i++ {
-				ws.xtmp[i] = sa * x[i]
+		for lo := 0; lo < len(cols); lo += 4 {
+			blk := ws.xblk[:0]
+			for p := lo; p < min(lo+4, len(cols)); p++ {
+				x := other.Row(int(cols[p]))
+				for _, xi := range x {
+					blk = append(blk, sa*xi)
+				}
+				la.Axpy(alpha*vals[p], x, ws.rhs)
 			}
-			la.CholUpdate(ws.precL, ws.xtmp)
-			la.Axpy(alpha*vals[p], x, ws.rhs)
+			la.CholUpdateUpper(ws.precL, blk)
 		}
+		la.SolveUpperT(ws.precL, ws.rhs, ws.scratch)
+		la.SolveUpper(ws.precL, ws.scratch, ws.mu)
+		stream.MVNFromPrecUpper(ws.mu, ws.precL, out, ws.scratch)
+		return
 
 	case KernelCholesky:
 		// Precision and rhs accumulate in one fused, register-blocked pass
@@ -213,7 +229,7 @@ func UpdateItem(
 		panic("core: unknown kernel")
 	}
 
-	// μ* = Λ*⁻¹ rhs via the factor, then draw.
+	// μ* = Λ*⁻¹ rhs via the lower factor, then draw.
 	la.SolveSPD(ws.precL, ws.rhs, ws.mu, ws.scratch)
 	stream.MVNFromPrecChol(ws.mu, ws.precL, out, ws.scratch)
 }

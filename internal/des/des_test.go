@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/core"
@@ -74,11 +75,27 @@ func TestCalibrateCostModelSane(t *testing.T) {
 		t.Fatalf("calibrated costs implausibly large: %+v", cm)
 	}
 	// Rank-one per-rating (full K² cholupdate) must cost more than plain
-	// accumulation (K²/2 syr).
-	if cm.RankOnePerRating < cm.PerRating {
+	// accumulation (K²/2 syr). The race detector slows the Go code around
+	// the assembly of both by different factors, which leaves the two
+	// within noise of each other, so the order is checked without it.
+	if cm.RankOnePerRating < cm.PerRating && !raceEnabled() {
 		t.Fatalf("rank-one per-rating %v should exceed syr per-rating %v",
 			cm.RankOnePerRating, cm.PerRating)
 	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 func skewedNNZ() []int {

@@ -153,21 +153,28 @@ func CalibrateCostModel(k int) CostModel {
 	}
 	cm.PerItem = time.Since(start).Seconds() / float64(reps)
 
-	// Rank-one kernel: per-rating CholUpdate + Axpy; fixed = solve + draw.
-	reps = 20000
-	xc := x.Clone()
+	// Rank-one kernel as core.UpdateItem runs it: per rating, the update of
+	// the transposed factor in passes of four ratings + Axpy; fixed = the
+	// two upper-form solves + draw.
+	u := la.NewMatrix(k, k)
+	l.TransposeInto(u)
+	blk := la.NewVector(4 * k)
+	reps = 5000
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		copy(xc, x)
-		la.CholUpdate(l, xc)
-		la.Axpy(0.5, x, rhs)
+		for j := 0; j < 4; j++ {
+			copy(blk[j*k:], x)
+			la.Axpy(0.5, x, rhs)
+		}
+		la.CholUpdateUpper(u, blk)
 	}
-	cm.RankOnePerRating = time.Since(start).Seconds() / float64(reps)
+	cm.RankOnePerRating = time.Since(start).Seconds() / float64(4*reps)
 	reps = 4000
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		la.SolveSPD(l, rhs, mu, scratch)
-		r.MVNFromPrecChol(mu, l, out, scratch)
+		la.SolveUpperT(u, rhs, scratch)
+		la.SolveUpper(u, scratch, mu)
+		r.MVNFromPrecUpper(mu, u, out, scratch)
 	}
 	cm.RankOnePerItem = time.Since(start).Seconds() / float64(reps)
 

@@ -1,6 +1,7 @@
 package la
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,26 +100,37 @@ func TestCholeskyNotSPD(t *testing.T) {
 	}
 }
 
+// upperFactor returns the transposed Cholesky factor U = Lᵀ of a.
+func upperFactor(t *testing.T, a *Matrix) *Matrix {
+	t.Helper()
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := Cholesky(a, l); err != nil {
+		t.Fatal(err)
+	}
+	return l.Transpose()
+}
+
+// TestCholUpdateMatchesRefactor: updating U with m vectors at once gives the
+// factor of A + Σ x_r·x_rᵀ computed from scratch, for m on both sides of a
+// four-vector pass.
 func TestCholUpdateMatchesRefactor(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 32} {
-		r := testRand(int64(100 + n))
-		a := randSPD(r, n)
-		l := NewMatrix(n, n)
-		if err := Cholesky(a, l); err != nil {
-			t.Fatal(err)
-		}
-		x := randVector(r, n)
-		// Reference: factor A + x·xᵀ directly.
-		ap := a.Clone()
-		SyrLower(1, x, ap)
-		SymmetrizeLower(ap)
-		want := NewMatrix(n, n)
-		if err := Cholesky(ap, want); err != nil {
-			t.Fatal(err)
-		}
-		CholUpdate(l, x.Clone())
-		if d := MaxAbsDiff(l, want); d > 1e-9 {
-			t.Fatalf("n=%d: CholUpdate deviates from refactorization by %g", n, d)
+		for _, m := range []int{1, 3, 4, 6} {
+			r := testRand(int64(100 + n + 64*m))
+			a := randSPD(r, n)
+			u := upperFactor(t, a)
+			x := randVector(r, m*n)
+			// Reference: factor A + Σ x_r·x_rᵀ directly.
+			ap := a.Clone()
+			for i := 0; i < m; i++ {
+				SyrLower(1, x[i*n:(i+1)*n], ap)
+			}
+			SymmetrizeLower(ap)
+			want := upperFactor(t, ap)
+			CholUpdateUpper(u, x.Clone())
+			if d := MaxAbsDiff(u, want); d > 1e-9 {
+				t.Fatalf("n=%d m=%d: CholUpdateUpper deviates from refactorization by %g", n, m, d)
+			}
 		}
 	}
 }
@@ -128,20 +140,123 @@ func TestCholUpdateSequence(t *testing.T) {
 	// rank-one item-update kernel's usage pattern).
 	n := 8
 	r := testRand(9)
-	a := Eye(n)
-	l := NewMatrix(n, n)
-	if err := Cholesky(a, l); err != nil {
-		t.Fatal(err)
-	}
-	acc := a.Clone()
+	acc := Eye(n)
+	u := Eye(n)
 	for step := 0; step < 50; step++ {
 		x := randVector(r, n)
 		SyrLower(1, x, acc)
-		CholUpdate(l, x.Clone())
+		CholUpdateUpper(u, x.Clone())
 	}
 	SymmetrizeLower(acc)
-	if d := MaxAbsDiff(reconstruct(l), acc); d > 1e-8 {
+	if d := MaxAbsDiff(reconstruct(u.Transpose()), acc); d > 1e-8 {
 		t.Fatalf("50 rank-one updates drifted by %g", d)
+	}
+}
+
+// cholUpdateStrided is the rank-one update la performed before it held the
+// factor transposed: one vector at a time on the lower factor L, walking
+// column k at stride n. It is the bit reference of CholUpdateUpper.
+func cholUpdateStrided(l *Matrix, x Vector) {
+	n := l.Rows
+	for k := 0; k < n; k++ {
+		lkk := l.At(k, k)
+		xk := x[k]
+		r := math.Hypot(lkk, xk)
+		c := r / lkk
+		s := xk / lkk
+		l.Set(k, k, r)
+		if k+1 < n {
+			invC := 1 / c
+			for i := k + 1; i < n; i++ {
+				lik := l.At(i, k)
+				v := (lik + float64(s*x[i])) * invC
+				x[i] = float64(c*x[i]) - float64(s*v)
+				l.Set(i, k, v)
+			}
+		}
+	}
+}
+
+// signedZeros overwrites about one element in four of v with −0 or +0.
+func signedZeros(r *rand.Rand, v []float64) {
+	for i := range v {
+		if r.Intn(4) == 0 {
+			v[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
+		}
+	}
+}
+
+// TestCholUpdateUpperMatchesStrided: for every split of m = 1…9 vectors
+// into consecutive calls, at every order 1…67, CholUpdateUpper on U leaves
+// exactly the strided one-vector loop's Lᵀ, and destroys x exactly as that
+// loop does. The factor carries −0 above its diagonal and the vectors carry
+// signed zeros, so a pass padded with an identity rotation (−0 + +0 = +0)
+// would show. Operands sit at odd offsets of larger buffers that are
+// compared whole.
+func TestCholUpdateUpperMatchesStrided(t *testing.T) {
+	r := testRand(186)
+	for n := 1; n <= 67; n++ {
+		off := 1 + 2*(n%2)
+		l := upperFactor(t, randSPD(r, n)).Transpose()
+		for i := 0; i < n; i++ {
+			signedZeros(r, l.Data[i*n:i*n+i])
+		}
+		for m := 1; m <= 9; m++ {
+			x := payload(r, m*n, off, 0)
+			signedZeros(r, x)
+			wantL, wantX := l.Clone(), x.Clone()
+			for v := 0; v < m; v++ {
+				cholUpdateStrided(wantL, wantX[off+v*n:off+(v+1)*n])
+			}
+			want := payload(r, n*n, off, 0)
+			copy(want[off:], wantL.Transpose().Data)
+
+			// Bit p of split ends a call after vector p.
+			for split := 0; split < 1<<(m-1); split++ {
+				got := want.Clone()
+				copy(got[off:], l.Transpose().Data)
+				u := &Matrix{Rows: n, Cols: n, Data: got[off : off+n*n]}
+				gotX := x.Clone()
+				lo := 0
+				for p := 0; p < m; p++ {
+					if p == m-1 || split&(1<<p) != 0 {
+						CholUpdateUpper(u, gotX[off+lo*n:off+(p+1)*n])
+						lo = p + 1
+					}
+				}
+				what := fmt.Sprintf("n=%d m=%d split=%b", n, m, split)
+				checkBits(t, what+" factor", got, want)
+				checkBits(t, what+" vectors", gotX, wantX)
+			}
+		}
+	}
+}
+
+// TestSolveUpperMatchesLower: the two upper-form solves on U = Lᵀ are
+// SolveLower and SolveLowerT on L bit for bit, out of place and with b and
+// y aliased, on a factor and right-hand sides carrying signed zeros.
+func TestSolveUpperMatchesLower(t *testing.T) {
+	r := testRand(187)
+	for n := 1; n <= 67; n++ {
+		l := upperFactor(t, randSPD(r, n)).Transpose()
+		for i := 0; i < n; i++ {
+			signedZeros(r, l.Data[i*n:i*n+i])
+		}
+		u := l.Transpose()
+		b := randVector(r, n)
+		signedZeros(r, b)
+		for _, s := range []struct {
+			name         string
+			upper, lower func(*Matrix, Vector, Vector)
+		}{{"SolveUpperT", SolveUpperT, SolveLower}, {"SolveUpper", SolveUpper, SolveLowerT}} {
+			want, got := NewVector(n), NewVector(n)
+			s.lower(l, b, want)
+			s.upper(u, b, got)
+			checkBits(t, fmt.Sprintf("n=%d %s", n, s.name), got, want)
+			got = b.Clone()
+			s.upper(u, got, got)
+			checkBits(t, fmt.Sprintf("n=%d %s in place", n, s.name), got, want)
+		}
 	}
 }
 

@@ -10,9 +10,10 @@
 // task DAG whose per-task arithmetic order does not depend on which worker
 // runs it).
 //
-// On amd64 the five inner loops of kernels.go — four for the dense item
-// update, one for the scoring pass (Gemv, four catalogue rows at a time)
-// — run as hand-written AVX2 assembly that computes the same bits as the Go
+// On amd64 the six inner loops of kernels.go — four for the dense item
+// update, one for the rank-one item update (CholUpdateUpper, four ratings
+// at a time), one for the scoring pass (Gemv, four catalogue rows at a
+// time) — run as hand-written AVX2 assembly that computes the same bits as the Go
 // loops it stands in for, so results are identical with and without it
 // (the purego build tag removes it; a CPU or OS without AVX2 falls back by
 // itself).

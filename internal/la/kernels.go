@@ -1,15 +1,16 @@
 package la
 
-// The inner loops of the dense item update and of the scoring pass. Each
-// has the pure-Go body below and, on amd64, an AVX2 body in kernels_amd64.s
-// computing the same bits: a vector lane only holds a sum these loops
-// already keep separate (one memory element, or one row's inner product),
-// and every step is a multiply then an add, never a fused multiply-add. The
-// Go bodies are the reference of the differential test and the only path
-// off amd64, under the purego tag, or without AVX2. Callers pass lengths
-// they have checked; the bodies check nothing.
+// The inner loops of the dense item update, of the rank-one item update and
+// of the scoring pass. Each has the pure-Go body below and, on amd64, an
+// AVX2 body in kernels_amd64.s computing the same bits: a vector lane only
+// holds a sum these loops already keep separate (one memory element, or one
+// row's inner product), and every step is a multiply then an add or
+// subtract, never a fused multiply-add. The Go bodies are the reference of
+// the differential test and the only path off amd64, under the purego tag,
+// or without AVX2. Callers pass lengths they have checked; the bodies check
+// nothing.
 //
-// These five are what the exported kernels call; kernels_amd64.go's init
+// These six are what the exported kernels call; kernels_amd64.go's init
 // points them at the AVX2 bodies when the CPU and the OS support them.
 var (
 	syrk4     = syrk4Go
@@ -17,6 +18,7 @@ var (
 	axpy1     = axpy1Go
 	cholTrail = cholTrailGo
 	dot4      = dot4Go
+	rot4      = rot4Go
 )
 
 // syrk4Go adds the four outer products Σ_r (alpha·x_r)·x_rᵀ to the lower
@@ -94,6 +96,28 @@ func dot4Go(a []float64, k int, x []float64) (s0, s1, s2, s3 float64) {
 		s3 += r3[j] * xj
 	}
 	return
+}
+
+// rot4Go applies the first nr (one to four) of the Givens rotations rot =
+// (s_0, c_0, 1/c_0, s_1, c_1, 1/c_1, …) to the factor row u and to the
+// rating vectors x_r = x[r·stride:][:len(u)]: for r in order and every
+// element j, u_j ← (u_j + s_r·x_rj)·(1/c_r), then x_rj ← c_r·x_rj −
+// s_r·u_j. Each u_j so receives the rotations chained in r order (the
+// AVX2 body keeps the chain in a register; a store and reload between
+// links is exact); the x_rj are independent elements. rot travels by
+// value: a slice passed through the dispatch variable would move the
+// caller's array to the heap. Every product that feeds a sum is rounded on
+// its own (float64(…)), so no architecture fuses it.
+func rot4Go(u, x []float64, stride int, rot [12]float64, nr int) {
+	for r := 0; r < nr; r++ {
+		s, c, invC := rot[3*r], rot[3*r+1], rot[3*r+2]
+		xr := x[r*stride : r*stride+len(u)]
+		for j, xj := range xr {
+			v := (u[j] + float64(s*xj)) * invC
+			xr[j] = float64(c*xj) - float64(s*v)
+			u[j] = v
+		}
+	}
 }
 
 // cholTrailGo is the trailing update of Cholesky's pivot k on the row-major

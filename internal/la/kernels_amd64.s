@@ -2,12 +2,13 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the five kernels.go primitives: four for the dense item
-// update, one (dot4) for the scoring pass. One rule keeps them
-// bit-identical to the Go bodies: a lane holds a sum the scalar loop keeps
-// separate — one memory element, or in dot4 one row's inner product — and
-// every update is VMULPD then VADDPD, no FMA, which would skip the
-// product's rounding. In the item-update bodies the last count mod 4
+// AVX2 bodies of the six kernels.go primitives: four for the dense item
+// update, one (rot4) for the rank-one item update, one (dot4) for the
+// scoring pass. One rule keeps them bit-identical to the Go bodies: a lane
+// holds a sum the scalar loop keeps separate — one memory element, or in
+// dot4 one row's inner product — and every update is VMULPD then VADDPD
+// (VSUBPD in rot4), no FMA, which would skip the product's rounding. In
+// the item-update bodies the last count mod 4
 // elements of a run go through the scalar forms of the same two
 // instructions, so no element outside the run is loaded or stored; dot4
 // stops at the last whole four columns and leaves the rest to its Go
@@ -225,6 +226,84 @@ done:
 	VEXTRACTF128	$1, Y0, X0
 	VMOVSD	X0, s2+72(FP)
 	VMOVHPD	X0, s3+80(FP)
+	VZEROUPPER
+	RET
+
+// rot4AVX2 keeps one element of the factor row per lane, four at a time,
+// and runs that element's rotation chain over the nr ratings in r order:
+// u += s·x, u ·= 1/c, x = c·x − s·u, each a VMULPD, VADDPD or VSUBPD of
+// its own. The last len(u) mod 4 elements take the scalar forms. A short
+// block is never padded with an identity rotation: −0 + +0 is +0, so even
+// s = 0, c = 1 would change a bit.
+//
+// func rot4AVX2(u, x []float64, stride int, rot [12]float64, nr int)
+TEXT ·rot4AVX2(SB), NOSPLIT, $0-160
+	MOVQ	u_base+0(FP), DI
+	MOVQ	u_len+8(FP), DX
+	MOVQ	x_base+24(FP), R8
+	MOVQ	stride+48(FP), R12
+	SHLQ	$3, R12			// from x_r to x_r+1, in bytes
+	LEAQ	rot+56(FP), R9		// (s, c, 1/c) of rating 0
+	MOVQ	nr+152(FP), CX
+	XORQ	SI, SI			// element j
+	CMPQ	DX, $4
+	JLT	tail
+	PCALIGN	$32
+vec:
+	VMOVUPD	(DI)(SI*8), Y0		// u_j .. u_j+3
+	MOVQ	R9, R10
+	LEAQ	(R8)(SI*8), R11		// x_0[j]
+	MOVQ	CX, BX
+vrot:
+	VBROADCASTSD	(R10), Y1	// s
+	VBROADCASTSD	8(R10), Y2	// c
+	VBROADCASTSD	16(R10), Y3	// 1/c
+	VMOVUPD	(R11), Y4		// x_r
+	VMULPD	Y4, Y1, Y5
+	VADDPD	Y5, Y0, Y0		// u + s·x
+	VMULPD	Y3, Y0, Y0		// · 1/c
+	VMULPD	Y4, Y2, Y4		// c·x
+	VMULPD	Y0, Y1, Y5		// s·u
+	VSUBPD	Y5, Y4, Y4		// c·x − s·u
+	VMOVUPD	Y4, (R11)
+	ADDQ	$24, R10
+	ADDQ	R12, R11
+	DECQ	BX
+	JNZ	vrot
+	VMOVUPD	Y0, (DI)(SI*8)
+	ADDQ	$4, SI
+	SUBQ	$4, DX
+	CMPQ	DX, $4
+	JGE	vec
+tail:
+	TESTQ	DX, DX
+	JZ	done
+scalar:
+	VMOVSD	(DI)(SI*8), X0
+	MOVQ	R9, R10
+	LEAQ	(R8)(SI*8), R11
+	MOVQ	CX, BX
+srot:
+	VMOVSD	(R10), X1
+	VMOVSD	8(R10), X2
+	VMOVSD	16(R10), X3
+	VMOVSD	(R11), X4
+	VMULSD	X4, X1, X5
+	VADDSD	X5, X0, X0
+	VMULSD	X3, X0, X0
+	VMULSD	X4, X2, X4
+	VMULSD	X0, X1, X5
+	VSUBSD	X5, X4, X4
+	VMOVSD	X4, (R11)
+	ADDQ	$24, R10
+	ADDQ	R12, R11
+	DECQ	BX
+	JNZ	srot
+	VMOVSD	X0, (DI)(SI*8)
+	INCQ	SI
+	DECQ	DX
+	JNZ	scalar
+done:
 	VZEROUPPER
 	RET
 

@@ -57,7 +57,7 @@ func payload(r *rand.Rand, n, off, oneIn int) Vector {
 	return buf
 }
 
-// diffPrimitives compares the four dispatchers with their Go bodies at
+// diffPrimitives compares the six dispatchers with their Go bodies at
 // width k.
 func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	t.Helper()
@@ -98,6 +98,20 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	g0, g1, g2, g3 := dot4(rows, k, x[0])
 	w0, w1, w2, w3 := dot4Go(rows, k, x[0])
 	checkBits(t, "dot4", []float64{g0, g1, g2, g3}, []float64{w0, w1, w2, w3})
+
+	// rot4 on a row of every length up to k, against nr = 1…4 vectors at
+	// stride k.
+	var rot [12]float64
+	copy(rot[:], payload(r, 12, 0, oneIn))
+	for nr := 1; nr <= 4; nr++ {
+		m := r.Intn(k + 1)
+		u, xs := payload(r, m, off, oneIn), payload(r, 4*k, off, oneIn)
+		gotU, wantU, gotX, wantX := u.Clone(), u.Clone(), xs.Clone(), xs.Clone()
+		rot4(gotU[off:off+m], gotX[off:off+4*k], k, rot, nr)
+		rot4Go(wantU[off:off+m], wantX[off:off+4*k], k, rot, nr)
+		checkBits(t, fmt.Sprintf("rot4 m=%d nr=%d row", m, nr), gotU, wantU)
+		checkBits(t, fmt.Sprintf("rot4 m=%d nr=%d vectors", m, nr), gotX, wantX)
+	}
 }
 
 // diffGemv compares Gemv over a rows × k matrix with the per-row loop

@@ -25,6 +25,22 @@ func (r *Stream) MVNFromPrecChol(mu la.Vector, precL *la.Matrix, dst, scratch la
 	}
 }
 
+// MVNFromPrecUpper is MVNFromPrecChol given the precision's factor held
+// transposed, U = Lᵀ (Λ = Uᵀ·U), as the rank-one item update keeps it: the
+// same K normals, and la.SolveUpper performs SolveLowerT's operations, so
+// the draw is MVNFromPrecChol's on L bit for bit.
+func (r *Stream) MVNFromPrecUpper(mu la.Vector, precU *la.Matrix, dst, scratch la.Vector) {
+	k := len(mu)
+	if precU.Rows != k || precU.Cols != k || len(dst) != k || len(scratch) != k {
+		panic("rng: MVNFromPrecUpper dimension mismatch")
+	}
+	r.FillNorm(scratch)
+	la.SolveUpper(precU, scratch, scratch)
+	for i := range dst {
+		dst[i] = mu[i] + scratch[i]
+	}
+}
+
 // MVNFromCovChol samples x ~ N(mu, Σ) given the lower Cholesky factor L of
 // the covariance Σ = L·Lᵀ: x = mu + L·z with z ~ N(0, I).
 func (r *Stream) MVNFromCovChol(mu la.Vector, covL *la.Matrix, dst, scratch la.Vector) {

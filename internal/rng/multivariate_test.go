@@ -46,6 +46,37 @@ func TestMVNFromPrecCholMoments(t *testing.T) {
 	}
 }
 
+// TestMVNFromPrecUpperMatchesChol: the draw on U = Lᵀ is the draw on L bit
+// for bit, stream position included.
+func TestMVNFromPrecUpperMatchesChol(t *testing.T) {
+	for _, k := range []int{1, 2, 7, 32, 33} {
+		prec := la.NewMatrix(k, k)
+		New(uint64(k)).FillNorm(prec.Data)
+		la.SymmetrizeLower(prec)
+		for i := 0; i < k; i++ {
+			prec.Set(i, i, prec.At(i, i)+float64(2*k))
+		}
+		precL := la.NewMatrix(k, k)
+		if err := la.Cholesky(prec, precL); err != nil {
+			t.Fatal(err)
+		}
+		precU := precL.Transpose()
+		mu := la.NewVector(k)
+		New(99).FillNorm(mu)
+		a, b := New(5), New(5)
+		want, got, scratch := la.NewVector(k), la.NewVector(k), la.NewVector(k)
+		for draw := 0; draw < 3; draw++ {
+			a.MVNFromPrecChol(mu, precL, want, scratch)
+			b.MVNFromPrecUpper(mu, precU, got, scratch)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("k=%d draw %d: element %d is %v, lower-factor draw %v", k, draw, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMVNFromCovCholMoments(t *testing.T) {
 	k := 2
 	cov := la.NewMatrixFrom([][]float64{{1.5, -0.4}, {-0.4, 0.8}})

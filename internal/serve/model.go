@@ -436,6 +436,7 @@ func (m *Model) excludeList(user int, buf *[]int32) ([]int32, error) {
 // deterministic) with one rating value each; items may be empty, which
 // yields a draw from the user prior. key seeds the draw's random stream:
 // equal (model, items, vals, key) always returns the identical vector.
+// Values so large that the draw is not finite are ErrBadInput.
 func (m *Model) FoldIn(items []int32, vals []float64, key int) (la.Vector, error) {
 	if len(items) != len(vals) {
 		return nil, fmt.Errorf("%w: %d items vs %d values", ErrBadInput, len(items), len(vals))
@@ -455,6 +456,12 @@ func (m *Model) FoldIn(items []int32, vals []float64, key int) (la.Vector, error
 	kern := m.cfg.SelectKernel(len(items))
 	core.UpdateItem(ws, kern, &m.cfg, items, vals, m.v, m.hyperU,
 		core.ItemStream(m.seed, m.nextIter, core.SideU, key), nil, nil, out)
+	for _, x := range out {
+		// Finite but huge ratings (1e308) overflow the posterior mean.
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("%w: the rating values give a non-finite factor draw", ErrBadInput)
+		}
+	}
 	return out, nil
 }
 

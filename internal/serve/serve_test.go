@@ -301,6 +301,18 @@ func TestModelQueryErrors(t *testing.T) {
 	if _, err := m.FoldIn([]int32{int32(m.NumItems())}, []float64{3}, 0); !errors.Is(err, ErrItemRange) {
 		t.Fatalf("item overflow: %v", err)
 	}
+	// Finite ratings whose draw overflows, through each kernel: rank-one
+	// (1 rating), serial Cholesky (20) and parallel Cholesky (every item).
+	all := make([]int32, m.NumItems())
+	huge := make([]float64, len(all))
+	for i := range all {
+		all[i], huge[i] = int32(i), 1e308
+	}
+	for _, n := range []int{1, 20, len(all)} {
+		if _, err := m.FoldIn(all[:n], huge[:n], 0); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%d ratings of 1e308: %v", n, err)
+		}
+	}
 	// Empty ratings are legal: a draw from the user prior.
 	if u, err := m.FoldIn(nil, nil, 5); err != nil || len(u) != m.K() {
 		t.Fatalf("empty fold-in: %v, %v", u, err)
