@@ -385,6 +385,61 @@ func TestRankOneMatchesLowerFactorPath(t *testing.T) {
 	}
 }
 
+// TestUpdateItemMatchesUnfusedTail pins UpdateItem's paired back-solve to
+// the unfused sequence it stands for — the forward solve, the mean's own
+// back-solve (SolveUpper / SolveSPD), then MVNFromPrecUpper /
+// MVNFromPrecChol — bit for bit, for every kernel at nnz 0, 1, 3, 5 and
+// heavy, under a sampled hyper draw. The factor and rhs come from the
+// workspace UpdateItem leaves behind (the hyper's for a ratingless rank-one
+// item, whose shortcut must equal the general path too). Both streams must
+// also stand at the same position afterwards: the draw takes exactly its K
+// normals.
+func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, k := range []int{1, 5, 32} {
+		cfg.K = k
+		rows := la.NewMatrix(60, k)
+		rng.New(4).FillNorm(rows.Data)
+		m := NewMoments(k)
+		m.AccumulateRows(rows, 0, 60)
+		hyper := NewHyper(k)
+		SampleHyper(DefaultNWPrior(k), m, HyperStream(2, 0, SideV), hyper)
+		for _, nnz := range []int{0, 1, 3, 5, 1200} {
+			cols, vals, other := buildItemProblem(nnz, k, uint64(7+nnz))
+			for kern := KernelRankOne; kern < numKernels; kern++ {
+				ws, got := NewWorkspace(k), la.NewVector(k)
+				gs := ItemStream(cfg.Seed, 3, SideV, 9)
+				UpdateItem(ws, kern, &cfg, cols, vals, other, hyper, gs, nil, nil, got)
+
+				f, rhs := ws.precL, ws.rhs
+				if kern == KernelRankOne && nnz == 0 {
+					f, rhs = hyper.LambdaUpper, hyper.LambdaMu
+				}
+				mu, want, scratch := la.NewVector(k), la.NewVector(k), la.NewVector(k)
+				rs := ItemStream(cfg.Seed, 3, SideV, 9)
+				if kern == KernelRankOne {
+					la.SolveUpperT(f, rhs, scratch)
+					la.SolveUpper(f, scratch, mu)
+					rs.MVNFromPrecUpper(mu, f, want, scratch)
+				} else {
+					la.SolveSPD(f, rhs, mu, scratch)
+					rs.MVNFromPrecChol(mu, f, want, scratch)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("K=%d nnz=%d %v: element %d is %v, unfused tail %v", k, nnz, kern, i, got[i], want[i])
+					}
+				}
+				for i := 0; i < 2; i++ {
+					if a, b := gs.Norm(), rs.Norm(); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("K=%d nnz=%d %v: stream position differs after the draw", k, nnz, kern)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestInitFactorsDeterministic(t *testing.T) {
 	a := InitFactors(42, SideU, 50, 8)
 	b := InitFactors(42, SideU, 50, 8)

@@ -159,7 +159,13 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 // method. pool/pw are required only by KernelParallelCholesky (pass nil
 // otherwise, or to force its chunk arithmetic onto the calling goroutine).
 // The draw consumes exactly K normal deviates from stream regardless of
-// kernel, keeping stream consumption schedule-independent.
+// kernel, keeping stream consumption schedule-independent. An item with
+// ratings solves for the mean and the noise in one paired back-substitution
+// (rng.MVNFromCanonUpper → la.SolveUpperPair on the rank-one kernel's
+// U = Lᵀ, rng.MVNFromCanonChol → la.SolveLowerTPair on the Cholesky
+// kernels' L); the pair gives each vector the single solve's operations in
+// order, so the sample is the bits of SolveSPD followed by MVNFromPrecChol.
+// A ratingless item has one solve, MVNFromPrecUpper's.
 func UpdateItem(
 	ws *Workspace,
 	kernel Kernel,
@@ -182,8 +188,8 @@ func UpdateItem(
 		}
 		// Start from the hyperparameter precision's factor, held transposed,
 		// and rank-one update it with sqrt(α)·x per rating, four ratings per
-		// call; then the upper-form solves and draw, which perform the lower
-		// form's operations (SolveSPD, MVNFromPrecChol) on U = Lᵀ.
+		// call. The upper-form solves of the tail perform the lower form's
+		// operations on U = Lᵀ.
 		ws.precL.CopyFrom(hyper.LambdaUpper)
 		copy(ws.rhs, hyper.LambdaMu)
 		sa := math.Sqrt(alpha)
@@ -198,10 +204,6 @@ func UpdateItem(
 			}
 			la.CholUpdateUpper(ws.precL, blk)
 		}
-		la.SolveUpperT(ws.precL, ws.rhs, ws.scratch)
-		la.SolveUpper(ws.precL, ws.scratch, ws.mu)
-		stream.MVNFromPrecUpper(ws.mu, ws.precL, out, ws.scratch)
-		return
 
 	case KernelCholesky:
 		// Precision and rhs accumulate in one fused, register-blocked pass
@@ -229,9 +231,13 @@ func UpdateItem(
 		panic("core: unknown kernel")
 	}
 
-	// μ* = Λ*⁻¹ rhs via the lower factor, then draw.
-	la.SolveSPD(ws.precL, ws.rhs, ws.mu, ws.scratch)
-	stream.MVNFromPrecChol(ws.mu, ws.precL, out, ws.scratch)
+	// out ~ N(Λ*⁻¹ rhs, Λ*⁻¹): the mean's and the noise's back-solves share
+	// one paired pass.
+	if kernel == KernelRankOne {
+		stream.MVNFromCanonUpper(ws.rhs, ws.precL, out, ws.mu, ws.scratch)
+	} else {
+		stream.MVNFromCanonChol(ws.rhs, ws.precL, out, ws.mu, ws.scratch)
+	}
 }
 
 // accumulateParallel computes Λ* and the rhs with a chunked reduction.

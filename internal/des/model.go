@@ -133,7 +133,9 @@ func CalibrateCostModel(k int) CostModel {
 	}
 	cm.PerRating = time.Since(start).Seconds() / float64(reps)
 
-	// Fixed per item: Cholesky + solve + draw (K normals + back-solve).
+	// Fixed per item, as core.UpdateItem runs it: Cholesky, then the draw
+	// from the canonical form (forward solve, K normals, one paired
+	// back-solve for the mean and the noise).
 	spd := la.Eye(k)
 	for i := 0; i < k; i++ {
 		spd.Set(i, i, float64(k))
@@ -148,14 +150,13 @@ func CalibrateCostModel(k int) CostModel {
 		if err := la.Cholesky(spd, l); err != nil {
 			panic(err)
 		}
-		la.SolveSPD(l, rhs, mu, scratch)
-		r.MVNFromPrecChol(mu, l, out, scratch)
+		r.MVNFromCanonChol(rhs, l, out, mu, scratch)
 	}
 	cm.PerItem = time.Since(start).Seconds() / float64(reps)
 
 	// Rank-one kernel as core.UpdateItem runs it: per rating, the update of
 	// the transposed factor in passes of four ratings + Axpy; fixed = the
-	// two upper-form solves + draw.
+	// upper-form draw from the canonical form.
 	u := la.NewMatrix(k, k)
 	l.TransposeInto(u)
 	blk := la.NewVector(4 * k)
@@ -172,9 +173,7 @@ func CalibrateCostModel(k int) CostModel {
 	reps = 4000
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		la.SolveUpperT(u, rhs, scratch)
-		la.SolveUpper(u, scratch, mu)
-		r.MVNFromPrecUpper(mu, u, out, scratch)
+		r.MVNFromCanonUpper(rhs, u, out, mu, scratch)
 	}
 	cm.RankOnePerItem = time.Since(start).Seconds() / float64(reps)
 

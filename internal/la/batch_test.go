@@ -228,29 +228,3 @@ func TestTransposeIntoMatchesTranspose(t *testing.T) {
 		m.TransposeInto(NewMatrix(5, 8))
 	}()
 }
-
-func TestInvFromCholWSMatchesAlloc(t *testing.T) {
-	r := rng.New(48)
-	n := 7
-	g := NewMatrix(n, n)
-	r.FillNorm(g.Data)
-	a := NewMatrix(n, n)
-	Gemm(1, g, g.Transpose(), 0, a)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
-	l := NewMatrix(n, n)
-	if err := Cholesky(a, l); err != nil {
-		t.Fatal(err)
-	}
-	want := NewMatrix(n, n)
-	InvFromChol(l, want)
-	got := NewMatrix(n, n)
-	e, col := NewVector(n), NewVector(n)
-	r.FillNorm(e) // scratch contents must not matter
-	r.FillNorm(col)
-	InvFromCholWS(l, got, e, col)
-	if MaxAbsDiff(got, want) != 0 {
-		t.Fatal("InvFromCholWS differs from InvFromChol")
-	}
-}

@@ -180,6 +180,49 @@ func SolveUpper(u *Matrix, b, y Vector) {
 	}
 }
 
+// SolveUpperPair solves U*x = a and U*y = b in place (a ← x, b ← y) in one
+// pass over U's rows. The two back-substitutions are independent chains
+// that the core can overlap; each receives exactly SolveUpper's
+// operations in SolveUpper's order, so a and b end bit-equal to two
+// SolveUpper calls. a and b must not alias.
+func SolveUpperPair(u *Matrix, a, b Vector) {
+	n := u.Rows
+	if u.Cols != n || len(a) != n || len(b) != n {
+		panic("la: SolveUpperPair dimension mismatch")
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := u.Data[i*n : (i+1)*n]
+		s, t := a[i], b[i]
+		ra, ta, tb := row[i+1:], a[i+1:], b[i+1:]
+		ta, tb = ta[:len(ra)], tb[:len(ra)]
+		for k, r := range ra {
+			s -= float64(r * ta[k])
+			t -= float64(r * tb[k])
+		}
+		a[i], b[i] = s/row[i], t/row[i]
+	}
+}
+
+// SolveLowerTPair solves Lᵀ*x = a and Lᵀ*y = b in place (a ← x, b ← y):
+// SolveUpperPair's interleaving on the lower factor, each vector bit-equal
+// to a SolveLowerT call. a and b must not alias.
+func SolveLowerTPair(l *Matrix, a, b Vector) {
+	n := l.Rows
+	if l.Cols != n || len(a) != n || len(b) != n {
+		panic("la: SolveLowerTPair dimension mismatch")
+	}
+	d := l.Data
+	for i := n - 1; i >= 0; i-- {
+		s, t := a[i], b[i]
+		for k := i + 1; k < n; k++ {
+			r := d[k*n+i]
+			s -= float64(r * a[k])
+			t -= float64(r * b[k])
+		}
+		a[i], b[i] = s/d[i*n+i], t/d[i*n+i]
+	}
+}
+
 // SolveSPD solves A*x = b given the lower Cholesky factor L of A
 // (A = L*Lᵀ), using one forward and one backward substitution.
 // b and x may alias. scratch must have length n (it may alias x but not b).
@@ -188,21 +231,15 @@ func SolveSPD(l *Matrix, b, x, scratch Vector) {
 	SolveLowerT(l, scratch, x)
 }
 
-// InvFromChol computes A⁻¹ into dst given the lower Cholesky factor L of A.
-// dst must be n x n and must not alias l.
-func InvFromChol(l *Matrix, dst *Matrix) {
-	n := l.Rows
-	InvFromCholWS(l, dst, NewVector(n), NewVector(n))
-}
-
-// InvFromCholWS is InvFromChol with caller-provided scratch (two length-n
-// vectors, contents ignored and overwritten), performing no allocation —
-// the variant the hyperparameter sampler uses once per Gibbs iteration.
-// dst must not alias l; e and col must not alias each other.
+// InvFromCholWS computes A⁻¹ into dst given the lower Cholesky factor L of
+// A, with caller-provided scratch (two length-n vectors, contents ignored
+// and overwritten), performing no allocation — the hyperparameter sampler
+// calls it once per Gibbs iteration. dst must not alias l; e and col must
+// not alias each other.
 func InvFromCholWS(l *Matrix, dst *Matrix, e, col Vector) {
 	n := l.Rows
 	if dst.Rows != n || dst.Cols != n || len(e) != n || len(col) != n {
-		panic("la: InvFromChol dimension mismatch")
+		panic("la: InvFromCholWS dimension mismatch")
 	}
 	for j := 0; j < n; j++ {
 		e.Zero()

@@ -260,6 +260,56 @@ func TestSolveUpperMatchesLower(t *testing.T) {
 	}
 }
 
+// tinyAndZeros overwrites about one element in three of v with ±0 or a
+// subnormal of either sign.
+func tinyAndZeros(r *rand.Rand, v []float64) {
+	tiny := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.5e-310, -1e-315}
+	for i := range v {
+		if r.Intn(3) == 0 {
+			v[i] = tiny[r.Intn(len(tiny))]
+		}
+	}
+}
+
+// TestSolvePairMatchesSingles: each vector of SolveUpperPair and
+// SolveLowerTPair is SolveUpper's and SolveLowerT's bit for bit at every
+// order 1…67, with ±0 and subnormals planted in the factor's off-diagonal
+// part and in both right-hand sides, and when the two right-hand sides
+// hold equal values.
+func TestSolvePairMatchesSingles(t *testing.T) {
+	r := testRand(29)
+	for n := 1; n <= 67; n++ {
+		l := upperFactor(t, randSPD(r, n)).Transpose()
+		for i := 0; i < n; i++ {
+			tinyAndZeros(r, l.Data[i*n:i*n+i])
+		}
+		u := l.Transpose()
+		x, y := randVector(r, n), randVector(r, n)
+		tinyAndZeros(r, x)
+		tinyAndZeros(r, y)
+		for _, rhs := range []struct {
+			name string
+			a, b Vector
+		}{{"distinct", x, y}, {"equal", x, x}} {
+			for _, s := range []struct {
+				name   string
+				m      *Matrix
+				single func(*Matrix, Vector, Vector)
+				pair   func(*Matrix, Vector, Vector)
+			}{{"SolveUpperPair", u, SolveUpper, SolveUpperPair}, {"SolveLowerTPair", l, SolveLowerT, SolveLowerTPair}} {
+				wantA, wantB := NewVector(n), NewVector(n)
+				s.single(s.m, rhs.a, wantA)
+				s.single(s.m, rhs.b, wantB)
+				gotA, gotB := rhs.a.Clone(), rhs.b.Clone()
+				s.pair(s.m, gotA, gotB)
+				what := fmt.Sprintf("n=%d %s %s", n, s.name, rhs.name)
+				checkBits(t, what+" a", gotA, wantA)
+				checkBits(t, what+" b", gotB, wantB)
+			}
+		}
+	}
+}
+
 func TestSolveLowerAndT(t *testing.T) {
 	r := testRand(5)
 	n := 12
@@ -311,6 +361,8 @@ func TestSolveSPD(t *testing.T) {
 	}
 }
 
+// TestInvFromChol: InvFromCholWS inverts A whatever its scratch vectors
+// hold on entry.
 func TestInvFromChol(t *testing.T) {
 	r := testRand(13)
 	n := 7
@@ -320,7 +372,7 @@ func TestInvFromChol(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := NewMatrix(n, n)
-	InvFromChol(l, inv)
+	InvFromCholWS(l, inv, randVector(r, n), randVector(r, n))
 	prod := NewMatrix(n, n)
 	Gemm(1, a, inv, 0, prod)
 	if d := MaxAbsDiff(prod, Eye(n)); d > 1e-9 {

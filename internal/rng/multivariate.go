@@ -8,10 +8,10 @@ import (
 
 // MVNFromPrecChol samples x ~ N(mu, Λ⁻¹) given the lower Cholesky factor
 // L of the precision matrix Λ = L·Lᵀ: draw z ~ N(0, I) and solve
-// Lᵀ·y = z, then x = mu + y. This is exactly the draw the BPMF item update
-// performs after factorizing the posterior precision; it consumes K normal
-// deviates from the stream regardless of how L was produced, which keeps
-// stream consumption identical across the three item-update kernels.
+// Lᵀ·y = z, then x = mu + y. It consumes K normal deviates from the stream
+// regardless of how L was produced. The hyperparameter draw calls it; the
+// item update calls MVNFromCanonChol, whose sample is SolveSPD followed by
+// this function, bit for bit.
 // scratch must have length K and may alias dst only if mu does not.
 func (r *Stream) MVNFromPrecChol(mu la.Vector, precL *la.Matrix, dst, scratch la.Vector) {
 	k := len(mu)
@@ -28,7 +28,9 @@ func (r *Stream) MVNFromPrecChol(mu la.Vector, precL *la.Matrix, dst, scratch la
 // MVNFromPrecUpper is MVNFromPrecChol given the precision's factor held
 // transposed, U = Lᵀ (Λ = Uᵀ·U), as the rank-one item update keeps it: the
 // same K normals, and la.SolveUpper performs SolveLowerT's operations, so
-// the draw is MVNFromPrecChol's on L bit for bit.
+// the draw is MVNFromPrecChol's on L bit for bit. core.UpdateItem calls it
+// for ratingless items only, whose mean (the hyper draw's PriorMean) is
+// already solved, leaving one back-solve and nothing to pair it with.
 func (r *Stream) MVNFromPrecUpper(mu la.Vector, precU *la.Matrix, dst, scratch la.Vector) {
 	k := len(mu)
 	if precU.Rows != k || precU.Cols != k || len(dst) != k || len(scratch) != k {
@@ -41,21 +43,38 @@ func (r *Stream) MVNFromPrecUpper(mu la.Vector, precU *la.Matrix, dst, scratch l
 	}
 }
 
-// MVNFromCovChol samples x ~ N(mu, Σ) given the lower Cholesky factor L of
-// the covariance Σ = L·Lᵀ: x = mu + L·z with z ~ N(0, I).
-func (r *Stream) MVNFromCovChol(mu la.Vector, covL *la.Matrix, dst, scratch la.Vector) {
-	k := len(mu)
-	if covL.Rows != k || covL.Cols != k || len(dst) != k || len(scratch) != k {
-		panic("rng: MVNFromCovChol dimension mismatch")
+// MVNFromCanonChol samples x ~ N(Λ⁻¹·h, Λ⁻¹) given h and the lower
+// Cholesky factor L of Λ = L·Lᵀ, as the item update needs it: forward-solve
+// mu = L⁻¹·h, draw z ~ N(0, I) (the same K normals as MVNFromPrecChol),
+// then solve Lᵀ·mean = mu and Lᵀ·w = z in one la.SolveLowerTPair pass, and
+// x = mean + w. The two back-substitutions are independent chains that
+// overlap; the pair gives each exactly SolveLowerT's operations in order,
+// so x is la.SolveSPD followed by MVNFromPrecChol bit for bit. mu and
+// scratch (length K) are overwritten and must not alias each other, h or
+// dst.
+func (r *Stream) MVNFromCanonChol(h la.Vector, precL *la.Matrix, dst, mu, scratch la.Vector) {
+	if len(dst) != len(h) {
+		panic("rng: MVNFromCanonChol dimension mismatch")
 	}
+	la.SolveLower(precL, h, mu)
 	r.FillNorm(scratch)
-	for i := 0; i < k; i++ {
-		row := covL.Row(i)
-		s := mu[i]
-		for j := 0; j <= i; j++ {
-			s += row[j] * scratch[j]
-		}
-		dst[i] = s
+	la.SolveLowerTPair(precL, mu, scratch)
+	for i := range dst {
+		dst[i] = mu[i] + scratch[i]
+	}
+}
+
+// MVNFromCanonUpper is MVNFromCanonChol given the factor held transposed,
+// U = Lᵀ (la.SolveUpperT, then la.SolveUpperPair), bit for bit.
+func (r *Stream) MVNFromCanonUpper(h la.Vector, precU *la.Matrix, dst, mu, scratch la.Vector) {
+	if len(dst) != len(h) {
+		panic("rng: MVNFromCanonUpper dimension mismatch")
+	}
+	la.SolveUpperT(precU, h, mu)
+	r.FillNorm(scratch)
+	la.SolveUpperPair(precU, mu, scratch)
+	for i := range dst {
+		dst[i] = mu[i] + scratch[i]
 	}
 }
 

@@ -16,7 +16,7 @@ func TestMVNFromPrecCholMoments(t *testing.T) {
 		t.Fatal(err)
 	}
 	cov := la.NewMatrix(k, k)
-	la.InvFromChol(precL, cov)
+	la.InvFromCholWS(precL, cov, la.NewVector(k), la.NewVector(k))
 
 	mu := la.Vector{1, -2}
 	s := New(77)
@@ -47,7 +47,8 @@ func TestMVNFromPrecCholMoments(t *testing.T) {
 }
 
 // TestMVNFromPrecUpperMatchesChol: the draw on U = Lᵀ is the draw on L bit
-// for bit, stream position included.
+// for bit, stream position included; so are both canonical-form draws
+// (h = Λ·mean) against SolveSPD followed by the draw on L.
 func TestMVNFromPrecUpperMatchesChol(t *testing.T) {
 	for _, k := range []int{1, 2, 7, 32, 33} {
 		prec := la.NewMatrix(k, k)
@@ -61,46 +62,34 @@ func TestMVNFromPrecUpperMatchesChol(t *testing.T) {
 			t.Fatal(err)
 		}
 		precU := precL.Transpose()
-		mu := la.NewVector(k)
-		New(99).FillNorm(mu)
-		a, b := New(5), New(5)
-		want, got, scratch := la.NewVector(k), la.NewVector(k), la.NewVector(k)
-		for draw := 0; draw < 3; draw++ {
-			a.MVNFromPrecChol(mu, precL, want, scratch)
-			b.MVNFromPrecUpper(mu, precU, got, scratch)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("k=%d draw %d: element %d is %v, lower-factor draw %v", k, draw, i, got[i], want[i])
-				}
-			}
+		h := la.NewVector(k)
+		New(99).FillNorm(h)
+		mu, scratch := la.NewVector(k), la.NewVector(k)
+		la.SolveSPD(precL, h, mu, scratch)
+		ref := New(5)
+		draws := []struct {
+			name string
+			s    *Stream
+			draw func(s *Stream, dst la.Vector)
+		}{
+			{"MVNFromPrecUpper", New(5), func(s *Stream, dst la.Vector) { s.MVNFromPrecUpper(mu, precU, dst, scratch) }},
+			{"MVNFromCanonChol", New(5), func(s *Stream, dst la.Vector) {
+				s.MVNFromCanonChol(h, precL, dst, la.NewVector(k), scratch)
+			}},
+			{"MVNFromCanonUpper", New(5), func(s *Stream, dst la.Vector) {
+				s.MVNFromCanonUpper(h, precU, dst, la.NewVector(k), scratch)
+			}},
 		}
-	}
-}
-
-func TestMVNFromCovCholMoments(t *testing.T) {
-	k := 2
-	cov := la.NewMatrixFrom([][]float64{{1.5, -0.4}, {-0.4, 0.8}})
-	covL := la.NewMatrix(k, k)
-	if err := la.Cholesky(cov, covL); err != nil {
-		t.Fatal(err)
-	}
-	mu := la.Vector{3, 4}
-	s := New(88)
-	n := 200000
-	sum := la.NewVector(k)
-	sumSq := la.NewMatrix(k, k)
-	dst := la.NewVector(k)
-	scratch := la.NewVector(k)
-	for i := 0; i < n; i++ {
-		s.MVNFromCovChol(mu, covL, dst, scratch)
-		la.Axpy(1, dst, sum)
-		la.SyrLower(1, dst, sumSq)
-	}
-	for i := 0; i < k; i++ {
-		for j := 0; j <= i; j++ {
-			c := sumSq.At(i, j)/float64(n) - (sum[i]/float64(n))*(sum[j]/float64(n))
-			if math.Abs(c-cov.At(i, j)) > 0.03 {
-				t.Fatalf("cov[%d,%d] = %v, want %v", i, j, c, cov.At(i, j))
+		want, got := la.NewVector(k), la.NewVector(k)
+		for draw := 0; draw < 3; draw++ {
+			ref.MVNFromPrecChol(mu, precL, want, scratch)
+			for _, d := range draws {
+				d.draw(d.s, got)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("k=%d draw %d %s: element %d is %v, lower-factor draw %v", k, draw, d.name, i, got[i], want[i])
+					}
+				}
 			}
 		}
 	}
