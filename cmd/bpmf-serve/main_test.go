@@ -23,7 +23,7 @@ import (
 // testCkpt trains a tiny model and writes its checkpoint, exercising
 // the same trainer path a real deployment uses. seed varies the chain
 // so two checkpoints can hold genuinely different posteriors.
-func testCkpt(t *testing.T, dir, name string, seed uint64) (string, bpmf.Config) {
+func testCkpt(t testing.TB, dir, name string, seed uint64) (string, bpmf.Config) {
 	t.Helper()
 	ratings := []bpmf.Rating{
 		{User: 0, Item: 0, Value: 5}, {User: 0, Item: 1, Value: 4},
@@ -55,7 +55,7 @@ func testCkpt(t *testing.T, dir, name string, seed uint64) (string, bpmf.Config)
 
 // testRegistry opens a single-model registry over a fresh checkpoint,
 // the way main() synthesizes one from classic single-model flags.
-func testRegistry(t *testing.T) *serve.Registry {
+func testRegistry(t testing.TB) *serve.Registry {
 	t.Helper()
 	ckpt, cfg := testCkpt(t, t.TempDir(), "model.ckpt", 42)
 	reg, err := serve.NewRegistry([]serve.ModelSpec{
@@ -459,6 +459,65 @@ func TestFoldInBodyHygiene(t *testing.T) {
 			t.Errorf("%s: %d with body %q, want %d and JSON", c.name, rec.Code, rec.Body.String(), c.status)
 		}
 	}
+}
+
+// FuzzFoldInBody drives /foldin's JSON body through handleFoldIn on a tiny
+// model. Whatever the bytes, the answer is 200 with finite factors, 400 or
+// 413, or 404 for a rated item outside the catalogue — never a 500 and never
+// a panic — and the same body twice gets the same status and bytes (the
+// draw is keyed, and FoldIn runs the rank-one kernel as a one-lane group or
+// a Cholesky kernel). The seeds are the hand cases above.
+func FuzzFoldInBody(f *testing.F) {
+	for _, body := range []string{
+		`{"items":[0],"values":[5],"key":1}`,
+		`{"items":[0,1],"values":[5,4],"key":1,"n":2}`,
+		`{"items":[],"values":[],"key":7}`,
+		`{"items":[2,0],"values":[1,2],"key":1}`,
+		`{"items":[0,1,2],"values":[1,2],"key":1}`,
+		`{"items":[3],"values":[1],"key":1}`,
+		`{"items":[0],"values":[5],"key":1,"frobnicate":true}`,
+		`{"items":[0],"values":[5],"key":1} {"sneaky":1}`,
+		`{"items":[0],"values":[1e308],"key":1}`,
+		`{"items":[0],"values":[5],"key":1,"n":0` + strings.Repeat(" ", maxFoldInBody) + `}`,
+		`{"items":[0,1,2],"values":[-1e-300,0,5e-324],"key":-3,"n":100}`,
+		``, `null`, `[]`, `{"items":[1],"values":["5"],"key":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	reg := testRegistry(f)
+	srv, _ := reg.Get("default")
+	rt := route{srv: srv, bt: reg.Batcher("default")}
+	post := func(body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/default/foldin", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		handleFoldIn(rt, rec, req)
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := post(body)
+		switch rec.Code {
+		case http.StatusOK:
+			var resp struct{ Factors []float64 }
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Factors) == 0 {
+				t.Fatalf("200 with body %q: %v", rec.Body.String(), err)
+			}
+			for _, x := range resp.Factors {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("200 with a non-finite factor: %q", rec.Body.String())
+				}
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusNotFound:
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("%d with a body that is not JSON: %q", rec.Code, rec.Body.String())
+			}
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.String())
+		}
+		again := post(body)
+		if again.Code != rec.Code || !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+			t.Fatalf("the same body answered %d %q, then %d %q", rec.Code, rec.Body.String(), again.Code, again.Body.String())
+		}
+	})
 }
 
 // TestStatusOfShed pins the error → status mapping for admission sheds,

@@ -30,23 +30,25 @@ func fig2(cfg core.Config, cm des.CostModel) {
 	hyper := core.NewHyper(k)
 	stream := rng.New(2)
 
+	// timeMs runs draw for ~20 ms and returns its mean time in ms.
+	timeMs := func(draw func()) float64 {
+		for reps := 1; ; reps *= 4 {
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				draw()
+			}
+			if el := time.Since(start); el > 20*time.Millisecond || reps > 1<<20 {
+				return el.Seconds() / float64(reps) * 1000
+			}
+		}
+	}
 	measure := func(kern core.Kernel, cols []int32, vals []float64, other *la.Matrix) float64 {
 		ws := core.NewWorkspace(k)
 		out := la.NewVector(k)
-		reps := 1
-		// Aim for ~20ms of measurement.
-		for {
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				core.UpdateItem(ws, kern, &cfg, cols, vals, other, hyper,
-					core.ItemStream(1, 0, core.SideV, 0), nil, nil, out)
-			}
-			el := time.Since(start)
-			if el > 20*time.Millisecond || reps > 1<<20 {
-				return el.Seconds() / float64(reps) * 1000 // ms
-			}
-			reps *= 4
-		}
+		return timeMs(func() {
+			core.UpdateItem(ws, kern, &cfg, cols, vals, other, hyper,
+				core.ItemStream(1, 0, core.SideV, 0), nil, nil, out)
+		})
 	}
 
 	for _, nnz := range []int{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000} {
@@ -58,7 +60,10 @@ func fig2(cfg core.Config, cm des.CostModel) {
 			cols[i] = int32(i)
 			vals[i] = stream.Norm()
 		}
-		r1 := measure(core.KernelRankOne, cols, vals, other)
+		// The sweeps draw rank-one items four at a time, one per lane, so
+		// that column is a lane group's time per item, held on the kernel
+		// at every nnz.
+		r1 := timeMs(des.RankOneGroup(cfg, vals)) / la.Lanes
 		sc := measure(core.KernelCholesky, cols, vals, other)
 		pc1 := measure(core.KernelParallelCholesky, cols, vals, other)
 		pc12 := cm.ParallelItemCost(nnz, cfg.ParallelGrain, 12) * 1000

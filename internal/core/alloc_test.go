@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/la"
@@ -44,8 +45,8 @@ func assertZeroAllocs(t *testing.T, name string, kern Kernel, nnz, k int) {
 	}
 }
 
-// The rank-one kernel at nnz 0 (the no-ratings path), 1, 5 (a pass of four
-// plus a tail) and 10, at K = 16 and at the benchmark's K = 32.
+// The rank-one kernel's one-lane path at nnz 0 (no pass), 1, 5 (a pass of
+// four plus a tail) and 10, at K = 16 and at the benchmark's K = 32.
 func TestUpdateItemRankOneZeroAllocs(t *testing.T) {
 	for _, k := range []int{16, 32} {
 		for _, nnz := range []int{0, 1, 5, 10} {
@@ -84,10 +85,12 @@ func TestSampleHyperWSZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestItemLoopZeroAllocs pins the engines' full per-item path — re-keyed
-// workspace stream plus the update itself — at zero allocations, which is
-// what makes the item loops allocation-free per iteration, not just per
-// kernel call.
+// TestItemLoopZeroAllocs pins the engines' full per-item path at zero
+// allocations — UpdateItem behind the re-keyed workspace stream, and
+// UpdateRange over a mixed window: ratingless, degree 1, 5 and 24 rank-one
+// items (lane groups of one to four, one to six passes) beside a
+// serial-Cholesky item, at K = 16 and 32 — which is what makes the item
+// loops allocation-free per iteration, not just per kernel call.
 func TestItemLoopZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.K = 16
@@ -104,6 +107,20 @@ func TestItemLoopZeroAllocs(t *testing.T) {
 	run()
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("item loop allocates %v per 4 items in steady state, want 0", allocs)
+	}
+
+	for _, k := range []int{16, 32} {
+		cfg.K = k
+		degs := []int{0, 1, 5, 24, 60, 0, 1, 5, 24}
+		s, err := NewSampler(cfg, windowProblem(rand.New(rand.NewSource(5)), &cfg, degs, 64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep := func() { s.UpdateRange(SideU, 0, nil, 0, len(degs), nil) }
+		sweep() // warm the workspace arena
+		if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {
+			t.Fatalf("UpdateRange over degrees %v at K=%d allocates %v per call in steady state, want 0", degs, k, allocs)
+		}
 	}
 }
 

@@ -347,10 +347,10 @@ func TestUpdateItemNoRatings(t *testing.T) {
 	}
 }
 
-// TestRankOneMatchesLowerFactorPath pins the rank-one kernel's wiring to
-// the path it replaced — one rating at a time on Λ's factor, then SolveSPD
-// and MVNFromPrecChol on the lower factor — bit for bit, under a sampled
-// hyper draw: the no-ratings shortcut, passes of four and their tails.
+// TestRankOneMatchesLowerFactorPath pins the rank-one kernel's one-lane
+// path (UpdateItem) to the path it replaced — one rating at a time on Λ's
+// lower factor, then SolveSPD and MVNFromPrecChol — bit for bit, under a
+// sampled hyper draw: no ratings, passes of four and their tails.
 func TestRankOneMatchesLowerFactorPath(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, k := range []int{1, 5, 32} {
@@ -361,21 +361,11 @@ func TestRankOneMatchesLowerFactorPath(t *testing.T) {
 		m.AccumulateRows(rows, 0, 60)
 		hyper := NewHyper(k)
 		SampleHyper(DefaultNWPrior(k), m, HyperStream(1, 0, SideU), hyper)
+		l := lowerOf(t, hyper)
 		for nnz := 0; nnz <= 9; nnz++ {
 			cols, vals, other := buildItemProblem(nnz, k, uint64(nnz))
 			got := updateWith(KernelRankOne, &cfg, cols, vals, other, hyper, nil)
-
-			u, rhs := hyper.LambdaUpper.Clone(), hyper.LambdaMu.Clone()
-			for p, c := range cols {
-				x := other.Row(int(c)).Clone()
-				la.Scal(math.Sqrt(cfg.Alpha), x)
-				la.CholUpdateUpper(u, x)
-				la.Axpy(cfg.Alpha*vals[p], other.Row(int(c)), rhs)
-			}
-			l := u.Transpose()
-			mu, want, scratch := la.NewVector(k), la.NewVector(k), la.NewVector(k)
-			la.SolveSPD(l, rhs, mu, scratch)
-			ItemStream(cfg.Seed, 0, SideU, 0).MVNFromPrecChol(mu, l, want, scratch)
+			want := rankOneReference(cfg.Alpha, l, hyper.LambdaMu, cols, vals, other, ItemStream(cfg.Seed, 0, SideU, 0))
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("K=%d nnz=%d: element %d is %v, lower-factor path %v", k, nnz, i, got[i], want[i])
@@ -387,11 +377,12 @@ func TestRankOneMatchesLowerFactorPath(t *testing.T) {
 
 // TestUpdateItemMatchesUnfusedTail pins UpdateItem's paired back-solve to
 // the unfused sequence it stands for — the forward solve, the mean's own
-// back-solve (SolveUpper / SolveSPD), then MVNFromPrecUpper /
-// MVNFromPrecChol — bit for bit, for every kernel at nnz 0, 1, 3, 5 and
-// heavy, under a sampled hyper draw. The factor and rhs come from the
-// workspace UpdateItem leaves behind (the hyper's for a ratingless rank-one
-// item, whose shortcut must equal the general path too). Both streams must
+// back-solve, then MVNFromPrecChol: SolveSPD and MVNFromPrecChol on the
+// lower factor — bit for bit, for every kernel at nnz 0, 1, 3, 5 and heavy,
+// under a sampled hyper draw. The factor and rhs come from the workspace
+// UpdateItem leaves behind. For the rank-one kernel that is lane 0 of the
+// group's factor (the hyper's own for a ratingless item), and the rhs is
+// rebuilt in its Axpy order, since the lanes solve it in place. Both streams must
 // also stand at the same position afterwards: the draw takes exactly its K
 // normals.
 func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
@@ -412,19 +403,23 @@ func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
 				UpdateItem(ws, kern, &cfg, cols, vals, other, hyper, gs, nil, nil, got)
 
 				f, rhs := ws.precL, ws.rhs
-				if kern == KernelRankOne && nnz == 0 {
-					f, rhs = hyper.LambdaUpper, hyper.LambdaMu
+				if kern == KernelRankOne {
+					u := ws.u4
+					if nnz == 0 {
+						u = hyper.LambdaUpper
+					}
+					f = &la.Matrix{Rows: k, Cols: k, Data: la.NewVector(k * k)}
+					la.LaneInto(f.Data, u, 0)
+					f = f.Transpose() // only the lower triangle is read
+					rhs = hyper.LambdaMu.Clone()
+					for p, c := range cols {
+						la.Axpy(cfg.Alpha*vals[p], other.Row(int(c)), rhs)
+					}
 				}
 				mu, want, scratch := la.NewVector(k), la.NewVector(k), la.NewVector(k)
 				rs := ItemStream(cfg.Seed, 3, SideV, 9)
-				if kern == KernelRankOne {
-					la.SolveUpperT(f, rhs, scratch)
-					la.SolveUpper(f, scratch, mu)
-					rs.MVNFromPrecUpper(mu, f, want, scratch)
-				} else {
-					la.SolveSPD(f, rhs, mu, scratch)
-					rs.MVNFromPrecChol(mu, f, want, scratch)
-				}
+				la.SolveSPD(f, rhs, mu, scratch)
+				rs.MVNFromPrecChol(mu, f, want, scratch)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("K=%d nnz=%d %v: element %d is %v, unfused tail %v", k, nnz, kern, i, got[i], want[i])

@@ -36,14 +36,12 @@ type Hyper struct {
 	Mu     la.Vector
 	Lambda *la.Matrix
 	// LambdaUpper is Λ's Cholesky factor held transposed, U = Lᵀ with
-	// Λ = Uᵀ·U: the rank-one item-update kernel starts from it.
-	LambdaUpper *la.Matrix
+	// Λ = Uᵀ·U, in la's lane layout with every lane a copy (upper triangle
+	// only): each lane of a rank-one group starts from it.
+	LambdaUpper []float64
 	// LambdaMu caches Λ·μ, the constant part of every item's posterior
 	// mean equation on this side for this iteration.
 	LambdaMu la.Vector
-	// PriorMean is la.SolveSPD(L, LambdaMu) — μ up to rounding, and the
-	// posterior mean of an item with no ratings, bit for bit.
-	PriorMean la.Vector
 }
 
 // NewHyper allocates a Hyper for K latent features, initialized to the
@@ -52,10 +50,10 @@ func NewHyper(k int) *Hyper {
 	h := &Hyper{
 		Mu:          la.NewVector(k),
 		Lambda:      la.Eye(k),
-		LambdaUpper: la.Eye(k),
+		LambdaUpper: la.NewVector(la.Lanes * k * k),
 		LambdaMu:    la.NewVector(k),
-		PriorMean:   la.NewVector(k),
 	}
+	la.BroadcastUpperT(h.LambdaUpper, h.Lambda)
 	return h
 }
 
@@ -298,6 +296,5 @@ func SampleHyperWS(prior NWPrior, m *Moments, stream *rng.Stream, h *Hyper, ws *
 	stream.MVNFromPrecChol(muStar, ws.scaled, h.Mu, ws.scratch)
 
 	la.SymvLower(h.Lambda, h.Mu, h.LambdaMu)
-	ws.lambdaChol.TransposeInto(h.LambdaUpper)
-	la.SolveSPD(ws.lambdaChol, h.LambdaMu, h.PriorMean, ws.scratch)
+	la.BroadcastUpperT(h.LambdaUpper, ws.lambdaChol)
 }

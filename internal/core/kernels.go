@@ -94,17 +94,21 @@ func NewAccArena(k int) *AccArena {
 type Workspace struct {
 	K    int
 	prec *la.Matrix
-	// precL is the posterior precision's Cholesky factor: lower (L) on the
-	// Cholesky kernels, transposed (U = Lᵀ) on the rank-one kernel.
+	// precL is the Cholesky kernels' posterior precision factor (lower).
 	precL   *la.Matrix
 	rhs     la.Vector
 	mu      la.Vector
 	scratch la.Vector
-	// xblk holds the rank-one kernel's scaled partner rows, up to four.
-	xblk la.Vector
 	// panel is the gather scratch of the panel-streamed serial-Cholesky
 	// accumulation (la.SyrkAxpyPanelLower).
 	panel *la.Matrix
+
+	// The rank-one kernel's group, one item per lane (la's lane layout):
+	// the items, their factors, their right-hand sides (solved in place
+	// into the means), their normals (solved in place into the noise), and
+	// one pass of up to four scaled partner rows each.
+	lanes            [la.Lanes]laneItem
+	u4, rhs4, z4, x4 []float64
 
 	// acc supplies chunk accumulators to the parallel kernel; parts is the
 	// reused per-item list of leased chunks (ascending chunk order).
@@ -142,8 +146,11 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 		rhs:     la.NewVector(k),
 		mu:      la.NewVector(k),
 		scratch: la.NewVector(k),
-		xblk:    la.NewVector(4 * k),
 		panel:   la.NewMatrix(la.GatherPanelRows, k),
+		u4:      la.NewVector(la.Lanes * k * k),
+		rhs4:    la.NewVector(la.Lanes * k),
+		z4:      la.NewVector(la.Lanes * k),
+		x4:      la.NewVector(la.Lanes * la.Lanes * k),
 		acc:     acc,
 	}
 }
@@ -159,13 +166,12 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 // method. pool/pw are required only by KernelParallelCholesky (pass nil
 // otherwise, or to force its chunk arithmetic onto the calling goroutine).
 // The draw consumes exactly K normal deviates from stream regardless of
-// kernel, keeping stream consumption schedule-independent. An item with
-// ratings solves for the mean and the noise in one paired back-substitution
-// (rng.MVNFromCanonUpper → la.SolveUpperPair on the rank-one kernel's
-// U = Lᵀ, rng.MVNFromCanonChol → la.SolveLowerTPair on the Cholesky
-// kernels' L); the pair gives each vector the single solve's operations in
-// order, so the sample is the bits of SolveSPD followed by MVNFromPrecChol.
-// A ratingless item has one solve, MVNFromPrecUpper's.
+// kernel, keeping stream consumption schedule-independent. The rank-one
+// kernel is one lane of the four-lane group a sweep draws
+// (Sampler.UpdateRange), so an item's bits do not depend on the items
+// beside it. The Cholesky kernels solve for the mean and the noise in one
+// paired back-substitution (rng.MVNFromCanonChol), whose sample is the
+// bits of SolveSPD followed by MVNFromPrecChol.
 func UpdateItem(
 	ws *Workspace,
 	kernel Kernel,
@@ -181,29 +187,9 @@ func UpdateItem(
 
 	switch kernel {
 	case KernelRankOne:
-		if len(cols) == 0 {
-			// Nothing to update: the hyper draw solved this mean already.
-			stream.MVNFromPrecUpper(hyper.PriorMean, hyper.LambdaUpper, out, ws.scratch)
-			return
-		}
-		// Start from the hyperparameter precision's factor, held transposed,
-		// and rank-one update it with sqrt(α)·x per rating, four ratings per
-		// call. The upper-form solves of the tail perform the lower form's
-		// operations on U = Lᵀ.
-		ws.precL.CopyFrom(hyper.LambdaUpper)
-		copy(ws.rhs, hyper.LambdaMu)
-		sa := math.Sqrt(alpha)
-		for lo := 0; lo < len(cols); lo += 4 {
-			blk := ws.xblk[:0]
-			for p := lo; p < min(lo+4, len(cols)); p++ {
-				x := other.Row(int(cols[p]))
-				for _, xi := range x {
-					blk = append(blk, sa*xi)
-				}
-				la.Axpy(alpha*vals[p], x, ws.rhs)
-			}
-			la.CholUpdateUpper(ws.precL, blk)
-		}
+		ws.setLane(0, cols, vals, stream, out)
+		ws.drawRankOne(1, alpha, other, hyper)
+		return
 
 	case KernelCholesky:
 		// Precision and rhs accumulate in one fused, register-blocked pass
@@ -233,10 +219,70 @@ func UpdateItem(
 
 	// out ~ N(Λ*⁻¹ rhs, Λ*⁻¹): the mean's and the noise's back-solves share
 	// one paired pass.
-	if kernel == KernelRankOne {
-		stream.MVNFromCanonUpper(ws.rhs, ws.precL, out, ws.mu, ws.scratch)
-	} else {
-		stream.MVNFromCanonChol(ws.rhs, ws.precL, out, ws.mu, ws.scratch)
+	stream.MVNFromCanonChol(ws.rhs, ws.precL, out, ws.mu, ws.scratch)
+}
+
+// laneItem is one item of a rank-one group: its ratings and its output row.
+type laneItem struct {
+	cols []int32
+	vals []float64
+	out  la.Vector
+}
+
+// setLane makes the item with ratings (cols, vals) lane l of the next
+// rank-one group, drawing out. Its K normals — all the item's draw takes
+// from its stream — are read now, in FillNorm order, into lane l of z4.
+func (ws *Workspace) setLane(l int, cols []int32, vals []float64, stream *rng.Stream, out la.Vector) {
+	ws.lanes[l] = laneItem{cols: cols, vals: vals, out: out}
+	stream.FillNorm(ws.scratch)
+	la.SetLane(ws.z4, l, ws.scratch)
+}
+
+// drawRankOne draws lanes [0, n) of the group set up by setLane, n ≤ 4, by
+// the rank-one kernel: each lane's factor starts from hyper.LambdaUpper and
+// takes sqrt(α)·x for its ratings in passes of up to four
+// (la.CholUpdateUpper4); its rhs is Λμ + α Σ r_j x_j in rating order; then
+// the lanes' forward solves (la.SolveUpperT4) and the paired back-solves of
+// the mean and the noise (la.SolveUpperPair4), and out = mean + noise. The
+// solves on U = Lᵀ perform SolveLower's and SolveLowerT's operations on L,
+// so each item is SolveSPD followed by MVNFromPrecChol on its own factor,
+// bit for bit. A ratingless lane is blended out of every pass; when no
+// lane has ratings the solves read hyper.LambdaUpper itself. Lanes past n
+// compute on stale values and are discarded.
+func (ws *Workspace) drawRankOne(n int, alpha float64, other *la.Matrix, hyper *Hyper) {
+	k := ws.K
+	deg := 0
+	for l, it := range ws.lanes[:n] {
+		deg = max(deg, len(it.cols))
+		copy(ws.rhs, hyper.LambdaMu)
+		for p, c := range it.cols {
+			la.Axpy(alpha*it.vals[p], other.Row(int(c)), ws.rhs)
+		}
+		la.SetLane(ws.rhs4, l, ws.rhs)
+	}
+	// The first pass reads the hyper's factor and writes the group's own,
+	// so the factor is never copied.
+	u := hyper.LambdaUpper
+	sa := math.Sqrt(alpha)
+	for lo := 0; lo < deg; lo += la.Lanes {
+		var nr [la.Lanes]int
+		for l, it := range ws.lanes[:n] {
+			nr[l] = min(max(len(it.cols)-lo, 0), la.Lanes)
+			for r := 0; r < nr[l]; r++ {
+				la.SetPassVector(ws.x4, r, l, sa, other.Row(int(it.cols[lo+r])))
+			}
+		}
+		la.CholUpdateUpper4(ws.u4, u, ws.x4, k, nr)
+		u = ws.u4
+	}
+	la.SolveUpperT4(u, ws.rhs4, k)
+	la.SolveUpperPair4(u, ws.rhs4, ws.z4, k)
+	for i, z := range ws.z4 {
+		ws.rhs4[i] += z // mean + noise, every lane at once
+	}
+	for l := range ws.lanes[:n] {
+		la.LaneInto(ws.lanes[l].out, ws.rhs4, l)
+		ws.lanes[l] = laneItem{} // a pooled workspace must not pin a caller's slices
 	}
 }
 

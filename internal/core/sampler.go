@@ -261,18 +261,45 @@ func (s *Sampler) DrawItem(ws *Workspace, side Side, iter, item int,
 // UpdateRange draws the items at positions [lo, hi) of ord (the items
 // lo..hi-1 themselves when ord is nil) on the calling goroutine. The
 // workspace lease and the kernel tally are per range, so the item loop
-// itself touches no shared cache line.
+// itself touches no shared cache line. The range goes in windows of
+// ItemGrain positions: a window's Cholesky-kernel items are drawn one by
+// one, its rank-one items by ascending degree four at a time, one per lane
+// (Workspace.drawRankOne), so that a group's lanes take similar numbers of
+// passes. Every item's draw reads only its own ratings and keyed stream,
+// so the grouping changes no bit.
 func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *sched.Worker) {
-	self, other, ratings, _ := s.Side(side)
+	self, other, ratings, hyper := s.Side(side)
 	var tally [numKernels]int64
 	ws := s.wsArena.Get(w)
-	for pos := lo; pos < hi; pos++ {
-		item := pos
-		if ord != nil {
-			item = int(ord[pos])
+	for win := lo; win < hi; win += ItemGrain {
+		var items, degs [ItemGrain]int
+		n := 0
+		for pos := win; pos < min(win+ItemGrain, hi); pos++ {
+			item := pos
+			if ord != nil {
+				item = int(ord[pos])
+			}
+			cols, vals := ratings.Row(item)
+			if s.Cfg.SelectKernel(len(cols)) != KernelRankOne {
+				tally[s.drawItem(ws, w, side, iter, item, cols, vals, other, self.Row(item))]++
+				continue
+			}
+			i := n
+			for ; i > 0 && degs[i-1] > len(cols); i-- {
+				items[i], degs[i] = items[i-1], degs[i-1]
+			}
+			items[i], degs[i] = item, len(cols)
+			n++
 		}
-		cols, vals := ratings.Row(item)
-		tally[s.drawItem(ws, w, side, iter, item, cols, vals, other, self.Row(item))]++
+		tally[KernelRankOne] += int64(n)
+		for g := 0; g < n; g += la.Lanes {
+			m := min(la.Lanes, n-g)
+			for l, item := range items[g : g+m] {
+				cols, vals := ratings.Row(item)
+				ws.setLane(l, cols, vals, ws.ItemStream(s.Cfg.Seed, iter, side, item), self.Row(item))
+			}
+			ws.drawRankOne(m, s.Cfg.Alpha, other, hyper)
+		}
 	}
 	s.wsArena.Put(w, ws)
 	for k, n := range tally {

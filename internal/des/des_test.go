@@ -74,21 +74,38 @@ func TestCalibrateCostModelSane(t *testing.T) {
 	if cm.PerRating > 1e-3 || cm.PerItem > 1e-2 {
 		t.Fatalf("calibrated costs implausibly large: %+v", cm)
 	}
-	// Rank-one per-rating (full K² cholupdate) must cost more than plain
-	// accumulation (K²/2 syr). One calibration times the two milliseconds
-	// apart; the order is read from the median of five such ratios, so one
-	// disturbed calibration cannot flip it. At K = 16 the ratio is ~3, but
-	// under the race detector the Go code around both kernels' assembly
-	// dominates: the ratio falls to ~1.15 and a single one can read below 1.
-	ratios := []float64{cm.RankOnePerRating / cm.PerRating}
-	for len(ratios) < 5 {
+	// The rank-one kernel as the sampler runs it: a four-item lane group
+	// drawn through core.Sampler.UpdateRange (RankOneGroup), the group's
+	// time divided by four. One calibration times the kernels milliseconds
+	// apart, so each ratio below is the median of five calibrations'
+	// ratios, and one disturbed calibration cannot flip it.
+	//
+	// Per rating, the lane kernel now costs about what syr does. The median
+	// of RankOnePerRating/PerRating at K = 16 reads 1.3–1.4 in a normal
+	// build (it was ~3.4 one item at a time), ~3 under purego, 1.5–1.6
+	// under -race -tags purego, and ~0.7 under -race with the assembly,
+	// whose instrumentation slows SyrLower's Go row loop but not the lane
+	// kernel. No order holds in every build mode, so the per-rating costs
+	// are held to one order of magnitude of each other: [1/4, 4].
+	//
+	// Per item, the order holds everywhere with room: rank-one's fixed cost
+	// (a ratingless group: the lanes' rhs, normals, forward solve and
+	// paired back-solve) is below the Cholesky kernel's (factorization and
+	// draw), a median ratio of 0.3–0.45 in every build mode.
+	perRating := []float64{cm.RankOnePerRating / cm.PerRating}
+	perItem := []float64{cm.RankOnePerItem / cm.PerItem}
+	for len(perRating) < 5 {
 		c := CalibrateCostModel(16)
-		ratios = append(ratios, c.RankOnePerRating/c.PerRating)
+		perRating = append(perRating, c.RankOnePerRating/c.PerRating)
+		perItem = append(perItem, c.RankOnePerItem/c.PerItem)
 	}
-	sort.Float64s(ratios)
-	if ratios[2] < 1 {
-		t.Fatalf("rank-one per-rating cost should exceed syr per-rating cost: median ratio %.3f of %.3f",
-			ratios[2], ratios)
+	sort.Float64s(perRating)
+	sort.Float64s(perItem)
+	if r := perRating[2]; r < 0.25 || r > 4 {
+		t.Fatalf("rank-one per-rating cost should be within 4x of syr's: median ratio %.3f of %.3f", r, perRating)
+	}
+	if r := perItem[2]; r >= 1 {
+		t.Fatalf("rank-one per-item cost should be below the Cholesky kernel's: median ratio %.3f of %.3f", r, perItem)
 	}
 }
 

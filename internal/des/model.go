@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // CostModel holds calibrated per-operation costs in seconds. All values
@@ -154,28 +155,28 @@ func CalibrateCostModel(k int) CostModel {
 	}
 	cm.PerItem = time.Since(start).Seconds() / float64(reps)
 
-	// Rank-one kernel as core.UpdateItem runs it: per rating, the update of
-	// the transposed factor in passes of four ratings + Axpy; fixed = the
-	// upper-form draw from the canonical form.
-	u := la.NewMatrix(k, k)
-	l.TransposeInto(u)
-	blk := la.NewVector(4 * k)
-	reps = 5000
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		for j := 0; j < 4; j++ {
-			copy(blk[j*k:], x)
-			la.Axpy(0.5, x, rhs)
+	// Rank-one kernel as core's sweeps run it, four items at a time, one
+	// per lane (RankOneGroup), both costs a group's time divided by its
+	// items: fixed, a group of ratingless items (the lanes' rhs, normals,
+	// forward solve and paired back-solve); per rating, what a group of
+	// degree-16 items (four passes) adds to that.
+	cfg := core.DefaultConfig()
+	cfg.K = k
+	timeGroup := func(deg, reps int) float64 {
+		vals := make([]float64, deg)
+		for i := range vals {
+			vals[i] = 1 + float64(i%5)
 		}
-		la.CholUpdateUpper(u, blk)
+		draw := RankOneGroup(cfg, vals)
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			draw()
+		}
+		return time.Since(start).Seconds() / float64(reps*la.Lanes)
 	}
-	cm.RankOnePerRating = time.Since(start).Seconds() / float64(4*reps)
-	reps = 4000
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		r.MVNFromCanonUpper(rhs, u, out, mu, scratch)
-	}
-	cm.RankOnePerItem = time.Since(start).Seconds() / float64(reps)
+	const deg = 16
+	cm.RankOnePerItem = timeGroup(0, 1000)
+	cm.RankOnePerRating = max(timeGroup(deg, 100)-cm.RankOnePerItem, 0) / deg
 
 	// Moments per row: Axpy + SyrLower, same as PerRating.
 	cm.MomentPerRow = cm.PerRating
@@ -202,6 +203,26 @@ func CalibrateCostModel(k int) CostModel {
 	cm.GraphLabPerVertex = 2e-6
 	cm.GraphLabPerEdge = 60e-9 + cm.PerRating*0.35
 	return cm
+}
+
+// RankOneGroup returns one draw of a group of four rank-one items as the
+// sweeps run it, one item per lane (core.Sampler.UpdateRange): every item
+// rates partners 0, 1, … with vals, and stays on the rank-one kernel at any
+// degree.
+func RankOneGroup(cfg core.Config, vals []float64) func() {
+	cfg.RankOneMax, cfg.KernelThreshold = len(vals), len(vals)+1
+	r := &sparse.CSR{M: la.Lanes, N: max(len(vals), 1), RowPtr: make([]int64, 1, la.Lanes+1)}
+	for i := 0; i < la.Lanes; i++ {
+		for c, v := range vals {
+			r.Col, r.Val = append(r.Col, int32(c)), append(r.Val, v)
+		}
+		r.RowPtr = append(r.RowPtr, int64(len(r.Col)))
+	}
+	s, err := core.NewSampler(cfg, core.NewProblem(r, nil))
+	if err != nil {
+		panic(err)
+	}
+	return func() { s.UpdateRange(core.SideU, 0, nil, 0, la.Lanes, nil) }
 }
 
 // DefaultCostModel returns a fixed cost model (no measurement) for

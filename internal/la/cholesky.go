@@ -64,50 +64,6 @@ func Cholesky(a *Matrix, dst *Matrix) error {
 	return nil
 }
 
-// CholUpdateUpper performs rank-one updates of a Cholesky factorization
-// held transposed: given upper-triangular U with A = Uᵀ*U, it overwrites U
-// with the factor of A + Σ_r x_r*x_rᵀ, where x holds the vectors x_r one
-// after another (len(x) is a multiple of the order, which is at least 1).
-// x is destroyed. This
-// is the O(K²)-per-rating kernel behind the "rank-one update" item-update
-// method of the paper's Figure 2.
-//
-// Each vector is one sweep of Givens rotations (Golub & Van Loan §6.5.4;
-// the hyperbolic rotations there are the downdate's): at pivot k,
-// h = hypot(u_kk, x_k), c = h/u_kk, s = x_k/u_kk, u_kk ← h, and row k of
-// U — column k of L = Uᵀ, contiguous here — rotates against x's tail.
-// The vectors go in passes of up to four: at each pivot the pass computes
-// every vector's (s, c, 1/c) in order, chained through u_kk, and then
-// applies them all to the row (rot4). Every element so receives the same
-// rotations in the same order as one vector at a time, and the result is
-// that loop's bit for bit, while the pivot chains of a pass overlap.
-func CholUpdateUpper(u *Matrix, x []float64) {
-	n := u.Rows
-	if u.Cols != n || n == 0 || len(x)%n != 0 {
-		panic("la: CholUpdateUpper dimension mismatch")
-	}
-	var rot [12]float64
-	for len(x) > 0 {
-		nr := min(len(x)/n, 4)
-		for k := 0; k < n; k++ {
-			row := u.Data[k*n : (k+1)*n]
-			d := row[k]
-			for r := 0; r < nr; r++ {
-				xk := x[r*n+k]
-				h := math.Hypot(d, xk)
-				c := h / d
-				rot[3*r], rot[3*r+1], rot[3*r+2] = xk/d, c, 1/c
-				d = h
-			}
-			row[k] = d
-			if k+1 < n {
-				rot4(row[k+1:], x[k+1:], n, rot, nr)
-			}
-		}
-		x = x[nr*n:]
-	}
-}
-
 // SolveLower solves L*y = b for y where L is lower triangular
 // (forward substitution). b and y may alias.
 func SolveLower(l *Matrix, b, y Vector) {
@@ -141,71 +97,10 @@ func SolveLowerT(l *Matrix, b, y Vector) {
 	}
 }
 
-// SolveUpperT solves Uᵀ*y = b for y where U is upper triangular: SolveLower
-// on L = Uᵀ, bit for bit. y_i = (b_i − Σ_{k<i} u_ki·y_k) / u_ii with the
-// terms subtracted in ascending k, but column-oriented: once y_k is known,
-// row k of U takes u_ki·y_k off every later y_i, so U is read by rows. b
-// and y may alias.
-func SolveUpperT(u *Matrix, b, y Vector) {
-	n := u.Rows
-	if u.Cols != n || len(b) != n || len(y) != n {
-		panic("la: SolveUpperT dimension mismatch")
-	}
-	copy(y, b)
-	for k := 0; k < n; k++ {
-		row := u.Data[k*n : (k+1)*n]
-		yk := y[k] / row[k]
-		y[k] = yk
-		for i := k + 1; i < n; i++ {
-			y[i] -= float64(row[i] * yk)
-		}
-	}
-}
-
-// SolveUpper solves U*y = b for y where U is upper triangular (back
-// substitution): SolveLowerT on L = Uᵀ, bit for bit, reading U by rows. b
-// and y may alias.
-func SolveUpper(u *Matrix, b, y Vector) {
-	n := u.Rows
-	if u.Cols != n || len(b) != n || len(y) != n {
-		panic("la: SolveUpper dimension mismatch")
-	}
-	for i := n - 1; i >= 0; i-- {
-		row := u.Data[i*n : (i+1)*n]
-		s := b[i]
-		for k := i + 1; k < n; k++ {
-			s -= float64(row[k] * y[k])
-		}
-		y[i] = s / row[i]
-	}
-}
-
-// SolveUpperPair solves U*x = a and U*y = b in place (a ← x, b ← y) in one
-// pass over U's rows. The two back-substitutions are independent chains
-// that the core can overlap; each receives exactly SolveUpper's
-// operations in SolveUpper's order, so a and b end bit-equal to two
-// SolveUpper calls. a and b must not alias.
-func SolveUpperPair(u *Matrix, a, b Vector) {
-	n := u.Rows
-	if u.Cols != n || len(a) != n || len(b) != n {
-		panic("la: SolveUpperPair dimension mismatch")
-	}
-	for i := n - 1; i >= 0; i-- {
-		row := u.Data[i*n : (i+1)*n]
-		s, t := a[i], b[i]
-		ra, ta, tb := row[i+1:], a[i+1:], b[i+1:]
-		ta, tb = ta[:len(ra)], tb[:len(ra)]
-		for k, r := range ra {
-			s -= float64(r * ta[k])
-			t -= float64(r * tb[k])
-		}
-		a[i], b[i] = s/row[i], t/row[i]
-	}
-}
-
-// SolveLowerTPair solves Lᵀ*x = a and Lᵀ*y = b in place (a ← x, b ← y):
-// SolveUpperPair's interleaving on the lower factor, each vector bit-equal
-// to a SolveLowerT call. a and b must not alias.
+// SolveLowerTPair solves Lᵀ*x = a and Lᵀ*y = b in place (a ← x, b ← y) in
+// one pass over L: the two back-substitutions are independent chains that
+// the core can overlap, and each vector ends bit-equal to a SolveLowerT
+// call. a and b must not alias.
 func SolveLowerTPair(l *Matrix, a, b Vector) {
 	n := l.Rows
 	if l.Cols != n || len(a) != n || len(b) != n {

@@ -10,13 +10,17 @@
 // task DAG whose per-task arithmetic order does not depend on which worker
 // runs it).
 //
-// On amd64 the six inner loops of kernels.go — four for the dense item
-// update, one for the rank-one item update (CholUpdateUpper, four ratings
-// at a time), one for the scoring pass (Gemv, four catalogue rows at a
-// time) — run as hand-written AVX2 assembly that computes the same bits as the Go
-// loops it stands in for, so results are identical with and without it
-// (the purego build tag removes it; a CPU or OS without AVX2 falls back by
-// itself).
+// On amd64 the eight inner loops of kernels.go — four for the dense item
+// update, one for the scoring pass (Gemv, four catalogue rows at a time),
+// and the three lane kernels of the rank-one item update (lanes.go: four
+// items at a time, one per register lane, from the factor update through
+// the forward solve to the paired back-solve) — run as hand-written AVX2
+// assembly that computes the same bits as the Go loops it stands in for, so
+// results are identical with and without it (the purego build tag removes
+// it; a CPU or OS without AVX2 falls back by itself). The lane kernels
+// compute hypot themselves, with amd64's math.Hypot operations and the
+// square rounded on its own, so the rank-one update no longer takes
+// arm64's math.Hypot, which fuses it.
 // Bits are per GOARCH, though: the arm64 compiler fuses x*y + z into one
 // rounding where the amd64 one does not, and benchmark/reference.json is
 // pinned on amd64.

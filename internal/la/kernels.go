@@ -1,24 +1,31 @@
 package la
 
+import "math"
+
 // The inner loops of the dense item update, of the rank-one item update and
 // of the scoring pass. Each has the pure-Go body below and, on amd64, an
 // AVX2 body in kernels_amd64.s computing the same bits: a vector lane only
-// holds a sum these loops already keep separate (one memory element, or one
-// row's inner product), and every step is a multiply then an add or
-// subtract, never a fused multiply-add. The Go bodies are the reference of
-// the differential test and the only path off amd64, under the purego tag,
-// or without AVX2. Callers pass lengths they have checked; the bodies check
-// nothing.
+// holds a value these loops already keep separate (one memory element, one
+// row's inner product, or in the lane kernels one item), and every step is
+// a multiply then an add or subtract, never a fused multiply-add. The Go
+// bodies are the reference of the differential test and the only path off
+// amd64, under the purego tag, or without AVX2. Callers pass lengths they
+// have checked; the bodies check nothing.
 //
-// These six are what the exported kernels call; kernels_amd64.go's init
-// points them at the AVX2 bodies when the CPU and the OS support them.
+// These eight are what the exported kernels call: syrk4, axpy4, axpy1 and
+// cholTrail for the dense item update, dot4 for the scoring pass, and the
+// three lane kernels of the rank-one item update (lanes.go), which advance
+// four items at a time. kernels_amd64.go's init points them at the AVX2
+// bodies when the CPU and the OS support them.
 var (
-	syrk4     = syrk4Go
-	axpy4     = axpy4Go
-	axpy1     = axpy1Go
-	cholTrail = cholTrailGo
-	dot4      = dot4Go
-	rot4      = rot4Go
+	syrk4           = syrk4Go
+	axpy4           = axpy4Go
+	axpy1           = axpy1Go
+	cholTrail       = cholTrailGo
+	dot4            = dot4Go
+	cholUpdate4     = cholUpdate4Go
+	solveUpperT4    = solveUpperT4Go
+	solveUpperPair4 = solveUpperPair4Go
 )
 
 // syrk4Go adds the four outer products Σ_r (alpha·x_r)·x_rᵀ to the lower
@@ -98,24 +105,100 @@ func dot4Go(a []float64, k int, x []float64) (s0, s1, s2, s3 float64) {
 	return
 }
 
-// rot4Go applies the first nr (one to four) of the Givens rotations rot =
-// (s_0, c_0, 1/c_0, s_1, c_1, 1/c_1, …) to the factor row u and to the
-// rating vectors x_r = x[r·stride:][:len(u)]: for r in order and every
-// element j, u_j ← (u_j + s_r·x_rj)·(1/c_r), then x_rj ← c_r·x_rj −
-// s_r·u_j. Each u_j so receives the rotations chained in r order (the
-// AVX2 body keeps the chain in a register; a store and reload between
-// links is exact); the x_rj are independent elements. rot travels by
-// value: a slice passed through the dispatch variable would move the
-// caller's array to the heap. Every product that feeds a sum is rounded on
-// its own (float64(…)), so no architecture fuses it.
-func rot4Go(u, x []float64, stride int, rot [12]float64, nr int) {
-	for r := 0; r < nr; r++ {
-		s, c, invC := rot[3*r], rot[3*r+1], rot[3*r+2]
-		xr := x[r*stride : r*stride+len(u)]
-		for j, xj := range xr {
-			v := (u[j] + float64(s*xj)) * invC
-			xr[j] = float64(c*xj) - float64(s*v)
-			u[j] = v
+// hypot is math.Hypot as amd64 computes it (archHypot): +Inf if either
+// operand is infinite, else NaN if either is NaN, +0 if both are zero, else
+// max·√(1 + (min/max)²). The square is rounded on its own, which the
+// portable math.Hypot does not force: arm64 fuses it into the sum.
+func hypot(p, q float64) float64 {
+	p, q = math.Abs(p), math.Abs(q)
+	switch {
+	case math.IsInf(p, 1) || math.IsInf(q, 1):
+		return math.Inf(1)
+	case math.IsNaN(p) || math.IsNaN(q):
+		return math.NaN()
+	}
+	if p < q {
+		p, q = q, p
+	}
+	if p == 0 {
+		return 0
+	}
+	q /= p
+	return p * math.Sqrt(1+float64(q*q))
+}
+
+// cholUpdate4Go is CholUpdateUpper4: from's upper triangle copied to u
+// unless from is u, then one lane at a time: at pivot p the lane chains its
+// nr[l] rotations (s, c, 1/c) through u_pp, then applies them rating by
+// rating to row p's tail, u_j ← (u_j + s·x_j)·(1/c) and
+// x_j ← c·x_j − s·u_j. Each u_j so receives the rotations in rating order.
+// A lane's vectors past nr[l] are not touched.
+func cholUpdate4Go(u, from, x []float64, k int, nr [4]int) {
+	if &from[0] != &u[0] {
+		for p := 0; p < k; p++ {
+			copy(u[(p*k+p)*4:(p+1)*k*4], from[(p*k+p)*4:])
+		}
+	}
+	var rot [12]float64
+	for l, n := range nr {
+		for p := 0; p < k; p++ {
+			pp := (p*k+p)*4 + l
+			d := u[pp]
+			for r := 0; r < n; r++ {
+				xp := x[(r*k+p)*4+l]
+				h := hypot(d, xp)
+				c := h / d
+				rot[3*r], rot[3*r+1], rot[3*r+2] = xp/d, c, 1/c
+				d = h
+			}
+			u[pp] = d
+			if p+1 == k {
+				break
+			}
+			row := u[pp+4 : (p+1)*k*4]
+			for r := 0; r < n; r++ {
+				s, c, invC := rot[3*r], rot[3*r+1], rot[3*r+2]
+				xr := x[(r*k+p+1)*4+l : (r+1)*k*4]
+				for j := 0; j < len(row); j += 4 {
+					xj := xr[j]
+					v := (row[j] + float64(s*xj)) * invC
+					xr[j] = float64(c*xj) - float64(s*v)
+					row[j] = v
+				}
+			}
+		}
+	}
+}
+
+// solveUpperT4Go is SolveUpperT4, one lane at a time: y_p ← y_p / u_pp,
+// then y_i −= u_pi·y_p for every i > p.
+func solveUpperT4Go(u, y []float64, k int) {
+	for l := 0; l < 4; l++ {
+		for p := 0; p < k; p++ {
+			row := u[p*k*4 : (p+1)*k*4]
+			yp := y[p*4+l] / row[p*4+l]
+			y[p*4+l] = yp
+			for i := p + 1; i < k; i++ {
+				y[i*4+l] -= float64(row[i*4+l] * yp)
+			}
+		}
+	}
+}
+
+// solveUpperPair4Go is SolveUpperPair4, one lane at a time: for i from the
+// last row up, a_i ← (a_i − Σ_{p>i} u_ip·a_p) / u_ii with the terms taken
+// off in ascending p, and b_i likewise, both in one pass.
+func solveUpperPair4Go(u, a, b []float64, k int) {
+	for l := 0; l < 4; l++ {
+		for i := k - 1; i >= 0; i-- {
+			row := u[i*k*4 : (i+1)*k*4]
+			s, t := a[i*4+l], b[i*4+l]
+			for p := i + 1; p < k; p++ {
+				r := row[p*4+l]
+				s -= float64(r * a[p*4+l])
+				t -= float64(r * b[p*4+l])
+			}
+			a[i*4+l], b[i*4+l] = s/row[i*4+l], t/row[i*4+l]
 		}
 	}
 }

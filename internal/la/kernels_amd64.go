@@ -23,11 +23,17 @@ func cholTrailAVX2(l []float64, n, k int)
 func dot4AVX2(a []float64, k int, x []float64) (s0, s1, s2, s3 float64)
 
 //go:noescape
-func rot4AVX2(u, x []float64, stride int, rot [12]float64, nr int)
+func cholUpdate4AVX2(u, from, x []float64, k int, nr [4]int)
+
+//go:noescape
+func solveUpperT4AVX2(u, y []float64, k int)
+
+//go:noescape
+func solveUpperPair4AVX2(u, a, b []float64, k int)
 
 func init() {
 	if hasAVX2() {
 		syrk4, axpy4, axpy1, cholTrail, dot4 = syrk4AVX2, axpy4AVX2, axpy1AVX2, cholTrailAVX2, dot4AVX2
-		rot4 = rot4AVX2
+		cholUpdate4, solveUpperT4, solveUpperPair4 = cholUpdate4AVX2, solveUpperT4AVX2, solveUpperPair4AVX2
 	}
 }

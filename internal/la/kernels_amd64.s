@@ -2,19 +2,133 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the six kernels.go primitives: four for the dense item
-// update, one (rot4) for the rank-one item update, one (dot4) for the
-// scoring pass. One rule keeps them bit-identical to the Go bodies: a lane
-// holds a sum the scalar loop keeps separate — one memory element, or in
-// dot4 one row's inner product — and every update is VMULPD then VADDPD
-// (VSUBPD in rot4), no FMA, which would skip the product's rounding. In
-// the item-update bodies the last count mod 4
+// AVX2 bodies of the eight kernels.go primitives: four for the dense item
+// update, three lane kernels for the rank-one item update, one (dot4) for
+// the scoring pass. One rule keeps them bit-identical to the Go bodies: a
+// lane holds a value the scalar loop keeps separate — one memory element,
+// in dot4 one row's inner product, in the lane kernels one item — and
+// every update is VMULPD then VADDPD or VSUBPD, no FMA, which would skip
+// the product's rounding. In the dense-update bodies the last count mod 4
 // elements of a run go through the scalar forms of the same two
 // instructions, so no element outside the run is loaded or stored; dot4
 // stops at the last whole four columns and leaves the rest to its Go
 // caller. dot4's PREFETCHT0 is a hint: it never faults and reads no
 // element into a result. VZEROUPPER precedes every RET (the Go code around
 // runs SSE encodings).
+
+// The lane kernels keep one item per lane (lanes.go's layout), so every
+// instruction below performs one scalar step of the Go body on four items
+// at once.
+
+// HYPOT sets Y2 = hypot(Y0, Y1) lane by lane with archHypot's operations:
+// t = max(|p|, |q|), h = t·√(1 + (min/t)²). The special cases are settled
+// beside the chain and blended in once: +Inf if either operand is +Inf
+// after |·|, else NaN if either is NaN, else +0 where t is 0 (two zeros).
+// The constants are on the frame: |·| mask at 768(SP), 1 at 800, +Inf at
+// 832, math.NaN()'s bits at 864. Clobbers Y3–Y10.
+#define HYPOT \
+	VANDPD	768(SP), Y0, Y3; \
+	VANDPD	768(SP), Y1, Y4; \
+	VMAXPD	Y4, Y3, Y5; \
+	VMINPD	Y4, Y3, Y6; \
+	VDIVPD	Y5, Y6, Y6; \
+	VMULPD	Y6, Y6, Y6; \
+	VADDPD	800(SP), Y6, Y6; \
+	VSQRTPD	Y6, Y6; \
+	VMULPD	Y6, Y5, Y2; \
+	VCMPPD	$3, Y4, Y3, Y7; \
+	VCMPPD	$0, 832(SP), Y3, Y8; \
+	VCMPPD	$0, 832(SP), Y4, Y9; \
+	VORPD	Y9, Y8, Y8; \
+	VMOVUPD	864(SP), Y9; \
+	VBLENDVPD	Y8, 832(SP), Y9, Y9; \
+	VORPD	Y8, Y7, Y7; \
+	VXORPD	Y10, Y10, Y10; \
+	VCMPPD	$0, Y10, Y5, Y8; \
+	VORPD	Y7, Y8, Y8; \
+	VANDPD	Y7, Y9, Y9; \
+	VBLENDVPD	Y8, Y9, Y2, Y2
+
+// CHAINSTEP takes vector r at the pivot: x = x_r(q) at (xs)(CX*1), h =
+// hypot(d, x), c = h/d, s = x/d, 1/c stored at s, c, ic(R14), and d = h in
+// the lanes mask says carry vector r.
+#define CHAINSTEP(xs, s, c, ic, mask) \
+	VMOVUPD	(xs)(CX*1), Y1; \
+	HYPOT; \
+	VDIVPD	Y0, Y2, Y3; \
+	VDIVPD	Y0, Y1, Y4; \
+	VMOVUPD	800(SP), Y5; \
+	VDIVPD	Y3, Y5, Y5; \
+	VMOVUPD	Y4, s(R14); \
+	VMOVUPD	Y3, c(R14); \
+	VMOVUPD	Y5, ic(R14); \
+	VBLENDVPD	mask, Y2, Y0, Y0
+
+// CHAIN is pivot q's chain: d = u_qq read at (BX)(CX*1), advanced through
+// the pass's DX vectors in order, and stored at (AX)(CX*1). Clobbers
+// Y0–Y10.
+#define CHAIN(done) \
+	VMOVUPD	(BX)(CX*1), Y0; \
+	CHAINSTEP(R8, 0, 32, 64, Y12); \
+	CMPQ	DX, $1; \
+	JEQ	done; \
+	CHAINSTEP(R9, 96, 128, 160, Y13); \
+	CMPQ	DX, $2; \
+	JEQ	done; \
+	CHAINSTEP(R10, 192, 224, 256, Y14); \
+	CMPQ	DX, $3; \
+	JEQ	done; \
+	CHAINSTEP(R11, 288, 320, 352, Y15); \
+done: \
+	VMOVUPD	Y0, (AX)(CX*1)
+
+// ROT applies vector r's rotation, its (s, c, 1/c) at s, c, ic(R13), to
+// u = Y0 and x_r(j) at (xs)(CX*1): v = (u + s·x)·(1/c), x = c·x − s·v, and
+// u = v in the lanes mask says carry vector r. Clobbers Y1–Y4.
+#define ROT(xs, s, c, ic, mask) \
+	VMOVUPD	(xs)(CX*1), Y1; \
+	VMOVUPD	s(R13), Y2; \
+	VMULPD	Y1, Y2, Y3; \
+	VADDPD	Y3, Y0, Y3; \
+	VMULPD	ic(R13), Y3, Y3; \
+	VMULPD	c(R13), Y1, Y1; \
+	VMULPD	Y3, Y2, Y4; \
+	VSUBPD	Y4, Y1, Y1; \
+	VMOVUPD	Y1, (xs)(CX*1); \
+	VBLENDVPD	mask, Y3, Y0, Y0
+
+// ROWELEM rotates element j of row p, u read at (SI)(CX*1) and stored at
+// (DI)(CX*1), through the pass's DX vectors in order; vector 0's
+// (s, c, 1/c) are in Y5, Y6, Y7.
+#define ROWELEM(done) \
+	VMOVUPD	(SI)(CX*1), Y0; \
+	VMOVUPD	(R8)(CX*1), Y1; \
+	VMULPD	Y1, Y5, Y3; \
+	VADDPD	Y3, Y0, Y3; \
+	VMULPD	Y7, Y3, Y3; \
+	VMULPD	Y6, Y1, Y1; \
+	VMULPD	Y3, Y5, Y4; \
+	VSUBPD	Y4, Y1, Y1; \
+	VMOVUPD	Y1, (R8)(CX*1); \
+	VBLENDVPD	Y12, Y3, Y0, Y0; \
+	CMPQ	DX, $1; \
+	JEQ	done; \
+	ROT(R9, 96, 128, 160, Y13); \
+	CMPQ	DX, $2; \
+	JEQ	done; \
+	ROT(R10, 192, 224, 256, Y14); \
+	CMPQ	DX, $3; \
+	JEQ	done; \
+	ROT(R11, 288, 320, 352, Y15); \
+done: \
+	VMOVUPD	Y0, (DI)(CX*1)
+
+// BROADCAST stores the 64-bit constant c into all four lanes at off(SP).
+#define BROADCAST(c, off) \
+	MOVQ	c, AX; \
+	VMOVQ	AX, X0; \
+	VPBROADCASTQ	X0, Y0; \
+	VMOVUPD	Y0, off(SP)
 
 // func hasAVX2() bool
 TEXT ·hasAVX2(SB), NOSPLIT, $0-1
@@ -229,81 +343,189 @@ done:
 	VZEROUPPER
 	RET
 
-// rot4AVX2 keeps one element of the factor row per lane, four at a time,
-// and runs that element's rotation chain over the nr ratings in r order:
-// u += s·x, u ·= 1/c, x = c·x − s·u, each a VMULPD, VADDPD or VSUBPD of
-// its own. The last len(u) mod 4 elements take the scalar forms. A short
-// block is never padded with an identity rotation: −0 + +0 is +0, so even
-// s = 0, c = 1 would change a bit.
+// cholUpdate4AVX2 runs one pass of up to four vectors per lane, DX =
+// max(nr) of them (at least one: with none, every lane is blended out and
+// the pass copies from to u). It reads each element of from's upper
+// triangle once and writes it to u, so from may be u or a separate factor.
+// Pivot p's chain takes vector r = 0 .. DX−1 in turn: (s, c, 1/c) from the
+// hypot, then u_pp advances to h in the lanes that carry vector r
+// (VBLENDVPD on the mask nr > r, Y12–Y15 for r = 0–3). Each element of row
+// p's tail then takes the rotations in order, the new u kept only where
+// the lane carries the vector: a lane is blended out, never padded with an
+// identity rotation. x is stored in every lane; a lane's vectors past its
+// count are scratch.
 //
-// func rot4AVX2(u, x []float64, stride int, rot [12]float64, nr int)
-TEXT ·rot4AVX2(SB), NOSPLIT, $0-160
-	MOVQ	u_base+0(FP), DI
-	MOVQ	u_len+8(FP), DX
-	MOVQ	x_base+24(FP), R8
-	MOVQ	stride+48(FP), R12
-	SHLQ	$3, R12			// from x_r to x_r+1, in bytes
-	LEAQ	rot+56(FP), R9		// (s, c, 1/c) of rating 0
-	MOVQ	nr+152(FP), CX
-	XORQ	SI, SI			// element j
-	CMPQ	DX, $4
-	JLT	tail
-	PCALIGN	$32
-vec:
-	VMOVUPD	(DI)(SI*8), Y0		// u_j .. u_j+3
-	MOVQ	R9, R10
-	LEAQ	(R8)(SI*8), R11		// x_0[j]
-	MOVQ	CX, BX
-vrot:
-	VBROADCASTSD	(R10), Y1	// s
-	VBROADCASTSD	8(R10), Y2	// c
-	VBROADCASTSD	16(R10), Y3	// 1/c
-	VMOVUPD	(R11), Y4		// x_r
-	VMULPD	Y4, Y1, Y5
-	VADDPD	Y5, Y0, Y0		// u + s·x
-	VMULPD	Y3, Y0, Y0		// · 1/c
-	VMULPD	Y4, Y2, Y4		// c·x
-	VMULPD	Y0, Y1, Y5		// s·u
-	VSUBPD	Y5, Y4, Y4		// c·x − s·u
-	VMOVUPD	Y4, (R11)
-	ADDQ	$24, R10
-	ADDQ	R12, R11
-	DECQ	BX
-	JNZ	vrot
-	VMOVUPD	Y0, (DI)(SI*8)
-	ADDQ	$4, SI
-	SUBQ	$4, DX
-	CMPQ	DX, $4
-	JGE	vec
-tail:
-	TESTQ	DX, DX
-	JZ	done
-scalar:
-	VMOVSD	(DI)(SI*8), X0
-	MOVQ	R9, R10
-	LEAQ	(R8)(SI*8), R11
-	MOVQ	CX, BX
-srot:
-	VMOVSD	(R10), X1
-	VMOVSD	8(R10), X2
-	VMOVSD	16(R10), X3
-	VMOVSD	(R11), X4
-	VMULSD	X4, X1, X5
-	VADDSD	X5, X0, X0
-	VMULSD	X3, X0, X0
-	VMULSD	X4, X2, X4
-	VMULSD	X0, X1, X5
-	VSUBSD	X5, X4, X4
-	VMOVSD	X4, (R11)
-	ADDQ	$24, R10
-	ADDQ	R12, R11
-	DECQ	BX
-	JNZ	srot
-	VMOVSD	X0, (DI)(SI*8)
-	INCQ	SI
-	DECQ	DX
-	JNZ	scalar
+// The pivots are software-pipelined: element p+1 of row p goes first, as
+// it yields x_r(p+1), all that pivot p+1's chain reads besides u_{p+1,p+1};
+// then pivot p+1's chain, then the rest of row p, whose arithmetic overlaps
+// the chain's latency. So two pivots' rotations are live at once, in two
+// frame blocks of 384 bytes (R13 row p's, R14 the next chain's), 96 bytes
+// per vector: s, c, 1/c. p·32 is kept at 896(SP).
+//
+// func cholUpdate4AVX2(u, from, x []float64, k int, nr [4]int)
+TEXT ·cholUpdate4AVX2(SB), $904-112
+	MOVQ	u_base+0(FP), DI	// row p of u, p = 0
+	MOVQ	from_base+24(FP), SI	// row p of from
+	MOVQ	x_base+48(FP), R8	// x_0
+	MOVQ	k+72(FP), R12
+	MOVQ	$1, DX			// vectors in the pass: max(1, nr...)
+	MOVQ	nr_0+80(FP), AX
+	CMPQ	AX, DX
+	CMOVQGT	AX, DX
+	MOVQ	nr_1+88(FP), AX
+	CMPQ	AX, DX
+	CMOVQGT	AX, DX
+	MOVQ	nr_2+96(FP), AX
+	CMPQ	AX, DX
+	CMOVQGT	AX, DX
+	MOVQ	nr_3+104(FP), AX
+	CMPQ	AX, DX
+	CMOVQGT	AX, DX
+	SHLQ	$5, R12			// k·32: a row of u, a vector of x
+	LEAQ	(R8)(R12*1), R9		// x_1
+	LEAQ	(R9)(R12*1), R10	// x_2
+	LEAQ	(R10)(R12*1), R11	// x_3
+	LEAQ	nr+80(FP), AX
+	VMOVDQU	(AX), Y11		// lane counts
+	VPXOR	Y10, Y10, Y10		// r = 0
+	VPCMPEQQ	Y9, Y9, Y9	// −1
+	VPCMPGTQ	Y10, Y11, Y12	// nr > 0
+	VPSUBQ	Y9, Y10, Y10
+	VPCMPGTQ	Y10, Y11, Y13	// nr > 1
+	VPSUBQ	Y9, Y10, Y10
+	VPCMPGTQ	Y10, Y11, Y14	// nr > 2
+	VPSUBQ	Y9, Y10, Y10
+	VPCMPGTQ	Y10, Y11, Y15	// nr > 3
+	BROADCAST($0x7fffffffffffffff, 768)
+	BROADCAST($0x3ff0000000000000, 800)
+	BROADCAST($0x7ff0000000000000, 832)
+	BROADCAST($0x7ff8000000000001, 864)
+	LEAQ	0(SP), R13
+	LEAQ	384(SP), R14
+	MOVQ	DI, AX
+	MOVQ	SI, BX
+	XORQ	CX, CX
+	MOVQ	CX, 896(SP)
+	CHAIN(chain0)			// pivot 0
+	XCHGQ	R13, R14
+pivot:
+	MOVQ	896(SP), CX
+	ADDQ	$32, CX			// j = p+1
+	CMPQ	CX, R12
+	JGE	done
+	MOVQ	CX, 896(SP)
+	VMOVUPD	(R13), Y5
+	VMOVUPD	32(R13), Y6
+	VMOVUPD	64(R13), Y7
+	ROWELEM(first)
+	LEAQ	(DI)(R12*1), AX		// row p+1
+	LEAQ	(SI)(R12*1), BX
+	CHAIN(chain1)			// pivot p+1, as soon as x_r(p+1) is known
+	VMOVUPD	(R13), Y5
+	VMOVUPD	32(R13), Y6
+	VMOVUPD	64(R13), Y7
+	JMP	next
+elem:
+	ROWELEM(rest)
+next:
+	ADDQ	$32, CX
+	CMPQ	CX, R12
+	JLT	elem
+	MOVQ	AX, DI
+	MOVQ	BX, SI
+	XCHGQ	R13, R14
+	JMP	pivot
 done:
+	VZEROUPPER
+	RET
+
+// solveUpperT4AVX2: y_p = y_p / u_pp, then y_i = y_i − u_pi·y_p for i > p.
+//
+// func solveUpperT4AVX2(u, y []float64, k int)
+TEXT ·solveUpperT4AVX2(SB), NOSPLIT, $0-56
+	MOVQ	u_base+0(FP), DI	// &u(p, p)
+	MOVQ	y_base+24(FP), SI	// &y_p
+	MOVQ	k+48(FP), R11
+	MOVQ	R11, R12
+	SHLQ	$5, R12			// row stride
+pivot:
+	VMOVUPD	(SI), Y0
+	VDIVPD	(DI), Y0, Y0		// y_p
+	VMOVUPD	Y0, (SI)
+	DECQ	R11
+	JZ	done
+	LEAQ	32(DI), AX		// &u(p, i), i = p+1
+	LEAQ	32(SI), BX		// &y_i
+	MOVQ	R11, CX
+elem:
+	VMULPD	(AX), Y0, Y1
+	VMOVUPD	(BX), Y2
+	VSUBPD	Y1, Y2, Y2
+	VMOVUPD	Y2, (BX)
+	ADDQ	$32, AX
+	ADDQ	$32, BX
+	DECQ	CX
+	JNZ	elem
+	LEAQ	32(DI)(R12*1), DI
+	ADDQ	$32, SI
+	JMP	pivot
+done:
+	VZEROUPPER
+	RET
+
+// solveUpperPair4AVX2 runs the two back-substitutions in one row loop, one
+// register chain each: for i from k−1 down, s = a_i − Σ_{p>i} u_ip·a_p and
+// t likewise on b, subtracted in ascending p, then a_i = s/u_ii, b_i = t/u_ii.
+//
+// func solveUpperPair4AVX2(u, a, b []float64, k int)
+TEXT ·solveUpperPair4AVX2(SB), NOSPLIT, $0-80
+	MOVQ	u_base+0(FP), R9
+	MOVQ	a_base+24(FP), SI
+	MOVQ	b_base+48(FP), R8
+	MOVQ	k+72(FP), R10		// rows left
+	MOVQ	R10, R12
+	SHLQ	$5, R12			// row stride
+	LEAQ	-1(R10), AX		// i = k−1
+	LEAQ	32(R12), R13		// diagonal stride
+	MOVQ	AX, BX
+	IMULQ	R13, BX
+	ADDQ	BX, R9			// &u(i, i)
+	SHLQ	$5, AX
+	ADDQ	AX, SI			// &a_i
+	ADDQ	AX, R8			// &b_i
+	XORQ	R11, R11		// elements right of the diagonal
+row:
+	VMOVUPD	(SI), Y0		// s
+	VMOVUPD	(R8), Y1		// t
+	MOVQ	R11, CX
+	TESTQ	CX, CX
+	JZ	div
+	LEAQ	32(R9), AX		// &u(i, p), p = i+1
+	LEAQ	32(SI), BX		// &a_p
+	LEAQ	32(R8), DX		// &b_p
+elem:
+	VMOVUPD	(AX), Y2
+	VMULPD	(BX), Y2, Y3
+	VSUBPD	Y3, Y0, Y0
+	VMULPD	(DX), Y2, Y4
+	VSUBPD	Y4, Y1, Y1
+	ADDQ	$32, AX
+	ADDQ	$32, BX
+	ADDQ	$32, DX
+	DECQ	CX
+	JNZ	elem
+div:
+	VMOVUPD	(R9), Y2
+	VDIVPD	Y2, Y0, Y0
+	VDIVPD	Y2, Y1, Y1
+	VMOVUPD	Y0, (SI)
+	VMOVUPD	Y1, (R8)
+	SUBQ	R13, R9
+	SUBQ	$32, SI
+	SUBQ	$32, R8
+	INCQ	R11
+	DECQ	R10
+	JNZ	row
 	VZEROUPPER
 	RET
 

@@ -57,8 +57,8 @@ func payload(r *rand.Rand, n, off, oneIn int) Vector {
 	return buf
 }
 
-// diffPrimitives compares the six dispatchers with their Go bodies at
-// width k.
+// diffPrimitives compares the eight dispatchers with their Go bodies at
+// width k (the lane kernels at order k).
 func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	t.Helper()
 	var x [4]Vector
@@ -99,18 +99,54 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	w0, w1, w2, w3 := dot4Go(rows, k, x[0])
 	checkBits(t, "dot4", []float64{g0, g1, g2, g3}, []float64{w0, w1, w2, w3})
 
-	// rot4 on a row of every length up to k, against nr = 1…4 vectors at
-	// stride k.
-	var rot [12]float64
-	copy(rot[:], payload(r, 12, 0, oneIn))
-	for nr := 1; nr <= 4; nr++ {
-		m := r.Intn(k + 1)
-		u, xs := payload(r, m, off, oneIn), payload(r, 4*k, off, oneIn)
+	// The lane kernels, each lane with its own count of vectors (0 to 4).
+	// Where a lane carries no vector r, its slot r is scratch to the
+	// kernel: the assembly leaves anything there, the Go body leaves it as
+	// it was, so the comparison takes those from the Go body.
+	var nr [Lanes]int
+	for l := range nr {
+		nr[l] = r.Intn(Lanes + 1)
+	}
+	u, xs := payload(r, Lanes*k*k, off, oneIn), payload(r, Lanes*Lanes*k, off, oneIn)
+	src := payload(r, Lanes*k*k, off, oneIn)
+	for _, inPlace := range []bool{true, false} {
 		gotU, wantU, gotX, wantX := u.Clone(), u.Clone(), xs.Clone(), xs.Clone()
-		rot4(gotU[off:off+m], gotX[off:off+4*k], k, rot, nr)
-		rot4Go(wantU[off:off+m], wantX[off:off+4*k], k, rot, nr)
-		checkBits(t, fmt.Sprintf("rot4 m=%d nr=%d row", m, nr), gotU, wantU)
-		checkBits(t, fmt.Sprintf("rot4 m=%d nr=%d vectors", m, nr), gotX, wantX)
+		gotFrom, wantFrom := gotU[off:off+Lanes*k*k], wantU[off:off+Lanes*k*k]
+		if !inPlace {
+			gotFrom, wantFrom = src[off:off+Lanes*k*k], src[off:off+Lanes*k*k]
+		}
+		cholUpdate4(gotU[off:off+Lanes*k*k], gotFrom, gotX[off:off+Lanes*Lanes*k], k, nr)
+		cholUpdate4Go(wantU[off:off+Lanes*k*k], wantFrom, wantX[off:off+Lanes*Lanes*k], k, nr)
+		scratchFrom(gotX[off:], wantX[off:], k, nr)
+		what := fmt.Sprintf("cholUpdate4 nr=%v in place=%v", nr, inPlace)
+		checkBits(t, what+" factor", gotU, wantU)
+		checkBits(t, what+" vectors", gotX, wantX)
+	}
+
+	y, z := payload(r, Lanes*k, off, oneIn), payload(r, Lanes*k, off, oneIn)
+	got, want = y.Clone(), y.Clone()
+	solveUpperT4(u[off:off+Lanes*k*k], got[off:off+Lanes*k], k)
+	solveUpperT4Go(u[off:off+Lanes*k*k], want[off:off+Lanes*k], k)
+	checkBits(t, "solveUpperT4", got, want)
+
+	gotA, wantA, gotB, wantB := y.Clone(), y.Clone(), z.Clone(), z.Clone()
+	solveUpperPair4(u[off:off+Lanes*k*k], gotA[off:off+Lanes*k], gotB[off:off+Lanes*k], k)
+	solveUpperPair4Go(u[off:off+Lanes*k*k], wantA[off:off+Lanes*k], wantB[off:off+Lanes*k], k)
+	checkBits(t, "solveUpperPair4 a", gotA, wantA)
+	checkBits(t, "solveUpperPair4 b", gotB, wantB)
+}
+
+// scratchFrom copies into got the elements of a lane-layout pass x (order
+// k) that are scratch to CholUpdateUpper4: slot r of every lane l with
+// nr[l] ≤ r.
+func scratchFrom(got, want []float64, k int, nr [Lanes]int) {
+	for l, n := range nr {
+		for r := n; r < Lanes; r++ {
+			for j := 0; j < k; j++ {
+				i := (r*k+j)*Lanes + l
+				got[i] = want[i]
+			}
+		}
 	}
 }
 
@@ -310,8 +346,11 @@ func TestCholeskyMatchesLeftLooking(t *testing.T) {
 	}
 }
 
-// FuzzKernelsMatchGo drives the four comparisons from fuzzed shapes (nnz
-// doubles as Gemv's row count); plain `go test` runs the seeds below.
+// FuzzKernelsMatchGo drives the comparisons from fuzzed shapes: the eight
+// primitives against their Go bodies, the batched accumulation, Cholesky,
+// Gemv (nnz doubles as its row count), and the lane kernels against the
+// one-vector loop and the lower-form solves on every lane (nnz doubles as
+// the most vectors a lane takes); plain `go test` runs the seeds below.
 func FuzzKernelsMatchGo(f *testing.F) {
 	f.Add(int64(1), uint8(32), uint8(67), uint8(1), false)
 	f.Add(int64(2), uint8(67), uint8(130), uint8(3), true)
@@ -328,5 +367,6 @@ func FuzzKernelsMatchGo(f *testing.F) {
 		diffBatch(t, r, kk, n, o, batch)
 		diffCholesky(t, r, kk, o, chol)
 		diffGemv(t, r, n, kk, o, prim)
+		diffLanes(t, r, kk, n%13, o, special)
 	})
 }

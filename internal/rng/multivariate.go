@@ -10,8 +10,8 @@ import (
 // L of the precision matrix Λ = L·Lᵀ: draw z ~ N(0, I) and solve
 // Lᵀ·y = z, then x = mu + y. It consumes K normal deviates from the stream
 // regardless of how L was produced. The hyperparameter draw calls it; the
-// item update calls MVNFromCanonChol, whose sample is SolveSPD followed by
-// this function, bit for bit.
+// Cholesky item-update kernels call MVNFromCanonChol, whose sample is
+// SolveSPD followed by this function, bit for bit.
 // scratch must have length K and may alias dst only if mu does not.
 func (r *Stream) MVNFromPrecChol(mu la.Vector, precL *la.Matrix, dst, scratch la.Vector) {
 	k := len(mu)
@@ -20,24 +20,6 @@ func (r *Stream) MVNFromPrecChol(mu la.Vector, precL *la.Matrix, dst, scratch la
 	}
 	r.FillNorm(scratch)
 	la.SolveLowerT(precL, scratch, scratch)
-	for i := range dst {
-		dst[i] = mu[i] + scratch[i]
-	}
-}
-
-// MVNFromPrecUpper is MVNFromPrecChol given the precision's factor held
-// transposed, U = Lᵀ (Λ = Uᵀ·U), as the rank-one item update keeps it: the
-// same K normals, and la.SolveUpper performs SolveLowerT's operations, so
-// the draw is MVNFromPrecChol's on L bit for bit. core.UpdateItem calls it
-// for ratingless items only, whose mean (the hyper draw's PriorMean) is
-// already solved, leaving one back-solve and nothing to pair it with.
-func (r *Stream) MVNFromPrecUpper(mu la.Vector, precU *la.Matrix, dst, scratch la.Vector) {
-	k := len(mu)
-	if precU.Rows != k || precU.Cols != k || len(dst) != k || len(scratch) != k {
-		panic("rng: MVNFromPrecUpper dimension mismatch")
-	}
-	r.FillNorm(scratch)
-	la.SolveUpper(precU, scratch, scratch)
 	for i := range dst {
 		dst[i] = mu[i] + scratch[i]
 	}
@@ -59,20 +41,6 @@ func (r *Stream) MVNFromCanonChol(h la.Vector, precL *la.Matrix, dst, mu, scratc
 	la.SolveLower(precL, h, mu)
 	r.FillNorm(scratch)
 	la.SolveLowerTPair(precL, mu, scratch)
-	for i := range dst {
-		dst[i] = mu[i] + scratch[i]
-	}
-}
-
-// MVNFromCanonUpper is MVNFromCanonChol given the factor held transposed,
-// U = Lᵀ (la.SolveUpperT, then la.SolveUpperPair), bit for bit.
-func (r *Stream) MVNFromCanonUpper(h la.Vector, precU *la.Matrix, dst, mu, scratch la.Vector) {
-	if len(dst) != len(h) {
-		panic("rng: MVNFromCanonUpper dimension mismatch")
-	}
-	la.SolveUpperT(precU, h, mu)
-	r.FillNorm(scratch)
-	la.SolveUpperPair(precU, mu, scratch)
 	for i := range dst {
 		dst[i] = mu[i] + scratch[i]
 	}

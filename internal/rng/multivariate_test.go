@@ -46,10 +46,10 @@ func TestMVNFromPrecCholMoments(t *testing.T) {
 	}
 }
 
-// TestMVNFromPrecUpperMatchesChol: the draw on U = Lᵀ is the draw on L bit
-// for bit, stream position included; so are both canonical-form draws
-// (h = Λ·mean) against SolveSPD followed by the draw on L.
-func TestMVNFromPrecUpperMatchesChol(t *testing.T) {
+// TestMVNFromCanonCholMatchesPrecChol: the draw from the canonical form
+// (h = Λ·mean) is SolveSPD followed by MVNFromPrecChol bit for bit, stream
+// position included, over three successive draws.
+func TestMVNFromCanonCholMatchesPrecChol(t *testing.T) {
 	for _, k := range []int{1, 2, 7, 32, 33} {
 		prec := la.NewMatrix(k, k)
 		New(uint64(k)).FillNorm(prec.Data)
@@ -61,34 +61,18 @@ func TestMVNFromPrecUpperMatchesChol(t *testing.T) {
 		if err := la.Cholesky(prec, precL); err != nil {
 			t.Fatal(err)
 		}
-		precU := precL.Transpose()
 		h := la.NewVector(k)
 		New(99).FillNorm(h)
 		mu, scratch := la.NewVector(k), la.NewVector(k)
 		la.SolveSPD(precL, h, mu, scratch)
-		ref := New(5)
-		draws := []struct {
-			name string
-			s    *Stream
-			draw func(s *Stream, dst la.Vector)
-		}{
-			{"MVNFromPrecUpper", New(5), func(s *Stream, dst la.Vector) { s.MVNFromPrecUpper(mu, precU, dst, scratch) }},
-			{"MVNFromCanonChol", New(5), func(s *Stream, dst la.Vector) {
-				s.MVNFromCanonChol(h, precL, dst, la.NewVector(k), scratch)
-			}},
-			{"MVNFromCanonUpper", New(5), func(s *Stream, dst la.Vector) {
-				s.MVNFromCanonUpper(h, precU, dst, la.NewVector(k), scratch)
-			}},
-		}
+		ref, s := New(5), New(5)
 		want, got := la.NewVector(k), la.NewVector(k)
 		for draw := 0; draw < 3; draw++ {
 			ref.MVNFromPrecChol(mu, precL, want, scratch)
-			for _, d := range draws {
-				d.draw(d.s, got)
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("k=%d draw %d %s: element %d is %v, lower-factor draw %v", k, draw, d.name, i, got[i], want[i])
-					}
+			s.MVNFromCanonChol(h, precL, got, la.NewVector(k), scratch)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("k=%d draw %d: element %d is %v, SolveSPD + MVNFromPrecChol %v", k, draw, i, got[i], want[i])
 				}
 			}
 		}
