@@ -242,9 +242,10 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 			return fmt.Errorf("cycle %d: warm-starting the chain: %w", cycle, err)
 		}
 		// Every engine samples the sequential chain, so the published bytes
-		// do not depend on the worker count. Storage order: over the one
-		// or few iterations of a cycle the locality schedule does not win
-		// back what order.Build costs (PERF.md, PR 17).
+		// do not depend on the worker count. The sampler's lane order, not
+		// a locality schedule: over the one or few iterations of a cycle
+		// the locality schedule does not win back what order.Build costs
+		// (PERF.md, PR 17).
 		release, err := mc.Attach(s, mc.WorkSteal, runtime.GOMAXPROCS(0), &order.Schedule{})
 		if err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/la"
+	"repro/internal/order"
 	"repro/internal/rng"
 )
 
@@ -116,7 +117,8 @@ func TestItemLoopZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sweep := func() { s.UpdateRange(SideU, 0, nil, 0, len(degs), nil) }
+		storage := order.Restrict(nil, 0, len(degs)) // one window of every group size
+		sweep := func() { s.UpdateRange(SideU, 0, storage, 0, len(degs), nil) }
 		sweep() // warm the workspace arena
 		if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {
 			t.Fatalf("UpdateRange over degrees %v at K=%d allocates %v per call in steady state, want 0", degs, k, allocs)

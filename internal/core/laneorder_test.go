@@ -1,0 +1,283 @@
+package core
+
+import (
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/la"
+	"repro/internal/order"
+	"repro/internal/partition"
+	"repro/internal/sched"
+	"repro/internal/sparse"
+)
+
+// checkLaneOrder asserts that a side without a schedule walks its lane
+// order: within each moment group a permutation of the group, the
+// Cholesky-kernel items first in storage order, then the rank-one items
+// by non-decreasing degree, in storage order within a degree.
+func checkLaneOrder(t *testing.T, name string, s *Sampler, side Side) {
+	t.Helper()
+	ord, n := s.Order(side)
+	_, _, ratings, _ := s.Side(side)
+	groups := s.Cfg.MomentGroupsU
+	if side == SideV {
+		groups = s.Cfg.MomentGroupsV
+	}
+	if len(ord) != n {
+		t.Fatalf("%s side %d: order has %d positions for %d items", name, side, len(ord), n)
+	}
+	// key orders the lane order strictly: kernel class, then degree (0
+	// for every Cholesky-kernel item), then storage order.
+	key := func(item int) [3]int {
+		d := ratings.RowNNZ(item)
+		if s.Cfg.SelectKernel(d) != KernelRankOne {
+			return [3]int{0, 0, item}
+		}
+		return [3]int{1, d, item}
+	}
+	less := func(a, b [3]int) bool {
+		for i := range a {
+			if a[i] != b[i] {
+				return a[i] < b[i]
+			}
+		}
+		return false
+	}
+	bounds := GroupBoundaries(groups, n)
+	for g := 0; g+1 < len(bounds); g++ {
+		lo, hi := bounds[g], bounds[g+1]
+		for pos := lo; pos < hi; pos++ {
+			item := int(ord[pos])
+			if item < lo || item >= hi {
+				t.Fatalf("%s side %d: position %d of moment group [%d, %d) holds item %d from outside it",
+					name, side, pos, lo, hi, item)
+			}
+			if pos > lo && !less(key(int(ord[pos-1])), key(item)) {
+				t.Fatalf("%s side %d: positions %d, %d hold items %v then %v (class, degree, id): not the lane order",
+					name, side, pos-1, pos, key(int(ord[pos-1])), key(item))
+			}
+		}
+	}
+}
+
+// TestLaneOrderProperty: samplers from NewSampler, ResumeSampler and
+// ResumeSamplerGrown (whose grown users join the order) walk the lane
+// order on every side Use gave no schedule, moment group by moment group
+// — including an empty group — while a side with a schedule walks it.
+func TestLaneOrderProperty(t *testing.T) {
+	prob := ckptProblem(t)
+	cfg := ckptConfig()
+	m, n := prob.Dims()
+	cfg.MomentGroupsU = []int{0, m / 3, m / 3, m}
+	cfg.MomentGroupsV = []int{0, n / 2, n}
+
+	fresh, err := NewSampler(cfg, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := ckptAfter(t, cfg, prob, 2)
+	resumed, err := ResumeSampler(cfg, prob, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 9
+	grownProb := grownProblem(t, prob, extra)
+	grownCfg := cfg
+	grownCfg.MomentGroupsU = []int{0, m / 3, m + extra}
+	grown, err := ResumeSamplerGrown(grownCfg, grownProb, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	kinds := map[bool]int{}
+	for _, c := range []struct {
+		name string
+		s    *Sampler
+	}{{"NewSampler", fresh}, {"ResumeSampler", resumed}, {"ResumeSamplerGrown", grown}} {
+		for _, side := range []Side{SideU, SideV} {
+			checkLaneOrder(t, c.name, c.s, side)
+			ord, _ := c.s.Order(side)
+			_, _, ratings, _ := c.s.Side(side)
+			for _, it := range ord {
+				kinds[c.s.Cfg.SelectKernel(ratings.RowNNZ(int(it))) == KernelRankOne]++
+			}
+		}
+	}
+	if kinds[true] == 0 || kinds[false] == 0 {
+		t.Fatalf("the problem must mix rank-one and Cholesky-kernel items, got %v", kinds)
+	}
+	ord, _ := grown.Order(SideU)
+	newUsers := 0
+	for _, it := range ord {
+		if int(it) >= m {
+			newUsers++
+		}
+	}
+	if newUsers != extra {
+		t.Fatalf("grown sampler's U order holds %d of the %d grown users", newUsers, extra)
+	}
+
+	rev := make([]int32, m)
+	for i := range rev {
+		rev[i] = int32(m - 1 - i)
+	}
+	if err := fresh.Use(nil, order.Schedule{U: rev}); err != nil {
+		t.Fatal(err)
+	}
+	if ord, _ := fresh.Order(SideU); &ord[0] != &rev[0] {
+		t.Fatal("a side with a schedule must walk the schedule")
+	}
+	checkLaneOrder(t, "NewSampler after Use", fresh, SideV)
+}
+
+// laneCount is what UpdateRange's window rule makes of one sweep's ranges:
+// each range goes in ItemGrain windows, and a window's rank-one items go
+// by ascending degree in lane groups of la.Lanes.
+type laneCount struct {
+	items, groups int // rank-one items and the lane groups drawing them
+	ratings       int // their ratings
+	slots         int // Σ over groups of the heaviest lane's degree: the chain the group runs
+	passes        int // Σ over groups of its factor-update passes, ⌈heaviest degree / 4⌉
+	lanePasses    int // Σ over items of ⌈degree / 4⌉: the passes a full group divides by four
+}
+
+func countLanes(cfg *Config, ratings *sparse.CSR, ord []int32, ranges [][2]int) laneCount {
+	var c laneCount
+	for _, r := range ranges {
+		for win := r[0]; win < r[1]; win += ItemGrain {
+			var degs []int
+			for _, item := range ord[win:min(win+ItemGrain, r[1])] {
+				if d := ratings.RowNNZ(int(item)); cfg.SelectKernel(d) == KernelRankOne {
+					degs = append(degs, d)
+				}
+			}
+			sort.Ints(degs)
+			for g := 0; g < len(degs); g += la.Lanes {
+				top := degs[min(g+la.Lanes, len(degs))-1]
+				c.groups++
+				c.slots += top
+				c.passes += (top + la.Lanes - 1) / la.Lanes
+			}
+			for _, d := range degs {
+				c.items++
+				c.ratings += d
+				c.lanePasses += (d + la.Lanes - 1) / la.Lanes
+			}
+		}
+	}
+	return c
+}
+
+// occupancy is the share of lanes that draw an item.
+func (c laneCount) occupancy() float64 {
+	if c.groups == 0 {
+		return 1
+	}
+	return float64(c.items) / float64(la.Lanes*c.groups)
+}
+
+// idealSlots and idealPasses are the chain and the passes of the rank-one
+// ratings spread evenly over full lane groups.
+func (c laneCount) idealSlots() int  { return (c.ratings + la.Lanes - 1) / la.Lanes }
+func (c laneCount) idealPasses() int { return (c.lanePasses + la.Lanes - 1) / la.Lanes }
+
+// parallelForRanges records the ranges a real ParallelFor at ItemGrain
+// hands a work-stealing sweep of n positions (mc.WorkSteal), by position.
+func parallelForRanges(n int) [][2]int {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	var mu sync.Mutex
+	var ranges [][2]int
+	pool.ParallelFor(0, n, ItemGrain, func(_ *sched.Worker, lo, hi int) {
+		mu.Lock()
+		ranges = append(ranges, [2]int{lo, hi})
+		mu.Unlock()
+	})
+	sort.Slice(ranges, func(a, b int) bool { return ranges[a][0] < ranges[b][0] })
+	return ranges
+}
+
+// grainRanges are the ranges of a one-thread distributed rank's sweep:
+// ItemGrain positions at a time over each rank's owned range.
+func grainRanges(bounds []int) [][2]int {
+	var ranges [][2]int
+	for r := 0; r+1 < len(bounds); r++ {
+		for a := bounds[r]; a < bounds[r+1]; a += ItemGrain {
+			ranges = append(ranges, [2]int{a, min(a+ItemGrain, bounds[r+1])})
+		}
+	}
+	return ranges
+}
+
+// TestLaneCounters counts, without timing anything, how full the rank-one
+// lane groups of a sweep are and how long their chains run, on the walks
+// the engines make: the trainer's work-stealing sweep (mc.WorkSteal over
+// the lane order, the ranges of a real ParallelFor), a one-thread
+// distributed rank's ItemGrain loop over its owned range (two ranks,
+// moment groups from the plan), and the mc engine's default locality
+// schedule (order.Build). On the side that is mostly rank-one, the lane
+// order fills ≥ 99 % of the lanes and its chains run within 2 % of the
+// ratings spread evenly over full groups; storage order, which mixes
+// degrees, in ranges that cut windows fills about three lanes in four at
+// about twice that chain.
+func TestLaneCounters(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec datagen.Spec
+		side Side // the side that is mostly rank-one
+	}{
+		{"chembl×0.02", datagen.Scaled(datagen.ChEMBL(1), 0.02), SideU},
+		{"wide", datagen.Spec{Name: "wide", Rows: 2000, Cols: 12500, NNZ: 100000,
+			TrueRank: 16, NoiseSD: 0.5, ZipfS: 1.0, MinVal: 0.5, MaxVal: 5, Seed: 1}, SideV},
+	} {
+		prob := NewProblem(HoldOut(datagen.Generate(c.spec).R, 0.2, 1))
+		cfg := DefaultConfig()
+		cfg.K = 2 // the order does not depend on K
+		trainer, err := NewSampler(cfg, prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := partition.Build(prob.R, 2)
+		distCfg := cfg
+		distCfg.MomentGroupsU, distCfg.MomentGroupsV = plan.RowBounds, plan.ColBounds
+		rank, err := NewSampler(distCfg, prob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch := order.Build(prob.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
+		for _, side := range []Side{SideU, SideV} {
+			_, _, ratings, _ := trainer.Side(side)
+			trainerOrd, n := trainer.Order(side)
+			rankOrd, _ := rank.Order(side)
+			bounds, rcm := plan.RowBounds, sch.U
+			if side == SideV {
+				bounds, rcm = plan.ColBounds, sch.V
+			}
+			for _, w := range []struct {
+				walk   string
+				count  laneCount
+				assert bool
+			}{
+				{"trainer", countLanes(&cfg, ratings, trainerOrd, parallelForRanges(n)), side == c.side},
+				{"dist", countLanes(&cfg, ratings, rankOrd, grainRanges(bounds)), side == c.side},
+				{"mc locality", countLanes(&cfg, ratings, rcm, parallelForRanges(n)), false},
+			} {
+				k := w.count
+				t.Logf("%s side %d %s: %d rank-one items, occupancy %.3f, passes %d (ideal %d), chain slots %d (ideal %d)",
+					c.name, side, w.walk, k.items, k.occupancy(), k.passes, k.idealPasses(), k.slots, k.idealSlots())
+				if !w.assert {
+					continue
+				}
+				if k.occupancy() < 0.99 {
+					t.Errorf("%s side %d %s: lane occupancy %.4f, want ≥ 0.99", c.name, side, w.walk, k.occupancy())
+				}
+				if float64(k.slots) > 1.02*float64(k.idealSlots()) {
+					t.Errorf("%s side %d %s: %d chain slots, more than 2 %% over the ideal %d",
+						c.name, side, w.walk, k.slots, k.idealSlots())
+				}
+			}
+		}
+	}
+}

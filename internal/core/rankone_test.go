@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/la"
+	"repro/internal/order"
 	"repro/internal/rng"
 	"repro/internal/sparse"
 )
@@ -180,7 +181,7 @@ func TestUpdateRangeMatchesScalarReference(t *testing.T) {
 				name string
 				ord  []int32
 				cuts []int
-			}{{"whole", nil, []int{0, len(degs)}}, {"permuted", perm, []int{0, len(degs)}}, {"split", perm, []int{0, split, len(degs)}}} {
+			}{{"whole", order.Restrict(nil, 0, len(degs)), []int{0, len(degs)}}, {"permuted", perm, []int{0, len(degs)}}, {"split", perm, []int{0, split, len(degs)}}} {
 				s.U.Zero()
 				for c := 1; c < len(sweep.cuts); c++ {
 					s.UpdateRange(SideU, 4, sweep.ord, sweep.cuts[c-1], sweep.cuts[c], nil)

@@ -143,6 +143,9 @@ type Sampler struct {
 	// nil runs moment groups and evaluation chunks inline.
 	each func(n int, run func(i int))
 	sch  order.Schedule
+	// lanes holds each side's lane order (laneOrder), walked wherever sch
+	// has no order for the side.
+	lanes order.Schedule
 
 	// Workspaces are leased per range from a worker-local arena, never
 	// pinned per worker: a pool worker that helps execute another range
@@ -174,6 +177,10 @@ func newSampler(cfg Config, prob *Problem, u, v *la.Matrix) *Sampler {
 		}),
 		hws: NewHyperWorkspace(cfg.K),
 		mws: NewMomentsWorkspace(cfg.K),
+		lanes: order.Schedule{
+			U: laneOrder(&cfg, prob.R, GroupBoundaries(cfg.MomentGroupsU, prob.R.M)),
+			V: laneOrder(&cfg, prob.Rt, GroupBoundaries(cfg.MomentGroupsV, prob.Rt.M)),
+		},
 	}
 	s.Pred.Alpha = cfg.Alpha
 	s.res.SampleRMSE = make([]float64, 0, cfg.Iters)
@@ -182,8 +189,8 @@ func newSampler(cfg Config, prob *Problem, u, v *la.Matrix) *Sampler {
 }
 
 // NewSampler constructs a sampler with deterministic initial factors. It
-// runs on the calling goroutine in storage order until Use binds it to
-// an engine.
+// runs on the calling goroutine in the lane order (Order) until Use binds
+// it to an engine.
 func NewSampler(cfg Config, prob *Problem) (*Sampler, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -195,11 +202,11 @@ func NewSampler(cfg Config, prob *Problem) (*Sampler, error) {
 
 // Use binds the sampler to an engine: exec runs each phase's independent
 // work on the engine's threads (nil keeps it on the calling goroutine),
-// and sch is the order each sweep walks (a nil side means storage
-// order). Within a phase the updates are independent and every draw
-// comes from a stream keyed by the item's id, so any permutation — like
-// any executor — samples the identical chain; the schedule only decides
-// cache behavior.
+// and sch is the order each sweep walks (a nil side walks the side's lane
+// order, see Order). Within a phase the updates are independent and every
+// draw comes from a stream keyed by the item's id, so any permutation —
+// like any executor — samples the identical chain; the schedule only
+// decides cache behavior and how full the lane groups run.
 func (s *Sampler) Use(exec Executor, sch order.Schedule) error {
 	m, n := s.Prob.Dims()
 	if err := sch.Validate(m, n); err != nil {
@@ -222,13 +229,62 @@ func (s *Sampler) Side(side Side) (self, other *la.Matrix, ratings *sparse.CSR, 
 	return s.U, s.V, s.Prob.R, s.HU
 }
 
-// Order returns the processing order of one side's sweep (nil means
-// storage order) and its number of positions.
+// Order returns the processing order of one side's sweep and its number
+// of positions: the side's schedule from Use, or, where there is none,
+// its lane order. Within each moment group the lane order holds the
+// Cholesky-kernel items first, in storage order, then the rank-one items
+// by ascending degree, in storage order within a degree. UpdateRange's
+// windows then fill their lane groups with items of one or adjacent
+// degrees, and only the windows where the kernel or the moment group
+// changes can hold a partly empty group. The order is a permutation of
+// each moment group, so a distributed rank, whose moment group is its
+// owned range, draws and sends exactly its own rows.
 func (s *Sampler) Order(side Side) (ord []int32, n int) {
+	ord, lanes, n := s.sch.U, s.lanes.U, s.Prob.R.M
 	if side == SideV {
-		return s.sch.V, s.Prob.Rt.M
+		ord, lanes, n = s.sch.V, s.lanes.V, s.Prob.Rt.M
 	}
-	return s.sch.U, s.Prob.R.M
+	if ord == nil {
+		ord = lanes
+	}
+	return ord, n
+}
+
+// laneOrder returns the lane order (see Order) of the items that are the
+// rows of ratings, moment groups given by bounds: per group, a stable
+// counting sort into bucket 0 for the Cholesky-kernel items and bucket
+// 1+d for the rank-one items of degree d.
+func laneOrder(cfg *Config, ratings *sparse.CSR, bounds []int) []int32 {
+	bucket := func(i int) int {
+		d := ratings.RowNNZ(i)
+		if cfg.SelectKernel(d) != KernelRankOne {
+			return 0
+		}
+		return 1 + d
+	}
+	ord := make([]int32, ratings.M)
+	for g := 0; g+1 < len(bounds); g++ {
+		lo, hi := bounds[g], bounds[g+1]
+		nb := 1
+		for i := lo; i < hi; i++ {
+			nb = max(nb, bucket(i)+1)
+		}
+		// next[b] is where bucket b's next item goes.
+		next := make([]int, nb+1)
+		for i := lo; i < hi; i++ {
+			next[bucket(i)+1]++
+		}
+		next[0] = lo
+		for b := 1; b <= nb; b++ {
+			next[b] += next[b-1]
+		}
+		for i := lo; i < hi; i++ {
+			b := bucket(i)
+			ord[next[b]] = int32(i)
+			next[b]++
+		}
+	}
+	return ord
 }
 
 // drawItem performs item's Gibbs draw for iteration iter into out, from
@@ -258,15 +314,15 @@ func (s *Sampler) DrawItem(ws *Workspace, side Side, iter, item int,
 	s.kernelCounts[s.drawItem(ws, nil, side, iter, item, cols, vals, other, out)].Add(1)
 }
 
-// UpdateRange draws the items at positions [lo, hi) of ord (the items
-// lo..hi-1 themselves when ord is nil) on the calling goroutine. The
-// workspace lease and the kernel tally are per range, so the item loop
-// itself touches no shared cache line. The range goes in windows of
-// ItemGrain positions: a window's Cholesky-kernel items are drawn one by
-// one, its rank-one items by ascending degree four at a time, one per lane
-// (Workspace.drawRankOne), so that a group's lanes take similar numbers of
-// passes. Every item's draw reads only its own ratings and keyed stream,
-// so the grouping changes no bit.
+// UpdateRange draws the items at positions [lo, hi) of ord (an Order) on
+// the calling goroutine. The workspace lease and the kernel tally are per
+// range, so the item loop itself touches no shared cache line. The range
+// goes in windows of ItemGrain positions: a window's Cholesky-kernel items
+// are drawn one by one, its rank-one items by ascending degree four at a
+// time, one per lane (Workspace.drawRankOne), so that a group's lanes take
+// similar numbers of passes — the lane order arrives sorted, a schedule
+// from Use need not. Every item's draw reads only its own ratings and
+// keyed stream, so the grouping changes no bit.
 func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *sched.Worker) {
 	self, other, ratings, hyper := s.Side(side)
 	var tally [numKernels]int64
@@ -274,11 +330,8 @@ func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *s
 	for win := lo; win < hi; win += ItemGrain {
 		var items, degs [ItemGrain]int
 		n := 0
-		for pos := win; pos < min(win+ItemGrain, hi); pos++ {
-			item := pos
-			if ord != nil {
-				item = int(ord[pos])
-			}
+		for _, it := range ord[win:min(win+ItemGrain, hi)] {
+			item := int(it)
 			cols, vals := ratings.Row(item)
 			if s.Cfg.SelectKernel(len(cols)) != KernelRankOne {
 				tally[s.drawItem(ws, w, side, iter, item, cols, vals, other, self.Row(item))]++

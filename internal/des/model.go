@@ -222,7 +222,8 @@ func RankOneGroup(cfg core.Config, vals []float64) func() {
 	if err != nil {
 		panic(err)
 	}
-	return func() { s.UpdateRange(core.SideU, 0, nil, 0, la.Lanes, nil) }
+	ord, n := s.Order(core.SideU)
+	return func() { s.UpdateRange(core.SideU, 0, ord, 0, n, nil) }
 }
 
 // DefaultCostModel returns a fixed cost model (no measurement) for

@@ -70,9 +70,11 @@ type Node struct {
 // their complete rater lists, and test the global test set (routing and
 // interval gathering need every rank's test identities). Every quantity
 // the node computes — its item updates, moment partials, routing table
-// and local predictor — reads only the owned slices, and the owned items
-// are walked in storage order; within a phase every draw is keyed by the
-// item's id, so the walk order could not change a sampled bit anyway.
+// and local predictor — reads only the owned slices. The owned items are
+// walked in the sampler's lane order (core.Sampler.Order), whose moment
+// groups are the plan's bounds, so it permutes each rank's owned range
+// within itself; every draw is keyed by the item's id, so the walk order
+// changes no sampled bit.
 func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR, test []sparse.Entry, opt Options) (*Node, error) {
 	opt = opt.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -264,10 +266,11 @@ func (nd *Node) owned(side core.Side) (lo, hi int) {
 // rows of the phase have been applied to the local replica.
 //
 // The phase is one loop at every thread count: a grain of core.ItemGrain
-// owned items is drawn, then its finished rows are appended to the
-// per-destination coalescers, so the sends of one grain overlap the
-// updates of the grains still running (Section IV-C). The thread count
-// only decides who runs the grains — the rank's pool or this goroutine.
+// owned positions of the lane order is drawn, then its finished rows are
+// appended to the per-destination coalescers, so the sends of one grain
+// overlap the updates of the grains still running (Section IV-C). The
+// thread count only decides who runs the grains — the rank's pool or this
+// goroutine.
 func (nd *Node) updateSide(iter int, side core.Side) error {
 	self, _, _, _ := nd.s.Side(side)
 	lo, hi := nd.owned(side)
@@ -292,14 +295,18 @@ func (nd *Node) updateSide(iter int, side core.Side) error {
 		firstSend time.Time
 		sendErr   error
 	)
+	// The owned range is the side's moment group here, so positions
+	// [lo, hi) of the lane order hold exactly the owned items.
+	ord, _ := nd.s.Order(side)
 	grain := func(w *sched.Worker, a, b int) {
-		nd.s.UpdateRange(side, iter, nil, a, b, w)
+		nd.s.UpdateRange(side, iter, ord, a, b, w)
 		mu.Lock()
 		defer mu.Unlock()
 		if sendErr != nil {
 			return
 		}
-		for item := a; item < b; item++ {
+		for _, it := range ord[a:b] {
+			item := int(it)
 			dests := send[item-lo]
 			if len(dests) == 0 {
 				continue

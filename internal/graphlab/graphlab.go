@@ -140,8 +140,8 @@ func Run(cfg core.Config, prob *core.Problem, threads int) (*core.Result, error)
 }
 
 // RunScheduled is Run with an explicit activation schedule (nil sch or nil
-// sides mean vertex-id order). Any permutation yields the bit-identical
-// chain; a non-permutation order is rejected.
+// sides mean the sampler's lane order). Any permutation yields the
+// bit-identical chain; a non-permutation order is rejected.
 func RunScheduled(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
 	if sch == nil {
 		sch = &order.Schedule{}
@@ -165,7 +165,7 @@ func run(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) 
 // through vertex programs. A nil sch selects the default locality
 // schedule (pure RCM — no heavy-first binning, which would hand every
 // heavy vertex to the static split's first thread); &order.Schedule{} is
-// vertex-id order.
+// the sampler's lane order (core.Sampler.Order).
 func Attach(s *core.Sampler, threads int, sch *order.Schedule) error {
 	if sch == nil {
 		sch = order.Build(s.Prob.R, order.Options{})

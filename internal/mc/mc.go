@@ -66,10 +66,11 @@ func Run(engine Engine, cfg core.Config, prob *core.Problem, threads int) (*core
 }
 
 // RunScheduled is Run with an explicit processing schedule (nil sch or nil
-// sides mean storage order). Any permutation yields the bit-identical
-// chain; the schedule only decides cache behavior, which is what lets the
-// differential tests drive the engines over random permutations. A
-// non-permutation order is rejected.
+// sides mean the sampler's lane order, core.Sampler.Order). Any
+// permutation yields the bit-identical chain; the schedule only decides
+// cache behavior and lane filling, which is what lets the differential
+// tests drive the engines over random permutations. A non-permutation
+// order is rejected.
 func RunScheduled(engine Engine, cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
 	if sch == nil {
 		sch = &order.Schedule{}
@@ -94,8 +95,9 @@ func run(engine Engine, cfg core.Config, prob *core.Problem, threads int, sch *o
 // that s.Run, s.RunFrom and s.Checkpoint work exactly as on a sequential
 // sampler — same chain, the engine's threads. A nil sch selects the
 // engine's default locality schedule (heavy-first binning only under
-// work stealing); &order.Schedule{} is storage order. release stops the
-// executor's threads once the caller is done running s.
+// work stealing); &order.Schedule{} is the sampler's lane order
+// (core.Sampler.Order). release stops the executor's threads once the
+// caller is done running s.
 func Attach(s *core.Sampler, engine Engine, threads int, sch *order.Schedule) (release func(), err error) {
 	if threads < 1 {
 		threads = 1

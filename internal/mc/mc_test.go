@@ -149,7 +149,7 @@ func TestScheduledOrderIsChainInvariant(t *testing.T) {
 	want := seq.Run()
 	m, n := prob.Dims()
 	schedules := []*order.Schedule{
-		nil, // storage order
+		nil, // the sampler's lane order
 		order.Build(prob.R, order.Options{HeavyThreshold: cfg.KernelThreshold}),
 	}
 	for seed := uint64(0); seed < 3; seed++ {

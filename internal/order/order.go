@@ -42,7 +42,9 @@ import (
 // Schedule holds one processing order per Gibbs phase. V[pos] is the movie
 // (column item) updated at position pos of the movie phase; U[pos] the user
 // updated at position pos of the user phase. Both are permutations of
-// their full index ranges; a nil order means storage order.
+// their full index ranges; a nil order means the sampler's own lane order
+// (core.Sampler.Order: kernel class, then degree, within each moment
+// group).
 type Schedule struct {
 	U, V []int32
 }

@@ -258,8 +258,14 @@ func (p *Pool) Run(fn func(w *Worker)) {
 }
 
 // ParallelFor executes body(i) for every i in [lo, hi) on the pool using
-// recursive binary splitting with the given grain size (minimum chunk
-// length executed sequentially). It blocks until all iterations complete.
+// recursive binary splitting with the given grain size (the longest chunk
+// executed sequentially). It blocks until all iterations complete. Every
+// split point lies a whole number of grains past lo — the halfway point
+// rounded up to the next grain — so every chunk but the last starts at lo
+// plus a multiple of grain and is exactly grain long: a sweep that draws
+// its items in fixed windows (core.ItemGrain positions, two four-item lane
+// groups) receives whole windows, since a chunk cut inside a window would
+// draw a partly empty lane group on each side of the cut.
 // The iteration-to-chunk decomposition is a pure function of (lo, hi,
 // grain), never of the number of workers, so any arithmetic performed in
 // chunk order is schedule-independent.
@@ -274,7 +280,8 @@ func (p *Pool) ParallelFor(lo, hi, grain int, body func(w *Worker, lo, hi int)) 
 	var split func(w *Worker, lo, hi int)
 	split = func(w *Worker, lo, hi int) {
 		for hi-lo > grain {
-			mid := lo + (hi-lo)/2
+			// hi-lo > grain puts mid in [lo+grain, hi).
+			mid := lo + (hi-lo+2*grain-1)/(2*grain)*grain
 			right := hi
 			g.Spawn(w, func(w *Worker) { split(w, mid, right) })
 			hi = mid

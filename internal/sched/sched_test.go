@@ -87,39 +87,58 @@ func TestPoolRunsAllTasks(t *testing.T) {
 	}
 }
 
+// parallelForShapes are the (lo, n, grain) ranges the ParallelFor tests
+// split: empty, shorter than a grain, whole grains and remainders, from
+// lo = 0 and from offsets that are not multiples of the grain.
+var parallelForShapes = []struct{ lo, n, grain int }{
+	{0, 0, 3}, {0, 1, 3}, {0, 7, 3}, {0, 100, 3}, {0, 10000, 3}, {0, 1000, 10},
+	{5, 0, 8}, {5, 3, 8}, {5, 8, 8}, {5, 9, 8}, {13, 61, 8}, {1000, 4097, 8},
+	{-7, 50, 1}, {3, 1023, 7}, {11, 640, 64}, {2, 641, 64},
+}
+
 func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	pool := NewPool(8)
 	defer pool.Close()
-	for _, n := range []int{0, 1, 7, 100, 10000} {
-		hits := make([]atomic.Int32, n)
-		pool.ParallelFor(0, n, 3, func(_ *Worker, lo, hi int) {
+	for _, c := range parallelForShapes {
+		hits := make([]atomic.Int32, c.n)
+		pool.ParallelFor(c.lo, c.lo+c.n, c.grain, func(_ *Worker, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				hits[i].Add(1)
+				hits[i-c.lo].Add(1)
 			}
 		})
 		for i := range hits {
 			if hits[i].Load() != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, hits[i].Load())
+				t.Fatalf("lo=%d n=%d grain=%d: index %d visited %d times",
+					c.lo, c.n, c.grain, c.lo+i, hits[i].Load())
 			}
 		}
 	}
 }
 
+// TestParallelForGrainRespected: every chunk is at most a grain long and
+// starts a whole number of grains past lo, and only the chunk that ends
+// at hi may be shorter than a grain — the alignment that hands a
+// windowed sweep whole windows.
 func TestParallelForGrainRespected(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
-	var maxChunk atomic.Int64
-	pool.ParallelFor(0, 1000, 10, func(_ *Worker, lo, hi int) {
-		sz := int64(hi - lo)
-		for {
-			cur := maxChunk.Load()
-			if sz <= cur || maxChunk.CompareAndSwap(cur, sz) {
-				break
+	for _, c := range parallelForShapes {
+		hi := c.lo + c.n
+		var chunks atomic.Int64
+		var bad atomic.Pointer[[2]int]
+		pool.ParallelFor(c.lo, hi, c.grain, func(_ *Worker, lo, end int) {
+			chunks.Add(1)
+			if end-lo > c.grain || (lo-c.lo)%c.grain != 0 || (end-lo < c.grain && end != hi) {
+				bad.CompareAndSwap(nil, &[2]int{lo, end})
 			}
+		})
+		if b := bad.Load(); b != nil {
+			t.Fatalf("lo=%d hi=%d grain=%d: chunk [%d, %d) is not a whole grain aligned to lo (only the last may be short)",
+				c.lo, hi, c.grain, b[0], b[1])
 		}
-	})
-	if maxChunk.Load() > 10 {
-		t.Fatalf("chunk of size %d exceeds grain 10", maxChunk.Load())
+		if want := (c.n + c.grain - 1) / c.grain; chunks.Load() != int64(want) {
+			t.Fatalf("lo=%d hi=%d grain=%d: %d chunks, want %d", c.lo, hi, c.grain, chunks.Load(), want)
+		}
 	}
 }
 
