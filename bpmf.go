@@ -364,11 +364,11 @@ func train(data *Data, cfg Config, r io.Reader, w io.Writer) (*Result, error) {
 	switch cfg.Engine {
 	case Sequential, Distributed:
 	case WorkSteal:
-		release, err = mc.Attach(s, mc.WorkSteal, threads, nil)
+		release, err = mc.Attach(s, mc.WorkSteal, threads)
 	case Static:
-		release, err = mc.Attach(s, mc.Static, threads, nil)
+		release, err = mc.Attach(s, mc.Static, threads)
 	case GraphLab:
-		err = graphlab.Attach(s, threads, nil)
+		graphlab.Attach(s, threads)
 	default:
 		err = fmt.Errorf("bpmf: unknown engine %d", cfg.Engine)
 	}

@@ -49,7 +49,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/feed"
 	"repro/internal/mc"
-	"repro/internal/order"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -242,11 +241,8 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 			return fmt.Errorf("cycle %d: warm-starting the chain: %w", cycle, err)
 		}
 		// Every engine samples the sequential chain, so the published bytes
-		// do not depend on the worker count. The sampler's lane order, not
-		// a locality schedule: over the one or few iterations of a cycle
-		// the locality schedule does not win back what order.Build costs
-		// (PERF.md, PR 17).
-		release, err := mc.Attach(s, mc.WorkSteal, runtime.GOMAXPROCS(0), &order.Schedule{})
+		// do not depend on the worker count.
+		release, err := mc.Attach(s, mc.WorkSteal, runtime.GOMAXPROCS(0))
 		if err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}

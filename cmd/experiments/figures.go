@@ -98,6 +98,8 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 
 	// Real single-thread validation runs (one Gibbs iteration each).
 	fmt.Println("# real 1-thread validation (measured on this host, 1 iteration):")
+	fmt.Println("# (GraphLab draws every rank-one vertex as a lone lane, Sampler.DrawItem ->")
+	fmt.Println("# UpdateItem; TBB and OpenMP draw four per register through UpdateRange)")
 	train, test := sparse.SplitTrainTest(ds.R, 0.05, 1)
 	prob := core.NewProblem(train, test)
 	one := cfg
@@ -119,7 +121,9 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 		fmt.Printf("#   %-16s %10.2f x1000 items/s\n", r.name, res.UpdatesPerSec()/1000)
 	}
 	fmt.Println("# paper shape: all engines scale with cores; TBB > OpenMP (work stealing wins on")
-	fmt.Println("# the skewed rating distribution); GraphLab trails both by a wide margin.")
+	fmt.Println("# the skewed rating distribution); GraphLab trails both by a wide margin. Here the")
+	fmt.Println("# real GraphLab runs also carry a kernel handicap: one rank-one vertex per draw")
+	fmt.Println("# against TBB/OpenMP's four lanes per register.")
 }
 
 // fig4 reproduces Figure 4: distributed strong scaling on the MovieLens

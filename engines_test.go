@@ -24,7 +24,7 @@ type engineCase struct {
 
 func engineCases() []engineCase {
 	mcEngine := func(e mc.Engine, threads int) func(*core.Sampler) (func(), error) {
-		return func(s *core.Sampler) (func(), error) { return mc.Attach(s, e, threads, nil) }
+		return func(s *core.Sampler) (func(), error) { return mc.Attach(s, e, threads) }
 	}
 	return []engineCase{
 		{name: "sequential", attach: func(*core.Sampler) (func(), error) { return func() {}, nil }},
@@ -32,7 +32,8 @@ func engineCases() []engineCase {
 		{name: "worksteal-3", attach: mcEngine(mc.WorkSteal, 3)},
 		{name: "static-3", attach: mcEngine(mc.Static, 3)},
 		{name: "graphlab-2", attach: func(s *core.Sampler) (func(), error) {
-			return func() {}, graphlab.Attach(s, 2, nil)
+			graphlab.Attach(s, 2)
+			return func() {}, nil
 		}},
 		{name: "distributed-2", ranks: 2},
 		{name: "distributed-3", ranks: 3},

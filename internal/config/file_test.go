@@ -1,10 +1,12 @@
 package config
 
 import (
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -231,4 +233,67 @@ func TestParseReportsUnknownFlags(t *testing.T) {
 	if err := Parse(newFS(t), []string{"-synthetic", "small", "-no-such-flag"}, &cfg); err == nil {
 		t.Error("unknown flag accepted")
 	}
+}
+
+// FuzzLoadFile decodes arbitrary bytes as a config file over every
+// command's defaults. No input may panic LoadFile or a loaded value's
+// Validate, and a value that validates must survive json.Marshal →
+// LoadFile unchanged, so a loaded config written back out is the same
+// config. The write-back loads over the zero value: omitempty drops
+// exactly the zero fields.
+func FuzzLoadFile(f *testing.F) {
+	for _, seed := range []string{
+		`{"data": {"synthetic": "tiny", "scale": 2}, "sampler": {"k": 8, "iters": 30, "burnin": 3}, "engine": "static"}`,
+		`{"data": {"synthetic": "small"}, "sampler": {"iters": 5}}`,
+		`{"data": {"synthetic": "small"}, "typo_field": 3}`,
+		`{"data": {"synthetic": "small"}} {"more": true}`,
+		`iters = 30`,
+		`{"addr": ":9090", "watch": "2s", "models": {"movies": {"ckpt": "movies.ckpt", "topn": 10, "clamp": {"enable": true, "min": 0, "max": 5}}, "drugs": {"ckpt": "drugs.ckpt", "lineage": {"seed": 7, "k": 16}}}}`,
+		`{"model": {"ckpt": "m.ckpt"}, "serving": {"max_batch": 8, "queue_bound": 16}}`,
+		`{"model": {"ckpt": "m.ckpt"}, "serving": {"queue_bound": 16, "retry_after": 3000000000}}`,
+		`{"model": {"ckpt": "m.ckpt"}, "watch": "1.5s", "serving": {"rate": 2.5, "burst": 1, "retry_after": "250ms"}}`,
+		`{"data": {"synthetic": "tiny"}, "reorder": true}`,
+		`{"launch": 2, "reorder": true}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	commands := []func() Command{
+		func() Command { c := DefaultTrain(); return &c },
+		func() Command { c := DefaultTrainer(); return &c },
+		func() Command { c := DefaultDist(); return &c },
+		func() Command { c := DefaultServe(); return &c },
+		func() Command { c := DefaultDatagen(); return &c },
+		func() Command { c := DefaultExperiments(); return &c },
+		func() Command { c := DefaultLoad(); return &c },
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		in, out := filepath.Join(dir, "in.json"), filepath.Join(dir, "out.json")
+		if err := os.WriteFile(in, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		for _, def := range commands {
+			cfg := def()
+			if LoadFile(in, cfg) != nil || cfg.Validate() != nil {
+				continue
+			}
+			if s, ok := cfg.(*Serve); ok && len(s.Models) == 0 {
+				s.Models = nil // an empty map is no map (Validate reads len), and omitempty drops it
+			}
+			b, err := json.Marshal(cfg)
+			if err != nil {
+				t.Fatalf("%T: marshalling a valid config: %v", cfg, err)
+			}
+			if err := os.WriteFile(out, b, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			back := reflect.New(reflect.TypeOf(cfg).Elem()).Interface()
+			if err := LoadFile(out, back); err != nil {
+				t.Fatalf("%T: reloading %s: %v", cfg, b, err)
+			}
+			if !reflect.DeepEqual(cfg, back) {
+				t.Fatalf("%T: round trip through %s changed the config:\n%+v\n%+v", cfg, b, cfg, back)
+			}
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/la"
-	"repro/internal/order"
 	"repro/internal/rng"
 )
 
@@ -117,7 +116,7 @@ func TestItemLoopZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		storage := order.Restrict(nil, 0, len(degs)) // one window of every group size
+		storage := storageOrder(len(degs)) // one window of every group size
 		sweep := func() { s.UpdateRange(SideU, 0, storage, 0, len(degs), nil) }
 		sweep() // warm the workspace arena
 		if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {

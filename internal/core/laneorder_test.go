@@ -1,22 +1,22 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/la"
-	"repro/internal/order"
 	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 )
 
-// checkLaneOrder asserts that a side without a schedule walks its lane
-// order: within each moment group a permutation of the group, the
-// Cholesky-kernel items first in storage order, then the rank-one items
-// by non-decreasing degree, in storage order within a degree.
+// checkLaneOrder asserts that a side walks its lane order: within each
+// moment group a permutation of the group, the Cholesky-kernel items first
+// in storage order, then the rank-one items by non-decreasing degree, in
+// storage order within a degree.
 func checkLaneOrder(t *testing.T, name string, s *Sampler, side Side) {
 	t.Helper()
 	ord, n := s.Order(side)
@@ -64,8 +64,8 @@ func checkLaneOrder(t *testing.T, name string, s *Sampler, side Side) {
 
 // TestLaneOrderProperty: samplers from NewSampler, ResumeSampler and
 // ResumeSamplerGrown (whose grown users join the order) walk the lane
-// order on every side Use gave no schedule, moment group by moment group
-// — including an empty group — while a side with a schedule walks it.
+// order on every side, moment group by moment group — including an empty
+// group.
 func TestLaneOrderProperty(t *testing.T) {
 	prob := ckptProblem(t)
 	cfg := ckptConfig()
@@ -118,23 +118,11 @@ func TestLaneOrderProperty(t *testing.T) {
 	if newUsers != extra {
 		t.Fatalf("grown sampler's U order holds %d of the %d grown users", newUsers, extra)
 	}
-
-	rev := make([]int32, m)
-	for i := range rev {
-		rev[i] = int32(m - 1 - i)
-	}
-	if err := fresh.Use(nil, order.Schedule{U: rev}); err != nil {
-		t.Fatal(err)
-	}
-	if ord, _ := fresh.Order(SideU); &ord[0] != &rev[0] {
-		t.Fatal("a side with a schedule must walk the schedule")
-	}
-	checkLaneOrder(t, "NewSampler after Use", fresh, SideV)
 }
 
 // laneCount is what UpdateRange's window rule makes of one sweep's ranges:
 // each range goes in ItemGrain windows, and a window's rank-one items go
-// by ascending degree in lane groups of la.Lanes.
+// in window order in lane groups of la.Lanes.
 type laneCount struct {
 	items, groups int // rank-one items and the lane groups drawing them
 	ratings       int // their ratings
@@ -153,9 +141,8 @@ func countLanes(cfg *Config, ratings *sparse.CSR, ord []int32, ranges [][2]int) 
 					degs = append(degs, d)
 				}
 			}
-			sort.Ints(degs)
 			for g := 0; g < len(degs); g += la.Lanes {
-				top := degs[min(g+la.Lanes, len(degs))-1]
+				top := slices.Max(degs[g:min(g+la.Lanes, len(degs))])
 				c.groups++
 				c.slots += top
 				c.passes += (top + la.Lanes - 1) / la.Lanes
@@ -199,8 +186,10 @@ func parallelForRanges(n int) [][2]int {
 	return ranges
 }
 
-// grainRanges are the ranges of a one-thread distributed rank's sweep:
-// ItemGrain positions at a time over each rank's owned range.
+// grainRanges are the windows UpdateRange makes of the ranges between
+// consecutive bounds, ItemGrain positions at a time: a one-thread
+// distributed rank's sweep over each rank's owned range, or a static
+// split's chunks (sched.StaticChunks, mc.Static).
 func grainRanges(bounds []int) [][2]int {
 	var ranges [][2]int
 	for r := 0; r+1 < len(bounds); r++ {
@@ -213,15 +202,14 @@ func grainRanges(bounds []int) [][2]int {
 
 // TestLaneCounters counts, without timing anything, how full the rank-one
 // lane groups of a sweep are and how long their chains run, on the walks
-// the engines make: the trainer's work-stealing sweep (mc.WorkSteal over
-// the lane order, the ranges of a real ParallelFor), a one-thread
-// distributed rank's ItemGrain loop over its owned range (two ranks,
-// moment groups from the plan), and the mc engine's default locality
-// schedule (order.Build). On the side that is mostly rank-one, the lane
-// order fills ≥ 99 % of the lanes and its chains run within 2 % of the
-// ratings spread evenly over full groups; storage order, which mixes
-// degrees, in ranges that cut windows fills about three lanes in four at
-// about twice that chain.
+// the engines make over the lane order: a work-stealing sweep
+// (mc.WorkSteal and the trainer, the ranges of a real ParallelFor), a
+// static split over two threads (mc.Static, whose second chunk need not
+// start on a grain multiple), and a one-thread distributed rank's
+// ItemGrain loop over its owned range (two ranks, moment groups from the
+// plan). On the side that is mostly rank-one, every walk fills ≥ 99 % of
+// the lanes and its chains run within 2 % of the ratings spread evenly
+// over full groups.
 func TestLaneCounters(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -246,28 +234,26 @@ func TestLaneCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sch := order.Build(prob.R, order.Options{HeavyThreshold: cfg.KernelThreshold})
 		for _, side := range []Side{SideU, SideV} {
 			_, _, ratings, _ := trainer.Side(side)
 			trainerOrd, n := trainer.Order(side)
 			rankOrd, _ := rank.Order(side)
-			bounds, rcm := plan.RowBounds, sch.U
+			bounds := plan.RowBounds
 			if side == SideV {
-				bounds, rcm = plan.ColBounds, sch.V
+				bounds = plan.ColBounds
 			}
 			for _, w := range []struct {
-				walk   string
-				count  laneCount
-				assert bool
+				walk  string
+				count laneCount
 			}{
-				{"trainer", countLanes(&cfg, ratings, trainerOrd, parallelForRanges(n)), side == c.side},
-				{"dist", countLanes(&cfg, ratings, rankOrd, grainRanges(bounds)), side == c.side},
-				{"mc locality", countLanes(&cfg, ratings, rcm, parallelForRanges(n)), false},
+				{"worksteal", countLanes(&cfg, ratings, trainerOrd, parallelForRanges(n))},
+				{"static", countLanes(&cfg, ratings, trainerOrd, grainRanges(sched.StaticChunks(2, 0, n)))},
+				{"dist", countLanes(&cfg, ratings, rankOrd, grainRanges(bounds))},
 			} {
 				k := w.count
 				t.Logf("%s side %d %s: %d rank-one items, occupancy %.3f, passes %d (ideal %d), chain slots %d (ideal %d)",
 					c.name, side, w.walk, k.items, k.occupancy(), k.passes, k.idealPasses(), k.slots, k.idealSlots())
-				if !w.assert {
+				if side != c.side {
 					continue
 				}
 				if k.occupancy() < 0.99 {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/la"
-	"repro/internal/order"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 )
@@ -142,10 +141,9 @@ type Sampler struct {
 	// each is exec.Each, bound once so a step allocates no method value;
 	// nil runs moment groups and evaluation chunks inline.
 	each func(n int, run func(i int))
-	sch  order.Schedule
-	// lanes holds each side's lane order (laneOrder), walked wherever sch
-	// has no order for the side.
-	lanes order.Schedule
+	// lanesU and lanesV are each side's lane order (laneOrder), the one
+	// walk of every engine.
+	lanesU, lanesV []int32
 
 	// Workspaces are leased per range from a worker-local arena, never
 	// pinned per worker: a pool worker that helps execute another range
@@ -175,12 +173,10 @@ func newSampler(cfg Config, prob *Problem, u, v *la.Matrix) *Sampler {
 		wsArena: sched.NewArena(func() *Workspace {
 			return NewWorkspaceShared(cfg.K, acc)
 		}),
-		hws: NewHyperWorkspace(cfg.K),
-		mws: NewMomentsWorkspace(cfg.K),
-		lanes: order.Schedule{
-			U: laneOrder(&cfg, prob.R, GroupBoundaries(cfg.MomentGroupsU, prob.R.M)),
-			V: laneOrder(&cfg, prob.Rt, GroupBoundaries(cfg.MomentGroupsV, prob.Rt.M)),
-		},
+		hws:    NewHyperWorkspace(cfg.K),
+		mws:    NewMomentsWorkspace(cfg.K),
+		lanesU: laneOrder(&cfg, prob.R, GroupBoundaries(cfg.MomentGroupsU, prob.R.M)),
+		lanesV: laneOrder(&cfg, prob.Rt, GroupBoundaries(cfg.MomentGroupsV, prob.Rt.M)),
 	}
 	s.Pred.Alpha = cfg.Alpha
 	s.res.SampleRMSE = make([]float64, 0, cfg.Iters)
@@ -201,22 +197,15 @@ func NewSampler(cfg Config, prob *Problem) (*Sampler, error) {
 }
 
 // Use binds the sampler to an engine: exec runs each phase's independent
-// work on the engine's threads (nil keeps it on the calling goroutine),
-// and sch is the order each sweep walks (a nil side walks the side's lane
-// order, see Order). Within a phase the updates are independent and every
-// draw comes from a stream keyed by the item's id, so any permutation —
-// like any executor — samples the identical chain; the schedule only
-// decides cache behavior and how full the lane groups run.
-func (s *Sampler) Use(exec Executor, sch order.Schedule) error {
-	m, n := s.Prob.Dims()
-	if err := sch.Validate(m, n); err != nil {
-		return err
-	}
-	s.exec, s.each, s.sch = exec, nil, sch
+// work on the engine's threads (nil keeps it on the calling goroutine).
+// Every engine walks the lane order (Order). Within a phase the updates
+// are independent and every draw comes from a stream keyed by the item's
+// id, so any executor samples the identical chain.
+func (s *Sampler) Use(exec Executor) {
+	s.exec, s.each = exec, nil
 	if exec != nil {
 		s.each = exec.Each
 	}
-	return nil
 }
 
 // Side resolves one half of the model: its factor matrix and
@@ -229,25 +218,20 @@ func (s *Sampler) Side(side Side) (self, other *la.Matrix, ratings *sparse.CSR, 
 	return s.U, s.V, s.Prob.R, s.HU
 }
 
-// Order returns the processing order of one side's sweep and its number
-// of positions: the side's schedule from Use, or, where there is none,
-// its lane order. Within each moment group the lane order holds the
-// Cholesky-kernel items first, in storage order, then the rank-one items
-// by ascending degree, in storage order within a degree. UpdateRange's
-// windows then fill their lane groups with items of one or adjacent
-// degrees, and only the windows where the kernel or the moment group
-// changes can hold a partly empty group. The order is a permutation of
-// each moment group, so a distributed rank, whose moment group is its
+// Order returns the processing order of one side's sweep, its lane
+// order, and its number of positions. Within each moment group the lane
+// order holds the Cholesky-kernel items first, in storage order, then the
+// rank-one items by ascending degree, in storage order within a degree.
+// UpdateRange's windows then fill their lane groups with items of one or
+// adjacent degrees, and only the windows where the kernel or the moment
+// group changes can hold a partly empty group. The order is a permutation
+// of each moment group, so a distributed rank, whose moment group is its
 // owned range, draws and sends exactly its own rows.
 func (s *Sampler) Order(side Side) (ord []int32, n int) {
-	ord, lanes, n := s.sch.U, s.lanes.U, s.Prob.R.M
 	if side == SideV {
-		ord, lanes, n = s.sch.V, s.lanes.V, s.Prob.Rt.M
+		return s.lanesV, s.Prob.Rt.M
 	}
-	if ord == nil {
-		ord = lanes
-	}
-	return ord, n
+	return s.lanesU, s.Prob.R.M
 }
 
 // laneOrder returns the lane order (see Order) of the items that are the
@@ -318,17 +302,17 @@ func (s *Sampler) DrawItem(ws *Workspace, side Side, iter, item int,
 // the calling goroutine. The workspace lease and the kernel tally are per
 // range, so the item loop itself touches no shared cache line. The range
 // goes in windows of ItemGrain positions: a window's Cholesky-kernel items
-// are drawn one by one, its rank-one items by ascending degree four at a
-// time, one per lane (Workspace.drawRankOne), so that a group's lanes take
-// similar numbers of passes — the lane order arrives sorted, a schedule
-// from Use need not. Every item's draw reads only its own ratings and
-// keyed stream, so the grouping changes no bit.
+// are drawn one by one, its rank-one items four at a time in window
+// order, one per lane (Workspace.drawRankOne). The lane order puts items
+// of one or adjacent degrees side by side, so a group's lanes take
+// similar numbers of passes. Every item's draw reads only its own ratings
+// and keyed stream, so the grouping changes no bit.
 func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *sched.Worker) {
 	self, other, ratings, hyper := s.Side(side)
 	var tally [numKernels]int64
 	ws := s.wsArena.Get(w)
 	for win := lo; win < hi; win += ItemGrain {
-		var items, degs [ItemGrain]int
+		var items [ItemGrain]int
 		n := 0
 		for _, it := range ord[win:min(win+ItemGrain, hi)] {
 			item := int(it)
@@ -337,11 +321,7 @@ func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *s
 				tally[s.drawItem(ws, w, side, iter, item, cols, vals, other, self.Row(item))]++
 				continue
 			}
-			i := n
-			for ; i > 0 && degs[i-1] > len(cols); i-- {
-				items[i], degs[i] = items[i-1], degs[i-1]
-			}
-			items[i], degs[i] = item, len(cols)
+			items[n] = item
 			n++
 		}
 		tally[KernelRankOne] += int64(n)

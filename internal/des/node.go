@@ -51,7 +51,11 @@ func (h *threadHeap) Pop() any {
 // PhaseMakespan simulates one Gibbs half-iteration (all items of one side)
 // on `threads` cores under the given policy and returns the virtual
 // makespan in seconds. nnz lists the per-item rating counts in storage
-// order.
+// order, and the policies split that order. The real engines walk the
+// sampler's lane order instead (core.Sampler.Order: per moment group,
+// Cholesky-kernel items, then rank-one items by ascending degree), so a
+// static split of the simulation and of a real run hand a thread
+// different items.
 func PhaseMakespan(nnz []int, threads int, pol Policy, cm CostModel, cfg *core.Config) float64 {
 	if threads < 1 {
 		threads = 1

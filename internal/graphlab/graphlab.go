@@ -28,7 +28,6 @@ package graphlab
 import (
 	"repro/internal/core"
 	"repro/internal/la"
-	"repro/internal/order"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 )
@@ -100,19 +99,15 @@ func NewEngine(g *Graph, threads int) *Engine {
 // Superstep activates every vertex of one side, running gather over all
 // edges and then apply, with a barrier at the end (implicit in StaticFor).
 // factors is the side's own factor matrix (written); other the partner
-// side's (read). ord is the vertex activation order (nil = vertex-id
-// order): a locality schedule keeps the gathered neighbor rows of
-// consecutive activations cache-resident, and because every activation
-// reads only the frozen partner side and writes only its own vertex, the
-// order changes no sampled bit — GraphLab's own engines make the same
-// no-ordering promise to vertex programs.
+// side's (read). ord is the vertex activation order, a permutation of the
+// side's vertices: because every activation reads only the frozen partner
+// side and writes only its own vertex, the order changes no sampled bit —
+// GraphLab's own engines make the same no-ordering promise to vertex
+// programs.
 func (e *Engine) Superstep(side core.Side, prog Program, factors, other *la.Matrix, ord []int32) {
 	sched.StaticFor(e.Threads, 0, factors.Rows, func(t, lo, hi int) {
-		for pos := lo; pos < hi; pos++ {
-			v := pos
-			if ord != nil {
-				v = int(ord[pos])
-			}
+		for _, it := range ord[lo:hi] {
+			v := int(it)
 			cols, vals := e.G.Edges(side, v)
 			acc := prog.InitAcc(len(cols)) // per-activation allocation
 			for k, c := range cols {
@@ -133,49 +128,27 @@ type bpmfAcc struct {
 	rows []la.Vector
 }
 
-// Run executes BPMF on prob with the GraphLab-style engine, activating
-// each superstep's vertices in the default locality schedule.
+// Run executes BPMF on prob with the GraphLab-style engine.
 func Run(cfg core.Config, prob *core.Problem, threads int) (*core.Result, error) {
-	return run(cfg, prob, threads, nil)
-}
-
-// RunScheduled is Run with an explicit activation schedule (nil sch or nil
-// sides mean the sampler's lane order). Any permutation yields the
-// bit-identical chain; a non-permutation order is rejected.
-func RunScheduled(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
-	if sch == nil {
-		sch = &order.Schedule{}
-	}
-	return run(cfg, prob, threads, sch)
-}
-
-func run(cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
 	s, err := core.NewSampler(cfg, prob)
 	if err != nil {
 		return nil, err
 	}
-	if err := Attach(s, threads, sch); err != nil {
-		return nil, err
-	}
+	Attach(s, threads)
 	return s.Run(), nil
 }
 
 // Attach binds s to a GraphLab-style engine over its problem's rating
 // graph, so that s.Run, s.RunFrom and s.Checkpoint sample the same chain
-// through vertex programs. A nil sch selects the default locality
-// schedule (pure RCM — no heavy-first binning, which would hand every
-// heavy vertex to the static split's first thread); &order.Schedule{} is
-// the sampler's lane order (core.Sampler.Order).
-func Attach(s *core.Sampler, threads int, sch *order.Schedule) error {
-	if sch == nil {
-		sch = order.Build(s.Prob.R, order.Options{})
-	}
+// through vertex programs, activated in the sampler's lane order
+// (core.Sampler.Order).
+func Attach(s *core.Sampler, threads int) {
 	e := NewEngine(NewGraph(s.Prob), threads)
 	acc := core.NewAccArena(s.Cfg.K)
 	e.ws = sched.NewArena(func() *core.Workspace {
 		return core.NewWorkspaceShared(s.Cfg.K, acc)
 	})
-	return s.Use(e, *sch)
+	s.Use(e)
 }
 
 // Sweep implements core.Executor: one superstep over the side's vertices.

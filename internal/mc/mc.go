@@ -12,26 +12,17 @@
 //     contiguous equal-count chunk per thread (OpenMP schedule(static));
 //     no nested parallelism, no rebalancing.
 //
-// Both walk the items of each phase in a locality schedule (package
-// order): consecutive positions hold items whose rating sets overlap, so
-// the gathered partner rows of one update are still cache-resident for
-// the next. The work-stealing engine additionally leads with the heavy
-// items so the pool never ends a phase on a straggler; the static engine
-// keeps the pure RCM order, since its contiguous per-thread chunks would
-// pin a heavy-first bin to thread 0.
-//
 // Because the sampler is the sequential reference's own — same keyed
 // streams, same canonical per-item and moment arithmetic, same fixed
 // evaluation chunk tree (core.EvalChunk, combined ascending) — the chains
 // and RMSE traces are bit-identical to it (and to each other) for any
-// thread count and any processing order.
+// thread count.
 package mc
 
 import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/order"
 	"repro/internal/sched"
 )
 
@@ -58,32 +49,14 @@ func (e Engine) String() string {
 }
 
 // Run executes BPMF on prob with the given engine and thread count and
-// returns the result, walking each phase in the engine's default locality
-// schedule. The sampled chain is bit-identical to the sequential
-// core.Sampler's for the same Config.
+// returns the result. The sampled chain is bit-identical to the
+// sequential core.Sampler's for the same Config.
 func Run(engine Engine, cfg core.Config, prob *core.Problem, threads int) (*core.Result, error) {
-	return run(engine, cfg, prob, threads, nil)
-}
-
-// RunScheduled is Run with an explicit processing schedule (nil sch or nil
-// sides mean the sampler's lane order, core.Sampler.Order). Any
-// permutation yields the bit-identical chain; the schedule only decides
-// cache behavior and lane filling, which is what lets the differential
-// tests drive the engines over random permutations. A non-permutation
-// order is rejected.
-func RunScheduled(engine Engine, cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
-	if sch == nil {
-		sch = &order.Schedule{}
-	}
-	return run(engine, cfg, prob, threads, sch)
-}
-
-func run(engine Engine, cfg core.Config, prob *core.Problem, threads int, sch *order.Schedule) (*core.Result, error) {
 	s, err := core.NewSampler(cfg, prob)
 	if err != nil {
 		return nil, err
 	}
-	release, err := Attach(s, engine, threads, sch)
+	release, err := Attach(s, engine, threads)
 	if err != nil {
 		return nil, err
 	}
@@ -93,21 +66,17 @@ func run(engine Engine, cfg core.Config, prob *core.Problem, threads int, sch *o
 
 // Attach binds s to the engine's executor on the given thread count, so
 // that s.Run, s.RunFrom and s.Checkpoint work exactly as on a sequential
-// sampler — same chain, the engine's threads. A nil sch selects the
-// engine's default locality schedule (heavy-first binning only under
-// work stealing); &order.Schedule{} is the sampler's lane order
-// (core.Sampler.Order). release stops the executor's threads once the
-// caller is done running s.
-func Attach(s *core.Sampler, engine Engine, threads int, sch *order.Schedule) (release func(), err error) {
+// sampler — same chain, same walk (core.Sampler.Order), the engine's
+// threads. release stops the executor's threads once the caller is done
+// running s.
+func Attach(s *core.Sampler, engine Engine, threads int) (release func(), err error) {
 	if threads < 1 {
 		threads = 1
 	}
-	var opt order.Options
 	var exec core.Executor
 	release = func() {}
 	switch engine {
 	case WorkSteal:
-		opt.HeavyThreshold = s.Cfg.KernelThreshold
 		pool := sched.NewPool(threads)
 		exec, release = workSteal{pool}, pool.Close
 	case Static:
@@ -115,13 +84,7 @@ func Attach(s *core.Sampler, engine Engine, threads int, sch *order.Schedule) (r
 	default:
 		return nil, fmt.Errorf("mc: unknown engine %d", engine)
 	}
-	if sch == nil {
-		sch = order.Build(s.Prob.R, opt)
-	}
-	if err := s.Use(exec, *sch); err != nil {
-		release()
-		return nil, err
-	}
+	s.Use(exec)
 	return release, nil
 }
 

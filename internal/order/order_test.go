@@ -11,14 +11,29 @@ func testMatrix(seed uint64) *sparse.CSR {
 	return datagen.Generate(datagen.Small(seed)).R
 }
 
+// isPermutation reports whether ord is a permutation of [0, n).
+func isPermutation(ord []int32, n int) bool {
+	if len(ord) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, it := range ord {
+		if it < 0 || int(it) >= n || seen[it] {
+			return false
+		}
+		seen[it] = true
+	}
+	return true
+}
+
 func TestBuildYieldsPermutations(t *testing.T) {
 	r := testMatrix(3)
 	for _, thr := range []int{0, 1, 8, 50, 1 << 30} {
 		s := Build(r, Options{HeavyThreshold: thr})
-		if !IsPermutation(s.U, r.M) {
+		if !isPermutation(s.U, r.M) {
 			t.Fatalf("threshold=%d: U order is not a permutation of [0,%d)", thr, r.M)
 		}
-		if !IsPermutation(s.V, r.N) {
+		if !isPermutation(s.V, r.N) {
 			t.Fatalf("threshold=%d: V order is not a permutation of [0,%d)", thr, r.N)
 		}
 	}
@@ -72,60 +87,5 @@ func TestBuildIsDeterministic(t *testing.T) {
 		if a.V[i] != b.V[i] {
 			t.Fatal("V schedules differ between identical builds")
 		}
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	r := testMatrix(9)
-	s := Build(r, Options{HeavyThreshold: 16})
-	lo, hi := r.M/4, 3*r.M/4
-	sub := Restrict(s.U, lo, hi)
-	if len(sub) != hi-lo {
-		t.Fatalf("restricted order has %d items, want %d", len(sub), hi-lo)
-	}
-	seen := make(map[int32]bool, len(sub))
-	for _, it := range sub {
-		if int(it) < lo || int(it) >= hi {
-			t.Fatalf("item %d outside [%d,%d)", it, lo, hi)
-		}
-		if seen[it] {
-			t.Fatalf("item %d repeated", it)
-		}
-		seen[it] = true
-	}
-	// Relative order must match the full schedule's.
-	pos := make(map[int32]int, len(s.U))
-	for p, it := range s.U {
-		pos[it] = p
-	}
-	for i := 1; i < len(sub); i++ {
-		if pos[sub[i-1]] > pos[sub[i]] {
-			t.Fatal("Restrict does not preserve relative order")
-		}
-	}
-	// Nil order: identity.
-	id := Restrict(nil, 3, 7)
-	for i, it := range id {
-		if int(it) != 3+i {
-			t.Fatalf("nil-order restrict not identity: %v", id)
-		}
-	}
-	if Restrict(s.U, 5, 5) != nil {
-		t.Fatal("empty range must yield nil")
-	}
-}
-
-func TestIsPermutationRejectsBadOrders(t *testing.T) {
-	if IsPermutation([]int32{0, 1, 1}, 3) {
-		t.Fatal("duplicate accepted")
-	}
-	if IsPermutation([]int32{0, 1}, 3) {
-		t.Fatal("short order accepted")
-	}
-	if IsPermutation([]int32{0, 1, 3}, 3) {
-		t.Fatal("out-of-range accepted")
-	}
-	if !IsPermutation([]int32{2, 0, 1}, 3) {
-		t.Fatal("valid permutation rejected")
 	}
 }

@@ -3,7 +3,8 @@
 // boundaries chosen by a workload model (fixed cost plus cost per rating)
 // so every rank gets equal work. The paper's RCM reordering of R is not
 // applied (ROADMAP item 7: 0.0–0.1 % fewer ghost sends on ML20M shapes);
-// RCMPerms survives as order.Build's processing order.
+// RCMPerms survives for order.Build, which no engine walks (the benchmark
+// times it), and for ablation 4's reordered matrix.
 package partition
 
 import (
