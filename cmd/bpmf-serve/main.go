@@ -246,7 +246,7 @@ func buildSpec(name string, mc config.ServeModel, pool *sched.Pool, logf func(st
 			if err != nil {
 				return serve.ModelSpec{}, err
 			}
-			opts.ExcludeSource = mp
+			opts.Exclude = mp
 			spec.Close = mp.Close
 			if mc.TopN > 0 {
 				// The top-N precompute sweeps every user, so all shards get

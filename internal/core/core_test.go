@@ -402,7 +402,7 @@ func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
 				gs := ItemStream(cfg.Seed, 3, SideV, 9)
 				UpdateItem(ws, kern, &cfg, cols, vals, other, hyper, gs, nil, nil, got)
 
-				f, rhs := ws.precL, ws.rhs
+				f, rhs := ws.prec, ws.rhs
 				if kern == KernelRankOne {
 					u := ws.u4
 					if nnz == 0 {

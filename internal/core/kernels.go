@@ -61,12 +61,10 @@ func (c Config) SelectKernel(nnz int) Kernel {
 }
 
 // accChunk is one chunk accumulator of the parallel kernel's reduction:
-// a partial precision, rhs and gather panel leased from a worker-local
-// arena.
+// a partial precision and rhs leased from a worker-local arena.
 type accChunk struct {
-	prec  *la.Matrix
-	rhs   la.Vector
-	panel *la.Matrix
+	prec *la.Matrix
+	rhs  la.Vector
 }
 
 // AccArena is a worker-local arena of chunk accumulators for the parallel
@@ -80,11 +78,7 @@ type AccArena struct {
 // NewAccArena creates an arena of K x K chunk accumulators.
 func NewAccArena(k int) *AccArena {
 	return &AccArena{a: sched.NewArena(func() *accChunk {
-		return &accChunk{
-			prec:  la.NewMatrix(k, k),
-			rhs:   la.NewVector(k),
-			panel: la.NewMatrix(la.GatherPanelRows, k),
-		}
+		return &accChunk{prec: la.NewMatrix(k, k), rhs: la.NewVector(k)}
 	})}
 }
 
@@ -92,16 +86,13 @@ func NewAccArena(k int) *AccArena {
 // hot loop performs no allocation. One Workspace must not be used by two
 // goroutines at once.
 type Workspace struct {
-	K    int
-	prec *la.Matrix
-	// precL is the Cholesky kernels' posterior precision factor (lower).
-	precL   *la.Matrix
+	K int
+	// prec is the Cholesky kernels' posterior precision, factored in place
+	// into its lower Cholesky factor.
+	prec    *la.Matrix
 	rhs     la.Vector
 	mu      la.Vector
 	scratch la.Vector
-	// panel is the gather scratch of the panel-streamed serial-Cholesky
-	// accumulation (la.SyrkAxpyPanelLower).
-	panel *la.Matrix
 
 	// The rank-one kernel's group, one item per lane (la's lane layout):
 	// the items, their factors, their right-hand sides (solved in place
@@ -142,11 +133,9 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 	return &Workspace{
 		K:       k,
 		prec:    la.NewMatrix(k, k),
-		precL:   la.NewMatrix(k, k),
 		rhs:     la.NewVector(k),
 		mu:      la.NewVector(k),
 		scratch: la.NewVector(k),
-		panel:   la.NewMatrix(la.GatherPanelRows, k),
 		u4:      la.NewVector(la.Lanes * k * k),
 		rhs4:    la.NewVector(la.Lanes * k),
 		z4:      la.NewVector(la.Lanes * k),
@@ -193,14 +182,13 @@ func UpdateItem(
 
 	case KernelCholesky:
 		// Precision and rhs accumulate in one fused, register-blocked pass
-		// over the ratings, gathered panel-wise into contiguous scratch so
-		// the accumulation streams instead of chasing row pointers into the
-		// partner matrix (ascending index, so the sums are bit-identical
-		// to the per-rating SyrLower/Axpy loop), then one factorization.
+		// over the partner rows (ascending index, so the sums are
+		// bit-identical to the per-rating SyrLower/Axpy loop), then one
+		// factorization.
 		ws.prec.CopyFrom(hyper.Lambda)
 		copy(ws.rhs, hyper.LambdaMu)
-		la.SyrkAxpyPanelLower(alpha, other, cols, vals, ws.prec, ws.rhs, ws.panel)
-		if err := la.Cholesky(ws.prec, ws.precL); err != nil {
+		la.SyrkAxpyBatchLower(alpha, other, cols, vals, ws.prec, ws.rhs)
+		if err := la.Cholesky(ws.prec, ws.prec); err != nil {
 			panic("core: item posterior precision not SPD: " + err.Error())
 		}
 
@@ -209,7 +197,7 @@ func UpdateItem(
 		// CholeskyParallel executes the same blocked task DAG inline when
 		// pool is nil, so the sample is bit-identical whether or not the
 		// caller supports nested parallelism.
-		if err := la.CholeskyParallel(pool, pw, ws.prec, ws.precL); err != nil {
+		if err := la.CholeskyParallel(pool, pw, ws.prec, ws.prec); err != nil {
 			panic("core: item posterior precision not SPD: " + err.Error())
 		}
 
@@ -219,7 +207,7 @@ func UpdateItem(
 
 	// out ~ N(Λ*⁻¹ rhs, Λ*⁻¹): the mean's and the noise's back-solves share
 	// one paired pass.
-	stream.MVNFromCanonChol(ws.rhs, ws.precL, out, ws.mu, ws.scratch)
+	stream.MVNFromCanonChol(ws.rhs, ws.prec, out, ws.mu, ws.scratch)
 }
 
 // laneItem is one item of a rank-one group: its ratings and its output row.
@@ -354,6 +342,6 @@ func (ws *Workspace) runAccChunk(w *sched.Worker, ci, grain int, alpha float64,
 	ch := ws.acc.a.Get(w)
 	ch.prec.Zero()
 	ch.rhs.Zero()
-	la.SyrkAxpyPanelLower(alpha, other, cols[lo:hi], vals[lo:hi], ch.prec, ch.rhs, ch.panel)
+	la.SyrkAxpyBatchLower(alpha, other, cols[lo:hi], vals[lo:hi], ch.prec, ch.rhs)
 	ws.parts[ci] = ch
 }

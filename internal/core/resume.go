@@ -6,6 +6,18 @@ import (
 	"repro/internal/la"
 )
 
+// UserHyper draws the user-side hyperparameters the resumed chain would
+// draw at iteration NextIter, conditioned on the checkpointed U: the
+// single-group moment reduction over U, sampled from the keyed stream
+// HyperStream(Seed, NextIter, SideU). It is the prior of every fold-in
+// draw — the rows GrowUsers adds and serve's cold-start users.
+func (c *Checkpoint) UserHyper() *Hyper {
+	hyper := NewHyper(c.K)
+	mom := MomentsGrouped(c.U, GroupBoundaries(nil, c.U.Rows), c.K, nil)
+	SampleHyper(DefaultNWPrior(c.K), mom, HyperStream(c.Seed, c.NextIter, SideU), hyper)
+	return hyper
+}
+
 // GrowUsers extends a checkpoint to a problem that gained user rows
 // since the chain was checkpointed — the resume-with-new-rows contract
 // of the continuous-training loop, where delta shards introduce users
@@ -15,11 +27,10 @@ import (
 // base split.
 //
 // Each new row is drawn by the serving layer's fold-in rule, which is
-// the sampler's own conditional: user-side hyperparameters are sampled
-// from the keyed stream of iteration NextIter conditioned on the
-// checkpointed U (bit-identical to serve.NewModel's reconstruction),
-// and row i is then drawn via UpdateItem conditioned on the merged
-// matrix's row i with ItemStream(seed, NextIter, SideU, i). The draw is
+// the sampler's own conditional: the user-side hyperparameters are
+// UserHyper's (the prior serve.NewModel folds in with too), and row i
+// is then drawn via UpdateItem conditioned on the merged matrix's row i
+// with ItemStream(seed, NextIter, SideU, i). The draw is
 // therefore a pure function of (checkpoint, problem row) — two trainers
 // growing the same checkpoint over the same merged matrix produce
 // bit-identical rows, whatever path the delta shards took to get there.
@@ -51,12 +62,7 @@ func (c *Checkpoint) GrowUsers(cfg Config, prob *Problem) (*Checkpoint, error) {
 		return c, nil
 	}
 
-	// The user-side hyperparameters the resumed chain would draw at
-	// iteration NextIter, conditioned on the checkpointed U.
-	hyper := NewHyper(c.K)
-	mom := MomentsGrouped(c.U, GroupBoundaries(nil, c.U.Rows), c.K, nil)
-	SampleHyper(DefaultNWPrior(c.K), mom, HyperStream(c.Seed, c.NextIter, SideU), hyper)
-
+	hyper := c.UserHyper()
 	grown := *c
 	grown.U = la.NewMatrix(m, c.K)
 	copy(grown.U.Data[:c.U.Rows*c.K], c.U.Data)

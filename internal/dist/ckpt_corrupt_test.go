@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/la"
 	"repro/internal/sparse"
 )
 
@@ -22,8 +24,40 @@ import (
 // ReadManifest (the pinned path, where the caller named an exact round)
 // must fail loudly with byte-accurate errors.
 
-// writeCorruptCorpus populates dir with one valid manifest (iter 4)
-// surrounded by damaged ones at higher iterations.
+// corpusTest is the held-out set of the corpus's intact round: three
+// entries in rank 0's rows, two in rank 1's.
+var corpusTest = []sparse.Entry{{Row: 0, Col: 1}, {Row: 25, Col: 3}, {Row: 19, Col: 29}, {Row: 20}, {Row: 7, Col: 14}}
+
+// corpusFragment is rank r's fragment of the intact round man: its owned
+// rows of U and V and its owned accumulators, every value distinct.
+func corpusFragment(man Manifest, r int) *core.Checkpoint {
+	owned := 0
+	for _, e := range corpusTest {
+		if int(e.Row) >= man.RowBounds[r] && int(e.Row) < man.RowBounds[r+1] {
+			owned++
+		}
+	}
+	c := &core.Checkpoint{
+		K: man.K, NextIter: man.Iter, Seed: man.Seed,
+		U:         la.NewMatrix(man.RowBounds[r+1]-man.RowBounds[r], man.K),
+		V:         la.NewMatrix(man.ColBounds[r+1]-man.ColBounds[r], man.K),
+		PredSum:   make([]float64, owned),
+		PredSumSq: make([]float64, owned),
+		NSamples:  2, SampleRMSE: []float64{1, 0.9}, AvgRMSE: []float64{1, 0.95},
+	}
+	x := float64(r) * 1e4
+	for _, v := range [][]float64{c.U.Data, c.V.Data, c.PredSum, c.PredSumSq} {
+		for i := range v {
+			x++
+			v[i] = x
+		}
+	}
+	return c
+}
+
+// writeCorruptCorpus populates dir with one valid manifest (iter 4) and
+// its two fragments, surrounded by damaged manifests at higher
+// iterations.
 func writeCorruptCorpus(t testing.TB, dir string) {
 	t.Helper()
 	valid := Manifest{
@@ -43,6 +77,13 @@ func writeCorruptCorpus(t testing.TB, dir string) {
 		}
 	}
 	write(manifestName(4), blob)
+	for r, name := range valid.Fragments {
+		var frag bytes.Buffer
+		if err := corpusFragment(valid, r).Write(&frag); err != nil {
+			t.Fatal(err)
+		}
+		write(name, frag.Bytes())
+	}
 	// Torn mid-write by a foreign (non-atomic) writer: truncated JSON.
 	write(manifestName(6), blob[:len(blob)/2])
 	// Zero bytes — an empty debris file.
@@ -261,6 +302,82 @@ func FuzzManifest(f *testing.F) {
 			for r := 1; r < len(b); r++ {
 				if b[r] < b[r-1] {
 					t.Fatalf("accepted bounds %v that step back at rank %d", b, r-1)
+				}
+			}
+		}
+	})
+}
+
+// FuzzDistFragment: whatever bytes sit under one fragment's name of the
+// corpus's intact 2-rank round, LoadDistCheckpoint returns an error or a
+// checkpoint a resume can take — U M x K, V N x K, one accumulator pair
+// per test entry — holding that fragment's rows at the manifest's
+// bounds. It never panics. Seeded with the corpus's two fragments under
+// either rank's name, and each cut in half.
+func FuzzDistFragment(f *testing.F) {
+	dir := f.TempDir()
+	writeCorruptCorpus(f, dir)
+	man, err := ReadManifest(dir, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	frags := make([][]byte, man.Ranks)
+	for r, name := range man.Fragments {
+		if frags[r], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for r := range frags {
+		for _, blob := range frags {
+			f.Add(uint8(r), blob)
+		}
+		f.Add(uint8(r), frags[r][:len(frags[r])/2])
+	}
+
+	f.Fuzz(func(t *testing.T, rank uint8, data []byte) {
+		if len(data) > 64<<10 {
+			return
+		}
+		r := int(rank) % man.Ranks
+		dir := t.TempDir()
+		for i, name := range man.Fragments {
+			blob := frags[i]
+			if i == r {
+				blob = data
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := LoadDistCheckpoint(dir, man, man.M, man.N, man.K, corpusTest)
+		if err != nil {
+			return
+		}
+		if c.U.Rows != man.M || c.U.Cols != man.K || len(c.U.Data) != man.M*man.K ||
+			c.V.Rows != man.N || c.V.Cols != man.K || len(c.V.Data) != man.N*man.K {
+			t.Fatalf("loaded U %dx%d (%d values), V %dx%d (%d values) for a %dx%d round at K=%d",
+				c.U.Rows, c.U.Cols, len(c.U.Data), c.V.Rows, c.V.Cols, len(c.V.Data), man.M, man.N, man.K)
+		}
+		if len(c.PredSum) != len(corpusTest) || len(c.PredSumSq) != len(corpusTest) {
+			t.Fatalf("loaded %d/%d accumulators for %d test entries", len(c.PredSum), len(c.PredSumSq), len(corpusTest))
+		}
+		frag, err := core.ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("loaded a round whose rank-%d fragment does not decode: %v", r, err)
+		}
+		for _, side := range []struct {
+			name      string
+			got, want []float64
+		}{
+			{"U", c.U.Data[man.RowBounds[r]*man.K : man.RowBounds[r+1]*man.K], frag.U.Data},
+			{"V", c.V.Data[man.ColBounds[r]*man.K : man.ColBounds[r+1]*man.K], frag.V.Data},
+		} {
+			if len(side.got) != len(side.want) {
+				t.Fatalf("rank %d's %s bounds hold %d values, its fragment %d", r, side.name, len(side.got), len(side.want))
+			}
+			for i := range side.want {
+				if math.Float64bits(side.got[i]) != math.Float64bits(side.want[i]) {
+					t.Fatalf("rank %d's %s value %d is %v, its fragment's %v", r, side.name, i, side.got[i], side.want[i])
 				}
 			}
 		}

@@ -1,3 +1,10 @@
+// This file's gather-panel kernel has no production caller: the item
+// update accumulates straight from the partner factor
+// (SyrkAxpyBatchLower), which PERF.md measured no slower than gathering
+// panels first. The file stays only because the benchmark times
+// SyrkAxpyPanelLower as its la.syrk_panel_ns_per_row layer metric;
+// ROADMAP item 5 deletes the file along with that metric.
+
 package la
 
 import "fmt"

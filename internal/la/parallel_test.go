@@ -1,6 +1,7 @@
 package la
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sched"
@@ -32,24 +33,36 @@ func TestCholeskyParallelMatchesSerial(t *testing.T) {
 
 func TestCholeskyParallelDeterministic(t *testing.T) {
 	// The blocked factorization must give bit-identical results across
-	// repeated runs and different pool sizes (fixed task DAG).
-	n := 130
-	r := testRand(99)
-	a := randSPD(r, n)
-	var ref *Matrix
-	for _, workers := range []int{1, 2, 4, 7} {
-		pool := sched.NewPool(workers)
-		l := NewMatrix(n, n)
-		if err := CholeskyParallel(pool, nil, a, l); err != nil {
-			t.Fatal(err)
-		}
-		pool.Close()
-		if ref == nil {
-			ref = l
-			continue
-		}
-		if MaxAbsDiff(ref, l) != 0 {
-			t.Fatalf("parallel Cholesky not deterministic across %d workers", workers)
+	// repeated runs and different pool sizes (fixed task DAG), and
+	// factoring in place (dst == a, as the item update does) must give
+	// the out-of-place factor bit for bit — on the serial fallback
+	// (n <= CholeskyBlockSize) and on the blocked DAG alike.
+	for _, n := range []int{32, 33, 130} {
+		r := testRand(int64(99 + n))
+		a := randSPD(r, n)
+		var ref *Matrix
+		for _, workers := range []int{0, 1, 2, 4, 7} {
+			var pool *sched.Pool
+			if workers > 0 {
+				pool = sched.NewPool(workers)
+			}
+			l := NewMatrix(n, n)
+			if err := CholeskyParallel(pool, nil, a, l); err != nil {
+				t.Fatal(err)
+			}
+			in := a.Clone()
+			if err := CholeskyParallel(pool, nil, in, in); err != nil {
+				t.Fatal(err)
+			}
+			if pool != nil {
+				pool.Close()
+			}
+			checkBits(t, fmt.Sprintf("n=%d workers=%d: in-place factor", n, workers), in.Data, l.Data)
+			if ref == nil {
+				ref = l
+				continue
+			}
+			checkBits(t, fmt.Sprintf("n=%d workers=%d: factor", n, workers), l.Data, ref.Data)
 		}
 	}
 }

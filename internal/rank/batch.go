@@ -5,9 +5,9 @@ import "repro/internal/la"
 // scorePanel is the item-panel height of every scoring pass: V is
 // walked once per batch in contiguous panels of this many rows, each
 // scored against every user of the batch while it is cache resident
-// (la.GatherPanelRows: 64 rows x K columns sit in L1/L2 next to the
-// users' rows), so V is read from memory once per batch, not per request.
-const scorePanel = la.GatherPanelRows
+// (64 rows x K=32 columns is 16 KiB, L1/L2-resident next to the users'
+// rows), so V is read from memory once per batch, not per request.
+const scorePanel = 64
 
 // ScoreBatchInto computes the multi-user score matrix out = U·Vᵀ
 // (out.Row(b)[j] = users.Row(b) · v.Row(j)) with the panel walk and

@@ -12,11 +12,11 @@ import (
 
 // TestScoreBatchIntoMatchesIndependentScoreInto is the batch-core
 // acceptance property: scoring B users in one panel-blocked GEMM pass
-// must be bit-identical to B independent single-user ScoreInto calls,
-// for batch sizes and catalog sizes that straddle every panel boundary.
+// must be bit-identical to an independent la.Dot per user and item, for
+// batch sizes and catalog sizes that straddle every panel boundary.
 func TestScoreBatchIntoMatchesIndependentScoreInto(t *testing.T) {
 	stream := rng.New(17)
-	for _, rows := range []int{1, 63, 64, 65, 128, 500} {
+	for _, rows := range []int{1, 7, 63, 64, 65, 128, 255, 256, 257, 500, 1000} {
 		for _, batch := range []int{1, 2, 3, 4, 5, 9, 16, 64} {
 			k := 1 + stream.Intn(48)
 			v := la.NewMatrix(rows, k)
@@ -25,13 +25,11 @@ func TestScoreBatchIntoMatchesIndependentScoreInto(t *testing.T) {
 			stream.FillNorm(users.Data)
 			out := la.NewMatrix(batch, rows)
 			ScoreBatchInto(v, users, out)
-			ref := make([]float64, rows)
 			for b := 0; b < batch; b++ {
-				ScoreInto(v, users.Row(b), ref)
 				for j := 0; j < rows; j++ {
-					if out.Row(b)[j] != ref[j] {
-						t.Fatalf("rows=%d batch=%d: user %d item %d: batched %v != single %v",
-							rows, batch, b, j, out.Row(b)[j], ref[j])
+					if want := la.Dot(users.Row(b), v.Row(j)); out.Row(b)[j] != want {
+						t.Fatalf("rows=%d batch=%d: user %d item %d: batched %v != Dot %v",
+							rows, batch, b, j, out.Row(b)[j], want)
 					}
 				}
 			}

@@ -4,32 +4,17 @@
 // the allocation-free la kernels, and top-N selection with training-set
 // exclusion — fused into one streaming pass by Recommend.
 //
-// Keeping one implementation here guarantees the offline evaluator and
-// the online server rank identically: same scores (bit for bit — every
-// kernel keeps each item's inner-product summation order equal to the
-// per-item Dot loop it replaced), same heap tie-breaking, same
-// exclusion semantics.
+// Recommend is the one ranking path both sides call, so the offline
+// evaluator and the online server rank identically: same scores (bit for
+// bit — every kernel keeps each item's inner-product summation order
+// equal to la.Dot's), same heap tie-breaking, same exclusion semantics.
+// TopNScoresExcluding over la.Dot scores is its reference.
 package rank
-
-import "repro/internal/la"
 
 // Item is one ranked item: its index and predicted score.
 type Item struct {
 	Index int
 	Score float64
-}
-
-// ScoreInto writes u·vⱼ for every item row vⱼ of v into out (len must be
-// v.Rows). It is the single-user case of ScoreBatchInto. Per item the
-// summation order equals la.Dot(u, v.Row(j)), so scores are
-// bit-identical to the naive per-item loop. It allocates nothing.
-func ScoreInto(v *la.Matrix, u la.Vector, out []float64) {
-	if len(u) != v.Cols || len(out) != v.Rows {
-		panic("rank: ScoreInto dimension mismatch")
-	}
-	users := la.Matrix{Rows: 1, Cols: len(u), Data: u}
-	scores := la.Matrix{Rows: 1, Cols: len(out), Data: out}
-	ScoreBatchInto(v, &users, &scores)
 }
 
 // topN accumulates the n highest-scoring items offered to it in a

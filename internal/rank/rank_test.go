@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/la"
 	"repro/internal/rng"
 )
 
@@ -108,31 +107,4 @@ func TestTopNEdgeCases(t *testing.T) {
 	if len(got) != 3 || got[0].Index != 0 || got[1].Index != 2 || got[2].Index != 1 {
 		t.Fatalf("n beyond catalog: got %v", got)
 	}
-}
-
-func TestScoreIntoMatchesDot(t *testing.T) {
-	stream := rng.New(5)
-	for _, rows := range []int{1, 7, 255, 256, 257, 1000} {
-		k := 1 + stream.Intn(48)
-		v := la.NewMatrix(rows, k)
-		stream.FillNorm(v.Data)
-		u := la.NewVector(k)
-		stream.FillNorm(u)
-		out := make([]float64, rows)
-		ScoreInto(v, u, out)
-		for j := 0; j < rows; j++ {
-			if want := la.Dot(u, v.Row(j)); out[j] != want {
-				t.Fatalf("rows=%d item %d: %v != Dot %v", rows, j, out[j], want)
-			}
-		}
-	}
-}
-
-func TestScoreIntoDimensionMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched out length")
-		}
-	}()
-	ScoreInto(la.NewMatrix(3, 2), la.NewVector(2), make([]float64, 2))
 }

@@ -170,7 +170,7 @@ func (g *gateExcluder) AppendRowCols(dst []int32, user int) ([]int32, error) {
 func gatedModel(t *testing.T, topN int) (*Model, *gateExcluder) {
 	t.Helper()
 	g := &gateExcluder{users: 10, items: 100, gate: make(chan struct{}), entered: make(chan struct{}, 1024)}
-	m := syntheticModel(t, g.users, g.items, 4, Options{ExcludeSource: g, TopN: topN})
+	m := syntheticModel(t, g.users, g.items, 4, Options{Exclude: g, TopN: topN})
 	g.armed.Store(true)
 	return m, g
 }

@@ -43,7 +43,7 @@ func TestMappedExclusionsMatchCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mp.Close()
-	lazy, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, ExcludeSource: mp})
+	lazy, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, Exclude: mp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMappedExclusionsLazyTouch(t *testing.T) {
 	if mp.Shards() < 4 {
 		t.Fatalf("need several shards, got %d", mp.Shards())
 	}
-	m, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, ExcludeSource: mp})
+	m, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, Exclude: mp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestExcludeSourceDimsValidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mp.Close()
-	if _, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, ExcludeSource: mp}); err == nil {
+	if _, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, Exclude: mp}); err == nil {
 		t.Fatal("wrong-shaped exclusion source accepted")
 	}
 }
@@ -142,7 +142,7 @@ func (f failingExcluder) AppendRowCols(dst []int32, user int) ([]int32, error) {
 func TestExcludeSourceErrorsFailLoudly(t *testing.T) {
 	ckpt, prob, cfg := trainedChain(t, 61, 4, 2)
 	src := failingExcluder{m: prob.R.M, n: prob.R.N, badUser: 3}
-	m, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, ExcludeSource: src})
+	m, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, Exclude: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +154,12 @@ func TestExcludeSourceErrorsFailLoudly(t *testing.T) {
 	}
 	// The top-N precompute sweeps every user, so it must hit the bad
 	// row and abort the load (sequential and pooled).
-	if _, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, ExcludeSource: src, TopN: 5}); err == nil {
+	if _, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, Exclude: src, TopN: 5}); err == nil {
 		t.Fatal("precompute shipped a table with missing exclusions")
 	}
 	pool := sched.NewPool(3)
 	defer pool.Close()
-	if _, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, ExcludeSource: src, TopN: 5, Pool: pool}); err == nil {
+	if _, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, Exclude: src, TopN: 5, Pool: pool}); err == nil {
 		t.Fatal("pooled precompute shipped a table with missing exclusions")
 	}
 }

@@ -53,14 +53,12 @@ type Options struct {
 	// ranges like [0, N] with N <= 0 configurable.
 	ClampEnabled bool
 	// Exclude lists each user's already-rated items (the training
-	// matrix); Recommend skips them. nil excludes nothing.
-	Exclude *sparse.CSR
-	// ExcludeSource serves the same per-user exclusion lists lazily —
-	// e.g. a .bcsr training matrix mapped with sparse.OpenBinary, so a
-	// serving restart maps shards instead of decoding them and only
-	// the shards behind actually-queried users are ever verified.
-	// Ignored when Exclude is set.
-	ExcludeSource Excluder
+	// matrix); Recommend skips them. nil excludes nothing. A decoded
+	// *sparse.CSR serves it, or a .bcsr training matrix mapped with
+	// sparse.OpenBinary, so a serving restart maps shards instead of
+	// decoding them and only the shards behind actually-queried users
+	// are ever verified.
+	Exclude Excluder
 	// Test aligns the checkpoint's PredSum/PredSumSq accumulators with
 	// their (user, item) identities — the held-out entries of the
 	// training run, in split order. When given, Predict serves the exact
@@ -142,20 +140,19 @@ type Model struct {
 	clampOn  bool
 	clampMin float64
 	clampMax float64
-	exclude  *sparse.CSR
-	exclSrc  Excluder
+	exclude  Excluder
 	post     map[uint64]postStat
 	table    *Table
 
 	ws      sync.Pool // *core.Workspace for fold-in draws
-	exclBuf sync.Pool // *[]int32 scratch for lazily-decoded exclusion rows
+	exclBuf sync.Pool // *[]int32 scratch the exclusion rows are appended to
 }
 
-// Excluder serves per-user exclusion lists without materializing the
-// whole training matrix. Implementations may verify and decode lazily
-// (sparse.Mapped does, shard by shard); an error means the user's list
-// could not be read — Recommend fails the request rather than silently
-// recommending already-rated items.
+// Excluder serves per-user exclusion lists: *sparse.CSR from memory, or
+// sparse.Mapped without materializing the whole training matrix,
+// verifying and decoding lazily, shard by shard. An error means the
+// user's list could not be read — Recommend fails the request rather
+// than silently recommending already-rated items.
 type Excluder interface {
 	// Dims returns (users, items) of the underlying matrix.
 	Dims() (m, n int)
@@ -165,10 +162,8 @@ type Excluder interface {
 
 // NewModel validates a checkpoint and builds an immutable serving
 // snapshot from it. The user-side hyperparameters needed for fold-in are
-// reconstructed deterministically: they are exactly the (μ, Λ) the
-// resumed chain would draw for the user side at iteration
-// ckpt.NextIter, since that draw is keyed by (seed, iter, side) and
-// conditions on the checkpointed U.
+// ckpt.UserHyper(): exactly the (μ, Λ) the resumed chain would draw for
+// the user side at iteration ckpt.NextIter.
 func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 	if ckpt == nil || ckpt.U == nil || ckpt.V == nil {
 		return nil, fmt.Errorf("%w: nil checkpoint", ErrBadInput)
@@ -181,13 +176,9 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 	if ckpt.U.Rows < 1 || ckpt.V.Rows < 1 {
 		return nil, fmt.Errorf("%w: checkpoint has no users or no items", ErrBadInput)
 	}
-	if opts.Exclude != nil && (opts.Exclude.M != ckpt.U.Rows || opts.Exclude.N != ckpt.V.Rows) {
-		return nil, fmt.Errorf("%w: exclusion matrix %dx%d does not match model %dx%d",
-			ErrBadInput, opts.Exclude.M, opts.Exclude.N, ckpt.U.Rows, ckpt.V.Rows)
-	}
-	if opts.Exclude == nil && opts.ExcludeSource != nil {
-		if em, en := opts.ExcludeSource.Dims(); em != ckpt.U.Rows || en != ckpt.V.Rows {
-			return nil, fmt.Errorf("%w: exclusion source %dx%d does not match model %dx%d",
+	if opts.Exclude != nil {
+		if em, en := opts.Exclude.Dims(); em != ckpt.U.Rows || en != ckpt.V.Rows {
+			return nil, fmt.Errorf("%w: exclusion matrix %dx%d does not match model %dx%d",
 				ErrBadInput, em, en, ckpt.U.Rows, ckpt.V.Rows)
 		}
 	}
@@ -222,25 +213,15 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 		seed:     ckpt.Seed,
 		nextIter: ckpt.NextIter,
 		nSamples: ckpt.NSamples,
+		hyperU:   ckpt.UserHyper(),
 		alpha:    alpha,
 		clampOn:  clampOn,
 		clampMin: opts.ClampMin,
 		clampMax: opts.ClampMax,
 		exclude:  opts.Exclude,
 	}
-	if opts.Exclude == nil {
-		m.exclSrc = opts.ExcludeSource
-	}
 	m.ws.New = func() any { return core.NewWorkspace(k) }
 	m.exclBuf.New = func() any { s := make([]int32, 0, 64); return &s }
-
-	// User-side hyperparameters for fold-in: the single-group moment
-	// reduction over the checkpointed U, drawn from the keyed stream of
-	// iteration NextIter — bit-identical to the resumed sampler's own
-	// user-side draw.
-	mom := core.MomentsGrouped(m.u, core.GroupBoundaries(nil, m.u.Rows), k, nil)
-	m.hyperU = core.NewHyper(k)
-	core.SampleHyper(core.DefaultNWPrior(k), mom, core.HyperStream(m.seed, m.nextIter, core.SideU), m.hyperU)
 
 	// Posterior predictive summaries of the checkpointed accumulators,
 	// mirroring core.Predictor.Intervals.
@@ -390,8 +371,8 @@ func (m *Model) clampItems(items []rank.Item) []rank.Item {
 	return items
 }
 
-// leaseExcl leases the scratch that one ranking pass decodes its lazy
-// exclusion rows into; the caller puts it back in m.exclBuf once the
+// leaseExcl leases the scratch that one ranking pass appends its
+// exclusion rows to; the caller puts it back in m.exclBuf once the
 // pass has read the lists.
 func (m *Model) leaseExcl() *[]int32 {
 	buf := m.exclBuf.Get().(*[]int32)
@@ -399,23 +380,18 @@ func (m *Model) leaseExcl() *[]int32 {
 	return buf
 }
 
-// excludeList returns the user's sorted already-rated item list: a view
-// of the CSR row, or — from a lazy Excluder — the row decoded onto the
-// end of *buf, so one pass's users share one scratch (lists handed out
-// earlier stay valid when it grows: they keep the array they were cut
-// from). An error fails the request — recommending items the user
-// already rated because an exclusion shard went bad would be silent
+// excludeList returns the user's sorted already-rated item list, appended
+// onto the end of *buf, so one pass's users share one scratch (lists
+// handed out earlier stay valid when it grows: they keep the array they
+// were cut from). An error fails the request — recommending items the
+// user already rated because an exclusion shard went bad would be silent
 // misbehavior.
 func (m *Model) excludeList(user int, buf *[]int32) ([]int32, error) {
-	if m.exclude != nil {
-		cols, _ := m.exclude.Row(user)
-		return cols, nil
-	}
-	if m.exclSrc == nil {
+	if m.exclude == nil {
 		return nil, nil
 	}
 	start := len(*buf)
-	lst, err := m.exclSrc.AppendRowCols(*buf, user)
+	lst, err := m.exclude.AppendRowCols(*buf, user)
 	if err != nil {
 		return nil, fmt.Errorf("serve: exclusion row %d: %w", user, err)
 	}

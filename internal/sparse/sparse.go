@@ -91,6 +91,17 @@ func (a *CSR) Row(i int) ([]int32, []float64) {
 	return a.Col[lo:hi], a.Val[lo:hi]
 }
 
+// Dims returns the matrix dimensions (rows, cols).
+func (a *CSR) Dims() (m, n int) { return a.M, a.N }
+
+// AppendRowCols appends row i's column indices (ascending) to dst and
+// returns the extended slice: Mapped.AppendRowCols for a matrix already
+// in memory, so either one can serve exclusion lists. It never fails.
+func (a *CSR) AppendRowCols(dst []int32, i int) ([]int32, error) {
+	cols, _ := a.Row(i)
+	return append(dst, cols...), nil
+}
+
 // ToCSR converts the COO matrix to CSR, sorting columns within each row
 // and summing duplicates.
 func (c *COO) ToCSR() *CSR { return c.toCSR(nil) }

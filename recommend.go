@@ -17,34 +17,24 @@ type Scored struct {
 // (items the user rated in the training data are excluded — the standard
 // recommender-system protocol the paper's introduction describes). It
 // returns nil if user is out of range or n <= 0, and fewer than n items
-// when the user has fewer than n unrated items. Scoring and selection run
-// through the same ranking core the serving layer uses (internal/rank):
-// a blocked Gemv over item panels feeding a bounded min-heap.
+// when the user has fewer than n unrated items. It is one rank.Recommend
+// pass, the serving layer's: a blocked Gemv over item panels feeding a
+// bounded min-heap, so the list equals rank.TopNScoresExcluding over the
+// la.Dot score of every item — same scores, same order of ties.
 func (r *Result) Recommend(user, n int) []Scored {
-	return r.recommendInto(user, n, nil)
-}
-
-// recommendInto is Recommend with an optional reusable score buffer of
-// length NumItems (nil allocates one): EvaluateRanking calls it once per
-// evaluated user and must not churn a catalog-sized slice per call.
-func (r *Result) recommendInto(user, n int, scores []float64) []Scored {
 	if n <= 0 || user < 0 || user >= r.res.U.Rows {
 		return nil
 	}
-	var excl []int32
+	q := [1]rank.Query{{U: r.res.U.Row(user), N: n}}
 	if r.data != nil {
-		excl, _ = r.data.prob.R.Row(user)
+		q[0].Excl, _ = r.data.prob.R.Row(user)
 	}
-	if scores == nil {
-		scores = make([]float64, r.res.V.Rows)
-	}
-	rank.ScoreInto(r.res.V, r.res.U.Row(user), scores)
-	items := rank.TopNScoresExcluding(scores, excl, n)
-	if len(items) == 0 {
+	rank.Recommend(r.res.V, q[:])
+	if len(q[0].Items) == 0 {
 		return nil
 	}
-	out := make([]Scored, len(items))
-	for i, it := range items {
+	out := make([]Scored, len(q[0].Items))
+	for i, it := range q[0].Items {
 		out[i] = Scored{Item: it.Index, Score: it.Score}
 	}
 	return out
@@ -90,10 +80,9 @@ func (r *Result) EvaluateRanking(k int, relevanceThreshold float64) RankingRepor
 	sort.Ints(users)
 
 	var rep RankingReport
-	scores := make([]float64, r.res.V.Rows)
 	for _, u := range users {
 		rel := relevant[u]
-		top := r.recommendInto(u, k, scores)
+		top := r.Recommend(u, k)
 		if len(top) == 0 {
 			// Nothing recommendable for this user; precision is undefined.
 			continue

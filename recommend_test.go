@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/la"
+	"repro/internal/rank"
 	"repro/internal/rng"
 )
 
@@ -59,6 +61,11 @@ func TestRecommendExcludesSeenAndSorts(t *testing.T) {
 	}
 }
 
+// TestRecommendTopNMatchesFullSort pins Recommend, for every user of a
+// 180-item catalog (two full 64-row scoring panels and a partial one), to
+// the reference ranking: rank.TopNScoresExcluding over la.Dot scores, the
+// stable full sort of rank's brute-force test. Items and scores must be
+// equal, which also pins the order of ties.
 func TestRecommendTopNMatchesFullSort(t *testing.T) {
 	m, n, ratings := syntheticRatings(t, 81)
 	data, err := DataFromRatings(m, n, ratings, 0, 7)
@@ -70,24 +77,24 @@ func TestRecommendTopNMatchesFullSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	user := 3
-	top := res.Recommend(user, 5)
-	// Brute force.
-	cols, _ := data.prob.R.Row(user)
-	seen := map[int]bool{}
-	for _, c := range cols {
-		seen[int(c)] = true
-	}
-	var all []Scored
-	for item := 0; item < n; item++ {
-		if !seen[item] {
-			all = append(all, Scored{Item: item, Score: res.Predict(user, item)})
+	u, v := res.res.U, res.res.V
+	scores := make([]float64, v.Rows)
+	for user := 0; user < u.Rows; user++ {
+		for j := range scores {
+			scores[j] = la.Dot(u.Row(user), v.Row(j))
 		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Score > all[b].Score })
-	for i := range top {
-		if top[i].Score != all[i].Score {
-			t.Fatalf("rank %d: heap top-n %v != full sort %v", i, top[i], all[i])
+		excl, _ := data.prob.R.Row(user)
+		for _, top := range []int{1, 10, n} {
+			got := res.Recommend(user, top)
+			want := rank.TopNScoresExcluding(scores, excl, top)
+			if len(got) != len(want) {
+				t.Fatalf("user %d n=%d: %d items, reference %d", user, top, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Item != want[i].Index || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("user %d n=%d rank %d: %v, reference %v", user, top, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
