@@ -192,7 +192,7 @@ func HyperStream(seed uint64, iter int, side Side) *rng.Stream {
 
 // ItemStream returns the keyed stream for one item's posterior draw.
 func ItemStream(seed uint64, iter int, side Side, item int) *rng.Stream {
-	return rng.NewKeyed(seed, keyItem, uint64(iter), uint64(side), uint64(item))
+	return rng.New(itemKey(seed, iter, side, item))
 }
 
 // InitStream returns the keyed stream for one item's factor initialization.

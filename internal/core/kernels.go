@@ -117,8 +117,13 @@ type Workspace struct {
 // call, which is exactly the per-item lease discipline the engines
 // already follow.
 func (ws *Workspace) ItemStream(seed uint64, iter int, side Side, item int) *rng.Stream {
-	ws.stream.Reinit(rng.Mix(seed, keyItem, uint64(iter), uint64(side), uint64(item)))
+	ws.stream.Reinit(itemKey(seed, iter, side, item))
 	return &ws.stream
+}
+
+// itemKey is the seed of an item's keyed stream for one iteration's draw.
+func itemKey(seed uint64, iter int, side Side, item int) uint64 {
+	return rng.Mix(seed, keyItem, uint64(iter), uint64(side), uint64(item))
 }
 
 // NewWorkspace allocates a workspace for K latent features with its own
@@ -176,7 +181,9 @@ func UpdateItem(
 
 	switch kernel {
 	case KernelRankOne:
-		ws.setLane(0, cols, vals, stream, out)
+		ws.setLane(0, cols, vals, out)
+		stream.FillNorm(ws.scratch)
+		la.SetLane(ws.z4, 0, ws.scratch)
 		ws.drawRankOne(1, alpha, other, hyper)
 		return
 
@@ -219,11 +226,11 @@ type laneItem struct {
 
 // setLane makes the item with ratings (cols, vals) lane l of the next
 // rank-one group, drawing out. Its K normals — all the item's draw takes
-// from its stream — are read now, in FillNorm order, into lane l of z4.
-func (ws *Workspace) setLane(l int, cols []int32, vals []float64, stream *rng.Stream, out la.Vector) {
+// from its stream, in FillNorm order — go into lane l of z4 before the
+// draw: a group's lanes in one rng.FillNormLanes (Sampler.UpdateRange), a
+// lone lane by FillNorm from the caller's stream (UpdateItem).
+func (ws *Workspace) setLane(l int, cols []int32, vals []float64, out la.Vector) {
 	ws.lanes[l] = laneItem{cols: cols, vals: vals, out: out}
-	stream.FillNorm(ws.scratch)
-	la.SetLane(ws.z4, l, ws.scratch)
 }
 
 // drawRankOne draws lanes [0, n) of the group set up by setLane, n ≤ 4, by

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/la"
+	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 )
@@ -327,10 +328,13 @@ func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *s
 		tally[KernelRankOne] += int64(n)
 		for g := 0; g < n; g += la.Lanes {
 			m := min(la.Lanes, n-g)
+			var keys [la.Lanes]uint64
 			for l, item := range items[g : g+m] {
 				cols, vals := ratings.Row(item)
-				ws.setLane(l, cols, vals, ws.ItemStream(s.Cfg.Seed, iter, side, item), self.Row(item))
+				ws.setLane(l, cols, vals, self.Row(item))
+				keys[l] = itemKey(s.Cfg.Seed, iter, side, item)
 			}
+			rng.FillNormLanes(ws.z4, keys, m)
 			ws.drawRankOne(m, s.Cfg.Alpha, other, hyper)
 		}
 	}

@@ -28,6 +28,12 @@ var (
 	solveUpperPair4 = solveUpperPair4Go
 )
 
+// HasAVX2 reports whether the AVX2 bodies run: the CPU and the OS support
+// AVX2 on amd64, outside the purego build. It is set once, by this
+// package's init, before any importer's init reads it; rng's lane fill
+// dispatches on it too, so there is one CPU check.
+var HasAVX2 bool
+
 // syrk4Go adds the four outer products Σ_r (alpha·x_r)·x_rᵀ to the lower
 // triangle of the row-major n × n matrix a, n = len(x0): each element is
 // loaded once, receives the four updates chained in r order, and is stored

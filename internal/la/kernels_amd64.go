@@ -32,7 +32,8 @@ func solveUpperT4AVX2(u, y []float64, k int)
 func solveUpperPair4AVX2(u, a, b []float64, k int)
 
 func init() {
-	if hasAVX2() {
+	HasAVX2 = hasAVX2()
+	if HasAVX2 {
 		syrk4, axpy4, axpy1, cholTrail, dot4 = syrk4AVX2, axpy4AVX2, axpy1AVX2, cholTrailAVX2, dot4AVX2
 		cholUpdate4, solveUpperT4, solveUpperPair4 = cholUpdate4AVX2, solveUpperT4AVX2, solveUpperPair4AVX2
 	}

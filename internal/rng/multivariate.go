@@ -87,7 +87,7 @@ func (r *Stream) WishartWS(scaleL *la.Matrix, nu float64, dst, a, b *la.Matrix) 
 			var s float64
 			// (scaleL)_{i,t} nonzero for t<=i; A_{t,j} nonzero for t>=j.
 			for t := j; t <= i; t++ {
-				s += scaleL.At(i, t) * a.At(t, j)
+				s += float64(scaleL.At(i, t) * a.At(t, j))
 			}
 			b.Set(i, j, s)
 		}
@@ -97,7 +97,7 @@ func (r *Stream) WishartWS(scaleL *la.Matrix, nu float64, dst, a, b *la.Matrix) 
 		for j := 0; j <= i; j++ {
 			var s float64
 			for t := 0; t <= j; t++ {
-				s += b.At(i, t) * b.At(j, t)
+				s += float64(b.At(i, t) * b.At(j, t))
 			}
 			dst.Set(i, j, s)
 		}

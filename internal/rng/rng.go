@@ -10,6 +10,17 @@
 // distributed runs of the sampler consume identical randomness. This turns
 // the paper's "all versions reach the same RMSE" claim into an exactly
 // testable property.
+//
+// The same values come out on every architecture. Every product that feeds
+// a sum is rounded on its own (float64(x*y)), so no arch fuses it, and the
+// samplers take logarithms from log, a port of math.Log that is amd64's
+// bit for bit. The rank-one item update draws its items' normals four
+// streams at a time (FillNormLanes): on amd64 an AVX2 polar loop with one
+// xoshiro256** stream per 64-bit lane. Its rule is la's lane rule: a lane
+// holds one stream's values, and every floating-point step is one the
+// scalar Norm performs, in its order, a multiply, add, subtract, divide or
+// square root on its own, never a fused multiply-add. The Go body is the
+// reference and the path everywhere else.
 package rng
 
 import "math"
@@ -110,7 +121,7 @@ func (r *Stream) Uint64() uint64 {
 
 // Float64 returns a uniform variate in [0, 1) with 53 bits of precision.
 func (r *Stream) Float64() float64 {
-	return float64(r.Uint64()>>11) * 0x1.0p-53
+	return float64(float64(r.Uint64()>>11) * 0x1.0p-53)
 }
 
 // Intn returns a uniform integer in [0, n). Panics if n <= 0.
@@ -129,13 +140,13 @@ func (r *Stream) Norm() float64 {
 		return r.spare
 	}
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
+		f := math.Sqrt(-2 * log(s) / s)
 		r.spare = v * f
 		r.haveSpare = true
 		return u * f
@@ -167,17 +178,17 @@ func (r *Stream) Gamma(shape float64) float64 {
 		var x, v float64
 		for {
 			x = r.Norm()
-			v = 1 + c*x
+			v = 1 + float64(c*x)
 			if v > 0 {
 				break
 			}
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return boost * d * v
 		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if log(u) < float64(0.5*x*x)+float64(d*(1-v+log(v))) {
 			return boost * d * v
 		}
 	}
