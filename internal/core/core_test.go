@@ -69,6 +69,49 @@ func momentsNaive(x *la.Matrix) (n float64, sum la.Vector, sumsq *la.Matrix) {
 	return
 }
 
+// TestAccumulateRowsMatchesPerRowLoop pins the four-row moment kernels to
+// the one-row loop they replaced, bit for bit, on both sides of the
+// four-row block and of the kernels' vector widths, onto moments that are
+// not zero, and at zero allocations.
+func TestAccumulateRowsMatchesPerRowLoop(t *testing.T) {
+	r := rng.New(11)
+	for _, k := range []int{1, 7, 8, 32, 33} {
+		x := la.NewMatrix(12, k)
+		r.FillNorm(x.Data)
+		start := NewMoments(k)
+		start.AccumulateRows(x, 10, 12)
+		for n := 0; n <= 9; n++ {
+			lo := 1 + n%2
+			want := NewMoments(k)
+			want.Add(start)
+			for i := lo; i < lo+n; i++ {
+				want.N++
+				la.Axpy(1, x.Row(i), want.Sum)
+				la.SyrLower(1, x.Row(i), want.SumSq)
+			}
+			got := NewMoments(k)
+			got.Add(start)
+			got.AccumulateRows(x, lo, lo+n)
+			if got.N != want.N {
+				t.Fatalf("K=%d rows=%d: N = %v, want %v", k, n, got.N, want.N)
+			}
+			for i := range want.Sum {
+				if math.Float64bits(got.Sum[i]) != math.Float64bits(want.Sum[i]) {
+					t.Fatalf("K=%d rows=%d: Sum[%d] = %v, want %v", k, n, i, got.Sum[i], want.Sum[i])
+				}
+			}
+			for i := range want.SumSq.Data {
+				if math.Float64bits(got.SumSq.Data[i]) != math.Float64bits(want.SumSq.Data[i]) {
+					t.Fatalf("K=%d rows=%d: SumSq element %d = %v, want %v", k, n, i, got.SumSq.Data[i], want.SumSq.Data[i])
+				}
+			}
+			if a := testing.AllocsPerRun(5, func() { got.AccumulateRows(x, lo, lo+n) }); a != 0 {
+				t.Fatalf("K=%d rows=%d: AccumulateRows allocates %v times", k, n, a)
+			}
+		}
+	}
+}
+
 func TestMomentsGroupedMatchesNaive(t *testing.T) {
 	r := rng.New(3)
 	k := 5

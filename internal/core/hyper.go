@@ -79,14 +79,11 @@ func (m *Moments) Zero() {
 }
 
 // AccumulateRows adds rows [lo, hi) of x to the moments, iterating rows in
-// ascending order (the canonical order for reproducible reductions).
+// ascending order (the canonical order for reproducible reductions), four
+// rows per kernel pass.
 func (m *Moments) AccumulateRows(x *la.Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := x.Row(i)
-		m.N++
-		la.Axpy(1, row, m.Sum)
-		la.SyrLower(1, row, m.SumSq)
-	}
+	m.N += float64(hi - lo)
+	la.SyrkSumRowsLower(x, lo, hi, m.SumSq, m.Sum)
 }
 
 // Add combines other into m (m += other). Combining group partials in

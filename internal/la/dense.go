@@ -16,8 +16,11 @@
 // items at a time, one per register lane, from the factor update through
 // the forward solve to the paired back-solve) — run as hand-written AVX2
 // assembly that computes the same bits as the Go loops it stands in for, so
-// results are identical with and without it (the purego build tag removes
-// it; a CPU or OS without AVX2 falls back by itself). The lane kernels
+// results are identical with and without it. The four dense ones also have
+// AVX-512 bodies, eight elements a register with each run's last count
+// mod 8 under one opmask, which run where the CPU and the OS support them;
+// the dispatch order is AVX-512, AVX2, Go (the purego build tag removes the
+// assembly; a CPU or OS without AVX2 falls back by itself). The lane kernels
 // compute hypot themselves, with amd64's math.Hypot operations and the
 // square rounded on its own, so the rank-one update no longer takes
 // arm64's math.Hypot, which fuses it.
@@ -320,6 +323,32 @@ func SyrkAxpyBatchLower(alpha float64, src *Matrix, cols []int32, vals []float64
 		x := src.Row(int(cols[p]))
 		Axpy(alpha*vals[p], x, y)
 		SyrLower(alpha, x, a)
+	}
+}
+
+// SyrkSumRowsLower is SyrkAxpyBatchLower over rows [lo, hi) of src with
+// alpha and every weight 1:
+//
+//	A += Σ_i x_i · x_iᵀ   (lower triangle, diagonal included)
+//	y += Σ_i x_i
+//
+// four rows per pass. 1·x is exact, so the result is bit-identical to one
+// Axpy(1, x_i, y) and SyrLower(1, x_i, a) per row in ascending i.
+func SyrkSumRowsLower(src *Matrix, lo, hi int, a *Matrix, y Vector) {
+	n := a.Rows
+	if a.Cols != n || src.Cols != n || len(a.Data) != n*n || len(y) != n {
+		panic("la: SyrkSumRowsLower dimension mismatch")
+	}
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		x0, x1, x2, x3 := src.Row(i), src.Row(i+1), src.Row(i+2), src.Row(i+3)
+		axpy4(1, 1, 1, 1, x0, x1, x2, x3, y)
+		syrk4(1, x0, x1, x2, x3, a.Data)
+	}
+	for ; i < hi; i++ {
+		x := src.Row(i)
+		Axpy(1, x, y)
+		SyrLower(1, x, a)
 	}
 }
 

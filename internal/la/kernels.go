@@ -4,19 +4,24 @@ import "math"
 
 // The inner loops of the dense item update, of the rank-one item update and
 // of the scoring pass. Each has the pure-Go body below and, on amd64, an
-// AVX2 body in kernels_amd64.s computing the same bits: a vector lane only
-// holds a value these loops already keep separate (one memory element, one
-// row's inner product, or in the lane kernels one item), and every step is
-// a multiply then an add or subtract, never a fused multiply-add. The Go
-// bodies are the reference of the differential test and the only path off
-// amd64, under the purego tag, or without AVX2. Callers pass lengths they
-// have checked; the bodies check nothing.
+// AVX2 body in kernels_amd64.s computing the same bits; the four dense
+// primitives also have an AVX-512 body in kernels_avx512_amd64.s. A vector
+// lane only holds a value these loops already keep separate (one memory
+// element, one row's inner product, or in the lane kernels one item), and
+// every step is a multiply then an add or subtract, never a fused
+// multiply-add. The AVX2 dense bodies take the last count mod 4 elements of
+// a run through the scalar forms of the same two instructions; the AVX-512
+// ones take the last count mod 8 through one step under an opmask, whose
+// loads and store touch only those elements. The Go bodies are the
+// reference of the differential test and the only path off amd64, under
+// the purego tag, or without AVX2. Callers pass lengths they have checked;
+// the bodies check nothing.
 //
 // These eight are what the exported kernels call: syrk4, axpy4, axpy1 and
 // cholTrail for the dense item update, dot4 for the scoring pass, and the
 // three lane kernels of the rank-one item update (lanes.go), which advance
-// four items at a time. kernels_amd64.go's init points them at the AVX2
-// bodies when the CPU and the OS support them.
+// four items at a time. kernels_amd64.go's init points them at the widest
+// bodies the CPU and the OS run: AVX-512, then AVX2, then Go.
 var (
 	syrk4           = syrk4Go
 	axpy4           = axpy4Go
@@ -29,10 +34,28 @@ var (
 )
 
 // HasAVX2 reports whether the AVX2 bodies run: the CPU and the OS support
-// AVX2 on amd64, outside the purego build. It is set once, by this
-// package's init, before any importer's init reads it; rng's lane fill
-// dispatches on it too, so there is one CPU check.
-var HasAVX2 bool
+// AVX2 on amd64, outside the purego build. HasAVX512 reports the same of
+// the AVX-512 bodies (AVX512F and AVX512VL with opmask and ZMM state); it
+// implies HasAVX2. Both are set once, by this package's init, before any
+// importer's init reads them; rng's lane fill dispatches on HasAVX2 too,
+// so there is one CPU check.
+var HasAVX2, HasAVX512 bool
+
+// denseSet is one vector set of the four dense-update primitives.
+type denseSet struct {
+	name      string
+	ok        bool // the CPU and the OS run it
+	syrk4     func(alpha float64, x0, x1, x2, x3, a []float64)
+	axpy4     func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
+	axpy1     func(alpha float64, x, y []float64)
+	cholTrail func(l []float64, n, k int)
+}
+
+// denseSets lists the build's vector sets of the dense primitives, narrowest
+// first; the dispatchers run the last one the CPU runs, and the
+// differential test compares every one it runs with the Go bodies. Empty
+// off amd64 and under purego.
+var denseSets []denseSet
 
 // syrk4Go adds the four outer products Σ_r (alpha·x_r)·x_rᵀ to the lower
 // triangle of the row-major n × n matrix a, n = len(x0): each element is

@@ -2,10 +2,11 @@
 
 package la
 
-// Bodies in kernels_amd64.s. They take lengths from the slice headers and
-// check nothing; hasAVX2 is CPUID leaf 7 plus the OS's YMM support (XGETBV).
+// Bodies in kernels_amd64.s and kernels_avx512_amd64.s. They take lengths
+// from the slice headers and check nothing; cpuFeatures is CPUID leaves 1
+// and 7 plus the register state the OS saves (XGETBV).
 
-func hasAVX2() bool
+func cpuFeatures() (avx2, avx512 bool)
 
 //go:noescape
 func syrk4AVX2(alpha float64, x0, x1, x2, x3, a []float64)
@@ -20,6 +21,18 @@ func axpy1AVX2(alpha float64, x, y []float64)
 func cholTrailAVX2(l []float64, n, k int)
 
 //go:noescape
+func syrk4AVX512(alpha float64, x0, x1, x2, x3, a []float64)
+
+//go:noescape
+func axpy4AVX512(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
+
+//go:noescape
+func axpy1AVX512(alpha float64, x, y []float64)
+
+//go:noescape
+func cholTrailAVX512(l []float64, n, k int)
+
+//go:noescape
 func dot4AVX2(a []float64, k int, x []float64) (s0, s1, s2, s3 float64)
 
 //go:noescape
@@ -32,9 +45,17 @@ func solveUpperT4AVX2(u, y []float64, k int)
 func solveUpperPair4AVX2(u, a, b []float64, k int)
 
 func init() {
-	HasAVX2 = hasAVX2()
+	HasAVX2, HasAVX512 = cpuFeatures()
+	denseSets = []denseSet{
+		{"avx2", HasAVX2, syrk4AVX2, axpy4AVX2, axpy1AVX2, cholTrailAVX2},
+		{"avx512", HasAVX512, syrk4AVX512, axpy4AVX512, axpy1AVX512, cholTrailAVX512},
+	}
+	for _, s := range denseSets {
+		if s.ok {
+			syrk4, axpy4, axpy1, cholTrail = s.syrk4, s.axpy4, s.axpy1, s.cholTrail
+		}
+	}
 	if HasAVX2 {
-		syrk4, axpy4, axpy1, cholTrail, dot4 = syrk4AVX2, axpy4AVX2, axpy1AVX2, cholTrailAVX2, dot4AVX2
-		cholUpdate4, solveUpperT4, solveUpperPair4 = cholUpdate4AVX2, solveUpperT4AVX2, solveUpperPair4AVX2
+		dot4, cholUpdate4, solveUpperT4, solveUpperPair4 = dot4AVX2, cholUpdate4AVX2, solveUpperT4AVX2, solveUpperPair4AVX2
 	}
 }

@@ -4,13 +4,16 @@
 
 // AVX2 bodies of the eight kernels.go primitives: four for the dense item
 // update, three lane kernels for the rank-one item update, one (dot4) for
-// the scoring pass. One rule keeps them bit-identical to the Go bodies: a
-// lane holds a value the scalar loop keeps separate — one memory element,
-// in dot4 one row's inner product, in the lane kernels one item — and
-// every update is VMULPD then VADDPD or VSUBPD, no FMA, which would skip
-// the product's rounding. In the dense-update bodies the last count mod 4
-// elements of a run go through the scalar forms of the same two
-// instructions, so no element outside the run is loaded or stored; dot4
+// the scoring pass, and cpuFeatures, the one CPU check. One rule keeps
+// them bit-identical to the Go bodies: a lane holds a value the scalar
+// loop keeps separate — one memory element, in dot4 one row's inner
+// product, in the lane kernels one item — and every update is VMULPD then
+// VADDPD or VSUBPD, no FMA, which would skip the product's rounding. In the
+// dense-update bodies the last count mod 4 elements of a run go through
+// the scalar forms of the same two instructions, so no element outside
+// the run is loaded or stored. Where the CPU has AVX-512 the dense
+// primitives run kernels_avx512_amd64.s's bodies instead: the same loops
+// eight elements a step, the last count mod 8 under one opmask. dot4
 // stops at the last whole four columns and leaves the rest to its Go
 // caller. dot4's PREFETCHT0 is a hint: it never faults and reads no
 // element into a result. VZEROUPPER precedes every RET (the Go code around
@@ -130,31 +133,46 @@ done: \
 	VPBROADCASTQ	X0, Y0; \
 	VMOVUPD	Y0, off(SP)
 
-// func hasAVX2() bool
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB	$0, ret+0(FP)
+// cpuFeatures reports which vector bodies the CPU and the OS run. AVX2:
+// OSXSAVE and AVX (leaf 1 ECX bits 27, 28), XCR0 saving XMM and YMM state
+// (bits 1, 2), leaf 7 EBX bit 5. AVX-512 on top of that: XCR0 also saving
+// opmask and ZMM state (bits 5–7, so XCR0 & 0xE6 == 0xE6), leaf 7 EBX bits
+// 16 (F) and 31 (VL).
+//
+// func cpuFeatures() (avx2, avx512 bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB	$0, avx2+0(FP)
+	MOVB	$0, avx512+1(FP)
 	XORL	AX, AX
 	CPUID
 	CMPL	AX, $7
-	JLT	no
+	JLT	done
 	MOVL	$1, AX
 	XORL	CX, CX
 	CPUID
 	ANDL	$0x18000000, CX		// OSXSAVE (bit 27) and AVX (bit 28)
 	CMPL	CX, $0x18000000
-	JNE	no
+	JNE	done
 	XORL	CX, CX
 	XGETBV
+	MOVL	AX, R8			// XCR0
 	ANDL	$6, AX			// the OS saves XMM and YMM state
 	CMPL	AX, $6
-	JNE	no
+	JNE	done
 	MOVL	$7, AX
 	XORL	CX, CX
 	CPUID
-	SHRL	$5, BX			// leaf 7 EBX bit 5: AVX2
-	ANDL	$1, BX
-	MOVB	BX, ret+0(FP)
-no:
+	BTL	$5, BX			// leaf 7 EBX bit 5: AVX2
+	JCC	done
+	MOVB	$1, avx2+0(FP)
+	ANDL	$0xE6, R8		// ... and opmask and ZMM state
+	CMPL	R8, $0xE6
+	JNE	done
+	ANDL	$0x80010000, BX		// AVX512F (bit 16) and AVX512VL (bit 31)
+	CMPL	BX, $0x80010000
+	JNE	done
+	MOVB	$1, avx512+1(FP)
+done:
 	RET
 
 // CHAIN4 runs dst[j] = (((dst[j] + f0·x0[j]) + f1·x1[j]) + f2·x2[j]) + f3·x3[j]

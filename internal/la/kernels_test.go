@@ -10,8 +10,9 @@ import (
 // Differential tests of the vectorised kernels. Four layers, all compared
 // bit for bit:
 //
-//   - each primitive's dispatcher (the AVX2 body on amd64) against its Go
-//     body — the same comparison is trivially true under the purego tag;
+//   - each primitive against its Go body: the four dense ones through
+//     every set of bodies the CPU runs (AVX2, AVX-512), the rest through
+//     their dispatchers — trivially true under the purego tag;
 //   - the batched accumulation built on them against the naive per-rating
 //     loops, for rating counts on both sides of the four-row block and of a
 //     gather panel;
@@ -57,8 +58,9 @@ func payload(r *rand.Rand, n, off, oneIn int) Vector {
 	return buf
 }
 
-// diffPrimitives compares the eight dispatchers with their Go bodies at
-// width k (the lane kernels at order k).
+// diffPrimitives compares the eight primitives with their Go bodies at
+// width k (the lane kernels at order k): the four dense ones through every
+// set in denseSets the CPU runs, the other four through their dispatchers.
 func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	t.Helper()
 	var x [4]Vector
@@ -66,32 +68,36 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 		x[i] = payload(r, k, off, oneIn)[off : off+k]
 	}
 	f := payload(r, 4, 0, oneIn)
-
 	a := payload(r, k*k, off, oneIn)
-	got, want := a.Clone(), a.Clone()
-	syrk4(f[0], x[0], x[1], x[2], x[3], got[off:off+k*k])
-	syrk4Go(f[0], x[0], x[1], x[2], x[3], want[off:off+k*k])
-	checkBits(t, "syrk4", got, want)
-
 	y := payload(r, k, off, oneIn)
-	got, want = y.Clone(), y.Clone()
-	axpy4(f[0], f[1], f[2], f[3], x[0], x[1], x[2], x[3], got[off:off+k])
-	axpy4Go(f[0], f[1], f[2], f[3], x[0], x[1], x[2], x[3], want[off:off+k])
-	checkBits(t, "axpy4", got, want)
-
-	got, want = y.Clone(), y.Clone()
-	axpy1(f[1], x[0], got[off:off+k])
-	axpy1Go(f[1], x[0], want[off:off+k])
-	checkBits(t, "axpy1", got, want)
-
-	for _, pivot := range []int{0, k / 2, k - 2, k - 1} {
-		if pivot < 0 {
+	for _, s := range denseSets {
+		if !s.ok {
 			continue
 		}
-		got, want = a.Clone(), a.Clone()
-		cholTrail(got[off:off+k*k], k, pivot)
-		cholTrailGo(want[off:off+k*k], k, pivot)
-		checkBits(t, "cholTrail", got, want)
+		got, want := a.Clone(), a.Clone()
+		s.syrk4(f[0], x[0], x[1], x[2], x[3], got[off:off+k*k])
+		syrk4Go(f[0], x[0], x[1], x[2], x[3], want[off:off+k*k])
+		checkBits(t, s.name+" syrk4", got, want)
+
+		got, want = y.Clone(), y.Clone()
+		s.axpy4(f[0], f[1], f[2], f[3], x[0], x[1], x[2], x[3], got[off:off+k])
+		axpy4Go(f[0], f[1], f[2], f[3], x[0], x[1], x[2], x[3], want[off:off+k])
+		checkBits(t, s.name+" axpy4", got, want)
+
+		got, want = y.Clone(), y.Clone()
+		s.axpy1(f[1], x[0], got[off:off+k])
+		axpy1Go(f[1], x[0], want[off:off+k])
+		checkBits(t, s.name+" axpy1", got, want)
+
+		for _, pivot := range []int{0, k / 2, k - 2, k - 1} {
+			if pivot < 0 {
+				continue
+			}
+			got, want = a.Clone(), a.Clone()
+			s.cholTrail(got[off:off+k*k], k, pivot)
+			cholTrailGo(want[off:off+k*k], k, pivot)
+			checkBits(t, s.name+" cholTrail", got, want)
+		}
 	}
 
 	rows := payload(r, 4*k, off, oneIn)[off : off+4*k]
@@ -124,7 +130,7 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	}
 
 	y, z := payload(r, Lanes*k, off, oneIn), payload(r, Lanes*k, off, oneIn)
-	got, want = y.Clone(), y.Clone()
+	got, want := y.Clone(), y.Clone()
 	solveUpperT4(u[off:off+Lanes*k*k], got[off:off+Lanes*k], k)
 	solveUpperT4Go(u[off:off+Lanes*k*k], want[off:off+Lanes*k], k)
 	checkBits(t, "solveUpperT4", got, want)
@@ -273,7 +279,20 @@ func diffCholesky(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	checkBits(t, "Cholesky", buf, want)
 }
 
+// TestPrimitivesMatchGoBodies logs the dense sets it compares and shows a
+// set this CPU cannot run as a skipped subtest, so a run without AVX-512
+// does not read as a pass of the AVX-512 bodies.
 func TestPrimitivesMatchGoBodies(t *testing.T) {
+	if HasAVX512 && !HasAVX2 {
+		t.Fatal("HasAVX512 without HasAVX2")
+	}
+	for _, s := range denseSets {
+		if s.ok {
+			t.Logf("dense bodies compared with Go: %s", s.name)
+		} else {
+			t.Run(s.name, func(t *testing.T) { t.Skipf("the CPU or the OS does not run the %s bodies", s.name) })
+		}
+	}
 	r := testRand(181)
 	for k := 1; k <= 67; k++ {
 		for off := 0; off < 4; off++ {
