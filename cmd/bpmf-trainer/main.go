@@ -266,9 +266,19 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	return nil
 }
 
-// deltaName numbers delta shards so lexical order is creation order —
-// the order crash recovery must replay them in.
+// deltaName numbers delta shards in creation order — the order crash
+// recovery must replay them in. Numbers are six digits wide up to 999 999
+// and wider after, so the replay orders shards by number, not by name.
 func deltaName(i int) string { return fmt.Sprintf("delta-%06d.bcsr", i) }
+
+// deltaNumber reads a shard's number back from its name. A name deltaName
+// did not produce is refused rather than guessed at: numbering on from a
+// guess can land below an existing shard, and the next compaction would
+// then replay before an older one.
+func deltaNumber(name string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, "delta-"), ".bcsr"))
+	return n, err == nil && n >= 0 && deltaName(n) == name
+}
 
 // replayDeltas overlays the delta shards already in dir (from earlier
 // runs or a crash between compaction and publish) over the base matrix,
@@ -282,19 +292,19 @@ func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*spa
 	if err != nil {
 		return nil, 0, err
 	}
-	sort.Strings(paths)
+	nums := make(map[string]int, len(paths))
+	for _, p := range paths {
+		n, ok := deltaNumber(filepath.Base(p))
+		if !ok {
+			return nil, 0, fmt.Errorf("replaying delta shard %s: name is not delta-NNNNNN.bcsr, so its place in the replay order is unknown", p)
+		}
+		nums[p] = n
+	}
+	sort.Slice(paths, func(a, b int) bool { return nums[paths[a]] < nums[paths[b]] })
 	shards := make([]*sparse.CSR, len(paths))
 	next := 0
 	for i, p := range paths {
-		// The number orders the replay, so a name deltaName did not
-		// produce is refused rather than guessed at: numbering on from a
-		// guess can land below an existing shard, and the next compaction
-		// would then replay before an older one.
-		n, name := -1, filepath.Base(p)
-		if _, err := fmt.Sscanf(name, "delta-%06d.bcsr", &n); err != nil || n < 0 || deltaName(n) != name {
-			return nil, 0, fmt.Errorf("replaying delta shard %s: name is not delta-NNNNNN.bcsr, so its place in the replay order is unknown", p)
-		}
-		next = n + 1
+		next = nums[p] + 1
 		d, err := sparse.Load(p)
 		if err == nil && d.N != base.N {
 			err = fmt.Errorf("shard has %d columns, base has %d", d.N, base.N)

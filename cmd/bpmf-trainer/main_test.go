@@ -341,8 +341,9 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 	// it is refused by name, never numbered around. (At the parent the
 	// first two set next = 2 beside shard 7.)
 	for _, bad := range []string{
-		"delta-12.bcsr", "delta-x.bcsr", "delta-0000003.bcsr", "delta-1000000.bcsr",
+		"delta-12.bcsr", "delta-x.bcsr", "delta-0000003.bcsr", "delta-01000000.bcsr",
 		"delta--00001.bcsr", "delta-+00001.bcsr", "delta-000001b.bcsr",
+		"delta-99999999999999999999.bcsr",
 	} {
 		dir := t.TempDir()
 		path := filepath.Join(dir, bad)
@@ -375,6 +376,48 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 		writeShard(dir, 2, randomShard(12, 20, 1))
 		if _, _, err := replayDeltas(base, dir, t.Logf); err == nil || !strings.Contains(err.Error(), bad) {
 			t.Fatalf("%s shard: err = %v, want one naming %s", name, err, bad)
+		}
+	}
+}
+
+// TestReplayDeltasPastSixDigits: numbers outgrow deltaName's six digits
+// after 999 999. delta-1000000.bcsr is a shard like any other, replayed
+// after delta-999999.bcsr although its name sorts first. Each shard
+// writes its own number into cell (0, 0), so the cell names the shard
+// replayed last.
+func TestReplayDeltasPastSixDigits(t *testing.T) {
+	base := sparse.NewCOO(2, 3, 1)
+	base.Add(1, 1, 1)
+	for _, tc := range []struct {
+		shards []int
+		next   int
+	}{
+		{[]int{999998, 999999}, 1000000},
+		{[]int{999999, 1000000}, 1000001},
+		{[]int{1000000, 999998, 999999}, 1000001},
+		{[]int{1000000}, 1000001},
+	} {
+		dir := t.TempDir()
+		for _, n := range tc.shards {
+			d := sparse.NewCOO(1, 3, 1)
+			d.Add(0, 0, float64(n))
+			var buf bytes.Buffer
+			if err := sparse.WriteBinary(&buf, d.ToCSR()); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, deltaName(n)), buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, next, err := replayDeltas(base.ToCSR(), dir, t.Logf)
+		if err != nil {
+			t.Fatalf("shards %v: %v", tc.shards, err)
+		}
+		if next != tc.next {
+			t.Errorf("shards %v: next shard number %d, want %d", tc.shards, next, tc.next)
+		}
+		if cols, vals := got.Row(0); len(cols) != 1 || cols[0] != 0 || vals[0] != float64(tc.next-1) {
+			t.Errorf("shards %v: row 0 holds %v at columns %v, want shard %d replayed last", tc.shards, vals, cols, tc.next-1)
 		}
 	}
 }

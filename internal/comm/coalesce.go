@@ -32,6 +32,11 @@ func (b *Coalescer) Append(record []byte) error {
 			return err
 		}
 	}
+	if b.buf == nil {
+		// A message's buffer passes to the receiver with the send, so
+		// each message takes a fresh one, allocated once at full size.
+		b.buf = make([]byte, 0, max(b.maxSize, len(record)))
+	}
 	b.buf = append(b.buf, record...)
 	b.records++
 	if b.maxSize <= 0 {

@@ -69,7 +69,13 @@ func (c *Comm) BcastE(root int, data []byte) ([]byte, error) {
 
 // AllgatherE collects every rank's blob; the result slice is indexed by
 // rank. Implemented as a ring so each rank sends P-1 messages of its own
-// size.
+// size. A message is a block and a 4-byte owner trailer, which AllgatherE
+// appends to mine as append would: in place when mine has the spare
+// capacity (EncodeFloat64s' blobs do), so a large block goes on the wire
+// uncopied, and mine[:len(mine)] is never written. mine and its spare
+// capacity then belong to the fabric, as SendE's data does. A received
+// message is forwarded as it arrived. The blocks returned are read-only:
+// in process they are the memory other ranks read too.
 func (c *Comm) AllgatherE(mine []byte) ([][]byte, error) {
 	tag := c.nextCollTag()
 	p := c.size
@@ -80,12 +86,12 @@ func (c *Comm) AllgatherE(mine []byte) ([][]byte, error) {
 	}
 	right := (c.rank + 1) % p
 	left := (c.rank - 1 + p) % p
-	cur := mine
-	curOwner := c.rank
+	frame := appendOwner(mine, c.rank)
+	owner := c.rank
 	for step := 0; step < p-1; step++ {
-		// Send the block we most recently received, pull a new one from
-		// the left (classic allgather ring).
-		if err := c.SendE(right, tag, appendOwner(cur, curOwner)); err != nil {
+		// Send the message we most recently received, pull a new one
+		// from the left (classic allgather ring).
+		if err := c.SendE(right, tag, frame); err != nil {
 			return nil, err
 		}
 		m, err := c.RecvE(left, tag)
@@ -94,25 +100,23 @@ func (c *Comm) AllgatherE(mine []byte) ([][]byte, error) {
 		}
 		// The block that arrives at this step is the one the left
 		// neighbour held a step ago: its owner is one rank further left.
-		curOwner = (curOwner - 1 + p) % p
-		if cur, err = splitOwner(m.Data, curOwner); err != nil {
+		owner = (owner - 1 + p) % p
+		if out[owner], err = splitOwner(m.Data, owner); err != nil {
 			return nil, fmt.Errorf("comm: allgather frame from rank %d: %w", left, err)
 		}
-		out[curOwner] = cur
+		frame = m.Data
 	}
 	return out, nil
 }
 
 func appendOwner(b []byte, owner int) []byte {
-	out := make([]byte, len(b)+4)
-	copy(out, b)
-	binary.LittleEndian.PutUint32(out[len(b):], uint32(owner))
-	return out
+	return binary.LittleEndian.AppendUint32(b, uint32(owner))
 }
 
 // splitOwner strips the owner trailer appendOwner added, holding it to
 // the owner the ring step expects: the trailer indexes the result slice,
-// and a peer sent it.
+// and a peer sent it. The block comes back without spare capacity, so an
+// append to it cannot write the trailer other ranks read.
 func splitOwner(b []byte, want int) ([]byte, error) {
 	n := len(b) - 4
 	if n < 0 {
@@ -121,7 +125,7 @@ func splitOwner(b []byte, want int) ([]byte, error) {
 	if owner := binary.LittleEndian.Uint32(b[n:]); owner != uint32(want) {
 		return nil, fmt.Errorf("carries rank %d's block, this ring step delivers rank %d's", owner, want)
 	}
-	return b[:n], nil
+	return b[:n:n], nil
 }
 
 // AllreduceSumOrderedE sums per-rank float64 vectors with a fixed
@@ -151,9 +155,10 @@ func (c *Comm) AllreduceSumOrderedE(mine []float64) ([]float64, error) {
 
 // EncodeFloat64s serializes a float64 slice little-endian — the one
 // float blob layout on the fabric: allreduce partials here, package
-// dist's gathered factor rows and intervals.
+// dist's gathered factor rows and intervals. The blob carries four bytes
+// of spare capacity, the room AllgatherE's owner trailer takes.
 func EncodeFloat64s(v []float64) []byte {
-	b := make([]byte, 8*len(v))
+	b := make([]byte, 8*len(v), 8*len(v)+4)
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[i*8:], math.Float64bits(x))
 	}

@@ -181,18 +181,40 @@ func TestBcast(t *testing.T) {
 	}
 }
 
+// TestAllgather gives every rank a block of its own length, some with no
+// spare capacity, some with less than the 4-byte owner trailer and some
+// with more, so the trailer goes both in place and into a copy. After
+// every rank has returned, each caller's block must read as it was passed
+// and every slot as its owner passed it; at p ≥ 3 the ring forwards
+// received messages, so a slot can be a block two hops old.
 func TestAllgather(t *testing.T) {
+	block := func(r int) []byte {
+		b := make([]byte, 5+3*r, 5+3*r+[]int{0, 2, 4, 9}[r%4])
+		for i := range b {
+			b[i] = byte(r*31 + i)
+		}
+		return b
+	}
 	for _, p := range []int{1, 2, 3, 6} {
+		mine := make([][]byte, p)
+		all := make([][][]byte, p)
 		runSPMD(t, p, func(c *Comm) {
-			mine := []byte{byte(c.Rank()), byte(c.Rank() * 2)}
-			all, err := c.AllgatherE(mine)
+			r := c.Rank()
+			mine[r] = block(r)
+			var err error
+			all[r], err = c.AllgatherE(mine[r])
 			check(t, err)
-			for r := 0; r < p; r++ {
-				if len(all[r]) != 2 || all[r][0] != byte(r) || all[r][1] != byte(2*r) {
-					t.Errorf("p=%d rank=%d: slot %d = %v", p, c.Rank(), r, all[r])
+		})
+		for r := 0; r < p; r++ {
+			if want := block(r); string(mine[r]) != string(want) {
+				t.Errorf("p=%d: rank %d's block reads %v after the gather, passed as %v", p, r, mine[r], want)
+			}
+			for q, got := range all[r] {
+				if want := block(q); string(got) != string(want) {
+					t.Errorf("p=%d rank=%d: slot %d = %v, want %v", p, r, q, got, want)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -324,6 +346,9 @@ func TestCoalescer(t *testing.T) {
 		t.Fatalf("expected 1 flush, got %d", co.Flushes())
 	}
 	co.Flush()
+	// The first message is read only now, after cccc was appended: a
+	// flushed message keeps its bytes, because its buffer went with the
+	// send and the next record took a new one.
 	m1 := recv(t, comms[1], 0, 11)
 	m2 := recv(t, comms[1], 0, 11)
 	if string(m1.Data) != "aaaabbbb" || string(m2.Data) != "cccc" {
@@ -331,6 +356,38 @@ func TestCoalescer(t *testing.T) {
 	}
 	if co.Records() != 3 {
 		t.Fatalf("records = %d", co.Records())
+	}
+}
+
+// discardTransport accepts every send and delivers none.
+type discardTransport struct{}
+
+func (discardTransport) Send(int, int, []byte) error { return nil }
+func (discardTransport) Close() error                { return nil }
+
+// TestCoalescerOneAllocPerMessage pins a message to one allocation: its
+// buffer, made at full size when its first record arrives. Each run
+// appends one full 64 KiB message of 260-byte records (a K = 32 ghost
+// row), and its first record flushes the previous run's message.
+func TestCoalescerOneAllocPerMessage(t *testing.T) {
+	const maxSize, recLen = 64 << 10, 260
+	c := newComm(0, 2)
+	c.tr = discardTransport{}
+	co := NewCoalescer(c, 1, 15, maxSize)
+	rec := make([]byte, recLen)
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() {
+		for range maxSize / recLen {
+			if err := co.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("%v allocations per flushed message, want 1", allocs)
+	}
+	if co.Flushes() != runs {
+		t.Errorf("%d flushes over %d full messages (and a warm-up), want %d", co.Flushes(), runs, runs)
 	}
 }
 

@@ -478,6 +478,32 @@ func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
 	}
 }
 
+// TestInitFactorsMatchesDefinition holds the lane-filled init to its
+// definition, row by row: FillNorm of the row's keyed init stream, then
+// Scal(0.3). The heights leave lane groups of every occupancy, and odd K
+// leaves lane buffers no multiple of a vector.
+func TestInitFactorsMatchesDefinition(t *testing.T) {
+	for _, seed := range []uint64{0, 42, 0x9e3779b97f4a7c15} {
+		for _, side := range []Side{SideU, SideV} {
+			for _, k := range []int{1, 7, 32, 33} {
+				for _, n := range []int{1, 3, 4, 5, 1001} {
+					got := InitFactors(seed, side, n, k)
+					want := la.NewVector(k)
+					for i := 0; i < n; i++ {
+						rng.NewKeyed(seed, keyInit, uint64(side), uint64(i)).FillNorm(want)
+						la.Scal(0.3, want)
+						for j, w := range want {
+							if g := got.At(i, j); math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("seed %#x side %d K=%d n=%d: row %d element %d = %v, want %v", seed, side, k, n, i, j, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestInitFactorsDeterministic(t *testing.T) {
 	a := InitFactors(42, SideU, 50, 8)
 	b := InitFactors(42, SideU, 50, 8)

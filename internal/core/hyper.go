@@ -192,11 +192,6 @@ func ItemStream(seed uint64, iter int, side Side, item int) *rng.Stream {
 	return rng.New(itemKey(seed, iter, side, item))
 }
 
-// InitStream returns the keyed stream for one item's factor initialization.
-func InitStream(seed uint64, side Side, item int) *rng.Stream {
-	return rng.NewKeyed(seed, keyInit, uint64(side), uint64(item))
-}
-
 // HyperWorkspace holds the scratch of one Normal–Wishart posterior draw so
 // the per-iteration hyperparameter sampling allocates nothing in steady
 // state. One workspace must not be shared by concurrent draws.

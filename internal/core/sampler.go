@@ -84,15 +84,26 @@ func HoldOut(full *sparse.CSR, testFrac float64, seed uint64) (train *sparse.CSR
 func (p *Problem) Dims() (int, int) { return p.R.M, p.R.N }
 
 // InitFactors returns the deterministic keyed-stream initialization of one
-// side's factor matrix: row i ~ 0.3 · N(0, I) from InitStream(seed, side,
-// i). Every engine starts from this same state.
+// side's factor matrix: row i is FillNorm of the stream keyed
+// Mix(seed, keyInit, side, i), scaled by 0.3, so row i ~ 0.3 · N(0, I).
+// Rows are drawn four at a time, one per lane of rng.FillNormLanes, which
+// holds each lane to that stream's FillNorm bits. Every engine starts
+// from this same state.
 func InitFactors(seed uint64, side Side, n, k int) *la.Matrix {
 	m := la.NewMatrix(n, k)
-	for i := 0; i < n; i++ {
-		s := InitStream(seed, side, i)
-		row := m.Row(i)
-		s.FillNorm(row)
-		la.Scal(0.3, row)
+	buf := make([]float64, la.Lanes*k)
+	for lo := 0; lo < n; lo += la.Lanes {
+		g := min(la.Lanes, n-lo)
+		var keys [la.Lanes]uint64
+		for l := range keys[:g] {
+			keys[l] = rng.Mix(seed, keyInit, uint64(side), uint64(lo+l))
+		}
+		rng.FillNormLanes(buf, keys, g)
+		for l := range g {
+			row := m.Row(lo + l)
+			la.LaneInto(row, buf, l)
+			la.Scal(0.3, row)
+		}
 	}
 	return m
 }

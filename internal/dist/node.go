@@ -446,6 +446,9 @@ func (nd *Node) gatherSide(x *la.Matrix, bounds []int) error {
 		return err
 	}
 	for r, b := range blobs {
+		if r == nd.rank {
+			continue // mine encodes these very rows
+		}
 		if err := comm.DecodeFloat64sInto(x.Data[bounds[r]*nd.k:bounds[r+1]*nd.k], b); err != nil {
 			return fmt.Errorf("dist: factor rows gathered from rank %d: %w", r, err)
 		}
