@@ -21,12 +21,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graphlab"
 	"repro/internal/la"
 	"repro/internal/mc"
+	"repro/internal/rank"
 	"repro/internal/sparse"
 )
 
@@ -222,6 +224,9 @@ func (c Config) toCore() (core.Config, error) {
 type Result struct {
 	res  *core.Result
 	data *Data
+
+	catOnce sync.Once
+	cat     *rank.Catalog // built by the first Recommend, never by Train
 }
 
 // RMSE returns the final posterior-mean held-out RMSE (NaN without a

@@ -121,7 +121,8 @@ const (
 	// codecFloats is how many float64s Write and ReadCheckpoint move
 	// through their fixed stack buffer per call into the buffered stream.
 	codecFloats = 512
-	// floatChunk is how many float64s ReadCheckpoint allocates at a time.
+	// floatChunk is how many float64s ReadCheckpoint allocates for a
+	// section before the stream has delivered any of it.
 	floatChunk = 1 << 16
 )
 
@@ -223,20 +224,21 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: checkpoint header implies %d float64s (K=%d U=%d V=%d test=%d); refusing to allocate",
 			total, c.K, uRows, vRows, nTest)
 	}
-	// readFloats grows its slice in bounded chunks instead of one up-front
-	// make(n): a header that promises more data than the stream holds
-	// costs at most one chunk of over-allocation before the read error
-	// stops it.
+	// readFloats reads a section of n floats into a slice of exactly n,
+	// without trusting the header with the allocation: the slice starts at
+	// min(n, floatChunk) floats and doubles, up to n, only while the stream
+	// keeps filling it. A header that promises more than the stream holds
+	// so costs at most one chunk plus four times what the stream delivered
+	// before the read error stops it; a whole section costs less than
+	// three times its size in allocation and ends with cap == len. Once err
+	// is set nothing more is allocated.
 	readFloats := func(n int) []float64 {
-		var v []float64
-		for len(v) < n && err == nil {
-			c := n - len(v)
-			if c > floatChunk {
-				c = floatChunk
-			}
-			start := len(v)
-			v = append(v, make([]float64, c)...)
-			for dst := v[start:]; len(dst) > 0 && err == nil; {
+		if n == 0 || err != nil {
+			return nil
+		}
+		v := make([]float64, min(n, floatChunk))
+		for read := 0; ; {
+			for dst := v[read:]; len(dst) > 0 && err == nil; {
 				k := min(len(dst), codecFloats)
 				if _, err = io.ReadFull(br, buf[:8*k]); err == nil {
 					for i := range dst[:k] {
@@ -245,8 +247,14 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 				}
 				dst = dst[k:]
 			}
+			if err != nil || len(v) == n {
+				return v
+			}
+			read = len(v)
+			grown := make([]float64, min(n, 2*len(v)))
+			copy(grown, v)
+			v = grown
 		}
-		return v
 	}
 	c.U = &la.Matrix{Rows: uRows, Cols: c.K, Data: readFloats(uRows * c.K)}
 	c.V = &la.Matrix{Rows: vRows, Cols: c.K, Data: readFloats(vRows * c.K)}

@@ -210,6 +210,65 @@ func TestReadCheckpointTruncatedStreams(t *testing.T) {
 	}
 }
 
+// TestReadCheckpointAllocatesExactSections reads checkpoints of the
+// serving shapes — a wide catalog (50 000 items) and a wide user side
+// (48 350 users) at K = 32, with test accumulators and traces — and pins
+// what the decoder allocates: every section comes back with cap == len,
+// and the whole read allocates at most 2.5 times the payload, the 1 MiB
+// read buffer included.
+func TestReadCheckpointAllocatesExactSections(t *testing.T) {
+	for _, shape := range []struct{ users, items, test, trace int }{
+		{1000, 50000, 20000, 40},
+		{48350, 577, 9000, 30},
+	} {
+		const k = 32
+		c := &Checkpoint{
+			K: k, NextIter: 3, Seed: 5, NSamples: 2,
+			U:          la.NewMatrix(shape.users, k),
+			V:          la.NewMatrix(shape.items, k),
+			PredSum:    make([]float64, shape.test),
+			PredSumSq:  make([]float64, shape.test),
+			SampleRMSE: make([]float64, shape.trace),
+			AvgRMSE:    make([]float64, shape.trace),
+		}
+		for i := range c.V.Data {
+			c.V.Data[i] = float64(i)
+		}
+		var buf bytes.Buffer
+		if err := c.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		payload := 8 * (len(c.U.Data) + len(c.V.Data) + 2*shape.test + 2*shape.trace)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("%d users × %d items", shape.users, shape.items)
+		if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 2.5*float64(payload) {
+			t.Errorf("%s: allocated %d bytes for a %d-byte payload, want at most 2.5×", label, alloc, payload)
+		}
+		for _, sec := range []struct {
+			name string
+			v    []float64
+			n    int
+		}{
+			{"U", got.U.Data, len(c.U.Data)}, {"V", got.V.Data, len(c.V.Data)},
+			{"PredSum", got.PredSum, shape.test}, {"PredSumSq", got.PredSumSq, shape.test},
+			{"SampleRMSE", got.SampleRMSE, shape.trace}, {"AvgRMSE", got.AvgRMSE, shape.trace},
+		} {
+			if len(sec.v) != sec.n || cap(sec.v) != sec.n {
+				t.Errorf("%s: section %s has len %d cap %d, want both %d", label, sec.name, len(sec.v), cap(sec.v), sec.n)
+			}
+		}
+		if got.V.Data[len(got.V.Data)-1] != float64(len(c.V.Data)-1) {
+			t.Errorf("%s: V's last element is %v", label, got.V.Data[len(got.V.Data)-1])
+		}
+	}
+}
+
 // ckptHeaderLen is the fixed header after the magic: twelve uint64s.
 const ckptHeaderLen = 8 * 12
 

@@ -51,9 +51,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 		c, err := ReadCheckpoint(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		// The 1 MiB bufio.Reader, one chunk of read-ahead, the decoded
-		// floats themselves (no larger than the input) and small change;
-		// under -race, plus the detector's one unfused chunk.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+8*floatChunk+len(data)+64<<10+raceAllocSlack); got > limit {
+		// floats themselves (no larger than the input) and small change.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+8*floatChunk+len(data)+64<<10); got > limit {
 			t.Fatalf("%d input bytes: allocated %d, limit %d", len(data), got, limit)
 		}
 		if err != nil {

@@ -10,15 +10,17 @@
 // task DAG whose per-task arithmetic order does not depend on which worker
 // runs it).
 //
-// On amd64 the eight inner loops of kernels.go — four for the dense item
-// update, one for the scoring pass (Gemv, four catalogue rows at a time),
-// and the three lane kernels of the rank-one item update (lanes.go: four
-// items at a time, one per register lane, from the factor update through
-// the forward solve to the paired back-solve) — run as hand-written AVX2
-// assembly that computes the same bits as the Go loops it stands in for, so
-// results are identical with and without it. The four dense ones also have
-// AVX-512 bodies, eight elements a register with each run's last count
-// mod 8 under one opmask, which run where the CPU and the OS support them;
+// On amd64 nine inner loops — four for the dense item update, one for
+// Gemv (four rows at a time), one for a ranking's float32 pass
+// (blocks32.go's BlockDot32, eight catalogue rows a register over a
+// float32 block copy), and the three lane kernels of the rank-one item
+// update (lanes.go: four items at a time, one per register lane, from the
+// factor update through the forward solve to the paired back-solve) — run
+// as hand-written AVX2 assembly that computes the same bits as the Go
+// loops it stands in for, so results are identical with and without it.
+// The four dense ones also have AVX-512 bodies, eight elements a register
+// with each run's last count mod 8 under one opmask, which run where the
+// CPU and the OS support them;
 // the dispatch order is AVX-512, AVX2, Go (the purego build tag removes the
 // assembly; a CPU or OS without AVX2 falls back by itself). The lane kernels
 // compute hypot themselves, with amd64's math.Hypot operations and the

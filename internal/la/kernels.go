@@ -18,10 +18,12 @@ import "math"
 // the bodies check nothing.
 //
 // These eight are what the exported kernels call: syrk4, axpy4, axpy1 and
-// cholTrail for the dense item update, dot4 for the scoring pass, and the
-// three lane kernels of the rank-one item update (lanes.go), which advance
-// four items at a time. kernels_amd64.go's init points them at the widest
-// bodies the CPU and the OS run: AVX-512, then AVX2, then Go.
+// cholTrail for the dense item update, dot4 for Gemv, and the three lane
+// kernels of the rank-one item update (lanes.go), which advance four items
+// at a time. kernels_amd64.go's init points them at the widest bodies the
+// CPU and the OS run: AVX-512, then AVX2, then Go. The ninth, blockDot32
+// (blocks32.go, the float32 pass of a ranking), is dispatched by a direct
+// call instead, AVX2 or Go.
 var (
 	syrk4           = syrk4Go
 	axpy4           = axpy4Go

@@ -58,9 +58,47 @@ func payload(r *rand.Rand, n, off, oneIn int) Vector {
 	return buf
 }
 
-// diffPrimitives compares the eight primitives with their Go bodies at
+// specials32 are float64 values at and past float32's limits: overflow to
+// ±Inf, the largest float32, a float32 subnormal, and underflow to zero.
+var specials32 = []float64{1e39, -1e39, 3.4e38, 1e-40, -1e-45, 1e-300}
+
+// payload32 is payload rounded to float32, with specials32 among the
+// specials.
+func payload32(r *rand.Rand, n, off, oneIn int) []float32 {
+	src := payload(r, n, off, oneIn)
+	out := make([]float32, len(src))
+	for i, x := range src {
+		if oneIn > 0 && r.Intn(oneIn) == 0 {
+			x = specials32[r.Intn(len(specials32))]
+		}
+		out[i] = float32(x)
+	}
+	return out
+}
+
+// blockDot32Sum is row j's float32 sum of packed rows v with x, the Go
+// body's chain written out for one row.
+func blockDot32Sum(v []float32, x []float64, j int) float32 {
+	blk := v[(j/Block32)*Block32*len(x):]
+	var s float32
+	for c, xc := range x {
+		s += float32(blk[c*Block32+j%Block32] * float32(xc))
+	}
+	return s
+}
+
+// widen converts float32s to float64 exactly, for checkBits.
+func widen(x []float32) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = float64(v)
+	}
+	return out
+}
+
+// diffPrimitives compares the nine primitives with their Go bodies at
 // width k (the lane kernels at order k): the four dense ones through every
-// set in denseSets the CPU runs, the other four through their dispatchers.
+// set in denseSets the CPU runs, the other five through their dispatchers.
 func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	t.Helper()
 	var x [4]Vector
@@ -104,6 +142,33 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	g0, g1, g2, g3 := dot4(rows, k, x[0])
 	w0, w1, w2, w3 := dot4Go(rows, k, x[0])
 	checkBits(t, "dot4", []float64{g0, g1, g2, g3}, []float64{w0, w1, w2, w3})
+
+	// blockDot32 over 1 to 8 blocks, so both the four-block steps and the
+	// one-block tail run; the specials include values past float32's range
+	// at both ends, in the rows and in x.
+	nb := 1 + r.Intn(8)
+	v32 := payload32(r, nb*Block32*k, off, oneIn)
+	xs := payload(r, k, 0, oneIn)[:k] // rounded to float32 by the kernel
+	for i := range xs {
+		if oneIn > 0 && r.Intn(oneIn) == 0 {
+			xs[i] = specials32[r.Intn(len(specials32))]
+		}
+	}
+	got32, want32 := payload32(r, nb*Block32, off, 0), payload32(r, nb*Block32, off, 0)
+	copy(want32, got32)
+	// theta is one of the rows' own float32 sums (or, with specials, one
+	// of the specials), so the rule keeps some rows and drops others.
+	bound, theta := 0.1*math.Abs(r.NormFloat64()), float64(blockDot32Sum(v32[off:], xs, r.Intn(nb*Block32)))
+	if oneIn > 0 && r.Intn(4) == 0 {
+		theta = specials[r.Intn(len(specials))]
+	}
+	gotKeep := blockDot32(v32[off:off+nb*Block32*k], xs, got32[off:off+nb*Block32], bound, theta)
+	wantKeep := blockDot32Go(v32[off:off+nb*Block32*k], xs, want32[off:off+nb*Block32], bound, theta)
+	what := fmt.Sprintf("blockDot32 %d blocks bound=%v theta=%v", nb, bound, theta)
+	checkBits(t, what, widen(got32), widen(want32))
+	if gotKeep != wantKeep {
+		t.Fatalf("%s: kept rows %#x, want %#x", what, gotKeep, wantKeep)
+	}
 
 	// The lane kernels, each lane with its own count of vectors (0 to 4).
 	// Where a lane carries no vector r, its slot r is scratch to the
@@ -293,6 +358,7 @@ func TestPrimitivesMatchGoBodies(t *testing.T) {
 			t.Run(s.name, func(t *testing.T) { t.Skipf("the CPU or the OS does not run the %s bodies", s.name) })
 		}
 	}
+	t.Logf("dot4, blockDot32 and the lane kernels compared with Go through their dispatchers (AVX2 bodies: %v)", HasAVX2)
 	r := testRand(181)
 	for k := 1; k <= 67; k++ {
 		for off := 0; off < 4; off++ {
@@ -334,6 +400,45 @@ func TestGemvAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestBlockDot32Rule pins BlockDot32's rule on rows whose float32 sums
+// are known (K = 1, x = 1): a row is dropped only when its sum is above
+// −Inf and sum + bound is strictly below theta, and nothing is dropped
+// under a NaN bound or theta. Rows 8–15 repeat rows 0–7, so the second
+// block's byte lands in its place.
+func TestBlockDot32Rule(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	rows := []float64{1, 2, 3, -inf, nan, inf, 0.5, 2.5}
+	a := &Matrix{Rows: 16, Cols: 1, Data: append(append([]float64(nil), rows...), rows...)}
+	blocks := PackBlocks32(a)
+	for _, tc := range []struct {
+		bound, theta float64
+		keep         uint64
+	}{
+		// 2 + 0.5 == 2.5 is not below theta: kept.
+		{0.5, 2.5, 0b10111110},
+		{0, 2.5, 0b10111100},
+		{0.5, inf, 0b00111000},
+		{0.5, -inf, 0xff},
+		{nan, 2.5, 0xff},
+		{0.5, nan, 0xff},
+		{inf, 2.5, 0xff},
+	} {
+		var ts [16]float32
+		want := tc.keep | tc.keep<<8
+		if got := BlockDot32(blocks, Vector{1}, ts[:], tc.bound, tc.theta); got != want {
+			t.Errorf("bound %v theta %v: kept %#b, want %#b", tc.bound, tc.theta, got, want)
+		}
+		if got := BlockDot32(blocks, Vector{1}, ts[:8], tc.bound, tc.theta); got != tc.keep {
+			t.Errorf("one block, bound %v theta %v: kept %#b, want %#b", tc.bound, tc.theta, got, tc.keep)
+		}
+		for j, tj := range ts[:8] {
+			if !sameBits(float64(tj), rows[j]) {
+				t.Fatalf("row %d: sum %v, want %v", j, tj, rows[j])
+			}
+		}
+	}
+}
+
 func TestBatchMatchesPerRatingLoops(t *testing.T) {
 	r := testRand(182)
 	for k := 1; k <= 67; k++ {
@@ -365,7 +470,7 @@ func TestCholeskyMatchesLeftLooking(t *testing.T) {
 	}
 }
 
-// FuzzKernelsMatchGo drives the comparisons from fuzzed shapes: the eight
+// FuzzKernelsMatchGo drives the comparisons from fuzzed shapes: the nine
 // primitives against their Go bodies, the batched accumulation, Cholesky,
 // Gemv (nnz doubles as its row count), and the lane kernels against the
 // one-vector loop and the lower-form solves on every lane (nnz doubles as

@@ -174,7 +174,7 @@ func TestRecommendBitIdenticalToDotAndHeap(t *testing.T) {
 					ec := exclusionCases[(b+k)%len(exclusionCases)]
 					qs[b] = Query{U: u, Excl: ec.list(items), N: []int{0, 1, 10, items + 7}[(b+items)%4]}
 				}
-				Recommend(v, qs)
+				Recommend(NewCatalog(v), qs)
 				scores := make([]float64, items)
 				for b, q := range qs {
 					label := fmt.Sprintf("items=%d k=%d batch=%d user=%d n=%d", items, k, batch, b, q.N)
@@ -215,7 +215,7 @@ func TestScoresIgnoreStaleOutput(t *testing.T) {
 	u := la.Vector{1, 0, 0, 0}
 
 	qs := []Query{{U: u, N: items}}
-	Recommend(v, qs)
+	Recommend(NewCatalog(v), qs)
 	scores := make([]float64, items)
 	for j := range scores {
 		scores[j] = la.Dot(v.Row(j), u)
@@ -254,12 +254,12 @@ func TestRecommendReusesQueries(t *testing.T) {
 		qs[b] = Query{U: la.NewVector(8), Excl: []int32{3, 70, 149}, N: 7}
 		stream.FillNorm(qs[b].U)
 	}
-	Recommend(v, qs)
+	Recommend(NewCatalog(v), qs)
 	first := make([][]Item, len(qs))
 	for b := range qs {
 		first[b] = qs[b].Items
 	}
-	Recommend(v, qs)
+	Recommend(NewCatalog(v), qs)
 	for b := range qs {
 		sameList(t, fmt.Sprintf("user %d second pass", b), qs[b].Items, first[b])
 	}
@@ -277,7 +277,8 @@ func TestRecommendAllocatesOnlyResultLists(t *testing.T) {
 		stream.FillNorm(qs[b].U)
 	}
 	qs[8].N = 0 // keeps nothing, allocates nothing
-	if n := testing.AllocsPerRun(10, func() { Recommend(v, qs) }); n != 8 {
+	c := NewCatalog(v)
+	if n := testing.AllocsPerRun(10, func() { Recommend(c, qs) }); n != 8 {
 		t.Fatalf("Recommend allocates %v times per run, want the 8 result lists", n)
 	}
 }
@@ -288,7 +289,7 @@ func TestRecommendDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on a factor row of the wrong width")
 		}
 	}()
-	Recommend(la.NewMatrix(4, 3), []Query{{U: la.NewVector(2), N: 1}})
+	Recommend(NewCatalog(la.NewMatrix(4, 3)), []Query{{U: la.NewVector(2), N: 1}})
 }
 
 // BenchmarkRecommendFused times the fused pass over a serving-sized
@@ -298,6 +299,7 @@ func BenchmarkRecommendFused(b *testing.B) {
 	stream := rng.New(7)
 	v := la.NewMatrix(50000, 32)
 	stream.FillNorm(v.Data)
+	c := NewCatalog(v)
 	for _, batch := range []int{1, 4, 8} {
 		qs := make([]Query, batch)
 		for i := range qs {
@@ -307,7 +309,7 @@ func BenchmarkRecommendFused(b *testing.B) {
 		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				Recommend(v, qs)
+				Recommend(c, qs)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch*v.Rows), "ns/user·item")
 		})

@@ -72,8 +72,10 @@ func (s *Shed) Error() string {
 // (PERF.md, PR 14 section). The name is the request batcher's this type
 // replaced — benchmark/ compiles against it, so the rename is queued in
 // ROADMAP item 5 — and rank.Recommend still takes many queries per pass
-// for the day a workload's traffic contains batches. Safe for concurrent
-// use.
+// for the day a workload's traffic contains batches. A slot is held for a
+// whole ranking: the float32 scan of the catalog (half of V's bytes) and
+// the exact la.Dot of the few items it cannot rule out. Safe for
+// concurrent use.
 type Batcher struct {
 	opts BatchOptions
 

@@ -131,7 +131,8 @@ type postStat struct{ mean, std float64 }
 type Model struct {
 	k        int
 	u, v     *la.Matrix
-	cfg      core.Config // kernel selection + alpha for fold-in
+	cat      *rank.Catalog // v and its float32 copy, what a ranking scans
+	cfg      core.Config   // kernel selection + alpha for fold-in
 	seed     uint64
 	nextIter int
 	nSamples int
@@ -164,6 +165,10 @@ type Excluder interface {
 // snapshot from it. The user-side hyperparameters needed for fold-in are
 // ckpt.UserHyper(): exactly the (μ, Λ) the resumed chain would draw for
 // the user side at iteration ckpt.NextIter.
+//
+// The model takes ownership of the factor matrices ckpt.U and ckpt.V
+// without copying them: the caller must not modify them afterwards
+// (reading them, or writing the checkpoint out, is fine).
 func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 	if ckpt == nil || ckpt.U == nil || ckpt.V == nil {
 		return nil, fmt.Errorf("%w: nil checkpoint", ErrBadInput)
@@ -207,8 +212,9 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 
 	m := &Model{
 		k:        k,
-		u:        ckpt.U.Clone(),
-		v:        ckpt.V.Clone(),
+		u:        ckpt.U,
+		v:        ckpt.V,
+		cat:      rank.NewCatalog(ckpt.V),
 		cfg:      cfg,
 		seed:     ckpt.Seed,
 		nextIter: ckpt.NextIter,
@@ -356,7 +362,7 @@ func (m *Model) RecommendVector(u la.Vector, excl []int32, n int) ([]rank.Item, 
 // so the two cannot drift.
 func (m *Model) rankOne(u la.Vector, excl []int32, n int) []rank.Item {
 	q := [1]rank.Query{{U: u, Excl: excl, N: n}}
-	rank.Recommend(m.v, q[:])
+	rank.Recommend(m.cat, q[:])
 	return m.clampItems(q[0].Items)
 }
 

@@ -18,7 +18,9 @@ type Table struct {
 // tableGrain is the user-block size of the precompute: the shard the
 // pool rebalances (large enough to amortize task overhead, small enough
 // to even out skewed per-user exclusion costs) and the batch of one
-// rank.Recommend pass, so V is streamed once per block, not per user.
+// rank.Recommend pass, so the catalog's float32 copy is streamed once per
+// block, not per user, and each user reads only the rows of V its
+// float32 scores cannot rule out.
 const tableGrain = 64
 
 // precomputeTopN builds the table by ranking every user, tableGrain
@@ -45,7 +47,7 @@ func precomputeTopN(m *Model, pool *sched.Pool, n int) (*Table, error) {
 			}
 			qs[i] = rank.Query{U: m.u.Row(lo + i), Excl: excl, N: n}
 		}
-		rank.Recommend(m.v, qs)
+		rank.Recommend(m.cat, qs)
 		for i := range qs {
 			t.lists[lo+i] = qs[i].Items
 		}

@@ -18,9 +18,12 @@ type Scored struct {
 // recommender-system protocol the paper's introduction describes). It
 // returns nil if user is out of range or n <= 0, and fewer than n items
 // when the user has fewer than n unrated items. It is one rank.Recommend
-// pass, the serving layer's: a blocked Gemv over item panels feeding a
-// bounded min-heap, so the list equals rank.TopNScoresExcluding over the
-// la.Dot score of every item — same scores, same order of ties.
+// pass, the serving layer's: a float32 scan of the catalog rules out the
+// items that cannot make the list, and the rest get their la.Dot score in
+// a bounded min-heap, so the list equals rank.TopNScoresExcluding over the
+// la.Dot score of every item — same scores, same order of ties. The first
+// call builds the catalog's float32 copy (half of V's bytes), once per
+// Result; it is safe for concurrent use.
 func (r *Result) Recommend(user, n int) []Scored {
 	if n <= 0 || user < 0 || user >= r.res.U.Rows {
 		return nil
@@ -29,7 +32,7 @@ func (r *Result) Recommend(user, n int) []Scored {
 	if r.data != nil {
 		q[0].Excl, _ = r.data.prob.R.Row(user)
 	}
-	rank.Recommend(r.res.V, q[:])
+	rank.Recommend(r.catalog(), q[:])
 	if len(q[0].Items) == 0 {
 		return nil
 	}
@@ -38,6 +41,13 @@ func (r *Result) Recommend(user, n int) []Scored {
 		out[i] = Scored{Item: it.Index, Score: it.Score}
 	}
 	return out
+}
+
+// catalog returns the ranking catalog of the final V, building it on
+// first use.
+func (r *Result) catalog() *rank.Catalog {
+	r.catOnce.Do(func() { r.cat = rank.NewCatalog(r.res.V) })
+	return r.cat
 }
 
 // RankingReport holds averaged top-k ranking quality over the held-out

@@ -3,6 +3,7 @@ package bpmf
 import (
 	"math"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -99,6 +100,60 @@ func TestRecommendTopNMatchesFullSort(t *testing.T) {
 	}
 }
 
+// TestRecommendConcurrentOnOneResult: goroutines that rank on one fresh
+// Result at once race to build its catalog, and every list equals the
+// reference. Train itself builds no catalog. Run under -race.
+func TestRecommendConcurrentOnOneResult(t *testing.T) {
+	m, n, ratings := syntheticRatings(t, 85)
+	data, err := DataFromRatings(m, n, ratings, 0.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Train(data, quickConfig(Sequential))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.cat != nil {
+		t.Fatal("Train built the ranking catalog")
+	}
+	u, v := res.res.U, res.res.V
+	const workers = 8
+	got := make([][][]Scored, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for user := w; user < u.Rows; user += workers {
+				got[w] = append(got[w], res.Recommend(user, 10))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	scores := make([]float64, v.Rows)
+	for w := range got {
+		for i, list := range got[w] {
+			user := w + i*workers
+			for j := range scores {
+				scores[j] = la.Dot(u.Row(user), v.Row(j))
+			}
+			excl, _ := data.prob.R.Row(user)
+			want := rank.TopNScoresExcluding(scores, excl, 10)
+			if len(list) != len(want) {
+				t.Fatalf("user %d: %d items, reference %d", user, len(list), len(want))
+			}
+			for r := range want {
+				if list[r].Item != want[r].Index || math.Float64bits(list[r].Score) != math.Float64bits(want[r].Score) {
+					t.Fatalf("user %d rank %d: %v, reference %v", user, r, list[r], want[r])
+				}
+			}
+		}
+	}
+}
+
 func TestRecommendEdgeCases(t *testing.T) {
 	m, n, ratings := syntheticRatings(t, 82)
 	data, _ := DataFromRatings(m, n, ratings, 0, 7)
@@ -145,10 +200,8 @@ func TestEvaluateRankingBeatsRandom(t *testing.T) {
 	}
 
 	// Random-factor baseline must do notably worse on recall@10.
-	rnd := *res
 	rndRes := cloneResultWithRandomFactors(res)
 	baseline := rndRes.EvaluateRanking(10, thr)
-	_ = rnd
 	if !(rep.RecallAtK > baseline.RecallAtK+0.02) {
 		t.Fatalf("model recall@10 %.3f not better than random %.3f",
 			rep.RecallAtK, baseline.RecallAtK)
