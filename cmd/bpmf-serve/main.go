@@ -3,21 +3,25 @@
 // bpmf.TrainWithCheckpoint) into immutable serving snapshots and
 // answers prediction, recommendation and cold-start fold-in queries
 // over HTTP. It hosts a registry of N named models — each with its own
-// checkpoint path, exclusion source, top-N, clamp and lineage
-// configuration — and each model hot-reloads independently on SIGHUP or
-// when its checkpoint file changes on disk (-watch), so long-running
-// trainers can keep publishing fresher posteriors next to a live
-// server, one model at a time.
+// checkpoint path, exclusion source, clamp and lineage configuration —
+// and each model hot-reloads independently on SIGHUP or when its
+// checkpoint file changes on disk (-watch), so long-running trainers can
+// keep publishing fresher posteriors next to a live server, one model at
+// a time.
 //
 // Single-model (classic flags; serves under the name "default"):
 //
 //	bpmf -synthetic small -ckpt-out model.ckpt
-//	bpmf-serve -ckpt model.ckpt -addr :8080 -topn 100 -threads 8
+//	bpmf-serve -ckpt model.ckpt -addr :8080
 //
 //	curl 'localhost:8080/v1/default/predict?user=3&item=17'
 //	curl 'localhost:8080/v1/default/recommend?user=3&n=10'
 //
-// Multi-model (one JSON config file; flags still win where they overlap):
+// Multi-model (one JSON config file). The shared flags (-addr, -watch,
+// -rate, -burst, -queue-bound, -retry-after) still win over the file's
+// values; the per-model flags (-ckpt, -data, -test, -alpha, -clamp,
+// -clamp-min, -clamp-max) have no model to apply to next to a models map
+// and are refused there:
 //
 //	bpmf-serve -config serve.json
 //
@@ -26,7 +30,7 @@
 //	  "addr": ":8080",
 //	  "watch": "2s",
 //	  "models": {
-//	    "movies": {"ckpt": "movies.ckpt", "data": "movies.bcsr", "topn": 100},
+//	    "movies": {"ckpt": "movies.ckpt", "data": "movies.bcsr"},
 //	    "drugs":  {"ckpt": "drugs.ckpt", "lineage": {"seed": 42}}
 //	  }
 //	}
@@ -51,9 +55,10 @@
 // scans the catalog on its request's goroutine in one of GOMAXPROCS
 // scoring slots; with every slot busy it waits in line, and once
 // -queue-bound rankings are waiting for a scoring slot the next one is
-// shed (503 with the -retry-after hint). Predicts and top-N table hits
-// take no slot and are never shed by the bound. Nothing is batched:
-// measured, a request that gets a core also finds a slot (PERF.md).
+// shed (503 with the -retry-after hint). Predicts take no slot and are
+// never shed by the bound. Nothing is batched: measured, a request that
+// gets a core also finds a slot (PERF.md). -threads is ignored; it still
+// parses for the command lines that pass it.
 package main
 
 import (
@@ -80,7 +85,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/rank"
-	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -98,15 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var pool *sched.Pool
-	for _, mc := range models {
-		if mc.TopN > 0 {
-			pool = sched.NewPool(cfg.Threads)
-			defer pool.Close()
-			break
-		}
-	}
-	specs, err := buildSpecs(models, pool, log.Printf)
+	specs, err := buildSpecs(models, log.Printf)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -185,7 +181,7 @@ func gateOptions(s config.Serving) serve.BatchOptions {
 // buildSpecs turns the validated config entries into registry specs,
 // in deterministic name order. logf receives informational messages
 // (nil = silent), keeping the function testable.
-func buildSpecs(models map[string]config.ServeModel, pool *sched.Pool, logf func(string, ...any)) ([]serve.ModelSpec, error) {
+func buildSpecs(models map[string]config.ServeModel, logf func(string, ...any)) ([]serve.ModelSpec, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -196,7 +192,7 @@ func buildSpecs(models map[string]config.ServeModel, pool *sched.Pool, logf func
 	sort.Strings(names)
 	specs := make([]serve.ModelSpec, 0, len(models))
 	for _, name := range names {
-		sp, err := buildSpec(name, models[name], pool, logf)
+		sp, err := buildSpec(name, models[name], logf)
 		if err != nil {
 			// Release the exclusion mappings of already-built specs: the
 			// registry never sees them, so nobody else will.
@@ -212,20 +208,16 @@ func buildSpecs(models map[string]config.ServeModel, pool *sched.Pool, logf func
 	return specs, nil
 }
 
-// buildSpec resolves one model's serving options: clamp/top-N/lineage
+// buildSpec resolves one model's serving options: clamp and lineage
 // straight from the config, plus the exclusion source — a zero-copy
 // .bcsr mapping when possible, a decoded matrix (and optionally the
 // reconstructed test split) otherwise.
-func buildSpec(name string, mc config.ServeModel, pool *sched.Pool, logf func(string, ...any)) (serve.ModelSpec, error) {
+func buildSpec(name string, mc config.ServeModel, logf func(string, ...any)) (serve.ModelSpec, error) {
 	opts := serve.Options{
 		Alpha:        mc.Alpha,
 		ClampMin:     mc.Clamp.Min,
 		ClampMax:     mc.Clamp.Max,
 		ClampEnabled: mc.Clamp.Enable,
-		TopN:         mc.TopN,
-	}
-	if mc.TopN > 0 {
-		opts.Pool = pool
 	}
 	if mc.Lineage != nil {
 		opts.Lineage = &serve.Lineage{Seed: mc.Lineage.Seed, K: mc.Lineage.K}
@@ -248,14 +240,7 @@ func buildSpec(name string, mc config.ServeModel, pool *sched.Pool, logf func(st
 			}
 			opts.Exclude = mp
 			spec.Close = mp.Close
-			if mc.TopN > 0 {
-				// The top-N precompute sweeps every user, so all shards get
-				// verified at load time anyway; the mapping still avoids
-				// retaining a decoded copy of the matrix.
-				logf("model %q: exclusions mapped from %s (%d shards; -topn precompute verifies all of them at load)", name, mc.Data, mp.Shards())
-			} else {
-				logf("model %q: exclusions mapped from %s (%d shards, verified lazily per first query)", name, mc.Data, mp.Shards())
-			}
+			logf("model %q: exclusions mapped from %s (%d shards, verified lazily per first query)", name, mc.Data, mp.Shards())
 		} else {
 			excl, test, seed, err := loadExclusions(mc.Data, mc.TestFrac, mc.Ckpt)
 			if err != nil {

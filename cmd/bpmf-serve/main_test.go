@@ -281,7 +281,7 @@ func TestPredictMatchesPreRegistryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := buildSpecs(models, nil, nil)
+	specs, err := buildSpecs(models, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func fig2(cfg core.Config, cm des.CostModel) {
 		out := la.NewVector(k)
 		return timeMs(func() {
 			core.UpdateItem(ws, kern, &cfg, cols, vals, other, hyper,
-				core.ItemStream(1, 0, core.SideV, 0), nil, nil, out)
+				ws.ItemStream(1, 0, core.SideV, 0), nil, nil, out)
 		})
 	}
 

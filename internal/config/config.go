@@ -206,14 +206,14 @@ func (s Sampler) Validate() error {
 	return nil
 }
 
-// Clamp clips served or evaluated predictions to a rating range. The
-// old "(0,0) = off" sentinel is gone: clipping is on iff Enable is set
-// (so a legitimate [0, N] range is configurable), and an inverted range
-// is a validation error instead of a silent no-op.
+// Clamp clips served predictions to a rating range. Clipping is on when
+// Enable is set or, for compatibility with the old "(0,0) = off"
+// sentinel, when Max > Min (serve.NewModel's rule); an inverted range is
+// a validation error instead of a silent no-op.
 type Clamp struct {
 	// Enable turns clipping on.
 	Enable bool `json:"enable,omitempty"`
-	// Min and Max bound the reported predictions when Enable is set.
+	// Min and Max bound the reported predictions while clipping is on.
 	Min float64 `json:"min,omitempty"`
 	Max float64 `json:"max,omitempty"`
 }

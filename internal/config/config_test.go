@@ -330,7 +330,7 @@ func TestServeValidate(t *testing.T) {
 	}{
 		{"valid single", func(c *Serve) {}, ""},
 		{"valid multi", func(c *Serve) {
-			c.Model = ServeModel{}
+			c.Model = DefaultServeModel()
 			c.Models = map[string]ServeModel{
 				"a": {Ckpt: "a.ckpt", Alpha: 2},
 				"b": {Ckpt: "b.ckpt"}, // alpha defaulted by EffectiveModels
@@ -344,18 +344,17 @@ func TestServeValidate(t *testing.T) {
 			c.Models = map[string]ServeModel{"a": {Ckpt: "a.ckpt", Alpha: 2}}
 		}, "mutually exclusive"},
 		{"bad model name", func(c *Serve) {
-			c.Model = ServeModel{}
+			c.Model = DefaultServeModel()
 			c.Models = map[string]ServeModel{"a/b": {Ckpt: "a.ckpt", Alpha: 2}}
 		}, "model name"},
 		{"model without ckpt", func(c *Serve) {
-			c.Model = ServeModel{}
+			c.Model = DefaultServeModel()
 			c.Models = map[string]ServeModel{"a": {Alpha: 2}}
 		}, "needs a checkpoint path"},
 		{"bad test frac", func(c *Serve) { c.Model.TestFrac = 1.5 }, "test fraction"},
 		{"test frac without data", func(c *Serve) { c.Model.TestFrac = 0.2 }, "needs a data path"},
 		{"bad alpha", func(c *Serve) { c.Model.Alpha = 0 }, "alpha must be positive"},
 		{"inverted clamp", func(c *Serve) { c.Model.Clamp = Clamp{Min: 5, Max: 1} }, "must not exceed"},
-		{"negative topn", func(c *Serve) { c.Model.TopN = -1 }, "topn must be >= 0"},
 		{"bad lineage k", func(c *Serve) { c.Model.Lineage = &Lineage{Seed: 1, K: -1} }, "lineage k"},
 		{"negative queue bound", func(c *Serve) { c.Serving.QueueBound = -1 }, "queue bound"},
 		{"negative rate", func(c *Serve) { c.Serving.Rate = -1 }, "rate must be >= 0"},

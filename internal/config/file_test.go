@@ -132,7 +132,7 @@ func TestParseMultiModelServeFile(t *testing.T) {
 		"addr":  ":9090",
 		"watch": "2s",
 		"models": {
-			"movies": {"ckpt": "movies.ckpt", "topn": 10, "clamp": {"enable": true, "min": 0, "max": 5}},
+			"movies": {"ckpt": "movies.ckpt", "clamp": {"enable": true, "min": 0, "max": 5}},
 			"drugs":  {"ckpt": "drugs.ckpt", "lineage": {"seed": 7, "k": 16}}
 		}
 	}`)
@@ -154,7 +154,7 @@ func TestParseMultiModelServeFile(t *testing.T) {
 		t.Fatalf("EffectiveModels = %d entries, want 2", len(models))
 	}
 	mv := models["movies"]
-	if mv.TopN != 10 || !mv.Clamp.Enable || mv.Clamp.Max != 5 {
+	if !mv.Clamp.Enable || mv.Clamp.Max != 5 {
 		t.Errorf("movies = %+v", mv)
 	}
 	if mv.Alpha != DefaultServeModel().Alpha {
@@ -194,6 +194,92 @@ func TestServeRefusesDeletedBatchingKnobs(t *testing.T) {
 	}
 	if cfg.Serving.QueueBound != 16 || cfg.Serving.RetryAfter.Std().Seconds() != 3 {
 		t.Errorf("serving = %+v, want queue bound 16 from the file and retry-after 3s from the flag", cfg.Serving)
+	}
+}
+
+// TestServeRefusesDeletedTopN: the precomputed top-N table went, and a
+// deployment still carrying its option hears so at start-up — the file
+// loader names the key, the flag set the flag.
+func TestServeRefusesDeletedTopN(t *testing.T) {
+	for _, file := range []string{
+		`{"model": {"ckpt": "m.ckpt", "topn": 100}}`,
+		`{"models": {"a": {"ckpt": "a.ckpt", "topn": 100}}}`,
+	} {
+		path := writeFile(t, "serve.json", file)
+		cfg := DefaultServe()
+		err := Parse(newFS(t), []string{"-config", path}, &cfg)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "topn"`) {
+			t.Errorf("config file %s: error %v, want an unknown-field refusal naming \"topn\"", file, err)
+		}
+	}
+	cfg := DefaultServe()
+	err := Parse(newFS(t), []string{"-ckpt", "m.ckpt", "-topn", "100"}, &cfg)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -topn") {
+		t.Errorf("-topn: error %v, want an unknown-flag refusal", err)
+	}
+}
+
+// TestServeParsesBenchmarkCommandLines: the repository benchmark starts
+// bpmf-serve with these arguments (benchmark/pipeline.go and proc.go).
+// -threads does nothing any more but must keep parsing.
+func TestServeParsesBenchmarkCommandLines(t *testing.T) {
+	for _, args := range [][]string{
+		{"-addr", "127.0.0.1:18080", "-ckpt", "ref.ckpt", "-threads", "2", "-data", "d.bcsr"},
+		{"-addr", "127.0.0.1:18080", "-ckpt", "live.ckpt", "-threads", "2", "-watch", "50ms"},
+	} {
+		cfg := DefaultServe()
+		if err := Parse(newFS(t), args, &cfg); err != nil {
+			t.Errorf("%v: %v", args, err)
+			continue
+		}
+		models, err := cfg.EffectiveModels()
+		if err != nil || len(models) != 1 || models["default"].Ckpt != args[3] {
+			t.Errorf("%v: models %+v, %v; want one model named default serving %s", args, models, err, args[3])
+		}
+	}
+}
+
+// TestServeRefusesSingleModelSettingsNextToModels: next to a models map
+// a per-model setting has no model to apply to, so it is refused by
+// name, whether a flag or the file's "model" object set it; the shared
+// flags apply to every model of the map and are accepted.
+func TestServeRefusesSingleModelSettingsNextToModels(t *testing.T) {
+	const models = `"models": {"a": {"ckpt": "a.ckpt"}, "b": {"ckpt": "b.ckpt", "data": "b.bcsr"}}`
+	cases := []struct {
+		name        string
+		model       string // the file's "model" object, or ""
+		args        []string
+		errContains string
+	}{
+		{"shared flags", "", []string{"-rate", "2", "-burst", "1", "-threads", "2", "-watch", "1s", "-queue-bound", "4", "-addr", ":7070"}, ""},
+		{"model object at its defaults", `{"alpha": 2}`, nil, ""},
+		{"-ckpt", "", []string{"-ckpt", "m.ckpt"}, "-ckpt (file: model.ckpt)"},
+		{"-data", "", []string{"-data", "d.bcsr"}, "-data (file: model.data)"},
+		{"-test", "", []string{"-test", "0.2"}, "-test (file: model.test)"},
+		{"-alpha", "", []string{"-alpha", "7"}, "-alpha (file: model.alpha)"},
+		{"-clamp", "", []string{"-clamp"}, "-clamp (file: model.clamp.enable)"},
+		{"-clamp-min", "", []string{"-clamp-min", "1"}, "-clamp-min (file: model.clamp.min)"},
+		{"-clamp-max", "", []string{"-clamp-max", "5"}, "-clamp-max (file: model.clamp.max)"},
+		{"several", "", []string{"-data", "d.bcsr", "-alpha", "7", "-clamp", "-clamp-max", "5"}, "-data"},
+		{"model.alpha", `{"alpha": 7}`, nil, "-alpha (file: model.alpha)"},
+		{"model.clamp", `{"clamp": {"enable": true, "min": 1, "max": 5}}`, nil, "-clamp (file: model.clamp.enable)"},
+		{"model.lineage", `{"lineage": {"seed": 3}}`, nil, "model.lineage (file only)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			file := "{" + models + "}"
+			if tc.model != "" {
+				file = `{"model": ` + tc.model + ", " + models + "}"
+			}
+			cfg := DefaultServe()
+			err := Parse(newFS(t), append([]string{"-config", writeFile(t, "serve.json", file)}, tc.args...), &cfg)
+			switch {
+			case tc.errContains == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case tc.errContains != "" && (err == nil || !strings.Contains(err.Error(), tc.errContains)):
+				t.Fatalf("error %v, want one naming %q", err, tc.errContains)
+			}
+		})
 	}
 }
 
@@ -248,7 +334,7 @@ func FuzzLoadFile(f *testing.F) {
 		`{"data": {"synthetic": "small"}, "typo_field": 3}`,
 		`{"data": {"synthetic": "small"}} {"more": true}`,
 		`iters = 30`,
-		`{"addr": ":9090", "watch": "2s", "models": {"movies": {"ckpt": "movies.ckpt", "topn": 10, "clamp": {"enable": true, "min": 0, "max": 5}}, "drugs": {"ckpt": "drugs.ckpt", "lineage": {"seed": 7, "k": 16}}}}`,
+		`{"addr": ":9090", "watch": "2s", "models": {"movies": {"ckpt": "movies.ckpt", "clamp": {"enable": true, "min": 0, "max": 5}}, "drugs": {"ckpt": "drugs.ckpt", "lineage": {"seed": 7, "k": 16}}}}`,
 		`{"model": {"ckpt": "m.ckpt"}, "serving": {"max_batch": 8, "queue_bound": 16}}`,
 		`{"model": {"ckpt": "m.ckpt"}, "serving": {"queue_bound": 16, "retry_after": 3000000000}}`,
 		`{"model": {"ckpt": "m.ckpt"}, "watch": "1.5s", "serving": {"rate": 2.5, "burst": 1, "retry_after": "250ms"}}`,

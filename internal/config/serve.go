@@ -22,8 +22,6 @@ type ServeModel struct {
 	Alpha float64 `json:"alpha,omitempty"`
 	// Clamp clips served ratings to a range.
 	Clamp Clamp `json:"clamp"`
-	// TopN > 0 precomputes every user's top-N list at (re)load time.
-	TopN int `json:"topn,omitempty"`
 	// Lineage, when non-nil, pins the checkpoint's provenance: every
 	// load and hot reload must match it.
 	Lineage *Lineage `json:"lineage,omitempty"`
@@ -46,9 +44,6 @@ func (m ServeModel) Validate(name string) error {
 	if err := m.Clamp.Validate(); err != nil {
 		return fmt.Errorf("%w (model %q)", err, name)
 	}
-	if m.TopN < 0 {
-		return fmt.Errorf("config: model %q topn must be >= 0, got %d", name, m.TopN)
-	}
 	if m.Lineage != nil && m.Lineage.K < 0 {
 		return fmt.Errorf("config: model %q lineage k must be >= 0, got %d", name, m.Lineage.K)
 	}
@@ -64,7 +59,7 @@ func (m ServeModel) Validate(name string) error {
 type Serving struct {
 	// QueueBound is the SLO bound on rankings waiting for a scoring slot
 	// per model; beyond it new ones are shed with 503 (0 = unbounded).
-	// Predicts and top-N table hits never wait and are never shed by it.
+	// Predicts never wait and are never shed by it.
 	QueueBound int `json:"queue_bound,omitempty"`
 	// Rate is the per-client admission rate in requests/second
 	// (0 = no rate limit).
@@ -114,13 +109,15 @@ func (c Serving) Validate() error {
 // Serve configures cmd/bpmf-serve: an HTTP registry of N named models.
 // The single-model flag surface (-ckpt, -data, ...) populates Model;
 // a config file can instead declare Models, a map of name → model.
-// Exactly one of the two forms must be used.
+// Exactly one of the two forms must be used: next to a Models map, Model
+// must keep DefaultServeModel's values. The shared settings (Addr,
+// Threads, Watch, Serving) apply to every model either way.
 type Serve struct {
 	// Addr is the HTTP listen address.
 	Addr string `json:"addr,omitempty"`
-	// Threads is the worker-thread count for top-N precomputes
-	// (0 = GOMAXPROCS), shared by all models. It does not bound request
-	// scoring, which runs in up to GOMAXPROCS concurrent scoring slots.
+	// Threads is ignored: it is still accepted (>= 0) for command lines
+	// that pass it. Requests are scored in up to GOMAXPROCS concurrent
+	// scoring slots.
 	Threads int `json:"threads,omitempty"`
 	// Watch polls each model's checkpoint file at this interval and
 	// hot-reloads it on change (0 = SIGHUP only). Models reload
@@ -144,7 +141,7 @@ func DefaultServe() Serve {
 	return Serve{
 		Addr:    ":8080",
 		Serving: DefaultServing(),
-		Model:   ServeModel{Alpha: 2.0},
+		Model:   DefaultServeModel(),
 	}
 }
 
@@ -158,7 +155,7 @@ func DefaultServeModel() ServeModel { return ServeModel{Alpha: 2.0} }
 // "default" entry); multi-model registries come from the config file.
 func (c *Serve) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Addr, "addr", c.Addr, "HTTP listen address")
-	fs.IntVar(&c.Threads, "threads", c.Threads, "worker threads for the top-N precompute only (0 = GOMAXPROCS); requests are scored in up to GOMAXPROCS concurrent scoring slots whatever this is")
+	fs.IntVar(&c.Threads, "threads", c.Threads, "ignored (must be >= 0); requests are scored in up to GOMAXPROCS concurrent scoring slots")
 	fs.Var(&c.Watch, "watch", "poll each model's checkpoint at this interval and hot-reload on change (0 = SIGHUP only)")
 	c.Serving.RegisterFlags(fs)
 	fs.StringVar(&c.Model.Ckpt, "ckpt", c.Model.Ckpt, "checkpoint file to serve (single-model mode)")
@@ -168,7 +165,6 @@ func (c *Serve) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Model.Clamp.Enable, "clamp", c.Model.Clamp.Enable, "clip served ratings to [clamp-min, clamp-max]")
 	fs.Float64Var(&c.Model.Clamp.Min, "clamp-min", c.Model.Clamp.Min, "minimum served rating (with -clamp)")
 	fs.Float64Var(&c.Model.Clamp.Max, "clamp-max", c.Model.Clamp.Max, "maximum served rating (with -clamp; -clamp-max > -clamp-min also enables clipping for compatibility)")
-	fs.IntVar(&c.Model.TopN, "topn", c.Model.TopN, "precompute every user's top-N list at (re)load time (0 = off)")
 }
 
 // Validate checks the merged configuration.
@@ -191,8 +187,8 @@ func (c Serve) Validate() error {
 		}
 		return c.Model.Validate("default")
 	}
-	if c.Model.Ckpt != "" {
-		return fmt.Errorf("config: -ckpt (single-model mode) and a models map are mutually exclusive — add the model to the map instead")
+	if set := singleModelSetting(c.Model); set != "" {
+		return fmt.Errorf("config: %s configures the single model, and a models map is set: the two forms are mutually exclusive — set it on each model of the map instead", set)
 	}
 	models, err := c.EffectiveModels()
 	if err != nil {
@@ -207,6 +203,32 @@ func (c Serve) Validate() error {
 		}
 	}
 	return nil
+}
+
+// singleModelSetting names the first field of m that differs from
+// DefaultServeModel() by its flag and its key in the config file's
+// "model" object, or returns "" when m holds the defaults.
+func singleModelSetting(m ServeModel) string {
+	d := DefaultServeModel()
+	switch {
+	case m.Ckpt != d.Ckpt:
+		return "-ckpt (file: model.ckpt)"
+	case m.Data != d.Data:
+		return "-data (file: model.data)"
+	case m.TestFrac != d.TestFrac:
+		return "-test (file: model.test)"
+	case m.Alpha != d.Alpha:
+		return "-alpha (file: model.alpha)"
+	case m.Clamp.Enable != d.Clamp.Enable:
+		return "-clamp (file: model.clamp.enable)"
+	case m.Clamp.Min != d.Clamp.Min:
+		return "-clamp-min (file: model.clamp.min)"
+	case m.Clamp.Max != d.Clamp.Max:
+		return "-clamp-max (file: model.clamp.max)"
+	case m.Lineage != nil:
+		return "model.lineage (file only)"
+	}
+	return ""
 }
 
 // EffectiveModels resolves the registry contents: the named Models map

@@ -35,7 +35,7 @@ func assertZeroAllocs(t *testing.T, name string, kern Kernel, nnz, k int) {
 	cols, vals, other := allocProblem(nnz, cfg.K)
 	ws := NewWorkspace(cfg.K)
 	out := la.NewVector(cfg.K)
-	stream := ItemStream(cfg.Seed, 0, SideU, 1)
+	stream := rng.New(itemKey(cfg.Seed, 0, SideU, 1))
 	run := func() {
 		UpdateItem(ws, kern, &cfg, cols, vals, other, hyper, stream, nil, nil, out)
 	}
@@ -126,12 +126,12 @@ func TestItemLoopZeroAllocs(t *testing.T) {
 }
 
 // TestWorkspaceItemStreamMatchesKeyed pins ws.ItemStream byte-identical
-// to the allocating core.ItemStream for the same key.
+// to rng.New of the same item key, the stream the sampler keys.
 func TestWorkspaceItemStreamMatchesKeyed(t *testing.T) {
 	ws := NewWorkspace(4)
 	for item := 0; item < 5; item++ {
 		a := ws.ItemStream(42, 3, SideV, item)
-		b := ItemStream(42, 3, SideV, item)
+		b := rng.New(itemKey(42, 3, SideV, item))
 		for i := 0; i < 20; i++ {
 			if a.Norm() != b.Norm() {
 				t.Fatalf("item %d: workspace stream diverges from keyed stream", item)
@@ -202,7 +202,7 @@ func TestWorkspaceSharedArenaReuse(t *testing.T) {
 	hyper := NewHyper(cfg.K)
 	cols, vals, other := allocProblem(cfg.ParallelGrain+1, cfg.K)
 	out := la.NewVector(cfg.K)
-	stream := ItemStream(1, 0, SideU, 0)
+	stream := rng.New(itemKey(1, 0, SideU, 0))
 	// Warm via wsA, then wsB must run allocation-free off the same arena.
 	UpdateItem(wsA, KernelParallelCholesky, &cfg, cols, vals, other, hyper, stream, nil, nil, out)
 	UpdateItem(wsB, KernelParallelCholesky, &cfg, cols, vals, other, hyper, stream, nil, nil, out)

@@ -286,7 +286,7 @@ func updateWith(kern Kernel, cfg *Config, cols []int32, vals []float64,
 	other *la.Matrix, hyper *Hyper, pool *sched.Pool) la.Vector {
 	ws := NewWorkspace(cfg.K)
 	out := la.NewVector(cfg.K)
-	stream := ItemStream(cfg.Seed, 0, SideU, 0)
+	stream := rng.New(itemKey(cfg.Seed, 0, SideU, 0))
 	UpdateItem(ws, kern, cfg, cols, vals, other, hyper, stream, pool, nil, out)
 	return out
 }
@@ -408,7 +408,7 @@ func TestRankOneMatchesLowerFactorPath(t *testing.T) {
 		for nnz := 0; nnz <= 9; nnz++ {
 			cols, vals, other := buildItemProblem(nnz, k, uint64(nnz))
 			got := updateWith(KernelRankOne, &cfg, cols, vals, other, hyper, nil)
-			want := rankOneReference(cfg.Alpha, l, hyper.LambdaMu, cols, vals, other, ItemStream(cfg.Seed, 0, SideU, 0))
+			want := rankOneReference(cfg.Alpha, l, hyper.LambdaMu, cols, vals, other, rng.New(itemKey(cfg.Seed, 0, SideU, 0)))
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("K=%d nnz=%d: element %d is %v, lower-factor path %v", k, nnz, i, got[i], want[i])
@@ -442,7 +442,7 @@ func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
 			cols, vals, other := buildItemProblem(nnz, k, uint64(7+nnz))
 			for kern := KernelRankOne; kern < numKernels; kern++ {
 				ws, got := NewWorkspace(k), la.NewVector(k)
-				gs := ItemStream(cfg.Seed, 3, SideV, 9)
+				gs := rng.New(itemKey(cfg.Seed, 3, SideV, 9))
 				UpdateItem(ws, kern, &cfg, cols, vals, other, hyper, gs, nil, nil, got)
 
 				f, rhs := ws.prec, ws.rhs
@@ -460,7 +460,7 @@ func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
 					}
 				}
 				mu, want, scratch := la.NewVector(k), la.NewVector(k), la.NewVector(k)
-				rs := ItemStream(cfg.Seed, 3, SideV, 9)
+				rs := rng.New(itemKey(cfg.Seed, 3, SideV, 9))
 				la.SolveSPD(f, rhs, mu, scratch)
 				rs.MVNFromPrecChol(mu, f, want, scratch)
 				for i := range want {

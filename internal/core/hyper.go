@@ -187,11 +187,6 @@ func HyperStream(seed uint64, iter int, side Side) *rng.Stream {
 	return rng.NewKeyed(seed, keyHyper, uint64(iter), uint64(side))
 }
 
-// ItemStream returns the keyed stream for one item's posterior draw.
-func ItemStream(seed uint64, iter int, side Side, item int) *rng.Stream {
-	return rng.New(itemKey(seed, iter, side, item))
-}
-
 // HyperWorkspace holds the scratch of one Normal–Wishart posterior draw so
 // the per-iteration hyperparameter sampling allocates nothing in steady
 // state. One workspace must not be shared by concurrent draws.

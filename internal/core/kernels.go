@@ -111,11 +111,11 @@ type Workspace struct {
 }
 
 // ItemStream re-keys the workspace's embedded scratch stream in place to
-// the given item's keyed stream and returns it — byte-identical to the
-// allocating core.ItemStream, without the per-item allocation. The
+// the given item's keyed stream and returns it — byte-identical to
+// rng.New of the item's key, without allocating a stream per item. The
 // returned stream is only valid until the workspace's next ItemStream
-// call, which is exactly the per-item lease discipline the engines
-// already follow.
+// call, which is exactly the per-item lease discipline every caller
+// follows.
 func (ws *Workspace) ItemStream(seed uint64, iter int, side Side, item int) *rng.Stream {
 	ws.stream.Reinit(itemKey(seed, iter, side, item))
 	return &ws.stream

@@ -172,7 +172,7 @@ func TestUpdateRangeMatchesScalarReference(t *testing.T) {
 			want := make([]la.Vector, len(degs))
 			for item := range degs {
 				cols, vals := prob.R.Row(item)
-				stream := ItemStream(cfg.Seed, 4, SideU, item)
+				stream := rng.New(itemKey(cfg.Seed, 4, SideU, item))
 				if kern := cfg.SelectKernel(len(cols)); kern != KernelRankOne {
 					want[item] = la.NewVector(k)
 					UpdateItem(NewWorkspace(k), kern, &cfg, cols, vals, s.V, s.HU, stream, nil, nil, want[item])

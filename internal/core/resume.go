@@ -30,7 +30,8 @@ func (c *Checkpoint) UserHyper() *Hyper {
 // the sampler's own conditional: the user-side hyperparameters are
 // UserHyper's (the prior serve.NewModel folds in with too), and row i
 // is then drawn via UpdateItem conditioned on the merged matrix's row i
-// with ItemStream(seed, NextIter, SideU, i). The draw is
+// with the workspace stream ws.ItemStream(seed, NextIter, SideU, i). The
+// draw is
 // therefore a pure function of (checkpoint, problem row) — two trainers
 // growing the same checkpoint over the same merged matrix produce
 // bit-identical rows, whatever path the delta shards took to get there.
@@ -70,7 +71,7 @@ func (c *Checkpoint) GrowUsers(cfg Config, prob *Problem) (*Checkpoint, error) {
 	for i := c.U.Rows; i < m; i++ {
 		cols, vals := prob.R.Row(i)
 		UpdateItem(ws, cfg.SelectKernel(len(cols)), &cfg, cols, vals, c.V, hyper,
-			ItemStream(c.Seed, c.NextIter, SideU, i), nil, nil, grown.U.Row(i))
+			ws.ItemStream(c.Seed, c.NextIter, SideU, i), nil, nil, grown.U.Row(i))
 	}
 	return &grown, nil
 }

@@ -9,11 +9,12 @@ import (
 
 // scorePanel is the item-panel height of every scoring pass, a multiple
 // of la.Block32 and at most 64, the bits of la.BlockDot32's mask: the
-// catalog is walked once per batch in contiguous panels of this many
-// items, each scored against every user of the batch while it is cache
-// resident (64 items × K = 32 columns are 8 KiB of float32 blocks,
-// L1-resident next to the users' rows), so the catalog is read from
-// memory once per batch, not per request.
+// catalog is walked in contiguous panels of this many items. A ranking
+// reads its heap's weakest score once per panel and la.BlockDot32 rules
+// out a whole panel in one call; ScoreBatchInto scores each panel against
+// every user of its batch while it is cache resident (64 items × K = 32
+// columns are 16 KiB of float64 rows, L1-resident next to the users'
+// rows), so V is read from memory once per batch, not per user.
 const scorePanel = 64
 
 // ScoreBatchInto computes the multi-user score matrix out = U·Vᵀ
@@ -57,70 +58,46 @@ func NewCatalog(v *la.Matrix) *Catalog {
 	return &Catalog{v: v, blocks: la.PackBlocks32(v), vmax: math.Sqrt(sq)}
 }
 
-// Query is one user of a Recommend pass: its factor row U (len v.Cols),
-// the ascending list Excl of items to skip (the CSR row-view contract;
-// nil excludes nothing) and how many items N it wants. Recommend sets
-// Items: the top N non-excluded items by descending score, fewer when
-// the catalog minus exclusions is smaller.
-type Query struct {
-	U     la.Vector
-	Excl  []int32
-	N     int
-	Items []Item
-
-	top   topN
-	cur   int     // cursor into Excl: entries before it are below the current panel
-	bound float64 // M of U (package comment)
-}
-
-// Recommend ranks every item of c for each query in one streaming pass:
-// the catalog is walked once in panels; each panel goes through the two
-// passes of the package comment for every user of the batch — float32
-// scores from la.BlockDot32, then la.Dot and the user's top-N behind its
-// exclusion cursor for every item they cannot rule out, in ascending
-// item order. No score outlives its panel, so the pass needs no
-// catalog-sized buffer however many users share it, and allocates only
-// the result lists.
+// Recommend ranks every item of c for the user with factor row u (len
+// v.Cols), skipping the ascending list excl (the CSR row-view contract;
+// nil excludes nothing), and returns the top n items by descending
+// score, fewer when the catalog minus exclusions is smaller. The catalog
+// is walked once in panels, each through the two passes of the package
+// comment: float32 scores from la.BlockDot32, then la.Dot and the top-n
+// heap behind the exclusion cursor for every item they cannot rule out,
+// in ascending item order. No score outlives its panel, so the pass
+// needs no catalog-sized buffer, and it allocates only the returned
+// list (nothing when n <= 0).
 //
-// qs[b].Items is exactly TopNScoresExcluding over la.Dot(U, v.Row(j))
-// for every j — same scores, same heap, same tie-breaking — whatever
-// the batch around it: a single request is a batch of one, the top-N
-// table precompute a batch of users.
-func Recommend(c *Catalog, qs []Query) {
+// The list is exactly TopNScoresExcluding over la.Dot(u, v.Row(j)) for
+// every j — same scores, same heap, same tie-breaking.
+func Recommend(c *Catalog, u la.Vector, excl []int32, n int) []Item {
 	v := c.v
-	for b := range qs {
-		q := &qs[b]
-		if len(q.U) != v.Cols {
-			panic("rank: Recommend dimension mismatch")
-		}
-		q.top.reset(min(q.N, v.Rows))
-		q.cur = 0
-		q.bound = scoreBound(q.U, c.vmax)
+	if len(u) != v.Cols {
+		panic("rank: Recommend dimension mismatch")
 	}
+	var top topN
+	top.reset(min(n, v.Rows))
+	if top.n <= 0 {
+		return nil
+	}
+	bound := scoreBound(u, c.vmax) // M of u (package comment)
+	cur := 0                       // cursor into excl: entries before it are below the current panel
 	var t [scorePanel]float32
 	for lo := 0; lo < v.Rows; lo += scorePanel {
 		hi := min(lo+scorePanel, v.Rows)
 		w := (hi - lo + la.Block32 - 1) &^ (la.Block32 - 1)
-		blocks := c.blocks[lo*v.Cols : (lo+w)*v.Cols]
-		for b := range qs {
-			q := &qs[b]
-			if q.top.n <= 0 {
-				continue
-			}
-			theta := math.NaN() // rules nothing out
-			if len(q.top.h) == q.top.n {
-				theta = q.top.h[0].Score // the heap is full: only an item above its root enters
-			}
-			keep := la.BlockDot32(blocks, q.U, t[:w], q.bound, theta) & (1<<(hi-lo) - 1)
-			for ; keep != 0; keep &= keep - 1 {
-				j := lo + bits.TrailingZeros64(keep)
-				if !excluded(q.Excl, &q.cur, j) {
-					q.top.offer(j, la.Dot(q.U, v.Row(j)))
-				}
+		theta := math.NaN() // rules nothing out
+		if len(top.h) == top.n {
+			theta = top.h[0].Score // the heap is full: only an item above its root enters
+		}
+		keep := la.BlockDot32(c.blocks[lo*v.Cols:(lo+w)*v.Cols], u, t[:w], bound, theta) & (1<<(hi-lo) - 1)
+		for ; keep != 0; keep &= keep - 1 {
+			j := lo + bits.TrailingZeros64(keep)
+			if !excluded(excl, &cur, j) {
+				top.offer(j, la.Dot(u, v.Row(j)))
 			}
 		}
 	}
-	for b := range qs {
-		qs[b].Items = qs[b].top.take()
-	}
+	return top.take()
 }

@@ -145,13 +145,12 @@ var exclusionCases = []struct {
 }
 
 // TestRecommendBitIdenticalToDotAndHeap is the fused core's acceptance
-// table: for batch sizes from one to nine, latent widths on both sides
-// of la.Dot's four-wide unroll, catalogs that are not a multiple of the
-// panel, every exclusion shape, n from 0 to beyond the catalog, and
-// factors on a coarse grid (so scores tie often), every query's list
-// equals la.Dot scoring plus container/heap selection for that user
-// alone — item for item, bit for bit — and equals TopNScoresExcluding
-// over the same scores.
+// table: for latent widths on both sides of la.Dot's four-wide unroll,
+// catalogs that are not a multiple of the panel, every exclusion shape, n
+// from 0 to beyond the catalog, and factors on a coarse grid (so scores
+// tie often), every user's list equals la.Dot scoring plus
+// container/heap selection for that user — item for item, bit for bit —
+// and equals TopNScoresExcluding over the same scores.
 func TestRecommendBitIdenticalToDotAndHeap(t *testing.T) {
 	stream := rng.New(71)
 	for _, items := range []int{1, 63, 65, 130} {
@@ -160,30 +159,26 @@ func TestRecommendBitIdenticalToDotAndHeap(t *testing.T) {
 			for i := range v.Data {
 				v.Data[i] = float64(stream.Intn(5) - 2)
 			}
-			for _, batch := range []int{1, 2, 3, 4, 5, 8, 9} {
-				qs := make([]Query, batch)
-				for b := range qs {
-					u := la.NewVector(k)
-					if b%2 == 0 {
-						stream.FillNorm(u)
-					} else {
-						for i := range u {
-							u[i] = float64(stream.Intn(3) - 1)
-						}
+			c := NewCatalog(v)
+			scores := make([]float64, items)
+			for b := 0; b < 32; b++ {
+				u := la.NewVector(k)
+				if b%2 == 0 {
+					stream.FillNorm(u)
+				} else {
+					for i := range u {
+						u[i] = float64(stream.Intn(3) - 1)
 					}
-					ec := exclusionCases[(b+k)%len(exclusionCases)]
-					qs[b] = Query{U: u, Excl: ec.list(items), N: []int{0, 1, 10, items + 7}[(b+items)%4]}
 				}
-				Recommend(NewCatalog(v), qs)
-				scores := make([]float64, items)
-				for b, q := range qs {
-					label := fmt.Sprintf("items=%d k=%d batch=%d user=%d n=%d", items, k, batch, b, q.N)
-					for j := range scores {
-						scores[j] = la.Dot(v.Row(j), q.U)
-					}
-					sameList(t, label+" vs dot+heap", q.Items, recommendRef(v, q.U, q.Excl, q.N))
-					sameList(t, label+" vs TopNScoresExcluding", q.Items, TopNScoresExcluding(scores, q.Excl, q.N))
+				excl := exclusionCases[(b+k)%len(exclusionCases)].list(items)
+				n := []int{0, 1, 10, items + 7}[(b+items)%4]
+				label := fmt.Sprintf("items=%d k=%d user=%d n=%d", items, k, b, n)
+				for j := range scores {
+					scores[j] = la.Dot(v.Row(j), u)
 				}
+				got := Recommend(c, u, excl, n)
+				sameList(t, label+" vs dot+heap", got, recommendRef(v, u, excl, n))
+				sameList(t, label+" vs TopNScoresExcluding", got, TopNScoresExcluding(scores, excl, n))
 			}
 		}
 	}
@@ -214,14 +209,13 @@ func TestScoresIgnoreStaleOutput(t *testing.T) {
 	copy(v.Row(67), []float64{2, 0, 0, 0})
 	u := la.Vector{1, 0, 0, 0}
 
-	qs := []Query{{U: u, N: items}}
-	Recommend(NewCatalog(v), qs)
+	got := Recommend(NewCatalog(v), u, nil, items)
 	scores := make([]float64, items)
 	for j := range scores {
 		scores[j] = la.Dot(v.Row(j), u)
 	}
-	sameList(t, "Recommend vs TopNScoresExcluding", qs[0].Items, TopNScoresExcluding(scores, nil, items))
-	for _, it := range qs[0].Items {
+	sameList(t, "Recommend vs TopNScoresExcluding", got, TopNScoresExcluding(scores, nil, items))
+	for _, it := range got {
 		if it.Index == 67 && it.Score != 2 {
 			t.Fatalf("item 67 scored %v after item 3's +Inf, want 2", it.Score)
 		}
@@ -243,43 +237,20 @@ func TestScoresIgnoreStaleOutput(t *testing.T) {
 	}
 }
 
-// TestRecommendReusesQueries: a query slice ranked twice carries nothing
-// over from the first pass.
-func TestRecommendReusesQueries(t *testing.T) {
-	stream := rng.New(73)
-	v := la.NewMatrix(150, 8)
-	stream.FillNorm(v.Data)
-	qs := make([]Query, 5)
-	for b := range qs {
-		qs[b] = Query{U: la.NewVector(8), Excl: []int32{3, 70, 149}, N: 7}
-		stream.FillNorm(qs[b].U)
-	}
-	Recommend(NewCatalog(v), qs)
-	first := make([][]Item, len(qs))
-	for b := range qs {
-		first[b] = qs[b].Items
-	}
-	Recommend(NewCatalog(v), qs)
-	for b := range qs {
-		sameList(t, fmt.Sprintf("user %d second pass", b), qs[b].Items, first[b])
-	}
-}
-
-// TestRecommendAllocatesOnlyResultLists pins the scoring pass at zero
-// allocations beyond one list per query that keeps anything.
+// TestRecommendAllocatesOnlyResultLists pins a ranking at one
+// allocation, the list it returns, and n = 0 at none.
 func TestRecommendAllocatesOnlyResultLists(t *testing.T) {
 	stream := rng.New(3)
 	v := la.NewMatrix(200, 16)
 	stream.FillNorm(v.Data)
-	qs := make([]Query, 9)
-	for b := range qs {
-		qs[b] = Query{U: la.NewVector(16), Excl: []int32{5, 64}, N: 10}
-		stream.FillNorm(qs[b].U)
-	}
-	qs[8].N = 0 // keeps nothing, allocates nothing
+	u := la.NewVector(16)
+	stream.FillNorm(u)
+	excl := []int32{5, 64}
 	c := NewCatalog(v)
-	if n := testing.AllocsPerRun(10, func() { Recommend(c, qs) }); n != 8 {
-		t.Fatalf("Recommend allocates %v times per run, want the 8 result lists", n)
+	for _, tc := range []struct{ n, want int }{{10, 1}, {0, 0}} {
+		if got := testing.AllocsPerRun(10, func() { Recommend(c, u, excl, tc.n) }); got != float64(tc.want) {
+			t.Fatalf("Recommend with n=%d allocates %v times per run, want %d", tc.n, got, tc.want)
+		}
 	}
 }
 
@@ -289,29 +260,22 @@ func TestRecommendDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on a factor row of the wrong width")
 		}
 	}()
-	Recommend(NewCatalog(la.NewMatrix(4, 3)), []Query{{U: la.NewVector(2), N: 1}})
+	Recommend(NewCatalog(la.NewMatrix(4, 3)), la.NewVector(2), nil, 1)
 }
 
-// BenchmarkRecommendFused times the fused pass over a serving-sized
-// catalog (50 000 items, K = 32: V is larger than L2) for one request
-// and for flushes of four and eight.
+// BenchmarkRecommendFused times one ranking over a serving-sized catalog
+// (50 000 items, K = 32: V is larger than L2).
 func BenchmarkRecommendFused(b *testing.B) {
 	stream := rng.New(7)
 	v := la.NewMatrix(50000, 32)
 	stream.FillNorm(v.Data)
 	c := NewCatalog(v)
-	for _, batch := range []int{1, 4, 8} {
-		qs := make([]Query, batch)
-		for i := range qs {
-			qs[i] = Query{U: la.NewVector(32), Excl: []int32{10, 20000, 49999}, N: 10}
-			stream.FillNorm(qs[i].U)
-		}
-		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				Recommend(c, qs)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch*v.Rows), "ns/user·item")
-		})
+	u := la.NewVector(32)
+	stream.FillNorm(u)
+	excl := []int32{10, 20000, 49999}
+	b.ReportAllocs()
+	for b.Loop() {
+		Recommend(c, u, excl, 10)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(v.Rows), "ns/item")
 }

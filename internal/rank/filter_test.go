@@ -124,22 +124,18 @@ func dotScores(v *la.Matrix, u la.Vector) []float64 {
 	return scores
 }
 
-// checkAgainstReference ranks qs in one Recommend pass over c and compares
-// each list with TopNScoresExcluding over scores[b], the user's la.Dot
-// scores, bit for bit.
-func checkAgainstReference(t testing.TB, label string, c *Catalog, qs []Query, scores [][]float64) {
+// checkAgainstReference ranks u over c and compares the list with
+// TopNScoresExcluding over scores, the user's la.Dot scores, bit for bit.
+func checkAgainstReference(t testing.TB, label string, c *Catalog, u la.Vector, excl []int32, n int, scores []float64) {
 	t.Helper()
-	Recommend(c, qs)
-	for b, q := range qs {
-		want := TopNScoresExcluding(scores[b], q.Excl, q.N)
-		if len(q.Items) != len(want) {
-			t.Fatalf("%s user %d n=%d: %d items, want %d", label, b, q.N, len(q.Items), len(want))
-		}
-		for i := range want {
-			g, w := q.Items[i], want[i]
-			if g.Index != w.Index || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
-				t.Fatalf("%s user %d n=%d: rank %d is %+v, want %+v", label, b, q.N, i, g, w)
-			}
+	got, want := Recommend(c, u, excl, n), TopNScoresExcluding(scores, excl, n)
+	if len(got) != len(want) {
+		t.Fatalf("%s n=%d: %d items, want %d", label, n, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Index != w.Index || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s n=%d: rank %d is %+v, want %+v", label, n, i, g, w)
 		}
 	}
 }
@@ -147,7 +143,7 @@ func checkAgainstReference(t testing.TB, label string, c *Catalog, qs []Query, s
 // TestFilterMatchesUnfilteredHeap is the adversarial table: every kind of
 // catalog, K ∈ {1, 3, 7, 8, 9, 32, 33, 64} × N ∈ {1, 7, 8, 9, 31, 32, 33,
 // 63, 64, 65, 1000} × n ∈ {0, 1, 10, N, N+5}, with and without
-// exclusions, each user alone and 64 users in one pass.
+// exclusions, 64 users each.
 func TestFilterMatchesUnfilteredHeap(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
 	for _, kind := range filterKinds {
@@ -166,14 +162,9 @@ func TestFilterMatchesUnfilteredHeap(t *testing.T) {
 				}
 				for _, n := range []int{0, 1, 10, items, items + 5} {
 					for _, excl := range []bool{false, true} {
-						label := fmt.Sprintf("%s K=%d N=%d excl=%v", kind.name, k, items, excl)
-						qs := make([]Query, len(us))
 						for b, u := range us {
-							qs[b] = Query{U: u, Excl: filterExclusions(items, excl), N: n}
-						}
-						checkAgainstReference(t, label+" batch=64", c, qs, scores)
-						for b := range qs[:4] {
-							checkAgainstReference(t, label+" batch=1", c, qs[b:b+1], scores[b:b+1])
+							label := fmt.Sprintf("%s K=%d N=%d excl=%v user %d", kind.name, k, items, excl, b)
+							checkAgainstReference(t, label, c, u, filterExclusions(items, excl), n, scores[b])
 						}
 					}
 				}
@@ -183,16 +174,16 @@ func TestFilterMatchesUnfilteredHeap(t *testing.T) {
 }
 
 // FuzzRecommendMatchesReference draws the catalog kind, shape, n, the
-// exclusions and the batch from the fuzzer; plain `go test` runs the
-// seeds.
+// exclusions and the number of users from the fuzzer; plain `go test`
+// runs the seeds.
 func FuzzRecommendMatchesReference(f *testing.F) {
 	f.Add(int64(1), uint8(32), uint16(5000), uint16(10), uint8(0), uint8(1), false)
 	f.Add(int64(2), uint8(7), uint16(300), uint16(3), uint8(2), uint8(9), true)
 	f.Add(int64(3), uint8(33), uint16(700), uint16(20), uint8(3), uint8(4), false)
 	f.Add(int64(4), uint8(1), uint16(65), uint16(66), uint8(4), uint8(2), true)
 	f.Add(int64(5), uint8(64), uint16(129), uint16(1), uint8(1), uint8(64), true)
-	f.Fuzz(func(t *testing.T, seed int64, k uint8, items, n uint16, kind, batch uint8, excl bool) {
-		kk, nn, bb := 1+int(k)%64, 1+int(items)%5000, 1+int(batch)%64
+	f.Fuzz(func(t *testing.T, seed int64, k uint8, items, n uint16, kind, users uint8, excl bool) {
+		kk, nn, bb := 1+int(k)%64, 1+int(items)%5000, 1+int(users)%64
 		r := rand.New(rand.NewSource(seed))
 		v := la.NewMatrix(nn, kk)
 		us := make([]la.Vector, bb)
@@ -201,13 +192,11 @@ func FuzzRecommendMatchesReference(f *testing.F) {
 		}
 		fk := filterKinds[int(kind)%len(filterKinds)]
 		fk.fill(r, v, us)
-		qs := make([]Query, bb)
-		scores := make([][]float64, bb)
+		c := NewCatalog(v)
 		for b, u := range us {
-			qs[b] = Query{U: u, Excl: filterExclusions(nn, excl), N: int(n)}
-			scores[b] = dotScores(v, u)
+			label := fmt.Sprintf("%s K=%d N=%d excl=%v user %d", fk.name, kk, nn, excl, b)
+			checkAgainstReference(t, label, c, u, filterExclusions(nn, excl), int(n), dotScores(v, u))
 		}
-		checkAgainstReference(t, fmt.Sprintf("%s K=%d N=%d excl=%v", fk.name, kk, nn, excl), NewCatalog(v), qs, scores)
 	})
 }
 

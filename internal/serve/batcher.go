@@ -18,8 +18,8 @@ type BatchOptions struct {
 	// QueueBound is the SLO bound on rankings (Recommend,
 	// RecommendVector) waiting for a scoring slot: with this many
 	// waiting, new ones are shed with a *Shed instead of queuing
-	// unboundedly. Predict and top-N table hits never wait, so it never
-	// sheds them. 0 means no bound.
+	// unboundedly. Predict never waits, so it never sheds it. 0 means no
+	// bound.
 	QueueBound int
 	// Rate is the per-client admission rate in requests/second enforced
 	// by Admit via a token bucket per client key. 0 disables rate
@@ -70,12 +70,10 @@ func (s *Shed) Error() string {
 // Nothing is batched: with as many slots as cores a request that gets a
 // core also finds a slot, so rankings do not pile up to share a pass
 // (PERF.md, PR 14 section). The name is the request batcher's this type
-// replaced — benchmark/ compiles against it, so the rename is queued in
-// ROADMAP item 5 — and rank.Recommend still takes many queries per pass
-// for the day a workload's traffic contains batches. A slot is held for a
-// whole ranking: the float32 scan of the catalog (half of V's bytes) and
-// the exact la.Dot of the few items it cannot rule out. Safe for
-// concurrent use.
+// replaced; benchmark/ compiles against it, so the rename is queued in
+// ROADMAP item 5. A slot is held for a whole ranking: the float32 scan
+// of the catalog (half of V's bytes) and the exact la.Dot of the few
+// items it cannot rule out. Safe for concurrent use.
 type Batcher struct {
 	opts BatchOptions
 
@@ -121,10 +119,10 @@ func (b *Batcher) Admit(client string) error {
 }
 
 // Recommend serves Model.Recommend inside a scoring slot. What scans no
-// catalog — a bad user index, n <= 0, a hit in the precomputed top-N
-// table — takes no slot and is never shed by QueueBound.
+// catalog — a bad user index or n <= 0 — takes no slot and is never shed
+// by QueueBound.
 func (b *Batcher) Recommend(m *Model, user, n int) ([]rank.Item, error) {
-	if n <= 0 || m.checkUser(user) != nil || (m.table != nil && n <= m.table.n) {
+	if n <= 0 || m.checkUser(user) != nil {
 		return m.Recommend(user, n)
 	}
 	if err := b.acquire(); err != nil {

@@ -135,15 +135,13 @@ func TestBatcherConcurrentMixedTrafficAcrossHotReload(t *testing.T) {
 	wg.Wait()
 }
 
-// gateExcluder is an exclusion source (excluding nothing) whose lookups,
-// once armed, block until the test opens the gate. A ranking looks its
-// user's exclusion list up inside its scoring slot, just before
-// rank.Recommend, so a closed gate parks every ranking that holds a slot,
-// and the number of lookups inside at once is the number of rankings in
-// flight.
+// gateExcluder is an exclusion source (excluding nothing) whose lookups
+// block until the test opens the gate. A ranking looks its user's
+// exclusion list up inside its scoring slot, just before rank.Recommend,
+// so a closed gate parks every ranking that holds a slot, and the number
+// of lookups inside at once is the number of rankings in flight.
 type gateExcluder struct {
 	users, items int
-	armed        atomic.Bool   // false while the model (and its top-N table) is built
 	gate         chan struct{} // closing it lets every lookup through
 	entered      chan struct{} // one token per lookup that reached the gate; buffered past any test's lookup count so it never blocks one
 	inside, peak atomic.Int32
@@ -152,9 +150,6 @@ type gateExcluder struct {
 func (g *gateExcluder) Dims() (int, int) { return g.users, g.items }
 
 func (g *gateExcluder) AppendRowCols(dst []int32, user int) ([]int32, error) {
-	if !g.armed.Load() {
-		return dst, nil
-	}
 	n := g.inside.Add(1)
 	for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
 	}
@@ -164,15 +159,12 @@ func (g *gateExcluder) AppendRowCols(dst []int32, user int) ([]int32, error) {
 	return dst, nil
 }
 
-// gatedModel returns a synthetic model (with a top-N table of topN
-// entries per user when topN > 0) whose exclusion lookups go through a
-// closed gate, and the gate.
-func gatedModel(t *testing.T, topN int) (*Model, *gateExcluder) {
+// gatedModel returns a synthetic model whose exclusion lookups go
+// through a closed gate, and the gate.
+func gatedModel(t *testing.T) (*Model, *gateExcluder) {
 	t.Helper()
 	g := &gateExcluder{users: 10, items: 100, gate: make(chan struct{}), entered: make(chan struct{}, 1024)}
-	m := syntheticModel(t, g.users, g.items, 4, Options{Exclude: g, TopN: topN})
-	g.armed.Store(true)
-	return m, g
+	return syntheticModel(t, g.users, g.items, 4, Options{Exclude: g}), g
 }
 
 // parkRanking issues one Recommend that takes a free scoring slot and
@@ -214,7 +206,7 @@ func waitState(t *testing.T, b *Batcher, slots, waiting int) {
 // waiting or holding a slot.
 func TestBatcherFlushesConcurrentlyUpToBound(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	m, g := gatedModel(t, 0)
+	m, g := gatedModel(t)
 	b := NewBatcher(BatchOptions{QueueBound: 64})
 
 	var wg sync.WaitGroup
@@ -252,10 +244,11 @@ func TestBatcherFlushesConcurrentlyUpToBound(t *testing.T) {
 // every scoring slot parked and QueueBound callers waiting for one, the
 // next ranking is shed synchronously with the configured Retry-After
 // hint instead of joining the line, while what takes no slot — a
-// Model.Predict, a top-N table hit — is still served; once the gate
-// opens every waiter completes and the gate serves normally again.
+// Model.Predict, a ranking of n = 0, a user out of range — is still
+// answered; once the gate opens every waiter completes and the gate
+// serves normally again.
 func TestBatcherShedsAtQueueBoundAndRecovers(t *testing.T) {
-	m, g := gatedModel(t, 3) // n <= 3 is a table hit, n = 5 a catalog scan
+	m, g := gatedModel(t)
 	b := NewBatcher(BatchOptions{QueueBound: 3, RetryAfter: 7 * time.Second})
 	slots := cap(b.slots)
 
@@ -286,16 +279,17 @@ func TestBatcherShedsAtQueueBoundAndRecovers(t *testing.T) {
 			t.Fatalf("unexpected shed: %+v", shed)
 		}
 	}
-	// A predict and a table hit at the same moment are served: they have
-	// no slot to wait for.
+	// What needs no slot is answered at the same moment, not shed.
 	if _, err := m.Predict(1, 2); err != nil {
 		t.Fatalf("predict at the queue bound: %v", err)
 	}
-	hit, err := b.Recommend(m, 9, 3)
-	if err != nil || len(hit) != 3 {
-		t.Fatalf("table hit at the queue bound: %v (%v)", hit, err)
+	if top, err := b.Recommend(m, 9, 0); err != nil || top != nil {
+		t.Fatalf("n = 0 at the queue bound: %v (%v)", top, err)
 	}
-	waitState(t, b, slots, 3) // the sheds and the hit left the line as it was
+	if _, err := b.Recommend(m, m.NumUsers(), 5); !errors.Is(err, ErrUserRange) {
+		t.Fatalf("user out of range at the queue bound: %v, want ErrUserRange", err)
+	}
+	waitState(t, b, slots, 3) // the sheds and the answers left the line as it was
 
 	close(g.gate)
 	wg.Wait()
@@ -313,8 +307,6 @@ func TestBatcherShedsAtQueueBoundAndRecovers(t *testing.T) {
 	}
 	want, _ := m.Recommend(0, 5)
 	sameItems(t, "post-burst", got, want)
-	want9, _ := m.Recommend(9, 5)
-	sameItems(t, "table hit", hit, want9[:3])
 }
 
 // TestAdmitRateLimitsPerClient drives the token bucket with an

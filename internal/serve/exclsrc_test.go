@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/sparse"
 )
 
@@ -79,8 +78,8 @@ func TestMappedExclusionsMatchCSR(t *testing.T) {
 	}
 	// Only the shards behind the queried users should be verified —
 	// the point of serving off a mapping. (With stride-7 queries over
-	// all users every shard ends up touched; assert the precompute-free
-	// model touched nothing extra by bounding to the shard count.)
+	// all users every shard ends up touched; assert the model touched
+	// nothing extra by bounding to the shard count.)
 	if st := mp.Stats(); st.ShardsTouched > int64(mp.Shards()) {
 		t.Fatalf("impossible touch count %d of %d", st.ShardsTouched, mp.Shards())
 	}
@@ -152,14 +151,7 @@ func TestExcludeSourceErrorsFailLoudly(t *testing.T) {
 	if _, err := m.Recommend(3, 5); err == nil {
 		t.Fatal("bad exclusion row served a recommendation")
 	}
-	// The top-N precompute sweeps every user, so it must hit the bad
-	// row and abort the load (sequential and pooled).
-	if _, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, Exclude: src, TopN: 5}); err == nil {
-		t.Fatal("precompute shipped a table with missing exclusions")
-	}
-	pool := sched.NewPool(3)
-	defer pool.Close()
-	if _, err := NewModel(ckpt, Options{Alpha: cfg.Alpha, Exclude: src, TopN: 5, Pool: pool}); err == nil {
-		t.Fatal("pooled precompute shipped a table with missing exclusions")
+	if _, err := m.Recommend(2, 5); err != nil {
+		t.Fatalf("healthy user failed after a bad row: %v", err)
 	}
 }

@@ -6,13 +6,11 @@
 // A core.Checkpoint is loaded into an immutable Model snapshot; a Server
 // holds the current snapshot behind an atomic pointer and hot-swaps it on
 // reload (SIGHUP or file change), so queries never block on a reload and
-// never observe a half-loaded model. Every ranking — one request or the
-// top-N precompute's 64 users at a time — is one call of the fused
-// score→select pass of internal/rank, whose kernels the offline
-// evaluator shares; the precompute is sharded over an internal/sched
-// worker pool; and cold-start users are folded in by
-// sampling their factor row from the checkpointed posterior with the
-// sampler's own core.UpdateItem conditional.
+// never observe a half-loaded model. Every ranking is one call of the
+// fused score→select pass of internal/rank on its request's goroutine,
+// the pass the offline evaluator shares; and cold-start users are folded
+// in by sampling their factor row from the checkpointed posterior with
+// the sampler's own core.UpdateItem conditional.
 package serve
 
 import (
@@ -24,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/la"
 	"repro/internal/rank"
-	"repro/internal/sched"
 	"repro/internal/sparse"
 )
 
@@ -74,12 +71,6 @@ type Options struct {
 	// pairs — or whenever a registry route's clients must never observe
 	// a silently swapped-in different chain.
 	Lineage *Lineage
-	// TopN > 0 precomputes every user's top-TopN list at load time;
-	// Recommend answers requests with n <= TopN from the table.
-	TopN int
-	// Pool shards the top-N precompute across its workers (nil =
-	// sequential). The pool is only used during NewModel.
-	Pool *sched.Pool
 }
 
 // Lineage names the training provenance a served checkpoint must match
@@ -143,10 +134,9 @@ type Model struct {
 	clampMax float64
 	exclude  Excluder
 	post     map[uint64]postStat
-	table    *Table
 
 	ws      sync.Pool // *core.Workspace for fold-in draws
-	exclBuf sync.Pool // *[]int32 scratch the exclusion rows are appended to
+	exclBuf sync.Pool // *[]int32 scratch a user's exclusion row is read into
 }
 
 // Excluder serves per-user exclusion lists: *sparse.CSR from memory, or
@@ -244,13 +234,6 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 			m.post[pairKey(int(e.Row), int(e.Col))] = postStat{mean: mean, std: math.Sqrt(variance)}
 		}
 	}
-
-	if opts.TopN > 0 {
-		var err error
-		if m.table, err = precomputeTopN(m, opts.Pool, opts.TopN); err != nil {
-			return nil, err
-		}
-	}
 	return m, nil
 }
 
@@ -319,10 +302,7 @@ func (m *Model) Predict(user, item int) (Prediction, error) {
 // Ranking is by raw predicted score (clamping first would tie every
 // above-range prediction at ClampMax and degrade the order to index
 // order); the reported Score of each item is clamped to the serving
-// rating range, matching Predict. Requests with
-// n <= the precomputed table size are answered from the table; the two
-// paths share one ranking core and return identical lists. n <= 0
-// returns nil.
+// rating range, matching Predict. n <= 0 returns nil.
 func (m *Model) Recommend(user, n int) ([]rank.Item, error) {
 	if err := m.checkUser(user); err != nil {
 		return nil, err
@@ -330,16 +310,13 @@ func (m *Model) Recommend(user, n int) ([]rank.Item, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if m.table != nil && n <= m.table.n {
-		return m.clampItems(m.table.get(user, n)), nil
-	}
-	buf := m.leaseExcl()
+	buf := m.exclBuf.Get().(*[]int32)
 	defer m.exclBuf.Put(buf)
 	excl, err := m.excludeList(user, buf)
 	if err != nil {
 		return nil, err
 	}
-	return m.rankOne(m.u.Row(user), excl, n), nil
+	return m.clampItems(rank.Recommend(m.cat, m.u.Row(user), excl, n)), nil
 }
 
 // RecommendVector ranks every item for an explicit factor vector,
@@ -354,16 +331,7 @@ func (m *Model) RecommendVector(u la.Vector, excl []int32, n int) ([]rank.Item, 
 	if err := m.checkVector(u); err != nil {
 		return nil, err
 	}
-	return m.rankOne(u, excl, n), nil
-}
-
-// rankOne is the live ranking of one request: rank.Recommend over a
-// batch of one, the pass the table precompute runs over larger batches,
-// so the two cannot drift.
-func (m *Model) rankOne(u la.Vector, excl []int32, n int) []rank.Item {
-	q := [1]rank.Query{{U: u, Excl: excl, N: n}}
-	rank.Recommend(m.cat, q[:])
-	return m.clampItems(q[0].Items)
+	return m.clampItems(rank.Recommend(m.cat, u, excl, n)), nil
 }
 
 // clampItems clamps the reported scores of a ranked list in place and
@@ -377,32 +345,21 @@ func (m *Model) clampItems(items []rank.Item) []rank.Item {
 	return items
 }
 
-// leaseExcl leases the scratch that one ranking pass appends its
-// exclusion rows to; the caller puts it back in m.exclBuf once the
-// pass has read the lists.
-func (m *Model) leaseExcl() *[]int32 {
-	buf := m.exclBuf.Get().(*[]int32)
-	*buf = (*buf)[:0]
-	return buf
-}
-
-// excludeList returns the user's sorted already-rated item list, appended
-// onto the end of *buf, so one pass's users share one scratch (lists
-// handed out earlier stay valid when it grows: they keep the array they
-// were cut from). An error fails the request — recommending items the
-// user already rated because an exclusion shard went bad would be silent
+// excludeList returns the user's sorted already-rated item list, read
+// into the scratch *buf, which keeps the grown array for the next
+// request. An error fails the request — recommending items the user
+// already rated because an exclusion shard went bad would be silent
 // misbehavior.
 func (m *Model) excludeList(user int, buf *[]int32) ([]int32, error) {
 	if m.exclude == nil {
 		return nil, nil
 	}
-	start := len(*buf)
-	lst, err := m.exclude.AppendRowCols(*buf, user)
+	lst, err := m.exclude.AppendRowCols((*buf)[:0], user)
 	if err != nil {
 		return nil, fmt.Errorf("serve: exclusion row %d: %w", user, err)
 	}
 	*buf = lst
-	return lst[start:len(lst):len(lst)], nil
+	return lst, nil
 }
 
 // FoldIn samples a factor row for a user that was not in the training
@@ -437,7 +394,7 @@ func (m *Model) FoldIn(items []int32, vals []float64, key int) (la.Vector, error
 	out := la.NewVector(m.k)
 	kern := m.cfg.SelectKernel(len(items))
 	core.UpdateItem(ws, kern, &m.cfg, items, vals, m.v, m.hyperU,
-		core.ItemStream(m.seed, m.nextIter, core.SideU, key), nil, nil, out)
+		ws.ItemStream(m.seed, m.nextIter, core.SideU, key), nil, nil, out)
 	for _, x := range out {
 		// Finite but huge ratings (1e308) overflow the posterior mean.
 		if math.IsNaN(x) || math.IsInf(x, 0) {

@@ -9,7 +9,7 @@ import (
 
 // ModelSpec declares one named model of a Registry: where its
 // checkpoint lives, how it serves (Options carries the per-model
-// exclusion source, clamp, top-N and lineage configuration), and any
+// exclusion source, clamp and lineage configuration), and any
 // resource whose lifetime is tied to the model (e.g. a mapped .bcsr
 // exclusion file).
 type ModelSpec struct {
@@ -20,7 +20,7 @@ type ModelSpec struct {
 	// Opts configures every (re)load of this model.
 	Opts Options
 	// Close, when non-nil, releases resources owned by the model's
-	// Options (a mapped exclusion source, a pool) at Registry.Close.
+	// Options (a mapped exclusion source) at Registry.Close.
 	Close func() error
 }
 

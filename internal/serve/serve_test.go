@@ -15,7 +15,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/la"
 	"repro/internal/rng"
-	"repro/internal/sched"
 	"repro/internal/sparse"
 )
 
@@ -81,8 +80,9 @@ func TestFoldInBitMatchesUpdateItem(t *testing.T) {
 		// Reference: the sampler's own item update with identical inputs.
 		want := la.NewVector(m.K())
 		kern := m.cfg.SelectKernel(len(items))
-		core.UpdateItem(core.NewWorkspace(m.K()), kern, &m.cfg, items, vals,
-			m.v, m.userHyper(), core.ItemStream(ckpt.Seed, ckpt.NextIter, core.SideU, key),
+		ws := core.NewWorkspace(m.K())
+		core.UpdateItem(ws, kern, &m.cfg, items, vals,
+			m.v, m.userHyper(), ws.ItemStream(ckpt.Seed, ckpt.NextIter, core.SideU, key),
 			nil, nil, want)
 		for i := range want {
 			if got[i] != want[i] {
@@ -203,65 +203,6 @@ func TestRecommendScoresMatchPredict(t *testing.T) {
 		if it.Score != p.Score {
 			t.Fatalf("item %d: ranked score %v != Predict %v", it.Index, it.Score, p.Score)
 		}
-	}
-}
-
-func TestPrecomputedTableMatchesLivePath(t *testing.T) {
-	ckpt, prob, cfg := trainedChain(t, 35, 4, 2)
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	optsLive := modelOptions(prob, cfg)
-	optsTable := optsLive
-	optsTable.TopN = 7
-	optsTable.Pool = pool
-	live, err := NewModel(ckpt, optsLive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab, err := NewModel(ckpt, optsTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for user := 0; user < live.NumUsers(); user += 13 {
-		for _, n := range []int{1, 3, 7} {
-			a, err := live.Recommend(user, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := tab.Recommend(user, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("user %d n=%d: live %d items, table %d", user, n, len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("user %d n=%d rank %d: live %v != table %v", user, n, i, a[i], b[i])
-				}
-			}
-		}
-		// Excluded (training-rated) items never appear.
-		cols, _ := prob.R.Row(user)
-		rated := map[int]bool{}
-		for _, c := range cols {
-			rated[int(c)] = true
-		}
-		top, err := tab.Recommend(user, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, it := range top {
-			if rated[it.Index] {
-				t.Fatalf("user %d: recommended already-rated item %d", user, it.Index)
-			}
-		}
-	}
-	// n beyond the table size falls back to the live path.
-	a, _ := live.Recommend(1, 20)
-	b, _ := tab.Recommend(1, 20)
-	if len(a) != len(b) {
-		t.Fatalf("fallback beyond table: %d vs %d items", len(a), len(b))
 	}
 }
 

@@ -18,7 +18,7 @@ type Scored struct {
 // recommender-system protocol the paper's introduction describes). It
 // returns nil if user is out of range or n <= 0, and fewer than n items
 // when the user has fewer than n unrated items. It is one rank.Recommend
-// pass, the serving layer's: a float32 scan of the catalog rules out the
+// call, the serving layer's: a float32 scan of the catalog rules out the
 // items that cannot make the list, and the rest get their la.Dot score in
 // a bounded min-heap, so the list equals rank.TopNScoresExcluding over the
 // la.Dot score of every item — same scores, same order of ties. The first
@@ -28,16 +28,16 @@ func (r *Result) Recommend(user, n int) []Scored {
 	if n <= 0 || user < 0 || user >= r.res.U.Rows {
 		return nil
 	}
-	q := [1]rank.Query{{U: r.res.U.Row(user), N: n}}
+	var excl []int32
 	if r.data != nil {
-		q[0].Excl, _ = r.data.prob.R.Row(user)
+		excl, _ = r.data.prob.R.Row(user)
 	}
-	rank.Recommend(r.catalog(), q[:])
-	if len(q[0].Items) == 0 {
+	items := rank.Recommend(r.catalog(), r.res.U.Row(user), excl, n)
+	if len(items) == 0 {
 		return nil
 	}
-	out := make([]Scored, len(q[0].Items))
-	for i, it := range q[0].Items {
+	out := make([]Scored, len(items))
+	for i, it := range items {
 		out[i] = Scored{Item: it.Index, Score: it.Score}
 	}
 	return out
