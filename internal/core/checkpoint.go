@@ -171,6 +171,12 @@ func (c *Checkpoint) Write(w io.Writer) error {
 
 // ReadCheckpoint deserializes a checkpoint written by Write.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
+	return readCheckpoint(r, -1)
+}
+
+// readCheckpoint is ReadCheckpoint over a stream of size bytes, or of
+// unknown length when size < 0.
+func readCheckpoint(r io.Reader, size int64) (*Checkpoint, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	magic := make([]byte, len(ckptMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -224,19 +230,32 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: checkpoint header implies %d float64s (K=%d U=%d V=%d test=%d); refusing to allocate",
 			total, c.K, uRows, vRows, nTest)
 	}
-	// readFloats reads a section of n floats into a slice of exactly n,
-	// without trusting the header with the allocation: the slice starts at
-	// min(n, floatChunk) floats and doubles, up to n, only while the stream
-	// keeps filling it. A header that promises more than the stream holds
-	// so costs at most one chunk plus four times what the stream delivered
-	// before the read error stops it; a whole section costs less than
-	// three times its size in allocation and ends with cap == len. Once err
-	// is set nothing more is allocated.
+	// readFloats reads a section of n floats into a slice of exactly n.
+	// Of a stream of known size it allocates the section once, at n,
+	// after checking that the bytes left hold it: a header that promises
+	// more than the file holds is refused before anything is allocated.
+	// Otherwise it does not trust the header with the allocation: the
+	// slice starts at min(n, floatChunk) floats and doubles, up to n, only
+	// while the stream keeps filling it. A header that promises more than
+	// the stream holds so costs at most one chunk plus four times what the
+	// stream delivered before the read error stops it; a whole section
+	// costs less than three times its size in allocation and ends with
+	// cap == len. Once err is set nothing more is allocated.
+	left := size - int64(len(ckptMagic)) - 8*12 // bytes after the header, if size is known
 	readFloats := func(n int) []float64 {
 		if n == 0 || err != nil {
 			return nil
 		}
-		v := make([]float64, min(n, floatChunk))
+		first := min(n, floatChunk)
+		if size >= 0 {
+			if int64(n) > left/8 {
+				err = fmt.Errorf("section of %d floats, %d bytes left in the file: %w", n, left, io.ErrUnexpectedEOF)
+				return nil
+			}
+			left -= 8 * int64(n)
+			first = n
+		}
+		v := make([]float64, first)
 		for read := 0; ; {
 			for dst := v[read:]; len(dst) > 0 && err == nil; {
 				k := min(len(dst), codecFloats)

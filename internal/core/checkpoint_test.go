@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -213,9 +215,11 @@ func TestReadCheckpointTruncatedStreams(t *testing.T) {
 // TestReadCheckpointAllocatesExactSections reads checkpoints of the
 // serving shapes — a wide catalog (50 000 items) and a wide user side
 // (48 350 users) at K = 32, with test accumulators and traces — and pins
-// what the decoder allocates: every section comes back with cap == len,
-// and the whole read allocates at most 2.5 times the payload, the 1 MiB
-// read buffer included.
+// what the decoder allocates: every section comes back with cap == len;
+// from a plain stream, which doubles each section as it fills, the whole
+// read allocates at most 2.5 times the payload, and from a file, whose
+// length lets each section be made once at its size, at most 1.1 times,
+// the 1 MiB read buffer included both times.
 func TestReadCheckpointAllocatesExactSections(t *testing.T) {
 	for _, shape := range []struct{ users, items, test, trace int }{
 		{1000, 50000, 20000, 40},
@@ -238,33 +242,81 @@ func TestReadCheckpointAllocatesExactSections(t *testing.T) {
 		if err := c.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		payload := 8 * (len(c.U.Data) + len(c.V.Data) + 2*shape.test + 2*shape.trace)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()))
-		runtime.ReadMemStats(&after)
-		if err != nil {
+		path := filepath.Join(t.TempDir(), "model.ckpt")
+		if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("%d users × %d items", shape.users, shape.items)
-		if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > 2.5*float64(payload) {
-			t.Errorf("%s: allocated %d bytes for a %d-byte payload, want at most 2.5×", label, alloc, payload)
-		}
-		for _, sec := range []struct {
-			name string
-			v    []float64
-			n    int
+		payload := 8 * (len(c.U.Data) + len(c.V.Data) + 2*shape.test + 2*shape.trace)
+		for _, from := range []struct {
+			name  string
+			limit float64
+			read  func() (*Checkpoint, error)
 		}{
-			{"U", got.U.Data, len(c.U.Data)}, {"V", got.V.Data, len(c.V.Data)},
-			{"PredSum", got.PredSum, shape.test}, {"PredSumSq", got.PredSumSq, shape.test},
-			{"SampleRMSE", got.SampleRMSE, shape.trace}, {"AvgRMSE", got.AvgRMSE, shape.trace},
+			{"stream", 2.5, func() (*Checkpoint, error) { return ReadCheckpoint(bytes.NewReader(buf.Bytes())) }},
+			{"file", 1.1, func() (*Checkpoint, error) {
+				got, _, err := ReadCheckpointFile(path)
+				return got, err
+			}},
 		} {
-			if len(sec.v) != sec.n || cap(sec.v) != sec.n {
-				t.Errorf("%s: section %s has len %d cap %d, want both %d", label, sec.name, len(sec.v), cap(sec.v), sec.n)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := from.read()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s, %d users × %d items", from.name, shape.users, shape.items)
+			if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) > from.limit*float64(payload) {
+				t.Errorf("%s: allocated %d bytes for a %d-byte payload, want at most %g×", label, alloc, payload, from.limit)
+			}
+			for _, sec := range []struct {
+				name string
+				v    []float64
+				n    int
+			}{
+				{"U", got.U.Data, len(c.U.Data)}, {"V", got.V.Data, len(c.V.Data)},
+				{"PredSum", got.PredSum, shape.test}, {"PredSumSq", got.PredSumSq, shape.test},
+				{"SampleRMSE", got.SampleRMSE, shape.trace}, {"AvgRMSE", got.AvgRMSE, shape.trace},
+			} {
+				if len(sec.v) != sec.n || cap(sec.v) != sec.n {
+					t.Errorf("%s: section %s has len %d cap %d, want both %d", label, sec.name, len(sec.v), cap(sec.v), sec.n)
+				}
+			}
+			if got.V.Data[len(got.V.Data)-1] != float64(len(c.V.Data)-1) {
+				t.Errorf("%s: V's last element is %v", label, got.V.Data[len(got.V.Data)-1])
 			}
 		}
-		if got.V.Data[len(got.V.Data)-1] != float64(len(c.V.Data)-1) {
-			t.Errorf("%s: V's last element is %v", label, got.V.Data[len(got.V.Data)-1])
+	}
+}
+
+// TestReadCheckpointFileRejectsLyingHeader: a file whose header claims a
+// section larger than the bytes left in it — 1 GiB of U over a body of a
+// few floats, or a V one float past the end — is refused before the
+// section is allocated: the read costs its buffer, not the claim.
+func TestReadCheckpointFileRejectsLyingHeader(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		hdr  []byte
+		body int
+	}{
+		{"1 GiB of U", craftHeader(8, 0, 1<<24, 10, 0, 0, 0), 64},
+		{"V one float short", craftHeader(8, 0, 2, 10, 0, 0, 0), 8 * (8*2 + 8*10 - 1)},
+	} {
+		path := filepath.Join(dir, "lying.ckpt")
+		if err := os.WriteFile(path, append(append([]byte(nil), tc.hdr...), make([]byte, tc.body)...), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadCheckpointFile(path)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "checkpoint body") {
+			t.Fatalf("%s: err = %v, want the body error", tc.name, err)
+		}
+		// The 1 MiB read buffer, U of the second case, and the error.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64<<10); got > limit {
+			t.Fatalf("%s: allocated %d bytes, limit %d", tc.name, got, limit)
 		}
 	}
 }

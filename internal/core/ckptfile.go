@@ -8,21 +8,27 @@ import (
 )
 
 // ReadCheckpointFile reads and validates the checkpoint at path; errors
-// name the file. The returned FileInfo is an fstat of the descriptor the
-// bytes were read through, so it describes exactly the loaded file even
-// when a publisher renames a newer one into place meanwhile — what a
-// reload watcher must record to notice that rotation on its next tick.
+// name the file. Of a regular file it allocates each section once, at its
+// exact size: the file's length bounds what the header may claim. The
+// returned FileInfo is an fstat of the descriptor the bytes are read
+// through, so it describes exactly the loaded file even when a publisher
+// renames a newer one into place meanwhile — what a reload watcher must
+// record to notice that rotation on its next tick.
 func ReadCheckpointFile(path string) (*Checkpoint, os.FileInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	defer f.Close()
-	ckpt, err := ReadCheckpoint(f)
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
-	fi, err := f.Stat()
+	size := fi.Size()
+	if !fi.Mode().IsRegular() {
+		size = -1 // a pipe or a device: its length is not the stream's
+	}
+	ckpt, err := readCheckpoint(f, size)
 	if err != nil {
 		return nil, nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}

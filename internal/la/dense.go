@@ -11,9 +11,9 @@
 // runs it).
 //
 // On amd64 nine inner loops — four for the dense item update, one for
-// Gemv (four rows at a time), one for a ranking's float32 pass
-// (blocks32.go's BlockDot32, eight catalogue rows a register over a
-// float32 block copy), and the three lane kernels of the rank-one item
+// Gemv (four rows at a time), one for a ranking's integer pass
+// (blocks8.go's BlockDot8, exact int32 sums of eight catalogue rows a
+// register over an int8 block copy), and the three lane kernels of the rank-one item
 // update (lanes.go: four items at a time, one per register lane, from the
 // factor update through the forward solve to the paired back-solve) — run
 // as hand-written AVX2 assembly that computes the same bits as the Go

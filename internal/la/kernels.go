@@ -21,9 +21,9 @@ import "math"
 // cholTrail for the dense item update, dot4 for Gemv, and the three lane
 // kernels of the rank-one item update (lanes.go), which advance four items
 // at a time. kernels_amd64.go's init points them at the widest bodies the
-// CPU and the OS run: AVX-512, then AVX2, then Go. The ninth, blockDot32
-// (blocks32.go, the float32 pass of a ranking), is dispatched by a direct
-// call instead, AVX2 or Go.
+// CPU and the OS run: AVX-512, then AVX2, then Go. The ninth, blockDot8
+// (blocks8.go, the integer pass of a ranking), is dispatched by a direct
+// call instead, AVX2 or Go; its sums are exact, so no lane rule applies.
 var (
 	syrk4           = syrk4Go
 	axpy4           = axpy4Go

@@ -36,16 +36,16 @@ func cholTrailAVX512(l []float64, n, k int)
 func dot4AVX2(a []float64, k int, x []float64) (s0, s1, s2, s3 float64)
 
 //go:noescape
-func blockDot32AVX2(v []float32, x []float64, t []float32, bound, theta float64) uint64
+func blockDot8AVX2(v []int8, x []int16, t []int32, thr int32) uint64
 
-// blockDot32 dispatches by a direct call, not through a variable as the
+// blockDot8 dispatches by a direct call, not through a variable as the
 // primitives in kernels.go do: an operand passed to a function value
-// escapes, and a ranking keeps its score scratch t on its stack.
-func blockDot32(v []float32, x []float64, t []float32, bound, theta float64) uint64 {
+// escapes, and a ranking keeps its query and sums on its stack.
+func blockDot8(v []int8, x []int16, t []int32, thr int32) uint64 {
 	if HasAVX2 {
-		return blockDot32AVX2(v, x, t, bound, theta)
+		return blockDot8AVX2(v, x, t, thr)
 	}
-	return blockDot32Go(v, x, t, bound, theta)
+	return blockDot8Go(v, x, t, thr)
 }
 
 //go:noescape

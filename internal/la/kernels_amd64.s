@@ -4,12 +4,13 @@
 
 // AVX2 bodies of the nine kernels.go primitives: four for the dense item
 // update, three lane kernels for the rank-one item update, dot4 for Gemv,
-// blockDot32 for a ranking's float32 pass, and cpuFeatures, the one CPU
-// check. One rule keeps them bit-identical to the Go bodies: a lane holds
-// a value the scalar loop keeps separate — one memory element, in dot4 and
-// blockDot32 one row's inner product, in the lane kernels one item — and
-// every update is VMULPD (VMULPS) then VADDPD (VADDPS) or VSUBPD, no FMA,
-// which would skip the product's rounding. In the
+// blockDot8 for a ranking's integer pass, and cpuFeatures, the one CPU
+// check. One rule keeps the floating-point ones bit-identical to the Go
+// bodies: a lane holds a value the scalar loop keeps separate — one memory
+// element, in dot4 one row's inner product, in the lane kernels one item —
+// and every update is VMULPD then VADDPD or VSUBPD, no FMA, which would
+// skip the product's rounding. blockDot8's int32 sums are exact, so any
+// order gives the Go body's integers. In the
 // dense-update bodies the last count mod 4 elements of a run go through
 // the scalar forms of the same two instructions, so no element outside
 // the run is loaded or stored. Where the CPU has AVX-512 the dense
@@ -134,31 +135,15 @@ done: \
 	VPBROADCASTQ	X0, Y0; \
 	VMOVUPD	Y0, off(SP)
 
-// KEEP puts block sums s (Y register, X its low half) through BlockDot32's
-// rule: a row is ruled out when s > −Inf (VCMPPS GT_OQ) and
-// float64(s) + bound < theta (VCVTPS2PD, VADDPD, VCMPPD LT_OQ; a NaN
-// compares false both times). The block's byte of kept rows, the
-// complement, goes into the top byte of R12 after R12 moves down a byte.
-// In: Y13 = float32 −Inf, Y14 = bound, Y15 = theta. Clobbers Y10–Y12,
-// R10, R13.
-#define KEEP(s, sx) \
-	VCMPPS	$0x1e, Y13, s, Y10 \
-	VCVTPS2PD	sx, Y11 \
-	VEXTRACTF128	$1, s, X12 \
-	VCVTPS2PD	X12, Y12 \
-	VADDPD	Y14, Y11, Y11 \
-	VADDPD	Y14, Y12, Y12 \
-	VCMPPD	$0x11, Y15, Y11, Y11 \
-	VCMPPD	$0x11, Y15, Y12, Y12 \
-	VMOVMSKPD	Y11, R10 \
-	VMOVMSKPD	Y12, R13 \
-	SHLQ	$4, R13 \
-	ORQ	R13, R10 \
-	VMOVMSKPS	Y10, R13 \
-	ANDQ	R13, R10 \
-	XORQ	$0xff, R10 \
-	SHRQ	$8, R12 \
-	SHLQ	$56, R10 \
+// KEEP8 puts block sums s (Y register) through BlockDot8's rule: a row is
+// kept when its sum is above thr (VPCMPGTD, signed). The block's byte of
+// kept rows goes into the top byte of R12 after R12 moves down a byte.
+// In: Y15 = thr in every lane. Clobbers Y10, R10.
+#define KEEP8(s) \
+	VPCMPGTD	Y15, s, Y10; \
+	VMOVMSKPS	Y10, R10; \
+	SHRQ	$8, R12; \
+	SHLQ	$56, R10; \
 	ORQ	R10, R12
 
 // cpuFeatures reports which vector bodies the CPU and the OS run. AVX2:
@@ -389,78 +374,71 @@ done:
 	VZEROUPPER
 	RET
 
-// blockDot32AVX2 takes four blocks at a time, one register of eight row
-// sums per block: at column c, float32(x_c) is converted once (VCVTSD2SS,
-// round to nearest, as Go's float32 conversion) and broadcast, and each
-// block's column c, one register of eight rows, is multiplied by it and
-// added to that block's sums — VMULPS then VADDPS, so lane r of block b is
-// row 8b + r's chain of blockDot32Go. The last len(t)/8 mod 4 blocks go
-// one at a time through the same two steps. Each block's sums are stored
-// and go through KEEP; the mask collects one byte per block in the top of
-// R12, shifted down a byte per block and into place at the end. While a
-// group is summed, the same columns of the next group are prefetched
-// (PREFETCHT0 is a hint: past the end of v it reads nothing into a
-// result and never faults).
+// blockDot8AVX2 takes four blocks at a time, one register of eight int32
+// row sums per block: at column pair p, x's pair (x_2p, x_2p+1) is
+// broadcast as one dword, each block's 16 bytes of the pair are widened to
+// sixteen words (VPMOVSXBW), VPMADDWD forms row r's x_2p·q_r,2p +
+// x_2p+1·q_r,2p+1 in dword r, and VPADDD adds it to the block's sums — the
+// same integers as blockDot8Go, as no step rounds or overflows. The last
+// len(t)/8 mod 4 blocks go one at a time through the same steps. Each
+// block's sums are stored and go through KEEP8; the mask collects one byte
+// per block in the top of R12, shifted down a byte per block and into
+// place at the end.
 //
-// func blockDot32AVX2(v []float32, x []float64, t []float32, bound, theta float64) uint64
-TEXT ·blockDot32AVX2(SB), NOSPLIT, $0-96
+// func blockDot8AVX2(v []int8, x []int16, t []int32, thr int32) uint64
+TEXT ·blockDot8AVX2(SB), NOSPLIT, $0-88
 	MOVQ	v_base+0(FP), SI	// block b
 	MOVQ	x_base+24(FP), DX
-	MOVQ	x_len+32(FP), BX	// columns k
+	MOVQ	x_len+32(FP), BX
+	SHRQ	$1, BX			// column pairs
 	MOVQ	t_base+48(FP), DI
 	MOVQ	t_len+56(FP), CX
 	SHRQ	$3, CX			// blocks left
 	MOVQ	BX, R8
-	SHLQ	$5, R8			// block stride: k columns of 32 bytes
+	SHLQ	$4, R8			// block stride: 16 bytes a pair
 	LEAQ	(R8)(R8*2), R11		// three block strides
-	VXORPS	X9, X9, X9		// upper lanes of the converted x_c
-	MOVL	$0xff800000, AX
-	VMOVD	AX, X13
-	VBROADCASTSS	X13, Y13	// float32 −Inf
-	VBROADCASTSD	bound+72(FP), Y14
-	VBROADCASTSD	theta+80(FP), Y15
+	MOVL	thr+72(FP), AX
+	VMOVD	AX, X15
+	VPBROADCASTD	X15, Y15
 	XORQ	R12, R12		// mask
 four:
 	CMPQ	CX, $4
 	JLT	one
-	VXORPS	Y0, Y0, Y0		// block b's eight sums, from +0
-	VXORPS	Y1, Y1, Y1		// block b+1
-	VXORPS	Y2, Y2, Y2		// block b+2
-	VXORPS	Y3, Y3, Y3		// block b+3
-	MOVQ	SI, R9			// column c of block b
-	XORQ	AX, AX			// column c
+	VPXOR	Y0, Y0, Y0		// block b's eight sums
+	VPXOR	Y1, Y1, Y1		// block b+1
+	VPXOR	Y2, Y2, Y2		// block b+2
+	VPXOR	Y3, Y3, Y3		// block b+3
+	MOVQ	SI, R9			// pair p of block b
+	XORQ	AX, AX			// pair p
 	CMPQ	AX, BX
 	JGE	store4
-	LEAQ	(SI)(R8*4), R10		// column c of the next group's block b+4
 loop4:
-	PREFETCHT0	(R10)
-	PREFETCHT0	(R10)(R8*1)
-	PREFETCHT0	(R10)(R8*2)
-	PREFETCHT0	(R10)(R11*1)
-	ADDQ	$32, R10
-	VCVTSD2SS	(DX)(AX*8), X9, X4
-	VBROADCASTSS	X4, Y4
-	VMULPS	(R9), Y4, Y5
-	VMULPS	(R9)(R8*1), Y4, Y6
-	VMULPS	(R9)(R8*2), Y4, Y7
-	VMULPS	(R9)(R11*1), Y4, Y8
-	VADDPS	Y5, Y0, Y0
-	VADDPS	Y6, Y1, Y1
-	VADDPS	Y7, Y2, Y2
-	VADDPS	Y8, Y3, Y3
-	ADDQ	$32, R9
+	VPBROADCASTD	(DX)(AX*4), Y4
+	VPMOVSXBW	(R9), Y5
+	VPMOVSXBW	(R9)(R8*1), Y6
+	VPMOVSXBW	(R9)(R8*2), Y7
+	VPMOVSXBW	(R9)(R11*1), Y8
+	VPMADDWD	Y4, Y5, Y5
+	VPMADDWD	Y4, Y6, Y6
+	VPMADDWD	Y4, Y7, Y7
+	VPMADDWD	Y4, Y8, Y8
+	VPADDD	Y5, Y0, Y0
+	VPADDD	Y6, Y1, Y1
+	VPADDD	Y7, Y2, Y2
+	VPADDD	Y8, Y3, Y3
+	ADDQ	$16, R9
 	INCQ	AX
 	CMPQ	AX, BX
 	JLT	loop4
 store4:
-	VMOVUPS	Y0, (DI)
-	VMOVUPS	Y1, 32(DI)
-	VMOVUPS	Y2, 64(DI)
-	VMOVUPS	Y3, 96(DI)
-	KEEP(Y0, X0)
-	KEEP(Y1, X1)
-	KEEP(Y2, X2)
-	KEEP(Y3, X3)
+	VMOVDQU	Y0, (DI)
+	VMOVDQU	Y1, 32(DI)
+	VMOVDQU	Y2, 64(DI)
+	VMOVDQU	Y3, 96(DI)
+	KEEP8(Y0)
+	KEEP8(Y1)
+	KEEP8(Y2)
+	KEEP8(Y3)
 	ADDQ	$128, DI
 	LEAQ	(SI)(R8*4), SI
 	SUBQ	$4, CX
@@ -468,23 +446,23 @@ store4:
 one:
 	TESTQ	CX, CX
 	JZ	done
-	VXORPS	Y0, Y0, Y0
+	VPXOR	Y0, Y0, Y0
 	MOVQ	SI, R9
 	XORQ	AX, AX
 	CMPQ	AX, BX
 	JGE	store1
 loop1:
-	VCVTSD2SS	(DX)(AX*8), X9, X4
-	VBROADCASTSS	X4, Y4
-	VMULPS	(R9), Y4, Y5
-	VADDPS	Y5, Y0, Y0
-	ADDQ	$32, R9
+	VPBROADCASTD	(DX)(AX*4), Y4
+	VPMOVSXBW	(R9), Y5
+	VPMADDWD	Y4, Y5, Y5
+	VPADDD	Y5, Y0, Y0
+	ADDQ	$16, R9
 	INCQ	AX
 	CMPQ	AX, BX
 	JLT	loop1
 store1:
-	VMOVUPS	Y0, (DI)
-	KEEP(Y0, X0)
+	VMOVDQU	Y0, (DI)
+	KEEP8(Y0)
 	ADDQ	$32, DI
 	ADDQ	R8, SI
 	DECQ	CX
@@ -494,7 +472,7 @@ done:
 	NEGQ	CX
 	ADDQ	$64, CX			// 64 − len(t): the bytes of blocks not there
 	SHRQ	CX, R12			// a count of 64 is 0 mod 64, and R12 is then 0
-	MOVQ	R12, ret+88(FP)
+	MOVQ	R12, ret+80(FP)
 	VZEROUPPER
 	RET
 

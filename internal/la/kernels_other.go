@@ -2,7 +2,7 @@
 
 package la
 
-// blockDot32 is BlockDot32's Go body wherever there is no assembly.
-func blockDot32(v []float32, x []float64, t []float32, bound, theta float64) uint64 {
-	return blockDot32Go(v, x, t, bound, theta)
+// blockDot8 is BlockDot8's Go body wherever there is no assembly.
+func blockDot8(v []int8, x []int16, t []int32, thr int32) uint64 {
+	return blockDot8Go(v, x, t, thr)
 }

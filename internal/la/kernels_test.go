@@ -58,42 +58,15 @@ func payload(r *rand.Rand, n, off, oneIn int) Vector {
 	return buf
 }
 
-// specials32 are float64 values at and past float32's limits: overflow to
-// ±Inf, the largest float32, a float32 subnormal, and underflow to zero.
-var specials32 = []float64{1e39, -1e39, 3.4e38, 1e-40, -1e-45, 1e-300}
-
-// payload32 is payload rounded to float32, with specials32 among the
-// specials.
-func payload32(r *rand.Rand, n, off, oneIn int) []float32 {
-	src := payload(r, n, off, oneIn)
-	out := make([]float32, len(src))
-	for i, x := range src {
-		if oneIn > 0 && r.Intn(oneIn) == 0 {
-			x = specials32[r.Intn(len(specials32))]
-		}
-		out[i] = float32(x)
-	}
-	return out
-}
-
-// blockDot32Sum is row j's float32 sum of packed rows v with x, the Go
-// body's chain written out for one row.
-func blockDot32Sum(v []float32, x []float64, j int) float32 {
-	blk := v[(j/Block32)*Block32*len(x):]
-	var s float32
+// blockDot8Sum is row j's int32 sum of packed rows v with x, in int64
+// so that a sum the kernel would wrap shows as out of int32's range.
+func blockDot8Sum(v []int8, x []int16, j int) int64 {
+	blk := v[(j/Block8)*Block8*len(x):]
+	var s int64
 	for c, xc := range x {
-		s += float32(blk[c*Block32+j%Block32] * float32(xc))
+		s += int64(xc) * int64(blk[(c/2)*2*Block8+2*(j%Block8)+c%2])
 	}
 	return s
-}
-
-// widen converts float32s to float64 exactly, for checkBits.
-func widen(x []float32) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = float64(v)
-	}
-	return out
 }
 
 // diffPrimitives compares the nine primitives with their Go bodies at
@@ -143,29 +116,50 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	w0, w1, w2, w3 := dot4Go(rows, k, x[0])
 	checkBits(t, "dot4", []float64{g0, g1, g2, g3}, []float64{w0, w1, w2, w3})
 
-	// blockDot32 over 1 to 8 blocks, so both the four-block steps and the
-	// one-block tail run; the specials include values past float32's range
-	// at both ends, in the rows and in x.
-	nb := 1 + r.Intn(8)
-	v32 := payload32(r, nb*Block32*k, off, oneIn)
-	xs := payload(r, k, 0, oneIn)[:k] // rounded to float32 by the kernel
-	for i := range xs {
+	// blockDot8 over 1 to 8 blocks, so both the four-block steps and the
+	// one-block tail run, with every byte and every query value at the
+	// limits the packers produce (|q| ≤ 127, |x| ≤ QueryRange(k)); with
+	// specials, the extremes themselves.
+	nb, pairs := 1+r.Intn(8), Pairs(k)
+	rx := QueryRange(k)
+	v8 := make([]int8, off+nb*Block8*2*pairs+4)
+	for i := range v8 {
+		v8[i] = int8(r.Intn(255) - 127)
 		if oneIn > 0 && r.Intn(oneIn) == 0 {
-			xs[i] = specials32[r.Intn(len(specials32))]
+			v8[i] = int8(127 * (2*r.Intn(2) - 1))
 		}
 	}
-	got32, want32 := payload32(r, nb*Block32, off, 0), payload32(r, nb*Block32, off, 0)
-	copy(want32, got32)
-	// theta is one of the rows' own float32 sums (or, with specials, one
-	// of the specials), so the rule keeps some rows and drops others.
-	bound, theta := 0.1*math.Abs(r.NormFloat64()), float64(blockDot32Sum(v32[off:], xs, r.Intn(nb*Block32)))
-	if oneIn > 0 && r.Intn(4) == 0 {
-		theta = specials[r.Intn(len(specials))]
+	x16 := make([]int16, 2*pairs)
+	for i := range x16[:k] {
+		x16[i] = int16(r.Intn(2*rx+1) - rx)
+		if oneIn > 0 && r.Intn(oneIn) == 0 {
+			x16[i] = int16(rx * (2*r.Intn(2) - 1))
+		}
 	}
-	gotKeep := blockDot32(v32[off:off+nb*Block32*k], xs, got32[off:off+nb*Block32], bound, theta)
-	wantKeep := blockDot32Go(v32[off:off+nb*Block32*k], xs, want32[off:off+nb*Block32], bound, theta)
-	what := fmt.Sprintf("blockDot32 %d blocks bound=%v theta=%v", nb, bound, theta)
-	checkBits(t, what, widen(got32), widen(want32))
+	got8, want8 := make([]int32, off+nb*Block8+4), make([]int32, off+nb*Block8+4)
+	for i := range got8 {
+		got8[i] = int32(r.Uint32())
+	}
+	copy(want8, got8)
+	// thr is one of the rows' own sums, or with specials one of the
+	// extremes, so the rule keeps some rows and drops others.
+	thr := int32(blockDot8Sum(v8[off:], x16, r.Intn(nb*Block8)))
+	if oneIn > 0 && r.Intn(4) == 0 {
+		thr = []int32{math.MinInt32, math.MaxInt32, -1, 0}[r.Intn(4)]
+	}
+	gotKeep := blockDot8(v8[off:off+nb*Block8*2*pairs], x16, got8[off:off+nb*Block8], thr)
+	wantKeep := blockDot8Go(v8[off:off+nb*Block8*2*pairs], x16, want8[off:off+nb*Block8], thr)
+	what := fmt.Sprintf("blockDot8 %d blocks thr=%d", nb, thr)
+	for i := range want8 {
+		if got8[i] != want8[i] {
+			t.Fatalf("%s: element %d is %d, want %d", what, i, got8[i], want8[i])
+		}
+	}
+	for j := range nb * Block8 {
+		if s := blockDot8Sum(v8[off:], x16, j); s != int64(want8[off+j]) {
+			t.Fatalf("%s: row %d sums to %d, the exact sum is %d", what, j, want8[off+j], s)
+		}
+	}
 	if gotKeep != wantKeep {
 		t.Fatalf("%s: kept rows %#x, want %#x", what, gotKeep, wantKeep)
 	}
@@ -358,7 +352,7 @@ func TestPrimitivesMatchGoBodies(t *testing.T) {
 			t.Run(s.name, func(t *testing.T) { t.Skipf("the CPU or the OS does not run the %s bodies", s.name) })
 		}
 	}
-	t.Logf("dot4, blockDot32 and the lane kernels compared with Go through their dispatchers (AVX2 bodies: %v)", HasAVX2)
+	t.Logf("dot4, blockDot8 and the lane kernels compared with Go through their dispatchers (AVX2 bodies: %v)", HasAVX2)
 	r := testRand(181)
 	for k := 1; k <= 67; k++ {
 		for off := 0; off < 4; off++ {
@@ -400,42 +394,126 @@ func TestGemvAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestBlockDot32Rule pins BlockDot32's rule on rows whose float32 sums
-// are known (K = 1, x = 1): a row is dropped only when its sum is above
-// −Inf and sum + bound is strictly below theta, and nothing is dropped
-// under a NaN bound or theta. Rows 8–15 repeat rows 0–7, so the second
-// block's byte lands in its place.
-func TestBlockDot32Rule(t *testing.T) {
-	inf, nan := math.Inf(1), math.NaN()
-	rows := []float64{1, 2, 3, -inf, nan, inf, 0.5, 2.5}
-	a := &Matrix{Rows: 16, Cols: 1, Data: append(append([]float64(nil), rows...), rows...)}
-	blocks := PackBlocks32(a)
+// TestBlockDot8Rule pins BlockDot8's rule on rows whose sums are known
+// (one column pair, x = (1, 0)): a row is skipped iff its sum is at most
+// thr, so a sum equal to thr is skipped and thr + 1 kept; math.MinInt32
+// keeps every row and math.MaxInt32 none. Rows 8–15 repeat rows 0–7 and
+// rows 32–39 too, so the bytes of the second block and of a one-block
+// tail after four blocks land in their places.
+func TestBlockDot8Rule(t *testing.T) {
+	rows := []int8{-127, -1, 0, 1, 2, 3, 126, 127}
+	a := &Matrix{Rows: 40, Cols: 1, Data: make([]float64, 40)}
+	for i := range a.Data {
+		a.Data[i] = float64(rows[i%8])
+	}
+	blocks, exp, l1 := PackBlocks8(a)
+	if exp != 0 || l1 != 127 {
+		t.Fatalf("PackBlocks8: exp %d, l1 %d, want 0 and 127", exp, l1)
+	}
+	x := []int16{1, 0}
 	for _, tc := range []struct {
-		bound, theta float64
-		keep         uint64
+		thr  int32
+		keep uint64
 	}{
-		// 2 + 0.5 == 2.5 is not below theta: kept.
-		{0.5, 2.5, 0b10111110},
-		{0, 2.5, 0b10111100},
-		{0.5, inf, 0b00111000},
-		{0.5, -inf, 0xff},
-		{nan, 2.5, 0xff},
-		{0.5, nan, 0xff},
-		{inf, 2.5, 0xff},
+		{2, 0b11100000},  // 2 is skipped, 3 kept
+		{1, 0b11110000},  // 1 skipped, 2 kept
+		{-2, 0b11111110}, // only −127
+		{126, 0b10000000},
+		{127, 0},
+		{-127, 0b11111110},
+		{-128, 0xff},
+		{math.MinInt32, 0xff},
+		{math.MaxInt32, 0},
 	} {
-		var ts [16]float32
+		var ts [40]int32
 		want := tc.keep | tc.keep<<8
-		if got := BlockDot32(blocks, Vector{1}, ts[:], tc.bound, tc.theta); got != want {
-			t.Errorf("bound %v theta %v: kept %#b, want %#b", tc.bound, tc.theta, got, want)
+		if got := BlockDot8(blocks, x, ts[:16], tc.thr); got != want {
+			t.Errorf("thr %d: kept %#b, want %#b", tc.thr, got, want)
 		}
-		if got := BlockDot32(blocks, Vector{1}, ts[:8], tc.bound, tc.theta); got != tc.keep {
-			t.Errorf("one block, bound %v theta %v: kept %#b, want %#b", tc.bound, tc.theta, got, tc.keep)
+		if got := BlockDot8(blocks, x, ts[:8], tc.thr); got != tc.keep {
+			t.Errorf("one block, thr %d: kept %#b, want %#b", tc.thr, got, tc.keep)
 		}
-		for j, tj := range ts[:8] {
-			if !sameBits(float64(tj), rows[j]) {
-				t.Fatalf("row %d: sum %v, want %v", j, tj, rows[j])
+		if got, want := BlockDot8(blocks, x, ts[:40], tc.thr), tc.keep*0x0101010101; got != want {
+			t.Errorf("five blocks, thr %d: kept %#b, want %#b", tc.thr, got, want)
+		}
+		for j, tj := range ts {
+			if tj != int32(rows[j%8]) {
+				t.Fatalf("row %d: sum %d, want %d", j, tj, rows[j%8])
 			}
 		}
+	}
+}
+
+// TestPackBlocks8 pins the quantisers: the scale is the smallest power of
+// two that brings the largest magnitude to the integer range (but never
+// below 2⁻¹⁰²²), values round half to even, every element lands at its
+// place in the layout with the padding zero, the l1 sums are exact, and a
+// NaN or an infinity builds nothing.
+func TestPackBlocks8(t *testing.T) {
+	for _, tc := range []struct {
+		max float64
+		exp int
+	}{
+		{127, 0}, {127.5, 1}, {254, 1}, {254.5, 2}, {63.5, -1}, {1, -6}, {0.5, -7},
+		{math.MaxFloat64, 1018}, {5e-324, -1022}, {0, -1022},
+	} {
+		a := &Matrix{Rows: 1, Cols: 1, Data: []float64{-tc.max}}
+		if _, exp, _ := PackBlocks8(a); exp != tc.exp {
+			t.Errorf("max %v: exp %d, want %d", tc.max, exp, tc.exp)
+		}
+	}
+	// Half-way values round to even: with 127 the largest, s = 1.
+	a := &Matrix{Rows: 9, Cols: 3, Data: make([]float64, 27)}
+	for i := range a.Data {
+		a.Data[i] = []float64{0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 126.5, -127, 3}[i%9]
+	}
+	want := []int8{0, 2, 2, 0, -2, -2, 126, -127, 3}
+	blocks, exp, l1 := PackBlocks8(a)
+	if exp != 0 || len(blocks) != 2*Block8*2*2 {
+		t.Fatalf("exp %d, %d bytes", exp, len(blocks))
+	}
+	best := 0
+	for i := 0; i < a.Rows; i++ {
+		sum := 0
+		for c := 0; c < 4; c++ {
+			got := blocks[(i/Block8)*Block8*4+(c/2)*2*Block8+2*(i%Block8)+c%2]
+			w := int8(0)
+			if c < a.Cols {
+				w = want[(i*a.Cols+c)%9]
+			}
+			if got != w {
+				t.Fatalf("element (%d, %d) is %d, want %d", i, c, got, w)
+			}
+			sum += int(max(w, -w))
+		}
+		best = max(best, sum)
+	}
+	if l1 != best {
+		t.Errorf("l1 %d, want %d", l1, best)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a.Data[4] = bad
+		if b, _, _ := PackBlocks8(a); b != nil {
+			t.Errorf("%v in the matrix: packed %d bytes, want none", bad, len(b))
+		}
+		if _, _, ok := PackQuery16(a.Data[:5], make([]int16, 6)); ok {
+			t.Errorf("%v in the query: packed it", bad)
+		}
+	}
+	// The query range and its scale: R binds from k = 517.
+	for _, tc := range []struct{ k, r int }{{1, 32767}, {516, 32767}, {517, 32706}, {1024, 16513}, {1 << 16, 258}, {1<<16 + 1, 0}} {
+		if r := QueryRange(tc.k); r != tc.r {
+			t.Errorf("QueryRange(%d) = %d, want %d", tc.k, r, tc.r)
+		}
+	}
+	x := Vector{32767, -0.5, 1.5, 3}
+	dst := []int16{9, 9, 9, 9, 9, 9}
+	if exp, l1, ok := PackQuery16(x, dst); !ok || exp != 0 || l1 != 32767+0+2+3 || dst[0] != 32767 || dst[1] != 0 || dst[2] != 2 || dst[4] != 9 {
+		t.Errorf("PackQuery16(%v) = %d, %d, %v, %v", x, exp, l1, ok, dst)
+	}
+	x = Vector{32768, 1, -1}
+	if exp, l1, ok := PackQuery16(x, dst); !ok || exp != 1 || l1 != 16384 || dst[0] != 16384 || dst[1] != 0 || dst[3] != 0 {
+		t.Errorf("PackQuery16(%v) = %d, %d, %v, %v", x, exp, l1, ok, dst)
 	}
 }
 
@@ -493,4 +571,40 @@ func FuzzKernelsMatchGo(f *testing.F) {
 		diffGemv(t, r, n, kk, o, prim)
 		diffLanes(t, r, kk, n%13, o, special)
 	})
+}
+
+// TestBlockDot8ExactAtQueryRange drives the sums to their extremes, every
+// byte −127 or 127 against x_c = ±QueryRange(k), at the widths where the
+// range binds (k = 517, 1024 and the largest a checkpoint holds), and
+// checks them against int64 sums: none may wrap.
+func TestBlockDot8ExactAtQueryRange(t *testing.T) {
+	for _, k := range []int{516, 517, 1024, 1 << 16} {
+		rx := QueryRange(k)
+		pairs := Pairs(k)
+		v := make([]int8, Block8*2*pairs)
+		for i := range v {
+			v[i] = -127
+			if i%(2*Block8) >= 2*(Block8/2) { // rows 4–7 all 127
+				v[i] = 127
+			}
+		}
+		x := make([]int16, 2*pairs)
+		for c := range x[:k] {
+			x[c] = int16(rx)
+		}
+		var ts [Block8]int32
+		keep := BlockDot8(v, x, ts[:], 0)
+		for j, tj := range ts {
+			want := int64(-127) * int64(rx) * int64(k)
+			if j >= Block8/2 {
+				want = -want
+			}
+			if int64(tj) != want || blockDot8Sum(v, x, j) != want {
+				t.Fatalf("k=%d row %d: sum %d, want %d", k, j, tj, want)
+			}
+		}
+		if keep != 0xf0 {
+			t.Errorf("k=%d: kept %#b, want the four positive rows", k, keep)
+		}
+	}
 }

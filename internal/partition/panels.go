@@ -49,7 +49,7 @@ func AssignPanels(p Panels, ranks int) []int {
 	model := DefaultCostModel()
 	w := make([]float64, len(p.Lo))
 	for s := range w {
-		w[s] = model.Fixed*float64(p.Hi[s]-p.Lo[s]) + model.PerRating*float64(p.NNZ[s])
+		w[s] = float64(model.Fixed*float64(p.Hi[s]-p.Lo[s])) + float64(model.PerRating*float64(p.NNZ[s]))
 	}
 	cut := ChainsOnChains(w, ranks)
 	rows := p.Rows()

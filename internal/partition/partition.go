@@ -26,7 +26,10 @@ type CostModel struct {
 func DefaultCostModel() CostModel { return CostModel{Fixed: 1, PerRating: 0.035} }
 
 // Cost returns the modeled cost of an item with the given rating count.
-func (m CostModel) Cost(nnz int) float64 { return m.Fixed + m.PerRating*float64(nnz) }
+//
+// The product is rounded on its own (the explicit conversion), so arm64,
+// which would fuse it into the add, gives every rank the bits amd64 does.
+func (m CostModel) Cost(nnz int) float64 { return m.Fixed + float64(m.PerRating*float64(nnz)) }
 
 // Weights maps per-item rating counts to modeled costs.
 func (m CostModel) Weights(degrees []int) []float64 {

@@ -8,10 +8,10 @@ import (
 )
 
 // scorePanel is the item-panel height of every scoring pass, a multiple
-// of la.Block32 and at most 64, the bits of la.BlockDot32's mask: the
+// of la.Block8 and at most 64, the bits of la.BlockDot8's mask: the
 // catalog is walked in contiguous panels of this many items. A ranking
-// reads its heap's weakest score once per panel and la.BlockDot32 rules
-// out a whole panel in one call; ScoreBatchInto scores each panel against
+// reads its heap's weakest score once per panel and la.BlockDot8 skips a
+// whole panel's items in one call; ScoreBatchInto scores each panel against
 // every user of its batch while it is cache resident (64 items × K = 32
 // columns are 16 KiB of float64 rows, L1-resident next to the users'
 // rows), so V is read from memory once per batch, not per user.
@@ -38,36 +38,38 @@ func ScoreBatchInto(v, users, out *la.Matrix) {
 }
 
 // Catalog is the item side of a ranking: the factor matrix V, whose
-// la.Dot scores are served, and its float32 copy in la.PackBlocks32's
-// layout, through which Recommend's first pass rules items out. It is
-// immutable, safe for concurrent use, and keeps V without copying it, so
-// V must not change after NewCatalog.
+// la.Dot scores are served, and its int8 copy in la.PackBlocks8's layout
+// with the copy's scale s = 2^exp and Q = max_j Σ_c |q_jc|, through which
+// Recommend's first pass skips items. It is immutable, safe for
+// concurrent use, and keeps V without copying it, so V must not change
+// after NewCatalog.
 type Catalog struct {
 	v      *la.Matrix
-	blocks []float32
-	vmax   float64 // max_j ‖v_j‖; NaN or +Inf if V holds a NaN or an infinity
+	blocks []int8 // nil if V holds a NaN or an infinity: every item is scored
+	exp    int
+	l1     int
 }
 
-// NewCatalog builds the float32 copy of v (v.Rows·v.Cols·4 bytes) and the
-// largest row norm the score bound needs.
+// NewCatalog builds the int8 copy of v, v.Rows·2⌈v.Cols/2⌉ bytes.
 func NewCatalog(v *la.Matrix) *Catalog {
-	var sq float64
-	for j := 0; j < v.Rows; j++ {
-		sq = max(sq, la.Dot(v.Row(j), v.Row(j))) // max keeps a NaN
-	}
-	return &Catalog{v: v, blocks: la.PackBlocks32(v), vmax: math.Sqrt(sq)}
+	blocks, exp, l1 := la.PackBlocks8(v)
+	return &Catalog{v: v, blocks: blocks, exp: exp, l1: l1}
 }
+
+// queryStack is the widest query Recommend quantises into an array on its
+// stack; a wider one takes one more allocation.
+const queryStack = 256
 
 // Recommend ranks every item of c for the user with factor row u (len
 // v.Cols), skipping the ascending list excl (the CSR row-view contract;
 // nil excludes nothing), and returns the top n items by descending
 // score, fewer when the catalog minus exclusions is smaller. The catalog
 // is walked once in panels, each through the two passes of the package
-// comment: float32 scores from la.BlockDot32, then la.Dot and the top-n
-// heap behind the exclusion cursor for every item they cannot rule out,
-// in ascending item order. No score outlives its panel, so the pass
-// needs no catalog-sized buffer, and it allocates only the returned
-// list (nothing when n <= 0).
+// comment: exact integer sums from la.BlockDot8 against u quantised to
+// int16, then la.Dot and the top-n heap behind the exclusion cursor for
+// every item the panel's threshold does not skip, in ascending item
+// order. No score outlives its panel, so the pass needs no catalog-sized
+// buffer, and it allocates only the returned list (nothing when n <= 0).
 //
 // The list is exactly TopNScoresExcluding over la.Dot(u, v.Row(j)) for
 // every j — same scores, same heap, same tie-breaking.
@@ -81,17 +83,27 @@ func Recommend(c *Catalog, u la.Vector, excl []int32, n int) []Item {
 	if top.n <= 0 {
 		return nil
 	}
-	bound := scoreBound(u, c.vmax) // M of u (package comment)
-	cur := 0                       // cursor into excl: entries before it are below the current panel
-	var t [scorePanel]float32
+	k2 := 2 * la.Pairs(v.Cols)
+	var buf [queryStack]int16
+	x := buf[:min(k2, queryStack)]
+	if k2 > queryStack {
+		x = make([]int16, k2)
+	}
+	b, on := c.bound(u, x)
+	cur := 0 // cursor into excl: entries before it are below the current panel
+	var t [scorePanel]int32
+	thr, theta := int32(math.MinInt32), math.NaN()
 	for lo := 0; lo < v.Rows; lo += scorePanel {
 		hi := min(lo+scorePanel, v.Rows)
-		w := (hi - lo + la.Block32 - 1) &^ (la.Block32 - 1)
-		theta := math.NaN() // rules nothing out
-		if len(top.h) == top.n {
-			theta = top.h[0].Score // the heap is full: only an item above its root enters
+		keep := uint64(1)<<(hi-lo) - 1
+		if on {
+			if len(top.h) == top.n && top.h[0].Score != theta {
+				theta = top.h[0].Score // the heap is full: only an item above its root enters
+				thr = b.threshold(theta)
+			}
+			w := (hi - lo + la.Block8 - 1) &^ (la.Block8 - 1)
+			keep &= la.BlockDot8(c.blocks[lo*len(x):(lo+w)*len(x)], x, t[:w], thr)
 		}
-		keep := la.BlockDot32(c.blocks[lo*v.Cols:(lo+w)*v.Cols], u, t[:w], bound, theta) & (1<<(hi-lo) - 1)
 		for ; keep != 0; keep &= keep - 1 {
 			j := lo + bits.TrailingZeros64(keep)
 			if !excluded(excl, &cur, j) {

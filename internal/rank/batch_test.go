@@ -279,3 +279,15 @@ func BenchmarkRecommendFused(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(v.Rows), "ns/item")
 }
+
+// BenchmarkNewCatalog times the catalog build every server start and
+// every reload pays, at the serving shape (50 000 items, K = 32).
+func BenchmarkNewCatalog(b *testing.B) {
+	stream := rng.New(7)
+	v := la.NewMatrix(50000, 32)
+	stream.FillNorm(v.Data)
+	b.ReportAllocs()
+	for b.Loop() {
+		NewCatalog(v)
+	}
+}

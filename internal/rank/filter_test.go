@@ -9,7 +9,7 @@ import (
 	"repro/internal/la"
 )
 
-// Tests of Recommend's float32 filter. Every list is compared with
+// Tests of Recommend's int8 filter. Every list is compared with
 // TopNScoresExcluding over la.Dot, the unfiltered heap history, so a
 // filter that dropped an item the heap would have taken, or took one out
 // of turn, changes the list, its scores or the order of its ties.
@@ -40,8 +40,9 @@ var filterKinds = []struct {
 		}
 	}},
 	// One base row, each item nudged from it by a few ulps in float64:
-	// the float32 copies of the rows are equal, their exact scores are
-	// not, so every item sits within float32 rounding of θ.
+	// the int8 copies of the rows are equal, their exact scores are not,
+	// so every item sits within quantisation error of θ, on the side the
+	// base row's rounding puts it.
 	{"ulps", func(r *rand.Rand, v *la.Matrix, us []la.Vector) {
 		base := make([]float64, v.Cols)
 		fillNorm(r, base, 1)
@@ -58,9 +59,9 @@ var filterKinds = []struct {
 			fillNorm(r, u, 1)
 		}
 	}},
-	// Values past float32's range at both ends, in V and in the users:
-	// products that overflow to ±Inf (so a float32 score of −Inf can hide a
-	// large exact one), and ones that vanish to zero or a subnormal.
+	// Values far apart in V and in the users: one large entry sets the
+	// scale, so the other entries of its row or user quantise to zero, and
+	// tiny ones vanish below the scale.
 	{"range", func(r *rand.Rand, v *la.Matrix, us []la.Vector) {
 		wild := []float64{1e20, 1e39, -1e39, 1e-40, 1e-300, 0}
 		fillNorm(r, v.Data, 1)
@@ -77,8 +78,8 @@ var filterKinds = []struct {
 			}
 		}
 	}},
-	// NaN and ±Inf in V (every user then rescored everything) or in one
-	// user (that user alone).
+	// NaN and ±Inf in V (no int8 copy: every user then scores everything)
+	// or in one user (that user alone).
 	{"nonfinite", func(r *rand.Rand, v *la.Matrix, us []la.Vector) {
 		bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 		fillNorm(r, v.Data, 1)
@@ -89,6 +90,46 @@ var filterKinds = []struct {
 			fillNorm(r, u, 1)
 			if b%3 == 1 {
 				u[r.Intn(len(u))] = bad[r.Intn(len(bad))]
+			}
+		}
+	}},
+	// Sums at the ends of int32: bytes at ±127 against query values at
+	// the edge of the query range. The users share one sign pattern σ,
+	// a few columns flipped for each; the first 64 items are −127·σ in
+	// every column but at most one, the rest flip a random share of
+	// columns. So the heap's root after the first panel sits at a sum
+	// near −R·127·K, where from K = 517 the threshold falls below −2³¹,
+	// and later items beat it. Even users are ±R, odd ones ±32767, which
+	// the query's scale must bring back into R.
+	{"extremes", func(r *rand.Rand, v *la.Matrix, us []la.Vector) {
+		sigma := make([]float64, v.Cols)
+		for c := range sigma {
+			sigma[c] = float64(2*r.Intn(2) - 1)
+		}
+		for j := 0; j < v.Rows; j++ {
+			row := v.Row(j)
+			flips := r.Intn(2)
+			if j >= 64 {
+				flips = r.Intn(v.Cols + 1)
+			}
+			for c := range row {
+				row[c] = -127 * sigma[c]
+			}
+			for _, c := range r.Perm(v.Cols)[:flips] {
+				row[c] = 127 * sigma[c]
+			}
+		}
+		for b, u := range us {
+			m := float64(la.QueryRange(v.Cols))
+			if b%2 == 1 {
+				m = 32767
+			}
+			for c := range u {
+				u[c] = m * sigma[c]
+			}
+			for f := r.Intn(3); f > 0 && b > 0; f-- {
+				c := r.Intn(v.Cols)
+				u[c] = -u[c]
 			}
 		}
 	}},
@@ -140,31 +181,43 @@ func checkAgainstReference(t testing.TB, label string, c *Catalog, u la.Vector, 
 	}
 }
 
+// filterShapes are the adversarial table's widths and catalog sizes:
+// both sides of a block of 8 and of a panel of 64 items, odd widths (a
+// padded column pair), and the widths where the query range binds.
+var filterShapes = []struct {
+	ks, items []int
+	users     int
+}{
+	{[]int{1, 3, 7, 8, 9, 32, 33, 64}, []int{1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1000}, 64},
+	{[]int{517, 1024}, []int{9, 65, 300}, 16},
+}
+
 // TestFilterMatchesUnfilteredHeap is the adversarial table: every kind of
-// catalog, K ∈ {1, 3, 7, 8, 9, 32, 33, 64} × N ∈ {1, 7, 8, 9, 31, 32, 33,
-// 63, 64, 65, 1000} × n ∈ {0, 1, 10, N, N+5}, with and without
-// exclusions, 64 users each.
+// catalog at every shape of filterShapes × n ∈ {0, 1, 10, N, N+5}, with
+// and without exclusions.
 func TestFilterMatchesUnfilteredHeap(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
 	for _, kind := range filterKinds {
-		for _, k := range []int{1, 3, 7, 8, 9, 32, 33, 64} {
-			for _, items := range []int{1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1000} {
-				v := la.NewMatrix(items, k)
-				us := make([]la.Vector, 64)
-				for b := range us {
-					us[b] = la.NewVector(k)
-				}
-				kind.fill(r, v, us)
-				c := NewCatalog(v)
-				scores := make([][]float64, len(us))
-				for b, u := range us {
-					scores[b] = dotScores(v, u)
-				}
-				for _, n := range []int{0, 1, 10, items, items + 5} {
-					for _, excl := range []bool{false, true} {
-						for b, u := range us {
-							label := fmt.Sprintf("%s K=%d N=%d excl=%v user %d", kind.name, k, items, excl, b)
-							checkAgainstReference(t, label, c, u, filterExclusions(items, excl), n, scores[b])
+		for _, shape := range filterShapes {
+			for _, k := range shape.ks {
+				for _, items := range shape.items {
+					v := la.NewMatrix(items, k)
+					us := make([]la.Vector, shape.users)
+					for b := range us {
+						us[b] = la.NewVector(k)
+					}
+					kind.fill(r, v, us)
+					c := NewCatalog(v)
+					scores := make([][]float64, len(us))
+					for b, u := range us {
+						scores[b] = dotScores(v, u)
+					}
+					for _, n := range []int{0, 1, 10, items, items + 5} {
+						for _, excl := range []bool{false, true} {
+							for b, u := range us {
+								label := fmt.Sprintf("%s K=%d N=%d excl=%v user %d", kind.name, k, items, excl, b)
+								checkAgainstReference(t, label, c, u, filterExclusions(items, excl), n, scores[b])
+							}
 						}
 					}
 				}
@@ -200,59 +253,129 @@ func FuzzRecommendMatchesReference(f *testing.F) {
 	})
 }
 
+// sums returns D_j for every item of c against the query x, through
+// la.BlockDot8 panel by panel.
+func sums(c *Catalog, x []int16) []int32 {
+	items := c.v.Rows
+	d := make([]int32, (items+scorePanel-1)/scorePanel*scorePanel)
+	for lo := 0; lo < items; lo += scorePanel {
+		w := (min(lo+scorePanel, items) - lo + la.Block8 - 1) &^ (la.Block8 - 1)
+		la.BlockDot8(c.blocks[lo*len(x):(lo+w)*len(x)], x, d[lo:lo+w], math.MinInt32)
+	}
+	return d[:items]
+}
+
 // TestFilterBoundHolds is the property the skip rule rests on: for every
-// item whose float32 score t is finite, |t − la.Dot(u, v_j)| ≤ M/2, on
-// random catalogs of K = 1…64 at scales from float32's subnormals to
-// 10¹⁸ (where the products stay in float32's range).
+// item, |la.Dot(u, v_j) − s_u·s·D_j| < (s_u·s/4)·E, on random catalogs
+// and users at scales from 10⁻³⁰⁰ to 10³⁰⁰ each, K = 1…64, 517 and 1024
+// (the query range binds from 517). Where s_u·s leaves the bound's range
+// the rule must be off instead.
 func TestFilterBoundHolds(t *testing.T) {
 	r := rand.New(rand.NewSource(39))
-	worst := 0.0
-	for trial := 0; trial < 400; trial++ {
+	worst, on, off := 0.0, 0, 0
+	for trial := 0; trial < 600; trial++ {
 		k := 1 + r.Intn(64)
+		if trial%8 == 7 {
+			k = []int{517, 1024}[r.Intn(2)]
+		}
 		items := 8 * (1 + r.Intn(8))
 		v := la.NewMatrix(items, k)
 		u := la.NewVector(k)
-		fillNorm(r, v.Data, math.Pow(10, float64(r.Intn(64)-45)))
-		fillNorm(r, u, math.Pow(10, float64(r.Intn(64)-45)))
+		fillNorm(r, v.Data, math.Pow(10, float64(r.Intn(601)-300)))
+		fillNorm(r, u, math.Pow(10, float64(r.Intn(601)-300)))
 		c := NewCatalog(v)
-		m := scoreBound(u, c.vmax)
-		ts := make([]float32, items)
-		la.BlockDot32(c.blocks, u, ts, m, math.NaN())
-		for j, tj := range ts {
-			s := la.Dot(u, v.Row(j))
-			if math.IsInf(float64(tj), 0) || math.IsNaN(float64(tj)) {
-				continue
+		x := make([]int16, 2*la.Pairs(k))
+		b, ok := c.bound(u, x)
+		ue, _, _ := la.PackQuery16(u, make([]int16, len(x)))
+		if e := ue + c.exp; e < minScaleExp || e > maxScaleExp {
+			if ok {
+				t.Fatalf("trial %d: s_u·s = 2^%d, outside the bound's range, yet the rule is on", trial, e)
 			}
-			if d := math.Abs(float64(tj) - s); !(d <= m/2) {
-				t.Fatalf("trial %d K=%d item %d: |t − s| = |%g − %g| = %g > M/2 = %g", trial, k, j, tj, s, d, m/2)
-			} else if m > 0 {
-				worst = max(worst, d/(m/2))
+			off++
+			continue
+		}
+		if !ok {
+			t.Fatalf("trial %d K=%d: the rule is off at s_u·s = 2^%d", trial, k, ue+c.exp)
+		}
+		on++
+		scale := math.Ldexp(1, ue+c.exp)
+		for j, dj := range sums(c, x) {
+			s := la.Dot(u, v.Row(j))
+			lim := scale / 4 * float64(b.e)
+			if d := math.Abs(s - scale*float64(dj)); !(d < lim) {
+				t.Fatalf("trial %d K=%d item %d: |s − s_u·s·D| = |%g − %g| = %g, not below (s_u·s/4)·E = %g", trial, k, j, s, scale*float64(dj), d, lim)
+			} else {
+				worst = max(worst, d/lim)
 			}
 		}
 	}
-	t.Logf("largest |t − s| seen: %.3g of M/2", worst)
+	if on == 0 || off == 0 {
+		t.Fatalf("%d trials in the bound's range, %d outside: both must occur", on, off)
+	}
+	t.Logf("%d trials in range, %d outside; largest |s − s_u·s·D| seen: %.3g of (s_u·s/4)·E", on, off, worst)
 }
 
-// TestScoreBoundNonFinite: a NaN or an infinity in u or V, or norms that
-// overflow, make M non-finite, so nothing is ruled out.
-func TestScoreBoundNonFinite(t *testing.T) {
+// TestFilterNonFinite: a NaN or an infinity in u, or s_u·s outside the
+// bound's range, turns the rule off for that query; a NaN or an infinity
+// in V builds no int8 copy, and the rule is off for every query. Each
+// ranking still matches the unfiltered heap.
+func TestFilterNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
-		u    la.Vector
-		vmax float64
+		name   string
+		vs, us float64 // scales of V and u
+		bad    float64 // put into u or V, per where
+		where  string  // "u", "V" or "" (nothing bad)
+		on     bool
 	}{
-		{la.Vector{1, math.NaN()}, 1},
-		{la.Vector{math.Inf(-1), 0}, 1},
-		{la.Vector{1e200, 1e200}, 1},
-		{la.Vector{1, 2}, math.NaN()},
-		{la.Vector{1, 2}, math.Inf(1)},
+		{"finite", 1, 1, 0, "", true},
+		{"NaN in u", 1, 1, nan, "u", false},
+		{"+Inf in u", 1, 1, inf, "u", false},
+		{"-Inf in u", 1, 1, -inf, "u", false},
+		{"NaN in V", 1, 1, nan, "V", false},
+		{"+Inf in V", 1, 1, inf, "V", false},
+		{"-Inf in V", 1, 1, -inf, "V", false},
+		{"s_u·s below 2⁻¹⁰²²", 1e-200, 1e-200, 0, "", false},
+		{"s_u·s above 2⁹⁹⁰", 1e155, 1e155, 0, "", false},
+		{"s_u·s near 2⁻¹⁰²²", 1e-150, 1e-150, 0, "", true},
+		{"s_u·s near 2⁹⁹⁰", 1e145, 1e145, 0, "", true},
 	} {
-		if m := scoreBound(tc.u, tc.vmax); !math.IsNaN(m) && !math.IsInf(m, 1) {
-			t.Errorf("scoreBound(%v, %v) = %v, want NaN or +Inf", tc.u, tc.vmax, m)
+		r := rand.New(rand.NewSource(40))
+		v := la.NewMatrix(300, 5)
+		fillNorm(r, v.Data, tc.vs)
+		u := la.NewVector(5)
+		fillNorm(r, u, tc.us)
+		switch tc.where {
+		case "V":
+			v.Data[r.Intn(len(v.Data))] = tc.bad
+		case "u":
+			u[2] = tc.bad
+		}
+		c := NewCatalog(v)
+		if (c.blocks == nil) != (tc.where == "V") {
+			t.Errorf("%s: int8 copy built: %v", tc.name, c.blocks != nil)
+		}
+		if _, on := c.bound(u, make([]int16, 6)); on != tc.on {
+			t.Errorf("%s: rule on %v, want %v", tc.name, on, tc.on)
+		}
+		for _, n := range []int{1, 10, 299} {
+			checkAgainstReference(t, tc.name, c, u, nil, n, dotScores(v, u))
 		}
 	}
-	v := la.NewMatrix(3, 2)
-	v.Data[3] = math.NaN()
-	if c := NewCatalog(v); !math.IsNaN(c.vmax) {
-		t.Errorf("a NaN in V gives vmax %v, want NaN", c.vmax)
+	// The threshold's own guards: NaN and −Inf skip nothing, +Inf every
+	// sum, and the clamps into int32 hold at both ends.
+	b := bound{shift: 2, e: 5}
+	for _, tc := range []struct {
+		theta float64
+		want  int32
+	}{
+		{nan, math.MinInt32}, {-inf, math.MinInt32}, {inf, math.MaxInt32},
+		{-1e300, math.MinInt32}, {1e300, math.MaxInt32},
+		{-0x1p31, math.MinInt32}, {0x1p31, math.MaxInt32 - 1}, {0x1p32, math.MaxInt32},
+		{0, -2}, {1.25, -1}, {1.5, 0}, {2.25, 0}, {2.5, 1},
+	} {
+		if got := b.threshold(tc.theta); got != tc.want {
+			t.Errorf("threshold(%v) with shift 2, E = 5: %d, want %d", tc.theta, got, tc.want)
+		}
 	}
 }

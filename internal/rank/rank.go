@@ -11,31 +11,56 @@
 // reference.
 //
 // A ranking takes two passes over each panel of the catalog. The first
-// streams the Catalog's float32 block copy of V through la.BlockDot32, at
-// half the bytes per item of V itself, giving every item a float32 score
-// t_j. The second computes the exact score s_j = la.Dot(u, v_j) and offers
-// it to the heap for every item the first pass cannot rule out. Item j is
-// ruled out only if the heap is full, t_j > −Inf and float64(t_j) + M < θ,
-// where θ is the heap's weakest score and
+// streams the Catalog's int8 block copy of V through la.BlockDot8, at an
+// eighth of the bytes per item of V itself (32 B at K = 32, so a
+// 50 000-item catalog fits in L2), giving every item an exact integer sum
+// D_j. The second computes the served score s_j = la.Dot(u, v_j) and
+// offers it to the heap for every item the first pass does not skip.
 //
-//	M = (K+4)·2⁻²³·(‖u‖+1)·(max_j ‖v_j‖+1).
+// The quantities (every rounding half to even):
 //
-// That is exact. Rounding u and v_j to float32, each product and each of
-// the K−1 sums rounds by at most ε = 2⁻²⁴ relative, so |t_j − u·v_j| is
-// at most (K+2)ε·Σ|u_i v_ji| to first order (Higham, Accuracy and
-// Stability of Numerical Algorithms, §3.1), and Σ|u_i v_ji| ≤ ‖u‖‖v_j‖;
-// la.Dot's own float64 error is 2²⁹ times smaller. Values in float32's subnormal range
-// add at most 2⁻¹⁵⁰ per rounding, which the "+1" terms cover. So
-// |t_j − s_j| ≤ M/2 for K up to a few thousand and ≤ M for any K a
-// checkpoint holds (K ≤ 2¹⁶, so Kε ≤ 2⁻⁸): a ruled-out item has
-// s_j < θ − M/2 < θ, and could not have entered the heap, which keeps an
-// item only if it strictly beats θ. M is computed in float64, whose
-// rounding the factor two absorbs, and float64(t_j) + M < θ with θ a
-// float64 implies the exact sum is below θ, as rounding is monotone. An
-// overflow past float32 makes t_j ±Inf or NaN and a NaN or ±Inf in u or V
-// makes M non-finite; then the test is false, or t_j = −Inf fails the
-// guard, and the item gets its exact score. θ is read once per panel of
-// 64 items, where la.BlockDot32 applies the test to the whole panel; it
+//   - the catalog, once: s = 2^e_s is the smallest power of two, at least
+//     2⁻¹⁰²², with s ≥ max_jc |v_jc|/127; q_jc = round(v_jc/s), so
+//     |q_jc| ≤ 127 and |v_jc − s·q_jc| ≤ s/2; Q = max_j Σ_c |q_jc|;
+//   - the query, once per call: R = min(32767, ⌊(2³¹−1)/(127·K)⌋), from K
+//     alone; s_u = 2^e_u is the smallest power of two, at least 2⁻¹⁰²²,
+//     with s_u ≥ max_c |u_c|/R; p_c = round(u_c/s_u), so |p_c| ≤ R and
+//     |u_c − s_u·p_c| ≤ s_u/2; P = Σ_c |p_c|;
+//   - D_j = Σ_c p_c·q_jc, exact in int32: |D_j| ≤ R·127·K ≤ 2³¹−1. Every
+//     body of the kernel and every GOARCH gives the same integers.
+//
+// The bound. Writing u·v_j − s_u·s·D_j = Σ_c (u_c − s_u·p_c)·v_jc +
+// Σ_c s_u·p_c·(v_jc − s·q_jc), the first sum is at most (s_u/2)·‖v_j‖₁ ≤
+// (s_u/2)·s·(Q + K/2) and the second at most s_u·P·s/2, so
+//
+//	|u·v_j − s_u·s·D_j| ≤ (s_u·s/4)·(2P + 2Q + K).
+//
+// la.Dot's own rounding adds less than s_u·s/4: it is at most about
+// K·2⁻⁵³·Σ_c |u_c·v_jc| (Higham, Accuracy and Stability of Numerical
+// Algorithms, §3.1), and Σ_c |u_c·v_jc| ≤ ‖u‖_∞·‖v_j‖₁ ≤ s_u·R·127·K·s <
+// s_u·s·2³¹, so with K ≤ 2¹⁶ (every K a checkpoint holds) it is below
+// s_u·s·2⁻⁶; while s_u·s ≥ 2⁻¹⁰²² the absolute error of products and
+// sums in the subnormal range, at most 2⁻¹⁰⁷⁴ per step, is far smaller
+// still, and while s_u·s ≤ 2⁹⁹⁰ no partial sum of la.Dot can overflow.
+// With E = 2P + 2Q + K + 1 then |la.Dot(u, v_j) − s_u·s·D_j| <
+// (s_u·s/4)·E.
+//
+// The rule. Let θ be the heap's weakest score. Item j is skipped iff the
+// heap is full and 4·D_j + E < Z, Z = θ·4/(s_u·s) = θ·2^(2−e_u−e_s):
+// then la.Dot(u, v_j) < s_u·s·D_j + (s_u·s/4)·E < θ, and the item could
+// not have entered the heap, which keeps an item only if it strictly
+// beats θ. Z is an exact power-of-two scaling of θ (math.Ldexp), and
+// where it underflows the rounded value is still at most the exact one,
+// so ⌈Z⌉ cannot rise. As 4·D_j + E is an integer, the rule is D_j ≤ T =
+// ⌊(⌈Z⌉ − 1 − E)/4⌋, which la.BlockDot8 applies to a whole panel with T
+// clamped into int32: a T above 2³¹−1 skips every exact sum, as the true
+// one does, and a T below −2³¹ skips none, as no sum is that low.
+//
+// Every case outside the bound keeps every item: a heap that is not full
+// (T = −2³¹), θ NaN or −Inf, a NaN or ±Inf in u, or s_u·s outside
+// [2⁻¹⁰²², 2⁹⁹⁰]. A NaN or ±Inf anywhere in V builds no int8 copy, and
+// every item is scored. T is computed when the heap first fills and again
+// whenever its root has changed, at most once per panel of 64 items; it
 // holds for the panel's later items too, because the root of a full heap
 // never falls: an offer replaces it only with a higher score, and sifting
 // that down brings up a child that was not below the old root. So the
@@ -110,11 +135,45 @@ func excluded(excl []int32, e *int, idx int) bool {
 	return *e < len(excl) && int(excl[*e]) == idx
 }
 
-// scoreBound is M = (K+4)·2⁻²³·(‖u‖+1)·(vmax+1), vmax = max_j ‖v_j‖,
-// in float64; NaN or +Inf when u or V holds a NaN or an infinity, or
-// when the norms overflow.
-func scoreBound(u la.Vector, vmax float64) float64 {
-	return float64(len(u)+4) * 0x1p-23 * (math.Sqrt(la.Dot(u, u)) + 1) * (vmax + 1)
+// Bounds of e_u + e_s, the exponent of s_u·s, inside which the package
+// comment's bound holds.
+const (
+	minScaleExp = -1022
+	maxScaleExp = 990
+)
+
+// bound is one query's part of the skip rule.
+type bound struct {
+	shift int   // 2 − e_u − e_s: Z = θ·2^shift
+	e     int64 // E = 2P + 2Q + K + 1
+}
+
+// bound quantises u into x (la.PackQuery16) and returns its part of the
+// skip rule; on is false when the rule cannot be used and every item
+// must be scored.
+func (c *Catalog) bound(u la.Vector, x []int16) (b bound, on bool) {
+	if c.blocks == nil {
+		return bound{}, false
+	}
+	exp, p, ok := la.PackQuery16(u, x)
+	exp += c.exp
+	if !ok || exp < minScaleExp || exp > maxScaleExp {
+		return bound{}, false
+	}
+	return bound{shift: 2 - exp, e: int64(2*p + 2*c.l1 + len(u) + 1)}, true
+}
+
+// threshold is T for the heap root theta: an item whose sum D is at most
+// T is skipped. NaN and −Inf skip nothing, +Inf everything.
+func (b bound) threshold(theta float64) int32 {
+	z := math.Ceil(math.Ldexp(theta, b.shift))
+	switch {
+	case !(z > -0x1p40): // NaN too: far below any 4D + E
+		return math.MinInt32
+	case z > 0x1p40:
+		return math.MaxInt32
+	}
+	return int32(min(max((int64(z)-1-b.e)>>2, math.MinInt32), math.MaxInt32))
 }
 
 // take drains the accumulator, returning the kept items sorted by

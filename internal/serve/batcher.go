@@ -71,9 +71,9 @@ func (s *Shed) Error() string {
 // core also finds a slot, so rankings do not pile up to share a pass
 // (PERF.md, PR 14 section). The name is the request batcher's this type
 // replaced; benchmark/ compiles against it, so the rename is queued in
-// ROADMAP item 5. A slot is held for a whole ranking: the float32 scan
-// of the catalog (half of V's bytes) and the exact la.Dot of the few
-// items it cannot rule out. Safe for concurrent use.
+// ROADMAP item 5. A slot is held for a whole ranking: the integer scan
+// of the catalog's int8 copy (an eighth of V's bytes) and the exact
+// la.Dot of the few items it cannot skip. Safe for concurrent use.
 type Batcher struct {
 	opts BatchOptions
 

@@ -122,7 +122,7 @@ type postStat struct{ mean, std float64 }
 type Model struct {
 	k        int
 	u, v     *la.Matrix
-	cat      *rank.Catalog // v and its float32 copy, what a ranking scans
+	cat      *rank.Catalog // v and its int8 copy, what a ranking scans
 	cfg      core.Config   // kernel selection + alpha for fold-in
 	seed     uint64
 	nextIter int

@@ -18,12 +18,13 @@ type Scored struct {
 // recommender-system protocol the paper's introduction describes). It
 // returns nil if user is out of range or n <= 0, and fewer than n items
 // when the user has fewer than n unrated items. It is one rank.Recommend
-// call, the serving layer's: a float32 scan of the catalog rules out the
-// items that cannot make the list, and the rest get their la.Dot score in
-// a bounded min-heap, so the list equals rank.TopNScoresExcluding over the
-// la.Dot score of every item — same scores, same order of ties. The first
-// call builds the catalog's float32 copy (half of V's bytes), once per
-// Result; it is safe for concurrent use.
+// call, the serving layer's: exact integer sums over an int8 copy of the
+// catalog skip the items an error bound proves cannot make the list, and
+// the rest get their la.Dot score in a bounded min-heap, so the list
+// equals rank.TopNScoresExcluding over the la.Dot score of every item —
+// same scores, same order of ties. The first call builds the catalog's
+// int8 copy (an eighth of V's bytes), once per Result; it is safe for
+// concurrent use.
 func (r *Result) Recommend(user, n int) []Scored {
 	if n <= 0 || user < 0 || user >= r.res.U.Rows {
 		return nil
