@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	s, err := buildSpec(cfg.Spec, cfg.Scale, cfg.Seed)
+	s, err := cfg.ResolveSpec()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,15 +50,6 @@ func main() {
 	if cfg.Out != "" {
 		fmt.Fprintf(os.Stderr, "wrote %s: %d x %d, %d ratings\n", cfg.Out, ds.R.M, ds.R.N, ds.R.NNZ())
 	}
-}
-
-// buildSpec resolves the named benchmark spec and applies the scale
-// factor through the shared config contract. Any scale other than 1 is
-// applied — the silent old behavior of ignoring upscales is gone — and
-// a non-positive scale is an error rather than an accidental full-size
-// dataset.
-func buildSpec(name string, scale float64, seed uint64) (datagen.Spec, error) {
-	return config.Datagen{Spec: name, Scale: scale, Seed: seed}.ResolveSpec()
 }
 
 // writeMatrix writes r to path, picking the format from the extension:

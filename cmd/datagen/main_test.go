@@ -4,15 +4,17 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/datagen"
 	"repro/internal/sparse"
 )
 
 // TestBuildSpecAppliesUpscale is the regression test for the silently
-// ignored -scale > 1: upscales must actually grow the spec.
+// ignored -scale > 1: upscales must actually grow the spec that main
+// resolves (config.Datagen.ResolveSpec).
 func TestBuildSpecAppliesUpscale(t *testing.T) {
 	base := datagen.Tiny(1)
-	up, err := buildSpec("tiny", 2.0, 1)
+	up, err := config.Datagen{Spec: "tiny", Scale: 2.0, Seed: 1}.ResolveSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,14 +22,14 @@ func TestBuildSpecAppliesUpscale(t *testing.T) {
 		t.Fatalf("-scale 2 did not double the spec: %dx%d nnz %d from %dx%d nnz %d",
 			up.Rows, up.Cols, up.NNZ, base.Rows, base.Cols, base.NNZ)
 	}
-	down, err := buildSpec("small", 0.5, 1)
+	down, err := config.Datagen{Spec: "small", Scale: 0.5, Seed: 1}.ResolveSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sm := datagen.Small(1); down.Rows != sm.Rows/2 {
 		t.Fatalf("-scale 0.5 rows = %d, want %d", down.Rows, sm.Rows/2)
 	}
-	ident, err := buildSpec("tiny", 1.0, 1)
+	ident, err := config.Datagen{Spec: "tiny", Scale: 1.0, Seed: 1}.ResolveSpec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +39,13 @@ func TestBuildSpecAppliesUpscale(t *testing.T) {
 }
 
 func TestBuildSpecRejectsBadInput(t *testing.T) {
-	if _, err := buildSpec("tiny", 0, 1); err == nil {
+	if _, err := (config.Datagen{Spec: "tiny", Scale: 0, Seed: 1}).ResolveSpec(); err == nil {
 		t.Fatal("-scale 0 must be rejected")
 	}
-	if _, err := buildSpec("tiny", -0.5, 1); err == nil {
+	if _, err := (config.Datagen{Spec: "tiny", Scale: -0.5, Seed: 1}).ResolveSpec(); err == nil {
 		t.Fatal("negative -scale must be rejected")
 	}
-	if _, err := buildSpec("nope", 1, 1); err == nil {
+	if _, err := (config.Datagen{Spec: "nope", Scale: 1, Seed: 1}).ResolveSpec(); err == nil {
 		t.Fatal("unknown spec must be rejected")
 	}
 }

@@ -35,8 +35,7 @@ func ablations(cfg core.Config, cm des.CostModel, scale float64) {
 
 	// 2. Coalescing buffer size (paper IV-C) on 32 nodes.
 	fmt.Println("\n-- coalescing buffer size (32 BG/Q nodes, MovieLens) --")
-	plan := partition.Build(ml.R, 32)
-	w := des.BuildClusterWorkload(plan, cfg)
+	w := des.BuildClusterWorkload(partition.Build(ml.R, 32), nil, cfg)
 	for _, buf := range []int{0, 1 << 10, 8 << 10, 64 << 10, 1 << 20} {
 		res := des.SimulateCluster(w, des.BlueGeneQ(32), cm, buf, 3)
 		label := fmt.Sprintf("%d KiB", buf>>10)

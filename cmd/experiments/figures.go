@@ -136,11 +136,13 @@ func fig4(cfg core.Config, cm des.CostModel, scale float64) {
 		ds.R.M, ds.R.N, ds.R.NNZ(), scale)
 	fmt.Println("# columns: nodes, cores, items/s, parallel efficiency (vs 1 node)")
 
+	// The simulated cluster trains on the split a distributed run would
+	// (a 5 % hold-out) and routes the test set's movie rows as the engine
+	// does.
+	train, test := core.HoldOut(ds.R, 0.05, ds.Spec.Seed)
 	var base float64
 	for _, nodes := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
-		plan := partition.Build(ds.R, nodes)
-		w := des.BuildClusterWorkload(plan, cfg)
-		w.TestEntries = int64(ds.R.NNZ() / 20)
+		w := des.BuildClusterWorkload(partition.Build(train, nodes), test, cfg)
 		m := des.BlueGeneQ(nodes)
 		if scale != 1 {
 			// Scale the cache with the workload so the working-set /
@@ -167,11 +169,10 @@ func fig4(cfg core.Config, cm des.CostModel, scale float64) {
 func fig5(cfg core.Config, cm des.CostModel, scale float64) {
 	fmt.Println("\n== Figure 5: compute / communicate / overlap breakdown ==")
 	ds := ml20mData(scale)
+	train, test := core.HoldOut(ds.R, 0.05, ds.Spec.Seed) // as in fig4
 	fmt.Println("# columns: nodes, cores, compute%, both%, communicate%, idle%")
 	for _, nodes := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		plan := partition.Build(ds.R, nodes)
-		w := des.BuildClusterWorkload(plan, cfg)
-		w.TestEntries = int64(ds.R.NNZ() / 20)
+		w := des.BuildClusterWorkload(partition.Build(train, nodes), test, cfg)
 		m := des.BlueGeneQ(nodes)
 		if scale != 1 {
 			m.CacheBytes *= scale
@@ -255,8 +256,7 @@ func speedupExperiment(cfg core.Config, cm des.CostModel, scale float64) {
 	fmt.Println("\n== §VI: end-to-end wall-clock estimate for the ChEMBL run ==")
 	ds := chemblData(scale)
 	const nodes = 20 // the paper's Lynx cluster
-	plan := partition.Build(ds.R, nodes)
-	w := des.BuildClusterWorkload(plan, cfg)
+	w := des.BuildClusterWorkload(partition.Build(ds.R, nodes), nil, cfg)
 	res := des.SimulateCluster(w, des.Lynx(nodes), cm, dist.DefaultBufferSize, 3)
 
 	items := float64(ds.R.M + ds.R.N)

@@ -91,21 +91,18 @@ func main() {
 }
 
 // chemblData generates the ChEMBL-shaped workload at the given scale.
-// Any scale other than 1 is applied — upscaled DES workloads included
-// (main rejects non-positive scales up front).
-func chemblData(scale float64) *datagen.Dataset {
-	spec := datagen.ChEMBL(20)
-	if scale != 1 {
-		spec = datagen.Scaled(spec, scale)
-	}
-	return datagen.Generate(spec)
-}
+func chemblData(scale float64) *datagen.Dataset { return generate("chembl", scale) }
 
 // ml20mData generates the MovieLens-shaped workload at the given scale.
-func ml20mData(scale float64) *datagen.Dataset {
-	spec := datagen.ML20M(20)
-	if scale != 1 {
-		spec = datagen.Scaled(spec, scale)
+func ml20mData(scale float64) *datagen.Dataset { return generate("ml-20m", scale) }
+
+// generate resolves a built-in benchmark through config.Data.Spec, which
+// applies any scale other than 1 (main rejects non-positive scales up
+// front).
+func generate(name string, scale float64) *datagen.Dataset {
+	spec, err := config.Data{Synthetic: name, Scale: scale}.Spec(20)
+	if err != nil {
+		log.Fatal(err)
 	}
 	return datagen.Generate(spec)
 }

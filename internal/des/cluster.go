@@ -6,12 +6,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/partition"
+	"repro/internal/sparse"
 )
 
 // ClusterWorkload is the distilled per-rank workload of one distributed
 // BPMF configuration: what each rank computes and what it ships where —
-// extracted from the real partitioner output, so the simulator replays
-// the actual engine schedule.
+// extracted from the real partitioner output and the engine's own routing
+// rule (partition.Plan.Route), so the simulator replays the actual engine
+// schedule. Its traffic is the engine's to the item: traffic_test.go pins
+// items sent, ghosts received and messages per rank to a measured
+// dist.RunInProc.
 type ClusterWorkload struct {
 	Ranks int
 	Cfg   core.Config
@@ -19,7 +23,7 @@ type ClusterWorkload struct {
 	// in update order.
 	MovieNNZ, UserNNZ [][]int
 	// MovieSends[p][q] / UserSends[p][q] count the items rank p ships to
-	// rank q per iteration in each phase.
+	// rank q per iteration in each phase. Rank q receives the column sums.
 	MovieSends, UserSends [][]int64
 	// WorkingSet[p] is rank p's touched bytes per iteration (owned rows,
 	// ghost rows, rating slice) for the cache model.
@@ -31,13 +35,15 @@ type ClusterWorkload struct {
 	// TestEntries is the held-out test-set size whose end-of-iteration
 	// chunk-parallel evaluation the simulation models (split across ranks
 	// by row ownership, like the real engine's per-rank predictors).
-	// 0 omits the evaluation phase. Callers set it after
-	// BuildClusterWorkload — the plan does not carry the test set.
+	// 0 omits the evaluation phase.
 	TestEntries int64
 }
 
-// BuildClusterWorkload derives the workload from a partition plan.
-func BuildClusterWorkload(plan *partition.Plan, cfg core.Config) *ClusterWorkload {
+// BuildClusterWorkload derives the workload of a distributed run on plan
+// that evaluates test after every iteration (nil: no evaluation). The
+// sends are every rank's partition.Plan.Route, so movie rows also go to
+// the ranks that score a test entry on them, as the engine routes them.
+func BuildClusterWorkload(plan *partition.Plan, test []sparse.Entry, cfg core.Config) *ClusterWorkload {
 	r := plan.R
 	rt := r.Transpose()
 	p := len(plan.RowBounds) - 1
@@ -51,89 +57,36 @@ func BuildClusterWorkload(plan *partition.Plan, cfg core.Config) *ClusterWorkloa
 		WorkingSet:  make([]float64, p),
 		RecordBytes: 4 + 8*cfg.K,
 		TotalItems:  int64(r.M + r.N),
+		TestEntries: int64(len(test)),
 	}
-	rowOwner := make([]int, r.M)
-	for q := 0; q < p; q++ {
-		for i := plan.RowBounds[q]; i < plan.RowBounds[q+1]; i++ {
-			rowOwner[i] = q
-		}
-	}
-	colOwner := make([]int, r.N)
-	for q := 0; q < p; q++ {
-		for j := plan.ColBounds[q]; j < plan.ColBounds[q+1]; j++ {
-			colOwner[j] = q
-		}
-	}
-	for q := 0; q < p; q++ {
-		w.MovieSends[q] = make([]int64, p)
-		w.UserSends[q] = make([]int64, p)
-	}
-
-	mark := make([]int, p)
-	epoch := 0
-	ghostRows := make([]int64, p) // foreign users referenced per rank
-	ghostCols := make([]int64, p) // foreign movies referenced per rank
-	seenGhostU := make(map[[2]int32]bool)
-	seenGhostV := make(map[[2]int32]bool)
-
-	// Movie side: owned items per rank, sends to rater-owners.
-	for j := 0; j < rt.M; j++ {
-		q := colOwner[j]
-		rows, _ := rt.Row(j)
-		w.MovieNNZ[q] = append(w.MovieNNZ[q], len(rows))
-		epoch++
-		for _, i := range rows {
-			o := rowOwner[i]
-			if o != q {
-				if mark[o] != epoch {
-					mark[o] = epoch
-					w.MovieSends[q][o]++
-				}
-				if !seenGhostV[[2]int32{int32(o), int32(j)}] {
-					seenGhostV[[2]int32{int32(o), int32(j)}] = true
-					ghostCols[o]++
-				}
-			}
-		}
-	}
-	// User side.
-	for i := 0; i < r.M; i++ {
-		q := rowOwner[i]
-		cols, _ := r.Row(i)
-		w.UserNNZ[q] = append(w.UserNNZ[q], len(cols))
-		epoch++
-		for _, c := range cols {
-			o := colOwner[c]
-			if o != q && mark[o] != epoch {
-				mark[o] = epoch
-				w.UserSends[q][o]++
-			}
-		}
-	}
-	// Ghost users per rank: distinct foreign raters of owned movies.
-	for j := 0; j < rt.M; j++ {
-		q := colOwner[j]
-		rows, _ := rt.Row(j)
-		for _, i := range rows {
-			if rowOwner[i] != q && !seenGhostU[[2]int32{int32(q), i}] {
-				seenGhostU[[2]int32{int32(q), i}] = true
-				ghostRows[q]++
-			}
-		}
-	}
-
+	rowOwner, colOwner := partition.Owners(plan.RowBounds, r.M), partition.Owners(plan.ColBounds, r.N)
 	rowBytes := float64(8 * cfg.K)
 	for q := 0; q < p; q++ {
-		owned := float64(plan.RowBounds[q+1]-plan.RowBounds[q]) +
-			float64(plan.ColBounds[q+1]-plan.ColBounds[q])
-		ghosts := float64(ghostRows[q] + ghostCols[q])
+		routes := plan.Route(q, rt, rowOwner, colOwner, test)
+		w.MovieSends[q], w.UserSends[q] = make([]int64, p), make([]int64, p)
 		var ratings float64
-		for _, d := range w.MovieNNZ[q] {
+		for j := plan.ColBounds[q]; j < plan.ColBounds[q+1]; j++ {
+			d := rt.RowNNZ(j)
+			w.MovieNNZ[q] = append(w.MovieNNZ[q], d)
 			ratings += float64(d)
 		}
-		for _, d := range w.UserNNZ[q] {
+		for i := plan.RowBounds[q]; i < plan.RowBounds[q+1]; i++ {
+			d := r.RowNNZ(i)
+			w.UserNNZ[q] = append(w.UserNNZ[q], d)
 			ratings += float64(d)
 		}
+		for _, dests := range routes.SendV {
+			for _, d := range dests {
+				w.MovieSends[q][d]++
+			}
+		}
+		for _, dests := range routes.SendU {
+			for _, d := range dests {
+				w.UserSends[q][d]++
+			}
+		}
+		owned := float64(len(w.MovieNNZ[q]) + len(w.UserNNZ[q]))
+		ghosts := float64(routes.RecvU + routes.RecvV)
 		// 12 bytes per stored rating (index + value) touched per sweep.
 		w.WorkingSet[q] = (owned+ghosts)*rowBytes + ratings*12
 	}

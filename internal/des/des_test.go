@@ -254,7 +254,7 @@ func clusterWorkload(t *testing.T, ranks int) *ClusterWorkload {
 	ds := datagen.Generate(datagen.Scaled(datagen.ML20M(5), 0.01))
 	c := cfg()
 	plan := partition.Build(ds.R, ranks)
-	return BuildClusterWorkload(plan, c)
+	return BuildClusterWorkload(plan, nil, c)
 }
 
 func TestBuildClusterWorkloadConservation(t *testing.T) {
@@ -376,10 +376,16 @@ func TestNodeIterationTimeIncludesEval(t *testing.T) {
 	if !(withEval > base) {
 		t.Fatalf("evaluation must add time: %v vs %v", withEval, base)
 	}
-	// The simulated cluster slows down accordingly, and only then.
-	w := clusterWorkload(t, 4)
-	plain := SimulateCluster(w, BlueGeneQ(4), cm, 64<<10, 3)
-	w.TestEntries = int64(40 * core.EvalChunk)
+	// The simulated cluster slows down accordingly, and only then: a
+	// workload built with a test set models its evaluation.
+	ds := datagen.Generate(datagen.Scaled(datagen.ML20M(5), 0.01))
+	train, test := core.HoldOut(ds.R, 0.05, 5)
+	plan := partition.Build(train, 4)
+	w := BuildClusterWorkload(plan, test, cfg)
+	if w.TestEntries != int64(len(test)) {
+		t.Fatalf("TestEntries = %d, want the test set's %d", w.TestEntries, len(test))
+	}
+	plain := SimulateCluster(BuildClusterWorkload(plan, nil, cfg), BlueGeneQ(4), cm, 64<<10, 3)
 	eval := SimulateCluster(w, BlueGeneQ(4), cm, 64<<10, 3)
 	if !(eval.IterTime > plain.IterTime) {
 		t.Fatalf("modeled evaluation must lengthen the iteration: %v vs %v",

@@ -5,9 +5,14 @@
 //
 // The simulator replays the *actual* engine schedules in virtual time:
 // the item task sets come from the real synthetic datasets, the partition
-// and routing from the real partitioner, and the kernel costs from
-// micro-benchmarks calibrated on this machine (CalibrateCostModel). What
-// it models, rather than measures, are the parts that need hardware:
+// and routing from the real partitioner (partition.Build and the engine's
+// own partition.Plan.Route, test-set routing included), and the kernel
+// costs from micro-benchmarks calibrated on this machine
+// (CalibrateCostModel). Its traffic is exact, not modeled: items sent,
+// ghost rows received and coalesced messages per rank equal a measured
+// dist.RunInProc's (traffic_test.go, 1–4 ranks, three buffer sizes, both
+// paper shapes). Its timing has not been checked against a measured run.
+// What it models, rather than measures, are the parts that need hardware:
 // concurrent cores (greedy work-stealing/static/GraphLab scheduling in
 // virtual time), the per-node cache (the super-linear region of Figure
 // 4), link latency/bandwidth and the shared per-rack uplink whose

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/la"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -168,7 +169,7 @@ func LoadDistCheckpoint(dir string, man *Manifest, m, n, k int, test []sparse.En
 		ItemUpdates: int64(man.Iter) * int64(man.M+man.N),
 	}
 	out.KernelCounts = man.BaseKernelCounts
-	rowOwner := ownersArray(man.RowBounds, man.M)
+	rowOwner := partition.Owners(man.RowBounds, man.M)
 	// Per-rank cursors into the global accumulator positions owned by
 	// that rank, in global test order (the order every rank's local
 	// predictor stores them in).

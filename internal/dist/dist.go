@@ -118,9 +118,11 @@ type Stats struct {
 	Rank int
 	// ItemsSent counts (item, destination) pairs sent; GhostsRecv counts
 	// partner-rank item rows received and applied to the local replica.
+	// Both are totals over the run: every iteration adds the counts of
+	// the rank's partition.Routes.
 	ItemsSent  int64
 	GhostsRecv int64
-	// Flushes is the number of coalesced messages produced.
+	// Flushes is the number of coalesced messages produced, over the run.
 	Flushes int
 	// Comm snapshots the rank's endpoint counters.
 	Comm comm.Stats

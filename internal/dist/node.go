@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,11 +33,9 @@ type Node struct {
 
 	rowOwner, colOwner []int32
 
-	// sendU[i-rowLo] / sendV[j-colLo] list the ranks an owned item's
-	// updated row must reach; expU/expV are the ghost rows this rank
-	// receives per iteration.
-	sendU, sendV [][]int32
-	expU, expV   int
+	// routes lists the ranks each owned item's updated row must reach and
+	// counts the ghost rows this rank receives per iteration.
+	routes *partition.Routes
 
 	// momPart/momVec are the reused scratch of the per-iteration
 	// hyperparameter moment reduction.
@@ -70,11 +67,11 @@ type Node struct {
 // their complete rater lists, and test the global test set (routing and
 // interval gathering need every rank's test identities). Every quantity
 // the node computes — its item updates, moment partials, routing table
-// and local predictor — reads only the owned slices. The owned items are
-// walked in the sampler's lane order (core.Sampler.Order), whose moment
-// groups are the plan's bounds, so it permutes each rank's owned range
-// within itself; every draw is keyed by the item's id, so the walk order
-// changes no sampled bit.
+// (partition.Plan.Route) and local predictor — reads only the owned
+// slices. The owned items are walked in the sampler's lane order
+// (core.Sampler.Order), whose moment groups are the plan's bounds, so it
+// permutes each rank's owned range within itself; every draw is keyed by
+// the item's id, so the walk order changes no sampled bit.
 func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR, test []sparse.Entry, opt Options) (*Node, error) {
 	opt = opt.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -100,8 +97,8 @@ func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR
 		rank: c.Rank(), ranks: opt.Ranks, k: cfg.K,
 	}
 	nd.stats.Rank = nd.rank
-	nd.rowOwner = ownersArray(plan.RowBounds, m)
-	nd.colOwner = ownersArray(plan.ColBounds, n)
+	nd.rowOwner = partition.Owners(plan.RowBounds, m)
+	nd.colOwner = partition.Owners(plan.ColBounds, n)
 	var localTest []sparse.Entry
 	for _, e := range test {
 		if nd.rowOwner[e.Row] == int32(nd.rank) {
@@ -113,109 +110,11 @@ func NewNode(c *comm.Comm, cfg core.Config, plan *partition.Plan, rt *sparse.CSR
 	if nd.s, err = core.NewSampler(cfg, &core.Problem{R: plan.R, Rt: rt, Test: localTest}); err != nil {
 		return nil, err
 	}
-	nd.buildRouting()
+	nd.routes = plan.Route(nd.rank, rt, nd.rowOwner, nd.colOwner, test)
 	nd.recBuf = make([]byte, ghostRecLen(nd.k))
 	nd.momPart = core.NewMoments(cfg.K)
 	nd.momVec = make([]float64, 1+cfg.K+cfg.K*cfg.K)
 	return nd, nil
-}
-
-func ownersArray(bounds []int, n int) []int32 {
-	owner := make([]int32, n)
-	for p := 0; p+1 < len(bounds); p++ {
-		for i := bounds[p]; i < bounds[p+1]; i++ {
-			owner[i] = int32(p)
-		}
-	}
-	return owner
-}
-
-// buildRouting derives, for every owned item, the destination ranks of its
-// updated factor row, and the total ghost rows this rank expects per
-// iteration. All ranks compute the (deterministic) table from the shared
-// plan, so no routing metadata ever travels over the network, and the
-// computation reads only this rank's owned slices: its own rows of R,
-// its own columns of Rᵀ with their complete rater lists, and the global
-// test set.
-//
-// A movie row j goes to every rank owning a user that rated j, plus every
-// rank owning a user with a held-out test entry on j (so evaluation always
-// sees fresh factors). A user row i goes to every rank owning a movie i
-// rated (those ranks read it in the next movie phase). Conversely, the
-// expected ghost counts are the distinct foreign users rating an owned
-// movie (expU) and the distinct foreign movies an owned user rated or
-// holds a test entry on (expV).
-func (nd *Node) buildRouting() {
-	r, rt := nd.s.Prob.R, nd.s.Prob.Rt
-	rowLo, rowHi := nd.plan.RowBounds[nd.rank], nd.plan.RowBounds[nd.rank+1]
-	colLo, colHi := nd.plan.ColBounds[nd.rank], nd.plan.ColBounds[nd.rank+1]
-	nd.sendU = make([][]int32, rowHi-rowLo)
-	nd.sendV = make([][]int32, colHi-colLo)
-	self := int32(nd.rank)
-
-	// Ranks that need each movie for test evaluation, beyond its raters.
-	testNeedV := make(map[int32][]int32)
-	for _, e := range nd.test {
-		testNeedV[e.Col] = append(testNeedV[e.Col], nd.rowOwner[e.Row])
-	}
-
-	seen := make([]int, nd.ranks)
-	epoch := 0
-	destsOf := func(owner int32, partners []int32, partnerOwner []int32, extra []int32) []int32 {
-		epoch++
-		seen[owner] = epoch
-		var dests []int32
-		for _, p := range partners {
-			if o := partnerOwner[p]; seen[o] != epoch {
-				seen[o] = epoch
-				dests = append(dests, o)
-			}
-		}
-		for _, o := range extra {
-			if seen[o] != epoch {
-				seen[o] = epoch
-				dests = append(dests, o)
-			}
-		}
-		sort.Slice(dests, func(a, b int) bool { return dests[a] < dests[b] })
-		return dests
-	}
-
-	for j := colLo; j < colHi; j++ {
-		raters, _ := rt.Row(j)
-		nd.sendV[j-colLo] = destsOf(self, raters, nd.rowOwner, testNeedV[int32(j)])
-	}
-	for i := rowLo; i < rowHi; i++ {
-		rated, _ := r.Row(i)
-		nd.sendU[i-rowLo] = destsOf(self, rated, nd.colOwner, nil)
-	}
-
-	visRow := make([]bool, r.M)
-	for j := colLo; j < colHi; j++ {
-		raters, _ := rt.Row(j)
-		for _, i := range raters {
-			if nd.rowOwner[i] != self && !visRow[i] {
-				visRow[i] = true
-				nd.expU++
-			}
-		}
-	}
-	visCol := make([]bool, rt.M)
-	for i := rowLo; i < rowHi; i++ {
-		rated, _ := r.Row(i)
-		for _, j := range rated {
-			if nd.colOwner[j] != self && !visCol[j] {
-				visCol[j] = true
-				nd.expV++
-			}
-		}
-	}
-	for _, e := range nd.test {
-		if nd.rowOwner[e.Row] == self && nd.colOwner[e.Col] != self && !visCol[e.Col] {
-			visCol[e.Col] = true
-			nd.expV++
-		}
-	}
 }
 
 // itemTag returns the message tag of one iteration's item exchange phase.
@@ -274,9 +173,9 @@ func (nd *Node) owned(side core.Side) (lo, hi int) {
 func (nd *Node) updateSide(iter int, side core.Side) error {
 	self, _, _, _ := nd.s.Side(side)
 	lo, hi := nd.owned(side)
-	send, exp := nd.sendU, nd.expU
+	send, exp := nd.routes.SendU, nd.routes.RecvU
 	if side == core.SideV {
-		send, exp = nd.sendV, nd.expV
+		send, exp = nd.routes.SendV, nd.routes.RecvV
 	}
 	tag := itemTag(iter, side)
 

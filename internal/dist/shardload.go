@@ -138,7 +138,7 @@ func LoadShards(c *comm.Comm, src Source, seed uint64, opt Options) (*ShardProbl
 	}
 	model := partition.DefaultCostModel()
 	colBounds := partition.ChainsOnChains(model.Weights(deg), ranks)
-	colOwner := ownersArray(colBounds, n)
+	colOwner := partition.Owners(colBounds, n)
 
 	// (4) Column-ghost exchange: ship every owned training entry to its
 	// column's owner; keep our own. Empty messages still flow so the

@@ -5,9 +5,16 @@
 // applied (ROADMAP item 7: 0.0–0.1 % fewer ghost sends on ML20M shapes);
 // RCMPerms survives for order.Build, which no engine walks (the benchmark
 // times it), and for ablation 4's reordered matrix.
+//
+// A Plan also fixes the Section IV-C ghost exchange: Plan.Route says, for
+// one rank, which ranks each owned item's updated row goes to and how many
+// foreign rows arrive. It is the only copy of that rule — the distributed
+// engine (dist.Node), CommVolume and the simulator (des) all call it —
+// and Owners is the one owner-array helper beside it.
 package partition
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/sparse"
@@ -220,66 +227,6 @@ func reverse32(s []int32) {
 	}
 }
 
-// CommVolume evaluates a partition: for every row item, the set of ranks
-// owning columns it rates (those ranks need the item's updated factor),
-// and vice versa. Returns the total number of (item, destination) pairs
-// per Gibbs iteration — multiply by K·8 bytes for traffic — and the
-// maximum over ranks of items received per iteration.
-func CommVolume(r *sparse.CSR, rowBounds, colBounds []int) (totalSends int64, maxInbox int64) {
-	p := len(rowBounds) - 1
-	inbox := make([]int64, p)
-	colOwner := ownersArray(colBounds, r.N)
-	rowOwner := ownersArray(rowBounds, r.M)
-
-	// Row items -> ranks owning rated columns.
-	seen := make([]int, p)
-	epoch := 0
-	for i := 0; i < r.M; i++ {
-		epoch++
-		cols, _ := r.Row(i)
-		self := rowOwner[i]
-		for _, c := range cols {
-			o := colOwner[c]
-			if o != self && seen[o] != epoch {
-				seen[o] = epoch
-				totalSends++
-				inbox[o]++
-			}
-		}
-	}
-	// Column items -> ranks owning rating rows.
-	rt := r.Transpose()
-	for j := 0; j < rt.M; j++ {
-		epoch++
-		rows, _ := rt.Row(j)
-		self := colOwner[j]
-		for _, rr := range rows {
-			o := rowOwner[rr]
-			if o != self && seen[o] != epoch {
-				seen[o] = epoch
-				totalSends++
-				inbox[o]++
-			}
-		}
-	}
-	for _, v := range inbox {
-		if v > maxInbox {
-			maxInbox = v
-		}
-	}
-	return
-}
-
-func ownersArray(bounds []int, n int) []int {
-	owner := make([]int, n)
-	for p := 0; p+1 < len(bounds); p++ {
-		for i := bounds[p]; i < bounds[p+1]; i++ {
-			owner[i] = p
-		}
-	}
-	return owner
-}
-
 // Plan is a complete data distribution for the distributed engine: the
 // matrix and the row/column ownership boundaries.
 type Plan struct {
@@ -302,4 +249,135 @@ func Build(r *sparse.CSR, ranks int) *Plan {
 		RowBounds: ChainsOnChains(model.Weights(r.RowDegrees()), ranks),
 		ColBounds: ChainsOnChains(model.Weights(r.Transpose().RowDegrees()), ranks),
 	}
+}
+
+// CommVolume evaluates a partition: the number of (item, destination)
+// pairs per Gibbs iteration summed over ranks (multiply by K·8 bytes for
+// traffic) and the maximum over ranks of items received per iteration —
+// Plan.Route with no test set, over every rank.
+func CommVolume(r *sparse.CSR, rowBounds, colBounds []int) (totalSends int64, maxInbox int64) {
+	plan := &Plan{R: r, RowBounds: rowBounds, ColBounds: colBounds}
+	rt := r.Transpose()
+	rowOwner, colOwner := Owners(rowBounds, r.M), Owners(colBounds, r.N)
+	for q := 0; q+1 < len(rowBounds); q++ {
+		routes := plan.Route(q, rt, rowOwner, colOwner, nil)
+		inbox := int64(routes.RecvU + routes.RecvV)
+		totalSends += inbox
+		maxInbox = max(maxInbox, inbox)
+	}
+	return
+}
+
+// Owners returns the owner array of a boundary list over n items:
+// owner[i] is the p with bounds[p] <= i < bounds[p+1].
+func Owners(bounds []int, n int) []int32 {
+	owner := make([]int32, n)
+	for p := 0; p+1 < len(bounds); p++ {
+		for i := bounds[p]; i < bounds[p+1]; i++ {
+			owner[i] = int32(p)
+		}
+	}
+	return owner
+}
+
+// Routes is one rank's share of the ghost exchange (Section IV-C): where
+// each owned item's updated row goes, and how many foreign rows arrive,
+// in every Gibbs iteration.
+type Routes struct {
+	// SendU[i-lo] lists, ascending, the ranks owned user i's row must
+	// reach: the owners of the movies i rated, which read it in the next
+	// movie phase. SendV[j-lo] lists the ranks owned movie j's row must
+	// reach: the owners of its raters and of the users holding a test
+	// entry on j, so evaluation sees the fresh row. The rank itself is
+	// never listed.
+	SendU, SendV [][]int32
+	// RecvU and RecvV count the distinct foreign user and movie rows the
+	// rank receives: the foreign raters of its movies, and the foreign
+	// movies its users rated or hold a test entry on. Summed over ranks,
+	// they equal the list entries summed over ranks.
+	RecvU, RecvV int
+}
+
+// Route derives rank's Routes. It is the one statement of the routing
+// rule: the distributed engine, CommVolume and the simulator all call it.
+// It reads only the rank's own slices — its rows of p.R, its columns of
+// rt (p.R's transpose, each owned column with its complete rater list)
+// and the test entries on its rows or columns (test may be nil) — so a
+// rank that loaded only those can derive its table from the shared
+// bounds, and no routing metadata travels.
+func (p *Plan) Route(rank int, rt *sparse.CSR, rowOwner, colOwner []int32, test []sparse.Entry) *Routes {
+	rowLo, rowHi := p.RowBounds[rank], p.RowBounds[rank+1]
+	colLo, colHi := p.ColBounds[rank], p.ColBounds[rank+1]
+	self := int32(rank)
+	out := &Routes{}
+
+	// lists returns the distinct owners of each owned row's partners in r,
+	// self excluded, ascending, all cut from one backing array. seen marks
+	// the ranks already listed for the current row (epoch).
+	seen := make([]int, len(p.RowBounds)-1)
+	epoch := 0
+	lists := func(r *sparse.CSR, lo, hi int, owner []int32) [][]int32 {
+		var flat []int32
+		ends := make([]int, hi-lo)
+		for x := lo; x < hi; x++ {
+			epoch++
+			seen[self] = epoch
+			start := len(flat)
+			partners, _ := r.Row(x)
+			for _, y := range partners {
+				if o := owner[y]; seen[o] != epoch {
+					seen[o] = epoch
+					flat = append(flat, o)
+				}
+			}
+			slices.Sort(flat[start:])
+			ends[x-lo] = len(flat)
+		}
+		cut := make([][]int32, hi-lo)
+		start := 0
+		for k, e := range ends {
+			cut[k] = flat[start:e:e]
+			start = e
+		}
+		return cut
+	}
+	out.SendV = lists(rt, colLo, colHi, rowOwner)
+	out.SendU = lists(p.R, rowLo, rowHi, colOwner)
+
+	// distinct counts the foreign partners of the owned rows [lo, hi) of
+	// r, marking them in vis.
+	distinct := func(r *sparse.CSR, lo, hi int, owner []int32, vis []bool) (n int) {
+		for x := lo; x < hi; x++ {
+			partners, _ := r.Row(x)
+			for _, y := range partners {
+				if owner[y] != self && !vis[y] {
+					vis[y] = true
+					n++
+				}
+			}
+		}
+		return n
+	}
+	out.RecvU = distinct(rt, colLo, colHi, rowOwner, make([]bool, p.R.M))
+	visCol := make([]bool, p.R.N)
+	out.RecvV = distinct(p.R, rowLo, rowHi, colOwner, visCol)
+
+	// A test entry (i, j) is scored on i's owner, which needs j's row.
+	for _, e := range test {
+		ro, co := rowOwner[e.Row], colOwner[e.Col]
+		if ro == co {
+			continue
+		}
+		if co == self {
+			d := &out.SendV[int(e.Col)-colLo]
+			if k, found := slices.BinarySearch(*d, ro); !found {
+				*d = slices.Insert(*d, k, ro)
+			}
+		}
+		if ro == self && !visCol[e.Col] {
+			visCol[e.Col] = true
+			out.RecvV++
+		}
+	}
+	return out
 }

@@ -219,35 +219,103 @@ func TestCommVolumeBruteForce(t *testing.T) {
 	a := coo.ToCSR()
 	rowB := EqualCount(m, p)
 	colB := EqualCount(n, p)
-	total, _ := CommVolume(a, rowB, colB)
-
-	// Brute force: count distinct non-self destination ranks per item.
-	var want int64
-	for i := 0; i < m; i++ {
-		dsts := map[int]bool{}
-		cols, _ := a.Row(i)
-		for _, c := range cols {
-			o := owner(colB, int(c))
-			if o != owner(rowB, i) {
-				dsts[o] = true
-			}
-		}
-		want += int64(len(dsts))
-	}
 	at := a.Transpose()
-	for j := 0; j < n; j++ {
-		dsts := map[int]bool{}
-		rows, _ := at.Row(j)
-		for _, rr := range rows {
-			o := owner(rowB, int(rr))
-			if o != owner(colB, j) {
-				dsts[o] = true
+	test := make([]sparse.Entry, 12)
+	for k := range test {
+		test[k] = sparse.Entry{Row: int32(r.Intn(m)), Col: int32(r.Intn(n))}
+	}
+
+	// Brute force: the distinct non-self destination ranks of every item —
+	// a user goes to the owners of the movies it rated; a movie to the
+	// owners of its raters and of the users holding a test entry on it.
+	brute := func(test []sparse.Entry) (sendU, sendV []map[int]bool) {
+		sendU, sendV = make([]map[int]bool, m), make([]map[int]bool, n)
+		for i := 0; i < m; i++ {
+			sendU[i] = map[int]bool{}
+			cols, _ := a.Row(i)
+			for _, c := range cols {
+				if o := owner(colB, int(c)); o != owner(rowB, i) {
+					sendU[i][o] = true
+				}
 			}
 		}
-		want += int64(len(dsts))
+		for j := 0; j < n; j++ {
+			sendV[j] = map[int]bool{}
+			rows, _ := at.Row(j)
+			for _, rr := range rows {
+				if o := owner(rowB, int(rr)); o != owner(colB, j) {
+					sendV[j][o] = true
+				}
+			}
+		}
+		for _, e := range test {
+			if o := owner(rowB, int(e.Row)); o != owner(colB, int(e.Col)) {
+				sendV[e.Col][o] = true
+			}
+		}
+		return sendU, sendV
 	}
-	if total != want {
+	// list returns a destination set as Route lists it: ascending.
+	list := func(set map[int]bool) []int32 {
+		out := []int32{}
+		for o := range set {
+			out = append(out, int32(o))
+		}
+		sort.Slice(out, func(x, y int) bool { return out[x] < out[y] })
+		return out
+	}
+
+	sendU, sendV := brute(nil)
+	var want int64
+	for _, set := range append(sendU, sendV...) {
+		want += int64(len(set))
+	}
+	if total, _ := CommVolume(a, rowB, colB); total != want {
 		t.Fatalf("CommVolume = %d, brute force %d", total, want)
+	}
+	// Random test entries seldom reach a rank the raters miss, so add one
+	// on every movie a foreign rank does not rate.
+	for j := 0; j < n; j++ {
+		for o := 0; o < p; o++ {
+			if o != owner(colB, j) && !sendV[j][o] {
+				test = append(test, sparse.Entry{Row: int32(rowB[o]), Col: int32(j)})
+			}
+		}
+	}
+	if len(test) == 12 {
+		t.Fatal("every foreign rank rates every movie: the test set would add no destination")
+	}
+
+	// Every rank's Route, with and without the test set: each owned
+	// item's list, and the rows the rank receives (the items whose set
+	// names it).
+	plan := &Plan{R: a, RowBounds: rowB, ColBounds: colB}
+	rowOwner, colOwner := Owners(rowB, m), Owners(colB, n)
+	for _, ts := range [][]sparse.Entry{nil, test} {
+		sendU, sendV := brute(ts)
+		for q := 0; q < p; q++ {
+			got := plan.Route(q, at, rowOwner, colOwner, ts)
+			recvU, recvV := 0, 0
+			for i := 0; i < m; i++ {
+				if sendU[i][q] {
+					recvU++
+				}
+				if owner(rowB, i) == q && fmt.Sprint(got.SendU[i-rowB[q]]) != fmt.Sprint(list(sendU[i])) {
+					t.Fatalf("test %v rank %d user %d: Route lists %v, brute force %v", ts != nil, q, i, got.SendU[i-rowB[q]], list(sendU[i]))
+				}
+			}
+			for j := 0; j < n; j++ {
+				if sendV[j][q] {
+					recvV++
+				}
+				if owner(colB, j) == q && fmt.Sprint(got.SendV[j-colB[q]]) != fmt.Sprint(list(sendV[j])) {
+					t.Fatalf("test %v rank %d movie %d: Route lists %v, brute force %v", ts != nil, q, j, got.SendV[j-colB[q]], list(sendV[j]))
+				}
+			}
+			if got.RecvU != recvU || got.RecvV != recvV {
+				t.Fatalf("test %v rank %d: Route receives %d users, %d movies; brute force %d, %d", ts != nil, q, got.RecvU, got.RecvV, recvU, recvV)
+			}
+		}
 	}
 }
 
