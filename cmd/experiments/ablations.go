@@ -20,12 +20,10 @@ func ablations(cfg core.Config, cm des.CostModel, scale float64) {
 
 	// 1. Hybrid kernel threshold (paper: 1000 ratings).
 	fmt.Println("\n-- hybrid kernel threshold (virtual 12-thread throughput, ChEMBL) --")
-	movie := chembl.R.Transpose().RowDegrees()
-	user := chembl.R.RowDegrees()
+	node := des.BuildClusterWorkload(partition.Build(chembl.R, 1), nil, cfg)
 	for _, thr := range []int{100, 300, 1000, 3000, 10000, 1 << 30} {
-		c := cfg
-		c.KernelThreshold = thr
-		v := des.Fig3Point(movie, user, 12, des.PolicyWorkSteal, cm, &c)
+		node.Cfg.KernelThreshold = thr
+		v := des.SimulateCluster(node, des.Lynx(1), cm, dist.DefaultBufferSize, 3).ItemsPerSec
 		label := fmt.Sprintf("%d", thr)
 		if thr == 1<<30 {
 			label = "off (never parallel)"

@@ -83,17 +83,19 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 	ds := chemblData(scale)
 	fmt.Printf("# workload: %d compounds x %d targets, %d ratings (scale %.3g)\n",
 		ds.R.M, ds.R.N, ds.R.NNZ(), scale)
-	movie := ds.R.Transpose().RowDegrees()
-	user := ds.R.RowDegrees()
+	w := des.BuildClusterWorkload(partition.Build(ds.R, 1), nil, cfg)
+	w.TestEntries = int64(ds.R.NNZ() / 20)
 
 	fmt.Println("# columns: threads, TBB, OpenMP, GraphLab  (x1000 items/s, virtual time,")
 	fmt.Println("# full iteration incl. chunk-parallel evaluation of a 5% held-out split)")
-	nTest := ds.R.NNZ() / 20
 	for _, threads := range []int{1, 2, 4, 8, 16} {
-		tbb := des.Fig3PointEval(movie, user, nTest, threads, des.PolicyWorkSteal, cm, &cfg)
-		omp := des.Fig3PointEval(movie, user, nTest, threads, des.PolicyStatic, cm, &cfg)
-		gl := des.Fig3PointEval(movie, user, nTest, threads, des.PolicyGraphLab, cm, &cfg)
-		fmt.Printf("%8d  %10.2f  %10.2f  %10.2f\n", threads, tbb/1000, omp/1000, gl/1000)
+		fmt.Printf("%8d", threads)
+		for _, pol := range []des.Policy{des.PolicyWorkSteal, des.PolicyStatic, des.PolicyGraphLab} {
+			m := des.Lynx(1)
+			m.CoresPerNode, m.Policy = threads, pol
+			fmt.Printf("  %10.2f", des.SimulateCluster(w, m, cm, dist.DefaultBufferSize, 3).ItemsPerSec/1000)
+		}
+		fmt.Println()
 	}
 
 	// Real single-thread validation runs (one Gibbs iteration each).

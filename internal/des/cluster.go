@@ -133,8 +133,10 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 	var totalCompute, maxCompute float64
 	for q := 0; q < p; q++ {
 		f := m.cacheFactor(w.WorkingSet[q])
-		durV[q] = workStealMakespan(w.MovieNNZ[q], m.CoresPerNode, cm, &cfg) / f
-		durU[q] = workStealMakespan(w.UserNNZ[q], m.CoresPerNode, cm, &cfg) / f
+		durV[q] = m.sweep(w.MovieNNZ[q], cm, &cfg) / f
+		durU[q] = m.sweep(w.UserNNZ[q], cm, &cfg) / f
+		// Moments parallelize trivially under every policy (GraphLab runs
+		// them through its aggregate path with the same static split).
 		moments := cm.MomentPerRow * float64(len(w.MovieNNZ[q])+len(w.UserNNZ[q])) /
 			float64(m.CoresPerNode) / f
 		durU[q] += moments
@@ -271,7 +273,7 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 // buffers fill, with the final partial buffer at compute end. This is
 // dist.Node.updateSide's behaviour at any thread count: finished rows
 // enter the coalescers a grain at a time while the node's cores (the
-// work-stealing makespan above) are still drawing the rest.
+// Machine.sweep) are still drawing the rest.
 func emitMessages(sends [][]int64, start, dur []float64, recordBytes, bufferBytes int) []message {
 	bufItems := bufferBytes / recordBytes
 	if bufItems < 1 {

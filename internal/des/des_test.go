@@ -129,9 +129,9 @@ func TestWorkStealBeatsStaticOnSkew(t *testing.T) {
 	c := cfg()
 	nnz := skewedNNZ()
 	for _, threads := range []int{4, 8, 16} {
-		ws := PhaseMakespan(nnz, threads, PolicyWorkSteal, cm, &c)
-		st := PhaseMakespan(nnz, threads, PolicyStatic, cm, &c)
-		gl := PhaseMakespan(nnz, threads, PolicyGraphLab, cm, &c)
+		ws := sweepTime(nnz, threads, PolicyWorkSteal, cm, &c)
+		st := sweepTime(nnz, threads, PolicyStatic, cm, &c)
+		gl := sweepTime(nnz, threads, PolicyGraphLab, cm, &c)
 		if !(ws < st) {
 			t.Fatalf("threads=%d: work stealing (%v) must beat static (%v) on skew", threads, ws, st)
 		}
@@ -146,8 +146,8 @@ func TestMakespanScalesDown(t *testing.T) {
 	c := cfg()
 	nnz := skewedNNZ()
 	for _, pol := range []Policy{PolicyWorkSteal, PolicyStatic, PolicyGraphLab} {
-		t1 := PhaseMakespan(nnz, 1, pol, cm, &c)
-		t8 := PhaseMakespan(nnz, 8, pol, cm, &c)
+		t1 := sweepTime(nnz, 1, pol, cm, &c)
+		t8 := sweepTime(nnz, 8, pol, cm, &c)
 		if !(t8 < t1) {
 			t.Fatalf("%v: 8 threads (%v) not faster than 1 (%v)", pol, t8, t1)
 		}
@@ -166,8 +166,8 @@ func TestWorkStealSpeedupNearLinearOnUniformWork(t *testing.T) {
 	for i := range nnz {
 		nnz[i] = 100
 	}
-	t1 := PhaseMakespan(nnz, 1, PolicyWorkSteal, cm, &c)
-	t8 := PhaseMakespan(nnz, 8, PolicyWorkSteal, cm, &c)
+	t1 := sweepTime(nnz, 1, PolicyWorkSteal, cm, &c)
+	t8 := sweepTime(nnz, 8, PolicyWorkSteal, cm, &c)
 	sp := t1 / t8
 	if sp < 7.5 || sp > 8.01 {
 		t.Fatalf("uniform-work speedup on 8 threads = %v, want ~8", sp)
@@ -185,8 +185,8 @@ func TestStaticSuffersFromHeadSkew(t *testing.T) {
 	for i := 100; i < 800; i++ {
 		nnz[i] = 2
 	}
-	ws := PhaseMakespan(nnz, 8, PolicyWorkSteal, cm, &c)
-	st := PhaseMakespan(nnz, 8, PolicyStatic, cm, &c)
+	ws := sweepTime(nnz, 8, PolicyWorkSteal, cm, &c)
+	st := sweepTime(nnz, 8, PolicyStatic, cm, &c)
 	if !(st > 3*ws) {
 		t.Fatalf("static on head-skewed data (%v) should be >3x slower than stealing (%v)", st, ws)
 	}
@@ -196,14 +196,12 @@ func TestFig3EngineOrdering(t *testing.T) {
 	// On a ChEMBL-shaped workload the Figure 3 ordering must hold at
 	// every thread count: TBB >= OpenMP > GraphLab.
 	ds := datagen.Generate(datagen.Scaled(datagen.ChEMBL(7), 0.02))
-	movie := ds.R.Transpose().RowDegrees()
-	user := ds.R.RowDegrees()
+	w := BuildClusterWorkload(partition.Build(ds.R, 1), nil, cfg())
 	cm := DefaultCostModel(32)
-	c := cfg()
 	for _, threads := range []int{1, 2, 4, 8, 16} {
-		tbb := Fig3Point(movie, user, threads, PolicyWorkSteal, cm, &c)
-		omp := Fig3Point(movie, user, threads, PolicyStatic, cm, &c)
-		gl := Fig3Point(movie, user, threads, PolicyGraphLab, cm, &c)
+		tbb := nodeThroughput(w, threads, PolicyWorkSteal, cm)
+		omp := nodeThroughput(w, threads, PolicyStatic, cm)
+		gl := nodeThroughput(w, threads, PolicyGraphLab, cm)
 		// At 1 thread TBB pays task overhead for no benefit; the paper's
 		// figure likewise shows the curves nearly coincide there. From 2
 		// threads on, stealing must win outright.
@@ -218,8 +216,47 @@ func TestFig3EngineOrdering(t *testing.T) {
 	}
 	// And all engines must scale: 16 threads beat 1.
 	for _, pol := range []Policy{PolicyWorkSteal, PolicyStatic, PolicyGraphLab} {
-		if !(Fig3Point(movie, user, 16, pol, cm, &c) > 2*Fig3Point(movie, user, 1, pol, cm, &c)) {
+		if !(nodeThroughput(w, 16, pol, cm) > 2*nodeThroughput(w, 1, pol, cm)) {
 			t.Fatalf("%v does not scale 1 -> 16 threads", pol)
+		}
+	}
+}
+
+// sweepTime is one node's sweep of nnz on threads cores under pol.
+func sweepTime(nnz []int, threads int, pol Policy, cm CostModel, c *core.Config) float64 {
+	return Machine{CoresPerNode: threads, Policy: pol}.sweep(nnz, cm, c)
+}
+
+// nodeThroughput is Figure 3's y-value: the items per second of w on one
+// Lynx node cut to threads cores under pol.
+func nodeThroughput(w *ClusterWorkload, threads int, pol Policy, cm CostModel) float64 {
+	m := Lynx(1)
+	m.CoresPerNode, m.Policy = threads, pol
+	return SimulateCluster(w, m, cm, 64<<10, 3).ItemsPerSec
+}
+
+// TestOneRankIsOneNode pins the node model Figure 3 reads: on one rank,
+// SimulateCluster's iteration is the movie sweep, the user sweep, the
+// moments and the evaluation of the whole test set, nothing else, at
+// every thread count and policy.
+func TestOneRankIsOneNode(t *testing.T) {
+	ds := datagen.Generate(datagen.Scaled(datagen.ChEMBL(7), 0.02))
+	train, test := core.HoldOut(ds.R, 0.05, 7)
+	c := cfg()
+	w := BuildClusterWorkload(partition.Build(train, 1), test, c)
+	movie, user := train.Transpose().RowDegrees(), train.RowDegrees()
+	cm := DefaultCostModel(32)
+	for _, threads := range []int{1, 2, 4, 8, 16} {
+		for _, pol := range []Policy{PolicyWorkSteal, PolicyStatic, PolicyGraphLab} {
+			m := Lynx(1)
+			m.CoresPerNode, m.Policy = threads, pol
+			got := SimulateCluster(w, m, cm, 64<<10, 3).IterTime
+			want := m.sweep(movie, cm, &c) + m.sweep(user, cm, &c) +
+				cm.MomentPerRow*float64(train.M+train.N)/float64(threads) +
+				cm.EvalMakespan(len(test), threads)
+			if math.Abs(got-want) > 1e-12*want {
+				t.Errorf("threads=%d %v: one-rank iteration %v s, node model %v s", threads, pol, got, want)
+			}
 		}
 	}
 }
@@ -368,27 +405,23 @@ func TestEvalMakespan(t *testing.T) {
 }
 
 func TestNodeIterationTimeIncludesEval(t *testing.T) {
+	// A workload built with a test set models its evaluation, and only
+	// then: on one node and on four, the iteration lengthens.
 	cm := DefaultCostModel(32)
 	cfg := core.DefaultConfig()
-	nnz := []int{10, 20, 30, 400, 5}
-	base := NodeIterationTimeEval(nnz, nnz, 0, 4, PolicyWorkSteal, cm, &cfg)
-	withEval := NodeIterationTimeEval(nnz, nnz, 10*core.EvalChunk, 4, PolicyWorkSteal, cm, &cfg)
-	if !(withEval > base) {
-		t.Fatalf("evaluation must add time: %v vs %v", withEval, base)
-	}
-	// The simulated cluster slows down accordingly, and only then: a
-	// workload built with a test set models its evaluation.
 	ds := datagen.Generate(datagen.Scaled(datagen.ML20M(5), 0.01))
 	train, test := core.HoldOut(ds.R, 0.05, 5)
-	plan := partition.Build(train, 4)
-	w := BuildClusterWorkload(plan, test, cfg)
-	if w.TestEntries != int64(len(test)) {
-		t.Fatalf("TestEntries = %d, want the test set's %d", w.TestEntries, len(test))
-	}
-	plain := SimulateCluster(BuildClusterWorkload(plan, nil, cfg), BlueGeneQ(4), cm, 64<<10, 3)
-	eval := SimulateCluster(w, BlueGeneQ(4), cm, 64<<10, 3)
-	if !(eval.IterTime > plain.IterTime) {
-		t.Fatalf("modeled evaluation must lengthen the iteration: %v vs %v",
-			eval.IterTime, plain.IterTime)
+	for _, ranks := range []int{1, 4} {
+		plan := partition.Build(train, ranks)
+		w := BuildClusterWorkload(plan, test, cfg)
+		if w.TestEntries != int64(len(test)) {
+			t.Fatalf("TestEntries = %d, want the test set's %d", w.TestEntries, len(test))
+		}
+		plain := SimulateCluster(BuildClusterWorkload(plan, nil, cfg), BlueGeneQ(ranks), cm, 64<<10, 3)
+		eval := SimulateCluster(w, BlueGeneQ(ranks), cm, 64<<10, 3)
+		if !(eval.IterTime > plain.IterTime) {
+			t.Fatalf("%d ranks: modeled evaluation must lengthen the iteration: %v vs %v",
+				ranks, eval.IterTime, plain.IterTime)
+		}
 	}
 }

@@ -254,6 +254,8 @@ func DefaultCostModel(k int) CostModel {
 type Machine struct {
 	Nodes        int
 	CoresPerNode int
+	// Policy is how each node schedules its item sweeps on its cores.
+	Policy Policy
 	// RackSize nodes share one uplink for inter-rack traffic.
 	RackSize int
 	// IntraLatency / InterLatency are per-message one-way latencies (s).

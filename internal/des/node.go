@@ -7,8 +7,9 @@ import (
 	"repro/internal/sched"
 )
 
-// Policy selects the single-node scheduling strategy being simulated
-// (Figure 3's three curves).
+// Policy selects a node's scheduling strategy (Figure 3's three curves).
+// The zero value, work stealing, is what the distributed engine's ranks
+// run.
 type Policy int
 
 // The three multi-core scheduling policies.
@@ -48,19 +49,16 @@ func (h *threadHeap) Pop() any {
 	return x
 }
 
-// PhaseMakespan simulates one Gibbs half-iteration (all items of one side)
-// on `threads` cores under the given policy and returns the virtual
-// makespan in seconds. nnz lists the per-item rating counts in storage
-// order, and the policies split that order. The real engines walk the
-// sampler's lane order instead (core.Sampler.Order: per moment group,
-// Cholesky-kernel items, then rank-one items by ascending degree), so a
-// static split of the simulation and of a real run hand a thread
-// different items.
-func PhaseMakespan(nnz []int, threads int, pol Policy, cm CostModel, cfg *core.Config) float64 {
-	if threads < 1 {
-		threads = 1
-	}
-	switch pol {
+// sweep returns the modeled duration of one item sweep on this node: the
+// items whose rating counts nnz lists, in storage order, drawn by the
+// node's CoresPerNode cores under its Policy. The policies split that
+// order. The real engines walk the sampler's lane order instead
+// (core.Sampler.Order: per moment group, Cholesky-kernel items, then
+// rank-one items by ascending degree), so a static split of the
+// simulation and of a real run hand a thread different items.
+func (m Machine) sweep(nnz []int, cm CostModel, cfg *core.Config) float64 {
+	threads := max(m.CoresPerNode, 1)
+	switch m.Policy {
 	case PolicyWorkSteal:
 		return workStealMakespan(nnz, threads, cm, cfg)
 	case PolicyStatic:
@@ -170,34 +168,4 @@ func graphlabMakespan(nnz []int, threads int, cm CostModel, cfg *core.Config) fl
 		}
 	}
 	return makespan + cm.BarrierPerThread*float64(threads)
-}
-
-// NodeIterationTimeEval returns the modeled duration of one full Gibbs
-// iteration on a single node, in seconds: movie phase + user phase +
-// hyperparameter moments + the end-of-iteration chunk-parallel
-// evaluation of nTest held-out entries — the full iteration the real
-// engines execute, Amdahl tail included.
-func NodeIterationTimeEval(movieNNZ, userNNZ []int, nTest, threads int, pol Policy, cm CostModel, cfg *core.Config) float64 {
-	t := PhaseMakespan(movieNNZ, threads, pol, cm, cfg)
-	t += PhaseMakespan(userNNZ, threads, pol, cm, cfg)
-	// Moments parallelize trivially; GraphLab runs them through its
-	// aggregate path with the same static split.
-	rows := float64(len(movieNNZ) + len(userNNZ))
-	t += cm.MomentPerRow * rows / float64(threads)
-	t += cm.EvalMakespan(nTest, threads)
-	return t
-}
-
-// Fig3Point computes the Figure 3 y-value (item updates per second) for
-// one engine at one thread count on the given per-side rating counts,
-// without the evaluation phase.
-func Fig3Point(movieNNZ, userNNZ []int, threads int, pol Policy, cm CostModel, cfg *core.Config) float64 {
-	return Fig3PointEval(movieNNZ, userNNZ, 0, threads, pol, cm, cfg)
-}
-
-// Fig3PointEval is Fig3Point over the full iteration including the
-// chunk-parallel evaluation of nTest entries.
-func Fig3PointEval(movieNNZ, userNNZ []int, nTest, threads int, pol Policy, cm CostModel, cfg *core.Config) float64 {
-	t := NodeIterationTimeEval(movieNNZ, userNNZ, nTest, threads, pol, cm, cfg)
-	return float64(len(movieNNZ)+len(userNNZ)) / t
 }
