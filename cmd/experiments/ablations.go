@@ -23,7 +23,7 @@ func ablations(cfg core.Config, cm des.CostModel, scale float64) {
 	node := des.BuildClusterWorkload(partition.Build(chembl.R, 1), nil, cfg)
 	for _, thr := range []int{100, 300, 1000, 3000, 10000, 1 << 30} {
 		node.Cfg.KernelThreshold = thr
-		v := des.SimulateCluster(node, des.Lynx(1), cm, dist.DefaultBufferSize, 3).ItemsPerSec
+		v := des.SimulateCluster(node, des.Lynx(1), cm, dist.DefaultBufferSize).ItemsPerSec
 		label := fmt.Sprintf("%d", thr)
 		if thr == 1<<30 {
 			label = "off (never parallel)"
@@ -34,10 +34,10 @@ func ablations(cfg core.Config, cm des.CostModel, scale float64) {
 	// 2. Coalescing buffer size (paper IV-C) on 32 nodes.
 	fmt.Println("\n-- coalescing buffer size (32 BG/Q nodes, MovieLens) --")
 	w := des.BuildClusterWorkload(partition.Build(ml.R, 32), nil, cfg)
-	for _, buf := range []int{0, 1 << 10, 8 << 10, 64 << 10, 1 << 20} {
-		res := des.SimulateCluster(w, des.BlueGeneQ(32), cm, buf, 3)
+	for _, buf := range []int{-1, 1 << 10, 8 << 10, 64 << 10, 1 << 20} {
+		res := des.SimulateCluster(w, des.BlueGeneQ(32), cm, buf)
 		label := fmt.Sprintf("%d KiB", buf>>10)
-		if buf == 0 {
+		if buf < 0 {
 			label = "per-item sends"
 		}
 		fmt.Printf("  buffer %-16s %12.0f items/s   (comm-only %.1f%%)\n",

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -13,61 +12,24 @@ import (
 	"repro/internal/la"
 	"repro/internal/mc"
 	"repro/internal/partition"
-	"repro/internal/rng"
 	"repro/internal/sparse"
 )
 
 // fig2 reproduces Figure 2: time to update one item versus the number of
-// ratings, for the three kernels. The two serial kernels are measured for
-// real on this machine; the parallel kernel is measured for its real
-// arithmetic and additionally projected onto the paper's 12-core node
-// with the calibrated work-span model (this host has one core).
+// ratings, for the three kernels. Each is measured on this machine as the
+// sweeps run it (des.SweepTime: one UpdateRange over a lane group of
+// items, the kernel forced at every degree); the parallel kernel runs its
+// chunk DAG on one core there and is additionally projected onto the
+// paper's 12-core node with the work-span model.
 func fig2(cfg core.Config, cm des.CostModel) {
 	fmt.Println("\n== Figure 2: compute time to update one item (K=32) ==")
 	fmt.Println("# columns: ratings, rankupdate(ms), serial_chol(ms), parallel_chol@1core(ms), parallel_chol@12cores-model(ms)")
-
-	k := cfg.K
-	hyper := core.NewHyper(k)
-	stream := rng.New(2)
-
-	// timeMs runs draw for ~20 ms and returns its mean time in ms.
-	timeMs := func(draw func()) float64 {
-		for reps := 1; ; reps *= 4 {
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				draw()
-			}
-			if el := time.Since(start); el > 20*time.Millisecond || reps > 1<<20 {
-				return el.Seconds() / float64(reps) * 1000
-			}
-		}
-	}
-	measure := func(kern core.Kernel, cols []int32, vals []float64, other *la.Matrix) float64 {
-		ws := core.NewWorkspace(k)
-		out := la.NewVector(k)
-		return timeMs(func() {
-			core.UpdateItem(ws, kern, &cfg, cols, vals, other, hyper,
-				ws.ItemStream(1, 0, core.SideV, 0), nil, nil, out)
-		})
-	}
-
 	for _, nnz := range []int{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000} {
-		other := la.NewMatrix(nnz, k)
-		stream.FillNorm(other.Data)
-		cols := make([]int32, nnz)
-		vals := make([]float64, nnz)
-		for i := range cols {
-			cols[i] = int32(i)
-			vals[i] = stream.Norm()
+		fmt.Printf("%8d", nnz)
+		for _, kern := range []core.Kernel{core.KernelRankOne, core.KernelCholesky, core.KernelParallelCholesky} {
+			fmt.Printf("  %12.5f", des.SweepTime(cfg, kern, la.Lanes, nnz)*1000)
 		}
-		// The sweeps draw rank-one items four at a time, one per lane, so
-		// that column is a lane group's time per item, held on the kernel
-		// at every nnz.
-		r1 := timeMs(des.RankOneGroup(cfg, vals)) / la.Lanes
-		sc := measure(core.KernelCholesky, cols, vals, other)
-		pc1 := measure(core.KernelParallelCholesky, cols, vals, other)
-		pc12 := cm.ParallelItemCost(nnz, cfg.ParallelGrain, 12) * 1000
-		fmt.Printf("%8d  %12.5f  %12.5f  %12.5f  %12.5f\n", nnz, r1, sc, pc1, pc12)
+		fmt.Printf("  %12.5f\n", cm.ParallelItemCost(nnz, cfg.ParallelGrain, 12)*1000)
 	}
 	fmt.Println("# paper shape: rankupdate cheapest for few ratings, serial Cholesky in the middle,")
 	fmt.Println("# parallel Cholesky wins beyond ~1000 ratings (the hybrid threshold).")
@@ -75,16 +37,18 @@ func fig2(cfg core.Config, cm des.CostModel) {
 
 // fig3 reproduces Figure 3: multi-core throughput (item updates per
 // second) on the ChEMBL workload versus thread count for the TBB-style,
-// OpenMP-style and GraphLab-style engines. Thread scaling is virtual-time
-// (this host has one core); the same engines are additionally run for
-// real at 1 thread to validate the model's single-thread ratio.
+// OpenMP-style and GraphLab-style engines. Thread scaling is virtual time
+// on one simulated node (the paper's 12-core Westmere is not the machine
+// this runs on); the same engines are additionally run for real at 1
+// thread to validate the model's single-thread ratio. Both train on the
+// split a run would (a 5 % hold-out) and score its test set.
 func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 	fmt.Println("\n== Figure 3: multi-core BPMF on ChEMBL (updates/second) ==")
 	ds := chemblData(scale)
 	fmt.Printf("# workload: %d compounds x %d targets, %d ratings (scale %.3g)\n",
 		ds.R.M, ds.R.N, ds.R.NNZ(), scale)
-	w := des.BuildClusterWorkload(partition.Build(ds.R, 1), nil, cfg)
-	w.TestEntries = int64(ds.R.NNZ() / 20)
+	train, test := core.HoldOut(ds.R, 0.05, ds.Spec.Seed)
+	w := des.BuildClusterWorkload(partition.Build(train, 1), test, cfg)
 
 	fmt.Println("# columns: threads, TBB, OpenMP, GraphLab  (x1000 items/s, virtual time,")
 	fmt.Println("# full iteration incl. chunk-parallel evaluation of a 5% held-out split)")
@@ -93,7 +57,7 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 		for _, pol := range []des.Policy{des.PolicyWorkSteal, des.PolicyStatic, des.PolicyGraphLab} {
 			m := des.Lynx(1)
 			m.CoresPerNode, m.Policy = threads, pol
-			fmt.Printf("  %10.2f", des.SimulateCluster(w, m, cm, dist.DefaultBufferSize, 3).ItemsPerSec/1000)
+			fmt.Printf("  %10.2f", des.SimulateCluster(w, m, cm, dist.DefaultBufferSize).ItemsPerSec/1000)
 		}
 		fmt.Println()
 	}
@@ -102,7 +66,6 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 	fmt.Println("# real 1-thread validation (measured on this host, 1 iteration):")
 	fmt.Println("# (GraphLab draws every rank-one vertex as a lone lane, Sampler.DrawItem ->")
 	fmt.Println("# UpdateItem; TBB and OpenMP draw four per register through UpdateRange)")
-	train, test := sparse.SplitTrainTest(ds.R, 0.05, 1)
 	prob := core.NewProblem(train, test)
 	one := cfg
 	one.Iters, one.Burnin = 1, 0
@@ -154,7 +117,7 @@ func fig4(cfg core.Config, cm des.CostModel, scale float64) {
 			// here, shifting the crossover).
 			m.CacheBytes *= scale
 		}
-		res := des.SimulateCluster(w, m, cm, dist.DefaultBufferSize, 3)
+		res := des.SimulateCluster(w, m, cm, dist.DefaultBufferSize)
 		if nodes == 1 {
 			base = res.ItemsPerSec
 		}
@@ -179,7 +142,7 @@ func fig5(cfg core.Config, cm des.CostModel, scale float64) {
 		if scale != 1 {
 			m.CacheBytes *= scale
 		}
-		res := des.SimulateCluster(w, m, cm, dist.DefaultBufferSize, 3)
+		res := des.SimulateCluster(w, m, cm, dist.DefaultBufferSize)
 		b := res.Breakdown
 		fmt.Printf("%6d  %7d  %8.1f%%  %7.1f%%  %12.1f%%  %6.1f%%\n",
 			nodes, res.Cores, b.ComputeOnly*100, b.Both*100, b.CommunicateOnly*100, b.Idle*100)
@@ -259,7 +222,7 @@ func speedupExperiment(cfg core.Config, cm des.CostModel, scale float64) {
 	ds := chemblData(scale)
 	const nodes = 20 // the paper's Lynx cluster
 	w := des.BuildClusterWorkload(partition.Build(ds.R, nodes), nil, cfg)
-	res := des.SimulateCluster(w, des.Lynx(nodes), cm, dist.DefaultBufferSize, 3)
+	res := des.SimulateCluster(w, des.Lynx(nodes), cm, dist.DefaultBufferSize)
 
 	items := float64(ds.R.M + ds.R.N)
 	iters := 1000.0 // a production-length chain

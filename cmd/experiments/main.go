@@ -19,8 +19,9 @@
 //	-scale f     dataset scale factor for the DES workloads (default 0.05;
 //	             1.0 reproduces the full ChEMBL / ml-20m shapes but needs
 //	             several GB and minutes of generation time)
-//	-calibrate   measure kernel costs on this machine instead of using the
-//	             fixed Westmere-like model
+//	-calibrate   time the engine's own item sweeps, moment reduction and
+//	             test scoring on this machine (des.CalibrateCostModel)
+//	             instead of using the fixed Westmere-like model
 package main
 
 import (

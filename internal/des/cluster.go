@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 )
@@ -32,11 +33,11 @@ type ClusterWorkload struct {
 	RecordBytes int
 	// TotalItems is the number of item updates per iteration (M + N).
 	TotalItems int64
-	// TestEntries is the held-out test-set size whose end-of-iteration
-	// chunk-parallel evaluation the simulation models (split across ranks
-	// by row ownership, like the real engine's per-rank predictors).
-	// 0 omits the evaluation phase.
-	TestEntries int64
+	// TestEntries[q] counts the held-out entries rank q scores at the end
+	// of every iteration, chunk-parallel: those on the users it owns, the
+	// real engine's per-rank predictor. Without a test set the evaluation
+	// phase is omitted.
+	TestEntries []int64
 }
 
 // BuildClusterWorkload derives the workload of a distributed run on plan
@@ -57,9 +58,12 @@ func BuildClusterWorkload(plan *partition.Plan, test []sparse.Entry, cfg core.Co
 		WorkingSet:  make([]float64, p),
 		RecordBytes: 4 + 8*cfg.K,
 		TotalItems:  int64(r.M + r.N),
-		TestEntries: int64(len(test)),
+		TestEntries: make([]int64, p),
 	}
 	rowOwner, colOwner := partition.Owners(plan.RowBounds, r.M), partition.Owners(plan.ColBounds, r.N)
+	for _, e := range test {
+		w.TestEntries[rowOwner[e.Row]]++
+	}
 	rowBytes := float64(8 * cfg.K)
 	for q := 0; q < p; q++ {
 		routes := plan.Route(q, rt, rowOwner, colOwner, test)
@@ -102,8 +106,9 @@ type ClusterResult struct {
 	// Breakdown is the Figure 5 decomposition averaged over ranks,
 	// normalized to fractions of the iteration.
 	Breakdown Breakdown
-	// MaxComputeSkew is max/mean of per-rank compute time (load balance).
-	MaxComputeSkew float64
+	// Compute[q] is rank q's two item sweeps, in seconds per iteration:
+	// what dist.Stats.ComputeTime measures, divided by the iterations.
+	Compute []float64
 }
 
 // message is one coalesced transfer in flight.
@@ -113,37 +118,37 @@ type message struct {
 	bytes    float64
 }
 
+// simIters is the number of iterations SimulateCluster steps; it reports
+// the last, whose movie phase starts behind the previous user phase's
+// ghosts.
+const simIters = 3
+
 // SimulateCluster runs the phase-stepped discrete-event simulation of the
-// distributed engine on machine m and returns steady-state metrics
-// (simulating `iters` iterations and reporting the last). bufferBytes is
-// the coalescing buffer capacity (the Section IV-C knob).
-func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes int, iters int) ClusterResult {
+// distributed engine on machine m and returns steady-state metrics.
+// bufferBytes is the coalescing buffer capacity (the Section IV-C knob),
+// read as dist.Options.BufferSize: negative sends one message per item,
+// 0 means dist.DefaultBufferSize.
+func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes int) ClusterResult {
 	p := w.Ranks
 	cfg := w.Cfg
-	if iters < 2 {
-		iters = 2
-	}
-	if bufferBytes <= 0 {
-		bufferBytes = w.RecordBytes
+	if bufferBytes == 0 {
+		bufferBytes = dist.DefaultBufferSize
 	}
 
 	// Per-rank compute durations are iteration-invariant: precompute.
 	durV := make([]float64, p)
 	durU := make([]float64, p)
-	var totalCompute, maxCompute float64
+	compute := make([]float64, p)
 	for q := 0; q < p; q++ {
 		f := m.cacheFactor(w.WorkingSet[q])
 		durV[q] = m.sweep(w.MovieNNZ[q], cm, &cfg) / f
 		durU[q] = m.sweep(w.UserNNZ[q], cm, &cfg) / f
+		compute[q] = durV[q] + durU[q]
 		// Moments parallelize trivially under every policy (GraphLab runs
 		// them through its aggregate path with the same static split).
 		moments := cm.MomentPerRow * float64(len(w.MovieNNZ[q])+len(w.UserNNZ[q])) /
 			float64(m.CoresPerNode) / f
 		durU[q] += moments
-		totalCompute += durV[q] + durU[q]
-		if durV[q]+durU[q] > maxCompute {
-			maxCompute = durV[q] + durU[q]
-		}
 	}
 
 	allreduceCost := 2 * math.Ceil(math.Log2(float64(p)+1)) * m.AllreduceLatency
@@ -151,22 +156,12 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 		allreduceCost = 0
 	}
 
-	// Per-rank evaluation durations: the rank's row-ownership share of the
-	// test set, chunk-parallel on its cores (the real engine's
+	// Per-rank evaluation durations: the rank's test entries,
+	// chunk-parallel on its cores (the real engine's
 	// Predictor.PartialUpdatePar).
 	evalDur := make([]float64, p)
-	if w.TestEntries > 0 {
-		var totalRows int64
-		for q := 0; q < p; q++ {
-			totalRows += int64(len(w.UserNNZ[q]))
-		}
-		for q := 0; q < p; q++ {
-			localTest := 0
-			if totalRows > 0 {
-				localTest = int(int64(len(w.UserNNZ[q])) * w.TestEntries / totalRows)
-			}
-			evalDur[q] = cm.EvalMakespan(localTest, m.CoresPerNode) / m.cacheFactor(w.WorkingSet[q])
-		}
+	for q, n := range w.TestEntries {
+		evalDur[q] = cm.EvalMakespan(int(n), m.CoresPerNode) / m.cacheFactor(w.WorkingSet[q])
 	}
 
 	// Simulation state.
@@ -176,8 +171,9 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 	var res ClusterResult
 	res.Nodes = p
 	res.Cores = p * m.CoresPerNode
+	res.Compute = compute
 
-	for it := 0; it < iters; it++ {
+	for it := 0; it < simIters; it++ {
 		iterStart := now
 		computeIv := make([]intervalSet, p)
 		commIv := make([]intervalSet, p)
@@ -244,7 +240,7 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 		}
 		now = maxEnd + allreduceCost
 
-		if it == iters-1 {
+		if it == simIters-1 {
 			res.IterTime = now - iterStart
 			res.ItemsPerSec = float64(w.TotalItems) / res.IterTime
 			// Figure 5 breakdown averaged over ranks.
@@ -262,7 +258,6 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 			agg.Both *= inv
 			agg.Idle *= inv
 			res.Breakdown = agg
-			res.MaxComputeSkew = maxCompute / (totalCompute / float64(p))
 		}
 	}
 	return res

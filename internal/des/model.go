@@ -1,17 +1,20 @@
 // Package des is the discrete-event performance simulator that stands in
 // for the paper's hardware — the 12-core Westmere node of Figure 3 and
 // the BlueGene/Q system (16-core nodes, 32-node racks) of Figures 4–5 —
-// which cannot be measured on this single-core host.
+// which is not the machine it runs on. Figure 3 is a one-rank cluster:
+// every figure goes through SimulateCluster, one node model for all.
 //
 // The simulator replays the *actual* engine schedules in virtual time:
 // the item task sets come from the real synthetic datasets, the partition
 // and routing from the real partitioner (partition.Build and the engine's
 // own partition.Plan.Route, test-set routing included), and the kernel
-// costs from micro-benchmarks calibrated on this machine
-// (CalibrateCostModel). Its traffic is exact, not modeled: items sent,
-// ghost rows received and coalesced messages per rank equal a measured
-// dist.RunInProc's (traffic_test.go, 1–4 ranks, three buffer sizes, both
-// paper shapes). Its timing has not been checked against a measured run.
+// costs from the engine's own sweeps timed on this machine
+// (CalibrateCostModel, SweepTime). Its traffic is exact, not modeled:
+// items sent, ghost rows received and coalesced messages per rank equal a
+// measured dist.RunInProc's (traffic_test.go, 1–4 ranks, three buffer
+// sizes, both paper shapes). Its per-rank compute is held to a measured
+// run's dist.Stats.ComputeTime within a factor of two (compute_test.go,
+// 1 and 2 ranks, both paper shapes, calibrated in process).
 // What it models, rather than measures, are the parts that need hardware:
 // concurrent cores (greedy work-stealing/static/GraphLab scheduling in
 // virtual time), the per-node cache (the super-linear region of Figure
@@ -21,6 +24,7 @@ package des
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -30,18 +34,16 @@ import (
 )
 
 // CostModel holds calibrated per-operation costs in seconds. All values
-// refer to one item update at the model's latent dimension K.
+// refer to one item update at the latent dimension K it was built for.
 type CostModel struct {
-	K int
 	// PerRating is the cost of folding one rating into the posterior
-	// precision and rhs (one K-length SyrLower + Axpy).
+	// precision and rhs in the Cholesky kernels' accumulation.
 	PerRating float64
-	// PerItem is the fixed cost of an item update: posterior solve,
-	// Cholesky of the K x K precision, and the sample draw.
+	// PerItem is the fixed cost of a Cholesky-kernel item update: the
+	// factorization of the K x K precision and the draw.
 	PerItem float64
 	// RankOnePerRating is the per-rating cost of the rank-one-update
-	// kernel (a full K² Cholesky update per rating — more expensive per
-	// rating, but the kernel has near-zero fixed cost).
+	// kernel (a K² Cholesky update per rating, four items per register).
 	RankOnePerRating float64
 	// RankOnePerItem is the rank-one kernel's fixed cost (solve + draw
 	// only; no K³ factorization).
@@ -118,85 +120,42 @@ func (cm CostModel) EvalMakespan(nTest, threads int) float64 {
 	return float64(perThread) * chunkCost
 }
 
-// CalibrateCostModel measures the kernel constants on the current machine
-// with short micro-benchmarks (a few milliseconds each) at latent
-// dimension k. Deterministic inputs; timing noise is averaged out over
-// repetitions.
+// CalibrateCostModel measures the cost constants at latent dimension k
+// on the current machine by timing the engine's own code: item sweeps
+// through core.Sampler.UpdateRange (SweepTime), each kernel's fixed and
+// per-rating cost a straight line through its per-item cost at two
+// degrees; the grouped moment reduction per factor row; and the
+// predictor's chunked scoring pass per test entry.
 func CalibrateCostModel(k int) CostModel {
-	cm := CostModel{K: k}
-	r := rng.New(0xca11b8)
-	x := la.NewVector(k)
-	r.FillNorm(x)
-	prec := la.Eye(k)
-	rhs := la.NewVector(k)
-
-	// Per-rating: SyrLower + Axpy.
-	reps := 20000
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		la.SyrLower(0.5, x, prec)
-		la.Axpy(0.5, x, rhs)
-	}
-	cm.PerRating = time.Since(start).Seconds() / float64(reps)
-
-	// Fixed per item, as core.UpdateItem runs it: Cholesky, then the draw
-	// from the canonical form (forward solve, K normals, one paired
-	// back-solve for the mean and the noise).
-	spd := la.Eye(k)
-	for i := 0; i < k; i++ {
-		spd.Set(i, i, float64(k))
-	}
-	l := la.NewMatrix(k, k)
-	mu := la.NewVector(k)
-	scratch := la.NewVector(k)
-	out := la.NewVector(k)
-	reps = 4000
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		if err := la.Cholesky(spd, l); err != nil {
-			panic(err)
-		}
-		r.MVNFromCanonChol(rhs, l, out, mu, scratch)
-	}
-	cm.PerItem = time.Since(start).Seconds() / float64(reps)
-
-	// Rank-one kernel as core's sweeps run it, four items at a time, one
-	// per lane (RankOneGroup), both costs a group's time divided by its
-	// items: fixed, a group of ratingless items (the lanes' rhs, normals,
-	// forward solve and paired back-solve); per rating, what a group of
-	// degree-16 items (four passes) adds to that.
 	cfg := core.DefaultConfig()
 	cfg.K = k
-	timeGroup := func(deg, reps int) float64 {
-		vals := make([]float64, deg)
-		for i := range vals {
-			vals[i] = 1 + float64(i%5)
-		}
-		draw := RankOneGroup(cfg, vals)
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			draw()
-		}
-		return time.Since(start).Seconds() / float64(reps*la.Lanes)
+	var cm CostModel
+	line := func(kern core.Kernel, d1, d2 int) (perItem, perRating float64) {
+		t1, t2 := SweepTime(cfg, kern, calRows, d1), SweepTime(cfg, kern, calRows, d2)
+		perRating = max(t2-t1, 0) / float64(d2-d1)
+		return max(t1-perRating*float64(d1), 0), perRating
 	}
-	const deg = 16
-	cm.RankOnePerItem = timeGroup(0, 1000)
-	cm.RankOnePerRating = max(timeGroup(deg, 100)-cm.RankOnePerItem, 0) / deg
+	// The degrees span each kernel's range under the default thresholds.
+	cm.PerItem, cm.PerRating = line(core.KernelCholesky, 32, 512)
+	cm.RankOnePerItem, cm.RankOnePerRating = line(core.KernelRankOne, 1, 16)
 
-	// Moments per row: Axpy + SyrLower, same as PerRating.
-	cm.MomentPerRow = cm.PerRating
+	// One side's moments, one group, as core.Sampler.Step reduces them.
+	const rows = 4096
+	r := rng.New(0xca11b8)
+	u, v := la.NewMatrix(rows, k), la.NewMatrix(rows, k)
+	r.FillNorm(u.Data)
+	r.FillNorm(v.Data)
+	mws := core.NewMomentsWorkspace(k)
+	groups := []int{0, rows}
+	cm.MomentPerRow = timeCall(func() { core.MomentsGroupedWS(u, groups, k, nil, mws) }) / rows
 
-	// Evaluation per entry: one k-length dot plus clamp/accumulate.
-	y := la.NewVector(k)
-	r.FillNorm(y)
-	reps = 200000
-	var sink float64
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		sink += la.Dot(x, y)
+	// Scoring a test set of 4 EvalChunk chunks, a sample collected.
+	test := make([]sparse.Entry, 4*core.EvalChunk)
+	for i := range test {
+		test[i] = sparse.Entry{Row: int32(r.Intn(rows)), Col: int32(r.Intn(rows)), Val: 3}
 	}
-	cm.EvalPerEntry = time.Since(start).Seconds() / float64(reps)
-	rhs[0] += sink * 1e-300 // keep the measured loop observable
+	pred := core.NewPredictor(test, 1, 5)
+	cm.EvalPerEntry = timeCall(func() { pred.PartialUpdatePar(u, v, true, nil) }) / float64(len(test))
 
 	// Scheduling overheads: representative constants measured once on
 	// commodity hardware; they only set the small-item floor of the
@@ -210,25 +169,66 @@ func CalibrateCostModel(k int) CostModel {
 	return cm
 }
 
-// RankOneGroup returns one draw of a group of four rank-one items as the
-// sweeps run it, one item per lane (core.Sampler.UpdateRange): every item
-// rates partners 0, 1, … with vals, and stays on the rank-one kernel at any
-// degree.
-func RankOneGroup(cfg core.Config, vals []float64) func() {
-	cfg.RankOneMax, cfg.KernelThreshold = len(vals), len(vals)+1
-	r := &sparse.CSR{M: la.Lanes, N: max(len(vals), 1), RowPtr: make([]int64, 1, la.Lanes+1)}
-	for i := 0; i < la.Lanes; i++ {
-		for c, v := range vals {
-			r.Col, r.Val = append(r.Col, int32(c)), append(r.Val, v)
+// calRows is the number of items CalibrateCostModel draws per sweep: two
+// ItemGrain windows of rank-one lane groups.
+const calRows = 16
+
+// SweepTime returns the seconds per item of one core.Sampler.UpdateRange
+// over rows items of degree d, every item rating partners 0, …, d−1, with
+// the kernel forced to kern through the Config's thresholds: the draw
+// core's sweeps run, at any degree (the Cholesky kernels need d ≥ 1). A
+// sampler's cost can sit in one of two modes for its lifetime (the
+// Cholesky kernel at K = 32 runs ~7 or ~15 µs an item, by allocation), so
+// this is the median of three samplers.
+func SweepTime(cfg core.Config, kern core.Kernel, rows, d int) float64 {
+	switch kern {
+	case core.KernelRankOne:
+		cfg.RankOneMax, cfg.KernelThreshold = d, d+1
+	case core.KernelCholesky:
+		cfg.RankOneMax, cfg.KernelThreshold = d-1, d+1
+	default:
+		cfg.RankOneMax, cfg.KernelThreshold = d-1, d
+	}
+	r := &sparse.CSR{M: rows, N: max(d, 1), RowPtr: make([]int64, 1, rows+1)}
+	for i := 0; i < rows; i++ {
+		for c := 0; c < d; c++ {
+			r.Col, r.Val = append(r.Col, int32(c)), append(r.Val, 1+float64(c%5))
 		}
 		r.RowPtr = append(r.RowPtr, int64(len(r.Col)))
 	}
-	s, err := core.NewSampler(cfg, core.NewProblem(r, nil))
-	if err != nil {
-		panic(err)
+	prob := core.NewProblem(r, nil)
+	var t [3]float64
+	for i := range t {
+		s, err := core.NewSampler(cfg, prob)
+		if err != nil {
+			panic(err)
+		}
+		ord, n := s.Order(core.SideU)
+		t[i] = timeCall(func() { s.UpdateRange(core.SideU, 0, ord, 0, n, nil) }) / float64(rows)
 	}
-	ord, n := s.Order(core.SideU)
-	return func() { s.UpdateRange(core.SideU, 0, ord, 0, n, nil) }
+	slices.Sort(t[:])
+	return t[1]
+}
+
+// timeCall returns the seconds of one call of f: the fastest of three
+// batches of calls that each run at least 5 ms, after one untimed call.
+// The fastest batch is the one least disturbed by other processes.
+func timeCall(f func()) float64 {
+	f()
+	batch := func(reps int) float64 {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			f()
+		}
+		return time.Since(start).Seconds()
+	}
+	reps := 1
+	el := batch(reps)
+	for ; el < 5e-3; el = batch(reps) {
+		reps *= 2
+	}
+	el = min(el, batch(reps), batch(reps))
+	return el / float64(reps)
 }
 
 // DefaultCostModel returns a fixed cost model (no measurement) for
@@ -236,7 +236,6 @@ func RankOneGroup(cfg core.Config, vals []float64) func() {
 func DefaultCostModel(k int) CostModel {
 	scale := float64(k*k) / (32.0 * 32.0)
 	return CostModel{
-		K:                 k,
 		PerRating:         1.1e-6 * scale,
 		PerItem:           11e-6 * math.Pow(float64(k)/32.0, 3),
 		RankOnePerRating:  2.6e-6 * scale,
