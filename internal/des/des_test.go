@@ -82,15 +82,15 @@ func TestCalibrateCostModelSane(t *testing.T) {
 	//
 	// Per rating, the rank-one kernel (a K² factor update) costs more than
 	// the Cholesky kernels' fused accumulation, which is why the hybrid
-	// leaves it past a few ratings (Figure 2). At K = 16 the median of
-	// RankOnePerRating/PerRating reads 5.5–8.8 in a normal build, 4.8–8.4
-	// under -race, 3.5–8.6 under purego and 2.2–4.9 under -race -tags
-	// purego; it is held to (1, 16).
+	// leaves it past a few ratings (Figure 2). At K = 16 single
+	// calibrations read RankOnePerRating/PerRating at 3.3–9.2 in a normal
+	// build, 6.0–10.8 under -race, 4.5–9.7 under purego and 2.9–3.2 under
+	// -race -tags purego; the median is held to (1, 16).
 	//
 	// Per item, the order holds everywhere with room: rank-one's fixed cost
 	// (the lanes' rhs, normals, forward solve and paired back-solve) is
 	// below the Cholesky kernel's (factorization and draw), a median ratio
-	// of 0.1–0.4 in every build mode.
+	// of 0.14–0.37 over the same four build modes.
 	perRating := []float64{cm.RankOnePerRating / cm.PerRating}
 	perItem := []float64{cm.RankOnePerItem / cm.PerItem}
 	for len(perRating) < 5 {

@@ -24,7 +24,6 @@ package des
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -178,8 +177,9 @@ const calRows = 16
 // the kernel forced to kern through the Config's thresholds: the draw
 // core's sweeps run, at any degree (the Cholesky kernels need d ≥ 1). A
 // sampler's cost can sit in one of two modes for its lifetime (the
-// Cholesky kernel at K = 32 runs ~7 or ~15 µs an item, by allocation), so
-// this is the median of three samplers.
+// Cholesky kernel at K = 32 and degree 32 runs ~7 or ~15 µs an item, the
+// same in every timing of one sampler), so this is the fastest of three
+// samplers: the mode a long sweep of many items runs at.
 func SweepTime(cfg core.Config, kern core.Kernel, rows, d int) float64 {
 	switch kern {
 	case core.KernelRankOne:
@@ -206,15 +206,13 @@ func SweepTime(cfg core.Config, kern core.Kernel, rows, d int) float64 {
 		ord, n := s.Order(core.SideU)
 		t[i] = timeCall(func() { s.UpdateRange(core.SideU, 0, ord, 0, n, nil) }) / float64(rows)
 	}
-	slices.Sort(t[:])
-	return t[1]
+	return min(t[0], t[1], t[2])
 }
 
 // timeCall returns the seconds of one call of f: the fastest of three
-// batches of calls that each run at least 5 ms, after one untimed call.
-// The fastest batch is the one least disturbed by other processes.
+// batches of calls that each run at least 5 ms. Other processes only ever
+// slow a batch down, so the fastest is the least disturbed.
 func timeCall(f func()) float64 {
-	f()
 	batch := func(reps int) float64 {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
@@ -227,8 +225,7 @@ func timeCall(f func()) float64 {
 	for ; el < 5e-3; el = batch(reps) {
 		reps *= 2
 	}
-	el = min(el, batch(reps), batch(reps))
-	return el / float64(reps)
+	return min(el, batch(reps), batch(reps)) / float64(reps)
 }
 
 // DefaultCostModel returns a fixed cost model (no measurement) for
