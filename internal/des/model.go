@@ -197,16 +197,16 @@ func SweepTime(cfg core.Config, kern core.Kernel, rows, d int) float64 {
 		r.RowPtr = append(r.RowPtr, int64(len(r.Col)))
 	}
 	prob := core.NewProblem(r, nil)
-	var t [3]float64
-	for i := range t {
+	best := math.Inf(1)
+	for range 3 {
 		s, err := core.NewSampler(cfg, prob)
 		if err != nil {
 			panic(err)
 		}
 		ord, n := s.Order(core.SideU)
-		t[i] = timeCall(func() { s.UpdateRange(core.SideU, 0, ord, 0, n, nil) }) / float64(rows)
+		best = min(best, timeCall(func() { s.UpdateRange(core.SideU, 0, ord, 0, n, nil) }))
 	}
-	return min(t[0], t[1], t[2])
+	return best / float64(rows)
 }
 
 // timeCall returns the seconds of one call of f: the fastest of three
