@@ -442,3 +442,70 @@ func TestTestEntriesPerRank(t *testing.T) {
 		}
 	}
 }
+
+// pinWorkload builds a workload from a 5 % hold-out of spec on ranks
+// partitions, the split every figure simulates.
+func pinWorkload(spec datagen.Spec, ranks int) *ClusterWorkload {
+	train, test := core.HoldOut(datagen.Generate(spec).R, 0.05, spec.Seed)
+	return BuildClusterWorkload(partition.Build(train, ranks), test, cfg())
+}
+
+// TestSimulateClusterPinned holds SimulateCluster's output to values
+// recorded before its node model was collapsed to one scheduler, one
+// static split and one phase body, within 1e-12 relative, under
+// DefaultCostModel(32): BlueGeneQ at 1, 2, 8 and 64 nodes on ML-20M,
+// Lynx(1) cut to 16 cores under each policy on ChEMBL, and 8 nodes at
+// per-item sends and a 64 KiB buffer. Compute is pinned by its sum and
+// its maximum over ranks.
+func TestSimulateClusterPinned(t *testing.T) {
+	ml := datagen.Scaled(datagen.ML20M(5), 0.01)
+	chembl := datagen.Scaled(datagen.ChEMBL(7), 0.02)
+	lynx := func(pol Policy) Machine {
+		m := Lynx(1)
+		m.CoresPerNode, m.Policy = 16, pol
+		return m
+	}
+	cases := []struct {
+		name                   string
+		spec                   datagen.Spec
+		m                      Machine
+		buf                    int
+		iter, ips              float64
+		b                      Breakdown
+		computeSum, computeMax float64
+	}{
+		{name: "bgq/1", spec: ml, m: BlueGeneQ(1), buf: 64 << 10,
+			iter: 0.0054023421052631585, ips: 306533.71588346182, b: Breakdown{1, 0, 0, 0}, computeSum: 0.00531534210526316, computeMax: 0.00531534210526316},
+		{name: "bgq/2", spec: ml, m: BlueGeneQ(2), buf: 64 << 10,
+			iter: 0.0030532642105263186, ips: 542370.35703979922, b: Breakdown{0.92695410364955177, 0.011810311035541008, 0.035234422107695881, 0.026001163207211346}, computeSum: 0.0057615526315789468, computeMax: 0.0029441842105263159},
+		{name: "bgq/8", spec: ml, m: BlueGeneQ(8), buf: 64 << 10,
+			iter: 0.001300549868421051, ips: 1273307.5756721946, b: Breakdown{0.63524379465406455, 0.16138581160863022, 0.081047361141475732, 0.12232303259582936}, computeSum: 0.0071760263157894747, computeMax: 0.0010894736842105264},
+		{name: "bgq/64", spec: ml, m: BlueGeneQ(64), buf: 64 << 10,
+			iter: 0.001405640000000017, ips: 1178111.0383881934, b: Breakdown{0.077675657424357072, 0.62426366012428613, 0.16840886635128677, 0.12965181610006993}, computeSum: 0.02034502631578948, computeMax: 0.00068400000000000015},
+		{name: "lynx16/TBB", spec: chembl, m: lynx(PolicyWorkSteal), buf: 64 << 10,
+			iter: 0.0075313187500000121, ips: 1299241.2517396086, b: Breakdown{1, 0, 0, 0}, computeSum: 0.0068071500000000092, computeMax: 0.0068071500000000092},
+		{name: "lynx16/OpenMP", spec: chembl, m: lynx(PolicyStatic), buf: 64 << 10,
+			iter: 0.01005506875, ips: 973141.03396856436, b: Breakdown{1, 0, 0, 0}, computeSum: 0.0093308999999999996, computeMax: 0.0093308999999999996},
+		{name: "lynx16/GraphLab", spec: chembl, m: lynx(PolicyGraphLab), buf: 64 << 10,
+			iter: 0.017044208750000039, ips: 574095.29204457661, b: Breakdown{1, 0, 0, 0}, computeSum: 0.016320040000000032, computeMax: 0.016320040000000032},
+		{name: "bgq/8/per-item", spec: ml, m: BlueGeneQ(8), buf: -1,
+			iter: 0.0040270355251896626, ips: 411220.60871861986, b: Breakdown{0.0082846934113158521, 0.75460741516501095, 0.22304486963672265, 0.014063021786950495}, computeSum: 0.0071760263157894747, computeMax: 0.0010894736842105264},
+	}
+	cm := DefaultCostModel(32)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	for _, tc := range cases {
+		res := SimulateCluster(pinWorkload(tc.spec, tc.m.Nodes), tc.m, cm, tc.buf)
+		var sum, mx float64
+		for _, c := range res.Compute {
+			sum, mx = sum+c, max(mx, c)
+		}
+		b := res.Breakdown
+		if !near(res.IterTime, tc.iter) || !near(res.ItemsPerSec, tc.ips) ||
+			!near(b.ComputeOnly, tc.b.ComputeOnly) || !near(b.CommunicateOnly, tc.b.CommunicateOnly) ||
+			!near(b.Both, tc.b.Both) || !near(b.Idle, tc.b.Idle) ||
+			!near(sum, tc.computeSum) || !near(mx, tc.computeMax) {
+			t.Errorf("%s: model moved: iter %.17g, %.17g items/s, %+v, compute sum %.17g max %.17g; pinned %.17g, %.17g, %+v, %.17g, %.17g",
+				tc.name, res.IterTime, res.ItemsPerSec, b, sum, mx, tc.iter, tc.ips, tc.b, tc.computeSum, tc.computeMax)
+		}
+	}
+}
