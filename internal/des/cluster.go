@@ -123,6 +123,15 @@ type message struct {
 // ghosts.
 const simIters = 3
 
+// phase is one side's half of an iteration: every rank's sweep duration,
+// the items it ships where, and when each rank holds the ghost rows the
+// phase produced (its own sweep done and the last message in).
+type phase struct {
+	dur   []float64
+	sends [][]int64
+	ready []float64
+}
+
 // SimulateCluster runs the phase-stepped discrete-event simulation of the
 // distributed engine on machine m and returns steady-state metrics.
 // bufferBytes is the coalescing buffer capacity (the Section IV-C knob),
@@ -136,19 +145,19 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 	}
 
 	// Per-rank compute durations are iteration-invariant: precompute.
-	durV := make([]float64, p)
-	durU := make([]float64, p)
+	movie := phase{dur: make([]float64, p), sends: w.MovieSends, ready: make([]float64, p)}
+	user := phase{dur: make([]float64, p), sends: w.UserSends, ready: make([]float64, p)}
 	compute := make([]float64, p)
 	for q := 0; q < p; q++ {
 		f := m.cacheFactor(w.WorkingSet[q])
-		durV[q] = m.sweep(w.MovieNNZ[q], cm, &cfg) / f
-		durU[q] = m.sweep(w.UserNNZ[q], cm, &cfg) / f
-		compute[q] = durV[q] + durU[q]
+		movie.dur[q] = m.sweep(w.MovieNNZ[q], cm, &cfg) / f
+		user.dur[q] = m.sweep(w.UserNNZ[q], cm, &cfg) / f
+		compute[q] = movie.dur[q] + user.dur[q]
 		// Moments parallelize trivially under every policy (GraphLab runs
 		// them through its aggregate path with the same static split).
 		moments := cm.MomentPerRow * float64(len(w.MovieNNZ[q])+len(w.UserNNZ[q])) /
 			float64(m.CoresPerNode) / f
-		durU[q] += moments
+		user.dur[q] += moments
 	}
 
 	allreduceCost := 2 * math.Ceil(math.Log2(float64(p)+1)) * m.AllreduceLatency
@@ -164,61 +173,32 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 		evalDur[q] = cm.EvalMakespan(int(n), m.CoresPerNode) / m.cacheFactor(w.WorkingSet[q])
 	}
 
-	// Simulation state.
-	now := 0.0
-	ghostReadyV := make([]float64, p) // when this rank's V ghosts arrived
-	ghostReadyU := make([]float64, p)
-	var res ClusterResult
-	res.Nodes = p
-	res.Cores = p * m.CoresPerNode
-	res.Compute = compute
-
-	for it := 0; it < simIters; it++ {
-		iterStart := now
-		computeIv := make([]intervalSet, p)
-		commIv := make([]intervalSet, p)
-
-		// --- V-hyper allreduce: sync on every rank being past its U
-		// compute of the previous iteration (now) — "now" already holds
-		// that barrier time.
-		vHyperDone := now + allreduceCost
-
-		// --- Movie phase: rank q starts when the allreduce is done and
-		// its U ghosts from the previous iteration have arrived.
-		startV := make([]float64, p)
-		endV := make([]float64, p)
-		for q := 0; q < p; q++ {
-			startV[q] = math.Max(vHyperDone, ghostReadyU[q])
-			endV[q] = startV[q] + durV[q]
-			computeIv[q].Add(startV[q], endV[q])
-		}
-		msgsV := emitMessages(w.MovieSends, startV, durV, w.RecordBytes, bufferBytes)
-		arriveV := network(msgsV, m, p, &commIv)
-		for q := 0; q < p; q++ {
-			ghostReadyV[q] = math.Max(endV[q], arriveV[q])
-		}
-
-		// --- U-hyper allreduce: all ranks must finish movie compute.
-		var maxEndV float64
-		for q := 0; q < p; q++ {
-			if endV[q] > maxEndV {
-				maxEndV = endV[q]
+	now, iterStart := 0.0, 0.0
+	var computeIv, commIv []intervalSet
+	for range simIters {
+		iterStart = now
+		computeIv, commIv = make([]intervalSet, p), make([]intervalSet, p)
+		// Each phase starts with its side's hyper allreduce, which syncs
+		// on every rank being past the previous phase's sweep (the movie
+		// phase's on now, the previous iteration's end). Rank q then
+		// sweeps once that allreduce is done and the ghosts it reads, the
+		// other side's, have arrived, and ships its rows as it goes.
+		sync := now
+		start, end := make([]float64, p), make([]float64, p)
+		phases := [2]*phase{&movie, &user}
+		for i, ph := range phases {
+			reads := phases[1-i].ready
+			hyperDone := sync + allreduceCost
+			for q := 0; q < p; q++ {
+				start[q] = max(hyperDone, reads[q])
+				end[q] = start[q] + ph.dur[q]
+				computeIv[q].Add(start[q], end[q])
+				sync = max(sync, end[q])
 			}
-		}
-		uHyperDone := maxEndV + allreduceCost
-
-		// --- User phase: needs the full V of this iteration.
-		startU := make([]float64, p)
-		endU := make([]float64, p)
-		for q := 0; q < p; q++ {
-			startU[q] = math.Max(uHyperDone, ghostReadyV[q])
-			endU[q] = startU[q] + durU[q]
-			computeIv[q].Add(startU[q], endU[q])
-		}
-		msgsU := emitMessages(w.UserSends, startU, durU, w.RecordBytes, bufferBytes)
-		arriveU := network(msgsU, m, p, &commIv)
-		for q := 0; q < p; q++ {
-			ghostReadyU[q] = math.Max(endU[q], arriveU[q])
+			arrive := network(emitMessages(ph.sends, start, ph.dur, w.RecordBytes, bufferBytes), m, p, &commIv)
+			for q := 0; q < p; q++ {
+				ph.ready[q] = max(end[q], arrive[q])
+			}
 		}
 
 		// Iteration ends when every rank finished its user compute plus —
@@ -226,40 +206,34 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 		// share, which starts only after the rank's U ghosts arrived (the
 		// real engine evaluates on the completed replica). The RMSE
 		// allreduce is the closing sync; with no evaluation, ghost waits
-		// roll into the next iteration's movie phase as before.
-		var maxEnd float64
+		// roll into the next iteration's movie phase.
 		for q := 0; q < p; q++ {
-			end := endU[q]
 			if evalDur[q] > 0 {
-				end = ghostReadyU[q] + evalDur[q]
-				computeIv[q].Add(ghostReadyU[q], end)
-			}
-			if end > maxEnd {
-				maxEnd = end
+				evalEnd := user.ready[q] + evalDur[q]
+				computeIv[q].Add(user.ready[q], evalEnd)
+				sync = max(sync, evalEnd)
 			}
 		}
-		now = maxEnd + allreduceCost
-
-		if it == simIters-1 {
-			res.IterTime = now - iterStart
-			res.ItemsPerSec = float64(w.TotalItems) / res.IterTime
-			// Figure 5 breakdown averaged over ranks.
-			var agg Breakdown
-			for q := 0; q < p; q++ {
-				b := overlapBreakdown(&computeIv[q], &commIv[q], res.IterTime).Fractions()
-				agg.ComputeOnly += b.ComputeOnly
-				agg.CommunicateOnly += b.CommunicateOnly
-				agg.Both += b.Both
-				agg.Idle += b.Idle
-			}
-			inv := 1 / float64(p)
-			agg.ComputeOnly *= inv
-			agg.CommunicateOnly *= inv
-			agg.Both *= inv
-			agg.Idle *= inv
-			res.Breakdown = agg
-		}
+		now = sync + allreduceCost
 	}
+
+	res := ClusterResult{Nodes: p, Cores: p * m.CoresPerNode, IterTime: now - iterStart, Compute: compute}
+	res.ItemsPerSec = float64(w.TotalItems) / res.IterTime
+	// Figure 5 breakdown of the last iteration, averaged over ranks.
+	var agg Breakdown
+	for q := 0; q < p; q++ {
+		b := overlapBreakdown(&computeIv[q], &commIv[q], res.IterTime).Fractions()
+		agg.ComputeOnly += b.ComputeOnly
+		agg.CommunicateOnly += b.CommunicateOnly
+		agg.Both += b.Both
+		agg.Idle += b.Idle
+	}
+	inv := 1 / float64(p)
+	agg.ComputeOnly *= inv
+	agg.CommunicateOnly *= inv
+	agg.Both *= inv
+	agg.Idle *= inv
+	res.Breakdown = agg
 	return res
 }
 

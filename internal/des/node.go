@@ -1,7 +1,7 @@
 package des
 
 import (
-	"container/heap"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -33,22 +33,6 @@ func (p Policy) String() string {
 	}
 }
 
-// threadHeap is a min-heap of thread finish times for greedy list
-// scheduling.
-type threadHeap []float64
-
-func (h threadHeap) Len() int           { return len(h) }
-func (h threadHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h threadHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *threadHeap) Push(x any)        { *h = append(*h, x.(float64)) }
-func (h *threadHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // sweep returns the modeled duration of one item sweep on this node: the
 // items whose rating counts nnz lists, in storage order, drawn by the
 // node's CoresPerNode cores under its Policy. The policies split that
@@ -61,10 +45,8 @@ func (m Machine) sweep(nnz []int, cm CostModel, cfg *core.Config) float64 {
 	switch m.Policy {
 	case PolicyWorkSteal:
 		return workStealMakespan(nnz, threads, cm, cfg)
-	case PolicyStatic:
-		return staticMakespan(nnz, threads, cm, cfg)
-	case PolicyGraphLab:
-		return graphlabMakespan(nnz, threads, cm, cfg)
+	case PolicyStatic, PolicyGraphLab:
+		return m.staticMakespan(nnz, threads, cm, cfg)
 	default:
 		panic("des: unknown policy")
 	}
@@ -75,29 +57,26 @@ func (m Machine) sweep(nnz []int, cm CostModel, cfg *core.Config) float64 {
 // stealing converges to) with items expanded grain-wise for heavy items,
 // so one hot movie becomes many small tasks (the paper's Section III).
 func workStealMakespan(nnz []int, threads int, cm CostModel, cfg *core.Config) float64 {
-	h := make(threadHeap, threads)
-	heap.Init(&h)
-	assign := func(cost float64) {
-		t := h[0]
-		h[0] = t + cost
-		heap.Fix(&h, 0)
-	}
-	assignAfter := func(ready, cost float64) float64 {
-		t := h[0]
-		if ready > t {
-			t = ready
+	free := make([]float64, threads) // when each core finishes its tasks
+	// run puts a task of the given cost on a core that frees first, no
+	// earlier than ready, and returns its end. Any least-loaded core gives
+	// the same makespan.
+	run := func(ready, cost float64) float64 {
+		c := 0
+		for i, t := range free {
+			if t < free[c] {
+				c = i
+			}
 		}
-		end := t + cost
-		h[0] = end
-		heap.Fix(&h, 0)
-		return end
+		free[c] = max(free[c], ready) + cost
+		return free[c]
 	}
 	for _, d := range nnz {
 		switch cfg.SelectKernel(d) {
 		case core.KernelRankOne:
-			assign(cm.RankOneItemCost(d) + cm.TaskOverhead)
+			run(0, cm.RankOneItemCost(d)+cm.TaskOverhead)
 		case core.KernelCholesky:
-			assign(cm.SerialItemCost(d) + cm.TaskOverhead)
+			run(0, cm.SerialItemCost(d)+cm.TaskOverhead)
 		default:
 			// Heavy item: chunked accumulation tasks all cores can take,
 			// then the serial tail (factor + draw) after the last chunk.
@@ -109,63 +88,37 @@ func workStealMakespan(nnz []int, threads int, cm CostModel, cfg *core.Config) f
 				if cidx == chunks-1 {
 					sz = d - grain*(chunks-1)
 				}
-				end := assignAfter(0, cm.PerRating*float64(sz)+cm.TaskOverhead)
-				if end > lastEnd {
-					lastEnd = end
-				}
+				lastEnd = max(lastEnd, run(0, cm.PerRating*float64(sz)+cm.TaskOverhead))
 			}
-			assignAfter(lastEnd, cm.PerItem+cm.TaskOverhead)
+			run(lastEnd, cm.PerItem+cm.TaskOverhead)
 		}
 	}
-	var makespan float64
-	for _, t := range h {
-		if t > makespan {
-			makespan = t
-		}
-	}
-	return makespan
+	return slices.Max(free)
 }
 
-// staticMakespan models the OpenMP engine: contiguous equal-count chunks,
-// no rebalancing, no heavy-item splitting (the static engine executes the
-// chunked kernel inline on one thread), plus one barrier.
-func staticMakespan(nnz []int, threads int, cm CostModel, cfg *core.Config) float64 {
+// staticMakespan models the two statically split engines: contiguous
+// equal-count chunks of items, no rebalancing, no heavy-item splitting,
+// plus one barrier. OpenMP draws each item with its hybrid kernel (the
+// static engine executes the chunked kernel inline on one thread);
+// GraphLab's vertex program runs serial Cholesky math for every vertex
+// (it cannot nest parallelism) and pays per-activation and per-edge
+// framework overheads.
+func (m Machine) staticMakespan(nnz []int, threads int, cm CostModel, cfg *core.Config) float64 {
 	bounds := sched.StaticChunks(threads, 0, len(nnz))
 	var makespan float64
 	for t := 0; t+1 < len(bounds); t++ {
 		var sum float64
-		for i := bounds[t]; i < bounds[t+1]; i++ {
-			d := nnz[i]
-			switch cfg.SelectKernel(d) {
-			case core.KernelRankOne:
+		for _, d := range nnz[bounds[t]:bounds[t+1]] {
+			switch {
+			case m.Policy == PolicyGraphLab:
+				sum += cm.SerialItemCost(d) + cm.GraphLabPerVertex + cm.GraphLabPerEdge*float64(d)
+			case cfg.SelectKernel(d) == core.KernelRankOne:
 				sum += cm.RankOneItemCost(d)
 			default:
 				sum += cm.SerialItemCost(d)
 			}
 		}
-		if sum > makespan {
-			makespan = sum
-		}
-	}
-	return makespan + cm.BarrierPerThread*float64(threads)
-}
-
-// graphlabMakespan models the synchronous vertex engine: static vertex
-// partition, per-activation and per-edge framework overheads, serial
-// Cholesky math for every vertex (the program cannot nest parallelism),
-// plus the superstep barrier.
-func graphlabMakespan(nnz []int, threads int, cm CostModel, cfg *core.Config) float64 {
-	bounds := sched.StaticChunks(threads, 0, len(nnz))
-	var makespan float64
-	for t := 0; t+1 < len(bounds); t++ {
-		var sum float64
-		for i := bounds[t]; i < bounds[t+1]; i++ {
-			d := nnz[i]
-			sum += cm.SerialItemCost(d) + cm.GraphLabPerVertex + cm.GraphLabPerEdge*float64(d)
-		}
-		if sum > makespan {
-			makespan = sum
-		}
+		makespan = max(makespan, sum)
 	}
 	return makespan + cm.BarrierPerThread*float64(threads)
 }
