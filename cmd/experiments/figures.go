@@ -20,16 +20,19 @@ import (
 // sweeps run it (des.SweepTime: one UpdateRange over a lane group of
 // items, the kernel forced at every degree); the parallel kernel runs its
 // chunk DAG on one core there and is additionally projected onto the
-// paper's 12-core node with the work-span model.
+// paper's 12-core node as the work-stealing sweep of that one item on
+// des.Lynx(1), with the parallel kernel forced the same way.
 func fig2(cfg core.Config, cm des.CostModel) {
 	fmt.Println("\n== Figure 2: compute time to update one item (K=32) ==")
 	fmt.Println("# columns: ratings, rankupdate(ms), serial_chol(ms), parallel_chol@1core(ms), parallel_chol@12cores-model(ms)")
+	par := cfg
+	par.RankOneMax, par.KernelThreshold = 0, 1
 	for _, nnz := range []int{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000} {
 		fmt.Printf("%8d", nnz)
 		for _, kern := range []core.Kernel{core.KernelRankOne, core.KernelCholesky, core.KernelParallelCholesky} {
 			fmt.Printf("  %12.5f", des.SweepTime(cfg, kern, la.Lanes, nnz)*1000)
 		}
-		fmt.Printf("  %12.5f\n", cm.ParallelItemCost(nnz, cfg.ParallelGrain, 12)*1000)
+		fmt.Printf("  %12.5f\n", des.Lynx(1).Sweep([]int{nnz}, cm, &par)*1000)
 	}
 	fmt.Println("# paper shape: rankupdate cheapest for few ratings, serial Cholesky in the middle,")
 	fmt.Println("# parallel Cholesky wins beyond ~1000 ratings (the hybrid threshold).")
@@ -91,24 +94,27 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 	fmt.Println("# against TBB/OpenMP's four lanes per register.")
 }
 
-// fig4 reproduces Figure 4: distributed strong scaling on the MovieLens
-// workload — items per second and parallel efficiency versus node count
-// on the BlueGene/Q machine model (16 cores/node, 32-node racks).
-func fig4(cfg core.Config, cm des.CostModel, scale float64) {
-	fmt.Println("\n== Figure 4: distributed BPMF strong scaling on MovieLens ==")
+// fig45 reproduces Figures 4 and 5 from one set of simulations of the
+// MovieLens workload on the BlueGene/Q machine model (16 cores/node,
+// 32-node racks), printing the tables asked for. Figure 4 is distributed
+// strong scaling: items per second and parallel efficiency versus node
+// count. Figure 5 is the fraction of iteration time each node spends
+// computing, communicating, and doing both (overlap), up to 128 nodes.
+func fig45(cfg core.Config, cm des.CostModel, scale float64, fig4, fig5 bool) {
 	ds := ml20mData(scale)
-	fmt.Printf("# workload: %d users x %d movies, %d ratings (scale %.3g)\n",
-		ds.R.M, ds.R.N, ds.R.NNZ(), scale)
-	fmt.Println("# columns: nodes, cores, items/s, parallel efficiency (vs 1 node)")
-
 	// The simulated cluster trains on the split a distributed run would
 	// (a 5 % hold-out) and routes the test set's movie rows as the engine
 	// does.
 	train, test := core.HoldOut(ds.R, 0.05, ds.Spec.Seed)
-	var base float64
-	for _, nodes := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024} {
-		w := des.BuildClusterWorkload(partition.Build(train, nodes), test, cfg)
-		m := des.BlueGeneQ(nodes)
+	nodes := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+	const fig5Points = 8 // 1 … 128 nodes
+	if !fig4 {
+		nodes = nodes[:fig5Points]
+	}
+	results := make([]des.ClusterResult, len(nodes))
+	for i, n := range nodes {
+		w := des.BuildClusterWorkload(partition.Build(train, n), test, cfg)
+		m := des.BlueGeneQ(n)
 		if scale != 1 {
 			// Scale the cache with the workload so the working-set /
 			// cache crossover (the super-linear region) falls at the same
@@ -117,39 +123,34 @@ func fig4(cfg core.Config, cm des.CostModel, scale float64) {
 			// here, shifting the crossover).
 			m.CacheBytes *= scale
 		}
-		res := des.SimulateCluster(w, m, cm, dist.DefaultBufferSize)
-		if nodes == 1 {
-			base = res.ItemsPerSec
-		}
-		eff := res.ItemsPerSec / (base * float64(nodes))
-		fmt.Printf("%6d  %7d  %14.0f  %8.1f%%\n", nodes, res.Cores, res.ItemsPerSec, eff*100)
+		results[i] = des.SimulateCluster(w, m, cm, dist.DefaultBufferSize)
 	}
-	fmt.Println("# paper shape: good, even super-linear scaling up to 32 nodes (one rack on the")
-	fmt.Println("# BG/Q: the per-node working set drops into cache); past one rack the shared")
-	fmt.Println("# inter-rack uplink saturates and performance degrades significantly.")
-}
 
-// fig5 reproduces Figure 5: fraction of iteration time each node spends
-// computing, communicating, and doing both (overlap), versus node count.
-func fig5(cfg core.Config, cm des.CostModel, scale float64) {
-	fmt.Println("\n== Figure 5: compute / communicate / overlap breakdown ==")
-	ds := ml20mData(scale)
-	train, test := core.HoldOut(ds.R, 0.05, ds.Spec.Seed) // as in fig4
-	fmt.Println("# columns: nodes, cores, compute%, both%, communicate%, idle%")
-	for _, nodes := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		w := des.BuildClusterWorkload(partition.Build(train, nodes), test, cfg)
-		m := des.BlueGeneQ(nodes)
-		if scale != 1 {
-			m.CacheBytes *= scale
+	if fig4 {
+		fmt.Println("\n== Figure 4: distributed BPMF strong scaling on MovieLens ==")
+		fmt.Printf("# workload: %d users x %d movies, %d ratings (scale %.3g)\n",
+			ds.R.M, ds.R.N, ds.R.NNZ(), scale)
+		fmt.Println("# columns: nodes, cores, items/s, parallel efficiency (vs 1 node)")
+		for i, res := range results {
+			eff := res.ItemsPerSec / (results[0].ItemsPerSec * float64(nodes[i]))
+			fmt.Printf("%6d  %7d  %14.0f  %8.1f%%\n", nodes[i], res.Cores, res.ItemsPerSec, eff*100)
 		}
-		res := des.SimulateCluster(w, m, cm, dist.DefaultBufferSize)
-		b := res.Breakdown
-		fmt.Printf("%6d  %7d  %8.1f%%  %7.1f%%  %12.1f%%  %6.1f%%\n",
-			nodes, res.Cores, b.ComputeOnly*100, b.Both*100, b.CommunicateOnly*100, b.Idle*100)
+		fmt.Println("# paper shape: good, even super-linear scaling up to 32 nodes (one rack on the")
+		fmt.Println("# BG/Q: the per-node working set drops into cache); past one rack the shared")
+		fmt.Println("# inter-rack uplink saturates and performance degrades significantly.")
 	}
-	fmt.Println("# paper shape: at small node counts communication overlaps computation (the")
-	fmt.Println("# 'both' band); at large counts overlap stops helping and exposed communication")
-	fmt.Println("# plus waiting dominates.")
+	if fig5 {
+		fmt.Println("\n== Figure 5: compute / communicate / overlap breakdown ==")
+		fmt.Println("# columns: nodes, cores, compute%, both%, communicate%, idle%")
+		for i, res := range results[:fig5Points] {
+			b := res.Breakdown
+			fmt.Printf("%6d  %7d  %8.1f%%  %7.1f%%  %12.1f%%  %6.1f%%\n",
+				nodes[i], res.Cores, b.ComputeOnly*100, b.Both*100, b.CommunicateOnly*100, b.Idle*100)
+		}
+		fmt.Println("# paper shape: at small node counts communication overlaps computation (the")
+		fmt.Println("# 'both' band); at large counts overlap stops helping and exposed communication")
+		fmt.Println("# plus waiting dominates.")
+	}
 }
 
 // rmseExperiment verifies §V-B: every engine reaches the same prediction

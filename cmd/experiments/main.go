@@ -65,12 +65,8 @@ func main() {
 		fig3(cfg, cm, ec.Scale)
 		ran = true
 	}
-	if ec.All || ec.Fig == 4 {
-		fig4(cfg, cm, ec.Scale)
-		ran = true
-	}
-	if ec.All || ec.Fig == 5 {
-		fig5(cfg, cm, ec.Scale)
+	if fig4, fig5 := ec.All || ec.Fig == 4, ec.All || ec.Fig == 5; fig4 || fig5 {
+		fig45(cfg, cm, ec.Scale, fig4, fig5)
 		ran = true
 	}
 	if ec.All || ec.RMSE {

@@ -13,8 +13,8 @@ import (
 // ClusterWorkload is the distilled per-rank workload of one distributed
 // BPMF configuration: what each rank computes and what it ships where —
 // extracted from the real partitioner output and the engine's own routing
-// rule (partition.Plan.Route), so the simulator replays the actual engine
-// schedule. Its traffic is the engine's to the item: traffic_test.go pins
+// rule (partition.Plan.Route), so the simulator ships what the engine
+// ships. Its traffic is the engine's to the item: traffic_test.go pins
 // items sent, ghosts received and messages per rank to a measured
 // dist.RunInProc.
 type ClusterWorkload struct {
@@ -150,8 +150,8 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 	compute := make([]float64, p)
 	for q := 0; q < p; q++ {
 		f := m.cacheFactor(w.WorkingSet[q])
-		movie.dur[q] = m.sweep(w.MovieNNZ[q], cm, &cfg) / f
-		user.dur[q] = m.sweep(w.UserNNZ[q], cm, &cfg) / f
+		movie.dur[q] = m.Sweep(w.MovieNNZ[q], cm, &cfg) / f
+		user.dur[q] = m.Sweep(w.UserNNZ[q], cm, &cfg) / f
 		compute[q] = movie.dur[q] + user.dur[q]
 		// Moments parallelize trivially under every policy (GraphLab runs
 		// them through its aggregate path with the same static split).
@@ -242,7 +242,7 @@ func SimulateCluster(w *ClusterWorkload, m Machine, cm CostModel, bufferBytes in
 // buffers fill, with the final partial buffer at compute end. This is
 // dist.Node.updateSide's behaviour at any thread count: finished rows
 // enter the coalescers a grain at a time while the node's cores (the
-// Machine.sweep) are still drawing the rest.
+// Machine.Sweep) are still drawing the rest.
 func emitMessages(sends [][]int64, start, dur []float64, recordBytes, bufferBytes int) []message {
 	bufItems := bufferBytes / recordBytes
 	if bufItems < 1 {

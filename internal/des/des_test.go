@@ -16,6 +16,14 @@ func cfg() core.Config {
 	return c
 }
 
+// parallelItemTime is Figure 2's 12-core column: the work-stealing sweep
+// of one item of nnz ratings on Lynx(1), the parallel kernel forced
+// through c's thresholds.
+func parallelItemTime(nnz int, cm CostModel, c core.Config) float64 {
+	c.RankOneMax, c.KernelThreshold = 0, 1
+	return Lynx(1).Sweep([]int{nnz}, cm, &c)
+}
+
 func TestCostModelMonotone(t *testing.T) {
 	cm := DefaultCostModel(32)
 	c := cfg()
@@ -29,9 +37,9 @@ func TestCostModelMonotone(t *testing.T) {
 	}
 	// Parallel kernel with many cores must beat serial for heavy items.
 	heavy := 50000
-	if !(cm.ParallelItemCost(heavy, c.ParallelGrain, 12) < cm.SerialItemCost(heavy)/4) {
+	if par := parallelItemTime(heavy, cm, c); !(par < cm.SerialItemCost(heavy)/4) {
 		t.Fatalf("parallel kernel on 12 cores should be >4x faster on %d ratings: %v vs %v",
-			heavy, cm.ParallelItemCost(heavy, c.ParallelGrain, 12), cm.SerialItemCost(heavy))
+			heavy, par, cm.SerialItemCost(heavy))
 	}
 	// Rank-one must win for tiny items (no K³ fixed cost)...
 	if !(cm.RankOneItemCost(1) < cm.SerialItemCost(1)) {
@@ -48,12 +56,11 @@ func TestFig2CrossoversExistInModel(t *testing.T) {
 	// Cholesky cheapest in the middle, parallel cheapest for heavy items.
 	cm := DefaultCostModel(32)
 	c := cfg()
-	cores := 12
 	foundSerialWin, foundParallelWin := false, false
 	for nnz := 1; nnz <= 200000; nnz *= 2 {
 		r1 := cm.RankOneItemCost(nnz)
 		sc := cm.SerialItemCost(nnz)
-		pc := cm.ParallelItemCost(nnz, c.ParallelGrain, cores)
+		pc := parallelItemTime(nnz, cm, c)
 		if sc < r1 && sc < pc {
 			foundSerialWin = true
 		}
@@ -223,7 +230,7 @@ func TestFig3EngineOrdering(t *testing.T) {
 
 // sweepTime is one node's sweep of nnz on threads cores under pol.
 func sweepTime(nnz []int, threads int, pol Policy, cm CostModel, c *core.Config) float64 {
-	return Machine{CoresPerNode: threads, Policy: pol}.sweep(nnz, cm, c)
+	return Machine{CoresPerNode: threads, Policy: pol}.Sweep(nnz, cm, c)
 }
 
 // nodeThroughput is Figure 3's y-value: the items per second of w on one
@@ -250,7 +257,7 @@ func TestOneRankIsOneNode(t *testing.T) {
 			m := Lynx(1)
 			m.CoresPerNode, m.Policy = threads, pol
 			got := SimulateCluster(w, m, cm, 64<<10).IterTime
-			want := m.sweep(movie, cm, &c) + m.sweep(user, cm, &c) +
+			want := m.Sweep(movie, cm, &c) + m.Sweep(user, cm, &c) +
 				cm.MomentPerRow*float64(train.M+train.N)/float64(threads) +
 				cm.EvalMakespan(len(test), threads)
 			if math.Abs(got-want) > 1e-12*want {

@@ -4,22 +4,25 @@
 // which is not the machine it runs on. Figure 3 is a one-rank cluster:
 // every figure goes through SimulateCluster, one node model for all.
 //
-// The simulator replays the *actual* engine schedules in virtual time:
-// the item task sets come from the real synthetic datasets, the partition
-// and routing from the real partitioner (partition.Build and the engine's
-// own partition.Plan.Route, test-set routing included), and the kernel
-// costs from the engine's own sweeps timed on this machine
-// (CalibrateCostModel, SweepTime). Its traffic is exact, not modeled:
-// items sent, ghost rows received and coalesced messages per rank equal a
-// measured dist.RunInProc's (traffic_test.go, 1–4 ranks, three buffer
-// sizes, both paper shapes). Its per-rank compute is held to a measured
-// run's dist.Stats.ComputeTime within a factor of two (compute_test.go,
-// 1 and 2 ranks, both paper shapes, calibrated in process).
-// What it models, rather than measures, are the parts that need hardware:
-// concurrent cores (greedy work-stealing/static/GraphLab scheduling in
-// virtual time), the per-node cache (the super-linear region of Figure
-// 4), link latency/bandwidth and the shared per-rack uplink whose
-// saturation collapses scaling past one rack.
+// The simulator steps the engine's phases in virtual time on the engine's
+// inputs: the items and their degrees come from the real synthetic
+// datasets, the partition and routing from the real partitioner
+// (partition.Build and the engine's own partition.Plan.Route, test-set
+// routing included), and the kernel costs from the engine's own sweeps
+// timed on this machine (CalibrateCostModel, SweepTime). Its node walks
+// each sweep's items in storage order, one task per item; the engines
+// walk the sampler's lane order (core.Sampler.Order) in tasks of
+// core.ItemGrain positions (Machine.Sweep, ROADMAP item 4). Its traffic
+// is exact, not modeled: items sent, ghost rows received and coalesced
+// messages per rank equal a measured dist.RunInProc's (traffic_test.go,
+// 1–4 ranks, three buffer sizes, both paper shapes). Its per-rank compute
+// is held to a measured run's dist.Stats.ComputeTime within a factor of
+// two (compute_test.go, 1 and 2 ranks, both paper shapes, calibrated in
+// process). What it models, rather than measures, are the parts that
+// need hardware: concurrent cores (greedy work-stealing/static/GraphLab
+// scheduling in virtual time), the per-node cache (the super-linear
+// region of Figure 4), link latency/bandwidth and the shared per-rack
+// uplink whose saturation collapses scaling past one rack.
 package des
 
 import (
@@ -75,29 +78,6 @@ func (cm CostModel) SerialItemCost(nnz int) float64 {
 // RankOneItemCost returns the modeled cost with the rank-one kernel.
 func (cm CostModel) RankOneItemCost(nnz int) float64 {
 	return cm.RankOnePerItem + cm.RankOnePerRating*float64(nnz)
-}
-
-// ParallelItemCost returns the modeled wall-clock cost of one heavy item
-// on p cooperating cores with the given accumulation grain: the
-// accumulation parallelizes, the K³ factorization and solve do not
-// (K << nnz), and every chunk pays one task overhead.
-func (cm CostModel) ParallelItemCost(nnz, grain, p int) float64 {
-	if grain < 1 {
-		grain = 1
-	}
-	chunks := (nnz + grain - 1) / grain
-	if chunks < 1 {
-		chunks = 1
-	}
-	workers := p
-	if chunks < workers {
-		workers = chunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	accum := cm.PerRating * float64(nnz) / float64(workers)
-	return cm.PerItem + accum + cm.TaskOverhead*float64(chunks)
 }
 
 // EvalMakespan returns the modeled duration of the chunk-parallel

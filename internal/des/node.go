@@ -33,14 +33,17 @@ func (p Policy) String() string {
 	}
 }
 
-// sweep returns the modeled duration of one item sweep on this node: the
-// items whose rating counts nnz lists, in storage order, drawn by the
-// node's CoresPerNode cores under its Policy. The policies split that
-// order. The real engines walk the sampler's lane order instead
-// (core.Sampler.Order: per moment group, Cholesky-kernel items, then
-// rank-one items by ascending degree), so a static split of the
-// simulation and of a real run hand a thread different items.
-func (m Machine) sweep(nnz []int, cm CostModel, cfg *core.Config) float64 {
+// Sweep returns the modeled duration of one item sweep on this node: the
+// items whose rating counts nnz lists, drawn by the node's CoresPerNode
+// cores under its Policy with the kernels cfg selects by degree. The node
+// walks nnz in storage order, one task per item (under work stealing a
+// heavy item is one task per accumulation chunk plus its tail). The real
+// engines walk the sampler's lane order instead (core.Sampler.Order: per
+// moment group, Cholesky-kernel items, then rank-one items by ascending
+// degree) in tasks of core.ItemGrain positions, so a static split of the
+// simulation and of a real run hand a thread different items (ROADMAP
+// item 4).
+func (m Machine) Sweep(nnz []int, cm CostModel, cfg *core.Config) float64 {
 	threads := max(m.CoresPerNode, 1)
 	switch m.Policy {
 	case PolicyWorkSteal:
