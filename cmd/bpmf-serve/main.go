@@ -7,7 +7,9 @@
 // and each model hot-reloads independently on SIGHUP or when its
 // checkpoint file changes on disk (-watch), so long-running trainers can
 // keep publishing fresher posteriors next to a live server, one model at
-// a time.
+// a time. On Linux a rename onto the file (every publish) or a close
+// after writing it reloads at once; the -watch interval bounds how long
+// any other change goes unnoticed.
 //
 // Single-model (classic flags; serves under the name "default"):
 //

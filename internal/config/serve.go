@@ -119,10 +119,12 @@ type Serve struct {
 	// that pass it. Requests are scored in up to GOMAXPROCS concurrent
 	// scoring slots.
 	Threads int `json:"threads,omitempty"`
-	// Watch polls each model's checkpoint file at this interval and
-	// hot-reloads it on change (0 = SIGHUP only). Models reload
-	// independently: one model's new checkpoint never touches the
-	// others' snapshots.
+	// Watch hot-reloads each model's checkpoint file on change (0 =
+	// SIGHUP only). On Linux a rename onto the file or a close after
+	// writing it wakes the watcher at once; the file is also checked
+	// at this interval, which bounds how long any other change goes
+	// unnoticed. Models reload independently: one model's new
+	// checkpoint never touches the others' snapshots.
 	Watch Duration `json:"watch,omitempty"`
 	// Serving configures the shared request path: queue bound and
 	// per-client rate limits.
@@ -156,7 +158,7 @@ func DefaultServeModel() ServeModel { return ServeModel{Alpha: 2.0} }
 func (c *Serve) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Addr, "addr", c.Addr, "HTTP listen address")
 	fs.IntVar(&c.Threads, "threads", c.Threads, "ignored (must be >= 0); requests are scored in up to GOMAXPROCS concurrent scoring slots")
-	fs.Var(&c.Watch, "watch", "poll each model's checkpoint at this interval and hot-reload on change (0 = SIGHUP only)")
+	fs.Var(&c.Watch, "watch", "hot-reload each model's checkpoint on change (0 = SIGHUP only): on Linux at once when the file is renamed onto or closed after writing, and within this interval for any other change")
 	c.Serving.RegisterFlags(fs)
 	fs.StringVar(&c.Model.Ckpt, "ckpt", c.Model.Ckpt, "checkpoint file to serve (single-model mode)")
 	fs.StringVar(&c.Model.Data, "data", c.Model.Data, "rating matrix (MatrixMarket .mtx or binary .bcsr): enables already-rated exclusion in /recommend")

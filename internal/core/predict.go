@@ -72,7 +72,7 @@ func (p *Predictor) Intervals() []Interval {
 	n := float64(p.nSamples)
 	for t, e := range p.Test {
 		mean := p.sum[t] / n
-		variance := p.sumSq[t]/n - mean*mean
+		variance := p.sumSq[t]/n - float64(mean*mean)
 		if variance < 0 {
 			variance = 0
 		}

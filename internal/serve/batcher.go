@@ -205,7 +205,7 @@ func (l *limiter) allow(client string) (time.Duration, bool) {
 		bk = &bucket{tokens: l.burst, last: now}
 		l.clients[client] = bk
 	} else {
-		bk.tokens += l.rate * now.Sub(bk.last).Seconds()
+		bk.tokens += float64(l.rate * now.Sub(bk.last).Seconds())
 		if bk.tokens > l.burst {
 			bk.tokens = l.burst
 		}

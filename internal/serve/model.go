@@ -226,7 +226,7 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 		n := float64(ckpt.NSamples)
 		for t, e := range opts.Test {
 			mean := ckpt.PredSum[t] / n
-			variance := ckpt.PredSumSq[t]/n - mean*mean
+			variance := ckpt.PredSumSq[t]/n - float64(mean*mean)
 			if variance < 0 {
 				variance = 0
 			}

@@ -102,9 +102,11 @@ func (r *Registry) ReloadAll() map[string]error {
 	return errs
 }
 
-// Watch polls every model's checkpoint file at interval and hot-reloads
-// each on change, until ctx is done — one watcher goroutine per model,
-// so a slow or failing reload of one model never delays another's.
+// Watch hot-reloads every model's checkpoint file on change, until ctx
+// is done — one Server.Watch per model, so a slow or failing reload of
+// one model never delays another's. On Linux a rename onto a file or a
+// close after writing it wakes its watcher at once; interval bounds how
+// long any other change goes unnoticed.
 // Reload errors are reported to onErr (nil = dropped) with the model's
 // name and do not stop the watch.
 func (r *Registry) Watch(ctx context.Context, interval time.Duration, onErr func(name string, err error)) {

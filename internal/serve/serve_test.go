@@ -451,6 +451,56 @@ func TestServerWatchPicksUpFileChange(t *testing.T) {
 	<-done
 }
 
+// startWatch runs srv.Watch on its own goroutine; the returned stop
+// cancels it and waits until Watch has returned.
+func startWatch(srv *Server, interval time.Duration) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Watch(ctx, interval, nil)
+	}()
+	return func() { cancel(); <-done }
+}
+
+// waitReloads waits up to limit for srv to have swapped want snapshots
+// in (the initial load is the first).
+func waitReloads(t *testing.T, srv *Server, want int64, limit time.Duration, what string) {
+	t.Helper()
+	deadline := time.Now().Add(limit)
+	for srv.Reloads.Load() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s was not reloaded within %s (reloads %d, want %d)", what, limit, srv.Reloads.Load(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServerWatchTickerAlone changes only the served file's mtime. On
+// Linux that is an IN_ATTRIB event, which fileWake does not ask for, so
+// the reload must come from the ticker: TestServerWatchPicksUpFileChange
+// renames, and there the rename's wake would hide a dead ticker. Watch
+// checks the file once on entry, which may load the first change; once
+// that reload is counted the loop is running, and only the ticker can
+// load the second.
+func TestServerWatchTickerAlone(t *testing.T) {
+	ckpt, prob, cfg := trainedChain(t, 40, 4, 2)
+	path := filepath.Join(t.TempDir(), "model.ckpt")
+	writeCheckpointFile(t, path, ckpt)
+	srv, err := Open(path, modelOptions(prob, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer startWatch(srv, 5*time.Millisecond)()
+	for want := int64(2); want <= 3; want++ {
+		mtime := time.Now().Add(time.Duration(want) * time.Hour)
+		if err := os.Chtimes(path, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+		waitReloads(t, srv, want, 5*time.Second, "a file whose mtime changed")
+	}
+}
+
 // TestRecommendRanksRawScoresUnderClamping pins the fix for the
 // clamp-before-rank bug: with clamping enabled, items predicted above
 // ClampMax must still rank by raw preference, not collapse into an

@@ -141,24 +141,35 @@ func (s *Server) MaybeReload() (bool, error) {
 	return true, nil
 }
 
-// Watch polls the checkpoint file every interval and hot-reloads on
-// change, until ctx is done. Reload errors are reported to onErr (nil =
-// dropped) and do not stop the watch — a checkpoint mid-write simply
-// fails validation and is retried on the next tick.
+// Watch hot-reloads the checkpoint file when it changes, until ctx is
+// done. On Linux a rename onto the file or a close after writing it
+// wakes the watcher at once (fileWake); every interval the ticker wakes
+// it too, which bounds how long any other change (an mtime-only touch, a
+// symlink target in another directory, a network filesystem, every
+// change off Linux) goes unnoticed. Every wake, and Watch's entry, calls
+// MaybeReload. Reload errors are reported to onErr (nil = dropped) and
+// do not stop the watch — a checkpoint mid-write simply fails validation
+// and is retried on the next wake.
 func (s *Server) Watch(ctx context.Context, interval time.Duration, onErr func(error)) {
 	if interval <= 0 {
 		interval = time.Second
 	}
+	wake, stop := fileWake(s.path)
+	defer stop()
 	t := time.NewTicker(interval)
 	defer t.Stop()
+	// The first check runs once the wake is in place, so a publish that
+	// landed after the last load but before the watch is not left to the
+	// ticker.
 	for {
+		if _, err := s.MaybeReload(); err != nil && onErr != nil {
+			onErr(err)
+		}
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			if _, err := s.MaybeReload(); err != nil && onErr != nil {
-				onErr(err)
-			}
+		case <-wake:
 		}
 	}
 }
