@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+
+	"repro/internal/sparse"
 )
 
 // ReadCheckpointFile reads and validates the checkpoint at path; errors
@@ -36,27 +37,18 @@ func ReadCheckpointFile(path string) (*Checkpoint, os.FileInfo, error) {
 }
 
 // WriteCheckpointFile writes a checkpoint (or any durability-critical
-// file) atomically: the payload goes to a temp file in the target's
-// directory and is renamed into place only after a successful write and
-// close. A reader — a bpmf-serve watcher, a recovering rank scanning for
-// manifests — therefore never observes a torn or half-written file: the
-// target either holds its previous contents or the complete new ones.
-// On any error the target is left untouched and the temp file removed.
+// file) atomically and durably: fsync file, rename, fsync directory
+// (sparse.ReplaceFile). The payload goes to a temp file in the target's
+// directory and is renamed into place only after a successful write,
+// fsync and close, and the directory is fsynced after the rename. A
+// reader — a bpmf-serve watcher, a recovering rank scanning for
+// manifests — therefore never observes a torn or half-written file, and
+// a crash after this returns cannot take the new file back: the target
+// holds either its previous contents or the complete new ones, mode
+// 0644. On any error the target is left untouched and the temp file
+// removed.
 func WriteCheckpointFile(path string, write func(w io.Writer) error) error {
-	dir, base := filepath.Dir(path), filepath.Base(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := sparse.ReplaceFile(path, func(f *os.File) error { return write(f) }); err != nil {
 		return fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	return nil

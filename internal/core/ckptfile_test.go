@@ -27,6 +27,12 @@ func TestWriteCheckpointFileRoundtrip(t *testing.T) {
 	if string(got) != "payload-v1" {
 		t.Fatalf("got %q", got)
 	}
+	// A server running as another user must still read what was written.
+	if fi, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if fi.Mode().Perm() != 0o644 {
+		t.Fatalf("mode %v, want 0644", fi.Mode().Perm())
+	}
 }
 
 // TestWriteCheckpointFileCrashMidWrite simulates a writer dying halfway

@@ -43,6 +43,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/sparse"
 )
@@ -106,6 +107,12 @@ func (l *Log) recover() error {
 		}
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("feed: syncing log header: %w", err)
+		}
+		// A new file's directory entry is not durable until its
+		// directory is synced; without it the first acknowledged Append
+		// could vanish with the file.
+		if err := sparse.SyncDir(filepath.Dir(l.path)); err != nil {
+			return fmt.Errorf("feed: %w", err)
 		}
 		l.size = int64(headerLen)
 		return nil

@@ -229,6 +229,28 @@ func TestLogEmptyFileInitializes(t *testing.T) {
 	}
 }
 
+// TestLogFreshPathHeaderOnly: OpenLog over a path that does not exist
+// creates the file (and syncs its directory entry) holding exactly the
+// header for the catalog width asked for.
+func TestLogFreshPathHeaderOnly(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fresh.log")
+	l, err := OpenLog(path, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(logMagic), 7, 0, 0, 0, 0, 0, 0, 0)
+	if string(got) != string(want) {
+		t.Fatalf("fresh log holds %q, want the header %q", got, want)
+	}
+}
+
 func TestLogTruncateResets(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.log")
 	l, err := OpenLog(path, 3)

@@ -61,8 +61,8 @@ type ConvertStats struct {
 }
 
 // Convert streams the MatrixMarket file at mmPath into a .bcsr file at
-// outPath (written via a temp file + rename, so a crash never leaves a
-// half-written shard file behind).
+// outPath, put in place by ReplaceFile: a crash leaves the previous file
+// or the whole new one, never a half-written or unsynced shard file.
 func (cv Converter) Convert(mmPath, outPath string) (ConvertStats, error) {
 	scan := func(header func(m, n, nnz int) error, visit func(Entry) error) error {
 		f, err := os.Open(mmPath)
@@ -182,64 +182,36 @@ func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream,
 	}
 
 	// Pass 3: sort each spill into its row panel and write the output.
-	out, err := os.CreateTemp(filepath.Dir(outPath), filepath.Base(outPath)+".tmp*")
-	if err != nil {
-		return ConvertStats{}, err
-	}
-	defer func() {
-		if out != nil {
-			out.Close()
-			os.Remove(out.Name())
-		}
-	}()
-	// NNZ is not known until every panel has deduplicated: the header
-	// goes out with a zero there, patched once the shards are written.
-	totalNNZ, err := writeShards(out, m, n, 0, lo, hi, func(s int) (*CSR, int, int, error) {
-		panel, err := loadSpill(spills[s], lo[s], hi[s], n, cv.Dedup)
+	// Callers delete their source once this returns (the trainer
+	// truncates the rating log), so the shard must be on disk, under its
+	// name, first: ReplaceFile's fsyncs see to that.
+	var totalNNZ int64
+	err = ReplaceFile(outPath, func(out *os.File) error {
+		// NNZ is not known until every panel has deduplicated: the header
+		// goes out with a zero there, patched once the shards are written.
+		var err error
+		totalNNZ, err = writeShards(out, m, n, 0, lo, hi, func(s int) (*CSR, int, int, error) {
+			panel, err := loadSpill(spills[s], lo[s], hi[s], n, cv.Dedup)
+			if err != nil {
+				return nil, 0, 0, fmt.Errorf("sparse: shard %d spill: %w", s, err)
+			}
+			spills[s].Close()
+			os.Remove(spills[s].Name())
+			spills[s] = nil
+			return panel, 0, panel.M, nil
+		})
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("sparse: shard %d spill: %w", s, err)
+			return err
 		}
-		spills[s].Close()
-		os.Remove(spills[s].Name())
-		spills[s] = nil
-		return panel, 0, panel.M, nil
+		if _, err := out.WriteAt(binary.LittleEndian.AppendUint64(nil, uint64(totalNNZ)), bcsrNNZOffset); err != nil {
+			return fmt.Errorf("sparse: patching bcsr entry count: %w", err)
+		}
+		return nil
 	})
 	if err != nil {
 		return ConvertStats{}, err
 	}
-	if _, err := out.WriteAt(binary.LittleEndian.AppendUint64(nil, uint64(totalNNZ)), bcsrNNZOffset); err != nil {
-		return ConvertStats{}, fmt.Errorf("sparse: patching bcsr entry count: %w", err)
-	}
-	// Callers delete their source once this returns (the trainer
-	// truncates the rating log), so the shard must be on disk, under its
-	// name, first: fsync the bytes, rename, fsync the directory entry.
-	if err := out.Sync(); err != nil {
-		return ConvertStats{}, fmt.Errorf("sparse: syncing %s: %w", out.Name(), err)
-	}
-	if err := out.Close(); err != nil {
-		return ConvertStats{}, err
-	}
-	if err := os.Rename(out.Name(), outPath); err != nil {
-		return ConvertStats{}, err
-	}
-	out = nil
-	if err := syncDir(filepath.Dir(outPath)); err != nil {
-		return ConvertStats{}, err
-	}
 	return ConvertStats{M: m, N: n, NNZ: totalNNZ, Shards: len(lo)}, nil
-}
-
-// syncDir fsyncs a directory, making a rename inside it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("sparse: syncing directory %s: %w", dir, err)
-	}
-	return nil
 }
 
 // loadSpill reads one shard's spilled entries (file order preserved)
