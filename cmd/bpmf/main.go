@@ -67,8 +67,8 @@ func main() {
 // train runs Train — or, when a checkpoint is read (-resume-ckpt, a
 // warm start continued to cfg.Iters total iterations) or written
 // (-ckpt-out), ResumeWithCheckpoint / TrainWithCheckpoint on the chosen
-// engine. Checkpoints are written to a temp file and renamed into place
-// so a bpmf-serve watcher never observes a half-written snapshot.
+// engine. Checkpoints go through core.WriteCheckpointFile (fsync, rename,
+// fsync directory): a bpmf-serve watcher never sees a half-written one.
 func train(data *bpmf.Data, cfg bpmf.Config, ckptOut, resumeCkpt string) (*bpmf.Result, error) {
 	if ckptOut == "" && resumeCkpt == "" {
 		return bpmf.Train(data, cfg)

@@ -55,11 +55,11 @@ func main() {
 // writeMatrix writes r to path, picking the format from the extension:
 // .bcsr binary shards (shardNNZ entries per shard, 0 = default),
 // MatrixMarket otherwise. An empty path streams MatrixMarket to stdout.
-// A file is written beside its final name and renamed into place: an
+// A file goes through core.WriteCheckpointFile (temp, fsync, rename): an
 // existing file is replaced, never truncated, so a crash or a full disk
-// leaves the old bytes and a process that has the old file mapped
-// (sparse.Load, a bpmf-dist rank, bpmf-serve's exclusions) keeps a whole
-// file under its mapping instead of a SIGBUS.
+// leaves the old bytes or the whole new ones, and a process that has the
+// old file mapped (sparse.Load, a bpmf-dist rank, bpmf-serve's
+// exclusions) keeps a whole file under its mapping instead of a SIGBUS.
 func writeMatrix(path string, r *sparse.CSR, shardNNZ int) error {
 	if path == "" {
 		return sparse.WriteMatrixMarket(os.Stdout, r)

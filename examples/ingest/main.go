@@ -33,14 +33,9 @@ func main() {
 	// An ml-20m-shaped dataset at 1% scale (~200k ratings) so the example
 	// runs in seconds; datagen -spec ml-20m writes the full thing.
 	ds := datagen.Generate(datagen.Scaled(datagen.ML20M(3), 0.01))
-	f, err := os.Create(mmPath)
-	if err != nil {
+	if err := sparse.ReplaceFile(mmPath, func(f *os.File) error { return sparse.WriteMatrixMarket(f, ds.R) }); err != nil {
 		log.Fatal(err)
 	}
-	if err := sparse.WriteMatrixMarket(f, ds.R); err != nil {
-		log.Fatal(err)
-	}
-	f.Close()
 	fi, _ := os.Stat(mmPath)
 	fmt.Printf("MatrixMarket export: %d x %d, %d ratings, %.1f MB of text\n",
 		ds.R.M, ds.R.N, ds.R.NNZ(), float64(fi.Size())/1e6)

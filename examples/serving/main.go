@@ -60,14 +60,10 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	ckptPath := filepath.Join(dir, "model.ckpt")
-	f, err := os.Create(ckptPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := bpmf.TrainWithCheckpoint(data, cfg, f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := sparse.ReplaceFile(ckptPath, func(f *os.File) error {
+		_, err := bpmf.TrainWithCheckpoint(data, cfg, f)
+		return err
+	}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -128,14 +124,10 @@ func main() {
 	stagingPath := filepath.Join(dir, "staging.ckpt")
 	longCfg := cfg
 	longCfg.Iters, longCfg.Burnin = 120, 40
-	f, err = os.Create(stagingPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if _, err := bpmf.TrainWithCheckpoint(data, longCfg, f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := sparse.ReplaceFile(stagingPath, func(f *os.File) error {
+		_, err := bpmf.TrainWithCheckpoint(data, longCfg, f)
+		return err
+	}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -38,15 +38,10 @@ func ReadCheckpointFile(path string) (*Checkpoint, os.FileInfo, error) {
 
 // WriteCheckpointFile writes a checkpoint (or any durability-critical
 // file) atomically and durably: fsync file, rename, fsync directory
-// (sparse.ReplaceFile). The payload goes to a temp file in the target's
-// directory and is renamed into place only after a successful write,
-// fsync and close, and the directory is fsynced after the rename. A
-// reader — a bpmf-serve watcher, a recovering rank scanning for
-// manifests — therefore never observes a torn or half-written file, and
-// a crash after this returns cannot take the new file back: the target
-// holds either its previous contents or the complete new ones, mode
-// 0644. On any error the target is left untouched and the temp file
-// removed.
+// (sparse.ReplaceFile). A reader — a bpmf-serve watcher, a recovering
+// rank scanning for manifests — never observes a torn or half-written
+// file, and a crash after it returns keeps the new one. On any error the
+// target is left untouched and the temp file removed.
 func WriteCheckpointFile(path string, write func(w io.Writer) error) error {
 	if err := sparse.ReplaceFile(path, func(f *os.File) error { return write(f) }); err != nil {
 		return fmt.Errorf("checkpoint %s: %w", path, err)

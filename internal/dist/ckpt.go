@@ -18,15 +18,14 @@ import (
 // writes its *owned* slice of the chain state as a fragment (the
 // sequential core.Checkpoint format over the owned rows/columns and the
 // locally owned test accumulators), then rank 0 seals the round with a
-// JSON manifest naming the fragments. Both writes are temp-file +
-// atomic-rename (core.WriteCheckpointFile) and the manifest is written
-// only after a barrier confirms every fragment is durable — so the
-// directory never holds a manifest whose fragments are torn or missing,
-// and a recovering cluster can always trust the latest manifest it
-// finds. Recovery reassembles the fragments into one global
-// core.Checkpoint; any rank count can resume from it, because the
-// fragments are sliced by the *manifest's* ownership bounds, not the
-// resuming run's.
+// JSON manifest naming the fragments. Both writes are durable replaces
+// (core.WriteCheckpointFile: fsync, rename, fsync directory) and the
+// manifest is written only after a barrier confirms every fragment is
+// durable — so the directory never holds a manifest whose fragments are
+// torn or missing, even after a crash, and a recovering cluster can
+// always trust the latest manifest it finds. Recovery reassembles the
+// fragments into one global core.Checkpoint; any rank count can resume
+// from it: the fragments are sliced by the *manifest's* ownership bounds.
 
 // Manifest seals one coordinated checkpoint round.
 type Manifest struct {
@@ -116,9 +115,9 @@ func ReadManifest(dir string, iter int) (*Manifest, error) {
 // the one with the highest iteration, or (nil, nil) when none exist.
 // Unreadable, torn, or structurally inconsistent manifest files are
 // skipped with a logged warning instead of failing the whole resume:
-// the manifest write is atomic-rename, so a bad file is debris from a
-// foreign writer or a damaged filesystem — and recovery should proceed
-// from the newest manifest that is actually intact.
+// the manifest write is an atomic, durable replace, so a bad file is
+// debris from a foreign writer or a damaged filesystem — and recovery
+// should proceed from the newest manifest that is actually intact.
 func LatestManifest(dir string) (*Manifest, error) {
 	names, err := filepath.Glob(filepath.Join(dir, "manifest-iter*.json"))
 	if err != nil {

@@ -108,11 +108,9 @@ func (l *Log) recover() error {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("feed: syncing log header: %w", err)
 		}
-		// A new file's directory entry is not durable until its
-		// directory is synced; without it the first acknowledged Append
-		// could vanish with the file.
+		// Unsynced, a new file's directory entry (and every Append) can vanish.
 		if err := sparse.SyncDir(filepath.Dir(l.path)); err != nil {
-			return fmt.Errorf("feed: %w", err)
+			return fmt.Errorf("feed: syncing log directory: %w", err)
 		}
 		l.size = int64(headerLen)
 		return nil

@@ -6,10 +6,10 @@ import (
 	"repro/internal/core"
 )
 
-// PublishCheckpoint atomically rotates a checkpoint into the path a
-// server watches: the checkpoint is written to a temp file in the
-// destination directory and renamed into place, so a watcher (or a
-// crash) can never observe a half-written snapshot.
+// PublishCheckpoint atomically and durably rotates a checkpoint into the
+// path a server watches (core.WriteCheckpointFile: temp file, fsync,
+// rename, fsync directory), so a watcher can never observe a half-written
+// snapshot and a crash after the publish returns cannot lose it.
 //
 // lin, when non-nil, is the publish-side half of the lineage contract:
 // the checkpoint's (Seed, K) must match before a single byte is

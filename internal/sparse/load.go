@@ -61,7 +61,7 @@ func IsBCSR(path string) (bool, error) {
 // "reading bcsr magic", not a stream), and writers replace a .bcsr file
 // by rename, never in place: truncating a file another process has
 // mapped makes its next page fault a SIGBUS (datagen and the Converter
-// both write a temp file and rename it).
+// both go through ReplaceFile).
 func Load(path string) (*CSR, error) {
 	return load(path, nil, true)
 }

@@ -1,22 +1,18 @@
 package sparse
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 )
 
-// ReplaceFile puts the bytes write produces at path, atomically and
-// durably: write fills a temp file in path's directory, which is made
-// mode 0644, fsynced, closed and renamed over path, and then the
-// directory is fsynced so the rename survives a crash. A reader — a
-// bpmf-serve watcher, a recovering rank scanning for manifests, a
-// process with the old file mapped — sees the previous file or the
-// complete new one, never a torn or empty one. On any error the temp is
+// ReplaceFile puts what write writes at path, atomically and durably:
+// a temp file in path's directory is written, made mode 0644, fsynced,
+// closed and renamed over path, then the directory is fsynced. A reader
+// sees the old file or the whole new one, never a torn one, and a crash
+// after ReplaceFile returns keeps the new one. On error the temp is
 // removed and path left untouched. write gets the *os.File so that it
-// may patch what it wrote with WriteAt.
-//
-// Every durable replacement in the program goes through here.
+// may patch what it wrote with WriteAt. Every durable replacement in
+// the program goes through here.
 func ReplaceFile(path string, write func(f *os.File) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -42,16 +38,12 @@ func ReplaceFile(path string, write func(f *os.File) error) error {
 	return SyncDir(filepath.Dir(path))
 }
 
-// SyncDir fsyncs a directory, making an entry created or renamed inside
-// it durable.
+// SyncDir fsyncs dir, making an entry created or renamed in it durable.
 func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("sparse: syncing directory %s: %w", dir, err)
-	}
-	return nil
+	return d.Sync()
 }

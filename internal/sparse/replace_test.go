@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,9 +17,8 @@ func TestReplaceFile(t *testing.T) {
 		old     []byte // nil = no file at the target beforehand
 		sub     string // a directory below t.TempDir() that is never made
 		write   func(f *os.File) error
-		wantErr error // nil = success; any error when wantAny is set
-		wantAny bool
-		want    []byte // the target's bytes afterwards (nil = absent)
+		wantErr error  // nil = success, else matched with errors.Is
+		want    []byte // the target's bytes afterwards
 	}{
 		{
 			name:  "new file round-trips",
@@ -35,7 +35,9 @@ func TestReplaceFile(t *testing.T) {
 			name: "callback error keeps the old target",
 			old:  []byte("good"),
 			write: func(f *os.File) error {
-				f.Write([]byte("torn-"))
+				if _, err := f.Write([]byte("torn-")); err != nil {
+					return err
+				}
 				return boom
 			},
 			wantErr: boom,
@@ -45,7 +47,7 @@ func TestReplaceFile(t *testing.T) {
 			name:    "missing directory errors",
 			sub:     "no/such/dir",
 			write:   func(*os.File) error { return nil },
-			wantAny: true,
+			wantErr: fs.ErrNotExist,
 		},
 		{
 			name: "WriteAt patch after sequential writes lands",
@@ -71,25 +73,18 @@ func TestReplaceFile(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			err := ReplaceFile(path, tc.write)
-			switch {
-			case tc.wantAny && err == nil:
-				t.Fatal("want an error, got nil")
-			case !tc.wantAny && !errors.Is(err, tc.wantErr):
+			if err := ReplaceFile(path, tc.write); !errors.Is(err, tc.wantErr) {
 				t.Fatalf("got error %v, want %v", err, tc.wantErr)
 			}
 			if tc.sub != "" {
 				return
 			}
-			got, rerr := os.ReadFile(path)
-			if tc.want == nil {
-				if !os.IsNotExist(rerr) {
-					t.Fatalf("target exists (%q, %v), want none", got, rerr)
-				}
-			} else if rerr != nil || string(got) != string(tc.want) {
-				t.Fatalf("target holds %q (%v), want %q", got, rerr, tc.want)
+			if got, err := os.ReadFile(path); err != nil || string(got) != string(tc.want) {
+				t.Fatalf("target holds %q (%v), want %q", got, err, tc.want)
 			}
-			if fi, err := os.Stat(path); err == nil && fi.Mode().Perm() != 0o644 {
+			if fi, err := os.Stat(path); err != nil {
+				t.Fatal(err)
+			} else if fi.Mode().Perm() != 0o644 {
 				t.Fatalf("target mode %v, want 0644", fi.Mode().Perm())
 			}
 			entries, err := os.ReadDir(dir)
