@@ -91,8 +91,8 @@ func DataFromMatrixMarket(r io.Reader, testFrac float64, seed uint64) (*Data, er
 // DataFromFile reads the rating matrix at path, sniffing the on-disk
 // format — MatrixMarket text (parsed with the parallel ingestion path)
 // or .bcsr binary shards (written by `datagen -out x.bcsr` or
-// sparse.WriteBinary) — and holds out testFrac for evaluation. Malformed
-// or corrupt files of either format are reported as errors.
+// sparse.WriteBinarySharded) — and holds out testFrac for evaluation.
+// Malformed or corrupt files of either format are reported as errors.
 func DataFromFile(path string, testFrac float64, seed uint64) (*Data, error) {
 	full, err := sparse.Load(path)
 	if err != nil {
@@ -102,7 +102,7 @@ func DataFromFile(path string, testFrac float64, seed uint64) (*Data, error) {
 }
 
 func dataFromMatrix(full *sparse.CSR, testFrac float64, seed uint64) *Data {
-	return &Data{prob: core.NewProblem(core.HoldOut(full, testFrac, seed))}
+	return &Data{prob: core.NewProblem(sparse.SplitTrainTest(full, testFrac, seed))}
 }
 
 // Engine selects the execution strategy.

@@ -126,7 +126,7 @@ func TestShardNativeDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sparse.WriteBinary(f, ds.R); err != nil {
+	if err := sparse.WriteBinarySharded(f, ds.R, sparse.DefaultShardNNZ); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

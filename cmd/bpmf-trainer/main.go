@@ -283,10 +283,9 @@ func deltaNumber(name string) (int, bool) {
 // replayDeltas overlays the delta shards already in dir (from earlier
 // runs or a crash between compaction and publish) over the base matrix,
 // in creation order, and returns the merged matrix plus the next free
-// shard number. The shards — small beside the base — are first folded
-// newest-wins among themselves and the base is overlaid once; overlaying
-// is associative (sparse.MergeLastWins), so this is the matrix the
-// shard-by-shard overlay would build.
+// shard number. It is one sparse.MergeLastWins call over the base and
+// every shard, oldest first, which passes over the rows once; with no
+// shards it returns base itself.
 func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*sparse.CSR, int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "delta-*.bcsr"))
 	if err != nil {
@@ -317,11 +316,7 @@ func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*spa
 	if len(shards) == 0 {
 		return base, next, nil
 	}
-	folded, err := sparse.MergeLastWins(shards[0], shards[1:]...)
-	if err != nil {
-		return nil, 0, fmt.Errorf("replaying delta shards from %s: %w", dir, err)
-	}
-	cur, err := sparse.MergeLastWins(base, folded)
+	cur, err := sparse.MergeLastWins(base, shards...)
 	if err != nil {
 		return nil, 0, fmt.Errorf("replaying delta shards from %s: %w", dir, err)
 	}

@@ -274,11 +274,11 @@ func TestLoopPublishesSameBytesAtAnyGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestReplayDeltasEqualsSuccessiveOverlay: folding the shards among
-// themselves and overlaying the base once builds the matrix (and the
-// next shard number) of overlaying them one by one, for shards that
-// share cells, rewrite an earlier shard's value and grow the row count;
-// a corrupt or wrong-width shard fails with its path.
+// TestReplayDeltasEqualsSuccessiveOverlay: one merge of the base and
+// every shard builds the matrix (and the next shard number) of
+// overlaying them one by one, for shards that share cells, rewrite an
+// earlier shard's value and grow the row count; a corrupt or
+// wrong-width shard fails with its path.
 func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 	const n = 9
 	r := rand.New(rand.NewSource(5))
@@ -296,7 +296,7 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 	writeShard := func(dir string, i int, a *sparse.CSR) string {
 		path := filepath.Join(dir, deltaName(i))
 		var buf bytes.Buffer
-		if err := sparse.WriteBinary(&buf, a); err != nil {
+		if err := sparse.WriteBinarySharded(&buf, a, sparse.DefaultShardNNZ); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -306,7 +306,7 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 	}
 	base := randomShard(12, 60, 100)
 
-	for _, k := range []int{0, 1, 2, 7} {
+	for _, k := range []int{0, 1, 2, 7, 21} {
 		dir := t.TempDir()
 		want := base
 		for i := 0; i < k; i++ {
@@ -380,6 +380,57 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 	}
 }
 
+// TestLoopReplayPublishesShardByShardBytes: a trainer started beside 21
+// delta shards from earlier runs replays them in one merge, and its
+// cycle publishes the bytes of a resume over the matrix built shard by
+// shard — each shard overlaid on the last result with its own
+// MergeLastWins. The shards collide with the base and with each other
+// and add users.
+func TestLoopReplayPublishesShardByShardBytes(t *testing.T) {
+	cfg := trainerConfig(t.TempDir())
+	base, train, test := writeBaseCheckpoint(t, cfg)
+	if err := os.MkdirAll(cfg.Feed.DeltaDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(21))
+	want := train
+	for i := 0; i < 21; i++ {
+		coo := sparse.NewCOO(train.M+i/3, train.N, 12)
+		for k := 0; k < 12; k++ {
+			coo.Add(r.Intn(coo.M), r.Intn(coo.N), float64(1+r.Intn(5)))
+		}
+		d := coo.ToCSR()
+		var buf bytes.Buffer
+		if err := sparse.WriteBinarySharded(&buf, d, sparse.DefaultShardNNZ); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cfg.Feed.DeltaDir, deltaName(i)), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if want, err = sparse.MergeLastWins(want, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := runLoop(cfg, t.Logf); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := core.ResumeSamplerGrown(coreConfig(cfg, cfg.Sampler.Iters+cfg.Publish.AddIters),
+		core.NewProblem(want, test), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunFrom(base.NextIter)
+	var ref bytes.Buffer
+	if err := s.Checkpoint().Write(&ref); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(readFile(t, cfg.Publish.Ckpt), ref.Bytes()) {
+		t.Fatal("replaying 21 shards published other bytes than the shard-by-shard merge")
+	}
+}
+
 // TestReplayDeltasPastSixDigits: numbers outgrow deltaName's six digits
 // after 999 999. delta-1000000.bcsr is a shard like any other, replayed
 // after delta-999999.bcsr although its name sorts first. Each shard
@@ -402,7 +453,7 @@ func TestReplayDeltasPastSixDigits(t *testing.T) {
 			d := sparse.NewCOO(1, 3, 1)
 			d.Add(0, 0, float64(n))
 			var buf bytes.Buffer
-			if err := sparse.WriteBinary(&buf, d.ToCSR()); err != nil {
+			if err := sparse.WriteBinarySharded(&buf, d.ToCSR(), sparse.DefaultShardNNZ); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.WriteFile(filepath.Join(dir, deltaName(n)), buf.Bytes(), 0o644); err != nil {

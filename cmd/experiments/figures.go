@@ -50,7 +50,7 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 	ds := chemblData(scale)
 	fmt.Printf("# workload: %d compounds x %d targets, %d ratings (scale %.3g)\n",
 		ds.R.M, ds.R.N, ds.R.NNZ(), scale)
-	train, test := core.HoldOut(ds.R, 0.05, ds.Spec.Seed)
+	train, test := sparse.SplitTrainTest(ds.R, 0.05, ds.Spec.Seed)
 	w := des.BuildClusterWorkload(partition.Build(train, 1), test, cfg)
 
 	fmt.Println("# columns: threads, TBB, OpenMP, GraphLab  (x1000 items/s, virtual time,")
@@ -105,7 +105,7 @@ func fig45(cfg core.Config, cm des.CostModel, scale float64, fig4, fig5 bool) {
 	// The simulated cluster trains on the split a distributed run would
 	// (a 5 % hold-out) and routes the test set's movie rows as the engine
 	// does.
-	train, test := core.HoldOut(ds.R, 0.05, ds.Spec.Seed)
+	train, test := sparse.SplitTrainTest(ds.R, 0.05, ds.Spec.Seed)
 	nodes := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	const fig5Points = 8 // 1 … 128 nodes
 	if !fig4 {

@@ -81,7 +81,7 @@ func runShared(t *testing.T, ec engineCase, cfg core.Config, prob *core.Problem,
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, release = bind(core.ResumeSampler(cfg, prob, mid))
+		s, release = bind(core.ResumeSamplerGrown(cfg, prob, mid))
 	}
 	defer release()
 	res := s.RunFrom(cut)

@@ -30,7 +30,7 @@ func TestDataFromFileFormatsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sparse.WriteBinary(g, ds.R); err != nil {
+	if err := sparse.WriteBinarySharded(g, ds.R, sparse.DefaultShardNNZ); err != nil {
 		t.Fatal(err)
 	}
 	g.Close()

@@ -125,16 +125,16 @@ func (d Data) Matrix(seed uint64) (*sparse.CSR, error) {
 }
 
 // Split resolves the source to the training matrix and the held-out
-// test set. The split (core.HoldOut) is a pure function of (source,
-// TestFrac, seed): every command that goes through here with the same
-// three reconstructs the same one — which is how bpmf-trainer and
+// test set. The split (sparse.SplitTrainTest) is a pure function of
+// (source, TestFrac, seed): every command that goes through here with the
+// same three reconstructs the same one — which is how bpmf-trainer and
 // bpmf-serve line up with the chain cmd/bpmf checkpointed.
 func (d Data) Split(seed uint64) (train *sparse.CSR, test []sparse.Entry, err error) {
 	full, err := d.Matrix(seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	train, test = core.HoldOut(full, d.TestFrac, seed)
+	train, test = sparse.SplitTrainTest(full, d.TestFrac, seed)
 	return train, test, nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -142,8 +143,7 @@ func TestWorkspaceItemStreamMatchesKeyed(t *testing.T) {
 
 // TestMomentsGroupedWSZeroAllocs pins the per-iteration hyper-moment path:
 // once the workspace's partial pool is warm, a grouped reduction touches
-// the heap zero times — MomentsGrouped used to allocate fresh partials for
-// every group, every iteration, in every engine.
+// the heap zero times.
 func TestMomentsGroupedWSZeroAllocs(t *testing.T) {
 	k := 16
 	r := rng.New(6)
@@ -158,28 +158,31 @@ func TestMomentsGroupedWSZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMomentsGroupedWSMatchesAllocating pins the workspace variant against
-// the allocating reference, including workspace reuse across differing
-// group lists.
+// TestMomentsGroupedWSMatchesAllocating pins a reused workspace against a
+// freshly allocated one, bit for bit, across group layouts that grow,
+// shrink and reorder its partial pool (an empty group included): a lease
+// left over from an earlier reduction must not leak into the next.
 func TestMomentsGroupedWSMatchesAllocating(t *testing.T) {
 	k := 8
 	r := rng.New(11)
 	x := la.NewMatrix(120, k)
 	r.FillNorm(x.Data)
 	ws := NewMomentsWorkspace(k)
-	for _, groups := range [][]int{{0, 120}, {0, 13, 50, 120}, {0, 40, 40, 120}} {
-		want := MomentsGrouped(x, groups, k, nil)
+	for _, groups := range [][]int{{0, 120}, {0, 13, 50, 120}, {0, 40, 40, 120}, {0, 120}, {0, 7, 8, 9, 60, 120}, {0, 100, 120}} {
+		want := MomentsGroupedWS(x, groups, k, nil, NewMomentsWorkspace(k))
 		got := MomentsGroupedWS(x, groups, k, nil, ws)
 		if got.N != want.N {
 			t.Fatalf("groups %v: N %v != %v", groups, got.N, want.N)
 		}
 		for i := range want.Sum {
-			if got.Sum[i] != want.Sum[i] {
+			if math.Float64bits(got.Sum[i]) != math.Float64bits(want.Sum[i]) {
 				t.Fatalf("groups %v: Sum[%d] differs", groups, i)
 			}
 		}
-		if la.MaxAbsDiff(got.SumSq, want.SumSq) != 0 {
-			t.Fatalf("groups %v: SumSq differs", groups)
+		for i := range want.SumSq.Data {
+			if math.Float64bits(got.SumSq.Data[i]) != math.Float64bits(want.SumSq.Data[i]) {
+				t.Fatalf("groups %v: SumSq[%d] differs", groups, i)
+			}
 		}
 	}
 	// Mismatched K must be rejected, not silently mis-sized.

@@ -103,20 +103,6 @@ func (s *Sampler) Restore(c *Checkpoint) error {
 	return nil
 }
 
-// ResumeSampler reconstructs a sampler mid-chain from a checkpoint (see
-// Restore for what must match). Call RunFrom(c.NextIter) on the result.
-func ResumeSampler(cfg Config, prob *Problem, c *Checkpoint) (*Sampler, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	m, n := prob.Dims()
-	s := newSampler(cfg, prob, la.NewMatrix(m, cfg.K), la.NewMatrix(n, cfg.K))
-	if err := s.Restore(c); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 const (
 	// codecFloats is how many float64s Write and ReadCheckpoint move
 	// through their fixed stack buffer per call into the buffered stream.

@@ -57,7 +57,7 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 	if ckpt.NextIter != 4 {
 		t.Fatalf("NextIter = %d", ckpt.NextIter)
 	}
-	s3, err := ResumeSampler(cfg, prob, ckpt)
+	s3, err := ResumeSamplerGrown(cfg, prob, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCheckpointSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// Resume from the deserialized checkpoint must still be exact.
-	s2, err := ResumeSampler(cfg, prob, back)
+	s2, err := ResumeSamplerGrown(cfg, prob, back)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,17 +131,24 @@ func TestCheckpointValidation(t *testing.T) {
 
 	bad := cfg
 	bad.K = 8
-	if _, err := ResumeSampler(bad, prob, ckpt); err == nil {
+	if _, err := ResumeSamplerGrown(bad, prob, ckpt); err == nil {
 		t.Fatal("expected K mismatch error")
 	}
 	bad = cfg
 	bad.Seed = 1
-	if _, err := ResumeSampler(bad, prob, ckpt); err == nil {
+	if _, err := ResumeSamplerGrown(bad, prob, ckpt); err == nil {
 		t.Fatal("expected seed mismatch error")
 	}
-	other := NewProblem(datagen.Generate(datagen.Tiny(1)).R, nil)
-	if _, err := ResumeSampler(cfg, other, ckpt); err == nil {
-		t.Fatal("expected shape mismatch error")
+	// More users is growth, not a mismatch; fewer users or another item
+	// count is.
+	r := prob.R
+	m, n := prob.Dims()
+	fewer := &sparse.CSR{M: m - 1, N: n, RowPtr: r.RowPtr[:m], Col: r.Col[:r.RowPtr[m-1]], Val: r.Val[:r.RowPtr[m-1]]}
+	wider := &sparse.CSR{M: m, N: n + 1, RowPtr: r.RowPtr, Col: r.Col, Val: r.Val}
+	for name, other := range map[string]*sparse.CSR{"fewer users": fewer, "another item count": wider} {
+		if _, err := ResumeSamplerGrown(cfg, NewProblem(other, prob.Test), ckpt); err == nil {
+			t.Fatalf("%s: expected shape mismatch error", name)
+		}
 	}
 }
 

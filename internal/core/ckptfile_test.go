@@ -7,9 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/datagen"
-	"repro/internal/sparse"
 )
 
 func TestWriteCheckpointFileRoundtrip(t *testing.T) {
@@ -126,24 +123,5 @@ func TestReadCheckpointFile(t *testing.T) {
 	}
 	if _, _, err := ReadCheckpointFile(filepath.Join(dir, "absent.ckpt")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: %v does not wrap os.ErrNotExist", err)
-	}
-}
-
-// TestHoldOut: the conditional split is SplitTrainTest above fraction 0
-// and the identity — same matrix, no pass over it — at 0.
-func TestHoldOut(t *testing.T) {
-	full := datagen.Generate(datagen.Tiny(9)).R
-	if train, test := HoldOut(full, 0, 9); train != full || test != nil {
-		t.Fatal("fraction 0 must return the matrix itself and no test set")
-	}
-	train, test := HoldOut(full, 0.2, 9)
-	wantTrain, wantTest := sparse.SplitTrainTest(full, 0.2, 9)
-	if !sparse.Equal(train, wantTrain) || len(test) != len(wantTest) || len(test) == 0 {
-		t.Fatalf("split differs from SplitTrainTest (%d vs %d held out)", len(test), len(wantTest))
-	}
-	for i := range test {
-		if test[i] != wantTest[i] {
-			t.Fatalf("test entry %d differs", i)
-		}
 	}
 }

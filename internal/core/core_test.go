@@ -121,7 +121,7 @@ func TestMomentsGroupedMatchesNaive(t *testing.T) {
 	want.AccumulateRows(x, 0, 37)
 	for _, groups := range [][]int{nil, {0, 37}, {0, 10, 20, 37}, {0, 1, 36, 37}} {
 		g := GroupBoundaries(groups, 37)
-		got := MomentsGrouped(x, g, k, nil)
+		got := MomentsGroupedWS(x, g, k, nil, NewMomentsWorkspace(k))
 		if got.N != want.N {
 			t.Fatalf("groups %v: N = %v", groups, got.N)
 		}
@@ -144,16 +144,16 @@ func TestMomentsGroupedDeterministicAcrossParallelism(t *testing.T) {
 	x := la.NewMatrix(1000, k)
 	r.FillNorm(x.Data)
 	groups := []int{0, 100, 350, 720, 1000}
-	seq := MomentsGrouped(x, groups, k, nil)
+	seq := MomentsGroupedWS(x, groups, k, nil, NewMomentsWorkspace(k))
 	pool := sched.NewPool(4)
 	defer pool.Close()
-	par := MomentsGrouped(x, groups, k, func(n int, run func(g int)) {
+	par := MomentsGroupedWS(x, groups, k, func(n int, run func(g int)) {
 		pool.ParallelFor(0, n, 1, func(_ *sched.Worker, lo, hi int) {
 			for g := lo; g < hi; g++ {
 				run(g)
 			}
 		})
-	})
+	}, NewMomentsWorkspace(k))
 	if seq.N != par.N || la.MaxAbsDiff(seq.SumSq, par.SumSq) != 0 {
 		t.Fatal("grouped moments not deterministic under parallel execution")
 	}
@@ -197,7 +197,7 @@ func TestSampleHyperPosteriorConcentrates(t *testing.T) {
 	m.AccumulateRows(x, 0, n)
 	prior := DefaultNWPrior(k)
 	h := NewHyper(k)
-	SampleHyper(prior, m, rng.New(55), h)
+	SampleHyperWS(prior, m, rng.New(55), h, NewHyperWorkspace(k))
 	for i := range truth {
 		if math.Abs(h.Mu[i]-truth[i]) > 0.05 {
 			t.Fatalf("hyper mean[%d] = %v, want ~%v", i, h.Mu[i], truth[i])
@@ -224,7 +224,7 @@ func TestSampleHyperEmptyMomentsFallsBackToPrior(t *testing.T) {
 	prior := DefaultNWPrior(k)
 	h := NewHyper(k)
 	m := NewMoments(k)
-	SampleHyper(prior, m, rng.New(2), h) // must not panic
+	SampleHyperWS(prior, m, rng.New(2), h, NewHyperWorkspace(k)) // must not panic
 	// Sampled precision must be SPD.
 	l := la.NewMatrix(k, k)
 	if err := la.Cholesky(h.Lambda, l); err != nil {
@@ -241,8 +241,8 @@ func TestSampleHyperDeterministic(t *testing.T) {
 	m.AccumulateRows(x, 0, 100)
 	prior := DefaultNWPrior(k)
 	h1, h2 := NewHyper(k), NewHyper(k)
-	SampleHyper(prior, m, HyperStream(7, 3, SideU), h1)
-	SampleHyper(prior, m, HyperStream(7, 3, SideU), h2)
+	SampleHyperWS(prior, m, HyperStream(7, 3, SideU), h1, NewHyperWorkspace(k))
+	SampleHyperWS(prior, m, HyperStream(7, 3, SideU), h2, NewHyperWorkspace(k))
 	if la.MaxAbsDiff(h1.Lambda, h2.Lambda) != 0 {
 		t.Fatal("hyper draw not deterministic for equal streams")
 	}
@@ -251,7 +251,7 @@ func TestSampleHyperDeterministic(t *testing.T) {
 			t.Fatal("hyper mean draw not deterministic")
 		}
 	}
-	SampleHyper(prior, m, HyperStream(7, 4, SideU), h2)
+	SampleHyperWS(prior, m, HyperStream(7, 4, SideU), h2, NewHyperWorkspace(k))
 	if la.MaxAbsDiff(h1.Lambda, h2.Lambda) == 0 {
 		t.Fatal("different iterations must draw different hypers")
 	}
@@ -403,7 +403,7 @@ func TestRankOneMatchesLowerFactorPath(t *testing.T) {
 		m := NewMoments(k)
 		m.AccumulateRows(rows, 0, 60)
 		hyper := NewHyper(k)
-		SampleHyper(DefaultNWPrior(k), m, HyperStream(1, 0, SideU), hyper)
+		SampleHyperWS(DefaultNWPrior(k), m, HyperStream(1, 0, SideU), hyper, NewHyperWorkspace(k))
 		l := lowerOf(t, hyper)
 		for nnz := 0; nnz <= 9; nnz++ {
 			cols, vals, other := buildItemProblem(nnz, k, uint64(nnz))
@@ -437,7 +437,7 @@ func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
 		m := NewMoments(k)
 		m.AccumulateRows(rows, 0, 60)
 		hyper := NewHyper(k)
-		SampleHyper(DefaultNWPrior(k), m, HyperStream(2, 0, SideV), hyper)
+		SampleHyperWS(DefaultNWPrior(k), m, HyperStream(2, 0, SideV), hyper, NewHyperWorkspace(k))
 		for _, nnz := range []int{0, 1, 3, 5, 1200} {
 			cols, vals, other := buildItemProblem(nnz, k, uint64(7+nnz))
 			for kern := KernelRankOne; kern < numKernels; kern++ {

@@ -111,21 +111,6 @@ func GroupBoundaries(groups []int, n int) []int {
 	return groups
 }
 
-// MomentsGrouped computes the moments of rows [0, n) of x using the given
-// boundary list: per-group partials accumulated row-ascending, combined in
-// ascending group order. runAll, if non-nil, must invoke run(g) exactly
-// once for every g in [0, nGroups) — in any order, on any goroutines — and
-// return only after all invocations complete; engines pass a parallel-for
-// here. nil runs the groups sequentially. Because the combine order is
-// fixed, the result is bit-identical either way. It is a convenience
-// wrapper over MomentsGroupedWS that allocates a fresh workspace per call;
-// engines hold one workspace per runner and call MomentsGroupedWS
-// directly, so their per-iteration steady state allocates nothing here.
-func MomentsGrouped(x *la.Matrix, groups []int, k int,
-	runAll func(nGroups int, run func(g int))) *Moments {
-	return MomentsGroupedWS(x, groups, k, runAll, NewMomentsWorkspace(k))
-}
-
 // MomentsWorkspace holds the reusable per-group partials and combined
 // total of a grouped moment reduction. One workspace must not be used by
 // two concurrent reductions (the groups *within* one reduction may run
@@ -142,10 +127,17 @@ func NewMomentsWorkspace(k int) *MomentsWorkspace {
 	return &MomentsWorkspace{k: k, total: NewMoments(k)}
 }
 
-// MomentsGroupedWS is the allocation-free grouped moment reduction: the
-// partials and the returned total are leased from ws, so the result is
-// only valid until the workspace's next reduction (SampleHyperWS consumes
-// it immediately).
+// MomentsGroupedWS computes the moments of rows [0, n) of x using the
+// given boundary list: per-group partials accumulated row-ascending,
+// combined in ascending group order. runAll, if non-nil, must invoke
+// run(g) exactly once for every g in [0, nGroups) — in any order, on any
+// goroutines — and return only after all invocations complete; engines
+// pass a parallel-for here. nil runs the groups sequentially. Because the
+// combine order is fixed, the result is bit-identical either way. The
+// partials and the returned total are leased from ws, so once its
+// partial pool is warm the reduction allocates nothing, and the result
+// is only valid until the workspace's next reduction (SampleHyperWS
+// consumes it immediately).
 func MomentsGroupedWS(x *la.Matrix, groups []int, k int,
 	runAll func(nGroups int, run func(g int)), ws *MomentsWorkspace) *Moments {
 	if ws.k != k {
@@ -212,16 +204,9 @@ func NewHyperWorkspace(k int) *HyperWorkspace {
 	}
 }
 
-// SampleHyper draws (μ, Λ) from the Normal–Wishart posterior given the
+// SampleHyperWS draws (μ, Λ) from the Normal–Wishart posterior given the
 // side's moments, writing the result (and derived Cholesky factor and Λ·μ
-// cache) into h. It is a convenience wrapper over SampleHyperWS that
-// allocates a fresh workspace; engines hold one workspace per runner and
-// call SampleHyperWS directly.
-func SampleHyper(prior NWPrior, m *Moments, stream *rng.Stream, h *Hyper) {
-	SampleHyperWS(prior, m, stream, h, NewHyperWorkspace(len(prior.Mu0)))
-}
-
-// SampleHyperWS is the allocation-free Normal–Wishart posterior draw. The
+// cache) into h; its scratch is ws, so the draw allocates nothing. The
 // stream consumption order is fixed: Wishart first, then the mean.
 // Standard conjugate update (Salakhutdinov & Mnih, eq. 14):
 //
@@ -276,7 +261,7 @@ func SampleHyperWS(prior NWPrior, m *Moments, stream *rng.Stream, h *Hyper, ws *
 	betaStar := prior.Beta0 + n
 	muStar := ws.muStar
 	for i := range muStar {
-		muStar[i] = (prior.Beta0*prior.Mu0[i] + n*xbar[i]) / betaStar
+		muStar[i] = (float64(prior.Beta0*prior.Mu0[i]) + float64(n*xbar[i])) / betaStar
 	}
 	ws.scaled.CopyFrom(ws.lambdaChol)
 	ws.scaled.ScaleInPlace(math.Sqrt(betaStar))

@@ -62,10 +62,10 @@ func checkLaneOrder(t *testing.T, name string, s *Sampler, side Side) {
 	}
 }
 
-// TestLaneOrderProperty: samplers from NewSampler, ResumeSampler and
-// ResumeSamplerGrown (whose grown users join the order) walk the lane
-// order on every side, moment group by moment group — including an empty
-// group.
+// TestLaneOrderProperty: samplers from NewSampler and ResumeSamplerGrown,
+// at the checkpoint's shape and grown (the new users join the order),
+// walk the lane order on every side, moment group by moment group —
+// including an empty group.
 func TestLaneOrderProperty(t *testing.T) {
 	prob := ckptProblem(t)
 	cfg := ckptConfig()
@@ -78,7 +78,7 @@ func TestLaneOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	ckpt := ckptAfter(t, cfg, prob, 2)
-	resumed, err := ResumeSampler(cfg, prob, ckpt)
+	resumed, err := ResumeSamplerGrown(cfg, prob, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestLaneOrderProperty(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		s    *Sampler
-	}{{"NewSampler", fresh}, {"ResumeSampler", resumed}, {"ResumeSamplerGrown", grown}} {
+	}{{"NewSampler", fresh}, {"ResumeSamplerGrown", resumed}, {"ResumeSamplerGrown/grown", grown}} {
 		for _, side := range []Side{SideU, SideV} {
 			checkLaneOrder(t, c.name, c.s, side)
 			ord, _ := c.s.Order(side)
@@ -220,7 +220,7 @@ func TestLaneCounters(t *testing.T) {
 		{"wide", datagen.Spec{Name: "wide", Rows: 2000, Cols: 12500, NNZ: 100000,
 			TrueRank: 16, NoiseSD: 0.5, ZipfS: 1.0, MinVal: 0.5, MaxVal: 5, Seed: 1}, SideV},
 	} {
-		prob := NewProblem(HoldOut(datagen.Generate(c.spec).R, 0.2, 1))
+		prob := NewProblem(sparse.SplitTrainTest(datagen.Generate(c.spec).R, 0.2, 1))
 		cfg := DefaultConfig()
 		cfg.K = 2 // the order does not depend on K
 		trainer, err := NewSampler(cfg, prob)

@@ -176,14 +176,14 @@ func (p *Predictor) runChunk(c int, u, v *la.Matrix, collect bool, inv float64) 
 		e := p.Test[t]
 		pred := p.clamp(la.Dot(u.Row(int(e.Row)), v.Row(int(e.Col))))
 		d := pred - e.Val
-		ss += d * d
+		ss += float64(d * d)
 		if collect {
 			p.sum[t] += pred
-			p.sumSq[t] += pred * pred
+			p.sumSq[t] += float64(pred * pred)
 		}
 		if p.nSamples > 0 {
-			da := p.sum[t]*inv - e.Val
-			sa += da * da
+			da := float64(p.sum[t]*inv) - e.Val
+			sa += float64(da * da)
 		}
 	}
 	p.partSample[c] = ss

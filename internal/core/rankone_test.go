@@ -154,7 +154,7 @@ func TestUpdateRangeMatchesScalarReference(t *testing.T) {
 			}
 			m := NewMoments(k)
 			m.AccumulateRows(s.V, 0, nOther)
-			SampleHyper(s.Prior, m, HyperStream(cfg.Seed, wi, SideU), s.HU)
+			SampleHyperWS(s.Prior, m, HyperStream(cfg.Seed, wi, SideU), s.HU, NewHyperWorkspace(k))
 			l := lowerOf(t, s.HU)
 			plantNegZeros(r, s.HU, l)
 			for i := 0; i < nOther*k; i++ {

@@ -13,8 +13,8 @@ import (
 // draw — the rows GrowUsers adds and serve's cold-start users.
 func (c *Checkpoint) UserHyper() *Hyper {
 	hyper := NewHyper(c.K)
-	mom := MomentsGrouped(c.U, GroupBoundaries(nil, c.U.Rows), c.K, nil)
-	SampleHyper(DefaultNWPrior(c.K), mom, HyperStream(c.Seed, c.NextIter, SideU), hyper)
+	mom := MomentsGroupedWS(c.U, GroupBoundaries(nil, c.U.Rows), c.K, nil, NewMomentsWorkspace(c.K))
+	SampleHyperWS(DefaultNWPrior(c.K), mom, HyperStream(c.Seed, c.NextIter, SideU), hyper, NewHyperWorkspace(c.K))
 	return hyper
 }
 
@@ -76,14 +76,20 @@ func (c *Checkpoint) GrowUsers(cfg Config, prob *Problem) (*Checkpoint, error) {
 	return &grown, nil
 }
 
-// ResumeSamplerGrown is ResumeSampler for a problem that may have
-// gained users since the checkpoint: new rows are folded in via
-// GrowUsers, then the chain resumes exactly as ResumeSampler would.
-// Call RunFrom(c.NextIter) on the result.
+// ResumeSamplerGrown reconstructs a sampler mid-chain from a checkpoint,
+// for a problem with the checkpoint's shape or one that gained users
+// since: new rows are folded in via GrowUsers, then the sampler is
+// positioned at the (grown) checkpoint by Restore (see both for what must
+// match). Call RunFrom(c.NextIter) on the result.
 func ResumeSamplerGrown(cfg Config, prob *Problem, c *Checkpoint) (*Sampler, error) {
 	grown, err := c.GrowUsers(cfg, prob)
 	if err != nil {
 		return nil, err
 	}
-	return ResumeSampler(cfg, prob, grown)
+	m, n := prob.Dims()
+	s := newSampler(cfg, prob, la.NewMatrix(m, cfg.K), la.NewMatrix(n, cfg.K))
+	if err := s.Restore(grown); err != nil {
+		return nil, err
+	}
+	return s, nil
 }

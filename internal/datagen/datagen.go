@@ -126,11 +126,11 @@ func Generate(s Spec) *Dataset {
 			continue
 		}
 		seen[key] = struct{}{}
-		v := dot(ut[i], vt[j]) + s.NoiseSD*r.Norm()
+		v := dot(ut[i], vt[j]) + float64(s.NoiseSD*r.Norm())
 		if s.MaxVal > s.MinVal {
 			// Map the (approximately standard normal) planted score into
 			// the rating range, then clip — mimics 0.5..5 star ratings.
-			v = (s.MaxVal+s.MinVal)/2 + v*(s.MaxVal-s.MinVal)/4
+			v = float64((s.MaxVal+s.MinVal)/2) + float64(v*(s.MaxVal-s.MinVal)/4)
 			v = math.Min(s.MaxVal, math.Max(s.MinVal, v))
 		}
 		coo.Add(i, j, v)
@@ -154,7 +154,7 @@ func planted(r *rng.Stream, n, k int, scale float64) [][]float64 {
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/partition"
+	"repro/internal/sparse"
 )
 
 func cfg() core.Config {
@@ -247,7 +248,7 @@ func nodeThroughput(w *ClusterWorkload, threads int, pol Policy, cm CostModel) f
 // every thread count and policy.
 func TestOneRankIsOneNode(t *testing.T) {
 	ds := datagen.Generate(datagen.Scaled(datagen.ChEMBL(7), 0.02))
-	train, test := core.HoldOut(ds.R, 0.05, 7)
+	train, test := sparse.SplitTrainTest(ds.R, 0.05, 7)
 	c := cfg()
 	w := BuildClusterWorkload(partition.Build(train, 1), test, c)
 	movie, user := train.Transpose().RowDegrees(), train.RowDegrees()
@@ -416,7 +417,7 @@ func TestNodeIterationTimeIncludesEval(t *testing.T) {
 	cm := DefaultCostModel(32)
 	cfg := core.DefaultConfig()
 	ds := datagen.Generate(datagen.Scaled(datagen.ML20M(5), 0.01))
-	train, test := core.HoldOut(ds.R, 0.05, 5)
+	train, test := sparse.SplitTrainTest(ds.R, 0.05, 5)
 	for _, ranks := range []int{1, 4} {
 		plan := partition.Build(train, ranks)
 		w := BuildClusterWorkload(plan, test, cfg)
@@ -434,7 +435,7 @@ func TestNodeIterationTimeIncludesEval(t *testing.T) {
 // brute force over the plan's row ranges on a 16-rank ML-20M hold-out.
 func TestTestEntriesPerRank(t *testing.T) {
 	ds := datagen.Generate(datagen.Scaled(datagen.ML20M(5), 0.01))
-	train, test := core.HoldOut(ds.R, 0.05, 5)
+	train, test := sparse.SplitTrainTest(ds.R, 0.05, 5)
 	plan := partition.Build(train, 16)
 	w := BuildClusterWorkload(plan, test, cfg())
 	for q := 0; q < w.Ranks; q++ {
@@ -453,7 +454,7 @@ func TestTestEntriesPerRank(t *testing.T) {
 // pinWorkload builds a workload from a 5 % hold-out of spec on ranks
 // partitions, the split every figure simulates.
 func pinWorkload(spec datagen.Spec, ranks int) *ClusterWorkload {
-	train, test := core.HoldOut(datagen.Generate(spec).R, 0.05, spec.Seed)
+	train, test := sparse.SplitTrainTest(datagen.Generate(spec).R, 0.05, spec.Seed)
 	return BuildClusterWorkload(partition.Build(train, ranks), test, cfg())
 }
 

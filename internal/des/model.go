@@ -155,11 +155,7 @@ const calRows = 16
 // SweepTime returns the seconds per item of one core.Sampler.UpdateRange
 // over rows items of degree d, every item rating partners 0, …, d−1, with
 // the kernel forced to kern through the Config's thresholds: the draw
-// core's sweeps run, at any degree (the Cholesky kernels need d ≥ 1). A
-// sampler's cost can sit in one of two modes for its lifetime (the
-// Cholesky kernel at K = 32 and degree 32 runs ~7 or ~15 µs an item, the
-// same in every timing of one sampler), so this is the fastest of three
-// samplers: the mode a long sweep of many items runs at.
+// core's sweeps run, at any degree (the Cholesky kernels need d ≥ 1).
 func SweepTime(cfg core.Config, kern core.Kernel, rows, d int) float64 {
 	switch kern {
 	case core.KernelRankOne:
@@ -176,17 +172,12 @@ func SweepTime(cfg core.Config, kern core.Kernel, rows, d int) float64 {
 		}
 		r.RowPtr = append(r.RowPtr, int64(len(r.Col)))
 	}
-	prob := core.NewProblem(r, nil)
-	best := math.Inf(1)
-	for range 3 {
-		s, err := core.NewSampler(cfg, prob)
-		if err != nil {
-			panic(err)
-		}
-		ord, n := s.Order(core.SideU)
-		best = min(best, timeCall(func() { s.UpdateRange(core.SideU, 0, ord, 0, n, nil) }))
+	s, err := core.NewSampler(cfg, core.NewProblem(r, nil))
+	if err != nil {
+		panic(err)
 	}
-	return best / float64(rows)
+	ord, n := s.Order(core.SideU)
+	return timeCall(func() { s.UpdateRange(core.SideU, 0, ord, 0, n, nil) }) / float64(rows)
 }
 
 // timeCall returns the seconds of one call of f: the fastest of three

@@ -72,7 +72,7 @@ func TestTrafficMatchesEngine(t *testing.T) {
 		datagen.Scaled(datagen.ML20M(5), 0.01),
 		datagen.Scaled(datagen.ChEMBL(5), 0.02),
 	} {
-		prob := core.NewProblem(core.HoldOut(datagen.Generate(spec).R, 0.05, 5))
+		prob := core.NewProblem(sparse.SplitTrainTest(datagen.Generate(spec).R, 0.05, 5))
 		for ranks := 1; ranks <= 4; ranks++ {
 			for _, buf := range []int{dist.DefaultBufferSize, -1, 1000} {
 				name := fmt.Sprintf("%s/ranks=%d/buffer=%d", spec.Name, ranks, buf)

@@ -150,7 +150,7 @@ func TestElasticRecoveryMatchesSequentialResume(t *testing.T) {
 	survivorPlan, _ := BuildPlan(prob, Options{Ranks: 3})
 	seqCfg := cfg
 	seqCfg.MomentGroupsU, seqCfg.MomentGroupsV = MomentGroupsOf(survivorPlan)
-	s, err := core.ResumeSampler(seqCfg, prob, base)
+	s, err := core.ResumeSamplerGrown(seqCfg, prob, base)
 	if err != nil {
 		t.Fatal(err)
 	}

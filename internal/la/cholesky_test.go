@@ -32,7 +32,7 @@ func randMatrix(r *rand.Rand, m, n int) *Matrix {
 func randSPD(r *rand.Rand, n int) *Matrix {
 	b := randMatrix(r, n, n)
 	a := NewMatrix(n, n)
-	Gemm(1, b, b.Transpose(), 0, a)
+	gemm(1, b, b.Transpose(), a)
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+float64(n))
 	}
@@ -43,7 +43,7 @@ func randSPD(r *rand.Rand, n int) *Matrix {
 func reconstruct(l *Matrix) *Matrix {
 	n := l.Rows
 	a := NewMatrix(n, n)
-	Gemm(1, l, l.Transpose(), 0, a)
+	gemm(1, l, l.Transpose(), a)
 	return a
 }
 
@@ -727,7 +727,7 @@ func TestInvFromChol(t *testing.T) {
 	inv := NewMatrix(n, n)
 	InvFromCholWS(l, inv, randVector(r, n), randVector(r, n))
 	prod := NewMatrix(n, n)
-	Gemm(1, a, inv, 0, prod)
+	gemm(1, a, inv, prod)
 	if d := MaxAbsDiff(prod, Eye(n)); d > 1e-9 {
 		t.Fatalf("A·A⁻¹ deviates from I by %g", d)
 	}

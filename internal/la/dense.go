@@ -249,32 +249,6 @@ func gemvOut(alpha, s, beta float64, y *float64) {
 	}
 }
 
-// Gemm computes C = alpha*A*B + beta*C (no transposition).
-func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("la: Gemm dimension mismatch")
-	}
-	for i := 0; i < c.Rows; i++ {
-		crow := c.Row(i)
-		if beta == 0 {
-			crow.Zero()
-		} else if beta != 1 {
-			Scal(beta, crow)
-		}
-		arow := a.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			f := alpha * aik
-			for j, bkj := range brow {
-				crow[j] += f * bkj
-			}
-		}
-	}
-}
-
 // SyrLower computes the symmetric rank-one update A += alpha * x * xᵀ,
 // writing only the lower triangle (including the diagonal). A must be
 // square with dimension len(x).

@@ -46,25 +46,19 @@ func (r *Stream) MVNFromCanonChol(h la.Vector, precL *la.Matrix, dst, mu, scratc
 	}
 }
 
-// Wishart samples Λ ~ W(V, nu) — a K x K Wishart variate with scale matrix
-// V (given by its lower Cholesky factor scaleL, V = scaleL·scaleLᵀ) and nu
-// degrees of freedom — using the Bartlett decomposition:
+// WishartWS samples Λ ~ W(V, nu) — a K x K Wishart variate with scale
+// matrix V (given by its lower Cholesky factor scaleL, V = scaleL·scaleLᵀ)
+// and nu degrees of freedom — using the Bartlett decomposition:
 //
 //	A lower-triangular with A[i][i] = sqrt(chi²(nu-i)), A[i][j] ~ N(0,1)
 //	for j < i; then Λ = (scaleL·A)(scaleL·A)ᵀ.
 //
-// The result (only its lower triangle is meaningful; it is symmetrized
+// The result (only its lower triangle is computed; it is symmetrized
 // before return) is written into dst. la.Cholesky of dst then recovers a
-// factor for downstream sampling. Requires nu > K-1.
-func (r *Stream) Wishart(scaleL *la.Matrix, nu float64, dst *la.Matrix) {
-	k := scaleL.Rows
-	r.WishartWS(scaleL, nu, dst, la.NewMatrix(k, k), la.NewMatrix(k, k))
-}
-
-// WishartWS is Wishart with caller-provided K x K scratch matrices for the
-// Bartlett factor and its scaled product, performing no allocation. Only
-// the lower triangles of the scratch matrices are written and read, so
-// stale upper-triangle contents from a previous lease are harmless.
+// factor for downstream sampling. Requires nu > K-1. a and b are K x K
+// scratch for the Bartlett factor and its scaled product, so the draw
+// allocates nothing; only their lower triangles are written and read,
+// so stale upper-triangle contents from a previous lease are harmless.
 func (r *Stream) WishartWS(scaleL *la.Matrix, nu float64, dst, a, b *la.Matrix) {
 	k := scaleL.Rows
 	if scaleL.Cols != k || dst.Rows != k || dst.Cols != k ||

@@ -95,9 +95,9 @@ func TestWishartMean(t *testing.T) {
 	s := New(99)
 	n := 20000
 	acc := la.NewMatrix(k, k)
-	w := la.NewMatrix(k, k)
+	w, sa, sb := la.NewMatrix(k, k), la.NewMatrix(k, k), la.NewMatrix(k, k)
 	for i := 0; i < n; i++ {
-		s.Wishart(vL, nu, w)
+		s.WishartWS(vL, nu, w, sa, sb)
 		acc.Add(w)
 	}
 	acc.ScaleInPlace(1 / float64(n))
@@ -115,10 +115,10 @@ func TestWishartSamplesAreSPD(t *testing.T) {
 	k := 8
 	vL := la.Eye(k)
 	s := New(321)
-	w := la.NewMatrix(k, k)
+	w, sa, sb := la.NewMatrix(k, k), la.NewMatrix(k, k), la.NewMatrix(k, k)
 	l := la.NewMatrix(k, k)
 	for i := 0; i < 200; i++ {
-		s.Wishart(vL, float64(k), w)
+		s.WishartWS(vL, float64(k), w, sa, sb)
 		if err := la.Cholesky(w, l); err != nil {
 			t.Fatalf("draw %d not SPD: %v", i, err)
 		}
@@ -140,5 +140,5 @@ func TestWishartDFPanic(t *testing.T) {
 		}
 	}()
 	k := 4
-	New(1).Wishart(la.Eye(k), 2.0, la.NewMatrix(k, k))
+	New(1).WishartWS(la.Eye(k), 2.0, la.NewMatrix(k, k), la.NewMatrix(k, k), la.NewMatrix(k, k))
 }

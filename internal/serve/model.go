@@ -219,19 +219,18 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 	m.ws.New = func() any { return core.NewWorkspace(k) }
 	m.exclBuf.New = func() any { s := make([]int32, 0, 64); return &s }
 
-	// Posterior predictive summaries of the checkpointed accumulators,
-	// mirroring core.Predictor.Intervals.
+	// Posterior predictive summaries of the checkpointed accumulators:
+	// the chain's own Predictor, restored, computes them.
 	if opts.Test != nil && ckpt.NSamples > 0 {
-		m.post = make(map[uint64]postStat, len(opts.Test))
-		n := float64(ckpt.NSamples)
-		for t, e := range opts.Test {
-			mean := ckpt.PredSum[t] / n
-			variance := ckpt.PredSumSq[t]/n - float64(mean*mean)
-			if variance < 0 {
-				variance = 0
-			}
-			variance += 1 / alpha
-			m.post[pairKey(int(e.Row), int(e.Col))] = postStat{mean: mean, std: math.Sqrt(variance)}
+		pred := core.NewPredictor(opts.Test, 0, 0)
+		pred.Alpha = alpha
+		if err := pred.Restore(ckpt.PredSum, ckpt.PredSumSq, ckpt.NSamples); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
+		}
+		ivs := pred.Intervals()
+		m.post = make(map[uint64]postStat, len(ivs))
+		for _, iv := range ivs {
+			m.post[pairKey(int(iv.Row), int(iv.Col))] = postStat{mean: iv.Mean, std: iv.Std}
 		}
 	}
 	return m, nil

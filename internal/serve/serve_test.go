@@ -115,7 +115,7 @@ func TestFoldInHyperMatchesResumedSampler(t *testing.T) {
 	// Complete the chain from the checkpoint; Step's user-side hyper draw
 	// at iteration NextIter conditions on the checkpointed U with the
 	// same keyed stream the model reconstructed from.
-	s, err := core.ResumeSampler(cfg, prob, ckpt)
+	s, err := core.ResumeSamplerGrown(cfg, prob, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestPredictServesCheckpointPosterior(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference intervals from the same chain state.
-	s, err := core.ResumeSampler(cfg, prob, ckpt)
+	s, err := core.ResumeSamplerGrown(cfg, prob, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +605,7 @@ func TestResumeThenServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := core.ResumeSampler(cfg, prob, mid)
+	resumed, err := core.ResumeSamplerGrown(cfg, prob, mid)
 	if err != nil {
 		t.Fatal(err)
 	}

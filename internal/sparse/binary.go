@@ -45,13 +45,6 @@ const DefaultShardNNZ = 1 << 20
 // 32-bit byte-offset arithmetic over it) comfortably bounded.
 const maxBCSRShards = 1 << 24
 
-// WriteBinary writes a in .bcsr format with DefaultShardNNZ-sized row
-// panels. Every write is error-checked so a full disk surfaces here,
-// not at load time.
-func WriteBinary(w io.Writer, a *CSR) error {
-	return WriteBinarySharded(w, a, DefaultShardNNZ)
-}
-
 // WriteBinarySharded writes a with row panels targeting shardNNZ
 // entries each (a shard always holds at least one full row).
 func WriteBinarySharded(w io.Writer, a *CSR, shardNNZ int) error {

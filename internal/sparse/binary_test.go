@@ -41,7 +41,7 @@ func TestBinaryRoundTripEdgeShapes(t *testing.T) {
 	shapes = append(shapes, one.ToCSR())
 	for i, a := range shapes {
 		var buf bytes.Buffer
-		if err := WriteBinary(&buf, a); err != nil {
+		if err := WriteBinarySharded(&buf, a, DefaultShardNNZ); err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
 		b, err := readBCSR(buf.Bytes())
@@ -191,7 +191,7 @@ func TestLoadSniffsFormats(t *testing.T) {
 
 	bc := filepath.Join(dir, "a.bcsr")
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, a); err != nil {
+	if err := WriteBinarySharded(&buf, a, DefaultShardNNZ); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(bc, buf.Bytes(), 0o644); err != nil {

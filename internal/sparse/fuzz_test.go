@@ -138,7 +138,7 @@ func FuzzReadBinary(f *testing.F) {
 			return
 		}
 		var rt bytes.Buffer
-		if err := WriteBinary(&rt, got); err != nil {
+		if err := WriteBinarySharded(&rt, got, DefaultShardNNZ); err != nil {
 			t.Fatalf("accepted matrix fails to re-serialize: %v", err)
 		}
 		back, err := readBCSR(rt.Bytes())

@@ -71,7 +71,7 @@ func TestLoadLeavesNothingOpen(t *testing.T) {
 // than streamed (MatrixMarket text still streams).
 func TestLoadRefusesFIFO(t *testing.T) {
 	var img bytes.Buffer
-	if err := WriteBinary(&img, randomCSR(rand.New(rand.NewSource(37)), 20, 100)); err != nil {
+	if err := WriteBinarySharded(&img, randomCSR(rand.New(rand.NewSource(37)), 20, 100), DefaultShardNNZ); err != nil {
 		t.Fatal(err)
 	}
 	path := writeTempBCSR(t, nil) + ".fifo"

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -120,4 +121,120 @@ func TestMergeLastWinsNoDeltasCopies(t *testing.T) {
 	if base.Val[0] != 5 {
 		t.Fatal("zero-delta merge aliases base storage")
 	}
+}
+
+// overlayPairwise is the reference merge of one base and one delta: row
+// by row, where both hold a (row, col) pair, b (the newer) wins. Folding
+// it over the deltas one at a time is the merge MergeLastWins does in
+// one pass.
+func overlayPairwise(a, b *CSR) *CSR {
+	m := max(a.M, b.M)
+	out := &CSR{M: m, N: a.N, RowPtr: make([]int64, m+1)}
+	for i := 0; i < m; i++ {
+		var ac, bc []int32
+		var av, bv []float64
+		if i < a.M {
+			ac, av = a.Row(i)
+		}
+		if i < b.M {
+			bc, bv = b.Row(i)
+		}
+		p, q := 0, 0
+		for p < len(ac) || q < len(bc) {
+			switch {
+			case q == len(bc) || (p < len(ac) && ac[p] < bc[q]):
+				out.Col, out.Val = append(out.Col, ac[p]), append(out.Val, av[p])
+				p++
+			case p == len(ac) || bc[q] < ac[p]:
+				out.Col, out.Val = append(out.Col, bc[q]), append(out.Val, bv[q])
+				q++
+			default:
+				out.Col, out.Val = append(out.Col, bc[q]), append(out.Val, bv[q])
+				p++
+				q++
+			}
+		}
+		out.RowPtr[i+1] = int64(len(out.Col))
+	}
+	return out
+}
+
+// randomDelta is an m x n matrix (m may be 0) with up to m·n/2 random
+// entries over few columns, so rows of several deltas collide.
+func randomDelta(r *rand.Rand, m, n int) *CSR {
+	c := NewCOO(m, n, 0)
+	if m > 0 {
+		for k := r.Intn(m*n/2 + 1); k > 0; k-- {
+			c.Add(r.Intn(m), r.Intn(n), r.NormFloat64())
+		}
+	}
+	return c.ToCSR()
+}
+
+// TestMergeLastWinsMatchesPairwise: the one-pass merge equals the
+// pairwise overlay folded over the deltas oldest first, for k = 0…7
+// deltas shorter than, as tall as and taller than the base, empty ones
+// (no rows, or rows without entries) and an empty base among them.
+func TestMergeLastWinsMatchesPairwise(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	seen := map[string]bool{}
+	for trial := 0; trial < 400; trial++ {
+		m, n := r.Intn(12), 1+r.Intn(9)
+		base := randomDelta(r, m, n)
+		deltas := make([]*CSR, r.Intn(8))
+		for i := range deltas {
+			deltas[i] = randomDelta(r, r.Intn(m+5), n)
+			if r.Intn(6) == 0 {
+				deltas[i] = NewCOO(r.Intn(m+5), n, 0).ToCSR()
+			}
+			seen["taller"] = seen["taller"] || deltas[i].M > m
+			seen["empty"] = seen["empty"] || deltas[i].NNZ() == 0
+		}
+		seen[fmt.Sprint("k=", len(deltas))] = true
+		want := overlayPairwise(base, NewCOO(0, n, 0).ToCSR())
+		for _, d := range deltas {
+			want = overlayPairwise(want, d)
+		}
+		got, err := MergeLastWins(base, deltas...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(got, want) {
+			t.Fatalf("trial %d (%d x %d base, %d deltas): one-pass merge differs from the pairwise fold", trial, m, n, len(deltas))
+		}
+	}
+	for _, c := range []string{"taller", "empty", "k=0", "k=1", "k=7"} {
+		if !seen[c] {
+			t.Errorf("no trial covered %s", c)
+		}
+	}
+}
+
+// TestMergeLastWinsAllocsFlatInDeltas: the merge allocates the result and
+// its scratch once, so the count does not grow with the number of deltas,
+// even where every row collects entries from every delta.
+func TestMergeLastWinsAllocsFlatInDeltas(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	base := randomDelta(r, 40, 30)
+	allocs := map[int]float64{}
+	for _, k := range []int{0, 1, 2, 8, 32} {
+		deltas := make([]*CSR, k)
+		for i := range deltas {
+			deltas[i] = randomDelta(r, 45, 30)
+		}
+		allocs[k] = testing.AllocsPerRun(20, func() {
+			if _, err := MergeLastWins(base, deltas...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, k := range []int{0, 1, 8, 32} {
+		if allocs[k] > allocs[2] {
+			t.Errorf("%d deltas: %v allocations, 2 deltas: %v", k, allocs[k], allocs[2])
+		}
+	}
+	if allocs[32] != allocs[2] {
+		t.Errorf("allocations grow with the delta count: %v", allocs)
+	}
+	t.Logf("allocations by delta count: %v", allocs)
 }

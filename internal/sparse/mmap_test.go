@@ -281,7 +281,7 @@ func TestMappedErrorTexts(t *testing.T) {
 func TestMappedEmptyMatrix(t *testing.T) {
 	empty := NewCOO(0, 10, 0).ToCSR() // M=0, shards=0
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, empty); err != nil {
+	if err := WriteBinarySharded(&buf, empty, DefaultShardNNZ); err != nil {
 		t.Fatal(err)
 	}
 	mp, err := OpenBinaryBytes(buf.Bytes())

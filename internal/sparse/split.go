@@ -123,7 +123,15 @@ func splitRows(a *CSR, lo, hi int, testFrac float64, r *rng.Stream, st *SplitSta
 // and of every column is always kept in training, so no user or movie
 // becomes completely unobserved (cold items would make the Gibbs posterior
 // revert to the prior and obscure RMSE comparisons).
+//
+// It is the evaluation split every command that trains on, warm-starts
+// over or serves a rating matrix reproduces bit for bit from (matrix,
+// fraction, seed). testFrac <= 0 returns a itself as the training matrix
+// (no pass over it, no copy) and a nil test set.
 func SplitTrainTest(a *CSR, testFrac float64, seed uint64) (*CSR, []Entry) {
+	if testFrac <= 0 {
+		return a, nil
+	}
 	st := NewSplitState(a.N)
 	// splitRows reports training entries row by row in a's column order,
 	// which is CSR order already: append them in place.

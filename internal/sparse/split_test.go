@@ -129,3 +129,22 @@ func TestSplitTrainTestMatchesCOOConstruction(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitTrainTestZeroFraction: at a fraction of 0 or below the split is
+// the identity — the matrix itself, no pass over it, and no test set —
+// and just above 0 it is a real split pass over a.
+func TestSplitTrainTestZeroFraction(t *testing.T) {
+	c := NewCOO(3, 3, 0)
+	c.Add(0, 0, 1)
+	c.Add(1, 2, 2)
+	c.Add(2, 1, 3)
+	a := c.ToCSR()
+	for _, frac := range []float64{0, -0.5} {
+		if train, test := SplitTrainTest(a, frac, 9); train != a || test != nil {
+			t.Fatalf("fraction %g must return the matrix itself and no test set", frac)
+		}
+	}
+	if train, _ := SplitTrainTest(a, 1e-9, 9); train == a || !Equal(train, a) {
+		t.Fatal("a positive fraction must build a fresh training matrix")
+	}
+}
