@@ -127,12 +127,16 @@ func splitFields(line string) []string {
 }
 
 // runLoop is the continuous-training loop. Each cycle: compact the
-// rating log into a delta shard (when it holds enough records), merge
-// the delta over the current matrix last-write-wins, warm-start the
-// chain from the previous cycle's checkpoint (growing U for users the
-// deltas introduced), extend it by add-iters iterations, and publish
-// the result atomically under the lineage pin. logf receives progress
-// lines, keeping the loop testable in-process.
+// rating log into a delta shard (when it holds enough records), merge it
+// over the current matrix last-write-wins, warm-start the chain from the
+// previous cycle's checkpoint (growing U for users the deltas
+// introduced), extend it by add-iters iterations, and publish the result
+// atomically under the lineage pin. The shards earlier runs left are
+// loaded at start-up and merged by the first cycle, in the same
+// MergeLastWins call as its own shard, so a run holds one merged matrix
+// and merges once per cycle. logf receives progress lines — the start-up
+// line and each cycle's carry the wall time of every phase as name=duration
+// fields — keeping the loop testable in-process.
 func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -153,6 +157,7 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 		lg      *feed.Log
 		openErr error
 	)
+	start := time.Now()
 	opened := make(chan struct{})
 	go func() {
 		defer close(opened)
@@ -163,8 +168,9 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	// The base matrix and its frozen test split — the exact split the base
 	// checkpoint's posterior accumulators were built over, resolved from
 	// (data source, test fraction, seed) the way cmd/bpmf resolved it.
-	train, test, err := cfg.Data.Split(cfg.Sampler.Seed)
+	cur, test, err := cfg.Data.Split(cfg.Sampler.Seed)
 	<-opened
+	loadSplit := time.Since(start)
 	if lg != nil {
 		defer lg.Close()
 	}
@@ -174,11 +180,11 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	if openErr != nil {
 		return openErr
 	}
-	if cfg.Feed.Items != 0 && cfg.Feed.Items != train.N {
-		return fmt.Errorf("-items %d does not match the base data's %d-item catalog", cfg.Feed.Items, train.N)
+	if cfg.Feed.Items != 0 && cfg.Feed.Items != cur.N {
+		return fmt.Errorf("-items %d does not match the base data's %d-item catalog", cfg.Feed.Items, cur.N)
 	}
-	if ckpt.V.Rows != train.N {
-		return fmt.Errorf("checkpoint %s has %d items, the base data %d (the item catalog cannot grow)", ckptPath, ckpt.V.Rows, train.N)
+	if ckpt.V.Rows != cur.N {
+		return fmt.Errorf("checkpoint %s has %d items, the base data %d (the item catalog cannot grow)", ckptPath, ckpt.V.Rows, cur.N)
 	}
 	if rec := lg.RecoveredBytes(); rec > 0 {
 		logf("recovered rating log %s: truncated a %d-byte torn tail", cfg.Feed.Log, rec)
@@ -192,10 +198,15 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	if err := os.MkdirAll(deltaDir, 0o755); err != nil {
 		return fmt.Errorf("creating delta dir: %w", err)
 	}
-	cur, nextDelta, err := replayDeltas(train, deltaDir, logf)
+	start = time.Now()
+	// pending are the shards not yet merged into cur: the replayed ones
+	// until the first cycle, then each cycle's own.
+	pending, nextDelta, err := replayDeltas(deltaDir, cur.N)
 	if err != nil {
 		return err
 	}
+	logf("start-up: base %d users x %d items, %d delta shards in %s: %s", cur.M, cur.N, len(pending), deltaDir,
+		phases{{"load+split", loadSplit}, {"shard-load", time.Since(start)}})
 
 	lin := &serve.Lineage{Seed: cfg.Sampler.Seed, K: cfg.Sampler.K}
 	if cfg.Publish.PinSeed != 0 {
@@ -208,32 +219,53 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	}
 	for cycle := 1; cfg.Publish.Cycles == 0 || cycle <= cfg.Publish.Cycles; cycle++ {
 		start := time.Now()
+		t := start
+		lap := func() time.Duration { // the time since the last lap
+			now := time.Now()
+			d := now.Sub(t)
+			t = now
+			return d
+		}
+		var compact, shardLoad time.Duration
 		newRatings := int64(0)
 		if rec := lg.Records(); rec >= minRecords {
+			// The shard is as tall as the matrix it will be merged into,
+			// the pending shards included.
+			rows := cur.M
+			for _, d := range pending {
+				rows = max(rows, d.M)
+			}
 			path := filepath.Join(deltaDir, deltaName(nextDelta))
-			stats, err := lg.Compact(path, cur.M, cfg.Feed.ShardNNZ)
+			stats, err := lg.Compact(path, rows, cfg.Feed.ShardNNZ)
 			if err != nil {
 				return fmt.Errorf("cycle %d: compacting the rating log: %w", cycle, err)
 			}
+			compact = lap()
 			delta, err := sparse.Load(path)
 			if err != nil {
 				return fmt.Errorf("cycle %d: reading back delta shard: %w", cycle, err)
 			}
-			cur, err = sparse.MergeLastWins(cur, delta)
-			if err != nil {
-				return fmt.Errorf("cycle %d: merging delta shard: %w", cycle, err)
-			}
-			// Only after the delta shard is durable may the log forget the
-			// ratings; a crash between the two replays the shard at startup,
-			// which last-write-wins makes idempotent.
+			shardLoad = lap()
+			// Only after the delta shard is durable and reads back may the
+			// log forget the ratings; a crash from here on replays the shard
+			// at startup, which last-write-wins makes idempotent.
 			if err := lg.Truncate(); err != nil {
 				return fmt.Errorf("cycle %d: truncating the rating log: %w", cycle, err)
 			}
+			compact += lap()
+			pending = append(pending, delta)
 			nextDelta++
 			newRatings = stats.NNZ
 		} else if rec > 0 {
 			logf("cycle %d: %d ratings buffered (min %d), deferring compaction", cycle, rec, minRecords)
 		}
+		if len(pending) > 0 {
+			if cur, err = sparse.MergeLastWins(cur, pending...); err != nil {
+				return fmt.Errorf("cycle %d: merging delta shards: %w", cycle, err)
+			}
+			pending = nil
+		}
+		merge := lap()
 
 		cc.Iters = ckpt.NextIter + cfg.Publish.AddIters
 		s, err := core.ResumeSamplerGrown(cc, core.NewProblem(cur, test), ckpt)
@@ -246,16 +278,20 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 		if err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
+		resume := lap()
 		res := s.RunFrom(ckpt.NextIter)
 		release()
+		iterate := lap()
 		prev := ckpt.NextIter
 		ckpt = s.Checkpoint()
 
 		if err := serve.PublishCheckpoint(cfg.Publish.Ckpt, ckpt, lin); err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)
 		}
-		logf("cycle %d: +%d ratings, %d users x %d items, chain %d -> %d iterations, RMSE %.6f, published %s",
-			cycle, newRatings, cur.M, cur.N, prev, ckpt.NextIter, res.FinalRMSE(), cfg.Publish.Ckpt)
+		ph := phases{{"compact", compact}, {"shard-load", shardLoad}, {"merge", merge},
+			{"resume", resume}, {"iterate", iterate}, {"publish", lap()}}
+		logf("cycle %d: +%d ratings, %d users x %d items, chain %d -> %d iterations, RMSE %.6f, published %s: %s",
+			cycle, newRatings, cur.M, cur.N, prev, ckpt.NextIter, res.FinalRMSE(), cfg.Publish.Ckpt, ph)
 
 		if iv := cfg.Publish.Interval.Std(); iv > 0 && (cfg.Publish.Cycles == 0 || cycle < cfg.Publish.Cycles) {
 			if rem := iv - time.Since(start); rem > 0 {
@@ -264,6 +300,26 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 		}
 	}
 	return nil
+}
+
+// phases are the wall times of a log line's phases, in the order they
+// ran.
+type phases []struct {
+	name string
+	d    time.Duration
+}
+
+// String renders the phases as space-separated name=duration fields, to
+// the microsecond.
+func (p phases) String() string {
+	var b strings.Builder
+	for i, ph := range p {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%s=%s", ph.name, ph.d.Round(time.Microsecond))
+	}
+	return b.String()
 }
 
 // deltaName numbers delta shards in creation order — the order crash
@@ -280,13 +336,13 @@ func deltaNumber(name string) (int, bool) {
 	return n, err == nil && n >= 0 && deltaName(n) == name
 }
 
-// replayDeltas overlays the delta shards already in dir (from earlier
-// runs or a crash between compaction and publish) over the base matrix,
-// in creation order, and returns the merged matrix plus the next free
-// shard number. It is one sparse.MergeLastWins call over the base and
-// every shard, oldest first, which passes over the rows once; with no
-// shards it returns base itself.
-func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*sparse.CSR, int, error) {
+// replayDeltas loads the delta shards already in dir (from earlier runs
+// or a crash between compaction and publish), each of which must have n
+// columns, and returns them in creation order — the order they overlay
+// the base in — plus the next free shard number. It does not merge: the
+// first cycle merges the base, these shards and its own shard in one
+// sparse.MergeLastWins call.
+func replayDeltas(dir string, n int) ([]*sparse.CSR, int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "delta-*.bcsr"))
 	if err != nil {
 		return nil, 0, err
@@ -305,21 +361,13 @@ func replayDeltas(base *sparse.CSR, dir string, logf func(string, ...any)) (*spa
 	for i, p := range paths {
 		next = nums[p] + 1
 		d, err := sparse.Load(p)
-		if err == nil && d.N != base.N {
-			err = fmt.Errorf("shard has %d columns, base has %d", d.N, base.N)
+		if err == nil && d.N != n {
+			err = fmt.Errorf("shard has %d columns, base has %d", d.N, n)
 		}
 		if err != nil {
 			return nil, 0, fmt.Errorf("replaying delta shard %s: %w", p, err)
 		}
 		shards[i] = d
 	}
-	if len(shards) == 0 {
-		return base, next, nil
-	}
-	cur, err := sparse.MergeLastWins(base, shards...)
-	if err != nil {
-		return nil, 0, fmt.Errorf("replaying delta shards from %s: %w", dir, err)
-	}
-	logf("replayed %d delta shards from %s (%d users x %d items)", len(paths), dir, cur.M, cur.N)
-	return cur, next, nil
+	return shards, next, nil
 }

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -274,9 +276,9 @@ func TestLoopPublishesSameBytesAtAnyGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestReplayDeltasEqualsSuccessiveOverlay: one merge of the base and
-// every shard builds the matrix (and the next shard number) of
-// overlaying them one by one, for shards that share cells, rewrite an
+// TestReplayDeltasEqualsSuccessiveOverlay: the replayed shards, merged
+// over the base in one call, build the matrix (and the next shard number)
+// of overlaying them one by one, for shards that share cells, rewrite an
 // earlier shard's value and grow the row count; a corrupt or
 // wrong-width shard fails with its path.
 func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
@@ -317,9 +319,16 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, next, err := replayDeltas(base, dir, t.Logf)
+		shards, next, err := replayDeltas(dir, n)
 		if err != nil {
 			t.Fatalf("%d shards: %v", k, err)
+		}
+		if len(shards) != k {
+			t.Fatalf("%d shards: replay returned %d", k, len(shards))
+		}
+		got, err := sparse.MergeLastWins(base, shards...)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if !sparse.Equal(got, want) {
 			t.Fatalf("%d shards: one-pass replay differs from the shard-by-shard overlay", k)
@@ -333,7 +342,7 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 	dir := t.TempDir()
 	writeShard(dir, 0, randomShard(12, 5, 1))
 	writeShard(dir, 4, randomShard(12, 5, 1))
-	if _, next, err := replayDeltas(base, dir, t.Logf); err != nil || next != 5 {
+	if _, next, err := replayDeltas(dir, n); err != nil || next != 5 {
 		t.Fatalf("shards 0 and 4: next = %d, err = %v; want 5", next, err)
 	}
 
@@ -351,7 +360,7 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 			t.Fatal(err)
 		}
 		writeShard(dir, 7, randomShard(12, 5, 1))
-		if _, next, err := replayDeltas(base, dir, t.Logf); err == nil || !strings.Contains(err.Error(), path) {
+		if _, next, err := replayDeltas(dir, n); err == nil || !strings.Contains(err.Error(), path) {
 			t.Fatalf("%s beside shard 7: next = %d, err = %v; want an error naming it", bad, next, err)
 		}
 	}
@@ -374,18 +383,20 @@ func TestReplayDeltasEqualsSuccessiveOverlay(t *testing.T) {
 		writeShard(dir, 0, randomShard(12, 20, 1))
 		bad := write(dir)
 		writeShard(dir, 2, randomShard(12, 20, 1))
-		if _, _, err := replayDeltas(base, dir, t.Logf); err == nil || !strings.Contains(err.Error(), bad) {
+		if _, _, err := replayDeltas(dir, n); err == nil || !strings.Contains(err.Error(), bad) {
 			t.Fatalf("%s shard: err = %v, want one naming %s", name, err, bad)
 		}
 	}
 }
 
 // TestLoopReplayPublishesShardByShardBytes: a trainer started beside 21
-// delta shards from earlier runs replays them in one merge, and its
-// cycle publishes the bytes of a resume over the matrix built shard by
-// shard — each shard overlaid on the last result with its own
-// MergeLastWins. The shards collide with the base and with each other
-// and add users.
+// delta shards from earlier runs and a rating log merges the base, the
+// shards and the log's new shard in its first cycle, in one call, and
+// publishes the bytes of a resume over the matrix built shard by shard —
+// each shard overlaid on the last result with its own MergeLastWins. The
+// shards collide with the base and with each other and add users; the
+// log re-rates cells and writes no user past them, so its shard is as
+// tall as the matrix with the replayed shards merged.
 func TestLoopReplayPublishesShardByShardBytes(t *testing.T) {
 	cfg := trainerConfig(t.TempDir())
 	base, train, test := writeBaseCheckpoint(t, cfg)
@@ -412,7 +423,22 @@ func TestLoopReplayPublishesShardByShardBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	entries := []sparse.Entry{{Row: 1, Col: 2, Val: 4.5}, {Row: 0, Col: 5, Val: 1}, {Row: 1, Col: 2, Val: 2.5}}
+	appendRatings(t, cfg, train.N, entries)
 	if err := runLoop(cfg, t.Logf); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sparse.Load(filepath.Join(cfg.Feed.DeltaDir, deltaName(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.M != want.M {
+		t.Fatalf("the log's shard has %d rows, the merged matrix %d", fresh.M, want.M)
+	}
+	coo := sparse.NewCOO(want.M, train.N, 2)
+	coo.Add(0, 5, 1)
+	coo.Add(1, 2, 2.5) // the log's later rating of (1, 2)
+	if want, err = sparse.MergeLastWins(want, coo.ToCSR()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -428,6 +454,91 @@ func TestLoopReplayPublishesShardByShardBytes(t *testing.T) {
 	}
 	if !bytes.Equal(readFile(t, cfg.Publish.Ckpt), ref.Bytes()) {
 		t.Fatal("replaying 21 shards published other bytes than the shard-by-shard merge")
+	}
+}
+
+// phaseFields parses the name=duration fields a start-up or cycle line
+// ends with, after its last ": ".
+func phaseFields(t *testing.T, line string) map[string]time.Duration {
+	t.Helper()
+	i := strings.LastIndex(line, ": ")
+	if i < 0 {
+		t.Fatalf("no phase fields in %q", line)
+	}
+	got := map[string]time.Duration{}
+	for _, f := range strings.Fields(line[i+2:]) {
+		name, val, ok := strings.Cut(f, "=")
+		d, err := time.ParseDuration(val)
+		if !ok || err != nil {
+			t.Fatalf("field %q of %q is not name=duration", f, line)
+		}
+		got[name] = d
+	}
+	return got
+}
+
+// TestLoopLogsPhaseTimes: the start-up line and every cycle line carry
+// each of their phases' wall times, none negative, and all of them
+// together fit in the run's wall time. The run replays shards, compacts
+// a log in its first cycle and finds the log empty in its second.
+func TestLoopLogsPhaseTimes(t *testing.T) {
+	cfg := trainerConfig(t.TempDir())
+	cfg.Publish.Cycles = 2
+	_, train, _ := writeBaseCheckpoint(t, cfg)
+	if err := os.MkdirAll(cfg.Feed.DeltaDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		d := sparse.NewCOO(train.M+i, train.N, 1)
+		d.Add(i, i, float64(i+1))
+		var buf bytes.Buffer
+		if err := sparse.WriteBinarySharded(&buf, d.ToCSR(), sparse.DefaultShardNNZ); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cfg.Feed.DeltaDir, deltaName(i)), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRatings(t, cfg, train.N, []sparse.Entry{{Row: int32(train.M + 3), Col: 1, Val: 4}, {Row: 2, Col: 2, Val: 1}})
+
+	var lines []string
+	start := time.Now()
+	err := runLoop(cfg, func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) })
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"start-up:": {"load+split", "shard-load"},
+		"cycle 1:":  {"compact", "shard-load", "merge", "resume", "iterate", "publish"},
+		"cycle 2:":  {"compact", "shard-load", "merge", "resume", "iterate", "publish"},
+	}
+	var sum time.Duration
+	for _, line := range lines {
+		t.Log(line)
+		for prefix, names := range want {
+			if !strings.HasPrefix(line, prefix) {
+				continue
+			}
+			got := phaseFields(t, line)
+			if len(got) != len(names) {
+				t.Errorf("%q: %d phase fields, want %v", line, len(got), names)
+			}
+			for _, name := range names {
+				d, ok := got[name]
+				if !ok || d < 0 {
+					t.Errorf("%q: phase %s missing or negative", line, name)
+				}
+				sum += d
+			}
+			delete(want, prefix)
+		}
+	}
+	if len(want) > 0 {
+		t.Errorf("no line for %v", want)
+	}
+	if sum > wall {
+		t.Errorf("the phases sum to %v, more than the run's %v", sum, wall)
 	}
 }
 
@@ -460,9 +571,13 @@ func TestReplayDeltasPastSixDigits(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, next, err := replayDeltas(base.ToCSR(), dir, t.Logf)
+		shards, next, err := replayDeltas(dir, 3)
 		if err != nil {
 			t.Fatalf("shards %v: %v", tc.shards, err)
+		}
+		got, err := sparse.MergeLastWins(base.ToCSR(), shards...)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if next != tc.next {
 			t.Errorf("shards %v: next shard number %d, want %d", tc.shards, next, tc.next)

@@ -7,8 +7,10 @@ import (
 )
 
 // Compact writes the log's pending records into a delta .bcsr shard at
-// outPath through the sparse.Converter spill/sort pipeline with
-// last-write-wins dedup: a pair rated twice in the log keeps the later
+// outPath through the sparse.Converter pipeline (count, spill per row
+// panel, build each panel) with last-write-wins dedup: each panel's
+// build scatters its spill into rows in log order and sorts each row by
+// (column, position), so a pair rated twice in the log keeps the later
 // rating, and the shard's canonical ascending-column panels mean a
 // later sparse.MergeLastWins against the base matrix resolves re-rated
 // base pairs the same way. The delta's row count is

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -378,4 +380,46 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// TestBuildIsPure: Build is a pure function of its integer inputs. The
+// same matrix, generated and partitioned once at GOMAXPROCS 1 and once at
+// 4, gives plans equal in every field, and the float weights the
+// boundaries were cut from are equal bit for bit — so no worker count, and
+// no fused multiply-add on an arch that would fuse Cost's product, moves a
+// boundary.
+func TestBuildIsPure(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type built struct {
+		plan       *Plan
+		rowW, colW []float64
+	}
+	var runs []built
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		r := datagen.Generate(datagen.Scaled(datagen.ChEMBL(5), 0.02)).R
+		plan := Build(r, 5)
+		m := DefaultCostModel()
+		runs = append(runs, built{plan, m.Weights(plan.R.RowDegrees()), m.Weights(plan.R.Transpose().RowDegrees())})
+	}
+	a, b := runs[0], runs[1]
+	if !sparse.Equal(a.plan.R, b.plan.R) {
+		t.Fatal("R differs")
+	}
+	if !slices.Equal(a.plan.RowBounds, b.plan.RowBounds) || !slices.Equal(a.plan.ColBounds, b.plan.ColBounds) {
+		t.Fatalf("bounds differ: rows %v vs %v, cols %v vs %v", a.plan.RowBounds, b.plan.RowBounds, a.plan.ColBounds, b.plan.ColBounds)
+	}
+	for side, w := range map[string][2][]float64{"row": {a.rowW, b.rowW}, "col": {a.colW, b.colW}} {
+		if len(w[0]) != len(w[1]) {
+			t.Fatalf("%s weights: %d vs %d", side, len(w[0]), len(w[1]))
+		}
+		for i := range w[0] {
+			if math.Float64bits(w[0][i]) != math.Float64bits(w[1][i]) {
+				t.Fatalf("%s weight %d: %x vs %x", side, i, math.Float64bits(w[0][i]), math.Float64bits(w[1][i]))
+			}
+		}
+	}
+	if len(a.plan.RowBounds) != 6 || a.plan.RowBounds[5] != a.plan.R.M || a.plan.ColBounds[5] != a.plan.R.N {
+		t.Fatalf("plan does not cover the matrix: %v %v", a.plan.RowBounds, a.plan.ColBounds)
+	}
 }

@@ -215,8 +215,8 @@ func (cv Converter) convertCounted(m, n int, rowNNZ []int64, stream EntryStream,
 }
 
 // loadSpill reads one shard's spilled entries (file order preserved)
-// and builds its row panel with the canonical sort plus the requested
-// duplicate resolution.
+// and builds its row panel: toCSR's row scatter keeps that order within a
+// row, and its per-row sort resolves duplicates by the policy.
 func loadSpill(f *os.File, lo, hi, n int, dedup DedupPolicy) (*CSR, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
@@ -234,34 +234,7 @@ func loadSpill(f *os.File, lo, hi, n int, dedup DedupPolicy) (*CSR, error) {
 		e.Row -= int32(lo)
 		coo.Entries = append(coo.Entries, e)
 	}
-	if dedup == DedupLast {
-		dedupLastInPlace(coo)
-	}
-	return coo.ToCSR(), nil
-}
-
-// dedupLastInPlace resolves duplicate (row, col) pairs by keeping only
-// the entry that appeared last in stream order, so the subsequent
-// ToCSR (which would sum) sees each pair once. The sort is stable:
-// equal keys keep their spill-file order, which is the stream order.
-func dedupLastInPlace(coo *COO) {
-	es := coo.Entries
-	sort.SliceStable(es, func(i, j int) bool {
-		if es[i].Row != es[j].Row {
-			return es[i].Row < es[j].Row
-		}
-		return es[i].Col < es[j].Col
-	})
-	w := 0
-	for k := range es {
-		if w > 0 && es[w-1].Row == es[k].Row && es[w-1].Col == es[k].Col {
-			es[w-1] = es[k]
-			continue
-		}
-		es[w] = es[k]
-		w++
-	}
-	coo.Entries = es[:w]
+	return coo.toCSR(nil, dedup), nil
 }
 
 // panelBounds greedily packs rows into contiguous panels of about

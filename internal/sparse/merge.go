@@ -1,6 +1,11 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // MergeLastWins overlays delta rating matrices onto a base matrix with
 // last-write-wins semantics: where a (row, col) pair appears in several
@@ -11,13 +16,20 @@ import "fmt"
 // inputs must agree on the column count: the item catalog is pinned by
 // the model's item factors and cannot grow through deltas.
 //
-// The merge is one pass over the rows, whatever the number of deltas:
-// a row's delta entries fold newest-wins into a scratch run, and that
-// run merges once with the base row, so the base is copied once. The
-// result is freshly allocated (also for zero deltas); no input is
-// mutated or aliased. Overlaying is associative, so merging deltas one
-// cycle at a time yields the same matrix as merging them all at once —
-// the property the continuous trainer's incremental path relies on.
+// The merge is one pass over the rows and costs time linear in the
+// entries it touches, whatever the number of deltas: no delta's run is
+// copied more than once. A row that at most one delta writes is that
+// delta's row overlaid on the base row. A row several deltas write is
+// resolved in a column-indexed table: the base row, then each delta's
+// run oldest first, write their values into it (a later write
+// overwrites) and set the column's bit, and the row is read back in
+// column order by scanning the bit words it spans — or, where those words
+// outnumber its entries (a wide catalogue), by sorting the deltas'
+// distinct columns and overlaying that run on the base row. The result
+// is freshly allocated (also for zero deltas); no input is mutated or
+// aliased. Overlaying is associative, so merging deltas one cycle at a
+// time yields the same matrix as merging them all at once — the property
+// the continuous trainer's incremental path relies on.
 func MergeLastWins(base *CSR, deltas ...*CSR) (*CSR, error) {
 	if base == nil {
 		return nil, fmt.Errorf("sparse: merge: nil base matrix")
@@ -33,74 +45,131 @@ func MergeLastWins(base *CSR, deltas ...*CSR) (*CSR, error) {
 		m, nnz = max(m, d.M), nnz+d.NNZ()
 	}
 	out := &CSR{M: m, N: base.N, RowPtr: make([]int64, m+1),
-		Col: make([]int32, 0, nnz), Val: make([]float64, 0, nnz)}
-	// Two scratch runs, sized by the sum of the deltas' widest rows so no
-	// fold reallocates: a fold writes into the one the current run does
-	// not occupy, and a run that is a single delta's row is that row
-	// itself, read only. With one delta nothing folds.
-	var foldC [2][]int32
-	var foldV [2][]float64
-	if len(deltas) > 1 {
-		runCap := 0
-		for _, d := range deltas {
-			widest := 0
-			for r := 0; r < d.M; r++ {
-				widest = max(widest, d.RowNNZ(r))
-			}
-			runCap += widest
-		}
-		for w := range foldC {
-			foldC[w], foldV[w] = make([]int32, 0, runCap), make([]float64, 0, runCap)
-		}
-	}
+		Col: make([]int32, nnz), Val: make([]float64, nnz)}
+	mg := merger{n: base.N, wide: min(base.N, nnz-base.NNZ()), deltas: deltas, runs: make([]run, 0, len(deltas))}
+	w := 0
 	for i := 0; i < m; i++ {
-		var rc []int32
-		var rv []float64
-		w := 0
-		for _, d := range deltas {
-			if i >= d.M {
-				continue
-			}
-			switch dc, dv := d.Row(i); {
-			case len(dc) == 0:
-			case len(rc) == 0:
-				rc, rv = dc, dv
-			default:
-				foldC[w], foldV[w] = overlayRow(foldC[w][:0], foldV[w][:0], rc, rv, dc, dv)
-				rc, rv, w = foldC[w], foldV[w], 1-w
-			}
-		}
 		var bc []int32
 		var bv []float64
 		if i < base.M {
 			bc, bv = base.Row(i)
 		}
-		out.Col, out.Val = overlayRow(out.Col, out.Val, bc, bv, rc, rv)
-		out.RowPtr[i+1] = int64(len(out.Col))
+		w = mg.row(i, out.Col, out.Val, w, bc, bv)
+		out.RowPtr[i+1] = int64(w)
 	}
+	out.Col, out.Val = out.Col[:w], out.Val[:w]
 	return out, nil
 }
 
-// overlayRow appends the merge of two rows with ascending columns to
-// (dc, dv); where both hold a column, b's (the newer) value wins.
-func overlayRow(dc []int32, dv []float64, ac []int32, av []float64, bc []int32, bv []float64) ([]int32, []float64) {
-	if len(bc) == 0 {
-		return append(dc, ac...), append(dv, av...)
-	}
-	p, q := 0, 0
-	for p < len(ac) || q < len(bc) {
-		switch {
-		case q == len(bc) || (p < len(ac) && ac[p] < bc[q]):
-			dc, dv = append(dc, ac[p]), append(dv, av[p])
-			p++
-		case p == len(ac) || bc[q] < ac[p]:
-			dc, dv = append(dc, bc[q]), append(dv, bv[q])
-			q++
-		default: // same column in both: the newer row wins
-			dc, dv = append(dc, bc[q]), append(dv, bv[q])
-			p++
-			q++
+// merger holds MergeLastWins' per-row scratch. The column tables are
+// allocated by the first row that several deltas write, the run buffers
+// by the first that sorts; no row has more than wide = min(n, the
+// deltas' entries) distinct delta columns.
+type merger struct {
+	n, wide int
+	deltas  []*CSR
+	runs    []run     // the current row's non-empty delta rows, oldest first
+	val     []float64 // by column: the current row's last write
+	bits    []uint64  // by column: set while the current row holds it
+	cols    []int32   // the current row's distinct delta columns (the sorting path)
+	outC    []int32   // the current row's resolved delta run (the sorting path)
+	outV    []float64
+}
+
+type run struct {
+	c []int32
+	v []float64
+}
+
+// row writes row i of the merge of base row (ac, av) and the deltas into
+// (oc, ov) from w on, and returns the new end.
+func (mg *merger) row(i int, oc []int32, ov []float64, w int, ac []int32, av []float64) int {
+	runs, r, lo, hi := mg.runs[:0], 0, int32(math.MaxInt32), int32(-1)
+	for _, d := range mg.deltas {
+		if i >= d.M {
+			continue
+		}
+		if dc, dv := d.Row(i); len(dc) > 0 {
+			runs, r = append(runs, run{dc, dv}), r+len(dc)
+			lo, hi = min(lo, dc[0]), max(hi, dc[len(dc)-1])
 		}
 	}
-	return dc, dv
+	mg.runs = runs
+	switch len(runs) {
+	case 0:
+		return overlayRow(oc, ov, w, ac, av, nil, nil)
+	case 1:
+		return overlayRow(oc, ov, w, ac, av, runs[0].c, runs[0].v)
+	}
+	if mg.val == nil {
+		mg.val, mg.bits = make([]float64, mg.n), make([]uint64, (mg.n+63)/64)
+	}
+	if len(ac) > 0 {
+		lo, hi = min(lo, ac[0]), max(hi, ac[len(ac)-1])
+	}
+	if int(hi>>6-lo>>6) < r+len(ac) {
+		for k, c := range ac {
+			mg.bits[c>>6] |= 1 << (c & 63)
+			mg.val[c] = av[k]
+		}
+		for _, rn := range runs {
+			for k, c := range rn.c {
+				mg.bits[c>>6] |= 1 << (c & 63)
+				mg.val[c] = rn.v[k]
+			}
+		}
+		for wi := int(lo >> 6); wi <= int(hi>>6); wi++ {
+			for word := mg.bits[wi]; word != 0; word &= word - 1 {
+				c := int32(wi<<6 + bits.TrailingZeros64(word))
+				oc[w], ov[w] = c, mg.val[c]
+				w++
+			}
+			mg.bits[wi] = 0
+		}
+		return w
+	}
+	if mg.cols == nil {
+		mg.cols, mg.outC, mg.outV = make([]int32, 0, mg.wide), make([]int32, 0, mg.wide), make([]float64, 0, mg.wide)
+	}
+	cols := mg.cols[:0]
+	for _, rn := range runs {
+		for k, c := range rn.c {
+			if b := uint64(1) << (c & 63); mg.bits[c>>6]&b == 0 {
+				mg.bits[c>>6] |= b
+				cols = append(cols, c)
+			}
+			mg.val[c] = rn.v[k]
+		}
+	}
+	slices.Sort(cols)
+	dc, dv := mg.outC[:0], mg.outV[:0]
+	for _, c := range cols {
+		dc, dv = append(dc, c), append(dv, mg.val[c])
+		mg.bits[c>>6] = 0
+	}
+	mg.cols, mg.outC, mg.outV = cols, dc, dv
+	return overlayRow(oc, ov, w, ac, av, dc, dv)
+}
+
+// overlayRow writes the merge of a base row (ac, av) and a delta row (bc,
+// bv), both with ascending, duplicate-free columns, into (oc, ov) from w
+// on and returns the new end; where both hold a column the delta's value
+// wins. The base's runs between delta columns move with copy.
+func overlayRow(oc []int32, ov []float64, w int, ac []int32, av []float64, bc []int32, bv []float64) int {
+	p := 0
+	for q, c := range bc {
+		e := p
+		for e < len(ac) && ac[e] < c {
+			e++
+		}
+		copy(ov[w:], av[p:e])
+		w += copy(oc[w:], ac[p:e])
+		oc[w], ov[w] = c, bv[q]
+		w++
+		if p = e; e < len(ac) && ac[e] == c {
+			p++
+		}
+	}
+	copy(ov[w:], av[p:])
+	return w + copy(oc[w:], ac[p:])
 }

@@ -171,17 +171,56 @@ func randomDelta(r *rand.Rand, m, n int) *CSR {
 	return c.ToCSR()
 }
 
+// wideDelta is an m x n matrix with nnz random entries; when wide > 0
+// its row 0 also holds wide random columns — one row far wider than the
+// rest.
+func wideDelta(r *rand.Rand, m, n, nnz, wide int) *CSR {
+	c := NewCOO(m, n, nnz+wide)
+	for k := 0; k < nnz; k++ {
+		c.Add(r.Intn(m), r.Intn(n), r.NormFloat64())
+	}
+	for k := 0; k < wide; k++ {
+		c.Add(0, r.Intn(n), r.NormFloat64())
+	}
+	return c.ToCSR()
+}
+
 // TestMergeLastWinsMatchesPairwise: the one-pass merge equals the
-// pairwise overlay folded over the deltas oldest first, for k = 0…7
-// deltas shorter than, as tall as and taller than the base, empty ones
-// (no rows, or rows without entries) and an empty base among them.
+// pairwise overlay folded over the deltas oldest first. Narrow
+// catalogues (1–9 columns, so rows of several deltas collide) take k =
+// 0…7, 21 and 64 deltas shorter than, as tall as and taller than the
+// base, empty ones (no rows, or rows without entries) and an empty base
+// among them. A 2 000-column catalogue takes rows with few entries —
+// whose bit words outnumber their entries, so they are sorted — and
+// deltas whose row 0 holds some 1 500 columns, read back from the bits.
+// Base rows of ~140 entries under deltas of one or two entries a row,
+// half of them re-rating a base cell, take the path that copies the
+// base's runs between delta columns.
 func TestMergeLastWinsMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	seen := map[string]bool{}
-	for trial := 0; trial < 400; trial++ {
+	check := func(trial int, base *CSR, deltas []*CSR) {
+		t.Helper()
+		want := overlayPairwise(base, NewCOO(0, base.N, 0).ToCSR())
+		for _, d := range deltas {
+			want = overlayPairwise(want, d)
+		}
+		got, err := MergeLastWins(base, deltas...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !Equal(got, want) {
+			t.Fatalf("trial %d (%d x %d base, %d deltas): one-pass merge differs from the pairwise fold", trial, base.M, base.N, len(deltas))
+		}
+	}
+	for trial := 0; trial < 460; trial++ {
 		m, n := r.Intn(12), 1+r.Intn(9)
 		base := randomDelta(r, m, n)
-		deltas := make([]*CSR, r.Intn(8))
+		k := r.Intn(8)
+		if trial >= 400 {
+			k = []int{21, 64}[trial%2]
+		}
+		deltas := make([]*CSR, k)
 		for i := range deltas {
 			deltas[i] = randomDelta(r, r.Intn(m+5), n)
 			if r.Intn(6) == 0 {
@@ -191,19 +230,42 @@ func TestMergeLastWinsMatchesPairwise(t *testing.T) {
 			seen["empty"] = seen["empty"] || deltas[i].NNZ() == 0
 		}
 		seen[fmt.Sprint("k=", len(deltas))] = true
-		want := overlayPairwise(base, NewCOO(0, n, 0).ToCSR())
-		for _, d := range deltas {
-			want = overlayPairwise(want, d)
-		}
-		got, err := MergeLastWins(base, deltas...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(got, want) {
-			t.Fatalf("trial %d (%d x %d base, %d deltas): one-pass merge differs from the pairwise fold", trial, m, n, len(deltas))
-		}
+		check(trial, base, deltas)
 	}
-	for _, c := range []string{"taller", "empty", "k=0", "k=1", "k=7"} {
+	for trial := 0; trial < 20; trial++ {
+		const n = 2000
+		m := 1 + r.Intn(30)
+		base := wideDelta(r, m, n, r.Intn(20*m), 0)
+		deltas := make([]*CSR, 2+r.Intn(20))
+		for i := range deltas {
+			wide := 0
+			if r.Intn(3) == 0 {
+				wide = 1500
+			}
+			deltas[i] = wideDelta(r, 1+r.Intn(m+5), n, r.Intn(3*m), wide)
+		}
+		check(trial, base, deltas)
+	}
+	for trial := 0; trial < 20; trial++ {
+		const n = 400
+		m := 1 + r.Intn(10)
+		base := wideDelta(r, m, n, 150*m, 0)
+		deltas := make([]*CSR, 1+r.Intn(3))
+		for i := range deltas {
+			c := NewCOO(m+r.Intn(3), n, 0)
+			for row := 0; row < m; row++ {
+				if cols, _ := base.Row(row); len(cols) > 0 && r.Intn(2) == 0 {
+					c.Add(row, int(cols[r.Intn(len(cols))]), r.NormFloat64()) // re-rates a base cell
+				}
+				if r.Intn(2) == 0 {
+					c.Add(row, r.Intn(n), r.NormFloat64())
+				}
+			}
+			deltas[i] = c.ToCSR()
+		}
+		check(trial, base, deltas)
+	}
+	for _, c := range []string{"taller", "empty", "k=0", "k=1", "k=7", "k=21", "k=64"} {
 		if !seen[c] {
 			t.Errorf("no trial covered %s", c)
 		}
@@ -237,4 +299,53 @@ func TestMergeLastWinsAllocsFlatInDeltas(t *testing.T) {
 		t.Errorf("allocations grow with the delta count: %v", allocs)
 	}
 	t.Logf("allocations by delta count: %v", allocs)
+}
+
+// refreshShaped is a base the shape of refresh-loop's last round (3 882
+// users x 681 items, ~490k ratings) and k delta shards of 10 000 entries
+// each as a round appends them: a fifth re-rate base cells, twenty belong
+// to users past the base, the rest fall anywhere.
+func refreshShaped(k int) (*CSR, []*CSR) {
+	r := rand.New(rand.NewSource(23))
+	const m, n = 3882, 681
+	bc := NewCOO(m, n, 500_000)
+	for e := 0; e < 500_000; e++ {
+		bc.Add(r.Intn(m), r.Intn(n), float64(1+r.Intn(5)))
+	}
+	base := bc.ToCSR()
+	deltas := make([]*CSR, k)
+	for d := range deltas {
+		rows := m + 20*(d+1)
+		c := NewCOO(rows, n, 10_000)
+		for e := 0; e < 10_000; e++ {
+			switch {
+			case e < 20:
+				c.Add(rows-20+e, r.Intn(n), 3)
+			case e < 2_000:
+				u := r.Intn(m)
+				cols, _ := base.Row(u)
+				c.Add(u, int(cols[r.Intn(len(cols))]), float64(1+r.Intn(5)))
+			default:
+				c.Add(r.Intn(rows), r.Intn(n), float64(1+r.Intn(5)))
+			}
+		}
+		deltas[d] = c.ToCSR()
+	}
+	return base, deltas
+}
+
+// BenchmarkMergeLastWins times one merge of a refresh-shaped base with 1,
+// 10 and 21 delta shards — the trainer's first cycle at those shard
+// counts.
+func BenchmarkMergeLastWins(b *testing.B) {
+	for _, k := range []int{1, 10, 21} {
+		base, deltas := refreshShaped(k)
+		b.Run(fmt.Sprint("k=", k), func(b *testing.B) {
+			for b.Loop() {
+				if _, err := MergeLastWins(base, deltas...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

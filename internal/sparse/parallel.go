@@ -132,7 +132,7 @@ func ParseMatrixMarket(data []byte, pool *sched.Pool) (*CSR, error) {
 	if err := checkMMCount(nnz, total); err != nil {
 		return nil, err
 	}
-	return (&COO{M: m, N: n, Entries: entries}).toCSR(pool), nil
+	return (&COO{M: m, N: n, Entries: entries}).toCSR(pool, DedupSum), nil
 }
 
 // checkLineLen enforces the shared per-line cap: the streaming readers'

@@ -151,10 +151,12 @@ func TestToCSRParallelWithDuplicates(t *testing.T) {
 		for k := 0; k < 200; k++ {
 			c.Add(r.Intn(m), r.Intn(n), r.NormFloat64())
 		}
-		seq := c.ToCSR()
-		par := (&COO{M: m, N: n, Entries: c.Entries}).toCSR(pool)
-		if !Equal(seq, par) {
-			t.Fatalf("trial %d: parallel CSR build differs", trial)
+		for _, dedup := range []DedupPolicy{DedupSum, DedupLast} {
+			seq := c.toCSR(nil, dedup)
+			par := (&COO{M: m, N: n, Entries: c.Entries}).toCSR(pool, dedup)
+			if !Equal(seq, par) {
+				t.Fatalf("trial %d, policy %d: parallel CSR build differs", trial, dedup)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sched"
@@ -104,16 +105,16 @@ func (a *CSR) AppendRowCols(dst []int32, i int) ([]int32, error) {
 
 // ToCSR converts the COO matrix to CSR, sorting columns within each row
 // and summing duplicates.
-func (c *COO) ToCSR() *CSR { return c.toCSR(nil) }
+func (c *COO) ToCSR() *CSR { return c.toCSR(nil, DedupSum) }
 
 // toCSR is the one COO → CSR build. The entries are counted, prefix-summed
 // and scattered into row segments in stream order (sequential: that order
-// is what the duplicate sum is taken in); each segment is then sorted and
-// its duplicates folded in place, and if any row shrank the survivors are
-// packed. The two row loops run on pool when one is given — a row's
-// result is a pure function of its own segment, so the pool changes the
-// time and nothing else.
-func (c *COO) toCSR(pool *sched.Pool) *CSR {
+// is what the duplicate sum is taken in, and what DedupLast keeps the last
+// of); each segment is then sorted and its duplicates resolved in place by
+// dedup, and if any row shrank the survivors are packed. The two row loops
+// run on pool when one is given — a row's result is a pure function of its
+// own segment, so the pool changes the time and nothing else.
+func (c *COO) toCSR(pool *sched.Pool, dedup DedupPolicy) *CSR {
 	counts := make([]int64, c.M+1)
 	for _, e := range c.Entries {
 		counts[e.Row+1]++
@@ -135,8 +136,13 @@ func (c *COO) toCSR(pool *sched.Pool) *CSR {
 	// Sort + dedup each row segment in place, recording surviving widths.
 	width := next // the scatter cursors are spent; their array holds the widths
 	forRange(pool, c.M, 256, func(lo, hi int) {
+		var last lastWins
 		for i := lo; i < hi; i++ {
 			cols, vals := col[counts[i]:counts[i+1]], val[counts[i]:counts[i+1]]
+			if dedup == DedupLast {
+				width[i] = last.row(cols, vals)
+				continue
+			}
 			sort.Sort(&rowSorter{cols, vals})
 			w := int64(0)
 			for k := range cols {
@@ -171,6 +177,46 @@ func (c *COO) toCSR(pool *sched.Pool) *CSR {
 		}
 	})
 	return &CSR{M: c.M, N: c.N, RowPtr: outPtr, Col: outCol, Val: outVal}
+}
+
+// lastWins resolves one row segment under DedupLast: columns ascending,
+// and of a column written more than once only the value written last in
+// the segment (stream order). The segment is sorted by the key (column,
+// position), which is unique, so an unstable O(n log n) sort gives the
+// stable order. Its scratch grows to the widest row it has seen.
+type lastWins struct {
+	keys []uint64
+	vals []float64
+}
+
+// row resolves the segment in place and returns its surviving width.
+func (l *lastWins) row(cols []int32, vals []float64) int64 {
+	n := len(cols)
+	sorted := true
+	for k := 1; k < n && sorted; k++ {
+		sorted = cols[k-1] < cols[k]
+	}
+	if sorted { // ascending and duplicate-free already: nothing moves
+		return int64(n)
+	}
+	if uint64(n) > math.MaxUint32 {
+		panic("sparse: a row segment of 2³² entries or more overflows the dedup key")
+	}
+	keys := slices.Grow(l.keys[:0], n)[:n]
+	for k, c := range cols {
+		keys[k] = uint64(uint32(c))<<32 | uint64(k)
+	}
+	slices.Sort(keys)
+	l.keys, l.vals = keys, append(l.vals[:0], vals...)
+	w := 0
+	for t, key := range keys {
+		if t+1 < n && keys[t+1]>>32 == key>>32 {
+			continue // a later write of the same column follows
+		}
+		cols[w], vals[w] = int32(key>>32), l.vals[uint32(key)]
+		w++
+	}
+	return int64(w)
 }
 
 // forRange runs body over [0, n): in grain-sized ranges on the pool when
