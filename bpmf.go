@@ -92,13 +92,15 @@ func DataFromMatrixMarket(r io.Reader, testFrac float64, seed uint64) (*Data, er
 // format — MatrixMarket text (parsed with the parallel ingestion path)
 // or .bcsr binary shards (written by `datagen -out x.bcsr` or
 // sparse.WriteBinarySharded) — and holds out testFrac for evaluation.
-// Malformed or corrupt files of either format are reported as errors.
+// Malformed or corrupt files of either format are reported as errors. The
+// split is sparse.LoadSplit's, the same as loading the file and splitting
+// it, but a .bcsr file is split in one pass from its mapped panels.
 func DataFromFile(path string, testFrac float64, seed uint64) (*Data, error) {
-	full, err := sparse.Load(path)
+	train, test, err := sparse.LoadSplit(path, testFrac, seed)
 	if err != nil {
 		return nil, err
 	}
-	return dataFromMatrix(full, testFrac, seed), nil
+	return &Data{prob: core.NewProblem(train, test)}, nil
 }
 
 func dataFromMatrix(full *sparse.CSR, testFrac float64, seed uint64) *Data {

@@ -131,12 +131,17 @@ func splitFields(line string) []string {
 // over the current matrix last-write-wins, warm-start the chain from the
 // previous cycle's checkpoint (growing U for users the deltas
 // introduced), extend it by add-iters iterations, and publish the result
-// atomically under the lineage pin. The shards earlier runs left are
-// loaded at start-up and merged by the first cycle, in the same
-// MergeLastWins call as its own shard, so a run holds one merged matrix
-// and merges once per cycle. logf receives progress lines — the start-up
-// line and each cycle's carry the wall time of every phase as name=duration
-// fields — keeping the loop testable in-process.
+// atomically under the lineage pin. Start-up splits the base data on the
+// calling goroutine while a second one reads the checkpoint, opens the
+// log and loads the shards earlier runs left (replayDeltas, at the
+// checkpoint's catalog width, which must equal the base's). The first
+// cycle merges those shards in the same MergeLastWins call as its own
+// shard, so a run holds one merged matrix and merges once per cycle. logf
+// receives progress lines — the start-up line and each cycle's carry the
+// wall time of every phase as name=duration fields, back to back, so they
+// sum to no more than the run: the start-up's shard-load is what the
+// second goroutine still took after load+split ended — keeping the loop
+// testable in-process.
 func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -148,32 +153,45 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 		ckptPath = cfg.Publish.Ckpt
 		logf("warm-starting from previously published %s", ckptPath)
 	}
+	deltaDir := cfg.Feed.DeltaDir
+	if deltaDir == "" {
+		deltaDir = filepath.Dir(cfg.Feed.Log)
+	}
 	// The start-up reads overlap: the checkpoint read, then the log
-	// open/recover at the checkpoint's catalog width (V's rows — the
-	// width the warm start pins the data to anyway), run beside the data
-	// load + split.
+	// open/recover and the replay of the delta shards on disk, both at the
+	// checkpoint's catalog width (V's rows — the width the warm start pins
+	// the data to anyway), run beside the data load + split.
 	var (
-		ckpt    *core.Checkpoint
-		lg      *feed.Log
-		openErr error
+		ckpt               *core.Checkpoint
+		lg                 *feed.Log
+		pending            []*sparse.CSR // the shards not yet merged into cur
+		nextDelta          int
+		openErr, replayErr error
 	)
 	start := time.Now()
 	opened := make(chan struct{})
 	go func() {
 		defer close(opened)
-		if ckpt, _, openErr = core.ReadCheckpointFile(ckptPath); openErr == nil {
-			lg, openErr = feed.OpenLog(cfg.Feed.Log, ckpt.V.Rows)
+		if ckpt, _, openErr = core.ReadCheckpointFile(ckptPath); openErr != nil {
+			return
+		}
+		if lg, openErr = feed.OpenLog(cfg.Feed.Log, ckpt.V.Rows); openErr == nil {
+			pending, nextDelta, replayErr = replayDeltas(deltaDir, ckpt.V.Rows)
 		}
 	}()
 	// The base matrix and its frozen test split — the exact split the base
 	// checkpoint's posterior accumulators were built over, resolved from
 	// (data source, test fraction, seed) the way cmd/bpmf resolved it.
 	cur, test, err := cfg.Data.Split(cfg.Sampler.Seed)
-	<-opened
 	loadSplit := time.Since(start)
+	<-opened
+	shardLoad := time.Since(start) - loadSplit
 	if lg != nil {
 		defer lg.Close()
 	}
+	// The base load's error comes first, then the checkpoint's and the
+	// log's, then the catalog checks, and the replay's last: the order of
+	// the steps when they ran one after another.
 	if err != nil {
 		return err
 	}
@@ -186,27 +204,19 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 	if ckpt.V.Rows != cur.N {
 		return fmt.Errorf("checkpoint %s has %d items, the base data %d (the item catalog cannot grow)", ckptPath, ckpt.V.Rows, cur.N)
 	}
+	if replayErr != nil {
+		return replayErr
+	}
 	if rec := lg.RecoveredBytes(); rec > 0 {
 		logf("recovered rating log %s: truncated a %d-byte torn tail", cfg.Feed.Log, rec)
 	}
 	cc := cfg.Sampler.Core() // Iters is set per cycle
 
-	deltaDir := cfg.Feed.DeltaDir
-	if deltaDir == "" {
-		deltaDir = filepath.Dir(cfg.Feed.Log)
-	}
 	if err := os.MkdirAll(deltaDir, 0o755); err != nil {
 		return fmt.Errorf("creating delta dir: %w", err)
 	}
-	start = time.Now()
-	// pending are the shards not yet merged into cur: the replayed ones
-	// until the first cycle, then each cycle's own.
-	pending, nextDelta, err := replayDeltas(deltaDir, cur.N)
-	if err != nil {
-		return err
-	}
 	logf("start-up: base %d users x %d items, %d delta shards in %s: %s", cur.M, cur.N, len(pending), deltaDir,
-		phases{{"load+split", loadSplit}, {"shard-load", time.Since(start)}})
+		phases{{"load+split", loadSplit}, {"shard-load", shardLoad}})
 
 	lin := &serve.Lineage{Seed: cfg.Sampler.Seed, K: cfg.Sampler.K}
 	if cfg.Publish.PinSeed != 0 {
@@ -338,7 +348,7 @@ func deltaNumber(name string) (int, bool) {
 
 // replayDeltas loads the delta shards already in dir (from earlier runs
 // or a crash between compaction and publish), each of which must have n
-// columns, and returns them in creation order — the order they overlay
+// columns (the checkpoint's catalog width), and returns them in creation order — the order they overlay
 // the base in — plus the next free shard number. It does not merge: the
 // first cycle merges the base, these shards and its own shard in one
 // sparse.MergeLastWins call.

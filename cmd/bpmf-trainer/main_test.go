@@ -605,6 +605,65 @@ func TestLoopRefusesMismatchedLineage(t *testing.T) {
 	}
 }
 
+// writeWrongWidthShard writes a delta shard one column wider than the
+// tiny catalogue into cfg's delta dir and returns its path.
+func writeWrongWidthShard(t *testing.T, cfg config.Trainer, items int) string {
+	t.Helper()
+	if err := os.MkdirAll(cfg.Feed.DeltaDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	d := sparse.NewCOO(2, items+1, 1)
+	d.Add(1, items, 3)
+	var buf bytes.Buffer
+	if err := sparse.WriteBinarySharded(&buf, d.ToCSR(), sparse.DefaultShardNNZ); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cfg.Feed.DeltaDir, deltaName(0))
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoopRefusesWrongWidthShardAtStartUp: the replay beside the base
+// load still holds every shard on disk to the catalogue's width — a
+// shard one column wider stops start-up with an error naming it, and
+// nothing is published.
+func TestLoopRefusesWrongWidthShardAtStartUp(t *testing.T) {
+	cfg := trainerConfig(t.TempDir())
+	_, train, _ := writeBaseCheckpoint(t, cfg)
+	path := writeWrongWidthShard(t, cfg, train.N)
+
+	err := runLoop(cfg, t.Logf)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "columns") {
+		t.Fatalf("wrong-width shard accepted or misreported: %v", err)
+	}
+	if _, statErr := os.Stat(cfg.Publish.Ckpt); !os.IsNotExist(statErr) {
+		t.Fatal("a start-up that refused a shard published a checkpoint")
+	}
+}
+
+// TestLoopReportsBaseLoadErrorFirst: when the base data and a delta shard
+// both fail at start-up, the base load's error is the one reported, every
+// time, although the replay runs beside the load and may finish first.
+func TestLoopReportsBaseLoadErrorFirst(t *testing.T) {
+	dir := t.TempDir()
+	cfg := trainerConfig(dir)
+	_, train, _ := writeBaseCheckpoint(t, cfg)
+	writeWrongWidthShard(t, cfg, train.N)
+	missing := filepath.Join(dir, "missing.bcsr")
+	cfg.Data = config.Data{Path: missing, Scale: 1, TestFrac: 0.2}
+	for run := 0; run < 20; run++ {
+		err := runLoop(cfg, nil)
+		if err == nil || !strings.Contains(err.Error(), missing) || strings.Contains(err.Error(), "delta") {
+			t.Fatalf("run %d: got %v, want the base load's error", run, err)
+		}
+	}
+	if _, statErr := os.Stat(cfg.Publish.Ckpt); !os.IsNotExist(statErr) {
+		t.Fatal("a failed start-up published a checkpoint")
+	}
+}
+
 // TestLoopServeRoundTrip: after a cycle, a bpmf-serve Server watching
 // the published path picks the new chain up via MaybeReload (no
 // restart) and the lineage pin accepts it.

@@ -128,8 +128,13 @@ func (d Data) Matrix(seed uint64) (*sparse.CSR, error) {
 // test set. The split (sparse.SplitTrainTest) is a pure function of
 // (source, TestFrac, seed): every command that goes through here with the
 // same three reconstructs the same one — which is how bpmf-trainer and
-// bpmf-serve line up with the chain cmd/bpmf checkpointed.
+// bpmf-serve line up with the chain cmd/bpmf checkpointed. A file goes
+// through sparse.LoadSplit, which splits a .bcsr file in one pass
+// straight from its mapped panels without building the full matrix.
 func (d Data) Split(seed uint64) (train *sparse.CSR, test []sparse.Entry, err error) {
+	if d.Path != "" {
+		return sparse.LoadSplit(d.Path, d.TestFrac, seed)
+	}
 	full, err := d.Matrix(seed)
 	if err != nil {
 		return nil, nil, err

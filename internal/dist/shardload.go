@@ -234,7 +234,7 @@ func LoadShards(c *comm.Comm, src Source, seed uint64, opt Options) (*ShardProbl
 // set in split order.
 func splitOwnRows(c *comm.Comm, pre *sparse.CSR, rowBounds []int, testFrac float64, seed uint64) (*sparse.CSR, []sparse.Entry, error) {
 	rank, ranks := c.Rank(), len(rowBounds)-1
-	m, n := pre.M, pre.N
+	n := pre.N
 	st := sparse.NewSplitState(n)
 	if rank > 0 {
 		msg, err := c.RecvE(rank-1, splitStateTag)
@@ -245,24 +245,11 @@ func splitOwnRows(c *comm.Comm, pre *sparse.CSR, rowBounds []int, testFrac float
 			return nil, nil, fmt.Errorf("dist: rank %d split state: %w", rank, err)
 		}
 	}
-	trainPtr := make([]int64, m+1)
-	var trainCol []int32
-	var trainVal []float64
-	var localTest []sparse.Entry
-	sparse.SplitRowsResume(pre, rowBounds[rank], rowBounds[rank+1], testFrac, seed, st,
-		func(e sparse.Entry) {
-			trainPtr[e.Row+1]++
-			trainCol = append(trainCol, e.Col)
-			trainVal = append(trainVal, e.Val)
-		},
-		func(e sparse.Entry) { localTest = append(localTest, e) })
+	train, localTest := sparse.SplitRowsResume(pre, rowBounds[rank], rowBounds[rank+1], testFrac, seed, st)
 	if rank+1 < ranks {
 		if err := c.SendE(rank+1, splitStateTag, st.Encode()); err != nil {
 			return nil, nil, fmt.Errorf("dist: rank %d forwarding split state: %w", rank, err)
 		}
-	}
-	for i := 0; i < m; i++ {
-		trainPtr[i+1] += trainPtr[i]
 	}
 
 	blobs, err := c.AllgatherE(encodeEntries(localTest))
@@ -277,7 +264,7 @@ func splitOwnRows(c *comm.Comm, pre *sparse.CSR, rowBounds []int, testFrac float
 		}
 		test = append(test, es...)
 	}
-	return &sparse.CSR{M: m, N: n, RowPtr: trainPtr, Col: trainCol, Val: trainVal}, test, nil
+	return train, test, nil
 }
 
 // encodeEntries serializes entries as sparse.AppendEntry records.

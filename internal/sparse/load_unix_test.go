@@ -66,6 +66,42 @@ func TestLoadLeavesNothingOpen(t *testing.T) {
 	}
 }
 
+// TestLoadSplitRejectsCorruptAndLeavesNothingOpen: the split door maps
+// the file only for its pass too — after it, split or refused (a CRC
+// flip in the last shard, met mid-pass), no descriptor or mapping names
+// the file.
+func TestLoadSplitRejectsCorruptAndLeavesNothingOpen(t *testing.T) {
+	a := randomCSR(rand.New(rand.NewSource(43)), 60, 1500)
+	var buf bytes.Buffer
+	if err := WriteBinarySharded(&buf, a, 200); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-1] ^= 0x01
+
+	for name, img := range map[string][]byte{"clean": good, "damaged": bad} {
+		path := writeTempBCSR(t, img)
+		mp, err := OpenBinary(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, maps := countNaming(t, path); maps == 0 {
+			mp.Close()
+			t.Skip("an open mapping is not visible in /proc/self/maps here")
+		}
+		mp.Close()
+
+		_, _, err = LoadSplit(path, 0.2, 3)
+		if (err != nil) != (name == "damaged") {
+			t.Fatalf("%s: LoadSplit returned %v", name, err)
+		}
+		if fds, maps := countNaming(t, path); fds != 0 || maps != 0 {
+			t.Errorf("%s: after LoadSplit %d descriptors and %d mappings still name the file", name, fds, maps)
+		}
+	}
+}
+
 // TestLoadRefusesFIFO: the reader needs the file's size, so a .bcsr
 // arriving through a pipe is refused in the reader's own words rather
 // than streamed (MatrixMarket text still streams).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 )
 
 // MergeLastWins overlays delta rating matrices onto a base matrix with
@@ -27,9 +28,12 @@ import (
 // outnumber its entries (a wide catalogue), by sorting the deltas'
 // distinct columns and overlaying that run on the base row. The result
 // is freshly allocated (also for zero deltas); no input is mutated or
-// aliased. Overlaying is associative, so merging deltas one cycle at a
-// time yields the same matrix as merging them all at once — the property
-// the continuous trainer's incremental path relies on.
+// aliased. A large merge on more than one core (twoRanges) cuts the rows
+// into two ranges merged on two goroutines, each with its own tables; the
+// rows, and so the result, are the same. Overlaying is associative, so
+// merging deltas one cycle at a time yields the same matrix as merging
+// them all at once — the property the continuous trainer's incremental
+// path relies on.
 func MergeLastWins(base *CSR, deltas ...*CSR) (*CSR, error) {
 	if base == nil {
 		return nil, fmt.Errorf("sparse: merge: nil base matrix")
@@ -46,9 +50,43 @@ func MergeLastWins(base *CSR, deltas ...*CSR) (*CSR, error) {
 	}
 	out := &CSR{M: m, N: base.N, RowPtr: make([]int64, m+1),
 		Col: make([]int32, nnz), Val: make([]float64, nnz)}
-	mg := merger{n: base.N, wide: min(base.N, nnz-base.NNZ()), deltas: deltas, runs: make([]run, 0, len(deltas))}
-	w := 0
-	for i := 0; i < m; i++ {
+	// The rows are cut into two ranges where half the input entries lie
+	// below. The upper range writes from off, the input entries below its
+	// first row (the lower range cannot write more), and one copy closes
+	// the gap.
+	split := twoRanges(nnz)
+	before := func(i int) int { // the input entries in rows [0, i)
+		e := base.RowPtr[min(i, base.M)]
+		for _, d := range deltas {
+			e += d.RowPtr[min(i, d.M)]
+		}
+		return int(e)
+	}
+	mid := m
+	if split {
+		mid = sort.Search(m, func(i int) bool { return before(i) >= nnz/2 })
+	}
+	off, wide := before(mid), min(base.N, nnz-base.NNZ())
+	var lo, hi int
+	inTwo(split, func() { lo = mergeRows(out, base, deltas, wide, 0, mid, 0) },
+		func() { hi = mergeRows(out, base, deltas, wide, mid, m, off) })
+	if gap := off - lo; gap > 0 {
+		copy(out.Col[lo:], out.Col[off:hi])
+		copy(out.Val[lo:], out.Val[off:hi])
+		for i := mid + 1; i <= m; i++ {
+			out.RowPtr[i] -= int64(gap)
+		}
+	}
+	w := lo + hi - off
+	out.Col, out.Val = out.Col[:w], out.Val[:w]
+	return out, nil
+}
+
+// mergeRows merges rows [lo, hi) into out, writing from w on with a
+// merger of its own, and returns the end of what it wrote.
+func mergeRows(out, base *CSR, deltas []*CSR, wide, lo, hi, w int) int {
+	mg := merger{n: base.N, wide: wide, deltas: deltas, runs: make([]run, 0, len(deltas))}
+	for i := lo; i < hi; i++ {
 		var bc []int32
 		var bv []float64
 		if i < base.M {
@@ -57,8 +95,7 @@ func MergeLastWins(base *CSR, deltas ...*CSR) (*CSR, error) {
 		w = mg.row(i, out.Col, out.Val, w, bc, bv)
 		out.RowPtr[i+1] = int64(w)
 	}
-	out.Col, out.Val = out.Col[:w], out.Val[:w]
-	return out, nil
+	return w
 }
 
 // merger holds MergeLastWins' per-row scratch. The column tables are

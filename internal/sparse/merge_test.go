@@ -2,7 +2,10 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -347,5 +350,94 @@ func BenchmarkMergeLastWins(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// sameBits reports whether a and b are the same matrix byte for byte:
+// dimensions, RowPtr, Col and the bits of Val.
+func sameBits(a, b *CSR) bool {
+	if a.M != b.M || a.N != b.N || !slices.Equal(a.RowPtr, b.RowPtr) || !slices.Equal(a.Col, b.Col) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for k, v := range a.Val {
+		if math.Float64bits(v) != math.Float64bits(b.Val[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomRows is an m x n matrix of about nnz random entries in rows
+// [0, m), of which share land in row hot (share 0: none singled out).
+func randomRows(r *rand.Rand, m, n, nnz, hot int, share float64) *CSR {
+	c := NewCOO(m, n, nnz)
+	for k := 0; k < nnz && m > 0; k++ {
+		row := r.Intn(m)
+		if r.Float64() < share {
+			row = hot
+		}
+		c.Add(row, r.Intn(n), float64(1+r.Intn(5))+r.Float64())
+	}
+	return c.ToCSR()
+}
+
+// TestTwoRangesMatchSerial: MergeLastWins and Transpose on two row ranges
+// write the serial result byte for byte, at GOMAXPROCS 1 (serial), 2 and
+// 4. The inputs are above the two-range cutoff: k = 0, 1, 2 and 21 deltas
+// taller than the base; one row holding most of the entries; bases of 0
+// and 1 rows; a 50 000-column catalogue whose multi-delta rows take the
+// sort path.
+func TestTwoRangesMatchSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	r := rand.New(rand.NewSource(83))
+	type tc struct {
+		name   string
+		base   *CSR
+		deltas []*CSR
+	}
+	var cases []tc
+	for _, k := range []int{0, 1, 2, 21} {
+		base := randomRows(r, 400, 700, 2*twoRangeMin, 0, 0)
+		deltas := make([]*CSR, k)
+		for i := range deltas {
+			deltas[i] = randomRows(r, 400+5*(i+1), 700, 2*twoRangeMin/min(k, 8), 0, 0)
+		}
+		cases = append(cases, tc{fmt.Sprint("k=", k), base, deltas})
+	}
+	const wide = 50_000
+	cases = append(cases,
+		tc{"one row holds most entries", randomRows(r, 300, wide, 2*twoRangeMin, 137, 0.8),
+			[]*CSR{randomRows(r, 310, wide, 2*twoRangeMin, 137, 0.8), randomRows(r, 300, wide, 500, 0, 0)}},
+		tc{"m=0", NewCOO(0, 40, 0).ToCSR(), []*CSR{NewCOO(0, 40, 0).ToCSR(), NewCOO(0, 40, 0).ToCSR()}},
+		tc{"m=1", randomRows(r, 1, wide, 2*twoRangeMin, 0, 0),
+			[]*CSR{randomRows(r, 1, wide, twoRangeMin, 0, 0), randomRows(r, 1, wide, twoRangeMin, 0, 0)}},
+		tc{"m=1 under taller deltas", randomRows(r, 1, wide, 2*twoRangeMin, 0, 0),
+			[]*CSR{randomRows(r, 3, wide, 2*twoRangeMin, 0, 0)}},
+		tc{"50 000 columns", randomRows(r, 3000, wide, 2*twoRangeMin, 0, 0),
+			[]*CSR{randomRows(r, 3000, wide, 12_000, 0, 0), randomRows(r, 3010, wide, 12_000, 0, 0), randomRows(r, 3020, wide, 12_000, 0, 0)}},
+	)
+	for _, c := range cases {
+		var serialMerge, serialT, serialMT *CSR
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			merged, err := MergeLastWins(c.base, c.deltas...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseT, mergedT := c.base.Transpose(), merged.Transpose()
+			if procs == 1 {
+				serialMerge, serialT, serialMT = merged, baseT, mergedT
+				continue
+			}
+			if c.base.M > 0 && !twoRanges(c.base.NNZ()) {
+				t.Fatalf("%s: %d base entries at GOMAXPROCS %d stay serial", c.name, c.base.NNZ(), procs)
+			}
+			if !sameBits(merged, serialMerge) {
+				t.Errorf("%s: MergeLastWins at GOMAXPROCS %d differs from the serial merge", c.name, procs)
+			}
+			if !sameBits(baseT, serialT) || !sameBits(mergedT, serialMT) {
+				t.Errorf("%s: Transpose at GOMAXPROCS %d differs from the serial transpose", c.name, procs)
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -241,25 +242,74 @@ func (s *rowSorter) Swap(i, j int) {
 	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }
 
+// twoRangeMin is the input size, in entries, from which MergeLastWins and
+// Transpose cut their rows into two ranges and run one on a goroutine of
+// its own, where GOMAXPROCS allows: below it the goroutine's start and
+// the ranges' bookkeeping cost about what the second core saves.
+const twoRangeMin = 1 << 15
+
+// twoRanges reports whether a job over nnz input entries runs as two row
+// ranges.
+func twoRanges(nnz int) bool { return nnz >= twoRangeMin && runtime.GOMAXPROCS(0) > 1 }
+
 // Transpose returns the CSR representation of aᵀ, i.e. CSC access to a.
 // The BPMF movie loop iterates the transpose so that each movie's raters
 // are contiguous. Column order within each transposed row is ascending,
-// preserving the canonical accumulation order.
+// preserving the canonical accumulation order. A large matrix on more
+// than one core is transposed as two row ranges of a on two goroutines:
+// each range counts its own columns, and inside each transposed row the
+// lower range's entries come first, so the result is the same.
 func (a *CSR) Transpose() *CSR {
-	counts := make([]int64, a.N+1)
-	for _, c := range a.Col {
-		counts[c+1]++
+	nnz := a.NNZ()
+	split, mid := twoRanges(nnz), a.M
+	if split {
+		mid = sort.Search(a.M, func(i int) bool { return a.RowPtr[i] >= int64(nnz/2) })
 	}
-	for j := 0; j < a.N; j++ {
-		counts[j+1] += counts[j]
+	// Each range's column counts, then its scatter cursors.
+	lower, upper := make([]int64, a.N), make([]int64, a.N)
+	inTwo(split, func() { a.countCols(0, mid, lower) }, func() { a.countCols(mid, a.M, upper) })
+	ptr := make([]int64, a.N+1)
+	for j, c := range lower {
+		ptr[j+1] = ptr[j] + c + upper[j]
+		lower[j], upper[j] = ptr[j], ptr[j]+c
 	}
-	col := make([]int32, a.NNZ())
-	val := make([]float64, a.NNZ())
-	next := make([]int64, a.N)
-	copy(next, counts[:a.N])
-	for i := 0; i < a.M; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		for p := lo; p < hi; p++ {
+	col := make([]int32, nnz)
+	val := make([]float64, nnz)
+	inTwo(split, func() { a.scatterT(0, mid, lower, col, val) }, func() { a.scatterT(mid, a.M, upper, col, val) })
+	return &CSR{M: a.N, N: a.M, RowPtr: ptr, Col: col, Val: val}
+}
+
+// inTwo runs lower and upper, the two row ranges of one job: beside each
+// other, upper on a goroutine of its own, when split; one after the other
+// on the calling goroutine otherwise.
+func inTwo(split bool, lower, upper func()) {
+	if !split {
+		lower()
+		upper()
+		return
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		upper()
+	}()
+	lower()
+	<-done
+}
+
+// countCols adds the column counts of rows [lo, hi) of a to cnt.
+func (a *CSR) countCols(lo, hi int, cnt []int64) {
+	for _, c := range a.Col[a.RowPtr[lo]:a.RowPtr[hi]] {
+		cnt[c]++
+	}
+}
+
+// scatterT writes rows [lo, hi) of a into the transpose's arrays, column
+// j's entries from next[j] on. Rows are visited in ascending order, so
+// each transposed row's columns come out ascending.
+func (a *CSR) scatterT(lo, hi int, next []int64, col []int32, val []float64) {
+	for i := lo; i < hi; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			j := a.Col[p]
 			q := next[j]
 			col[q] = int32(i)
@@ -267,9 +317,6 @@ func (a *CSR) Transpose() *CSR {
 			next[j] = q + 1
 		}
 	}
-	// Rows of a are visited in ascending order, so each transposed row's
-	// columns come out ascending already.
-	return &CSR{M: a.N, N: a.M, RowPtr: counts, Col: col, Val: val}
 }
 
 // Permute returns the matrix with rows and columns relabelled:

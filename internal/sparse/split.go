@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 )
@@ -78,43 +79,88 @@ func DecodeSplitState(b []byte, n int) (*SplitState, error) {
 
 // SplitRowsResume applies the split rule to rows [lo, hi) of a,
 // resuming from st (which must be the exact state after row lo-1) and
-// advancing it in place. Entries are reported in storage order through
-// the train/test callbacks.
+// advancing it in place. It returns the training entries as an a.M-row
+// matrix whose rows outside [lo, hi) are empty, and the held-out entries
+// in storage order.
 //
-// The rule matches SplitTrainTest exactly: each entry goes to test
-// independently with probability testFrac, except that the first
-// stored rating of every row and of every column always stays in
-// training, so no user or movie becomes completely unobserved.
-func SplitRowsResume(a *CSR, lo, hi int, testFrac float64, seed uint64, st *SplitState, train, test func(Entry)) {
+// The rule is SplitTrainTest's (splitter.row is its one body): each entry
+// goes to test independently with probability testFrac, except that the
+// first stored rating of every row and of every column always stays in
+// training, so no user or movie becomes completely unobserved. The
+// stream's position is captured back into st, so a later resume continues
+// exactly where this panel ended. (The split draws only Float64s, for
+// which State/SetState round-trips are exact — see rng.Stream.State.)
+func SplitRowsResume(a *CSR, lo, hi int, testFrac float64, seed uint64, st *SplitState) (*CSR, []Entry) {
 	r := rng.NewKeyed(seed, splitKey)
 	if st.Started {
 		r.SetState(st.RNG)
 	}
-	splitRows(a, lo, hi, testFrac, r, st, train, test)
-}
-
-// splitRows is the shared body: the stream's position is captured back
-// into st so a later resume continues exactly where this panel ended.
-// (The split draws only Float64s, for which State/SetState round-trips
-// are exact — see rng.Stream.State.)
-func splitRows(a *CSR, lo, hi int, testFrac float64, r *rng.Stream, st *SplitState, train, test func(Entry)) {
+	sp := newSplitter(a.M, a.N, int(a.RowPtr[hi]-a.RowPtr[lo]), testFrac, r, st.ColSeen)
 	for i := lo; i < hi; i++ {
 		cols, vals := a.Row(i)
-		rowSeen := false
-		for k, c := range cols {
-			e := Entry{Row: int32(i), Col: c, Val: vals[k]}
-			mustTrain := !rowSeen || !st.ColSeen[c]
-			if !mustTrain && r.Float64() < testFrac {
-				test(e)
-				continue
-			}
-			rowSeen = true
-			st.ColSeen[c] = true
-			train(e)
-		}
+		sp.row(i, cols, vals)
 	}
 	st.Started = true
 	st.RNG = r.State()
+	return sp.done(hi)
+}
+
+// splitter is the split rule's one body, shared by the in-memory split
+// and LoadSplit's pass over a mapped file. It takes rows in ascending
+// order and writes each one's training entries at the end of train's
+// Col/Val (presized to every entry the rows hold) — a row may be read
+// from the very window it is written to, since a write never passes the
+// read — and appends its held-out entries to test, presized too.
+type splitter struct {
+	r       *rng.Stream
+	frac    float64
+	colSeen []bool
+	train   *CSR
+	w       int // the training entries written so far
+	test    []Entry
+}
+
+// newSplitter starts a split of up to nnz entries of an m x n matrix
+// drawing from r, with colSeen marking the columns that already hold a
+// training entry.
+func newSplitter(m, n, nnz int, frac float64, r *rng.Stream, colSeen []bool) *splitter {
+	// The held-out count is at most Binomial(nnz, frac): reserve its mean
+	// plus four standard deviations, so the slice rarely grows.
+	f := min(max(frac, 0), 1)
+	mean := float64(nnz) * f
+	return &splitter{r: r, frac: frac, colSeen: colSeen,
+		train: &CSR{M: m, N: n, RowPtr: make([]int64, m+1), Col: make([]int32, nnz), Val: make([]float64, nnz)},
+		test:  make([]Entry, 0, min(nnz, int(mean+4*math.Sqrt(mean*(1-f)))+16))}
+}
+
+// row splits row i, whose entries are (cols[k], vals[k]) in ascending
+// column order, and closes its RowPtr.
+func (sp *splitter) row(i int, cols []int32, vals []float64) {
+	col, val, w, test := sp.train.Col, sp.train.Val, sp.w, sp.test
+	rowSeen := false
+	for k, c := range cols {
+		if rowSeen && sp.colSeen[c] && sp.r.Float64() < sp.frac {
+			test = append(test, Entry{Row: int32(i), Col: c, Val: vals[k]})
+			continue
+		}
+		rowSeen = true
+		sp.colSeen[c] = true
+		col[w], val[w] = c, vals[k]
+		w++
+	}
+	sp.w, sp.test = w, test
+	sp.train.RowPtr[i+1] = int64(w)
+}
+
+// done closes the RowPtr of the rows from hi on (they hold no training
+// entries) and returns the split.
+func (sp *splitter) done(hi int) (*CSR, []Entry) {
+	t := sp.train
+	for i := hi; i < t.M; i++ {
+		t.RowPtr[i+1] = int64(sp.w)
+	}
+	t.Col, t.Val = t.Col[:sp.w], t.Val[:sp.w]
+	return t, sp.test
 }
 
 // SplitTrainTest partitions the entries of a into a training CSR and a
@@ -126,27 +172,12 @@ func splitRows(a *CSR, lo, hi int, testFrac float64, r *rng.Stream, st *SplitSta
 //
 // It is the evaluation split every command that trains on, warm-starts
 // over or serves a rating matrix reproduces bit for bit from (matrix,
-// fraction, seed). testFrac <= 0 returns a itself as the training matrix
-// (no pass over it, no copy) and a nil test set.
+// fraction, seed); LoadSplit is the same split of a file. testFrac <= 0
+// returns a itself as the training matrix (no pass over it, no copy) and
+// a nil test set.
 func SplitTrainTest(a *CSR, testFrac float64, seed uint64) (*CSR, []Entry) {
 	if testFrac <= 0 {
 		return a, nil
 	}
-	st := NewSplitState(a.N)
-	// splitRows reports training entries row by row in a's column order,
-	// which is CSR order already: append them in place.
-	train := &CSR{M: a.M, N: a.N, RowPtr: make([]int64, a.M+1),
-		Col: make([]int32, 0, a.NNZ()), Val: make([]float64, 0, a.NNZ())}
-	var test []Entry
-	splitRows(a, 0, a.M, testFrac, rng.NewKeyed(seed, splitKey), st,
-		func(e Entry) {
-			train.Col = append(train.Col, e.Col)
-			train.Val = append(train.Val, e.Val)
-			train.RowPtr[e.Row+1]++
-		},
-		func(e Entry) { test = append(test, e) })
-	for i := 0; i < a.M; i++ {
-		train.RowPtr[i+1] += train.RowPtr[i]
-	}
-	return train, test
+	return SplitRowsResume(a, 0, a.M, testFrac, seed, NewSplitState(a.N))
 }

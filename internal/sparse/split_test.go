@@ -1,8 +1,19 @@
 package sparse
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // TestSplitRowsResumeMatchesGlobalSplit is the property the shard-native
@@ -42,9 +53,17 @@ func TestSplitRowsResumeMatchesGlobalSplit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			SplitRowsResume(a, cuts[p], cuts[p+1], frac, seed, dec,
-				func(e Entry) { train.Add(int(e.Row), int(e.Col), e.Val) },
-				func(e Entry) { gotTest = append(gotTest, e) })
+			panel, test := SplitRowsResume(a, cuts[p], cuts[p+1], frac, seed, dec)
+			for i := 0; i < a.M; i++ {
+				cols, vals := panel.Row(i)
+				if len(cols) > 0 && (i < cuts[p] || i >= cuts[p+1]) {
+					t.Fatalf("trial %d: panel [%d, %d) holds entries in row %d", trial, cuts[p], cuts[p+1], i)
+				}
+				for k, c := range cols {
+					train.Add(i, int(c), vals[k])
+				}
+			}
+			gotTest = append(gotTest, test...)
 			st = dec
 		}
 		gotTrain := train.ToCSR()
@@ -80,15 +99,30 @@ func TestDecodeSplitStateRejectsWrongLength(t *testing.T) {
 	}
 }
 
-// splitViaCOO is the split as it was first built — training entries
-// collected in a COO and converted (a counting pass plus a sort of every
-// row) — kept as the reference for SplitTrainTest's in-place CSR.
+// splitViaCOO is the split as it was first built — the rule run entry by
+// entry through train/test callbacks, training entries collected in a COO
+// and converted (a counting pass plus a sort of every row) — kept as the
+// reference for splitter's one pass.
 func splitViaCOO(a *CSR, testFrac float64, seed uint64) (*CSR, []Entry) {
 	train := NewCOO(a.M, a.N, a.NNZ())
 	var test []Entry
-	SplitRowsResume(a, 0, a.M, testFrac, seed, NewSplitState(a.N),
-		func(e Entry) { train.Add(int(e.Row), int(e.Col), e.Val) },
-		func(e Entry) { test = append(test, e) })
+	r := rng.NewKeyed(seed, splitKey)
+	colSeen := make([]bool, a.N)
+	for i := 0; i < a.M; i++ {
+		cols, vals := a.Row(i)
+		rowSeen := false
+		for k, c := range cols {
+			e := Entry{Row: int32(i), Col: c, Val: vals[k]}
+			mustTrain := !rowSeen || !colSeen[c]
+			if !mustTrain && r.Float64() < testFrac {
+				test = append(test, e)
+				continue
+			}
+			rowSeen = true
+			colSeen[c] = true
+			train.Add(int(e.Row), int(e.Col), e.Val)
+		}
+	}
 	return train.ToCSR(), test
 }
 
@@ -146,5 +180,171 @@ func TestSplitTrainTestZeroFraction(t *testing.T) {
 	}
 	if train, _ := SplitTrainTest(a, 1e-9, 9); train == a || !Equal(train, a) {
 		t.Fatal("a positive fraction must build a fresh training matrix")
+	}
+}
+
+// lateColumns is an m x n matrix with empty rows (every fourth one and
+// the first two) and columns first seen late: the upper half of the
+// catalogue only appears in the last rows, where every earlier column is
+// already seen.
+func lateColumns(r *rand.Rand, m, n int) *CSR {
+	c := NewCOO(m, n, 0)
+	for i := 2; i < m; i++ {
+		if i%4 == 3 {
+			continue
+		}
+		width := n / 2
+		if i >= m-3 {
+			width = n
+		}
+		for k := r.Intn(3 * n / 4); k >= 0; k-- {
+			c.Add(i, r.Intn(width), r.NormFloat64()*3)
+		}
+	}
+	return c.ToCSR()
+}
+
+// sameSplit reports where two splits differ: the training RowPtr, Col
+// and Val bits, and the test entries in order.
+func sameSplit(gotTrain *CSR, gotTest []Entry, wantTrain *CSR, wantTest []Entry) error {
+	if gotTrain.M != wantTrain.M || gotTrain.N != wantTrain.N {
+		return fmt.Errorf("train is %d x %d, want %d x %d", gotTrain.M, gotTrain.N, wantTrain.M, wantTrain.N)
+	}
+	if !slices.Equal(gotTrain.RowPtr, wantTrain.RowPtr) || !slices.Equal(gotTrain.Col, wantTrain.Col) {
+		return fmt.Errorf("train RowPtr or Col differs")
+	}
+	if len(gotTrain.Val) != len(wantTrain.Val) {
+		return fmt.Errorf("train has %d values, want %d", len(gotTrain.Val), len(wantTrain.Val))
+	}
+	for k, v := range gotTrain.Val {
+		if math.Float64bits(v) != math.Float64bits(wantTrain.Val[k]) {
+			return fmt.Errorf("train value %d is %x, want %x", k, math.Float64bits(v), math.Float64bits(wantTrain.Val[k]))
+		}
+	}
+	if len(gotTest) != len(wantTest) {
+		return fmt.Errorf("%d test entries, want %d", len(gotTest), len(wantTest))
+	}
+	for k, e := range gotTest {
+		w := wantTest[k]
+		if e.Row != w.Row || e.Col != w.Col || math.Float64bits(e.Val) != math.Float64bits(w.Val) {
+			return fmt.Errorf("test entry %d is %+v, want %+v", k, e, w)
+		}
+	}
+	return nil
+}
+
+// TestLoadSplitCorpusMatchesSplitTrainTest: the file door is
+// SplitTrainTest(Load(path)) bit for bit — on .bcsr files cut into
+// panels of 1, 7, 64 and 2²⁰ target entries (so rows of one panel and
+// panels of one row both occur) and on MatrixMarket text, at fractions 0,
+// 0.2 and 1, over shapes with empty rows and late columns.
+func TestLoadSplitCorpusMatchesSplitTrainTest(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	dir := t.TempDir()
+	for trial := 0; trial < 8; trial++ {
+		a := lateColumns(r, 10+r.Intn(60), 4+r.Intn(40))
+		seed := uint64(r.Int63())
+		var files []string
+		for _, target := range []int{1, 7, 64, 1 << 20} {
+			var buf bytes.Buffer
+			if err := WriteBinarySharded(&buf, a, target); err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, filepath.Join(dir, fmt.Sprintf("t%d-%d.bcsr", trial, target)))
+			if err := os.WriteFile(files[len(files)-1], buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files = append(files, filepath.Join(dir, fmt.Sprintf("t%d.mtx", trial)))
+		if err := os.WriteFile(files[len(files)-1], mmBytes(t, a), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			full, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, frac := range []float64{0, 0.2, 1} {
+				wantTrain, wantTest := SplitTrainTest(full, frac, seed)
+				gotTrain, gotTest, err := LoadSplit(path, frac, seed)
+				if err != nil {
+					t.Fatalf("%s frac %g: %v", filepath.Base(path), frac, err)
+				}
+				if err := sameSplit(gotTrain, gotTest, wantTrain, wantTest); err != nil {
+					t.Fatalf("%s frac %g: %v", filepath.Base(path), frac, err)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadSplitRejectsHostileFiles: a damaged .bcsr file is refused by
+// the split door in Load's words — a CRC flip, a column past the
+// catalogue, a row whose columns do not ascend (both re-signed, so only
+// the panel rules object) and headers that lie about their size — and a
+// lying header is refused before anything is allocated on its claim.
+func TestLoadSplitRejectsHostileFiles(t *testing.T) {
+	valid := multiShardBCSR(t)
+	mp, err := OpenBinaryBytes(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	const shard = 2
+	rows := int(mp.lay.hi[shard] - mp.lay.lo[shard])
+	colOff, _, end := panelSections(rows, mp.pNNZ[shard])
+	at := mp.pOff[shard]
+	resign := func(damage func(p []byte)) func([]byte) []byte {
+		return func(img []byte) []byte {
+			p := img[at : at+end]
+			damage(p)
+			le.PutUint64(img[at-8:], uint64(crc32.ChecksumIEEE(p)))
+			return img
+		}
+	}
+	lying := func(nnz uint64) func([]byte) []byte {
+		return func([]byte) []byte {
+			img := []byte(bcsrMagic)
+			for _, v := range []uint64{1 << 24, 10, nnz, 1 << 24} {
+				img = le.AppendUint64(img, v)
+			}
+			return append(img, make([]byte, 100)...)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		make    func([]byte) []byte
+		onTrust bool // the refusal must allocate nothing
+	}{
+		{"CRC flip", func(img []byte) []byte { img[at+end-1] ^= 1; return img }, false},
+		{"column past the catalogue", resign(func(p []byte) { le.PutUint32(p[colOff:], 30) }), false},
+		{"row not ascending", resign(func(p []byte) {
+			c := p[colOff:]
+			a, b := le.Uint32(c), le.Uint32(c[4:])
+			le.PutUint32(c, b)
+			le.PutUint32(c[4:], a)
+		}), false},
+		{"header claims 2^60 entries", lying(1 << 60), true},
+		{"header claims a 2^24-shard table", lying(1 << 58), true},
+		{"header promises more entries than the shards hold", func(img []byte) []byte {
+			le.PutUint64(img[bcsrNNZOffset:], le.Uint64(img[bcsrNNZOffset:])+1)
+			return img
+		}, false},
+	} {
+		path := writeTempBCSR(t, tc.make(append([]byte(nil), valid...)))
+		_, loadErr := Load(path)
+		if loadErr == nil {
+			t.Fatalf("%s: Load accepted the file", tc.name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		train, test, err := LoadSplit(path, 0.2, 7)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != loadErr.Error() || train != nil || test != nil {
+			t.Errorf("%s: LoadSplit returned %v (train %v, %d test entries), want Load's %v", tc.name, err, train != nil, len(test), loadErr)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; tc.onTrust && got >= 64<<10 {
+			t.Errorf("%s: refusing the file allocated %d bytes, want under 64 KiB", tc.name, got)
+		}
 	}
 }
