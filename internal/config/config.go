@@ -83,7 +83,7 @@ func (d Data) Validate() error {
 	if d.Scale <= 0 {
 		return fmt.Errorf("config: data scale must be positive, got %g", d.Scale)
 	}
-	if d.TestFrac < 0 || d.TestFrac >= 1 {
+	if !(d.TestFrac >= 0 && d.TestFrac < 1) { // NaN fails both
 		return fmt.Errorf("config: data test fraction must be in [0, 1), got %g", d.TestFrac)
 	}
 	if d.Synthetic != "" {

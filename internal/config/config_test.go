@@ -2,6 +2,7 @@ package config
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -112,6 +113,7 @@ func TestDataValidate(t *testing.T) {
 		{"negative scale", func(d *Data) { d.Scale = -0.5 }, "scale must be positive"},
 		{"negative test frac", func(d *Data) { d.TestFrac = -0.1 }, "test fraction"},
 		{"test frac one", func(d *Data) { d.TestFrac = 1 }, "test fraction"},
+		{"NaN test frac", func(d *Data) { d.TestFrac = math.NaN() }, "test fraction"},
 		{"unknown synthetic", func(d *Data) { d.Synthetic = "nope" }, "unknown synthetic"},
 	}
 	for _, tc := range cases {
@@ -352,6 +354,7 @@ func TestServeValidate(t *testing.T) {
 			c.Models = map[string]ServeModel{"a": {Alpha: 2}}
 		}, "needs a checkpoint path"},
 		{"bad test frac", func(c *Serve) { c.Model.TestFrac = 1.5 }, "test fraction"},
+		{"NaN test frac", func(c *Serve) { c.Model.TestFrac = math.NaN() }, "test fraction"},
 		{"test frac without data", func(c *Serve) { c.Model.TestFrac = 0.2 }, "needs a data path"},
 		{"bad alpha", func(c *Serve) { c.Model.Alpha = 0 }, "alpha must be positive"},
 		{"inverted clamp", func(c *Serve) { c.Model.Clamp = Clamp{Min: 5, Max: 1} }, "must not exceed"},

@@ -32,7 +32,7 @@ func (m ServeModel) Validate(name string) error {
 	if m.Ckpt == "" {
 		return fmt.Errorf("config: model %q needs a checkpoint path", name)
 	}
-	if m.TestFrac < 0 || m.TestFrac >= 1 {
+	if !(m.TestFrac >= 0 && m.TestFrac < 1) { // NaN fails both
 		return fmt.Errorf("config: model %q test fraction must be in [0, 1), got %g", name, m.TestFrac)
 	}
 	if m.TestFrac > 0 && m.Data == "" {

@@ -72,69 +72,37 @@ func LoadPool(path string, pool *sched.Pool) (*CSR, error) {
 	return load(path, pool, false)
 }
 
-// LoadSplit is SplitTrainTest(Load(path), testFrac, seed) — the same
-// training matrix and test set bit for bit, and the same errors. A .bcsr
-// file is split in one pass straight from its mapped panels: each panel
-// is verified as Load verifies it, its rows are decoded into the training
-// arrays and split in place, and the full matrix is never built.
-func LoadSplit(path string, testFrac float64, seed uint64) (*CSR, []Entry, error) {
-	mp, a, err := open(path, nil, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	if mp != nil {
-		defer mp.Close()
-		if testFrac > 0 {
-			return mp.split(testFrac, seed)
-		}
-		if a, err = mp.Matrix(); err != nil {
-			return nil, nil, err
-		}
-	}
-	train, test := SplitTrainTest(a, testFrac, seed)
-	return train, test, nil
-}
-
 func load(path string, pool *sched.Pool, auto bool) (*CSR, error) {
-	mp, a, err := open(path, pool, auto)
-	if mp != nil {
-		defer mp.Close()
-		return mp.Matrix()
-	}
-	return a, err
-}
-
-// open sniffs path's format. A .bcsr file comes back as its mapped
-// reader, which the caller closes; a MatrixMarket file as the matrix
-// parsed from it.
-func open(path string, pool *sched.Pool, auto bool) (*Mapped, *CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	head, err := sniff(f, path)
 	if err == nil && hasBCSRMagic(head) {
 		mp, err := openBinaryFile(f) // f is the reader's from here
-		return mp, nil, err
+		if err != nil {
+			return nil, err
+		}
+		defer mp.Close()
+		return mp.Matrix()
 	}
 	defer f.Close()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !bytes.HasPrefix(head, []byte(mmMagic)) {
-		return nil, nil, fmt.Errorf("sparse: %s is neither a bcsr nor a MatrixMarket file (starts %q)", path, strings.ToValidUTF8(string(head), "?"))
+		return nil, fmt.Errorf("sparse: %s is neither a bcsr nor a MatrixMarket file (starts %q)", path, strings.ToValidUTF8(string(head), "?"))
 	}
 	// The parallel parser needs the whole byte stream for random
 	// line-boundary access.
 	data, err := io.ReadAll(io.MultiReader(bytes.NewReader(head), f))
 	if err != nil {
-		return nil, nil, fmt.Errorf("sparse: reading %s: %w", path, err)
+		return nil, fmt.Errorf("sparse: reading %s: %w", path, err)
 	}
 	if auto && pool == nil && len(data) >= autoPoolMin && runtime.GOMAXPROCS(0) > 1 {
 		p := sched.NewPool(0)
 		defer p.Close()
 		pool = p
 	}
-	a, err := ParseMatrixMarket(data, pool)
-	return nil, a, err
+	return ParseMatrixMarket(data, pool)
 }

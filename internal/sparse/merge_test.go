@@ -404,15 +404,16 @@ func TestTwoRangesMatchSerial(t *testing.T) {
 		}
 		cases = append(cases, tc{fmt.Sprint("k=", k), base, deltas})
 	}
-	const wide = 50_000
+	// A one-row base is over the cutoff only if the row is wider than it.
+	const wide, oneRow = 50_000, 4 * twoRangeMin
 	cases = append(cases,
 		tc{"one row holds most entries", randomRows(r, 300, wide, 2*twoRangeMin, 137, 0.8),
 			[]*CSR{randomRows(r, 310, wide, 2*twoRangeMin, 137, 0.8), randomRows(r, 300, wide, 500, 0, 0)}},
 		tc{"m=0", NewCOO(0, 40, 0).ToCSR(), []*CSR{NewCOO(0, 40, 0).ToCSR(), NewCOO(0, 40, 0).ToCSR()}},
-		tc{"m=1", randomRows(r, 1, wide, 2*twoRangeMin, 0, 0),
-			[]*CSR{randomRows(r, 1, wide, twoRangeMin, 0, 0), randomRows(r, 1, wide, twoRangeMin, 0, 0)}},
-		tc{"m=1 under taller deltas", randomRows(r, 1, wide, 2*twoRangeMin, 0, 0),
-			[]*CSR{randomRows(r, 3, wide, 2*twoRangeMin, 0, 0)}},
+		tc{"m=1", randomRows(r, 1, oneRow, 2*twoRangeMin, 0, 0),
+			[]*CSR{randomRows(r, 1, oneRow, twoRangeMin, 0, 0), randomRows(r, 1, oneRow, twoRangeMin, 0, 0)}},
+		tc{"m=1 under taller deltas", randomRows(r, 1, oneRow, 2*twoRangeMin, 0, 0),
+			[]*CSR{randomRows(r, 3, oneRow, 2*twoRangeMin, 0, 0)}},
 		tc{"50 000 columns", randomRows(r, 3000, wide, 2*twoRangeMin, 0, 0),
 			[]*CSR{randomRows(r, 3000, wide, 12_000, 0, 0), randomRows(r, 3010, wide, 12_000, 0, 0), randomRows(r, 3020, wide, 12_000, 0, 0)}},
 	)

@@ -10,8 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/rng"
 )
 
 // mmap.go is the reader of the .bcsr format — the only one. Mapped opens
@@ -263,38 +261,6 @@ func (mp *Mapped) Matrix() (*CSR, error) {
 		}
 	}
 	return a, nil
-}
-
-// split is LoadSplit's pass: SplitTrainTest of the mapped matrix without
-// building it. Each panel is verified on touch like Matrix's; each row's
-// columns and values are decoded to the end of the training arrays and
-// split there in place (splitter.row), so one pass writes the training
-// matrix and the test set.
-func (mp *Mapped) split(testFrac float64, seed uint64) (*CSR, []Entry, error) {
-	m, n := mp.Dims()
-	sp := newSplitter(m, n, int(mp.lay.nnz), testFrac, rng.NewKeyed(seed, splitKey), make([]bool, n))
-	col, val := sp.train.Col, sp.train.Val
-	for s := 0; s < mp.Shards(); s++ {
-		payload, err := mp.touch(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		lo, rows := int(mp.lay.lo[s]), int(mp.lay.hi[s]-mp.lay.lo[s])
-		colOff, valOff, _ := panelSections(rows, mp.pNNZ[s])
-		cols, vals := payload[colOff:valOff], payload[valOff:]
-		for r := 0; r < rows; r++ {
-			p := int(binary.LittleEndian.Uint64(payload[r*8:]))
-			e := int(binary.LittleEndian.Uint64(payload[(r+1)*8:]))
-			rc, rv := col[sp.w:sp.w+e-p], val[sp.w:sp.w+e-p]
-			for k := range rc {
-				rc[k] = int32(binary.LittleEndian.Uint32(cols[(p+k)*4:]))
-				rv[k] = math.Float64frombits(binary.LittleEndian.Uint64(vals[(p+k)*8:]))
-			}
-			sp.row(lo+r, rc, rv)
-		}
-	}
-	train, test := sp.done(m)
-	return train, test, nil
 }
 
 // shardOfRow returns the shard whose panel contains row i.

@@ -244,9 +244,14 @@ func (s *rowSorter) Swap(i, j int) {
 
 // twoRangeMin is the input size, in entries, from which MergeLastWins and
 // Transpose cut their rows into two ranges and run one on a goroutine of
-// its own, where GOMAXPROCS allows: below it the goroutine's start and
-// the ranges' bookkeeping cost about what the second core saves.
-const twoRangeMin = 1 << 15
+// its own, where GOMAXPROCS allows. Measured on two cores (PERF.md, "The
+// two-range cutoff"): below 2¹⁴ entries two ranges lose on every input
+// shape; ChEMBL-shaped and wide inputs and merges of many deltas win from
+// 2¹⁴, dense MovieLens-shaped transposes and one-delta merges only from
+// 2¹⁷–2¹⁸. 2¹⁶ lies under the smallest trainer input of the benchmark
+// (a ChEMBL-shaped split of ~8·10⁴ entries, which wins there by a third)
+// and its MovieLens-shaped inputs hold 2.9·10⁵ entries or more.
+const twoRangeMin = 1 << 16
 
 // twoRanges reports whether a job over nnz input entries runs as two row
 // ranges.
@@ -262,16 +267,19 @@ func twoRanges(nnz int) bool { return nnz >= twoRangeMin && runtime.GOMAXPROCS(0
 func (a *CSR) Transpose() *CSR {
 	nnz := a.NNZ()
 	split, mid := twoRanges(nnz), a.M
+	// Each range's column counts, then its scatter cursors; a serial
+	// transpose has only the lower range.
+	lower, upper := make([]int64, a.N), []int64(nil)
 	if split {
-		mid = sort.Search(a.M, func(i int) bool { return a.RowPtr[i] >= int64(nnz/2) })
+		mid, upper = sort.Search(a.M, func(i int) bool { return a.RowPtr[i] >= int64(nnz/2) }), make([]int64, a.N)
 	}
-	// Each range's column counts, then its scatter cursors.
-	lower, upper := make([]int64, a.N), make([]int64, a.N)
 	inTwo(split, func() { a.countCols(0, mid, lower) }, func() { a.countCols(mid, a.M, upper) })
 	ptr := make([]int64, a.N+1)
 	for j, c := range lower {
-		ptr[j+1] = ptr[j] + c + upper[j]
-		lower[j], upper[j] = ptr[j], ptr[j]+c
+		lower[j], ptr[j+1] = ptr[j], ptr[j]+c
+		if split {
+			upper[j], ptr[j+1] = ptr[j+1], ptr[j+1]+upper[j]
+		}
 	}
 	col := make([]int32, nnz)
 	val := make([]float64, nnz)

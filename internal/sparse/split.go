@@ -95,7 +95,9 @@ func SplitRowsResume(a *CSR, lo, hi int, testFrac float64, seed uint64, st *Spli
 	if st.Started {
 		r.SetState(st.RNG)
 	}
-	sp := newSplitter(a.M, a.N, int(a.RowPtr[hi]-a.RowPtr[lo]), testFrac, r, st.ColSeen)
+	nnz := int(a.RowPtr[hi] - a.RowPtr[lo])
+	train := &CSR{M: a.M, N: a.N, RowPtr: make([]int64, a.M+1), Col: make([]int32, nnz), Val: make([]float64, nnz)}
+	sp := newSplitter(train, testFrac, r, st.ColSeen)
 	for i := lo; i < hi; i++ {
 		cols, vals := a.Row(i)
 		sp.row(i, cols, vals)
@@ -106,11 +108,11 @@ func SplitRowsResume(a *CSR, lo, hi int, testFrac float64, seed uint64, st *Spli
 }
 
 // splitter is the split rule's one body, shared by the in-memory split
-// and LoadSplit's pass over a mapped file. It takes rows in ascending
-// order and writes each one's training entries at the end of train's
-// Col/Val (presized to every entry the rows hold) — a row may be read
-// from the very window it is written to, since a write never passes the
-// read — and appends its held-out entries to test, presized too.
+// and LoadSplit's split in place. It takes rows in ascending order and
+// writes each one's training entries at the end of train's Col/Val — a
+// row may be read from the very window it is written to, since a write
+// never passes the read — and appends its held-out entries to test,
+// which is presized.
 type splitter struct {
 	r       *rng.Stream
 	frac    float64
@@ -120,17 +122,21 @@ type splitter struct {
 	test    []Entry
 }
 
-// newSplitter starts a split of up to nnz entries of an m x n matrix
+// newSplitter starts a split into train, an m x n matrix with its RowPtr
+// allocated and room in Col and Val for every entry the rows bring,
 // drawing from r, with colSeen marking the columns that already hold a
 // training entry.
-func newSplitter(m, n, nnz int, frac float64, r *rng.Stream, colSeen []bool) *splitter {
+func newSplitter(train *CSR, frac float64, r *rng.Stream, colSeen []bool) *splitter {
 	// The held-out count is at most Binomial(nnz, frac): reserve its mean
-	// plus four standard deviations, so the slice rarely grows.
-	f := min(max(frac, 0), 1)
+	// plus four standard deviations, so the slice rarely grows. A fraction
+	// that is not above 0 (NaN too) holds nothing out.
+	nnz, f := len(train.Col), 0.0
+	if frac > 0 {
+		f = min(frac, 1)
+	}
 	mean := float64(nnz) * f
-	return &splitter{r: r, frac: frac, colSeen: colSeen,
-		train: &CSR{M: m, N: n, RowPtr: make([]int64, m+1), Col: make([]int32, nnz), Val: make([]float64, nnz)},
-		test:  make([]Entry, 0, min(nnz, int(mean+4*math.Sqrt(mean*(1-f)))+16))}
+	return &splitter{r: r, frac: frac, colSeen: colSeen, train: train,
+		test: make([]Entry, 0, min(nnz, int(mean+4*math.Sqrt(mean*(1-f)))+16))}
 }
 
 // row splits row i, whose entries are (cols[k], vals[k]) in ascending
@@ -180,4 +186,25 @@ func SplitTrainTest(a *CSR, testFrac float64, seed uint64) (*CSR, []Entry) {
 		return a, nil
 	}
 	return SplitRowsResume(a, 0, a.M, testFrac, seed, NewSplitState(a.N))
+}
+
+// LoadSplit is SplitTrainTest(Load(path), testFrac, seed) — the same
+// training matrix and test set bit for bit, and the same errors — but the
+// split runs in place over the loaded matrix's own arrays: each row is
+// split into the window it is read from (a write never passes the read),
+// so no second matrix is built beside the first.
+func LoadSplit(path string, testFrac float64, seed uint64) (*CSR, []Entry, error) {
+	a, err := Load(path)
+	if err != nil || testFrac <= 0 {
+		return a, nil, err
+	}
+	sp := newSplitter(a, testFrac, rng.NewKeyed(seed, splitKey), make([]bool, a.N))
+	start := a.RowPtr[0]
+	for i := 0; i < a.M; i++ {
+		end := a.RowPtr[i+1] // read before sp.row closes row i over it
+		sp.row(i, a.Col[start:end], a.Val[start:end])
+		start = end
+	}
+	train, test := sp.done(a.M)
+	return train, test, nil
 }

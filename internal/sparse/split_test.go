@@ -181,6 +181,10 @@ func TestSplitTrainTestZeroFraction(t *testing.T) {
 	if train, _ := SplitTrainTest(a, 1e-9, 9); train == a || !Equal(train, a) {
 		t.Fatal("a positive fraction must build a fresh training matrix")
 	}
+	// NaN is neither above nor below 0: a pass that holds nothing out.
+	if train, test := SplitTrainTest(a, math.NaN(), 9); !Equal(train, a) || len(test) != 0 {
+		t.Fatalf("a NaN fraction must keep every entry in training, held out %d", len(test))
+	}
 }
 
 // lateColumns is an m x n matrix with empty rows (every fourth one and
@@ -237,7 +241,7 @@ func sameSplit(gotTrain *CSR, gotTest []Entry, wantTrain *CSR, wantTest []Entry)
 // SplitTrainTest(Load(path)) bit for bit — on .bcsr files cut into
 // panels of 1, 7, 64 and 2²⁰ target entries (so rows of one panel and
 // panels of one row both occur) and on MatrixMarket text, at fractions 0,
-// 0.2 and 1, over shapes with empty rows and late columns.
+// 0.2, 1 and NaN, over shapes with empty rows and late columns.
 func TestLoadSplitCorpusMatchesSplitTrainTest(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	dir := t.TempDir()
@@ -264,7 +268,7 @@ func TestLoadSplitCorpusMatchesSplitTrainTest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, frac := range []float64{0, 0.2, 1} {
+			for _, frac := range []float64{0, 0.2, 1, math.NaN()} {
 				wantTrain, wantTest := SplitTrainTest(full, frac, seed)
 				gotTrain, gotTest, err := LoadSplit(path, frac, seed)
 				if err != nil {
