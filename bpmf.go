@@ -94,7 +94,7 @@ func DataFromMatrixMarket(r io.Reader, testFrac float64, seed uint64) (*Data, er
 // sparse.WriteBinarySharded) — and holds out testFrac for evaluation.
 // Malformed or corrupt files of either format are reported as errors. The
 // split is sparse.LoadSplit's, the same as loading the file and splitting
-// it, but a .bcsr file is split in one pass from its mapped panels.
+// it, but run in place over the loaded matrix, so no copy is built.
 func DataFromFile(path string, testFrac float64, seed uint64) (*Data, error) {
 	train, test, err := sparse.LoadSplit(path, testFrac, seed)
 	if err != nil {

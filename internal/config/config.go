@@ -129,8 +129,8 @@ func (d Data) Matrix(seed uint64) (*sparse.CSR, error) {
 // (source, TestFrac, seed): every command that goes through here with the
 // same three reconstructs the same one — which is how bpmf-trainer and
 // bpmf-serve line up with the chain cmd/bpmf checkpointed. A file goes
-// through sparse.LoadSplit, which splits a .bcsr file in one pass
-// straight from its mapped panels without building the full matrix.
+// through sparse.LoadSplit, which splits the loaded matrix in place
+// instead of building a training copy beside it.
 func (d Data) Split(seed uint64) (train *sparse.CSR, test []sparse.Entry, err error) {
 	if d.Path != "" {
 		return sparse.LoadSplit(d.Path, d.TestFrac, seed)

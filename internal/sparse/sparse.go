@@ -244,13 +244,13 @@ func (s *rowSorter) Swap(i, j int) {
 
 // twoRangeMin is the input size, in entries, from which MergeLastWins and
 // Transpose cut their rows into two ranges and run one on a goroutine of
-// its own, where GOMAXPROCS allows. Measured on two cores (PERF.md, "The
-// two-range cutoff"): below 2¹⁴ entries two ranges lose on every input
-// shape; ChEMBL-shaped and wide inputs and merges of many deltas win from
-// 2¹⁴, dense MovieLens-shaped transposes and one-delta merges only from
-// 2¹⁷–2¹⁸. 2¹⁶ lies under the smallest trainer input of the benchmark
-// (a ChEMBL-shaped split of ~8·10⁴ entries, which wins there by a third)
-// and its MovieLens-shaped inputs hold 2.9·10⁵ entries or more.
+// its own, where GOMAXPROCS allows. The crossover depends on the shape
+// (PERF.md, "The two-range cutoff"): wide and ChEMBL-shaped inputs and
+// many-delta merges win from about 2¹⁴, dense MovieLens-shaped transposes
+// and one-delta merges only from 2¹⁸, and below 2¹³ every transpose loses.
+// 2¹⁶ puts each trainer input of the benchmark on the side where its shape
+// wins (the smallest, ChEMBL-shaped, holds ~8·10⁴ entries; the
+// MovieLens-shaped ones 2.8·10⁵ or more) and keeps small inputs serial.
 const twoRangeMin = 1 << 16
 
 // twoRanges reports whether a job over nnz input entries runs as two row
