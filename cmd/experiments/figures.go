@@ -67,8 +67,8 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 
 	// Real single-thread validation runs (one Gibbs iteration each).
 	fmt.Println("# real 1-thread validation (measured on this host, 1 iteration):")
-	fmt.Println("# (GraphLab draws every rank-one vertex as a lone lane, Sampler.DrawItem ->")
-	fmt.Println("# UpdateItem; TBB and OpenMP draw four per register through UpdateRange)")
+	fmt.Println("# (GraphLab draws every vertex alone, Sampler.DrawItem -> UpdateItem; TBB and")
+	fmt.Println("# OpenMP draw rank-one and serial-Cholesky items four per register through UpdateRange)")
 	prob := core.NewProblem(train, test)
 	one := cfg
 	one.Iters, one.Burnin = 1, 0

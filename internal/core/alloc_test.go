@@ -88,10 +88,11 @@ func TestSampleHyperWSZeroAllocs(t *testing.T) {
 
 // TestItemLoopZeroAllocs pins the engines' full per-item path at zero
 // allocations — UpdateItem behind the re-keyed workspace stream, and
-// UpdateRange over a mixed window: ratingless, degree 1, 5 and 24 rank-one
-// items (lane groups of one to four, one to six passes) beside a
-// serial-Cholesky item, at K = 16 and 32 — which is what makes the item
-// loops allocation-free per iteration, not just per kernel call.
+// UpdateRange over mixed windows: ratingless, degree 1, 5 and 24 rank-one
+// items (lane groups of one to four, one to six passes) beside
+// serial-Cholesky items in a full group and a partly filled one, at K = 16
+// and 32 — which is what makes the item loops allocation-free per
+// iteration, not just per kernel call.
 func TestItemLoopZeroAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.K = 16
@@ -112,7 +113,7 @@ func TestItemLoopZeroAllocs(t *testing.T) {
 
 	for _, k := range []int{16, 32} {
 		cfg.K = k
-		degs := []int{0, 1, 5, 24, 60, 0, 1, 5, 24}
+		degs := []int{0, 1, 5, 24, 60, 0, 1, 5, 24, 30, 31, 32, 33, 34, 35}
 		s, err := NewSampler(cfg, windowProblem(rand.New(rand.NewSource(5)), &cfg, degs, 64))
 		if err != nil {
 			t.Fatal(err)

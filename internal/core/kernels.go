@@ -88,16 +88,18 @@ func NewAccArena(k int) *AccArena {
 type Workspace struct {
 	K int
 	// prec is the Cholesky kernels' posterior precision, factored in place
-	// into its lower Cholesky factor.
+	// into its lower Cholesky factor by a lone draw; precs are a
+	// serial-Cholesky group's four precisions, precs[0] = prec.
 	prec    *la.Matrix
+	precs   [la.Lanes]*la.Matrix
 	rhs     la.Vector
 	mu      la.Vector
 	scratch la.Vector
 
-	// The rank-one kernel's group, one item per lane (la's lane layout):
-	// the items, their factors, their right-hand sides (solved in place
-	// into the means), their normals (solved in place into the noise), and
-	// one pass of up to four scaled partner rows each.
+	// A lane group, one item per lane (la's lane layout): the items, their
+	// factors, their right-hand sides (solved in place into the means),
+	// their normals (solved in place into the noise), and for the rank-one
+	// kernel one pass of up to four scaled partner rows each.
 	lanes            [la.Lanes]laneItem
 	u4, rhs4, z4, x4 []float64
 
@@ -135,9 +137,8 @@ func NewWorkspace(k int) *Workspace {
 // NewWorkspaceShared allocates a workspace whose parallel-kernel chunk
 // accumulators come from the shared arena acc (nil for a private one).
 func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
-	return &Workspace{
+	ws := &Workspace{
 		K:       k,
-		prec:    la.NewMatrix(k, k),
 		rhs:     la.NewVector(k),
 		mu:      la.NewVector(k),
 		scratch: la.NewVector(k),
@@ -147,6 +148,11 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 		x4:      la.NewVector(la.Lanes * la.Lanes * k),
 		acc:     acc,
 	}
+	for l := range ws.precs {
+		ws.precs[l] = la.NewMatrix(k, k)
+	}
+	ws.prec = ws.precs[0]
+	return ws
 }
 
 // UpdateItem performs one Gibbs draw for a single item (one row of U or V):
@@ -165,7 +171,9 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 // (Sampler.UpdateRange), so an item's bits do not depend on the items
 // beside it. The Cholesky kernels solve for the mean and the noise in one
 // paired back-substitution (rng.MVNFromCanonChol), whose sample is the
-// bits of SolveSPD followed by MVNFromPrecChol.
+// bits of SolveSPD followed by MVNFromPrecChol. A sweep draws its
+// serial-Cholesky items in lane groups too (Workspace.drawCholesky), with
+// this path's bits; for one item alone this path is the cheaper one.
 func UpdateItem(
 	ws *Workspace,
 	kernel Kernel,
@@ -217,7 +225,7 @@ func UpdateItem(
 	stream.MVNFromCanonChol(ws.rhs, ws.prec, out, ws.mu, ws.scratch)
 }
 
-// laneItem is one item of a rank-one group: its ratings and its output row.
+// laneItem is one item of a lane group: its ratings and its output row.
 type laneItem struct {
 	cols []int32
 	vals []float64
@@ -225,10 +233,11 @@ type laneItem struct {
 }
 
 // setLane makes the item with ratings (cols, vals) lane l of the next
-// rank-one group, drawing out. Its K normals — all the item's draw takes
-// from its stream, in FillNorm order — go into lane l of z4 before the
-// draw: a group's lanes in one rng.FillNormLanes (Sampler.UpdateRange), a
-// lone lane by FillNorm from the caller's stream (UpdateItem).
+// group, rank-one or serial Cholesky, drawing out. Its K normals — all the
+// item's draw takes from its stream, in FillNorm order — go into lane l of
+// z4 before the draw: a group's lanes in one rng.FillNormLanes
+// (Sampler.drawGroup), a lone rank-one lane by FillNorm from the caller's
+// stream (UpdateItem).
 func (ws *Workspace) setLane(l int, cols []int32, vals []float64, out la.Vector) {
 	ws.lanes[l] = laneItem{cols: cols, vals: vals, out: out}
 }
@@ -237,11 +246,7 @@ func (ws *Workspace) setLane(l int, cols []int32, vals []float64, out la.Vector)
 // the rank-one kernel: each lane's factor starts from hyper.LambdaUpper and
 // takes sqrt(α)·x for its ratings in passes of up to four
 // (la.CholUpdateUpper4); its rhs is Λμ + α Σ r_j x_j in rating order; then
-// the lanes' forward solves (la.SolveUpperT4) and the paired back-solves of
-// the mean and the noise (la.SolveUpperPair4), and out = mean + noise. The
-// solves on U = Lᵀ perform SolveLower's and SolveLowerT's operations on L,
-// so each item is SolveSPD followed by MVNFromPrecChol on its own factor,
-// bit for bit. A ratingless lane is blended out of every pass; when no
+// solveLanes. A ratingless lane is blended out of every pass; when no
 // lane has ratings the solves read hyper.LambdaUpper itself. Lanes past n
 // compute on stale values and are discarded.
 func (ws *Workspace) drawRankOne(n int, alpha float64, other *la.Matrix, hyper *Hyper) {
@@ -270,6 +275,41 @@ func (ws *Workspace) drawRankOne(n int, alpha float64, other *la.Matrix, hyper *
 		la.CholUpdateUpper4(ws.u4, u, ws.x4, k, nr)
 		u = ws.u4
 	}
+	ws.solveLanes(n, u)
+}
+
+// drawCholesky draws lanes [0, n) of the group set up by setLane, n ≤ 4, by
+// the serial-Cholesky kernel: each lane's precision and rhs accumulate as
+// UpdateItem's do (Λ copied, then one la.SyrkAxpyBatchLower into the
+// lane's own row-major precision), the n precisions are packed into the
+// lane layout (la.PackLower4) and factored side by side (la.Cholesky4),
+// leaving U = Lᵀ of la.Cholesky's L, bit for bit. solveLanes finishes
+// them, so each lane is UpdateItem's sample. A precision that is not SPD
+// panics with UpdateItem's message, the lowest such lane's; lanes past n
+// are copies of lane 0 and are discarded.
+func (ws *Workspace) drawCholesky(n int, alpha float64, other *la.Matrix, hyper *Hyper) {
+	for l, it := range ws.lanes[:n] {
+		p := ws.precs[l]
+		p.CopyFrom(hyper.Lambda)
+		copy(ws.rhs, hyper.LambdaMu)
+		la.SyrkAxpyBatchLower(alpha, other, it.cols, it.vals, p, ws.rhs)
+		la.SetLane(ws.rhs4, l, ws.rhs)
+	}
+	la.PackLower4(ws.u4, ws.precs, n)
+	if err := la.Cholesky4(ws.u4, ws.K, n); err != nil {
+		panic("core: item posterior precision not SPD: " + err.Error())
+	}
+	ws.solveLanes(n, ws.u4)
+}
+
+// solveLanes finishes lanes [0, n) of a group from their factors u (U = Lᵀ
+// in every lane), their rhs in rhs4 and their normals in z4: the forward
+// solves (la.SolveUpperT4), the paired back-solves of the mean and the
+// noise (la.SolveUpperPair4), and out = mean + noise. On U = Lᵀ the solves
+// perform SolveLower's and SolveLowerT's operations on L, so each lane is
+// SolveSPD followed by MVNFromPrecChol on its own factor, bit for bit.
+func (ws *Workspace) solveLanes(n int, u []float64) {
+	k := ws.K
 	la.SolveUpperT4(u, ws.rhs4, k)
 	la.SolveUpperPair4(u, ws.rhs4, ws.z4, k)
 	for i, z := range ws.z4 {

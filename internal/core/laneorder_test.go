@@ -186,6 +186,16 @@ func parallelForRanges(n int) [][2]int {
 	return ranges
 }
 
+// wholeRanges are the ranges between consecutive bounds, each one
+// UpdateRange call: mc.Static's chunks.
+func wholeRanges(bounds []int) [][2]int {
+	var ranges [][2]int
+	for r := 0; r+1 < len(bounds); r++ {
+		ranges = append(ranges, [2]int{bounds[r], bounds[r+1]})
+	}
+	return ranges
+}
+
 // grainRanges are the windows UpdateRange makes of the ranges between
 // consecutive bounds, ItemGrain positions at a time: a one-thread
 // distributed rank's sweep over each rank's owned range, or a static
@@ -200,25 +210,71 @@ func grainRanges(bounds []int) [][2]int {
 	return ranges
 }
 
-// TestLaneCounters counts, without timing anything, how full the rank-one
-// lane groups of a sweep are and how long their chains run, on the walks
-// the engines make over the lane order: a work-stealing sweep
+// cholCount is what UpdateRange's group rule makes of one sweep's ranges
+// for the serial-Cholesky items: within a range they go in range order in
+// lane groups of la.Lanes, a group closed early by a parallel-Cholesky
+// item and by the range's end.
+type cholCount struct{ items, groups int }
+
+func countCholLanes(cfg *Config, ratings *sparse.CSR, ord []int32, ranges [][2]int) cholCount {
+	var c cholCount
+	for _, r := range ranges {
+		pending := 0
+		for _, item := range ord[r[0]:r[1]] {
+			switch cfg.SelectKernel(ratings.RowNNZ(int(item))) {
+			case KernelCholesky:
+				c.items++
+				if pending++; pending == la.Lanes {
+					c.groups++
+					pending = 0
+				}
+			case KernelParallelCholesky:
+				if pending > 0 {
+					c.groups++
+					pending = 0
+				}
+			}
+		}
+		if pending > 0 {
+			c.groups++
+		}
+	}
+	return c
+}
+
+// noSide is no side: a shape with no side mostly of one kernel.
+const noSide Side = 2
+
+func (c cholCount) occupancy() float64 {
+	if c.groups == 0 {
+		return 1
+	}
+	return float64(c.items) / float64(la.Lanes*c.groups)
+}
+
+// TestLaneCounters counts, without timing anything, how full the lane
+// groups of a sweep are and how long the rank-one groups' chains run, on
+// the walks the engines make over the lane order: a work-stealing sweep
 // (mc.WorkSteal and the trainer, the ranges of a real ParallelFor), a
-// static split over two threads (mc.Static, whose second chunk need not
-// start on a grain multiple), and a one-thread distributed rank's
-// ItemGrain loop over its owned range (two ranks, moment groups from the
-// plan). On the side that is mostly rank-one, every walk fills ≥ 99 % of
-// the lanes and its chains run within 2 % of the ratings spread evenly
-// over full groups.
+// static split over two threads (mc.Static, one range per thread, whose
+// second need not start on a grain multiple), and a one-thread distributed
+// rank's ItemGrain loop over its owned range (two ranks, moment groups
+// from the plan). On the side that is mostly rank-one, every walk fills
+// ≥ 99 % of the lanes and its chains run within 2 % of the ratings spread
+// evenly over full groups; on the side that is mostly serial Cholesky
+// (the users of the train-dense-mc shape), every walk fills ≥ 99 % of the
+// lanes of the Cholesky groups. Where parallel-Cholesky items sit among
+// them (that shape's movies), each closes a group early.
 func TestLaneCounters(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		spec datagen.Spec
-		side Side // the side that is mostly rank-one
+		name          string
+		spec          datagen.Spec
+		rankOne, chol Side // the sides that are mostly rank-one, mostly serial Cholesky
 	}{
-		{"chembl×0.02", datagen.Scaled(datagen.ChEMBL(1), 0.02), SideU},
+		{"chembl×0.02", datagen.Scaled(datagen.ChEMBL(1), 0.02), SideU, noSide},
 		{"wide", datagen.Spec{Name: "wide", Rows: 2000, Cols: 12500, NNZ: 100000,
-			TrueRank: 16, NoiseSD: 0.5, ZipfS: 1.0, MinVal: 0.5, MaxVal: 5, Seed: 1}, SideV},
+			TrueRank: 16, NoiseSD: 0.5, ZipfS: 1.0, MinVal: 0.5, MaxVal: 5, Seed: 1}, SideV, noSide},
+		{"ml-20m×0.03", datagen.Scaled(datagen.ML20M(1), 0.03), noSide, SideU},
 	} {
 		prob := NewProblem(sparse.SplitTrainTest(datagen.Generate(c.spec).R, 0.2, 1))
 		cfg := DefaultConfig()
@@ -242,18 +298,25 @@ func TestLaneCounters(t *testing.T) {
 			if side == SideV {
 				bounds = plan.ColBounds
 			}
+			steal, static := parallelForRanges(n), wholeRanges(sched.StaticChunks(2, 0, n))
 			for _, w := range []struct {
 				walk  string
 				count laneCount
+				chol  cholCount
 			}{
-				{"worksteal", countLanes(&cfg, ratings, trainerOrd, parallelForRanges(n))},
-				{"static", countLanes(&cfg, ratings, trainerOrd, grainRanges(sched.StaticChunks(2, 0, n)))},
-				{"dist", countLanes(&cfg, ratings, rankOrd, grainRanges(bounds))},
+				{"worksteal", countLanes(&cfg, ratings, trainerOrd, steal), countCholLanes(&cfg, ratings, trainerOrd, steal)},
+				{"static", countLanes(&cfg, ratings, trainerOrd, grainRanges(sched.StaticChunks(2, 0, n))),
+					countCholLanes(&cfg, ratings, trainerOrd, static)},
+				{"dist", countLanes(&cfg, ratings, rankOrd, grainRanges(bounds)), countCholLanes(&cfg, ratings, rankOrd, grainRanges(bounds))},
 			} {
-				k := w.count
-				t.Logf("%s side %d %s: %d rank-one items, occupancy %.3f, passes %d (ideal %d), chain slots %d (ideal %d)",
-					c.name, side, w.walk, k.items, k.occupancy(), k.passes, k.idealPasses(), k.slots, k.idealSlots())
-				if side != c.side {
+				k, ch := w.count, w.chol
+				t.Logf("%s side %d %s: %d rank-one items, occupancy %.3f, passes %d (ideal %d), chain slots %d (ideal %d); %d serial-Cholesky items, occupancy %.3f",
+					c.name, side, w.walk, k.items, k.occupancy(), k.passes, k.idealPasses(), k.slots, k.idealSlots(),
+					ch.items, ch.occupancy())
+				if side == c.chol && ch.occupancy() < 0.99 {
+					t.Errorf("%s side %d %s: Cholesky lane occupancy %.4f, want ≥ 0.99", c.name, side, w.walk, ch.occupancy())
+				}
+				if side != c.rankOne {
 					continue
 				}
 				if k.occupancy() < 0.99 {

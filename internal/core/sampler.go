@@ -299,42 +299,56 @@ func (s *Sampler) DrawItem(ws *Workspace, side Side, iter, item int,
 
 // UpdateRange draws the items at positions [lo, hi) of ord (an Order) on
 // the calling goroutine. The workspace lease and the kernel tally are per
-// range, so the item loop itself touches no shared cache line. The range
-// goes in windows of ItemGrain positions: a window's Cholesky-kernel items
-// are drawn one by one, its rank-one items four at a time in window
-// order, one per lane (Workspace.drawRankOne). The lane order puts items
-// of one or adjacent degrees side by side, so a group's lanes take
-// similar numbers of passes. Every item's draw reads only its own ratings
-// and keyed stream, so the grouping changes no bit.
+// range, so the item loop itself touches no shared cache line. Items are
+// drawn in lane groups of up to four, one item per lane: the range's
+// serial-Cholesky items in range order (Workspace.drawCholesky), a group
+// drawn as it fills, before a parallel-Cholesky item (drawn alone, on the
+// pool), and at the range's end; its rank-one items per window of
+// ItemGrain positions, in window order (Workspace.drawRankOne). The lane
+// order puts items of one or adjacent degrees side by side, so a rank-one
+// group's lanes take similar numbers of passes. Every item's draw reads
+// only its own ratings and keyed stream, so the grouping changes no bit;
+// and since no item is drawn before an earlier Cholesky-kernel item, a
+// precision that is not SPD panics as the lone draws in range order would.
 func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *sched.Worker) {
-	self, other, ratings, hyper := s.Side(side)
+	self, other, ratings, _ := s.Side(side)
 	var tally [numKernels]int64
 	ws := s.wsArena.Get(w)
+	var chol [la.Lanes]int
+	nc := 0
 	for win := lo; win < hi; win += ItemGrain {
 		var items [ItemGrain]int
 		n := 0
 		for _, it := range ord[win:min(win+ItemGrain, hi)] {
 			item := int(it)
 			cols, vals := ratings.Row(item)
-			if s.Cfg.SelectKernel(len(cols)) != KernelRankOne {
+			switch s.Cfg.SelectKernel(len(cols)) {
+			case KernelRankOne:
+				items[n] = item
+				n++
+			case KernelCholesky:
+				tally[KernelCholesky]++
+				chol[nc] = item
+				nc++
+				if nc == la.Lanes {
+					s.drawGroup(ws, KernelCholesky, side, iter, chol[:nc])
+					nc = 0
+				}
+			default:
+				if nc > 0 {
+					s.drawGroup(ws, KernelCholesky, side, iter, chol[:nc])
+					nc = 0
+				}
 				tally[s.drawItem(ws, w, side, iter, item, cols, vals, other, self.Row(item))]++
-				continue
 			}
-			items[n] = item
-			n++
 		}
 		tally[KernelRankOne] += int64(n)
 		for g := 0; g < n; g += la.Lanes {
-			m := min(la.Lanes, n-g)
-			var keys [la.Lanes]uint64
-			for l, item := range items[g : g+m] {
-				cols, vals := ratings.Row(item)
-				ws.setLane(l, cols, vals, self.Row(item))
-				keys[l] = itemKey(s.Cfg.Seed, iter, side, item)
-			}
-			rng.FillNormLanes(ws.z4, keys, m)
-			ws.drawRankOne(m, s.Cfg.Alpha, other, hyper)
+			s.drawGroup(ws, KernelRankOne, side, iter, items[g:min(g+la.Lanes, n)])
 		}
+	}
+	if nc > 0 {
+		s.drawGroup(ws, KernelCholesky, side, iter, chol[:nc])
 	}
 	s.wsArena.Put(w, ws)
 	for k, n := range tally {
@@ -342,6 +356,26 @@ func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *s
 			s.kernelCounts[k].Add(n)
 		}
 	}
+}
+
+// drawGroup draws up to la.Lanes items of one side, all of kernel kern
+// (rank-one or serial Cholesky), as one lane group: item l in lane l, its
+// K normals from its keyed stream by one rng.FillNormLanes, its row of the
+// side's factor matrix as out.
+func (s *Sampler) drawGroup(ws *Workspace, kern Kernel, side Side, iter int, items []int) {
+	self, other, ratings, hyper := s.Side(side)
+	var keys [la.Lanes]uint64
+	for l, item := range items {
+		cols, vals := ratings.Row(item)
+		ws.setLane(l, cols, vals, self.Row(item))
+		keys[l] = itemKey(s.Cfg.Seed, iter, side, item)
+	}
+	rng.FillNormLanes(ws.z4, keys, len(items))
+	if kern == KernelRankOne {
+		ws.drawRankOne(len(items), s.Cfg.Alpha, other, hyper)
+		return
+	}
+	ws.drawCholesky(len(items), s.Cfg.Alpha, other, hyper)
 }
 
 // DrawHyper samples one side's hyperparameters for iteration iter from

@@ -149,7 +149,7 @@ func CalibrateCostModel(k int) CostModel {
 }
 
 // calRows is the number of items CalibrateCostModel draws per sweep: two
-// ItemGrain windows of rank-one lane groups.
+// ItemGrain windows of lane groups.
 const calRows = 16
 
 // SweepTime returns the seconds per item of one core.Sampler.UpdateRange

@@ -582,6 +582,114 @@ func diffLanes(t testing.TB, r *rand.Rand, k, m, off int, special bool) {
 	}
 }
 
+// diffCholesky4 draws a Cholesky group of m ≤ 4 matrices of order k —
+// SPD, or, about one lane in three, damaged so that Cholesky refuses it:
+// a pivot made −0, +0, negative or NaN, or with oneIn > 0 special values
+// sprinkled over the lower triangle — packs it (PackLower4) into a buffer
+// at offset off that holds other values, and factors it (Cholesky4). Every
+// lane l < m must hold its matrix's Cholesky factor L bit for bit in its
+// lower triangle and Lᵀ in its upper one, unless Cholesky refuses it; the
+// error must be the lowest refused lane's, pivot and value. Lanes ≥ m are
+// given matrices that are not SPD, which the pack must not read: they
+// hold lane 0's factor. Poisoned after the pack, they are still never
+// reported and leave lanes < m as they were. Nothing outside the group's
+// K × K lane block is written.
+func diffCholesky4(t testing.TB, r *rand.Rand, k, m, off, oneIn int) {
+	t.Helper()
+	var mats [Lanes]*Matrix
+	for l := range mats {
+		a := randSPD(r, k)
+		damaged := l >= m || r.Intn(3) == 0
+		if damaged {
+			p := r.Intn(k)
+			a.Data[p*k+p] = []float64{0, math.Copysign(0, -1), -1, math.NaN(), -a.Data[p*k+p]}[r.Intn(5)]
+		}
+		if oneIn > 0 {
+			for i := 0; i < k; i++ {
+				for j := 0; j <= i; j++ {
+					if r.Intn(oneIn) == 0 {
+						a.Data[i*k+j] = specials[r.Intn(len(specials))]
+					}
+				}
+			}
+		}
+		mats[l] = a
+	}
+	buf := payload(r, Lanes*k*k, off, 4)
+	before := buf.Clone()
+	g := buf[off : off+Lanes*k*k]
+	PackLower4(g, mats, m)
+	// A copy whose lanes ≥ m are poisoned after the pack: every pivot −1
+	// or NaN. It must factor lanes < m alike and report the same.
+	poisoned := g.Clone()
+	for l := m; l < Lanes; l++ {
+		for p := 0; p < k; p++ {
+			poisoned[(p*k+p)*Lanes+l] = []float64{-1, math.NaN()}[r.Intn(2)]
+		}
+	}
+	err := Cholesky4(g, k, m)
+	if perr := Cholesky4(poisoned, k, m); fmt.Sprint(perr) != fmt.Sprint(err) {
+		t.Fatalf("Cholesky4 k=%d m=%d: lanes ≥ m poisoned: %v, packed: %v", k, m, perr, err)
+	}
+	for l := 0; l < m; l++ {
+		checkBits(t, fmt.Sprintf("Cholesky4 k=%d m=%d lane %d beside poisoned lanes", k, m, l), lane(poisoned, l), lane(g, l))
+	}
+	what := fmt.Sprintf("Cholesky4 k=%d m=%d off=%d", k, m, off)
+	checkBits(t, what+" outside the group", append(buf[:off:off], buf[off+Lanes*k*k:]...),
+		append(before[:off:off], before[off+Lanes*k*k:]...))
+
+	var wantErr *ErrNotSPD
+	for l := 0; l < Lanes; l++ {
+		got := lane(g, l)
+		if l >= m {
+			checkBits(t, fmt.Sprintf("%s lane %d (past m) against lane 0", what, l), got, lane(g, 0))
+			continue
+		}
+		f := mats[l].Clone()
+		if e := Cholesky(f, f); e != nil {
+			if wantErr == nil {
+				wantErr = e.(*ErrNotSPD)
+			}
+			continue
+		}
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				w := f.Data[i*k+j]
+				if j > i {
+					w = f.Data[j*k+i]
+				}
+				if !sameBits(got[i*k+j], w) {
+					t.Fatalf("%s lane %d: element (%d, %d) is %v, want %v", what, l, i, j, got[i*k+j], w)
+				}
+			}
+		}
+	}
+	if wantErr == nil {
+		if err != nil {
+			t.Fatalf("%s: %v, want no error", what, err)
+		}
+		return
+	}
+	g2, ok := err.(*ErrNotSPD)
+	if !ok || g2.Pivot != wantErr.Pivot || !sameBits(g2.Value, wantErr.Value) {
+		t.Fatalf("%s: error %v, want %v", what, err, wantErr)
+	}
+}
+
+// TestCholesky4MatchesCholesky: the Cholesky group at every order 1…67,
+// offsets 0–3 and fills 1–4, with and without special values.
+func TestCholesky4MatchesCholesky(t *testing.T) {
+	r := testRand(188)
+	for k := 1; k <= 67; k++ {
+		for off := 0; off < 4; off++ {
+			for m := 1; m <= Lanes; m++ {
+				diffCholesky4(t, r, k, m, off, 0)
+				diffCholesky4(t, r, k, m, off, 2*k*k)
+			}
+		}
+	}
+}
+
 // TestSolveUpperMatchesLower: SolveUpperT4 on U_l = L_lᵀ is SolveLower on
 // L_l bit for bit in every lane, on factors and right-hand sides carrying
 // signed zeros, each lane its own system.

@@ -2,28 +2,30 @@ package la
 
 import "math"
 
-// The inner loops of the dense item update, of the rank-one item update and
-// of the scoring pass. Each has the pure-Go body below and, on amd64, an
-// AVX2 body in kernels_amd64.s computing the same bits; the four dense
-// primitives also have an AVX-512 body in kernels_avx512_amd64.s. A vector
-// lane only holds a value these loops already keep separate (one memory
-// element, one row's inner product, or in the lane kernels one item), and
-// every step is a multiply then an add or subtract, never a fused
-// multiply-add. The AVX2 dense bodies take the last count mod 4 elements of
-// a run through the scalar forms of the same two instructions; the AVX-512
-// ones take the last count mod 8 through one step under an opmask, whose
-// loads and store touch only those elements. The Go bodies are the
-// reference of the differential test and the only path off amd64, under
-// the purego tag, or without AVX2. Callers pass lengths they have checked;
-// the bodies check nothing.
+// The inner loops of the dense item update, of the item updates in lane
+// groups and of the scoring pass. Each has the pure-Go body below and, on
+// amd64, an AVX2 body in kernels_amd64.s computing the same bits; the four
+// dense primitives also have an AVX-512 body in kernels_avx512_amd64.s. A
+// vector lane only holds a value these loops already keep separate (one
+// memory element, one row's inner product, or in the lane kernels one
+// item), and every step is a multiply then an add or subtract, never a
+// fused multiply-add. The AVX2 dense bodies take the last count mod 4
+// elements of a run through the scalar forms of the same two instructions;
+// the AVX-512 ones take the last count mod 8 through one step under an
+// opmask, whose loads and store touch only those elements. The Go bodies
+// are the reference of the differential test and the only path off amd64,
+// under the purego tag, or without AVX2. Callers pass lengths they have
+// checked; the bodies check nothing.
 //
-// These eight are what the exported kernels call: syrk4, axpy4, axpy1 and
-// cholTrail for the dense item update, dot4 for Gemv, and the three lane
-// kernels of the rank-one item update (lanes.go), which advance four items
-// at a time. kernels_amd64.go's init points them at the widest bodies the
-// CPU and the OS run: AVX-512, then AVX2, then Go. The ninth, blockDot8
-// (blocks8.go, the integer pass of a ranking), is dispatched by a direct
-// call instead, AVX2 or Go; its sums are exact, so no lane rule applies.
+// These ten are what the exported kernels call: syrk4, axpy4, axpy1 and
+// cholTrail for the dense item update, dot4 for Gemv, and the five lane
+// kernels (lanes.go), which advance four items at a time: the rank-one
+// group's factor update, the Cholesky group's pack and factor, and the two
+// solves both groups share. kernels_amd64.go's init points them at the
+// widest bodies the CPU and the OS run: AVX-512, then AVX2, then Go. The
+// eleventh, blockDot8 (blocks8.go, the integer pass of a ranking), is
+// dispatched by a direct call instead, AVX2 or Go; its sums are exact, so
+// no lane rule applies.
 var (
 	syrk4           = syrk4Go
 	axpy4           = axpy4Go
@@ -33,6 +35,8 @@ var (
 	cholUpdate4     = cholUpdate4Go
 	solveUpperT4    = solveUpperT4Go
 	solveUpperPair4 = solveUpperPair4Go
+	packLower4      = packLower4Go
+	cholesky4       = cholesky4Go
 )
 
 // HasAVX2 reports whether the AVX2 bodies run: the CPU and the OS support
@@ -245,4 +249,47 @@ func cholTrailGo(l []float64, n, k int) {
 		row := l[i*n : (i+1)*n]
 		axpy1Go(-row[k], colk[k+1:i+1], row[k+1:i+1])
 	}
+}
+
+// packLower4Go is PackLower4: row i of every a_l over its columns
+// [0, min(k, (i|3)+1)), element (i, j) of a_l to lane l of element (i, j).
+func packLower4Go(dst, a0, a1, a2, a3 []float64, k int) {
+	for i := 0; i < k; i++ {
+		for j := i * k; j < i*k+min(k, (i|3)+1); j++ {
+			e := dst[j*4 : j*4+4]
+			e[0], e[1], e[2], e[3] = a0[j], a1[j], a2[j], a3[j]
+		}
+	}
+}
+
+// cholesky4Go is Cholesky4 one lane at a time, returning the lanes that met
+// a pivot not above 0 as a bit mask. Per pivot p: s = √d, u_pp ← s (d where
+// the pivot fails), inv = 1/s, then row by row below the pivot l_ip ← l_ip·inv,
+// mirrored to u_pi, and row i's trailing part l_ij −= l_ip·u_pj for
+// p < j ≤ i, where u_pj = l_jp was mirrored by an earlier row or this one.
+func cholesky4Go(a []float64, k int) (bad int) {
+	for l := 0; l < 4; l++ {
+		for p := 0; p < k; p++ {
+			pp := (p*k+p)*4 + l
+			d := a[pp]
+			s := math.Sqrt(d)
+			a[pp] = s
+			if !(d > 0) {
+				a[pp] = d
+				bad |= 1 << l
+			}
+			inv := 1 / s
+			rowp := a[p*k*4 : (p+1)*k*4]
+			for i := p + 1; i < k; i++ {
+				rowi := a[i*k*4 : (i+1)*k*4]
+				v := rowi[p*4+l] * inv
+				rowi[p*4+l] = v
+				rowp[i*4+l] = v
+				for j := (p+1)*4 + l; j <= i*4+l; j += 4 {
+					rowi[j] -= float64(v * rowp[j])
+				}
+			}
+		}
+	}
+	return bad
 }

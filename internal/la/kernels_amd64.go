@@ -57,6 +57,12 @@ func solveUpperT4AVX2(u, y []float64, k int)
 //go:noescape
 func solveUpperPair4AVX2(u, a, b []float64, k int)
 
+//go:noescape
+func packLower4AVX2(dst, a0, a1, a2, a3 []float64, k int)
+
+//go:noescape
+func cholesky4AVX2(a []float64, k int) (bad int)
+
 func init() {
 	HasAVX2, HasAVX512 = cpuFeatures()
 	denseSets = []denseSet{
@@ -70,5 +76,6 @@ func init() {
 	}
 	if HasAVX2 {
 		dot4, cholUpdate4, solveUpperT4, solveUpperPair4 = dot4AVX2, cholUpdate4AVX2, solveUpperT4AVX2, solveUpperPair4AVX2
+		packLower4, cholesky4 = packLower4AVX2, cholesky4AVX2
 	}
 }

@@ -2,10 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the nine kernels.go primitives: four for the dense item
-// update, three lane kernels for the rank-one item update, dot4 for Gemv,
-// blockDot8 for a ranking's integer pass, and cpuFeatures, the one CPU
-// check. One rule keeps the floating-point ones bit-identical to the Go
+// AVX2 bodies of the eleven kernels.go primitives: four for the dense item
+// update, five lane kernels for the item updates in lane groups, dot4 for
+// Gemv, blockDot8 for a ranking's integer pass, and cpuFeatures, the one
+// CPU check. One rule keeps the floating-point ones bit-identical to the Go
 // bodies: a lane holds a value the scalar loop keeps separate — one memory
 // element, in dot4 one row's inner product, in the lane kernels one item —
 // and every update is VMULPD then VADDPD or VSUBPD, no FMA, which would
@@ -23,7 +23,7 @@
 
 // The lane kernels keep one item per lane (lanes.go's layout), so every
 // instruction below performs one scalar step of the Go body on four items
-// at once.
+// at once (packLower4AVX2 only moves elements into that layout).
 
 // HYPOT sets Y2 = hypot(Y0, Y1) lane by lane with archHypot's operations:
 // t = max(|p|, |q|), h = t·√(1 + (min/t)²). The special cases are settled
@@ -690,5 +690,161 @@ row:
 	DECQ	CX
 	JNZ	row
 done:
+	VZEROUPPER
+	RET
+
+// packLower4AVX2 copies row i of the four matrices over columns
+// [0, min(k, (i|3)+1)) four columns at a time: one load from each matrix,
+// a 4 × 4 transpose in registers (as in dot4AVX2), and four stores, one
+// per column, lane l holding a_l's element. Where k mod 4 ≠ 0 a row's last
+// block is shorter; its columns go one at a time, the four elements
+// gathered into one register. No element past a row's end is loaded.
+//
+// func packLower4AVX2(dst, a0, a1, a2, a3 []float64, k int)
+TEXT ·packLower4AVX2(SB), NOSPLIT, $0-128
+	MOVQ	dst_base+0(FP), DI
+	MOVQ	a0_base+24(FP), R8
+	MOVQ	a1_base+48(FP), R9
+	MOVQ	a2_base+72(FP), R10
+	MOVQ	a3_base+96(FP), R11
+	MOVQ	k+120(FP), R12
+	XORQ	BX, BX			// i
+	XORQ	SI, SI			// element (i, 0): i·k
+row:
+	CMPQ	BX, R12
+	JGE	done
+	MOVQ	BX, CX
+	ORQ	$3, CX
+	INCQ	CX			// (i|3)+1
+	CMPQ	CX, R12
+	CMOVQGT	R12, CX			// c_i = min(k, (i|3)+1)
+	MOVQ	SI, AX			// element (i, j), j = 0
+	LEAQ	(SI)(CX*1), DX		// element (i, c_i)
+block:
+	LEAQ	4(AX), R13
+	CMPQ	R13, DX
+	JGT	tail
+	VMOVUPD	(R8)(AX*8), Y0
+	VMOVUPD	(R9)(AX*8), Y1
+	VMOVUPD	(R10)(AX*8), Y2
+	VMOVUPD	(R11)(AX*8), Y3
+	VUNPCKLPD	Y1, Y0, Y4	// a0[j] a1[j] a0[j+2] a1[j+2]
+	VUNPCKHPD	Y1, Y0, Y5	// a0[j+1] a1[j+1] a0[j+3] a1[j+3]
+	VUNPCKLPD	Y3, Y2, Y6	// a2[j] a3[j] a2[j+2] a3[j+2]
+	VUNPCKHPD	Y3, Y2, Y7	// a2[j+1] a3[j+1] a2[j+3] a3[j+3]
+	VPERM2F128	$0x20, Y6, Y4, Y0	// element j of the four
+	VPERM2F128	$0x20, Y7, Y5, Y1	// j+1
+	VPERM2F128	$0x31, Y6, Y4, Y2	// j+2
+	VPERM2F128	$0x31, Y7, Y5, Y3	// j+3
+	MOVQ	AX, R14
+	SHLQ	$5, R14
+	VMOVUPD	Y0, (DI)(R14*1)
+	VMOVUPD	Y1, 32(DI)(R14*1)
+	VMOVUPD	Y2, 64(DI)(R14*1)
+	VMOVUPD	Y3, 96(DI)(R14*1)
+	MOVQ	R13, AX
+	JMP	block
+tail:
+	CMPQ	AX, DX
+	JGE	next
+	VMOVSD	(R8)(AX*8), X0
+	VMOVHPD	(R9)(AX*8), X0, X0
+	VMOVSD	(R10)(AX*8), X1
+	VMOVHPD	(R11)(AX*8), X1, X1
+	VINSERTF128	$1, X1, Y0, Y0
+	MOVQ	AX, R14
+	SHLQ	$5, R14
+	VMOVUPD	Y0, (DI)(R14*1)
+	INCQ	AX
+	JMP	tail
+next:
+	ADDQ	R12, SI
+	INCQ	BX
+	JMP	row
+done:
+	VZEROUPPER
+	RET
+
+// cholesky4AVX2 is cholesky4Go with one lane per item, two pivots p and
+// q = p+1 a pass, so that each element of the trailing triangle is loaded
+// and stored once for both. PIVOT settles a pivot d (Y0): Y1 = the lanes
+// where d > 0 (false for NaN), Y3 = √d there and d elsewhere (the caller
+// stores it), the failing lanes OR-ed into BX, inv = 1/√d in every lane.
+// Row q comes first: v_q = l_qp·inv_p (stored at l_qp, mirrored to u_pq),
+// l_qq − v_q·u_pq, and pivot q. Then each row i > q in turn: v = l_ip·inv_p
+// (stored, mirrored to u_pi), w = (l_iq − v·u_pq)·inv_q (stored, mirrored
+// to u_qi), and l_ij = (l_ij − v·u_pj) − w·u_qj for j = p+2 .. i, u_pj and
+// u_qj read from rows p and q, where this row or an earlier one mirrored
+// them. Every element so takes pivot p's step, then pivot q's, as in the
+// one-pivot loop. An odd k ends on a lone pivot with nothing below it.
+#define PIVOT(inv) \
+	VCMPPD	$0x0e, Y14, Y0, Y1; \
+	VMOVMSKPD	Y1, AX; \
+	XORQ	$15, AX; \
+	ORQ	AX, BX; \
+	VSQRTPD	Y0, Y2; \
+	VBLENDVPD	Y1, Y2, Y0, Y3; \
+	VDIVPD	Y2, Y15, inv
+
+// func cholesky4AVX2(a []float64, k int) (bad int)
+TEXT ·cholesky4AVX2(SB), NOSPLIT, $0-40
+	MOVQ	a_base+0(FP), DI	// &u(p, p)
+	MOVQ	k+24(FP), R11		// pivots left, p onwards
+	MOVQ	R11, R12
+	SHLQ	$5, R12			// row stride
+	XORQ	BX, BX			// failing lanes
+	MOVQ	$0x3ff0000000000000, AX
+	VMOVQ	AX, X15
+	VPBROADCASTQ	X15, Y15	// 1
+	VXORPD	Y14, Y14, Y14		// +0
+pair:
+	VMOVUPD	(DI), Y0		// pivot p
+	PIVOT(Y4)
+	VMOVUPD	Y3, (DI)
+	CMPQ	R11, $1
+	JEQ	done
+	LEAQ	(DI)(R12*1), R9		// &l(q, p)
+	VMULPD	(R9), Y4, Y9		// v_q = u_pq
+	VMOVUPD	Y9, (R9)
+	VMOVUPD	Y9, 32(DI)
+	VMULPD	Y9, Y9, Y6
+	VMOVUPD	32(R9), Y0
+	VSUBPD	Y6, Y0, Y0		// pivot q
+	PIVOT(Y8)
+	VMOVUPD	Y3, 32(R9)
+	SUBQ	$2, R11			// rows below q
+	JZ	done
+	MOVQ	R9, SI			// &l(i, p), i = q
+	MOVQ	$64, R13		// (i − p)·32, i = p+2
+	MOVQ	R11, R10
+rowi:
+	ADDQ	R12, SI
+	VMULPD	(SI), Y4, Y5		// v
+	VMOVUPD	Y5, (SI)
+	VMOVUPD	Y5, (DI)(R13*1)		// u(p, i)
+	VMULPD	Y9, Y5, Y6
+	VMOVUPD	32(SI), Y7
+	VSUBPD	Y6, Y7, Y7
+	VMULPD	Y8, Y7, Y7		// w
+	VMOVUPD	Y7, 32(SI)
+	VMOVUPD	Y7, (R9)(R13*1)		// u(q, i)
+	MOVQ	$64, CX			// (j − p)·32, j = p+2
+elem:
+	VMULPD	(DI)(CX*1), Y5, Y0
+	VMOVUPD	(SI)(CX*1), Y1
+	VSUBPD	Y0, Y1, Y1
+	VMULPD	(R9)(CX*1), Y7, Y2
+	VSUBPD	Y2, Y1, Y1
+	VMOVUPD	Y1, (SI)(CX*1)
+	ADDQ	$32, CX
+	CMPQ	CX, R13
+	JLE	elem
+	ADDQ	$32, R13
+	DECQ	R10
+	JNZ	rowi
+	LEAQ	64(DI)(R12*2), DI	// &u(p+2, p+2)
+	JMP	pair
+done:
+	MOVQ	BX, bad+32(FP)
 	VZEROUPPER
 	RET

@@ -69,9 +69,9 @@ func blockDot8Sum(v []int8, x []int16, j int) int64 {
 	return s
 }
 
-// diffPrimitives compares the nine primitives with their Go bodies at
+// diffPrimitives compares the eleven primitives with their Go bodies at
 // width k (the lane kernels at order k): the four dense ones through every
-// set in denseSets the CPU runs, the other five through their dispatchers.
+// set in denseSets the CPU runs, the other seven through their dispatchers.
 func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	t.Helper()
 	var x [4]Vector
@@ -199,6 +199,34 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	solveUpperPair4Go(u[off:off+Lanes*k*k], wantA[off:off+Lanes*k], wantB[off:off+Lanes*k], k)
 	checkBits(t, "solveUpperPair4 a", gotA, wantA)
 	checkBits(t, "solveUpperPair4 b", gotB, wantB)
+
+	// The Cholesky group's pack and factor, on SPD matrices (with specials
+	// sprinkled over their lower triangles, which may make a lane fail)
+	// packed over a buffer that holds other values, the whole buffer
+	// compared: pack, then factor, then the failing lanes.
+	var mats [Lanes][]float64
+	for l := range mats {
+		mats[l] = payload(r, k*k, off, 0)[off : off+k*k]
+		copy(mats[l], randSPD(r, k).Data)
+		if oneIn > 0 {
+			for i := range mats[l] {
+				if i/k >= i%k && r.Intn(oneIn) == 0 {
+					mats[l][i] = specials[r.Intn(len(specials))]
+				}
+			}
+		}
+	}
+	buf := payload(r, Lanes*k*k, off, oneIn)
+	got, want = buf.Clone(), buf.Clone()
+	packLower4(got[off:off+Lanes*k*k], mats[0], mats[1], mats[2], mats[3], k)
+	packLower4Go(want[off:off+Lanes*k*k], mats[0], mats[1], mats[2], mats[3], k)
+	checkBits(t, "packLower4", got, want)
+	gotBad := cholesky4(got[off:off+Lanes*k*k], k)
+	wantBad := cholesky4Go(want[off:off+Lanes*k*k], k)
+	checkBits(t, "cholesky4", got, want)
+	if gotBad != wantBad {
+		t.Fatalf("cholesky4: failing lanes %#b, want %#b", gotBad, wantBad)
+	}
 }
 
 // scratchFrom copies into got the elements of a lane-layout pass x (order
@@ -548,11 +576,13 @@ func TestCholeskyMatchesLeftLooking(t *testing.T) {
 	}
 }
 
-// FuzzKernelsMatchGo drives the comparisons from fuzzed shapes: the nine
+// FuzzKernelsMatchGo drives the comparisons from fuzzed shapes: the eleven
 // primitives against their Go bodies, the batched accumulation, Cholesky,
-// Gemv (nnz doubles as its row count), and the lane kernels against the
+// Gemv (nnz doubles as its row count), the lane kernels against the
 // one-vector loop and the lower-form solves on every lane (nnz doubles as
-// the most vectors a lane takes); plain `go test` runs the seeds below.
+// the most vectors a lane takes), and the Cholesky group against Cholesky
+// on every lane (nnz also picks the group's fill); plain `go test` runs
+// the seeds below.
 func FuzzKernelsMatchGo(f *testing.F) {
 	f.Add(int64(1), uint8(32), uint8(67), uint8(1), false)
 	f.Add(int64(2), uint8(67), uint8(130), uint8(3), true)
@@ -570,6 +600,7 @@ func FuzzKernelsMatchGo(f *testing.F) {
 		diffCholesky(t, r, kk, o, chol)
 		diffGemv(t, r, n, kk, o, prim)
 		diffLanes(t, r, kk, n%13, o, special)
+		diffCholesky4(t, r, kk, 1+n%Lanes, o, chol)
 	})
 }
 

@@ -1,5 +1,7 @@
 package la
 
+import "math/bits"
+
 // The lane layout: Lanes items side by side, one per float64 lane of a
 // 256-bit register. Element (i, j) of item l's K × K matrix sits at
 // [(i·K + j)·Lanes + l] and element i of its vector at [i·Lanes + l], so one
@@ -8,11 +10,14 @@ package la
 // holds cannot change another lane's bits. SetLane, LaneInto, SetPassVector
 // and BroadcastUpperT pack and unpack the layout, so callers never index it.
 //
-// The rank-one item update draws four items at a time this way, from the
-// factor update (CholUpdateUpper4) through the forward solve (SolveUpperT4)
-// to the paired back-solve of the mean and the noise (SolveUpperPair4). The
-// chain of one rating is serial — hypot → ÷ → ÷ per pivot — but the items
-// of a sweep are independent, so four chains run in the time of one.
+// A sweep draws its rank-one items and its serial-Cholesky items four at a
+// time this way. A rank-one group builds its factors by rating updates
+// (CholUpdateUpper4); a Cholesky group packs its four accumulated
+// precisions (PackLower4) and factors them side by side (Cholesky4). Both
+// then share the forward solve (SolveUpperT4) and the paired back-solve of
+// the mean and the noise (SolveUpperPair4). The chains of one item are
+// serial — hypot → ÷ → ÷ per rating, √ → ÷ per pivot — but the items of a
+// sweep are independent, so four chains run in the time of one.
 
 // Lanes is the number of items the lane kernels advance at once: the AVX2
 // width in float64s.
@@ -119,4 +124,56 @@ func SolveUpperPair4(u, a, b []float64, k int) {
 		panic("la: SolveUpperPair4 dimension mismatch")
 	}
 	solveUpperPair4(u, a, b, k)
+}
+
+// PackLower4 packs the lower triangles of the row-major K × K matrices
+// a[0..m) into dst (lane layout, order K = a[0].Rows), a[l] into lane l,
+// for Cholesky4; lanes l ≥ m take a[0]'s triangle, so a partly filled
+// group factors m clean items. Row i is copied over its columns [0, c_i),
+// c_i = min(K, ⌈(i+1)/4⌉·4): a row's last four-column block may carry up to
+// three elements from above the diagonal, which Cholesky4 overwrites
+// before it reads them. The rest of dst is left as it was.
+func PackLower4(dst []float64, a [Lanes]*Matrix, m int) {
+	k := a[0].Rows
+	if m < 1 || m > Lanes || len(dst) != Lanes*k*k {
+		panic("la: PackLower4 dimension mismatch")
+	}
+	for l := range a {
+		if l >= m {
+			a[l] = a[0]
+		}
+		if a[l].Rows != k || a[l].Cols != k || len(a[l].Data) != k*k {
+			panic("la: PackLower4 dimension mismatch")
+		}
+	}
+	packLower4(dst, a[0].Data, a[1].Data, a[2].Data, a[3].Data, k)
+}
+
+// Cholesky4 factors in place the four symmetric matrices whose lower
+// triangles a holds (lane layout, order k ≥ 1, packed by PackLower4), one
+// per lane, with Cholesky's operations on each lane's own matrix: at pivot
+// p, d ← √d, one reciprocal 1/d, column p below the pivot scaled by it and
+// mirrored into row p's upper part, then l_ij −= l_ip·l_jp over the
+// trailing lower triangle, a multiply then a subtraction. Each lane so
+// ends with Cholesky's factor L bit for bit in its lower triangle and U =
+// Lᵀ in its upper triangle, what SolveUpperT4 and SolveUpperPair4 read.
+//
+// A lane whose pivot p is not positive (d ≤ 0 or NaN) keeps d there and
+// goes on with garbage. Of the lanes l < m that do, the lowest one's first
+// such pivot is returned as Cholesky would report it; lanes ≥ m are never
+// reported.
+func Cholesky4(a []float64, k, m int) error {
+	if k < 1 || m < 1 || m > Lanes || len(a) != Lanes*k*k {
+		panic("la: Cholesky4 dimension mismatch")
+	}
+	bad := cholesky4(a, k) & (1<<m - 1)
+	if bad == 0 {
+		return nil
+	}
+	l := bits.TrailingZeros(uint(bad))
+	for p := 0; ; p++ {
+		if d := a[(p*k+p)*Lanes+l]; !(d > 0) {
+			return &ErrNotSPD{Pivot: p, Value: d}
+		}
+	}
 }

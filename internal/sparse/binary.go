@@ -289,6 +289,13 @@ func claimBytes(want, remain int64) error {
 // row — the canonical accumulation order every engine's
 // bit-reproducibility rests on; values are finite. rowBase globalizes
 // the row index in messages; entries are numbered within the shard.
+//
+// After the row pointers, one walk per row checks the other three rules
+// entry by entry. A payload that breaks several gets the error of the
+// highest-ranked one — row pointers, then range, then ascent, then
+// finiteness — each at its first fault: the first entry out of range
+// ends the walk, the first row out of order and the first non-finite
+// entry are kept while it goes on.
 func checkPanel(payload []byte, rows int, snnz int64, n int, rowBase int) error {
 	colOff, valOff, _ := panelSections(rows, snnz)
 	ptr, cols, vals := payload[:colOff], payload[colOff:valOff], payload[valOff:]
@@ -306,27 +313,28 @@ func checkPanel(payload []byte, rows int, snnz int64, n int, rowBase int) error 
 	if prev != snnz {
 		return fmt.Errorf("panel rowPtr ends at %d, want %d", prev, snnz)
 	}
-	for k := int64(0); k < snnz; k++ {
-		c := binary.LittleEndian.Uint32(cols[k*4:])
-		if uint64(c) >= uint64(n) {
-			return fmt.Errorf("column %d out of range [0, %d)", c, n)
-		}
-	}
+	const expMask = 0x7ff0000000000000 // all ones: ±Inf or NaN
+	var ascent, finite error
+	k := int64(0)
 	for r := 0; r < rows; r++ {
-		s, e := int64(binary.LittleEndian.Uint64(ptr[r*8:])), int64(binary.LittleEndian.Uint64(ptr[(r+1)*8:]))
-		for k := s + 1; k < e; k++ {
-			a := binary.LittleEndian.Uint32(cols[(k-1)*4:])
-			b := binary.LittleEndian.Uint32(cols[k*4:])
-			if b <= a {
-				return fmt.Errorf("row %d columns not strictly ascending (%d after %d)", rowBase+r, b, a)
+		e := int64(binary.LittleEndian.Uint64(ptr[(r+1)*8:]))
+		last := int64(-1)
+		for ; k < e; k++ {
+			c := binary.LittleEndian.Uint32(cols[k*4:])
+			if uint64(c) >= uint64(n) {
+				return fmt.Errorf("column %d out of range [0, %d)", c, n)
+			}
+			if int64(c) <= last && ascent == nil {
+				ascent = fmt.Errorf("row %d columns not strictly ascending (%d after %d)", rowBase+r, c, last)
+			}
+			last = int64(c)
+			if v := binary.LittleEndian.Uint64(vals[k*8:]); v&expMask == expMask && finite == nil {
+				finite = fmt.Errorf("entry %d has non-finite value %v", k, math.Float64frombits(v))
 			}
 		}
 	}
-	for k := int64(0); k < snnz; k++ {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(vals[k*8:]))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("entry %d has non-finite value %v", k, v)
-		}
+	if ascent != nil {
+		return ascent
 	}
-	return nil
+	return finite
 }

@@ -157,6 +157,110 @@ func TestPanelRulesRejectResignedDamage(t *testing.T) {
 	}
 }
 
+// checkPanelByRule is checkPanel as one pass per rule, in rank order, each
+// stopping at its first fault: the statement the one-walk check must equal
+// on every payload, however many rules it breaks.
+func checkPanelByRule(payload []byte, rows int, snnz int64, n int, rowBase int) error {
+	le := binary.LittleEndian
+	colOff, valOff, _ := panelSections(rows, snnz)
+	ptr, cols, vals := payload[:colOff], payload[colOff:valOff], payload[valOff:]
+	if first := int64(le.Uint64(ptr)); first != 0 {
+		return fmt.Errorf("panel rowPtr starts at %d, want 0", first)
+	}
+	prev := int64(0)
+	for r := 0; r <= rows; r++ {
+		p := int64(le.Uint64(ptr[r*8:]))
+		if p < prev || p > snnz {
+			return fmt.Errorf("panel rowPtr not monotone in [0, %d]: row %d has %d after %d", snnz, r, p, prev)
+		}
+		prev = p
+	}
+	if prev != snnz {
+		return fmt.Errorf("panel rowPtr ends at %d, want %d", prev, snnz)
+	}
+	for k := int64(0); k < snnz; k++ {
+		if c := le.Uint32(cols[k*4:]); uint64(c) >= uint64(n) {
+			return fmt.Errorf("column %d out of range [0, %d)", c, n)
+		}
+	}
+	for r := 0; r < rows; r++ {
+		s, e := int64(le.Uint64(ptr[r*8:])), int64(le.Uint64(ptr[(r+1)*8:]))
+		for k := s + 1; k < e; k++ {
+			if a, b := le.Uint32(cols[(k-1)*4:]), le.Uint32(cols[k*4:]); b <= a {
+				return fmt.Errorf("row %d columns not strictly ascending (%d after %d)", rowBase+r, b, a)
+			}
+		}
+	}
+	for k := int64(0); k < snnz; k++ {
+		if v := math.Float64frombits(le.Uint64(vals[k*8:])); math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("entry %d has non-finite value %v", k, v)
+		}
+	}
+	return nil
+}
+
+// TestCheckPanelMatchesRuleByRule: on payloads that break none, one or
+// several of the rules, at random places and in any combination —
+// repeated and descending columns, columns at and past n, NaN and ±Inf,
+// a lying row pointer — checkPanel returns checkPanelByRule's error, word
+// for word.
+func TestCheckPanelMatchesRuleByRule(t *testing.T) {
+	r := rand.New(rand.NewSource(49))
+	le := binary.LittleEndian
+	faults := map[string]int{}
+	for trial := 0; trial < 4000; trial++ {
+		rows, n := 1+r.Intn(6), 1+r.Intn(12)
+		ptr := []int64{0}
+		var cols []uint32
+		for i := 0; i < rows; i++ {
+			for c := 0; c < n; c++ {
+				if r.Intn(3) == 0 {
+					cols = append(cols, uint32(c))
+				}
+			}
+			ptr = append(ptr, int64(len(cols)))
+		}
+		snnz := int64(len(cols))
+		colOff, valOff, end := panelSections(rows, snnz)
+		p := make([]byte, end)
+		for i, v := range ptr {
+			le.PutUint64(p[i*8:], uint64(v))
+		}
+		for k, c := range cols {
+			le.PutUint32(p[colOff+int64(k)*4:], c)
+			le.PutUint64(p[valOff+int64(k)*8:], math.Float64bits(r.NormFloat64()))
+		}
+		for f := r.Intn(5); f > 0 && snnz > 0; f-- {
+			k := r.Int63n(snnz)
+			switch r.Intn(6) {
+			case 0: // a column repeated or descending
+				le.PutUint32(p[colOff+k*4:], uint32(r.Intn(n)))
+			case 1: // a column at or past n
+				le.PutUint32(p[colOff+k*4:], uint32(n+r.Intn(3)))
+			case 2:
+				le.PutUint64(p[valOff+k*8:], math.Float64bits([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)]))
+			case 3: // a finite value with every exponent bit but one
+				le.PutUint64(p[valOff+k*8:], 0x7fe0000000000001|uint64(r.Intn(2))<<63)
+			case 4:
+				if r.Intn(4) == 0 {
+					le.PutUint64(p[r.Intn(rows+1)*8:], uint64(r.Int63n(snnz+2)))
+				}
+			}
+		}
+		rowBase := r.Intn(100)
+		got, want := checkPanel(p, rows, snnz, n, rowBase), checkPanelByRule(p, rows, snnz, n, rowBase)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: checkPanel returned %v, rule by rule %v", trial, got, want)
+		}
+		if want != nil {
+			faults[strings.Fields(want.Error())[2]]++
+		} else {
+			faults["none"]++
+		}
+	}
+	t.Logf("first faults by kind: %v", faults)
+}
+
 // TestEntryRecordCodec: the record is (u32 row, u32 col, f64 bits),
 // little-endian, 16 bytes; every Entry survives the round trip with its
 // bits, and a record cut anywhere is refused rather than padded or
