@@ -67,7 +67,7 @@ func fig3(cfg core.Config, cm des.CostModel, scale float64) {
 
 	// Real single-thread validation runs (one Gibbs iteration each).
 	fmt.Println("# real 1-thread validation (measured on this host, 1 iteration):")
-	fmt.Println("# (GraphLab draws every vertex alone, Sampler.DrawItem -> UpdateItem; TBB and")
+	fmt.Println("# (GraphLab draws every vertex as a lane group of one, Sampler.DrawItem; TBB and")
 	fmt.Println("# OpenMP draw rank-one and serial-Cholesky items four per register through UpdateRange)")
 	prob := core.NewProblem(train, test)
 	one := cfg

@@ -418,19 +418,21 @@ func TestRankOneMatchesLowerFactorPath(t *testing.T) {
 	}
 }
 
-// TestUpdateItemMatchesUnfusedTail pins UpdateItem's paired back-solve to
-// the unfused sequence it stands for — the forward solve, the mean's own
+// TestUpdateItemMatchesUnfusedTail pins UpdateItem's lane solves to the
+// unfused sequence they stand for — the forward solve, the mean's own
 // back-solve, then MVNFromPrecChol: SolveSPD and MVNFromPrecChol on the
 // lower factor — bit for bit, for every kernel at nnz 0, 1, 3, 5 and heavy,
-// under a sampled hyper draw. The factor and rhs come from the workspace
-// UpdateItem leaves behind. For the rank-one kernel that is lane 0 of the
-// group's factor (the hyper's own for a ratingless item), and the rhs is
-// rebuilt in its Axpy order, since the lanes solve it in place. Both streams must
-// also stand at the same position afterwards: the draw takes exactly its K
-// normals.
+// under a sampled hyper draw, at K = 1, 5, 32 and past one 32-wide block of
+// the parallel kernel's blocked factorization (33, 37). The factor is lane
+// 0 of the group's factor UpdateItem leaves in the workspace (the hyper's
+// own for a ratingless rank-one item), for every kernel. The rhs is rebuilt
+// in its Axpy order for the rank-one kernel and read from the workspace for
+// the Cholesky kernels, since the lanes solve it in place. Both streams
+// must also stand at the same position afterwards: the draw takes exactly
+// its K normals.
 func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, k := range []int{1, 5, 32} {
+	for _, k := range []int{1, 5, 32, 33, 37} {
 		cfg.K = k
 		rows := la.NewMatrix(60, k)
 		rng.New(4).FillNorm(rows.Data)
@@ -445,20 +447,19 @@ func TestUpdateItemMatchesUnfusedTail(t *testing.T) {
 				gs := rng.New(itemKey(cfg.Seed, 3, SideV, 9))
 				UpdateItem(ws, kern, &cfg, cols, vals, other, hyper, gs, nil, nil, got)
 
-				f, rhs := ws.prec, ws.rhs
+				u, rhs := ws.u4, ws.rhs
 				if kern == KernelRankOne {
-					u := ws.u4
 					if nnz == 0 {
 						u = hyper.LambdaUpper
 					}
-					f = &la.Matrix{Rows: k, Cols: k, Data: la.NewVector(k * k)}
-					la.LaneInto(f.Data, u, 0)
-					f = f.Transpose() // only the lower triangle is read
 					rhs = hyper.LambdaMu.Clone()
 					for p, c := range cols {
 						la.Axpy(cfg.Alpha*vals[p], other.Row(int(c)), rhs)
 					}
 				}
+				f := &la.Matrix{Rows: k, Cols: k, Data: la.NewVector(k * k)}
+				la.LaneInto(f.Data, u, 0)
+				f = f.Transpose() // only the lower triangle is read
 				mu, want, scratch := la.NewVector(k), la.NewVector(k), la.NewVector(k)
 				rs := rng.New(itemKey(cfg.Seed, 3, SideV, 9))
 				la.SolveSPD(f, rhs, mu, scratch)

@@ -87,14 +87,13 @@ func NewAccArena(k int) *AccArena {
 // goroutines at once.
 type Workspace struct {
 	K int
-	// prec is the Cholesky kernels' posterior precision, factored in place
-	// into its lower Cholesky factor by a lone draw; precs are a
-	// serial-Cholesky group's four precisions, precs[0] = prec.
-	prec    *la.Matrix
-	precs   [la.Lanes]*la.Matrix
-	rhs     la.Vector
-	mu      la.Vector
-	scratch la.Vector
+	// precs are a serial-Cholesky group's four precisions; prec = precs[0]
+	// is also the parallel kernel's, factored in place into its lower
+	// Cholesky factor. rhs is one lane's right-hand side while it
+	// accumulates, and a lone draw's normals before that.
+	prec  *la.Matrix
+	precs [la.Lanes]*la.Matrix
+	rhs   la.Vector
 
 	// A lane group, one item per lane (la's lane layout): the items, their
 	// factors, their right-hand sides (solved in place into the means),
@@ -138,15 +137,13 @@ func NewWorkspace(k int) *Workspace {
 // accumulators come from the shared arena acc (nil for a private one).
 func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 	ws := &Workspace{
-		K:       k,
-		rhs:     la.NewVector(k),
-		mu:      la.NewVector(k),
-		scratch: la.NewVector(k),
-		u4:      la.NewVector(la.Lanes * k * k),
-		rhs4:    la.NewVector(la.Lanes * k),
-		z4:      la.NewVector(la.Lanes * k),
-		x4:      la.NewVector(la.Lanes * la.Lanes * k),
-		acc:     acc,
+		K:    k,
+		rhs:  la.NewVector(k),
+		u4:   la.NewVector(la.Lanes * k * k),
+		rhs4: la.NewVector(la.Lanes * k),
+		z4:   la.NewVector(la.Lanes * k),
+		x4:   la.NewVector(la.Lanes * la.Lanes * k),
+		acc:  acc,
 	}
 	for l := range ws.precs {
 		ws.precs[l] = la.NewMatrix(k, k)
@@ -166,14 +163,14 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 // method. pool/pw are required only by KernelParallelCholesky (pass nil
 // otherwise, or to force its chunk arithmetic onto the calling goroutine).
 // The draw consumes exactly K normal deviates from stream regardless of
-// kernel, keeping stream consumption schedule-independent. The rank-one
-// kernel is one lane of the four-lane group a sweep draws
-// (Sampler.UpdateRange), so an item's bits do not depend on the items
-// beside it. The Cholesky kernels solve for the mean and the noise in one
-// paired back-substitution (rng.MVNFromCanonChol), whose sample is the
-// bits of SolveSPD followed by MVNFromPrecChol. A sweep draws its
-// serial-Cholesky items in lane groups too (Workspace.drawCholesky), with
-// this path's bits; for one item alone this path is the cheaper one.
+// kernel, keeping stream consumption schedule-independent.
+//
+// The item is a lane group of one: its K normals go into lane 0 of z4, and
+// the rank-one and serial-Cholesky kernels are the group draws a sweep
+// runs (drawRankOne, drawCholesky), so an item's bits do not depend on the
+// items beside it. The parallel kernel keeps its own accumulation and
+// factor (la.CholeskyParallel, blocked past K = 32), broadcasts U = Lᵀ
+// into the lanes and finishes through the same lane solves.
 func UpdateItem(
 	ws *Workspace,
 	kernel Kernel,
@@ -185,28 +182,14 @@ func UpdateItem(
 	pool *sched.Pool, pw *sched.Worker,
 	out la.Vector,
 ) {
-	alpha := cfg.Alpha
-
+	ws.setLane(0, cols, vals, out)
+	stream.FillNorm(ws.rhs)
+	la.SetLane(ws.z4, 0, ws.rhs)
 	switch kernel {
 	case KernelRankOne:
-		ws.setLane(0, cols, vals, out)
-		stream.FillNorm(ws.scratch)
-		la.SetLane(ws.z4, 0, ws.scratch)
-		ws.drawRankOne(1, alpha, other, hyper)
-		return
-
+		ws.drawRankOne(1, cfg.Alpha, other, hyper)
 	case KernelCholesky:
-		// Precision and rhs accumulate in one fused, register-blocked pass
-		// over the partner rows (ascending index, so the sums are
-		// bit-identical to the per-rating SyrLower/Axpy loop), then one
-		// factorization.
-		ws.prec.CopyFrom(hyper.Lambda)
-		copy(ws.rhs, hyper.LambdaMu)
-		la.SyrkAxpyBatchLower(alpha, other, cols, vals, ws.prec, ws.rhs)
-		if err := la.Cholesky(ws.prec, ws.prec); err != nil {
-			panic("core: item posterior precision not SPD: " + err.Error())
-		}
-
+		ws.drawCholesky(1, cfg.Alpha, other, hyper)
 	case KernelParallelCholesky:
 		accumulateParallel(ws, cfg, cols, vals, other, hyper, pool, pw)
 		// CholeskyParallel executes the same blocked task DAG inline when
@@ -215,14 +198,12 @@ func UpdateItem(
 		if err := la.CholeskyParallel(pool, pw, ws.prec, ws.prec); err != nil {
 			panic("core: item posterior precision not SPD: " + err.Error())
 		}
-
+		la.SetLane(ws.rhs4, 0, ws.rhs)
+		la.BroadcastUpperT(ws.u4, ws.prec)
+		ws.solveLanes(1, ws.u4)
 	default:
 		panic("core: unknown kernel")
 	}
-
-	// out ~ N(Λ*⁻¹ rhs, Λ*⁻¹): the mean's and the noise's back-solves share
-	// one paired pass.
-	stream.MVNFromCanonChol(ws.rhs, ws.prec, out, ws.mu, ws.scratch)
 }
 
 // laneItem is one item of a lane group: its ratings and its output row.
@@ -233,11 +214,10 @@ type laneItem struct {
 }
 
 // setLane makes the item with ratings (cols, vals) lane l of the next
-// group, rank-one or serial Cholesky, drawing out. Its K normals — all the
-// item's draw takes from its stream, in FillNorm order — go into lane l of
-// z4 before the draw: a group's lanes in one rng.FillNormLanes
-// (Sampler.drawGroup), a lone rank-one lane by FillNorm from the caller's
-// stream (UpdateItem).
+// group, drawing out. Its K normals — all the item's draw takes from its
+// stream, in FillNorm order — go into lane l of z4 before the draw: a
+// group's lanes in one rng.FillNormLanes (Sampler.drawGroup), a lone item
+// by FillNorm from the caller's stream (UpdateItem).
 func (ws *Workspace) setLane(l int, cols []int32, vals []float64, out la.Vector) {
 	ws.lanes[l] = laneItem{cols: cols, vals: vals, out: out}
 }
@@ -279,14 +259,16 @@ func (ws *Workspace) drawRankOne(n int, alpha float64, other *la.Matrix, hyper *
 }
 
 // drawCholesky draws lanes [0, n) of the group set up by setLane, n ≤ 4, by
-// the serial-Cholesky kernel: each lane's precision and rhs accumulate as
-// UpdateItem's do (Λ copied, then one la.SyrkAxpyBatchLower into the
-// lane's own row-major precision), the n precisions are packed into the
-// lane layout (la.PackLower4) and factored side by side (la.Cholesky4),
-// leaving U = Lᵀ of la.Cholesky's L, bit for bit. solveLanes finishes
-// them, so each lane is UpdateItem's sample. A precision that is not SPD
-// panics with UpdateItem's message, the lowest such lane's; lanes past n
-// are copies of lane 0 and are discarded.
+// the serial-Cholesky kernel: each lane's precision and rhs accumulate in
+// one fused, register-blocked pass over the partner rows (Λ copied, then
+// one la.SyrkAxpyBatchLower into the lane's own row-major precision, in
+// ascending rating order, so the sums are the per-rating SyrLower/Axpy
+// loop's bits), the n precisions are packed into the lane layout
+// (la.PackLower4) and factored side by side (la.Cholesky4), leaving U = Lᵀ
+// of la.Cholesky's L, bit for bit; solveLanes finishes them. A lone item
+// (UpdateItem) is the group with n = 1. A precision that is not SPD panics
+// with the lowest such lane's pivot, as la.Cholesky would report it; lanes
+// past n are copies of lane 0 and are discarded.
 func (ws *Workspace) drawCholesky(n int, alpha float64, other *la.Matrix, hyper *Hyper) {
 	for l, it := range ws.lanes[:n] {
 		p := ws.precs[l]
@@ -308,6 +290,8 @@ func (ws *Workspace) drawCholesky(n int, alpha float64, other *la.Matrix, hyper 
 // noise (la.SolveUpperPair4), and out = mean + noise. On U = Lᵀ the solves
 // perform SolveLower's and SolveLowerT's operations on L, so each lane is
 // SolveSPD followed by MVNFromPrecChol on its own factor, bit for bit.
+// Every item draw ends here: a rank-one or serial-Cholesky group of one
+// to four, and a parallel-Cholesky item alone, its factor broadcast.
 func (ws *Workspace) solveLanes(n int, u []float64) {
 	k := ws.K
 	la.SolveUpperT4(u, ws.rhs4, k)

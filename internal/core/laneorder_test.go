@@ -14,9 +14,10 @@ import (
 )
 
 // checkLaneOrder asserts that a side walks its lane order: within each
-// moment group a permutation of the group, the Cholesky-kernel items first
-// in storage order, then the rank-one items by non-decreasing degree, in
-// storage order within a degree.
+// moment group a permutation of the group, the serial-Cholesky items
+// first, then the parallel-Cholesky items, each in storage order, then the
+// rank-one items by non-decreasing degree, in storage order within a
+// degree.
 func checkLaneOrder(t *testing.T, name string, s *Sampler, side Side) {
 	t.Helper()
 	ord, n := s.Order(side)
@@ -32,10 +33,13 @@ func checkLaneOrder(t *testing.T, name string, s *Sampler, side Side) {
 	// for every Cholesky-kernel item), then storage order.
 	key := func(item int) [3]int {
 		d := ratings.RowNNZ(item)
-		if s.Cfg.SelectKernel(d) != KernelRankOne {
+		switch s.Cfg.SelectKernel(d) {
+		case KernelCholesky:
 			return [3]int{0, 0, item}
+		case KernelParallelCholesky:
+			return [3]int{1, 0, item}
 		}
-		return [3]int{1, d, item}
+		return [3]int{2, d, item}
 	}
 	less := func(a, b [3]int) bool {
 		for i := range a {
@@ -91,7 +95,7 @@ func TestLaneOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kinds := map[bool]int{}
+	kinds := map[Kernel]int{}
 	for _, c := range []struct {
 		name string
 		s    *Sampler
@@ -101,12 +105,12 @@ func TestLaneOrderProperty(t *testing.T) {
 			ord, _ := c.s.Order(side)
 			_, _, ratings, _ := c.s.Side(side)
 			for _, it := range ord {
-				kinds[c.s.Cfg.SelectKernel(ratings.RowNNZ(int(it))) == KernelRankOne]++
+				kinds[c.s.Cfg.SelectKernel(ratings.RowNNZ(int(it)))]++
 			}
 		}
 	}
-	if kinds[true] == 0 || kinds[false] == 0 {
-		t.Fatalf("the problem must mix rank-one and Cholesky-kernel items, got %v", kinds)
+	if len(kinds) != int(numKernels) {
+		t.Fatalf("the problem must mix the three kernels' items, got %v", kinds)
 	}
 	ord, _ := grown.Order(SideU)
 	newUsers := 0
@@ -120,39 +124,50 @@ func TestLaneOrderProperty(t *testing.T) {
 	}
 }
 
-// laneCount is what UpdateRange's window rule makes of one sweep's ranges:
-// each range goes in ItemGrain windows, and a window's rank-one items go
-// in window order in lane groups of la.Lanes.
+// laneCount is what UpdateRange's group rule makes of one sweep's ranges
+// for the items of one grouped kernel: within a range they go in range
+// order in lane groups of la.Lanes, a group drawn when full, a
+// serial-Cholesky group also before a parallel-Cholesky item, and at the
+// range's end.
 type laneCount struct {
-	items, groups int // rank-one items and the lane groups drawing them
+	items, groups int // the kernel's items and the lane groups drawing them
 	ratings       int // their ratings
 	slots         int // Σ over groups of the heaviest lane's degree: the chain the group runs
 	passes        int // Σ over groups of its factor-update passes, ⌈heaviest degree / 4⌉
 	lanePasses    int // Σ over items of ⌈degree / 4⌉: the passes a full group divides by four
 }
 
-func countLanes(cfg *Config, ratings *sparse.CSR, ord []int32, ranges [][2]int) laneCount {
+func countLanes(cfg *Config, ratings *sparse.CSR, ord []int32, ranges [][2]int, kern Kernel) laneCount {
 	var c laneCount
+	var degs []int // the open group's degrees
+	draw := func() {
+		if len(degs) == 0 {
+			return
+		}
+		top := slices.Max(degs)
+		c.groups++
+		c.slots += top
+		c.passes += (top + la.Lanes - 1) / la.Lanes
+		degs = degs[:0]
+	}
 	for _, r := range ranges {
-		for win := r[0]; win < r[1]; win += ItemGrain {
-			var degs []int
-			for _, item := range ord[win:min(win+ItemGrain, r[1])] {
-				if d := ratings.RowNNZ(int(item)); cfg.SelectKernel(d) == KernelRankOne {
-					degs = append(degs, d)
-				}
-			}
-			for g := 0; g < len(degs); g += la.Lanes {
-				top := slices.Max(degs[g:min(g+la.Lanes, len(degs))])
-				c.groups++
-				c.slots += top
-				c.passes += (top + la.Lanes - 1) / la.Lanes
-			}
-			for _, d := range degs {
+		for _, item := range ord[r[0]:r[1]] {
+			d := ratings.RowNNZ(int(item))
+			switch cfg.SelectKernel(d) {
+			case kern:
 				c.items++
 				c.ratings += d
 				c.lanePasses += (d + la.Lanes - 1) / la.Lanes
+				if degs = append(degs, d); len(degs) == la.Lanes {
+					draw()
+				}
+			case KernelParallelCholesky:
+				if kern == KernelCholesky {
+					draw()
+				}
 			}
 		}
+		draw()
 	}
 	return c
 }
@@ -196,10 +211,9 @@ func wholeRanges(bounds []int) [][2]int {
 	return ranges
 }
 
-// grainRanges are the windows UpdateRange makes of the ranges between
-// consecutive bounds, ItemGrain positions at a time: a one-thread
-// distributed rank's sweep over each rank's owned range, or a static
-// split's chunks (sched.StaticChunks, mc.Static).
+// grainRanges are the ranges between consecutive bounds cut every
+// ItemGrain positions, each one UpdateRange call: a one-thread distributed
+// rank's sweep over each rank's owned range.
 func grainRanges(bounds []int) [][2]int {
 	var ranges [][2]int
 	for r := 0; r+1 < len(bounds); r++ {
@@ -210,48 +224,6 @@ func grainRanges(bounds []int) [][2]int {
 	return ranges
 }
 
-// cholCount is what UpdateRange's group rule makes of one sweep's ranges
-// for the serial-Cholesky items: within a range they go in range order in
-// lane groups of la.Lanes, a group closed early by a parallel-Cholesky
-// item and by the range's end.
-type cholCount struct{ items, groups int }
-
-func countCholLanes(cfg *Config, ratings *sparse.CSR, ord []int32, ranges [][2]int) cholCount {
-	var c cholCount
-	for _, r := range ranges {
-		pending := 0
-		for _, item := range ord[r[0]:r[1]] {
-			switch cfg.SelectKernel(ratings.RowNNZ(int(item))) {
-			case KernelCholesky:
-				c.items++
-				if pending++; pending == la.Lanes {
-					c.groups++
-					pending = 0
-				}
-			case KernelParallelCholesky:
-				if pending > 0 {
-					c.groups++
-					pending = 0
-				}
-			}
-		}
-		if pending > 0 {
-			c.groups++
-		}
-	}
-	return c
-}
-
-// noSide is no side: a shape with no side mostly of one kernel.
-const noSide Side = 2
-
-func (c cholCount) occupancy() float64 {
-	if c.groups == 0 {
-		return 1
-	}
-	return float64(c.items) / float64(la.Lanes*c.groups)
-}
-
 // TestLaneCounters counts, without timing anything, how full the lane
 // groups of a sweep are and how long the rank-one groups' chains run, on
 // the walks the engines make over the lane order: a work-stealing sweep
@@ -259,22 +231,23 @@ func (c cholCount) occupancy() float64 {
 // static split over two threads (mc.Static, one range per thread, whose
 // second need not start on a grain multiple), and a one-thread distributed
 // rank's ItemGrain loop over its owned range (two ranks, moment groups
-// from the plan). On the side that is mostly rank-one, every walk fills
+// from the plan). On a side that is mostly rank-one, every walk fills
 // ≥ 99 % of the lanes and its chains run within 2 % of the ratings spread
-// evenly over full groups; on the side that is mostly serial Cholesky
-// (the users of the train-dense-mc shape), every walk fills ≥ 99 % of the
-// lanes of the Cholesky groups. Where parallel-Cholesky items sit among
-// them (that shape's movies), each closes a group early.
+// evenly over full groups; on a side that is mostly Cholesky-kernel
+// items (both sides of the train-dense-mc shape, whose movies hold
+// parallel-Cholesky items too), every walk fills ≥ 99 % of the lanes of
+// the serial-Cholesky groups.
 func TestLaneCounters(t *testing.T) {
+	const none = numKernels // a side not mostly of one grouped kernel
 	for _, c := range []struct {
-		name          string
-		spec          datagen.Spec
-		rankOne, chol Side // the sides that are mostly rank-one, mostly serial Cholesky
+		name   string
+		spec   datagen.Spec
+		mostly [2]Kernel // what each side, U and V, is mostly
 	}{
-		{"chembl×0.02", datagen.Scaled(datagen.ChEMBL(1), 0.02), SideU, noSide},
+		{"chembl×0.02", datagen.Scaled(datagen.ChEMBL(1), 0.02), [2]Kernel{KernelRankOne, none}},
 		{"wide", datagen.Spec{Name: "wide", Rows: 2000, Cols: 12500, NNZ: 100000,
-			TrueRank: 16, NoiseSD: 0.5, ZipfS: 1.0, MinVal: 0.5, MaxVal: 5, Seed: 1}, SideV, noSide},
-		{"ml-20m×0.03", datagen.Scaled(datagen.ML20M(1), 0.03), noSide, SideU},
+			TrueRank: 16, NoiseSD: 0.5, ZipfS: 1.0, MinVal: 0.5, MaxVal: 5, Seed: 1}, [2]Kernel{none, KernelRankOne}},
+		{"ml-20m×0.03", datagen.Scaled(datagen.ML20M(1), 0.03), [2]Kernel{KernelCholesky, KernelCholesky}},
 	} {
 		prob := NewProblem(sparse.SplitTrainTest(datagen.Generate(c.spec).R, 0.2, 1))
 		cfg := DefaultConfig()
@@ -298,33 +271,33 @@ func TestLaneCounters(t *testing.T) {
 			if side == SideV {
 				bounds = plan.ColBounds
 			}
-			steal, static := parallelForRanges(n), wholeRanges(sched.StaticChunks(2, 0, n))
 			for _, w := range []struct {
-				walk  string
-				count laneCount
-				chol  cholCount
+				walk   string
+				ord    []int32
+				ranges [][2]int
 			}{
-				{"worksteal", countLanes(&cfg, ratings, trainerOrd, steal), countCholLanes(&cfg, ratings, trainerOrd, steal)},
-				{"static", countLanes(&cfg, ratings, trainerOrd, grainRanges(sched.StaticChunks(2, 0, n))),
-					countCholLanes(&cfg, ratings, trainerOrd, static)},
-				{"dist", countLanes(&cfg, ratings, rankOrd, grainRanges(bounds)), countCholLanes(&cfg, ratings, rankOrd, grainRanges(bounds))},
+				{"worksteal", trainerOrd, parallelForRanges(n)},
+				{"static", trainerOrd, wholeRanges(sched.StaticChunks(2, 0, n))},
+				{"dist", rankOrd, grainRanges(bounds)},
 			} {
-				k, ch := w.count, w.chol
+				k := countLanes(&cfg, ratings, w.ord, w.ranges, KernelRankOne)
+				ch := countLanes(&cfg, ratings, w.ord, w.ranges, KernelCholesky)
 				t.Logf("%s side %d %s: %d rank-one items, occupancy %.3f, passes %d (ideal %d), chain slots %d (ideal %d); %d serial-Cholesky items, occupancy %.3f",
 					c.name, side, w.walk, k.items, k.occupancy(), k.passes, k.idealPasses(), k.slots, k.idealSlots(),
 					ch.items, ch.occupancy())
-				if side == c.chol && ch.occupancy() < 0.99 {
-					t.Errorf("%s side %d %s: Cholesky lane occupancy %.4f, want ≥ 0.99", c.name, side, w.walk, ch.occupancy())
-				}
-				if side != c.rankOne {
-					continue
-				}
-				if k.occupancy() < 0.99 {
-					t.Errorf("%s side %d %s: lane occupancy %.4f, want ≥ 0.99", c.name, side, w.walk, k.occupancy())
-				}
-				if float64(k.slots) > 1.02*float64(k.idealSlots()) {
-					t.Errorf("%s side %d %s: %d chain slots, more than 2 %% over the ideal %d",
-						c.name, side, w.walk, k.slots, k.idealSlots())
+				switch c.mostly[side] {
+				case KernelCholesky:
+					if ch.occupancy() < 0.99 {
+						t.Errorf("%s side %d %s: Cholesky lane occupancy %.4f, want ≥ 0.99", c.name, side, w.walk, ch.occupancy())
+					}
+				case KernelRankOne:
+					if k.occupancy() < 0.99 {
+						t.Errorf("%s side %d %s: lane occupancy %.4f, want ≥ 0.99", c.name, side, w.walk, k.occupancy())
+					}
+					if float64(k.slots) > 1.02*float64(k.idealSlots()) {
+						t.Errorf("%s side %d %s: %d chain slots, more than 2 %% over the ideal %d",
+							c.name, side, w.walk, k.slots, k.idealSlots())
+					}
 				}
 			}
 		}

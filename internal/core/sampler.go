@@ -107,9 +107,10 @@ const ItemGrain = 8
 type Executor interface {
 	// Sweep draws every item of one side for iteration iter by covering
 	// the positions of s.Order(side) with disjoint ranges handed to
-	// s.UpdateRange (or, for an engine with its own per-item abstraction,
-	// to s.DrawItem), and returns once all of them are drawn. Dispatch is
-	// per range, never per item.
+	// s.UpdateRange, which draws them in lane groups, and returns once all
+	// of them are drawn. Dispatch is per range, never per item. An engine
+	// with its own per-item abstraction hands each item to s.DrawItem
+	// instead, a lane group of one: the same bits.
 	Sweep(s *Sampler, side Side, iter int)
 	// Each calls run(i) exactly once for every i in [0, n) — moment
 	// groups, evaluation chunks — on any goroutines, and returns only
@@ -219,11 +220,12 @@ func (s *Sampler) Side(side Side) (self, other *la.Matrix, ratings *sparse.CSR, 
 
 // Order returns the processing order of one side's sweep, its lane
 // order, and its number of positions. Within each moment group the lane
-// order holds the Cholesky-kernel items first, in storage order, then the
-// rank-one items by ascending degree, in storage order within a degree.
-// UpdateRange's windows then fill their lane groups with items of one or
-// adjacent degrees, and only the windows where the kernel or the moment
-// group changes can hold a partly empty group. The order is a permutation
+// order holds the serial-Cholesky items first, then the parallel-Cholesky
+// items, each in storage order, then the rank-one items by ascending
+// degree, in storage order within a degree. UpdateRange then fills its
+// lane groups with items of one kind and of one or adjacent degrees, and
+// draws a partly empty group only where a range ends or where the
+// serial-Cholesky run meets the parallel one. The order is a permutation
 // of each moment group, so a distributed rank, whose moment group is its
 // owned range, draws and sends exactly its own rows.
 func (s *Sampler) Order(side Side) (ord []int32, n int) {
@@ -235,15 +237,19 @@ func (s *Sampler) Order(side Side) (ord []int32, n int) {
 
 // laneOrder returns the lane order (see Order) of the items that are the
 // rows of ratings, moment groups given by bounds: per group, a stable
-// counting sort into bucket 0 for the Cholesky-kernel items and bucket
-// 1+d for the rank-one items of degree d.
+// counting sort into bucket 0 for the serial-Cholesky items, bucket 1 for
+// the parallel-Cholesky items and bucket 2+d for the rank-one items of
+// degree d.
 func laneOrder(cfg *Config, ratings *sparse.CSR, bounds []int) []int32 {
 	bucket := func(i int) int {
 		d := ratings.RowNNZ(i)
-		if cfg.SelectKernel(d) != KernelRankOne {
+		switch cfg.SelectKernel(d) {
+		case KernelCholesky:
 			return 0
+		case KernelParallelCholesky:
+			return 1
 		}
-		return 1 + d
+		return 2 + d
 	}
 	ord := make([]int32, ratings.M)
 	for g := 0; g+1 < len(bounds); g++ {
@@ -270,14 +276,16 @@ func laneOrder(cfg *Config, ratings *sparse.CSR, bounds []int) []int32 {
 	return ord
 }
 
-// drawItem performs item's Gibbs draw for iteration iter into out, from
-// its ratings (cols, vals) over the partner rows in other, and returns
-// the kernel it used. w is the pool worker running the draw (nil
-// off-pool): a heavy item's parallel kernel spawns its chunks on that
-// worker's pool, and executes the same task DAG inline without one, so
-// the sample does not depend on it.
-func (s *Sampler) drawItem(ws *Workspace, w *sched.Worker, side Side, iter, item int,
-	cols []int32, vals []float64, other *la.Matrix, out la.Vector) Kernel {
+// DrawItem performs item's Gibbs draw for iteration iter into out, from
+// its ratings (cols, vals) over the partner rows in other, and tallies
+// the kernel it used: UpdateItem on the item's keyed stream. w is the pool
+// worker running the draw (nil off-pool, as an engine with its own
+// per-item abstraction and scratch, the GraphLab vertex program, passes):
+// a heavy item's parallel kernel spawns its chunks on that worker's pool,
+// and executes the same task DAG inline without one, so the sample does
+// not depend on it.
+func (s *Sampler) DrawItem(ws *Workspace, w *sched.Worker, side Side, iter, item int,
+	cols []int32, vals []float64, other *la.Matrix, out la.Vector) {
 	_, _, _, hyper := s.Side(side)
 	kern := s.Cfg.SelectKernel(len(cols))
 	var pool *sched.Pool
@@ -286,70 +294,50 @@ func (s *Sampler) drawItem(ws *Workspace, w *sched.Worker, side Side, iter, item
 	}
 	UpdateItem(ws, kern, &s.Cfg, cols, vals, other, hyper,
 		ws.ItemStream(s.Cfg.Seed, iter, side, item), pool, w, out)
-	return kern
-}
-
-// DrawItem is the single-item door to the sampler's draw, for an engine
-// that brings its own per-item abstraction and scratch (the GraphLab
-// vertex program): it draws as UpdateRange does and tallies the kernel.
-func (s *Sampler) DrawItem(ws *Workspace, side Side, iter, item int,
-	cols []int32, vals []float64, other *la.Matrix, out la.Vector) {
-	s.kernelCounts[s.drawItem(ws, nil, side, iter, item, cols, vals, other, out)].Add(1)
+	s.kernelCounts[kern].Add(1)
 }
 
 // UpdateRange draws the items at positions [lo, hi) of ord (an Order) on
-// the calling goroutine. The workspace lease and the kernel tally are per
-// range, so the item loop itself touches no shared cache line. Items are
-// drawn in lane groups of up to four, one item per lane: the range's
-// serial-Cholesky items in range order (Workspace.drawCholesky), a group
-// drawn as it fills, before a parallel-Cholesky item (drawn alone, on the
-// pool), and at the range's end; its rank-one items per window of
-// ItemGrain positions, in window order (Workspace.drawRankOne). The lane
-// order puts items of one or adjacent degrees side by side, so a rank-one
-// group's lanes take similar numbers of passes. Every item's draw reads
-// only its own ratings and keyed stream, so the grouping changes no bit;
-// and since no item is drawn before an earlier Cholesky-kernel item, a
-// precision that is not SPD panics as the lone draws in range order would.
+// the calling goroutine. The workspace lease is per range, and so is the
+// tally of the grouped kernels, so their item loop touches no shared
+// cache line. The range keeps one open lane group per kind, rank-one and
+// serial Cholesky: an item joins its kind's group in range order, and a
+// group is drawn when it holds la.Lanes items, a serial-Cholesky group
+// also before a parallel-Cholesky item (drawn alone by DrawItem, on the
+// pool), and both at the range's end. The lane order puts items of one or
+// adjacent degrees side by side, so a rank-one group's lanes take similar
+// numbers of passes. Every item's draw reads only its own ratings and
+// keyed stream, so the grouping changes no bit; and since no item is
+// drawn before an earlier Cholesky-kernel item (rank-one draws cannot
+// fail), a precision that is not SPD panics as the lone draws in range
+// order would.
 func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *sched.Worker) {
 	self, other, ratings, _ := s.Side(side)
 	var tally [numKernels]int64
 	ws := s.wsArena.Get(w)
-	var chol [la.Lanes]int
-	nc := 0
-	for win := lo; win < hi; win += ItemGrain {
-		var items [ItemGrain]int
-		n := 0
-		for _, it := range ord[win:min(win+ItemGrain, hi)] {
-			item := int(it)
-			cols, vals := ratings.Row(item)
-			switch s.Cfg.SelectKernel(len(cols)) {
-			case KernelRankOne:
-				items[n] = item
-				n++
-			case KernelCholesky:
-				tally[KernelCholesky]++
-				chol[nc] = item
-				nc++
-				if nc == la.Lanes {
-					s.drawGroup(ws, KernelCholesky, side, iter, chol[:nc])
-					nc = 0
-				}
-			default:
-				if nc > 0 {
-					s.drawGroup(ws, KernelCholesky, side, iter, chol[:nc])
-					nc = 0
-				}
-				tally[s.drawItem(ws, w, side, iter, item, cols, vals, other, self.Row(item))]++
-			}
+	var open [KernelParallelCholesky][la.Lanes]int // each grouped kernel's open group
+	var n [KernelParallelCholesky]int              // and the items it holds
+	draw := func(kern Kernel) {
+		s.drawGroup(ws, kern, side, iter, open[kern][:n[kern]])
+		n[kern] = 0
+	}
+	for _, it := range ord[lo:hi] {
+		item := int(it)
+		cols, vals := ratings.Row(item)
+		kern := s.Cfg.SelectKernel(len(cols))
+		if kern == KernelParallelCholesky {
+			draw(KernelCholesky)
+			s.DrawItem(ws, w, side, iter, item, cols, vals, other, self.Row(item))
+			continue
 		}
-		tally[KernelRankOne] += int64(n)
-		for g := 0; g < n; g += la.Lanes {
-			s.drawGroup(ws, KernelRankOne, side, iter, items[g:min(g+la.Lanes, n)])
+		tally[kern]++
+		open[kern][n[kern]] = item
+		if n[kern]++; n[kern] == la.Lanes {
+			draw(kern)
 		}
 	}
-	if nc > 0 {
-		s.drawGroup(ws, KernelCholesky, side, iter, chol[:nc])
-	}
+	draw(KernelRankOne)
+	draw(KernelCholesky)
 	s.wsArena.Put(w, ws)
 	for k, n := range tally {
 		if n != 0 {
@@ -361,8 +349,11 @@ func (s *Sampler) UpdateRange(side Side, iter int, ord []int32, lo, hi int, w *s
 // drawGroup draws up to la.Lanes items of one side, all of kernel kern
 // (rank-one or serial Cholesky), as one lane group: item l in lane l, its
 // K normals from its keyed stream by one rng.FillNormLanes, its row of the
-// side's factor matrix as out.
+// side's factor matrix as out. No items draw nothing.
 func (s *Sampler) drawGroup(ws *Workspace, kern Kernel, side Side, iter int, items []int) {
+	if len(items) == 0 {
+		return
+	}
 	self, other, ratings, hyper := s.Side(side)
 	var keys [la.Lanes]uint64
 	for l, item := range items {

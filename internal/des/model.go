@@ -148,8 +148,8 @@ func CalibrateCostModel(k int) CostModel {
 	return cm
 }
 
-// calRows is the number of items CalibrateCostModel draws per sweep: two
-// ItemGrain windows of lane groups.
+// calRows is the number of items CalibrateCostModel draws per sweep: four
+// full lane groups.
 const calRows = 16
 
 // SweepTime returns the seconds per item of one core.Sampler.UpdateRange

@@ -19,10 +19,13 @@
 //
 // The engine is an executor for the one Gibbs driver in package core: a
 // sweep is a superstep, and the arithmetic inside Apply is the sampler's
-// own item draw (core.Sampler.DrawItem, executed inline, without nested
-// tasks) over the gathered copies, so the chain it samples is
-// bit-identical to the sequential reference — the paper's "all versions
-// reach the same level of prediction accuracy" holds exactly.
+// own item draw (core.Sampler.DrawItem with no pool worker, so a heavy
+// item's chunks run inline, without nested tasks) over the gathered
+// copies: each vertex is a lane group of one, the body the flat engines'
+// groups of up to four run. An item's bits do not depend on the items
+// beside it, so the chain it samples is bit-identical to the sequential
+// reference — the paper's "all versions reach the same level of
+// prediction accuracy" holds exactly.
 package graphlab
 
 import (
@@ -206,7 +209,7 @@ func (p *program) Apply(side core.Side, local, thread int, acc any, out la.Vecto
 	// canonical order as the flat engines.
 	view := &rowView{rows: a.rows, k: p.s.Cfg.K}
 	ws := p.ws.GetShard(thread)
-	p.s.DrawItem(ws, side, p.iter, local, a.cols, a.vals, view.matrix(), out)
+	p.s.DrawItem(ws, nil, side, p.iter, local, a.cols, a.vals, view.matrix(), out)
 	p.ws.PutShard(thread, ws)
 }
 

@@ -97,27 +97,6 @@ func SolveLowerT(l *Matrix, b, y Vector) {
 	}
 }
 
-// SolveLowerTPair solves Lᵀ*x = a and Lᵀ*y = b in place (a ← x, b ← y) in
-// one pass over L: the two back-substitutions are independent chains that
-// the core can overlap, and each vector ends bit-equal to a SolveLowerT
-// call. a and b must not alias.
-func SolveLowerTPair(l *Matrix, a, b Vector) {
-	n := l.Rows
-	if l.Cols != n || len(a) != n || len(b) != n {
-		panic("la: SolveLowerTPair dimension mismatch")
-	}
-	d := l.Data
-	for i := n - 1; i >= 0; i-- {
-		s, t := a[i], b[i]
-		for k := i + 1; k < n; k++ {
-			r := d[k*n+i]
-			s -= float64(r * a[k])
-			t -= float64(r * b[k])
-		}
-		a[i], b[i] = s/d[i*n+i], t/d[i*n+i]
-	}
-}
-
 // SolveSPD solves A*x = b given the lower Cholesky factor L of A
 // (A = L*Lᵀ), using one forward and one backward substitution.
 // b and x may alias. scratch must have length n (it may alias x but not b).

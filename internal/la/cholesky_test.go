@@ -729,7 +729,7 @@ func tinyAndZeros(r *rand.Rand, v []float64) {
 }
 
 // TestSolvePairMatchesSingles: each vector of SolveUpperPair4 (every lane)
-// and of SolveLowerTPair is SolveLowerT's bit for bit at every order 1…67,
+// is SolveLowerT's bit for bit at every order 1…67,
 // with ±0 and subnormals planted in the factor's off-diagonal part and in
 // both right-hand sides, and when the two right-hand sides hold equal
 // values.
@@ -762,10 +762,6 @@ func TestSolvePairMatchesSingles(t *testing.T) {
 				what := fmt.Sprintf("n=%d %s lane %d", n, rhs.name, l)
 				checkBits(t, what+" SolveUpperPair4 a", lane(gotA, l), wantA)
 				checkBits(t, what+" SolveUpperPair4 b", lane(gotB, l), wantB)
-				pa, pb := Vector(rhs.a[l]).Clone(), Vector(rhs.b[l]).Clone()
-				SolveLowerTPair(f, pa, pb)
-				checkBits(t, what+" SolveLowerTPair a", pa, wantA)
-				checkBits(t, what+" SolveLowerTPair b", pb, wantB)
 			}
 		}
 	}

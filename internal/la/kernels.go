@@ -17,11 +17,17 @@ import "math"
 // under the purego tag, or without AVX2. Callers pass lengths they have
 // checked; the bodies check nothing.
 //
-// These ten are what the exported kernels call: syrk4, axpy4, axpy1 and
-// cholTrail for the dense item update, dot4 for Gemv, and the five lane
-// kernels (lanes.go), which advance four items at a time: the rank-one
-// group's factor update, the Cholesky group's pack and factor, and the two
-// solves both groups share. kernels_amd64.go's init points them at the
+// These ten are what the exported kernels call: syrk4, axpy4 and axpy1 for
+// the dense item update's accumulation, cholTrail for Cholesky, dot4 for
+// Gemv, and the five lane kernels (lanes.go), which advance four items at
+// a time: the rank-one group's factor update, the Cholesky group's pack
+// and factor, and the two solves every item draw ends in. Since every
+// serial-Cholesky item is factored by Cholesky4, Cholesky (and so
+// cholTrail) is left with the hyperparameter draws and, through
+// CholeskyParallel, the parallel-Cholesky items at K ≤ 32. cholTrail keeps
+// its own vector bodies all the same: routed through the dispatched axpy1
+// instead, Cholesky at K = 32 read 8.6–16 µs against 3.0–3.8 µs
+// (microbenchmark, busy two-core box), once per such item. kernels_amd64.go's init points them at the
 // widest bodies the CPU and the OS run: AVX-512, then AVX2, then Go. The
 // eleventh, blockDot8 (blocks8.go, the integer pass of a ranking), is
 // dispatched by a direct call instead, AVX2 or Go; its sums are exact, so

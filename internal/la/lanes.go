@@ -11,9 +11,11 @@ import "math/bits"
 // and BroadcastUpperT pack and unpack the layout, so callers never index it.
 //
 // A sweep draws its rank-one items and its serial-Cholesky items four at a
-// time this way. A rank-one group builds its factors by rating updates
-// (CholUpdateUpper4); a Cholesky group packs its four accumulated
-// precisions (PackLower4) and factors them side by side (Cholesky4). Both
+// time this way, and a lone item is a group of one. A rank-one group
+// builds its factors by rating updates (CholUpdateUpper4); a Cholesky
+// group packs its four accumulated precisions (PackLower4) and factors
+// them side by side (Cholesky4); a parallel-Cholesky item's factor from
+// CholeskyParallel is broadcast into the lanes (BroadcastUpperT). All
 // then share the forward solve (SolveUpperT4) and the paired back-solve of
 // the mean and the noise (SolveUpperPair4). The chains of one item are
 // serial — hypot → ÷ → ÷ per rating, √ → ÷ per pivot — but the items of a

@@ -9,9 +9,9 @@ import (
 // MVNFromPrecChol samples x ~ N(mu, Λ⁻¹) given the lower Cholesky factor
 // L of the precision matrix Λ = L·Lᵀ: draw z ~ N(0, I) and solve
 // Lᵀ·y = z, then x = mu + y. It consumes K normal deviates from the stream
-// regardless of how L was produced. The hyperparameter draw calls it; the
-// Cholesky item-update kernels call MVNFromCanonChol, whose sample is
-// SolveSPD followed by this function, bit for bit.
+// regardless of how L was produced. The hyperparameter draw calls it; an
+// item draw ends in core's lane solves, whose sample is la.SolveSPD
+// followed by this function on the item's factor, bit for bit.
 // scratch must have length K and may alias dst only if mu does not.
 func (r *Stream) MVNFromPrecChol(mu la.Vector, precL *la.Matrix, dst, scratch la.Vector) {
 	k := len(mu)
@@ -20,27 +20,6 @@ func (r *Stream) MVNFromPrecChol(mu la.Vector, precL *la.Matrix, dst, scratch la
 	}
 	r.FillNorm(scratch)
 	la.SolveLowerT(precL, scratch, scratch)
-	for i := range dst {
-		dst[i] = mu[i] + scratch[i]
-	}
-}
-
-// MVNFromCanonChol samples x ~ N(Λ⁻¹·h, Λ⁻¹) given h and the lower
-// Cholesky factor L of Λ = L·Lᵀ, as the item update needs it: forward-solve
-// mu = L⁻¹·h, draw z ~ N(0, I) (the same K normals as MVNFromPrecChol),
-// then solve Lᵀ·mean = mu and Lᵀ·w = z in one la.SolveLowerTPair pass, and
-// x = mean + w. The two back-substitutions are independent chains that
-// overlap; the pair gives each exactly SolveLowerT's operations in order,
-// so x is la.SolveSPD followed by MVNFromPrecChol bit for bit. mu and
-// scratch (length K) are overwritten and must not alias each other, h or
-// dst.
-func (r *Stream) MVNFromCanonChol(h la.Vector, precL *la.Matrix, dst, mu, scratch la.Vector) {
-	if len(dst) != len(h) {
-		panic("rng: MVNFromCanonChol dimension mismatch")
-	}
-	la.SolveLower(precL, h, mu)
-	r.FillNorm(scratch)
-	la.SolveLowerTPair(precL, mu, scratch)
 	for i := range dst {
 		dst[i] = mu[i] + scratch[i]
 	}

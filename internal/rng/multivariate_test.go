@@ -46,39 +46,6 @@ func TestMVNFromPrecCholMoments(t *testing.T) {
 	}
 }
 
-// TestMVNFromCanonCholMatchesPrecChol: the draw from the canonical form
-// (h = Λ·mean) is SolveSPD followed by MVNFromPrecChol bit for bit, stream
-// position included, over three successive draws.
-func TestMVNFromCanonCholMatchesPrecChol(t *testing.T) {
-	for _, k := range []int{1, 2, 7, 32, 33} {
-		prec := la.NewMatrix(k, k)
-		New(uint64(k)).FillNorm(prec.Data)
-		la.SymmetrizeLower(prec)
-		for i := 0; i < k; i++ {
-			prec.Set(i, i, prec.At(i, i)+float64(2*k))
-		}
-		precL := la.NewMatrix(k, k)
-		if err := la.Cholesky(prec, precL); err != nil {
-			t.Fatal(err)
-		}
-		h := la.NewVector(k)
-		New(99).FillNorm(h)
-		mu, scratch := la.NewVector(k), la.NewVector(k)
-		la.SolveSPD(precL, h, mu, scratch)
-		ref, s := New(5), New(5)
-		want, got := la.NewVector(k), la.NewVector(k)
-		for draw := 0; draw < 3; draw++ {
-			ref.MVNFromPrecChol(mu, precL, want, scratch)
-			s.MVNFromCanonChol(h, precL, got, la.NewVector(k), scratch)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("k=%d draw %d: element %d is %v, SolveSPD + MVNFromPrecChol %v", k, draw, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestWishartMean(t *testing.T) {
 	// E[W(V, nu)] = nu * V.
 	k := 3

@@ -263,9 +263,9 @@ func (p *Pool) Run(fn func(w *Worker)) {
 // split point lies a whole number of grains past lo — the halfway point
 // rounded up to the next grain — so every chunk but the last starts at lo
 // plus a multiple of grain and is exactly grain long: a sweep that draws
-// its items in fixed windows (core.ItemGrain positions, two four-item lane
-// groups) receives whole windows, since a chunk cut inside a window would
-// draw a partly empty lane group on each side of the cut.
+// each range's items in four-item lane groups receives whole grains
+// (core.ItemGrain positions, two groups), since a cut inside a grain would
+// leave a partly empty lane group on each side of it.
 // The iteration-to-chunk decomposition is a pure function of (lo, hi,
 // grain), never of the number of workers, so any arithmetic performed in
 // chunk order is schedule-independent.

@@ -117,8 +117,8 @@ func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 
 // TestParallelForGrainRespected: every chunk is at most a grain long and
 // starts a whole number of grains past lo, and only the chunk that ends
-// at hi may be shorter than a grain — the alignment that hands a
-// windowed sweep whole windows.
+// at hi may be shorter than a grain — the alignment that hands a sweep
+// whole lane groups.
 func TestParallelForGrainRespected(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
