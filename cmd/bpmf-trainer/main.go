@@ -293,7 +293,9 @@ func runLoop(cfg config.Trainer, logf func(string, ...any)) error {
 		release()
 		iterate := lap()
 		prev := ckpt.NextIter
-		ckpt = s.Checkpoint()
+		// The view aliases s, which the cycle drops here: the next cycle's
+		// resume copies it into a new sampler, so no detached copy is made.
+		ckpt = s.View()
 
 		if err := serve.PublishCheckpoint(cfg.Publish.Ckpt, ckpt, lin); err != nil {
 			return fmt.Errorf("cycle %d: %w", cycle, err)

@@ -281,13 +281,20 @@ func buildItemProblem(nnz, k int, seed uint64) (cols []int32, vals []float64, ot
 	return
 }
 
-// updateWith runs UpdateItem with the given kernel and returns the result.
+// updateWith runs UpdateItem with the given kernel, on a worker of pool
+// unless pool is nil, and returns the result.
 func updateWith(kern Kernel, cfg *Config, cols []int32, vals []float64,
 	other *la.Matrix, hyper *Hyper, pool *sched.Pool) la.Vector {
 	ws := NewWorkspace(cfg.K)
 	out := la.NewVector(cfg.K)
 	stream := rng.New(itemKey(cfg.Seed, 0, SideU, 0))
-	UpdateItem(ws, kern, cfg, cols, vals, other, hyper, stream, pool, nil, out)
+	if pool == nil {
+		UpdateItem(ws, kern, cfg, cols, vals, other, hyper, stream, nil, nil, out)
+	} else {
+		pool.Run(func(w *sched.Worker) {
+			UpdateItem(ws, kern, cfg, cols, vals, other, hyper, stream, nil, w, out)
+		})
+	}
 	return out
 }
 

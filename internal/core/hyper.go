@@ -189,6 +189,7 @@ type HyperWorkspace struct {
 	lambdaChol                  *la.Matrix // Λ's lower factor
 	bartA, bartB                *la.Matrix // Wishart Bartlett scratch
 	invE, invCol                la.Vector  // InvFromCholWS scratch
+	lanes                       la.Vector  // CholeskyWS lane scratch
 }
 
 // NewHyperWorkspace allocates the scratch for K latent features.
@@ -201,6 +202,7 @@ func NewHyperWorkspace(k int) *HyperWorkspace {
 		scaled: la.NewMatrix(k, k), lambdaChol: la.NewMatrix(k, k),
 		bartA: la.NewMatrix(k, k), bartB: la.NewMatrix(k, k),
 		invE: la.NewVector(k), invCol: la.NewVector(k),
+		lanes: la.NewVector(la.Lanes * k * k),
 	}
 }
 
@@ -242,18 +244,18 @@ func SampleHyperWS(prior NWPrior, m *Moments, stream *rng.Stream, h *Hyper, ws *
 	la.SymmetrizeLower(wInv)
 
 	// W* = (W*⁻¹)⁻¹ via Cholesky.
-	if err := la.Cholesky(wInv, ws.wInvChol); err != nil {
+	if err := la.CholeskyWS(wInv, ws.wInvChol, ws.lanes); err != nil {
 		panic("core: Normal-Wishart posterior scale not SPD: " + err.Error())
 	}
 	la.InvFromCholWS(ws.wInvChol, ws.wStar, ws.invE, ws.invCol)
-	if err := la.Cholesky(ws.wStar, ws.wStarChol); err != nil {
+	if err := la.CholeskyWS(ws.wStar, ws.wStarChol, ws.lanes); err != nil {
 		panic("core: inverted scale not SPD: " + err.Error())
 	}
 
 	// Λ ~ W(W*, ν*).
 	nuStar := prior.Nu0 + n
 	stream.WishartWS(ws.wStarChol, nuStar, h.Lambda, ws.bartA, ws.bartB)
-	if err := la.Cholesky(h.Lambda, ws.lambdaChol); err != nil {
+	if err := la.CholeskyWS(h.Lambda, ws.lambdaChol, ws.lanes); err != nil {
 		panic("core: sampled precision not SPD: " + err.Error())
 	}
 

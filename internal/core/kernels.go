@@ -88,8 +88,8 @@ func NewAccArena(k int) *AccArena {
 type Workspace struct {
 	K int
 	// precs are a serial-Cholesky group's four precisions; prec = precs[0]
-	// is also the parallel kernel's, factored in place into its lower
-	// Cholesky factor. rhs is one lane's right-hand side while it
+	// is also the parallel kernel's, which its blocked factorization
+	// destroys. rhs is one lane's right-hand side while it
 	// accumulates, and a lone draw's normals before that.
 	prec  *la.Matrix
 	precs [la.Lanes]*la.Matrix
@@ -160,17 +160,20 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 //
 // where x_j are the partner-side factor rows referenced by cols and r_j
 // the corresponding rating values (vals). kernel selects the Figure 2
-// method. pool/pw are required only by KernelParallelCholesky (pass nil
-// otherwise, or to force its chunk arithmetic onto the calling goroutine).
-// The draw consumes exactly K normal deviates from stream regardless of
-// kernel, keeping stream consumption schedule-independent.
+// method. pw is the pool worker running the draw: KernelParallelCholesky
+// spawns its chunks and its factor's block tasks on pw's pool, and runs the
+// same task DAG inline when pw is nil, so the sample does not depend on
+// it. The pool argument is not read; it stays in the signature for the
+// benchmark driver's calls. The draw consumes exactly K normal deviates
+// from stream regardless of kernel, keeping stream consumption
+// schedule-independent.
 //
 // The item is a lane group of one: its K normals go into lane 0 of z4, and
 // the rank-one and serial-Cholesky kernels are the group draws a sweep
 // runs (drawRankOne, drawCholesky), so an item's bits do not depend on the
-// items beside it. The parallel kernel keeps its own accumulation and
-// factor (la.CholeskyParallel, blocked past K = 32), broadcasts U = Lᵀ
-// into the lanes and finishes through the same lane solves.
+// items beside it. The parallel kernel keeps its own accumulation, and
+// la.CholeskyParallel (Cholesky4 up to K = 32, blocked past it) writes
+// U = Lᵀ straight into the lanes for the same lane solves.
 func UpdateItem(
 	ws *Workspace,
 	kernel Kernel,
@@ -179,7 +182,7 @@ func UpdateItem(
 	other *la.Matrix,
 	hyper *Hyper,
 	stream *rng.Stream,
-	pool *sched.Pool, pw *sched.Worker,
+	_ *sched.Pool, pw *sched.Worker,
 	out la.Vector,
 ) {
 	ws.setLane(0, cols, vals, out)
@@ -191,15 +194,11 @@ func UpdateItem(
 	case KernelCholesky:
 		ws.drawCholesky(1, cfg.Alpha, other, hyper)
 	case KernelParallelCholesky:
-		accumulateParallel(ws, cfg, cols, vals, other, hyper, pool, pw)
-		// CholeskyParallel executes the same blocked task DAG inline when
-		// pool is nil, so the sample is bit-identical whether or not the
-		// caller supports nested parallelism.
-		if err := la.CholeskyParallel(pool, pw, ws.prec, ws.prec); err != nil {
+		accumulateParallel(ws, cfg, cols, vals, other, hyper, pw)
+		if err := la.CholeskyParallel(pw, ws.prec, ws.u4); err != nil {
 			panic("core: item posterior precision not SPD: " + err.Error())
 		}
 		la.SetLane(ws.rhs4, 0, ws.rhs)
-		la.BroadcastUpperT(ws.u4, ws.prec)
 		ws.solveLanes(1, ws.u4)
 	default:
 		panic("core: unknown kernel")
@@ -265,10 +264,10 @@ func (ws *Workspace) drawRankOne(n int, alpha float64, other *la.Matrix, hyper *
 // ascending rating order, so the sums are the per-rating SyrLower/Axpy
 // loop's bits), the n precisions are packed into the lane layout
 // (la.PackLower4) and factored side by side (la.Cholesky4), leaving U = Lᵀ
-// of la.Cholesky's L, bit for bit; solveLanes finishes them. A lone item
-// (UpdateItem) is the group with n = 1. A precision that is not SPD panics
-// with the lowest such lane's pivot, as la.Cholesky would report it; lanes
-// past n are copies of lane 0 and are discarded.
+// in every lane; solveLanes finishes them. A lone item (UpdateItem) is the
+// group with n = 1. A precision that is not SPD panics with the lowest such
+// lane's pivot, as la.Cholesky would report it; lanes past n are copies of
+// lane 0 and are discarded.
 func (ws *Workspace) drawCholesky(n int, alpha float64, other *la.Matrix, hyper *Hyper) {
 	for l, it := range ws.lanes[:n] {
 		p := ws.precs[l]
@@ -291,7 +290,7 @@ func (ws *Workspace) drawCholesky(n int, alpha float64, other *la.Matrix, hyper 
 // perform SolveLower's and SolveLowerT's operations on L, so each lane is
 // SolveSPD followed by MVNFromPrecChol on its own factor, bit for bit.
 // Every item draw ends here: a rank-one or serial-Cholesky group of one
-// to four, and a parallel-Cholesky item alone, its factor broadcast.
+// to four, and a parallel-Cholesky item alone.
 func (ws *Workspace) solveLanes(n int, u []float64) {
 	k := ws.K
 	la.SolveUpperT4(u, ws.rhs4, k)
@@ -305,10 +304,11 @@ func (ws *Workspace) solveLanes(n int, u []float64) {
 	}
 }
 
-// accumulateParallel computes Λ* and the rhs with a chunked reduction.
-// The chunk decomposition depends only on (nnz, cfg.ParallelGrain); the
-// partials are combined in ascending chunk order, so the result is
-// bit-identical for any worker count, including sequential execution.
+// accumulateParallel computes Λ* and the rhs with a chunked reduction,
+// the chunks spawned on pw's pool (inline when pw is nil). The chunk
+// decomposition depends only on (nnz, cfg.ParallelGrain); the partials are
+// combined in ascending chunk order, so the result is bit-identical for
+// any worker count, including sequential execution.
 // Chunk accumulators are leased from the workspace's worker-local arena
 // instead of allocated per chunk, so the steady-state hot path performs
 // no allocation.
@@ -316,7 +316,7 @@ func accumulateParallel(
 	ws *Workspace, cfg *Config,
 	cols []int32, vals []float64,
 	other *la.Matrix, hyper *Hyper,
-	pool *sched.Pool, pw *sched.Worker,
+	pw *sched.Worker,
 ) {
 	nnz := len(cols)
 	grain := cfg.ParallelGrain
@@ -332,10 +332,9 @@ func accumulateParallel(
 	}
 	ws.parts = ws.parts[:nchunks]
 
-	if pool != nil && nchunks > 1 {
-		g := pool.NewGroup()
+	if pw != nil && nchunks > 1 {
+		g := pw.Pool().NewGroup()
 		for ci := 0; ci < nchunks; ci++ {
-			ci := ci
 			g.Spawn(pw, func(tw *sched.Worker) {
 				ws.runAccChunk(tw, ci, grain, cfg.Alpha, cols, vals, other)
 			})

@@ -110,7 +110,7 @@ type Executor interface {
 	// s.UpdateRange, which draws them in lane groups, and returns once all
 	// of them are drawn. Dispatch is per range, never per item. An engine
 	// with its own per-item abstraction hands each item to s.DrawItem
-	// instead, a lane group of one: the same bits.
+	// instead, a lane group of one, in any order: the same bits.
 	Sweep(s *Sampler, side Side, iter int)
 	// Each calls run(i) exactly once for every i in [0, n) — moment
 	// groups, evaluation chunks — on any goroutines, and returns only
@@ -288,12 +288,8 @@ func (s *Sampler) DrawItem(ws *Workspace, w *sched.Worker, side Side, iter, item
 	cols []int32, vals []float64, other *la.Matrix, out la.Vector) {
 	_, _, _, hyper := s.Side(side)
 	kern := s.Cfg.SelectKernel(len(cols))
-	var pool *sched.Pool
-	if w != nil {
-		pool = w.Pool()
-	}
 	UpdateItem(ws, kern, &s.Cfg, cols, vals, other, hyper,
-		ws.ItemStream(s.Cfg.Seed, iter, side, item), pool, w, out)
+		ws.ItemStream(s.Cfg.Seed, iter, side, item), nil, w, out)
 	s.kernelCounts[kern].Add(1)
 }
 

@@ -99,18 +99,18 @@ func NewEngine(g *Graph, threads int) *Engine {
 	return &Engine{G: g, Threads: threads}
 }
 
-// Superstep activates every vertex of one side, running gather over all
-// edges and then apply, with a barrier at the end (implicit in StaticFor).
-// factors is the side's own factor matrix (written); other the partner
-// side's (read). ord is the vertex activation order, a permutation of the
-// side's vertices: because every activation reads only the frozen partner
-// side and writes only its own vertex, the order changes no sampled bit —
-// GraphLab's own engines make the same no-ordering promise to vertex
-// programs.
-func (e *Engine) Superstep(side core.Side, prog Program, factors, other *la.Matrix, ord []int32) {
+// Superstep activates every vertex of one side in vertex-id order, each
+// thread a contiguous range of ids, running gather over all edges and then
+// apply, with a barrier at the end (implicit in StaticFor). factors is the
+// side's own factor matrix (written); other the partner side's (read).
+// Every activation reads only the frozen partner side and writes only its
+// own vertex, so the order changes no sampled bit — GraphLab's own engines
+// make the same no-ordering promise to vertex programs — and each vertex
+// is drawn alone, so the flat engines' lane order, which packs the
+// heaviest items together, would only load one thread's range with them.
+func (e *Engine) Superstep(side core.Side, prog Program, factors, other *la.Matrix) {
 	sched.StaticFor(e.Threads, 0, factors.Rows, func(t, lo, hi int) {
-		for _, it := range ord[lo:hi] {
-			v := int(it)
+		for v := lo; v < hi; v++ {
 			cols, vals := e.G.Edges(side, v)
 			acc := prog.InitAcc(len(cols)) // per-activation allocation
 			for k, c := range cols {
@@ -143,8 +143,7 @@ func Run(cfg core.Config, prob *core.Problem, threads int) (*core.Result, error)
 
 // Attach binds s to a GraphLab-style engine over its problem's rating
 // graph, so that s.Run, s.RunFrom and s.Checkpoint sample the same chain
-// through vertex programs, activated in the sampler's lane order
-// (core.Sampler.Order).
+// through vertex programs, activated in vertex-id order.
 func Attach(s *core.Sampler, threads int) {
 	e := NewEngine(NewGraph(s.Prob), threads)
 	acc := core.NewAccArena(s.Cfg.K)
@@ -157,8 +156,7 @@ func Attach(s *core.Sampler, threads int) {
 // Sweep implements core.Executor: one superstep over the side's vertices.
 func (e *Engine) Sweep(s *core.Sampler, side core.Side, iter int) {
 	factors, other, _, _ := s.Side(side)
-	ord, _ := s.Order(side)
-	e.Superstep(side, &program{s: s, iter: iter, ws: e.ws}, factors, other, ord)
+	e.Superstep(side, &program{s: s, iter: iter, ws: e.ws}, factors, other)
 }
 
 // Each implements core.Executor through the engine's static split — the

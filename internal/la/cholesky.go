@@ -1,9 +1,6 @@
 package la
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ErrNotSPD is returned when a Cholesky factorization encounters a
 // non-positive pivot, i.e. the matrix is not (numerically) symmetric
@@ -20,45 +17,55 @@ func (e *ErrNotSPD) Error() string {
 // Cholesky computes the lower-triangular Cholesky factor L of the symmetric
 // positive definite matrix A (only the lower triangle of A is read) such
 // that A = L*Lᵀ. The factor is written into dst (which may alias A). The
-// strictly upper triangle of dst is zeroed.
-//
-// The loop is right-looking: pivot k takes its square root, scales column k
-// and subtracts l_ik·l_jk from every element (i, j) of the trailing lower
-// triangle. Each element so receives its updates for k ascending and then
-// one scaling — the order, and the bits, of the left-looking inner products
-// — but the updates of one pivot are independent of each other, so they
-// vectorise (cholTrail). Column k is kept contiguous in row k's strictly
-// upper part, which is scratch until the final zeroing.
+// strictly upper triangle of dst is zeroed. It is CholeskyWS with its lane
+// scratch allocated per call.
 func Cholesky(a *Matrix, dst *Matrix) error {
+	return CholeskyWS(a, dst, make([]float64, Lanes*a.Rows*a.Rows))
+}
+
+// CholeskyWS is Cholesky with caller-provided lane scratch (Lanes·n²
+// elements, contents ignored and overwritten), performing no allocation:
+// dst is factored in place by cholBlock, so through Cholesky4, the
+// package's one factorization body. A pivot that is not positive (d ≤ 0
+// or NaN) is reported with its value.
+func CholeskyWS(a, dst *Matrix, lanes []float64) error {
 	n := a.Rows
-	if a.Cols != n || dst.Rows != n || dst.Cols != n || len(dst.Data) != n*n {
+	if a.Cols != n || dst.Rows != n || dst.Cols != n || len(dst.Data) != n*n || len(lanes) != Lanes*n*n {
 		panic("la: Cholesky dimension mismatch")
 	}
 	if dst != a {
 		dst.CopyFrom(a)
 	}
-	l := dst.Data
-	for k := 0; k < n; k++ {
-		rowk := l[k*n : (k+1)*n]
-		d := rowk[k]
-		if d <= 0 || math.IsNaN(d) {
-			return &ErrNotSPD{Pivot: k, Value: d}
-		}
-		d = math.Sqrt(d)
-		rowk[k] = d
-		inv := 1 / d
-		for i := k + 1; i < n; i++ {
-			v := l[i*n+k] * inv
-			l[i*n+k] = v
-			rowk[i] = v
-		}
-		cholTrail(l, n, k)
+	if err := cholBlock(dst, 0, n, lanes); err != nil {
+		return err
 	}
-	// Zero the strictly upper triangle so dst is a clean lower factor.
 	for i := 0; i < n; i++ {
-		row := dst.Row(i)
-		for j := i + 1; j < n; j++ {
-			row[j] = 0
+		clear(dst.Row(i)[i+1:])
+	}
+	return nil
+}
+
+// cholBlock factors the kb × kb diagonal block of l at (k, k) in place,
+// its lower triangle read and written: the triangle is broadcast into every
+// lane of lanes[:Lanes·kb²], factored there by Cholesky4 and lane 0's L
+// copied back. A refused pivot is reported at its row of l.
+func cholBlock(l *Matrix, k, kb int, lanes []float64) error {
+	n := l.Cols
+	g := lanes[:Lanes*kb*kb]
+	for i := 0; i < kb; i++ {
+		for j, v := range l.Data[(k+i)*n+k : (k+i)*n+k+i+1] {
+			e := g[(i*kb+j)*Lanes : (i*kb+j+1)*Lanes]
+			e[0], e[1], e[2], e[3] = v, v, v, v
+		}
+	}
+	if err := Cholesky4(g, kb, 1); err != nil {
+		err.(*ErrNotSPD).Pivot += k
+		return err
+	}
+	for i := 0; i < kb; i++ {
+		row := l.Data[(k+i)*n+k : (k+i)*n+k+i+1]
+		for j := range row {
+			row[j] = g[(i*kb+j)*Lanes]
 		}
 	}
 	return nil

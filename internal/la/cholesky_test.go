@@ -583,13 +583,15 @@ func diffLanes(t testing.TB, r *rand.Rand, k, m, off int, special bool) {
 }
 
 // diffCholesky4 draws a Cholesky group of m ≤ 4 matrices of order k —
-// SPD, or, about one lane in three, damaged so that Cholesky refuses it:
-// a pivot made −0, +0, negative or NaN, or with oneIn > 0 special values
-// sprinkled over the lower triangle — packs it (PackLower4) into a buffer
-// at offset off that holds other values, and factors it (Cholesky4). Every
-// lane l < m must hold its matrix's Cholesky factor L bit for bit in its
-// lower triangle and Lᵀ in its upper one, unless Cholesky refuses it; the
-// error must be the lowest refused lane's, pivot and value. Lanes ≥ m are
+// SPD, or, about one lane in three, damaged so that the factorization
+// refuses it: a pivot made −0, +0, negative or NaN, or with oneIn > 0
+// special values sprinkled over the lower triangle — packs it (PackLower4)
+// into a buffer at offset off that holds other values, and factors it
+// (Cholesky4). Every lane l < m must hold the left-looking reference's
+// factor L of its matrix bit for bit in its lower triangle and Lᵀ in its
+// upper one, unless the reference refuses it; the error must be the lowest
+// refused lane's, pivot and value. (Cholesky itself is Cholesky4, so it
+// cannot be the reference.) Lanes ≥ m are
 // given matrices that are not SPD, which the pack must not read: they
 // hold lane 0's factor. Poisoned after the pack, they are still never
 // reported and leave lanes < m as they were. Nothing outside the group's
@@ -646,7 +648,7 @@ func diffCholesky4(t testing.TB, r *rand.Rand, k, m, off, oneIn int) {
 			continue
 		}
 		f := mats[l].Clone()
-		if e := Cholesky(f, f); e != nil {
+		if e := choleskyLeftLooking(f); e != nil {
 			if wantErr == nil {
 				wantErr = e.(*ErrNotSPD)
 			}
@@ -676,8 +678,9 @@ func diffCholesky4(t testing.TB, r *rand.Rand, k, m, off, oneIn int) {
 	}
 }
 
-// TestCholesky4MatchesCholesky: the Cholesky group at every order 1…67,
-// offsets 0–3 and fills 1–4, with and without special values.
+// TestCholesky4MatchesCholesky: the Cholesky group against the left-looking
+// factorization at every order 1…67, offsets 0–3 and fills 1–4, with and
+// without special values.
 func TestCholesky4MatchesCholesky(t *testing.T) {
 	r := testRand(188)
 	for k := 1; k <= 67; k++ {

@@ -10,18 +10,18 @@
 // task DAG whose per-task arithmetic order does not depend on which worker
 // runs it).
 //
-// On amd64 nine inner loops — four for the dense item update, one for
+// On amd64 ten inner loops — three for the dense item update, one for
 // Gemv (four rows at a time), one for a ranking's integer pass
 // (blocks8.go's BlockDot8, exact int32 sums of eight catalogue rows a
-// register over an int8 block copy), and the three lane kernels of the rank-one item
-// update (lanes.go: four items at a time, one per register lane, from the
-// factor update through the forward solve to the paired back-solve) — run
-// as hand-written AVX2 assembly that computes the same bits as the Go
-// loops it stands in for, so results are identical with and without it.
-// The four dense ones also have AVX-512 bodies, eight elements a register
-// with each run's last count mod 8 under one opmask, which run where the
-// CPU and the OS support them;
-// the dispatch order is AVX-512, AVX2, Go (the purego build tag removes the
+// register over an int8 block copy), and the five lane kernels (lanes.go:
+// four items at a time, one per register lane: the rank-one factor update,
+// the Cholesky pack and factor, the forward solve and the paired
+// back-solve) — run as hand-written AVX2 assembly that computes the same
+// bits as the Go loops it stands in for, so results are identical with and
+// without it. Every Cholesky factorization runs the one lane factor body,
+// Cholesky4. The three dense ones also have AVX-512 bodies, eight elements
+// a register with each run's last count mod 8 under one opmask, which run
+// where the CPU and the OS support them; the dispatch order is AVX-512, AVX2, Go (the purego build tag removes the
 // assembly; a CPU or OS without AVX2 falls back by itself). The lane kernels
 // compute hypot themselves, with amd64's math.Hypot operations and the
 // square rounded on its own, so the rank-one update no longer takes

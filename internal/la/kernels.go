@@ -4,7 +4,7 @@ import "math"
 
 // The inner loops of the dense item update, of the item updates in lane
 // groups and of the scoring pass. Each has the pure-Go body below and, on
-// amd64, an AVX2 body in kernels_amd64.s computing the same bits; the four
+// amd64, an AVX2 body in kernels_amd64.s computing the same bits; the three
 // dense primitives also have an AVX-512 body in kernels_avx512_amd64.s. A
 // vector lane only holds a value these loops already keep separate (one
 // memory element, one row's inner product, or in the lane kernels one
@@ -17,26 +17,21 @@ import "math"
 // under the purego tag, or without AVX2. Callers pass lengths they have
 // checked; the bodies check nothing.
 //
-// These ten are what the exported kernels call: syrk4, axpy4 and axpy1 for
-// the dense item update's accumulation, cholTrail for Cholesky, dot4 for
-// Gemv, and the five lane kernels (lanes.go), which advance four items at
-// a time: the rank-one group's factor update, the Cholesky group's pack
-// and factor, and the two solves every item draw ends in. Since every
-// serial-Cholesky item is factored by Cholesky4, Cholesky (and so
-// cholTrail) is left with the hyperparameter draws and, through
-// CholeskyParallel, the parallel-Cholesky items at K ≤ 32. cholTrail keeps
-// its own vector bodies all the same: routed through the dispatched axpy1
-// instead, Cholesky at K = 32 read 8.6–16 µs against 3.0–3.8 µs
-// (microbenchmark, busy two-core box), once per such item. kernels_amd64.go's init points them at the
+// These nine are what the exported kernels call: syrk4, axpy4 and axpy1 for
+// the dense item update's accumulation, dot4 for Gemv, and the five lane
+// kernels (lanes.go), which advance four items at a time: the rank-one
+// group's factor update, the Cholesky group's pack and factor, and the two
+// solves every item draw ends in. cholesky4 is the package's one
+// factorization body: Cholesky, CholeskyParallel's diagonal blocks and the
+// Cholesky groups all run it. kernels_amd64.go's init points them at the
 // widest bodies the CPU and the OS run: AVX-512, then AVX2, then Go. The
-// eleventh, blockDot8 (blocks8.go, the integer pass of a ranking), is
+// tenth, blockDot8 (blocks8.go, the integer pass of a ranking), is
 // dispatched by a direct call instead, AVX2 or Go; its sums are exact, so
 // no lane rule applies.
 var (
 	syrk4           = syrk4Go
 	axpy4           = axpy4Go
 	axpy1           = axpy1Go
-	cholTrail       = cholTrailGo
 	dot4            = dot4Go
 	cholUpdate4     = cholUpdate4Go
 	solveUpperT4    = solveUpperT4Go
@@ -53,14 +48,13 @@ var (
 // so there is one CPU check.
 var HasAVX2, HasAVX512 bool
 
-// denseSet is one vector set of the four dense-update primitives.
+// denseSet is one vector set of the three dense-update primitives.
 type denseSet struct {
-	name      string
-	ok        bool // the CPU and the OS run it
-	syrk4     func(alpha float64, x0, x1, x2, x3, a []float64)
-	axpy4     func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
-	axpy1     func(alpha float64, x, y []float64)
-	cholTrail func(l []float64, n, k int)
+	name  string
+	ok    bool // the CPU and the OS run it
+	syrk4 func(alpha float64, x0, x1, x2, x3, a []float64)
+	axpy4 func(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
+	axpy1 func(alpha float64, x, y []float64)
 }
 
 // denseSets lists the build's vector sets of the dense primitives, narrowest
@@ -241,19 +235,6 @@ func solveUpperPair4Go(u, a, b []float64, k int) {
 			}
 			a[i*4+l], b[i*4+l] = s/row[i*4+l], t/row[i*4+l]
 		}
-	}
-}
-
-// cholTrailGo is the trailing update of Cholesky's pivot k on the row-major
-// n × n matrix l: row_i[k+1..i] -= l_ik · col_k[k+1..i] for every i > k,
-// where column k has been copied into row k's strictly upper part so both
-// operands are contiguous. a − b·c and a + (−b)·c are the same IEEE
-// operation, so each row is one axpy1 with −l_ik.
-func cholTrailGo(l []float64, n, k int) {
-	colk := l[k*n : (k+1)*n]
-	for i := k + 1; i < n; i++ {
-		row := l[i*n : (i+1)*n]
-		axpy1Go(-row[k], colk[k+1:i+1], row[k+1:i+1])
 	}
 }
 

@@ -18,9 +18,6 @@ func axpy4AVX2(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 func axpy1AVX2(alpha float64, x, y []float64)
 
 //go:noescape
-func cholTrailAVX2(l []float64, n, k int)
-
-//go:noescape
 func syrk4AVX512(alpha float64, x0, x1, x2, x3, a []float64)
 
 //go:noescape
@@ -28,9 +25,6 @@ func axpy4AVX512(a0, a1, a2, a3 float64, x0, x1, x2, x3, y []float64)
 
 //go:noescape
 func axpy1AVX512(alpha float64, x, y []float64)
-
-//go:noescape
-func cholTrailAVX512(l []float64, n, k int)
 
 //go:noescape
 func dot4AVX2(a []float64, k int, x []float64) (s0, s1, s2, s3 float64)
@@ -66,12 +60,12 @@ func cholesky4AVX2(a []float64, k int) (bad int)
 func init() {
 	HasAVX2, HasAVX512 = cpuFeatures()
 	denseSets = []denseSet{
-		{"avx2", HasAVX2, syrk4AVX2, axpy4AVX2, axpy1AVX2, cholTrailAVX2},
-		{"avx512", HasAVX512, syrk4AVX512, axpy4AVX512, axpy1AVX512, cholTrailAVX512},
+		{"avx2", HasAVX2, syrk4AVX2, axpy4AVX2, axpy1AVX2},
+		{"avx512", HasAVX512, syrk4AVX512, axpy4AVX512, axpy1AVX512},
 	}
 	for _, s := range denseSets {
 		if s.ok {
-			syrk4, axpy4, axpy1, cholTrail = s.syrk4, s.axpy4, s.axpy1, s.cholTrail
+			syrk4, axpy4, axpy1 = s.syrk4, s.axpy4, s.axpy1
 		}
 	}
 	if HasAVX2 {

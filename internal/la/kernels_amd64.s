@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the eleven kernels.go primitives: four for the dense item
+// AVX2 bodies of the ten kernels.go primitives: three for the dense item
 // update, five lane kernels for the item updates in lane groups, dot4 for
 // Gemv, blockDot8 for a ranking's integer pass, and cpuFeatures, the one
 // CPU check. One rule keeps the floating-point ones bit-identical to the Go
@@ -659,37 +659,6 @@ div:
 	INCQ	R11
 	DECQ	R10
 	JNZ	row
-	VZEROUPPER
-	RET
-
-// func cholTrailAVX2(l []float64, n, k int)
-TEXT ·cholTrailAVX2(SB), NOSPLIT, $0-40
-	MOVQ	l_base+0(FP), R8
-	MOVQ	n+24(FP), CX
-	MOVQ	k+32(FP), BX
-	LEAQ	1(BX), AX
-	SUBQ	AX, CX			// rows below the pivot: n − k − 1
-	JLE	done
-	LEAQ	(CX)(AX*1), R12
-	IMULQ	R12, BX
-	ADDQ	AX, BX			// k·n + k + 1
-	SHLQ	$3, R12			// row stride
-	LEAQ	(R8)(BX*8), R8		// column k below the pivot, kept in row k
-	LEAQ	(R8)(R12*1), DI		// row i from column k+1, i = k+1
-	VPCMPEQD	X0, X0, X0
-	VPSLLQ	$63, X0, X0		// sign bit
-	MOVQ	$1, BX			// row length i − k
-row:
-	VMOVSD	-8(DI), X4
-	VXORPD	X0, X4, X4		// −l_ik
-	VBROADCASTSD	X4, Y4
-	MOVQ	BX, DX
-	AXPY1(vec, tail, scalar, next)
-	ADDQ	R12, DI
-	INCQ	BX
-	DECQ	CX
-	JNZ	row
-done:
 	VZEROUPPER
 	RET
 

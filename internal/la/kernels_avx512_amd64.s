@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// AVX-512 bodies of the four dense-update primitives: kernels_amd64.s's
+// AVX-512 bodies of the three dense-update primitives: kernels_amd64.s's
 // AVX2 loops eight elements a step. The lane rule is the same at this
 // width: a zmm lane holds one memory element's chain, and every update is
 // VMULPD then VADDPD, never FMA. The last count mod 8 elements of a run go
@@ -136,36 +136,5 @@ TEXT ·axpy1AVX512(SB), NOSPLIT, $0-56
 	MOVQ	x_len+16(FP), DX
 	MOVQ	y_base+32(FP), DI
 	AXPY8(vec, tail, done)
-	VZEROUPPER
-	RET
-
-// func cholTrailAVX512(l []float64, n, k int)
-TEXT ·cholTrailAVX512(SB), NOSPLIT, $0-40
-	MOVQ	l_base+0(FP), R8
-	MOVQ	n+24(FP), R13
-	MOVQ	k+32(FP), BX
-	LEAQ	1(BX), AX
-	SUBQ	AX, R13			// rows below the pivot: n − k − 1
-	JLE	done
-	LEAQ	(R13)(AX*1), R12
-	IMULQ	R12, BX
-	ADDQ	AX, BX			// k·n + k + 1
-	SHLQ	$3, R12			// row stride
-	LEAQ	(R8)(BX*8), R8		// column k below the pivot, kept in row k
-	LEAQ	(R8)(R12*1), DI		// row i from column k+1, i = k+1
-	VPCMPEQD	X0, X0, X0
-	VPSLLQ	$63, X0, X0		// sign bit
-	MOVQ	$1, BX			// row length i − k
-row:
-	VMOVSD	-8(DI), X4
-	VXORPD	X0, X4, X4		// −l_ik
-	VBROADCASTSD	X4, Z4
-	MOVQ	BX, DX
-	AXPY8(vec, tail, next)
-	ADDQ	R12, DI
-	INCQ	BX
-	DECQ	R13
-	JNZ	row
-done:
 	VZEROUPPER
 	RET

@@ -10,14 +10,14 @@ import (
 // Differential tests of the vectorised kernels. Four layers, all compared
 // bit for bit:
 //
-//   - each primitive against its Go body: the four dense ones through
+//   - each primitive against its Go body: the three dense ones through
 //     every set of bodies the CPU runs (AVX2, AVX-512), the rest through
 //     their dispatchers — trivially true under the purego tag;
 //   - the batched accumulation built on them against the naive per-rating
 //     loops, for rating counts on both sides of the four-row block and of a
 //     gather panel;
-//   - the right-looking Cholesky against the left-looking loop it replaced,
-//     kept below as the reference;
+//   - Cholesky, which is Cholesky4 on one lane, against the left-looking
+//     loop kept below as the reference;
 //   - the row-blocked Gemv against one Dot per row.
 //
 // Operands start at odd element offsets of a larger buffer, so no vector
@@ -69,9 +69,9 @@ func blockDot8Sum(v []int8, x []int16, j int) int64 {
 	return s
 }
 
-// diffPrimitives compares the eleven primitives with their Go bodies at
-// width k (the lane kernels at order k): the four dense ones through every
-// set in denseSets the CPU runs, the other seven through their dispatchers.
+// diffPrimitives compares the ten primitives with their Go bodies at width
+// k (the lane kernels at order k): the three dense ones through every set
+// in denseSets the CPU runs, the other seven through their dispatchers.
 func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 	t.Helper()
 	var x [4]Vector
@@ -99,16 +99,6 @@ func diffPrimitives(t testing.TB, r *rand.Rand, k, off, oneIn int) {
 		s.axpy1(f[1], x[0], got[off:off+k])
 		axpy1Go(f[1], x[0], want[off:off+k])
 		checkBits(t, s.name+" axpy1", got, want)
-
-		for _, pivot := range []int{0, k / 2, k - 2, k - 1} {
-			if pivot < 0 {
-				continue
-			}
-			got, want = a.Clone(), a.Clone()
-			s.cholTrail(got[off:off+k*k], k, pivot)
-			cholTrailGo(want[off:off+k*k], k, pivot)
-			checkBits(t, s.name+" cholTrail", got, want)
-		}
 	}
 
 	rows := payload(r, 4*k, off, oneIn)[off : off+4*k]
@@ -301,8 +291,10 @@ func diffBatch(t testing.TB, r *rand.Rand, k, nnz, off, oneIn int) {
 	checkBits(t, "batch rhs", yBuf, wantY)
 }
 
-// choleskyLeftLooking is the factorization la.Cholesky performed before it
-// turned right-looking: every element is one sequential inner product.
+// choleskyLeftLooking is the reference every factorization in the package
+// is held to: every element is one sequential inner product, then one
+// scaling. Cholesky4's right-looking updates give each element the same
+// terms in the same order, so the same bits.
 func choleskyLeftLooking(l *Matrix) error {
 	n := l.Rows
 	for j := 0; j < n; j++ {
@@ -332,7 +324,7 @@ func choleskyLeftLooking(l *Matrix) error {
 	return nil
 }
 
-// diffCholesky factors one matrix of order k in place with la.Cholesky and
+// diffCholesky factors one matrix of order k in place with Cholesky and
 // with the left-looking reference: the same factor, or the same refusal at
 // the same pivot with the same value. With oneIn > 0 the strictly lower
 // triangle carries special values (an infinity or NaN makes both refuse).
@@ -576,13 +568,13 @@ func TestCholeskyMatchesLeftLooking(t *testing.T) {
 	}
 }
 
-// FuzzKernelsMatchGo drives the comparisons from fuzzed shapes: the eleven
-// primitives against their Go bodies, the batched accumulation, Cholesky,
-// Gemv (nnz doubles as its row count), the lane kernels against the
-// one-vector loop and the lower-form solves on every lane (nnz doubles as
-// the most vectors a lane takes), and the Cholesky group against Cholesky
-// on every lane (nnz also picks the group's fill); plain `go test` runs
-// the seeds below.
+// FuzzKernelsMatchGo drives the comparisons from fuzzed shapes: the ten
+// primitives against their Go bodies, the batched accumulation, Cholesky
+// against the left-looking reference, Gemv (nnz doubles as its row count),
+// the lane kernels against the one-vector loop and the lower-form solves on
+// every lane (nnz doubles as the most vectors a lane takes), and the
+// Cholesky group against the left-looking reference on every lane (nnz
+// also picks the group's fill); plain `go test` runs the seeds below.
 func FuzzKernelsMatchGo(f *testing.F) {
 	f.Add(int64(1), uint8(32), uint8(67), uint8(1), false)
 	f.Add(int64(2), uint8(67), uint8(130), uint8(3), true)

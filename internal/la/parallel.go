@@ -1,53 +1,50 @@
 package la
 
-import (
-	"math"
-
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
 // CholeskyBlockSize is the panel width used by the blocked (parallel)
 // Cholesky factorization.
 const CholeskyBlockSize = 32
 
-// CholeskyParallel computes the lower Cholesky factor of A into dst using a
-// right-looking blocked algorithm whose panel solves and trailing-matrix
-// updates run as tasks on the work-stealing pool. The arithmetic performed
-// for each block is a pure function of the block indices, so the result is
-// bit-identical across runs and worker counts — including pool == nil,
-// which executes the identical task DAG inline on the calling goroutine.
-// (A matrix no larger than one block is factorized serially in either
-// case.) The blocked result may differ in the last bits from the unblocked
-// serial factorization because trailing updates group inner products
-// differently; what is guaranteed is schedule independence.
+// CholeskyParallel factors the symmetric positive definite matrix A (lower
+// triangle read) and writes U = Lᵀ of its lower Cholesky factor L into
+// every lane of u (lane layout, order n), for the lane solves. Up to
+// CholeskyBlockSize it is PackLower4 and Cholesky4 into u, which leave L
+// in the lower triangles as well. Past it, A is factored in place by a
+// right-looking blocked algorithm and U broadcast (BroadcastUpperT): each
+// diagonal block is broadcast into u's lanes, factored there by Cholesky4
+// and copied back (cholBlock), and the panel solves and trailing-matrix
+// updates run as tasks spawned on w's pool. The arithmetic performed for
+// each block is a pure function of the block indices, so the result is
+// bit-identical across runs and worker counts — including w == nil, which
+// executes the identical task DAG inline on the calling goroutine. The
+// blocked result may differ in the last bits from the unblocked
+// factorization because trailing updates group inner products differently;
+// what is guaranteed is schedule independence.
 //
 // This is the "parallel Cholesky decomposition" of the paper's Figure 2.
-func CholeskyParallel(pool *sched.Pool, w *sched.Worker, a *Matrix, dst *Matrix) error {
+func CholeskyParallel(w *sched.Worker, a *Matrix, u []float64) error {
 	n := a.Rows
-	if a.Cols != n || dst.Rows != n || dst.Cols != n {
+	if a.Cols != n || len(a.Data) != n*n || len(u) != Lanes*n*n {
 		panic("la: CholeskyParallel dimension mismatch")
-	}
-	if dst != a {
-		dst.CopyFrom(a)
 	}
 	bs := CholeskyBlockSize
 	if n <= bs {
-		return Cholesky(dst, dst)
+		PackLower4(u, [Lanes]*Matrix{a}, 1)
+		return Cholesky4(u, n, 1)
 	}
-	l := dst
 
 	// runAll executes a deterministic set of independent block tasks,
-	// in parallel when a pool is available, inline otherwise.
+	// on w's pool when there is a worker, inline otherwise.
 	runAll := func(tasks []func()) {
-		if pool == nil || len(tasks) == 1 {
+		if w == nil || len(tasks) == 1 {
 			for _, t := range tasks {
 				t()
 			}
 			return
 		}
-		g := pool.NewGroup()
+		g := w.Pool().NewGroup()
 		for _, t := range tasks {
-			t := t
 			g.Spawn(w, func(_ *sched.Worker) { t() })
 		}
 		g.Sync(w)
@@ -56,15 +53,15 @@ func CholeskyParallel(pool *sched.Pool, w *sched.Worker, a *Matrix, dst *Matrix)
 	for k := 0; k < n; k += bs {
 		kb := min(bs, n-k)
 		// 1. Factor the diagonal block serially.
-		if err := cholInPlaceSub(l, k, kb); err != nil {
+		if err := cholBlock(a, k, kb, u); err != nil {
 			return err
 		}
 		// 2. Triangular solve of the panel below: rows [k+kb, n) of block
 		//    column k, parallel over row blocks.
 		var solves []func()
 		for i := k + kb; i < n; i += bs {
-			i, ib := i, min(bs, n-i)
-			solves = append(solves, func() { trsmBlock(l, i, ib, k, kb) })
+			ib := min(bs, n-i)
+			solves = append(solves, func() { trsmBlock(a, i, ib, k, kb) })
 		}
 		runAll(solves)
 		// 3. Trailing update: for each block (i, j) with k+kb <= j <= i,
@@ -73,43 +70,13 @@ func CholeskyParallel(pool *sched.Pool, w *sched.Worker, a *Matrix, dst *Matrix)
 		for i := k + kb; i < n; i += bs {
 			ib := min(bs, n-i)
 			for j := k + kb; j <= i; j += bs {
-				i, j, ib, jb := i, j, ib, min(bs, n-j)
-				updates = append(updates, func() { syrkBlock(l, i, ib, j, jb, k, kb) })
+				jb := min(bs, n-j)
+				updates = append(updates, func() { syrkBlock(a, i, ib, j, jb, k, kb) })
 			}
 		}
 		runAll(updates)
 	}
-	// Zero the strictly upper triangle.
-	for i := 0; i < n; i++ {
-		row := l.Row(i)
-		for j := i + 1; j < n; j++ {
-			row[j] = 0
-		}
-	}
-	return nil
-}
-
-// cholInPlaceSub factors the kb x kb diagonal block at (k, k) in place.
-func cholInPlaceSub(l *Matrix, k, kb int) error {
-	for j := k; j < k+kb; j++ {
-		d := l.At(j, j)
-		for t := k; t < j; t++ {
-			d -= l.At(j, t) * l.At(j, t)
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return &ErrNotSPD{Pivot: j, Value: d}
-		}
-		d = math.Sqrt(d)
-		l.Set(j, j, d)
-		inv := 1 / d
-		for i := j + 1; i < k+kb; i++ {
-			s := l.At(i, j)
-			for t := k; t < j; t++ {
-				s -= l.At(i, t) * l.At(j, t)
-			}
-			l.Set(i, j, s*inv)
-		}
-	}
+	BroadcastUpperT(u, a)
 	return nil
 }
 

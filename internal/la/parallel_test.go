@@ -2,109 +2,191 @@ package la
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/sched"
 )
 
+// choleskyParallel runs CholeskyParallel on a copy of a — on a worker of
+// pool, or with no worker when pool is nil — and returns the lane buffer
+// and the factor L read from lane 0's upper triangle (U = Lᵀ). Every lane
+// must hold the same U.
+func choleskyParallel(t testing.TB, pool *sched.Pool, a *Matrix) (*Matrix, []float64, error) {
+	t.Helper()
+	n := a.Rows
+	in, u := a.Clone(), NewVector(Lanes*n*n)
+	var err error
+	if pool == nil {
+		err = CholeskyParallel(nil, in, u)
+	} else {
+		pool.Run(func(w *sched.Worker) { err = CholeskyParallel(w, in, u) })
+	}
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			e := u[(i*n+j)*Lanes : (i*n+j+1)*Lanes]
+			if err == nil && !(sameBits(e[1], e[0]) && sameBits(e[2], e[0]) && sameBits(e[3], e[0])) {
+				t.Fatalf("n=%d: lanes of U(%d, %d) differ: %v", n, i, j, e)
+			}
+			l.Set(j, i, e[0])
+		}
+	}
+	return l, u, err
+}
+
+// blockedReference is the blocked factorization with its diagonal blocks
+// factored by the left-looking loop in place, as before they went through
+// the lane factor: it must give CholeskyParallel's L bit for bit.
+func blockedReference(a *Matrix) *Matrix {
+	l, n, bs := a.Clone(), a.Rows, CholeskyBlockSize
+	for k := 0; k < n; k += bs {
+		kb := min(bs, n-k)
+		for j := k; j < k+kb; j++ {
+			d := l.At(j, j)
+			for t := k; t < j; t++ {
+				d -= l.At(j, t) * l.At(j, t)
+			}
+			d = math.Sqrt(d)
+			l.Set(j, j, d)
+			for i := j + 1; i < k+kb; i++ {
+				s := l.At(i, j)
+				for t := k; t < j; t++ {
+					s -= l.At(i, t) * l.At(j, t)
+				}
+				l.Set(i, j, s*(1/d))
+			}
+		}
+		for i := k + kb; i < n; i += bs {
+			trsmBlock(l, i, min(bs, n-i), k, kb)
+		}
+		for i := k + kb; i < n; i += bs {
+			for j := k + kb; j <= i; j += bs {
+				syrkBlock(l, i, min(bs, n-i), j, min(bs, n-j), k, kb)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		clear(l.Row(i)[i+1:])
+	}
+	return l
+}
+
 func TestCholeskyParallelMatchesSerial(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
-	for _, n := range []int{8, 31, 32, 33, 64, 100, 150} {
+	for _, n := range []int{1, 8, 31, 32, 33, 48, 64, 100, 150} {
 		r := testRand(int64(n))
 		a := randSPD(r, n)
-		lp := NewMatrix(n, n)
-		if err := CholeskyParallel(pool, nil, a, lp); err != nil {
+		lp, _, err := choleskyParallel(t, pool, a)
+		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if d := MaxAbsDiff(reconstruct(lp), a); d > 1e-8*float64(n) {
 			t.Fatalf("n=%d: parallel Cholesky reconstruction error %g", n, d)
 		}
-		// Strictly upper triangle must be zeroed.
+		want := blockedReference(a)
+		checkBits(t, fmt.Sprintf("n=%d: against the blocked reference", n), lp.Data, want.Data)
+	}
+}
+
+func TestCholeskyParallelDeterministic(t *testing.T) {
+	// The blocked factorization must give bit-identical results across
+	// repeated runs and different pool sizes (fixed task DAG), without a
+	// worker too — on the one-block path (n <= CholeskyBlockSize) and on
+	// the blocked DAG alike.
+	for _, n := range []int{32, 33, 130} {
+		r := testRand(int64(99 + n))
+		a := randSPD(r, n)
+		var ref []float64
+		for _, workers := range []int{0, 1, 2, 4, 7} {
+			var pool *sched.Pool
+			if workers > 0 {
+				pool = sched.NewPool(workers)
+			}
+			for rep := 0; rep < 2; rep++ {
+				_, u, err := choleskyParallel(t, pool, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = u
+					continue
+				}
+				checkBits(t, fmt.Sprintf("n=%d workers=%d rep=%d: lanes", n, workers, rep), u, ref)
+			}
+			if pool != nil {
+				pool.Close()
+			}
+		}
+	}
+}
+
+// TestCholeskyParallelNotSPD: a refused pivot before, inside and past the
+// first block is reported at its row with its value, from the one-block
+// path and the blocked one; up to one block, exactly as Cholesky reports
+// it on a damaged random matrix.
+func TestCholeskyParallelNotSPD(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, c := range []struct{ n, pivot int }{{1, 0}, {5, 3}, {32, 31}, {33, 32}, {64, 0}, {64, 31}, {64, 40}, {100, 99}} {
+		for _, v := range []float64{-1, 0, math.NaN()} {
+			a := Eye(c.n)
+			a.Set(c.pivot, c.pivot, v)
+			_, _, err := choleskyParallel(t, pool, a)
+			e, ok := err.(*ErrNotSPD)
+			if !ok || e.Pivot != c.pivot || !sameBits(e.Value, v) {
+				t.Fatalf("n=%d: pivot %d set to %v: error %v", c.n, c.pivot, v, err)
+			}
+		}
+	}
+	r := testRand(7)
+	for n := 1; n <= CholeskyBlockSize; n++ {
+		a := randSPD(r, n)
+		p := r.Intn(n)
+		a.Set(p, p, -a.At(p, p))
+		_, _, err := choleskyParallel(t, pool, a)
+		want := Cholesky(a, NewMatrix(n, n))
+		if fmt.Sprint(err) != fmt.Sprint(want) || want == nil {
+			t.Fatalf("n=%d: error %v, Cholesky's %v", n, err, want)
+		}
+	}
+}
+
+// TestCholeskyParallelSmallFallsBack: up to one block the lanes hold
+// Cholesky's factor exactly, L below the diagonal and U = Lᵀ above.
+func TestCholeskyParallelSmallFallsBack(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	r := testRand(5)
+	for n := 1; n <= CholeskyBlockSize; n++ {
+		a := randSPD(r, n)
+		l, u, err := choleskyParallel(t, pool, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewMatrix(n, n)
+		if err := Cholesky(a, want); err != nil {
+			t.Fatal(err)
+		}
+		checkBits(t, fmt.Sprintf("n=%d: U in lane 0", n), l.Data, want.Data)
 		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if lp.At(i, j) != 0 {
-					t.Fatalf("n=%d: upper triangle not zeroed at (%d,%d)", n, i, j)
+			for j := 0; j <= i; j++ {
+				if !sameBits(u[(i*n+j)*Lanes], want.At(i, j)) {
+					t.Fatalf("n=%d: L(%d, %d) in lane 0 is %v, want %v", n, i, j, u[(i*n+j)*Lanes], want.At(i, j))
 				}
 			}
 		}
 	}
 }
 
-func TestCholeskyParallelDeterministic(t *testing.T) {
-	// The blocked factorization must give bit-identical results across
-	// repeated runs and different pool sizes (fixed task DAG), and
-	// factoring in place (dst == a, as the item update does) must give
-	// the out-of-place factor bit for bit — on the serial fallback
-	// (n <= CholeskyBlockSize) and on the blocked DAG alike.
-	for _, n := range []int{32, 33, 130} {
-		r := testRand(int64(99 + n))
-		a := randSPD(r, n)
-		var ref *Matrix
-		for _, workers := range []int{0, 1, 2, 4, 7} {
-			var pool *sched.Pool
-			if workers > 0 {
-				pool = sched.NewPool(workers)
-			}
-			l := NewMatrix(n, n)
-			if err := CholeskyParallel(pool, nil, a, l); err != nil {
-				t.Fatal(err)
-			}
-			in := a.Clone()
-			if err := CholeskyParallel(pool, nil, in, in); err != nil {
-				t.Fatal(err)
-			}
-			if pool != nil {
-				pool.Close()
-			}
-			checkBits(t, fmt.Sprintf("n=%d workers=%d: in-place factor", n, workers), in.Data, l.Data)
-			if ref == nil {
-				ref = l
-				continue
-			}
-			checkBits(t, fmt.Sprintf("n=%d workers=%d: factor", n, workers), l.Data, ref.Data)
-		}
-	}
-}
-
-func TestCholeskyParallelNotSPD(t *testing.T) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	n := 64
-	a := Eye(n)
-	a.Set(40, 40, -1)
-	l := NewMatrix(n, n)
-	if err := CholeskyParallel(pool, nil, a, l); err == nil {
-		t.Fatal("expected ErrNotSPD from parallel Cholesky")
-	}
-}
-
-func TestCholeskyParallelSmallFallsBack(t *testing.T) {
-	// n <= block size must take the serial path and still be correct.
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	r := testRand(5)
-	a := randSPD(r, CholeskyBlockSize)
-	l := NewMatrix(a.Rows, a.Rows)
-	if err := CholeskyParallel(pool, nil, a, l); err != nil {
-		t.Fatal(err)
-	}
-	want := NewMatrix(a.Rows, a.Rows)
-	if err := Cholesky(a, want); err != nil {
-		t.Fatal(err)
-	}
-	if MaxAbsDiff(l, want) != 0 {
-		t.Fatal("small-matrix parallel Cholesky must equal serial exactly")
-	}
-}
-
 func TestCholeskyParallelNilPool(t *testing.T) {
-	// pool == nil executes the identical blocked task DAG inline, so the
+	// Without a worker the identical blocked task DAG runs inline, so the
 	// result must be bit-identical to the pooled factorization.
 	r := testRand(6)
 	a := randSPD(r, 80)
-	l := NewMatrix(80, 80)
-	if err := CholeskyParallel(nil, nil, a, l); err != nil {
+	l, u, err := choleskyParallel(t, nil, a)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if d := MaxAbsDiff(reconstruct(l), a); d > 1e-7 {
@@ -112,11 +194,9 @@ func TestCholeskyParallelNilPool(t *testing.T) {
 	}
 	pool := sched.NewPool(3)
 	defer pool.Close()
-	lp := NewMatrix(80, 80)
-	if err := CholeskyParallel(pool, nil, a, lp); err != nil {
+	_, up, err := choleskyParallel(t, pool, a)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiff(l, lp) != 0 {
-		t.Fatal("nil-pool and pooled blocked Cholesky must match bit-for-bit")
-	}
+	checkBits(t, "nil-pool and pooled blocked Cholesky", up, u)
 }

@@ -14,7 +14,7 @@ import (
 // (help-first scheduling), which is what makes nested parallelism cheap.
 type Pool struct {
 	workers []*Worker
-	inject  chan Task // external submissions
+	inject  chan Task // Run's root tasks
 	done    chan struct{}
 	wg      sync.WaitGroup
 
@@ -22,10 +22,6 @@ type Pool struct {
 	sleepCond *sync.Cond
 	sleeping  int
 	closed    bool
-
-	// Stats (approximate, for tests and instrumentation).
-	Steals atomic.Int64
-	Execs  atomic.Int64
 }
 
 // Worker is the per-thread execution context. Tasks receive the worker
@@ -101,7 +97,6 @@ func (w *Worker) run() {
 		t := w.findTask()
 		if t != nil {
 			idleSpins = 0
-			w.pool.Execs.Add(1)
 			t(w)
 			continue
 		}
@@ -173,7 +168,6 @@ func (w *Worker) findTask() Task {
 				continue
 			}
 			if t := v.dq.steal(); t != nil {
-				w.pool.Steals.Add(1)
 				return t
 			}
 		}
@@ -194,13 +188,13 @@ type panicBox struct{ v any }
 // NewGroup creates a task group on the pool.
 func (p *Pool) NewGroup() *Group { return &Group{pool: p} }
 
-// Spawn schedules fn to run on the pool as part of the group. If called
-// from a pool worker (w != nil) the task goes to that worker's own deque
-// (LIFO, cache-friendly, stealable by others); otherwise it goes to the
-// global inject queue.
+// Spawn schedules fn to run on the pool as part of the group. w is the pool
+// worker running the caller, and the task goes to its own deque (LIFO,
+// cache-friendly, stealable by others): only a pool task spawns, and code
+// off the pool enters through Run or ParallelFor.
 func (g *Group) Spawn(w *Worker, fn func(w *Worker)) {
 	g.pending.Add(1)
-	t := Task(func(tw *Worker) {
+	w.dq.push(func(tw *Worker) {
 		defer func() {
 			if r := recover(); r != nil {
 				g.panicV.CompareAndSwap(nil, &panicBox{v: r})
@@ -209,66 +203,59 @@ func (g *Group) Spawn(w *Worker, fn func(w *Worker)) {
 		}()
 		fn(tw)
 	})
-	if w != nil {
-		w.dq.push(t)
-		g.pool.wake()
-	} else {
-		g.pool.inject <- t
-		g.pool.wake()
-	}
+	g.pool.wake()
 }
 
-// Sync waits until every spawned task in the group has finished. If called
-// from a pool worker, the worker helps execute tasks while waiting (this is
-// what allows nested parallelism without deadlock on a bounded pool). If a
-// task panicked, Sync re-panics with the first recovered value.
+// Sync waits until every spawned task in the group has finished, the pool
+// worker w executing tasks while it waits (this is what allows nested
+// parallelism without deadlock on a bounded pool). If a task panicked,
+// Sync re-panics with the first recovered value.
 func (g *Group) Sync(w *Worker) {
-	spins := 0
 	for g.pending.Load() > 0 {
-		var t Task
-		if w != nil {
-			t = w.findTask()
-		} else {
-			select {
-			case t = <-g.pool.inject:
-			default:
-			}
-		}
-		if t != nil {
-			g.pool.Execs.Add(1)
+		if t := w.findTask(); t != nil {
 			t(w)
-			spins = 0
 			continue
 		}
-		spins++
 		runtime.Gosched()
-		_ = spins
 	}
 	if pb := g.panicV.Load(); pb != nil {
 		panic(pb.v)
 	}
 }
 
-// Run executes fn on the pool and blocks until it (and everything it
-// spawned and synced) completes. It is the entry point from non-pool code.
+// Run executes fn on one of the pool's workers and blocks until it (and
+// everything it spawned and synced) completes; a panic in fn, including
+// one a Sync re-raised, is re-raised on the caller. It is the entry point
+// from non-pool code, and every task runs on a pool worker. The caller
+// blocks rather than spins, so it leaves its core to the workers. A pool
+// task must not call Run or ParallelFor on its own pool: its worker would
+// block without executing tasks, and with every worker so blocked the
+// pool stops.
 func (p *Pool) Run(fn func(w *Worker)) {
-	g := p.NewGroup()
-	g.Spawn(nil, fn)
-	g.Sync(nil)
+	done := make(chan any, 1)
+	p.inject <- func(w *Worker) {
+		defer func() { done <- recover() }()
+		fn(w)
+	}
+	p.wake()
+	if r := <-done; r != nil {
+		panic(r)
+	}
 }
 
 // ParallelFor executes body(i) for every i in [lo, hi) on the pool using
 // recursive binary splitting with the given grain size (the longest chunk
-// executed sequentially). It blocks until all iterations complete. Every
-// split point lies a whole number of grains past lo — the halfway point
-// rounded up to the next grain — so every chunk but the last starts at lo
-// plus a multiple of grain and is exactly grain long: a sweep that draws
-// each range's items in four-item lane groups receives whole grains
-// (core.ItemGrain positions, two groups), since a cut inside a grain would
-// leave a partly empty lane group on each side of it.
-// The iteration-to-chunk decomposition is a pure function of (lo, hi,
-// grain), never of the number of workers, so any arithmetic performed in
-// chunk order is schedule-independent.
+// executed sequentially). It blocks until all iterations complete, like
+// Run, and every body runs on a pool worker. Every split point lies a
+// whole number of grains past lo — the halfway point rounded up to the
+// next grain — so every chunk but the last starts at lo plus a multiple of
+// grain and is exactly grain long: a sweep that draws each range's items
+// in four-item lane groups receives whole grains (core.ItemGrain
+// positions, two groups), since a cut inside a grain would leave a partly
+// empty lane group on each side of it. The iteration-to-chunk
+// decomposition is a pure function of (lo, hi, grain), never of the
+// number of workers, so any arithmetic performed in chunk order is
+// schedule-independent.
 func (p *Pool) ParallelFor(lo, hi, grain int, body func(w *Worker, lo, hi int)) {
 	if grain < 1 {
 		grain = 1
@@ -276,18 +263,20 @@ func (p *Pool) ParallelFor(lo, hi, grain int, body func(w *Worker, lo, hi int)) 
 	if hi <= lo {
 		return
 	}
-	g := p.NewGroup()
-	var split func(w *Worker, lo, hi int)
-	split = func(w *Worker, lo, hi int) {
-		for hi-lo > grain {
-			// hi-lo > grain puts mid in [lo+grain, hi).
-			mid := lo + (hi-lo+2*grain-1)/(2*grain)*grain
-			right := hi
-			g.Spawn(w, func(w *Worker) { split(w, mid, right) })
-			hi = mid
+	p.Run(func(w *Worker) {
+		g := p.NewGroup()
+		var split func(w *Worker, lo, hi int)
+		split = func(w *Worker, lo, hi int) {
+			for hi-lo > grain {
+				// hi-lo > grain puts mid in [lo+grain, hi).
+				mid := lo + (hi-lo+2*grain-1)/(2*grain)*grain
+				right := hi
+				g.Spawn(w, func(w *Worker) { split(w, mid, right) })
+				hi = mid
+			}
+			body(w, lo, hi)
 		}
-		body(w, lo, hi)
-	}
-	g.Spawn(nil, func(w *Worker) { split(w, lo, hi) })
-	g.Sync(nil)
+		split(w, lo, hi)
+		g.Sync(w)
+	})
 }
