@@ -74,9 +74,9 @@ func TestGraphLabMatchesSequentialBitwise(t *testing.T) {
 }
 
 // TestActivationOrderIsChainInvariant: the engine activates each
-// superstep's vertices in the sampler's lane order, not vertex-id order,
-// and still reproduces the sequential chain and RMSE trace bit for bit at
-// every thread count. That any activation order samples the same bits is
+// superstep's vertices in vertex-id order, not the sequential sampler's
+// lane order, and still reproduces the sequential chain and RMSE trace bit
+// for bit at every thread count. That any activation order samples the same bits is
 // pinned on UpdateRange itself (core.TestUpdateRangeMatchesScalarReference).
 func TestActivationOrderIsChainInvariant(t *testing.T) {
 	prob := problem(t, datagen.Small(13))
@@ -92,7 +92,7 @@ func TestActivationOrderIsChainInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if la.MaxAbsDiff(got.U, want.U) != 0 || la.MaxAbsDiff(got.V, want.V) != 0 {
-			t.Fatalf("threads=%d: activation in the lane order changed the chain", threads)
+			t.Fatalf("threads=%d: activation in vertex-id order changed the chain", threads)
 		}
 		for i := range want.AvgRMSE {
 			if got.AvgRMSE[i] != want.AvgRMSE[i] || got.SampleRMSE[i] != want.SampleRMSE[i] {

@@ -14,9 +14,11 @@ import "math/bits"
 // time this way, and a lone item is a group of one. A rank-one group
 // builds its factors by rating updates (CholUpdateUpper4); a Cholesky
 // group packs its four accumulated precisions (PackLower4) and factors
-// them side by side (Cholesky4); a parallel-Cholesky item's factor from
-// CholeskyParallel is broadcast into the lanes (BroadcastUpperT). All
-// then share the forward solve (SolveUpperT4) and the paired back-solve of
+// them side by side (Cholesky4); CholeskyParallel writes a
+// parallel-Cholesky item's factor into the lanes, factored there up to one
+// block and broadcast (BroadcastUpperT) past it. Cholesky4 is also the
+// body of every other factorization in the package. All then share the
+// forward solve (SolveUpperT4) and the paired back-solve of
 // the mean and the noise (SolveUpperPair4). The chains of one item are
 // serial — hypot → ÷ → ÷ per rating, √ → ÷ per pivot — but the items of a
 // sweep are independent, so four chains run in the time of one.
@@ -153,12 +155,15 @@ func PackLower4(dst []float64, a [Lanes]*Matrix, m int) {
 
 // Cholesky4 factors in place the four symmetric matrices whose lower
 // triangles a holds (lane layout, order k ≥ 1, packed by PackLower4), one
-// per lane, with Cholesky's operations on each lane's own matrix: at pivot
-// p, d ← √d, one reciprocal 1/d, column p below the pivot scaled by it and
-// mirrored into row p's upper part, then l_ij −= l_ip·l_jp over the
-// trailing lower triangle, a multiply then a subtraction. Each lane so
-// ends with Cholesky's factor L bit for bit in its lower triangle and U =
-// Lᵀ in its upper triangle, what SolveUpperT4 and SolveUpperPair4 read.
+// per lane, right-looking on each lane's own matrix: at pivot p, d ← √d,
+// one reciprocal 1/d, column p below the pivot scaled by it and mirrored
+// into row p's upper part, then l_ij −= l_ip·l_jp over the trailing lower
+// triangle, a multiply then a subtraction. Each element so takes its terms
+// in ascending p and then one scaling, the left-looking inner product's
+// order, and its bits. Each lane ends with the factor L in its lower
+// triangle and U = Lᵀ in its upper triangle, what SolveUpperT4 and
+// SolveUpperPair4 read. It is the package's one factorization body:
+// Cholesky and CholeskyParallel factor through it too.
 //
 // A lane whose pivot p is not positive (d ≤ 0 or NaN) keeps d there and
 // goes on with garbage. Of the lanes l < m that do, the lowest one's first
