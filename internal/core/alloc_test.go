@@ -12,7 +12,7 @@ import (
 // The hot path's allocation budget is part of the performance contract
 // (PERF.md): a steady-state item update must not touch the heap for the
 // serial kernels, and the parallel kernel's inline (nil-pool) execution
-// must lease all chunk accumulators from its arena.
+// must reuse the chunk accumulators its workspace already holds.
 
 // allocProblem builds one item's update inputs.
 func allocProblem(nnz, k int) (cols []int32, vals []float64, other *la.Matrix) {
@@ -28,19 +28,26 @@ func allocProblem(nnz, k int) (cols []int32, vals []float64, other *la.Matrix) {
 	return
 }
 
-func assertZeroAllocs(t *testing.T, name string, kern Kernel, nnz, k int) {
+// assertZeroAllocs draws an item of nnz ratings with kern on one
+// workspace, after items of the degrees grownBy, and requires the steady
+// state to allocate nothing.
+func assertZeroAllocs(t *testing.T, name string, kern Kernel, nnz, k int, grownBy ...int) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.K = k
 	hyper := NewHyper(cfg.K)
-	cols, vals, other := allocProblem(nnz, cfg.K)
 	ws := NewWorkspace(cfg.K)
 	out := la.NewVector(cfg.K)
 	stream := rng.New(itemKey(cfg.Seed, 0, SideU, 1))
+	for _, deg := range grownBy {
+		cols, vals, other := allocProblem(deg, cfg.K)
+		UpdateItem(ws, kern, &cfg, cols, vals, other, hyper, stream, nil, nil, out)
+	}
+	cols, vals, other := allocProblem(nnz, cfg.K)
 	run := func() {
 		UpdateItem(ws, kern, &cfg, cols, vals, other, hyper, stream, nil, nil, out)
 	}
-	run() // warm the workspace arena and chunk-list capacity
+	run() // warm the workspace's chunk accumulators
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("%s nnz=%d K=%d: %v allocs/op in steady state, want 0", name, nnz, k, allocs)
 	}
@@ -62,10 +69,12 @@ func TestUpdateItemCholeskyZeroAllocs(t *testing.T) {
 
 func TestUpdateItemParallelInlineZeroAllocs(t *testing.T) {
 	// The parallel kernel executed inline (nil pool) must also be
-	// allocation-free once its chunk arena is warm; nnz spans several
-	// chunks plus a tail.
+	// allocation-free once its workspace holds its chunks; nnz spans
+	// several chunks plus a tail. The second case draws two chunks on a
+	// workspace grown to four by a heavier item.
 	cfg := DefaultConfig()
 	assertZeroAllocs(t, "parallel_chol", KernelParallelCholesky, 2*cfg.ParallelGrain+3, 16)
+	assertZeroAllocs(t, "parallel_chol grown", KernelParallelCholesky, cfg.ParallelGrain+1, 16, 3*cfg.ParallelGrain+5)
 }
 
 func TestSampleHyperWSZeroAllocs(t *testing.T) {
@@ -120,7 +129,7 @@ func TestItemLoopZeroAllocs(t *testing.T) {
 		}
 		storage := storageOrder(len(degs)) // one window of every group size
 		sweep := func() { s.UpdateRange(SideU, 0, storage, 0, len(degs), nil) }
-		sweep() // warm the workspace arena
+		sweep() // warm the sampler's workspace lease
 		if allocs := testing.AllocsPerRun(50, sweep); allocs != 0 {
 			t.Fatalf("UpdateRange over degrees %v at K=%d allocates %v per call in steady state, want 0", degs, k, allocs)
 		}
@@ -193,27 +202,4 @@ func TestMomentsGroupedWSMatchesAllocating(t *testing.T) {
 		}
 	}()
 	MomentsGroupedWS(x, []int{0, 120}, k+1, nil, ws)
-}
-
-// TestWorkspaceSharedArenaReuse checks that workspaces sharing one arena
-// lease from a common steady-state pool (the engines' configuration).
-func TestWorkspaceSharedArenaReuse(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.K = 8
-	acc := NewAccArena(cfg.K)
-	wsA := NewWorkspaceShared(cfg.K, acc)
-	wsB := NewWorkspaceShared(cfg.K, acc)
-	hyper := NewHyper(cfg.K)
-	cols, vals, other := allocProblem(cfg.ParallelGrain+1, cfg.K)
-	out := la.NewVector(cfg.K)
-	stream := rng.New(itemKey(1, 0, SideU, 0))
-	// Warm via wsA, then wsB must run allocation-free off the same arena.
-	UpdateItem(wsA, KernelParallelCholesky, &cfg, cols, vals, other, hyper, stream, nil, nil, out)
-	UpdateItem(wsB, KernelParallelCholesky, &cfg, cols, vals, other, hyper, stream, nil, nil, out)
-	allocs := testing.AllocsPerRun(20, func() {
-		UpdateItem(wsB, KernelParallelCholesky, &cfg, cols, vals, other, hyper, stream, nil, nil, out)
-	})
-	if allocs != 0 {
-		t.Fatalf("shared-arena workspace allocated %v/op in steady state", allocs)
-	}
 }

@@ -285,7 +285,12 @@ func buildItemProblem(nnz, k int, seed uint64) (cols []int32, vals []float64, ot
 // unless pool is nil, and returns the result.
 func updateWith(kern Kernel, cfg *Config, cols []int32, vals []float64,
 	other *la.Matrix, hyper *Hyper, pool *sched.Pool) la.Vector {
-	ws := NewWorkspace(cfg.K)
+	return updateOn(NewWorkspace(cfg.K), kern, cfg, cols, vals, other, hyper, pool)
+}
+
+// updateOn is updateWith on the given workspace.
+func updateOn(ws *Workspace, kern Kernel, cfg *Config, cols []int32, vals []float64,
+	other *la.Matrix, hyper *Hyper, pool *sched.Pool) la.Vector {
 	out := la.NewVector(cfg.K)
 	stream := rng.New(itemKey(cfg.Seed, 0, SideU, 0))
 	if pool == nil {
@@ -325,33 +330,41 @@ func TestKernelsAgree(t *testing.T) {
 	}
 }
 
+// TestParallelKernelDeterministicAcrossPoolSizes draws parallel items of
+// six and of two chunks inline and on pools of 1, 2, 3 and 6 workers, each
+// on a fresh workspace and on one grown first by an item of four chunks
+// (so the two-chunk draw leaves chunks it holds unused): every draw must
+// equal the fresh inline one bit for bit. Both the chunked accumulation
+// and the blocked factorization are schedule-independent task DAGs.
 func TestParallelKernelDeterministicAcrossPoolSizes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.K = 8
 	hyper := NewHyper(cfg.K)
-	cols, vals, other := buildItemProblem(3000, cfg.K, 5)
-	var ref la.Vector
-	for _, workers := range []int{1, 3, 6} {
-		pool := sched.NewPool(workers)
-		got := updateWith(KernelParallelCholesky, &cfg, cols, vals, other, hyper, pool)
-		pool.Close()
-		if ref == nil {
-			ref = got
-			continue
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("parallel kernel differs across pool sizes at %d", i)
+	hc, hv, hother := buildItemProblem(3*cfg.ParallelGrain+5, cfg.K, 6)
+	for _, nnz := range []int{3000, cfg.ParallelGrain + 1} {
+		cols, vals, other := buildItemProblem(nnz, cfg.K, 5)
+		ref := updateWith(KernelParallelCholesky, &cfg, cols, vals, other, hyper, nil)
+		for _, workers := range []int{0, 1, 2, 3, 6} {
+			var pool *sched.Pool // inline when workers is 0
+			if workers > 0 {
+				pool = sched.NewPool(workers)
 			}
-		}
-	}
-	// The nil-pool (inline) execution of the same kernel must match
-	// bit-for-bit: both the chunked accumulation and the blocked
-	// factorization are schedule-independent task DAGs.
-	got := updateWith(KernelParallelCholesky, &cfg, cols, vals, other, hyper, nil)
-	for i := range got {
-		if got[i] != ref[i] {
-			t.Fatalf("nil-pool parallel kernel deviates at %d: %v vs %v", i, got[i], ref[i])
+			for _, grown := range []bool{false, true} {
+				ws := NewWorkspace(cfg.K)
+				if grown {
+					updateOn(ws, KernelParallelCholesky, &cfg, hc, hv, hother, hyper, pool)
+				}
+				got := updateOn(ws, KernelParallelCholesky, &cfg, cols, vals, other, hyper, pool)
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("nnz=%d workers=%d grown=%v: out[%d] = %v, fresh inline draw %v",
+							nnz, workers, grown, i, got[i], ref[i])
+					}
+				}
+			}
+			if pool != nil {
+				pool.Close()
+			}
 		}
 	}
 }

@@ -61,30 +61,17 @@ func (c Config) SelectKernel(nnz int) Kernel {
 }
 
 // accChunk is one chunk accumulator of the parallel kernel's reduction:
-// a partial precision and rhs leased from a worker-local arena.
+// a partial precision and rhs.
 type accChunk struct {
 	prec *la.Matrix
 	rhs  la.Vector
 }
 
-// AccArena is a worker-local arena of chunk accumulators for the parallel
-// item-update kernel. Engines create one and share it across all their
-// workspaces (NewWorkspaceShared) so the whole run leases from the same
-// steady-state pool of buffers.
-type AccArena struct {
-	a *sched.Arena[*accChunk]
-}
-
-// NewAccArena creates an arena of K x K chunk accumulators.
-func NewAccArena(k int) *AccArena {
-	return &AccArena{a: sched.NewArena(func() *accChunk {
-		return &accChunk{prec: la.NewMatrix(k, k), rhs: la.NewVector(k)}
-	})}
-}
-
 // Workspace holds the per-worker scratch space of the item update so the
 // hot loop performs no allocation. One Workspace must not be used by two
-// goroutines at once.
+// goroutines at once, with one exception: the parallel kernel's chunk task
+// ci, on whichever worker runs it, writes chunks[ci], and nothing else of
+// the workspace, while the drawing goroutine waits for it.
 type Workspace struct {
 	K int
 	// precs are a serial-Cholesky group's four precisions; prec = precs[0]
@@ -102,10 +89,9 @@ type Workspace struct {
 	lanes            [la.Lanes]laneItem
 	u4, rhs4, z4, x4 []float64
 
-	// acc supplies chunk accumulators to the parallel kernel; parts is the
-	// reused per-item list of leased chunks (ascending chunk order).
-	acc   *AccArena
-	parts []*accChunk
+	// chunks are the parallel kernel's chunk accumulators, one per chunk
+	// of the heaviest parallel item this workspace has drawn.
+	chunks []accChunk
 
 	// stream is the re-keyed scratch stream handed out by ItemStream.
 	stream rng.Stream
@@ -127,15 +113,9 @@ func itemKey(seed uint64, iter int, side Side, item int) uint64 {
 	return rng.Mix(seed, keyItem, uint64(iter), uint64(side), uint64(item))
 }
 
-// NewWorkspace allocates a workspace for K latent features with its own
-// private accumulator arena (created lazily on first parallel-kernel use).
+// NewWorkspace allocates a workspace for K latent features. Its chunk
+// accumulators are grown by the parallel kernel as it needs them.
 func NewWorkspace(k int) *Workspace {
-	return NewWorkspaceShared(k, nil)
-}
-
-// NewWorkspaceShared allocates a workspace whose parallel-kernel chunk
-// accumulators come from the shared arena acc (nil for a private one).
-func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 	ws := &Workspace{
 		K:    k,
 		rhs:  la.NewVector(k),
@@ -143,7 +123,6 @@ func NewWorkspaceShared(k int, acc *AccArena) *Workspace {
 		rhs4: la.NewVector(la.Lanes * k),
 		z4:   la.NewVector(la.Lanes * k),
 		x4:   la.NewVector(la.Lanes * la.Lanes * k),
-		acc:  acc,
 	}
 	for l := range ws.precs {
 		ws.precs[l] = la.NewMatrix(k, k)
@@ -308,10 +287,10 @@ func (ws *Workspace) solveLanes(n int, u []float64) {
 // the chunks spawned on pw's pool (inline when pw is nil). The chunk
 // decomposition depends only on (nnz, cfg.ParallelGrain); the partials are
 // combined in ascending chunk order, so the result is bit-identical for
-// any worker count, including sequential execution.
-// Chunk accumulators are leased from the workspace's worker-local arena
-// instead of allocated per chunk, so the steady-state hot path performs
-// no allocation.
+// any worker count, including sequential execution. The workspace's chunk
+// accumulators are grown before any task is spawned, and chunk task ci
+// writes only chunks[ci], so the steady-state hot path performs no
+// allocation.
 func accumulateParallel(
 	ws *Workspace, cfg *Config,
 	cols []int32, vals []float64,
@@ -320,58 +299,43 @@ func accumulateParallel(
 ) {
 	nnz := len(cols)
 	grain := cfg.ParallelGrain
-	nchunks := (nnz + grain - 1) / grain
-	if nchunks == 0 {
-		nchunks = 1
+	nchunks := max((nnz+grain-1)/grain, 1)
+	for len(ws.chunks) < nchunks {
+		ws.chunks = append(ws.chunks, accChunk{prec: la.NewMatrix(ws.K, ws.K), rhs: la.NewVector(ws.K)})
 	}
-	if ws.acc == nil {
-		ws.acc = NewAccArena(ws.K)
-	}
-	if cap(ws.parts) < nchunks {
-		ws.parts = make([]*accChunk, nchunks)
-	}
-	ws.parts = ws.parts[:nchunks]
 
 	if pw != nil && nchunks > 1 {
 		g := pw.Pool().NewGroup()
 		for ci := 0; ci < nchunks; ci++ {
-			g.Spawn(pw, func(tw *sched.Worker) {
-				ws.runAccChunk(tw, ci, grain, cfg.Alpha, cols, vals, other)
+			g.Spawn(pw, func(*sched.Worker) {
+				ws.runAccChunk(ci, grain, cfg.Alpha, cols, vals, other)
 			})
 		}
 		g.Sync(pw)
 	} else {
 		// Method call, not a closure: the inline path stays allocation-free.
 		for ci := 0; ci < nchunks; ci++ {
-			ws.runAccChunk(pw, ci, grain, cfg.Alpha, cols, vals, other)
+			ws.runAccChunk(ci, grain, cfg.Alpha, cols, vals, other)
 		}
 	}
 
 	ws.prec.CopyFrom(hyper.Lambda)
 	copy(ws.rhs, hyper.LambdaMu)
-	for ci := 0; ci < nchunks; ci++ {
-		ch := ws.parts[ci]
+	for _, ch := range ws.chunks[:nchunks] {
 		ws.prec.Add(ch.prec)
 		la.Axpy(1, ch.rhs, ws.rhs)
-		ws.acc.a.Put(pw, ch)
-		ws.parts[ci] = nil
 	}
 }
 
-// runAccChunk leases a chunk accumulator and accumulates ratings
-// [ci*grain, min((ci+1)*grain, nnz)) into it, recording the lease in
-// ws.parts[ci]. The per-element summation order inside a chunk is
-// ascending rating index, matching the per-rating reference loop.
-func (ws *Workspace) runAccChunk(w *sched.Worker, ci, grain int, alpha float64,
+// runAccChunk accumulates ratings [ci*grain, min((ci+1)*grain, nnz)) into
+// chunks[ci]. The per-element summation order inside a chunk is ascending
+// rating index, matching the per-rating reference loop.
+func (ws *Workspace) runAccChunk(ci, grain int, alpha float64,
 	cols []int32, vals []float64, other *la.Matrix) {
 	lo := ci * grain
-	hi := lo + grain
-	if hi > len(cols) {
-		hi = len(cols)
-	}
-	ch := ws.acc.a.Get(w)
+	hi := min(lo+grain, len(cols))
+	ch := ws.chunks[ci]
 	ch.prec.Zero()
 	ch.rhs.Zero()
 	la.SyrkAxpyBatchLower(alpha, other, cols[lo:hi], vals[lo:hi], ch.prec, ch.rhs)
-	ws.parts[ci] = ch
 }

@@ -148,7 +148,7 @@ type Sampler struct {
 	// Workspaces are leased per range from a worker-local arena, never
 	// pinned per worker: a pool worker that helps execute another range
 	// while blocked inside a nested Sync must not reuse a workspace that
-	// is mid-update. All of them share one chunk-accumulator arena.
+	// is mid-update. Each owns its own chunk accumulators.
 	wsArena *sched.Arena[*Workspace]
 	hws     *HyperWorkspace
 	mws     *MomentsWorkspace
@@ -160,7 +160,6 @@ type Sampler struct {
 // newSampler is the one place a Sampler is assembled, around the given
 // factor matrices; cfg is already validated.
 func newSampler(cfg Config, prob *Problem, u, v *la.Matrix) *Sampler {
-	acc := NewAccArena(cfg.K)
 	s := &Sampler{
 		Cfg:   cfg,
 		Prob:  prob,
@@ -171,7 +170,7 @@ func newSampler(cfg Config, prob *Problem, u, v *la.Matrix) *Sampler {
 		HV:    NewHyper(cfg.K),
 		Pred:  NewPredictor(prob.Test, cfg.ClampMin, cfg.ClampMax),
 		wsArena: sched.NewArena(func() *Workspace {
-			return NewWorkspaceShared(cfg.K, acc)
+			return NewWorkspace(cfg.K)
 		}),
 		hws:    NewHyperWorkspace(cfg.K),
 		mws:    NewMomentsWorkspace(cfg.K),

@@ -19,7 +19,7 @@ func TestSequentialStepAllocsPinned(t *testing.T) {
 	train, test := sparse.SplitTrainTest(ds.R, 0.2, 3)
 	cfg := DefaultConfig()
 	cfg.K, cfg.Iters, cfg.Burnin = 8, 400, 2
-	// All three kernels, so the parallel kernel's chunk arena is in play.
+	// All three kernels, so the parallel kernel's chunk accumulators are in play.
 	cfg.RankOneMax, cfg.KernelThreshold, cfg.ParallelGrain = 4, 20, 7
 	s, err := NewSampler(cfg, NewProblem(train, test))
 	if err != nil {

@@ -9,8 +9,8 @@
 //     through an interface, gather accumulators are allocated per vertex
 //     activation, and neighbor factors are copied into the accumulator
 //     and re-materialized before the update (the kernels' internal
-//     scratch is leased from a shared arena — our substrate detail — but
-//     the gather copies themselves are the abstraction's tax);
+//     scratch is one workspace per engine thread — our substrate detail —
+//     but the gather copies themselves are the abstraction's tax);
 //   - synchronous supersteps: one barrier per side per Gibbs iteration,
 //     so a straggler vertex (a movie with 10⁵ ratings) stalls every
 //     thread;
@@ -85,9 +85,9 @@ type Engine struct {
 	G       *Graph
 	Threads int
 
-	// ws is the kernel scratch the BPMF vertex program leases per
-	// activation (set by Attach).
-	ws *sched.Arena[*core.Workspace]
+	// ws is the BPMF vertex program's kernel scratch, one workspace per
+	// engine thread, indexed by Apply's thread id (set by Attach).
+	ws []*core.Workspace
 }
 
 // NewEngine creates a synchronous engine over g with the given thread
@@ -146,10 +146,10 @@ func Run(cfg core.Config, prob *core.Problem, threads int) (*core.Result, error)
 // through vertex programs, activated in vertex-id order.
 func Attach(s *core.Sampler, threads int) {
 	e := NewEngine(NewGraph(s.Prob), threads)
-	acc := core.NewAccArena(s.Cfg.K)
-	e.ws = sched.NewArena(func() *core.Workspace {
-		return core.NewWorkspaceShared(s.Cfg.K, acc)
-	})
+	e.ws = make([]*core.Workspace, e.Threads)
+	for t := range e.ws {
+		e.ws[t] = core.NewWorkspace(s.Cfg.K)
+	}
 	s.Use(e)
 }
 
@@ -174,7 +174,7 @@ func (e *Engine) Each(n int, run func(i int)) {
 type program struct {
 	s    *core.Sampler
 	iter int
-	ws   *sched.Arena[*core.Workspace]
+	ws   []*core.Workspace
 }
 
 // InitAcc allocates the per-activation accumulator.
@@ -197,18 +197,16 @@ func (p *program) Gather(acc any, neighbor la.Vector, rating float64) {
 // Apply performs the sampler's Gibbs draw over the gathered copies
 // (inline, no nested parallelism), writing the vertex's new factor row.
 // The kernel scratch — our substrate, not part of the vertex-program
-// abstraction — is leased per activation from the engine thread's arena
-// shard, so threads do not contend on one free list; the GraphLab
-// productivity tax Figure 3 measures stays in InitAcc/Gather and the
-// re-materialization below.
+// abstraction — is the engine thread's own workspace: a thread activates
+// its range's vertices one after another and draws each inline, so
+// nothing re-enters it. The GraphLab productivity tax Figure 3 measures
+// stays in InitAcc/Gather and the re-materialization below.
 func (p *program) Apply(side core.Side, local, thread int, acc any, out la.Vector) {
 	a := acc.(*bpmfAcc)
 	// Rebuild a dense "other" view so the draw accumulates in the same
 	// canonical order as the flat engines.
 	view := &rowView{rows: a.rows, k: p.s.Cfg.K}
-	ws := p.ws.GetShard(thread)
-	p.s.DrawItem(ws, nil, side, p.iter, local, a.cols, a.vals, view.matrix(), out)
-	p.ws.PutShard(thread, ws)
+	p.s.DrawItem(p.ws[thread], nil, side, p.iter, local, a.cols, a.vals, view.matrix(), out)
 }
 
 // rowView materializes gathered rows into a contiguous matrix (another

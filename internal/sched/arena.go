@@ -5,8 +5,9 @@ import (
 	"sync"
 )
 
-// Arena is a worker-local free list of reusable scratch values (workspaces,
-// accumulator blocks). It exists so hot loops can lease scratch per work
+// Arena is a worker-local free list of reusable scratch values. Its one
+// use is the Gibbs sampler's item workspaces, one leased per range of
+// items a task draws. It exists so hot loops can lease scratch per work
 // item without heap allocation: Get prefers the calling worker's shard, so
 // in steady state a worker keeps re-leasing the same cache-warm buffers,
 // and the shard mutexes are virtually uncontended.
@@ -14,10 +15,7 @@ import (
 // Values are leased per work item, not pinned per worker: a worker that
 // helps execute other tasks while blocked inside a nested Group.Sync may
 // hold several leases at once (help-first scheduling), which a single
-// per-worker slot could not support. Leases may also outlive the task that
-// acquired them — the parallel item-update kernel leases chunk accumulators
-// on stealing workers and releases them from the combining parent — so Put
-// accepts any worker (or nil), returning the value to the releaser's shard.
+// per-worker slot could not support.
 type Arena[T any] struct {
 	newFn  func() T
 	shards []arenaShard[T]
@@ -49,18 +47,6 @@ func (a *Arena[T]) shard(w *Worker) *arenaShard[T] {
 	return &a.shards[w.id%(len(a.shards)-1)]
 }
 
-// GetShard and PutShard lease using an explicit shard index, for callers
-// that have a stable thread id but no *Worker (e.g. StaticFor bodies).
-// Any non-negative index is valid; it is folded onto the shard set.
-func (a *Arena[T]) GetShard(shard int) T {
-	return a.get(&a.shards[shard%(len(a.shards)-1)])
-}
-
-// PutShard returns a leased value to the given shard's free list.
-func (a *Arena[T]) PutShard(shard int, v T) {
-	a.put(&a.shards[shard%(len(a.shards)-1)], v)
-}
-
 // Get leases a value, preferring the calling worker's shard (w may be nil
 // for non-pool callers). The value's contents are whatever the previous
 // lease left behind; callers that need zeroed scratch must clear it.
@@ -68,8 +54,8 @@ func (a *Arena[T]) Get(w *Worker) T {
 	return a.get(a.shard(w))
 }
 
-// Put returns a leased value to the releasing worker's shard. The releaser
-// need not be the worker that leased it.
+// Put returns a leased value to the releasing worker's shard (w may be
+// nil, as in Get).
 func (a *Arena[T]) Put(w *Worker, v T) {
 	a.put(a.shard(w), v)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -296,20 +297,42 @@ func TestStaticForCoversRange(t *testing.T) {
 	}
 }
 
+// TestStaticForContiguousChunks records the (thread, lo, hi) ranges
+// StaticFor hands its bodies and requires them to be StaticChunks' bounds,
+// thread t on the t-th range, with sizes that differ by at most 1 (OpenMP
+// static semantics); ranges start off zero and some tables have more
+// threads than indices.
 func TestStaticForContiguousChunks(t *testing.T) {
-	// Each thread must receive one contiguous chunk; chunk sizes differ by
-	// at most 1 (OpenMP static semantics).
-	bounds := StaticChunks(4, 0, 10)
-	if len(bounds) != 5 || bounds[0] != 0 || bounds[4] != 10 {
-		t.Fatalf("bounds %v", bounds)
-	}
-	sizes := []int{}
-	for i := 0; i < 4; i++ {
-		sizes = append(sizes, bounds[i+1]-bounds[i])
-	}
-	for _, s := range sizes {
-		if s < 2 || s > 3 {
-			t.Fatalf("chunk sizes %v not balanced", sizes)
+	for _, c := range []struct{ threads, lo, hi int }{
+		{4, 0, 10}, {4, 7, 17}, {3, 5, 6}, {8, 3, 8}, {1, 2, 9}, {0, 4, 7}, {5, 100, 100},
+	} {
+		var mu sync.Mutex
+		got := map[int][2]int{}
+		StaticFor(c.threads, c.lo, c.hi, func(th, lo, hi int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if _, dup := got[th]; dup {
+				t.Errorf("%+v: thread %d ran twice", c, th)
+			}
+			got[th] = [2]int{lo, hi}
+		})
+		if c.hi <= c.lo {
+			if len(got) != 0 {
+				t.Fatalf("%+v: empty range ran %v", c, got)
+			}
+			continue
+		}
+		b := StaticChunks(c.threads, c.lo, c.hi)
+		if len(got) != len(b)-1 {
+			t.Fatalf("%+v: %d threads ran, StaticChunks has %d ranges %v", c, len(got), len(b)-1, b)
+		}
+		for th := range len(b) - 1 {
+			if got[th] != [2]int{b[th], b[th+1]} {
+				t.Fatalf("%+v: thread %d ran %v, StaticChunks %v", c, th, got[th], b)
+			}
+			if sz := b[th+1] - b[th]; sz < (c.hi-c.lo)/(len(b)-1) || sz > (c.hi-c.lo+len(b)-2)/(len(b)-1) {
+				t.Fatalf("%+v: chunk sizes of %v not balanced", c, b)
+			}
 		}
 	}
 }

@@ -3,44 +3,29 @@ package sched
 import "sync"
 
 // StaticFor mimics an OpenMP "schedule(static)" parallel for: the index
-// range [lo, hi) is split into nthreads contiguous chunks of (almost) equal
-// length, each executed by its own goroutine, with an implicit barrier at
-// the end. There is no load balancing: a thread whose chunk holds the heavy
+// range [lo, hi) is split into min(nthreads, hi-lo) contiguous chunks of
+// (almost) equal length (StaticChunks), chunk t executed by its own
+// goroutine as thread t, with an implicit barrier at the end. There is no load balancing: a thread whose chunk holds the heavy
 // items finishes last while the others idle — exactly the behaviour that
 // makes the paper's OpenMP curve trail the TBB curve in Figure 3 on skewed
 // rating data.
 func StaticFor(nthreads, lo, hi int, body func(thread, lo, hi int)) {
-	if nthreads < 1 {
-		nthreads = 1
+	if hi <= lo {
+		return // StaticChunks would give every thread an empty range
 	}
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	if nthreads > n {
-		nthreads = n
-	}
+	b := StaticChunks(nthreads, lo, hi)
 	var wg sync.WaitGroup
-	chunk := n / nthreads
-	rem := n % nthreads
-	start := lo
-	for t := 0; t < nthreads; t++ {
-		sz := chunk
-		if t < rem {
-			sz++
-		}
-		tlo, thi := start, start+sz
-		start = thi
+	for t := range len(b) - 1 {
 		wg.Add(1)
-		go func(t, tlo, thi int) {
+		go func() {
 			defer wg.Done()
-			body(t, tlo, thi)
-		}(t, tlo, thi)
+			body(t, b[t], b[t+1])
+		}()
 	}
 	wg.Wait()
 }
 
-// StaticChunks returns the chunk boundaries StaticFor would use:
+// StaticChunks returns the chunk boundaries StaticFor uses:
 // boundaries[t] .. boundaries[t+1] is thread t's range. Exposed so the
 // discrete-event simulator can replay the exact same decomposition.
 func StaticChunks(nthreads, lo, hi int) []int {
