@@ -51,16 +51,7 @@ func (a *Arena[T]) shard(w *Worker) *arenaShard[T] {
 // for non-pool callers). The value's contents are whatever the previous
 // lease left behind; callers that need zeroed scratch must clear it.
 func (a *Arena[T]) Get(w *Worker) T {
-	return a.get(a.shard(w))
-}
-
-// Put returns a leased value to the releasing worker's shard (w may be
-// nil, as in Get).
-func (a *Arena[T]) Put(w *Worker, v T) {
-	a.put(a.shard(w), v)
-}
-
-func (a *Arena[T]) get(s *arenaShard[T]) T {
+	s := a.shard(w)
 	s.mu.Lock()
 	if n := len(s.free); n > 0 {
 		v := s.free[n-1]
@@ -74,7 +65,10 @@ func (a *Arena[T]) get(s *arenaShard[T]) T {
 	return a.newFn()
 }
 
-func (a *Arena[T]) put(s *arenaShard[T], v T) {
+// Put returns a leased value to the releasing worker's shard (w may be
+// nil, as in Get).
+func (a *Arena[T]) Put(w *Worker, v T) {
+	s := a.shard(w)
 	s.mu.Lock()
 	s.free = append(s.free, v)
 	s.mu.Unlock()
