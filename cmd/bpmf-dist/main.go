@@ -149,20 +149,23 @@ func main() {
 		CheckpointDir:   cfg.Checkpoint.Dir,
 		CheckpointEvery: cfg.Checkpoint.Every,
 		GrowAtIter:      cfg.Fault.GrowAtIter,
-		IterDelay:       cfg.Fault.IterDelay.Std(),
 	}
 	if cfg.Elastic {
 		opt.SuspicionTimeout = cfg.Suspicion.Std()
 	}
-	if cfg.Fault.Enabled() && cfg.Fault.DieRank == origRank {
-		// Deterministic self-kill for fault-injection smoke tests: exit
-		// hard (no cleanup) right after the configured iteration — from
-		// the survivors' side this is indistinguishable from a crash.
+	die := cfg.Fault.Enabled() && cfg.Fault.DieRank == origRank
+	if delay := cfg.Fault.IterDelay.Std(); die || delay > 0 {
+		// The smoke tests' two iteration hooks, in this order. First a
+		// deterministic self-kill: exit hard (no cleanup) right after the
+		// configured iteration — from the survivors' side this is
+		// indistinguishable from a crash. Then the pacing pause that lets
+		// membership events land mid-run; it cannot change the chain.
 		opt.OnIteration = func(_, iter int) {
-			if iter == cfg.Fault.DieIter {
+			if die && iter == cfg.Fault.DieIter {
 				fmt.Fprintf(os.Stderr, "rank %d: injected crash after iteration %d\n", origRank, iter)
 				os.Exit(3)
 			}
+			time.Sleep(delay)
 		}
 	}
 

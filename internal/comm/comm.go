@@ -14,7 +14,9 @@
 //     computes bit-identical results);
 //   - pluggable transports: an in-process fabric (goroutine channels) for
 //     single-binary virtual clusters and tests, and a TCP mesh for real
-//     multi-process runs (cmd/bpmf-dist).
+//     multi-process runs (cmd/bpmf-dist). The in-process fabric also
+//     injects the faults the mesh can have — Kill (a crashed rank) and
+//     Sever (a cut link) — so recovery is tested in one process.
 //
 // Every operation that can fail returns an error — a dead peer, a closed
 // endpoint or a corrupt frame unwinds the caller instead of crashing the
@@ -214,27 +216,21 @@ func (c *Comm) cancelWaiter(w *waiter) (Message, bool) {
 // detected by the heartbeat detector, a transport-level corruption). A
 // message already matched when the failure fires is still delivered.
 func (c *Comm) RecvE(src, tag int) (Message, error) {
-	if err := c.Err(); err != nil {
-		return Message{}, err
-	}
-	m, w := c.postRecv(src, tag)
-	if w == nil {
-		return m, nil
-	}
-	select {
-	case m := <-w.ch:
-		return m, nil
-	case <-c.failCh:
-		if m, ok := c.cancelWaiter(w); ok {
-			return m, nil
-		}
-		return Message{}, c.Err()
-	}
+	return c.recv(src, tag, nil)
 }
 
 // RecvTimeout is RecvE with a per-operation deadline: it returns
 // ErrRecvTimeout when no matching message arrives within d.
 func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	return c.recv(src, tag, timer.C)
+}
+
+// recv is the one receive body: it waits for a match, the endpoint's
+// failure, or deadline (nil never fires). A message matched when the
+// failure or the deadline fires is still returned.
+func (c *Comm) recv(src, tag int, deadline <-chan time.Time) (Message, error) {
 	if err := c.Err(); err != nil {
 		return Message{}, err
 	}
@@ -242,22 +238,19 @@ func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
 	if w == nil {
 		return m, nil
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	var err error
 	select {
 	case m := <-w.ch:
 		return m, nil
 	case <-c.failCh:
-		if m, ok := c.cancelWaiter(w); ok {
-			return m, nil
-		}
-		return Message{}, c.Err()
-	case <-timer.C:
-		if m, ok := c.cancelWaiter(w); ok {
-			return m, nil
-		}
-		return Message{}, ErrRecvTimeout
+		err = c.Err()
+	case <-deadline:
+		err = ErrRecvTimeout
 	}
+	if m, ok := c.cancelWaiter(w); ok {
+		return m, nil
+	}
+	return Message{}, err
 }
 
 // Close shuts down the endpoint's transport.

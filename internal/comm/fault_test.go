@@ -14,8 +14,8 @@ import (
 )
 
 // fault_test.go exercises the failure layer: error-returning sends and
-// receives, the heartbeat detector, the deterministic fault fabric, and
-// the TCP transport's reaction to a peer dying mid-frame.
+// receives, the heartbeat detector, the fabric's kills and severed links,
+// and the TCP transport's reaction to a peer dying mid-frame.
 
 func TestSendEAfterCloseErrors(t *testing.T) {
 	f := NewFabric(2)
@@ -65,36 +65,45 @@ func TestRecvTimeoutDeliversPendingMessage(t *testing.T) {
 	}
 }
 
+// TestFailWakesBlockedReceive pins both receives' failure branch: a
+// blocked receive unwinds with the endpoint's error, the timed one long
+// before its deadline.
 func TestFailWakesBlockedReceive(t *testing.T) {
-	f := NewFabric(2)
-	defer f.Close()
-	c := f.Comms()[0]
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.RecvE(1, 3)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the receive block
-	want := &RankFailedError{Rank: 1, Err: errors.New("test failure")}
-	c.Fail(want)
-	select {
-	case err := <-done:
-		var rf *RankFailedError
-		if !errors.As(err, &rf) || rf.Rank != 1 {
-			t.Fatalf("blocked receive returned %v, want RankFailedError{Rank: 1}", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Fail did not wake the blocked receive")
-	}
-	// Subsequent operations fail immediately.
-	if err := c.SendE(1, 0, nil); err == nil {
-		t.Fatal("SendE on a failed endpoint must error")
+	for _, tc := range []struct {
+		name string
+		recv func(c *Comm) error
+	}{
+		{"RecvE", func(c *Comm) error { _, err := c.RecvE(1, 3); return err }},
+		{"RecvTimeout", func(c *Comm) error { _, err := c.RecvTimeout(1, 3, time.Minute); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewFabric(2)
+			defer f.Close()
+			c := f.Comms()[0]
+			done := make(chan error, 1)
+			go func() { done <- tc.recv(c) }()
+			time.Sleep(20 * time.Millisecond) // let the receive block
+			c.Fail(&RankFailedError{Rank: 1, Err: errors.New("test failure")})
+			select {
+			case err := <-done:
+				var rf *RankFailedError
+				if !errors.As(err, &rf) || rf.Rank != 1 {
+					t.Fatalf("blocked receive returned %v, want RankFailedError{Rank: 1}", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Fail did not wake the blocked receive")
+			}
+			// Subsequent operations fail immediately.
+			if err := c.SendE(1, 0, nil); err == nil {
+				t.Fatal("SendE on a failed endpoint must error")
+			}
+		})
 	}
 }
 
 func TestHeartbeatDetectsKilledRank(t *testing.T) {
 	const size, victim = 3, 2
-	ff := NewFaultFabric(size, 42)
+	ff := NewFabric(size)
 	defer ff.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, size)
@@ -155,112 +164,53 @@ func TestKeepaliveSurvivesFailedEndpoint(t *testing.T) {
 	<-done
 }
 
-// TestFaultFabricDeterministicLoss pins that two fabrics with the same
-// seed drop exactly the same messages.
-func TestFaultFabricDeterministicLoss(t *testing.T) {
-	deliveries := func(seed uint64) []int {
-		ff := NewFaultFabric(2, seed)
-		defer ff.Close()
-		ff.SetLoss(0.3, 0)
-		const n = 200
-		var got []int
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				buf := []byte{byte(i), byte(i >> 8)}
-				if err := ff.Comms()[0].SendE(1, 5, buf); err != nil {
-					t.Errorf("send %d: %v", i, err)
-				}
-			}
-			// An empty sentinel record marks the end of the stream (sends
-			// are FIFO per pair; loss is disabled first so the sentinel
-			// itself cannot drop).
-			ff.SetLoss(0, 0)
-			ff.Comms()[0].SendE(1, 5, nil)
-		}()
-		for {
-			m, err := ff.Comms()[1].RecvE(0, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(m.Data) == 0 {
-				break
-			}
-			got = append(got, int(binary.LittleEndian.Uint16(m.Data)))
+// TestFabricSever pins that a cut link drops both directions — the send
+// "succeeds" locally (one-way partition semantics) but nothing arrives —
+// while every other link still delivers.
+func TestFabricSever(t *testing.T) {
+	f := NewFabric(3)
+	defer f.Close()
+	f.Sever(1, 0)
+	cs := f.Comms()
+	for _, l := range [][2]int{{0, 1}, {1, 0}} {
+		if err := cs[l[0]].SendE(l[1], 4, []byte("lost")); err != nil {
+			t.Fatalf("send %d→%d over a severed link must succeed locally: %v", l[0], l[1], err)
 		}
-		wg.Wait()
-		return got
-	}
-	a, b := deliveries(7), deliveries(7)
-	if len(a) == 0 || len(a) == 200 {
-		t.Fatalf("drop rate 0.3 delivered %d/200 — loss injection inert", len(a))
-	}
-	if len(a) != len(b) {
-		t.Fatalf("same seed delivered %d vs %d messages", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at delivery %d: %d vs %d", i, a[i], b[i])
+		if _, err := cs[l[1]].RecvTimeout(l[0], 4, 50*time.Millisecond); err != ErrRecvTimeout {
+			t.Fatalf("severed link %d→%d delivered anyway (err=%v)", l[0], l[1], err)
 		}
 	}
-	c := deliveries(8)
-	same := len(a) == len(c)
-	if same {
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical loss patterns")
-	}
-}
-
-func TestFaultFabricDuplicate(t *testing.T) {
-	ff := NewFaultFabric(2, 1)
-	defer ff.Close()
-	ff.SetLoss(0, 1.0) // every message delivered twice
-	if err := ff.Comms()[0].SendE(1, 3, []byte("dup")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		m, err := ff.Comms()[1].RecvE(0, 3)
-		if err != nil {
+	for _, l := range [][2]int{{0, 2}, {2, 1}} {
+		if err := cs[l[0]].SendE(l[1], 4, []byte("kept")); err != nil {
 			t.Fatal(err)
 		}
-		if string(m.Data) != "dup" {
-			t.Fatalf("copy %d: got %q", i, m.Data)
+		m, err := cs[l[1]].RecvTimeout(l[0], 4, 5*time.Second)
+		if err != nil || string(m.Data) != "kept" {
+			t.Fatalf("intact link %d→%d: got %q, %v", l[0], l[1], m.Data, err)
 		}
 	}
 }
 
-func TestFaultFabricSever(t *testing.T) {
-	ff := NewFaultFabric(2, 1)
-	defer ff.Close()
-	ff.Sever(0, 1)
-	// The send "succeeds" (one-way partition semantics) but nothing
-	// arrives.
-	if err := ff.Comms()[0].SendE(1, 4, []byte("lost")); err != nil {
-		t.Fatalf("send over a severed link must succeed locally: %v", err)
-	}
-	if _, err := ff.Comms()[1].RecvTimeout(0, 4, 50*time.Millisecond); err != ErrRecvTimeout {
-		t.Fatalf("severed link delivered anyway (err=%v)", err)
-	}
-}
-
+// TestKilledRankSendsError pins both sides of a kill: the dead rank's own
+// sends error, and a send to it succeeds locally but nothing arrives.
 func TestKilledRankSendsError(t *testing.T) {
-	ff := NewFaultFabric(2, 1)
-	defer ff.Close()
-	ff.Kill(0)
-	if err := ff.Comms()[0].SendE(1, 0, nil); err == nil {
+	f := NewFabric(2)
+	defer f.Close()
+	f.Kill(0)
+	if err := f.Comms()[0].SendE(1, 0, nil); err == nil {
 		t.Fatal("send from a killed rank must error")
 	}
-	if got := ff.Killed(); len(got) != 1 || got[0] != 0 {
+	if got := f.Killed(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("Killed() = %v, want [0]", got)
+	}
+	if err := f.Comms()[1].SendE(0, 6, []byte("lost")); err != nil {
+		t.Fatalf("send to a killed rank must succeed locally: %v", err)
+	}
+	// The killed endpoint's receives fail, so count arrivals instead;
+	// Close returns once every queued message has been delivered.
+	f.Close()
+	if n := f.Comms()[0].Stats().MsgsRecv; n != 0 {
+		t.Fatalf("%d message(s) reached the killed rank", n)
 	}
 }
 

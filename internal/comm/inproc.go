@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -10,13 +11,29 @@ import (
 // FIFO queues serviced by one delivery goroutine per rank (preserving the
 // non-overtaking rule while keeping senders non-blocking, like an MPI
 // progress thread).
+//
+// The fabric also injects the faults a TCP mesh can have, so every
+// recovery path of the fault-tolerant engine runs under `go test -race`:
+//
+//   - Kill(r) makes rank r behave like a crashed process: its endpoint
+//     fails (every blocked operation returns a RankFailedError) and all
+//     its traffic — inbound and outbound — is silently dropped, exactly
+//     the silence a dead TCP peer produces. Survivors notice only
+//     through the failure detector's suspicion timeout.
+//   - Sever(a, b) cuts one link in both directions (a partitioned
+//     switch), leaving both endpoints alive.
+//
+// A fabric nobody faults delivers every message exactly once, in
+// per-pair order.
 type Fabric struct {
 	comms []*Comm
 	chans []chan Message
 	wg    sync.WaitGroup
 
-	mu     sync.Mutex
-	closed bool
+	mu      sync.Mutex
+	closed  bool
+	killed  []bool
+	severed map[[2]int]bool
 }
 
 // inprocTransport is one rank's view of the fabric.
@@ -32,8 +49,10 @@ func NewFabric(size int) *Fabric {
 		panic("comm: fabric size must be >= 1")
 	}
 	f := &Fabric{
-		comms: make([]*Comm, size),
-		chans: make([]chan Message, size),
+		comms:   make([]*Comm, size),
+		chans:   make([]chan Message, size),
+		killed:  make([]bool, size),
+		severed: map[[2]int]bool{},
 	}
 	for r := 0; r < size; r++ {
 		f.comms[r] = newComm(r, size)
@@ -60,15 +79,66 @@ func (f *Fabric) pump(r int) {
 // Comms returns the per-rank communicators.
 func (f *Fabric) Comms() []*Comm { return f.comms }
 
-// Send implements Transport for one rank.
-func (t *inprocTransport) Send(dst, tag int, data []byte) error {
-	t.f.mu.Lock()
-	if t.f.closed {
-		t.f.mu.Unlock()
-		return fmt.Errorf("fabric closed")
+// link names the (a, b) link independently of direction.
+func link(a, b int) [2]int {
+	if a > b {
+		a, b = b, a
 	}
-	t.f.mu.Unlock()
-	t.f.chans[dst] <- Message{Src: t.rank, Tag: tag, Data: data}
+	return [2]int{a, b}
+}
+
+// Sever cuts the (a, b) link in both directions; both ranks stay alive.
+func (f *Fabric) Sever(a, b int) {
+	f.mu.Lock()
+	f.severed[link(a, b)] = true
+	f.mu.Unlock()
+}
+
+// Kill makes rank r a crashed process: its endpoint fails immediately
+// and all its traffic is dropped from now on. Idempotent.
+func (f *Fabric) Kill(r int) {
+	f.mu.Lock()
+	if f.killed[r] {
+		f.mu.Unlock()
+		return
+	}
+	f.killed[r] = true
+	f.mu.Unlock()
+	f.comms[r].Fail(&RankFailedError{Rank: r, Err: errors.New("killed by the fabric")})
+}
+
+// Killed returns the ranks killed so far, in rank order.
+func (f *Fabric) Killed() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []int
+	for r, k := range f.killed {
+		if k {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Send implements Transport for one rank, with the fault rules applied.
+func (t *inprocTransport) Send(dst, tag int, data []byte) error {
+	f := t.f
+	f.mu.Lock()
+	switch {
+	case f.closed:
+		f.mu.Unlock()
+		return fmt.Errorf("fabric closed")
+	case f.killed[t.rank]:
+		f.mu.Unlock()
+		return fmt.Errorf("rank %d is killed", t.rank)
+	case f.killed[dst] || f.severed[link(t.rank, dst)]:
+		// A dead peer or a cut link swallows the bytes silently — the
+		// sender's local send "succeeds", as with a one-way TCP partition.
+		f.mu.Unlock()
+		return nil
+	}
+	f.mu.Unlock()
+	f.chans[dst] <- Message{Src: t.rank, Tag: tag, Data: data}
 	return nil
 }
 

@@ -93,10 +93,6 @@ type Options struct {
 	// GrowAtIter defers raising the drain flag until this iteration
 	// (test hook; 0 admits pending joins at the first boundary).
 	GrowAtIter int
-	// IterDelay pauses every rank after each completed iteration — a
-	// pacing hook for CI smokes that need membership events to land
-	// mid-run. It cannot change the sampled chain.
-	IterDelay time.Duration
 }
 
 // normalized fills in defaulted fields.

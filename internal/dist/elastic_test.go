@@ -32,7 +32,7 @@ func readManifest(t *testing.T, dir string, iter int) *Manifest {
 // killAtHook returns a MembershipHook that kills the given ranks right
 // after they complete iteration killIter of round 0.
 func killAtHook(killIter int, victims []int) MembershipHook {
-	return func(round int, _ comm.View, fb *comm.FaultFabric, opt *Options, _ *comm.Membership) {
+	return func(round int, _ comm.View, fb *comm.Fabric, opt *Options, _ *comm.Membership) {
 		if round != 0 {
 			opt.OnIteration = nil
 			return
@@ -51,9 +51,9 @@ func killAtHook(killIter int, victims []int) MembershipHook {
 }
 
 // noFaults is the hook of an elastic run that injects nothing: the
-// rounds, fault fabric and failure detector all run, and must be
+// rounds, fabric and failure detector all run, and must be
 // chain-inert.
-func noFaults(int, comm.View, *comm.FaultFabric, *Options, *comm.Membership) {}
+func noFaults(int, comm.View, *comm.Fabric, *Options, *comm.Membership) {}
 
 func TestElasticKillRecoverMatchesCleanRestart(t *testing.T) {
 	cases := []struct {

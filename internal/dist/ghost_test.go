@@ -87,7 +87,7 @@ func TestUpdateSideLatchesSendFailure(t *testing.T) {
 	for _, threads := range []int{1, 2} {
 		opt := Options{Ranks: 2, ThreadsPerRank: threads, BufferSize: -1}.normalized()
 		plan, test := BuildPlan(prob, opt)
-		fb := comm.NewFaultFabric(2, 1)
+		fb := comm.NewFabric(2)
 		nd, err := NewNode(fb.Comms()[0], cfg, plan, prob.Rt, test, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestHybridRankUnwindsWhenPeerDiesMidPhase(t *testing.T) {
 	cfg := testConfig()
 	cfg.Iters = 200 // far more than the kill needs; the run never finishes
 	opt := Options{Ranks: 2, ThreadsPerRank: 2, BufferSize: -1, SuspicionTimeout: 300 * time.Millisecond}.normalized()
-	fb := comm.NewFaultFabric(2, cfg.Seed)
+	fb := comm.NewFabric(2)
 	defer fb.Close()
 
 	src := sourceOf(t, prob)

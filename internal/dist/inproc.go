@@ -42,7 +42,7 @@ import (
 // every round is one RunRank call (rank.go), the same body a
 // cmd/bpmf-dist process runs over TCP. The loop over rounds, however,
 // exists twice on purpose. This one is omniscient: it collects every
-// rank's verdict and asks the FaultFabric who was killed, so it can
+// rank's verdict and asks the fabric who was killed, so it can
 // shrink by exactly the dead set and seal a drain itself. A TCP process
 // sees only its own error — one RankFailedError naming one peer, or a
 // ViewChange it must wait for the coordinator to seal — and has to dial,
@@ -57,10 +57,10 @@ const DefaultSuspicionTimeout = 2 * time.Second
 // MembershipHook lets a caller (typically a test) act on one round
 // before its nodes start: it sees the round's sealed view, fabric and
 // options and the coordinator state machine, so it can install
-// Options.OnIteration kills, sever links, file join requests
-// (mem.RequestJoin from an OnIteration seam) and assert epochs. Round 0
-// is the initial run.
-type MembershipHook func(round int, view comm.View, fb *comm.FaultFabric, opt *Options, mem *comm.Membership)
+// Options.OnIteration kills (fb.Kill), sever links (fb.Sever), file join
+// requests (mem.RequestJoin from an OnIteration seam) and assert epochs.
+// Round 0 is the initial run.
+type MembershipHook func(round int, view comm.View, fb *comm.Fabric, opt *Options, mem *comm.Membership)
 
 // RunInProc executes a distributed run as a virtual cluster inside this
 // process: opt.Ranks nodes over the channel-backed fabric, each on its own
@@ -82,14 +82,18 @@ func RunInProc(cfg core.Config, prob *core.Problem, opt Options) (*core.Result, 
 // last round's per-rank stats and the view that finished.
 //
 // Without a hook nothing can kill a rank or file a join in-process, so
-// the run is one round on the plain fabric — with a resume point, the
-// clean-restart reference the recovery tests pin recovered and grown
-// chains bit-identical to. With a hook it is the elastic driver
-// described above: every round runs on a fresh FaultFabric under a
-// failure detector; a round that loses ranks or drains for a join is
-// followed by one over the next view, resumed from the latest manifest
-// in opt.CheckpointDir (which, with no resume given, also positions
-// round 0). That needs checkpointing to be configured.
+// the run is one round on a fabric nobody faults — with a resume point,
+// the clean-restart reference the recovery tests pin recovered and grown
+// chains bit-identical to. That branch stays apart from the round loop
+// below: folded in, it samples the same chain with the same allocation
+// total, but the collector's timing raised a 2-rank ChEMBL × 0.1 run's
+// peak RSS by 3–7 MB, which the benchmark's peak_rss_mb reads.
+//
+// With a hook it is the elastic driver described above: every round runs
+// on a fresh fabric under a failure detector; a round that loses ranks or
+// drains for a join is followed by one over the next view, resumed from
+// the latest manifest in opt.CheckpointDir (which, with no resume given,
+// also positions round 0). That needs checkpointing to be configured.
 func RunRounds(cfg core.Config, src Source, resume *Manifest, opt Options, hook MembershipHook) (*core.Result, []Stats, comm.View, error) {
 	opt = opt.normalized()
 	if err := cfg.Validate(); err != nil {
@@ -126,7 +130,7 @@ func RunRounds(cfg core.Config, src Source, resume *Manifest, opt Options, hook 
 			}
 		}
 
-		fb := comm.NewFaultFabric(ropt.Ranks, cfg.Seed)
+		fb := comm.NewFabric(ropt.Ranks)
 		hook(round, view, fb, &ropt, mem)
 		results, stats, errs := runRound(cfg, src, man, ropt, fb.Comms())
 		fb.Close()

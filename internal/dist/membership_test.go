@@ -14,14 +14,15 @@ import (
 // under a fresh incarnation (rejoin), or shrinks and then regrows, must
 // finish with U/V, kernel counts, and the full RMSE traces bitwise
 // identical to a fresh cluster of the final size started from the
-// sealing manifest. All runs ride the seeded FaultFabric, so every
-// failure, drain, and admission is deterministic by seed.
+// sealing manifest. All runs ride the in-process fabric, whose kills
+// land at fixed iterations, so every failure, drain, and admission is
+// deterministic.
 
 // growHook files one join request from rank 0's iteration seam of round
 // 0 (the production path: a joiner's TCP request lands in the
 // coordinator's Membership while its sampler runs).
 func growHook(addr string, atIter int) MembershipHook {
-	return func(round int, _ comm.View, _ *comm.FaultFabric, opt *Options, mem *comm.Membership) {
+	return func(round int, _ comm.View, _ *comm.Fabric, opt *Options, mem *comm.Membership) {
 		if round != 0 {
 			opt.OnIteration = nil
 			return
@@ -118,7 +119,7 @@ func TestMembershipRejoinWithFreshIncarnation(t *testing.T) {
 		Ranks: 3, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	hook := func(round int, _ comm.View, fb *comm.FaultFabric, opt *Options, mem *comm.Membership) {
+	hook := func(round int, _ comm.View, fb *comm.Fabric, opt *Options, mem *comm.Membership) {
 		switch round {
 		case 0: // kill rank 2 after iteration 3 (manifest 4 already sealed)
 			opt.OnIteration = func(rank, iter int) {
@@ -175,7 +176,7 @@ func TestMembershipShrinkThenRegrow(t *testing.T) {
 		Ranks: 2, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	hook := func(round int, _ comm.View, fb *comm.FaultFabric, opt *Options, mem *comm.Membership) {
+	hook := func(round int, _ comm.View, fb *comm.Fabric, opt *Options, mem *comm.Membership) {
 		switch round {
 		case 0: // grow: joiner-a admitted at the iteration-4 boundary
 			opt.OnIteration = func(rank, iter int) {
@@ -286,7 +287,7 @@ func TestMembershipCoordinatorDiesMidProposal(t *testing.T) {
 		Ranks: 3, CheckpointDir: dir, CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	hook := func(round int, _ comm.View, fb *comm.FaultFabric, opt *Options, mem *comm.Membership) {
+	hook := func(round int, _ comm.View, fb *comm.Fabric, opt *Options, mem *comm.Membership) {
 		if round != 0 {
 			opt.OnIteration = nil
 			return
@@ -352,7 +353,7 @@ func TestMembershipDuplicateJoinAdmittedOnce(t *testing.T) {
 		Ranks: 2, CheckpointDir: t.TempDir(), CheckpointEvery: 2,
 		SuspicionTimeout: 400 * time.Millisecond,
 	}
-	hook := func(round int, _ comm.View, _ *comm.FaultFabric, opt *Options, mem *comm.Membership) {
+	hook := func(round int, _ comm.View, _ *comm.Fabric, opt *Options, mem *comm.Membership) {
 		if round != 0 {
 			opt.OnIteration = nil
 			return

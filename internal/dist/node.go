@@ -436,9 +436,6 @@ func (nd *Node) Run() (*core.Result, *Stats, error) {
 		if nd.opt.OnIteration != nil {
 			nd.opt.OnIteration(nd.rank, it)
 		}
-		if nd.opt.IterDelay > 0 {
-			time.Sleep(nd.opt.IterDelay)
-		}
 		if drained {
 			view, err := nd.exchangeView()
 			if err != nil {
