@@ -89,8 +89,8 @@ func DataFromMatrixMarket(r io.Reader, testFrac float64, seed uint64) (*Data, er
 }
 
 // DataFromFile reads the rating matrix at path, sniffing the on-disk
-// format — MatrixMarket text (parsed with the parallel ingestion path)
-// or .bcsr binary shards (written by `datagen -out x.bcsr` or
+// format — MatrixMarket text (streamed through the one MatrixMarket
+// reader, sparse.ReadMatrixMarket's) or .bcsr binary shards (written by `datagen -out x.bcsr` or
 // sparse.WriteBinarySharded) — and holds out testFrac for evaluation.
 // Malformed or corrupt files of either format are reported as errors. The
 // split is sparse.LoadSplit's, the same as loading the file and splitting
@@ -164,7 +164,8 @@ type Config struct {
 	Threads int
 	// Ranks is the virtual node count for the Distributed engine.
 	Ranks int
-	// ClampMin/ClampMax clip predictions to a rating range (0,0 = off).
+	// ClampMin/ClampMax clip predictions to a rating range (equal = off;
+	// ClampMin > ClampMax is refused).
 	ClampMin, ClampMax float64
 	// BufferBytes is the distributed coalescing buffer (0 = 64 KiB).
 	BufferBytes int

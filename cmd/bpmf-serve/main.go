@@ -21,8 +21,8 @@
 //
 // Multi-model (one JSON config file). The shared flags (-addr, -watch,
 // -rate, -burst, -queue-bound, -retry-after) still win over the file's
-// values; the per-model flags (-ckpt, -data, -test, -alpha, -clamp,
-// -clamp-min, -clamp-max) have no model to apply to next to a models map
+// values; the per-model flags (-ckpt, -data, -test, -alpha, -clamp-min,
+// -clamp-max) have no model to apply to next to a models map
 // and are refused there:
 //
 //	bpmf-serve -config serve.json
@@ -216,10 +216,9 @@ func buildSpecs(models map[string]config.ServeModel, logf func(string, ...any)) 
 // reconstructed test split) otherwise.
 func buildSpec(name string, mc config.ServeModel, logf func(string, ...any)) (serve.ModelSpec, error) {
 	opts := serve.Options{
-		Alpha:        mc.Alpha,
-		ClampMin:     mc.Clamp.Min,
-		ClampMax:     mc.Clamp.Max,
-		ClampEnabled: mc.Clamp.Enable,
+		Alpha:    mc.Alpha,
+		ClampMin: mc.Clamp.Min,
+		ClampMax: mc.Clamp.Max,
 	}
 	if mc.Lineage != nil {
 		opts.Lineage = &serve.Lineage{Seed: mc.Lineage.Seed, K: mc.Lineage.K}

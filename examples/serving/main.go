@@ -136,7 +136,7 @@ func main() {
 	cfgPath := filepath.Join(dir, "serve.json")
 	registryJSON := fmt.Sprintf(`{
   "models": {
-    "prod":    {"ckpt": %q, "clamp": {"enable": true, "min": 1, "max": 5}},
+    "prod":    {"ckpt": %q, "clamp": {"min": 1, "max": 5}},
     "staging": {"ckpt": %q}
   }
 }`, ckptPath, stagingPath)
@@ -161,10 +161,9 @@ func main() {
 			Name: name,
 			Path: mc.Ckpt,
 			Opts: serve.Options{
-				Alpha:        mc.Alpha,
-				ClampMin:     mc.Clamp.Min,
-				ClampMax:     mc.Clamp.Max,
-				ClampEnabled: mc.Clamp.Enable,
+				Alpha:    mc.Alpha,
+				ClampMin: mc.Clamp.Min,
+				ClampMax: mc.Clamp.Max,
 			},
 		})
 	}

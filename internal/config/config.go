@@ -211,27 +211,20 @@ func (s Sampler) Validate() error {
 	return nil
 }
 
-// Clamp clips served predictions to a rating range. Clipping is on when
-// Enable is set or, for compatibility with the old "(0,0) = off"
-// sentinel, when Max > Min (serve.NewModel's rule); an inverted range is
-// a validation error instead of a silent no-op.
+// Clamp clips served predictions to a rating range: clipping is on iff
+// Max > Min (core.Clip, serve.NewModel's rule; the zero value is off),
+// and an inverted range is a validation error instead of a silent no-op.
 type Clamp struct {
-	// Enable turns clipping on.
-	Enable bool `json:"enable,omitempty"`
-	// Min and Max bound the reported predictions while clipping is on.
+	// Min and Max bound the reported predictions.
 	Min float64 `json:"min,omitempty"`
 	Max float64 `json:"max,omitempty"`
 }
 
-// Validate rejects inverted and empty ranges — whether or not Enable is
-// set, since an inverted range is always a mistake, never a request to
-// disable clipping.
+// Validate rejects an inverted range: it is always a mistake, never a
+// request to disable clipping.
 func (c Clamp) Validate() error {
 	if c.Min > c.Max {
 		return fmt.Errorf("config: clamp min (%g) must not exceed clamp max (%g)", c.Min, c.Max)
-	}
-	if c.Enable && c.Min == c.Max {
-		return fmt.Errorf("config: enabled clamp range [%g, %g] is empty — every prediction would collapse to one value", c.Min, c.Max)
 	}
 	return nil
 }

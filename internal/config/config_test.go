@@ -155,12 +155,11 @@ func TestClampValidate(t *testing.T) {
 		errContains string
 	}{
 		{"off", Clamp{}, ""},
-		{"enabled range", Clamp{Enable: true, Min: 1, Max: 5}, ""},
-		{"zero-based range", Clamp{Enable: true, Min: 0, Max: 10}, ""},
-		{"compat range without enable", Clamp{Min: 1, Max: 5}, ""},
+		{"range", Clamp{Min: 1, Max: 5}, ""},
+		{"zero-based range", Clamp{Min: 0, Max: 10}, ""},
+		{"empty range is off", Clamp{Min: 3, Max: 3}, ""},
 		{"inverted", Clamp{Min: 5, Max: 1}, "must not exceed"},
-		{"inverted enabled", Clamp{Enable: true, Min: 5, Max: 1}, "must not exceed"},
-		{"enabled empty range", Clamp{Enable: true, Min: 3, Max: 3}, "empty"},
+		{"inverted below zero", Clamp{Min: 0, Max: -1}, "must not exceed"},
 	}
 	for _, tc := range cases {
 		checkValidate(t, tc.name, tc.c.Validate(), tc.errContains)

@@ -132,7 +132,7 @@ func TestParseMultiModelServeFile(t *testing.T) {
 		"addr":  ":9090",
 		"watch": "2s",
 		"models": {
-			"movies": {"ckpt": "movies.ckpt", "clamp": {"enable": true, "min": 0, "max": 5}},
+			"movies": {"ckpt": "movies.ckpt", "clamp": {"min": 0.5, "max": 5}},
 			"drugs":  {"ckpt": "drugs.ckpt", "lineage": {"seed": 7, "k": 16}}
 		}
 	}`)
@@ -154,7 +154,7 @@ func TestParseMultiModelServeFile(t *testing.T) {
 		t.Fatalf("EffectiveModels = %d entries, want 2", len(models))
 	}
 	mv := models["movies"]
-	if !mv.Clamp.Enable || mv.Clamp.Max != 5 {
+	if mv.Clamp.Min != 0.5 || mv.Clamp.Max != 5 {
 		t.Errorf("movies = %+v", mv)
 	}
 	if mv.Alpha != DefaultServeModel().Alpha {
@@ -219,6 +219,29 @@ func TestServeRefusesDeletedTopN(t *testing.T) {
 	}
 }
 
+// TestServeRefusesDeletedClampEnable: clipping is on iff clamp max >
+// clamp min, so the switch that also turned it on went, and a deployment
+// still carrying it hears so at start-up — the file loader names the key,
+// the flag set the flag.
+func TestServeRefusesDeletedClampEnable(t *testing.T) {
+	for _, file := range []string{
+		`{"model": {"ckpt": "m.ckpt", "clamp": {"enable": true, "min": 1, "max": 5}}}`,
+		`{"models": {"a": {"ckpt": "a.ckpt", "clamp": {"enable": true, "min": 1, "max": 5}}}}`,
+	} {
+		path := writeFile(t, "serve.json", file)
+		cfg := DefaultServe()
+		err := Parse(newFS(t), []string{"-config", path}, &cfg)
+		if err == nil || !strings.Contains(err.Error(), `unknown field "enable"`) {
+			t.Errorf("config file %s: error %v, want an unknown-field refusal naming \"enable\"", file, err)
+		}
+	}
+	cfg := DefaultServe()
+	err := Parse(newFS(t), []string{"-ckpt", "m.ckpt", "-clamp", "-clamp-min", "1", "-clamp-max", "5"}, &cfg)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -clamp") {
+		t.Errorf("-clamp: error %v, want an unknown-flag refusal", err)
+	}
+}
+
 // TestServeParsesBenchmarkCommandLines: the repository benchmark starts
 // bpmf-serve with these arguments (benchmark/pipeline.go and proc.go).
 // -threads does nothing any more but must keep parsing.
@@ -257,12 +280,12 @@ func TestServeRefusesSingleModelSettingsNextToModels(t *testing.T) {
 		{"-data", "", []string{"-data", "d.bcsr"}, "-data (file: model.data)"},
 		{"-test", "", []string{"-test", "0.2"}, "-test (file: model.test)"},
 		{"-alpha", "", []string{"-alpha", "7"}, "-alpha (file: model.alpha)"},
-		{"-clamp", "", []string{"-clamp"}, "-clamp (file: model.clamp.enable)"},
+		{"-clamp", "", []string{"-clamp"}, "flag provided but not defined: -clamp"},
 		{"-clamp-min", "", []string{"-clamp-min", "1"}, "-clamp-min (file: model.clamp.min)"},
 		{"-clamp-max", "", []string{"-clamp-max", "5"}, "-clamp-max (file: model.clamp.max)"},
-		{"several", "", []string{"-data", "d.bcsr", "-alpha", "7", "-clamp", "-clamp-max", "5"}, "-data"},
+		{"several", "", []string{"-data", "d.bcsr", "-alpha", "7", "-clamp-max", "5"}, "-data"},
 		{"model.alpha", `{"alpha": 7}`, nil, "-alpha (file: model.alpha)"},
-		{"model.clamp", `{"clamp": {"enable": true, "min": 1, "max": 5}}`, nil, "-clamp (file: model.clamp.enable)"},
+		{"model.clamp", `{"clamp": {"min": 1, "max": 5}}`, nil, "-clamp-min (file: model.clamp.min)"},
 		{"model.lineage", `{"lineage": {"seed": 3}}`, nil, "model.lineage (file only)"},
 	}
 	for _, tc := range cases {
@@ -334,7 +357,7 @@ func FuzzLoadFile(f *testing.F) {
 		`{"data": {"synthetic": "small"}, "typo_field": 3}`,
 		`{"data": {"synthetic": "small"}} {"more": true}`,
 		`iters = 30`,
-		`{"addr": ":9090", "watch": "2s", "models": {"movies": {"ckpt": "movies.ckpt", "clamp": {"enable": true, "min": 0, "max": 5}}, "drugs": {"ckpt": "drugs.ckpt", "lineage": {"seed": 7, "k": 16}}}}`,
+		`{"addr": ":9090", "watch": "2s", "models": {"movies": {"ckpt": "movies.ckpt", "clamp": {"min": 0.5, "max": 5}}, "drugs": {"ckpt": "drugs.ckpt", "lineage": {"seed": 7, "k": 16}}}}`,
 		`{"model": {"ckpt": "m.ckpt"}, "serving": {"max_batch": 8, "queue_bound": 16}}`,
 		`{"model": {"ckpt": "m.ckpt"}, "serving": {"queue_bound": 16, "retry_after": 3000000000}}`,
 		`{"model": {"ckpt": "m.ckpt"}, "watch": "1.5s", "serving": {"rate": 2.5, "burst": 1, "retry_after": "250ms"}}`,

@@ -164,9 +164,8 @@ func (c *Serve) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Model.Data, "data", c.Model.Data, "rating matrix (MatrixMarket .mtx or binary .bcsr): enables already-rated exclusion in /recommend")
 	fs.Float64Var(&c.Model.TestFrac, "test", c.Model.TestFrac, "held-out fraction of the training run; with -data, reconstructs the test split (seeded by the checkpoint) so /predict serves exact posterior intervals")
 	fs.Float64Var(&c.Model.Alpha, "alpha", c.Model.Alpha, "observation precision the chain was trained with")
-	fs.BoolVar(&c.Model.Clamp.Enable, "clamp", c.Model.Clamp.Enable, "clip served ratings to [clamp-min, clamp-max]")
-	fs.Float64Var(&c.Model.Clamp.Min, "clamp-min", c.Model.Clamp.Min, "minimum served rating (with -clamp)")
-	fs.Float64Var(&c.Model.Clamp.Max, "clamp-max", c.Model.Clamp.Max, "maximum served rating (with -clamp; -clamp-max > -clamp-min also enables clipping for compatibility)")
+	fs.Float64Var(&c.Model.Clamp.Min, "clamp-min", c.Model.Clamp.Min, "minimum served rating; served ratings are clipped to [clamp-min, clamp-max] when clamp-max > clamp-min")
+	fs.Float64Var(&c.Model.Clamp.Max, "clamp-max", c.Model.Clamp.Max, "maximum served rating (clipping is off while clamp-max == clamp-min; clamp-min > clamp-max is refused)")
 }
 
 // Validate checks the merged configuration.
@@ -221,8 +220,6 @@ func singleModelSetting(m ServeModel) string {
 		return "-test (file: model.test)"
 	case m.Alpha != d.Alpha:
 		return "-alpha (file: model.alpha)"
-	case m.Clamp.Enable != d.Clamp.Enable:
-		return "-clamp (file: model.clamp.enable)"
 	case m.Clamp.Min != d.Clamp.Min:
 		return "-clamp-min (file: model.clamp.min)"
 	case m.Clamp.Max != d.Clamp.Max:

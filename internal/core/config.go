@@ -62,7 +62,8 @@ type Config struct {
 	MomentGroupsV []int
 
 	// ClampMin/ClampMax clip predictions to the rating range (e.g. 0.5–5
-	// for MovieLens). ClampMax <= ClampMin disables clipping.
+	// for MovieLens; Clip). ClampMax == ClampMin disables clipping, and
+	// ClampMin > ClampMax is refused.
 	ClampMin, ClampMax float64
 }
 
@@ -100,6 +101,9 @@ func (c Config) Validate() error {
 	case c.KernelThreshold <= c.RankOneMax:
 		return fmt.Errorf("core: KernelThreshold (%d) must exceed RankOneMax (%d)",
 			c.KernelThreshold, c.RankOneMax)
+	}
+	if err := CheckClamp(c.ClampMin, c.ClampMax); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -24,6 +24,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ParallelGrain = 0 },
 		func(c *Config) { c.RankOneMax = -1 },
 		func(c *Config) { c.KernelThreshold = c.RankOneMax },
+		func(c *Config) { c.ClampMin, c.ClampMax = 5, 1 },
 	}
 	for i, mutate := range cases {
 		c := DefaultConfig()

@@ -108,11 +108,26 @@ func (p *Predictor) Restore(sum, sumSq []float64, nSamples int) error {
 }
 
 // clamp applies the configured rating-range clip.
-func (p *Predictor) clamp(v float64) float64 {
-	if p.clampMax > p.clampMin {
-		v = math.Min(p.clampMax, math.Max(p.clampMin, v))
+func (p *Predictor) clamp(v float64) float64 { return Clip(v, p.clampMin, p.clampMax) }
+
+// Clip is the one rating-range rule, the Predictor's and serve.Model's:
+// v is clipped to [lo, hi] when hi > lo and returned as it is otherwise
+// (0, 0 is off). An inverted range is refused before either is built
+// (CheckClamp).
+func Clip(v, lo, hi float64) float64 {
+	if hi > lo {
+		v = math.Min(hi, math.Max(lo, v))
 	}
 	return v
+}
+
+// CheckClamp refuses an inverted clip range: lo > hi is always a
+// mistake, never a way to turn clipping off.
+func CheckClamp(lo, hi float64) error {
+	if lo > hi {
+		return fmt.Errorf("clamp min (%g) exceeds clamp max (%g)", lo, hi)
+	}
+	return nil
 }
 
 // NumChunks returns the fixed chunk count of this predictor's reduction.

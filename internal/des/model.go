@@ -114,8 +114,12 @@ func CalibrateCostModel(k int) CostModel {
 		perRating = max(t2-t1, 0) / float64(d2-d1)
 		return max(t1-perRating*float64(d1), 0), perRating
 	}
-	// The degrees span each kernel's range under the default thresholds.
-	cm.PerItem, cm.PerRating = line(core.KernelCholesky, 32, 512)
+	// Each line is anchored at degree 1, so the fixed cost is read, not
+	// extrapolated: through degrees 32 and 512 the Cholesky intercept was
+	// t32 − 32·(t512 − t32)/480, which a 1.7× slowdown of one sweep against
+	// the other (they run milliseconds apart) drove to zero at K = 16. The
+	// far degree spans each kernel's range under the default thresholds.
+	cm.PerItem, cm.PerRating = line(core.KernelCholesky, 1, 512)
 	cm.RankOnePerItem, cm.RankOnePerRating = line(core.KernelRankOne, 1, 16)
 
 	// One side's moments, one group, as core.Sampler.Step reduces them.

@@ -41,14 +41,10 @@ type Options struct {
 	// observation-noise floor of every predictive Std and the fold-in
 	// likelihood weight.
 	Alpha float64
-	// ClampMin/ClampMax clip served predictions to the rating range.
-	// Clipping applies when ClampEnabled is set or (for compatibility
-	// with the old "(0,0) = off" flag sentinel) when ClampMax > ClampMin;
-	// an inverted range is rejected instead of silently disabling.
+	// ClampMin/ClampMax clip served predictions to the rating range
+	// (core.Clip): clipping is on iff ClampMax > ClampMin, and an
+	// inverted range is rejected instead of silently disabling.
 	ClampMin, ClampMax float64
-	// ClampEnabled turns clipping on explicitly, which makes degenerate
-	// ranges like [0, N] with N <= 0 configurable.
-	ClampEnabled bool
 	// Exclude lists each user's already-rated items (the training
 	// matrix); Recommend skips them. nil excludes nothing. A decoded
 	// *sparse.CSR serves it, or a .bcsr training matrix mapped with
@@ -129,7 +125,6 @@ type Model struct {
 	nSamples int
 	hyperU   *core.Hyper
 	alpha    float64
-	clampOn  bool
 	clampMin float64
 	clampMax float64
 	exclude  Excluder
@@ -184,10 +179,8 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 	if err := opts.Lineage.Check(ckpt.Seed, k); err != nil {
 		return nil, err
 	}
-	clampOn := opts.ClampEnabled || opts.ClampMax > opts.ClampMin
-	if clampOn && opts.ClampMin > opts.ClampMax {
-		return nil, fmt.Errorf("%w: clamp min (%g) exceeds clamp max (%g)",
-			ErrBadInput, opts.ClampMin, opts.ClampMax)
+	if err := core.CheckClamp(opts.ClampMin, opts.ClampMax); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
 	alpha := opts.Alpha
 	if alpha <= 0 {
@@ -211,7 +204,6 @@ func NewModel(ckpt *core.Checkpoint, opts Options) (*Model, error) {
 		nSamples: ckpt.NSamples,
 		hyperU:   ckpt.UserHyper(),
 		alpha:    alpha,
-		clampOn:  clampOn,
 		clampMin: opts.ClampMin,
 		clampMax: opts.ClampMax,
 		exclude:  opts.Exclude,
@@ -253,12 +245,7 @@ func (m *Model) K() int { return m.k }
 func (m *Model) NSamples() int { return m.nSamples }
 
 // clamp applies the configured rating-range clip.
-func (m *Model) clamp(v float64) float64 {
-	if m.clampOn {
-		v = math.Min(m.clampMax, math.Max(m.clampMin, v))
-	}
-	return v
-}
+func (m *Model) clamp(v float64) float64 { return core.Clip(v, m.clampMin, m.clampMax) }
 
 // obsStd is the observation-noise floor of every predictive Std.
 func (m *Model) obsStd() float64 { return math.Sqrt(1 / m.alpha) }
@@ -336,10 +323,8 @@ func (m *Model) RecommendVector(u la.Vector, excl []int32, n int) ([]rank.Item, 
 // clampItems clamps the reported scores of a ranked list in place and
 // returns it.
 func (m *Model) clampItems(items []rank.Item) []rank.Item {
-	if m.clampOn {
-		for i := range items {
-			items[i].Score = m.clamp(items[i].Score)
-		}
+	for i := range items {
+		items[i].Score = m.clamp(items[i].Score)
 	}
 	return items
 }

@@ -542,6 +542,34 @@ func TestRecommendRanksRawScoresUnderClamping(t *testing.T) {
 	}
 }
 
+// TestNewModelRefusesInvertedClamp: an inverted clamp range is refused,
+// not served unclipped; an empty one ([3, 3], or the zero value) is off.
+func TestNewModelRefusesInvertedClamp(t *testing.T) {
+	ckpt, prob, cfg := trainedChain(t, 47, 4, 2)
+	for _, r := range [][2]float64{{5, 1}, {0, -1}} {
+		opts := modelOptions(prob, cfg)
+		opts.ClampMin, opts.ClampMax = r[0], r[1]
+		if _, err := NewModel(ckpt, opts); !errors.Is(err, ErrBadInput) {
+			t.Errorf("clamp [%g, %g]: NewModel returned %v, want ErrBadInput", r[0], r[1], err)
+		}
+	}
+	raw, err := NewModel(ckpt, modelOptions(prob, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := modelOptions(prob, cfg)
+	opts.ClampMin, opts.ClampMax = 3, 3
+	empty, err := NewModel(ckpt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := raw.Predict(0, 0)
+	b, _ := empty.Predict(0, 0)
+	if a.Score != b.Score {
+		t.Fatalf("clamp [3, 3] changed a score: %v vs %v", b.Score, a.Score)
+	}
+}
+
 // TestServerPinSeedRejectsRetrainedChain pins the reload-misalignment
 // fix: when the test split was derived from a specific training seed, a
 // hot reload of a checkpoint trained under another seed must fail and

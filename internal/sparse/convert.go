@@ -234,7 +234,7 @@ func loadSpill(f *os.File, lo, hi, n int, dedup DedupPolicy) (*CSR, error) {
 		e.Row -= int32(lo)
 		coo.Entries = append(coo.Entries, e)
 	}
-	return coo.toCSR(nil, dedup), nil
+	return coo.toCSR(dedup), nil
 }
 
 // panelBounds greedily packs rows into contiguous panels of about

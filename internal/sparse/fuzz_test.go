@@ -11,12 +11,11 @@ import (
 )
 
 // fuzz_test.go is the loader-hardening corpus: no byte stream, however
-// corrupt, may panic either MatrixMarket parser or the bcsr reader, and
-// the two MatrixMarket parsers must stay decision-identical (the
-// parallel parser's contract is "bit-identical to the sequential
-// parse", which includes rejecting exactly the same inputs). The
-// f.Add seeds double as a regression corpus that plain `go test` (and
-// the CI loader job) runs without the fuzz engine.
+// corrupt, may panic the MatrixMarket reader or the bcsr reader, and the
+// MatrixMarket reader's byte tokenizer must stay decision-identical to
+// the strings.Fields reference (the same entries, or the same refusal).
+// The f.Add seeds double as a regression corpus that plain `go test`
+// (and the CI loader job) runs without the fuzz engine.
 
 func mmSeeds() [][]byte {
 	seeds := [][]byte{
@@ -41,27 +40,22 @@ func mmSeeds() [][]byte {
 	return seeds
 }
 
-// FuzzReadMatrixMarket is the differential fuzz target: sequential and
-// parallel parsers must agree on accept/reject, and on acceptance the
-// matrices must be bit-identical.
+// FuzzReadMatrixMarket is the differential fuzz target: ReadMatrixMarket
+// and the same reader over the reference tokenizer must agree on
+// accept/reject, and on acceptance the matrices must be bit-identical.
 func FuzzReadMatrixMarket(f *testing.F) {
 	for _, s := range mmSeeds() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 64<<10 {
-			// The sequential scanner caps line length at 1 MiB; keep fuzz
-			// inputs well under it so the two parsers see the same lines.
-			return
+		got, err := ReadMatrixMarket(bytes.NewReader(data))
+		ref, refErr := readMMReference(data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("tokenizers disagree: ReadMatrixMarket err=%v, reference err=%v", err, refErr)
 		}
-		seq, seqErr := ReadMatrixMarket(bytes.NewReader(data))
-		par, parErr := ParseMatrixMarket(data, nil)
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("parsers disagree: sequential err=%v, parallel err=%v", seqErr, parErr)
-		}
-		if seqErr == nil && !Equal(seq, par) {
-			t.Fatalf("parsers accept but matrices differ (%dx%d nnz=%d vs %dx%d nnz=%d)",
-				seq.M, seq.N, seq.NNZ(), par.M, par.N, par.NNZ())
+		if err == nil && !Equal(got, ref) {
+			t.Fatalf("both accept but matrices differ (%dx%d nnz=%d vs %dx%d nnz=%d)",
+				got.M, got.N, got.NNZ(), ref.M, ref.N, ref.NNZ())
 		}
 
 		// The tokenizer differential, line by line and independent of
@@ -69,8 +63,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		// strings.Fields reference must produce the same entry, bit for
 		// bit, or both refuse the line.
 		m, n := 16, 16
-		if seqErr == nil {
-			m, n = seq.M, seq.N
+		if err == nil {
+			m, n = got.M, got.N
 		}
 		for _, line := range bytes.Split(data, []byte("\n")) {
 			if isMMSkipLine(line) {

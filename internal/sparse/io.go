@@ -24,9 +24,8 @@ const (
 	// file that promises 10^12 entries but holds three costs 64 MiB at
 	// most, not a terabyte.
 	cooCapHint = 1 << 22
-	// maxMMLine caps one line's length. The streaming readers inherit it
-	// from their bufio.Scanner buffer; the parallel parser enforces it
-	// explicitly so both paths accept and reject the same files.
+	// maxMMLine caps one line's length: scanMM's bufio.Scanner buffer,
+	// which refuses a longer line instead of growing to hold it.
 	maxMMLine = 1 << 20
 )
 
@@ -107,9 +106,10 @@ func parseMMSize(line string) (m, n, nnz int, err error) {
 }
 
 // parseEntryFields parses one already-tokenized entry line and validates
-// it against the matrix dimensions. It is the reference semantics: the
-// byte-level fast scanner of the parallel parser falls back to it, so
-// both paths accept and reject exactly the same lines.
+// it against the matrix dimensions. It is the reference semantics:
+// parseEntryBytes falls back to it on non-ASCII lines, and
+// FuzzReadMatrixMarket holds the two to the same entry or the same
+// refusal on every line.
 func parseEntryFields(f []string, m, n int) (Entry, error) {
 	if len(f) < 2 {
 		return Entry{}, fmt.Errorf("sparse: bad entry line %q", strings.Join(f, " "))
@@ -285,11 +285,12 @@ func checkMMCount(promised, found int) error {
 	return nil
 }
 
-// scanMM is the sequential MatrixMarket reader: the prologue, then
-// header with the size line's numbers, then every body line that is not
-// blank or a comment through parse and visit, in file order. parse is
-// the line tokenizer — parseEntryLine, the reference, for
-// ReadMatrixMarket; parseEntryBytes for the converter.
+// scanMM is the one MatrixMarket reader: the prologue, then header with
+// the size line's numbers, then every body line that is not blank or a
+// comment through parse and visit, in file order. parse is the line
+// tokenizer — parseEntryBytes for every reader of the program
+// (ReadMatrixMarket, and through it Load; the Converter); the tests pass
+// parseEntryLine, the reference, to hold it to the same matrices.
 func scanMM(r io.Reader, parse func(line []byte, m, n int) (Entry, error), header func(m, n, nnz int) error, visit func(Entry) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, maxMMLine), maxMMLine)
@@ -330,7 +331,8 @@ func scanMM(r io.Reader, parse func(line []byte, m, n int) (Entry, error), heade
 }
 
 // parseEntryLine tokenizes one body line with strings.Fields and hands
-// it to parseEntryFields: the reference tokenizer.
+// it to parseEntryFields: the reference tokenizer, and parseEntryBytes's
+// fallback for lines that are not plain ASCII.
 func parseEntryLine(line []byte, m, n int) (Entry, error) {
 	return parseEntryFields(strings.Fields(string(line)), m, n)
 }
@@ -338,12 +340,13 @@ func parseEntryLine(line []byte, m, n int) (Entry, error) {
 // ReadMatrixMarket parses a MatrixMarket coordinate matrix (real,
 // integer or pattern field, general symmetry). Malformed input — bad
 // headers, out-of-range indices, non-finite values, truncated streams —
-// is reported as an error; no input can panic the loader. For large
-// files prefer Load, which runs the chunked parallel parser over the
-// same semantics.
+// is reported as an error; no input can panic the loader. It streams r
+// through scanMM over parseEntryBytes: the entries are held once, at the
+// declared count (capped at cooCapHint until real entries grow them), and
+// the CSR is built from them.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	var coo *COO
-	err := scanMM(r, parseEntryLine, func(m, n, nnz int) error {
+	err := scanMM(r, parseEntryBytes, func(m, n, nnz int) error {
 		if nnz > cooCapHint {
 			nnz = cooCapHint
 		}

@@ -5,16 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/sched"
 )
-
-// autoPoolMin is the file size below which Load does not bother
-// spinning up a worker pool: parse time under a few milliseconds is
-// dominated by pool startup.
-const autoPoolMin = 4 << 20
 
 // mmMagic is the MatrixMarket banner prefix Load sniffs on.
 const mmMagic = "%%MatrixMarket"
@@ -44,10 +38,15 @@ func IsBCSR(path string) (bool, error) {
 }
 
 // Load reads a rating matrix from path, sniffing the format from the
-// file's leading bytes: .bcsr binary shards or MatrixMarket text (the
-// parallel parser, on a transient pool sized to GOMAXPROCS when the file
-// is large enough to benefit). It is the one entry point every command
-// and example loads matrices through.
+// file's leading bytes: .bcsr binary shards or MatrixMarket text. It is
+// the one entry point every command and example loads matrices through.
+//
+// A MatrixMarket file is streamed through ReadMatrixMarket, the package's
+// one reader of the format: the file is never held in memory whole, and
+// the entries are the only scratch beside the matrix. Measured against
+// the chunked parallel parser it replaced (PR 55; PERF.md): 1 M entries,
+// 189 → 30 MB allocated for +45 % wall time on 2 cores; 5 M entries,
+// 912 → 215 MB for +7 %.
 //
 // A .bcsr file is decoded through the mapped reader (OpenBinary's, on the
 // descriptor Load already holds; the mapping lives only for the decode),
@@ -63,16 +62,6 @@ func IsBCSR(path string) (bool, error) {
 // mapped makes its next page fault a SIGBUS (datagen and the Converter
 // both go through ReplaceFile).
 func Load(path string) (*CSR, error) {
-	return load(path, nil, true)
-}
-
-// LoadPool is Load with an explicit worker pool for the MatrixMarket
-// parse (nil = parse on the calling goroutine only).
-func LoadPool(path string, pool *sched.Pool) (*CSR, error) {
-	return load(path, pool, false)
-}
-
-func load(path string, pool *sched.Pool, auto bool) (*CSR, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -93,16 +82,12 @@ func load(path string, pool *sched.Pool, auto bool) (*CSR, error) {
 	if !bytes.HasPrefix(head, []byte(mmMagic)) {
 		return nil, fmt.Errorf("sparse: %s is neither a bcsr nor a MatrixMarket file (starts %q)", path, strings.ToValidUTF8(string(head), "?"))
 	}
-	// The parallel parser needs the whole byte stream for random
-	// line-boundary access.
-	data, err := io.ReadAll(io.MultiReader(bytes.NewReader(head), f))
-	if err != nil {
-		return nil, fmt.Errorf("sparse: reading %s: %w", path, err)
-	}
-	if auto && pool == nil && len(data) >= autoPoolMin && runtime.GOMAXPROCS(0) > 1 {
-		p := sched.NewPool(0)
-		defer p.Close()
-		pool = p
-	}
-	return ParseMatrixMarket(data, pool)
+	// The sniffed head goes back in front of the rest of the file.
+	return ReadMatrixMarket(io.MultiReader(bytes.NewReader(head), f))
+}
+
+// LoadPool is Load: pool is not read. It is kept only for the signature
+// benchmark/layers.go calls (ROADMAP item 7; item 20 deletes it).
+func LoadPool(path string, pool *sched.Pool) (*CSR, error) {
+	return Load(path)
 }

@@ -12,8 +12,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-
-	"repro/internal/sched"
 )
 
 // Entry is one observed rating: row (user), column (movie), value.
@@ -106,16 +104,14 @@ func (a *CSR) AppendRowCols(dst []int32, i int) ([]int32, error) {
 
 // ToCSR converts the COO matrix to CSR, sorting columns within each row
 // and summing duplicates.
-func (c *COO) ToCSR() *CSR { return c.toCSR(nil, DedupSum) }
+func (c *COO) ToCSR() *CSR { return c.toCSR(DedupSum) }
 
 // toCSR is the one COO → CSR build. The entries are counted, prefix-summed
 // and scattered into row segments in stream order (sequential: that order
 // is what the duplicate sum is taken in, and what DedupLast keeps the last
 // of); each segment is then sorted and its duplicates resolved in place by
-// dedup, and if any row shrank the survivors are packed. The two row loops
-// run on pool when one is given — a row's result is a pure function of its
-// own segment, so the pool changes the time and nothing else.
-func (c *COO) toCSR(pool *sched.Pool, dedup DedupPolicy) *CSR {
+// dedup, and if any row shrank the survivors are packed.
+func (c *COO) toCSR(dedup DedupPolicy) *CSR {
 	counts := make([]int64, c.M+1)
 	for _, e := range c.Entries {
 		counts[e.Row+1]++
@@ -136,28 +132,26 @@ func (c *COO) toCSR(pool *sched.Pool, dedup DedupPolicy) *CSR {
 	}
 	// Sort + dedup each row segment in place, recording surviving widths.
 	width := next // the scatter cursors are spent; their array holds the widths
-	forRange(pool, c.M, 256, func(lo, hi int) {
-		var last lastWins
-		for i := lo; i < hi; i++ {
-			cols, vals := col[counts[i]:counts[i+1]], val[counts[i]:counts[i+1]]
-			if dedup == DedupLast {
-				width[i] = last.row(cols, vals)
+	var last lastWins
+	for i := 0; i < c.M; i++ {
+		cols, vals := col[counts[i]:counts[i+1]], val[counts[i]:counts[i+1]]
+		if dedup == DedupLast {
+			width[i] = last.row(cols, vals)
+			continue
+		}
+		sort.Sort(&rowSorter{cols, vals})
+		w := int64(0)
+		for k := range cols {
+			if k > 0 && cols[k] == cols[k-1] {
+				vals[w-1] += vals[k]
 				continue
 			}
-			sort.Sort(&rowSorter{cols, vals})
-			w := int64(0)
-			for k := range cols {
-				if k > 0 && cols[k] == cols[k-1] {
-					vals[w-1] += vals[k]
-					continue
-				}
-				cols[w] = cols[k]
-				vals[w] = vals[k]
-				w++
-			}
-			width[i] = w
+			cols[w] = cols[k]
+			vals[w] = vals[k]
+			w++
 		}
-	})
+		width[i] = w
+	}
 	outPtr := make([]int64, c.M+1)
 	for i := 0; i < c.M; i++ {
 		outPtr[i+1] = outPtr[i] + width[i]
@@ -170,13 +164,11 @@ func (c *COO) toCSR(pool *sched.Pool, dedup DedupPolicy) *CSR {
 	}
 	outCol := make([]int32, w)
 	outVal := make([]float64, w)
-	forRange(pool, c.M, 256, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, d, wd := counts[i], outPtr[i], width[i]
-			copy(outCol[d:d+wd], col[s:s+wd])
-			copy(outVal[d:d+wd], val[s:s+wd])
-		}
-	})
+	for i := 0; i < c.M; i++ {
+		s, d, wd := counts[i], outPtr[i], width[i]
+		copy(outCol[d:d+wd], col[s:s+wd])
+		copy(outVal[d:d+wd], val[s:s+wd])
+	}
 	return &CSR{M: c.M, N: c.N, RowPtr: outPtr, Col: outCol, Val: outVal}
 }
 
@@ -218,16 +210,6 @@ func (l *lastWins) row(cols []int32, vals []float64) int64 {
 		w++
 	}
 	return int64(w)
-}
-
-// forRange runs body over [0, n): in grain-sized ranges on the pool when
-// one is given, in a single inline call otherwise.
-func forRange(pool *sched.Pool, n, grain int, body func(lo, hi int)) {
-	if pool == nil {
-		body(0, n)
-		return
-	}
-	pool.ParallelFor(0, n, grain, func(_ *sched.Worker, lo, hi int) { body(lo, hi) })
 }
 
 type rowSorter struct {
