@@ -25,7 +25,8 @@ const (
 	// most, not a terabyte.
 	cooCapHint = 1 << 22
 	// maxMMLine caps one line's length: scanMM's bufio.Scanner buffer,
-	// which refuses a longer line instead of growing to hold it.
+	// which refuses a line that does not fit in it with its '\n' instead
+	// of growing to hold it.
 	maxMMLine = 1 << 20
 )
 
