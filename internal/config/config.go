@@ -220,11 +220,10 @@ type Clamp struct {
 	Max float64 `json:"max,omitempty"`
 }
 
-// Validate rejects an inverted range: it is always a mistake, never a
-// request to disable clipping.
+// Validate rejects an inverted range (core.CheckClamp).
 func (c Clamp) Validate() error {
-	if c.Min > c.Max {
-		return fmt.Errorf("config: clamp min (%g) must not exceed clamp max (%g)", c.Min, c.Max)
+	if err := core.CheckClamp(c.Min, c.Max); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	return nil
 }

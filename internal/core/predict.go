@@ -112,8 +112,8 @@ func (p *Predictor) clamp(v float64) float64 { return Clip(v, p.clampMin, p.clam
 
 // Clip is the one rating-range rule, the Predictor's and serve.Model's:
 // v is clipped to [lo, hi] when hi > lo and returned as it is otherwise
-// (0, 0 is off). An inverted range is refused before either is built
-// (CheckClamp).
+// (0, 0 is off). Config.Validate, serve.NewModel and the serving config
+// refuse an inverted range (CheckClamp).
 func Clip(v, lo, hi float64) float64 {
 	if hi > lo {
 		v = math.Min(hi, math.Max(lo, v))
@@ -125,7 +125,7 @@ func Clip(v, lo, hi float64) float64 {
 // mistake, never a way to turn clipping off.
 func CheckClamp(lo, hi float64) error {
 	if lo > hi {
-		return fmt.Errorf("clamp min (%g) exceeds clamp max (%g)", lo, hi)
+		return fmt.Errorf("clamp min (%g) must not exceed clamp max (%g)", lo, hi)
 	}
 	return nil
 }
