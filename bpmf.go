@@ -89,9 +89,10 @@ func DataFromMatrixMarket(r io.Reader, testFrac float64, seed uint64) (*Data, er
 }
 
 // DataFromFile reads the rating matrix at path, sniffing the on-disk
-// format — MatrixMarket text (streamed through the one MatrixMarket
-// reader, sparse.ReadMatrixMarket's) or .bcsr binary shards (written by `datagen -out x.bcsr` or
-// sparse.WriteBinarySharded) — and holds out testFrac for evaluation.
+// format — MatrixMarket text (streamed through sparse.ReadMatrixMarket,
+// the one MatrixMarket reader) or .bcsr binary shards (written by
+// `datagen -out x.bcsr` or sparse.WriteBinarySharded) — and holds out
+// testFrac for evaluation.
 // Malformed or corrupt files of either format are reported as errors. The
 // split is sparse.LoadSplit's, the same as loading the file and splitting
 // it, but run in place over the loaded matrix, so no copy is built.

@@ -115,10 +115,11 @@ func CalibrateCostModel(k int) CostModel {
 		return max(t1-perRating*float64(d1), 0), perRating
 	}
 	// Each line is anchored at degree 1, so the fixed cost is read, not
-	// extrapolated: through degrees 32 and 512 the Cholesky intercept was
-	// t32 − 32·(t512 − t32)/480, which a 1.7× slowdown of one sweep against
-	// the other (they run milliseconds apart) drove to zero at K = 16. The
-	// far degree spans each kernel's range under the default thresholds.
+	// extrapolated: at K = 16 the Cholesky intercept extrapolated from
+	// degree 32 is about half the degree-32 time, and a 1.7× slowdown of
+	// one sweep against the other (they run milliseconds apart) drives it
+	// to zero. The far degree spans each kernel's range under the default
+	// thresholds.
 	cm.PerItem, cm.PerRating = line(core.KernelCholesky, 1, 512)
 	cm.RankOnePerItem, cm.RankOnePerRating = line(core.KernelRankOne, 1, 16)
 

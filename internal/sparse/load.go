@@ -44,7 +44,7 @@ func IsBCSR(path string) (bool, error) {
 // A MatrixMarket file is streamed through ReadMatrixMarket, the package's
 // one reader of the format: the file is never held in memory whole, and
 // the entries are the only scratch beside the matrix. Measured against
-// the chunked parallel parser it replaced (PR 55; PERF.md, 2 vCPUs):
+// the chunked parallel parser it replaced (PERF.md, 2 vCPUs):
 // 1 M entries, 189 → 30 MB allocated and VmHWM 76 → 33 MB for +35 % wall
 // time; 5 M entries, 912 → 215 MB and 366 → 210 MB for +26 %.
 //
