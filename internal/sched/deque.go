@@ -1,125 +1,76 @@
 // Package sched implements the two task schedulers the paper compares on a
-// single node: a TBB-style work-stealing runtime (Chase–Lev deques, random
-// victim selection, nested spawn/sync) and an OpenMP-style static-chunk
-// scheduler. The work-stealing pool is what gives the paper's "TBB" curve
-// in Figure 3 its load-balance advantage on skewed rating distributions.
+// single node: a TBB-style work-stealing runtime (one locked deque per
+// worker, random victim selection, nested spawn/sync) and an OpenMP-style
+// static-chunk scheduler. The work-stealing pool is what gives the paper's
+// "TBB" curve in Figure 3 its load-balance advantage on skewed rating
+// distributions.
 package sched
 
-import (
-	"sync/atomic"
-)
+import "sync"
 
 // Task is a unit of work executed by a pool worker. The *Worker argument
 // identifies the executing worker so the task can spawn nested subtasks
 // onto that worker's own deque.
 type Task func(w *Worker)
 
-// taskBuf is a growable circular buffer used by the Chase–Lev deque.
-type taskBuf struct {
-	mask  int64
-	tasks []Task
-}
-
-func newTaskBuf(logSize uint) *taskBuf {
-	n := int64(1) << logSize
-	return &taskBuf{mask: n - 1, tasks: make([]Task, n)}
-}
-
-func (b *taskBuf) get(i int64) Task    { return b.tasks[i&b.mask] }
-func (b *taskBuf) put(i int64, t Task) { b.tasks[i&b.mask] = t }
-func (b *taskBuf) grow(bot, top int64) *taskBuf {
-	nb := newTaskBuf(log2(int64(len(b.tasks))) + 1)
-	for i := top; i < bot; i++ {
-		nb.put(i, b.get(i))
-	}
-	return nb
-}
-
-func log2(n int64) uint {
-	var l uint
-	for n > 1 {
-		n >>= 1
-		l++
-	}
-	return l
-}
-
-// deque is a Chase–Lev work-stealing deque. The owner pushes and pops at
-// the bottom; thieves steal from the top. Lock-free, based on
-// "Dynamic Circular Work-Stealing Deque" (Chase & Lev, SPAA 2005) with the
-// memory-ordering fixes from Lê et al. (PPoPP 2013), adapted to Go's
-// sequentially-consistent atomics.
+// deque is a work-stealing deque guarded by one mutex, as TBB locks a
+// victim's task pool to steal from it. The owner pops at the bottom
+// (LIFO, the task it spawned last is the one still in cache); thieves
+// steal from the top (FIFO, the oldest and so largest piece of a split
+// range). A task costs tens of µs, so a worker seldom waits on the lock.
+// Any goroutine may push: Pool.Run pushes its root task onto worker 0's
+// deque.
 type deque struct {
-	top    atomic.Int64
-	bottom atomic.Int64
-	buf    atomic.Pointer[taskBuf]
+	mu    sync.Mutex
+	tasks []Task // tasks[top:] are queued, oldest first; the rest is nil
+	top   int
 }
 
-func newDeque() *deque {
-	d := &deque{}
-	d.buf.Store(newTaskBuf(8))
-	return d
-}
-
-// push adds a task at the bottom. Only the owner may call it.
+// push adds a task at the bottom. A full slice first reuses the prefix
+// thieves have emptied, so a deque that has reached its working size
+// pushes without allocating.
 func (d *deque) push(t Task) {
-	b := d.bottom.Load()
-	tp := d.top.Load()
-	buf := d.buf.Load()
-	if b-tp >= int64(len(buf.tasks)) {
-		buf = buf.grow(b, tp)
-		d.buf.Store(buf)
+	d.mu.Lock()
+	if d.top > 0 && len(d.tasks) == cap(d.tasks) {
+		n := copy(d.tasks, d.tasks[d.top:])
+		clear(d.tasks[n:])
+		d.tasks, d.top = d.tasks[:n], 0
 	}
-	buf.put(b, t)
-	d.bottom.Store(b + 1)
+	d.tasks = append(d.tasks, t)
+	d.mu.Unlock()
 }
 
-// pop removes a task from the bottom. Only the owner may call it.
-// Returns nil if the deque is empty.
+// pop removes the task at the bottom, or returns nil if the deque is
+// empty.
 func (d *deque) pop() Task {
-	b := d.bottom.Load() - 1
-	buf := d.buf.Load()
-	d.bottom.Store(b)
-	t := d.top.Load()
-	if b < t {
-		// Empty: restore bottom.
-		d.bottom.Store(t)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := len(d.tasks) - 1
+	if n < d.top {
 		return nil
 	}
-	task := buf.get(b)
-	if b > t {
-		return task
-	}
-	// Last element: race against stealers via CAS on top.
-	if !d.top.CompareAndSwap(t, t+1) {
-		task = nil // a thief got it
-	}
-	d.bottom.Store(t + 1)
-	return task
+	t := d.tasks[n]
+	d.tasks[n] = nil // pin no closure
+	d.tasks = d.tasks[:n]
+	return t
 }
 
-// steal removes a task from the top. Any worker may call it.
-// Returns nil if the deque is empty or the steal lost a race.
+// steal removes the task at the top, or returns nil if the deque is empty.
 func (d *deque) steal() Task {
-	t := d.top.Load()
-	b := d.bottom.Load()
-	if t >= b {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.top == len(d.tasks) {
 		return nil
 	}
-	buf := d.buf.Load()
-	task := buf.get(t)
-	if !d.top.CompareAndSwap(t, t+1) {
-		return nil
-	}
-	return task
+	t := d.tasks[d.top]
+	d.tasks[d.top] = nil
+	d.top++
+	return t
 }
 
-// size returns an estimate of the number of queued tasks.
-func (d *deque) size() int64 {
-	b := d.bottom.Load()
-	t := d.top.Load()
-	if b < t {
-		return 0
-	}
-	return b - t
+// size returns the number of queued tasks.
+func (d *deque) size() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.tasks) - d.top
 }

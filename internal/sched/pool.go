@@ -8,13 +8,17 @@ import (
 )
 
 // Pool is a work-stealing thread pool in the style of TBB's task scheduler.
-// Each worker owns a Chase–Lev deque; idle workers steal from random
-// victims; tasks may spawn nested subtasks and wait for them with
-// Group.Sync, during which the waiting worker keeps executing other tasks
-// (help-first scheduling), which is what makes nested parallelism cheap.
+// Each worker owns a deque; idle workers steal from random victims; tasks
+// may spawn nested subtasks and wait for them with Group.Sync, during which
+// the waiting worker keeps executing other tasks (help-first scheduling),
+// which is what makes nested parallelism cheap. The deques are the pool's
+// only queues: Run's root task goes onto worker 0's.
+//
+// Lock order: sleepMu may be held while a deque's lock is taken (a worker
+// about to park checks every deque under it), never the reverse, and no
+// other lock is taken while a deque's is held.
 type Pool struct {
 	workers []*Worker
-	inject  chan Task // Run's root tasks
 	done    chan struct{}
 	wg      sync.WaitGroup
 
@@ -29,7 +33,7 @@ type Pool struct {
 type Worker struct {
 	pool *Pool
 	id   int
-	dq   *deque
+	dq   deque
 	rng  *rand.Rand
 }
 
@@ -46,14 +50,11 @@ func NewPool(n int) *Pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		inject: make(chan Task, 1024),
-		done:   make(chan struct{}),
-	}
+	p := &Pool{done: make(chan struct{})}
 	p.sleepCond = sync.NewCond(&p.sleepMu)
 	p.workers = make([]*Worker, n)
 	for i := 0; i < n; i++ {
-		p.workers[i] = &Worker{pool: p, id: i, dq: newDeque(), rng: rand.New(rand.NewSource(int64(i)*0x9e3779b9 + 1))}
+		p.workers[i] = &Worker{pool: p, id: i, rng: rand.New(rand.NewSource(int64(i)*0x9e3779b9 + 1))}
 	}
 	p.wg.Add(n)
 	for i := 0; i < n; i++ {
@@ -110,7 +111,7 @@ func (w *Worker) run() {
 			runtime.Gosched()
 			continue
 		}
-		// Park until new work is injected or a spawn wakes us.
+		// Park until a Run or a spawn wakes us.
 		p := w.pool
 		p.sleepMu.Lock()
 		if p.closed {
@@ -135,11 +136,9 @@ func (w *Worker) run() {
 	}
 }
 
-// anyWork reports whether any deque or the inject queue appears non-empty.
+// anyWork reports whether any deque holds a task. The caller holds
+// sleepMu.
 func (w *Worker) anyWork() bool {
-	if len(w.pool.inject) > 0 {
-		return true
-	}
 	for _, v := range w.pool.workers {
 		if v.dq.size() > 0 {
 			return true
@@ -148,16 +147,10 @@ func (w *Worker) anyWork() bool {
 	return false
 }
 
-// findTask looks for work: own deque first, then the inject queue, then
-// random-victim stealing.
+// findTask looks for work: own deque first, then random-victim stealing.
 func (w *Worker) findTask() Task {
 	if t := w.dq.pop(); t != nil {
 		return t
-	}
-	select {
-	case t := <-w.pool.inject:
-		return t
-	default:
 	}
 	n := len(w.pool.workers)
 	if n > 1 {
@@ -226,17 +219,18 @@ func (g *Group) Sync(w *Worker) {
 // Run executes fn on one of the pool's workers and blocks until it (and
 // everything it spawned and synced) completes; a panic in fn, including
 // one a Sync re-raised, is re-raised on the caller. It is the entry point
-// from non-pool code, and every task runs on a pool worker. The caller
-// blocks rather than spins, so it leaves its core to the workers. A pool
-// task must not call Run or ParallelFor on its own pool: its worker would
-// block without executing tasks, and with every worker so blocked the
-// pool stops.
+// from non-pool code, and every task runs on a pool worker: fn goes onto
+// worker 0's deque, where worker 0 pops it or an idle worker steals it.
+// Any number of goroutines may call Run at once. The caller blocks rather
+// than spins, so it leaves its core to the workers. A pool task must not
+// call Run or ParallelFor on its own pool: its worker would block without
+// executing tasks, and with every worker so blocked the pool stops.
 func (p *Pool) Run(fn func(w *Worker)) {
 	done := make(chan any, 1)
-	p.inject <- func(w *Worker) {
+	p.workers[0].dq.push(func(w *Worker) {
 		defer func() { done <- recover() }()
 		fn(w)
-	}
+	})
 	p.wake()
 	if r := <-done; r != nil {
 		panic(r)

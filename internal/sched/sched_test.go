@@ -1,14 +1,16 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDequeSingleThreadLIFO(t *testing.T) {
-	d := newDeque()
+	var d deque
 	order := []int{}
 	for i := 0; i < 5; i++ {
 		i := i
@@ -31,7 +33,7 @@ func TestDequeSingleThreadLIFO(t *testing.T) {
 }
 
 func TestDequeStealFIFO(t *testing.T) {
-	d := newDeque()
+	var d deque
 	order := []int{}
 	for i := 0; i < 5; i++ {
 		i := i
@@ -53,13 +55,13 @@ func TestDequeStealFIFO(t *testing.T) {
 }
 
 func TestDequeGrowth(t *testing.T) {
-	d := newDeque()
-	n := 5000 // larger than the initial buffer
+	var d deque
+	n := 5000 // many times the slice's first sizes
 	var count int
 	for i := 0; i < n; i++ {
 		d.push(func(*Worker) { count++ })
 	}
-	if d.size() != int64(n) {
+	if d.size() != n {
 		t.Fatalf("size = %d, want %d", d.size(), n)
 	}
 	for {
@@ -253,30 +255,183 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	pool.Close() // must not panic or hang
 }
 
+// TestStealsHappenUnderImbalance: one task spawns all the work onto its
+// own worker's deque, and the first task that worker pops blocks until a
+// task has run on another worker, so the test passes only if some worker
+// stole, however many cores the box lends the pool at the time.
 func TestStealsHappenUnderImbalance(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
-	// One external task spawns all work onto a single worker's deque; the
-	// other workers must steal to help.
 	var count atomic.Int64
-	pool.Run(func(w *Worker) {
+	stolen := make(chan struct{})
+	var once sync.Once
+	pool.Run(func(owner *Worker) {
+		var blocked atomic.Bool
 		g := pool.NewGroup()
 		for i := 0; i < 2000; i++ {
-			g.Spawn(w, func(*Worker) {
-				// Small spin so thieves have time to engage.
-				s := 0
-				for j := 0; j < 2000; j++ {
-					s += j
-				}
-				_ = s
+			g.Spawn(owner, func(w *Worker) {
 				count.Add(1)
+				if w != owner {
+					once.Do(func() { close(stolen) })
+				} else if blocked.CompareAndSwap(false, true) {
+					select {
+					case <-stolen:
+					case <-time.After(30 * time.Second):
+						t.Error("no task ran on another worker within 30 s")
+					}
+				}
 			})
 		}
-		g.Sync(w)
+		g.Sync(owner)
 	})
 	if count.Load() != 2000 {
 		t.Fatalf("ran %d of 2000", count.Load())
 	}
+}
+
+// TestDequeStressExactlyOnce: the owner pushes across growth and the reuse
+// of the stolen prefix and pops every third task while three thieves
+// steal until the deque drains; every task runs exactly once. Under -race
+// this is the test a deque whose slots are read and written without
+// synchronisation fails.
+func TestDequeStressExactlyOnce(t *testing.T) {
+	const n = 200_000
+	var d deque
+	ran := make([]atomic.Int32, n)
+	var pushed atomic.Bool
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if task := d.steal(); task != nil {
+					task(nil)
+				} else if pushed.Load() && d.size() == 0 {
+					return
+				}
+			}
+		}()
+	}
+	for i := range n {
+		d.push(func(*Worker) { ran[i].Add(1) })
+		if i%3 == 2 {
+			if task := d.pop(); task != nil {
+				task(nil)
+			}
+		}
+	}
+	pushed.Store(true)
+	wg.Wait()
+	for i := range ran {
+		if c := ran[i].Load(); c != 1 {
+			t.Fatalf("task %d ran %d times", i, c)
+		}
+	}
+}
+
+// TestDequeSteadyStateAllocs: once a deque has reached its working size,
+// push, pop and steal allocate nothing, the pushes reusing the prefix
+// that steals emptied.
+func TestDequeSteadyStateAllocs(t *testing.T) {
+	var d deque
+	task := func(*Worker) {}
+	for range 64 {
+		d.push(task)
+	}
+	// One run of many rounds: AllocsPerRun rounds its average down, which
+	// would hide a slice that grows only now and then.
+	allocs := testing.AllocsPerRun(1, func() {
+		for range 1000 {
+			for range 16 {
+				d.push(task)
+			}
+			for range 8 {
+				d.steal()
+				d.pop()
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations in 1000 rounds of 16 pushes, 8 steals and 8 pops, want 0", allocs)
+	}
+	if d.size() != 64 {
+		t.Fatalf("size %d after balanced rounds, want 64", d.size())
+	}
+}
+
+// TestDequeClearsFreedSlots: a popped, stolen or moved task leaves no
+// reference behind in the slice, so a drained deque pins no closure.
+func TestDequeClearsFreedSlots(t *testing.T) {
+	var d deque
+	task := func(*Worker) {}
+	for range 8 {
+		d.push(task)
+	}
+	for range 6 {
+		d.steal()
+	}
+	d.push(task) // the slice is full: the two queued tasks move to its front
+	if d.steal() == nil || d.pop() == nil || d.pop() == nil || d.size() != 0 {
+		t.Fatal("the deque did not hold three tasks after the move")
+	}
+	for i, t2 := range d.tasks[:cap(d.tasks)] {
+		if t2 != nil {
+			t.Fatalf("slot %d of a drained deque still holds a task", i)
+		}
+	}
+}
+
+// TestConcurrentCallers: goroutines off the pool call ParallelFor and Run
+// on one 2-worker pool at once. Each body covers its own range exactly
+// once, and each panic, in a Run task or in a ParallelFor body, reaches
+// the caller it belongs to.
+func TestConcurrentCallers(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	var wg sync.WaitGroup
+	for c := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range 20 {
+				n := 100 + 37*c + rep
+				hits := make([]atomic.Int32, n)
+				pool.ParallelFor(0, n, 1+c%4, func(_ *Worker, lo, hi int) {
+					for i := lo; i < hi; i++ {
+						hits[i].Add(1)
+					}
+				})
+				for i := range hits {
+					if h := hits[i].Load(); h != 1 {
+						t.Errorf("caller %d rep %d: index %d visited %d times", c, rep, i, h)
+						return
+					}
+				}
+				want := fmt.Sprintf("caller %d rep %d", c, rep)
+				if got := recovered(func() { pool.Run(func(*Worker) { panic(want) }) }); got != want {
+					t.Errorf("Run re-raised %v, want %q", got, want)
+				}
+				if got := recovered(func() {
+					pool.ParallelFor(0, n, 4, func(_ *Worker, lo, hi int) {
+						if lo <= n/2 && n/2 < hi {
+							panic(want)
+						}
+					})
+				}); got != want {
+					t.Errorf("ParallelFor re-raised %v, want %q", got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// recovered runs f and returns what it panicked with, or nil.
+func recovered(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
 }
 
 func TestStaticForCoversRange(t *testing.T) {
